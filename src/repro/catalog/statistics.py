@@ -9,9 +9,10 @@ fully declared types (section 4.1 of the paper).
 Statistics must track DML: every INSERT / INSERT ... SELECT / CTAS /
 DELETE refreshes them (``Database._refresh_stats``), since stale row
 counts or tensor dims would silently mis-cost every subsequent plan.
-Appends are handled incrementally — :func:`collect_stats` keeps its
-value/shape accumulator sets on the stats objects, and
-:func:`append_stats` folds the new rows in without rescanning the table.
+Appends are handled incrementally — the value/shape accumulator sets
+stay on the stats objects, and :func:`append_stats` folds new rows in
+without rescanning the table (:func:`collect_stats` is that same fold
+started from empty accumulators).
 """
 
 from __future__ import annotations
@@ -90,30 +91,15 @@ def _tensor_observed(col_stats: ColumnStats) -> None:
 def collect_stats(schema, rows) -> TableStats:
     """Scan rows once and build statistics: row count, per-column distinct
     counts (for scalar columns), and observed tensor dimensions."""
-    stats = TableStats(row_count=len(rows), incremental=True)
-    for position, column in enumerate(schema):
+    stats = TableStats(incremental=True)
+    for column in schema:
         col_stats = stats.column(column.name)
-        declared = column.data_type
-        if isinstance(declared, (VectorType, MatrixType)):
+        if isinstance(column.data_type, (VectorType, MatrixType)):
             col_stats.length_set = set()
             col_stats.shape_set = set()
-            for row in rows:
-                value = row[position]
-                if isinstance(value, Vector):
-                    col_stats.length_set.add(value.length)
-                elif isinstance(value, Matrix):
-                    col_stats.shape_set.add(value.shape)
-            _tensor_observed(col_stats)
         else:
-            values: Optional[Set] = set()
-            for row in rows:
-                try:
-                    values.add(row[position])
-                except TypeError:
-                    values = None
-                    break
-            col_stats.value_set = values
-            col_stats.distinct = len(values) if values is not None else None
+            col_stats.value_set = set()
+    append_stats(stats, schema, rows)
     return stats
 
 

@@ -368,24 +368,12 @@ class Cluster:
         self.metrics.jobs += 1
         self.metrics.startup_seconds += self.config.job_startup_s
 
-    def check_memory(self, name: str, partitions) -> None:
+    def check_memory_relation(self, name: str, relation) -> None:
         """Raise ResourceExhaustedError when any slot's materialized
         partition exceeds its RAM share — the engine-level behaviour
-        behind the 'Fail' entries in the paper's Figure 3."""
-        limit = self.config.memory_per_slot
-        for slot, rows in enumerate(partitions):
-            used = sum(row_bytes(row) for row in rows)
-            if used > limit:
-                raise ResourceExhaustedError(
-                    f"operator {name}: partition on slot {slot} needs "
-                    f"{used / 1e9:.2f} GB but slots have "
-                    f"{limit / 1e9:.2f} GB"
-                )
-
-    def check_memory_relation(self, name: str, relation) -> None:
-        """Like :meth:`check_memory`, but takes a DistributedRelation so
-        partition sizes computed (and cached) while executing the
-        operator are reused instead of re-walking every row."""
+        behind the 'Fail' entries in the paper's Figure 3. Partition
+        sizes computed (and cached) while executing the operator are
+        reused instead of re-walking every row."""
         limit = self.config.memory_per_slot
         for slot in range(len(relation.partitions)):
             used = relation.partition_total_bytes(slot)

@@ -13,17 +13,23 @@ MapReduce-style execution model SimSQL inherits from Hadoop), processing
 Per-operator wall clocks land in :class:`QueryMetrics`, giving the
 Figure 4 breakdown for free; per-slot busy times expose skew.
 
-Two interpreter back ends share this file, selected by
-``ClusterConfig.execution_mode``:
+Each physical operator has **one** handler, written against the chunk
+protocol of :mod:`repro.engine.storage`: the handler owns child
+execution, partition-task fan-out, every ``charge_*``/``note_peak``/
+spill call and the fault and checkpoint hooks; the chunks own the value
+computation. ``ClusterConfig.execution_mode`` selects only which chunk
+class scans and ``from_rows`` produce:
 
-* ``"row"`` — the original tuple-at-a-time loops;
+* ``"row"`` — :class:`~repro.engine.storage.RowChunk`, tuple lists
+  evaluated row by row with ``TypedExpr.evaluate`` (the differential
+  oracle of ``tests/test_exec_modes.py``);
 * ``"batch"`` — columnar :class:`~repro.engine.storage.Batch` chunks
   with vectorized expression evaluation (``TypedExpr.evaluate_batch``).
 
-Both charge identical simulated costs and produce identical rows; the
-batch path only improves *real* wall-clock time. The equivalence
-contract is documented in ``docs/ENGINE.md`` and enforced by
-``tests/test_exec_modes.py``.
+Both modes run the same charge sequence, so they cannot charge different
+simulated costs for the same values; that the two kernels compute the
+same values is enforced by ``tests/test_exec_modes.py``. The batch
+kernels only improve *real* wall-clock time (see ``docs/ENGINE.md``).
 
 With ``ClusterConfig.intra_query_parallelism > 1`` each operator's
 per-partition loop is dispatched as independent partition tasks to the
@@ -47,16 +53,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..columnar import truth
 from ..errors import (
     ExecutionError,
     FaultRecoveryExhaustedError,
     TransientClusterError,
 )
 from ..faults import FaultInjector
-from ..la.aggregates import SumAggregate
 from ..plan.expressions import EvalCost
-from ..types import Matrix, Vector
+from ..types import Vector
 from ..plan.physical import (
     PDistinct,
     PExchange,
@@ -83,13 +87,15 @@ from .storage import (
     Batch,
     DistributedRelation,
     Partitioning,
-    partition_rows,
+    RowChunk,
 )
 
 if False:  # pragma: no cover - typing only, avoids an import cycle at runtime
     from ..storage.engine import StorageEngine
 
-EXECUTION_MODES = ("row", "batch")
+#: execution mode -> the chunk class its scans and ``from_rows`` produce
+CHUNK_CLASSES = {"row": RowChunk, "batch": Batch}
+EXECUTION_MODES = tuple(CHUNK_CLASSES)
 
 
 def count_job_boundaries(node: PhysicalNode) -> int:
@@ -262,36 +268,22 @@ class Executor:
                 f"unknown execution_mode {mode!r}; pick one of {EXECUTION_MODES}"
             )
         self.execution_mode = mode
-        if mode == "batch":
-            self._handlers = {
-                PScan: self._scan_batch,
-                PFilter: self._filter_batch,
-                PProject: self._project_batch,
-                PExchange: self._exchange_batch,
-                PHashJoin: self._hash_join_batch,
-                PNestedLoopJoin: self._nested_loop_join_batch,
-                PPartialAggregate: self._partial_aggregate_batch,
-                PFinalAggregate: self._final_aggregate_batch,
-                PDistinct: self._distinct_batch,
-                PSortLimit: self._sort_limit_batch,
-                PTopK: self._top_k_batch,
-                PViewScan: self._view_scan_batch,
-            }
-        else:
-            self._handlers = {
-                PScan: self._scan,
-                PFilter: self._filter,
-                PProject: self._project,
-                PExchange: self._exchange,
-                PHashJoin: self._hash_join,
-                PNestedLoopJoin: self._nested_loop_join,
-                PPartialAggregate: self._partial_aggregate,
-                PFinalAggregate: self._final_aggregate,
-                PDistinct: self._distinct,
-                PSortLimit: self._sort_limit,
-                PTopK: self._top_k,
-                PViewScan: self._view_scan,
-            }
+        #: the partition kernel: everything the two modes do differently
+        self._chunks = CHUNK_CLASSES[mode]
+        self._handlers = {
+            PScan: self._scan,
+            PFilter: self._filter,
+            PProject: self._project,
+            PExchange: self._exchange,
+            PHashJoin: self._hash_join,
+            PNestedLoopJoin: self._nested_loop_join,
+            PPartialAggregate: self._partial_aggregate,
+            PFinalAggregate: self._final_aggregate,
+            PDistinct: self._distinct,
+            PSortLimit: self._sort_limit,
+            PTopK: self._top_k,
+            PViewScan: self._view_scan,
+        }
         fault_plan = cluster.config.fault_plan
         if injector is not None:
             self.injector: Optional[FaultInjector] = injector
@@ -682,24 +674,15 @@ class Executor:
             self.storage.note_spill(nbytes)
         return True
 
-    def _spill_roundtrip_rows(self, rows) -> list:
-        """Physically round-trip spilled rows through a spill file in
+    def _spill_roundtrip(self, chunk):
+        """Physically round-trip a spilled chunk through a spill file in
         disk mode (the segment codec is exact, so values are unchanged);
-        in memory mode the spill is simulated and the rows stay put."""
-        if self.storage is not None and self.storage.mode == "disk":
-            return self.storage.spill_roundtrip(rows)
-        return rows if isinstance(rows, list) else list(rows)
-
-    def _spill_roundtrip_batch(self, batch: Batch, column_ids) -> Batch:
-        """Batch-mode twin of :meth:`_spill_roundtrip_rows`."""
-        if (
-            self.storage is not None
-            and self.storage.mode == "disk"
-            and batch.length
-        ):
-            rows = self.storage.spill_roundtrip(batch.rows())
-            return Batch.from_rows(column_ids, rows)
-        return batch
+        in memory mode the spill is simulated and the chunk stays put."""
+        if self.storage is None or self.storage.mode != "disk":
+            return chunk
+        return chunk.from_rows(
+            chunk.column_ids, self.storage.spill_roundtrip(chunk.rows())
+        )
 
     def _scan_partition(
         self, storage, slot: int, predicates, run
@@ -710,15 +693,8 @@ class Executor:
         (consecutive insert-order chunks of ``segment_rows``), so
         pruning decisions — and the scan charges they remove — match
         across storage modes."""
-        if not hasattr(storage, "segments"):
-            rows = (
-                list(storage.partitions[slot])
-                if slot < len(storage.partitions)
-                else []
-            )
-            return rows, [row_bytes(row) for row in rows]
         pool = self.storage.buffer_pool if self.storage is not None else None
-        rows = []
+        rows: List[tuple] = []
         sizes: List[float] = []
         for segment in storage.segments(slot):
             if predicates and segment_pruned(segment, predicates):
@@ -749,648 +725,54 @@ class Executor:
         parts: list,
         was_broadcast: bool,
         partitioning: Partitioning,
-        row_bytes_lists: Optional[list] = None,
     ) -> DistributedRelation:
         if was_broadcast:
-            part = parts[0]
-            if not isinstance(part, Batch):
-                # share one immutable copy: a list aliased across slots
-                # would let an in-place mutation corrupt every "copy"
-                part = tuple(part)
-            shared_bytes = (
-                [row_bytes_lists[0]] * self.slots
-                if row_bytes_lists is not None
-                else None
-            )
-            return DistributedRelation(
-                column_ids, [part] * self.slots, BROADCAST, row_bytes=shared_bytes
-            )
-        return DistributedRelation(
-            column_ids, parts, partitioning, row_bytes=row_bytes_lists
-        )
-
-    # =======================================================================
-    # row-at-a-time operators
-    # =======================================================================
-
-    def _scan(self, node: PScan) -> DistributedRelation:
-        storage = node.table.storage
-        if storage is None:
-            raise ExecutionError(f"table {node.table.name!r} has no data loaded")
-        run = self.cluster.operator(f"Scan({node.table.name})")
-        predicates = resolve_prune_predicates(
-            getattr(node, "prune_predicates", ())
-        )
-        tasks = self._partition_tasks(run, self.slots)
-
-        def scan_slot(slot, op):
-            rows, sizes = self._scan_partition(storage, slot, predicates, op)
-            scanned = sum(sizes)
-            op.charge_disk(slot, scanned)
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += scanned
-            return rows, sizes
-
-        scanned_parts = tasks.map(scan_slot)
-        tasks.finish()
-        parts = [rows for rows, _ in scanned_parts]
-        parts_bytes = [sizes for _, sizes in scanned_parts]
-        run.rows_in = run.rows_out
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        return DistributedRelation(
-            column_ids, parts, node.partitioning, row_bytes=parts_bytes
-        )
-
-    def _view_scan(self, node: PViewScan) -> DistributedRelation:
-        """Answer from a materialized view's stored state: slot 0 emits
-        the view's rows (for an incremental view, the merged + finished
-        accumulator states — deferred maintenance catches up here, under
-        the view's lock), every other slot is empty, matching the SINGLE
-        layout of the final aggregate or gathered result it replaces."""
-        run = self.cluster.operator(f"ViewScan({node.view.name})")
-        tasks = self._partition_tasks(run, self.slots)
-
-        def view_slot(slot, op):
-            if slot != 0:
-                return [], []
-            rows = node.view.answer_rows(node.spec_indices)
-            sizes = [row_bytes(row) for row in rows]
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += sum(sizes)
-            return rows, sizes
-
-        answered = tasks.map(view_slot)
-        tasks.finish()
-        parts = [rows for rows, _ in answered]
-        parts_bytes = [sizes for _, sizes in answered]
-        run.rows_in = run.rows_out
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        return DistributedRelation(
-            column_ids, parts, node.partitioning, row_bytes=parts_bytes
-        )
-
-    def _filter(self, node: PFilter) -> DistributedRelation:
-        child = self.execute(node.child)
-        run = self.cluster.operator("Filter")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def filter_slot(slot, op):
-            rows = parts_in[slot]
-            cost = EvalCost()
-            child_bytes = child.partition_row_bytes(slot)
-            kept = []
-            kept_bytes = []
-            for i, row in enumerate(rows):
-                view = child.view(row)
-                if node.predicate.evaluate(view, cost):
-                    kept.append(row)
-                    kept_bytes.append(child_bytes[i])
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(kept)
-            return kept, kept_bytes
-
-        filtered = tasks.map(filter_slot)
-        tasks.finish()
-        parts_out = [kept for kept, _ in filtered]
-        parts_bytes = [sizes for _, sizes in filtered]
-        self.cluster.record(run)
-        return self._wrap_output(
-            child.column_ids,
-            parts_out,
-            was_broadcast,
-            child.partitioning,
-            row_bytes_lists=parts_bytes,
-        )
-
-    def _project(self, node: PProject) -> DistributedRelation:
-        child = self.execute(node.child)
-        run = self.cluster.operator("Project")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def project_slot(slot, op):
-            rows = parts_in[slot]
-            cost = EvalCost()
-            out = []
-            sizes = []
-            for row in rows:
-                view = child.view(row)
-                projected = tuple(expr.evaluate(view, cost) for expr in node.exprs)
-                out.append(projected)
-                sizes.append(row_bytes(projected))
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            op.bytes_out += sum(sizes)
-            return out, sizes
-
-        projected_parts = tasks.map(project_slot)
-        tasks.finish()
-        parts_out = [out for out, _ in projected_parts]
-        parts_bytes = [sizes for _, sizes in projected_parts]
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        return self._wrap_output(
-            column_ids,
-            parts_out,
-            was_broadcast,
-            node.partitioning,
-            row_bytes_lists=parts_bytes,
-        )
-
-    def _exchange(self, node: PExchange) -> DistributedRelation:
-        child = self.execute(node.child)
-        run = self.cluster.operator(f"Exchange({node.kind})")
-        source_parts, _ = self._effective_partitions(child)
-
-        if node.kind == "broadcast":
-            rows = []
-            all_bytes: List[float] = []
-            for slot, part in enumerate(source_parts):
-                rows.extend(part)
-                all_bytes.extend(child.partition_row_bytes(slot))
-            total = sum(all_bytes)
-            run.charge_network(total * self.cluster.config.machines)
-            cores = self.cluster.config.cores_per_machine
-            for machine in range(self.cluster.config.machines):
-                run.charge_cpu(machine * cores, tuples=len(rows))
-            run.rows_in = run.rows_out = len(rows)
-            run.bytes_out = total * self.cluster.config.machines
-            self.cluster.record(run)
-            return DistributedRelation(
-                child.column_ids,
-                [tuple(rows)] * self.slots,
-                BROADCAST,
-                row_bytes=[all_bytes] * self.slots,
-            )
-
-        parts_out: List[List[tuple]] = [[] for _ in range(self.slots)]
-        bytes_out: List[List[float]] = [[] for _ in range(self.slots)]
-        if node.kind == "gather":
-            gathered = 0.0
-            for slot, part in enumerate(source_parts):
-                moved = child.partition_total_bytes(slot)
-                run.charge_cpu(slot, tuples=len(part))
-                run.charge_disk(slot, moved)  # map output spill
-                run.charge_network(moved)
-                gathered += moved
-                parts_out[0].extend(part)
-                bytes_out[0].extend(child.partition_row_bytes(slot))
-                run.rows_in += len(part)
-            # gather staging on the reducer is exchange state: when the
-            # collected partition exceeds the budget it spills before
-            # the reduce-side read
-            if self._spill_state(run, 0, gathered):
-                parts_out[0] = self._spill_roundtrip_rows(parts_out[0])
-            # the single reducer owns the whole machine's disk bandwidth
-            cores = self.cluster.config.cores_per_machine
-            run.charge_disk(0, gathered / cores)
-            run.charge_cpu(0, tuples=len(parts_out[0]))
-            run.rows_out = len(parts_out[0])
-            self.cluster.record(run)
-            return DistributedRelation(
-                child.column_ids, parts_out, SINGLE, row_bytes=bytes_out
-            )
-
-        # hash repartition. Map tasks evaluate partition keys and charge
-        # the map side; the coordinator then scatters rows sequentially
-        # in (source slot, row) order — that order is what fixes both
-        # the per-target row order and the balanced first-seen key
-        # assignment — and reduce tasks charge the receive side. Both
-        # phases share one task set so every slot's float-addition chain
-        # stays whole.
-        tasks = self._partition_tasks(run, self.slots)
-
-        def map_side(slot, op):
-            part = source_parts[slot]
-            cost = EvalCost()
-            moved = 0.0
-            keys = []
-            child_bytes = child.partition_row_bytes(slot)
-            for i, row in enumerate(part):
-                view = child.view(row)
-                keys.append(tuple(expr.evaluate(view, cost) for expr in node.keys))
-                moved += child_bytes[i]
-            op.charge_eval(slot, len(part), cost)
-            op.charge_disk(slot, moved)  # map output spill
-            op.charge_network(moved)
-            op.rows_in += len(part)
-            return keys
-
-        keyed = tasks.map(map_side, count=len(source_parts))
-        balanced_assignment: Dict[tuple, int] = {}
-        for slot, part in enumerate(source_parts):
-            child_bytes = child.partition_row_bytes(slot)
-            for i, key in enumerate(keyed[slot]):
-                if self.cluster.config.balanced_placement:
-                    target = balanced_assignment.setdefault(
-                        key, len(balanced_assignment) % self.slots
-                    )
-                else:
-                    target = stable_hash(key) % self.slots
-                parts_out[target].append(part[i])
-                bytes_out[target].append(child_bytes[i])
-
-        def reduce_side(slot, op):
-            rows = parts_out[slot]
-            received = sum(bytes_out[slot])
-            # reduce-side staging above the budget spills before the read
-            if self._spill_state(op, slot, received):
-                rows = self._spill_roundtrip_rows(rows)
-                parts_out[slot] = rows
-            op.charge_disk(slot, received)  # reduce-side read
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += received
-
-        tasks.map(reduce_side)
-        tasks.finish()
-        self.cluster.record(run)
-        return DistributedRelation(
-            child.column_ids, parts_out, node.partitioning, row_bytes=bytes_out
-        )
-
-    def _hash_join(self, node: PHashJoin) -> DistributedRelation:
-        probe_rel = self.execute(node.probe)
-        build_rel = self.execute(node.build)
-        run = self.cluster.operator("HashJoin")
-
-        build_broadcast = build_rel.partitioning.kind == "broadcast"
-        probe_parts, probe_was_broadcast = self._effective_partitions(probe_rel)
-        if probe_was_broadcast:
-            raise ExecutionError("hash join probe side cannot be broadcast")
-
-        # build per-slot hash tables; the build side is this join's
-        # in-memory state and is checked against the working-memory
-        # budget (a broadcast build is a full copy on every slot, so
-        # every slot charges its own spill)
-        if build_broadcast:
-            shared_rows = build_rel.partitions[0]
-            shared_bytes = build_rel.partition_total_bytes(0)
-            if self._over_budget(shared_bytes):
-                shared_rows = self._spill_roundtrip_rows(shared_rows)
-        # build and probe share one task set: both phases of partition
-        # ``i`` charge the same per-task sub-run
-        tasks = self._partition_tasks(run, self.slots)
-
-        def build_slot(slot, op):
-            if build_broadcast:
-                build_rows, build_bytes = shared_rows, shared_bytes
-            else:
-                build_rows = build_rel.partitions[slot]
-                build_bytes = build_rel.partition_total_bytes(slot)
-                if self._over_budget(build_bytes):
-                    build_rows = self._spill_roundtrip_rows(build_rows)
-            self._spill_state(op, slot, build_bytes)
-            cost = EvalCost()
-            table: Dict[tuple, List[tuple]] = {}
-            for row in build_rows:
-                view = build_rel.view(row)
-                key = tuple(expr.evaluate(view, cost) for expr in node.build_keys)
-                if any(value is None for value in key):
-                    continue
-                table.setdefault(_hashable(key), []).append(row)
-            op.charge_eval(slot, len(build_rows), cost)
-            op.rows_in += len(build_rows)
-            return table
-
-        tables = tasks.map(build_slot)
-
-        out_index = {
-            column.column_id: i for i, column in enumerate(node.columns)
-        }
-
-        def probe_slot(slot, op):
-            rows = probe_parts[slot]
-            cost = EvalCost()
-            table = tables[slot]
-            out: List[tuple] = []
-            emitted = 0
-            for row in rows:
-                view = probe_rel.view(row)
-                key = tuple(expr.evaluate(view, cost) for expr in node.probe_keys)
-                if any(value is None for value in key):
-                    continue
-                matches = table.get(_hashable(key))
-                if not matches:
-                    continue
-                for build_row in matches:
-                    joined = (
-                        row + build_row if node.probe_is_left else build_row + row
-                    )
-                    if node.residual is not None:
-                        joined_view = RowJoinView(joined, out_index)
-                        if not node.residual.evaluate(joined_view, cost):
-                            continue
-                    out.append(joined)
-                    emitted += 1
-            op.charge_eval(slot, len(rows) + emitted, cost)
-            op.rows_in += len(rows)
-            op.rows_out += emitted
-            return out
-
-        parts_out = tasks.map(probe_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        return DistributedRelation(column_ids, parts_out, node.partitioning)
-
-    def _nested_loop_join(self, node: PNestedLoopJoin) -> DistributedRelation:
-        probe_rel = self.execute(node.probe)
-        build_rel = self.execute(node.build)
-        if build_rel.partitioning.kind != "broadcast":
-            raise ExecutionError("nested-loop build side must be broadcast")
-        run = self.cluster.operator("NestedLoopJoin")
-        build_rows = build_rel.partitions[0]
-        probe_parts, probe_was_broadcast = self._effective_partitions(probe_rel)
-        if probe_was_broadcast:
-            raise ExecutionError("nested-loop probe side cannot be broadcast")
-        out_index = {column.column_id: i for i, column in enumerate(node.columns)}
-        tasks = self._partition_tasks(run, len(probe_parts))
-
-        def join_slot(slot, op):
-            rows = probe_parts[slot]
-            cost = EvalCost()
-            out: List[tuple] = []
-            emitted = 0
-            for row in rows:
-                for build_row in build_rows:
-                    joined = (
-                        row + build_row if node.probe_is_left else build_row + row
-                    )
-                    if node.residual is not None:
-                        joined_view = RowJoinView(joined, out_index)
-                        if not node.residual.evaluate(joined_view, cost):
-                            continue
-                    out.append(joined)
-                    emitted += 1
-            op.charge_eval(slot, len(rows) * max(len(build_rows), 1) + emitted, cost)
-            op.rows_in += len(rows)
-            op.rows_out += emitted
-            return out
-
-        parts_out = tasks.map(join_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        return DistributedRelation(column_ids, parts_out, node.partitioning)
-
-    def _partial_aggregate(self, node: PPartialAggregate) -> DistributedRelation:
-        child = self.execute(node.child)
-        run = self.cluster.operator("PartialAggregate")
-        parts_in, _ = self._effective_partitions(child)
-        if child.partitioning.kind == "broadcast":
-            raise ExecutionError("aggregating a broadcast relation")
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def aggregate_slot(slot, op):
-            rows = parts_in[slot]
-            cost = EvalCost()
-            groups: Dict[tuple, list] = {}
-            for row in rows:
-                view = child.view(row)
-                key = tuple(expr.evaluate(view, cost) for expr in node.group_exprs)
-                bucket = groups.get(_hashable(key))
-                if bucket is None:
-                    states = [
-                        set() if spec.distinct else spec.aggregate.create()
-                        for spec in node.aggregates
-                    ]
-                    bucket = [key, states]
-                    groups[_hashable(key)] = bucket
-                states = bucket[1]
-                for i, spec in enumerate(node.aggregates):
-                    value = (
-                        spec.arg.evaluate(view, cost) if spec.arg is not None else 1
-                    )
-                    if spec.distinct:
-                        if value is not None:
-                            states[i].add(value)
-                            cost.stream_bytes += value_bytes(value)
-                    else:
-                        states[i] = spec.aggregate.add(states[i], value)
-                        if value is not None:
-                            cost.stream_bytes += value_bytes(value)
-            out: List[tuple] = []
-            for key, states in groups.values():
-                out.append(tuple(key) + tuple(states))
-            # the group hash table is this operator's in-memory state;
-            # above the budget the partition spills. The reload is
-            # simulated in every mode — DISTINCT states are Python sets
-            # whose iteration order would not survive a physical round
-            # trip, and the final fold must stay bit-identical.
-            self._spill_state(op, slot, sum(row_bytes(row) for row in out))
-            # hash aggregation costs ~2x a plain per-tuple pass: hash the
-            # key, probe the table, update the state (this is why the
-            # paper's Figure 4 shows aggregation dominating the join)
-            op.charge_eval(slot, 2 * len(rows) + len(out), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return out
-
-        parts_out = tasks.map(aggregate_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        return DistributedRelation(column_ids, parts_out, ROUND_ROBIN)
-
-    def _final_aggregate(self, node: PFinalAggregate) -> DistributedRelation:
-        child = self.execute(node.child)
-        run = self.cluster.operator("FinalAggregate")
-        key_count = len(node.group_columns)
-        tasks = self._partition_tasks(run, len(child.partitions))
-
-        def merge_slot(slot, op):
-            rows = partition_rows(child.partitions[slot])
-            cost = EvalCost()
-            merged: Dict[tuple, list] = {}
-            for row in rows:
-                key = row[:key_count]
-                states = row[key_count:]
-                bucket = merged.get(_hashable(key))
-                if bucket is None:
-                    merged[_hashable(key)] = [key, list(states)]
-                else:
-                    existing = bucket[1]
-                    for i, spec in enumerate(node.aggregates):
-                        if spec.distinct:
-                            existing[i] |= states[i]
-                        else:
-                            existing[i] = spec.aggregate.merge(existing[i], states[i])
-                for state in states:
-                    cost.stream_bytes += value_bytes(state) if state is not None else 1.0
-            out: List[tuple] = []
-            for key, states in merged.values():
-                finished = []
-                for spec, state in zip(node.aggregates, states):
-                    if spec.distinct:
-                        fold = spec.aggregate.create()
-                        for value in state:
-                            fold = spec.aggregate.add(fold, value)
-                        state = fold
-                    finished.append(spec.aggregate.finish(state))
-                out.append(tuple(key) + tuple(finished))
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return len(rows) > 0, out
-
-        merged_parts = tasks.map(merge_slot)
-        tasks.finish()
-        saw_rows = any(saw for saw, _ in merged_parts)
-        parts_out = [out for _, out in merged_parts]
-        if key_count == 0 and not saw_rows:
-            # SQL scalar aggregates yield exactly one row on empty input
-            finished = []
-            for spec in node.aggregates:
-                finished.append(spec.aggregate.finish(spec.aggregate.create()))
-            parts_out[0].append(tuple(finished))
-            run.rows_out += 1
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        return DistributedRelation(column_ids, parts_out, node.partitioning)
-
-    def _distinct(self, node: PDistinct) -> DistributedRelation:
-        child = self.execute(node.child)
-        run = self.cluster.operator(f"Distinct({'local' if node.local else 'final'})")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def distinct_slot(slot, op):
-            rows = parts_in[slot]
-            seen = {}
-            for row in rows:
-                seen.setdefault(_hashable(row), row)
-            out = list(seen.values())
-            op.charge_cpu(
-                slot,
-                tuples=len(rows),
-                stream_bytes=child.partition_total_bytes(slot),
-            )
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return out
-
-        parts_out = tasks.map(distinct_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output(
-            child.column_ids, parts_out, was_broadcast, child.partitioning
-        )
-
-    def _sort_limit(self, node: PSortLimit) -> DistributedRelation:
-        child = self.execute(node.child)
-        run = self.cluster.operator(f"Sort({'final' if node.final else 'local'})")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def sort_slot(slot, op):
-            rows = parts_in[slot]
-            ordered = list(rows)
-            for expr, ascending in reversed(node.keys):
-                cost = EvalCost()
-                ordered.sort(
-                    key=lambda row: _sort_key(expr.evaluate(child.view(row), cost)),
-                    reverse=not ascending,
-                )
-                op.charge_eval(slot, 0, cost)
-            if node.limit is not None:
-                ordered = ordered[: node.limit]
-            comparisons = len(rows) * max(1.0, math.log2(len(rows) + 1))
-            op.charge_cpu(slot, tuples=comparisons)
-            # the full sort materializes an ordered copy of the whole
-            # partition before any LIMIT truncation — O(n) state (the
-            # bounded-heap PTopK holds O(k); see _top_k)
-            op.note_peak(child.partition_total_bytes(slot))
-            op.rows_in += len(rows)
-            op.rows_out += len(ordered)
-            return ordered
-
-        parts_out = tasks.map(sort_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output(
-            child.column_ids, parts_out, was_broadcast, child.partitioning
-        )
-
-    def _top_k(self, node: PTopK) -> DistributedRelation:
-        if node.limit <= 0:
-            return self._top_k_empty(node)
-        child = self.execute(node.child)
-        run = self.cluster.operator(f"TopK({'final' if node.final else 'local'})")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-        ascending = [asc for _, asc in node.keys]
-
-        def topk_slot(slot, op):
-            rows = parts_in[slot]
-            key_columns = []
-            for expr, _asc in node.keys:
-                cost = EvalCost()
-                key_columns.append(
-                    [
-                        _sort_key(expr.evaluate(child.view(row), cost))
-                        for row in rows
-                    ]
-                )
-                op.charge_eval(slot, 0, cost)
-            chosen = _top_k_indices(key_columns, ascending, len(rows), node.limit)
-            out = [rows[i] for i in chosen]
-            sizes = child.partition_row_bytes(slot)
-            op.charge_cpu(slot, tuples=_top_k_comparisons(len(rows), node.limit))
-            # only the heap's k survivors are ever held, not the partition
-            op.note_peak(float(sum(sizes[i] for i in chosen)))
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return out
-
-        parts_out = tasks.map(topk_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output(
-            child.column_ids, parts_out, was_broadcast, child.partitioning
-        )
-
-    def _top_k_empty(self, node: PTopK) -> DistributedRelation:
-        """``LIMIT 0``: emit nothing — and never execute the child
-        subtree (the zero-row short-circuit; skipped operators are
-        marked not-executed in the trace)."""
-        run = self.cluster.operator(
-            f"TopK({'final' if node.final else 'local'})"
-        )
-        self.cluster.record(run)
-        column_ids = [column.column_id for column in node.columns]
-        if self.execution_mode == "batch":
-            parts: list = [Batch.empty_like(column_ids) for _ in range(self.slots)]
-        else:
-            parts = [[] for _ in range(self.slots)]
-        return DistributedRelation(column_ids, parts, node.partitioning)
-
-    # =======================================================================
-    # batch-columnar operators
-    #
-    # Every handler mirrors its row twin charge for charge: the same
-    # tuples/flops/stream-bytes/disk/network totals land on the same
-    # slots, so simulated metrics are identical in both modes (byte and
-    # cost totals are sums of integer-valued floats, which float
-    # addition computes exactly in any order).
-    # =======================================================================
-
-    def _wrap_output_batch(
-        self, column_ids, parts: List[Batch], was_broadcast: bool, partitioning
-    ) -> DistributedRelation:
-        if was_broadcast:
-            # a Batch is immutable, so every slot can share one chunk
+            # chunks are immutable, so every slot can share one
             return DistributedRelation(column_ids, [parts[0]] * self.slots, BROADCAST)
         return DistributedRelation(column_ids, parts, partitioning)
 
-    def _scan_batch(self, node: PScan) -> DistributedRelation:
+    def _map_partitions(
+        self, child: DistributedRelation, name: str, column_ids, partitioning, fn
+    ) -> DistributedRelation:
+        """The skeleton of a row-wise operator: ``fn(chunk, slot, op)``
+        turns each input partition into its output chunk, charging the
+        partition task's run ``op``; a broadcast input is processed once
+        and stays broadcast."""
+        run = self.cluster.operator(name)
+        parts_in, was_broadcast = self._effective_partitions(child)
+        tasks = self._partition_tasks(run, len(parts_in))
+
+        def task(slot, op):
+            chunk = parts_in[slot]
+            out = fn(chunk, slot, op)
+            op.rows_in += len(chunk)
+            op.rows_out += len(out)
+            return out
+
+        parts_out = tasks.map(task)
+        tasks.finish()
+        self.cluster.record(run)
+        return self._wrap_output(column_ids, parts_out, was_broadcast, partitioning)
+
+    @staticmethod
+    def _key_tuples(chunk, key_exprs, cost: EvalCost) -> List[tuple]:
+        """Per-row key tuples (NULL keys included; joins skip them)."""
+        key_lists = [chunk.values(expr, cost) for expr in key_exprs]
+        if not key_lists:
+            return [()] * len(chunk)
+        return list(zip(*key_lists))
+
+    # =======================================================================
+    # operators
+    #
+    # One handler per physical operator, written against the chunk
+    # protocol of ``engine.storage``: a handler owns child execution,
+    # partition-task fan-out and every charge; the chunks own the value
+    # computation. Both execution modes run these same handlers, so the
+    # charge sequence cannot differ between them.
+    # =======================================================================
+
+    def _scan(self, node: PScan) -> DistributedRelation:
         storage = node.table.storage
         if storage is None:
             raise ExecutionError(f"table {node.table.name!r} has no data loaded")
@@ -1400,36 +782,28 @@ class Executor:
             getattr(node, "prune_predicates", ())
         )
         disk_mode = self.storage is not None and self.storage.mode == "disk"
-        # the fully-cached columnar path is memory-mode only: in disk
-        # mode every scan goes segment by segment through the buffer
-        # pool so hit/miss counters match the row back end's, and a
-        # pruned scan assembles its batch from the surviving rows
-        use_columnar = (
+        # whole cached partitions are memory-mode only: in disk mode
+        # every scan goes segment by segment through the buffer pool
+        # (that is where hit/miss counters come from), and a pruned scan
+        # assembles its chunk from the surviving segments' rows
+        whole_partitions = (
             not predicates and not disk_mode and hasattr(storage, "columnar")
         )
         tasks = self._partition_tasks(run, self.slots)
 
         def scan_slot(slot, op):
-            if use_columnar:
-                columns, sizes = storage.columnar(slot)
-                batch = Batch(column_ids, columns, len(sizes), row_bytes=sizes)
-                if hasattr(storage, "segments"):
-                    op.segments_scanned += len(storage.segments(slot))
+            if whole_partitions:
+                chunk = self._chunks.from_table(column_ids, storage, slot)
+                op.segments_scanned += len(storage.segments(slot))
             else:
-                rows, size_list = self._scan_partition(
-                    storage, slot, predicates, op
-                )
-                batch = Batch.from_rows(
-                    column_ids,
-                    rows,
-                    row_bytes=np.asarray(size_list, dtype=np.float64),
-                )
-            scanned = batch.total_bytes()
+                rows, sizes = self._scan_partition(storage, slot, predicates, op)
+                chunk = self._chunks.from_rows(column_ids, rows, sizes)
+            scanned = chunk.total_bytes()
             op.charge_disk(slot, scanned)
-            op.charge_cpu(slot, tuples=batch.length)
-            op.rows_out += batch.length
+            op.charge_cpu(slot, tuples=len(chunk))
+            op.rows_out += len(chunk)
             op.bytes_out += scanned
-            return batch
+            return chunk
 
         parts = tasks.map(scan_slot)
         tasks.finish()
@@ -1437,24 +811,26 @@ class Executor:
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts, node.partitioning)
 
-    def _view_scan_batch(self, node: PViewScan) -> DistributedRelation:
-        """Batch twin of :meth:`_view_scan` — same rows, same single
-        partition, wrapped as columnar batches."""
+    def _view_scan(self, node: PViewScan) -> DistributedRelation:
+        """Answer from a materialized view's stored state: slot 0 emits
+        the view's rows (for an incremental view, the merged + finished
+        accumulator states — deferred maintenance catches up here, under
+        the view's lock), every other slot is empty, matching the SINGLE
+        layout of the final aggregate or gathered result it replaces."""
         run = self.cluster.operator(f"ViewScan({node.view.name})")
         column_ids = [column.column_id for column in node.columns]
         tasks = self._partition_tasks(run, self.slots)
 
         def view_slot(slot, op):
             if slot != 0:
-                return Batch.empty_like(column_ids)
-            rows = node.view.answer_rows(node.spec_indices)
-            sizes = [row_bytes(row) for row in rows]
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += sum(sizes)
-            return Batch.from_rows(
-                column_ids, rows, row_bytes=np.asarray(sizes, dtype=np.float64)
+                return self._chunks.from_rows(column_ids, [])
+            chunk = self._chunks.from_rows(
+                column_ids, node.view.answer_rows(node.spec_indices)
             )
+            op.charge_cpu(slot, tuples=len(chunk))
+            op.rows_out += len(chunk)
+            op.bytes_out += chunk.total_bytes()
+            return chunk
 
         parts = tasks.map(view_slot)
         tasks.finish()
@@ -1462,126 +838,107 @@ class Executor:
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts, node.partitioning)
 
-    def _filter_batch(self, node: PFilter) -> DistributedRelation:
+    def _filter(self, node: PFilter) -> DistributedRelation:
         child = self.execute(node.child)
-        run = self.cluster.operator("Filter")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
 
-        def filter_slot(slot, op):
-            batch = parts_in[slot]
+        def filter_chunk(chunk, slot, op):
             cost = EvalCost()
-            mask = truth(node.predicate.evaluate_batch(batch, cost))
-            kept = batch.filter(mask)
-            op.charge_eval(slot, batch.length, cost)
-            op.rows_in += batch.length
-            op.rows_out += kept.length
+            kept = chunk.select(node.predicate, cost)
+            op.charge_eval(slot, len(chunk), cost)
             return kept
 
-        parts_out = tasks.map(filter_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output_batch(
-            child.column_ids, parts_out, was_broadcast, child.partitioning
+        return self._map_partitions(
+            child, "Filter", child.column_ids, child.partitioning, filter_chunk
         )
 
-    def _project_batch(self, node: PProject) -> DistributedRelation:
+    def _project(self, node: PProject) -> DistributedRelation:
         child = self.execute(node.child)
-        run = self.cluster.operator("Project")
-        parts_in, was_broadcast = self._effective_partitions(child)
         column_ids = [column.column_id for column in node.columns]
-        tasks = self._partition_tasks(run, len(parts_in))
 
-        def project_slot(slot, op):
-            batch = parts_in[slot]
+        def project_chunk(chunk, slot, op):
             cost = EvalCost()
-            columns = [expr.evaluate_batch(batch, cost) for expr in node.exprs]
-            out = Batch(column_ids, columns, batch.length)
-            op.charge_eval(slot, batch.length, cost)
-            op.rows_in += batch.length
-            op.rows_out += out.length
+            out = chunk.project(column_ids, node.exprs, cost)
+            op.charge_eval(slot, len(chunk), cost)
             op.bytes_out += out.total_bytes()
             return out
 
-        parts_out = tasks.map(project_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output_batch(
-            column_ids, parts_out, was_broadcast, node.partitioning
+        return self._map_partitions(
+            child, "Project", column_ids, node.partitioning, project_chunk
         )
 
-    def _exchange_batch(self, node: PExchange) -> DistributedRelation:
+    def _exchange(self, node: PExchange) -> DistributedRelation:
         child = self.execute(node.child)
         run = self.cluster.operator(f"Exchange({node.kind})")
         source_parts, _ = self._effective_partitions(child)
+        column_ids = child.column_ids
+        config = self.cluster.config
 
         if node.kind == "broadcast":
-            merged = Batch.concat(child.column_ids, list(source_parts))
+            merged = self._chunks.concat(column_ids, source_parts)
             total = merged.total_bytes()
-            run.charge_network(total * self.cluster.config.machines)
-            cores = self.cluster.config.cores_per_machine
-            for machine in range(self.cluster.config.machines):
-                run.charge_cpu(machine * cores, tuples=merged.length)
-            run.rows_in = run.rows_out = merged.length
-            run.bytes_out = total * self.cluster.config.machines
+            run.charge_network(total * config.machines)
+            for machine in range(config.machines):
+                run.charge_cpu(
+                    machine * config.cores_per_machine, tuples=len(merged)
+                )
+            run.rows_in = run.rows_out = len(merged)
+            run.bytes_out = total * config.machines
             self.cluster.record(run)
-            return DistributedRelation(
-                child.column_ids, [merged] * self.slots, BROADCAST
-            )
+            return self._wrap_output(column_ids, [merged], True, BROADCAST)
 
         if node.kind == "gather":
             gathered = 0.0
-            for slot, batch in enumerate(source_parts):
-                moved = batch.total_bytes()
-                run.charge_cpu(slot, tuples=batch.length)
+            for slot, chunk in enumerate(source_parts):
+                moved = chunk.total_bytes()
+                run.charge_cpu(slot, tuples=len(chunk))
                 run.charge_disk(slot, moved)  # map output spill
                 run.charge_network(moved)
                 gathered += moved
-                run.rows_in += batch.length
-            merged = Batch.concat(child.column_ids, list(source_parts))
+                run.rows_in += len(chunk)
+            merged = self._chunks.concat(column_ids, source_parts)
             # gather staging on the reducer is exchange state: when the
             # collected partition exceeds the budget it spills before
             # the reduce-side read
             if self._spill_state(run, 0, gathered):
-                merged = self._spill_roundtrip_batch(merged, child.column_ids)
+                merged = self._spill_roundtrip(merged)
             parts_out = [merged] + [
-                Batch.empty_like(child.column_ids) for _ in range(self.slots - 1)
+                self._chunks.from_rows(column_ids, [])
+                for _ in range(self.slots - 1)
             ]
             # the single reducer owns the whole machine's disk bandwidth
-            cores = self.cluster.config.cores_per_machine
-            run.charge_disk(0, gathered / cores)
-            run.charge_cpu(0, tuples=merged.length)
-            run.rows_out = merged.length
+            run.charge_disk(0, gathered / config.cores_per_machine)
+            run.charge_cpu(0, tuples=len(merged))
+            run.rows_out = len(merged)
             self.cluster.record(run)
-            return DistributedRelation(child.column_ids, parts_out, SINGLE)
+            return DistributedRelation(column_ids, parts_out, SINGLE)
 
-        # hash repartition: vectorized key evaluation, per-row placement.
-        # Map tasks evaluate keys and charge the map side; the
-        # coordinator buckets sequentially in (source slot, row) order —
-        # fixing the per-target batch order and the balanced first-seen
-        # key assignment — and reduce tasks concatenate and charge the
-        # receive side. Both phases share one task set.
-        balanced = self.cluster.config.balanced_placement
+        # hash repartition. Map tasks evaluate partition keys and charge
+        # the map side; the coordinator then buckets rows sequentially
+        # in (source slot, row) order — that order is what fixes both
+        # the per-target row order and the balanced first-seen key
+        # assignment — and reduce tasks concatenate and charge the
+        # receive side. Both phases share one task set so every slot's
+        # float-addition chain stays whole.
         balanced_assignment: Dict[tuple, int] = {}
-        scattered: List[List[Batch]] = [[] for _ in range(self.slots)]
+        scattered: List[list] = [[] for _ in range(self.slots)]
         tasks = self._partition_tasks(run, self.slots)
 
         def map_side(slot, op):
-            batch = source_parts[slot]
+            chunk = source_parts[slot]
             cost = EvalCost()
-            keys = self._join_keys_batch(batch, node.keys, cost)
-            moved = batch.total_bytes()
-            op.charge_eval(slot, batch.length, cost)
+            keys = self._key_tuples(chunk, node.keys, cost)
+            moved = chunk.total_bytes()
+            op.charge_eval(slot, len(chunk), cost)
             op.charge_disk(slot, moved)  # map output spill
             op.charge_network(moved)
-            op.rows_in += batch.length
+            op.rows_in += len(chunk)
             return keys
 
         keyed = tasks.map(map_side, count=len(source_parts))
-        for slot, batch in enumerate(source_parts):
+        for slot, chunk in enumerate(source_parts):
             buckets: List[List[int]] = [[] for _ in range(self.slots)]
             for i, key in enumerate(keyed[slot]):
-                if balanced:
+                if config.balanced_placement:
                     target = balanced_assignment.setdefault(
                         key, len(balanced_assignment) % self.slots
                     )
@@ -1590,156 +947,97 @@ class Executor:
                 buckets[target].append(i)
             for target, indices in enumerate(buckets):
                 if indices:
-                    scattered[target].append(
-                        batch.take(np.asarray(indices, dtype=np.int64))
-                    )
+                    scattered[target].append(chunk.take(indices))
 
         def reduce_side(slot, op):
-            received_batch = Batch.concat(child.column_ids, scattered[slot])
-            received = received_batch.total_bytes()
+            received = self._chunks.concat(column_ids, scattered[slot])
+            nbytes = received.total_bytes()
             # reduce-side staging above the budget spills before the read
-            if self._spill_state(op, slot, received):
-                received_batch = self._spill_roundtrip_batch(
-                    received_batch, child.column_ids
-                )
-            op.charge_disk(slot, received)  # reduce-side read
-            op.charge_cpu(slot, tuples=received_batch.length)
-            op.rows_out += received_batch.length
-            op.bytes_out += received
-            return received_batch
+            if self._spill_state(op, slot, nbytes):
+                received = self._spill_roundtrip(received)
+            op.charge_disk(slot, nbytes)  # reduce-side read
+            op.charge_cpu(slot, tuples=len(received))
+            op.rows_out += len(received)
+            op.bytes_out += nbytes
+            return received
 
         parts_out = tasks.map(reduce_side)
         tasks.finish()
         self.cluster.record(run)
-        return DistributedRelation(child.column_ids, parts_out, node.partitioning)
+        return DistributedRelation(column_ids, parts_out, node.partitioning)
 
-    def _join_keys_batch(
-        self, batch: Batch, key_exprs, cost: EvalCost
-    ) -> List[tuple]:
-        """Per-row key tuples for a join side (None keys included; the
-        callers skip them like the row path does)."""
-        key_lists = [
-            expr.evaluate_batch(batch, cost).pylist() for expr in key_exprs
-        ]
-        if not key_lists:
-            return [()] * batch.length
-        return list(zip(*key_lists))
-
-    def _build_join_table(
-        self, batch: Batch, key_exprs
-    ) -> Tuple[EvalCost, Dict[tuple, List[int]]]:
-        cost = EvalCost()
-        table: Dict[tuple, List[int]] = {}
-        for i, key in enumerate(self._join_keys_batch(batch, key_exprs, cost)):
-            if any(value is None for value in key):
-                continue
-            table.setdefault(_hashable(key), []).append(i)
-        return cost, table
-
-    def _assemble_join(
-        self,
-        column_ids,
-        probe_batch: Batch,
-        build_batch: Batch,
-        probe_indices: List[int],
-        build_indices: List[int],
-        probe_is_left: bool,
-    ) -> Batch:
-        probe_take = probe_batch.take(np.asarray(probe_indices, dtype=np.int64))
-        build_take = build_batch.take(np.asarray(build_indices, dtype=np.int64))
-        if probe_is_left:
-            columns = list(probe_take.columns) + list(build_take.columns)
-        else:
-            columns = list(build_take.columns) + list(probe_take.columns)
-        # a joined row's serialized size is both sides' sizes minus one
-        # double-counted per-row overhead (sums of integral floats: exact)
-        joined_bytes = (
-            probe_take.row_bytes_array() + build_take.row_bytes_array() - 16.0
+    @staticmethod
+    def _joined(node, column_ids, probe, build, probe_indices, build_indices, cost):
+        """The joined chunk for the given row pairs, residual applied."""
+        joined = probe.join(
+            column_ids, build, probe_indices, build_indices, node.probe_is_left
         )
-        return Batch(column_ids, columns, probe_take.length, row_bytes=joined_bytes)
+        if node.residual is not None and len(joined):
+            joined = joined.select(node.residual, cost)
+        return joined
 
-    def _hash_join_batch(self, node: PHashJoin) -> DistributedRelation:
+    def _hash_join(self, node: PHashJoin) -> DistributedRelation:
         probe_rel = self.execute(node.probe)
         build_rel = self.execute(node.build)
         run = self.cluster.operator("HashJoin")
 
-        build_broadcast = build_rel.partitioning.kind == "broadcast"
         probe_parts, probe_was_broadcast = self._effective_partitions(probe_rel)
         if probe_was_broadcast:
             raise ExecutionError("hash join probe side cannot be broadcast")
         column_ids = [column.column_id for column in node.columns]
 
-        # build per-slot hash tables; a broadcast build side is one shared
-        # chunk, but the row path re-evaluates its keys on every slot, so
-        # the identical cost is charged per slot here as well. Build and
-        # probe share one task set: both phases of partition ``i`` charge
-        # the same per-task sub-run.
+        def build_table(slot):
+            """One build partition, its size, and its key -> row
+            positions hash table with the cost of evaluating the keys.
+            The build side is this join's in-memory state: above the
+            working-memory budget it round-trips through a spill file."""
+            chunk = build_rel.partitions[slot]
+            nbytes = chunk.total_bytes()
+            if self._over_budget(nbytes):
+                chunk = self._spill_roundtrip(chunk)
+            cost = EvalCost()
+            table: Dict[tuple, List[int]] = {}
+            for i, key in enumerate(self._key_tuples(chunk, node.build_keys, cost)):
+                if not any(value is None for value in key):
+                    table.setdefault(key, []).append(i)
+            return chunk, nbytes, cost, table
+
+        # a broadcast build side is one shared chunk hashed once, but it
+        # is a full copy on every slot: each slot charges the key
+        # evaluation and its own spill. Build and probe share one task
+        # set: both phases of partition ``i`` charge the same sub-run.
+        shared = (
+            build_table(0) if build_rel.partitioning.kind == "broadcast" else None
+        )
         tasks = self._partition_tasks(run, self.slots)
-        if build_broadcast:
-            shared = build_rel.partitions[0]
-            shared_bytes = build_rel.partition_total_bytes(0)
-            if self._over_budget(shared_bytes):
-                shared = self._spill_roundtrip_batch(shared, build_rel.column_ids)
-            shared_cost, shared_table = self._build_join_table(
-                shared, node.build_keys
-            )
 
-            def build_slot(slot, op):
-                self._spill_state(op, slot, shared_bytes)
-                op.charge_eval(slot, shared.length, shared_cost)
-                op.rows_in += shared.length
-                return shared_table, shared
-
-        else:
-
-            def build_slot(slot, op):
-                batch = build_rel.partitions[slot]
-                build_bytes = build_rel.partition_total_bytes(slot)
-                if self._over_budget(build_bytes):
-                    batch = self._spill_roundtrip_batch(
-                        batch, build_rel.column_ids
-                    )
-                self._spill_state(op, slot, build_bytes)
-                cost, table = self._build_join_table(batch, node.build_keys)
-                op.charge_eval(slot, batch.length, cost)
-                op.rows_in += batch.length
-                return table, batch
+        def build_slot(slot, op):
+            chunk, nbytes, cost, table = shared or build_table(slot)
+            self._spill_state(op, slot, nbytes)
+            op.charge_eval(slot, len(chunk), cost)
+            op.rows_in += len(chunk)
+            return chunk, table
 
         built = tasks.map(build_slot)
-        tables = [table for table, _ in built]
-        build_batches = [batch for _, batch in built]
 
         def probe_slot(slot, op):
-            batch = probe_parts[slot]
+            chunk = probe_parts[slot]
             cost = EvalCost()
-            table = tables[slot]
+            build_chunk, table = built[slot]
             probe_indices: List[int] = []
             build_indices: List[int] = []
-            for i, key in enumerate(
-                self._join_keys_batch(batch, node.probe_keys, cost)
-            ):
+            for i, key in enumerate(self._key_tuples(chunk, node.probe_keys, cost)):
                 if any(value is None for value in key):
                     continue
-                matches = table.get(_hashable(key))
-                if not matches:
-                    continue
-                for j in matches:
+                for j in table.get(key, ()):
                     probe_indices.append(i)
                     build_indices.append(j)
-            joined = self._assemble_join(
-                column_ids,
-                batch,
-                build_batches[slot],
-                probe_indices,
-                build_indices,
-                node.probe_is_left,
+            joined = self._joined(
+                node, column_ids, chunk, build_chunk, probe_indices, build_indices, cost
             )
-            if node.residual is not None and joined.length:
-                residual_mask = truth(node.residual.evaluate_batch(joined, cost))
-                joined = joined.filter(residual_mask)
-            op.charge_eval(slot, batch.length + joined.length, cost)
-            op.rows_in += batch.length
-            op.rows_out += joined.length
+            op.charge_eval(slot, len(chunk) + len(joined), cost)
+            op.rows_in += len(chunk)
+            op.rows_out += len(joined)
             return joined
 
         parts_out = tasks.map(probe_slot)
@@ -1747,47 +1045,39 @@ class Executor:
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
-    def _nested_loop_join_batch(self, node: PNestedLoopJoin) -> DistributedRelation:
+    def _nested_loop_join(self, node: PNestedLoopJoin) -> DistributedRelation:
         probe_rel = self.execute(node.probe)
         build_rel = self.execute(node.build)
         if build_rel.partitioning.kind != "broadcast":
             raise ExecutionError("nested-loop build side must be broadcast")
         run = self.cluster.operator("NestedLoopJoin")
-        build_batch = build_rel.partitions[0]
+        build_chunk = build_rel.partitions[0]
         probe_parts, probe_was_broadcast = self._effective_partitions(probe_rel)
         if probe_was_broadcast:
             raise ExecutionError("nested-loop probe side cannot be broadcast")
         column_ids = [column.column_id for column in node.columns]
-        build_count = build_batch.length
+        build_count = len(build_chunk)
         tasks = self._partition_tasks(run, len(probe_parts))
 
         def join_slot(slot, op):
-            batch = probe_parts[slot]
+            chunk = probe_parts[slot]
             cost = EvalCost()
-            probe_count = batch.length
-            # probe-major cross product, matching the row path's loop order
-            probe_indices = np.repeat(
-                np.arange(probe_count, dtype=np.int64), build_count
-            )
-            build_indices = np.tile(
-                np.arange(build_count, dtype=np.int64), probe_count
-            )
-            joined = self._assemble_join(
+            probe_count = len(chunk)
+            # the probe-major cross product
+            joined = self._joined(
+                node,
                 column_ids,
-                batch,
-                build_batch,
-                probe_indices,
-                build_indices,
-                node.probe_is_left,
+                chunk,
+                build_chunk,
+                np.repeat(np.arange(probe_count, dtype=np.int64), build_count),
+                np.tile(np.arange(build_count, dtype=np.int64), probe_count),
+                cost,
             )
-            if node.residual is not None and joined.length:
-                residual_mask = truth(node.residual.evaluate_batch(joined, cost))
-                joined = joined.filter(residual_mask)
             op.charge_eval(
-                slot, probe_count * max(build_count, 1) + joined.length, cost
+                slot, probe_count * max(build_count, 1) + len(joined), cost
             )
             op.rows_in += probe_count
-            op.rows_out += joined.length
+            op.rows_out += len(joined)
             return joined
 
         parts_out = tasks.map(join_slot)
@@ -1795,7 +1085,7 @@ class Executor:
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
-    def _partial_aggregate_batch(self, node: PPartialAggregate) -> DistributedRelation:
+    def _partial_aggregate(self, node: PPartialAggregate) -> DistributedRelation:
         child = self.execute(node.child)
         run = self.cluster.operator("PartialAggregate")
         parts_in, _ = self._effective_partitions(child)
@@ -1806,109 +1096,52 @@ class Executor:
         tasks = self._partition_tasks(run, len(parts_in))
 
         def aggregate_slot(slot, op):
-            batch = parts_in[slot]
+            chunk = parts_in[slot]
             cost = EvalCost()
-            key_lists = [
-                expr.evaluate_batch(batch, cost).pylist()
-                for expr in node.group_exprs
-            ]
+            keys = self._key_tuples(chunk, node.group_exprs, cost)
             value_lists = [
-                spec.arg.evaluate_batch(batch, cost).pylist()
-                if spec.arg is not None
-                else None
+                chunk.values(spec.arg, cost) if spec.arg is not None else None
                 for spec in specs
             ]
-            # bucket row indices by group key, then aggregate column by
-            # column: states see exactly the per-group row subsequence
-            # the row path feeds them, and the (integral) streamed-bytes
-            # totals are order-independent
+            # bucket row positions by group key, then aggregate column
+            # by column: every state sees its group's values in row
+            # order, and the (integral) streamed-bytes totals are
+            # order-independent
             groups: Dict[tuple, List[int]] = {}
-            for i in range(batch.length):
-                key = tuple(values[i] for values in key_lists)
+            for i, key in enumerate(keys):
                 bucket = groups.get(key)
                 if bucket is None:
                     groups[key] = bucket = []
                 bucket.append(i)
             group_indices = list(groups.values())
             spec_states = [
-                self._aggregate_column(spec, value_lists[j], group_indices, cost)
+                chunk.partial_aggregate(spec, value_lists[j], group_indices, cost)
                 for j, spec in enumerate(specs)
             ]
             out_rows = [
                 tuple(key) + tuple(states[g] for states in spec_states)
                 for g, key in enumerate(groups)
             ]
-            # same spill rule as the row path (simulated reload — see
-            # the DISTINCT-state note there); the sequential sum visits
-            # rows in the identical first-seen group order
-            self._spill_state(
-                op, slot, sum(row_bytes(row) for row in out_rows)
-            )
-            op.charge_eval(slot, 2 * batch.length + len(out_rows), cost)
-            op.rows_in += batch.length
+            # the group hash table is this operator's in-memory state;
+            # above the budget the partition spills. The reload is
+            # simulated in every mode — DISTINCT states are Python sets
+            # whose iteration order would not survive a physical round
+            # trip, and the final fold must stay bit-identical.
+            self._spill_state(op, slot, sum(row_bytes(row) for row in out_rows))
+            # hash aggregation costs ~2x a plain per-tuple pass: hash the
+            # key, probe the table, update the state (this is why the
+            # paper's Figure 4 shows aggregation dominating the join)
+            op.charge_eval(slot, 2 * len(chunk) + len(out_rows), cost)
+            op.rows_in += len(chunk)
             op.rows_out += len(out_rows)
-            return Batch.from_rows(column_ids, out_rows)
+            return self._chunks.from_rows(column_ids, out_rows)
 
         parts_out = tasks.map(aggregate_slot)
         tasks.finish()
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, ROUND_ROBIN)
 
-    def _aggregate_column(
-        self,
-        spec,
-        values: Optional[list],
-        group_indices: List[List[int]],
-        cost: EvalCost,
-    ) -> list:
-        """Partial-aggregate one column over pre-bucketed groups,
-        returning one state per group (in group-first-seen order)."""
-        if spec.distinct:
-            states = []
-            for indices in group_indices:
-                state = set()
-                for i in indices:
-                    value = values[i] if values is not None else 1
-                    if value is not None:
-                        state.add(value)
-                        cost.stream_bytes += value_bytes(value)
-                states.append(state)
-            return states
-        aggregate = spec.aggregate
-        if (
-            values is not None
-            and isinstance(aggregate, SumAggregate)
-            and _uniform_tensor_column(values)
-        ):
-            # SUM over same-shaped vectors/matrices: accumulate in place
-            # in row order — each np.add performs the identical IEEE
-            # addition the chain of Vector/Matrix __add__ calls performs,
-            # so the state is bit-identical to the row path's
-            wrap = type(values[0])
-            size = value_bytes(values[0])
-            states = []
-            for indices in group_indices:
-                if len(indices) == 1:
-                    states.append(values[indices[0]])
-                else:
-                    acc = values[indices[0]].data + values[indices[1]].data
-                    for i in indices[2:]:
-                        np.add(acc, values[i].data, out=acc)
-                    states.append(wrap(acc))
-                cost.stream_bytes += size * len(indices)
-            return states
-        states = []
-        for indices in group_indices:
-            state = aggregate.create()
-            for i in indices:
-                value = values[i] if values is not None else 1
-                state = aggregate.add(state, value)
-                if value is not None:
-                    cost.stream_bytes += value_bytes(value)
-            states.append(state)
-        return states
-
-    def _final_aggregate_batch(self, node: PFinalAggregate) -> DistributedRelation:
+    def _final_aggregate(self, node: PFinalAggregate) -> DistributedRelation:
         child = self.execute(node.child)
         run = self.cluster.operator("FinalAggregate")
         key_count = len(node.group_columns)
@@ -1916,16 +1149,16 @@ class Executor:
         tasks = self._partition_tasks(run, len(child.partitions))
 
         def merge_slot(slot, op):
-            # state merging is inherently value-at-a-time; materialize rows
-            rows = partition_rows(child.partitions[slot])
+            # state merging is inherently value-at-a-time
+            rows = child.partitions[slot].rows()
             cost = EvalCost()
             merged: Dict[tuple, list] = {}
             for row in rows:
                 key = row[:key_count]
                 states = row[key_count:]
-                bucket = merged.get(_hashable(key))
+                bucket = merged.get(key)
                 if bucket is None:
-                    merged[_hashable(key)] = [key, list(states)]
+                    merged[key] = [key, list(states)]
                 else:
                     existing = bucket[1]
                     for i, spec in enumerate(node.aggregates):
@@ -1949,170 +1182,110 @@ class Executor:
             op.charge_eval(slot, len(rows), cost)
             op.rows_in += len(rows)
             op.rows_out += len(out_rows)
-            return len(rows) > 0, Batch.from_rows(column_ids, out_rows)
+            return out_rows
 
         merged_parts = tasks.map(merge_slot)
         tasks.finish()
-        saw_rows = any(saw for saw, _ in merged_parts)
-        parts_out = [batch for _, batch in merged_parts]
-        if key_count == 0 and not saw_rows:
+        if key_count == 0 and not any(len(part) for part in child.partitions):
             # SQL scalar aggregates yield exactly one row on empty input
-            finished = []
-            for spec in node.aggregates:
-                finished.append(spec.aggregate.finish(spec.aggregate.create()))
-            parts_out[0] = Batch.from_rows(column_ids, [tuple(finished)])
+            merged_parts[0] = [
+                tuple(
+                    spec.aggregate.finish(spec.aggregate.create())
+                    for spec in node.aggregates
+                )
+            ]
             run.rows_out += 1
         self.cluster.record(run)
+        parts_out = [
+            self._chunks.from_rows(column_ids, out_rows) for out_rows in merged_parts
+        ]
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
-    def _distinct_batch(self, node: PDistinct) -> DistributedRelation:
+    def _distinct(self, node: PDistinct) -> DistributedRelation:
         child = self.execute(node.child)
-        run = self.cluster.operator(f"Distinct({'local' if node.local else 'final'})")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
 
-        def distinct_slot(slot, op):
-            batch = parts_in[slot]
-            rows = batch.rows()
-            seen: Dict[tuple, int] = {}
+        def distinct_chunk(chunk, slot, op):
+            seen = set()
             keep: List[int] = []
-            for i, row in enumerate(rows):
-                if _hashable(row) not in seen:
-                    seen[_hashable(row)] = i
+            for i, row in enumerate(chunk.rows()):
+                if row not in seen:
+                    seen.add(row)
                     keep.append(i)
-            out = batch.take(np.asarray(keep, dtype=np.int64))
             op.charge_cpu(
-                slot, tuples=batch.length, stream_bytes=batch.total_bytes()
+                slot, tuples=len(chunk), stream_bytes=chunk.total_bytes()
             )
-            op.rows_in += batch.length
-            op.rows_out += out.length
-            return out
+            return chunk.take(keep)
 
-        parts_out = tasks.map(distinct_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output_batch(
-            child.column_ids, parts_out, was_broadcast, child.partitioning
+        return self._map_partitions(
+            child,
+            f"Distinct({'local' if node.local else 'final'})",
+            child.column_ids,
+            child.partitioning,
+            distinct_chunk,
         )
 
-    def _sort_limit_batch(self, node: PSortLimit) -> DistributedRelation:
+    def _sort_limit(self, node: PSortLimit) -> DistributedRelation:
         child = self.execute(node.child)
-        run = self.cluster.operator(f"Sort({'final' if node.final else 'local'})")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
 
-        def sort_slot(slot, op):
-            batch = parts_in[slot]
-            order = list(range(batch.length))
+        def sort_chunk(chunk, slot, op):
+            count = len(chunk)
+            order = list(range(count))
             for expr, ascending in reversed(node.keys):
                 cost = EvalCost()
-                sort_keys = [
-                    _sort_key(value)
-                    for value in expr.evaluate_batch(batch, cost).pylist()
-                ]
+                sort_keys = [_sort_key(value) for value in chunk.values(expr, cost)]
                 order.sort(key=sort_keys.__getitem__, reverse=not ascending)
                 op.charge_eval(slot, 0, cost)
             if node.limit is not None:
                 order = order[: node.limit]
-            out = batch.take(np.asarray(order, dtype=np.int64))
-            comparisons = batch.length * max(1.0, math.log2(batch.length + 1))
-            op.charge_cpu(slot, tuples=comparisons)
+            op.charge_cpu(slot, tuples=count * max(1.0, math.log2(count + 1)))
             # the full sort materializes an ordered copy of the whole
             # partition before any LIMIT truncation — O(n) state (the
-            # bounded-heap PTopK holds O(k); see _top_k_batch)
-            op.note_peak(child.partition_total_bytes(slot))
-            op.rows_in += batch.length
-            op.rows_out += out.length
-            return out
+            # bounded-heap PTopK holds O(k); see _top_k)
+            op.note_peak(chunk.total_bytes())
+            return chunk.take(order)
 
-        parts_out = tasks.map(sort_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output_batch(
-            child.column_ids, parts_out, was_broadcast, child.partitioning
+        return self._map_partitions(
+            child,
+            f"Sort({'final' if node.final else 'local'})",
+            child.column_ids,
+            child.partitioning,
+            sort_chunk,
         )
 
-    def _top_k_batch(self, node: PTopK) -> DistributedRelation:
+    def _top_k(self, node: PTopK) -> DistributedRelation:
+        name = f"TopK({'final' if node.final else 'local'})"
         if node.limit <= 0:
-            return self._top_k_empty(node)
+            # ``LIMIT 0``: emit nothing — and never execute the child
+            # subtree (the zero-row short-circuit; skipped operators are
+            # marked not-executed in the trace)
+            self.cluster.record(self.cluster.operator(name))
+            column_ids = [column.column_id for column in node.columns]
+            parts = [
+                self._chunks.from_rows(column_ids, []) for _ in range(self.slots)
+            ]
+            return DistributedRelation(column_ids, parts, node.partitioning)
         child = self.execute(node.child)
-        run = self.cluster.operator(f"TopK({'final' if node.final else 'local'})")
-        parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
         ascending = [asc for _, asc in node.keys]
 
-        def topk_slot(slot, op):
-            batch = parts_in[slot]
+        def topk_chunk(chunk, slot, op):
             key_columns = []
             for expr, _asc in node.keys:
                 cost = EvalCost()
                 key_columns.append(
-                    [
-                        _sort_key(value)
-                        for value in expr.evaluate_batch(batch, cost).pylist()
-                    ]
+                    [_sort_key(value) for value in chunk.values(expr, cost)]
                 )
                 op.charge_eval(slot, 0, cost)
-            chosen = _top_k_indices(
-                key_columns, ascending, batch.length, node.limit
+            out = chunk.take(
+                _top_k_indices(key_columns, ascending, len(chunk), node.limit)
             )
-            out = batch.take(np.asarray(chosen, dtype=np.int64))
-            sizes = child.partition_row_bytes(slot)
-            op.charge_cpu(
-                slot, tuples=_top_k_comparisons(batch.length, node.limit)
-            )
+            op.charge_cpu(slot, tuples=_top_k_comparisons(len(chunk), node.limit))
             # only the heap's k survivors are ever held, not the partition
-            op.note_peak(float(sum(sizes[i] for i in chosen)))
-            op.rows_in += batch.length
-            op.rows_out += out.length
+            op.note_peak(out.total_bytes())
             return out
 
-        parts_out = tasks.map(topk_slot)
-        tasks.finish()
-        self.cluster.record(run)
-        return self._wrap_output_batch(
-            child.column_ids, parts_out, was_broadcast, child.partitioning
+        return self._map_partitions(
+            child, name, child.column_ids, child.partitioning, topk_chunk
         )
-
-
-class RowJoinView:
-    """Column-id lookup over a freshly joined row."""
-
-    __slots__ = ("values", "index")
-
-    def __init__(self, values, index: Dict[int, int]):
-        self.values = values
-        self.index = index
-
-    def __getitem__(self, column_id: int):
-        return self.values[self.index[column_id]]
-
-
-def _uniform_tensor_column(values: list) -> bool:
-    """True when every value is a Vector of one length or a Matrix of
-    one shape (no NULLs), so SUM can accumulate them in place."""
-    if not values:
-        return False
-    first = values[0]
-    cls = type(first)
-    if cls is Vector:
-        length = first.length
-        return all(
-            type(value) is Vector and value.length == length for value in values
-        )
-    if cls is Matrix:
-        shape = (first.rows, first.cols)
-        return all(
-            type(value) is Matrix and (value.rows, value.cols) == shape
-            for value in values
-        )
-    return False
-
-
-def _hashable(key: tuple) -> tuple:
-    """SQL NULL keys are kept distinct per Python None semantics; values
-    (including Vector/Matrix) are hashable already."""
-    return key
 
 
 def _sort_key(value):

@@ -1,30 +1,40 @@
-"""Partitioned tuple storage, columnar batches, and in-flight
+"""Partitioned tuple storage, the two partition kernels, and in-flight
 distributed relations.
 
-Two representations flow through the executor, selected by
-``ClusterConfig.execution_mode``:
+Every partition that flows through the executor is a *chunk*. There are
+two chunk classes, and ``ClusterConfig.execution_mode`` selects which
+one scans and ``from_rows`` produce:
 
-* **row** — partitions are lists of Python tuples, processed
-  tuple-at-a-time (the original interpreter);
-* **batch** — partitions are :class:`Batch` columnar chunks: one
-  :class:`~repro.columnar.ColumnData` per column, with cached per-row
-  byte sizes, processed by vectorized operators.
+* **row** — :class:`RowChunk`: a list of Python tuples plus their
+  per-row serialized sizes, evaluating ``TypedExpr.evaluate`` row by
+  row (the original interpreter, kept as the differential oracle);
+* **batch** — :class:`Batch`: one :class:`~repro.columnar.ColumnData`
+  per column with cached per-row byte sizes, evaluating
+  ``TypedExpr.evaluate_batch`` and slicing with numpy.
 
-Both produce identical result rows and identical simulated costs; the
-batch path only changes *real* wall-clock time (see ``docs/ENGINE.md``).
+Both implement the same *chunk protocol* — ``len``, ``rows``,
+``total_bytes``, ``values``, ``select``, ``project``, ``take``,
+``join``, ``partial_aggregate`` and the constructors ``from_rows``,
+``from_table`` and ``concat`` — and the executor's operator handlers are
+written against that protocol only. Everything that differs between
+the execution modes lives in this file; both modes produce identical
+result rows and identical simulated costs, and the batch kernels only
+change *real* wall-clock time (see ``docs/ENGINE.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..catalog import Schema
-from ..columnar import ColumnData
+from ..columnar import ColumnData, truth
 from ..errors import ExecutionError
-from .cluster import stable_hash, value_bytes
+from ..la.aggregates import SumAggregate
+from ..types import Matrix, Vector
+from .cluster import row_bytes, stable_hash, value_bytes
 
 
 @dataclass(frozen=True)
@@ -69,19 +79,155 @@ class RowView:
         return self.values[self.index[column_id]]
 
 
-class BatchCursor:
-    """A movable row view over a batch, for per-row fallback loops: set
-    ``position`` and index by column id like a :class:`RowView`."""
+def fold_groups(spec, values: Optional[list], group_indices, cost) -> list:
+    """Partial-aggregate one column over pre-bucketed groups with the
+    aggregate's own ``add`` chain, returning one state per group (in
+    group-first-seen order). ``values`` is None for ``COUNT(*)``."""
+    states = []
+    if spec.distinct:
+        for indices in group_indices:
+            state = set()
+            for i in indices:
+                value = values[i] if values is not None else 1
+                if value is not None:
+                    state.add(value)
+                    cost.stream_bytes += value_bytes(value)
+            states.append(state)
+        return states
+    aggregate = spec.aggregate
+    for indices in group_indices:
+        state = aggregate.create()
+        for i in indices:
+            value = values[i] if values is not None else 1
+            state = aggregate.add(state, value)
+            if value is not None:
+                cost.stream_bytes += value_bytes(value)
+        states.append(state)
+    return states
 
-    __slots__ = ("columns", "index", "position")
 
-    def __init__(self, columns: List[list], index: Dict[int, int]):
-        self.columns = columns
-        self.index = index
-        self.position = 0
+class RowChunk:
+    """The row-mode chunk: the tuples of one partition plus their
+    per-row serialized sizes (computed lazily, then sliced along by
+    ``take``/``select``/``concat``). Immutable once built — a broadcast
+    relation shares one chunk across every slot."""
 
-    def __getitem__(self, column_id: int):
-        return self.columns[self.index[column_id]][self.position]
+    __slots__ = ("column_ids", "index", "_rows", "_row_bytes", "_total")
+
+    def __init__(
+        self,
+        column_ids: Sequence[int],
+        rows: Sequence[tuple],
+        row_bytes: Optional[Sequence[float]] = None,
+    ):
+        self.column_ids = tuple(column_ids)
+        self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
+        self._rows = rows if isinstance(rows, list) else list(rows)
+        self._row_bytes = row_bytes
+        self._total: Optional[float] = None
+
+    @classmethod
+    def from_rows(cls, column_ids, rows, row_bytes=None) -> "RowChunk":
+        return cls(column_ids, rows, row_bytes)
+
+    @classmethod
+    def from_table(cls, column_ids, table, slot: int) -> "RowChunk":
+        """One whole partition of an in-memory base table."""
+        rows: List[tuple] = []
+        sizes: List[float] = []
+        for segment in table.segments(slot):
+            rows.extend(segment.rows)
+            sizes.extend(segment.sizes())
+        return cls(column_ids, rows, sizes)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def rows(self) -> List[tuple]:
+        return self._rows
+
+    # -- byte accounting ----------------------------------------------------
+
+    def row_bytes(self) -> Sequence[float]:
+        if self._row_bytes is None:
+            self._row_bytes = [row_bytes(row) for row in self._rows]
+        return self._row_bytes
+
+    def total_bytes(self) -> float:
+        if self._total is None:
+            self._total = float(sum(self.row_bytes()))
+        return self._total
+
+    # -- expression kernels -------------------------------------------------
+
+    def values(self, expr, cost) -> list:
+        """``expr`` evaluated on every row, as a Python list."""
+        view = RowView((), self.index)
+        out = []
+        for row in self._rows:
+            view.values = row
+            out.append(expr.evaluate(view, cost))
+        return out
+
+    def select(self, predicate, cost) -> "RowChunk":
+        """The rows on which ``predicate`` is true (NULL is false)."""
+        keep = [i for i, flag in enumerate(self.values(predicate, cost)) if flag]
+        return self if len(keep) == len(self._rows) else self.take(keep)
+
+    def project(self, column_ids, exprs, cost) -> "RowChunk":
+        view = RowView((), self.index)
+        out = []
+        for row in self._rows:
+            view.values = row
+            out.append(tuple(expr.evaluate(view, cost) for expr in exprs))
+        return RowChunk(column_ids, out)
+
+    partial_aggregate = staticmethod(fold_groups)
+
+    # -- derivation ---------------------------------------------------------
+
+    def take(self, indices) -> "RowChunk":
+        indices = _index_list(indices)
+        rows, sizes = self._rows, self._row_bytes
+        return RowChunk(
+            self.column_ids,
+            [rows[i] for i in indices],
+            None if sizes is None else [sizes[i] for i in indices],
+        )
+
+    def join(
+        self, column_ids, build: "RowChunk", probe_indices, build_indices,
+        probe_is_left: bool,
+    ) -> "RowChunk":
+        """Row ``probe_indices[n]`` of this chunk beside row
+        ``build_indices[n]`` of ``build``, for every ``n``."""
+        probe_rows, build_rows = self._rows, build._rows
+        pairs = zip(_index_list(probe_indices), _index_list(build_indices))
+        if probe_is_left:
+            return RowChunk(
+                column_ids, [probe_rows[i] + build_rows[j] for i, j in pairs]
+            )
+        return RowChunk(
+            column_ids, [build_rows[j] + probe_rows[i] for i, j in pairs]
+        )
+
+    @classmethod
+    def concat(cls, column_ids, chunks: Sequence["RowChunk"]) -> "RowChunk":
+        rows: List[tuple] = []
+        for chunk in chunks:
+            rows.extend(chunk._rows)
+        sizes: Optional[List[float]] = None
+        if all(chunk._row_bytes is not None for chunk in chunks):
+            sizes = []
+            for chunk in chunks:
+                sizes.extend(chunk._row_bytes)
+        return cls(column_ids, rows, sizes)
+
+
+def _index_list(indices) -> Sequence[int]:
+    """Row positions as Python ints (list indexing by numpy scalars is
+    slow)."""
+    return indices.tolist() if isinstance(indices, np.ndarray) else indices
 
 
 def _column_value_bytes(column: ColumnData) -> np.ndarray:
@@ -103,8 +249,30 @@ def _column_value_bytes(column: ColumnData) -> np.ndarray:
     return sizes
 
 
+def _uniform_tensor_column(values: list) -> bool:
+    """True when every value is a Vector of one length or a Matrix of
+    one shape (no NULLs), so SUM can accumulate them in place."""
+    if not values:
+        return False
+    first = values[0]
+    cls = type(first)
+    if cls is Vector:
+        length = first.length
+        return all(
+            type(value) is Vector and value.length == length for value in values
+        )
+    if cls is Matrix:
+        shape = (first.rows, first.cols)
+        return all(
+            type(value) is Matrix and (value.rows, value.cols) == shape
+            for value in values
+        )
+    return False
+
+
 class Batch:
-    """A columnar chunk: the rows of one partition stored column-wise.
+    """The batch-mode chunk: the rows of one partition stored
+    column-wise.
 
     ``column_ids`` gives the plan-wide column id of every column, in
     positional order. Batches are immutable once built — operators
@@ -113,7 +281,9 @@ class Batch:
     they are computed at most once per row across the whole plan.
     """
 
-    __slots__ = ("column_ids", "columns", "length", "index", "_row_bytes", "_rows")
+    __slots__ = (
+        "column_ids", "columns", "length", "index", "_row_bytes", "_rows", "_total"
+    )
 
     def __init__(
         self,
@@ -128,13 +298,14 @@ class Batch:
         self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
         self._row_bytes = row_bytes
         self._rows: Optional[List[tuple]] = None
+        self._total: Optional[float] = None
 
     @classmethod
     def from_rows(
         cls,
         column_ids: Sequence[int],
         rows: Sequence[tuple],
-        row_bytes: Optional[np.ndarray] = None,
+        row_bytes: Optional[Sequence[float]] = None,
     ) -> "Batch":
         if rows:
             columns = [ColumnData.from_values(col) for col in zip(*rows)]
@@ -142,11 +313,16 @@ class Batch:
             columns = [
                 ColumnData(np.empty(0, dtype=object)) for _ in column_ids
             ]
+        if row_bytes is not None:
+            row_bytes = np.asarray(row_bytes, dtype=np.float64)
         return cls(column_ids, columns, len(rows), row_bytes=row_bytes)
 
     @classmethod
-    def empty_like(cls, column_ids: Sequence[int]) -> "Batch":
-        return cls.from_rows(column_ids, [])
+    def from_table(cls, column_ids, table, slot: int) -> "Batch":
+        """One whole partition of an in-memory base table, from the
+        table's cached columnar form."""
+        columns, sizes = table.columnar(slot)
+        return cls(column_ids, columns, len(sizes), row_bytes=sizes)
 
     def __len__(self) -> int:
         return self.length
@@ -166,9 +342,6 @@ class Batch:
                 )
         return self._rows
 
-    def cursor(self) -> BatchCursor:
-        return BatchCursor([column.pylist() for column in self.columns], self.index)
-
     # -- byte accounting ----------------------------------------------------
 
     def row_bytes_array(self) -> np.ndarray:
@@ -182,9 +355,52 @@ class Batch:
         return self._row_bytes
 
     def total_bytes(self) -> float:
-        if self.length == 0:
-            return 0.0
-        return float(np.sum(self.row_bytes_array()))
+        if self._total is None:
+            self._total = (
+                float(np.sum(self.row_bytes_array())) if self.length else 0.0
+            )
+        return self._total
+
+    # -- expression kernels -------------------------------------------------
+
+    def values(self, expr, cost) -> list:
+        """``expr`` evaluated on every row, as a Python list."""
+        return expr.evaluate_batch(self, cost).pylist()
+
+    def select(self, predicate, cost) -> "Batch":
+        """The rows on which ``predicate`` is true (NULL is false)."""
+        return self.filter(truth(predicate.evaluate_batch(self, cost)))
+
+    def project(self, column_ids, exprs, cost) -> "Batch":
+        columns = [expr.evaluate_batch(self, cost) for expr in exprs]
+        return Batch(column_ids, columns, self.length)
+
+    @staticmethod
+    def partial_aggregate(spec, values: Optional[list], group_indices, cost) -> list:
+        if (
+            not spec.distinct
+            and values is not None
+            and isinstance(spec.aggregate, SumAggregate)
+            and _uniform_tensor_column(values)
+        ):
+            # SUM over same-shaped vectors/matrices: accumulate in place
+            # in row order — each np.add performs the identical IEEE
+            # addition the chain of Vector/Matrix __add__ calls performs,
+            # so the state is bit-identical to fold_groups'
+            wrap = type(values[0])
+            size = value_bytes(values[0])
+            states = []
+            for indices in group_indices:
+                if len(indices) == 1:
+                    states.append(values[indices[0]])
+                else:
+                    acc = values[indices[0]].data + values[indices[1]].data
+                    for i in indices[2:]:
+                        np.add(acc, values[i].data, out=acc)
+                    states.append(wrap(acc))
+                cost.stream_bytes += size * len(indices)
+            return states
+        return fold_groups(spec, values, group_indices, cost)
 
     # -- derivation ---------------------------------------------------------
 
@@ -205,7 +421,8 @@ class Batch:
             row_bytes=None if self._row_bytes is None else self._row_bytes[mask],
         )
 
-    def take(self, indices: np.ndarray) -> "Batch":
+    def take(self, indices) -> "Batch":
+        indices = np.asarray(indices, dtype=np.int64)
         return Batch(
             self.column_ids,
             [column.take(indices) for column in self.columns],
@@ -215,11 +432,32 @@ class Batch:
             else self._row_bytes[indices],
         )
 
+    def join(
+        self, column_ids, build: "Batch", probe_indices, build_indices,
+        probe_is_left: bool,
+    ) -> "Batch":
+        """Row ``probe_indices[n]`` of this batch beside row
+        ``build_indices[n]`` of ``build``, for every ``n``."""
+        probe_take = self.take(probe_indices)
+        build_take = build.take(build_indices)
+        if probe_is_left:
+            columns = list(probe_take.columns) + list(build_take.columns)
+        else:
+            columns = list(build_take.columns) + list(probe_take.columns)
+        # a joined row's serialized size is both sides' sizes minus one
+        # double-counted per-row overhead (sums of integral floats: exact)
+        joined_bytes = (
+            probe_take.row_bytes_array()
+            + build_take.row_bytes_array()
+            - ROW_OVERHEAD_BYTES
+        )
+        return Batch(column_ids, columns, probe_take.length, row_bytes=joined_bytes)
+
     @classmethod
-    def concat(cls, column_ids: Sequence[int], batches: List["Batch"]) -> "Batch":
+    def concat(cls, column_ids: Sequence[int], batches: Sequence["Batch"]) -> "Batch":
         batches = [batch for batch in batches if batch.length]
         if not batches:
-            return cls.empty_like(column_ids)
+            return cls.from_rows(column_ids, [])
         if len(batches) == 1:
             return batches[0].with_ids(column_ids)
         columns = [
@@ -238,47 +476,33 @@ class Batch:
         )
 
 
-#: one partition of a distributed relation: row tuples or a columnar batch
-PartitionData = Union[List[tuple], Tuple[tuple, ...], Batch]
-
-
-def partition_rows(part: PartitionData) -> Sequence[tuple]:
-    """The rows of a partition regardless of representation."""
-    if isinstance(part, Batch):
-        return part.rows()
-    return part
-
-
 class DistributedRelation:
-    """Rows spread across the cluster's slots.
+    """Rows spread across the cluster's slots, one chunk per slot.
 
     ``column_ids`` gives the positional layout: value ``j`` of every row
-    belongs to plan column ``column_ids[j]``. Partitions are either row
-    lists/tuples (row mode) or :class:`Batch` chunks (batch mode).
-
-    ``partition_row_bytes``/``partition_total_bytes`` memoize per-row
-    and per-partition serialized sizes so each operator downstream of a
-    materialization reuses — not recomputes — the same byte accounting
-    for disk, network, memory-guard and ``bytes_out`` charges.
+    belongs to plan column ``column_ids[j]``. Partitions are chunks of
+    one class (:class:`RowChunk` or :class:`Batch`); plain row lists are
+    wrapped into :class:`RowChunk` on construction. Chunks memoize their
+    serialized sizes, so every operator downstream of a materialization
+    reuses — not recomputes — the same byte accounting for disk,
+    network, memory-guard and ``bytes_out`` charges.
     """
 
     def __init__(
         self,
         column_ids: Sequence[int],
-        partitions: List[PartitionData],
+        partitions: list,
         partitioning: Partitioning,
-        row_bytes: Optional[List[Optional[List[float]]]] = None,
     ):
         self.column_ids = tuple(column_ids)
-        self.partitions = partitions
+        self.partitions = [
+            RowChunk(self.column_ids, part)
+            if isinstance(part, (list, tuple))
+            else part
+            for part in partitions
+        ]
         self.partitioning = partitioning
         self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
-        self._row_bytes: List[Optional[List[float]]] = (
-            list(row_bytes)
-            if row_bytes is not None
-            else [None] * len(partitions)
-        )
-        self._total_bytes: List[Optional[float]] = [None] * len(partitions)
 
     @property
     def row_count(self) -> int:
@@ -290,41 +514,16 @@ class DistributedRelation:
         return RowView(values, self.index)
 
     def all_rows(self) -> List[tuple]:
+        parts = self.partitions
         if self.partitioning.kind == "broadcast":
-            return (
-                list(partition_rows(self.partitions[0])) if self.partitions else []
-            )
+            parts = parts[:1]
         out: List[tuple] = []
-        for part in self.partitions:
-            out.extend(partition_rows(part))
+        for part in parts:
+            out.extend(part.rows())
         return out
 
-    # -- byte accounting (row mode) -----------------------------------------
-
-    def partition_row_bytes(self, slot: int) -> List[float]:
-        """Per-row serialized sizes of one partition, computed once."""
-        cached = self._row_bytes[slot]
-        if cached is None:
-            part = self.partitions[slot]
-            if isinstance(part, Batch):
-                cached = list(part.row_bytes_array())
-            else:
-                from .cluster import row_bytes
-
-                cached = [row_bytes(row) for row in part]
-            self._row_bytes[slot] = cached
-        return cached
-
     def partition_total_bytes(self, slot: int) -> float:
-        cached = self._total_bytes[slot]
-        if cached is None:
-            part = self.partitions[slot]
-            if isinstance(part, Batch):
-                cached = part.total_bytes()
-            else:
-                cached = sum(self.partition_row_bytes(slot))
-            self._total_bytes[slot] = cached
-        return cached
+        return self.partitions[slot].total_bytes()
 
 
 class PartitionedTable:
@@ -397,6 +596,14 @@ class PartitionedTable:
         """The rows of one partition (shared storage-back-end API)."""
         return self.partitions[slot]
 
+    def partition_row_count(self, slot: int) -> int:
+        return len(self.partitions[slot])
+
+    def partition_suffix(self, slot: int, start: int) -> List[tuple]:
+        """The rows of one partition from insert position ``start`` on
+        (shared storage-back-end API; incremental view maintenance)."""
+        return self.partitions[slot][start:]
+
     def replace_partition(self, slot: int, rows: Sequence[tuple]) -> None:
         """Rewrite one partition (DELETE; shared storage-back-end API)."""
         self.partitions[slot] = [tuple(row) for row in rows]
@@ -429,8 +636,6 @@ class PartitionedTable:
         return out
 
     def total_bytes(self) -> float:
-        from .cluster import row_bytes
-
         return sum(row_bytes(row) for part in self.partitions for row in part)
 
     def columnar(self, slot: int) -> Tuple[List[ColumnData], np.ndarray]:

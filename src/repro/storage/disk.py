@@ -134,10 +134,7 @@ class DiskPartitionedTable:
 
     @property
     def row_count(self) -> int:
-        sealed = sum(
-            segment.row_count for slot in self._sealed for segment in slot
-        )
-        return sealed + sum(len(tail) for tail in self._tails)
+        return sum(self.partition_row_count(slot) for slot in range(self.slots))
 
     # -- mutation -----------------------------------------------------------
 
@@ -215,10 +212,25 @@ class DiskPartitionedTable:
     def partition_rows(self, slot: int) -> List[tuple]:
         """Decoded rows of one partition (bypasses the buffer pool:
         maintenance reads — stats, persistence — are not scans)."""
+        return self.partition_suffix(slot, 0)
+
+    def partition_row_count(self, slot: int) -> int:
+        sealed = sum(segment.row_count for segment in self._sealed[slot])
+        return sealed + len(self._tails[slot])
+
+    def partition_suffix(self, slot: int, start: int) -> List[tuple]:
+        """The rows of one partition from insert position ``start`` on.
+        Sealed segments that end at or before ``start`` are skipped by
+        their row count, never decoded — an incremental view folding
+        one append reads only the segments that append touched."""
         out: List[tuple] = []
+        offset = 0
         for segment in self._sealed[slot]:
-            out.extend(segment.read(None)[0])
-        out.extend(self._tails[slot])
+            end = offset + segment.row_count
+            if end > start:
+                out.extend(segment.read(None)[0][max(start - offset, 0):])
+            offset = end
+        out.extend(self._tails[slot][max(start - offset, 0):])
         return out
 
     def all_rows(self) -> List[tuple]:

@@ -214,17 +214,17 @@ class MaterializedView:
         folded = 0
         with self._lock:
             for slot in range(self.slots):
-                rows = storage.partition_rows(slot)
+                count = storage.partition_row_count(slot)
                 start = self._consumed[slot]
-                if start > len(rows):
+                if start > count:
                     # the partition shrank under us: cursors are invalid
                     self._refold_locked()
                     return 0
-                if start == len(rows):
+                if start == count:
                     continue
-                folded += len(rows) - start
-                self._fold_slot(slot, rows[start:])
-                self._consumed[slot] = len(rows)
+                folded += count - start
+                self._fold_slot(slot, storage.partition_suffix(slot, start))
+                self._consumed[slot] = count
             if folded:
                 self.maintain_count += 1
                 self.delta_rows += folded

@@ -7,9 +7,12 @@ rows and *bit-identical* simulated :class:`QueryMetrics`, and every
 whether evaluated row-at-a-time or over a whole :class:`Batch`. The
 hypothesis tests here drive randomized SELECT / WHERE / GROUP BY / join
 queries (scalar and linear-algebra flavored) through both modes; the
-unit tests cover :class:`ColumnData`, :class:`Batch` and the
-``execution_mode`` knob itself.
+unit tests cover :class:`ColumnData`, :class:`Batch`, the agreement of
+the two chunk kernels (:class:`RowChunk` and :class:`Batch`) operation by
+operation, and the ``execution_mode`` knob itself.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,19 +23,21 @@ from repro import Database, TEST_CLUSTER
 from repro.columnar import ColumnData, truth
 from repro.engine import stable_hash
 from repro.engine.cluster import row_bytes
-from repro.engine.storage import Batch
+from repro.engine import Cluster, Executor
+from repro.engine.storage import Batch, RowChunk
 from repro.errors import ExecutionError
-from repro.la import lookup
+from repro.la import lookup, lookup_aggregate
 from repro.plan.expressions import (
     BinaryExpr,
     ColumnVar,
     EvalCost,
     FuncExpr,
     IsNullExpr,
+    LiteralExpr,
     NegExpr,
 )
 from repro.service import QueryService, ServiceConfig
-from repro.types import DOUBLE, INTEGER, Vector, VectorType
+from repro.types import DOUBLE, INTEGER, Matrix, Vector, VectorType
 
 # -- randomized query equivalence --------------------------------------------
 
@@ -334,6 +339,138 @@ class TestBatch:
         )
 
 
+# -- the two chunk kernels, operation by operation ---------------------------
+
+CHUNK_IDS = (10, 11, 12, 13, 14, 15)
+chunk_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(-50, 50)),
+        st.one_of(st.none(), finite),
+        st.text(max_size=4),
+        st.one_of(st.none(), st.lists(finite, min_size=3, max_size=3).map(Vector)),
+        st.lists(finite, min_size=1, max_size=4).map(Vector),  # ragged
+        st.lists(
+            st.lists(finite, min_size=2, max_size=2), min_size=2, max_size=2
+        ).map(Matrix),
+    ),
+    max_size=12,
+)
+
+
+def _cells_identical(want, got):
+    if want is None:
+        return got is None
+    if isinstance(want, (Vector, Matrix)):
+        return type(got) is type(want) and got.data.tobytes() == want.data.tobytes()
+    if isinstance(want, (tuple, list)):
+        return len(want) == len(got) and all(
+            _cells_identical(a, b) for a, b in zip(want, got)
+        )
+    return type(got) is type(want) and got == want
+
+
+def _costs(cost):
+    return (cost.flops, cost.blas1_flops, cost.stream_bytes, cost.calls)
+
+
+def _assert_chunks_agree(chunk, batch):
+    assert type(chunk) is RowChunk and type(batch) is Batch
+    assert len(chunk) == len(batch)
+    assert _cells_identical(chunk.rows(), batch.rows())
+    assert list(chunk.row_bytes()) == batch.row_bytes_array().tolist()
+    assert list(chunk.row_bytes()) == [row_bytes(row) for row in chunk.rows()]
+    assert chunk.total_bytes() == batch.total_bytes()
+
+
+class TestChunkKernelsAgree:
+    """RowChunk and Batch built from the same rows agree exactly on
+    every protocol operation, so an executor-level divergence between
+    the execution modes is pinned to one kernel."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rows=chunk_rows,
+        picks=st.lists(st.integers(0, 1000), max_size=10),
+        cut=st.integers(0, 12),
+    )
+    def test_every_protocol_operation(self, rows, picks, cut):
+        chunk = RowChunk.from_rows(CHUNK_IDS, rows)
+        batch = Batch.from_rows(CHUNK_IDS, rows)
+        _assert_chunks_agree(chunk, batch)
+
+        indices = [pick % len(rows) for pick in picks] if rows else []
+        _assert_chunks_agree(chunk.take(indices), batch.take(indices))
+        halves = (rows[:cut], rows[cut:])
+        _assert_chunks_agree(
+            *(
+                cls.concat(
+                    CHUNK_IDS, [cls.from_rows(CHUNK_IDS, half) for half in halves]
+                )
+                for cls in (RowChunk, Batch)
+            )
+        )
+
+        k = ColumnVar(10, INTEGER, "k")
+        x = ColumnVar(11, DOUBLE, "x")
+        v = ColumnVar(13, VectorType(3), "v")
+        ragged = ColumnVar(14, VectorType(None), "r")
+        exprs = [
+            BinaryExpr("+", x, k),
+            FuncExpr(lookup("inner_product"), [v, v]),
+            FuncExpr(lookup("outer_product"), [ragged, ragged]),
+            IsNullExpr(v),
+        ]
+        for expr in exprs:
+            row_cost, batch_cost = EvalCost(), EvalCost()
+            assert _cells_identical(
+                chunk.values(expr, row_cost), batch.values(expr, batch_cost)
+            )
+            assert _costs(row_cost) == _costs(batch_cost)
+
+        row_cost, batch_cost = EvalCost(), EvalCost()
+        _assert_chunks_agree(
+            chunk.project((20, 21, 22, 23), exprs, row_cost),
+            batch.project((20, 21, 22, 23), exprs, batch_cost),
+        )
+        assert _costs(row_cost) == _costs(batch_cost)
+
+        positive = BinaryExpr(">", x, LiteralExpr(0.0, DOUBLE))
+        row_cost, batch_cost = EvalCost(), EvalCost()
+        _assert_chunks_agree(
+            chunk.select(positive, row_cost), batch.select(positive, batch_cost)
+        )
+        assert _costs(row_cost) == _costs(batch_cost)
+
+        joined_ids = CHUNK_IDS + (30, 31, 32, 33, 34, 35)
+        for probe_is_left in (True, False):
+            _assert_chunks_agree(
+                chunk.join(joined_ids, chunk, indices, indices[::-1], probe_is_left),
+                batch.join(joined_ids, batch, indices, indices[::-1], probe_is_left),
+            )
+
+        groups = [
+            [i for i in range(len(rows)) if i % 2 == parity] for parity in (0, 1)
+        ]
+        groups = [group for group in groups if group]
+        sum_spec = SimpleNamespace(
+            distinct=False, aggregate=lookup_aggregate("SUM")
+        )
+        for position in (3, 4, 5, 1):  # uniform, ragged, matrix, scalar
+            values = [row[position] for row in rows]
+            if position == 4 and len({value.length for value in values}) > 1:
+                continue  # SUM over ragged vectors is a runtime type error
+            row_cost, batch_cost = EvalCost(), EvalCost()
+            assert _cells_identical(
+                chunk.partial_aggregate(sum_spec, values, groups, row_cost),
+                batch.partial_aggregate(sum_spec, values, groups, batch_cost),
+            )
+            assert _costs(row_cost) == _costs(batch_cost)
+
+
 # -- the execution_mode knob -------------------------------------------------
 
 
@@ -351,6 +488,16 @@ class TestExecutionModeKnob:
     def test_config_override(self):
         config = TEST_CLUSTER.with_updates(execution_mode="row")
         assert Database(config).execution_mode == "row"
+
+    def test_both_modes_dispatch_to_the_same_handlers(self):
+        """One handler per operator: the mode selects the chunk class,
+        never the code that charges."""
+        cluster = Cluster(TEST_CLUSTER)
+        row = Executor(cluster, "row")._handlers
+        batch = Executor(cluster, "batch")._handlers
+        assert row.keys() == batch.keys() and len(row) == 12
+        for node_type, handler in row.items():
+            assert handler.__func__ is batch[node_type].__func__
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ExecutionError):

@@ -266,6 +266,43 @@ class TestDeltaMaintenance:
         db.execute("SELECT SUM(x) FROM t")
         assert view.delta_rows == 2 * len(EXTRA)
 
+    def test_disk_fold_reads_only_the_unconsumed_suffix(self, monkeypatch):
+        """In disk mode a view read with nothing new to fold decodes no
+        segment file, and a small append decodes none of the segments
+        sealed before it — the fold asks the table for the suffix from
+        its consumed-row cursor instead of the whole partition."""
+        from repro.storage import disk
+
+        query = "SELECT SUM(x), COUNT(x) FROM t"
+        db = _db(
+            "SELECT SUM(x) AS sx, COUNT(x) AS cx FROM t",
+            storage_mode="disk",
+            segment_rows=2,
+        )
+        storage = db.catalog.table("t").storage
+        sealed_before = {
+            segment.path for slot in storage._sealed for segment in slot
+        }
+        assert len(sealed_before) >= 2
+        decoded = []
+        real_read = disk.read_segment_file
+
+        def counting_read(path):
+            decoded.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(disk, "read_segment_file", counting_read)
+        current = db.execute(query)
+        assert current.metrics.view_hits == 1
+        assert decoded == []
+        db.load("t", EXTRA[:1])
+        appended = db.execute(query)
+        assert appended.metrics.view_hits == 1
+        assert sealed_before.isdisjoint(decoded)
+        monkeypatch.undo()
+        rescanned = _db(rows=ROWS + EXTRA[:1], storage_mode="disk", segment_rows=2)
+        assert appended.rows == rescanned.execute(query).rows
+
     def test_empty_table_view_answers_the_empty_aggregate(self):
         db = _db(rows=[])
         db.execute("CREATE MATERIALIZED VIEW mv AS SELECT SUM(x) AS s, COUNT(x) AS c FROM t")
