@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         text, ok = run_exec_target(repeats=args.repeats, smoke=args.check)
         print(text)
         if args.check and not ok:
-            print("exec check FAILED: modes diverged or batch regressed")
+            print("exec check FAILED: modes diverged or batch lost its lead")
             return 1
         return 0
     if args.target == "faults":

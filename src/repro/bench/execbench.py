@@ -6,7 +6,7 @@ wall-clock time. The simulated :class:`QueryMetrics` and the result rows
 must be identical in both modes — the batch-columnar pipeline is a pure
 interpreter optimization (see ``docs/ENGINE.md``) — so the report also
 verifies the equivalence contract and ``--check`` turns any divergence
-(or a batch-path wall-clock regression) into a failing exit code.
+(or a batch path that lost its wall-clock lead) into a failing exit code.
 
 Loading is untimed: both modes share the same row-wise INSERT path, and
 the interesting number is query execution throughput.
@@ -31,6 +31,11 @@ EXEC_SCALES = {
     "regression (vector)": (3072, 8),
     "distance (vector)": (96, 8),
 }
+
+#: the --check gate on the batch-vs-row geomean: half of the 3.8x measured
+#: on the smoke shapes with tensor-block columns (a ratio taken on one
+#: host, so runner speed cancels; the object-array path measured 2.8x)
+MIN_GEOMEAN_SPEEDUP = 1.9
 
 #: reduced shapes for the CI smoke run (--check)
 EXEC_SCALES_SMOKE = {
@@ -83,8 +88,8 @@ class ExecReport:
 
     def ok(self) -> bool:
         """The --check criterion: identical results and simulated
-        metrics in both modes, and no overall batch-path regression."""
-        return self.all_match and self.geomean_speedup >= 1.0
+        metrics in both modes, and the batch path keeping its lead."""
+        return self.all_match and self.geomean_speedup >= MIN_GEOMEAN_SPEEDUP
 
 
 def _cases(scales) -> List[ExecCase]:

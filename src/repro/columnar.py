@@ -1,23 +1,36 @@
 """Columnar value representation shared by the batch execution path.
 
 A :class:`ColumnData` holds one column of a batch: a numpy array plus an
-optional null mask. Columns whose values are homogeneous Python scalars
-are stored in typed arrays (``float64``/``int64``/``bool_``) so that
-expression evaluation can run as numpy kernels; everything else — SQL
-NULLs, strings, VECTOR/MATRIX/LABELED_SCALAR cells, mixed int/float
-columns — stays in an ``object`` array and is processed by per-row
-fallback loops that call exactly the same Python code the row-at-a-time
-interpreter runs.
+optional null mask, in one of three physical forms chosen from the
+values alone:
+
+* **typed scalar** — a 1-d ``float64``/``int64``/``bool_`` array, when
+  every value is exactly the same Python scalar type, so expression
+  evaluation runs as numpy kernels;
+* **tensor block** — one C-contiguous ``float64`` array of shape
+  ``(n, d)`` (VECTOR cells) or ``(n, r, c)`` (MATRIX cells), when every
+  non-NULL cell is a default-label ``Vector`` of one length or a
+  ``Matrix`` of one shape. Shape uniformity is a construction invariant:
+  the LA block kernels, the byte accounting and SUM read the shape off
+  ``data.shape`` once instead of re-proving it per row. NULL rows hold
+  zeros and are marked in the mask. Blocks are read-only — the table's
+  columnar cache shares them across queries, and the ``Vector``/
+  ``Matrix`` values :meth:`ColumnData.pylist` hands out are views;
+* **object** — everything else (strings, LABELED_SCALAR, NULL-bearing
+  or mixed int/float scalars, ragged or labelled tensor cells),
+  processed by per-row fallback loops that call exactly the same Python
+  code the row-at-a-time interpreter runs.
 
 The invariant that makes the row/batch equivalence contract hold (see
 ``docs/ENGINE.md``) is that materializing a column back to Python values
 (:meth:`ColumnData.pylist`) is lossless: ``float64 -> float``,
-``int64 -> int`` and ``bool_ -> bool`` conversions are exact, and object
-columns return the original objects untouched. In particular the runtime
-distinction between Python ``int`` and ``float`` values — which decides
-SQL division semantics and hash placement — is preserved, because a
-column is only promoted to a typed array when every value has exactly
-the same Python scalar type.
+``int64 -> int`` and ``bool_ -> bool`` conversions are exact, block rows
+wrap back into ``Vector``/``Matrix`` values with the same bits, and
+object columns return the original objects untouched. In particular the
+runtime distinction between Python ``int`` and ``float`` values — which
+decides SQL division semantics and hash placement — is preserved,
+because a column is only promoted to a typed array when every value has
+exactly the same Python scalar type.
 
 This module deliberately imports nothing from ``repro.engine`` or
 ``repro.plan`` so both layers can use it without import cycles.
@@ -25,9 +38,13 @@ This module deliberately imports nothing from ``repro.engine`` or
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from operator import attrgetter
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
+
+from .types import DEFAULT_LABEL, Matrix, Vector
 
 #: int64 bound under which vectorized integer add/sub cannot overflow
 #: (one binary op over two operands below 2**62 stays inside int64).
@@ -36,20 +53,83 @@ _INT_ADD_BOUND = 2**62
 _INT_MUL_BOUND = 2**63
 
 
+def wrap_cell(cell: np.ndarray):
+    """One cell of a tensor block as the Python value it stands for (a
+    view, not a copy)."""
+    return Vector(cell) if cell.ndim == 1 else Matrix(cell)
+
+
+_cell_label = attrgetter("label")
+_cell_data = attrgetter("data")
+
+
+def _tensor_block(values: Sequence) -> Optional["ColumnData"]:
+    """The tensor-block form of ``values``, or None when the cells are
+    not all default-label Vectors of one length / Matrices of one shape
+    (NULLs aside). Runs once per scanned partition: a scalar column
+    leaves at its first value, and every per-cell step over a tensor
+    column is a C-level ``map``."""
+    first = type(next((value for value in values if value is not None), None))
+    if first is not Vector and first is not Matrix:
+        return None
+    kinds = set(map(type, values))
+    has_nulls = type(None) in kinds
+    kinds.discard(type(None))
+    if kinds != {Vector} and kinds != {Matrix}:
+        return None
+    cells = [value for value in values if value is not None] if has_nulls else values
+    if kinds == {Vector} and set(map(_cell_label, cells)) != {DEFAULT_LABEL}:
+        return None
+    arrays = list(map(_cell_data, cells))
+    try:
+        packed = np.array(arrays, dtype=np.float64)
+    except ValueError:  # ragged: numpy refuses an inhomogeneous float array
+        return None
+    if not has_nulls:
+        return ColumnData(packed)
+    nulls = np.fromiter(
+        (value is None for value in values), dtype=np.bool_, count=len(values)
+    )
+    block = np.zeros((len(values),) + packed.shape[1:])
+    block[~nulls] = packed
+    return ColumnData(block, nulls)
+
+
+def apply_rows(
+    kernel: Callable, blocks: Sequence[np.ndarray], nulls: Optional[np.ndarray]
+) -> np.ndarray:
+    """``kernel(*blocks)`` computed over the non-NULL rows only; NULL
+    rows of the result hold zeros (the kernel never sees the unspecified
+    data behind a null mask)."""
+    if nulls is None or not nulls.any():
+        return kernel(*blocks)
+    rows = np.flatnonzero(~nulls)
+    computed = kernel(*[block[rows] for block in blocks])
+    out = np.zeros((len(nulls),) + computed.shape[1:], dtype=computed.dtype)
+    out[rows] = computed
+    return out
+
+
 class ColumnData:
     """One column of a batch: values plus an optional null mask.
 
-    ``data`` is a numpy array of length ``n``. ``nulls`` is either
-    ``None`` (no SQL NULLs) or a boolean array marking NULL positions;
-    for typed (non-object) arrays the data at null positions is
-    unspecified and must never be read without consulting ``nulls``.
-    Object arrays store ``None`` directly at null positions as well, so
-    per-row loops can consume them without a mask.
+    ``data`` is a numpy array whose first axis has length ``n``: 1-d for
+    typed-scalar and object columns, ``(n, d)`` / ``(n, r, c)`` float64
+    for tensor blocks. ``nulls`` is either ``None`` (no SQL NULLs) or a
+    boolean array marking NULL positions; for typed arrays and blocks
+    the data at null positions is unspecified and must never be read
+    without consulting ``nulls``. Object arrays store ``None`` directly
+    at null positions as well, so per-row loops can consume them without
+    a mask.
     """
 
     __slots__ = ("data", "nulls", "_pylist")
 
     def __init__(self, data: np.ndarray, nulls: Optional[np.ndarray] = None):
+        if data.ndim > 1:
+            # blocks are shared (the table's columnar cache, the views
+            # ``pylist`` hands out), so nothing may write into one
+            data.flags.writeable = False
         self.data = data
         if nulls is not None and not nulls.any():
             nulls = None
@@ -63,23 +143,38 @@ class ColumnData:
         return self.data.dtype == object
 
     @property
+    def is_block(self) -> bool:
+        """True for tensor blocks (one contiguous array of cells)."""
+        return self.data.ndim > 1
+
+    @property
     def is_numeric(self) -> bool:
-        """True for float64/int64 columns (vectorizable arithmetic)."""
-        return self.data.dtype in (np.float64, np.int64)
+        """True for float64/int64 scalar columns (vectorizable arithmetic)."""
+        return self.data.ndim == 1 and self.data.dtype in (np.float64, np.int64)
 
     @property
     def is_bool(self) -> bool:
         return self.data.dtype == np.bool_
 
+    @property
+    def cell_elements(self) -> int:
+        """Scalar elements per row: the cell size of a tensor block, 1
+        for a scalar column (meaningless for object columns)."""
+        return math.prod(self.data.shape[1:])
+
     def __len__(self) -> int:
         return int(self.data.shape[0])
+
+    def __iter__(self):
+        return iter(self.pylist())
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_values(cls, values: Sequence) -> "ColumnData":
-        """Build a column from Python values, promoting to a typed array
-        only when every value is exactly the same scalar type."""
+        """Build a column from Python values: a typed array only when
+        every value is exactly the same scalar type, a tensor block when
+        every non-NULL cell is a same-shaped tensor, else objects."""
         n = len(values)
         if n:
             first_type = type(values[0])
@@ -94,6 +189,9 @@ class ColumnData:
                     return cls(np.asarray(values, dtype=np.int64))
                 except OverflowError:
                     pass  # arbitrary-precision ints stay objects
+            block = _tensor_block(values)
+            if block is not None:
+                return block
         data = np.empty(n, dtype=object)
         nulls = np.zeros(n, dtype=np.bool_)
         for i, value in enumerate(values):
@@ -115,32 +213,35 @@ class ColumnData:
             return cls(np.full(n, value, dtype=np.bool_))
         if value_type is int and -_INT_ADD_BOUND < value < _INT_ADD_BOUND:
             return cls(np.full(n, value, dtype=np.int64))
+        if n:
+            block = _tensor_block([value])
+            if block is not None:
+                return cls(np.repeat(block.data, n, axis=0))
         data = np.empty(n, dtype=object)
         data[:] = [value] * n
         return cls(data)
-
-    @classmethod
-    def from_object_array(cls, data: np.ndarray, nulls: Optional[np.ndarray] = None) -> "ColumnData":
-        """Wrap an object array built by a per-row loop; positions not
-        covered by the loop's mask hold ``None`` and are marked null."""
-        if nulls is None:
-            nulls = np.fromiter(
-                (value is None for value in data), dtype=np.bool_, count=len(data)
-            )
-        return cls(data, nulls)
 
     # -- materialization ----------------------------------------------------
 
     def pylist(self) -> list:
         """The column as a list of Python values (``None`` for NULL).
-        Cached; conversion from typed arrays is exact."""
+        Cached; conversion from typed arrays is exact, and block rows are
+        wrapped as ``Vector``/``Matrix`` views (no copy)."""
         if self._pylist is None:
-            values = self.data.tolist()
+            if self.is_block:
+                values = [wrap_cell(cell) for cell in self.data]
+            else:
+                values = self.data.tolist()
             if self.nulls is not None:
                 for i in np.flatnonzero(self.nulls):
                     values[i] = None
             self._pylist = values
         return self._pylist
+
+    def cell(self, i: int):
+        """The Python value of row ``i`` (which must not be NULL),
+        without materializing the rest of the column."""
+        return wrap_cell(self.data[i]) if self.is_block else self.pylist()[i]
 
     def object_array(self) -> np.ndarray:
         """The column as an object array with ``None`` at nulls."""
@@ -172,9 +273,14 @@ class ColumnData:
         if len(columns) == 1:
             return columns[0]
         datas = [column.data for column in columns]
-        if any(column.data.dtype == object for column in columns) and not all(
-            column.data.dtype == object for column in columns
+        first = datas[0]
+        if any(
+            data.dtype != first.dtype or data.shape[1:] != first.shape[1:]
+            for data in datas[1:]
         ):
+            # partitions that disagree on the physical form (int64 beside
+            # float64, a block beside a ragged column) meet as objects:
+            # numpy's upcast would change the values' Python types
             datas = [column.object_array() for column in columns]
         data = np.concatenate(datas)
         if any(column.nulls is not None for column in columns):

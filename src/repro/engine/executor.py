@@ -49,7 +49,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1098,25 +1098,30 @@ class Executor:
         def aggregate_slot(slot, op):
             chunk = parts_in[slot]
             cost = EvalCost()
-            keys = self._key_tuples(chunk, node.group_exprs, cost)
-            value_lists = [
-                chunk.values(spec.arg, cost) if spec.arg is not None else None
-                for spec in specs
-            ]
+            keys = (
+                self._key_tuples(chunk, node.group_exprs, cost)
+                if node.group_exprs
+                else None
+            )
             # bucket row positions by group key, then aggregate column
-            # by column: every state sees its group's values in row
-            # order, and the (integral) streamed-bytes totals are
+            # by column (the chunk evaluates each aggregate's input in
+            # its native column form): every state sees its group's
+            # values in row order, and the (integral) cost totals are
             # order-independent
-            groups: Dict[tuple, List[int]] = {}
-            for i, key in enumerate(keys):
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                bucket.append(i)
+            groups: Dict[tuple, Sequence[int]] = {}
+            if keys is None:
+                if len(chunk):
+                    groups[()] = range(len(chunk))  # one group: every row
+            else:
+                for i, key in enumerate(keys):
+                    bucket = groups.get(key)
+                    if bucket is None:
+                        groups[key] = bucket = []
+                    bucket.append(i)
             group_indices = list(groups.values())
             spec_states = [
-                chunk.partial_aggregate(spec, value_lists[j], group_indices, cost)
-                for j, spec in enumerate(specs)
+                chunk.partial_aggregate(spec, group_indices, cost)
+                for spec in specs
             ]
             out_rows = [
                 tuple(key) + tuple(states[g] for states in spec_states)

@@ -9,8 +9,10 @@ one scans and ``from_rows`` produce:
   per-row serialized sizes, evaluating ``TypedExpr.evaluate`` row by
   row (the original interpreter, kept as the differential oracle);
 * **batch** — :class:`Batch`: one :class:`~repro.columnar.ColumnData`
-  per column with cached per-row byte sizes, evaluating
-  ``TypedExpr.evaluate_batch`` and slicing with numpy.
+  per column (a typed scalar array, one contiguous tensor block for
+  fixed-shape VECTOR/MATRIX cells, or objects) with cached per-row byte
+  sizes, evaluating ``TypedExpr.evaluate_batch``, slicing with numpy
+  and summing tensor blocks with one order-preserving reduce.
 
 Both implement the same *chunk protocol* — ``len``, ``rows``,
 ``total_bytes``, ``values``, ``select``, ``project``, ``take``,
@@ -30,10 +32,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..catalog import Schema
-from ..columnar import ColumnData, truth
+from ..columnar import ColumnData, truth, wrap_cell
 from ..errors import ExecutionError
-from ..la.aggregates import SumAggregate
-from ..types import Matrix, Vector
+from ..la.aggregates import SumAggregate, sum_block
+from ..plan.expressions import FuncExpr
 from .cluster import row_bytes, stable_hash, value_bytes
 
 
@@ -82,7 +84,8 @@ class RowView:
 def fold_groups(spec, values: Optional[list], group_indices, cost) -> list:
     """Partial-aggregate one column over pre-bucketed groups with the
     aggregate's own ``add`` chain, returning one state per group (in
-    group-first-seen order). ``values`` is None for ``COUNT(*)``."""
+    group-first-seen order). ``values`` is the list ``RowChunk.values``
+    returned, or None for ``COUNT(*)``."""
     states = []
     if spec.distinct:
         for indices in group_indices:
@@ -161,7 +164,9 @@ class RowChunk:
     # -- expression kernels -------------------------------------------------
 
     def values(self, expr, cost) -> list:
-        """``expr`` evaluated on every row, as a Python list."""
+        """``expr`` evaluated on every row: a sequence of Python values
+        in the chunk's native form (here a list), which is also what
+        this chunk's ``partial_aggregate`` folds."""
         view = RowView((), self.index)
         out = []
         for row in self._rows:
@@ -182,7 +187,11 @@ class RowChunk:
             out.append(tuple(expr.evaluate(view, cost) for expr in exprs))
         return RowChunk(column_ids, out)
 
-    partial_aggregate = staticmethod(fold_groups)
+    def partial_aggregate(self, spec, group_indices, cost) -> list:
+        """One partial-aggregate state per group of row indices, over
+        ``spec.arg`` evaluated on this chunk (None: ``COUNT(*)``)."""
+        values = None if spec.arg is None else self.values(spec.arg, cost)
+        return fold_groups(spec, values, group_indices, cost)
 
     # -- derivation ---------------------------------------------------------
 
@@ -231,13 +240,15 @@ def _index_list(indices) -> Sequence[int]:
 
 
 def _column_value_bytes(column: ColumnData) -> np.ndarray:
-    """Serialized size of every value in a column (vectorized where the
-    dtype makes sizes constant); mirrors ``cluster.value_bytes``."""
+    """Serialized size of every value in a column (constant per row
+    wherever the physical form fixes it); mirrors ``cluster.value_bytes``."""
     n = len(column)
     if column.is_numeric:
         sizes = np.full(n, 8.0)
     elif column.is_bool:
         sizes = np.full(n, 1.0)
+    elif column.is_block:
+        sizes = np.full(n, 8.0 * column.cell_elements + 8.0)
     else:
         return np.fromiter(
             (value_bytes(value) for value in column.pylist()),
@@ -249,25 +260,31 @@ def _column_value_bytes(column: ColumnData) -> np.ndarray:
     return sizes
 
 
-def _uniform_tensor_column(values: list) -> bool:
-    """True when every value is a Vector of one length or a Matrix of
-    one shape (no NULLs), so SUM can accumulate them in place."""
-    if not values:
-        return False
-    first = values[0]
-    cls = type(first)
-    if cls is Vector:
-        length = first.length
-        return all(
-            type(value) is Vector and value.length == length for value in values
-        )
-    if cls is Matrix:
-        shape = (first.rows, first.cols)
-        return all(
-            type(value) is Matrix and (value.rows, value.cols) == shape
-            for value in values
-        )
-    return False
+def _sum_blocks(fold, blocks, nulls, group_indices, cost) -> list:
+    """SUM states, one per group, over the tensor cells ``fold`` makes
+    of the operand ``blocks`` (NULL where ``nulls``): ``sum_block`` over
+    a column's own block, or a builtin's fused ``block_sum`` over its
+    argument blocks. Each group's rows are folded in row order,
+    bit-identical to the ``SumAggregate.add`` chain over the wrapped
+    values. The states are fresh arrays: nothing here writes into, or
+    hands out, a block the table's columnar cache may share."""
+    count = len(blocks[0])
+    states = []
+    for indices in group_indices:
+        if nulls is None and indices == range(count):
+            operands = blocks  # the whole partition, already in row order
+        else:
+            rows = np.asarray(indices, dtype=np.int64)
+            if nulls is not None:
+                rows = rows[~nulls[rows]]
+            if not len(rows):
+                states.append(None)
+                continue
+            operands = [block[rows] for block in blocks]
+        total = fold(*operands)
+        cost.stream_bytes += (8.0 * total.size + 8.0) * len(operands[0])
+        states.append(wrap_cell(total))
+    return states
 
 
 class Batch:
@@ -363,9 +380,12 @@ class Batch:
 
     # -- expression kernels -------------------------------------------------
 
-    def values(self, expr, cost) -> list:
-        """``expr`` evaluated on every row, as a Python list."""
-        return expr.evaluate_batch(self, cost).pylist()
+    def values(self, expr, cost) -> ColumnData:
+        """``expr`` evaluated on every row: a sequence of Python values
+        in the chunk's native form (here a :class:`ColumnData`, which
+        wraps tensor cells into Python values only when iterated), which
+        is also what this chunk's ``partial_aggregate`` folds."""
+        return expr.evaluate_batch(self, cost)
 
     def select(self, predicate, cost) -> "Batch":
         """The rows on which ``predicate`` is true (NULL is false)."""
@@ -375,32 +395,29 @@ class Batch:
         columns = [expr.evaluate_batch(self, cost) for expr in exprs]
         return Batch(column_ids, columns, self.length)
 
-    @staticmethod
-    def partial_aggregate(spec, values: Optional[list], group_indices, cost) -> list:
-        if (
-            not spec.distinct
-            and values is not None
-            and isinstance(spec.aggregate, SumAggregate)
-            and _uniform_tensor_column(values)
-        ):
-            # SUM over same-shaped vectors/matrices: accumulate in place
-            # in row order — each np.add performs the identical IEEE
-            # addition the chain of Vector/Matrix __add__ calls performs,
-            # so the state is bit-identical to fold_groups'
-            wrap = type(values[0])
-            size = value_bytes(values[0])
-            states = []
-            for indices in group_indices:
-                if len(indices) == 1:
-                    states.append(values[indices[0]])
-                else:
-                    acc = values[indices[0]].data + values[indices[1]].data
-                    for i in indices[2:]:
-                        np.add(acc, values[i].data, out=acc)
-                    states.append(wrap(acc))
-                cost.stream_bytes += size * len(indices)
-            return states
-        return fold_groups(spec, values, group_indices, cost)
+    def partial_aggregate(self, spec, group_indices, cost) -> list:
+        """One partial-aggregate state per group of row indices, over
+        ``spec.arg`` evaluated on this batch (None: ``COUNT(*)``). SUM
+        over a tensor block is one ``sum_block`` per group, and SUM over
+        a builtin with a fused ``block_sum`` (``outer_product``) folds
+        the argument blocks without materializing the result cells."""
+        expr = spec.arg
+        if expr is None:
+            return fold_groups(spec, None, group_indices, cost)
+        summing = not spec.distinct and isinstance(spec.aggregate, SumAggregate)
+        if summing and isinstance(expr, FuncExpr) and expr.builtin.block_sum:
+            column, blocks, nulls = expr.block_call(self, cost)
+            if column is None:
+                return _sum_blocks(
+                    expr.builtin.block_sum, blocks, nulls, group_indices, cost
+                )
+        else:
+            column = self.values(expr, cost)
+        if summing and column.is_block:
+            return _sum_blocks(
+                sum_block, [column.data], column.nulls, group_indices, cost
+            )
+        return fold_groups(spec, column.pylist(), group_indices, cost)
 
     # -- derivation ---------------------------------------------------------
 
@@ -640,7 +657,9 @@ class PartitionedTable:
 
     def columnar(self, slot: int) -> Tuple[List[ColumnData], np.ndarray]:
         """The columnar form of one partition plus its per-row byte
-        sizes, cached until the table is mutated."""
+        sizes, cached until the table is mutated. Every query scans the
+        same cached columns (tensor blocks included — they are
+        read-only)."""
         cached = self._columnar_cache.get(slot)
         if cached is not None and cached[0] == self._version:
             return cached[1], cached[2]

@@ -115,6 +115,23 @@ class SumAggregate(Aggregate):
     merge = add
 
 
+def sum_block(block: np.ndarray) -> np.ndarray:
+    """SUM over the first axis of a C-contiguous tensor block, in the
+    canonical order: the sequential per-row fold ``((c0 + c1) + c2) + …``
+    that the ``SumAggregate.add`` chain performs (docs/ENGINE.md,
+    "Tensor columns"). numpy's axis-0 reduce over ``(n, …)`` cells *is*
+    that fold — it adds whole rows into the output one after the other —
+    given ``-0.0`` as the start value (the default ``0.0`` would turn a
+    sum of ``-0.0`` cells into ``+0.0``; ``-0.0 + x`` is ``x`` for every
+    ``x``). The exception is a cell with a single element: the reduce
+    axis is then contiguous and numpy switches to pairwise summation, so
+    that shape goes through ``cumsum``, which is sequential by
+    definition."""
+    if block[0].size == 1:
+        return np.cumsum(block.reshape(-1))[-1].reshape(block.shape[1:])
+    return np.add.reduce(block, axis=0, initial=-0.0)
+
+
 class CountAggregate(Aggregate):
     name = "COUNT"
 

@@ -37,6 +37,7 @@ from ..types import (
     runtime_shape_check,
 )
 from ..types.scalar import DEFAULT_UNKNOWN_DIM
+from .aggregates import sum_block
 
 #: Type of a FLOP-cost formula: receives the concrete dimensions bound for
 #: each templated variable and returns an estimated FLOP count.
@@ -102,11 +103,22 @@ class BuiltinFunction:
     cost: CostFormula
     doc: str = ""
     kind: str = "blas1"
-    #: optional vectorized kernel for the batch interpreter, called as
-    #: ``batch_impl(arg_lists, indices)`` over rows that passed the
-    #: (uniform) shape check. Only registered where the batched kernel
-    #: performs the exact same IEEE operations as ``impl`` per row, so
-    #: results are bit-identical to the row-at-a-time path.
+    #: optional kernel over tensor blocks for the batch interpreter:
+    #: ``block_impl(*blocks)`` takes one C-contiguous ``(n, …)`` float64
+    #: array per argument (shapes already checked once for the whole
+    #: block) and returns the ``(n, …)`` array of results. Registered
+    #: only where the row≡batch differential tests show every result row
+    #: bit-identical to ``impl`` on that row (docs/ENGINE.md, "Tensor
+    #: columns").
+    block_impl: Optional[Callable] = None
+    #: optional fused fold: ``block_sum(*blocks)`` is bit-identical to
+    #: ``sum_block(block_impl(*blocks))`` without materializing the
+    #: ``n`` result cells (registered where a result cell is much larger
+    #: than its operands).
+    block_sum: Optional[Callable] = None
+    #: unused — the per-row-list kernels this named were replaced by
+    #: ``block_impl``; ``perfbench/layers.py`` still reads the attribute
+    #: (and, finding None, times the scalar ``impl``)
     batch_impl: Optional[Callable] = None
 
     def bind(self, arg_types: Sequence[DataType]) -> DataType:
@@ -224,18 +236,46 @@ def outer_product(left: Vector, right: Vector) -> Matrix:
     return Matrix(np.outer(left.data, right.data))
 
 
-def _outer_product_batch(arg_lists, indices):
-    # one broadcast multiply over the whole chunk performs exactly the
-    # per-row elementwise multiplies np.outer performs, so each slice is
+def _outer_product_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # one broadcast multiply over the whole block performs exactly the
+    # per-row elementwise multiplies np.outer performs, so each cell is
     # bit-identical to the row path's result (einsum is NOT: it loses
     # the sign of -0.0 products)
-    left = np.stack([arg_lists[0][i].data for i in indices])
-    right = np.stack([arg_lists[1][i].data for i in indices])
-    products = left[:, :, None] * right[:, None, :]
-    return [Matrix(products[k]) for k in range(len(indices))]
+    return left[:, :, None] * right[:, None, :]
 
 
-outer_product.batch_impl = _outer_product_batch
+#: bytes of outer products computed per step of the fused fold (sized to
+#: stay cache-resident: 512 rows of 8x8 cells, 8 rows of 64x64)
+_FOLD_STEP_BYTES = 1 << 18
+
+
+def _outer_product_block_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``sum_block(_outer_product_block(left, right))`` without the
+    ``n`` products in memory at once: the products of a few rows at a
+    time are written behind the running total and folded with it, so
+    every addition happens in the same row order."""
+    n, rows = left.shape
+    cols = right.shape[1]
+    step = max(1, _FOLD_STEP_BYTES // max(8, 8 * rows * cols))
+    buffer = np.empty((min(step, n) + 1, rows, cols))
+    total = None
+    for start in range(0, n, step):
+        part_left = left[start : start + step]
+        part_right = right[start : start + step]
+        # after the first step, slot 0 carries the total so far into the fold
+        first = 0 if total is None else 1
+        stop = first + len(part_left)
+        np.multiply(
+            part_left[:, :, None], part_right[:, None, :], out=buffer[first:stop]
+        )
+        if first:
+            buffer[0] = total
+        total = sum_block(buffer[:stop])
+    return total
+
+
+outer_product.block_impl = _outer_product_block
+outer_product.block_sum = _outer_product_block_sum
 
 
 @register(
@@ -249,6 +289,23 @@ def inner_product(left: Vector, right: Vector) -> float:
             f"inner_product: vector lengths differ ({left.length} vs {right.length})"
         )
     return float(left.data @ right.data)
+
+
+# stacked matmul runs the same BLAS routine per row that ``@`` runs on one
+# row's operands (dot for vector·vector, gemv for matrix·vector), so each
+# result is bit-identical to the scalar impl's
+
+
+def _inner_product_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return np.matmul(left[:, None, :], right[:, :, None])[:, 0, 0]
+
+
+def _matrix_vector_block(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    return np.matmul(matrix, vector[:, :, None])[:, :, 0]
+
+
+inner_product.block_impl = _inner_product_block
+matrix_vector_multiply.block_impl = _matrix_vector_block
 
 
 # ---------------------------------------------------------------------------

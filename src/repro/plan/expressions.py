@@ -22,7 +22,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columnar import _INT_ADD_BOUND, _INT_MUL_BOUND, ColumnData, full_mask, truth
+from ..columnar import (
+    _INT_ADD_BOUND,
+    _INT_MUL_BOUND,
+    ColumnData,
+    apply_rows,
+    full_mask,
+    truth,
+)
 from ..errors import ExecutionError, RuntimeTypeError, TypeCheckError
 from ..la import (
     arithmetic_flops,
@@ -58,41 +65,17 @@ def _int64_max_abs(data: np.ndarray, valid: np.ndarray) -> int:
     return max(abs(int(selected.min())), abs(int(selected.max())))
 
 
+def _row_elements(column: ColumnData) -> Optional[float]:
+    """Scalar elements per row of a column whose rows all have the same
+    count — a typed scalar column or a tensor block — else None."""
+    return None if column.is_object else float(column.cell_elements)
+
+
 def _masked_elements(values: list, valid: np.ndarray) -> float:
     total = 0.0
     for i in np.flatnonzero(valid):
         total += _value_elements(values[i])
     return total
-
-
-def _uniform_tensor_args(arg_values: list, indices: np.ndarray, first: list) -> bool:
-    """True when every active row passes the same argument shapes to a
-    builtin — same Python type per position and same Vector length /
-    Matrix dims — so the shape check and per-call flop price computed
-    for the first row hold for all of them."""
-    for position, value in enumerate(first):
-        column = arg_values[position]
-        if len(indices) == len(column):
-            rest = column
-        else:
-            rest = [column[i] for i in indices]
-        cls = type(value)
-        if cls is Vector:
-            length = value.length
-            if not all(
-                type(other) is Vector and other.length == length for other in rest
-            ):
-                return False
-        elif cls is Matrix:
-            shape = (value.rows, value.cols)
-            if not all(
-                type(other) is Matrix and (other.rows, other.cols) == shape
-                for other in rest
-            ):
-                return False
-        elif not all(type(other) is cls for other in rest):
-            return False
-    return True
 
 
 class EvalCost:
@@ -117,8 +100,6 @@ class EvalCost:
 
 def _value_elements(value) -> float:
     """Number of scalar elements in a runtime value."""
-    from ..types import Matrix, Vector  # local import avoids a cycle
-
     if isinstance(value, Vector):
         return float(value.length)
     if isinstance(value, Matrix):
@@ -344,7 +325,8 @@ class BinaryExpr(TypedExpr):
         if right.nulls is not None:
             valid = valid & ~right.nulls
         if cost is not None:
-            if left.is_object or right.is_object:
+            left_elements, right_elements = _row_elements(left), _row_elements(right)
+            if left_elements is None or right_elements is None:
                 left_values, right_values = left.pylist(), right.pylist()
                 total = 0.0
                 for i in np.flatnonzero(valid):
@@ -352,13 +334,22 @@ class BinaryExpr(TypedExpr):
                         _value_elements(left_values[i]),
                         _value_elements(right_values[i]),
                     )
-                cost.stream_bytes += 8.0 * total
             else:
-                cost.stream_bytes += 8.0 * float(np.count_nonzero(valid))
+                # typed scalars and tensor blocks: every row has the same
+                # element count (integral, so the product is exact)
+                total = max(left_elements, right_elements) * float(
+                    np.count_nonzero(valid)
+                )
+            cost.stream_bytes += 8.0 * total
         if left.is_numeric and right.is_numeric:
             result = self._numeric_batch(left.data, right.data, valid)
             if result is not None:
                 return ColumnData(result, ~valid)
+        elif not self._comparison and (left.is_block or right.is_block):
+            operands = _tensor_operands(left, right)
+            if operands is not None:
+                nulls = ~valid
+                return ColumnData(apply_rows(self._fn, operands, nulls), nulls)
         out = np.empty(n, dtype=object)
         fn = self._fn
         left_values, right_values = left.pylist(), right.pylist()
@@ -427,6 +418,28 @@ class BinaryExpr(TypedExpr):
 
     def __repr__(self):
         return f"({self.left!r} {self.op} {self.right!r})"
+
+
+def _tensor_operands(left: ColumnData, right: ColumnData) -> Optional[list]:
+    """The operand arrays of element-wise arithmetic between two tensor
+    blocks of one shape, or a block and a float64/int64 scalar column
+    (each scalar meeting every entry of its row's cell — the same numpy
+    ufunc ``Vector``/``Matrix`` arithmetic applies per row, so the
+    result cells are bit-identical). None sends the pair down the
+    per-row path, which also raises the row path's errors (VECTOR with
+    MATRIX, differing shapes)."""
+    if left.is_block and right.is_block:
+        if left.data.shape != right.data.shape:
+            return None
+        return [left.data, right.data]
+    block, scalar = (left, right) if left.is_block else (right, left)
+    if not scalar.is_numeric:
+        return None
+    # int -> float64 is the conversion the scalar path's float() does
+    spread = scalar.data.astype(np.float64, copy=False).reshape(
+        (-1,) + (1,) * (block.data.ndim - 1)
+    )
+    return [block.data, spread] if left.is_block else [spread, block.data]
 
 
 def _plain(value):
@@ -538,14 +551,18 @@ class NegExpr(TypedExpr):
         if value.nulls is not None:
             valid = valid & ~value.nulls
         if cost is not None:
-            if value.is_object:
+            elements = _row_elements(value)
+            if elements is None:
                 cost.stream_bytes += 8.0 * _masked_elements(value.pylist(), valid)
             else:
-                cost.stream_bytes += 8.0 * float(np.count_nonzero(valid))
+                cost.stream_bytes += 8.0 * elements * float(np.count_nonzero(valid))
         if value.is_numeric:
             data = np.where(valid, value.data, 0)
             if data.dtype != np.int64 or _int64_within(data, valid, _INT_ADD_BOUND):
                 return ColumnData(-data, ~valid)
+        elif value.is_block:
+            nulls = ~valid
+            return ColumnData(apply_rows(np.negative, [value.data], nulls), nulls)
         out = np.empty(n, dtype=object)
         values = value.pylist()
         for i in np.flatnonzero(valid):
@@ -706,66 +723,83 @@ class FuncExpr(TypedExpr):
         if any(value is None for value in values):
             return None
         if cost is not None:
-            cost.calls += 1
-            if self.builtin.kind == "blas3":
-                cost.flops += self.builtin.runtime_flops(values)
-            else:
-                cost.blas1_flops += self.builtin.runtime_flops(values)
+            self._charge(cost, 1, self.builtin.runtime_flops(values))
         return self.builtin(*values)
 
     def evaluate_batch(self, batch, cost=None, mask=None) -> ColumnData:
+        column, blocks, nulls = self.block_call(batch, cost, mask)
+        if column is None:
+            kernel = self.builtin.block_impl
+            column = ColumnData(apply_rows(kernel, blocks, nulls), nulls)
+        return column
+
+    def block_call(self, batch, cost=None, mask=None) -> tuple:
+        """Evaluate the arguments, then check and charge every call.
+        When the builtin has a block kernel and every argument is a
+        tensor block, the calls come back not yet computed, as ``(None,
+        blocks, nulls)`` with ``nulls`` None or the mask of NULL result
+        rows: ``evaluate_batch`` applies ``block_impl`` to them, and SUM
+        over this expression applies the fused ``block_sum`` instead
+        (``Batch.partial_aggregate``). Otherwise they are computed per
+        row and returned as ``(column, None, None)``."""
         n = batch.length
         args = [arg.evaluate_batch(batch, cost, mask) for arg in self.args]
         valid = full_mask(mask, n)
         for column in args:
             if column.nulls is not None:
                 valid = valid & ~column.nulls
-        out = np.empty(n, dtype=object)
         indices = np.flatnonzero(valid)
-        if len(indices):
-            builtin = self.builtin
-            arg_values = [column.pylist() for column in args]
-            first = [values[indices[0]] for values in arg_values]
+        if not len(indices):
+            return ColumnData.constant(None, n), None, None
+        builtin = self.builtin
+        # typed scalar columns and tensor blocks give every row the same
+        # argument types and shapes by construction, so the shape check
+        # and the flop price of the first active row hold for all of
+        # them (integral per-call flops make count * per_flops equal the
+        # row path's running float sum exactly)
+        uniform = not any(column.is_object for column in args)
+        if uniform:
+            first = [column.cell(indices[0]) for column in args]
             per_flops = builtin.runtime_flops(first)
-            flops = None
-            if float(per_flops).is_integer() and _uniform_tensor_args(
-                arg_values, indices, first
+            uniform = float(per_flops).is_integer()
+        if uniform:
+            ok, message = runtime_shape_check(builtin.signature, first)
+            if not ok:
+                raise RuntimeTypeError(message)
+            self._charge(cost, len(indices), per_flops * len(indices))
+            if builtin.block_impl is not None and all(
+                column.is_block for column in args
             ):
-                # every row has the same argument shapes, so the shape
-                # check and the flop price are hoisted out of the loop
-                # (integral per-call flops make count * per_flops equal
-                # the row path's running float sum exactly)
-                ok, message = runtime_shape_check(builtin.signature, first)
-                if not ok:
-                    raise RuntimeTypeError(message)
-                flops = per_flops * len(indices)
-                if builtin.batch_impl is not None:
-                    results = builtin.batch_impl(arg_values, indices)
-                    for k, i in enumerate(indices):
-                        out[i] = results[k]
-                else:
-                    impl = builtin.impl
-                    for i in indices:
-                        out[i] = impl(*[values[i] for values in arg_values])
-            elif cost is None:
-                # non-uniform shapes: each call runs the same shape
-                # check + kernel the row path runs
-                for i in indices:
-                    out[i] = builtin(*[values[i] for values in arg_values])
-            else:
-                runtime_flops = builtin.runtime_flops
-                flops = 0.0
-                for i in indices:
-                    values = [column[i] for column in arg_values]
+                nulls = None if len(indices) == n else ~valid
+                return None, [column.data for column in args], nulls
+        results: list = [None] * n
+        arg_values = [column.pylist() for column in args]
+        if uniform:
+            impl = builtin.impl
+            for i in indices:
+                results[i] = impl(*[values[i] for values in arg_values])
+        else:
+            # object columns (ragged, labelled or mixed cells): each call
+            # runs the same shape check + kernel the row path runs
+            runtime_flops = builtin.runtime_flops
+            flops = 0.0
+            for i in indices:
+                values = [column[i] for column in arg_values]
+                if cost is not None:
                     flops += runtime_flops(values)
-                    out[i] = builtin(*values)
-            if cost is not None and flops is not None:
-                cost.calls += len(indices)
-                if builtin.kind == "blas3":
-                    cost.flops += flops
-                else:
-                    cost.blas1_flops += flops
-        return ColumnData(out, ~valid)
+                results[i] = builtin(*values)
+            self._charge(cost, len(indices), flops)
+        return ColumnData.from_values(results), None, None
+
+    def _charge(self, cost: Optional[EvalCost], calls: int, flops: float) -> None:
+        """``calls`` invocations costing ``flops`` in total."""
+        if cost is None:
+            return
+        cost.calls += calls
+        if self.builtin.kind == "blas3":
+            cost.flops += flops
+        else:
+            cost.blas1_flops += flops
 
     def children(self):
         return tuple(self.args)

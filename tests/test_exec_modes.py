@@ -7,11 +7,15 @@ rows and *bit-identical* simulated :class:`QueryMetrics`, and every
 whether evaluated row-at-a-time or over a whole :class:`Batch`. The
 hypothesis tests here drive randomized SELECT / WHERE / GROUP BY / join
 queries (scalar and linear-algebra flavored) through both modes; the
-unit tests cover :class:`ColumnData`, :class:`Batch`, the agreement of
-the two chunk kernels (:class:`RowChunk` and :class:`Batch`) operation by
-operation, and the ``execution_mode`` knob itself.
+unit tests cover :class:`ColumnData` (its three physical forms: typed
+scalar, tensor block, object), :class:`Batch`, the agreement of the two
+chunk kernels (:class:`RowChunk` and :class:`Batch`) operation by
+operation — over scalar columns and over tensor-block columns with NULL
+cells, special floats and the extent-1 shapes where numpy's reduce order
+changes — and the ``execution_mode`` knob itself.
 """
 
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +29,7 @@ from repro.engine import stable_hash
 from repro.engine.cluster import row_bytes
 from repro.engine import Cluster, Executor
 from repro.engine.storage import Batch, RowChunk
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.la import lookup, lookup_aggregate
 from repro.plan.expressions import (
     BinaryExpr,
@@ -37,7 +41,7 @@ from repro.plan.expressions import (
     NegExpr,
 )
 from repro.service import QueryService, ServiceConfig
-from repro.types import DOUBLE, INTEGER, Matrix, Vector, VectorType
+from repro.types import DOUBLE, INTEGER, Matrix, MatrixType, Vector, VectorType
 
 # -- randomized query equivalence --------------------------------------------
 
@@ -189,11 +193,58 @@ class TestModeEquivalence:
         )
 
 
+    @pytest.mark.parametrize(
+        "column_type, values",
+        [
+            ("DOUBLE", [3, 2.0, 7, 2.0]),  # int64 beside float64 partitions
+            ("INTEGER", [True, 2, False, 5]),  # bool_ beside int64 partitions
+        ],
+    )
+    def test_partitions_of_different_dtypes_keep_python_types(
+        self, column_type, values
+    ):
+        """Round-robin loading puts the ints on one slot and the floats
+        on the other; gathering them must not upcast (x = 3 stays an int,
+        so x / 2 stays integer division) in either mode."""
+        results = {}
+        for mode in ("row", "batch"):
+            db = Database(
+                TEST_CLUSTER.with_updates(machines=1, cores_per_machine=2),
+                execution_mode=mode,
+            )
+            db.execute(f"CREATE TABLE t (k INTEGER, x {column_type})")
+            db.load("t", [(i + 1, value) for i, value in enumerate(values)])
+            results[mode] = db.execute("SELECT t.k, t.x, t.x / 2 FROM t ORDER BY k")
+        row, batch = results["row"], results["batch"]
+        assert [value for _, value, _ in row.rows] == values
+        assert _cells_identical(row.rows, batch.rows)
+        assert _fingerprint(row.metrics) == _fingerprint(batch.metrics)
+
+
 # -- expression-level EvalCost equivalence -----------------------------------
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+#: payloads on which a reordered or re-associated kernel shows: signed
+#: zeros, NaN, infinities, and magnitudes that absorb or cancel
+special_floats = st.one_of(
+    finite,
+    st.sampled_from(
+        [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-300]
+    ),
+)
+
+
+def tensor_cells(dim, rows=0):
+    """Vectors of length ``dim``, or ``rows`` x ``dim`` matrices."""
+    if not rows:
+        return st.lists(special_floats, min_size=dim, max_size=dim).map(Vector)
+    return st.lists(
+        st.lists(special_floats, min_size=dim, max_size=dim),
+        min_size=rows,
+        max_size=rows,
+    ).map(Matrix)
 
 
 def _vector_rows(draw_lists, dim):
@@ -304,6 +355,89 @@ class TestColumnData:
         col = ColumnData.from_values([True, None, False, True])
         assert truth(col).tolist() == [True, False, False, True]
 
+    def test_uniform_tensor_cells_become_one_block(self):
+        """A fixed-shape tensor column is one contiguous float64 array,
+        NULL cells included — not an object array of wrappers."""
+        vectors = ColumnData.from_values(
+            [Vector([1.0, -0.0]), None, Vector([3.0, 4.0])]
+        )
+        assert vectors.is_block and not vectors.is_object
+        assert vectors.data.dtype == np.float64 and vectors.data.shape == (3, 2)
+        assert vectors.data.flags.c_contiguous
+        assert vectors.nulls.tolist() == [False, True, False]
+        matrices = ColumnData.from_values([Matrix(np.eye(2)), Matrix(np.ones((2, 2)))])
+        assert matrices.is_block and matrices.data.shape == (2, 2, 2)
+        assert matrices.nulls is None
+        # whatever the cell size: the paper's block style carries big cells
+        big = ColumnData.from_values([Matrix(np.zeros((65, 64)))] * 2)
+        assert big.is_block and big.data.shape == (2, 65, 64)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [Vector([1.0]), Vector([1.0, 2.0])],  # ragged
+            [Vector([1.0, 2.0]), Vector([3.0, 4.0], label=2)],  # labelled
+            [Vector([1.0, 2.0]), Matrix([[1.0, 2.0]])],  # mixed kinds
+            [Matrix(np.eye(2)), Matrix(np.eye(3))],  # ragged matrices
+            [Vector([1.0, 2.0]), 3.0],  # tensor beside a scalar
+            [None, None],
+        ],
+    )
+    def test_other_tensor_columns_stay_object(self, values):
+        col = ColumnData.from_values(values)
+        assert col.data.dtype == object and not col.is_block
+        assert all(got is want for got, want in zip(col.pylist(), values))
+
+    def test_concat_of_disagreeing_forms_meets_as_objects(self):
+        ints, floats = ColumnData.from_values([1, 2]), ColumnData.from_values([2.0])
+        merged = ColumnData.concat([ints, floats])
+        assert merged.data.dtype == object
+        assert [type(value) for value in merged.pylist()] == [int, int, float]
+        flags = ColumnData.from_values([True])
+        assert ColumnData.concat([flags, ints]).pylist() == [True, 1, 2]
+        assert type(ColumnData.concat([flags, ints]).pylist()[0]) is bool
+        block = ColumnData.from_values([Vector([1.0, 2.0])])
+        wider = ColumnData.from_values([Vector([1.0, 2.0, 3.0])])
+        assert ColumnData.concat([block, block]).data.shape == (2, 2)
+        assert ColumnData.concat([block, wider]).data.dtype == object
+        assert ColumnData.concat([block, ints]).pylist()[1:] == [1, 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_from_values_pylist_roundtrip(self, data):
+        """Whatever physical form from_values picks, pylist gives back
+        the same values: same Python types, same float bits, same
+        labels, None where NULL."""
+        values = data.draw(
+            st.one_of(
+                st.lists(st.one_of(st.none(), special_floats), max_size=8),
+                st.lists(st.one_of(st.none(), st.integers(-5, 5)), max_size=8),
+                st.lists(st.one_of(st.none(), tensor_cells(2)), max_size=8),
+                st.lists(
+                    st.one_of(
+                        st.none(),
+                        tensor_cells(2),
+                        tensor_cells(3),
+                        tensor_cells(2).map(lambda v: v.with_label(4)),
+                        tensor_cells(2, 2),
+                    ),
+                    max_size=8,
+                ),
+            )
+        )
+        col = ColumnData.from_values(values)
+        assert len(col) == len(values)
+        assert _cells_identical(values, col.pylist())
+        assert _cells_identical(values, list(col))
+        for got, want in zip(col.pylist(), values):
+            if isinstance(want, Vector):
+                assert got.label == want.label
+        mask = np.array([i % 2 == 0 for i in range(len(values))], dtype=bool)
+        assert _cells_identical(values[::2], col.filter(mask).pylist())
+        assert _cells_identical(
+            values + values, ColumnData.concat([col, col]).pylist()
+        )
+
 
 class TestBatch:
     ROWS = [(1, "a", Vector([1.0, 2.0])), (2, "bc", None), (3, "", Vector([3.0, 4.0]))]
@@ -361,16 +495,45 @@ def _cells_identical(want, got):
     if want is None:
         return got is None
     if isinstance(want, (Vector, Matrix)):
-        return type(got) is type(want) and got.data.tobytes() == want.data.tobytes()
+        return (
+            type(got) is type(want)
+            and got.data.shape == want.data.shape
+            and got.data.tobytes() == want.data.tobytes()
+        )
     if isinstance(want, (tuple, list)):
         return len(want) == len(got) and all(
             _cells_identical(a, b) for a, b in zip(want, got)
         )
+    if isinstance(want, float):
+        # bit-for-bit (the sign of -0.0 included), except that any NaN
+        # matches any NaN: the sign CPython gives ``nan + -nan`` between
+        # two Python floats depends on whether the interpreter has
+        # specialised that ``+`` yet, so it is not part of the contract
+        # (tensor payloads, computed by numpy, are compared bytewise)
+        if type(got) is not float:
+            return False
+        if want != want:
+            return got != got
+        return struct.pack("<d", got) == struct.pack("<d", want)
     return type(got) is type(want) and got == want
+
+
+def _bits(value):
+    """An orderable stand-in for a DISTINCT state's member (NaN-proof)."""
+    if isinstance(value, (Vector, Matrix)):
+        return value.data.tobytes()
+    return struct.pack("<d", value)
 
 
 def _costs(cost):
     return (cost.flops, cost.blas1_flops, cost.stream_bytes, cost.calls)
+
+
+def _spec(name, arg, distinct=False):
+    """An aggregate spec as ``partial_aggregate`` reads one."""
+    return SimpleNamespace(
+        distinct=distinct, aggregate=lookup_aggregate(name), arg=arg
+    )
 
 
 def _assert_chunks_agree(chunk, batch):
@@ -456,19 +619,247 @@ class TestChunkKernelsAgree:
             [i for i in range(len(rows)) if i % 2 == parity] for parity in (0, 1)
         ]
         groups = [group for group in groups if group]
-        sum_spec = SimpleNamespace(
-            distinct=False, aggregate=lookup_aggregate("SUM")
-        )
-        for position in (3, 4, 5, 1):  # uniform, ragged, matrix, scalar
-            values = [row[position] for row in rows]
-            if position == 4 and len({value.length for value in values}) > 1:
+        matrix = ColumnVar(15, MatrixType(2, 2), "m")
+        for arg in (v, ragged, matrix, x):
+            if arg is ragged and len({row[4].length for row in rows}) > 1:
                 continue  # SUM over ragged vectors is a runtime type error
+            sum_spec = _spec("SUM", arg)
             row_cost, batch_cost = EvalCost(), EvalCost()
             assert _cells_identical(
-                chunk.partial_aggregate(sum_spec, values, groups, row_cost),
-                batch.partial_aggregate(sum_spec, values, groups, batch_cost),
+                chunk.partial_aggregate(sum_spec, groups, row_cost),
+                batch.partial_aggregate(sum_spec, groups, batch_cost),
             )
             assert _costs(row_cost) == _costs(batch_cost)
+
+    # -- tensor-block columns ----------------------------------------------
+
+    @staticmethod
+    def _both(row_call, batch_call):
+        """Both kernels' outcomes: ``(value, cost)`` each, or the error
+        type both must raise (a shape error surfaces in both or neither)."""
+        outcomes = []
+        for call in (row_call, batch_call):
+            cost = EvalCost()
+            try:
+                with np.errstate(all="ignore"):
+                    outcomes.append((call(cost), _costs(cost)))
+            except ReproError as exc:
+                outcomes.append(type(exc))
+        row_outcome, batch_outcome = outcomes
+        if isinstance(row_outcome, type) or isinstance(batch_outcome, type):
+            assert row_outcome is batch_outcome
+            return None
+        assert row_outcome[1] == batch_outcome[1]
+        return row_outcome[0], batch_outcome[0]
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0, inf - inf
+    def test_tensor_block_columns(self, data):
+        """The protocol property over tensor columns: uniform VECTOR and
+        MATRIX columns (tensor blocks in a Batch) with NULL cells,
+        special-float payloads, empty partitions and the extent-1 shapes
+        (VECTOR[1], MATRIX[1][1], MATRIX[k][1]) where numpy's reduce
+        order changes, beside a column that may be labelled or ragged
+        (an object column)."""
+        dim = data.draw(st.integers(1, 3), label="dim")
+        mrows = data.draw(st.integers(1, 3), label="matrix rows")
+        wild = st.one_of(
+            tensor_cells(dim),
+            tensor_cells(dim).map(lambda v: v.with_label(2)),
+            tensor_cells(dim + 1),
+        )
+        ids = (20, 21, 22, 23, 24, 25)
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 2),
+                    special_floats,
+                    st.one_of(st.none(), tensor_cells(dim)),
+                    tensor_cells(dim),
+                    st.one_of(st.none(), tensor_cells(dim, mrows)),
+                    wild,
+                ),
+                max_size=10,
+            ),
+            label="rows",
+        )
+        picks = data.draw(st.lists(st.integers(0, 1000), max_size=8), label="picks")
+        cut = data.draw(st.integers(0, 10), label="cut")
+
+        chunk = RowChunk.from_rows(ids, rows)
+        batch = Batch.from_rows(ids, rows)
+        _assert_chunks_agree(chunk, batch)
+        if rows:
+            assert batch.col(23).is_block
+            assert batch.col(22).is_block == any(row[2] is not None for row in rows)
+
+        indices = [pick % len(rows) for pick in picks] if rows else []
+        _assert_chunks_agree(chunk.take(indices), batch.take(indices))
+        # block + block, block + object (a labelled or ragged half),
+        # and an empty partition on either side
+        halves = (rows[:cut], rows[cut:])
+        _assert_chunks_agree(
+            *(
+                cls.concat(ids, [cls.from_rows(ids, half) for half in halves])
+                for cls in (RowChunk, Batch)
+            )
+        )
+
+        k = ColumnVar(20, INTEGER, "k")
+        x = ColumnVar(21, DOUBLE, "x")
+        v = ColumnVar(22, VectorType(dim), "v")
+        w = ColumnVar(23, VectorType(dim), "w")
+        m = ColumnVar(24, MatrixType(mrows, dim), "m")
+        r = ColumnVar(25, VectorType(None), "r")
+        outer, inner, times = (
+            lookup("outer_product"),
+            lookup("inner_product"),
+            lookup("matrix_vector_multiply"),
+        )
+        exprs = [
+            FuncExpr(outer, [w, w]),
+            FuncExpr(outer, [v, w]),
+            FuncExpr(inner, [v, w]),
+            FuncExpr(times, [m, w]),
+            FuncExpr(times, [m, BinaryExpr("*", v, x)]),
+            FuncExpr(inner, [w, LiteralExpr(Vector([1.5] * dim), VectorType(dim))]),
+            BinaryExpr("+", v, w),
+            BinaryExpr("*", w, x),
+            BinaryExpr("-", k, w),
+            BinaryExpr("/", m, x),
+            BinaryExpr("*", m, m),
+            NegExpr(v),
+            NegExpr(m),
+            IsNullExpr(m),
+            FuncExpr(outer, [r, w]),
+            FuncExpr(inner, [r, w]),
+            BinaryExpr("+", r, w),
+        ]
+        for expr in exprs:
+            pair = self._both(
+                lambda cost: chunk.values(expr, cost),
+                lambda cost: batch.values(expr, cost),
+            )
+            assert pair is None or _cells_identical(*pair), expr
+
+        safe = exprs[:14]  # the wild column may raise mid-projection
+        out_ids = tuple(range(40, 40 + len(safe)))
+        projected = self._both(
+            lambda cost: chunk.project(out_ids, safe, cost),
+            lambda cost: batch.project(out_ids, safe, cost),
+        )
+        _assert_chunks_agree(*projected)
+
+        keep = BinaryExpr(">", k, LiteralExpr(0, INTEGER))
+        _assert_chunks_agree(
+            *self._both(
+                lambda cost: chunk.select(keep, cost),
+                lambda cost: batch.select(keep, cost),
+            )
+        )
+
+        joined_ids = ids + (30, 31, 32, 33, 34, 35)
+        for probe_is_left in (True, False):
+            _assert_chunks_agree(
+                chunk.join(joined_ids, chunk, indices, indices[::-1], probe_is_left),
+                batch.join(joined_ids, batch, indices, indices[::-1], probe_is_left),
+            )
+
+        by_key = {}
+        for i, row in enumerate(rows):
+            by_key.setdefault(row[0], []).append(i)
+        groupings = [list(by_key.values())]
+        if rows:
+            groupings.append([range(len(rows))])  # the global aggregate
+        inputs = [v, w, m, r] + exprs[:5] + [BinaryExpr("*", w, x)]
+        for name, distinct in (("SUM", False), ("MIN", False), ("COUNT", True)):
+            for expr in inputs:
+                spec = _spec(name, expr, distinct)
+                for groups in groupings:
+                    pair = self._both(
+                        lambda cost: chunk.partial_aggregate(spec, groups, cost),
+                        lambda cost: batch.partial_aggregate(spec, groups, cost),
+                    )
+                    if pair is None:
+                        continue
+                    if distinct:  # states are sets of values
+                        pair = [[sorted(map(_bits, s)) for s in side] for side in pair]
+                    assert _cells_identical(*pair), (name, expr)
+
+    def test_sum_order_on_large_blocks(self):
+        """The block SUM is the sequential fold at partition scale too
+        (numpy buffers long reductions): plain, fused outer-product and
+        single-element cells against the value-at-a-time chain."""
+        rng = np.random.default_rng(5)
+        for count, dim in ((9000, 1), (9000, 2), (3000, 8), (300, 64)):
+            scale = 10.0 ** rng.integers(-8, 8, size=(count, dim))
+            rows = [(Vector(cell),) for cell in rng.normal(size=(count, dim)) * scale]
+            chunk, batch = RowChunk.from_rows((0,), rows), Batch.from_rows((0,), rows)
+            v = ColumnVar(0, VectorType(dim), "v")
+            for expr in (v, FuncExpr(lookup("outer_product"), [v, v])):
+                sum_spec, groups = _spec("SUM", expr), [range(count)]
+                row_cost, batch_cost = EvalCost(), EvalCost()
+                assert _cells_identical(
+                    chunk.partial_aggregate(sum_spec, groups, row_cost),
+                    batch.partial_aggregate(sum_spec, groups, batch_cost),
+                )
+                assert _costs(row_cost) == _costs(batch_cost)
+
+
+class TestSharedBlocks:
+    """The table's columnar cache hands every query the same blocks."""
+
+    @staticmethod
+    def _db():
+        db = Database(TEST_CLUSTER, execution_mode="batch")
+        db.execute("CREATE TABLE t (id INTEGER, v VECTOR[])")
+        db.load("t", [(i, Vector([float(i), -float(i)])) for i in range(12)])
+        return db
+
+    def test_scans_and_kernels_stay_on_blocks(self, monkeypatch):
+        """A silent fall back to the object path would keep every result
+        right and only lose the speed, so pin the physical form: the
+        scan's vector column is a block, the outer product of two blocks
+        is a block, and the Gram aggregate folds the argument blocks
+        without ever running the kernel that materializes the products."""
+        db = self._db()
+        storage = db.catalog.table("t").storage
+        batch = Batch.from_table((0, 1), storage, 0)
+        assert batch.col(1).is_block and batch.col(1).data.dtype == np.float64
+        assert Batch.from_table((0, 1), storage, 0).col(1) is batch.col(1)
+        v = ColumnVar(1, VectorType(2), "v")
+        outer = lookup("outer_product")
+        product = FuncExpr(outer, [v, v])
+        column = product.evaluate_batch(batch)
+        assert column.is_block and column.data.shape == (len(batch), 2, 2)
+        calls = []
+        monkeypatch.setattr(
+            outer, "block_impl", lambda *blocks: calls.append(blocks), raising=True
+        )
+        (state,) = batch.partial_aggregate(
+            _spec("SUM", product), [range(len(batch))], EvalCost()
+        )
+        assert not calls
+        assert state.data.tobytes() == column.data.sum(axis=0).tobytes()
+
+    def test_mutating_a_result_cannot_corrupt_the_cached_block(self):
+        db = self._db()
+        query = "SELECT t.v FROM t WHERE t.id = 3"
+        total = "SELECT SUM(t.v) FROM t"
+        before = db.execute(total).scalar().data.copy()
+        for result in (db.execute(query), db.execute(total)):
+            value = result.scalar()
+            try:
+                value.data[0] = 1e9
+            except ValueError:
+                pass  # blocks (and the views results wrap) are read-only
+        assert db.execute(query).scalar().data.tolist() == [3.0, -3.0]
+        assert db.execute(total).scalar().data.tolist() == before.tolist()
 
 
 # -- the execution_mode knob -------------------------------------------------
