@@ -370,9 +370,10 @@ def measure_scaling(
 
     The ratio is **honest hardware-dependent measurement**: Python
     threads only overlap compute across real cores, so the ratio tracks
-    ``os.cpu_count()`` — about 1.0 on a single-core host, approaching
-    min(workers, cores) as cores allow. The report records the host CPU
-    count so a reader can judge the ratio in context.
+    ``os.cpu_count()``, approaching min(workers, cores) as cores allow.
+    On a host with fewer cores than ``workers`` the ratio measures the
+    host, not the serving stack, so it is reported as ``None`` with the
+    verdict ``"inconclusive"``; the bit-identity gates still apply.
     """
     import os
 
@@ -404,11 +405,8 @@ def measure_scaling(
 
     serial = probe(1, 1)
     parallel = probe(workers, parallelism)
-    ratio = (
-        parallel.throughput_qps / serial.throughput_qps
-        if serial.throughput_qps > 0
-        else 0.0
-    )
+    host_cpus = os.cpu_count() or 1
+    conclusive = host_cpus >= workers and serial.throughput_qps > 0
     return {
         "workers": workers,
         "intra_query_parallelism": parallelism,
@@ -416,10 +414,15 @@ def measure_scaling(
         "clients": clients,
         "rows": rows,
         "dims": dims,
-        "host_cpus": os.cpu_count(),
+        "host_cpus": host_cpus,
         "serial_qps": round(serial.throughput_qps, 3),
         "parallel_qps": round(parallel.throughput_qps, 3),
-        "parallel_vs_serial": round(ratio, 3),
+        "parallel_vs_serial": (
+            round(parallel.throughput_qps / serial.throughput_qps, 3)
+            if conclusive
+            else None
+        ),
+        "verdict": "measured" if conclusive else "inconclusive",
         "serial_ok": serial.ok(),
         "parallel_ok": parallel.ok(),
     }
@@ -473,6 +476,13 @@ def format_open_loop(report: OpenLoopReport) -> str:
 
 def format_scaling(scaling: Dict[str, object]) -> str:
     """The parallel-vs-serial scaling block of the serve report."""
+    if scaling["parallel_vs_serial"] is None:
+        ratio = (
+            f"inconclusive ({scaling['host_cpus']} cpu(s) < "
+            f"{scaling['workers']} workers)"
+        )
+    else:
+        ratio = f"{scaling['parallel_vs_serial']:>11.2f}x"
     return "\n".join(
         [
             f"throughput scaling — {scaling['workers']} worker thread(s), "
@@ -481,10 +491,11 @@ def format_scaling(scaling: Dict[str, object]) -> str:
             f"({scaling['rows']}x{scaling['dims']})",
             f"{'serial (1 worker) q/s':<26}{scaling['serial_qps']:>12.2f}",
             f"{'parallel q/s':<26}{scaling['parallel_qps']:>12.2f}",
-            f"{'parallel vs serial':<26}{scaling['parallel_vs_serial']:>11.2f}x",
+            f"{'parallel vs serial':<26}{ratio:>12}",
             f"{'host cpu count':<26}{scaling['host_cpus']:>12d}",
             "note: Python threads overlap compute only across real "
-            "cores, so the ratio tracks the host CPU count "
-            "(~1.0 on one core, up to min(workers, cores) otherwise)",
+            "cores, so the ratio tracks the host CPU count (up to "
+            "min(workers, cores)) and is only reported when the host "
+            "has at least as many cores as workers",
         ]
     )

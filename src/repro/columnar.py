@@ -13,8 +13,8 @@ values alone:
   ``Matrix`` of one shape. Shape uniformity is a construction invariant:
   the LA block kernels, the byte accounting and SUM read the shape off
   ``data.shape`` once instead of re-proving it per row. NULL rows hold
-  zeros and are marked in the mask. Blocks are read-only — the table's
-  columnar cache shares them across queries, and the ``Vector``/
+  zeros and are marked in the mask. Blocks are read-only — a table
+  segment's cached columns share them across queries, and the ``Vector``/
   ``Matrix`` values :meth:`ColumnData.pylist` hands out are views;
 * **object** — everything else (strings, LABELED_SCALAR, NULL-bearing
   or mixed int/float scalars, ragged or labelled tensor cells),
@@ -127,7 +127,7 @@ class ColumnData:
 
     def __init__(self, data: np.ndarray, nulls: Optional[np.ndarray] = None):
         if data.ndim > 1:
-            # blocks are shared (the table's columnar cache, the views
+            # blocks are shared (a table segment's cached columns, the views
             # ``pylist`` hands out), so nothing may write into one
             data.flags.writeable = False
         self.data = data
@@ -288,6 +288,13 @@ class ColumnData:
         else:
             nulls = None
         return cls(data, nulls)
+
+
+def columns_from_rows(rows: Sequence[tuple], width: int) -> List[ColumnData]:
+    """Row tuples of ``width`` values turned column-wise."""
+    if rows:
+        return [ColumnData.from_values(values) for values in zip(*rows)]
+    return [ColumnData(np.empty(0, dtype=object)) for _ in range(width)]
 
 
 def truth(column: ColumnData) -> np.ndarray:

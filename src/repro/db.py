@@ -46,7 +46,7 @@ from .plan import Binder, CostModel, Optimizer, PhysicalPlanner
 from .plan.logical import OutputColumn, ViewScanNode
 from .plan.physical import PFilter, PHashJoin, PNestedLoopJoin, PScan, PViewScan
 from .sql import ast, parse_script, parse_statement
-from .storage import DiskPartitionedTable, StorageEngine
+from .storage import StorageEngine
 from .types import Matrix, Vector
 from .views import ViewMatcher, ViewRegistry
 
@@ -367,22 +367,14 @@ class Database:
     ) -> TableEntry:
         schema = Schema(columns)
         entry = self.catalog.create_table(name, schema)
-        if self.storage.mode == "disk":
-            entry.storage = DiskPartitionedTable(
-                schema,
-                self.config.slots,
-                partition_by=partition_by,
-                engine=self.storage,
-                name=name,
-                segment_rows=self.config.segment_rows,
-            )
-        else:
-            entry.storage = PartitionedTable(
-                schema,
-                self.config.slots,
-                partition_by=partition_by,
-                segment_rows=self.config.segment_rows,
-            )
+        entry.storage = PartitionedTable(
+            schema,
+            self.config.slots,
+            partition_by=partition_by,
+            segment_rows=self.config.segment_rows,
+            engine=self.storage,
+            name=name,
+        )
         return entry
 
     def load(self, name: str, rows: Iterable[Sequence]) -> int:

@@ -27,6 +27,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
+import numpy as np
+
 from ..config import ClusterConfig
 from ..errors import ResourceExhaustedError
 from ..types import LabeledScalar, Matrix, Vector
@@ -87,9 +89,41 @@ def value_bytes(value) -> float:
     return 64.0
 
 
+#: per-row serialization overhead
+ROW_OVERHEAD_BYTES = 16.0
+
+
 def row_bytes(row) -> float:
-    overhead = 16.0
-    return overhead + sum(value_bytes(value) for value in row)
+    return ROW_OVERHEAD_BYTES + sum(value_bytes(value) for value in row)
+
+
+def _column_value_bytes(column) -> np.ndarray:
+    """``value_bytes`` of every value in a ``ColumnData`` (constant per
+    row wherever the physical form fixes it)."""
+    n = len(column)
+    if column.is_numeric:
+        sizes = np.full(n, 8.0)
+    elif column.is_bool:
+        sizes = np.full(n, 1.0)
+    elif column.is_block:
+        sizes = np.full(n, 8.0 * column.cell_elements + 8.0)
+    else:
+        return np.fromiter(
+            (value_bytes(value) for value in column.pylist()),
+            dtype=np.float64,
+            count=n,
+        )
+    if column.nulls is not None:
+        sizes[column.nulls] = 1.0  # NULL serializes to one byte
+    return sizes
+
+
+def columns_row_bytes(columns, count: int) -> np.ndarray:
+    """``row_bytes`` of each of ``count`` rows stored column-wise."""
+    total = np.full(count, ROW_OVERHEAD_BYTES)
+    for column in columns:
+        total += _column_value_bytes(column)
+    return total
 
 
 class OperatorRun:

@@ -684,32 +684,6 @@ class Executor:
             chunk.column_ids, self.storage.spill_roundtrip(chunk.rows())
         )
 
-    def _scan_partition(
-        self, storage, slot: int, predicates, run
-    ) -> Tuple[List[tuple], List[float]]:
-        """One partition's rows and per-row sizes, skipping zone-map
-        pruned segments; disk-backed segments are read through the
-        buffer pool. Both table back ends chunk partitions identically
-        (consecutive insert-order chunks of ``segment_rows``), so
-        pruning decisions — and the scan charges they remove — match
-        across storage modes."""
-        pool = self.storage.buffer_pool if self.storage is not None else None
-        rows: List[tuple] = []
-        sizes: List[float] = []
-        for segment in storage.segments(slot):
-            if predicates and segment_pruned(segment, predicates):
-                run.segments_pruned += 1
-                continue
-            run.segments_scanned += 1
-            seg_rows, seg_sizes, outcome = segment.read(pool)
-            if outcome == "hit":
-                run.pool_hits += 1
-            elif outcome == "miss":
-                run.pool_misses += 1
-            rows.extend(seg_rows)
-            sizes.extend(seg_sizes)
-        return rows, sizes
-
     def _effective_partitions(
         self, relation: DistributedRelation
     ) -> Tuple[list, bool]:
@@ -773,31 +747,36 @@ class Executor:
     # =======================================================================
 
     def _scan(self, node: PScan) -> DistributedRelation:
+        """Each partition is the concatenation of its unpruned segments'
+        chunks. Segment boundaries come from the one table class, so
+        pruning decisions — and the scan charges they remove — match
+        across storage modes; only disk-backed segments touch the buffer
+        pool (that is where the hit/miss counters come from)."""
         storage = node.table.storage
         if storage is None:
             raise ExecutionError(f"table {node.table.name!r} has no data loaded")
         run = self.cluster.operator(f"Scan({node.table.name})")
         column_ids = [column.column_id for column in node.columns]
-        predicates = resolve_prune_predicates(
-            getattr(node, "prune_predicates", ())
-        )
-        disk_mode = self.storage is not None and self.storage.mode == "disk"
-        # whole cached partitions are memory-mode only: in disk mode
-        # every scan goes segment by segment through the buffer pool
-        # (that is where hit/miss counters come from), and a pruned scan
-        # assembles its chunk from the surviving segments' rows
-        whole_partitions = (
-            not predicates and not disk_mode and hasattr(storage, "columnar")
-        )
+        predicates = resolve_prune_predicates(node.prune_predicates)
+        pool = self.storage.buffer_pool if self.storage is not None else None
         tasks = self._partition_tasks(run, self.slots)
 
         def scan_slot(slot, op):
-            if whole_partitions:
-                chunk = self._chunks.from_table(column_ids, storage, slot)
-                op.segments_scanned += len(storage.segments(slot))
-            else:
-                rows, sizes = self._scan_partition(storage, slot, predicates, op)
-                chunk = self._chunks.from_rows(column_ids, rows, sizes)
+            pieces = []
+            for segment in storage.segments(slot):
+                if segment_pruned(segment, predicates):
+                    op.segments_pruned += 1
+                    continue
+                op.segments_scanned += 1
+                piece, outcome = self._chunks.from_segment(
+                    column_ids, segment, pool
+                )
+                if outcome == "hit":
+                    op.pool_hits += 1
+                elif outcome == "miss":
+                    op.pool_misses += 1
+                pieces.append(piece)
+            chunk = self._chunks.concat(column_ids, pieces)
             scanned = chunk.total_bytes()
             op.charge_disk(slot, scanned)
             op.charge_cpu(slot, tuples=len(chunk))

@@ -1,4 +1,4 @@
-"""Partitioned tuple storage, the two partition kernels, and in-flight
+"""The one partitioned table, the two partition kernels, and in-flight
 distributed relations.
 
 Every partition that flows through the executor is a *chunk*. There are
@@ -17,8 +17,8 @@ one scans and ``from_rows`` produce:
 Both implement the same *chunk protocol* — ``len``, ``rows``,
 ``total_bytes``, ``values``, ``select``, ``project``, ``take``,
 ``join``, ``partial_aggregate`` and the constructors ``from_rows``,
-``from_table`` and ``concat`` — and the executor's operator handlers are
-written against that protocol only. Everything that differs between
+``from_segment`` and ``concat`` — and the executor's operator handlers
+are written against that protocol only. Everything that differs between
 the execution modes lives in this file; both modes produce identical
 result rows and identical simulated costs, and the batch kernels only
 change *real* wall-clock time (see ``docs/ENGINE.md``).
@@ -32,11 +32,19 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..catalog import Schema
-from ..columnar import ColumnData, truth, wrap_cell
+from ..columnar import ColumnData, columns_from_rows, truth, wrap_cell
 from ..errors import ExecutionError
 from ..la.aggregates import SumAggregate, sum_block
 from ..plan.expressions import FuncExpr
-from .cluster import row_bytes, stable_hash, value_bytes
+from ..storage.disk import DiskSegment
+from ..storage.segment import MemorySegment, chunk_offsets
+from .cluster import (
+    ROW_OVERHEAD_BYTES,
+    columns_row_bytes,
+    row_bytes,
+    stable_hash,
+    value_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,6 @@ class Partitioning:
 ROUND_ROBIN = Partitioning("roundrobin")
 BROADCAST = Partitioning("broadcast")
 SINGLE = Partitioning("single")
-
-#: per-row serialization overhead, shared with ``cluster.row_bytes``
-ROW_OVERHEAD_BYTES = 16.0
 
 
 class RowView:
@@ -134,14 +139,13 @@ class RowChunk:
         return cls(column_ids, rows, row_bytes)
 
     @classmethod
-    def from_table(cls, column_ids, table, slot: int) -> "RowChunk":
-        """One whole partition of an in-memory base table."""
-        rows: List[tuple] = []
-        sizes: List[float] = []
-        for segment in table.segments(slot):
-            rows.extend(segment.rows)
-            sizes.extend(segment.sizes())
-        return cls(column_ids, rows, sizes)
+    def from_segment(
+        cls, column_ids, segment, pool=None
+    ) -> Tuple["RowChunk", Optional[str]]:
+        """One segment of a base table as a chunk, plus the buffer-pool
+        outcome of reading it (None, ``"hit"`` or ``"miss"``)."""
+        rows, sizes, outcome = segment.read(pool)
+        return cls(column_ids, rows, sizes), outcome
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -239,27 +243,6 @@ def _index_list(indices) -> Sequence[int]:
     return indices.tolist() if isinstance(indices, np.ndarray) else indices
 
 
-def _column_value_bytes(column: ColumnData) -> np.ndarray:
-    """Serialized size of every value in a column (constant per row
-    wherever the physical form fixes it); mirrors ``cluster.value_bytes``."""
-    n = len(column)
-    if column.is_numeric:
-        sizes = np.full(n, 8.0)
-    elif column.is_bool:
-        sizes = np.full(n, 1.0)
-    elif column.is_block:
-        sizes = np.full(n, 8.0 * column.cell_elements + 8.0)
-    else:
-        return np.fromiter(
-            (value_bytes(value) for value in column.pylist()),
-            dtype=np.float64,
-            count=n,
-        )
-    if column.nulls is not None:
-        sizes[column.nulls] = 1.0  # NULL serializes to one byte
-    return sizes
-
-
 def _sum_blocks(fold, blocks, nulls, group_indices, cost) -> list:
     """SUM states, one per group, over the tensor cells ``fold`` makes
     of the operand ``blocks`` (NULL where ``nulls``): ``sum_block`` over
@@ -267,7 +250,7 @@ def _sum_blocks(fold, blocks, nulls, group_indices, cost) -> list:
     argument blocks. Each group's rows are folded in row order,
     bit-identical to the ``SumAggregate.add`` chain over the wrapped
     values. The states are fresh arrays: nothing here writes into, or
-    hands out, a block the table's columnar cache may share."""
+    hands out, a block a table segment's cached columns may share."""
     count = len(blocks[0])
     states = []
     for indices in group_indices:
@@ -324,22 +307,20 @@ class Batch:
         rows: Sequence[tuple],
         row_bytes: Optional[Sequence[float]] = None,
     ) -> "Batch":
-        if rows:
-            columns = [ColumnData.from_values(col) for col in zip(*rows)]
-        else:
-            columns = [
-                ColumnData(np.empty(0, dtype=object)) for _ in column_ids
-            ]
+        columns = columns_from_rows(rows, len(column_ids))
         if row_bytes is not None:
             row_bytes = np.asarray(row_bytes, dtype=np.float64)
         return cls(column_ids, columns, len(rows), row_bytes=row_bytes)
 
     @classmethod
-    def from_table(cls, column_ids, table, slot: int) -> "Batch":
-        """One whole partition of an in-memory base table, from the
-        table's cached columnar form."""
-        columns, sizes = table.columnar(slot)
-        return cls(column_ids, columns, len(sizes), row_bytes=sizes)
+    def from_segment(
+        cls, column_ids, segment, pool=None
+    ) -> Tuple["Batch", Optional[str]]:
+        """One segment of a base table as a batch, plus the buffer-pool
+        outcome of reading it (None, ``"hit"`` or ``"miss"``). An
+        in-memory segment hands every scan the same cached columns."""
+        columns, sizes, outcome = segment.columns(pool)
+        return cls(column_ids, columns, len(sizes), row_bytes=sizes), outcome
 
     def __len__(self) -> int:
         return self.length
@@ -365,10 +346,7 @@ class Batch:
         """Per-row serialized sizes, identical to ``cluster.row_bytes``
         per row; computed once and propagated through filter/take."""
         if self._row_bytes is None:
-            total = np.full(self.length, ROW_OVERHEAD_BYTES)
-            for column in self.columns:
-                total += _column_value_bytes(column)
-            self._row_bytes = total
+            self._row_bytes = columns_row_bytes(self.columns, self.length)
         return self._row_bytes
 
     def total_bytes(self) -> float:
@@ -544,7 +522,21 @@ class DistributedRelation:
 
 
 class PartitionedTable:
-    """Base-table storage: rows partitioned across slots at load time."""
+    """Base-table storage: rows partitioned across slots at load time.
+
+    Each slot holds a list of *sealed* segments — immutable chunks of
+    exactly ``segment_rows`` consecutive rows in insert order — plus a
+    mutable tail of fewer rows. ``engine`` (the database's
+    :class:`~repro.storage.engine.StorageEngine`) only decides what
+    sealing produces: a :class:`~repro.storage.disk.DiskSegment`
+    written under its directory in ``"disk"`` mode, a
+    :class:`~repro.storage.segment.MemorySegment` otherwise. Slot choice,
+    chunk boundaries and every read below are the same code for both,
+    which is why pruning decisions and scan charges cannot differ
+    between the storage modes. Caches (sizes, zone maps, columns) live
+    on the segments, where immutability makes invalidation unnecessary;
+    an append only replaces the tail's segment view.
+    """
 
     def __init__(
         self,
@@ -552,45 +544,51 @@ class PartitionedTable:
         slots: int,
         partition_by: Optional[Sequence[str]] = None,
         segment_rows: int = 4096,
+        engine=None,
+        name: str = "table",
     ):
         self.schema = schema
         self.slots = slots
-        #: rows per logical columnar segment (the zone-map granule);
-        #: chunk boundaries match the disk back end's sealed segments
+        self.engine = engine
+        self.name = name
+        self.width = len(schema.types)
+        #: rows per sealed segment (the zone-map granule)
         self.segment_rows = max(1, int(segment_rows))
         #: column names the table is hash-partitioned on (None = round robin)
         self.partition_by = list(partition_by) if partition_by else None
         self._key_positions: Optional[List[int]] = None
         if self.partition_by:
             self._key_positions = []
-            for name in self.partition_by:
-                position = schema.index_of(name)
+            for column_name in self.partition_by:
+                position = schema.index_of(column_name)
                 if position is None:
                     raise ExecutionError(
-                        f"cannot partition on unknown column {name!r}"
+                        f"cannot partition on unknown column {column_name!r}"
                     )
                 self._key_positions.append(position)
-        self.partitions: List[List[tuple]] = [[] for _ in range(slots)]
-        self._next = 0
-        #: bumped on every mutation; invalidates the columnar scan cache
-        self._version = 0
-        self._columnar_cache: Dict[int, Tuple[int, List[ColumnData], np.ndarray]] = {}
-        self._segment_cache: Dict[int, Tuple[int, list]] = {}
+        self._sealed: List[list] = [[] for _ in range(slots)]
+        self._tails: List[List[tuple]] = [[] for _ in range(slots)]
+        #: the tail of each slot as a segment, made on first read after
+        #: an append (None: stale or empty)
+        self._tail_views: List[Optional[MemorySegment]] = [None] * slots
+        #: round-robin position of the next insert (saved in snapshots)
+        self.insert_cursor = 0
 
-    @property
-    def row_count(self) -> int:
-        return sum(len(part) for part in self.partitions)
+    # -- mutation -----------------------------------------------------------
 
     def insert(self, row: Sequence) -> None:
         values = tuple(row)
         if self._key_positions is None:
-            slot = self._next % self.slots
-            self._next += 1
+            slot = self.insert_cursor % self.slots
+            self.insert_cursor += 1
         else:
             key = tuple(values[i] for i in self._key_positions)
             slot = stable_hash(key) % self.slots
-        self.partitions[slot].append(values)
-        self._version += 1
+        tail = self._tails[slot]
+        tail.append(values)
+        self._tail_views[slot] = None
+        if len(tail) >= self.segment_rows:
+            self._seal_full_chunks(slot)
 
     def insert_many(self, rows: Iterable[Sequence]) -> int:
         count = 0
@@ -599,78 +597,102 @@ class PartitionedTable:
             count += 1
         return count
 
+    def _seal_full_chunks(self, slot: int) -> None:
+        """Turn every full ``segment_rows`` chunk at the head of the
+        slot's tail into a sealed segment."""
+        tail = self._tails[slot]
+        full = len(tail) - len(tail) % self.segment_rows
+        for start, stop in chunk_offsets(full, self.segment_rows):
+            chunk = tail[start:stop]
+            if self.engine is not None and self.engine.mode == "disk":
+                segment = DiskSegment(
+                    self.engine.allocate_segment_path(self.name),
+                    chunk,
+                    self.width,
+                    injector=self.engine.injector,
+                )
+            else:
+                segment = MemorySegment(chunk, self.width)
+            self._sealed[slot].append(segment)
+        del tail[:full]
+
+    def _drop(self, slot: int) -> None:
+        pool = self.engine.buffer_pool if self.engine is not None else None
+        for segment in self._sealed[slot]:
+            segment.unlink(pool)
+        self._sealed[slot] = []
+        self._tails[slot] = []
+        self._tail_views[slot] = None
+
     def truncate(self) -> None:
-        self.partitions = [[] for _ in range(self.slots)]
-        self._next = 0
-        self._version += 1
-
-    def mutated(self) -> None:
-        """Callers that rewrite ``partitions`` in place (DELETE) must
-        invalidate the columnar cache."""
-        self._version += 1
-
-    def partition_rows(self, slot: int) -> List[tuple]:
-        """The rows of one partition (shared storage-back-end API)."""
-        return self.partitions[slot]
-
-    def partition_row_count(self, slot: int) -> int:
-        return len(self.partitions[slot])
-
-    def partition_suffix(self, slot: int, start: int) -> List[tuple]:
-        """The rows of one partition from insert position ``start`` on
-        (shared storage-back-end API; incremental view maintenance)."""
-        return self.partitions[slot][start:]
+        for slot in range(self.slots):
+            self._drop(slot)
+        self.insert_cursor = 0
 
     def replace_partition(self, slot: int, rows: Sequence[tuple]) -> None:
-        """Rewrite one partition (DELETE; shared storage-back-end API)."""
-        self.partitions[slot] = [tuple(row) for row in rows]
-        self.mutated()
+        """Rewrite one partition (DELETE): the old immutable segments
+        are dropped and the surviving rows are re-sealed with the same
+        insert-order chunking rule."""
+        self._drop(slot)
+        self._tails[slot] = [tuple(row) for row in rows]
+        self._seal_full_chunks(slot)
+
+    # -- reads --------------------------------------------------------------
 
     def segments(self, slot: int) -> list:
-        """The partition as logical columnar segments: consecutive
-        insert-order chunks of ``segment_rows`` rows, each carrying lazy
-        zone maps and per-row serialized sizes. The chunk boundaries —
-        and therefore pruning decisions and charged scan bytes — are
-        identical to the disk back end's sealed segment files."""
-        cached = self._segment_cache.get(slot)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        from ..storage.segment import MemorySegment, chunk_offsets
+        """The partition as segments: the sealed ones (the same objects
+        on every call) plus, when the tail holds rows, one in-memory
+        segment over a copy of it that lasts until the next append."""
+        tail = self._tails[slot]
+        if not tail:
+            return list(self._sealed[slot])
+        view = self._tail_views[slot]
+        if view is None:
+            view = self._tail_views[slot] = MemorySegment(tail, self.width)
+        return self._sealed[slot] + [view]
 
-        rows = self.partitions[slot] if slot < len(self.partitions) else []
-        width = len(self.schema.types)
-        segments = [
-            MemorySegment(rows[start:stop], width)
-            for start, stop in chunk_offsets(len(rows), self.segment_rows)
-        ]
-        self._segment_cache[slot] = (self._version, segments)
-        return segments
+    @property
+    def row_count(self) -> int:
+        return sum(self.partition_row_count(slot) for slot in range(self.slots))
+
+    @property
+    def partitions(self) -> List[List[tuple]]:
+        """A read-only view: the rows of every partition, by slot."""
+        return [self.partition_rows(slot) for slot in range(self.slots)]
+
+    def partition_rows(self, slot: int) -> List[tuple]:
+        """The rows of one partition (bypasses the buffer pool:
+        maintenance reads — stats, persistence — are not scans)."""
+        return self.partition_suffix(slot, 0)
+
+    def partition_row_count(self, slot: int) -> int:
+        sealed = sum(segment.row_count for segment in self._sealed[slot])
+        return sealed + len(self._tails[slot])
+
+    def partition_suffix(self, slot: int, start: int) -> List[tuple]:
+        """The rows of one partition from insert position ``start`` on.
+        Sealed segments that end at or before ``start`` are skipped by
+        their row count, never read — an incremental view folding one
+        append decodes only the segment files that append touched."""
+        out: List[tuple] = []
+        offset = 0
+        for segment in self._sealed[slot]:
+            end = offset + segment.row_count
+            if end > start:
+                out.extend(segment.read(None)[0][max(start - offset, 0):])
+            offset = end
+        out.extend(self._tails[slot][max(start - offset, 0):])
+        return out
 
     def all_rows(self) -> List[tuple]:
         out: List[tuple] = []
-        for part in self.partitions:
-            out.extend(part)
+        for slot in range(self.slots):
+            out.extend(self.partition_rows(slot))
         return out
 
     def total_bytes(self) -> float:
-        return sum(row_bytes(row) for part in self.partitions for row in part)
-
-    def columnar(self, slot: int) -> Tuple[List[ColumnData], np.ndarray]:
-        """The columnar form of one partition plus its per-row byte
-        sizes, cached until the table is mutated. Every query scans the
-        same cached columns (tensor blocks included — they are
-        read-only)."""
-        cached = self._columnar_cache.get(slot)
-        if cached is not None and cached[0] == self._version:
-            return cached[1], cached[2]
-        rows = self.partitions[slot] if slot < len(self.partitions) else []
-        width = len(self.schema.types)
-        if rows:
-            columns = [ColumnData.from_values(col) for col in zip(*rows)]
-        else:
-            columns = [ColumnData(np.empty(0, dtype=object)) for _ in range(width)]
-        sizes = np.full(len(rows), ROW_OVERHEAD_BYTES)
-        for column in columns:
-            sizes += _column_value_bytes(column)
-        self._columnar_cache[slot] = (self._version, columns, sizes)
-        return columns, sizes
+        return sum(
+            segment.total_bytes
+            for slot in range(self.slots)
+            for segment in self.segments(slot)
+        )

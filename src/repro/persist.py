@@ -211,7 +211,7 @@ def save_database(db, path: str, injector=None) -> None:
                     ]
                     for slot in range(storage.slots)
                 ],
-                "insert_cursor": getattr(storage, "_next", 0),
+                "insert_cursor": storage.insert_cursor,
                 "stats": _freeze_stats(entry.stats),
             }
         )
@@ -340,7 +340,7 @@ def _restore_rows(storage, table: dict) -> None:
                 slot,
                 [tuple(_thaw_value(value) for value in row) for row in frozen_rows],
             )
-        storage._next = table.get("insert_cursor", 0)
+        storage.insert_cursor = table.get("insert_cursor", 0)
         return
     if partitions is not None:
         frozen_rows = [row for part in partitions for row in part]

@@ -1,27 +1,27 @@
-"""Out-of-core storage subsystem: columnar segment files, zone maps, a
-budgeted buffer pool, and the disk-backed partitioned table.
+"""Out-of-core storage subsystem: the two segment homes, the columnar
+segment file codec, zone maps, a budgeted buffer pool, and durability.
 
-Tables live behind one of two back ends selected by
-``ClusterConfig.storage_mode``:
+Every table is one :class:`~repro.engine.storage.PartitionedTable`:
+per slot, sealed immutable segments of ``segment_rows`` insert-order
+rows plus a mutable tail. ``ClusterConfig.storage_mode`` decides only
+what sealing a chunk produces:
 
-* ``"memory"`` — :class:`~repro.engine.storage.PartitionedTable` keeps
-  partitions as Python row lists (the original seed behaviour), chunked
-  into logical :class:`MemorySegment` views for zone-map pruning;
-* ``"disk"`` — :class:`DiskPartitionedTable` seals the same insert-order
-  chunks into immutable columnar segment files (raw numpy buffers for
-  uniform numeric/vector/matrix columns, a pickled fallback otherwise,
-  plus a footer carrying row count, per-column min/max and null counts)
-  and reads them back through a :class:`BufferPool` with LRU-with-pins
-  eviction.
+* ``"memory"`` — a :class:`MemorySegment`: the row chunk itself, with
+  its sizes, zone maps and columnar form cached on it;
+* ``"disk"`` — a :class:`DiskSegment`: an immutable columnar segment
+  file (raw numpy buffers for uniform numeric/vector/matrix columns, a
+  pickled fallback otherwise, plus a footer carrying row count,
+  per-column min/max and null counts) read back through a
+  :class:`BufferPool` with LRU-with-pins eviction.
 
-Both back ends expose the same ``segments(slot)`` abstraction with
-identical chunk boundaries and identical serialized-byte accounting, so
+Both answer the same questions with identical serialized-byte
+accounting, and the chunk boundaries come from the one table class, so
 scans, zone-map pruning decisions and spill triggers charge bit-identical
 simulated costs in either mode (see ``docs/STORAGE.md``).
 """
 
 from .bufferpool import BufferPool
-from .disk import DiskPartitionedTable, DiskSegment
+from .disk import DiskSegment
 from .durable import (
     TMP_SUFFIX,
     DurableFile,
@@ -59,7 +59,6 @@ from .wal import (
 
 __all__ = [
     "BufferPool",
-    "DiskPartitionedTable",
     "DiskSegment",
     "STORAGE_MODES",
     "StorageEngine",

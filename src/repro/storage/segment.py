@@ -1,11 +1,14 @@
-"""Columnar segment encoding, zone maps, and pruning decisions.
+"""Segments: the columnar file encoding, zone maps, pruning decisions,
+and the in-memory home of a chunk.
 
 A *segment* is one immutable chunk of a table partition: up to
-``ClusterConfig.segment_rows`` consecutive rows in insert order. Both
-storage back ends chunk identically, so a table loaded the same way has
-the same segment boundaries — and therefore the same zone maps, the same
-pruning decisions and the same charged scan bytes — whether it lives in
-memory or on disk.
+``ClusterConfig.segment_rows`` consecutive rows in insert order. The one
+table class (:class:`~repro.engine.storage.PartitionedTable`) decides
+the boundaries; ``storage_mode`` only decides whether a sealed chunk
+becomes a :class:`MemorySegment` or a
+:class:`~repro.storage.disk.DiskSegment`, so a table
+loaded the same way has the same zone maps, the same pruning decisions
+and the same charged scan bytes whether it lives in memory or on disk.
 
 The on-disk encoding keeps columns of uniform scalar type (and
 uniform-shape VECTOR/MATRIX columns) as raw numpy buffers; anything else
@@ -32,7 +35,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.cluster import row_bytes
+from ..columnar import ColumnData, columns_from_rows
+from ..engine.cluster import columns_row_bytes, row_bytes
 from ..types.labeled import DEFAULT_LABEL
 from ..types.tensor import Matrix, Vector
 
@@ -125,7 +129,7 @@ def segment_pruned(segment, predicates: Sequence[Tuple[int, str, object]]) -> bo
 
 def chunk_offsets(count: int, segment_rows: int) -> Iterator[Tuple[int, int]]:
     """Consecutive ``[start, stop)`` chunk bounds covering ``count``
-    rows; the shared segmentation rule of both storage back ends."""
+    rows: the table's segmentation rule."""
     step = max(1, int(segment_rows))
     for start in range(0, count, step):
         yield start, min(start + step, count)
@@ -274,16 +278,21 @@ def read_segment_file(path: str) -> List[tuple]:
         return decode_segment(handle.read())
 
 
-# -- in-memory segment view -------------------------------------------------
+# -- the in-memory segment home ----------------------------------------------
 
 
 class MemorySegment:
-    """A logical segment over an in-memory row chunk: same zone maps and
-    byte accounting as a sealed disk segment, no file behind it. Used
-    for memory-mode tables and for the not-yet-sealed tail of a
-    disk-mode partition."""
+    """An immutable row chunk held in memory: a sealed segment of a
+    memory-mode partition, or the current view of a partition's
+    not-yet-sealed tail in either mode (the table makes a new view when
+    the tail grows). Everything derived from the rows — per-row sizes,
+    zone maps, the columnar form — is computed on first use and never
+    invalidated, because the rows never change. It answers the same
+    questions as ``disk.DiskSegment`` (``row_count``, ``sizes``,
+    ``total_bytes``, ``zone``, ``read``, ``columns``, ``unlink``), so
+    the table and the scan never ask which one they hold."""
 
-    __slots__ = ("rows", "width", "_sizes", "_total", "_zones")
+    __slots__ = ("rows", "width", "_sizes", "_total", "_zones", "_columns")
 
     def __init__(self, rows: Sequence[tuple], width: int):
         self.rows = list(rows)
@@ -291,6 +300,7 @@ class MemorySegment:
         self._sizes: Optional[List[float]] = None
         self._total: Optional[float] = None
         self._zones: Optional[List[ZoneMap]] = None
+        self._columns: Optional[Tuple[List[ColumnData], np.ndarray]] = None
 
     @property
     def row_count(self) -> int:
@@ -318,3 +328,17 @@ class MemorySegment:
         """Rows, per-row serialized sizes, and the buffer-pool outcome
         (always None: memory segments never touch the pool)."""
         return self.rows, self.sizes(), None
+
+    def columns(
+        self, pool=None
+    ) -> Tuple[List[ColumnData], np.ndarray, Optional[str]]:
+        """The rows column-wise, their per-row serialized sizes, and the
+        buffer-pool outcome. Every scan shares the same columns (tensor
+        blocks included — they are read-only)."""
+        if self._columns is None:
+            columns = columns_from_rows(self.rows, self.width)
+            self._columns = columns, columns_row_bytes(columns, len(self.rows))
+        return self._columns + (None,)
+
+    def unlink(self, pool=None) -> None:
+        """Nothing outlives the object."""

@@ -24,11 +24,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
+from repro.catalog import Schema
 from repro.columnar import ColumnData, truth
 from repro.engine import stable_hash
 from repro.engine.cluster import row_bytes
 from repro.engine import Cluster, Executor
-from repro.engine.storage import Batch, RowChunk
+from repro.engine.storage import Batch, PartitionedTable, RowChunk
 from repro.errors import ExecutionError, ReproError
 from repro.la import lookup, lookup_aggregate
 from repro.plan.expressions import (
@@ -41,6 +42,7 @@ from repro.plan.expressions import (
     NegExpr,
 )
 from repro.service import QueryService, ServiceConfig
+from repro.storage import MemorySegment, StorageEngine
 from repro.types import DOUBLE, INTEGER, Matrix, MatrixType, Vector, VectorType
 
 # -- randomized query equivalence --------------------------------------------
@@ -564,6 +566,10 @@ class TestChunkKernelsAgree:
         chunk = RowChunk.from_rows(CHUNK_IDS, rows)
         batch = Batch.from_rows(CHUNK_IDS, rows)
         _assert_chunks_agree(chunk, batch)
+        segment = MemorySegment(rows, len(CHUNK_IDS))
+        _assert_chunks_agree(
+            *(cls.from_segment(CHUNK_IDS, segment)[0] for cls in (RowChunk, Batch))
+        )
 
         indices = [pick % len(rows) for pick in picks] if rows else []
         _assert_chunks_agree(chunk.take(indices), batch.take(indices))
@@ -811,8 +817,95 @@ class TestChunkKernelsAgree:
                 assert _costs(row_cost) == _costs(batch_cost)
 
 
+def _scan_pieces(cls, ids, table, slot, pool=None):
+    """What ``Executor._scan`` builds for one partition: every segment's
+    chunk with its buffer-pool outcome."""
+    return [cls.from_segment(ids, seg, pool) for seg in table.segments(slot)]
+
+
+def _per_row_bytes(chunk):
+    if isinstance(chunk, Batch):
+        return chunk.row_bytes_array().tolist()
+    return list(chunk.row_bytes())
+
+
+class TestScanAssembly:
+    """A scanned partition is ``concat`` of its segments' chunks, and
+    that equals one ``from_rows`` over the partition's rows — rows,
+    per-row bytes and total bytes — for both chunk classes and both
+    segment homes, whatever physical form each segment's columns took."""
+
+    @staticmethod
+    def _assert_assembles(rows, width, ids, segment_rows):
+        schema = Schema([(f"c{i}", "INTEGER") for i in range(width)])
+        for home in ("memory", "disk"):
+            engine = StorageEngine(
+                TEST_CLUSTER.with_updates(storage_mode=home, segment_rows=segment_rows)
+            )
+            try:
+                table = PartitionedTable(
+                    schema, 1, segment_rows=segment_rows, engine=engine
+                )
+                table.insert_many(rows)
+                sealed = len(rows) // segment_rows
+                assert len(table.segments(0)) == sealed + bool(len(rows) % segment_rows)
+                for cls in (RowChunk, Batch):
+                    whole = cls.from_rows(ids, rows)
+                    # the second pass reads cached columns / pooled rows
+                    for expected in ("miss", "hit"):
+                        pieces = _scan_pieces(cls, ids, table, 0, engine.buffer_pool)
+                        outcomes = [outcome for _, outcome in pieces]
+                        if home == "disk":
+                            assert outcomes[:sealed] == [expected] * sealed
+                            assert outcomes[sealed:] == [None] * (len(pieces) - sealed)
+                        else:
+                            assert outcomes == [None] * len(pieces)
+                        assembled = cls.concat(ids, [piece for piece, _ in pieces])
+                        assert _cells_identical(whole.rows(), assembled.rows())
+                        assert _per_row_bytes(whole) == _per_row_bytes(assembled)
+                        assert whole.total_bytes() == assembled.total_bytes()
+                    if home == "disk":
+                        for segment in table.segments(0)[:sealed]:
+                            engine.buffer_pool.invalidate(segment.path)
+            finally:
+                engine.close()
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(rows=chunk_rows, segment_rows=st.integers(1, 6))
+    def test_concat_of_segment_chunks_equals_from_rows(self, rows, segment_rows):
+        self._assert_assembles(rows, len(CHUNK_IDS), CHUNK_IDS, segment_rows)
+
+    def test_segments_of_different_physical_forms(self):
+        """int64 beside a NULL-bearing segment, a tensor block beside a
+        labelled and a ragged segment, and an empty tail."""
+        rows = [
+            (1, Vector([1.0, 2.0])),
+            (2, Vector([3.0, -0.0])),
+            (None, Vector([5.0, 6.0]).with_label(2)),
+            (4, Vector([7.0, 8.0])),
+            (5, Vector([9.0])),
+            (6, Vector([1.0, 2.0])),
+        ]
+        table = PartitionedTable(
+            Schema([("k", "INTEGER"), ("v", "VECTOR[]")]), 1, segment_rows=2
+        )
+        table.insert_many(rows)
+        first, second, third = (
+            batch for batch, _ in _scan_pieces(Batch, (0, 1), table, 0)
+        )
+        assert first.col(0).is_numeric and first.col(1).is_block
+        assert second.col(0).is_object and second.col(1).is_object
+        assert third.col(0).is_numeric and third.col(1).is_object
+        self._assert_assembles(rows, 2, (0, 1), 2)
+
+
 class TestSharedBlocks:
-    """The table's columnar cache hands every query the same blocks."""
+    """A table segment's cached columns hand every query the same
+    blocks."""
 
     @staticmethod
     def _db():
@@ -829,9 +922,10 @@ class TestSharedBlocks:
         without ever running the kernel that materializes the products."""
         db = self._db()
         storage = db.catalog.table("t").storage
-        batch = Batch.from_table((0, 1), storage, 0)
+        (segment,) = storage.segments(0)
+        batch, _ = Batch.from_segment((0, 1), segment)
         assert batch.col(1).is_block and batch.col(1).data.dtype == np.float64
-        assert Batch.from_table((0, 1), storage, 0).col(1) is batch.col(1)
+        assert Batch.from_segment((0, 1), segment)[0].col(1) is batch.col(1)
         v = ColumnVar(1, VectorType(2), "v")
         outer = lookup("outer_product")
         product = FuncExpr(outer, [v, v])

@@ -304,8 +304,8 @@ class TestPartitionLayout:
         path = str(tmp_path / "db.repro")
         db.save(path)
         restored = Database.restore(path)
-        assert restored.catalog.table("pts").storage._next == (
-            db.catalog.table("pts").storage._next
+        assert restored.catalog.table("pts").storage.insert_cursor == (
+            db.catalog.table("pts").storage.insert_cursor
         )
         db.execute("INSERT INTO pts VALUES (99, NULL, 'extra')")
         restored.execute("INSERT INTO pts VALUES (99, NULL, 'extra')")

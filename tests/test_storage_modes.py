@@ -12,8 +12,9 @@ they describe *real* disk-mode I/O and are deliberately outside the
 cross-mode fingerprint.
 
 Unit tests cover the segment codec, zone maps, chunk boundaries, the
-LRU-with-pins buffer pool, the disk table, and the service-level memory
-budget + storage stats surface.
+LRU-with-pins buffer pool, and the service-level memory budget + storage
+stats surface (the table contract, over both segment homes, is in
+``tests/test_storage.py``).
 """
 
 import numpy as np
@@ -30,9 +31,8 @@ from repro.faults import FaultPlan
 from repro.service import QueryService, ServiceConfig
 from repro.storage import (
     BufferPool,
-    DiskPartitionedTable,
+    DiskSegment,
     MemorySegment,
-    StorageEngine,
     ZoneMap,
     chunk_offsets,
     compute_zone,
@@ -516,70 +516,6 @@ class TestSegmentCodec:
         assert segment.sizes() == [row_bytes(row) for row in rows]
 
 
-# -- disk table --------------------------------------------------------------
-
-
-@pytest.fixture
-def disk_engine():
-    engine = StorageEngine(
-        TEST_CLUSTER.with_updates(storage_mode="disk", segment_rows=4)
-    )
-    yield engine
-    engine.close()
-
-
-class TestDiskPartitionedTable:
-    def _table(self, engine, slots=4):
-        from repro.catalog import Schema
-
-        return DiskPartitionedTable(
-            Schema([("a", "INTEGER"), ("b", "DOUBLE")]),
-            slots,
-            engine=engine,
-            name="t",
-            segment_rows=4,
-        )
-
-    def test_rows_roundtrip(self, disk_engine):
-        table = self._table(disk_engine)
-        rows = [(i, float(i) / 2) for i in range(11)]
-        table.insert_many(rows)
-        assert sorted(table.all_rows()) == rows
-        assert table.row_count == 11
-
-    def test_single_slot_preserves_insert_order(self, disk_engine):
-        table = self._table(disk_engine, slots=1)
-        rows = [(i, float(i) / 2) for i in range(11)]
-        table.insert_many(rows)
-        assert table.all_rows() == rows
-        assert table.partition_rows(0) == rows
-
-    def test_segments_and_unsealed_tail(self, disk_engine):
-        table = self._table(disk_engine, slots=1)
-        table.insert_many([(i, float(i)) for i in range(10)])
-        segments = table.segments(0)
-        # 10 rows at 4 rows/segment: 2 sealed + 1 tail of 2
-        assert [seg.row_count for seg in segments] == [4, 4, 2]
-
-    def test_replace_partition_rewrites_segments(self, disk_engine):
-        table = self._table(disk_engine, slots=1)
-        table.insert_many([(i, float(i)) for i in range(8)])
-        table.replace_partition(0, [(99, 1.0)])
-        assert table.all_rows() == [(99, 1.0)]
-        assert [seg.row_count for seg in table.segments(0)] == [1]
-
-    def test_truncate_removes_files(self, disk_engine):
-        import os
-
-        table = self._table(disk_engine, slots=1)
-        table.insert_many([(i, float(i)) for i in range(8)])
-        assert any(
-            name.endswith(".seg") for name in os.listdir(disk_engine.root)
-        )
-        table.truncate()
-        assert table.all_rows() == []
-
-
 class TestStorageEngineKnob:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ExecutionError):
@@ -592,10 +528,14 @@ class TestStorageEngineKnob:
         db.execute("CREATE TABLE t (a INTEGER)")
         assert isinstance(db.catalog.table("t").storage, PartitionedTable)
 
-    def test_disk_mode_uses_disk_table(self):
-        db = Database(TEST_CLUSTER.with_updates(storage_mode="disk"))
+    def test_disk_mode_seals_segment_files(self):
+        db = Database(TEST_CLUSTER.with_updates(storage_mode="disk", segment_rows=2))
         db.execute("CREATE TABLE t (a INTEGER)")
-        assert isinstance(db.catalog.table("t").storage, DiskPartitionedTable)
+        db.load("t", [(i,) for i in range(5 * TEST_CLUSTER.slots)])
+        segments = db.catalog.table("t").storage.segments(0)
+        assert [type(seg) for seg in segments] == [
+            DiskSegment, DiskSegment, MemorySegment
+        ]
 
     def test_dml_works_on_disk_tables(self):
         db = Database(TEST_CLUSTER.with_updates(storage_mode="disk"))
