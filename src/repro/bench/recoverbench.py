@@ -6,7 +6,11 @@ clean shutdown (the WAL is the only persistent copy — exactly the state
 a ``kill -9`` leaves) and measures how long ``Database.restore(data_dir)``
 takes to bring every acknowledged statement back. One extra point takes
 a checkpoint first, demonstrating that recovery cost tracks WAL length
-(records to replay), not database size.
+(records to replay), not database size, and recording what the
+checkpoint cost (bytes, seconds); a last one repeats it in
+``storage_mode="disk"`` with a small ``segment_rows``, so the
+bit-identity gate also covers partitions that live in sealed segment
+files.
 
 Every point is verified, not just timed: the recovered database must
 match the abandoned one bit-for-bit — rows (tensor payloads compared by
@@ -22,13 +26,14 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..config import ClusterConfig
 from ..db import Database
+from ..storage import DiskSegment
 from ..types import Vector
 
 
@@ -88,9 +93,15 @@ class RecoveryPoint:
 
     statements: int
     checkpointed: bool
+    storage_mode: str
+    #: sealed segment files the abandoned database's rows lived in
+    segment_files: int
     wal_bytes: int
     records_replayed: int
     recovery_seconds: float
+    #: size and wall time of the mid-run checkpoint (None without one)
+    checkpoint_bytes: Optional[int]
+    checkpoint_seconds: Optional[float]
     matches: bool
 
 
@@ -103,6 +114,11 @@ class RecoveryReport:
             return False
         if not all(point.matches for point in self.points):
             return False
+        if any(
+            point.storage_mode == "disk" and not point.segment_files
+            for point in self.points
+        ):
+            return False  # the disk point must exercise segment files
         # a checkpoint must actually shed replay work: its point replays
         # (strictly) fewer records than the same-size uncheckpointed run
         plain = {p.statements: p for p in self.points if not p.checkpointed}
@@ -124,23 +140,41 @@ def run_recovery_bench(
             report.points.append(
                 _measure(statements, checkpointed=checkpointed, seed=seed)
             )
+    # few slots and tiny segments, so most rows sit in sealed files
+    report.points.append(
+        _measure(
+            sizes[-1],
+            checkpointed=True,
+            seed=seed,
+            storage_mode="disk",
+            machines=2,
+            cores_per_machine=2,
+            segment_rows=4,
+        )
+    )
     return report
 
 
-def _measure(statements: int, checkpointed: bool, seed: int) -> RecoveryPoint:
+def _measure(
+    statements: int, checkpointed: bool, seed: int, **shape
+) -> RecoveryPoint:
     data_dir = tempfile.mkdtemp(prefix="repro-recover-")
     try:
-        config = ClusterConfig(durability_mode="wal", data_dir=data_dir)
+        config = ClusterConfig(durability_mode="wal", data_dir=data_dir, **shape)
         db = Database(config)
         db.execute("CREATE TABLE points (k INTEGER, v VECTOR[])")
+        checkpoint_bytes = checkpoint_seconds = None
         if checkpointed:
             # checkpoint halfway: recovery replays only the second half
             _workload(db, statements // 2, seed)
-            db.checkpoint()
+            start = time.perf_counter()
+            checkpoint_bytes = os.path.getsize(db.checkpoint())
+            checkpoint_seconds = time.perf_counter() - start
             _workload(db, statements - statements // 2, seed + 1)
         else:
             _workload(db, statements, seed)
         expected = state_fingerprint(db)
+        storage = db.catalog.table("points").storage
         wal_bytes = db.durability.wal_bytes()
         # abandon without close(): the dirty state a SIGKILL leaves
         start = time.perf_counter()
@@ -149,9 +183,17 @@ def _measure(statements: int, checkpointed: bool, seed: int) -> RecoveryPoint:
         point = RecoveryPoint(
             statements=statements,
             checkpointed=checkpointed,
+            storage_mode=config.storage_mode,
+            segment_files=sum(
+                isinstance(segment, DiskSegment)
+                for slot in range(storage.slots)
+                for segment in storage.segments(slot)
+            ),
             wal_bytes=wal_bytes,
             records_replayed=recovered.durability.records_replayed,
             recovery_seconds=elapsed,
+            checkpoint_bytes=checkpoint_bytes,
+            checkpoint_seconds=checkpoint_seconds,
             matches=state_fingerprint(recovered) == expected,
         )
         recovered.close()
@@ -164,12 +206,18 @@ def _measure(statements: int, checkpointed: bool, seed: int) -> RecoveryPoint:
 def format_recovery(report: RecoveryReport) -> str:
     lines = [
         "recovery time vs WAL length (replay of acknowledged statements)",
-        f"{'stmts':>6}  {'ckpt':>5}  {'wal bytes':>10}  "
-        f"{'replayed':>8}  {'recovery s':>10}  match",
+        f"{'stmts':>6}  {'storage':>7}  {'ckpt bytes':>10}  {'ckpt s':>8}  "
+        f"{'wal bytes':>10}  {'replayed':>8}  {'recovery s':>10}  match",
     ]
     for point in report.points:
+        if point.checkpointed:
+            checkpoint = (
+                f"{point.checkpoint_bytes:>10}  {point.checkpoint_seconds:>8.4f}"
+            )
+        else:
+            checkpoint = f"{'-':>10}  {'-':>8}"
         lines.append(
-            f"{point.statements:>6}  {'yes' if point.checkpointed else 'no':>5}  "
+            f"{point.statements:>6}  {point.storage_mode:>7}  {checkpoint}  "
             f"{point.wal_bytes:>10}  {point.records_replayed:>8}  "
             f"{point.recovery_seconds:>10.4f}  "
             f"{'yes' if point.matches else 'NO'}"
@@ -181,17 +229,7 @@ def write_snapshot(report: RecoveryReport, path: str) -> None:
     payload = {
         "benchmark": "recover",
         "ok": report.ok(),
-        "points": [
-            {
-                "statements": point.statements,
-                "checkpointed": point.checkpointed,
-                "wal_bytes": point.wal_bytes,
-                "records_replayed": point.records_replayed,
-                "recovery_seconds": point.recovery_seconds,
-                "matches": point.matches,
-            }
-            for point in report.points
-        ],
+        "points": [asdict(point) for point in report.points],
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:

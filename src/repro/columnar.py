@@ -297,6 +297,12 @@ def columns_from_rows(rows: Sequence[tuple], width: int) -> List[ColumnData]:
     return [ColumnData(np.empty(0, dtype=object)) for _ in range(width)]
 
 
+def rows_from_columns(columns: Sequence[ColumnData]) -> List[tuple]:
+    """The inverse of :func:`columns_from_rows`: exact Python row tuples
+    (each column's ``pylist`` is cached on it)."""
+    return list(zip(*[column.pylist() for column in columns]))
+
+
 def truth(column: ColumnData) -> np.ndarray:
     """Row-mode ``bool(value)`` per entry, with SQL NULL treated as
     false — the coercion filters and AND/OR apply to predicate values."""

@@ -47,6 +47,7 @@ from .plan.logical import OutputColumn, ViewScanNode
 from .plan.physical import PFilter, PHashJoin, PNestedLoopJoin, PScan, PViewScan
 from .sql import ast, parse_script, parse_statement
 from .storage import StorageEngine
+from .storage.segment import decode_segment, encode_rows
 from .types import Matrix, Vector
 from .views import ViewMatcher, ViewRegistry
 
@@ -301,16 +302,13 @@ class Database:
         paths as the original statement on the same cluster shape, which
         is what makes recovered rows and statistics bit-identical."""
         from .errors import ReproError
-        from .persist import _thaw_value
 
         kind = record.get("kind")
         if kind == "stmt":
-            frozen = record.get("params")
-            params = (
-                {key: _thaw_value(value) for key, value in frozen.items()}
-                if frozen
-                else None
-            )
+            params = record["params"]
+            if params is not None:
+                names, values = params
+                params = dict(zip(names, decode_segment(values)[0]))
             self._execute_statement(record["ast"], params)
         elif kind == "create_table":
             self.create_table(
@@ -319,13 +317,7 @@ class Database:
                 partition_by=record["partition_by"],
             )
         elif kind == "load":
-            self.load(
-                record["table"],
-                [
-                    tuple(_thaw_value(value) for value in row)
-                    for row in record["rows"]
-                ],
-            )
+            self.load(record["table"], decode_segment(record["rows"]))
         else:
             raise ReproError(f"unknown WAL record kind {kind!r}")
 
@@ -389,16 +381,11 @@ class Database:
                 count = entry.storage.insert_many(converted)
                 self._refresh_stats(entry, appended=converted)
                 if log:
-                    from .persist import _freeze_value
-
                     self._log_durable(
                         {
                             "kind": "load",
                             "table": entry.name,
-                            "rows": [
-                                tuple(_freeze_value(value) for value in row)
-                                for row in converted
-                            ],
+                            "rows": encode_rows(converted),
                         }
                     )
             return count
@@ -516,16 +503,11 @@ class Database:
             with self._durable_root() as log:
                 result = self._dispatch_statement(statement, params)
                 if log:
-                    from .persist import _freeze_value
-
-                    frozen = (
-                        {
-                            key: _freeze_value(_convert_value(value))
-                            for key, value in params.items()
-                        }
-                        if params
-                        else None
-                    )
+                    # parameter values travel as the one row of a segment
+                    frozen = None
+                    if params:
+                        values = tuple(map(_convert_value, params.values()))
+                        frozen = list(params), encode_rows([values])
                     # the statement is applied; appending this record is
                     # the acknowledgement point (returning == durable)
                     self._log_durable(

@@ -32,7 +32,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..catalog import Schema
-from ..columnar import ColumnData, columns_from_rows, truth, wrap_cell
+from ..columnar import (
+    ColumnData,
+    columns_from_rows,
+    rows_from_columns,
+    truth,
+    wrap_cell,
+)
 from ..errors import ExecutionError
 from ..la.aggregates import SumAggregate, sum_block
 from ..plan.expressions import FuncExpr
@@ -332,12 +338,7 @@ class Batch:
         """Materialize Python row tuples (cached). Typed columns convert
         back to exact Python scalars."""
         if self._rows is None:
-            if self.length == 0:
-                self._rows = []
-            else:
-                self._rows = list(
-                    zip(*[column.pylist() for column in self.columns])
-                )
+            self._rows = rows_from_columns(self.columns)
         return self._rows
 
     # -- byte accounting ----------------------------------------------------

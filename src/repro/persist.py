@@ -1,25 +1,29 @@
 """Saving and restoring a database to/from a single file.
 
-The payload is a versioned pickle of plain data: schemas as
-``(name, type-string)`` pairs, table rows (vectors/matrices as numpy
-arrays), partitioning metadata, statistics-relevant row data, and view
-definitions as their original ASTs. It is an *internal* format — the
-paper's system keeps its data on HDFS; this is the laptop equivalent so
-a loaded workload can be reused across sessions.
+A snapshot is a CRC-framed envelope around plain data: schemas as
+``(name, type-string)`` pairs, partitioning metadata, table statistics,
+the cluster config and view definitions as their original ASTs. Every
+collection of SQL *values* in it — each table partition, a full view's
+stored rows, the statistics' distinct-value sets — is a segment blob of
+the one column codec (:mod:`repro.storage.segment`); this module owns
+no value format. It is an *internal* format — the paper's system keeps
+its data on HDFS; this is the laptop equivalent so a loaded workload can
+be reused across sessions. On disk::
 
-On disk, newly written snapshots are *framed*::
+    RDBF2\\n | <u32 CRC32(payload) LE> | pickled payload
 
-    RDBF1\\n | <u32 CRC32(payload) LE> | pickled payload
-
-and are written atomically (same-directory temp file + fsync +
-``os.replace`` + directory fsync, via
-:func:`repro.storage.durable.atomic_write`), so a crash mid-save never
-leaves a torn file under the final name, and bit-rot is detected by the
-checksum instead of surfacing as an arbitrary unpickling failure.
-Legacy files (a bare pickle, as written before the framing existed)
-remain readable. Any validation failure raises a structured
+written atomically (same-directory temp file + fsync + ``os.replace`` +
+directory fsync, via :func:`repro.storage.durable.atomic_write`), so a
+crash mid-save never leaves a torn file under the final name. The
+envelope is still a pickle because the config and the view ASTs are
+Python objects (see ROADMAP), so nothing is unpickled before the magic
+and the checksum hold: a file without the magic, truncated, or failing
+its checksum raises a structured
 :class:`~repro.errors.SnapshotCorruptError` naming the file and the
-byte offset where validation stopped.
+byte offset where validation stopped, and a file of another format
+(``RDBF1``; a payload version other than :data:`FORMAT_VERSION`) is
+refused with a :class:`~repro.errors.ReproError` naming what it carries.
+There is no reader for older formats and no migrator.
 
 ``restore_database`` also accepts a *directory*: the durability home of
 a ``durability_mode="wal"`` database, recovered by replaying the
@@ -29,79 +33,44 @@ write-ahead log on top of the latest checkpoint (see
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import struct
 import zlib
 from typing import Optional
 
-from .catalog import TableStats
+from .catalog import ColumnStats, TableStats
 from .config import ClusterConfig
 from .errors import ReproError, SnapshotCorruptError
-from .types import LabeledScalar, Matrix, Vector
+from .storage.durable import atomic_write, check_magic, durable_read
+from .storage.segment import decode_segment, encode_rows
 
-#: v1 stored schemas + a flat row list only; v2 adds per-table
-#: statistics and the catalog version (restore skips the full
-#: statistics rescan) and keeps rows *per partition*, so restoring onto
+#: payload layout: per-table statistics and the catalog version (restore
+#: skips the statistics rescan); rows *per partition*, so restoring onto
 #: the same cluster shape reproduces the exact slot layout — and
-#: therefore bit-identical per-slot summation order. v3 adds
-#: materialized views: the definition plus a full view's stored result
-#: rows and staleness flag (an incremental view's accumulator state is
-#: re-folded from the restored partitions, which reproduces it
-#: bit-for-bit — the partitions land verbatim). v1/v2 files remain
-#: readable.
-FORMAT_VERSION = 3
+#: therefore bit-identical per-slot summation order; materialized views
+#: (the definition plus a full view's stored rows and staleness flag; an
+#: incremental view's accumulator state is re-folded from the restored
+#: partitions, which reproduces it bit-for-bit — the partitions land
+#: verbatim); since 4, every value collection is a segment blob.
+FORMAT_VERSION = 4
 MAGIC = "repro-database"
-#: header of framed (checksummed) snapshot files; files without it are
-#: read as legacy bare pickles
-FRAME_MAGIC = b"RDBF1\n"
+FRAME_MAGIC = b"RDBF2\n"
 _FRAME_CRC = struct.Struct("<I")
 
 
-def _freeze_value(value):
-    """Convert engine values to plain picklable data."""
-    if isinstance(value, Vector):
-        return ("vec", value.data, value.label)
-    if isinstance(value, Matrix):
-        return ("mat", value.data)
-    if isinstance(value, LabeledScalar):
-        return ("ls", value.value, value.label)
-    return ("raw", value)
-
-
-def _thaw_value(frozen):
-    kind = frozen[0]
-    if kind == "vec":
-        return Vector(frozen[1], label=frozen[2])
-    if kind == "mat":
-        return Matrix(frozen[1])
-    if kind == "ls":
-        return LabeledScalar(frozen[1], frozen[2])
-    return frozen[1]
-
-
 def _freeze_stats(stats: TableStats) -> dict:
-    """Table statistics as plain picklable data (format v2)."""
-    columns = {}
-    for name, col in stats.columns.items():
-        columns[name] = {
-            "distinct": col.distinct,
-            "observed_length": col.observed_length,
-            "observed_rows": col.observed_rows,
-            "observed_cols": col.observed_cols,
-            "value_set": (
-                None
-                if col.value_set is None
-                else [_freeze_value(value) for value in col.value_set]
-            ),
-            "length_set": (
-                None if col.length_set is None else sorted(col.length_set)
-            ),
-            "shape_set": (
-                None if col.shape_set is None else sorted(col.shape_set)
-            ),
-        }
+    """Table statistics as plain data: every field of every column as it
+    is, except the distinct-value set, which is a one-column segment."""
+    columns = {
+        name: dict(
+            vars(col),
+            value_set=None
+            if col.value_set is None
+            else encode_rows([(value,) for value in col.value_set]),
+        )
+        for name, col in stats.columns.items()
+    }
     return {
         "row_count": stats.row_count,
         "incremental": stats.incremental,
@@ -114,77 +83,57 @@ def _thaw_stats(frozen: dict) -> TableStats:
         row_count=frozen["row_count"], incremental=frozen["incremental"]
     )
     for name, col in frozen["columns"].items():
-        col_stats = stats.column(name)
-        col_stats.distinct = col["distinct"]
-        col_stats.observed_length = col["observed_length"]
-        col_stats.observed_rows = col["observed_rows"]
-        col_stats.observed_cols = col["observed_cols"]
-        col_stats.value_set = (
-            None
-            if col["value_set"] is None
-            else {_thaw_value(value) for value in col["value_set"]}
-        )
-        col_stats.length_set = (
-            None if col["length_set"] is None else set(col["length_set"])
-        )
-        col_stats.shape_set = (
-            None
-            if col["shape_set"] is None
-            else {tuple(shape) for shape in col["shape_set"]}
-        )
+        values = col["value_set"]
+        if values is not None:
+            values = {value for (value,) in decode_segment(values)}
+        stats.columns[name] = ColumnStats(**dict(col, value_set=values))
     return stats
 
 
 def write_snapshot(path: str, payload: dict, injector=None) -> None:
     """Frame (CRC32) and atomically write one snapshot payload."""
-    from .storage.durable import atomic_write
-
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     blob = FRAME_MAGIC + _FRAME_CRC.pack(zlib.crc32(body)) + body
     atomic_write(path, blob, injector=injector)
 
 
 def load_snapshot(path: str, injector=None) -> dict:
-    """Read and validate one snapshot file (framed or legacy); raises
+    """Read and validate one snapshot file; raises
     :class:`SnapshotCorruptError` on any validation failure and
-    :class:`ReproError` on a well-formed file of the wrong kind."""
-    from .storage.durable import durable_read
-
+    :class:`ReproError` on a well-formed file of the wrong kind or
+    version."""
     blob = durable_read(path, injector=injector)
+    check_magic(blob, FRAME_MAGIC, path, "database snapshot")
     header = len(FRAME_MAGIC) + _FRAME_CRC.size
-    if blob.startswith(FRAME_MAGIC):
-        if len(blob) < header:
-            raise SnapshotCorruptError(
-                "snapshot truncated inside the frame header",
-                path=path,
-                offset=len(blob),
-            )
-        (crc,) = _FRAME_CRC.unpack_from(blob, len(FRAME_MAGIC))
-        body = blob[header:]
-        if zlib.crc32(body) != crc:
-            raise SnapshotCorruptError(
-                "snapshot checksum mismatch (bit rot or torn write)",
-                path=path,
-                offset=header,
-            )
-        offset_base = header
-    else:
-        body = blob
-        offset_base = 0
-    stream = io.BytesIO(body)
+    if len(blob) < header:
+        raise SnapshotCorruptError(
+            "snapshot truncated inside the frame header",
+            path=path,
+            offset=len(blob),
+        )
+    (crc,) = _FRAME_CRC.unpack_from(blob, len(FRAME_MAGIC))
+    body = blob[header:]
+    if zlib.crc32(body) != crc:
+        raise SnapshotCorruptError(
+            "snapshot checksum mismatch (bit rot or torn write)",
+            path=path,
+            offset=header,
+        )
     try:
-        payload = pickle.load(stream)
+        payload = pickle.loads(body)
     except Exception as exc:
         raise SnapshotCorruptError(
             f"snapshot does not decode ({type(exc).__name__}: {exc})",
             path=path,
-            offset=offset_base + stream.tell(),
+            offset=header,
         ) from exc
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise ReproError(f"{path!r} is not a repro database file")
-    if payload.get("version") not in (1, 2, FORMAT_VERSION):
+    if payload.get("version") != FORMAT_VERSION:
         raise ReproError(
-            f"unsupported database file version {payload.get('version')!r}"
+            f"{path!r} is a database file of version "
+            f"{payload.get('version')!r}; this version reads only "
+            f"{FORMAT_VERSION}"
         )
     return payload
 
@@ -205,10 +154,7 @@ def save_database(db, path: str, injector=None) -> None:
                 ],
                 "partition_by": storage.partition_by,
                 "partitions": [
-                    [
-                        tuple(_freeze_value(value) for value in row)
-                        for row in storage.partition_rows(slot)
-                    ]
+                    encode_rows(storage.partition_rows(slot))
                     for slot in range(storage.slots)
                 ],
                 "insert_cursor": storage.insert_cursor,
@@ -233,14 +179,7 @@ def save_database(db, path: str, injector=None) -> None:
             # deferred view must come back with its *old* rows, not a
             # recompute); incremental state is re-folded from the
             # restored partitions instead, which is bit-identical
-            "rows": (
-                None
-                if view.incremental
-                else [
-                    tuple(_freeze_value(value) for value in row)
-                    for row in view.rows
-                ]
-            ),
+            "rows": None if view.incremental else encode_rows(view.rows),
             "stale": view.stale,
         }
         for view in db.catalog.materialized_views()
@@ -292,63 +231,40 @@ def apply_snapshot(db, payload: dict) -> None:
         )
         entry = db.catalog.table(table["name"])
         _restore_rows(entry.storage, table)
-        frozen_stats = table.get("stats")
-        if frozen_stats is not None:
-            entry.stats = _thaw_stats(frozen_stats)
-        else:  # v1 files carry no statistics: rescan, as before
-            db._refresh_stats(entry)
+        entry.stats = _thaw_stats(table["stats"])
     for view in payload["views"]:
         db.catalog.create_view(view["name"], view["query"], view["column_names"])
-    for frozen in payload.get("matviews", ()):
-        rows = frozen.get("rows")
+    for frozen in payload["matviews"]:
+        rows = frozen["rows"]
         db.views.restore(
             frozen["name"],
             frozen["query"],
             frozen["column_names"],
-            rows=(
-                None
-                if rows is None
-                else [
-                    tuple(_thaw_value(value) for value in row) for row in rows
-                ]
-            ),
-            stale=frozen.get("stale", False),
+            rows=None if rows is None else decode_segment(rows),
+            stale=frozen["stale"],
         )
-    saved_catalog_version = payload.get("catalog_version")
-    if saved_catalog_version is not None:
-        # the saved version is authoritative for snapshot state: the
-        # database is freshly built (no plan caches to invalidate), and
-        # pinning it exactly is what lets WAL replay reproduce the
-        # original catalog version bit-for-bit
-        db.catalog.version = saved_catalog_version
+    # the saved version is authoritative for snapshot state: the
+    # database is freshly built (no plan caches to invalidate), and
+    # pinning it exactly is what lets WAL replay reproduce the
+    # original catalog version bit-for-bit
+    db.catalog.version = payload["catalog_version"]
 
 
 def _restore_rows(storage, table: dict) -> None:
-    """Reload one table's rows.
-
-    v2 payloads carry rows per partition: restoring onto a cluster with
-    the same slot count places every partition back verbatim (identical
-    slot layout, identical within-slot order — per-slot partial sums
-    come out bit-identical). A different slot count, or a v1 payload's
-    flat row list, falls back to re-dealing through ``insert_many``
-    (the documented re-partitioning behaviour).
+    """Reload one table's rows, saved per partition: restoring onto a
+    cluster with the same slot count places every partition back
+    verbatim (identical slot layout, identical within-slot order —
+    per-slot partial sums come out bit-identical). A different slot
+    count re-deals through ``insert_many`` (the documented
+    re-partitioning behaviour).
     """
-    partitions = table.get("partitions")
-    if partitions is not None and len(partitions) == storage.slots:
-        for slot, frozen_rows in enumerate(partitions):
-            storage.replace_partition(
-                slot,
-                [tuple(_thaw_value(value) for value in row) for row in frozen_rows],
-            )
-        storage.insert_cursor = table.get("insert_cursor", 0)
+    partitions = [decode_segment(blob) for blob in table["partitions"]]
+    if len(partitions) == storage.slots:
+        for slot, rows in enumerate(partitions):
+            storage.replace_partition(slot, rows)
+        storage.insert_cursor = table["insert_cursor"]
         return
-    if partitions is not None:
-        frozen_rows = [row for part in partitions for row in part]
-    else:  # v1: flat row list
-        frozen_rows = table["rows"]
-    storage.insert_many(
-        tuple(_thaw_value(value) for value in row) for row in frozen_rows
-    )
+    storage.insert_many(row for part in partitions for row in part)
 
 
 def _effective_config(

@@ -1,5 +1,5 @@
-"""Out-of-core storage subsystem: the two segment homes, the columnar
-segment file codec, zone maps, a budgeted buffer pool, and durability.
+"""Out-of-core storage subsystem: the two segment homes, the one column
+codec, zone maps, a budgeted buffer pool, and durability.
 
 Every table is one :class:`~repro.engine.storage.PartitionedTable`:
 per slot, sealed immutable segments of ``segment_rows`` insert-order
@@ -8,11 +8,14 @@ what sealing a chunk produces:
 
 * ``"memory"`` — a :class:`MemorySegment`: the row chunk itself, with
   its sizes, zone maps and columnar form cached on it;
-* ``"disk"`` — a :class:`DiskSegment`: an immutable columnar segment
-  file (raw numpy buffers for uniform numeric/vector/matrix columns, a
-  pickled fallback otherwise, plus a footer carrying row count,
-  per-column min/max and null counts) read back through a
-  :class:`BufferPool` with LRU-with-pins eviction.
+* ``"disk"`` — a :class:`DiskSegment`: an immutable, checksummed
+  columnar segment file (each typed or tensor-block column as its array
+  buffer plus null mask, object columns pickled, and a footer carrying
+  row count, per-column min/max and null counts) decoded straight into
+  :class:`~repro.columnar.ColumnData` — read-only views of the file
+  bytes — held by a :class:`BufferPool` with LRU-with-pins eviction.
+  Spill files, snapshot partitions and WAL rows are the same segment
+  blobs (:func:`encode_rows` / :func:`decode_segment`).
 
 Both answer the same questions with identical serialized-byte
 accounting, and the chunk boundaries come from the one table class, so
@@ -38,6 +41,7 @@ from .segment import (
     compute_zone,
     compute_zones,
     decode_segment,
+    encode_rows,
     encode_segment,
     read_segment_file,
     segment_pruned,
@@ -83,6 +87,7 @@ __all__ = [
     "compute_zone",
     "compute_zones",
     "decode_segment",
+    "encode_rows",
     "encode_segment",
     "read_segment_file",
     "segment_pruned",

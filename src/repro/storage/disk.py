@@ -5,8 +5,9 @@ an immutable columnar segment file.
 ``segment_rows`` chunk; in ``storage_mode="disk"`` sealing writes a
 :class:`DiskSegment` (in memory mode it keeps a
 :class:`~repro.storage.segment.MemorySegment`). Scans decode the file
-back through the owning :class:`~repro.storage.engine.StorageEngine`'s
-buffer pool. Per-row sizes and zone maps are those of the same rows in
+straight into :class:`~repro.columnar.ColumnData`, and those columns are
+what the owning :class:`~repro.storage.engine.StorageEngine`'s buffer
+pool holds. Per-row sizes and zone maps are those of the same rows in
 memory, so every simulated charge (scan bytes, pruning decisions, spill
 triggers) is bit-identical across ``storage_mode in ("memory", "disk")``.
 """
@@ -18,10 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columnar import ColumnData, columns_from_rows
+from ..columnar import ColumnData, columns_from_rows, rows_from_columns
+from ..engine.cluster import columns_row_bytes
 from .segment import (
-    MemorySegment,
     ZoneMap,
+    compute_zones,
+    encode_columns,
     read_segment_file,
     write_segment_file,
 )
@@ -32,9 +35,10 @@ class DiskSegment:
 
     The zone maps and per-row serialized sizes are computed at seal time
     and kept in memory (they are the scan's pruning/charging metadata);
-    only the row payload lives on disk and is decoded on demand through
-    the buffer pool, which stays the one budgeted home of decoded rows —
-    nothing is cached on the segment.
+    only the column payload lives on disk and is decoded on demand through
+    the buffer pool, which stays the one budgeted home of decoded columns
+    — nothing is cached on the segment. Pooled columns are read-only and
+    shared by every query that hits them, like a ``MemorySegment``'s.
     """
 
     __slots__ = ("path", "row_count", "width", "_zones", "_sizes", "_total")
@@ -43,16 +47,17 @@ class DiskSegment:
         self.path = path
         self.row_count = len(rows)
         self.width = width
-        seed = MemorySegment(rows, width)
-        self._sizes = seed.sizes()
-        self._total = seed.total_bytes
-        self._zones: List[ZoneMap] = [seed.zone(i) for i in range(width)]
+        columns = columns_from_rows(rows, width)
+        self._sizes = columns_row_bytes(columns, len(rows))
+        self._total = float(self._sizes.sum())
+        self._zones: List[ZoneMap] = compute_zones(rows, width)
         # sealing is crash-atomic (temp file + fsync + os.replace): a
         # crash mid-seal leaves the final name absent, never torn
-        write_segment_file(path, rows, width, injector=injector)
+        blob, _ = encode_columns(columns, self._zones)
+        write_segment_file(path, blob, injector=injector)
 
     def sizes(self) -> List[float]:
-        return self._sizes
+        return self._sizes.tolist()
 
     @property
     def total_bytes(self) -> float:
@@ -63,30 +68,25 @@ class DiskSegment:
             return None
         return self._zones[position]
 
-    def read(self, pool=None) -> Tuple[List[tuple], List[float], Optional[str]]:
-        """Decode the segment's rows, going through the buffer pool when
-        one is supplied; the third element reports ``"hit"``/``"miss"``."""
-        if pool is None:
-            return read_segment_file(self.path), self._sizes, None
-        payload = pool.acquire(self.path)
-        if payload is not None:
-            pool.release(self.path)
-            return payload, self._sizes, "hit"
-        rows = read_segment_file(self.path)
-        pool.insert(self.path, rows, self._total)
-        pool.release(self.path)
-        return rows, self._sizes, "miss"
-
     def columns(
         self, pool=None
     ) -> Tuple[List[ColumnData], np.ndarray, Optional[str]]:
-        """The decoded rows turned column-wise, per scan."""
-        rows, sizes, outcome = self.read(pool)
-        return (
-            columns_from_rows(rows, self.width),
-            np.asarray(sizes, dtype=np.float64),
-            outcome,
-        )
+        """Decode the segment into columns, going through the buffer
+        pool when one is supplied; the third element reports
+        ``"hit"``/``"miss"`` (a hit is the pooled columns, as they are)."""
+        if pool is None:
+            return read_segment_file(self.path), self._sizes, None
+        columns, outcome = pool.acquire(self.path), "hit"
+        if columns is None:
+            columns, outcome = read_segment_file(self.path), "miss"
+            pool.insert(self.path, columns, self._total)
+        pool.release(self.path)
+        return columns, self._sizes, outcome
+
+    def read(self, pool=None) -> Tuple[List[tuple], List[float], Optional[str]]:
+        """The same columns as row tuples with their per-row sizes."""
+        columns, _, outcome = self.columns(pool)
+        return rows_from_columns(columns), self.sizes(), outcome
 
     def unlink(self, pool=None) -> None:
         if pool is not None:

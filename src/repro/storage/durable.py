@@ -33,10 +33,26 @@ import os
 import tempfile
 from typing import Optional
 
-from ..errors import SimulatedCrashError
+from ..errors import ReproError, SimulatedCrashError, SnapshotCorruptError
 
 #: suffix of in-flight temp files; recovery sweeps leftovers away
 TMP_SUFFIX = ".reprotmp"
+
+
+def check_magic(blob: bytes, magic: bytes, path: str, what: str) -> None:
+    """Refuse bytes that do not open with ``magic``, before anything in
+    them is interpreted. Every on-disk format carries its version in its
+    magic (``RSEG2``, ``RDBF2``, ``RWAL2``): the same four-letter tag
+    with another version is a well-formed file this build does not read
+    and is refused by name; anything else is not a ``what`` at all."""
+    if blob.startswith(magic):
+        return
+    if len(blob) >= len(magic) and blob[:4] == magic[:4]:
+        raise ReproError(
+            f"{path!r} is a {what} in format {blob[: len(magic)]!r}; "
+            f"this version reads only {magic!r}"
+        )
+    raise SnapshotCorruptError(f"not a repro {what}", path=path, offset=0)
 
 
 def fsync_dir(directory: str) -> None:

@@ -18,10 +18,11 @@ import tempfile
 import threading
 from typing import Dict, List, Optional, Sequence
 
+from ..columnar import rows_from_columns
 from ..config import ClusterConfig
 from ..errors import ExecutionError
 from .bufferpool import BufferPool
-from .segment import read_segment_file, write_segment_file
+from .segment import encode_rows, read_segment_file, write_segment_file
 
 STORAGE_MODES = ("memory", "disk")
 
@@ -93,9 +94,9 @@ class StorageEngine:
         path = self.allocate_segment_path("spill")
         # spills are scratch (recomputed after a crash) and run from
         # parallel partition tasks: not a durability barrier
-        write_segment_file(path, rows, len(rows[0]), durable=False)
+        write_segment_file(path, encode_rows(rows), durable=False)
         try:
-            return read_segment_file(path)
+            return rows_from_columns(read_segment_file(path))
         finally:
             try:
                 os.unlink(path)

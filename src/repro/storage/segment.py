@@ -1,5 +1,5 @@
-"""Segments: the columnar file encoding, zone maps, pruning decisions,
-and the in-memory home of a chunk.
+"""Segments: the one column codec, zone maps, pruning decisions, and
+the in-memory home of a chunk.
 
 A *segment* is one immutable chunk of a table partition: up to
 ``ClusterConfig.segment_rows`` consecutive rows in insert order. The one
@@ -10,41 +10,52 @@ becomes a :class:`MemorySegment` or a
 loaded the same way has the same zone maps, the same pruning decisions
 and the same charged scan bytes whether it lives in memory or on disk.
 
-The on-disk encoding keeps columns of uniform scalar type (and
-uniform-shape VECTOR/MATRIX columns) as raw numpy buffers; anything else
-(NULLs, strings, mixed types, labeled vectors, arbitrary-precision ints)
-falls back to a pickled column. Decoding is *exact*: every value round
-trips to an equal object of the same Python type, which is what lets
-disk mode and spill files preserve the bit-identical-results contract.
+This is the only module that knows how a column of SQL values becomes
+bytes: :class:`~repro.columnar.ColumnData` is the stored form. Sealed
+segment files, spill files, and the value collections inside snapshots
+and WAL records are all one layout::
 
-File layout::
+    RSEG2\\n\\0\\0 | column payloads, 8-byte aligned | pickled footer
+             | footer length (u64 LE) | CRC32 of all preceding bytes (u32 LE)
 
-    RSEG1\\n | column payloads ... | pickled footer | footer length (8B LE)
-
-The footer carries the row count and, per column, the encoding, payload
-length, tensor shape, min/max over comparable non-null values and the
-null count — the zone map used for pruning.
+A typed-scalar or tensor-block column is its array buffer followed by
+its null mask, read back with ``np.frombuffer`` as a read-only view of
+the file bytes; an object column (NULL-bearing or mixed scalars,
+strings, labelled or ragged tensors, arbitrary-precision ints) is the
+pinned-protocol pickle of its values. Decoding is *exact* because
+``ColumnData.from_values`` -> ``pylist`` is: every value round trips to
+the same bits and the same Python type, which is what lets disk mode,
+spills and recovery preserve the bit-identical-results contract. The
+footer carries the row count and, per column, dtype, shape, payload
+length and — for sealed segments — the zone map: min/max over
+comparable non-null values and the null count.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columnar import ColumnData, columns_from_rows
+from ..columnar import ColumnData, columns_from_rows, rows_from_columns
 from ..engine.cluster import columns_row_bytes, row_bytes
-from ..types.labeled import DEFAULT_LABEL
-from ..types.tensor import Matrix, Vector
+from ..errors import SnapshotCorruptError
+from .durable import atomic_write, check_magic
 
-SEGMENT_MAGIC = b"RSEG1\n"
-#: pinned pickle protocol so segment files are stable across interpreters
+SEGMENT_MAGIC = b"RSEG2\n"
+#: the magic is padded to this, so column payloads start 8-byte aligned
+_HEADER_BYTES = 8
+#: the file ends with the footer's length (u64), then the CRC32 (u32) of
+#: every byte before the checksum itself
+_TRAILER = struct.Struct("<QI")
+#: pinned pickle protocol (footer, object columns) so segment bytes are
+#: stable across interpreters
 _PICKLE_PROTOCOL = 4
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 #: comparison operators a zone map can prune on
 PRUNABLE_OPS = ("=", "<", ">", "<=", ">=")
@@ -135,125 +146,118 @@ def chunk_offsets(count: int, segment_rows: int) -> Iterator[Tuple[int, int]]:
         yield start, min(start + step, count)
 
 
-# -- column codec -----------------------------------------------------------
+# -- the column codec --------------------------------------------------------
 
 
-def _encoding_for(values: Sequence) -> Tuple[str, Optional[tuple]]:
-    kinds = {type(value) for value in values}
-    if kinds == {float}:
-        return "f8", None
-    if kinds == {bool}:
-        return "b1", None
-    if kinds == {int}:
-        if all(_INT64_MIN <= value <= _INT64_MAX for value in values):
-            return "i8", None
-        return "obj", None
-    if kinds == {Vector}:
-        length = values[0].length
-        if all(
-            value.label == DEFAULT_LABEL and value.length == length
-            for value in values
-        ):
-            return "vec", (len(values), length)
-        return "obj", None
-    if kinds == {Matrix}:
-        shape = values[0].shape
-        if all(value.shape == shape for value in values):
-            return "mat", (len(values),) + shape
-        return "obj", None
-    return "obj", None
+def encode_columns(
+    columns: Sequence[ColumnData], zones: Sequence[ZoneMap] = ()
+) -> Tuple[bytes, dict]:
+    """The one encoder: rows held column-wise become ``(blob, footer)``.
+    A typed or block column is written as the array it already is (then
+    its null mask, when it has one); an object column as the pickle of
+    its values. ``zones`` adds the zone maps of a sealed segment to the
+    footer."""
+    parts = [SEGMENT_MAGIC.ljust(_HEADER_BYTES, b"\0")]
+    metas: List[dict] = []
+    for position, column in enumerate(columns):
+        masked = False
+        if column.is_object:
+            payload = pickle.dumps(column.pylist(), protocol=_PICKLE_PROTOCOL)
+        else:
+            payload = column.data.tobytes()
+            masked = column.nulls is not None
+            if masked:
+                payload += column.nulls.tobytes()
+        meta = {
+            "dtype": column.data.dtype.str,
+            "shape": column.data.shape,
+            "masked": masked,
+            "length": len(payload),
+        }
+        if zones:
+            zone = zones[position]
+            meta.update(lo=zone.lo, hi=zone.hi, nulls=zone.null_count)
+        metas.append(meta)
+        # every payload starts 8-byte aligned, so the arrays read back
+        # over the file bytes are aligned too
+        parts += (payload, b"\0" * (-len(payload) % 8))
+    footer = {"rows": len(columns[0]) if columns else 0, "columns": metas}
+    footer_bytes = pickle.dumps(footer, protocol=_PICKLE_PROTOCOL)
+    parts += (footer_bytes, struct.pack("<Q", len(footer_bytes)))
+    body = b"".join(parts)
+    return body + struct.pack("<I", zlib.crc32(body)), footer
 
 
-def _encode_column(encoding: str, shape: Optional[tuple], values: Sequence) -> bytes:
-    if encoding == "f8":
-        return np.asarray(values, dtype=np.float64).tobytes()
-    if encoding == "i8":
-        return np.asarray(values, dtype=np.int64).tobytes()
-    if encoding == "b1":
-        return np.asarray(values, dtype=np.bool_).tobytes()
-    if encoding == "vec":
-        stacked = np.stack([value.data for value in values])
-        return np.ascontiguousarray(stacked, dtype=np.float64).tobytes()
-    if encoding == "mat":
-        stacked = np.stack([value.data for value in values])
-        return np.ascontiguousarray(stacked, dtype=np.float64).tobytes()
-    return pickle.dumps(list(values), protocol=_PICKLE_PROTOCOL)
-
-
-def _decode_column(meta: dict, data: bytes, rows: int) -> List:
-    encoding = meta["encoding"]
-    if encoding == "f8":
-        return np.frombuffer(data, dtype=np.float64).tolist()
-    if encoding == "i8":
-        return np.frombuffer(data, dtype=np.int64).tolist()
-    if encoding == "b1":
-        return np.frombuffer(data, dtype=np.bool_).tolist()
-    if encoding == "vec":
-        array = np.frombuffer(data, dtype=np.float64).reshape(meta["shape"]).copy()
-        return [Vector(array[i]) for i in range(rows)]
-    if encoding == "mat":
-        array = np.frombuffer(data, dtype=np.float64).reshape(meta["shape"]).copy()
-        return [Matrix(array[i]) for i in range(rows)]
-    return pickle.loads(data)
+def decode_columns(blob: bytes, path: str = "") -> List[ColumnData]:
+    """The one decoder, exact inverse of :func:`encode_columns`. Typed
+    and block columns come back as read-only ``np.frombuffer`` views of
+    ``blob`` — no copy, and the arrays keep ``blob`` alive. Nothing is
+    unpickled before the magic and the checksum hold; ``path`` only
+    names the file in errors."""
+    check_magic(blob, SEGMENT_MAGIC, path, "segment file")
+    footer_end = len(blob) - _TRAILER.size
+    if footer_end < _HEADER_BYTES:
+        raise SnapshotCorruptError(
+            "segment truncated inside its header", path=path, offset=len(blob)
+        )
+    footer_length, crc = _TRAILER.unpack_from(blob, footer_end)
+    view = memoryview(blob)
+    if zlib.crc32(view[:-4]) != crc:
+        raise SnapshotCorruptError(
+            "segment checksum mismatch (truncation, bit rot or torn write)",
+            path=path,
+            offset=0,
+        )
+    try:
+        footer = pickle.loads(view[footer_end - footer_length : footer_end])
+    except Exception as exc:
+        raise SnapshotCorruptError(
+            f"segment footer does not decode ({type(exc).__name__}: {exc})",
+            path=path,
+            offset=footer_end - footer_length,
+        ) from exc
+    columns: List[ColumnData] = []
+    offset = _HEADER_BYTES
+    for meta in footer["columns"]:
+        shape = meta["shape"]
+        if meta["dtype"] == "|O":
+            values = pickle.loads(view[offset : offset + meta["length"]])
+            columns.append(ColumnData.from_values(values))
+        else:
+            data = np.frombuffer(
+                blob, dtype=meta["dtype"], count=math.prod(shape), offset=offset
+            ).reshape(shape)
+            nulls = None
+            if meta["masked"]:
+                nulls = np.frombuffer(
+                    blob, dtype=np.bool_, count=shape[0], offset=offset + data.nbytes
+                )
+            columns.append(ColumnData(data, nulls))
+        offset += meta["length"] + -meta["length"] % 8
+    return columns
 
 
 def encode_segment(rows: Sequence[tuple], width: int) -> Tuple[bytes, dict]:
-    """Serialize a row chunk; returns ``(blob, footer)`` where the
-    footer holds the per-column encodings and zone maps."""
-    columns = list(zip(*rows)) if rows else [() for _ in range(width)]
-    payloads: List[bytes] = []
-    metas: List[dict] = []
-    for values in columns:
-        encoding, shape = _encoding_for(values) if rows else ("obj", None)
-        payload = _encode_column(encoding, shape, values)
-        zone = compute_zone(values)
-        metas.append(
-            {
-                "encoding": encoding,
-                "shape": shape,
-                "length": len(payload),
-                "lo": zone.lo,
-                "hi": zone.hi,
-                "nulls": zone.null_count,
-            }
-        )
-        payloads.append(payload)
-    footer = {"rows": len(rows), "width": width, "columns": metas}
-    footer_bytes = pickle.dumps(footer, protocol=_PICKLE_PROTOCOL)
-    blob = (
-        SEGMENT_MAGIC
-        + b"".join(payloads)
-        + footer_bytes
-        + struct.pack("<Q", len(footer_bytes))
-    )
-    return blob, footer
+    """A row chunk as a sealed segment: ``(blob, footer)``, the footer
+    carrying the row count and per-column ``lo``/``hi``/``nulls``."""
+    return encode_columns(columns_from_rows(rows, width), compute_zones(rows, width))
 
 
-def decode_segment(blob: bytes) -> List[tuple]:
-    """Exact inverse of :func:`encode_segment`."""
-    if not blob.startswith(SEGMENT_MAGIC):
-        raise ValueError("not a segment file (bad magic)")
-    (footer_length,) = struct.unpack("<Q", blob[-8:])
-    footer = pickle.loads(blob[-8 - footer_length : -8])
-    rows = footer["rows"]
-    offset = len(SEGMENT_MAGIC)
-    columns: List[List] = []
-    for meta in footer["columns"]:
-        payload = blob[offset : offset + meta["length"]]
-        offset += meta["length"]
-        columns.append(_decode_column(meta, payload, rows))
-    if rows == 0:
-        return []
-    return list(zip(*columns))
+def encode_rows(rows: Sequence[tuple]) -> bytes:
+    """Rows as a segment blob without zone maps: what spill files, WAL
+    records and snapshots store (each inside its own envelope)."""
+    width = len(rows[0]) if rows else 0
+    return encode_columns(columns_from_rows(rows, width))[0]
+
+
+def decode_segment(blob: bytes, path: str = "") -> List[tuple]:
+    """The rows of any segment blob, exactly as they were encoded."""
+    return rows_from_columns(decode_columns(blob, path))
 
 
 def write_segment_file(
-    path: str,
-    rows: Sequence[tuple],
-    width: int,
-    injector=None,
-    durable: bool = True,
-) -> dict:
+    path: str, blob: bytes, injector=None, durable: bool = True
+) -> None:
     """Write one segment file. ``durable`` (the default, used for sealed
     base-table segments) goes through the crash-atomic
     :func:`~repro.storage.durable.atomic_write` path — temp file, fsync,
@@ -262,20 +266,17 @@ def write_segment_file(
     scratch state recomputed after any crash, and they are written from
     parallel partition tasks, so routing them through the barrier
     counter would make crash points scheduling-dependent."""
-    from .durable import atomic_write
-
-    blob, footer = encode_segment(rows, width)
     if durable:
         atomic_write(path, blob, injector=injector)
     else:
         with open(path, "wb") as handle:
             handle.write(blob)
-    return footer
 
 
-def read_segment_file(path: str) -> List[tuple]:
+def read_segment_file(path: str) -> List[ColumnData]:
+    """Decode one segment file into columns (the only file reader)."""
     with open(path, "rb") as handle:
-        return decode_segment(handle.read())
+        return decode_columns(handle.read(), path)
 
 
 # -- the in-memory segment home ----------------------------------------------

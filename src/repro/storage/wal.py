@@ -16,16 +16,19 @@ keeps two artifacts in ``ClusterConfig.data_dir``:
 
 Record framing on disk::
 
-    RWAL1\\n | record ... record
+    RWAL2\\n | record ... record
     record := <u32 payload length LE> <u32 CRC32(payload) LE> <payload>
 
 The payload is a pickled plain-data dict (see
-``Database._apply_wal_record`` for the record kinds). Replay walks the
+``Database._apply_wal_record`` for the record kinds) whose SQL values —
+a ``load``'s rows, a ``stmt``'s parameters — are segment blobs of the
+one column codec (:mod:`repro.storage.segment`). Replay walks the
 frames and stops at the first record whose length or CRC does not hold
 — a *torn tail* left by a crash mid-append — truncating the file back
 to the last good frame. A header that is itself torn truncates to an
 empty log; bytes that are not a prefix of a WAL at all raise
-:class:`~repro.errors.SnapshotCorruptError`.
+:class:`~repro.errors.SnapshotCorruptError`; a log in another format
+(``RWAL1``) is refused by name, never replayed.
 
 Recovery (:func:`recover_database`) = load the checkpoint (if any),
 replay the surviving WAL records in commit order, resume appending.
@@ -43,9 +46,15 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import DurabilityError, ReproError, SnapshotCorruptError
-from .durable import DurableFile, atomic_write, durable_read, sweep_temp_files
+from .durable import (
+    DurableFile,
+    atomic_write,
+    check_magic,
+    durable_read,
+    sweep_temp_files,
+)
 
-WAL_MAGIC = b"RWAL1\n"
+WAL_MAGIC = b"RWAL2\n"
 _FRAME = struct.Struct("<II")
 #: pinned protocol so WAL files are stable across interpreters
 _PICKLE_PROTOCOL = 4
@@ -70,11 +79,10 @@ def read_wal(path: str, injector=None) -> Tuple[List[dict], int, bool]:
     blob = durable_read(path, injector)
     if not blob:
         return [], 0, False
-    if not blob.startswith(WAL_MAGIC):
-        if WAL_MAGIC.startswith(blob):
-            # a crash mid-header: nothing was ever logged
-            return [], 0, True
-        raise SnapshotCorruptError("not a repro WAL file", path=path, offset=0)
+    if len(blob) < len(WAL_MAGIC) and WAL_MAGIC.startswith(blob):
+        # a crash mid-header: nothing was ever logged
+        return [], 0, True
+    check_magic(blob, WAL_MAGIC, path, "WAL file")
     records: List[dict] = []
     offset = len(WAL_MAGIC)
     size = len(blob)

@@ -127,51 +127,75 @@ class TestFormatV2:
         restored = Database.restore(path)
         assert restored.catalog.version >= db.catalog.version
 
-    def test_v1_files_still_restore_with_rescan(self, db, tmp_path):
-        """A hand-built v1 payload (no stats, no catalog_version) must
-        load through the old rescan path with identical results. The v1
-        file is written as a bare pickle — the legacy unframed on-disk
-        format — which the loader must still accept."""
-        import pickle
-
-        from repro.persist import load_snapshot
-
-        path = str(tmp_path / "db.repro")
-        before = db.execute("SELECT SUM(get_scalar(vec, 1)) FROM pts").scalar()
-        db.save(path)
-        payload = load_snapshot(path)
-        payload["version"] = 1
-        payload.pop("catalog_version")
-        for table in payload["tables"]:
-            table.pop("stats")
-            table.pop("insert_cursor")
-            table["rows"] = [
-                row for part in table.pop("partitions") for row in part
-            ]
-        v1_path = str(tmp_path / "db_v1.repro")
-        with open(v1_path, "wb") as handle:
-            pickle.dump(payload, handle)
-        restored = Database.restore(v1_path)
-        after = restored.execute(
-            "SELECT SUM(get_scalar(vec, 1)) FROM pts"
-        ).scalar()
-        assert after == pytest.approx(before)
-        assert restored.catalog.table("pts").stats.row_count == 12
-
     def test_unknown_version_rejected(self, db, tmp_path):
-        import pickle
-
-        from repro.persist import load_snapshot
+        from repro.persist import load_snapshot, write_snapshot
 
         path = str(tmp_path / "db.repro")
         db.save(path)
         payload = load_snapshot(path)
         payload["version"] = 99
         bad_path = str(tmp_path / "db_v99.repro")
-        with open(bad_path, "wb") as handle:
-            pickle.dump(payload, handle)
-        with pytest.raises(ReproError):
+        write_snapshot(bad_path, payload)
+        with pytest.raises(ReproError, match="version 99"):
             Database.restore(bad_path)
+
+
+def tripwire() -> bytes:
+    """A pickle that fails the running test if anything unpickles it."""
+
+    class Tripwire:
+        def __reduce__(self):
+            return pytest.fail, ("bytes of a refused file reached the unpickler",)
+
+    import pickle
+
+    return pickle.dumps(Tripwire())
+
+
+class TestOldFormatsRefused:
+    """There is no reader for an older on-disk format: a file in one is
+    refused with a structured ReproError naming what it carries — never
+    misread, never unpickled."""
+
+    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "RDBF1", "RSEG1", "RWAL1"])
+    def test_refused_by_name(self, db, tmp_path, old):
+        import struct
+        import zlib
+
+        from repro.errors import SnapshotCorruptError
+        from repro.persist import load_snapshot, write_snapshot
+        from repro.storage import read_segment_file
+
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        path = str(tmp_path / "old.bin")
+        read = lambda: Database.restore(path)
+        body = tripwire()
+        if old.startswith("v"):  # a framed snapshot whose payload says v1/v2/v3
+            db.save(path)
+            payload = load_snapshot(path)
+            payload["version"] = int(old[1:])
+            write_snapshot(path, payload)
+            named = f"version {old[1:]}"
+        else:  # the framings the previous formats used, around the tripwire
+            named = old
+            if old == "RDBF1":
+                blob = struct.pack("<I", zlib.crc32(body)) + body
+            elif old == "RSEG1":
+                blob = body + struct.pack("<Q", len(body))
+                read = lambda: read_segment_file(path)
+            else:
+                blob = struct.pack("<II", len(body), zlib.crc32(body)) + body
+                path = str(data_dir / "wal.log")
+                read = lambda: Database.open(
+                    ClusterConfig(durability_mode="wal", data_dir=str(data_dir))
+                )
+            with open(path, "wb") as handle:
+                handle.write(old.encode() + b"\n" + blob)
+        with pytest.raises(ReproError, match=named) as excinfo:
+            read()
+        assert not isinstance(excinfo.value, SnapshotCorruptError)
+        assert path in str(excinfo.value)
 
 
 class TestConfigMerge:
@@ -337,19 +361,35 @@ class TestPartitionLayout:
 
 
 class TestBadFiles:
+    """A file without the snapshot frame magic is refused before
+    anything in it is unpickled."""
+
+    @staticmethod
+    def _refused_at_the_magic(path):
+        from repro.errors import SnapshotCorruptError
+
+        with pytest.raises(SnapshotCorruptError) as excinfo:
+            Database.restore(str(path))
+        assert excinfo.value.offset == 0
+        assert excinfo.value.path == str(path)
+
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "not_a_db"
         path.write_bytes(b"hello world")
-        with pytest.raises(Exception):
-            Database.restore(str(path))
+        self._refused_at_the_magic(path)
 
     def test_wrong_pickle_rejected(self, tmp_path):
-        import pickle
-
         path = tmp_path / "wrong.pkl"
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(ReproError):
-            Database.restore(str(path))
+        path.write_bytes(tripwire())
+        self._refused_at_the_magic(path)
+
+    def test_framed_wrong_payload_rejected(self, tmp_path):
+        from repro.persist import write_snapshot
+
+        path = str(tmp_path / "wrong.repro")
+        write_snapshot(path, {"something": "else"})
+        with pytest.raises(ReproError, match="not a repro database file"):
+            Database.restore(path)
 
 
 class TestCorruptSnapshots:
@@ -398,8 +438,8 @@ class TestCorruptSnapshots:
         assert excinfo.value.offset == 7
 
     def test_legacy_truncated_pickle_named(self, db, tmp_path):
-        """Legacy (unframed) files get the structured error too: the
-        offset points at where unpickling stopped."""
+        """An unframed (pre-frame "legacy") pickle is no longer a
+        snapshot at all: it is refused at offset 0, whatever it holds."""
         import pickle
 
         from repro.errors import SnapshotCorruptError
@@ -412,6 +452,7 @@ class TestCorruptSnapshots:
         with pytest.raises(SnapshotCorruptError) as excinfo:
             Database.restore(legacy)
         assert legacy in str(excinfo.value)
+        assert excinfo.value.offset == 0
 
     def test_error_is_repro_error(self, db, tmp_path):
         from repro.errors import SnapshotCorruptError
@@ -423,9 +464,11 @@ class TestCorruptSnapshots:
 
 
 class TestRestoreMatrix:
-    """Satellite coverage: v1/v2 snapshot format x storage mode x
-    execution mode, asserting bit-identity of rows, statistics, and
-    catalog version across the restore."""
+    """Restore layout x storage mode x execution mode: a same-shape
+    restore lands every partition verbatim (``v2``, the id of the
+    per-partition layout since it was introduced) and is bit-identical
+    in rows, statistics, catalog version and query results; a restore
+    onto another slot count re-deals the same rows."""
 
     @staticmethod
     def _build(storage_mode: str, execution_mode: str) -> Database:
@@ -443,39 +486,21 @@ class TestRestoreMatrix:
         db.execute("CREATE VIEW g AS SELECT SUM(outer_product(vec, vec)) AS m FROM pts")
         return db
 
-    @staticmethod
-    def _downgrade_to_v1(path: str, v1_path: str) -> None:
-        import pickle
-
-        from repro.persist import load_snapshot
-
-        payload = load_snapshot(path)
-        payload["version"] = 1
-        payload.pop("catalog_version")
-        for table in payload["tables"]:
-            table.pop("stats")
-            table.pop("insert_cursor")
-            table["rows"] = [
-                row for part in table.pop("partitions") for row in part
-            ]
-        with open(v1_path, "wb") as handle:
-            pickle.dump(payload, handle)
-
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    @pytest.mark.parametrize("layout", ["v2", "redealt"])
     @pytest.mark.parametrize("storage_mode", ["memory", "disk"])
     @pytest.mark.parametrize("execution_mode", ["row", "batch"])
-    def test_restore_matrix(self, tmp_path, fmt, storage_mode, execution_mode):
+    def test_restore_matrix(self, tmp_path, layout, storage_mode, execution_mode):
         db = self._build(storage_mode, execution_mode)
         path = str(tmp_path / "db.repro")
         db.save(path)
-        if fmt == "v1":
-            v1_path = str(tmp_path / "db_v1.repro")
-            self._downgrade_to_v1(path, v1_path)
-            path = v1_path
-        restored = Database.restore(path)
+        verbatim = layout == "v2"
+        restored = Database.restore(
+            path,
+            None if verbatim else db.config.with_updates(machines=3),
+        )
         assert restored.config.storage_mode == storage_mode
         assert restored.config.execution_mode == execution_mode
-        # rows: bit-identical per partition (v2) or as a set (v1 re-deals)
+        # rows: bit-identical per partition, or as a set when re-dealt
         want_storage = db.catalog.table("pts").storage
         got_storage = restored.catalog.table("pts").storage
         digest = lambda storage: [
@@ -485,7 +510,7 @@ class TestRestoreMatrix:
             ]
             for slot in range(storage.slots)
         ]
-        if fmt == "v2":
+        if verbatim:
             assert digest(got_storage) == digest(want_storage)
         else:
             flat = lambda parts: sorted(row for part in parts for row in part)
@@ -495,12 +520,10 @@ class TestRestoreMatrix:
         got_stats = restored.catalog.table("pts").stats
         assert got_stats.row_count == want_stats.row_count
         assert got_stats.distinct("id") == want_stats.distinct("id")
-        # catalog version: pinned exactly by v2; v1 has none to pin
-        if fmt == "v2":
-            assert restored.catalog.version == db.catalog.version
+        assert restored.catalog.version == db.catalog.version
         # query through the view is bit-identical on the same shape
         sql = "SELECT m FROM g"
-        if fmt == "v2":
+        if verbatim:
             assert (
                 restored.execute(sql).scalar().data.tobytes()
                 == db.execute(sql).scalar().data.tobytes()

@@ -17,15 +17,21 @@ stats surface (the table contract, over both segment homes, is in
 ``tests/test_storage.py``).
 """
 
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
+from repro.columnar import ColumnData
 from repro.config import ClusterConfig
 from repro.engine import stable_hash
 from repro.engine.cluster import row_bytes
+from repro.engine.storage import Batch
 from repro.errors import ExecutionError, ServiceOverloadedError
 from repro.faults import FaultPlan
 from repro.service import QueryService, ServiceConfig
@@ -37,11 +43,13 @@ from repro.storage import (
     chunk_offsets,
     compute_zone,
     decode_segment,
+    encode_rows,
     encode_segment,
     segment_pruned,
     zone_excludes,
 )
-from repro.types import Vector
+from repro.storage.segment import decode_columns
+from repro.types import LabeledScalar, Matrix, Vector
 
 # -- shared workload ---------------------------------------------------------
 
@@ -459,47 +467,220 @@ class TestZoneMaps:
 
 # -- segment codec -----------------------------------------------------------
 
-finite = st.floats(
-    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
+
+def _float_of(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: every float a column may hold: finite values, signed zeros and
+#: infinities, and quiet NaNs of either sign with arbitrary payload bits
+any_float = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf")]),
+    st.builds(
+        lambda sign, payload: _float_of(sign << 63 | 0x7FF8 << 48 | payload),
+        st.integers(0, 1),
+        st.integers(0, 2**51 - 1),
+    ),
 )
-cell = st.one_of(
-    st.none(),
-    st.integers(min_value=-(2**62), max_value=2**62),
-    finite,
-    st.text(max_size=8),
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+def _vectors(min_size, max_size=None):
+    return st.lists(any_float, min_size=min_size, max_size=max_size or min_size)
+
+
+def _matrices(rows, cols):
+    return st.lists(_vectors(cols), min_size=rows, max_size=rows).map(Matrix)
+
+
+def _nullable(cells):
+    return st.one_of(st.none(), cells)
+
+
+labelled_vectors = st.builds(Vector, _vectors(1, 3), label=st.integers(0, 5))
+#: one strategy per kind of column, so that every physical form of
+#: ``ColumnData`` (typed array, tensor block with and without NULL
+#: cells, object) and every value that must fall back to the object
+#: form is drawn as a whole column, not only as a stray cell
+COLUMN_KINDS = (
+    any_float,
+    int64s,
     st.booleans(),
+    st.one_of(int64s, st.integers(-(2**80), 2**80)),  # beyond int64
+    st.none(),  # an all-NULL column
+    _nullable(st.one_of(any_float, int64s, st.booleans(), st.text(max_size=5))),
+    _nullable(_vectors(3).map(Vector)),  # a VECTOR block with NULL cells
+    _nullable(_matrices(2, 2)),  # a MATRIX block with NULL cells
+    st.one_of(_vectors(1, 4).map(Vector), labelled_vectors),  # ragged, labelled
+    st.one_of(_matrices(2, 2), _matrices(1, 3)),  # two shapes
+    _nullable(st.builds(LabeledScalar, any_float, st.integers(-1, 9))),
 )
+
+
+@st.composite
+def wild_rows(draw, max_rows=9):
+    """``(width, rows)``: zero to ``max_rows`` rows over one to five
+    columns, each column drawn from one of ``COLUMN_KINDS``."""
+    count = draw(st.integers(0, max_rows))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5))
+    columns = [
+        draw(st.lists(kind, min_size=count, max_size=count)) for kind in kinds
+    ]
+    return len(kinds), list(zip(*columns))
+
+
+#: a row a parameterised INSERT into ``typed`` accepts
+typed_row = st.fixed_dictionaries(
+    {
+        "i": _nullable(st.one_of(int64s, st.integers(-(2**80), 2**80))),
+        "x": _nullable(any_float),
+        "s": _nullable(st.text(max_size=5)),
+        "v": _nullable(st.one_of(_vectors(1, 4).map(Vector), labelled_vectors)),
+        "m": _nullable(st.one_of(_matrices(2, 2), _matrices(1, 3))),
+    }
+)
+
+
+def _exact(value):
+    """A value as (type, bits): what "the same value" means to storage —
+    NaN payloads, the sign of zero, ``bool`` vs ``int``, tensor labels
+    and shapes all included (``==`` forgives every one of those)."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, Vector):
+        return ("Vector", value.label, value.data.dtype.str, value.data.tobytes())
+    if isinstance(value, Matrix):
+        return ("Matrix", value.shape, value.data.dtype.str, value.data.tobytes())
+    if isinstance(value, LabeledScalar):
+        return ("LabeledScalar", _exact(value.value), value.label)
+    if isinstance(value, (tuple, list)):
+        return [_exact(item) for item in value]
+    return (type(value).__name__, value)
+
+
+def _exact_table(db, name):
+    """Everything a snapshot or a WAL replay must reproduce of a table."""
+    entry = db.catalog.table(name)
+    storage = entry.storage
+    value_sets = {
+        column: None
+        if stats.value_set is None
+        else sorted(repr(_exact(value)) for value in stats.value_set)
+        for column, stats in entry.stats.columns.items()
+    }
+    return (
+        [_exact(storage.partition_rows(slot)) for slot in range(storage.slots)],
+        storage.insert_cursor,
+        entry.stats.row_count,
+        value_sets,
+    )
+
+
+#: golden bytes — one artifact of each on-disk format, written by this
+#: layout. They must keep decoding to GOLDEN_ROWS: a change to the byte
+#: layout that forgets to bump a magic fails here, on every interpreter.
+#: The segment holds one column of each physical form: int64, float64,
+#: bool, object, and a VECTOR block with a NULL cell.
+GOLDEN_ROWS = [(1, 2.5, True, "a", Vector([1.0, -0.0])), (2, -0.0, False, None, None)]
+GOLDEN_SEGMENT = bytes.fromhex(
+    "52534547320a000001000000000000000200000000000000000000000000044000000000"
+    "0000008001000000000000008004950a000000000000005d94288c0161944e652e000000"
+    "000000000000f03f00000000000000800000000000000000000000000000000000010000"
+    "00000000800495df010000000000007d94288c04726f7773944b028c07636f6c756d6e73"
+    "945d94287d94288c056474797065948c033c6938948c057368617065944b0285948c066d"
+    "61736b656494898c066c656e677468944b108c026c6f944b018c026869944b028c056e75"
+    "6c6c73944b00757d942868058c033c66389468074b028594680989680a4b10680b478000"
+    "000000000000680c474004000000000000680d4b00757d942868058c037c62319468074b"
+    "028594680989680a4b02680b89680c88680d4b00757d942868058c027c4f9468074b0285"
+    "94680989680a4b15680b8c016194680c6817680d4b01757d942868058c033c6638946807"
+    "4b024b028694680988680a4b22680b8c12726570726f2e74797065732e74656e736f7294"
+    "8c06566563746f729493942981944e7d94288c0464617461948c166e756d70792e5f636f"
+    "72652e6d756c74696172726179948c0c5f7265636f6e7374727563749493948c056e756d"
+    "7079948c076e6461727261799493944b0085944301629487945294284b014b0285946824"
+    "8c0564747970659493948c02663894898887945294284b038c013c944e4e4e4affffffff"
+    "4affffffff4b00749462894310000000000000f03f0000000000000080947494628c056c"
+    "6162656c944affffffff75869462680c681e680d4b017565752eea010000000000009f30"
+    "c4f2"
+)
+#: ``write_snapshot`` of a one-slot payload whose table ``g (s, v)`` holds
+#: the last two columns of GOLDEN_ROWS (the cluster config left out)
+GOLDEN_SNAPSHOT = bytes.fromhex(
+    "52444246320a5b02e9e1800595ec020000000000007d94288c056d61676963948c0e7265"
+    "70726f2d6461746162617365948c0776657273696f6e944b048c06636f6e666967944e8c"
+    "0f636174616c6f675f76657273696f6e944b038c067461626c6573945d947d94288c046e"
+    "616d65948c0167948c07636f6c756d6e73945d94288c0173948c06535452494e47948694"
+    "8c0176948c08564543544f525b5d948694658c0c706172746974696f6e5f6279944e8c0a"
+    "706172746974696f6e73945d9443c852534547320a00008004950a000000000000005d94"
+    "288c0161944e652e000000000000000000f03f0000000000000080000000000000000000"
+    "00000000000000000100000000000080049569000000000000007d94288c04726f777394"
+    "4b028c07636f6c756d6e73945d94287d94288c056474797065948c027c4f948c05736861"
+    "7065944b0285948c066d61736b656494898c066c656e677468944b15757d942868058c03"
+    "3c66389468074b024b028694680988680a4b227565752e7400000000000000b3c6de8c94"
+    "618c0d696e736572745f637572736f72944b028c057374617473947d94288c09726f775f"
+    "636f756e74944b028c0b696e6372656d656e74616c9488680b7d9428680d7d94288c0864"
+    "697374696e6374944b028c0f6f627365727665645f6c656e677468944e8c0d6f62736572"
+    "7665645f726f7773944e8c0d6f627365727665645f636f6c73944e8c0976616c75655f73"
+    "657494438452534547320a00008004950a000000000000005d94288c0161944e652e0000"
+    "008004954d000000000000007d94288c04726f7773944b028c07636f6c756d6e73945d94"
+    "7d94288c056474797065948c027c4f948c057368617065944b0285948c066d61736b6564"
+    "94898c066c656e677468944b157561752e5800000000000000fb338b15948c0a6c656e67"
+    "74685f736574944e8c0973686170655f736574944e7568107d9428681e4e681f4b026820"
+    "4e68214e68224e68248f94284b029068258f9475757575618c057669657773945d948c08"
+    "6d61747669657773945d94752e"
+)
+#: a log holding one ``load`` record of GOLDEN_ROWS into table ``g``
+GOLDEN_WAL = bytes.fromhex(
+    "5257414c320a86010000dd9ae6f48004957b010000000000007d94288c046b696e64948c"
+    "046c6f6164948c057461626c65948c0167948c04726f777394423b01000052534547320a"
+    "000001000000000000000200000000000000000000000000044000000000000000800100"
+    "0000000000008004950a000000000000005d94288c0161944e652e000000000000000000"
+    "f03f00000000000000800000000000000000000000000000000000010000000000008004"
+    "95b4000000000000007d94288c04726f7773944b028c07636f6c756d6e73945d94287d94"
+    "288c056474797065948c033c6938948c057368617065944b0285948c066d61736b656494"
+    "898c066c656e677468944b10757d942868058c033c66389468074b028594680989680a4b"
+    "10757d942868058c037c62319468074b028594680989680a4b02757d942868058c027c4f"
+    "9468074b028594680989680a4b15757d942868058c033c66389468074b024b0286946809"
+    "88680a4b227565752ebf00000000000000a9c346c5948c0f636174616c6f675f76657273"
+    "696f6e944b03752e"
+)
+GOLDEN_COLUMNS = [
+    ("i", "INTEGER"), ("x", "DOUBLE"), ("b", "BOOLEAN"), ("s", "STRING"),
+    ("v", "VECTOR[]"),
+]
 
 
 class TestSegmentCodec:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(cell, cell, cell), min_size=0, max_size=30))
-    def test_roundtrip_exact(self, rows):
-        blob, footer = encode_segment(rows, width=3)
-        decoded = decode_segment(blob)
-        assert decoded == rows
-        assert [type(v) for row in decoded for v in row] == [
-            type(v) for row in rows for v in row
-        ]
+    @settings(max_examples=150, deadline=None)
+    @given(wild_rows(max_rows=30))
+    def test_roundtrip_exact(self, drawn):
+        width, rows = drawn
+        blob, footer = encode_segment(rows, width)
+        assert _exact(decode_segment(blob)) == _exact(rows)
         assert footer["rows"] == len(rows)
+        # the zone-map-free form snapshots and WAL records store
+        assert _exact(decode_segment(encode_rows(rows))) == _exact(rows)
 
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.integers(0, 100),
-                st.lists(finite, min_size=3, max_size=3),
-            ),
+            st.tuples(st.integers(0, 100), _nullable(_vectors(3))),
             min_size=1,
             max_size=20,
         )
     )
     def test_vector_columns_roundtrip_bitwise(self, raw):
-        rows = [(i, Vector(vec)) for i, vec in raw]
-        decoded = decode_segment(encode_segment(rows, width=2)[0])
-        for (_, want), (_, got) in zip(rows, decoded):
-            assert got.data.tobytes() == want.data.tobytes()
-            assert got.label == want.label
+        rows = [(i, None if vec is None else Vector(vec)) for i, vec in raw]
+        blob = encode_segment(rows, width=2)[0]
+        assert _exact(decode_segment(blob)) == _exact(rows)
+        ids, vectors = decode_columns(blob)
+        # decoded arrays are views of the blob: shared, so read-only
+        assert not ids.data.flags.writeable
+        assert not ids.data.flags.owndata
+        if any(vec is not None for _, vec in rows):
+            assert vectors.is_block
+            assert not vectors.data.flags.writeable
+            assert not vectors.data.flags.owndata
 
     def test_footer_carries_zone_maps_and_null_counts(self):
         rows = [(1, None), (5, 2.0), (3, None)]
@@ -514,6 +695,188 @@ class TestSegmentCodec:
         rows = [(1, 2.5, "ab"), (2, None, "c")]
         segment = MemorySegment(rows, width=3)
         assert segment.sizes() == [row_bytes(row) for row in rows]
+
+    def test_golden_segment_bytes(self):
+        columns = decode_columns(GOLDEN_SEGMENT)
+        assert [str(column.data.dtype) for column in columns] == [
+            "int64", "float64", "bool", "object", "float64"
+        ]
+        assert columns[4].is_block and columns[4].nulls.tolist() == [False, True]
+        assert _exact(decode_segment(GOLDEN_SEGMENT)) == _exact(GOLDEN_ROWS)
+        assert encode_segment(GOLDEN_ROWS, 5)[0] == GOLDEN_SEGMENT
+
+    def test_golden_snapshot_bytes(self, tmp_path):
+        from repro.persist import apply_snapshot, load_snapshot
+
+        path = tmp_path / "golden.repro"
+        path.write_bytes(GOLDEN_SNAPSHOT)
+        db = Database(ClusterConfig(machines=1, cores_per_machine=1))
+        apply_snapshot(db, load_snapshot(str(path)))
+        storage = db.catalog.table("g").storage
+        assert _exact(storage.partition_rows(0)) == _exact(
+            [row[3:] for row in GOLDEN_ROWS]
+        )
+        assert storage.insert_cursor == 2
+        assert db.catalog.table("g").stats.distinct("s") == 2
+
+    def test_golden_wal_bytes(self, tmp_path):
+        from repro.storage import read_wal
+
+        path = tmp_path / "wal.log"
+        path.write_bytes(GOLDEN_WAL)
+        records, offset, torn = read_wal(str(path))
+        assert (len(records), offset, torn) == (1, len(GOLDEN_WAL), False)
+        db = Database(ClusterConfig(machines=1, cores_per_machine=1))
+        db.create_table("g", GOLDEN_COLUMNS)
+        db._apply_wal_record(records[0])
+        rows = db.catalog.table("g").storage.partition_rows(0)
+        assert _exact(rows) == _exact(GOLDEN_ROWS)
+
+
+class TestCodecUnderPersistence:
+    """The same strategy through the two envelopes that now carry
+    segment blobs: snapshot save -> restore, and WAL ``load`` +
+    parameterised INSERT -> replay, in both storage modes."""
+
+    @staticmethod
+    def _tables(db, width):
+        db.create_table("wild", [(f"c{i}", "DOUBLE") for i in range(width)])
+        db.execute(
+            "CREATE TABLE typed "
+            "(i INTEGER, x DOUBLE, s STRING, v VECTOR[], m MATRIX[][])"
+        )
+
+    @staticmethod
+    def _fill(db, rows, typed):
+        db.load("wild", rows)
+        for params in typed:
+            db.execute("INSERT INTO typed VALUES (:i, :x, :s, :v, :m)", params)
+
+    @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=wild_rows(), typed=st.lists(typed_row, max_size=4))
+    def test_save_restore_exact(self, storage_mode, drawn, typed):
+        width, rows = drawn
+        db = Database(_config(storage_mode, "batch").with_updates(segment_rows=2))
+        self._tables(db, width)
+        self._fill(db, rows, typed)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "db.repro")
+            db.save(path)
+            restored = Database.restore(path)
+        for name in ("wild", "typed"):
+            assert _exact_table(restored, name) == _exact_table(db, name)
+        db.close()
+        restored.close()
+
+    @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=wild_rows(), typed=st.lists(typed_row, max_size=4))
+    def test_wal_replay_exact(self, storage_mode, drawn, typed):
+        width, rows = drawn
+        with tempfile.TemporaryDirectory() as data_dir:
+            db = Database(
+                _config(storage_mode, "batch").with_updates(
+                    segment_rows=2, durability_mode="wal", data_dir=data_dir
+                )
+            )
+            self._tables(db, width)
+            self._fill(db, rows, typed)
+            want = [_exact_table(db, name) for name in ("wild", "typed")]
+            db.close()  # no checkpoint: everything comes back from the log
+            recovered = Database.restore(data_dir)
+            assert recovered.durability.records_replayed == 3 + len(typed)
+            assert [
+                _exact_table(recovered, name) for name in ("wild", "typed")
+            ] == want
+            recovered.close()
+
+
+class TestDiskSegmentScan:
+    """What a scan of a sealed disk segment does (and no longer does)."""
+
+    @staticmethod
+    def _sealed_db(execution_mode="batch"):
+        db = Database(
+            _config("disk", execution_mode).with_updates(segment_rows=4)
+        )
+        db.execute("CREATE TABLE t (i INTEGER, x DOUBLE, v VECTOR[])")
+        slots = db.config.slots
+        db.load(
+            "t",
+            [(i, i / 4.0, Vector([float(i), -float(i)])) for i in range(8 * slots)],
+        )
+        return db
+
+    def test_pool_hit_packs_no_column(self, monkeypatch):
+        db = self._sealed_db()
+        pool = db.storage.buffer_pool
+        segment = db.catalog.table("t").storage.segments(0)[0]
+        assert isinstance(segment, DiskSegment)
+        first, outcome = Batch.from_segment((0, 1, 2), segment, pool)
+        assert outcome == "miss"
+        packed = []
+        monkeypatch.setattr(
+            ColumnData,
+            "from_values",
+            classmethod(lambda cls, values: packed.append(values)),
+        )
+        second, outcome = Batch.from_segment((0, 1, 2), segment, pool)
+        assert outcome == "hit"
+        assert packed == []
+        # the pooled columns themselves, not a re-packed copy of them
+        assert all(a is b for a, b in zip(first.columns, second.columns))
+        # a pool miss decodes the file without packing either: every
+        # column of this table is a typed array or a block
+        pool.clear()
+        third, outcome = Batch.from_segment((0, 1, 2), segment, pool)
+        assert outcome == "miss" and packed == []
+        assert third.col(2).is_block and not third.col(2).data.flags.writeable
+        monkeypatch.undo()
+        assert _exact(third.rows()) == _exact(first.rows())
+
+    def test_row_and_batch_read_the_same_pooled_columns(self):
+        sql = "SELECT t.i, t.x, t.v FROM t WHERE t.i >= 3"
+        db = self._sealed_db("batch")
+        cold = db.execute(sql)
+        assert cold.metrics.pool_misses > 0 and cold.metrics.pool_hits == 0
+        batch = db.execute(sql)
+        db.set_execution_mode("row")
+        row = db.execute(sql)
+        for warm in (batch, row):
+            assert warm.metrics.pool_misses == 0
+            assert warm.metrics.pool_hits == cold.metrics.pool_misses
+            assert _exact(sorted(warm.rows)) == _exact(sorted(cold.rows))
+            assert _fingerprint(warm.metrics) == _fingerprint(cold.metrics)
+
+    def test_flipped_byte_in_segment_file_is_named(self):
+        from repro.errors import SnapshotCorruptError
+
+        db = self._sealed_db()
+        segment = db.catalog.table("t").storage.segments(0)[0]
+        with open(segment.path, "r+b") as handle:
+            handle.seek(40)
+            byte = handle.read(1)
+            handle.seek(40)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(SnapshotCorruptError) as excinfo:
+            db.execute("SELECT SUM(t.x) FROM t")
+        assert excinfo.value.path == segment.path
+        assert segment.path in str(excinfo.value)
+
+    @pytest.mark.parametrize("keep", [0, 3, 8, 20, -1])
+    def test_truncated_segment_file_is_named(self, keep):
+        from repro.errors import SnapshotCorruptError
+        from repro.storage import read_segment_file
+
+        db = self._sealed_db()
+        path = db.catalog.table("t").storage.segments(0)[0].path
+        blob = open(path, "rb").read()
+        with open(path, "wb") as handle:
+            handle.write(blob[:keep])
+        with pytest.raises(SnapshotCorruptError) as excinfo:
+            read_segment_file(path)
+        assert excinfo.value.path == path
 
 
 class TestStorageEngineKnob:
