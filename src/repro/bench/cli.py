@@ -1,17 +1,20 @@
-"""Command line entry point: ``repro-bench {fig1,fig2,fig3,fig4,rst,serve,all}``.
+"""Command line entry point: ``repro-bench <target>``.
 
-Regenerates the paper's tables and figures: paper-scale simulated times
-for all six platforms next to the paper's reported numbers, mini-scale
-real executions with correctness checks, the Figure 4 operation
-breakdown, and the section 4.1 optimizer ablation. The ``serve`` target
-runs the closed-loop multi-client serving benchmark with the plan cache
-on and off.
+The figure targets (``fig1``–``fig4``, ``rst``, ``all``) regenerate the
+paper's tables and figures: paper-scale simulated times for all six
+platforms next to the paper's reported numbers, mini-scale real
+executions with correctness checks, the Figure 4 operation breakdown,
+and the section 4.1 optimizer ablation. ``serve`` runs the closed-loop
+multi-client serving benchmark with the plan cache on and off. The
+benchmark targets in :data:`BENCHES` (and ``serve --open-loop``) take
+``--check``: a smaller run that exits nonzero when its contract breaks.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
 from .figures import (
     figure,
@@ -20,23 +23,6 @@ from .figures import (
     format_figure4,
     format_rst,
     rst_experiment,
-)
-
-TARGETS = (
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "rst",
-    "serve",
-    "exec",
-    "faults",
-    "trace",
-    "spill",
-    "recover",
-    "feedback",
-    "views",
-    "all",
 )
 
 
@@ -65,177 +51,143 @@ def run_serve_target(
     return format_serve(with_cache, without_cache)
 
 
-def run_open_loop_target(
-    clients: int = 100,
-    queries: int = 400,
-    rate: float = 200.0,
-    seed: int = 0,
-    check: bool = False,
-    out: str = "BENCH_serve.json",
-    parallelism: int = 4,
-    scaling: bool = True,
-) -> "tuple":
-    """Returns (report text, ok) for the open-loop socket benchmark.
+def _open_loop(args, out: str) -> "tuple":
+    """``serve --open-loop``: (report text, ok) for the open-loop socket
+    benchmark.
 
-    ``check`` shrinks the run for CI (still real sockets, still the
+    ``--check`` shrinks the run for CI (still real sockets, still the
     serial bit-identity comparison, still the parallel scaling probe at
-    ``parallelism`` partition tasks); ``out`` is where the JSON snapshot
-    lands (empty string skips the write). The scaling probe's
+    ``--intra-parallelism`` partition tasks); ``out`` is where the JSON
+    snapshot lands (empty string skips the write). The scaling probe's
     parallel-vs-serial throughput ratio is recorded but never gated on:
     it tracks the host's real core count (see
     ``repro.bench.openloop.measure_scaling``). ``ok`` does require both
     scaling probes to stay bit-identical to their serial baselines."""
-    from .openloop import (
-        OpenLoopConfig,
-        format_open_loop,
-        format_scaling,
-        measure_scaling,
-        run_open_loop,
-        write_snapshot,
-    )
+    from . import openloop
 
-    if check:
-        clients = min(clients, 16)
-        queries = min(queries, 64)
-        rate = min(rate, 120.0)
-    config = OpenLoopConfig(
-        clients=clients, queries=queries, arrival_rate_qps=rate, seed=seed
+    clients = args.clients if args.clients is not None else 100
+    queries = args.queries if args.queries is not None else 400
+    rate = args.rate
+    small = {}
+    if args.check:
+        clients, queries, rate = min(clients, 16), min(queries, 64), min(rate, 120.0)
+        small = dict(queries=8, clients=4, rows=128, dims=16)
+    config = openloop.OpenLoopConfig(
+        clients=clients, queries=queries, arrival_rate_qps=rate, seed=args.seed
     )
-    report = run_open_loop(config)
+    report = openloop.run_open_loop(config)
     ok = report.ok()
-    text = format_open_loop(report)
+    text = openloop.format_open_loop(report)
     scaling_block = None
-    if scaling:
-        if check:
-            scaling_block = measure_scaling(
-                workers=4,
-                parallelism=parallelism,
-                queries=8,
-                clients=4,
-                rows=128,
-                dims=16,
-                seed=seed,
-            )
-        else:
-            scaling_block = measure_scaling(
-                workers=4, parallelism=parallelism, seed=seed
-            )
+    if not args.no_scaling:
+        scaling_block = openloop.measure_scaling(
+            workers=4, parallelism=args.intra_parallelism, seed=args.seed, **small
+        )
         ok = ok and scaling_block["serial_ok"] and scaling_block["parallel_ok"]
-        text = text + "\n\n" + format_scaling(scaling_block)
+        text = text + "\n\n" + openloop.format_scaling(scaling_block)
     if out:
-        write_snapshot(report, out, scaling=scaling_block)
+        openloop.write_snapshot(report, out, scaling=scaling_block)
     return text, ok
 
 
-def run_exec_target(repeats: int = 3, smoke: bool = False) -> "tuple":
-    """Returns (report text, ok) for the execution-mode benchmark."""
-    from .execbench import format_exec, run_exec_bench
+def _bench(module: str, run: str, fmt: str, *flags: str):
+    """The runner of one ``repro.bench.<module>`` benchmark:
+    ``runner(args, out) -> (report text, ok)``. ``flags`` names the
+    command-line options its ``run`` function takes besides ``smoke``
+    (which is ``--check``); ``out`` is where the JSON snapshot lands
+    ('' skips the write)."""
 
-    report = run_exec_bench(repeats=repeats, smoke=smoke)
-    return format_exec(report), report.ok()
+    def runner(args, out: str) -> "tuple":
+        bench = import_module(f"{__package__}.{module}")
+        options = {flag: getattr(args, flag) for flag in flags}
+        report = getattr(bench, run)(smoke=args.check, **options)
+        if out:
+            bench.write_snapshot(report, out)
+        return getattr(bench, fmt)(report), report.ok()
 
-
-def run_faults_target(seed: int = 0, smoke: bool = False) -> "tuple":
-    """Returns (report text, ok) for the fault-injection benchmark."""
-    from .faultbench import format_faults, run_fault_bench
-
-    report = run_fault_bench(seed=seed, smoke=smoke)
-    return format_faults(report), report.ok()
-
-
-def run_trace_target(smoke: bool = False) -> "tuple":
-    """Returns (report text, ok) for the estimate-accuracy benchmark."""
-    from .tracebench import format_trace, run_trace_bench
-
-    report = run_trace_bench(smoke=smoke)
-    return format_trace(report), report.ok()
+    return runner
 
 
-def run_spill_target(smoke: bool = False) -> "tuple":
-    """Returns (report text, ok) for the out-of-core benchmark."""
-    from .spillbench import format_spill, run_spill_bench
+#: paper artifacts: target -> text, given whether to run the mini scale
+FIGURES = {
+    "fig1": lambda run_mini: format_figure(figure("gram", run_mini=run_mini)),
+    "fig2": lambda run_mini: format_figure(figure("regression", run_mini=run_mini)),
+    "fig3": lambda run_mini: format_figure(figure("distance", run_mini=run_mini)),
+    "fig4": lambda run_mini: format_figure4(figure4()),
+    "rst": lambda run_mini: format_rst(rst_experiment()),
+}
 
-    report = run_spill_bench(smoke=smoke)
-    return format_spill(report), report.ok()
+#: ``--check``-able benchmarks: target -> (runner, what a failed check
+#: means, default ``--out`` or None for a benchmark with no snapshot)
+BENCHES = {
+    "serve": (  # with --open-loop; the closed loop has nothing to check
+        _open_loop,
+        "no traffic got through or a concurrent result diverged from the "
+        "serial baseline",
+        "BENCH_serve.json",
+    ),
+    "exec": (
+        _bench("execbench", "run_exec_bench", "format_exec", "repeats"),
+        "modes diverged or batch lost its lead",
+        None,
+    ),
+    "faults": (
+        _bench("faultbench", "run_fault_bench", "format_faults", "seed"),
+        "a fault-injected run failed, diverged from the fault-free "
+        "baseline, or injected no faults",
+        None,
+    ),
+    "trace": (
+        _bench("tracebench", "run_trace_bench", "format_trace"),
+        "traced row counts diverged from delivered results, an operator "
+        "lacked estimates, or the two execution modes traced differently",
+        None,
+    ),
+    "spill": (
+        _bench("spillbench", "run_spill_bench", "format_spill"),
+        "a constrained run diverged from the unconstrained baseline or "
+        "never spilled",
+        None,
+    ),
+    "recover": (
+        _bench("recoverbench", "run_recovery_bench", "format_recovery", "seed"),
+        "a recovered database diverged from the abandoned one, or a "
+        "checkpoint failed to shed replay work",
+        "BENCH_recover.json",
+    ),
+    "feedback": (
+        _bench("feedbackbench", "run_feedback_bench", "format_feedback"),
+        "q-error did not converge with feedback on, drifted with it off, "
+        "rows changed, or Top-K held more than O(k) state",
+        "BENCH_feedback.json",
+    ),
+    "views": (
+        _bench("viewbench", "run_view_bench", "format_views"),
+        "maintenance was not O(delta), the view never answered the query, "
+        "the hit was not cheaper than the cold plan, or rows diverged",
+        "BENCH_views.json",
+    ),
+}
 
-
-def run_recover_target(
-    seed: int = 0, smoke: bool = False, out: str = "BENCH_recover.json"
-) -> "tuple":
-    """Returns (report text, ok) for the WAL recovery benchmark;
-    ``out`` is where the JSON snapshot lands ('' skips the write)."""
-    from .recoverbench import format_recovery, run_recovery_bench, write_snapshot
-
-    report = run_recovery_bench(seed=seed, smoke=smoke)
-    if out:
-        write_snapshot(report, out)
-    return format_recovery(report), report.ok()
-
-
-def run_feedback_target(
-    smoke: bool = False, out: str = "BENCH_feedback.json"
-) -> "tuple":
-    """Returns (report text, ok) for the cardinality-feedback benchmark;
-    ``out`` is where the JSON snapshot lands ('' skips the write)."""
-    from .feedbackbench import format_feedback, run_feedback_bench, write_snapshot
-
-    report = run_feedback_bench(smoke=smoke)
-    if out:
-        write_snapshot(report, out)
-    return format_feedback(report), report.ok()
-
-
-def run_views_target(
-    smoke: bool = False, out: str = "BENCH_views.json"
-) -> "tuple":
-    """Returns (report text, ok) for the materialized-view benchmark;
-    ``out`` is where the JSON snapshot lands ('' skips the write)."""
-    from .viewbench import format_views, run_view_bench, write_snapshot
-
-    report = run_view_bench(smoke=smoke)
-    if out:
-        write_snapshot(report, out)
-    return format_views(report), report.ok()
+TARGETS = (*FIGURES, *BENCHES, "all")
 
 
 def run_target(target: str, run_mini: bool = True) -> str:
-    if target == "fig1":
-        return format_figure(figure("gram", run_mini=run_mini))
-    if target == "fig2":
-        return format_figure(figure("regression", run_mini=run_mini))
-    if target == "fig3":
-        return format_figure(figure("distance", run_mini=run_mini))
-    if target == "fig4":
-        return format_figure4(figure4())
-    if target == "rst":
-        return format_rst(rst_experiment())
+    if target in FIGURES:
+        return FIGURES[target](run_mini)
     if target == "serve":
         return run_serve_target()
-    if target == "exec":
-        return run_exec_target()[0]
-    if target == "faults":
-        return run_faults_target()[0]
-    if target == "trace":
-        return run_trace_target()[0]
-    if target == "spill":
-        return run_spill_target()[0]
-    if target == "recover":
-        return run_recover_target()[0]
-    if target == "feedback":
-        return run_feedback_target()[0]
-    if target == "views":
-        return run_views_target()[0]
+    if target in BENCHES:
+        runner, _, default_out = BENCHES[target]
+        return runner(_parser().parse_args([target]), default_out or "")[0]
     if target == "all":
         # "all" regenerates the paper artifacts; the serving benchmark
         # is its own target so the golden figure outputs stay stable.
-        return "\n\n".join(
-            run_target(name, run_mini=run_mini)
-            for name in ("fig1", "fig2", "fig3", "fig4", "rst")
-        )
+        return "\n\n".join(FIGURES[name](run_mini) for name in FIGURES)
     raise ValueError(f"unknown target {target!r}; pick one of {TARGETS}")
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Reproduce the evaluation of 'Scalable Linear Algebra "
@@ -301,9 +253,9 @@ def main(argv=None) -> int:
     serve_group.add_argument(
         "--out",
         default=None,
-        help="where to write the JSON snapshot; '' skips the write "
-        "(default BENCH_serve.json for serve --open-loop, "
-        "BENCH_recover.json for recover)",
+        help="where to write the JSON snapshot; '' skips the write (default "
+        + ", ".join(f"{out} for {name}" for name, (_, _, out) in BENCHES.items() if out)
+        + "; serve: with --open-loop)",
     )
     serve_group.add_argument(
         "--intra-parallelism",
@@ -318,17 +270,12 @@ def main(argv=None) -> int:
         help="skip the parallel-vs-serial scaling probe "
         "(serve --open-loop)",
     )
-    exec_group = parser.add_argument_group("exec/faults/trace options")
+    exec_group = parser.add_argument_group("benchmark options")
     exec_group.add_argument(
         "--check",
         action="store_true",
-        help="smoke mode: smaller workloads, nonzero exit when the two "
-        "execution modes diverge or batch regresses wall-clock (exec), "
-        "when a fault-injected run fails or diverges from the "
-        "fault-free baseline (faults), when operator traces disagree "
-        "with delivered results or across modes (trace), or when a "
-        "spill-forcing buffer pool changes results or never spills "
-        "(spill)",
+        help="smoke mode: smaller workloads, and a nonzero exit when: "
+        + "; ".join(f"{why} ({name})" for name, (_, why, _) in BENCHES.items()),
     )
     exec_group.add_argument(
         "--repeats",
@@ -336,109 +283,12 @@ def main(argv=None) -> int:
         default=3,
         help="wall-clock repetitions per workload, best-of (exec)",
     )
-    args = parser.parse_args(argv)
-    if args.target == "exec":
-        text, ok = run_exec_target(repeats=args.repeats, smoke=args.check)
-        print(text)
-        if args.check and not ok:
-            print("exec check FAILED: modes diverged or batch lost its lead")
-            return 1
-        return 0
-    if args.target == "faults":
-        text, ok = run_faults_target(seed=args.seed, smoke=args.check)
-        print(text)
-        if args.check and not ok:
-            print(
-                "faults check FAILED: a fault-injected run failed, "
-                "diverged from the fault-free baseline, or injected "
-                "no faults"
-            )
-            return 1
-        return 0
-    if args.target == "trace":
-        text, ok = run_trace_target(smoke=args.check)
-        print(text)
-        if args.check and not ok:
-            print(
-                "trace check FAILED: traced row counts diverged from "
-                "delivered results, an operator lacked estimates, or "
-                "the two execution modes traced differently"
-            )
-            return 1
-        return 0
-    if args.target == "spill":
-        text, ok = run_spill_target(smoke=args.check)
-        print(text)
-        if args.check and not ok:
-            print(
-                "spill check FAILED: a constrained run diverged from the "
-                "unconstrained baseline or never spilled"
-            )
-            return 1
-        return 0
-    if args.target == "recover":
-        text, ok = run_recover_target(
-            seed=args.seed,
-            smoke=args.check,
-            out=args.out if args.out is not None else "BENCH_recover.json",
-        )
-        print(text)
-        if args.check and not ok:
-            print(
-                "recover check FAILED: a recovered database diverged "
-                "from the abandoned one, or a checkpoint failed to "
-                "shed replay work"
-            )
-            return 1
-        return 0
-    if args.target == "feedback":
-        text, ok = run_feedback_target(
-            smoke=args.check,
-            out=args.out if args.out is not None else "BENCH_feedback.json",
-        )
-        print(text)
-        if args.check and not ok:
-            print(
-                "feedback check FAILED: q-error did not converge with "
-                "feedback on, drifted with it off, rows changed, or "
-                "Top-K held more than O(k) state"
-            )
-            return 1
-        return 0
-    if args.target == "views":
-        text, ok = run_views_target(
-            smoke=args.check,
-            out=args.out if args.out is not None else "BENCH_views.json",
-        )
-        print(text)
-        if args.check and not ok:
-            print(
-                "views check FAILED: maintenance was not O(delta), the "
-                "view never answered the query, the hit was not cheaper "
-                "than the cold plan, or rows diverged"
-            )
-            return 1
-        return 0
-    if args.target == "serve":
-        if args.open_loop:
-            text, ok = run_open_loop_target(
-                clients=args.clients if args.clients is not None else 100,
-                queries=args.queries if args.queries is not None else 400,
-                rate=args.rate,
-                seed=args.seed,
-                check=args.check,
-                out=args.out if args.out is not None else "BENCH_serve.json",
-                parallelism=args.intra_parallelism,
-                scaling=not args.no_scaling,
-            )
-            print(text)
-            if args.check and not ok:
-                print(
-                    "serve check FAILED: no traffic got through or a "
-                    "concurrent result diverged from the serial baseline"
-                )
-                return 1
-            return 0
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    if args.target == "serve" and not args.open_loop:
         print(
             run_serve_target(
                 clients=args.clients if args.clients is not None else 6,
@@ -450,7 +300,16 @@ def main(argv=None) -> int:
             )
         )
         return 0
-    print(run_target(args.target, run_mini=not args.no_mini))
+    if args.target not in BENCHES:
+        print(run_target(args.target, run_mini=not args.no_mini))
+        return 0
+    runner, failure, default_out = BENCHES[args.target]
+    out = args.out if args.out is not None else default_out
+    text, ok = runner(args, out if default_out else "")
+    print(text)
+    if args.check and not ok:
+        print(f"{args.target} check FAILED: {failure}")
+        return 1
     return 0
 
 

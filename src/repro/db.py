@@ -407,10 +407,7 @@ class Database:
         self.catalog.bump_table(entry.name)
         # materialized views over this table fold the delta (append) or
         # refresh/go stale (delete), per config.view_refresh_mode
-        if appended is not None:
-            self.views.on_table_appended(entry.name)
-        else:
-            self.views.on_table_changed(entry.name)
+        self.views.on_table_changed(entry.name, append_only=appended is not None)
         self.catalog.bump_version()
 
     # -- SQL ----------------------------------------------------------------------

@@ -78,7 +78,8 @@ from ..plan.physical import (
     resolve_prune_predicates,
 )
 from ..storage.segment import segment_pruned
-from .cluster import Cluster, row_bytes, stable_hash, value_bytes
+from .aggregation import final_aggregate
+from .cluster import Cluster, row_bytes, stable_hash
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
 from .storage import (
     BROADCAST,
@@ -804,7 +805,7 @@ class Executor:
             if slot != 0:
                 return self._chunks.from_rows(column_ids, [])
             chunk = self._chunks.from_rows(
-                column_ids, node.view.answer_rows(node.spec_indices)
+                column_ids, node.view.answer_rows(node.spec_indices, self._chunks)
             )
             op.charge_cpu(slot, tuples=len(chunk))
             op.rows_out += len(chunk)
@@ -1132,57 +1133,27 @@ class Executor:
         column_ids = [column.column_id for column in node.columns]
         tasks = self._partition_tasks(run, len(child.partitions))
 
+        # SQL scalar aggregates yield exactly one row on empty input
+        no_input = key_count == 0 and not any(
+            len(part) for part in child.partitions
+        )
+
         def merge_slot(slot, op):
             # state merging is inherently value-at-a-time
             rows = child.partitions[slot].rows()
             cost = EvalCost()
-            merged: Dict[tuple, list] = {}
-            for row in rows:
-                key = row[:key_count]
-                states = row[key_count:]
-                bucket = merged.get(key)
-                if bucket is None:
-                    merged[key] = [key, list(states)]
-                else:
-                    existing = bucket[1]
-                    for i, spec in enumerate(node.aggregates):
-                        if spec.distinct:
-                            existing[i] |= states[i]
-                        else:
-                            existing[i] = spec.aggregate.merge(existing[i], states[i])
-                for state in states:
-                    cost.stream_bytes += value_bytes(state) if state is not None else 1.0
-            out_rows: List[tuple] = []
-            for key, states in merged.values():
-                finished = []
-                for spec, state in zip(node.aggregates, states):
-                    if spec.distinct:
-                        fold = spec.aggregate.create()
-                        for value in state:
-                            fold = spec.aggregate.add(fold, value)
-                        state = fold
-                    finished.append(spec.aggregate.finish(state))
-                out_rows.append(tuple(key) + tuple(finished))
+            out_rows = final_aggregate(
+                node.aggregates, key_count, rows, cost,
+                scalar_on_empty=no_input and slot == 0,
+            )
             op.charge_eval(slot, len(rows), cost)
             op.rows_in += len(rows)
             op.rows_out += len(out_rows)
-            return out_rows
+            return self._chunks.from_rows(column_ids, out_rows)
 
-        merged_parts = tasks.map(merge_slot)
+        parts_out = tasks.map(merge_slot)
         tasks.finish()
-        if key_count == 0 and not any(len(part) for part in child.partitions):
-            # SQL scalar aggregates yield exactly one row on empty input
-            merged_parts[0] = [
-                tuple(
-                    spec.aggregate.finish(spec.aggregate.create())
-                    for spec in node.aggregates
-                )
-            ]
-            run.rows_out += 1
         self.cluster.record(run)
-        parts_out = [
-            self._chunks.from_rows(column_ids, out_rows) for out_rows in merged_parts
-        ]
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
     def _distinct(self, node: PDistinct) -> DistributedRelation:

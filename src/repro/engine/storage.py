@@ -21,7 +21,9 @@ Both implement the same *chunk protocol* — ``len``, ``rows``,
 are written against that protocol only. Everything that differs between
 the execution modes lives in this file; both modes produce identical
 result rows and identical simulated costs, and the batch kernels only
-change *real* wall-clock time (see ``docs/ENGINE.md``).
+change *real* wall-clock time (see ``docs/ENGINE.md``). How an aggregate
+state advances is not decided here: a chunk's ``partial_aggregate`` only
+picks which fold of :mod:`repro.engine.aggregation` fits its column form.
 """
 
 from __future__ import annotations
@@ -32,25 +34,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..catalog import Schema
-from ..columnar import (
-    ColumnData,
-    columns_from_rows,
-    rows_from_columns,
-    truth,
-    wrap_cell,
-)
+from ..columnar import ColumnData, columns_from_rows, rows_from_columns, truth
 from ..errors import ExecutionError
 from ..la.aggregates import SumAggregate, sum_block
 from ..plan.expressions import FuncExpr
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
-from .cluster import (
-    ROW_OVERHEAD_BYTES,
-    columns_row_bytes,
-    row_bytes,
-    stable_hash,
-    value_bytes,
-)
+from .aggregation import fold_groups, sum_blocks
+from .cluster import ROW_OVERHEAD_BYTES, columns_row_bytes, row_bytes, stable_hash
 
 
 @dataclass(frozen=True)
@@ -90,34 +81,6 @@ class RowView:
 
     def __getitem__(self, column_id: int):
         return self.values[self.index[column_id]]
-
-
-def fold_groups(spec, values: Optional[list], group_indices, cost) -> list:
-    """Partial-aggregate one column over pre-bucketed groups with the
-    aggregate's own ``add`` chain, returning one state per group (in
-    group-first-seen order). ``values`` is the list ``RowChunk.values``
-    returned, or None for ``COUNT(*)``."""
-    states = []
-    if spec.distinct:
-        for indices in group_indices:
-            state = set()
-            for i in indices:
-                value = values[i] if values is not None else 1
-                if value is not None:
-                    state.add(value)
-                    cost.stream_bytes += value_bytes(value)
-            states.append(state)
-        return states
-    aggregate = spec.aggregate
-    for indices in group_indices:
-        state = aggregate.create()
-        for i in indices:
-            value = values[i] if values is not None else 1
-            state = aggregate.add(state, value)
-            if value is not None:
-                cost.stream_bytes += value_bytes(value)
-        states.append(state)
-    return states
 
 
 class RowChunk:
@@ -197,11 +160,12 @@ class RowChunk:
             out.append(tuple(expr.evaluate(view, cost) for expr in exprs))
         return RowChunk(column_ids, out)
 
-    def partial_aggregate(self, spec, group_indices, cost) -> list:
+    def partial_aggregate(self, spec, group_indices, cost, carried=None) -> list:
         """One partial-aggregate state per group of row indices, over
-        ``spec.arg`` evaluated on this chunk (None: ``COUNT(*)``)."""
+        ``spec.arg`` evaluated on this chunk (None: ``COUNT(*)``), each
+        continuing from its ``carried`` state when one is given."""
         values = None if spec.arg is None else self.values(spec.arg, cost)
-        return fold_groups(spec, values, group_indices, cost)
+        return fold_groups(spec, values, group_indices, cost, carried)
 
     # -- derivation ---------------------------------------------------------
 
@@ -247,33 +211,6 @@ def _index_list(indices) -> Sequence[int]:
     """Row positions as Python ints (list indexing by numpy scalars is
     slow)."""
     return indices.tolist() if isinstance(indices, np.ndarray) else indices
-
-
-def _sum_blocks(fold, blocks, nulls, group_indices, cost) -> list:
-    """SUM states, one per group, over the tensor cells ``fold`` makes
-    of the operand ``blocks`` (NULL where ``nulls``): ``sum_block`` over
-    a column's own block, or a builtin's fused ``block_sum`` over its
-    argument blocks. Each group's rows are folded in row order,
-    bit-identical to the ``SumAggregate.add`` chain over the wrapped
-    values. The states are fresh arrays: nothing here writes into, or
-    hands out, a block a table segment's cached columns may share."""
-    count = len(blocks[0])
-    states = []
-    for indices in group_indices:
-        if nulls is None and indices == range(count):
-            operands = blocks  # the whole partition, already in row order
-        else:
-            rows = np.asarray(indices, dtype=np.int64)
-            if nulls is not None:
-                rows = rows[~nulls[rows]]
-            if not len(rows):
-                states.append(None)
-                continue
-            operands = [block[rows] for block in blocks]
-        total = fold(*operands)
-        cost.stream_bytes += (8.0 * total.size + 8.0) * len(operands[0])
-        states.append(wrap_cell(total))
-    return states
 
 
 class Batch:
@@ -374,29 +311,31 @@ class Batch:
         columns = [expr.evaluate_batch(self, cost) for expr in exprs]
         return Batch(column_ids, columns, self.length)
 
-    def partial_aggregate(self, spec, group_indices, cost) -> list:
+    def partial_aggregate(self, spec, group_indices, cost, carried=None) -> list:
         """One partial-aggregate state per group of row indices, over
-        ``spec.arg`` evaluated on this batch (None: ``COUNT(*)``). SUM
+        ``spec.arg`` evaluated on this batch (None: ``COUNT(*)``), each
+        continuing from its ``carried`` state when one is given. SUM
         over a tensor block is one ``sum_block`` per group, and SUM over
         a builtin with a fused ``block_sum`` (``outer_product``) folds
         the argument blocks without materializing the result cells."""
         expr = spec.arg
         if expr is None:
-            return fold_groups(spec, None, group_indices, cost)
+            return fold_groups(spec, None, group_indices, cost, carried)
         summing = not spec.distinct and isinstance(spec.aggregate, SumAggregate)
         if summing and isinstance(expr, FuncExpr) and expr.builtin.block_sum:
             column, blocks, nulls = expr.block_call(self, cost)
             if column is None:
-                return _sum_blocks(
-                    expr.builtin.block_sum, blocks, nulls, group_indices, cost
+                return sum_blocks(
+                    expr.builtin.block_sum, blocks, nulls, group_indices, cost,
+                    carried,
                 )
         else:
             column = self.values(expr, cost)
         if summing and column.is_block:
-            return _sum_blocks(
-                sum_block, [column.data], column.nulls, group_indices, cost
+            return sum_blocks(
+                sum_block, [column.data], column.nulls, group_indices, cost, carried
             )
-        return fold_groups(spec, column.pylist(), group_indices, cost)
+        return fold_groups(spec, column.pylist(), group_indices, cost, carried)
 
     # -- derivation ---------------------------------------------------------
 

@@ -16,7 +16,10 @@ Three special aggregates construct tensors from labeled parts (section
 
 Labels are 1-based. Every aggregate is implemented as a pair of
 *accumulate* and *merge* steps so the engine can run distributed
-partial aggregation before the shuffle.
+partial aggregation before the shuffle. This module defines the pairs
+(and ``sum_block``, SUM's order-preserving form over a tensor block);
+the order they are applied in is decided by their only caller,
+:mod:`repro.engine.aggregation`.
 """
 
 from __future__ import annotations
@@ -48,11 +51,6 @@ class Aggregate:
     state lives in the accumulator objects the methods pass around."""
 
     name = "AGGREGATE"
-
-    #: True when partial aggregation before the shuffle is algebraically
-    #: valid (it is for every aggregate here except AVG, which instead
-    #: decomposes into SUM/COUNT inside the engine).
-    distributive = True
 
     def result_type(self, arg_type: DataType) -> DataType:
         """Result type for the given input type; raises TypeCheckError when
@@ -115,7 +113,17 @@ class SumAggregate(Aggregate):
     merge = add
 
 
-def sum_block(block: np.ndarray) -> np.ndarray:
+def check_carried(start: np.ndarray, cell_shape: tuple) -> None:
+    """A carried SUM state continues only over cells of its own shape —
+    the structured error the ``add`` chain raises on such a pair."""
+    if start.shape != cell_shape:
+        raise RuntimeTypeError(
+            f"SUM: element-wise addition of tensors of different shapes: "
+            f"{start.shape} vs {cell_shape}"
+        )
+
+
+def sum_block(block: np.ndarray, start: Optional[np.ndarray] = None) -> np.ndarray:
     """SUM over the first axis of a C-contiguous tensor block, in the
     canonical order: the sequential per-row fold ``((c0 + c1) + c2) + …``
     that the ``SumAggregate.add`` chain performs (docs/ENGINE.md,
@@ -126,7 +134,11 @@ def sum_block(block: np.ndarray) -> np.ndarray:
     ``x``). The exception is a cell with a single element: the reduce
     axis is then contiguous and numpy switches to pairwise summation, so
     that shape goes through ``cumsum``, which is sequential by
-    definition."""
+    definition. ``start``, the array of a carried state, is folded as
+    row 0 of the block: the chain continues ``((start + c0) + c1) + …``."""
+    if start is not None:
+        check_carried(start, block.shape[1:])
+        block = np.concatenate([start[None], block])
     if block[0].size == 1:
         return np.cumsum(block.reshape(-1))[-1].reshape(block.shape[1:])
     return np.add.reduce(block, axis=0, initial=-0.0)
@@ -210,7 +222,6 @@ class AvgAggregate(Aggregate):
     aggregated before the shuffle."""
 
     name = "AVG"
-    distributive = True
 
     def result_type(self, arg_type: DataType) -> DataType:
         if isinstance(arg_type, (IntegerType, DoubleType, LabeledScalarType)):

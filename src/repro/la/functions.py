@@ -37,7 +37,7 @@ from ..types import (
     runtime_shape_check,
 )
 from ..types.scalar import DEFAULT_UNKNOWN_DIM
-from .aggregates import sum_block
+from .aggregates import check_carried, sum_block
 
 #: Type of a FLOP-cost formula: receives the concrete dimensions bound for
 #: each templated variable and returns an estimated FLOP count.
@@ -111,10 +111,10 @@ class BuiltinFunction:
     #: bit-identical to ``impl`` on that row (docs/ENGINE.md, "Tensor
     #: columns").
     block_impl: Optional[Callable] = None
-    #: optional fused fold: ``block_sum(*blocks)`` is bit-identical to
-    #: ``sum_block(block_impl(*blocks))`` without materializing the
-    #: ``n`` result cells (registered where a result cell is much larger
-    #: than its operands).
+    #: optional fused fold: ``block_sum(*blocks, start)`` is bit-identical
+    #: to ``sum_block(block_impl(*blocks), start)`` without materializing
+    #: the ``n`` result cells (registered where a result cell is much
+    #: larger than its operands).
     block_sum: Optional[Callable] = None
     #: unused — the per-row-list kernels this named were replaced by
     #: ``block_impl``; ``perfbench/layers.py`` still reads the attribute
@@ -249,20 +249,24 @@ def _outer_product_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 _FOLD_STEP_BYTES = 1 << 18
 
 
-def _outer_product_block_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``sum_block(_outer_product_block(left, right))`` without the
-    ``n`` products in memory at once: the products of a few rows at a
-    time are written behind the running total and folded with it, so
-    every addition happens in the same row order."""
+def _outer_product_block_sum(
+    left: np.ndarray, right: np.ndarray, total: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``sum_block(_outer_product_block(left, right), total)`` without
+    the ``n`` products in memory at once: the products of a few rows at
+    a time are written behind the running total (from the first step on
+    when a carried ``total`` comes in) and folded with it, so every
+    addition happens in the same row order."""
     n, rows = left.shape
     cols = right.shape[1]
+    if total is not None:
+        check_carried(total, (rows, cols))
     step = max(1, _FOLD_STEP_BYTES // max(8, 8 * rows * cols))
     buffer = np.empty((min(step, n) + 1, rows, cols))
-    total = None
     for start in range(0, n, step):
         part_left = left[start : start + step]
         part_right = right[start : start + step]
-        # after the first step, slot 0 carries the total so far into the fold
+        # slot 0 carries the total so far (if any) into the fold
         first = 0 if total is None else 1
         stop = first + len(part_left)
         np.multiply(

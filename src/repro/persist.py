@@ -235,13 +235,15 @@ def apply_snapshot(db, payload: dict) -> None:
     for view in payload["views"]:
         db.catalog.create_view(view["name"], view["query"], view["column_names"])
     for frozen in payload["matviews"]:
-        rows = frozen["rows"]
-        db.views.restore(
+        rows = frozen["rows"]  # None for an incremental view: it re-folds
+        db.views.create(
             frozen["name"],
             frozen["query"],
             frozen["column_names"],
-            rows=None if rows is None else decode_segment(rows),
-            stale=frozen["stale"],
+            restored=(
+                None if rows is None else decode_segment(rows),
+                frozen["stale"],
+            ),
         )
     # the saved version is authoritative for snapshot state: the
     # database is freshly built (no plan caches to invalidate), and

@@ -65,9 +65,6 @@ class ServiceConfig:
     compile_cost_s: float = 2.0
     #: additional simulated compile seconds per physical operator
     compile_cost_per_node_s: float = 0.25
-    #: when set, force the database onto this interpreter back end
-    #: ("row" or "batch"); None keeps the database's configured mode
-    execution_mode: Optional[str] = None
     #: optional admission budget on a query's estimated per-slot working
     #: set (bytes); queries estimated above it are rejected with
     #: ServiceOverloadedError before execution. None disables the check.
@@ -245,8 +242,6 @@ class QueryService:
     ):
         self.db = db
         self.config = config or ServiceConfig()
-        if self.config.execution_mode is not None:
-            db.set_execution_mode(self.config.execution_mode)
         #: real (wall-clock) time source for session idle tracking;
         #: injectable so TTL garbage collection is testable
         self._time = time_source or time.monotonic

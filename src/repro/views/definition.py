@@ -10,10 +10,15 @@ single base table with an optional parameter-free predicate. For that
 class the view stores *per-slot accumulator states* plus a per-slot
 consumed-row cursor; an append folds only the new suffix of each
 partition (both storage back ends append in insert order), which is the
-O(delta) maintenance path. The per-slot states are folded and merged in
-exactly the order the engine's PartialAggregate → gather →
-FinalAggregate pipeline would fold them, so answering from the view is
-bit-identical to rescanning.
+O(delta) maintenance path. The fold *is* the engine's: the suffix becomes
+a chunk of the database's current ``execution_mode``, the predicate is
+the chunk's ``select``, and each stored state is the carried state of the
+chunk's ``partial_aggregate`` (``engine/aggregation.py``); the answer is
+``final_aggregate`` over the per-slot states in ascending slot order —
+the PartialAggregate → gather → FinalAggregate pipeline with the scan
+replaced by stored states, so answering from the view is bit-identical
+to rescanning by construction. What stays here is view-specific:
+classification, cursors, counters, locking.
 
 Everything else (GROUP BY, DISTINCT, joins, subqueries, ORDER BY, ...)
 is a **full** view: the stored result rows are recomputed by a tracked
@@ -27,7 +32,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..engine.storage import RowView
+from ..engine.aggregation import final_aggregate
 from ..errors import CompileError
 from ..plan.logical import (
     AggregateNode,
@@ -39,7 +44,7 @@ from ..plan.logical import (
     ScanNode,
     ViewScanNode,
 )
-from ..plan.expressions import ColumnVar, ParamExpr, TypedExpr
+from ..plan.expressions import ColumnVar, EvalCost, ParamExpr, TypedExpr
 
 
 def _contains_param(expr: Optional[TypedExpr]) -> bool:
@@ -68,15 +73,6 @@ def _base_tables(plan: LogicalNode) -> Set[str]:
             names |= set(node.view.base_tables)
         stack.extend(node.children())
     return names
-
-
-def _copy_state(state):
-    """A safe-to-merge copy of one accumulator state. ``merge`` mutates
-    dict-based states (VECTORIZE/ROWMATRIX/COLMATRIX) in place, and the
-    stored per-slot states must survive being answered from."""
-    if isinstance(state, dict):
-        return dict(state)
-    return state  # numbers, tensors, and (sum, count) tuples are immutable
 
 
 class MaterializedView:
@@ -118,10 +114,7 @@ class MaterializedView:
             self.predicate: Optional[TypedExpr] = predicate
             self.specs: List[AggSpec] = list(aggregate.aggregates)
             self.scan_columns: List[OutputColumn] = list(scan.columns)
-            self._scan_index: Dict[int, int] = {
-                column.column_id: position
-                for position, column in enumerate(scan.columns)
-            }
+            self._column_ids = [column.column_id for column in scan.columns]
             spec_ids = {
                 spec.output.column_id: i for i, spec in enumerate(self.specs)
             }
@@ -134,24 +127,22 @@ class MaterializedView:
             self.predicate = None
             self.specs = []
             self.scan_columns = []
-            self._scan_index = {}
+            self._column_ids = []
             self.output_spec_indices = []
 
         # -- stored state ---------------------------------------------------
         #: per-slot accumulator lists (one state per spec); None marks a
-        #: slot that has contributed no post-filter row yet — mirroring
+        #: slot that has contributed no post-filter row yet — like
         #: PartialAggregate, which emits no states-row for such slots
         self._slot_states: List[Optional[List[object]]] = [None] * slots
         #: per-slot count of *pre-filter* rows already folded
         self._consumed: List[int] = [0] * slots
         #: full-mode stored result rows (in gathered result order)
         self.rows: List[tuple] = []
-        #: a deferred view whose base changed non-incrementally; serving
-        #: it would not be bit-identical, so the matcher skips it
+        #: set by :meth:`invalidate`. Serving a stale full view would not
+        #: be bit-identical, so the matcher skips it until a recompute;
+        #: a stale incremental view rebuilds at its next catch-up
         self.stale = False
-        #: deferred incremental views re-fold lazily when this is set
-        #: (a delete or truncate invalidated the append-only cursors)
-        self._dirty = False
 
         # -- counters (cumulative; surfaced via registry.stats()) -----------
         self.maintain_count = 0
@@ -198,126 +189,95 @@ class MaterializedView:
     def incremental(self) -> bool:
         return self.mode == "incremental"
 
-    @property
-    def base_table_name(self) -> Optional[str]:
-        """The single base table of an incremental view."""
-        return self._entry.name if self._entry is not None else None
-
     # -- incremental maintenance ---------------------------------------------
 
-    def fold_new_rows(self) -> int:
-        """Fold each partition's unconsumed suffix into the per-slot
-        states — the O(delta) path. Returns the number of pre-filter
-        rows folded. Must not be called on a full view."""
+    def invalidate(self) -> None:
+        """The stored state no longer follows from the base tables (a
+        delete or truncate, maintenance that raised part-way, a deferred
+        full view's base changed)."""
+        with self._lock:
+            self.stale = True
+
+    def catch_up(self, chunks) -> int:
+        """Bring an incremental view current: fold each partition's
+        unconsumed suffix into its slot's states — the O(delta) path —
+        and return the number of pre-filter rows folded. A stale view
+        (or one whose partition shrank under its cursor) forgets its
+        states first, which makes the same loop the rebuild from
+        scratch: tracked as a refresh, returning 0. ``chunks`` is the
+        chunk class of the database's current ``execution_mode``:
+        maintenance runs the kernel queries run."""
         assert self.incremental
         storage = self._entry.storage
-        folded = 0
         with self._lock:
+            rebuild = self.stale
+            if rebuild:
+                self._slot_states = [None] * self.slots
+                self._consumed = [0] * self.slots
+            folded = 0
             for slot in range(self.slots):
                 count = storage.partition_row_count(slot)
                 start = self._consumed[slot]
                 if start > count:
                     # the partition shrank under us: cursors are invalid
-                    self._refold_locked()
-                    return 0
+                    self.stale = True
+                    return self.catch_up(chunks)
                 if start == count:
                     continue
                 folded += count - start
-                self._fold_slot(slot, storage.partition_suffix(slot, start))
+                self._fold_slot(slot, storage.partition_suffix(slot, start), chunks)
                 self._consumed[slot] = count
+            if rebuild:
+                self.stale = False
+                self.refresh_count += 1
+                return 0
             if folded:
                 self.maintain_count += 1
                 self.delta_rows += folded
-        return folded
+            return folded
 
-    def _fold_slot(self, slot: int, rows) -> None:
-        """Fold rows (in partition order) into one slot's states —
-        byte-for-byte the loop PartialAggregate runs on that slot."""
+    def _fold_slot(self, slot: int, rows, chunks) -> None:
+        """Advance one slot's states over ``rows`` (in partition order):
+        the engine's Filter → PartialAggregate on that slot, each state
+        carried on from where the previous fold left it. Maintenance
+        charges no simulated time, so the cost is discarded."""
+        cost = EvalCost()
+        chunk = chunks.from_rows(self._column_ids, rows)
+        if self.predicate is not None:
+            chunk = chunk.select(self.predicate, cost)
+        if not len(chunk):
+            return
         states = self._slot_states[slot]
-        for row in rows:
-            view = RowView(row, self._scan_index)
-            if self.predicate is not None and not self.predicate.evaluate(view):
-                continue
-            if states is None:
-                states = [spec.aggregate.create() for spec in self.specs]
-                self._slot_states[slot] = states
-            for i, spec in enumerate(self.specs):
-                value = spec.arg.evaluate(view) if spec.arg is not None else 1
-                states[i] = spec.aggregate.add(states[i], value)
-
-    def refold(self) -> None:
-        """Rebuild the incremental state from scratch (REFRESH, deletes,
-        restore onto a different cluster shape). Tracked as a refresh."""
-        assert self.incremental
-        with self._lock:
-            self._refold_locked()
-
-    def _refold_locked(self) -> None:
-        self._slot_states = [None] * self.slots
-        self._consumed = [0] * self.slots
-        storage = self._entry.storage
-        for slot in range(self.slots):
-            rows = storage.partition_rows(slot)
-            self._fold_slot(slot, rows)
-            self._consumed[slot] = len(rows)
-        self._dirty = False
-        self.refresh_count += 1
-
-    def mark_dirty(self) -> None:
-        """Deferred mode: a non-append change invalidated the cursors;
-        the next read re-folds."""
-        with self._lock:
-            self._dirty = True
-
-    def catch_up(self) -> int:
-        """Bring an incremental view current (deferred mode folds here,
-        at read time, instead of at write time). Returns rows folded."""
-        with self._lock:
-            if self._dirty:
-                self._refold_locked()
-                return 0
-            return self.fold_new_rows()
+        every_row = [range(len(chunk))]  # no keys: one group
+        self._slot_states[slot] = [
+            chunk.partial_aggregate(
+                spec, every_row, cost, None if states is None else [states[i]]
+            )[0]
+            for i, spec in enumerate(self.specs)
+        ]
 
     # -- answering -----------------------------------------------------------
 
-    def finished_values(self) -> List[object]:
-        """One finished value per aggregate spec, computed exactly like
-        FinalAggregate: merge the contributing slots' states in ascending
-        slot order, then ``finish`` (or ``finish(create())`` when no slot
-        contributed — SQL's one-row-on-empty-input rule)."""
-        assert self.incremental
-        with self._lock:
-            # cheap no-op when current; folds pending deltas when
-            # running deferred (and re-folds when dirty)
-            self.catch_up()
-            merged: Optional[List[object]] = None
-            for states in self._slot_states:
-                if states is None:
-                    continue
-                if merged is None:
-                    merged = [_copy_state(state) for state in states]
-                else:
-                    for i, spec in enumerate(self.specs):
-                        merged[i] = spec.aggregate.merge(merged[i], states[i])
-            if merged is None:
-                return [
-                    spec.aggregate.finish(spec.aggregate.create())
-                    for spec in self.specs
-                ]
-            return [
-                spec.aggregate.finish(state)
-                for spec, state in zip(self.specs, merged)
-            ]
-
-    def answer_rows(self, spec_indices: Optional[List[int]]) -> List[tuple]:
+    def answer_rows(self, spec_indices: Optional[List[int]], chunks) -> List[tuple]:
         """The rows a ViewScan of this view emits (single partition).
-        ``spec_indices`` selects/permutes the incremental view's
-        aggregates; None emits a full view's stored rows verbatim."""
+        None emits a full view's stored rows verbatim; ``spec_indices``
+        selects/permutes the finished values of an incremental view's
+        aggregates: the engine's FinalAggregate over the contributing
+        slots' states in ascending slot order — the order a gather
+        delivers them in."""
         with self._lock:
             self.hits += 1
             if spec_indices is None:
                 return list(self.rows)
-            finished = self.finished_values()
+            # cheap no-op when current; folds pending deltas when
+            # running deferred (and rebuilds when stale)
+            self.catch_up(chunks)
+            state_rows = [
+                tuple(states) for states in self._slot_states if states is not None
+            ]
+            (finished,) = final_aggregate(
+                self.specs, 0, state_rows, EvalCost(), scalar_on_empty=True
+            )
             return [tuple(finished[i] for i in spec_indices)]
 
     # -- full-view state ------------------------------------------------------
@@ -333,7 +293,7 @@ class MaterializedView:
     def fresh(self) -> bool:
         """Whether the optimizer may answer from this view. Incremental
         views self-catch-up at read time and are always servable; a full
-        view is servable until a deferred base change marks it stale."""
+        view is servable until it is invalidated."""
         return self.incremental or not self.stale
 
     def estimated_rows(self) -> float:

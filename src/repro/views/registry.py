@@ -20,9 +20,10 @@ Refresh-mode semantics (``ClusterConfig.view_refresh_mode``):
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict
 
-from ..errors import CatalogError, CompileError
+from ..engine.executor import CHUNK_CLASSES
+from ..errors import CatalogError, CompileError, ReproError
 from .definition import MaterializedView
 
 
@@ -44,10 +45,24 @@ class ViewRegistry:
     def refresh_mode(self) -> str:
         return self._db.config.view_refresh_mode
 
+    @property
+    def _chunks(self):
+        """The chunk class of the database's current ``execution_mode``:
+        maintenance folds with the kernel its queries run."""
+        return CHUNK_CLASSES[self._db.execution_mode]
+
     # -- lifecycle -----------------------------------------------------------
 
-    def create(self, name: str, query, column_names=None) -> MaterializedView:
-        """Bind, classify, register, and initially populate a view."""
+    def create(
+        self, name: str, query, column_names=None, restored=None
+    ) -> MaterializedView:
+        """Bind, classify, register, and initially populate a view.
+        ``restored`` is the ``(rows, stale)`` a snapshot saved for it: a
+        full view gets both back verbatim instead of recomputing (a
+        stale deferred view must stay stale). An incremental view folds
+        the partitions either way (they are restored verbatim, so the
+        per-slot fold reproduces bit for bit); one whose fold raises is
+        refused when new and comes back stale from a snapshot."""
         from ..plan.binder import Binder
 
         db = self._db
@@ -69,55 +84,22 @@ class ViewRegistry:
         db.catalog.create_materialized_view(view)
         try:
             if view.incremental:
-                view.fold_new_rows()
-                # the initial build is neither a refresh nor maintenance
-                view.refresh_count = 0
-                view.maintain_count = 0
-                view.delta_rows = 0
+                try:
+                    view.catch_up(self._chunks)
+                except ReproError:
+                    if restored is None:
+                        raise
+                    view.invalidate()
+            elif restored is None:
+                self._recompute(view)
             else:
-                self._recompute(view)
-                view.refresh_count = 0
-        except Exception:
-            db.catalog.drop_materialized_view(name)
-            raise
-        return view
-
-    def restore(
-        self,
-        name: str,
-        query,
-        column_names=None,
-        rows=None,
-        stale: bool = False,
-    ) -> MaterializedView:
-        """Recreate a view from a snapshot payload. An incremental view
-        re-folds from the restored partitions (bit-identical — the
-        partitions land verbatim, so per-slot fold order reproduces); a
-        full view gets its saved ``rows`` (and staleness) back verbatim
-        instead of recomputing — a stale deferred view must stay stale."""
-        from ..plan.binder import Binder
-
-        db = self._db
-        plan = Binder(db.catalog).bind_select(query)
-        view = MaterializedView(
-            name, query, column_names, plan, db.config.slots
-        )
-        db.catalog.create_materialized_view(view)
-        try:
-            if view.incremental:
-                view.fold_new_rows()
-                view.refresh_count = 0
-                view.maintain_count = 0
-                view.delta_rows = 0
-            elif rows is not None:
+                rows, view.stale = restored
                 view.rows = [tuple(row) for row in rows]
-                view.stale = stale
-            else:  # defensive: a payload without rows recomputes
-                self._recompute(view)
-                view.refresh_count = 0
         except Exception:
             db.catalog.drop_materialized_view(name)
             raise
+        # the initial build is neither a refresh nor maintenance
+        view.refresh_count = view.maintain_count = view.delta_rows = 0
         return view
 
     def drop(self, name: str, if_exists: bool = False) -> None:
@@ -131,50 +113,50 @@ class ViewRegistry:
         if view is None:
             raise CatalogError(f"no materialized view named {name!r}")
         if view.incremental:
-            view.refold()
+            view.invalidate()
+            view.catch_up(self._chunks)
         else:
             self._recompute(view)
         return view
 
     # -- base-table change hooks ----------------------------------------------
 
-    def on_table_appended(self, table: str) -> None:
-        """Rows were appended to ``table`` (INSERT/CTAS/load): the
-        O(delta) path for incremental views."""
-        self._on_change(table, append_only=True)
-
-    def on_table_changed(self, table: str) -> None:
-        """``table`` changed non-incrementally (DELETE/truncate)."""
-        self._on_change(table, append_only=False)
-
-    def _on_change(self, table: str, append_only: bool) -> None:
+    def on_table_changed(self, table: str, append_only: bool) -> None:
+        """``table`` changed: rows were appended (INSERT/CTAS/load — the
+        O(delta) path for incremental views), or it changed
+        non-incrementally (DELETE/truncate)."""
         with self._lock:
             if self._refreshing:
                 return
             summary = {"maintained": 0, "delta_rows": 0, "refreshes": 0}
             key = table.lower()
-            eager = self.refresh_mode == "eager"
             for view in self._db.catalog.materialized_views():
                 if key not in view.base_tables:
                     continue
-                if view.incremental:
-                    if append_only:
-                        if eager:
-                            summary["delta_rows"] += view.fold_new_rows()
-                            summary["maintained"] += 1
-                        # deferred: the read-side catch_up folds later
+                rebuild = not (view.incremental and append_only)
+                if rebuild:
+                    view.invalidate()
+                if self.refresh_mode != "eager":
+                    # deferred: an incremental view catches up at its
+                    # next read, a full view waits for a REFRESH
+                    continue
+                try:
+                    if view.incremental:
+                        folded = view.catch_up(self._chunks)
                     else:
-                        if eager:
-                            view.refold()
-                            summary["refreshes"] += 1
-                        else:
-                            view.mark_dirty()
-                else:
-                    if eager:
                         self._recompute(view)
-                        summary["refreshes"] += 1
-                    else:
-                        view.stale = True
+                except ReproError:
+                    # the write stands, and is logged, as with no view:
+                    # the error belongs to the read that uses the view,
+                    # which rebuilds it (or, it being a full view,
+                    # rescans) and raises what a rescan of this data raises
+                    view.invalidate()
+                    continue
+                if rebuild:
+                    summary["refreshes"] += 1
+                else:
+                    summary["delta_rows"] += folded
+                    summary["maintained"] += 1
             self.last_maintenance = summary
             self._db.catalog.bump_version()
 

@@ -41,7 +41,6 @@ from repro.plan.expressions import (
     LiteralExpr,
     NegExpr,
 )
-from repro.service import QueryService, ServiceConfig
 from repro.storage import MemorySegment, StorageEngine
 from repro.types import DOUBLE, INTEGER, Matrix, MatrixType, Vector, VectorType
 
@@ -987,11 +986,6 @@ class TestExecutionModeKnob:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ExecutionError):
             Database(TEST_CLUSTER, execution_mode="columnar-ish")
-
-    def test_service_config_forces_mode(self):
-        db = Database(TEST_CLUSTER)
-        QueryService(db, ServiceConfig(execution_mode="row"))
-        assert db.execution_mode == "row"
 
     def test_mode_survives_ddl_and_queries(self):
         db = Database(TEST_CLUSTER, execution_mode="row")
