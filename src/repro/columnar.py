@@ -323,10 +323,3 @@ def truth(column: ColumnData) -> np.ndarray:
 
 def full_mask(mask: Optional[np.ndarray], n: int) -> np.ndarray:
     return np.ones(n, dtype=np.bool_) if mask is None else mask
-
-
-def mask_indices(mask: Optional[np.ndarray], n: int):
-    """Iteration order of a per-row fallback loop under a mask."""
-    if mask is None:
-        return range(n)
-    return np.flatnonzero(mask)

@@ -50,9 +50,6 @@ class SciDB(Comparator):
         """Write an operator result and account for the next read."""
         time.add(label, 2.0 * nbytes / RATES.disk)
 
-    def _redistribute(self, time: SimTime, label: str, nbytes: float) -> None:
-        time.add(label, nbytes / RATES.network)
-
     # -- simulation --------------------------------------------------------------
 
     def simulate_gram(self, n: int, d: int) -> SimTime:

@@ -445,15 +445,15 @@ class Database:
         with self._admission.shared():
             logical = self._plan_select(statement, params)
             physical = PhysicalPlanner(self.cost_model).plan(logical)
-        cost_model = self.cost_model if verbose else None
+        estimates = self.cost_model.planning_pass() if verbose else None
         text = (
             "== logical ==\n"
-            + logical.pretty(cost_model=cost_model)
+            + logical.pretty(cost_model=estimates)
             + "\n== physical ==\n"
             + physical.pretty()
         )
         if verbose:
-            text += f"\n== estimated cost ==\n{self.cost_model.plan_cost(logical):.2f}s"
+            text += f"\n== estimated cost ==\n{estimates.plan_cost(logical):.2f}s"
         return text
 
     def explain_analyze(
@@ -521,8 +521,8 @@ class Database:
             self.create_table(statement.name, statement.columns)
             return Result([], [])
         if isinstance(statement, ast.CreateTableAs):
-            result = self._run_select(statement.query, params)
             logical = self._plan_select(statement.query, params)
+            result = self._execute_physical(logical, self._plan_physical(logical))
             columns = [
                 (column.name, column.data_type) for column in logical.columns
             ]

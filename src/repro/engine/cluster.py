@@ -417,10 +417,3 @@ class Cluster:
                     f"{used / 1e9:.2f} GB but slots have "
                     f"{limit / 1e9:.2f} GB"
                 )
-
-    def placement_slot(self, key_hash: int, index_hint: int = 0) -> int:
-        """Map a hash value to a slot; with balanced placement the hint
-        (a running counter) is used instead, giving round-robin layout."""
-        if self.config.balanced_placement:
-            return index_hint % self.config.slots
-        return key_hash % self.config.slots

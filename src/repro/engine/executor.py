@@ -46,7 +46,6 @@ around the handlers.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -1184,18 +1183,15 @@ class Executor:
 
         def sort_chunk(chunk, slot, op):
             count = len(chunk)
-            order = list(range(count))
-            for expr, ascending in reversed(node.keys):
-                cost = EvalCost()
-                sort_keys = [_sort_key(value) for value in chunk.values(expr, cost)]
-                order.sort(key=sort_keys.__getitem__, reverse=not ascending)
-                op.charge_eval(slot, 0, cost)
+            order = _stable_order(
+                count, _charged_sort_keys(chunk, reversed(node.keys), slot, op)
+            )
             if node.limit is not None:
                 order = order[: node.limit]
             op.charge_cpu(slot, tuples=count * max(1.0, math.log2(count + 1)))
             # the full sort materializes an ordered copy of the whole
             # partition before any LIMIT truncation — O(n) state (the
-            # bounded-heap PTopK holds O(k); see _top_k)
+            # simulated PTopK holds O(k); see _top_k)
             op.note_peak(chunk.total_bytes())
             return chunk.take(order)
 
@@ -1208,6 +1204,12 @@ class Executor:
         )
 
     def _top_k(self, node: PTopK) -> DistributedRelation:
+        """The simulated cluster models a k-bounded heap — n·log2(k)
+        comparisons charged, the k survivors noted as peak state. The
+        interpreter selects those rows with the full sort's own stable
+        chain and keeps the first k, so Top-K ≡ full sort by
+        construction, ties at rank k (broken by input position)
+        included."""
         name = f"TopK({'final' if node.final else 'local'})"
         if node.limit <= 0:
             # ``LIMIT 0``: emit nothing — and never execute the child
@@ -1220,21 +1222,13 @@ class Executor:
             ]
             return DistributedRelation(column_ids, parts, node.partitioning)
         child = self.execute(node.child)
-        ascending = [asc for _, asc in node.keys]
 
         def topk_chunk(chunk, slot, op):
-            key_columns = []
-            for expr, _asc in node.keys:
-                cost = EvalCost()
-                key_columns.append(
-                    [_sort_key(value) for value in chunk.values(expr, cost)]
-                )
-                op.charge_eval(slot, 0, cost)
-            out = chunk.take(
-                _top_k_indices(key_columns, ascending, len(chunk), node.limit)
-            )
+            # keys are evaluated (and charged) in ORDER BY sequence
+            sort_keys = _charged_sort_keys(chunk, node.keys, slot, op)
+            order = _stable_order(len(chunk), reversed(sort_keys))
+            out = chunk.take(order[: node.limit])
             op.charge_cpu(slot, tuples=_top_k_comparisons(len(chunk), node.limit))
-            # only the heap's k survivors are ever held, not the partition
             op.note_peak(out.total_bytes())
             return out
 
@@ -1248,58 +1242,32 @@ def _sort_key(value):
         return (0, 0)
     if type(value) is Vector:
         # vectors carry no __lt__; order them lexicographically by
-        # element so ORDER BY over a vector column is well-defined (and
-        # identical for the full sort and the Top-K heap)
+        # element so ORDER BY over a vector column is well-defined
         return (1, (0, tuple(value.data.tolist())))
     return (1, value)
 
 
-class _HeapWorst:
-    """heapq wrapper with *inverted* comparison, so ``heap[0]`` is the
-    worst (greatest, in final output order) of the selected rows.
-
-    True order is the composite sort order of the full sort: keys in
-    ORDER BY sequence, each with its own direction, ties broken by
-    input position ascending — which is exactly what the chain of
-    stable sorts in ``_sort_limit`` computes. Matching it key-for-key
-    (including the tiebreak) is what makes Top-K bit-identical to the
-    full sort, ties at rank k included.
-    """
-
-    __slots__ = ("keys", "index", "ascending")
-
-    def __init__(self, keys, index, ascending):
-        self.keys = keys
-        self.index = index
-        self.ascending = ascending
-
-    def _truly_less(self, other: "_HeapWorst") -> bool:
-        for mine, theirs, asc in zip(self.keys, other.keys, self.ascending):
-            if mine == theirs:
-                continue
-            return mine < theirs if asc else theirs < mine
-        return self.index < other.index
-
-    def __lt__(self, other: "_HeapWorst") -> bool:
-        # inverted: heapq's min-heap then surfaces the truly-greatest
-        return other._truly_less(self)
+def _charged_sort_keys(chunk, keys, slot, op) -> List[Tuple[list, bool]]:
+    """One ``(sortable values, ascending)`` per ORDER BY key, evaluated —
+    and its evaluation charged to ``slot`` — in the sequence given."""
+    out = []
+    for expr, ascending in keys:
+        cost = EvalCost()
+        values = [_sort_key(value) for value in chunk.values(expr, cost)]
+        out.append((values, ascending))
+        op.charge_eval(slot, 0, cost)
+    return out
 
 
-def _top_k_indices(key_columns, ascending, count, k):
-    """Input positions of the k first rows under the composite sort
-    order, returned in that order. Bounded state: the heap never holds
-    more than k entries, so selection is O(n log k) time and O(k)
-    space regardless of the partition size."""
-    heap: List[_HeapWorst] = []
-    for i in range(count):
-        item = _HeapWorst(tuple(col[i] for col in key_columns), i, ascending)
-        if len(heap) < k:
-            heapq.heappush(heap, item)
-        elif heap[0] < item:
-            # the new row truly precedes the current worst survivor
-            heapq.heapreplace(heap, item)
-    # ascending wrapper order is descending true order; reverse it
-    return [item.index for item in sorted(heap)][::-1]
+def _stable_order(count: int, keys_last_first) -> List[int]:
+    """Row positions under the composite ORDER BY: one stable sort per
+    key, last key first, so earlier keys dominate and full ties keep
+    input order. The one ordering body of ORDER BY, with or without a
+    LIMIT."""
+    order = list(range(count))
+    for sort_keys, ascending in keys_last_first:
+        order.sort(key=sort_keys.__getitem__, reverse=not ascending)
+    return order
 
 
 def _top_k_comparisons(count: int, limit: int) -> float:

@@ -1,12 +1,21 @@
 """Size-aware cost estimation (paper section 4).
 
-The estimator walks a logical plan bottom-up producing an
-:class:`Estimate` per node: row count, per-column distinct counts, and the
-row width in bytes. Widths come from the *types* — and since templated
-signatures give the optimizer the exact dimensions of every vector/matrix
-intermediate, an 80 MB ``MATRIX[100000][100]`` attribute is costed as
-80 MB, which is precisely what lets the optimizer find the
-``(pi(S x R)) |x| T`` plan in the paper's section 4.1 example.
+An :class:`Estimate` is one plan node's output: row count, per-column
+distinct counts, and the row width in bytes. Widths come from the *types*
+— and since templated signatures give the optimizer the exact dimensions
+of every vector/matrix intermediate, an 80 MB ``MATRIX[100000][100]``
+attribute is costed as 80 MB, which is precisely what lets the optimizer
+find the ``(pi(S x R)) |x| T`` plan in the paper's section 4.1 example.
+
+How an operator's estimate follows from its inputs' estimates is written
+**once**, as the ``*_rule`` methods of :class:`CostModel` (scan, view
+scan, filter, project, join, group, distinct, limit). Two thin
+dispatchers apply them: :class:`PlanEstimates` walks *logical* plans
+(optimizer, physical planner, ``EXPLAIN``), one planning pass at a time;
+:meth:`CostModel.physical_estimate` walks *physical* plans (``EXPLAIN
+ANALYZE``, admission) and adds only what a logical plan cannot express —
+a per-slot phase before each shuffle, exchanges, movement charged to the
+exchange instead of the join.
 
 Costs are expressed in estimated *seconds* on the configured cluster so
 that data movement (bytes / bandwidth) and compute (FLOPs / rate) share a
@@ -20,8 +29,9 @@ type information would behave.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..catalog.statistics import (
     FeedbackStatistics,
@@ -57,21 +67,11 @@ DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_NEQ_SELECTIVITY = 0.9
 
 
-def _filter_scope(child_node) -> str:
-    """The table name qualifying a filter's feedback fingerprint when it
-    sits directly above a scan (logical ``ScanNode`` or physical
-    ``PScan``), else the empty scope. Duck-typed so the same helper
-    serves both plan layers."""
-    if type(child_node).__name__ in ("ScanNode", "PScan"):
-        table = getattr(child_node, "table", None)
-        if table is not None:
-            return str(table.name).lower()
-    return ""
-
-
-@dataclass
+@dataclass(frozen=True)
 class Estimate:
-    """Estimated properties of one plan node's output."""
+    """Estimated properties of one plan node's output. Immutable: a
+    parent's rule reads its inputs' estimates, and pass-through operators
+    hand the same object on."""
 
     rows: float
     width_bytes: float
@@ -80,6 +80,18 @@ class Estimate:
     @property
     def total_bytes(self) -> float:
         return self.rows * self.width_bytes
+
+
+def _clamped(distinct: Dict[int, float], rows: float) -> Dict[int, float]:
+    """A column cannot have more distinct values than its operator emits
+    rows."""
+    return {key: min(value, rows) for key, value in distinct.items()}
+
+
+#: The operators physical planning leaves as they are, as this layer's
+#: ``(scan, view scan, filter, project)`` classes (physical.py has the
+#: other layer's; see :meth:`CostModel._unsplit_rule`).
+LOGICAL_UNSPLIT = (ScanNode, ViewScanNode, FilterNode, ProjectNode)
 
 
 class CostModel:
@@ -112,17 +124,13 @@ class CostModel:
             return None
         return self.feedback.scan_rows(table_name)
 
-    def _feedback_selectivity(self, predicate, child_node) -> Optional[float]:
+    def _feedback_selectivity(self, predicate, scope: str) -> Optional[float]:
         """Observed selectivity of a whole filter predicate, if one was
-        learned; ``child_node`` (logical or physical) scopes the
-        fingerprint to the scanned table when the filter sits directly
-        above a scan."""
+        learned; ``scope`` is the scanned table's name when the filter
+        sits directly above a scan, else empty."""
         if self.feedback is None:
             return None
-        scope = _filter_scope(child_node)
-        return self.feedback.selectivity(
-            predicate_fingerprint(predicate, scope)
-        )
+        return self.feedback.selectivity(predicate_fingerprint(predicate, scope))
 
     def _feedback_join_selectivity(self, equi_pairs, residual) -> Optional[float]:
         if self.feedback is None:
@@ -138,147 +146,144 @@ class CostModel:
             return 8.0
         return data_type.size_bytes()
 
-    def row_width(self, node: LogicalNode) -> float:
+    def row_width(self, node) -> float:
+        """Bytes per output row of a logical or physical node."""
         overhead = 16.0
         return overhead + sum(
             self.type_width(column.data_type) for column in node.columns
         )
 
-    # -- cardinality ------------------------------------------------------------
+    # -- the rule set ------------------------------------------------------------
+    #
+    # How one operator's output estimate follows from its inputs'
+    # estimates and its own parameters. Each rule is written once and
+    # applied by both walkers: PlanEstimates over logical nodes,
+    # physical_estimate over physical ones.
 
-    def estimate(self, node: LogicalNode) -> Estimate:
-        if isinstance(node, ScanNode):
-            return self._estimate_scan(node)
-        if isinstance(node, ViewScanNode):
-            return Estimate(
-                max(node.view.estimated_rows(), 1.0), self.row_width(node)
-            )
-        if isinstance(node, FilterNode):
-            child = self.estimate(node.child)
-            selectivity = self._feedback_selectivity(node.predicate, node.child)
-            if selectivity is None:
-                selectivity = self.selectivity(node.predicate, child)
-            return Estimate(
-                max(child.rows * selectivity, 1.0),
-                self.row_width(node),
-                {
-                    key: min(value, max(child.rows * selectivity, 1.0))
-                    for key, value in child.distinct.items()
-                },
-            )
-        if isinstance(node, ProjectNode):
-            child = self.estimate(node.child)
-            distinct = {}
-            for expr, column in zip(node.exprs, node.columns):
-                if isinstance(expr, ColumnVar) and expr.column_id in child.distinct:
-                    distinct[column.column_id] = child.distinct[expr.column_id]
-            # pass-through ids keep their stats too (identity projections)
-            for key, value in child.distinct.items():
-                if any(
-                    isinstance(expr, ColumnVar) and expr.column_id == key
-                    for expr in node.exprs
-                ):
-                    distinct.setdefault(key, value)
-            return Estimate(child.rows, self.row_width(node), distinct)
-        if isinstance(node, JoinNode):
-            return self._estimate_join(node)
-        if isinstance(node, AggregateNode):
-            return self._estimate_aggregate(node)
-        if isinstance(node, DistinctNode):
-            child = self.estimate(node.child)
-            # the number of distinct rows is bounded by the product of
-            # the per-column distinct counts (and by the input rows);
-            # use the statistics when present instead of a flat guess
-            groups = 1.0
-            for column in node.columns:
-                groups *= self._column_distinct(column.column_id, child)
-            rows = max(min(groups, child.rows), 1.0)
-            return Estimate(
-                rows,
-                self.row_width(node),
-                {key: min(value, rows) for key, value in child.distinct.items()},
-            )
-        if isinstance(node, SortNode):
-            child = self.estimate(node.child)
-            rows = child.rows
-            if node.limit is not None:
-                rows = min(rows, float(node.limit))
-            # a LIMIT caps distinct values along with the rows
-            return Estimate(
-                rows,
-                child.width_bytes,
-                {key: min(value, rows) for key, value in child.distinct.items()},
-            )
-        raise TypeError(f"cannot estimate {type(node).__name__}")
-
-    def _estimate_scan(self, node: ScanNode) -> Estimate:
-        rows = self._feedback_scan_rows(node.table.name)
+    def scan_rule(self, table, columns, width: float) -> Estimate:
+        rows = self._feedback_scan_rows(table.name)
         if rows is None:
-            rows = float(node.table.stats.row_count)
-        rows = max(rows, 1.0)
+            rows = float(table.stats.row_count)
         distinct = {}
-        for column in node.columns:
-            stat = node.table.stats.distinct(column.name)
+        for column in columns:
+            stat = table.stats.distinct(column.name)
             if stat is not None:
                 distinct[column.column_id] = float(stat)
-        return Estimate(rows, self.row_width(node), distinct)
+        return Estimate(max(rows, 1.0), width, distinct)
 
-    def _estimate_join(self, node: JoinNode) -> Estimate:
-        left = self.estimate(node.left)
-        right = self.estimate(node.right)
-        observed = self._feedback_join_selectivity(node.equi, node.residual)
+    def view_scan_rule(self, view, width: float) -> Estimate:
+        return Estimate(max(view.estimated_rows(), 1.0), width)
+
+    def filter_rule(
+        self, child: Estimate, predicate: TypedExpr, scope: str, width: float
+    ) -> Estimate:
+        selectivity = self._feedback_selectivity(predicate, scope)
+        if selectivity is None:
+            selectivity = self.selectivity(predicate, child)
+        rows = max(child.rows * selectivity, 1.0)
+        return Estimate(rows, width, _clamped(child.distinct, rows))
+
+    def project_rule(self, child: Estimate, exprs, columns, width: float) -> Estimate:
+        """Row-for-row; an output that is a bare column reference keeps
+        that column's distinct count, under the *output* column's id —
+        the only id anything above the projection can name."""
+        distinct = {
+            column.column_id: child.distinct[expr.column_id]
+            for expr, column in zip(exprs, columns)
+            if isinstance(expr, ColumnVar) and expr.column_id in child.distinct
+        }
+        return Estimate(child.rows, width, distinct)
+
+    def join_rule(
+        self,
+        left: Estimate,
+        right: Estimate,
+        equi: Sequence[Tuple[TypedExpr, TypedExpr]],
+        residual: Optional[TypedExpr],
+        width: float,
+    ) -> Estimate:
+        """``equi`` pairs are ``(key over left, key over right)``."""
+        distinct = {**left.distinct, **right.distinct}
+        observed = self._feedback_join_selectivity(equi, residual)
         if observed is not None:
             # the learned selectivity covers equi keys *and* residual
-            combined = Estimate(
-                max(left.rows * right.rows * observed, 1.0), self.row_width(node)
-            )
-            combined.distinct = {**left.distinct, **right.distinct}
-            combined.distinct = {
-                key: min(value, combined.rows)
-                for key, value in combined.distinct.items()
-            }
-            return combined
-        rows = left.rows * right.rows
-        for left_key, right_key in node.equi:
-            left_distinct = self._expr_distinct(left_key, left)
-            right_distinct = self._expr_distinct(right_key, right)
-            rows /= max(left_distinct, right_distinct, 1.0)
-        combined = Estimate(max(rows, 1.0), self.row_width(node))
-        combined.distinct = {**left.distinct, **right.distinct}
-        if node.residual is not None:
-            combined.rows = max(
-                combined.rows * self.selectivity(node.residual, combined), 1.0
-            )
-        # a column cannot have more distinct values than the join emits
-        # rows (FilterNode clamps the same way)
-        combined.distinct = {
-            key: min(value, combined.rows)
-            for key, value in combined.distinct.items()
-        }
-        return combined
-
-    def _estimate_aggregate(self, node: AggregateNode) -> Estimate:
-        child = self.estimate(node.child)
-        if not node.group_exprs:
-            groups = 1.0
+            rows = max(left.rows * right.rows * observed, 1.0)
         else:
-            groups = 1.0
-            for expr in node.group_exprs:
-                groups *= self._expr_distinct(expr, child)
-            groups = min(groups, child.rows)
-        distinct = {}
-        for expr, column in zip(node.group_exprs, node.group_columns):
-            distinct[column.column_id] = min(self._expr_distinct(expr, child), groups)
-        return Estimate(max(groups, 1.0), self.row_width(node), distinct)
+            rows = left.rows * right.rows
+            for left_key, right_key in equi:
+                rows /= max(
+                    self._expr_distinct(left_key, left),
+                    self._expr_distinct(right_key, right),
+                    1.0,
+                )
+            rows = max(rows, 1.0)
+            if residual is not None:
+                joined = Estimate(rows, width, distinct)
+                rows = max(rows * self.selectivity(residual, joined), 1.0)
+        return Estimate(rows, width, _clamped(distinct, rows))
+
+    def _group_count(
+        self, child: Estimate, key_distinct: Sequence[float], per_slot: bool
+    ) -> float:
+        """Rows out of a grouping on keys with the given distinct counts:
+        one per combination of key values, never more than the input.
+        ``per_slot`` is the pre-shuffle phase the physical planner adds
+        (partial aggregate, local distinct), where every slot emits a row
+        for each group it saw."""
+        groups = 1.0
+        for count in key_distinct:
+            groups *= count
+        if per_slot:
+            groups *= self.config.slots
+        return max(min(child.rows, groups), 1.0)
+
+    def group_rule(
+        self,
+        child: Estimate,
+        key_distinct: Sequence[float],
+        group_columns,
+        width: float,
+        per_slot: bool = False,
+    ) -> Estimate:
+        """GROUP BY: ``key_distinct[i]`` is the distinct count of the
+        i-th key in the input (no keys: a scalar aggregate, one row)."""
+        rows = self._group_count(child, key_distinct, per_slot)
+        distinct = {
+            column.column_id: min(count, rows)
+            for column, count in zip(group_columns, key_distinct)
+        }
+        return Estimate(rows, width, distinct)
+
+    def distinct_rule(
+        self, child: Estimate, columns, width: float, per_slot: bool = False
+    ) -> Estimate:
+        """DISTINCT is a grouping on every column: bounded by the product
+        of the per-column distinct counts (and by the input rows)."""
+        key_distinct = [
+            self._column_distinct(column.column_id, child) for column in columns
+        ]
+        rows = self._group_count(child, key_distinct, per_slot)
+        return Estimate(rows, width, _clamped(child.distinct, rows))
+
+    def limit_rule(
+        self, child: Estimate, cap: Optional[float], floor: float
+    ) -> Estimate:
+        """ORDER BY / LIMIT: at most ``cap`` rows, which caps the distinct
+        counts along with them. The two walkers floor differently, on
+        purpose: a logical ``LIMIT 0`` is exactly 0 rows (``floor=0`` —
+        the planner knows the subtree is short-circuited, and EXPLAIN
+        prints ``~0 rows``), while a physical estimate is never below one
+        row (``floor=1``, as for every physical operator, so the q-error
+        EXPLAIN ANALYZE prints beside it is a defined ratio)."""
+        rows = child.rows if cap is None else min(child.rows, cap)
+        rows = max(rows, floor)
+        return Estimate(rows, child.width_bytes, _clamped(child.distinct, rows))
 
     def _expr_distinct(self, expr: TypedExpr, estimate: Estimate) -> float:
-        if isinstance(expr, ColumnVar):
-            known = estimate.distinct.get(expr.column_id)
-            if known is not None:
-                return known
-        return max(estimate.rows / 10.0, 1.0)
+        column_id = expr.column_id if isinstance(expr, ColumnVar) else None
+        return self._column_distinct(column_id, estimate)
 
-    def _column_distinct(self, column_id: int, estimate: Estimate) -> float:
+    def _column_distinct(self, column_id: Optional[int], estimate: Estimate) -> float:
         known = estimate.distinct.get(column_id)
         if known is not None:
             return known
@@ -366,6 +371,10 @@ class CostModel:
             + estimate.rows * config.tuple_cpu_s / config.slots
         )
 
+    def view_scan_cost(self, estimate: Estimate) -> float:
+        # stored state, no scan, no shuffle: just emitting the rows
+        return estimate.rows * self.config.tuple_cpu_s
+
     def filter_cost(self, input_est: Estimate, predicate: TypedExpr) -> float:
         return self._cpu_seconds(
             input_est.rows, predicate.total_flops(), predicate.total_bytes_touched()
@@ -404,15 +413,18 @@ class CostModel:
         emit = self._cpu_seconds(output.rows, 0.0, 8.0)
         return movement + build_probe + emit
 
+    @staticmethod
+    def _argument_work(aggregates) -> Tuple[float, float]:
+        """FLOPs and bytes touched per input row to evaluate the
+        aggregates' argument expressions."""
+        args = [spec.arg for spec in aggregates if spec.arg is not None]
+        return (
+            sum(arg.total_flops() for arg in args),
+            sum(arg.total_bytes_touched() for arg in args),
+        )
+
     def aggregate_cost(self, input_est: Estimate, node: AggregateNode, output: Estimate) -> float:
-        arg_flops = sum(
-            spec.arg.total_flops() for spec in node.aggregates if spec.arg is not None
-        )
-        arg_bytes = sum(
-            spec.arg.total_bytes_touched()
-            for spec in node.aggregates
-            if spec.arg is not None
-        )
+        arg_flops, arg_bytes = self._argument_work(node.aggregates)
         accumulate_bytes = sum(
             spec.aggregate.add_flops(spec.arg.data_type) * 8.0
             for spec in node.aggregates
@@ -426,52 +438,98 @@ class CostModel:
         spill = self._spill_seconds(output.total_bytes / self.config.slots)
         return consume + shuffle + spill
 
+    def sort_seconds(
+        self, input_est: Estimate, limit: Optional[int]
+    ) -> Tuple[float, float]:
+        """ORDER BY's two charges, ``(gather, ordering)``."""
+        # the pre-gather local sort/Top-K truncates to the limit, so
+        # the gather ships at most ``limit`` rows per slot
+        shipped_rows = input_est.rows
+        if limit is not None:
+            shipped_rows = min(shipped_rows, float(limit) * self.config.slots)
+        shipped_bytes = shipped_rows * input_est.width_bytes
+        return (
+            self._shuffle_seconds(shipped_bytes, shipped_rows),
+            self._cpu_seconds(self.sort_comparisons(input_est.rows, limit), 0.0, 8.0),
+        )
+
+    # -- logical plans ---------------------------------------------------------------
+
+    def planning_pass(self) -> "PlanEstimates":
+        """A fresh :class:`PlanEstimates` over this model: take one at the
+        top of anything that estimates more than one node of a plan."""
+        return PlanEstimates(self)
+
+    def estimate(self, node: LogicalNode) -> Estimate:
+        """Output estimate of one logical node (a one-call pass)."""
+        return self.planning_pass().estimate(node)
+
     def plan_cost(self, node: LogicalNode) -> float:
-        """Total estimated cost of a plan, in seconds."""
-        estimate = self.estimate(node)
-        if isinstance(node, ScanNode):
-            return self.scan_cost(estimate)
-        if isinstance(node, ViewScanNode):
-            # stored state, no scan, no shuffle: just emitting the rows
-            return estimate.rows * self.config.tuple_cpu_s
-        child_cost = sum(self.plan_cost(child) for child in node.children())
-        if isinstance(node, FilterNode):
-            child_est = self.estimate(node.child)
-            return child_cost + self.filter_cost(child_est, node.predicate)
-        if isinstance(node, ProjectNode):
-            child_est = self.estimate(node.child)
-            return child_cost + self.project_cost(child_est.rows, node.exprs)
+        """Total estimated cost of a plan, in seconds (a one-call pass)."""
+        return self.planning_pass().plan_cost(node)
+
+    def _unsplit_rule(
+        self, node, inputs: List[Estimate], kinds
+    ) -> Optional[Tuple[Estimate, float]]:
+        """Output estimate and own seconds of the four operators that
+        mean the same in a logical and a physical plan; ``kinds`` is the
+        walker's ``(scan, view scan, filter, project)`` classes. None for
+        any other node."""
+        scan, view_scan, filter_, project = kinds
+        if isinstance(node, scan):
+            est = self.scan_rule(node.table, node.columns, self.row_width(node))
+            return est, self.scan_cost(est)
+        if isinstance(node, view_scan):
+            est = self.view_scan_rule(node.view, self.row_width(node))
+            return est, self.view_scan_cost(est)
+        if isinstance(node, filter_):
+            (child,) = inputs
+            # a filter directly above a scan learns per table
+            above_scan = isinstance(node.child, scan)
+            scope = str(node.child.table.name).lower() if above_scan else ""
+            est = self.filter_rule(child, node.predicate, scope, self.row_width(node))
+            return est, self.filter_cost(child, node.predicate)
+        if isinstance(node, project):
+            (child,) = inputs
+            est = self.project_rule(
+                child, node.exprs, node.columns, self.row_width(node)
+            )
+            return est, self.project_cost(child.rows, node.exprs)
+        return None
+
+    def _logical_rule(
+        self, node: LogicalNode, inputs: List[Estimate], below: float
+    ) -> Tuple[Estimate, float]:
+        """One logical operator's output estimate from its inputs'
+        estimates, and the cost of the plan rooted at it: ``below`` (its
+        input subtrees' cost) plus its own seconds."""
+        unsplit = self._unsplit_rule(node, inputs, LOGICAL_UNSPLIT)
+        if unsplit is not None:
+            return unsplit[0], below + unsplit[1]
         if isinstance(node, JoinNode):
-            left = self.estimate(node.left)
-            right = self.estimate(node.right)
-            return child_cost + self.join_cost(left, right, estimate, node.is_cross)
+            left, right = inputs
+            est = self.join_rule(
+                left, right, node.equi, node.residual, self.row_width(node)
+            )
+            return est, below + self.join_cost(left, right, est, node.is_cross)
+        (child,) = inputs
         if isinstance(node, AggregateNode):
-            child_est = self.estimate(node.child)
-            return child_cost + self.aggregate_cost(child_est, node, estimate)
+            key_distinct = [
+                self._expr_distinct(expr, child) for expr in node.group_exprs
+            ]
+            est = self.group_rule(
+                child, key_distinct, node.group_columns, self.row_width(node)
+            )
+            return est, below + self.aggregate_cost(child, node, est)
         if isinstance(node, DistinctNode):
-            child_est = self.estimate(node.child)
-            return child_cost + self._shuffle_seconds(
-                child_est.total_bytes, child_est.rows
-            )
+            est = self.distinct_rule(child, node.columns, self.row_width(node))
+            return est, below + self._shuffle_seconds(child.total_bytes, child.rows)
         if isinstance(node, SortNode):
-            child_est = self.estimate(node.child)
-            # the pre-gather local sort/Top-K truncates to the limit, so
-            # the gather ships at most ``limit`` rows per slot
-            shipped_rows = child_est.rows
-            if node.limit is not None:
-                shipped_rows = min(
-                    shipped_rows, float(node.limit) * self.config.slots
-                )
-            shipped_bytes = shipped_rows * child_est.width_bytes
-            sort_seconds = self._cpu_seconds(
-                self.sort_comparisons(child_est.rows, node.limit), 0.0, 8.0
-            )
-            return (
-                child_cost
-                + self._shuffle_seconds(shipped_bytes, shipped_rows)
-                + sort_seconds
-            )
-        raise TypeError(f"cannot cost {type(node).__name__}")
+            cap = float(node.limit) if node.limit is not None else None
+            est = self.limit_rule(child, cap, floor=0.0)
+            gather, ordering = self.sort_seconds(child, node.limit)
+            return est, below + gather + ordering
+        raise TypeError(f"cannot estimate {type(node).__name__}")
 
     # -- ORDER BY ... LIMIT strategy ----------------------------------------------
 
@@ -481,9 +539,14 @@ class CostModel:
         n·log2(k) (see :meth:`use_top_k`)."""
         n = max(input_rows, 1.0)
         if limit is not None and self.use_top_k(limit, n):
-            bound = max(min(float(limit), n), 1.0)
-            return n * math.log2(bound + 1.0)
+            return self._top_k_comparisons(n, limit)
         return n * math.log2(max(n, 2.0))
+
+    @staticmethod
+    def _top_k_comparisons(n: float, limit: int) -> float:
+        """n rows streamed against a heap of at most ``limit`` entries."""
+        bound = max(min(float(limit), n), 1.0)
+        return n * math.log2(bound + 1.0)
 
     def use_top_k(self, limit: Optional[int], input_rows: float) -> bool:
         """Whether the bounded-heap Top-K beats the full sort for
@@ -495,233 +558,117 @@ class CostModel:
             return False
         return limit == 0 or float(limit) < input_rows
 
-    # -- physical-plan estimates (EXPLAIN ANALYZE) --------------------------------
+    # -- physical plans (EXPLAIN ANALYZE, admission) -----------------------------------
 
     def physical_estimate(
         self, node, memo: Optional[Dict[int, Tuple[Estimate, float]]] = None
     ) -> Tuple[Estimate, float]:
         """Per-operator output estimate and estimated seconds for one
         *physical* node — the numbers ``explain_analyze`` prints next to
-        the measured actuals. ``memo`` is keyed by ``id(node)`` so shared
-        subtrees are estimated once."""
-        # imported lazily: physical.py imports this module at top level
-        from .physical import (
-            PDistinct,
-            PExchange,
-            PFilter,
-            PFinalAggregate,
-            PHashJoin,
-            PNestedLoopJoin,
-            PPartialAggregate,
-            PProject,
-            PScan,
-            PSortLimit,
-            PTopK,
-            PViewScan,
-        )
-
+        the measured actuals. ``memo`` is the caller's, keyed by
+        ``id(node)`` of the plan it holds, so each node is estimated once
+        per call tree and nothing outlives it (a cached plan is
+        re-estimated per execution: statistics, feedback and a view's
+        row count move underneath it)."""
         if memo is None:
             memo = {}
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+        cached = memo.get(id(node))
+        if cached is None:
+            inputs = [
+                self.physical_estimate(child, memo)[0] for child in node.children()
+            ]
+            cached = memo[id(node)] = self._physical_rule(node, inputs)
+        return cached
 
-        if isinstance(node, PScan):
-            rows = self._feedback_scan_rows(node.table.name)
-            if rows is None:
-                rows = float(node.table.stats.row_count)
-            rows = max(rows, 1.0)
-            distinct = {}
-            for column in node.columns:
-                stat = node.table.stats.distinct(column.name)
-                if stat is not None:
-                    distinct[column.column_id] = float(stat)
-            est = Estimate(rows, self.row_width(node), distinct)
-            result = (est, self.scan_cost(est))
-        elif isinstance(node, PViewScan):
-            rows = max(node.view.estimated_rows(), 1.0)
-            est = Estimate(rows, self.row_width(node))
-            result = (est, rows * self.config.tuple_cpu_s)
-        elif isinstance(node, PFilter):
-            child, _ = self.physical_estimate(node.child, memo)
-            selectivity = self._feedback_selectivity(node.predicate, node.child)
-            if selectivity is None:
-                selectivity = self.selectivity(node.predicate, child)
-            rows = max(child.rows * selectivity, 1.0)
-            est = Estimate(
-                rows,
-                self.row_width(node),
-                {key_: min(value, rows) for key_, value in child.distinct.items()},
+    def _physical_rule(self, node, inputs: List[Estimate]) -> Tuple[Estimate, float]:
+        """One physical operator's output estimate and own seconds: the
+        same rules as :meth:`_logical_rule`. What differs is what only a
+        physical plan has, for one of three reasons noted at each — a
+        per-slot phase runs before the shuffle, an exchange only moves
+        rows, or movement is paid by the exchange below instead of by
+        the operator."""
+        # imported lazily: physical.py imports this module at top level
+        from . import physical as p
+
+        unsplit = self._unsplit_rule(node, inputs, p.PHYSICAL_UNSPLIT)
+        if unsplit is not None:
+            return unsplit
+        if isinstance(node, (p.PHashJoin, p.PNestedLoopJoin)):
+            probe, build = inputs
+            keys = (
+                list(zip(node.probe_keys, node.build_keys))
+                if isinstance(node, p.PHashJoin)
+                else []
             )
-            result = (est, self.filter_cost(child, node.predicate))
-        elif isinstance(node, PProject):
-            child, _ = self.physical_estimate(node.child, memo)
-            distinct = {}
-            for expr, column in zip(node.exprs, node.columns):
-                if isinstance(expr, ColumnVar) and expr.column_id in child.distinct:
-                    distinct[column.column_id] = child.distinct[expr.column_id]
-            est = Estimate(child.rows, self.row_width(node), distinct)
-            result = (est, self.project_cost(child.rows, node.exprs))
-        elif isinstance(node, PExchange):
-            child, _ = self.physical_estimate(node.child, memo)
-            est = Estimate(child.rows, child.width_bytes, dict(child.distinct))
+            if node.probe_is_left:
+                left, right, equi = probe, build, keys
+            else:
+                left, right, equi = build, probe, [(b, a) for a, b in keys]
+            est = self.join_rule(
+                left, right, equi, node.residual, self.row_width(node)
+            )
+            # movement is the exchanges'; see _join_cpu_seconds
+            return est, self._join_cpu_seconds(node, probe, build, est)
+        (child,) = inputs
+        if isinstance(node, p.PExchange):
+            # moves rows, changes none: the input's estimate passes through
             if node.kind == "broadcast":
-                seconds = self._broadcast_seconds(child.total_bytes, child.rows)
-            else:
-                seconds = self._shuffle_seconds(child.total_bytes, child.rows)
-                # reduce-side staging: a gather stages everything on one
-                # slot, a hash exchange 1/slots of it per slot
-                staged = (
-                    child.total_bytes
-                    if node.kind == "gather"
-                    else child.total_bytes / self.config.slots
-                )
-                seconds += self._spill_seconds(staged)
-            result = (est, seconds)
-        elif isinstance(node, (PHashJoin, PNestedLoopJoin)):
-            result = self._physical_estimate_join(node, memo)
-        elif isinstance(node, PPartialAggregate):
-            child, _ = self.physical_estimate(node.child, memo)
-            if not node.group_exprs:
-                # one partial accumulator row per slot
-                rows = min(child.rows, float(self.config.slots))
-            else:
-                groups = 1.0
-                for expr in node.group_exprs:
-                    groups *= self._expr_distinct(expr, child)
-                # each slot emits at most one row per group it saw
-                rows = min(child.rows, groups * self.config.slots)
-            distinct = {}
-            for expr, column in zip(node.group_exprs, node.group_columns):
-                distinct[column.column_id] = min(
-                    self._expr_distinct(expr, child), max(rows, 1.0)
-                )
-            est = Estimate(max(rows, 1.0), self.row_width(node), distinct)
-            arg_flops = sum(
-                spec.arg.total_flops()
-                for spec in node.aggregates
-                if spec.arg is not None
+                return child, self._broadcast_seconds(child.total_bytes, child.rows)
+            # reduce-side staging: a gather stages everything on one
+            # slot, a hash exchange 1/slots of it per slot
+            staged = (
+                child.total_bytes
+                if node.kind == "gather"
+                else child.total_bytes / self.config.slots
             )
-            arg_bytes = sum(
-                spec.arg.total_bytes_touched()
-                for spec in node.aggregates
-                if spec.arg is not None
-            )
-            result = (
-                est,
-                self._cpu_seconds(child.rows, arg_flops, arg_bytes + 8.0)
-                + self._spill_seconds(est.total_bytes / self.config.slots),
-            )
-        elif isinstance(node, PFinalAggregate):
-            child, _ = self.physical_estimate(node.child, memo)
-            if not node.group_columns:
-                groups = 1.0
-            else:
-                groups = 1.0
-                for column in node.group_columns:
-                    groups *= self._column_distinct(column.column_id, child)
-                groups = min(groups, child.rows)
-            rows = max(groups, 1.0)
-            distinct = {
-                column.column_id: min(
-                    self._column_distinct(column.column_id, child), rows
-                )
-                for column in node.group_columns
-            }
-            est = Estimate(rows, self.row_width(node), distinct)
-            result = (est, self._cpu_seconds(child.rows, 0.0, 8.0))
-        elif isinstance(node, PDistinct):
-            child, _ = self.physical_estimate(node.child, memo)
-            groups = 1.0
-            for column in node.columns:
-                groups *= self._column_distinct(column.column_id, child)
-            groups = min(groups, child.rows)
-            if node.local:
-                rows = min(child.rows, groups * self.config.slots)
-            else:
-                rows = groups
-            rows = max(rows, 1.0)
-            est = Estimate(
-                rows,
+            return child, self._shuffle_seconds(
+                child.total_bytes, child.rows
+            ) + self._spill_seconds(staged)
+        if isinstance(node, p.PPartialAggregate):
+            # the per-slot phase: it consumes the input; the shuffle is
+            # the exchange's and the merge the final phase's
+            key_distinct = [
+                self._expr_distinct(expr, child) for expr in node.group_exprs
+            ]
+            est = self.group_rule(
+                child,
+                key_distinct,
+                node.group_columns,
                 self.row_width(node),
-                {key_: min(value, rows) for key_, value in child.distinct.items()},
+                per_slot=True,
             )
-            result = (est, self._cpu_seconds(child.rows, 0.0, 8.0))
-        elif isinstance(node, PSortLimit):
-            child, _ = self.physical_estimate(node.child, memo)
-            rows = child.rows
-            if node.limit is not None:
-                cap = float(node.limit)
-                if not node.final:
-                    cap *= self.config.slots
-                rows = min(rows, cap)
-            rows = max(rows, 1.0)
-            est = Estimate(
-                rows,
-                child.width_bytes,
-                {key_: min(value, rows) for key_, value in child.distinct.items()},
+            arg_flops, arg_bytes = self._argument_work(node.aggregates)
+            return est, self._cpu_seconds(
+                child.rows, arg_flops, arg_bytes + 8.0
+            ) + self._spill_seconds(est.total_bytes / self.config.slots)
+        if isinstance(node, p.PFinalAggregate):
+            # merges partial rows: its keys are columns by now
+            key_distinct = [
+                self._column_distinct(column.column_id, child)
+                for column in node.group_columns
+            ]
+            est = self.group_rule(
+                child, key_distinct, node.group_columns, self.row_width(node)
             )
-            comparisons = child.rows * math.log2(max(child.rows, 2.0))
-            result = (est, self._cpu_seconds(comparisons, 0.0, 8.0))
-        elif isinstance(node, PTopK):
-            child, _ = self.physical_estimate(node.child, memo)
-            cap = float(node.limit)
-            if not node.final:
-                cap *= self.config.slots
-            rows = max(min(child.rows, cap), 1.0)
-            est = Estimate(
-                rows,
-                child.width_bytes,
-                {key_: min(value, rows) for key_, value in child.distinct.items()},
+            return est, self._cpu_seconds(child.rows, 0.0, 8.0)
+        if isinstance(node, p.PDistinct):
+            # local (per-slot) then final; the shuffle is the exchange's
+            est = self.distinct_rule(
+                child, node.columns, self.row_width(node), per_slot=node.local
             )
-            # bounded heap: n rows streamed against a k-entry heap
-            bound = max(min(float(node.limit), child.rows), 1.0)
-            comparisons = child.rows * math.log2(bound + 1.0)
-            result = (est, self._cpu_seconds(comparisons, 0.0, 8.0))
-        else:
-            raise TypeError(f"cannot estimate {type(node).__name__}")
-
-        memo[key] = result
-        return result
-
-    def _physical_estimate_join(self, node, memo) -> Tuple[Estimate, float]:
-        from .physical import PHashJoin
-
-        probe, _ = self.physical_estimate(node.probe, memo)
-        build, _ = self.physical_estimate(node.build, memo)
-        left, right = (probe, build) if node.probe_is_left else (build, probe)
-        equi_pairs = (
-            list(zip(node.probe_keys, node.build_keys))
-            if isinstance(node, PHashJoin)
-            else []
-        )
-        observed = self._feedback_join_selectivity(equi_pairs, node.residual)
-        if observed is not None:
-            rows = max(left.rows * right.rows * observed, 1.0)
-            combined = Estimate(rows, self.row_width(node))
-            combined.distinct = {
-                key: min(value, rows)
-                for key, value in {**left.distinct, **right.distinct}.items()
-            }
-            return combined, self._join_cpu_seconds(node, probe, build, combined)
-        rows = left.rows * right.rows
-        if isinstance(node, PHashJoin):
-            for probe_key, build_key in zip(node.probe_keys, node.build_keys):
-                probe_distinct = self._expr_distinct(probe_key, probe)
-                build_distinct = self._expr_distinct(build_key, build)
-                rows /= max(probe_distinct, build_distinct, 1.0)
-        combined = Estimate(max(rows, 1.0), self.row_width(node))
-        combined.distinct = {**left.distinct, **right.distinct}
-        if node.residual is not None:
-            combined.rows = max(
-                combined.rows * self.selectivity(node.residual, combined), 1.0
-            )
-        combined.distinct = {
-            key: min(value, combined.rows)
-            for key, value in combined.distinct.items()
-        }
-        return combined, self._join_cpu_seconds(node, probe, build, combined)
+            return est, self._cpu_seconds(child.rows, 0.0, 8.0)
+        if isinstance(node, (p.PSortLimit, p.PTopK)):
+            cap = float(node.limit) if node.limit is not None else None
+            if cap is not None and not node.final:
+                cap *= self.config.slots  # per-slot phase: each keeps its own k
+            est = self.limit_rule(child, cap, floor=1.0)
+            # the strategy was fixed at planning; the gather is the exchange's
+            if isinstance(node, p.PTopK):
+                comparisons = self._top_k_comparisons(child.rows, node.limit)
+            else:
+                comparisons = self.sort_comparisons(child.rows, None)
+            return est, self._cpu_seconds(comparisons, 0.0, 8.0)
+        raise TypeError(f"cannot estimate {type(node).__name__}")
 
     def _join_cpu_seconds(self, node, probe, build, combined) -> float:
         # movement was charged to the exchanges below; this node pays
@@ -765,3 +712,42 @@ class CostModel:
                 annotate(child_trace, child_plan)
 
         annotate(trace, node)
+
+
+class PlanEstimates:
+    """One planning pass over logical plans: every node's
+    ``(Estimate, cumulative plan cost)`` is computed once, by
+    :meth:`CostModel._logical_rule`, and remembered *weakly* — an entry
+    lives and dies with its node, so the thousands of candidate joins the
+    DP discards take their estimates with them, and the whole table goes
+    with the pass. Nothing here is shared between passes, threads or
+    statements: the statistics and feedback the rules read change from
+    one statement to the next."""
+
+    def __init__(self, model: CostModel):
+        self.model = model
+        #: node -> (Estimate, cost of the plan rooted at it)
+        self._memo = weakref.WeakKeyDictionary()
+
+    def planning_pass(self) -> "PlanEstimates":
+        """Itself — so code handed either a ``CostModel`` or a pass in
+        progress takes its pass the same way."""
+        return self
+
+    def estimate(self, node: LogicalNode) -> Estimate:
+        return self._evaluate(node)[0]
+
+    def plan_cost(self, node: LogicalNode) -> float:
+        """Total estimated cost of the plan rooted at ``node``, seconds."""
+        return self._evaluate(node)[1]
+
+    def _evaluate(self, node: LogicalNode) -> Tuple[Estimate, float]:
+        cached = self._memo.get(node)
+        if cached is None:
+            inputs = [self._evaluate(child) for child in node.children()]
+            cached = self._memo[node] = self.model._logical_rule(
+                node,
+                [estimate for estimate, _ in inputs],
+                sum(cost for _, cost in inputs),
+            )
+        return cached

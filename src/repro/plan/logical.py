@@ -51,26 +51,18 @@ class LogicalNode:
     def column_ids(self) -> frozenset:
         return frozenset(column.column_id for column in self.columns)
 
-    def column_by_id(self, column_id: int) -> OutputColumn:
-        for column in self.columns:
-            if column.column_id == column_id:
-                return column
-        raise KeyError(column_id)
-
-    def row_width_bytes(self) -> float:
-        overhead = 16.0
-        return overhead + sum(column.data_type.size_bytes() for column in self.columns)
-
     def describe(self) -> str:
         """One-line description for EXPLAIN output."""
         return type(self).__name__
 
     def pretty(self, indent: int = 0, cost_model=None) -> str:
-        """Indented plan tree; with a cost model, each line is annotated
-        with estimated rows and row width (the size-awareness of
-        section 4 made visible)."""
+        """Indented plan tree; with a cost model (or a planning pass in
+        progress), each line is annotated with estimated rows and row
+        width (the size-awareness of section 4 made visible)."""
         line = "  " * indent + self.describe()
         if cost_model is not None:
+            # one pass for the whole tree: each node is estimated once
+            cost_model = cost_model.planning_pass()
             estimate = cost_model.estimate(self)
             line += (
                 f"  [~{estimate.rows:,.0f} rows x "

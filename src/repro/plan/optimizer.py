@@ -19,6 +19,12 @@ region it
    are multiplied away into 8 KB results before anything is joined with T;
 4. prunes columns nothing downstream needs.
 
+Every cost comparison of one ``optimize()`` call — DP and greedy
+candidates, the view-replacement gate, limit pushdown — reads one
+planning pass (:class:`~repro.plan.cost.PlanEstimates`), which evaluates
+each plan node once: a candidate join costs its own operator plus its
+children's totals, never a re-walk of their subtrees.
+
 With a size-blind cost model (the ablation), every attribute looks 8
 bytes wide, early projection never looks beneficial, and the optimizer
 degenerates to a classical join-graph-following planner — reproducing the
@@ -31,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .cost import CostModel
+from .cost import CostModel, PlanEstimates
 from .expressions import (
     BinaryExpr,
     BoolExpr,
@@ -213,6 +219,7 @@ class Optimizer:
         self.cost = cost_model
         self.views = view_matcher  # repro.views.ViewMatcher or None
         self._ids = None  # set in optimize()
+        self._estimates = None  # one planning pass per optimize()
         #: per-optimize() counts of aggregate subtrees answered from a
         #: materialized view / considered but not answered
         self.view_hits = 0
@@ -220,6 +227,7 @@ class Optimizer:
 
     def optimize(self, plan: LogicalNode) -> LogicalNode:
         self._ids = itertools.count(_max_column_id(plan) + 1)
+        self._estimates = self.cost.planning_pass()
         self.view_hits = 0
         self.view_misses = 0
         optimized, _ = self._optimize(plan, None)
@@ -237,9 +245,9 @@ class Optimizer:
         if isinstance(node, AggregateNode):
             if self.views is not None:
                 replacement, considered = self.views.match_aggregate(node)
-                if replacement is not None and self.cost.plan_cost(
+                if replacement is not None and self._estimates.plan_cost(
                     replacement
-                ) < self.cost.plan_cost(node):
+                ) < self._estimates.plan_cost(node):
                     self.view_hits += 1
                     return replacement, {}
                 if considered:
@@ -306,7 +314,7 @@ class Optimizer:
         pushed = ProjectNode(
             SortNode(child.child, keys, node.limit), child.exprs, child.columns
         )
-        if self.cost.plan_cost(pushed) < self.cost.plan_cost(node):
+        if self._estimates.plan_cost(pushed) < self._estimates.plan_cost(node):
             return pushed
         return None
 
@@ -376,6 +384,7 @@ class Optimizer:
 
         context = _RegionContext(
             cost=self.cost,
+            estimates=self._estimates,
             relations=relations,
             conjuncts=conjunct_infos,
             pending=pending,
@@ -401,6 +410,7 @@ class Optimizer:
 @dataclass
 class _RegionContext:
     cost: CostModel
+    estimates: PlanEstimates
     relations: List[LogicalNode]
     conjuncts: List[_Conjunct]
     pending: List[_Pending]
@@ -425,7 +435,7 @@ class _RegionContext:
         if predicate is not None:
             plan = FilterNode(plan, predicate)
         plan, computed = self._shrink(plan, mask, frozenset())
-        return _Candidate(plan, computed, self.cost.plan_cost(plan))
+        return _Candidate(plan, computed, self.estimates.plan_cost(plan))
 
     def _combine(self, left: _Candidate, right: _Candidate, left_mask: int, right_mask: int) -> _Candidate:
         mask = left_mask | right_mask
@@ -452,7 +462,7 @@ class _RegionContext:
         )
         computed = left.computed | right.computed
         plan, computed = self._shrink(plan, mask, computed)
-        return _Candidate(plan, computed, self.cost.plan_cost(plan))
+        return _Candidate(plan, computed, self.estimates.plan_cost(plan))
 
     @staticmethod
     def _as_equi(

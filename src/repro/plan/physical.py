@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..catalog import TableEntry
 from ..engine.storage import BROADCAST, ROUND_ROBIN, SINGLE, Partitioning
-from .cost import CostModel
+from .cost import CostModel, PlanEstimates
 from .expressions import (
     BinaryExpr,
     BoolExpr,
@@ -337,13 +337,13 @@ class PSortLimit(PhysicalNode):
 
 
 class PTopK(PhysicalNode):
-    """Bounded-heap ``ORDER BY ... LIMIT k``: each slot keeps at most k
-    rows in a heap instead of materializing and sorting its whole
-    partition, so peak memory is O(k) and comparisons are O(n log k).
-    Emits exactly the rows (and order) the full sort would — ties at
-    rank k are broken by input position, matching Python's stable sort
-    (see ``Executor._top_k``). ``limit == 0`` short-circuits: the child
-    subtree is never executed."""
+    """Bounded-heap ``ORDER BY ... LIMIT k`` on the simulated cluster:
+    each slot keeps at most k rows in a heap instead of materializing and
+    sorting its whole partition, so it is charged O(n log k) comparisons
+    and notes O(k) peak memory. Emits exactly the rows (and order) the
+    full sort would — the interpreter selects them with the full sort's
+    own stable chain (see ``Executor._top_k``). ``limit == 0``
+    short-circuits: the child subtree is never executed."""
 
     def __init__(
         self,
@@ -365,6 +365,10 @@ class PTopK(PhysicalNode):
     def describe(self) -> str:
         return f"TopK({'final' if self.final else 'local'}) LIMIT {self.limit}"
 
+
+#: the physical layer's ``(scan, view scan, filter, project)`` — the
+#: operators lowered one-to-one, estimated by ``CostModel._unsplit_rule``
+PHYSICAL_UNSPLIT = (PScan, PViewScan, PFilter, PProject)
 
 #: literal types whose comparisons zone maps can reason about
 PRUNABLE_LITERALS = (bool, int, float, str)
@@ -437,60 +441,59 @@ class PhysicalPlanner:
         self.enable_top_k = enable_top_k
 
     def plan(self, node: LogicalNode) -> PhysicalNode:
+        return self._lower(node, self.cost.planning_pass())
+
+    def _lower(self, node: LogicalNode, estimates: PlanEstimates) -> PhysicalNode:
+        """``estimates`` is this plan's one pass: every sizing decision
+        below reads a logical node's estimate from it."""
         if isinstance(node, ScanNode):
             return PScan(node.table, node.columns)
         if isinstance(node, ViewScanNode):
             return PViewScan(node)
         if isinstance(node, FilterNode):
-            child = self.plan(node.child)
+            child = self._lower(node.child, estimates)
             if isinstance(child, PScan):
                 child.prune_predicates = extract_prune_predicates(
                     child, node.predicate
                 )
             return PFilter(child, node.predicate)
         if isinstance(node, ProjectNode):
-            return PProject(self.plan(node.child), node.exprs, node.columns)
+            child = self._lower(node.child, estimates)
+            return PProject(child, node.exprs, node.columns)
         if isinstance(node, JoinNode):
-            return self._plan_join(node)
+            return self._plan_join(node, estimates)
         if isinstance(node, AggregateNode):
-            return self._plan_aggregate(node)
+            return self._plan_aggregate(node, estimates)
         if isinstance(node, DistinctNode):
-            child = self.plan(node.child)
+            child = self._lower(node.child, estimates)
             local = PDistinct(child, local=True)
             keys = [column.var() for column in node.columns]
             shuffled = PExchange(local, "hash", keys)
             return PDistinct(shuffled, local=False)
         if isinstance(node, SortNode):
-            child = self.plan(node.child)
+            child = self._lower(node.child, estimates)
             top_k = (
                 self.enable_top_k
                 and node.limit is not None
                 and self.cost.use_top_k(
-                    node.limit, self.cost.estimate(node.child).rows
+                    node.limit, estimates.estimate(node.child).rows
                 )
             )
-            if top_k:
-                if child.partitioning.kind == "single":
-                    return PTopK(child, node.keys, node.limit, final=True)
-                local: PhysicalNode = PTopK(
-                    child, node.keys, node.limit, final=False
-                )
-                gathered = PExchange(local, "gather")
-                return PTopK(gathered, node.keys, node.limit, final=True)
-            if child.partitioning.kind == "single":
-                return PSortLimit(child, node.keys, node.limit, final=True)
-            local = PSortLimit(child, node.keys, node.limit, final=False)
-            gathered = PExchange(local, "gather")
-            return PSortLimit(gathered, node.keys, node.limit, final=True)
+            # both strategies run a per-slot pass, a gather, a final pass
+            operator = PTopK if top_k else PSortLimit
+            if child.partitioning.kind != "single":
+                local = operator(child, node.keys, node.limit, final=False)
+                child = PExchange(local, "gather")
+            return operator(child, node.keys, node.limit, final=True)
         raise TypeError(f"cannot lower {type(node).__name__}")
 
     # -- joins -----------------------------------------------------------------
 
-    def _plan_join(self, node: JoinNode) -> PhysicalNode:
-        left = self.plan(node.left)
-        right = self.plan(node.right)
-        left_est = self.cost.estimate(node.left)
-        right_est = self.cost.estimate(node.right)
+    def _plan_join(self, node: JoinNode, estimates: PlanEstimates) -> PhysicalNode:
+        left = self._lower(node.left, estimates)
+        right = self._lower(node.right, estimates)
+        left_est = estimates.estimate(node.left)
+        right_est = estimates.estimate(node.right)
 
         if node.is_cross:
             # broadcast the (estimated) smaller side
@@ -511,7 +514,7 @@ class PhysicalPlanner:
         # A repartition join is a reduce-side MR join: both unready sides
         # are shuffled and the output is materialized; a broadcast join is
         # map-side and pipelines its output. Compare bytes moved/written.
-        output_est = self.cost.estimate(node)
+        output_est = estimates.estimate(node)
         repartition_bytes = (
             (0.0 if left_ready else left_est.total_bytes)
             + (0.0 if right_ready else right_est.total_bytes)
@@ -549,8 +552,10 @@ class PhysicalPlanner:
 
     # -- aggregation ----------------------------------------------------------------
 
-    def _plan_aggregate(self, node: AggregateNode) -> PhysicalNode:
-        child = self.plan(node.child)
+    def _plan_aggregate(
+        self, node: AggregateNode, estimates: PlanEstimates
+    ) -> PhysicalNode:
+        child = self._lower(node.child, estimates)
         partial = PPartialAggregate(
             child, node.group_exprs, node.group_columns, node.aggregates
         )

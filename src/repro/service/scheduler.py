@@ -106,10 +106,6 @@ class SlotScheduler:
     def queue_depth(self) -> int:
         return len(self._waiting)
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._running) + len(self._waiting)
-
     def submit(
         self, tenant: str, service_seconds: float, arrival: Optional[float] = None
     ) -> Ticket:

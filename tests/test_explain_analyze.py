@@ -121,7 +121,7 @@ class TestModeEquivalence:
         assert _trace_digest(row_trace) == _trace_digest(batch_trace)
 
     @settings(
-        max_examples=15,
+        max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -129,8 +129,9 @@ class TestModeEquivalence:
         op=st.sampled_from(["=", "<>", "<", ">", "<=", ">="]),
         threshold=st.integers(-4, 40),
         grouped=st.booleans(),
+        limit=st.one_of(st.none(), st.integers(0, 50)),
     )
-    def test_random_queries_trace_identically(self, op, threshold, grouped):
+    def test_random_queries_trace_identically(self, op, threshold, grouped, limit):
         if grouped:
             sql = (
                 "SELECT ta.g, SUM(ta.x), COUNT(*) FROM ta "
@@ -138,12 +139,24 @@ class TestModeEquivalence:
             )
         else:
             sql = f"SELECT ta.k, ta.x FROM ta WHERE ta.x {op} {threshold}"
-        row_result = _db("row").execute(sql)
+        if limit is not None:
+            sql += f" ORDER BY {'g' if grouped else 'x'} LIMIT {limit}"
+        row_db = _db("row")
+        logical = row_db._plan_select(parse_statement(sql), None)
+        logical_rows = row_db.cost_model.estimate(logical).rows
+        row_result = row_db.execute(sql)
         batch_result = _db("batch").execute(sql)
         assert _trace_digest(row_result.metrics.trace) == _trace_digest(
             batch_result.metrics.trace
         )
         assert row_result.metrics.trace.rows_out == len(row_result.rows)
+        # one rule set: the logical and the physical walker agree on the
+        # root — except, on purpose, for LIMIT 0 (CostModel.limit_rule)
+        physical_rows = row_result.metrics.trace.est_rows
+        if limit == 0:
+            assert (logical_rows, physical_rows) == (0.0, 1.0)
+        else:
+            assert logical_rows == physical_rows
 
 
 class TestExplainAnalyze:
@@ -161,6 +174,18 @@ class TestExplainAnalyze:
         assert _db("row").explain_analyze(QUERIES[0]) == _db(
             "batch"
         ).explain_analyze(QUERIES[0])
+
+    def test_limit_zero_prints_both_estimates_it_always_did(self):
+        """Deliberate, see ``CostModel.limit_rule``: the logical plan
+        knows LIMIT 0 is exactly no rows; a physical operator's estimate
+        is floored at one row so its q-error is a defined ratio."""
+        db = _db()
+        sql = "SELECT k, x FROM ta ORDER BY x LIMIT 0"
+        logical = db.explain(sql, verbose=True).split("== physical ==")[0]
+        assert "LIMIT 0  [~0 rows x" in logical
+        top_k = db.explain_analyze(sql).splitlines()[2].split()
+        assert top_k[:3] == ["TopK(final)", "LIMIT", "0"]
+        assert (top_k[3], top_k[4]) == ("1", "0")  # est rows, act rows
 
     def test_select_only(self):
         with pytest.raises(CompileError):

@@ -1,10 +1,16 @@
 """Tests for the optimizer's scaling paths: the greedy fallback above the
-DP relation limit, deep view nesting, and wide join graphs."""
+DP relation limit, deep view nesting, wide join graphs, and the
+once-per-node, per-pass lifetime of the estimates it plans with."""
+
+import sys
+import threading
 
 import pytest
 
 from repro import Database, TEST_CLUSTER
+from repro.plan import CostModel, PhysicalPlanner, ScanNode
 from repro.plan.optimizer import DP_RELATION_LIMIT
+from repro.sql import parse_statement
 
 
 def chain_db(tables):
@@ -41,6 +47,81 @@ class TestGreedyFallback:
         # one more table pushes the region into the greedy path
         large = sorted(db.execute(chain_sql(at_limit + 1)).rows)
         assert [row[:2] for row in small] == [row[:2] for row in large]
+
+
+@pytest.fixture
+def scan_estimates(monkeypatch):
+    """Every evaluation of the scan rule on a logical plan, in order:
+    each one sizes its scan's row exactly once (``row_width``)."""
+    seen = []
+    row_width = CostModel.row_width
+
+    def counting(self, node):
+        if isinstance(node, ScanNode):
+            seen.append(node.table.name)
+        return row_width(self, node)
+
+    monkeypatch.setattr(CostModel, "row_width", counting)
+    return seen
+
+
+class TestEstimatedOncePerNode:
+    """A planning pass evaluates each plan node once, however many DP
+    candidates share it — counts, not seconds."""
+
+    TABLES = 6
+
+    def test_optimizer_and_physical_pass_are_linear_in_scans(self, scan_estimates):
+        db = chain_db(self.TABLES)
+        statement = parse_statement(chain_sql(self.TABLES))
+        logical = db._plan_select(statement, None)
+        assert sorted(scan_estimates) == [f"t{i}" for i in range(self.TABLES)]
+        PhysicalPlanner(db.cost_model).plan(logical)
+        assert len(scan_estimates) <= 2 * self.TABLES
+
+    def test_verbose_explain_is_linear_in_scans(self, scan_estimates):
+        db = chain_db(self.TABLES)
+        db.explain(chain_sql(self.TABLES), verbose=True)
+        # one pass each: optimizer, physical planner, the annotated tree
+        # together with its total cost
+        assert len(scan_estimates) <= 3 * self.TABLES
+
+
+class TestEstimatesLivePerPass:
+    def test_no_estimate_survives_its_pass(self):
+        db = chain_db(2)
+        sql = chain_sql(2)
+        assert "Scan t0 AS t0 (4 rows)  [~4 rows" in db.explain(sql, verbose=True)
+        db.load("t0", [(j, float(j)) for j in range(4, 12)])
+        assert "Scan t0 AS t0 (12 rows)  [~12 rows" in db.explain(sql, verbose=True)
+
+    def test_concurrent_planning_matches_serial(self):
+        db = chain_db(5)
+        statements = [chain_sql(4), chain_sql(5)] * 2  # more threads than cores
+        serial = [db.explain(sql, verbose=True) for sql in statements]
+        concurrent = [None] * len(statements)
+        start = threading.Barrier(len(statements))
+
+        def plan(index):
+            start.wait(timeout=30)
+            for _ in range(3):
+                concurrent[index] = db.explain(statements[index], verbose=True)
+
+        threads = [
+            threading.Thread(target=plan, args=(index,))
+            for index in range(len(statements))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert concurrent == serial
 
 
 class TestDeepNesting:
