@@ -1,7 +1,8 @@
 """Micro-benchmark for the two interpreter back ends (``repro-bench exec``).
 
-Runs the paper's Gram / regression / distance computations at mini scale
-through ``execution_mode="row"`` and ``"batch"`` and compares *real*
+Runs the paper's Gram / regression / distance computations, and a
+filtered GROUP BY and a Top-K over tuple tables, at mini scale through
+``execution_mode="row"`` and ``"batch"`` and compares *real*
 wall-clock time. The simulated :class:`QueryMetrics` and the result rows
 must be identical in both modes — the batch-columnar pipeline is a pure
 interpreter optimization (see ``docs/ENGINE.md``) — so the report also
@@ -28,19 +29,25 @@ from .workloads import Workload, generate
 EXEC_SCALES = {
     "gram (vector)": (4096, 8),
     "gram (tuple)": (384, 6),
+    "group filter (tuple)": (2048, 8),
+    "top-k (tuple)": (2048, 8),
     "regression (vector)": (3072, 8),
     "distance (vector)": (96, 8),
 }
 
-#: the --check gate on the batch-vs-row geomean: half of the 3.8x measured
-#: on the smoke shapes with tensor-block columns (a ratio taken on one
-#: host, so runner speed cancels; the object-array path measured 2.8x)
+#: the --check gate on the batch-vs-row geomean: half of the 3.9x measured
+#: on the six smoke shapes with tensor-block columns and typed key
+#: kernels (3.93 / 3.92 / 3.78 over three runs; a ratio taken on one
+#: host, so runner speed cancels — at smoke size fixed per-call costs
+#: hide most of the kernels' lead, which is 9.5x on the full shapes)
 MIN_GEOMEAN_SPEEDUP = 1.9
 
 #: reduced shapes for the CI smoke run (--check)
 EXEC_SCALES_SMOKE = {
     "gram (vector)": (512, 8),
     "gram (tuple)": (96, 6),
+    "group filter (tuple)": (256, 8),
+    "top-k (tuple)": (256, 8),
     "regression (vector)": (384, 8),
     "distance (vector)": (40, 8),
 }
@@ -92,70 +99,102 @@ class ExecReport:
         return self.all_match and self.geomean_speedup >= MIN_GEOMEAN_SPEEDUP
 
 
+def _gram_vector(n: int, d: int) -> ExecCase:
+    workload = generate(n, d, seed=7)
+    return ExecCase(
+        "gram (vector)",
+        lambda db: _load_vectors(db, workload),
+        ("SELECT SUM(outer_product(x.value, x.value)) FROM x_vm AS x",),
+    )
+
+
+def _gram_tuple(n: int, d: int) -> ExecCase:
+    workload = generate(n, d, seed=7)
+    return ExecCase(
+        "gram (tuple)",
+        lambda db: _load_tuples(db, workload),
+        (
+            """SELECT x1.col_index, x2.col_index, SUM(x1.value * x2.value)
+            FROM x AS x1, x AS x2
+            WHERE x1.row_index = x2.row_index
+            GROUP BY x1.col_index, x2.col_index""",
+        ),
+    )
+
+
+def _group_filter_tuple(n: int, d: int) -> ExecCase:
+    workload = generate(n, d, seed=10)
+    return ExecCase(
+        "group filter (tuple)",
+        lambda db: _load_tuples(db, workload),
+        (
+            f"""SELECT col_index, SUM(value), COUNT(value), MIN(value)
+            FROM x WHERE row_index < {n // 2} GROUP BY col_index""",
+        ),
+    )
+
+
+def _top_k_tuple(n: int, d: int) -> ExecCase:
+    workload = generate(n, d, seed=11)
+    return ExecCase(
+        "top-k (tuple)",
+        lambda db: _load_tuples(db, workload),
+        (
+            """SELECT row_index, col_index, value
+            FROM x ORDER BY value DESC, row_index LIMIT 10""",
+        ),
+    )
+
+
+def _regression_vector(n: int, d: int) -> ExecCase:
+    workload = generate(n, d, seed=8)
+    return ExecCase(
+        "regression (vector)",
+        lambda db: _load_regression(db, workload),
+        (
+            """SELECT matrix_vector_multiply(
+                   matrix_inverse(SUM(outer_product(x.value, x.value))),
+                   SUM(x.value * y.y_i))
+            FROM x_vm AS x, y_vm AS y
+            WHERE x.id = y.id""",
+        ),
+    )
+
+
+def _distance_vector(n: int, d: int) -> ExecCase:
+    workload = generate(n, d, seed=9)
+    return ExecCase(
+        "distance (vector)",
+        lambda db: _load_distance(db, workload),
+        (
+            """CREATE TABLE DISTANCESM AS
+            SELECT a.id AS id, MIN(inner_product(mxx.mx_data, a.value)) AS dist
+            FROM x_vm AS a, MX AS mxx
+            WHERE a.id <> mxx.id
+            GROUP BY a.id""",
+            """SELECT d.id
+            FROM DISTANCESM AS d,
+                 (SELECT MAX(dd.dist) AS g FROM DISTANCESM AS dd) AS gg
+            WHERE d.dist = gg.g""",
+        ),
+    )
+
+
+#: case name -> builder(n, d); the tuple cases beside the paper's three
+#: computations put the key kernels (GROUP BY, join, Top-K) on the clock
+_CASES = {
+    "gram (vector)": _gram_vector,
+    "gram (tuple)": _gram_tuple,
+    "group filter (tuple)": _group_filter_tuple,
+    "top-k (tuple)": _top_k_tuple,
+    "regression (vector)": _regression_vector,
+    "distance (vector)": _distance_vector,
+}
+
+
 def _cases(scales) -> List[ExecCase]:
-    cases: List[ExecCase] = []
-
-    n, d = scales["gram (vector)"]
-    gram_vec = generate(n, d, seed=7)
-    cases.append(
-        ExecCase(
-            "gram (vector)",
-            lambda db, w=gram_vec: _load_vectors(db, w),
-            ("SELECT SUM(outer_product(x.value, x.value)) FROM x_vm AS x",),
-        )
-    )
-
-    n, d = scales["gram (tuple)"]
-    gram_tup = generate(n, d, seed=7)
-    cases.append(
-        ExecCase(
-            "gram (tuple)",
-            lambda db, w=gram_tup: _load_tuples(db, w),
-            (
-                """SELECT x1.col_index, x2.col_index, SUM(x1.value * x2.value)
-                FROM x AS x1, x AS x2
-                WHERE x1.row_index = x2.row_index
-                GROUP BY x1.col_index, x2.col_index""",
-            ),
-        )
-    )
-
-    n, d = scales["regression (vector)"]
-    reg = generate(n, d, seed=8)
-    cases.append(
-        ExecCase(
-            "regression (vector)",
-            lambda db, w=reg: _load_regression(db, w),
-            (
-                """SELECT matrix_vector_multiply(
-                       matrix_inverse(SUM(outer_product(x.value, x.value))),
-                       SUM(x.value * y.y_i))
-                FROM x_vm AS x, y_vm AS y
-                WHERE x.id = y.id""",
-            ),
-        )
-    )
-
-    n, d = scales["distance (vector)"]
-    dist = generate(n, d, seed=9)
-    cases.append(
-        ExecCase(
-            "distance (vector)",
-            lambda db, w=dist: _load_distance(db, w),
-            (
-                """CREATE TABLE DISTANCESM AS
-                SELECT a.id AS id, MIN(inner_product(mxx.mx_data, a.value)) AS dist
-                FROM x_vm AS a, MX AS mxx
-                WHERE a.id <> mxx.id
-                GROUP BY a.id""",
-                """SELECT d.id
-                FROM DISTANCESM AS d,
-                     (SELECT MAX(dd.dist) AS g FROM DISTANCESM AS dd) AS gg
-                WHERE d.dist = gg.g""",
-            ),
-        )
-    )
-    return cases
+    """The cases ``scales`` (name -> ``(n, d)``) names, in table order."""
+    return [build(*scales[name]) for name, build in _CASES.items() if name in scales]
 
 
 def _load_vectors(db: Database, workload: Workload) -> None:

@@ -33,18 +33,14 @@ from .execbench import ExecCase, _cases
 FAULT_RATES = (0.02, 0.05, 0.10)
 
 #: the workloads under injection (the paper's three computations)
-FAULT_WORKLOADS = ("gram (vector)", "regression (vector)", "distance (vector)")
-
 FAULT_SCALES = {
     "gram (vector)": (1024, 8),
-    "gram (tuple)": (96, 6),  # unused here, _cases needs the key
     "regression (vector)": (768, 8),
     "distance (vector)": (64, 8),
 }
 
 FAULT_SCALES_SMOKE = {
     "gram (vector)": (256, 8),
-    "gram (tuple)": (48, 6),
     "regression (vector)": (192, 8),
     "distance (vector)": (32, 8),
 }
@@ -157,7 +153,7 @@ def run_fault_bench(
     smoke: bool = False,
 ) -> FaultReport:
     scales = FAULT_SCALES_SMOKE if smoke else FAULT_SCALES
-    cases = [c for c in _cases(scales) if c.name in FAULT_WORKLOADS]
+    cases = _cases(scales)
     results: List[FaultRunResult] = []
     for case in cases:
         baseline_digest, baseline_s, _, _, _, _ = _execute_case(

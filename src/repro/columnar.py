@@ -156,6 +156,14 @@ class ColumnData:
     def is_bool(self) -> bool:
         return self.data.dtype == np.bool_
 
+    def typed_array(self) -> Optional[np.ndarray]:
+        """The values as a 1-d ``int64``/``bool_``/``float64`` array when
+        this is a typed scalar column without NULLs — the form the key
+        kernels (``engine/keys.py``) sort and factorise — else None."""
+        if self.nulls is None and self.data.ndim == 1 and self.data.dtype != object:
+            return self.data
+        return None
+
     @property
     def cell_elements(self) -> int:
         """Scalar elements per row: the cell size of a tensor block, 1

@@ -8,54 +8,199 @@ two orders every bit-identity contract rests on. *Advance*: a state
 moves over its group's rows in row order, the canonical sequential chain
 ``((s + v0) + v1) + …`` (docs/ENGINE.md, "The float contract") — the
 ``add`` chain in :func:`fold_groups`, the same chain over tensor blocks
-in :func:`sum_blocks`. Both continue from an optional *carried* state per
-group, so folding a partition in one run or in consecutive runs performs
-the same additions in the same order. *Merge and finish*:
-:func:`final_aggregate`. PartialAggregate and FinalAggregate call these
-with no carried state; a materialized view calls them with its stored
-per-slot states, which makes view ≡ rescan hold by construction.
+in :func:`sum_blocks` and over a typed scalar column in
+:func:`fold_column`'s kernels, which work on a
+:class:`~repro.engine.keys.Grouping`'s integer codes. All continue from
+an optional *carried* state per group, so folding a partition in one run
+or in consecutive runs performs the same additions in the same order.
+*Merge and finish*: :func:`final_aggregate`. PartialAggregate and
+FinalAggregate call these with no carried state; a materialized view
+calls them with its stored per-slot states, which makes view ≡ rescan
+hold by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..columnar import wrap_cell
-from .cluster import value_bytes
+from .cluster import cell_bytes, value_bytes
+from .keys import HashedKeys, descending, index_list, one_nan
 
 
 def fold_groups(
     spec, values: Optional[list], group_indices, cost, carried=None
 ) -> list:
-    """Partial-aggregate one column over pre-bucketed groups with the
-    aggregate's own ``add`` chain, returning one state per group (in
-    group-first-seen order). ``values`` is the list ``RowChunk.values``
-    returned, or None for ``COUNT(*)``. ``carried`` holds the state each
-    group's chain starts from (None: a fresh one); a DISTINCT state is a
-    value set only :func:`final_aggregate` folds, and is never carried."""
+    """Partial-aggregate one column over pre-bucketed groups (each a
+    sequence of ascending row positions) with the aggregate's own ``add``
+    chain, returning one state per group. The row oracle's fold, and the
+    fallback for every column :func:`fold_column` has no kernel for.
+    ``values`` is the list ``RowChunk.values`` returned, or None for
+    ``COUNT(*)``. ``carried`` holds the state each group's chain starts
+    from (None: a fresh one); a DISTINCT state is a value set only
+    :func:`final_aggregate` folds, and is never carried."""
     states = []
-    if spec.distinct:
-        for indices in group_indices:
-            state = set()
-            for i in indices:
-                value = values[i] if values is not None else 1
-                if value is not None:
-                    state.add(value)
-                    cost.stream_bytes += value_bytes(value)
-            states.append(state)
-        return states
     aggregate = spec.aggregate
+    streamed = 0.0
     for group, indices in enumerate(group_indices):
-        state = aggregate.create() if carried is None else carried[group]
-        for i in indices:
-            value = values[i] if values is not None else 1
-            state = aggregate.add(state, value)
-            if value is not None:
-                cost.stream_bytes += value_bytes(value)
+        if values is None:
+            picked = [1] * len(indices)  # COUNT(*) counts a literal
+        else:
+            picked = [values[i] for i in index_list(indices)]
+        if spec.distinct:
+            # a value set, every NaN one value (docs/SQL.md)
+            state = set(one_nan(value for value in picked if value is not None))
+        else:
+            state = aggregate.create() if carried is None else carried[group]
+            for value in picked:
+                state = aggregate.add(state, value)
         states.append(state)
+        # sized in one pass after the chain (integral, so the total is
+        # the one the per-value additions reached)
+        streamed += sum(value_bytes(value) for value in picked if value is not None)
+    cost.stream_bytes += streamed
     return states
+
+
+def _live(column, grouping):
+    """The non-NULL values of ``column``, their rows' group codes, and
+    how many each group has."""
+    if column.nulls is None:
+        return column.data, grouping.codes, grouping.sizes()
+    keep = ~column.nulls
+    codes = grouping.codes[keep]
+    return column.data[keep], codes, grouping.sizes(codes)
+
+
+def _chain_sums(column, grouping, starts):
+    """Per group, the canonical chain ``((start + v0) + v1) + …`` over
+    the non-NULL values of a float64/int64 ``column`` (``start`` None: a
+    fresh chain, which begins at ``v0``) and how many there were — or
+    None when no array form performs that chain exactly.
+
+    float64: ``np.add.at`` into a buffer holding the starts, ``-0.0`` for
+    a fresh chain (``-0.0 + v`` is ``v`` for every ``v``). ``ufunc.at``
+    is unbuffered and applies the additions in index order, so each
+    group's slot goes through exactly its chain. The look-alikes do not:
+    ``np.bincount(weights=)`` starts from ``+0.0`` (a group of ``-0.0``
+    comes out ``+0.0``), and ``np.add.reduceat`` / a contiguous
+    ``np.add.reduce`` sum pairwise. int64: the same call, eligible only
+    while no chain can leave int64 (Python ints do not wrap)."""
+    if column is None or not column.is_numeric:
+        return None
+    values, codes, counts = _live(column, grouping)
+    kind = float if values.dtype == np.float64 else int
+    if any(start is not None and type(start) is not kind for start in starts):
+        return None
+    if kind is float:
+        buffer = np.array([-0.0 if start is None else start for start in starts])
+    else:
+        bound = max((abs(start) for start in starts if start is not None), default=0)
+        if len(values):
+            bound += len(values) * max(int(values.max()), -int(values.min()))
+        if bound >= 2**63:
+            return None
+        buffer = np.array(
+            [0 if start is None else start for start in starts], dtype=np.int64
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's + is
+        np.add.at(buffer, codes, values)
+    return buffer.tolist(), counts.tolist(), 8.0 * len(values)
+
+
+def _sum_kernel(aggregate, column, grouping, carried):
+    starts = [None] * len(grouping) if carried is None else carried
+    sums = _chain_sums(column, grouping, starts)
+    if sums is None:
+        return None
+    totals, counts, streamed = sums
+    return [
+        total if count else start
+        for total, count, start in zip(totals, counts, starts)
+    ], streamed
+
+
+def _avg_kernel(aggregate, column, grouping, carried):
+    """AVG's state is ``(chain total, count)``, None before any value."""
+    before = [None] * len(grouping) if carried is None else carried
+    sums = _chain_sums(
+        column, grouping, [None if state is None else state[0] for state in before]
+    )
+    if sums is None:
+        return None
+    totals, counts, streamed = sums
+    return [
+        (total, count + (state[1] if state else 0)) if count else state
+        for total, count, state in zip(totals, counts, before)
+    ], streamed
+
+
+def _count_kernel(aggregate, column, grouping, carried):
+    """COUNT: rows per group, minus the NULLs; ``COUNT(*)`` (no column)
+    counts a literal 1 per row."""
+    each, nulls = (8.0, None) if column is None else (cell_bytes(column), column.nulls)
+    if each is None:
+        return None
+    counts = grouping.sizes(None if nulls is None else grouping.codes[~nulls]).tolist()
+    streamed = each * sum(counts)
+    if carried is not None:
+        counts = [start + count for start, count in zip(carried, counts)]
+    return counts, streamed
+
+
+def _extreme_kernel(aggregate, column, grouping, carried):
+    """MIN/MAX: per group, the **first** row in row order attaining the
+    extreme — what the ``min(state, value)`` chain keeps on a ``±0.0``
+    tie (``np.minimum.at`` would keep the last) — by one stable
+    ``lexsort`` on (group code, value); a carried state then meets it
+    through the aggregate's own ``add``. A NaN makes the chain's result
+    order-dependent, so a column holding one takes the chain."""
+    if column is None or not column.is_numeric:
+        return None
+    values, codes, counts = _live(column, grouping)
+    if values.dtype == np.float64 and np.isnan(values).any():
+        return None
+    ranked = descending(values) if aggregate.name == "MAX" else values
+    order = np.lexsort((ranked, codes))
+    present = np.flatnonzero(counts)
+    picks = values[order[(np.cumsum(counts) - counts)[present]]]
+    states = [None] * len(grouping) if carried is None else list(carried)
+    for group, value in zip(present.tolist(), picks.tolist()):
+        states[group] = aggregate.add(states[group], value)
+    return states, 8.0 * len(values)
+
+
+#: aggregate name -> kernel(aggregate, column, grouping, carried) ->
+#: (states, streamed bytes), or None when the column's form or values
+#: are outside what the kernel computes bit-identically
+_KERNELS = {
+    "SUM": _sum_kernel,
+    "AVG": _avg_kernel,
+    "COUNT": _count_kernel,
+    "MIN": _extreme_kernel,
+    "MAX": _extreme_kernel,
+}
+
+
+def fold_column(spec, column, grouping, cost, carried=None) -> list:
+    """Partial-aggregate a ``ColumnData`` (None: ``COUNT(*)``) over a
+    :class:`~repro.engine.keys.Grouping`: one state per group, each
+    bit-identical to :func:`fold_groups`' chain over the same rows and
+    charged the same streamed bytes (``value_bytes`` per non-NULL value,
+    fixed by a typed column's form). A scalar SUM/AVG/COUNT/MIN/MAX over
+    a typed column is arithmetic on the group codes; every other
+    aggregate or column form is that chain itself."""
+    kernel = None if spec.distinct else _KERNELS.get(spec.aggregate.name)
+    if kernel is not None:
+        folded = kernel(spec.aggregate, column, grouping, carried)
+        if folded is not None:
+            states, streamed = folded
+            cost.stream_bytes += streamed
+            return states
+    values = None if column is None else column.pylist()
+    return fold_groups(spec, values, grouping.positions(), cost, carried)
 
 
 def sum_blocks(fold, blocks, nulls, group_indices, cost, carried=None) -> list:
@@ -73,7 +218,7 @@ def sum_blocks(fold, blocks, nulls, group_indices, cost, carried=None) -> list:
     states = []
     for group, indices in enumerate(group_indices):
         start = None if carried is None else carried[group]
-        if nulls is None and indices == range(count):
+        if nulls is None and len(indices) == count:
             operands = blocks  # the whole partition, already in row order
         else:
             rows = np.asarray(indices, dtype=np.int64)
@@ -94,31 +239,37 @@ def final_aggregate(
 ) -> List[tuple]:
     """FinalAggregate over ``rows`` of ``key + partial states``: merge
     the states of each key in arrival order, fold each DISTINCT value
-    set through the ``add`` chain, ``finish``. ``merge`` updates dict
-    states (VECTORIZE/ROWMATRIX/COLMATRIX) in place, so a key's first
-    such state is copied: the rows stay valid for a retried operator or
-    a view's next answer. ``scalar_on_empty`` with no rows yields SQL's
+    set through the ``add`` chain, ``finish``. Merging updates dict
+    states (VECTORIZE/ROWMATRIX/COLMATRIX) and value sets in place, so a
+    key's first such state is copied: the rows stay valid for a retried
+    operator or a view's next answer. Keys are bucketed by the shared
+    key loop and value sets re-read through ``one_nan`` (a set that
+    crossed a spill file holds NaN objects of its own), so every NaN is
+    one key and one value here too. ``scalar_on_empty`` with no rows yields SQL's
     one row over empty input, every aggregate finished from ``create()``."""
-    merged: Dict[tuple, list] = {}
-    for row in rows:
-        key = row[:key_count]
+    key_columns = list(zip(*[row[:key_count] for row in rows]))
+    grouping = HashedKeys(key_columns, len(rows)).grouping()
+    merged: List[Optional[list]] = [None] * len(grouping)
+    for row, group in zip(rows, grouping.codes.tolist()):
         states = row[key_count:]
-        existing = merged.get(key)
+        existing = merged[group]
         if existing is None:
-            merged[key] = [
-                dict(state) if isinstance(state, dict) else state
-                for state in states
+            merged[group] = [
+                set(one_nan(state)) if spec.distinct
+                else dict(state) if isinstance(state, dict)
+                else state
+                for spec, state in zip(specs, states)
             ]
         else:
             for i, spec in enumerate(specs):
                 if spec.distinct:
-                    existing[i] |= states[i]
+                    existing[i].update(one_nan(states[i]))
                 else:
                     existing[i] = spec.aggregate.merge(existing[i], states[i])
         for state in states:
             cost.stream_bytes += value_bytes(state) if state is not None else 1.0
     out_rows: List[tuple] = []
-    for key, states in merged.items():
+    for key, states in zip(grouping.keys, merged):
         finished = []
         for spec, state in zip(specs, states):
             if spec.distinct:

@@ -35,6 +35,9 @@ from ..types import LabeledScalar, Matrix, Vector
 from .metrics import OperatorMetrics, QueryMetrics
 
 
+_NAN = struct.pack("<d", float("nan"))
+
+
 def stable_hash(values) -> int:
     """A deterministic, platform-independent hash of a tuple of SQL
     values. Python's builtin ``hash`` is salted per process for strings,
@@ -55,7 +58,11 @@ def stable_hash(values) -> int:
             if value.is_integer() and -(2**63) <= value < 2**63:
                 hasher.update(b"\x02" + struct.pack("<q", int(value)))
             else:
-                hasher.update(b"\x03" + struct.pack("<d", value))
+                # every NaN is one key (docs/SQL.md): sign and payload
+                # bits must not spread NaN rows over slots
+                hasher.update(
+                    b"\x03" + (struct.pack("<d", value) if value == value else _NAN)
+                )
         elif isinstance(value, str):
             hasher.update(b"\x04" + value.encode("utf-8"))
         elif isinstance(value, LabeledScalar):
@@ -97,22 +104,29 @@ def row_bytes(row) -> float:
     return ROW_OVERHEAD_BYTES + sum(value_bytes(value) for value in row)
 
 
-def _column_value_bytes(column) -> np.ndarray:
-    """``value_bytes`` of every value in a ``ColumnData`` (constant per
-    row wherever the physical form fixes it)."""
-    n = len(column)
+def cell_bytes(column) -> Optional[float]:
+    """``value_bytes`` of every non-NULL value of a ``ColumnData`` whose
+    physical form fixes it; None for an object column."""
     if column.is_numeric:
-        sizes = np.full(n, 8.0)
-    elif column.is_bool:
-        sizes = np.full(n, 1.0)
-    elif column.is_block:
-        sizes = np.full(n, 8.0 * column.cell_elements + 8.0)
-    else:
+        return 8.0
+    if column.is_bool:
+        return 1.0
+    if column.is_block:
+        return 8.0 * column.cell_elements + 8.0
+    return None
+
+
+def _column_value_bytes(column) -> np.ndarray:
+    """``value_bytes`` of every value in a ``ColumnData``."""
+    n = len(column)
+    fixed = cell_bytes(column)
+    if fixed is None:
         return np.fromiter(
             (value_bytes(value) for value in column.pylist()),
             dtype=np.float64,
             count=n,
         )
+    sizes = np.full(n, fixed)
     if column.nulls is not None:
         sizes[column.nulls] = 1.0  # NULL serializes to one byte
     return sizes

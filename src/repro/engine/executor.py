@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from ..errors import (
 )
 from ..faults import FaultInjector
 from ..plan.expressions import EvalCost
-from ..types import Vector
 from ..plan.physical import (
     PDistinct,
     PExchange,
@@ -79,6 +78,7 @@ from ..plan.physical import (
 from ..storage.segment import segment_pruned
 from .aggregation import final_aggregate
 from .cluster import Cluster, row_bytes, stable_hash
+from .keys import one_nan, rows_by_code, stable_order
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
 from .storage import (
     BROADCAST,
@@ -728,14 +728,6 @@ class Executor:
         self.cluster.record(run)
         return self._wrap_output(column_ids, parts_out, was_broadcast, partitioning)
 
-    @staticmethod
-    def _key_tuples(chunk, key_exprs, cost: EvalCost) -> List[tuple]:
-        """Per-row key tuples (NULL keys included; joins skip them)."""
-        key_lists = [chunk.values(expr, cost) for expr in key_exprs]
-        if not key_lists:
-            return [()] * len(chunk)
-        return list(zip(*key_lists))
-
     # =======================================================================
     # operators
     #
@@ -891,13 +883,14 @@ class Executor:
             self.cluster.record(run)
             return DistributedRelation(column_ids, parts_out, SINGLE)
 
-        # hash repartition. Map tasks evaluate partition keys and charge
-        # the map side; the coordinator then buckets rows sequentially
-        # in (source slot, row) order — that order is what fixes both
-        # the per-target row order and the balanced first-seen key
-        # assignment — and reduce tasks concatenate and charge the
-        # receive side. Both phases share one task set so every slot's
-        # float-addition chain stays whole.
+        # hash repartition. Map tasks evaluate and bucket the partition
+        # keys and charge the map side; the coordinator then places each
+        # chunk's distinct keys sequentially in (source slot, first row)
+        # order — that order is what fixes the balanced first-seen key
+        # assignment — and routes rows by their key's target, ascending
+        # within a (source, target) pair; reduce tasks concatenate and
+        # charge the receive side. Both phases share one task set so
+        # every slot's float-addition chain stays whole.
         balanced_assignment: Dict[tuple, int] = {}
         scattered: List[list] = [[] for _ in range(self.slots)]
         tasks = self._partition_tasks(run, self.slots)
@@ -905,28 +898,31 @@ class Executor:
         def map_side(slot, op):
             chunk = source_parts[slot]
             cost = EvalCost()
-            keys = self._key_tuples(chunk, node.keys, cost)
+            grouping = chunk.keys(node.keys, cost).grouping()
             moved = chunk.total_bytes()
             op.charge_eval(slot, len(chunk), cost)
             op.charge_disk(slot, moved)  # map output spill
             op.charge_network(moved)
             op.rows_in += len(chunk)
-            return keys
+            return grouping
 
-        keyed = tasks.map(map_side, count=len(source_parts))
-        for slot, chunk in enumerate(source_parts):
-            buckets: List[List[int]] = [[] for _ in range(self.slots)]
-            for i, key in enumerate(keyed[slot]):
-                if config.balanced_placement:
-                    target = balanced_assignment.setdefault(
-                        key, len(balanced_assignment) % self.slots
+        grouped = tasks.map(map_side, count=len(source_parts))
+        for chunk, grouping in zip(source_parts, grouped):
+            if config.balanced_placement:
+                targets = [
+                    balanced_assignment.setdefault(
+                        one_nan(key), len(balanced_assignment) % self.slots
                     )
-                else:
-                    target = stable_hash(key) % self.slots
-                buckets[target].append(i)
-            for target, indices in enumerate(buckets):
-                if indices:
-                    scattered[target].append(chunk.take(indices))
+                    for key in grouping.keys
+                ]
+            else:
+                targets = [stable_hash(key) % self.slots for key in grouping.keys]
+            row_targets = np.array(targets, dtype=np.int64)[grouping.codes]
+            for received, indices in zip(
+                scattered, rows_by_code(row_targets, self.slots)
+            ):
+                if len(indices):
+                    received.append(chunk.take(indices))
 
         def reduce_side(slot, op):
             received = self._chunks.concat(column_ids, scattered[slot])
@@ -966,20 +962,17 @@ class Executor:
         column_ids = [column.column_id for column in node.columns]
 
         def build_table(slot):
-            """One build partition, its size, and its key -> row
-            positions hash table with the cost of evaluating the keys.
-            The build side is this join's in-memory state: above the
-            working-memory budget it round-trips through a spill file."""
+            """One build partition, its size, and its join keys — the
+            "hash table" (the keys index themselves on first probe) —
+            with the cost of evaluating them. The build side is this
+            join's in-memory state: above the working-memory budget it
+            round-trips through a spill file."""
             chunk = build_rel.partitions[slot]
             nbytes = chunk.total_bytes()
             if self._over_budget(nbytes):
                 chunk = self._spill_roundtrip(chunk)
             cost = EvalCost()
-            table: Dict[tuple, List[int]] = {}
-            for i, key in enumerate(self._key_tuples(chunk, node.build_keys, cost)):
-                if not any(value is None for value in key):
-                    table.setdefault(key, []).append(i)
-            return chunk, nbytes, cost, table
+            return chunk, nbytes, cost, chunk.keys(node.build_keys, cost)
 
         # a broadcast build side is one shared chunk hashed once, but it
         # is a full copy on every slot: each slot charges the key
@@ -991,26 +984,22 @@ class Executor:
         tasks = self._partition_tasks(run, self.slots)
 
         def build_slot(slot, op):
-            chunk, nbytes, cost, table = shared or build_table(slot)
+            chunk, nbytes, cost, keys = shared or build_table(slot)
             self._spill_state(op, slot, nbytes)
             op.charge_eval(slot, len(chunk), cost)
             op.rows_in += len(chunk)
-            return chunk, table
+            return chunk, keys
 
         built = tasks.map(build_slot)
 
         def probe_slot(slot, op):
             chunk = probe_parts[slot]
             cost = EvalCost()
-            build_chunk, table = built[slot]
-            probe_indices: List[int] = []
-            build_indices: List[int] = []
-            for i, key in enumerate(self._key_tuples(chunk, node.probe_keys, cost)):
-                if any(value is None for value in key):
-                    continue
-                for j in table.get(key, ()):
-                    probe_indices.append(i)
-                    build_indices.append(j)
+            build_chunk, build_keys = built[slot]
+            # NULL (and NaN) keys match nothing
+            probe_indices, build_indices = chunk.keys(node.probe_keys, cost).pairs(
+                build_keys
+            )
             joined = self._joined(
                 node, column_ids, chunk, build_chunk, probe_indices, build_indices, cost
             )
@@ -1077,34 +1066,19 @@ class Executor:
         def aggregate_slot(slot, op):
             chunk = parts_in[slot]
             cost = EvalCost()
-            keys = (
-                self._key_tuples(chunk, node.group_exprs, cost)
-                if node.group_exprs
-                else None
-            )
-            # bucket row positions by group key, then aggregate column
-            # by column (the chunk evaluates each aggregate's input in
-            # its native column form): every state sees its group's
+            # bucket the rows by group key (no keys: one group of every
+            # row), then aggregate column by column (the chunk evaluates
+            # each aggregate's input in its native column form): groups
+            # come out in first-seen order, every state sees its group's
             # values in row order, and the (integral) cost totals are
             # order-independent
-            groups: Dict[tuple, Sequence[int]] = {}
-            if keys is None:
-                if len(chunk):
-                    groups[()] = range(len(chunk))  # one group: every row
-            else:
-                for i, key in enumerate(keys):
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = bucket = []
-                    bucket.append(i)
-            group_indices = list(groups.values())
+            grouping = chunk.keys(node.group_exprs, cost).grouping()
             spec_states = [
-                chunk.partial_aggregate(spec, group_indices, cost)
-                for spec in specs
+                chunk.partial_aggregate(spec, grouping, cost) for spec in specs
             ]
             out_rows = [
-                tuple(key) + tuple(states[g] for states in spec_states)
-                for g, key in enumerate(groups)
+                key + tuple(states[g] for states in spec_states)
+                for g, key in enumerate(grouping.keys)
             ]
             # the group hash table is this operator's in-memory state;
             # above the budget the partition spills. The reload is
@@ -1159,16 +1133,11 @@ class Executor:
         child = self.execute(node.child)
 
         def distinct_chunk(chunk, slot, op):
-            seen = set()
-            keep: List[int] = []
-            for i, row in enumerate(chunk.rows()):
-                if row not in seen:
-                    seen.add(row)
-                    keep.append(i)
             op.charge_cpu(
                 slot, tuples=len(chunk), stream_bytes=chunk.total_bytes()
             )
-            return chunk.take(keep)
+            # each distinct row where it was first seen
+            return chunk.take(chunk.row_keys().grouping().first)
 
         return self._map_partitions(
             child,
@@ -1183,7 +1152,7 @@ class Executor:
 
         def sort_chunk(chunk, slot, op):
             count = len(chunk)
-            order = _stable_order(
+            order = stable_order(
                 count, _charged_sort_keys(chunk, reversed(node.keys), slot, op)
             )
             if node.limit is not None:
@@ -1226,7 +1195,7 @@ class Executor:
         def topk_chunk(chunk, slot, op):
             # keys are evaluated (and charged) in ORDER BY sequence
             sort_keys = _charged_sort_keys(chunk, node.keys, slot, op)
-            order = _stable_order(len(chunk), reversed(sort_keys))
+            order = stable_order(len(chunk), reversed(sort_keys))
             out = chunk.take(order[: node.limit])
             op.charge_cpu(slot, tuples=_top_k_comparisons(len(chunk), node.limit))
             op.note_peak(out.total_bytes())
@@ -1237,37 +1206,15 @@ class Executor:
         )
 
 
-def _sort_key(value):
-    if value is None:
-        return (0, 0)
-    if type(value) is Vector:
-        # vectors carry no __lt__; order them lexicographically by
-        # element so ORDER BY over a vector column is well-defined
-        return (1, (0, tuple(value.data.tolist())))
-    return (1, value)
-
-
-def _charged_sort_keys(chunk, keys, slot, op) -> List[Tuple[list, bool]]:
-    """One ``(sortable values, ascending)`` per ORDER BY key, evaluated —
-    and its evaluation charged to ``slot`` — in the sequence given."""
+def _charged_sort_keys(chunk, keys, slot, op) -> list:
+    """One ``(chunk keys, ascending)`` per ORDER BY key, evaluated — and
+    its evaluation charged to ``slot`` — in the sequence given."""
     out = []
     for expr, ascending in keys:
         cost = EvalCost()
-        values = [_sort_key(value) for value in chunk.values(expr, cost)]
-        out.append((values, ascending))
+        out.append((chunk.keys([expr], cost), ascending))
         op.charge_eval(slot, 0, cost)
     return out
-
-
-def _stable_order(count: int, keys_last_first) -> List[int]:
-    """Row positions under the composite ORDER BY: one stable sort per
-    key, last key first, so earlier keys dominate and full ties keep
-    input order. The one ordering body of ORDER BY, with or without a
-    LIMIT."""
-    order = list(range(count))
-    for sort_keys, ascending in keys_last_first:
-        order.sort(key=sort_keys.__getitem__, reverse=not ascending)
-    return order
 
 
 def _top_k_comparisons(count: int, limit: int) -> float:

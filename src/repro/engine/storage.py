@@ -15,15 +15,17 @@ one scans and ``from_rows`` produce:
   and summing tensor blocks with one order-preserving reduce.
 
 Both implement the same *chunk protocol* — ``len``, ``rows``,
-``total_bytes``, ``values``, ``select``, ``project``, ``take``,
-``join``, ``partial_aggregate`` and the constructors ``from_rows``,
-``from_segment`` and ``concat`` — and the executor's operator handlers
-are written against that protocol only. Everything that differs between
-the execution modes lives in this file; both modes produce identical
-result rows and identical simulated costs, and the batch kernels only
-change *real* wall-clock time (see ``docs/ENGINE.md``). How an aggregate
-state advances is not decided here: a chunk's ``partial_aggregate`` only
-picks which fold of :mod:`repro.engine.aggregation` fits its column form.
+``total_bytes``, ``values``, ``keys``, ``row_keys``, ``select``,
+``project``, ``take``, ``join``, ``partial_aggregate`` and the
+constructors ``from_rows``, ``from_segment`` and ``concat`` — and the
+executor's operator handlers are written against that protocol only.
+Everything that differs between the execution modes lives in this file;
+both modes produce identical result rows and identical simulated costs,
+and the batch kernels only change *real* wall-clock time (see
+``docs/ENGINE.md``). How keys are bucketed, matched and ordered and how
+an aggregate state advances is not decided here: ``keys`` only picks the
+key class of :mod:`repro.engine.keys`, and ``partial_aggregate`` the fold
+of :mod:`repro.engine.aggregation`, that fits the column form.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from ..la.aggregates import SumAggregate, sum_block
 from ..plan.expressions import FuncExpr
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
-from .aggregation import fold_groups, sum_blocks
+from .aggregation import fold_column, fold_groups, sum_blocks
 from .cluster import ROW_OVERHEAD_BYTES, columns_row_bytes, row_bytes, stable_hash
+from .keys import Grouping, HashedKeys, index_list, typed_keys
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,16 @@ class RowChunk:
             out.append(expr.evaluate(view, cost))
         return out
 
+    def keys(self, exprs, cost) -> HashedKeys:
+        """``exprs`` evaluated on every row as the key columns of a
+        GROUP BY, exchange, join side or ORDER BY key: the tuple/``dict``
+        loops, whatever the values."""
+        return HashedKeys([self.values(expr, cost) for expr in exprs], len(self))
+
+    def row_keys(self) -> HashedKeys:
+        """Every column as a key (DISTINCT)."""
+        return HashedKeys(list(zip(*self._rows)), len(self))
+
     def select(self, predicate, cost) -> "RowChunk":
         """The rows on which ``predicate`` is true (NULL is false)."""
         keep = [i for i, flag in enumerate(self.values(predicate, cost)) if flag]
@@ -160,17 +173,20 @@ class RowChunk:
             out.append(tuple(expr.evaluate(view, cost) for expr in exprs))
         return RowChunk(column_ids, out)
 
-    def partial_aggregate(self, spec, group_indices, cost, carried=None) -> list:
-        """One partial-aggregate state per group of row indices, over
-        ``spec.arg`` evaluated on this chunk (None: ``COUNT(*)``), each
-        continuing from its ``carried`` state when one is given."""
+    def partial_aggregate(self, spec, grouping, cost, carried=None) -> list:
+        """One partial-aggregate state per group of ``grouping`` (a
+        :class:`~repro.engine.keys.Grouping`, or plain per-group row
+        positions), over ``spec.arg`` evaluated on this chunk (None:
+        ``COUNT(*)``), each continuing from its ``carried`` state when
+        one is given."""
         values = None if spec.arg is None else self.values(spec.arg, cost)
-        return fold_groups(spec, values, group_indices, cost, carried)
+        groups = Grouping.of(grouping, len(self)).positions()
+        return fold_groups(spec, values, groups, cost, carried)
 
     # -- derivation ---------------------------------------------------------
 
     def take(self, indices) -> "RowChunk":
-        indices = _index_list(indices)
+        indices = index_list(indices)
         rows, sizes = self._rows, self._row_bytes
         return RowChunk(
             self.column_ids,
@@ -185,7 +201,7 @@ class RowChunk:
         """Row ``probe_indices[n]`` of this chunk beside row
         ``build_indices[n]`` of ``build``, for every ``n``."""
         probe_rows, build_rows = self._rows, build._rows
-        pairs = zip(_index_list(probe_indices), _index_list(build_indices))
+        pairs = zip(index_list(probe_indices), index_list(build_indices))
         if probe_is_left:
             return RowChunk(
                 column_ids, [probe_rows[i] + build_rows[j] for i, j in pairs]
@@ -205,12 +221,6 @@ class RowChunk:
             for chunk in chunks:
                 sizes.extend(chunk._row_bytes)
         return cls(column_ids, rows, sizes)
-
-
-def _index_list(indices) -> Sequence[int]:
-    """Row positions as Python ints (list indexing by numpy scalars is
-    slow)."""
-    return indices.tolist() if isinstance(indices, np.ndarray) else indices
 
 
 class Batch:
@@ -303,6 +313,17 @@ class Batch:
         is also what this chunk's ``partial_aggregate`` folds."""
         return expr.evaluate_batch(self, cost)
 
+    def keys(self, exprs, cost):
+        """``exprs`` evaluated on every row as the key columns of a
+        GROUP BY, exchange, join side or ORDER BY key: sorted and
+        factorised as arrays when every column is typed without NULLs,
+        the ``RowChunk`` loops over their Python values otherwise."""
+        return typed_keys([self.values(expr, cost) for expr in exprs], self.length)
+
+    def row_keys(self):
+        """Every column as a key (DISTINCT)."""
+        return typed_keys(self.columns, self.length)
+
     def select(self, predicate, cost) -> "Batch":
         """The rows on which ``predicate`` is true (NULL is false)."""
         return self.filter(truth(predicate.evaluate_batch(self, cost)))
@@ -311,31 +332,37 @@ class Batch:
         columns = [expr.evaluate_batch(self, cost) for expr in exprs]
         return Batch(column_ids, columns, self.length)
 
-    def partial_aggregate(self, spec, group_indices, cost, carried=None) -> list:
-        """One partial-aggregate state per group of row indices, over
-        ``spec.arg`` evaluated on this batch (None: ``COUNT(*)``), each
-        continuing from its ``carried`` state when one is given. SUM
-        over a tensor block is one ``sum_block`` per group, and SUM over
-        a builtin with a fused ``block_sum`` (``outer_product``) folds
-        the argument blocks without materializing the result cells."""
+    def partial_aggregate(self, spec, grouping, cost, carried=None) -> list:
+        """One partial-aggregate state per group of ``grouping`` (a
+        :class:`~repro.engine.keys.Grouping`, or plain per-group row
+        positions), over ``spec.arg`` evaluated on this batch (None:
+        ``COUNT(*)``), each continuing from its ``carried`` state when
+        one is given. SUM over a tensor block is one ``sum_block`` per
+        group, SUM over a builtin with a fused ``block_sum``
+        (``outer_product``) folds the argument blocks without
+        materializing the result cells, and every other column goes to
+        ``fold_column``: arithmetic on the group codes where the column
+        is typed, the ``add`` chain where it is not."""
+        grouping = Grouping.of(grouping, self.length)
         expr = spec.arg
         if expr is None:
-            return fold_groups(spec, None, group_indices, cost, carried)
+            return fold_column(spec, None, grouping, cost, carried)
         summing = not spec.distinct and isinstance(spec.aggregate, SumAggregate)
         if summing and isinstance(expr, FuncExpr) and expr.builtin.block_sum:
             column, blocks, nulls = expr.block_call(self, cost)
             if column is None:
                 return sum_blocks(
-                    expr.builtin.block_sum, blocks, nulls, group_indices, cost,
-                    carried,
+                    expr.builtin.block_sum, blocks, nulls, grouping.positions(),
+                    cost, carried,
                 )
         else:
             column = self.values(expr, cost)
         if summing and column.is_block:
             return sum_blocks(
-                sum_block, [column.data], column.nulls, group_indices, cost, carried
+                sum_block, [column.data], column.nulls, grouping.positions(),
+                cost, carried,
             )
-        return fold_groups(spec, column.pylist(), group_indices, cost, carried)
+        return fold_column(spec, column, grouping, cost, carried)
 
     # -- derivation ---------------------------------------------------------
 

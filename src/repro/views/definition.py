@@ -248,7 +248,7 @@ class MaterializedView:
         if not len(chunk):
             return
         states = self._slot_states[slot]
-        every_row = [range(len(chunk))]  # no keys: one group
+        every_row = chunk.keys((), cost).grouping()  # no keys: one group
         self._slot_states[slot] = [
             chunk.partial_aggregate(
                 spec, every_row, cost, None if states is None else [states[i]]

@@ -28,10 +28,12 @@ from repro.catalog import Schema
 from repro.columnar import ColumnData, truth
 from repro.engine import stable_hash
 from repro.engine.cluster import row_bytes
+from repro.engine.keys import stable_order
 from repro.engine import Cluster, Executor
 from repro.engine.storage import Batch, PartitionedTable, RowChunk
 from repro.errors import ExecutionError, ReproError
 from repro.la import lookup, lookup_aggregate
+from repro.plan.physical import PExchange
 from repro.plan.expressions import (
     BinaryExpr,
     ColumnVar,
@@ -41,8 +43,17 @@ from repro.plan.expressions import (
     LiteralExpr,
     NegExpr,
 )
+from repro.sql import parse_statement
 from repro.storage import MemorySegment, StorageEngine
-from repro.types import DOUBLE, INTEGER, Matrix, MatrixType, Vector, VectorType
+from repro.types import (
+    DOUBLE,
+    INTEGER,
+    STRING,
+    Matrix,
+    MatrixType,
+    Vector,
+    VectorType,
+)
 
 # -- randomized query equivalence --------------------------------------------
 
@@ -953,6 +964,523 @@ class TestSharedBlocks:
                 pass  # blocks (and the views results wrap) are read-only
         assert db.execute(query).scalar().data.tolist() == [3.0, -3.0]
         assert db.execute(total).scalar().data.tolist() == before.tolist()
+
+
+# -- key kernels: grouping, scalar folds, join matching, ordering --------------
+
+#: one draw per kind of key column: the three typed forms (their edges
+#: included), and the three that keep the dict loops — NULL-bearing,
+#: int beside float (one Python-number key space: 1 = 1.0), strings
+_NAN = float("nan")
+KEY_KINDS = {
+    "int": st.one_of(
+        st.integers(-2, 2),
+        st.sampled_from([-(2**63), 2**63 - 1, 2**62, 2**62 + 1]),
+    ),
+    "bool": st.booleans(),
+    # 2.0**62 is 2**62 and not 2**62 + 1: float64 cannot tell, Python can
+    "float": st.sampled_from(
+        [0.0, -0.0, 1.0, -1.5, 2.5, 2.0**62, _NAN, -_NAN, float("nan"),
+         float("inf"), float("-inf")]
+    ),
+    "nullable": st.one_of(st.none(), st.integers(-1, 1)),
+    "mixed": st.one_of(st.integers(-1, 2), st.sampled_from([1.0, 2.0, -0.0, 0.5])),
+    "text": st.sampled_from(["", "a", "b", "ab"]),
+}
+KEY_SQL_TYPES = {
+    "int": "INTEGER", "bool": "INTEGER", "float": "DOUBLE",
+    "nullable": "INTEGER", "mixed": "DOUBLE", "text": "STRING",
+}
+#: full-width doubles either side of zero, so a reassociated or
+#: reordered sum shows in the last bits
+wide_floats = st.one_of(
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-8, 7),
+    ),
+    st.sampled_from([0.0, -0.0]),
+)
+#: ints whose group sums leave int64 (Python's are exact)
+wide_ints = st.one_of(
+    st.integers(-9, 9), st.sampled_from([2**62, 2**62 + 1, -(2**62), 2**63 - 1])
+)
+#: x: float64, xn: NULL-bearing, xs: NaN/inf-bearing, i: int64, j: NULL-bearing
+VALUE_COLUMNS = (
+    ("x", "DOUBLE", wide_floats),
+    ("xn", "DOUBLE", st.one_of(st.none(), wide_floats)),
+    ("xs", "DOUBLE", special_floats),
+    ("i", "INTEGER", wide_ints),
+    ("j", "INTEGER", st.one_of(st.none(), st.integers(-9, 9))),
+)
+#: (probe kind, build kind) of one join key: the same typed form on both
+#: sides (the sort), or forms that only the dict can compare
+JOIN_KEY_KINDS = [
+    ("int", "int"), ("float", "float"), ("bool", "bool"), ("float", "float"),
+    ("int", "float"), ("int", "mixed"), ("bool", "int"), ("float", "mixed"),
+    ("nullable", "nullable"), ("nullable", "int"), ("text", "text"),
+]
+AGGREGATES = (
+    ("SUM", False), ("AVG", False), ("COUNT", False), ("MIN", False),
+    ("MAX", False), ("COUNT", True), ("SUM", True),
+)
+
+
+@st.composite
+def keyed_tables(draw, max_rows=14):
+    """``(key kinds, rows)``: one to three key columns, then the value
+    columns; few distinct keys, so groups, duplicate join keys and sort
+    ties all occur; possibly no rows at all."""
+    kinds = draw(st.lists(st.sampled_from(sorted(KEY_KINDS)), min_size=1, max_size=3))
+    columns = [KEY_KINDS[kind] for kind in kinds]
+    columns += [strategy for _, _, strategy in VALUE_COLUMNS]
+    return kinds, draw(st.lists(st.tuples(*columns), max_size=max_rows))
+
+
+def _exact(value):
+    """``(type, bits)`` of a cell: what ``==`` blurs (1 = 1.0 = True,
+    0.0 = -0.0) kept apart; any NaN is one NaN (see _cells_identical)."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_exact(cell) for cell in value)
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(repr, map(_exact, value)))
+    if isinstance(value, float):
+        return ("float", "nan" if value != value else struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def _key_exprs(kinds):
+    types = {"INTEGER": INTEGER, "DOUBLE": DOUBLE, "STRING": STRING}
+    return [
+        ColumnVar(i, types[KEY_SQL_TYPES[kind]], f"k{i}")
+        for i, kind in enumerate(kinds)
+    ]
+
+
+def _value_exprs(kinds):
+    return [
+        ColumnVar(len(kinds) + i, DOUBLE if sql == "DOUBLE" else INTEGER, name)
+        for i, (name, sql, _) in enumerate(VALUE_COLUMNS)
+    ]
+
+
+def _grouping_print(grouping):
+    return (
+        grouping.codes.tolist(),
+        _exact(grouping.keys),
+        list(map(int, grouping.first)),
+        [list(map(int, rows)) for rows in grouping.positions()],
+    )
+
+
+class TestKeyKernelsAgree:
+    """The key kernels of a ``Batch`` against the tuple/``dict`` loops of
+    a ``RowChunk`` built from the same rows: group codes, keys and their
+    first-seen order; every scalar fold's states and charge; join pairs
+    and their order; the stable multi-key order."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(table=keyed_tables(), data=st.data())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_grouping_folds_and_order(self, table, data):
+        kinds, rows = table
+        ids = tuple(range(len(kinds) + len(VALUE_COLUMNS)))
+        chunk, batch = RowChunk.from_rows(ids, rows), Batch.from_rows(ids, rows)
+        keys, values = _key_exprs(kinds), _value_exprs(kinds)
+        # GROUP BY on every prefix of the key columns, and on none; the
+        # folds over the whole key and over no key
+        for width in range(len(keys) + 1):
+            row_cost, batch_cost = EvalCost(), EvalCost()
+            row_group = chunk.keys(keys[:width], row_cost).grouping()
+            batch_group = batch.keys(keys[:width], batch_cost).grouping()
+            assert _grouping_print(row_group) == _grouping_print(batch_group)
+            assert _costs(row_cost) == _costs(batch_cost)
+            for name, distinct in AGGREGATES if width in (0, len(keys)) else ():
+                for arg in values + [None]:
+                    if arg is None and (name != "COUNT" or distinct):
+                        continue
+                    spec = _spec(name, arg, distinct)
+                    row_cost, batch_cost = EvalCost(), EvalCost()
+                    want = chunk.partial_aggregate(spec, row_group, row_cost)
+                    got = batch.partial_aggregate(spec, batch_group, batch_cost)
+                    assert _exact(want) == _exact(got), (name, distinct, arg)
+                    assert _costs(row_cost) == _costs(batch_cost)
+
+        # DISTINCT: every column is a key
+        assert _grouping_print(chunk.row_keys().grouping()) == _grouping_print(
+            batch.row_keys().grouping()
+        )
+
+        # ORDER BY: keys and value columns, each ASC or DESC, ties kept
+        # in input order
+        order_by = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(keys + values), st.booleans()),
+                min_size=1,
+                max_size=3,
+            ),
+            label="order by",
+        )
+        orders = [
+            list(
+                map(
+                    int,
+                    stable_order(
+                        len(rows),
+                        [
+                            (part.keys([expr], EvalCost()), ascending)
+                            for expr, ascending in reversed(order_by)
+                        ],
+                    ),
+                )
+            )
+            for part in (chunk, batch)
+        ]
+        assert orders[0] == orders[1]
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_join_pairs(self, data):
+        """Equi-join matching on one and two keys: duplicate keys on both
+        sides, NULL and NaN keys (match nothing), ``-0.0 = 0.0``, and an
+        int column against a float column (the dict, not the sort)."""
+        kinds = data.draw(
+            st.lists(st.sampled_from(JOIN_KEY_KINDS), min_size=1, max_size=2),
+            label="key kinds (probe, build)",
+        )
+        # a build side without repeated keys (a key–foreign-key join)
+        # half of the time: it has its own, shorter pair kernel
+        unique_build = data.draw(st.booleans(), label="unique build keys")
+        sides = []
+        for side in (0, 1):
+            columns = [KEY_KINDS[pair[side]] for pair in kinds]
+            rows = data.draw(
+                st.lists(
+                    st.tuples(*columns), max_size=10, unique=unique_build and side == 1
+                )
+            )
+            ids = tuple(range(len(kinds)))
+            exprs = [ColumnVar(i, DOUBLE, f"k{i}") for i in ids]
+            sides.append(
+                [
+                    cls.from_rows(ids, rows).keys(exprs, EvalCost())
+                    for cls in (RowChunk, Batch)
+                ]
+            )
+        (row_probe, batch_probe), (row_build, batch_build) = sides
+        want = row_probe.pairs(row_build)
+        got = batch_probe.pairs(batch_build)
+        assert [list(map(int, side)) for side in got] == [list(s) for s in want]
+        # the build side indexes itself once and answers every probe
+        again = batch_probe.pairs(batch_build)
+        assert [list(map(int, side)) for side in again] == [list(s) for s in want]
+
+    def test_int_keys_meet_float_keys_as_python_numbers(self):
+        """``int = float`` join keys compare exactly (2**62 + 1 is not
+        2.0**62, which float64 promotion would say), so keys of two
+        dtypes go to the dict, in either direction."""
+        ints = [(2**62 + 1,), (2**62,), (1,), (0,), (1,)]
+        floats = [(2.0**62,), (1.0,), (-0.0,), (0.5,)]
+        expr = [ColumnVar(0, DOUBLE, "k")]
+        for probe, build, want in (
+            (ints, floats, ([1, 2, 3, 4], [0, 1, 2, 1])),
+            (floats, ints, ([0, 1, 1, 2], [1, 2, 4, 3])),
+        ):
+            for cls in (RowChunk, Batch):
+                got = (
+                    cls.from_rows((0,), probe)
+                    .keys(expr, EvalCost())
+                    .pairs(cls.from_rows((0,), build).keys(expr, EvalCost()))
+                )
+                assert tuple(list(map(int, side)) for side in got) == want
+
+    def test_carried_states_continue_the_chain(self):
+        """A fold continued from a carried state, over typed and
+        NULL-bearing runs in any sequence, is the fold of the whole."""
+        rng = np.random.default_rng(11)
+        values = (rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, size=40)).tolist()
+        values[3] = values[17] = -0.0
+        runs = [values[:9], [None, 2.5, None], values[9:30], [None], values[30:]]
+        ints = [[2**62, 5], [None, -3], [2**62, 2**62], [7]]
+        for cls in (RowChunk, Batch):
+            for name in ("SUM", "AVG", "MIN", "MAX", "COUNT"):
+                for column_runs, column_type in ((runs, DOUBLE), (ints, INTEGER)):
+                    spec = _spec(name, ColumnVar(0, column_type, "x"))
+                    whole = RowChunk.from_rows(
+                        (0,), [(value,) for run in column_runs for value in run]
+                    )
+                    (want,) = whole.partial_aggregate(
+                        spec, whole.keys((), None).grouping(), EvalCost()
+                    )
+                    state = None
+                    for run in column_runs:
+                        part = cls.from_rows((0,), [(value,) for value in run])
+                        (state,) = part.partial_aggregate(
+                            spec,
+                            part.keys((), None).grouping(),
+                            EvalCost(),
+                            None if state is None else [state],
+                        )
+                    assert _exact(state) == _exact(want), (cls, name)
+
+    def test_typed_keys_never_reach_the_dict_loops(self, monkeypatch):
+        """A silent fall back would keep every result right and only
+        lose the speed, so pin the path: over typed columns the ``gram
+        (tuple)``, group-filter and top-k shapes and a hash repartition
+        read no key or aggregate-argument column back as Python values,
+        hash each distinct key of a source chunk at most once, and never
+        enter ``fold_groups``; over an object key column (NULL-bearing)
+        they do — the fallback is alive."""
+        from repro.engine import aggregation, executor
+
+        statements = (
+            "SELECT a.c, b.c, SUM(a.v * b.v) FROM t AS a, t AS b "
+            "WHERE a.r = b.r GROUP BY a.c, b.c",
+            "SELECT c, SUM(v), COUNT(v), MIN(v), MAX(v), AVG(v) FROM t "
+            "WHERE r < 20 GROUP BY c",
+            "SELECT r, c, v FROM t ORDER BY v DESC LIMIT 5",
+        )
+        rows = [(i // 8, i % 4, float(i) - 17.5) for i in range(96)]
+        evaluated, listed, hashed, folds = [], [], [], []
+        values, pylist = Batch.values, ColumnData.pylist
+        monkeypatch.setattr(
+            Batch,
+            "values",
+            lambda self, expr, cost: evaluated.append(values(self, expr, cost))
+            or evaluated[-1],
+        )
+        monkeypatch.setattr(
+            ColumnData, "pylist", lambda self: listed.append(self) or pylist(self)
+        )
+        monkeypatch.setattr(
+            executor,
+            "stable_hash",
+            lambda key: hashed.append(key) or stable_hash(key),
+        )
+        fold_groups = aggregation.fold_groups
+        monkeypatch.setattr(
+            aggregation,
+            "fold_groups",
+            lambda *args: folds.append(args) or fold_groups(*args),
+        )
+
+        def fell_back():  # (an empty partition has no form to speak of)
+            return any(
+                seen is column and len(column)
+                for seen in listed
+                for column in evaluated
+            )
+
+        for null_key in (False, True):
+            db = Database(TEST_CLUSTER, execution_mode="batch")
+            db.execute("CREATE TABLE t (r INTEGER, c INTEGER, v DOUBLE)")
+            db.load("t", rows + [(None, None, None)] * (4 if null_key else 0))
+            for sql in statements:
+                del evaluated[:], listed[:], hashed[:], folds[:]
+                db.execute(sql)
+                assert evaluated
+                assert fell_back() == null_key, sql
+                assert bool(folds) == (null_key and "SUM" in sql), sql
+            # a hash repartition of the scan itself, where every source
+            # chunk holds each of its keys several times
+            scan = db._plan_physical(
+                db._plan_select(parse_statement("SELECT r, c, v FROM t"), None)
+            )
+            key = ColumnVar(scan.columns[0].column_id, INTEGER, "r")
+            del evaluated[:], listed[:], hashed[:]
+            routed, _ = Executor(db.cluster, "batch").run(
+                PExchange(scan, "hash", [key])
+            )
+            assert len(routed) == len(rows) + (4 if null_key else 0)
+            assert fell_back() == null_key
+            storage = db.catalog.table("t").storage
+            assert len(hashed) == sum(
+                len({row[0] for row in storage.partition_rows(slot)})
+                for slot in range(storage.slots)
+            ) < len(routed)
+
+
+def _metrics_print(metrics):
+    """Every simulated number of a statement, per-slot chains included
+    (buffer-pool outcomes aside: they exist in disk mode only)."""
+    return (
+        metrics.jobs,
+        metrics.startup_seconds,
+        metrics.total_seconds,
+        tuple(
+            (
+                op.name, op.rows_in, op.rows_out, op.bytes_out, op.wall_seconds,
+                op.network_bytes, op.slot_seconds, op.spill_bytes,
+                op.spill_events, op.segments_pruned, op.segments_scanned,
+                op.peak_memory_bytes,
+            )
+            for op in metrics.operators
+        ),
+    )
+
+
+MODE_MATRIX = [
+    (mode, storage, parallelism)
+    for mode in ("row", "batch")
+    for storage in ("memory", "disk")
+    for parallelism in (1, 4)
+]
+
+
+def _run_matrix(tables, statements, matrix=MODE_MATRIX, **config):
+    """``statements`` over ``tables`` (name -> (column DDL, rows)) under
+    every ``(execution_mode, storage_mode, intra_query_parallelism)``:
+    each statement's rows by ``(type, bits)`` **in order**, and its
+    simulated metrics."""
+    outcomes = []
+    for mode, storage, parallelism in matrix:
+        db = Database(
+            TEST_CLUSTER.with_updates(
+                execution_mode=mode,
+                storage_mode=storage,
+                intra_query_parallelism=parallelism,
+                segment_rows=4,
+                **config,
+            )
+        )
+        try:
+            for name, (ddl, rows) in tables.items():
+                db.execute(f"CREATE TABLE {name} ({ddl})")
+                db.load(name, rows)
+            results = [db.execute(sql) for sql in statements]
+            outcomes.append(
+                [(_exact(r.rows), _metrics_print(r.metrics)) for r in results]
+            )
+        finally:
+            db.cluster.close_task_pool()
+            db.close()
+    return outcomes
+
+
+class TestKeyStatementsAgree:
+    """GROUP BY, joins, DISTINCT and ORDER BY over every kind of key
+    column: one answer — rows in order, every simulated charge — under
+    every execution mode, storage mode and parallelism, for either
+    placement rule."""
+
+    @settings(
+        max_examples=5,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(table=keyed_tables(max_rows=12), data=st.data())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_across_the_mode_matrix(self, table, data):
+        kinds, rows = table
+        # the join's other side: the same kinds, except that an int key
+        # may meet a float one (1 = 1.0 must still match)
+        other_kinds = [
+            data.draw(st.sampled_from(["int", "mixed", "float"]))
+            if kind == "int"
+            else kind
+            for kind in kinds
+        ]
+        other_rows = data.draw(
+            st.lists(st.tuples(*[KEY_KINDS[kind] for kind in other_kinds]), max_size=8),
+            label="other rows",
+        )
+        limit = data.draw(st.integers(0, 6), label="limit")
+        directions = data.draw(
+            st.lists(st.sampled_from(["ASC", "DESC"]), min_size=4, max_size=4),
+            label="directions",
+        )
+        names = [f"k{i}" for i in range(len(kinds))]
+        keys = ", ".join(names)
+        ddl = ", ".join(
+            [f"{name} {KEY_SQL_TYPES[kind]}" for name, kind in zip(names, kinds)]
+            + [f"{name} {sql}" for name, sql, _ in VALUE_COLUMNS]
+        )
+        other_ddl = ", ".join(
+            f"{name} {KEY_SQL_TYPES[kind]}" for name, kind in zip(names, other_kinds)
+        )
+        # every form over the typed columns, the plain ones over the
+        # NULL- and NaN-bearing ones (the chunk-level property above
+        # crosses them all)
+        aggregates = ", ".join(
+            f"{name}({'DISTINCT ' if distinct else ''}{column})"
+            for column in ("x", "i", "xn", "xs", "j")
+            for name, distinct in AGGREGATES
+            if column in ("x", "i") or not distinct
+        ) + ", COUNT(*)"
+        order_by = ", ".join(
+            f"{name} {direction}"
+            for name, direction in zip(names + ["x"], directions)
+        )
+        on = " AND ".join(f"a.{name} = b.{name}" for name in names)
+        statements = [
+            f"SELECT {keys}, {aggregates} FROM t GROUP BY {keys}",
+            f"SELECT {aggregates} FROM t",
+            f"SELECT a.x, a.k0, b.k0 FROM t AS a, u AS b WHERE {on}",
+            f"SELECT a.x, a.k0, b.k0 FROM t AS a, u AS b WHERE a.k0 = b.k0",
+            f"SELECT DISTINCT {keys} FROM t",
+            f"SELECT {keys}, x FROM t ORDER BY {order_by}",
+            f"SELECT {keys}, x FROM t ORDER BY {order_by} LIMIT {limit}",
+        ]
+        tables = {"t": (ddl, rows), "u": (other_ddl, other_rows)}
+        for balanced in (False, True):
+            first, *rest = _run_matrix(
+                tables, statements, balanced_placement=balanced
+            )
+            for outcome in rest:
+                for sql, want, got in zip(statements, first, outcome):
+                    assert want == got, sql
+
+
+class TestNaNKeys:
+    """One rule for NaN keys (docs/SQL.md): GROUP BY, DISTINCT and
+    placement treat every NaN as one key, first seen representing it —
+    whichever float object carries it; an equi-join never matches one,
+    like NULL and like ``=``. ORDER BY, MIN and MAX keep the comparison
+    chain's order-dependent answer."""
+
+    def test_one_rule_in_every_mode(self):
+        nan = float("nan")
+        rows = [(nan, 1.0), (nan, 2.0), (1.0, 3.0), (float("nan"), 4.0), (-nan, 5.0)]
+        statements = [
+            "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k",
+            "SELECT a.v, b.v FROM t AS a, t AS b WHERE a.k = b.k",
+            "SELECT DISTINCT k FROM t",
+            "SELECT COUNT(DISTINCT k), COUNT(k) FROM t",
+            "SELECT k, v FROM t ORDER BY k DESC, v",
+            "SELECT MIN(k), MAX(k) FROM t",
+        ]
+        # the second pass spills every exchange: in disk mode the rows —
+        # DISTINCT value sets included — really cross a spill file
+        for balanced, pool in ((False, None), (True, None), (False, 64.0)):
+            outcomes = _run_matrix(
+                {"t": ("k DOUBLE, v DOUBLE", rows)},
+                statements,
+                balanced_placement=balanced,
+                buffer_pool_bytes=pool,
+            )
+            for outcome in outcomes:
+                assert outcome == outcomes[0]
+            grouped, joined, distinct, counted, ordered, extremes = (
+                rows for rows, _ in outcomes[0]
+            )
+            assert sorted(grouped, key=repr) == sorted(
+                _exact([(nan, 12.0, 4), (1.0, 3.0, 1)]), key=repr
+            )
+            assert joined == _exact([(3.0, 3.0)])
+            assert sorted(distinct, key=repr) == sorted(
+                _exact([(nan,), (1.0,)]), key=repr
+            )
+            assert counted == _exact([(2, 5)])
+            assert len(ordered) == 5 and len(extremes) == 1
 
 
 # -- the execution_mode knob -------------------------------------------------

@@ -471,6 +471,40 @@ class TestCarriedState:
             assert answer.metrics.view_hits == 1
             assert _bits(answer.rows) == _bits(plain.execute(self.QUERY).rows)
 
+    SCALARS = "SUM(x), AVG(x), MIN(x), MAX(x), COUNT(x), SUM(k), AVG(k), MIN(k)"
+
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_typed_null_bearing_typed_scalar_deltas(self, mode):
+        """Scalar states through the typed kernels (``np.add.at`` from
+        the carried value, first-attaining MIN/MAX), then the ``add``
+        chain of a NULL-bearing delta, then the kernels again: view ≡
+        REFRESH ≡ rescan by bits, ``-0.0`` sums and an int SUM that
+        leaves int64 included."""
+        rng = np.random.default_rng(3)
+        wide = (rng.normal(size=30) * 10.0 ** rng.integers(-8, 8, size=30)).tolist()
+        appends = [
+            [(0, -0.0, None)] * 5,  # a -0.0 total, typed
+            [(i, x, None) for i, x in enumerate(wide[:13])],  # typed
+            [(1, None, None), (None, 2.5, None), (3, wide[13], None)] * 2,
+            [(2**62, x, None) for x in wide[14:]],  # typed; SUM(k) > int64
+            [(None, None, None)] * 4,  # NULL-only
+            [(5, 0.0, None), (6, -0.0, None)] * 3,  # MIN/MAX ties on ±0.0
+        ]
+        query = f"SELECT {self.SCALARS} FROM t"
+        named = ", ".join(
+            f"{item} AS a{i}" for i, item in enumerate(self.SCALARS.split(", "))
+        )
+        db = _db(f"SELECT {named} FROM t", rows=[], execution_mode=mode)
+        plain = _db(rows=[], execution_mode=mode)
+        for batch in appends:
+            db.load("t", batch)
+            plain.load("t", batch)
+            answer = db.execute(query)
+            assert answer.metrics.view_hits == 1
+            assert _bits(answer.rows) == _bits(plain.execute(query).rows)
+        db.execute("REFRESH MATERIALIZED VIEW mv")
+        assert _bits(db.execute(query).rows) == _bits(plain.execute(query).rows)
+
     def test_state_of_another_cell_shape_is_a_structured_error(self):
         """Not numpy's ValueError from stacking the state onto the
         block — and never a silent broadcast of a smaller state."""
