@@ -56,9 +56,9 @@ def _open_loop(args, out: str) -> "tuple":
     benchmark.
 
     ``--check`` shrinks the run for CI (still real sockets, still the
-    serial bit-identity comparison, still the parallel scaling probe at
-    ``--intra-parallelism`` partition tasks); ``out`` is where the JSON
-    snapshot lands (empty string skips the write). The scaling probe's
+    serial bit-identity comparison, still the parallel scaling probe);
+    ``out`` is where the JSON snapshot lands (empty string skips the
+    write). The scaling probe's
     parallel-vs-serial throughput ratio is recorded but never gated on:
     it tracks the host's real core count (see
     ``repro.bench.openloop.measure_scaling``). ``ok`` does require both
@@ -80,9 +80,7 @@ def _open_loop(args, out: str) -> "tuple":
     text = openloop.format_open_loop(report)
     scaling_block = None
     if not args.no_scaling:
-        scaling_block = openloop.measure_scaling(
-            workers=4, parallelism=args.intra_parallelism, seed=args.seed, **small
-        )
+        scaling_block = openloop.measure_scaling(seed=args.seed, **small)
         ok = ok and scaling_block["serial_ok"] and scaling_block["parallel_ok"]
         text = text + "\n\n" + openloop.format_scaling(scaling_block)
     if out:
@@ -256,13 +254,6 @@ def _parser() -> argparse.ArgumentParser:
         help="where to write the JSON snapshot; '' skips the write (default "
         + ", ".join(f"{out} for {name}" for name, (_, _, out) in BENCHES.items() if out)
         + "; serve: with --open-loop)",
-    )
-    serve_group.add_argument(
-        "--intra-parallelism",
-        type=int,
-        default=4,
-        help="partition tasks per operator in the scaling probe "
-        "(serve --open-loop)",
     )
     serve_group.add_argument(
         "--no-scaling",

@@ -352,8 +352,6 @@ def run_open_loop(config: Optional[OpenLoopConfig] = None) -> OpenLoopReport:
 
 
 def measure_scaling(
-    workers: int = 4,
-    parallelism: int = 4,
     queries: int = 24,
     clients: int = 8,
     rows: int = 512,
@@ -363,27 +361,29 @@ def measure_scaling(
     """Parallel-vs-serial wall-clock throughput of the serving stack.
 
     Runs the same saturating schedule (every arrival at time ~0, heavy
-    Gram/regression templates) twice: once fully serialized
-    (``worker_threads=1``, ``intra_query_parallelism=1``) and once with
-    ``workers`` server threads and ``parallelism`` partition tasks per
-    operator. Both runs keep the serial bit-identity comparison on.
+    Gram/regression templates) twice: once with ``worker_threads=1``
+    and once with ``workers = min(4, os.cpu_count())`` server threads —
+    statements overlap each other, a statement itself is
+    single-threaded (docs/ENGINE.md, "Concurrency model"). Both runs
+    keep the serial bit-identity comparison on.
 
     The ratio is **honest hardware-dependent measurement**: Python
-    threads only overlap compute across real cores, so the ratio tracks
-    ``os.cpu_count()``, approaching min(workers, cores) as cores allow.
-    On a host with fewer cores than ``workers`` the ratio measures the
-    host, not the serving stack, so it is reported as ``None`` with the
+    threads only overlap compute across real cores, which is why the
+    probe never asks for more workers than the host has. On a 1-CPU
+    host there is nothing to compare, so the ratio is ``None`` with the
     verdict ``"inconclusive"``; the bit-identity gates still apply.
     """
     import os
 
-    def probe(worker_threads: int, intra: int) -> OpenLoopReport:
+    host_cpus = os.cpu_count() or 1
+    workers = min(4, host_cpus)
+
+    def probe(worker_threads: int) -> OpenLoopReport:
         cluster = ClusterConfig(
             machines=2,
             cores_per_machine=2,
             job_startup_s=1.0,
             worker_threads=worker_threads,
-            intra_query_parallelism=intra,
         )
         config = OpenLoopConfig(
             clients=clients,
@@ -397,19 +397,17 @@ def measure_scaling(
             templates=SCALING_TEMPLATES,
             cluster=cluster,
             service=ServiceConfig(
-                max_concurrency=max(worker_threads, 1),
+                max_concurrency=worker_threads,
                 admission_queue_limit=clients * queries,
             ),
         )
         return run_open_loop(config)
 
-    serial = probe(1, 1)
-    parallel = probe(workers, parallelism)
-    host_cpus = os.cpu_count() or 1
-    conclusive = host_cpus >= workers and serial.throughput_qps > 0
+    serial = probe(1)
+    parallel = probe(workers)
+    conclusive = workers > 1 and serial.throughput_qps > 0
     return {
         "workers": workers,
-        "intra_query_parallelism": parallelism,
         "queries": queries,
         "clients": clients,
         "rows": rows,
@@ -477,16 +475,12 @@ def format_open_loop(report: OpenLoopReport) -> str:
 def format_scaling(scaling: Dict[str, object]) -> str:
     """The parallel-vs-serial scaling block of the serve report."""
     if scaling["parallel_vs_serial"] is None:
-        ratio = (
-            f"inconclusive ({scaling['host_cpus']} cpu(s) < "
-            f"{scaling['workers']} workers)"
-        )
+        ratio = f"inconclusive ({scaling['host_cpus']} cpu(s))"
     else:
         ratio = f"{scaling['parallel_vs_serial']:>11.2f}x"
     return "\n".join(
         [
             f"throughput scaling — {scaling['workers']} worker thread(s), "
-            f"intra-query parallelism {scaling['intra_query_parallelism']}, "
             f"{scaling['queries']} saturating Gram/regression queries "
             f"({scaling['rows']}x{scaling['dims']})",
             f"{'serial (1 worker) q/s':<26}{scaling['serial_qps']:>12.2f}",
@@ -494,8 +488,7 @@ def format_scaling(scaling: Dict[str, object]) -> str:
             f"{'parallel vs serial':<26}{ratio:>12}",
             f"{'host cpu count':<26}{scaling['host_cpus']:>12d}",
             "note: Python threads overlap compute only across real "
-            "cores, so the ratio tracks the host CPU count (up to "
-            "min(workers, cores)) and is only reported when the host "
-            "has at least as many cores as workers",
+            "cores, so the probe runs min(4, host cpus) workers and "
+            "the ratio tracks the host",
         ]
     )

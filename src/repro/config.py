@@ -100,15 +100,6 @@ class ClusterConfig:
     #: ``Database.open(config)``), which replays the WAL on top of the
     #: latest checkpoint.
     data_dir: Optional[str] = None
-    #: real threads used *inside* one statement to run independent
-    #: partition tasks of each operator concurrently (scan/filter/join/
-    #: aggregate partitions, exchange senders/receivers). ``1`` keeps
-    #: the historical sequential interpreter; higher values dispatch
-    #: partition tasks to a shared pool. Results and simulated
-    #: :class:`QueryMetrics` are bit-identical at any setting — the
-    #: per-task metric contexts are merged in deterministic partition
-    #: order (see docs/ENGINE.md).
-    intra_query_parallelism: int = 1
     #: cardinality feedback: "on" folds per-operator actual row counts
     #: from every completed statement back into the catalog's feedback
     #: statistics (scan row counts, filter/join selectivities keyed by a

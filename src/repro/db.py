@@ -739,7 +739,7 @@ class Database:
     def _plan_physical(self, logical):
         return PhysicalPlanner(self.cost_model).plan(logical)
 
-    def _execute_physical(self, logical, physical, param_cells=None) -> Result:
+    def _execute_physical(self, logical, physical) -> Result:
         # shared admission (reentrant when the caller already holds an
         # admission, e.g. DML running its inner SELECT): read-only
         # execution overlaps with other readers. Each statement gets a
@@ -748,7 +748,7 @@ class Database:
         # counters stay database-wide.
         with self._admission.shared():
             executor = self._executor.fresh()
-            rows, metrics = executor.run(physical, param_cells=param_cells)
+            rows, metrics = executor.run(physical)
             if metrics.trace is not None:
                 # annotate estimates here (not in the executor) so both
                 # direct execution and service-cached plans carry them

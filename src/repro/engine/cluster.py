@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -222,38 +221,6 @@ class OperatorRun:
         self.spill_events += 1
         self.note_peak(state_bytes)
 
-    # -- merging -----------------------------------------------------------
-
-    def absorb(self, other: "OperatorRun") -> None:
-        """Fold a per-partition-task sub-run into this run.
-
-        Partition-parallel execution gives each partition task its own
-        :class:`OperatorRun` so tasks never contend on shared counters;
-        the coordinator absorbs the sub-runs back **in partition order**
-        once every task finished. A task for partition ``i`` only ever
-        charges slot index ``i``, and one sub-run stays attached to its
-        partition index across every phase of the operator, so the
-        element-wise addition below replays the exact float-addition
-        chains of the sequential interpreter — merged metrics are
-        bit-identical, not merely close (see docs/ENGINE.md).
-        """
-        mine = self._slot_seconds
-        for index, seconds in enumerate(other._slot_seconds):
-            if seconds:
-                mine[index] += seconds
-        self.network_bytes += other.network_bytes
-        self.rows_in += other.rows_in
-        self.rows_out += other.rows_out
-        self.bytes_out += other.bytes_out
-        self.spill_bytes += other.spill_bytes
-        self.spill_events += other.spill_events
-        self.segments_pruned += other.segments_pruned
-        self.segments_scanned += other.segments_scanned
-        self.pool_hits += other.pool_hits
-        self.pool_misses += other.pool_misses
-        if other.peak_memory_bytes > self.peak_memory_bytes:
-            self.peak_memory_bytes = other.peak_memory_bytes
-
     # -- results -----------------------------------------------------------
 
     def finish(self) -> OperatorMetrics:
@@ -350,43 +317,13 @@ class Cluster:
     fresh :class:`Executor`, so concurrent statements share nothing but
     the (thread-safe) storage engine and this cluster object.
 
-    Within one statement, operators may additionally fan their
-    per-partition loops out to :meth:`task_pool`, a shared
-    :class:`~concurrent.futures.ThreadPoolExecutor` sized by
-    ``ClusterConfig.intra_query_parallelism``. Each partition task
-    charges a private :class:`OperatorRun` that the coordinator absorbs
-    back in deterministic partition order, so simulated metrics stay
-    bit-identical to sequential interpretation regardless of real
-    thread scheduling.
+    A statement itself is single-threaded: it runs, slot by slot, on the
+    thread that admitted it (the concurrency model is in docs/ENGINE.md).
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
         self._local = threading.local()
-        self._task_pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.RLock()
-
-    def task_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The shared partition-task pool, lazily created; ``None`` when
-        ``intra_query_parallelism`` keeps execution sequential."""
-        workers = self.config.intra_query_parallelism
-        if workers <= 1:
-            return None
-        with self._lock:
-            if self._task_pool is None:
-                self._task_pool = ThreadPoolExecutor(
-                    max_workers=min(workers, self.config.slots),
-                    thread_name_prefix="repro-partition",
-                )
-            return self._task_pool
-
-    def close_task_pool(self) -> None:
-        """Shut the partition-task pool down (idempotent); it is
-        re-created lazily if the cluster executes again."""
-        with self._lock:
-            pool, self._task_pool = self._task_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     @property
     def metrics(self) -> QueryMetrics:

@@ -15,7 +15,7 @@ Figure 4 breakdown for free; per-slot busy times expose skew.
 
 Each physical operator has **one** handler, written against the chunk
 protocol of :mod:`repro.engine.storage`: the handler owns child
-execution, partition-task fan-out, every ``charge_*``/``note_peak``/
+execution, the per-slot loop, every ``charge_*``/``note_peak``/
 spill call and the fault and checkpoint hooks; the chunks own the value
 computation. ``ClusterConfig.execution_mode`` selects only which chunk
 class scans and ``from_rows`` produce:
@@ -31,17 +31,13 @@ simulated costs for the same values; that the two kernels compute the
 same values is enforced by ``tests/test_exec_modes.py``. The batch
 kernels only improve *real* wall-clock time (see ``docs/ENGINE.md``).
 
-With ``ClusterConfig.intra_query_parallelism > 1`` each operator's
-per-partition loop is dispatched as independent partition tasks to the
-cluster's shared thread pool (see :class:`_PartitionTasks`). Partition
-tasks charge private :class:`OperatorRun` sub-runs that are absorbed in
-deterministic partition order, so rows *and* simulated metrics stay
-bit-identical at any parallelism (``tests/test_parallel_exec.py``).
-Fault injection is schedule-independent by construction: every draw is
-a pure hash of ``(plan seed, kind, operator pre-order index, partition,
-attempt)`` — per-statement coordinates, never thread identity or real
-time — and all injector interaction happens on the coordinator thread
-around the handlers.
+A statement runs on the thread that admitted it: every operator loops
+over its slots in order, charging one :class:`OperatorRun` (the
+concurrency model is in ``docs/ENGINE.md``). Statements overlap each
+other on server worker threads, so fault injection is
+schedule-independent by construction: every draw is a pure hash of
+``(plan seed, kind, operator pre-order index, partition, attempt)`` —
+per-statement coordinates, never thread identity or real time.
 """
 
 from __future__ import annotations
@@ -172,81 +168,6 @@ class _EvictionCounter:
                 self.count += n
 
 
-class _PartitionTasks:
-    """Per-partition task dispatch for one operator.
-
-    ``map(fn)`` runs ``fn(slot, run)`` for every partition index and
-    returns the results in partition order. With parallelism disabled
-    (no shared pool) the calls run inline against the operator's main
-    :class:`OperatorRun` — byte-identical to the historical sequential
-    interpreter. With a pool, every partition index gets a private
-    sub-run for the *whole operator* (multi-phase operators like hash
-    exchange or hash join call ``map`` several times; phase N of
-    partition ``i`` keeps charging the same sub-run as phase N-1, which
-    preserves the exact per-slot float-addition chains), and
-    ``finish()`` absorbs the sub-runs back into the main run in
-    partition order. Once an operator uses tasks, *all* its per-slot
-    charging must route through them — mixing direct main-run charges
-    with sub-run charges for the same slot index would reorder float
-    additions.
-    """
-
-    __slots__ = ("run", "count", "pool", "subs", "_params")
-
-    def __init__(self, executor: "Executor", run, count: int):
-        self.run = run
-        self.count = count
-        pool = executor.cluster.task_pool() if count > 1 else None
-        self.pool = pool
-        if pool is None:
-            self.subs = None
-            self._params = None
-        else:
-            self.subs = [
-                executor.cluster.operator(run.name) for _ in range(count)
-            ]
-            self._params = executor._param_snapshot
-
-    def _call(self, slot: int, fn):
-        # runs on a pool thread: install the coordinator's parameter
-        # bindings (ParamCell state is thread-local) before the body
-        for cell, value, bound in self._params:
-            if bound:
-                cell.set(value)
-            else:
-                cell.clear()
-        return fn(slot, self.subs[slot])
-
-    def map(self, fn, count: Optional[int] = None) -> list:
-        n = self.count if count is None else count
-        if self.subs is None:
-            return [fn(slot, self.run) for slot in range(n)]
-        if n <= 1:
-            # not worth a dispatch, but still charge the sub-run so the
-            # per-slot addition chain stays whole across phases
-            return [fn(slot, self.subs[slot]) for slot in range(n)]
-        futures = [
-            self.pool.submit(self._call, slot, fn) for slot in range(n)
-        ]
-        results: list = []
-        error: Optional[BaseException] = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # drain every task before raising
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-        return results
-
-    def finish(self) -> None:
-        """Absorb the per-partition sub-runs, in partition order."""
-        if self.subs is not None:
-            for sub in self.subs:
-                self.run.absorb(sub)
-
-
 class Executor:
     def __init__(
         self,
@@ -294,10 +215,6 @@ class Executor:
                 and (fault_plan.enabled or fault_plan.storage_enabled)
                 else None
             )
-        #: parameter-cell bindings snapshotted on the coordinator thread
-        #: at ``run()`` time, re-installed inside every partition task
-        #: (cells are thread-local; see ``plan.expressions.ParamCell``)
-        self._param_snapshot: List[tuple] = []
         #: relations memoized by plan-node identity — the lineage store.
         #: A child executed once is never re-executed when a faulted
         #: parent retries; retries replay against these memoized inputs,
@@ -331,24 +248,11 @@ class Executor:
         twin.checkpoints = CheckpointStore(self.checkpoints._evictions)
         return twin
 
-    def _partition_tasks(self, run, count: int) -> _PartitionTasks:
-        return _PartitionTasks(self, run, count)
-
-    def run(
-        self,
-        plan: PhysicalNode,
-        param_cells: Optional[Dict[str, object]] = None,
-    ) -> Tuple[List[tuple], QueryMetrics]:
+    def run(self, plan: PhysicalNode) -> Tuple[List[tuple], QueryMetrics]:
         """Execute a plan; returns (all result rows, metrics for this
         statement, carrying the per-operator estimate-vs-actual trace).
-        The cluster's running metrics are reset first. ``param_cells``
-        (name -> ParamCell) carries prepared-statement bindings from the
-        coordinator thread into partition tasks."""
+        The cluster's running metrics are reset first."""
         self.cluster.reset_metrics()
-        cells = list(param_cells.values()) if param_cells else []
-        self._param_snapshot = [
-            (cell, cell.value, cell.bound) for cell in cells
-        ]
         self._materialized.clear()
         self._op_sequence = 0
         self._node_ops.clear()
@@ -710,21 +614,16 @@ class Executor:
     ) -> DistributedRelation:
         """The skeleton of a row-wise operator: ``fn(chunk, slot, op)``
         turns each input partition into its output chunk, charging the
-        partition task's run ``op``; a broadcast input is processed once
-        and stays broadcast."""
+        operator's run ``op``; a broadcast input is processed once and
+        stays broadcast."""
         run = self.cluster.operator(name)
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def task(slot, op):
-            chunk = parts_in[slot]
-            out = fn(chunk, slot, op)
-            op.rows_in += len(chunk)
-            op.rows_out += len(out)
-            return out
-
-        parts_out = tasks.map(task)
-        tasks.finish()
+        parts_out = []
+        for slot, chunk in enumerate(parts_in):
+            out = fn(chunk, slot, run)
+            run.rows_in += len(chunk)
+            run.rows_out += len(out)
+            parts_out.append(out)
         self.cluster.record(run)
         return self._wrap_output(column_ids, parts_out, was_broadcast, partitioning)
 
@@ -733,7 +632,7 @@ class Executor:
     #
     # One handler per physical operator, written against the chunk
     # protocol of ``engine.storage``: a handler owns child execution,
-    # partition-task fan-out and every charge; the chunks own the value
+    # the per-slot loop and every charge; the chunks own the value
     # computation. Both execution modes run these same handlers, so the
     # charge sequence cannot differ between them.
     # =======================================================================
@@ -751,7 +650,6 @@ class Executor:
         column_ids = [column.column_id for column in node.columns]
         predicates = resolve_prune_predicates(node.prune_predicates)
         pool = self.storage.buffer_pool if self.storage is not None else None
-        tasks = self._partition_tasks(run, self.slots)
 
         def scan_slot(slot, op):
             pieces = []
@@ -776,8 +674,7 @@ class Executor:
             op.bytes_out += scanned
             return chunk
 
-        parts = tasks.map(scan_slot)
-        tasks.finish()
+        parts = [scan_slot(slot, run) for slot in range(self.slots)]
         run.rows_in = run.rows_out
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts, node.partitioning)
@@ -790,7 +687,6 @@ class Executor:
         layout of the final aggregate or gathered result it replaces."""
         run = self.cluster.operator(f"ViewScan({node.view.name})")
         column_ids = [column.column_id for column in node.columns]
-        tasks = self._partition_tasks(run, self.slots)
 
         def view_slot(slot, op):
             if slot != 0:
@@ -803,8 +699,7 @@ class Executor:
             op.bytes_out += chunk.total_bytes()
             return chunk
 
-        parts = tasks.map(view_slot)
-        tasks.finish()
+        parts = [view_slot(slot, run) for slot in range(self.slots)]
         run.rows_in = run.rows_out
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts, node.partitioning)
@@ -883,17 +778,15 @@ class Executor:
             self.cluster.record(run)
             return DistributedRelation(column_ids, parts_out, SINGLE)
 
-        # hash repartition. Map tasks evaluate and bucket the partition
-        # keys and charge the map side; the coordinator then places each
-        # chunk's distinct keys sequentially in (source slot, first row)
+        # hash repartition. The map side evaluates and buckets each
+        # partition's keys and charges the map side; each chunk's
+        # distinct keys are then placed in (source slot, first row)
         # order — that order is what fixes the balanced first-seen key
-        # assignment — and routes rows by their key's target, ascending
-        # within a (source, target) pair; reduce tasks concatenate and
-        # charge the receive side. Both phases share one task set so
-        # every slot's float-addition chain stays whole.
+        # assignment — and rows routed by their key's target, ascending
+        # within a (source, target) pair; the reduce side concatenates
+        # and charges the receive side.
         balanced_assignment: Dict[tuple, int] = {}
         scattered: List[list] = [[] for _ in range(self.slots)]
-        tasks = self._partition_tasks(run, self.slots)
 
         def map_side(slot, op):
             chunk = source_parts[slot]
@@ -906,7 +799,7 @@ class Executor:
             op.rows_in += len(chunk)
             return grouping
 
-        grouped = tasks.map(map_side, count=len(source_parts))
+        grouped = [map_side(slot, run) for slot in range(len(source_parts))]
         for chunk, grouping in zip(source_parts, grouped):
             if config.balanced_placement:
                 targets = [
@@ -936,8 +829,7 @@ class Executor:
             op.bytes_out += nbytes
             return received
 
-        parts_out = tasks.map(reduce_side)
-        tasks.finish()
+        parts_out = [reduce_side(slot, run) for slot in range(self.slots)]
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
@@ -976,12 +868,10 @@ class Executor:
 
         # a broadcast build side is one shared chunk hashed once, but it
         # is a full copy on every slot: each slot charges the key
-        # evaluation and its own spill. Build and probe share one task
-        # set: both phases of partition ``i`` charge the same sub-run.
+        # evaluation and its own spill.
         shared = (
             build_table(0) if build_rel.partitioning.kind == "broadcast" else None
         )
-        tasks = self._partition_tasks(run, self.slots)
 
         def build_slot(slot, op):
             chunk, nbytes, cost, keys = shared or build_table(slot)
@@ -990,7 +880,7 @@ class Executor:
             op.rows_in += len(chunk)
             return chunk, keys
 
-        built = tasks.map(build_slot)
+        built = [build_slot(slot, run) for slot in range(self.slots)]
 
         def probe_slot(slot, op):
             chunk = probe_parts[slot]
@@ -1008,8 +898,7 @@ class Executor:
             op.rows_out += len(joined)
             return joined
 
-        parts_out = tasks.map(probe_slot)
-        tasks.finish()
+        parts_out = [probe_slot(slot, run) for slot in range(self.slots)]
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
@@ -1025,7 +914,6 @@ class Executor:
             raise ExecutionError("nested-loop probe side cannot be broadcast")
         column_ids = [column.column_id for column in node.columns]
         build_count = len(build_chunk)
-        tasks = self._partition_tasks(run, len(probe_parts))
 
         def join_slot(slot, op):
             chunk = probe_parts[slot]
@@ -1048,8 +936,7 @@ class Executor:
             op.rows_out += len(joined)
             return joined
 
-        parts_out = tasks.map(join_slot)
-        tasks.finish()
+        parts_out = [join_slot(slot, run) for slot in range(len(probe_parts))]
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
@@ -1061,7 +948,6 @@ class Executor:
             raise ExecutionError("aggregating a broadcast relation")
         column_ids = [column.column_id for column in node.columns]
         specs = node.aggregates
-        tasks = self._partition_tasks(run, len(parts_in))
 
         def aggregate_slot(slot, op):
             chunk = parts_in[slot]
@@ -1094,8 +980,7 @@ class Executor:
             op.rows_out += len(out_rows)
             return self._chunks.from_rows(column_ids, out_rows)
 
-        parts_out = tasks.map(aggregate_slot)
-        tasks.finish()
+        parts_out = [aggregate_slot(slot, run) for slot in range(len(parts_in))]
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, ROUND_ROBIN)
 
@@ -1104,7 +989,6 @@ class Executor:
         run = self.cluster.operator("FinalAggregate")
         key_count = len(node.group_columns)
         column_ids = [column.column_id for column in node.columns]
-        tasks = self._partition_tasks(run, len(child.partitions))
 
         # SQL scalar aggregates yield exactly one row on empty input
         no_input = key_count == 0 and not any(
@@ -1124,8 +1008,9 @@ class Executor:
             op.rows_out += len(out_rows)
             return self._chunks.from_rows(column_ids, out_rows)
 
-        parts_out = tasks.map(merge_slot)
-        tasks.finish()
+        parts_out = [
+            merge_slot(slot, run) for slot in range(len(child.partitions))
+        ]
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 

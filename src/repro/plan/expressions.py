@@ -195,11 +195,8 @@ class ParamCell:
     re-executed with fresh values. The binding is **thread-local**:
     statements admitted through the database's reader–writer gate
     genuinely execute concurrently, and two threads re-binding one
-    cached plan's cells must not observe each other's values. The
-    executor snapshots the coordinator thread's bindings at ``run()``
-    time and re-installs them inside each partition task (partition
-    tasks run on pool threads, which would otherwise see the cell
-    unbound — or worse, a stale binding from an earlier statement)."""
+    cached plan's cells must not observe each other's values. A
+    statement executes on the thread that bound its cells."""
 
     __slots__ = ("name", "_local")
 
@@ -218,12 +215,6 @@ class ParamCell:
     def set(self, value) -> None:
         self._local.value = value
         self._local.bound = True
-
-    def clear(self) -> None:
-        """Drop this thread's binding (stale values must not leak into
-        a later statement executing on the same pool thread)."""
-        self._local.value = None
-        self._local.bound = False
 
     def __repr__(self):
         return f"ParamCell(:{self.name}={self.value!r})"

@@ -24,11 +24,9 @@ threads (``run_in_executor``) driving the thread-safe
 statements: the service releases its lock around cluster execution and
 the database's reader–writer admission gate runs concurrent SELECTs
 against a stable catalog snapshot (DDL/DML still admits exclusively).
-Inside each statement, operators additionally fan their partition work
-out to the engine's task pool when
-``ClusterConfig.intra_query_parallelism`` > 1. Two load-shedding layers
-sit in front of the pool, both answering 429 with a ``Retry-After``
-header:
+A statement itself is single-threaded: it runs on the worker thread
+that admitted it. Two load-shedding layers sit in front of the pool,
+both answering 429 with a ``Retry-After`` header:
 
 * a server-wide in-flight cap (``ServerConfig.max_inflight``) bounding
   concurrently admitted requests, and
@@ -561,17 +559,19 @@ class Server:
         return {"session": name, "closed": True}
 
     def _resolve_session(self, payload: Dict[str, object]):
-        """(session, ephemeral): the named session, or a fresh one that
-        lives only as long as this request's result."""
+        """The named session, or a fresh ``ephemeral`` one that lives
+        only as long as this request's result."""
         name = payload.get("session")
         if name is not None:
             session = self.service.sessions().get(name)
             if session is None:
                 raise SessionClosedError(f"no active session named {name!r}")
             self.service.touch(session)
-            return session, False
+            return session
         tenant = payload.get("tenant")
-        return self.service.session(tenant=tenant), True
+        session = self.service.session(tenant=tenant)
+        session.ephemeral = True
+        return session
 
     def _query(self, payload: Dict[str, object]) -> Dict[str, object]:
         sql = payload.get("sql")
@@ -579,19 +579,17 @@ class Server:
             raise _HttpError(400, "bad_request", "missing 'sql' string")
         params = decode_params(payload.get("params"))
         page_size = self._positive_int(payload, "page_size")
-        session, ephemeral = self._resolve_session(payload)
+        session = self._resolve_session(payload)
         try:
             # rate limiting inside the try: a shed ephemeral session
             # must be closed, not left to accumulate in the service
             self.limiter.acquire(session.tenant)
             result = session.execute(sql, params)
         except ReproError:
-            if ephemeral:
+            if session.ephemeral:
                 session.close()
             raise
         cursor = session.open_cursor(result, page_size)
-        if ephemeral:
-            session.ephemeral = True
         rows = cursor.fetchmany()
         response = {
             "session": session.name,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence
 
 from ..engine.metrics import QueryMetrics
@@ -82,6 +82,23 @@ class ServiceMetrics:
             if stats is None:
                 stats = self.per_session[name] = SessionStats()
             return stats
+
+    def fold_ephemeral(self, name: str) -> None:
+        """Fold a released per-request session's counters into the one
+        aggregate ``"ephemeral"`` row: the network layer opens a session
+        per anonymous request, and a row each would grow for the life of
+        the process."""
+        with self._lock:
+            stats = self.per_session.pop(name, None)
+            if stats is None:
+                return
+            total = self.session("ephemeral")
+            for counter in fields(SessionStats):
+                setattr(
+                    total,
+                    counter.name,
+                    getattr(total, counter.name) + getattr(stats, counter.name),
+                )
 
     def observe(self, session_name: str, metrics: QueryMetrics, cache_hit: bool) -> None:
         with self._lock:

@@ -100,7 +100,7 @@ class PlanCacheKey:
     param_types: Tuple
     scope: str = ""
     #: execution-relevant configuration baked into the compiled plan:
-    #: (execution_mode, storage_mode, intra_query_parallelism). A plan
+    #: (execution_mode, storage_mode). A plan
     #: compiled under one mode must never serve another — the physical
     #: plan shape and cost decisions can differ.
     exec_fingerprint: Tuple = ()

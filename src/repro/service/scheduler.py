@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Set
 
 from ..engine.cluster import SlotTimeline
 from ..errors import ServiceOverloadedError
@@ -89,6 +89,9 @@ class SlotScheduler:
         self._backlog: Deque[Ticket] = deque()  # completed, not yet collected
         #: cumulative slot-seconds consumed per tenant (fair-share state)
         self.usage: Dict[str, float] = {}
+        #: tenants that will submit no more work but still have a ticket
+        #: waiting or running; their ``usage`` entry goes when it leaves
+        self._retired: Set[str] = set()
         # counters
         self.admitted = 0
         self.rejected = 0
@@ -139,6 +142,15 @@ class SlotScheduler:
                 self.queue_peak = max(self.queue_peak, len(self._waiting))
             self.admitted += 1
             return ticket
+
+    def retire(self, tenant: str) -> None:
+        """``tenant`` will submit no more work (a per-request session was
+        released): forget its fair-share usage once none of its tickets
+        is waiting or running, so ``usage`` tracks live tenants instead
+        of growing by one entry per request."""
+        with self._lock:
+            self._retired.add(tenant)
+            self._forget_retired()
 
     def retry_after_estimate(self, now: Optional[float] = None) -> float:
         """A backoff hint for rejected clients: time until the next gang
@@ -207,7 +219,17 @@ class SlotScheduler:
         ticket = min(self._running.values(), key=lambda t: (t.finish, t.seq))
         del self._running[ticket.seq]
         self.clock = max(self.clock, ticket.finish)
+        self._forget_retired()
         return ticket
+
+    def _forget_retired(self) -> None:
+        if not self._retired:
+            return
+        live = {ticket.tenant for ticket in self._running.values()}
+        live.update(ticket.tenant for ticket in self._waiting)
+        for tenant in self._retired - live:
+            self.usage.pop(tenant, None)
+        self._retired.intersection_update(live)
 
     def _dispatch_waiting(self) -> None:
         """Fill any idle gangs from the waiting room in fair-share order."""
@@ -235,5 +257,6 @@ class SlotScheduler:
                 return
             del self._running[earliest.seq]
             self.clock = max(self.clock, earliest.finish)
+            self._forget_retired()
             self._backlog.append(earliest)
             self._dispatch_waiting()

@@ -319,6 +319,9 @@ class QueryService:
         with self._lock:
             if self._sessions.pop(session.name, None) is not None:
                 self.sessions_closed += 1
+                if session.ephemeral:
+                    self.metrics.fold_ephemeral(session.name)
+                    self.scheduler.retire(session.name)
 
     # -- planning ----------------------------------------------------------
 
@@ -342,7 +345,6 @@ class QueryService:
             exec_fingerprint=(
                 self.db.execution_mode,
                 self.db.config.storage_mode,
-                self.db.config.intra_query_parallelism,
             ),
             feedback_version=self.db.feedback.version,
         )
@@ -402,8 +404,7 @@ class QueryService:
         statements from different worker threads genuinely overlap: the
         database's admission gate (shared for SELECTs) and the engine's
         per-statement executors make that safe, and parameter bindings
-        travel as thread-local cells snapshotted by the executing
-        thread."""
+        are thread-local cells bound on the thread that executes."""
         with self._lock:
             session.last_used = self._time()
             if arrival is None:
@@ -425,9 +426,7 @@ class QueryService:
                     )
         # execute WITHOUT the service lock: concurrent submitters overlap
         # here (the expensive part); everything below re-acquires it
-        result = self.db._execute_physical(
-            plan.logical, plan.physical, param_cells=plan.param_cells
-        )
+        result = self.db._execute_physical(plan.logical, plan.physical)
         with self._lock:
             metrics = result.metrics
             metrics.compile_seconds = compile_seconds

@@ -14,10 +14,9 @@ charges, so the pool budget and the spill threshold speak the same
 units. Hit/miss/eviction counters feed ``QueryMetrics`` and
 ``QueryService.stats()``.
 
-One pool is shared by every concurrently admitted statement (and by the
-partition tasks inside each), so every public method takes the pool's
-lock; pin counts, LRU order, and the byte total are only ever mutated
-under it.
+One pool is shared by every concurrently admitted statement, so every
+public method takes the pool's lock; pin counts, LRU order, and the
+byte total are only ever mutated under it.
 """
 
 from __future__ import annotations

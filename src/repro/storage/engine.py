@@ -93,7 +93,7 @@ class StorageEngine:
             return rows
         path = self.allocate_segment_path("spill")
         # spills are scratch (recomputed after a crash) and run from
-        # parallel partition tasks: not a durability barrier
+        # concurrently admitted statements: not a durability barrier
         write_segment_file(path, encode_rows(rows), durable=False)
         try:
             return rows_from_columns(read_segment_file(path))

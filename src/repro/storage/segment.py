@@ -264,8 +264,8 @@ def write_segment_file(
     ``os.replace`` — and counts as one durability barrier when an
     ``injector`` is armed. Spill files pass ``durable=False``: they are
     scratch state recomputed after any crash, and they are written from
-    parallel partition tasks, so routing them through the barrier
-    counter would make crash points scheduling-dependent."""
+    concurrently admitted statements, so routing them through the
+    barrier counter would make crash points scheduling-dependent."""
     if durable:
         atomic_write(path, blob, injector=injector)
     else:

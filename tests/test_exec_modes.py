@@ -1329,25 +1329,21 @@ def _metrics_print(metrics):
 
 
 MODE_MATRIX = [
-    (mode, storage, parallelism)
-    for mode in ("row", "batch")
-    for storage in ("memory", "disk")
-    for parallelism in (1, 4)
+    (mode, storage) for mode in ("row", "batch") for storage in ("memory", "disk")
 ]
 
 
 def _run_matrix(tables, statements, matrix=MODE_MATRIX, **config):
     """``statements`` over ``tables`` (name -> (column DDL, rows)) under
-    every ``(execution_mode, storage_mode, intra_query_parallelism)``:
+    every ``(execution_mode, storage_mode)``:
     each statement's rows by ``(type, bits)`` **in order**, and its
     simulated metrics."""
     outcomes = []
-    for mode, storage, parallelism in matrix:
+    for mode, storage in matrix:
         db = Database(
             TEST_CLUSTER.with_updates(
                 execution_mode=mode,
                 storage_mode=storage,
-                intra_query_parallelism=parallelism,
                 segment_rows=4,
                 **config,
             )
@@ -1361,7 +1357,6 @@ def _run_matrix(tables, statements, matrix=MODE_MATRIX, **config):
                 [(_exact(r.rows), _metrics_print(r.metrics)) for r in results]
             )
         finally:
-            db.cluster.close_task_pool()
             db.close()
     return outcomes
 
@@ -1369,8 +1364,8 @@ def _run_matrix(tables, statements, matrix=MODE_MATRIX, **config):
 class TestKeyStatementsAgree:
     """GROUP BY, joins, DISTINCT and ORDER BY over every kind of key
     column: one answer — rows in order, every simulated charge — under
-    every execution mode, storage mode and parallelism, for either
-    placement rule."""
+    every execution mode and storage mode, for either placement
+    rule."""
 
     @settings(
         max_examples=5,

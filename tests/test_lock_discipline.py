@@ -15,7 +15,6 @@ import pytest
 
 from repro import Database, TEST_CLUSTER
 from repro.admission import AdmissionGate
-from repro.engine.cluster import Cluster
 from repro.errors import ReproError
 from repro.server.ratelimit import TenantRateLimiter, TokenBucket
 from repro.service import (
@@ -42,7 +41,6 @@ AUDITED = (
     # engine + storage layers: shared across concurrently admitted
     # statements since the global exec lock was retired
     AdmissionGate,
-    Cluster,
     StorageEngine,
     BufferPool,
 )
@@ -206,13 +204,12 @@ def test_no_unlocked_writes_under_overload():
 
 
 def test_engine_and_storage_obey_lock_discipline():
-    """The lint now reaches below the service: disk-mode statements with
-    partition parallelism drive the cluster task pool, buffer pool,
-    spill bookkeeping, and the admission gate from many threads at once
-    — including a DDL writer taking the exclusive path mid-stream."""
+    """The lint now reaches below the service: disk-mode statements
+    drive the buffer pool, spill bookkeeping, and the admission gate
+    from many threads at once — including a DDL writer taking the
+    exclusive path mid-stream."""
     config = TEST_CLUSTER.with_updates(
         storage_mode="disk",
-        intra_query_parallelism=2,
         buffer_pool_bytes=2048.0,  # small pool: force evictions
     )
     auditor = LockDisciplineAuditor()
@@ -261,7 +258,6 @@ def test_engine_and_storage_obey_lock_discipline():
             thread.start()
         for thread in threads:
             thread.join()
-        db.cluster.close_task_pool()
 
     assert errors == []
     assert auditor.violations == [], "\n".join(

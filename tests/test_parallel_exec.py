@@ -1,12 +1,12 @@
-"""Partition-parallel execution equivalence and admission-gate coverage.
+"""Concurrent statements and admission-gate coverage.
 
-The contract (docs/ENGINE.md): ``ClusterConfig.intra_query_parallelism``
-is a pure dispatch optimization. For any query, any parallelism level
-must produce identical result rows (same order) and *bit-identical*
-simulated :class:`QueryMetrics` — including the per-slot busy-second
-chains — across execution modes, storage modes, and under an active
-:class:`FaultPlan`. The reader–writer :class:`AdmissionGate` replaces
-the old global exec lock; its unit tests and the
+The contract (docs/ENGINE.md, "Concurrency model"): statements overlap
+each other on real threads, a statement itself runs on the thread that
+admitted it. A statement executed beside other readers and a DDL writer
+must produce the rows and *bit-identical* simulated
+:class:`QueryMetrics` — including the per-slot busy-second chains — it
+produces alone. The reader–writer :class:`AdmissionGate` replaces the
+old global exec lock; its unit tests and the
 ``set_execution_mode``-vs-in-flight-statement regression live here too.
 """
 
@@ -14,15 +14,10 @@ import threading
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
 from repro.admission import AdmissionGate
-from repro.faults import DEFAULT_FAULT_PLAN, FaultPlan
 from repro.types import Vector
-
-PARALLELISMS = (1, 2, 8)
 
 TABLE_A_ROWS = [(i % 7, float(i) - 3.5, i % 3) for i in range(40)]
 TABLE_B_ROWS = [(i % 5, float(i * 2)) for i in range(15)]
@@ -41,20 +36,11 @@ QUERIES = (
     # Gram-style vector aggregate (the paper's workload)
     "SELECT t.g, SUM(outer_product(t.v, t.v)), COUNT(*) "
     "FROM tv AS t GROUP BY t.g",
-    # distinct and sort/limit tails
-    "SELECT DISTINCT ta.g FROM ta",
-    "SELECT t.id, inner_product(t.v, t.v) FROM tv AS t ORDER BY id LIMIT 10",
 )
 
 
-def _db(mode="batch", storage="memory", parallelism=1, fault_plan=None):
-    config = TEST_CLUSTER.with_updates(
-        execution_mode=mode,
-        storage_mode=storage,
-        intra_query_parallelism=parallelism,
-        fault_plan=fault_plan,
-    )
-    db = Database(config)
+def _db():
+    db = Database(TEST_CLUSTER)
     db.execute("CREATE TABLE ta (k INTEGER, x DOUBLE, g INTEGER)")
     db.execute("CREATE TABLE tb (k INTEGER, y DOUBLE)")
     db.execute("CREATE TABLE tv (id INTEGER, g INTEGER, v VECTOR[])")
@@ -66,8 +52,7 @@ def _db(mode="batch", storage="memory", parallelism=1, fault_plan=None):
 
 def _fingerprint(metrics):
     """Every simulated number an operator charges, bit-for-bit —
-    including the per-slot busy-second chains the parallel dispatcher
-    must reassemble in exact partition order."""
+    including the per-slot busy-second chains."""
     return (
         metrics.jobs,
         metrics.startup_seconds,
@@ -98,88 +83,6 @@ def _fingerprint(metrics):
     )
 
 
-def _run(sql, **kwargs):
-    db = _db(**kwargs)
-    try:
-        result = db.execute(sql)
-        return result.rows, _fingerprint(result.metrics)
-    finally:
-        db.cluster.close_task_pool()
-
-
-def _assert_parallelism_invisible(sql, **kwargs):
-    baseline_rows, baseline_print = _run(sql, parallelism=1, **kwargs)
-    for parallelism in PARALLELISMS[1:]:
-        rows, print_ = _run(sql, parallelism=parallelism, **kwargs)
-        assert rows == baseline_rows, (sql, parallelism)
-        assert print_ == baseline_print, (sql, parallelism)
-
-
-# -- bit-identity across the parallelism knob --------------------------------
-
-
-class TestParallelismEquivalence:
-    @pytest.mark.parametrize("mode", ["row", "batch"])
-    @pytest.mark.parametrize("storage", ["memory", "disk"])
-    def test_fixed_queries_agree(self, mode, storage):
-        for sql in QUERIES:
-            _assert_parallelism_invisible(sql, mode=mode, storage=storage)
-
-    @pytest.mark.parametrize("mode", ["row", "batch"])
-    def test_agree_under_faults(self, mode):
-        """Fault draws are keyed by (seed, kind, operator, partition,
-        attempt) — never by thread identity — so injection, recovery
-        timings, and retries are schedule-independent."""
-        for sql in QUERIES[:3]:
-            _assert_parallelism_invisible(
-                sql, mode=mode, fault_plan=DEFAULT_FAULT_PLAN
-            )
-
-    def test_agree_under_heavy_faults_on_disk(self):
-        plan = FaultPlan(
-            seed=7,
-            slot_crash_rate=0.15,
-            lost_partition_rate=0.15,
-            transient_error_rate=0.1,
-            straggler_rate=0.2,
-        )
-        _assert_parallelism_invisible(
-            QUERIES[0], mode="batch", storage="disk", fault_plan=plan
-        )
-
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        join=st.booleans(),
-        grouped=st.booleans(),
-        op=st.sampled_from(["=", "<>", "<", ">", "<=", ">="]),
-        threshold=st.integers(-4, 40),
-    )
-    def test_randomized_queries_agree(self, join, grouped, op, threshold):
-        if join:
-            select = (
-                "ta.g, COUNT(*), SUM(ta.x + tb.y)" if grouped
-                else "ta.k, ta.x, tb.y"
-            )
-            tail = " GROUP BY ta.g" if grouped else ""
-            sql = (
-                f"SELECT {select} FROM ta, tb "
-                f"WHERE ta.k = tb.k AND ta.x {op} {threshold}{tail}"
-            )
-        else:
-            select = (
-                "ta.g, SUM(ta.x), MIN(ta.k), MAX(ta.x), COUNT(*)"
-                if grouped
-                else "ta.k, ta.x * 2 + 1"
-            )
-            tail = " GROUP BY ta.g" if grouped else ""
-            sql = f"SELECT {select} FROM ta WHERE ta.x {op} {threshold}{tail}"
-        _assert_parallelism_invisible(sql)
-
-
 # -- concurrent statements stay deterministic --------------------------------
 
 
@@ -189,49 +92,46 @@ class TestConcurrentStatements:
         exactly the rows and bit-identical simulated metrics it gets
         when run alone — concurrency (and a DDL writer churning other
         tables) must be invisible."""
-        db = _db(parallelism=2)
-        try:
-            references = {
-                sql: (db.execute(sql).rows, _fingerprint(db.execute(sql).metrics))
-                for sql in QUERIES[:3]
-            }
-            errors = []
-            mismatches = []
+        db = _db()
+        references = {
+            sql: (db.execute(sql).rows, _fingerprint(db.execute(sql).metrics))
+            for sql in QUERIES
+        }
+        errors = []
+        mismatches = []
 
-            def reader(n):
-                try:
-                    for sql in QUERIES[:3]:
-                        result = db.execute(sql)
-                        got = (result.rows, _fingerprint(result.metrics))
-                        if got != references[sql]:
-                            mismatches.append((n, sql))
-                except Exception as exc:  # pragma: no cover
-                    errors.append(repr(exc))
+        def reader(n):
+            try:
+                for sql in QUERIES:
+                    result = db.execute(sql)
+                    got = (result.rows, _fingerprint(result.metrics))
+                    if got != references[sql]:
+                        mismatches.append((n, sql))
+            except Exception as exc:  # pragma: no cover
+                errors.append(repr(exc))
 
-            def writer():
-                try:
-                    for round_ in range(4):
-                        db.execute(f"CREATE TABLE scratch{round_} (i INTEGER)")
-                        db.load(f"scratch{round_}", [(i,) for i in range(5)])
-                        db.execute(f"DROP TABLE scratch{round_}")
-                except Exception as exc:  # pragma: no cover
-                    errors.append(repr(exc))
+        def writer():
+            try:
+                for round_ in range(4):
+                    db.execute(f"CREATE TABLE scratch{round_} (i INTEGER)")
+                    db.load(f"scratch{round_}", [(i,) for i in range(5)])
+                    db.execute(f"DROP TABLE scratch{round_}")
+            except Exception as exc:  # pragma: no cover
+                errors.append(repr(exc))
 
-            threads = [
-                threading.Thread(target=reader, args=(n,)) for n in range(4)
-            ]
-            threads.append(threading.Thread(target=writer))
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert errors == []
-            assert mismatches == []
-            stats = db._admission.stats()
-            assert stats["shared_admissions"] >= 12
-            assert stats["exclusive_admissions"] >= 8
-        finally:
-            db.cluster.close_task_pool()
+        threads = [
+            threading.Thread(target=reader, args=(n,)) for n in range(4)
+        ]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert mismatches == []
+        stats = db._admission.stats()
+        assert stats["shared_admissions"] >= 12
+        assert stats["exclusive_admissions"] >= 8
 
 
 # -- the set_execution_mode race (regression) --------------------------------

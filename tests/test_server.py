@@ -198,6 +198,18 @@ def test_ephemeral_sessions_do_not_accumulate(server, client):
     assert server.service.sessions() == {}
 
 
+def test_ephemeral_sessions_leave_no_per_request_state(server, client):
+    """Anonymous queries fold into one ``ephemeral`` stats row and leave
+    no fair-share entry behind: ``/stats`` must not grow per request."""
+    for _ in range(300):
+        client.query("SELECT COUNT(i) FROM points")
+    stats = server.stats()
+    assert stats["queries"] == 300
+    assert len(stats["sessions"]) <= 2
+    assert stats["sessions"]["ephemeral"]["queries"] == 300
+    assert len(server.service.scheduler.usage) <= 2
+
+
 # -- error mapping -----------------------------------------------------------
 
 
