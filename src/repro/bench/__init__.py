@@ -3,7 +3,6 @@ the paper-scale cost model, figure reproduction, and the CLI."""
 
 from .figures import FigureResult, figure, figure4, rst_experiment
 from .model import SimSQLModel
-from .serve import ServeConfig, ServeReport, compare_cache, format_serve, run_serve
 from .simsql import STYLES, RunOutcome, SimSQLPlatform
 from .workloads import Workload, generate
 
@@ -11,16 +10,11 @@ __all__ = [
     "FigureResult",
     "RunOutcome",
     "STYLES",
-    "ServeConfig",
-    "ServeReport",
     "SimSQLModel",
     "SimSQLPlatform",
     "Workload",
-    "compare_cache",
     "figure",
     "figure4",
-    "format_serve",
     "generate",
     "rst_experiment",
-    "run_serve",
 ]

@@ -4,10 +4,10 @@ The figure targets (``fig1``–``fig4``, ``rst``, ``all``) regenerate the
 paper's tables and figures: paper-scale simulated times for all six
 platforms next to the paper's reported numbers, mini-scale real
 executions with correctness checks, the Figure 4 operation breakdown,
-and the section 4.1 optimizer ablation. ``serve`` runs the closed-loop
-multi-client serving benchmark with the plan cache on and off. The
-benchmark targets in :data:`BENCHES` (and ``serve --open-loop``) take
-``--check``: a smaller run that exits nonzero when its contract breaks.
+and the section 4.1 optimizer ablation. The benchmark targets in
+:data:`BENCHES` (``serve`` is the real-socket open-loop serving
+benchmark) take ``--check``: a smaller run that exits nonzero when its
+contract breaks.
 """
 
 from __future__ import annotations
@@ -24,84 +24,21 @@ from .figures import (
     format_rst,
     rst_experiment,
 )
-
-
-def run_serve_target(
-    clients: int = 6,
-    queries: int = 20,
-    max_concurrency: int = 4,
-    queue_limit: int = 8,
-    think_time_s: float = 0.0,
-    seed: int = 0,
-) -> str:
-    from ..service import ServiceConfig
-    from .serve import ServeConfig, compare_cache, format_serve
-
-    config = ServeConfig(
-        clients=clients,
-        queries_per_client=queries,
-        think_time_s=think_time_s,
-        seed=seed,
-        service=ServiceConfig(
-            max_concurrency=max_concurrency,
-            admission_queue_limit=queue_limit,
-        ),
-    )
-    with_cache, without_cache = compare_cache(config)
-    return format_serve(with_cache, without_cache)
-
-
-def _open_loop(args, out: str) -> "tuple":
-    """``serve --open-loop``: (report text, ok) for the open-loop socket
-    benchmark.
-
-    ``--check`` shrinks the run for CI (still real sockets, still the
-    serial bit-identity comparison, still the parallel scaling probe);
-    ``out`` is where the JSON snapshot lands (empty string skips the
-    write). The scaling probe's
-    parallel-vs-serial throughput ratio is recorded but never gated on:
-    it tracks the host's real core count (see
-    ``repro.bench.openloop.measure_scaling``). ``ok`` does require both
-    scaling probes to stay bit-identical to their serial baselines."""
-    from . import openloop
-
-    clients = args.clients if args.clients is not None else 100
-    queries = args.queries if args.queries is not None else 400
-    rate = args.rate
-    small = {}
-    if args.check:
-        clients, queries, rate = min(clients, 16), min(queries, 64), min(rate, 120.0)
-        small = dict(queries=8, clients=4, rows=128, dims=16)
-    config = openloop.OpenLoopConfig(
-        clients=clients, queries=queries, arrival_rate_qps=rate, seed=args.seed
-    )
-    report = openloop.run_open_loop(config)
-    ok = report.ok()
-    text = openloop.format_open_loop(report)
-    scaling_block = None
-    if not args.no_scaling:
-        scaling_block = openloop.measure_scaling(seed=args.seed, **small)
-        ok = ok and scaling_block["serial_ok"] and scaling_block["parallel_ok"]
-        text = text + "\n\n" + openloop.format_scaling(scaling_block)
-    if out:
-        openloop.write_snapshot(report, out, scaling=scaling_block)
-    return text, ok
+from .harness import write_snapshot
 
 
 def _bench(module: str, run: str, fmt: str, *flags: str):
     """The runner of one ``repro.bench.<module>`` benchmark:
-    ``runner(args, out) -> (report text, ok)``. ``flags`` names the
+    ``runner(args) -> (report, report text)``. ``flags`` names the
     command-line options its ``run`` function takes besides ``smoke``
-    (which is ``--check``); ``out`` is where the JSON snapshot lands
-    ('' skips the write)."""
+    (which is ``--check``). A report has ``ok()`` and, when the target
+    has a snapshot, ``to_json()``."""
 
-    def runner(args, out: str) -> "tuple":
+    def runner(args) -> "tuple":
         bench = import_module(f"{__package__}.{module}")
         options = {flag: getattr(args, flag) for flag in flags}
         report = getattr(bench, run)(smoke=args.check, **options)
-        if out:
-            bench.write_snapshot(report, out)
-        return getattr(bench, fmt)(report), report.ok()
+        return report, getattr(bench, fmt)(report)
 
     return runner
 
@@ -118,8 +55,17 @@ FIGURES = {
 #: ``--check``-able benchmarks: target -> (runner, what a failed check
 #: means, default ``--out`` or None for a benchmark with no snapshot)
 BENCHES = {
-    "serve": (  # with --open-loop; the closed loop has nothing to check
-        _open_loop,
+    "serve": (
+        _bench(
+            "openloop",
+            "run_serving_bench",
+            "format_serving",
+            "clients",
+            "queries",
+            "rate",
+            "seed",
+            "no_scaling",
+        ),
         "no traffic got through or a concurrent result diverged from the "
         "serial baseline",
         "BENCH_serve.json",
@@ -170,14 +116,17 @@ BENCHES = {
 TARGETS = (*FIGURES, *BENCHES, "all")
 
 
+def run_bench(target: str, *flags: str) -> "tuple":
+    """``(report, report text)`` of the benchmark ``target`` run with
+    the command-line ``flags``; writes no snapshot."""
+    return BENCHES[target][0](_parser().parse_args([target, *flags]))
+
+
 def run_target(target: str, run_mini: bool = True) -> str:
     if target in FIGURES:
         return FIGURES[target](run_mini)
-    if target == "serve":
-        return run_serve_target()
     if target in BENCHES:
-        runner, _, default_out = BENCHES[target]
-        return runner(_parser().parse_args([target]), default_out or "")[0]
+        return run_bench(target)[1]
     if target == "all":
         # "all" regenerates the paper artifacts; the serving benchmark
         # is its own target so the golden figure outputs stay stable.
@@ -201,65 +150,38 @@ def _parser() -> argparse.ArgumentParser:
     serve_group.add_argument(
         "--clients",
         type=int,
-        default=None,
-        help="concurrent clients (serve; default 6 closed-loop, "
-        "100 open-loop)",
+        default=100,
+        help="concurrent socket clients, one persistent connection each (serve)",
     )
     serve_group.add_argument(
         "--queries",
         type=int,
-        default=None,
-        help="queries per client closed-loop / total queries open-loop "
-        "(serve; default 20 closed-loop, 400 open-loop)",
+        default=400,
+        help="total queries on the Poisson schedule (serve)",
     )
     serve_group.add_argument(
-        "--max-concurrency",
+        "--seed",
         type=int,
-        default=4,
-        help="execution gangs in the slot scheduler (serve)",
-    )
-    serve_group.add_argument(
-        "--queue-limit",
-        type=int,
-        default=8,
-        help="admission queue bound before rejection (serve)",
-    )
-    serve_group.add_argument(
-        "--think-time",
-        type=float,
-        default=0.0,
-        help="simulated seconds a client waits between queries (serve)",
-    )
-    serve_group.add_argument(
-        "--seed", type=int, default=0, help="workload RNG seed (serve)"
-    )
-    serve_group.add_argument(
-        "--open-loop",
-        action="store_true",
-        help="run the real-socket open-loop benchmark instead of the "
-        "simulated closed loop: start the HTTP server, fire Poisson "
-        "arrivals from --clients persistent connections, report real "
-        "wall-clock throughput and p50/p95/p99, and compare every "
-        "result bit-for-bit against a serial baseline (serve)",
+        default=0,
+        help="workload RNG seed (serve, faults, recover)",
     )
     serve_group.add_argument(
         "--rate",
         type=float,
         default=200.0,
-        help="offered load in arrivals per real second (serve --open-loop)",
+        help="offered load in arrivals per real second (serve)",
     )
     serve_group.add_argument(
         "--out",
         default=None,
         help="where to write the JSON snapshot; '' skips the write (default "
         + ", ".join(f"{out} for {name}" for name, (_, _, out) in BENCHES.items() if out)
-        + "; serve: with --open-loop)",
+        + ")",
     )
     serve_group.add_argument(
         "--no-scaling",
         action="store_true",
-        help="skip the parallel-vs-serial scaling probe "
-        "(serve --open-loop)",
+        help="skip the parallel-vs-serial scaling probe (serve)",
     )
     exec_group = parser.add_argument_group("benchmark options")
     exec_group.add_argument(
@@ -279,26 +201,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.target == "serve" and not args.open_loop:
-        print(
-            run_serve_target(
-                clients=args.clients if args.clients is not None else 6,
-                queries=args.queries if args.queries is not None else 20,
-                max_concurrency=args.max_concurrency,
-                queue_limit=args.queue_limit,
-                think_time_s=args.think_time,
-                seed=args.seed,
-            )
-        )
-        return 0
     if args.target not in BENCHES:
         print(run_target(args.target, run_mini=not args.no_mini))
         return 0
     runner, failure, default_out = BENCHES[args.target]
+    report, text = runner(args)
     out = args.out if args.out is not None else default_out
-    text, ok = runner(args, out if default_out else "")
+    if out and default_out:
+        write_snapshot(args.target, report.ok(), report.to_json(), out)
     print(text)
-    if args.check and not ok:
+    if args.check and not report.ok():
         print(f"{args.target} check FAILED: {failure}")
         return 1
     return 0

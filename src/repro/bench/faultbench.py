@@ -22,27 +22,27 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..config import ClusterConfig, TEST_CLUSTER
-from ..db import Database
-from ..engine.cluster import stable_hash
 from ..errors import ExecutionError
 from ..faults import FaultPlan
-from .execbench import ExecCase, _cases
+from .harness import digest, run_case
+from .simsql import cases
 
 #: failure-probability sweep: every fault kind fires at the given rate
 #: (stragglers at 1.6x of it, mirroring DEFAULT_FAULT_PLAN's mix)
 FAULT_RATES = (0.02, 0.05, 0.10)
 
-#: the workloads under injection (the paper's three computations)
+#: the workloads under injection (the paper's three computations),
+#: catalogue key -> (n, d)
 FAULT_SCALES = {
-    "gram (vector)": (1024, 8),
-    "regression (vector)": (768, 8),
-    "distance (vector)": (64, 8),
+    ("gram", "vector"): (1024, 8),
+    ("regression", "vector"): (768, 8),
+    ("distance", "vector"): (64, 8),
 }
 
 FAULT_SCALES_SMOKE = {
-    "gram (vector)": (256, 8),
-    "regression (vector)": (192, 8),
-    "distance (vector)": (32, 8),
+    ("gram", "vector"): (256, 8),
+    ("regression", "vector"): (192, 8),
+    ("distance", "vector"): (32, 8),
 }
 
 
@@ -124,28 +124,6 @@ class FaultReport:
         )
 
 
-def _execute_case(
-    case: ExecCase, config: ClusterConfig
-) -> Tuple[list, float, float, float, float, int]:
-    """Run one workload on a fresh database; returns (digest, total
-    simulated seconds, recovery, wasted, speculative, fault events)."""
-    db = Database(config)
-    case.setup(db)
-    digest: list = []
-    total = recovery = wasted = speculative = 0.0
-    events = 0
-    for sql in case.queries:
-        result = db.execute(sql)
-        digest.append(sorted(stable_hash(tuple(row)) for row in result.rows))
-        metrics = result.metrics
-        total += metrics.total_seconds
-        recovery += metrics.recovery_seconds
-        wasted += metrics.wasted_seconds
-        speculative += metrics.speculative_seconds
-        events += sum(metrics.fault_events.values())
-    return digest, total, recovery, wasted, speculative, events
-
-
 def run_fault_bench(
     config: ClusterConfig = TEST_CLUSTER,
     rates: Tuple[float, ...] = FAULT_RATES,
@@ -153,18 +131,15 @@ def run_fault_bench(
     smoke: bool = False,
 ) -> FaultReport:
     scales = FAULT_SCALES_SMOKE if smoke else FAULT_SCALES
-    cases = _cases(scales)
     results: List[FaultRunResult] = []
-    for case in cases:
-        baseline_digest, baseline_s, _, _, _, _ = _execute_case(
-            case, config.with_updates(fault_plan=None)
-        )
+    for case in cases(scales):
+        _, baseline = run_case(case, config.with_updates(fault_plan=None))
+        baseline_digest = digest(baseline)
+        baseline_s = sum(result.metrics.total_seconds for result in baseline)
         for rate in rates:
             faulty = config.with_updates(fault_plan=plan_for_rate(rate, seed))
             try:
-                digest, total, recovery, wasted, speculative, events = (
-                    _execute_case(case, faulty)
-                )
+                _, run = run_case(case, faulty)
             except ExecutionError as exc:
                 results.append(
                     FaultRunResult(
@@ -182,18 +157,19 @@ def run_fault_bench(
                     )
                 )
                 continue
+            metrics = [result.metrics for result in run]
             results.append(
                 FaultRunResult(
                     workload=case.name,
                     rate=rate,
                     succeeded=True,
-                    bit_identical=digest == baseline_digest,
-                    fault_events=events,
-                    effective_s=total,
+                    bit_identical=digest(run) == baseline_digest,
+                    fault_events=sum(sum(m.fault_events.values()) for m in metrics),
+                    effective_s=sum(m.total_seconds for m in metrics),
                     baseline_s=baseline_s,
-                    recovery_s=recovery,
-                    wasted_s=wasted,
-                    speculative_s=speculative,
+                    recovery_s=sum(m.recovery_seconds for m in metrics),
+                    wasted_s=sum(m.wasted_seconds for m in metrics),
+                    speculative_s=sum(m.speculative_seconds for m in metrics),
                 )
             )
     return FaultReport(results)

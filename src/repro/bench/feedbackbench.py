@@ -24,8 +24,7 @@ Wall-clock is recorded in the JSON artifact but never gated on.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 from ..config import ClusterConfig, TEST_CLUSTER
@@ -95,6 +94,24 @@ class FeedbackReport:
             and self.top_k.rows_identical
             and self.top_k.peak_fraction < 0.5
         )
+
+    def to_json(self) -> Dict[str, object]:
+        return {
+            "workload": list(WORKLOAD),
+            "curves": {
+                curve.mode: {
+                    "mean_q_errors": curve.mean_q_errors,
+                    "worst_q_errors": curve.worst_q_errors,
+                    "feedback_version": curve.feedback_version,
+                }
+                for curve in (self.on, self.off)
+            },
+            "top_k": {
+                **asdict(self.top_k),
+                "peak_fraction": self.top_k.peak_fraction,
+            },
+            "rows_match_across_modes": self.rows_match_across_modes,
+        }
 
 
 def _build(rows: int, feedback_mode: str, config: ClusterConfig) -> Database:
@@ -185,33 +202,6 @@ def run_feedback_bench(
         top_k=_probe_top_k(rows, 5, config),
         rows_match_across_modes=on_rows == off_rows,
     )
-
-
-def write_snapshot(report: FeedbackReport, path: str) -> None:
-    snapshot = {
-        "workload": list(WORKLOAD),
-        "curves": {
-            curve.mode: {
-                "mean_q_errors": curve.mean_q_errors,
-                "worst_q_errors": curve.worst_q_errors,
-                "feedback_version": curve.feedback_version,
-            }
-            for curve in (report.on, report.off)
-        },
-        "top_k": {
-            "limit": report.top_k.limit,
-            "rows": report.top_k.rows,
-            "top_k_peak_bytes": report.top_k.top_k_peak_bytes,
-            "full_sort_peak_bytes": report.top_k.full_sort_peak_bytes,
-            "peak_fraction": report.top_k.peak_fraction,
-            "rows_identical": report.top_k.rows_identical,
-        },
-        "rows_match_across_modes": report.rows_match_across_modes,
-        "ok": report.ok(),
-    }
-    with open(path, "w") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_feedback(report: FeedbackReport) -> str:

@@ -21,7 +21,6 @@ are recorded for the JSON artifact but never gated (CI machines vary).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -128,6 +127,9 @@ class RecoveryReport:
                     return False
         return True
 
+    def to_json(self) -> Dict[str, object]:
+        return {"points": [asdict(point) for point in self.points]}
+
 
 def run_recovery_bench(
     sizes=(8, 32, 128), seed: int = 0, smoke: bool = False
@@ -223,16 +225,3 @@ def format_recovery(report: RecoveryReport) -> str:
             f"{'yes' if point.matches else 'NO'}"
         )
     return "\n".join(lines)
-
-
-def write_snapshot(report: RecoveryReport, path: str) -> None:
-    payload = {
-        "benchmark": "recover",
-        "ok": report.ok(),
-        "points": [asdict(point) for point in report.points],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)

@@ -1,9 +1,14 @@
-"""The paper's three computations in the three SimSQL styles (section 5).
+"""The catalogue of the paper's programs (section 5): Gram matrix,
+least-squares regression and metric distance, each in the three SimSQL
+styles, plus the two tuple-table probes the benchmarks add.
 
-Every implementation runs as real extended SQL on :class:`repro.Database`
-— the same queries the paper lists — producing both the actual result
-(verified against numpy ground truth) and merged execution metrics
-(simulated seconds on the configured cluster).
+Every entry of :data:`CASES` is real extended SQL on
+:class:`repro.Database` — the queries the paper lists, written here once
+— as a :class:`~repro.bench.harness.Case`: untimed setup, the
+metric-bearing statements, and a read-back of the value (verified
+against numpy ground truth by the callers). :class:`SimSQLPlatform`
+runs one and merges its statements' metrics; ``repro-bench
+exec|spill|faults|trace`` pick theirs by name through :func:`cases`.
 
 * **tuple** — classical normalized SQL over ``x(row_index, col_index,
   value)``; no vector/matrix types at all. The final d x d solve of the
@@ -19,20 +24,358 @@ Every implementation runs as real extended SQL on :class:`repro.Database`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..config import ClusterConfig
-from ..db import Database
+from ..db import Database, Result
 from ..engine import QueryMetrics
 from ..errors import ExecutionError
-from .workloads import Workload
+from .harness import Case, run_case
+from .workloads import Workload, generate
 
 STYLES = ("tuple", "vector", "block")
 
 #: sentinel added to diagonal blocks so self-distances never win the MIN
 INF_DISTANCE = 1.0e18
+
+#: the seed each computation's synthetic workload is generated with
+#: wherever a benchmark picks a case by name (:func:`cases`)
+SEEDS = {"gram": 7, "regression": 8, "distance": 9, "group filter": 10, "top-k": 11}
+
+# -- loading (always untimed setup) -------------------------------------------
+
+
+def _load_tuple_points(db: Database, workload: Workload) -> None:
+    db.execute("CREATE TABLE x (row_index INTEGER, col_index INTEGER, value DOUBLE)")
+    rows = [
+        (i + 1, j + 1, float(workload.X[i, j]))
+        for i in range(workload.n)
+        for j in range(workload.d)
+    ]
+    db.load("x", rows)
+
+
+def _load_vector_points(db: Database, workload: Workload) -> None:
+    db.execute("CREATE TABLE x_vm (id INTEGER, value VECTOR[])")
+    db.load("x_vm", [(i, workload.X[i]) for i in range(workload.n)])
+
+
+def _load_outcomes(db: Database, workload: Workload) -> None:
+    db.execute("CREATE TABLE y_vm (id INTEGER, y_i DOUBLE)")
+    db.load("y_vm", [(i, float(workload.y[i])) for i in range(workload.n)])
+
+
+def _load_metric_matrix(db: Database, workload: Workload) -> None:
+    db.execute("CREATE TABLE MM (mat MATRIX[][])")
+    db.load("MM", [(workload.A,)])
+
+
+def _load_blocked(db: Database, workload: Workload, block_size: int) -> None:
+    _load_vector_points(db, workload)
+    db.execute("CREATE TABLE block_index (mi INTEGER)")
+    db.load("block_index", [(b,) for b in range(_blocks(workload, block_size))])
+    db.execute(
+        f"""CREATE VIEW MLX (mi, m) AS
+        SELECT ind.mi, ROWMATRIX(label_vector(
+            x.value, x.id - ind.mi * {block_size} + 1))
+        FROM x_vm AS x, block_index AS ind
+        WHERE x.id / {block_size} = ind.mi
+        GROUP BY ind.mi"""
+    )
+
+
+def _blocks(workload: Workload, block_size: int) -> int:
+    if workload.n % block_size:
+        raise ExecutionError(
+            f"block style needs n divisible by block_size "
+            f"({workload.n} % {block_size} != 0)"
+        )
+    return workload.n // block_size
+
+
+# -- the listings -------------------------------------------------------------
+
+TUPLE_GRAM = """SELECT x1.col_index, x2.col_index, SUM(x1.value * x2.value)
+    FROM x AS x1, x AS x2
+    WHERE x1.row_index = x2.row_index
+    GROUP BY x1.col_index, x2.col_index"""
+
+VECTOR_GRAM = "SELECT SUM(outer_product(x.value, x.value)) FROM x_vm AS x"
+
+
+def _dense(result: Result, shape: Tuple[int, ...]) -> np.ndarray:
+    """A tuple-style result ``(index..., value)`` as a dense array."""
+    out = np.zeros(shape)
+    for *index, value in result.rows:
+        out[tuple(i - 1 for i in index)] = value
+    return out
+
+
+def _scalar_data(results: List[Result]) -> np.ndarray:
+    return results[-1].scalar().data
+
+
+def _first_id(results: List[Result]) -> int:
+    return int(results[-1].rows[0][0])
+
+
+def _rows(results: List[Result]) -> List[tuple]:
+    return results[-1].rows
+
+
+#: what a catalogue entry builds for one workload: (setup, statements, value)
+Program = Tuple[
+    Callable[[Database], None], Tuple[str, ...], Callable[[List[Result]], object]
+]
+
+#: (computation, style) -> builder(workload, block_size)
+CASES: Dict[Tuple[str, str], Callable[[Workload, int], Program]] = {}
+
+
+def _program(computation: str, style: str):
+    def register(build):
+        CASES[(computation, style)] = build
+        return build
+
+    return register
+
+
+@_program("gram", "tuple")
+def _gram_tuple(workload: Workload, block_size: int) -> Program:
+    return (
+        lambda db: _load_tuple_points(db, workload),
+        (TUPLE_GRAM,),
+        lambda results: _dense(results[0], (workload.d, workload.d)),
+    )
+
+
+@_program("gram", "vector")
+def _gram_vector(workload: Workload, block_size: int) -> Program:
+    return lambda db: _load_vector_points(db, workload), (VECTOR_GRAM,), _scalar_data
+
+
+@_program("gram", "block")
+def _gram_block(workload: Workload, block_size: int) -> Program:
+    return (
+        lambda db: _load_blocked(db, workload, block_size),
+        ("SELECT SUM(matrix_multiply(trans_matrix(mlx.m), mlx.m)) FROM MLX AS mlx",),
+        _scalar_data,
+    )
+
+
+@_program("regression", "tuple")
+def _regression_tuple(workload: Workload, block_size: int) -> Program:
+    def setup(db: Database) -> None:
+        _load_tuple_points(db, workload)
+        db.execute("CREATE TABLE yt (row_index INTEGER, value DOUBLE)")
+        db.load("yt", [(i + 1, float(workload.y[i])) for i in range(workload.n)])
+
+    def value(results: List[Result]) -> np.ndarray:
+        gram = _dense(results[0], (workload.d, workload.d))
+        xty = _dense(results[1], (workload.d,))
+        return np.linalg.solve(gram, xty)  # client-side d x d solve
+
+    xty_sql = """SELECT x.col_index, SUM(x.value * yt.value)
+        FROM x, yt
+        WHERE x.row_index = yt.row_index
+        GROUP BY x.col_index"""
+    return setup, (TUPLE_GRAM, xty_sql), value
+
+
+@_program("regression", "vector")
+def _regression_vector(workload: Workload, block_size: int) -> Program:
+    def setup(db: Database) -> None:
+        _load_vector_points(db, workload)
+        _load_outcomes(db, workload)
+
+    sql = """SELECT matrix_vector_multiply(
+               matrix_inverse(SUM(outer_product(x.value, x.value))),
+               SUM(x.value * y.y_i))
+        FROM x_vm AS x, y_vm AS y
+        WHERE x.id = y.id"""
+    return setup, (sql,), _scalar_data
+
+
+@_program("regression", "block")
+def _regression_block(workload: Workload, block_size: int) -> Program:
+    def setup(db: Database) -> None:
+        _load_blocked(db, workload, block_size)
+        _load_outcomes(db, workload)
+        db.execute(
+            f"""CREATE VIEW MLY (mi, v) AS
+            SELECT ind.mi, VECTORIZE(label_scalar(
+                yy.y_i, yy.id - ind.mi * {block_size} + 1))
+            FROM y_vm AS yy, block_index AS ind
+            WHERE yy.id / {block_size} = ind.mi
+            GROUP BY ind.mi"""
+        )
+
+    sql = """SELECT matrix_vector_multiply(
+               matrix_inverse(SUM(matrix_multiply(trans_matrix(x.m), x.m))),
+               SUM(matrix_vector_multiply(trans_matrix(x.m), y.v)))
+        FROM MLX AS x, MLY AS y
+        WHERE x.mi = y.mi"""
+    return setup, (sql,), _scalar_data
+
+
+@_program("distance", "tuple")
+def _distance_tuple(workload: Workload, block_size: int) -> Program:
+    def setup(db: Database) -> None:
+        _load_tuple_points(db, workload)
+        db.execute(
+            "CREATE TABLE matA (row_index INTEGER, col_index INTEGER, value DOUBLE)"
+        )
+        db.load(
+            "matA",
+            [
+                (a + 1, b + 1, float(workload.A[a, b]))
+                for a in range(workload.d)
+                for b in range(workload.d)
+            ],
+        )
+        db.execute(
+            """CREATE VIEW XA (i, b, v) AS
+            SELECT x.row_index, a.col_index, SUM(x.value * a.value)
+            FROM x, matA AS a
+            WHERE x.col_index = a.row_index
+            GROUP BY x.row_index, a.col_index"""
+        )
+
+    queries = (
+        """CREATE TABLE DIST AS
+        SELECT xa.i AS i, x2.row_index AS j, SUM(xa.v * x2.value) AS d
+        FROM XA AS xa, x AS x2
+        WHERE xa.b = x2.col_index
+        GROUP BY xa.i, x2.row_index""",
+        """CREATE TABLE MIND AS
+        SELECT dd.i AS i, MIN(dd.d) AS md
+        FROM DIST AS dd
+        WHERE dd.i <> dd.j
+        GROUP BY dd.i""",
+        """SELECT m.i
+        FROM MIND AS m, (SELECT MAX(mm.md) AS g FROM MIND AS mm) AS gg
+        WHERE m.md = gg.g""",
+    )
+    return setup, queries, _first_id
+
+
+@_program("distance", "vector")
+def _distance_vector(workload: Workload, block_size: int) -> Program:
+    def setup(db: Database) -> None:
+        _load_vector_points(db, workload)
+        _load_metric_matrix(db, workload)
+        db.execute(
+            """CREATE VIEW MX (id, mx_data) AS
+            SELECT x.id, matrix_vector_multiply(mm.mat, x.value)
+            FROM x_vm AS x, MM AS mm"""
+        )
+
+    queries = (
+        """CREATE TABLE DISTANCESM AS
+        SELECT a.id AS id, MIN(inner_product(mxx.mx_data, a.value)) AS dist
+        FROM x_vm AS a, MX AS mxx
+        WHERE a.id <> mxx.id
+        GROUP BY a.id""",
+        """SELECT d.id
+        FROM DISTANCESM AS d,
+             (SELECT MAX(dd.dist) AS g FROM DISTANCESM AS dd) AS gg
+        WHERE d.dist = gg.g""",
+    )
+    # point ids are 0-based in the vector layout; report 1-based
+    return setup, queries, lambda results: _first_id(results) + 1
+
+
+@_program("distance", "block")
+def _distance_block(workload: Workload, block_size: int) -> Program:
+    if _blocks(workload, block_size) < 2:
+        raise ExecutionError("block distance needs at least two blocks")
+
+    def setup(db: Database) -> None:
+        _load_blocked(db, workload, block_size)
+        _load_metric_matrix(db, workload)
+        db.execute("CREATE TABLE INFDIAG (m MATRIX[][])")
+        db.load("INFDIAG", [(np.diag(np.full(block_size, INF_DISTANCE)),)])
+        # Hoist A x t(Xb) out of the block cross product, the blocked
+        # analogue of the vector variant's MX view: it is computed once
+        # per block instead of once per block *pair*.
+        db.execute(
+            """CREATE VIEW AMXT (mi, m) AS
+            SELECT mx.mi, matrix_multiply(mp.mat, trans_matrix(mx.m))
+            FROM MLX AS mx, MM AS mp"""
+        )
+        db.execute(
+            """CREATE VIEW DISTANCES (id1, id2, dm) AS
+            SELECT mxx.mi, amxt.mi, matrix_multiply(mxx.m, amxt.m)
+            FROM MLX AS mxx, AMXT AS amxt"""
+        )
+        db.execute(
+            """CREATE VIEW OFFDIAG (id1, v) AS
+            SELECT d.id1, MIN(row_mins(d.dm))
+            FROM DISTANCES AS d
+            WHERE d.id1 <> d.id2
+            GROUP BY d.id1"""
+        )
+        db.execute(
+            """CREATE VIEW ONDIAG (id1, v) AS
+            SELECT d.id1, MIN(row_mins(d.dm + msk.m))
+            FROM DISTANCES AS d, INFDIAG AS msk
+            WHERE d.id1 = d.id2
+            GROUP BY d.id1"""
+        )
+
+    queries = (
+        """CREATE TABLE MINDIST AS
+        SELECT o.id1 AS id1,
+               max_vector(min_vectors(o.v, s.v)) AS best,
+               index_max(min_vectors(o.v, s.v)) AS pos
+        FROM OFFDIAG AS o, ONDIAG AS s
+        WHERE o.id1 = s.id1""",
+        f"""SELECT b.id1 * {block_size} + b.pos
+        FROM MINDIST AS b,
+             (SELECT MAX(bb.best) AS g FROM MINDIST AS bb) AS gg
+        WHERE b.best = gg.g""",
+    )
+    return setup, queries, _first_id
+
+
+# The two tuple-table probes beside the paper's programs: they put the
+# key kernels (filtered GROUP BY, Top-K) on ``repro-bench exec|trace``.
+
+
+@_program("group filter", "tuple")
+def _group_filter_tuple(workload: Workload, block_size: int) -> Program:
+    sql = f"""SELECT col_index, SUM(value), COUNT(value), MIN(value)
+        FROM x WHERE row_index < {workload.n // 2} GROUP BY col_index"""
+    return lambda db: _load_tuple_points(db, workload), (sql,), _rows
+
+
+@_program("top-k", "tuple")
+def _top_k_tuple(workload: Workload, block_size: int) -> Program:
+    sql = """SELECT row_index, col_index, value
+        FROM x ORDER BY value DESC, row_index LIMIT 10"""
+    return lambda db: _load_tuple_points(db, workload), (sql,), _rows
+
+
+def case(
+    computation: str, style: str, workload: Workload, block_size: int = 4
+) -> Case:
+    """The catalogue entry ``(computation, style)`` over ``workload``."""
+    build = CASES.get((computation, style))
+    if build is None:
+        raise ValueError(f"no {style!r} program for computation {computation!r}")
+    return Case(f"{computation} ({style})", *build(workload, block_size))
+
+
+def cases(scales: Dict[Tuple[str, str], Tuple[int, int]]) -> List[Case]:
+    """The entries ``scales`` names — ``(computation, style) -> (n, d)``
+    — in its order, each over its :data:`SEEDS` workload."""
+    return [
+        case(computation, style, generate(n, d, seed=SEEDS[computation]))
+        for (computation, style), (n, d) in scales.items()
+    ]
 
 
 @dataclass
@@ -66,277 +409,17 @@ class SimSQLPlatform:
     def name(self) -> str:
         return f"{self.style.capitalize()} SimSQL"
 
-    # -- shared loading -----------------------------------------------------
-
-    def _database(self) -> Database:
-        return Database(self.config)
-
-    def _load_tuple_points(self, db: Database, workload: Workload) -> None:
-        db.execute(
-            "CREATE TABLE x (row_index INTEGER, col_index INTEGER, value DOUBLE)"
-        )
-        rows = [
-            (i + 1, j + 1, float(workload.X[i, j]))
-            for i in range(workload.n)
-            for j in range(workload.d)
-        ]
-        db.load("x", rows)
-
-    def _load_vector_points(self, db: Database, workload: Workload) -> None:
-        db.execute("CREATE TABLE x_vm (id INTEGER, value VECTOR[])")
-        db.load("x_vm", [(i, workload.X[i]) for i in range(workload.n)])
-
-    def _load_blocked(self, db: Database, workload: Workload) -> int:
-        if workload.n % self.block_size:
-            raise ExecutionError(
-                f"block style needs n divisible by block_size "
-                f"({workload.n} % {self.block_size} != 0)"
-            )
-        blocks = workload.n // self.block_size
-        self._load_vector_points(db, workload)
-        db.execute("CREATE TABLE block_index (mi INTEGER)")
-        db.load("block_index", [(b,) for b in range(blocks)])
-        db.execute(
-            f"""CREATE VIEW MLX (mi, m) AS
-            SELECT ind.mi, ROWMATRIX(label_vector(
-                x.value, x.id - ind.mi * {self.block_size} + 1))
-            FROM x_vm AS x, block_index AS ind
-            WHERE x.id / {self.block_size} = ind.mi
-            GROUP BY ind.mi"""
-        )
-        return blocks
-
-    # -- Gram matrix ------------------------------------------------------------
+    def run(self, computation: str, workload: Workload) -> RunOutcome:
+        program = case(computation, self.style, workload, self.block_size)
+        _, results = run_case(program, self.config)
+        metrics = reduce(QueryMetrics.merge, (result.metrics for result in results))
+        return RunOutcome(program.value(results), metrics)
 
     def gram(self, workload: Workload) -> RunOutcome:
-        db = self._database()
-        if self.style == "tuple":
-            self._load_tuple_points(db, workload)
-            result = db.execute(
-                """SELECT x1.col_index, x2.col_index, SUM(x1.value * x2.value)
-                FROM x AS x1, x AS x2
-                WHERE x1.row_index = x2.row_index
-                GROUP BY x1.col_index, x2.col_index"""
-            )
-            gram = np.zeros((workload.d, workload.d))
-            for i, j, value in result.rows:
-                gram[i - 1, j - 1] = value
-            return RunOutcome(gram, result.metrics)
-        if self.style == "vector":
-            self._load_vector_points(db, workload)
-            result = db.execute(
-                "SELECT SUM(outer_product(x.value, x.value)) FROM x_vm AS x"
-            )
-            return RunOutcome(result.scalar().data, result.metrics)
-        self._load_blocked(db, workload)
-        result = db.execute(
-            "SELECT SUM(matrix_multiply(trans_matrix(mlx.m), mlx.m)) FROM MLX AS mlx"
-        )
-        return RunOutcome(result.scalar().data, result.metrics)
-
-    # -- least squares linear regression -----------------------------------------
+        return self.run("gram", workload)
 
     def regression(self, workload: Workload) -> RunOutcome:
-        db = self._database()
-        if self.style == "tuple":
-            self._load_tuple_points(db, workload)
-            db.execute("CREATE TABLE yt (row_index INTEGER, value DOUBLE)")
-            db.load(
-                "yt", [(i + 1, float(workload.y[i])) for i in range(workload.n)]
-            )
-            gram_result = db.execute(
-                """SELECT x1.col_index, x2.col_index, SUM(x1.value * x2.value)
-                FROM x AS x1, x AS x2
-                WHERE x1.row_index = x2.row_index
-                GROUP BY x1.col_index, x2.col_index"""
-            )
-            xty_result = db.execute(
-                """SELECT x.col_index, SUM(x.value * yt.value)
-                FROM x, yt
-                WHERE x.row_index = yt.row_index
-                GROUP BY x.col_index"""
-            )
-            gram = np.zeros((workload.d, workload.d))
-            for i, j, value in gram_result.rows:
-                gram[i - 1, j - 1] = value
-            xty = np.zeros(workload.d)
-            for j, value in xty_result.rows:
-                xty[j - 1] = value
-            beta = np.linalg.solve(gram, xty)  # client-side d x d solve
-            return RunOutcome(beta, gram_result.metrics.merge(xty_result.metrics))
-
-        if self.style == "vector":
-            self._load_vector_points(db, workload)
-            db.execute("CREATE TABLE y_vm (id INTEGER, y_i DOUBLE)")
-            db.load("y_vm", [(i, float(workload.y[i])) for i in range(workload.n)])
-            result = db.execute(
-                """SELECT matrix_vector_multiply(
-                       matrix_inverse(SUM(outer_product(x.value, x.value))),
-                       SUM(x.value * y.y_i))
-                FROM x_vm AS x, y_vm AS y
-                WHERE x.id = y.id"""
-            )
-            return RunOutcome(result.scalar().data, result.metrics)
-
-        self._load_blocked(db, workload)
-        db.execute("CREATE TABLE y_vm (id INTEGER, y_i DOUBLE)")
-        db.load("y_vm", [(i, float(workload.y[i])) for i in range(workload.n)])
-        db.execute(
-            f"""CREATE VIEW MLY (mi, v) AS
-            SELECT ind.mi, VECTORIZE(label_scalar(
-                yy.y_i, yy.id - ind.mi * {self.block_size} + 1))
-            FROM y_vm AS yy, block_index AS ind
-            WHERE yy.id / {self.block_size} = ind.mi
-            GROUP BY ind.mi"""
-        )
-        result = db.execute(
-            """SELECT matrix_vector_multiply(
-                   matrix_inverse(SUM(matrix_multiply(trans_matrix(x.m), x.m))),
-                   SUM(matrix_vector_multiply(trans_matrix(x.m), y.v)))
-            FROM MLX AS x, MLY AS y
-            WHERE x.mi = y.mi"""
-        )
-        return RunOutcome(result.scalar().data, result.metrics)
-
-    # -- distance computation -----------------------------------------------------
+        return self.run("regression", workload)
 
     def distance(self, workload: Workload) -> RunOutcome:
-        db = self._database()
-        if self.style == "tuple":
-            return self._distance_tuple(db, workload)
-        if self.style == "vector":
-            return self._distance_vector(db, workload)
-        return self._distance_block(db, workload)
-
-    def _load_metric_matrix(self, db: Database, workload: Workload) -> None:
-        db.execute("CREATE TABLE MM (mat MATRIX[][])")
-        db.load("MM", [(workload.A,)])
-
-    def _distance_tuple(self, db: Database, workload: Workload) -> RunOutcome:
-        self._load_tuple_points(db, workload)
-        db.execute(
-            "CREATE TABLE matA (row_index INTEGER, col_index INTEGER, value DOUBLE)"
-        )
-        db.load(
-            "matA",
-            [
-                (a + 1, b + 1, float(workload.A[a, b]))
-                for a in range(workload.d)
-                for b in range(workload.d)
-            ],
-        )
-        db.execute(
-            """CREATE VIEW XA (i, b, v) AS
-            SELECT x.row_index, a.col_index, SUM(x.value * a.value)
-            FROM x, matA AS a
-            WHERE x.col_index = a.row_index
-            GROUP BY x.row_index, a.col_index"""
-        )
-        dist = db.execute(
-            """CREATE TABLE DIST AS
-            SELECT xa.i AS i, x2.row_index AS j, SUM(xa.v * x2.value) AS d
-            FROM XA AS xa, x AS x2
-            WHERE xa.b = x2.col_index
-            GROUP BY xa.i, x2.row_index"""
-        )
-        mind = db.execute(
-            """CREATE TABLE MIND AS
-            SELECT dd.i AS i, MIN(dd.d) AS md
-            FROM DIST AS dd
-            WHERE dd.i <> dd.j
-            GROUP BY dd.i"""
-        )
-        final = db.execute(
-            """SELECT m.i
-            FROM MIND AS m, (SELECT MAX(mm.md) AS g FROM MIND AS mm) AS gg
-            WHERE m.md = gg.g"""
-        )
-        metrics = dist.metrics.merge(mind.metrics).merge(final.metrics)
-        return RunOutcome(int(final.rows[0][0]), metrics)
-
-    def _distance_vector(self, db: Database, workload: Workload) -> RunOutcome:
-        self._load_vector_points(db, workload)
-        self._load_metric_matrix(db, workload)
-        db.execute(
-            """CREATE VIEW MX (id, mx_data) AS
-            SELECT x.id, matrix_vector_multiply(mm.mat, x.value)
-            FROM x_vm AS x, MM AS mm"""
-        )
-        distances = db.execute(
-            """CREATE TABLE DISTANCESM AS
-            SELECT a.id AS id, MIN(inner_product(mxx.mx_data, a.value)) AS dist
-            FROM x_vm AS a, MX AS mxx
-            WHERE a.id <> mxx.id
-            GROUP BY a.id"""
-        )
-        final = db.execute(
-            """SELECT d.id
-            FROM DISTANCESM AS d,
-                 (SELECT MAX(dd.dist) AS g FROM DISTANCESM AS dd) AS gg
-            WHERE d.dist = gg.g"""
-        )
-        metrics = distances.metrics.merge(final.metrics)
-        # point ids are 0-based in the vector layout; report 1-based
-        return RunOutcome(int(final.rows[0][0]) + 1, metrics)
-
-    def _distance_block(self, db: Database, workload: Workload) -> RunOutcome:
-        blocks = self._load_blocked(db, workload)
-        if blocks < 2:
-            raise ExecutionError("block distance needs at least two blocks")
-        self._load_metric_matrix(db, workload)
-        db.execute("CREATE TABLE INFDIAG (m MATRIX[][])")
-        db.load("INFDIAG", [(np.diag(np.full(self.block_size, INF_DISTANCE)),)])
-        # Hoist A x t(Xb) out of the block cross product, the blocked
-        # analogue of the vector variant's MX view: it is computed once
-        # per block instead of once per block *pair*.
-        db.execute(
-            """CREATE VIEW AMXT (mi, m) AS
-            SELECT mx.mi, matrix_multiply(mp.mat, trans_matrix(mx.m))
-            FROM MLX AS mx, MM AS mp"""
-        )
-        db.execute(
-            """CREATE VIEW DISTANCES (id1, id2, dm) AS
-            SELECT mxx.mi, amxt.mi, matrix_multiply(mxx.m, amxt.m)
-            FROM MLX AS mxx, AMXT AS amxt"""
-        )
-        db.execute(
-            """CREATE VIEW OFFDIAG (id1, v) AS
-            SELECT d.id1, MIN(row_mins(d.dm))
-            FROM DISTANCES AS d
-            WHERE d.id1 <> d.id2
-            GROUP BY d.id1"""
-        )
-        db.execute(
-            """CREATE VIEW ONDIAG (id1, v) AS
-            SELECT d.id1, MIN(row_mins(d.dm + msk.m))
-            FROM DISTANCES AS d, INFDIAG AS msk
-            WHERE d.id1 = d.id2
-            GROUP BY d.id1"""
-        )
-        mindist = db.execute(
-            """CREATE TABLE MINDIST AS
-            SELECT o.id1 AS id1,
-                   max_vector(min_vectors(o.v, s.v)) AS best,
-                   index_max(min_vectors(o.v, s.v)) AS pos
-            FROM OFFDIAG AS o, ONDIAG AS s
-            WHERE o.id1 = s.id1"""
-        )
-        final = db.execute(
-            f"""SELECT b.id1 * {self.block_size} + b.pos
-            FROM MINDIST AS b,
-                 (SELECT MAX(bb.best) AS g FROM MINDIST AS bb) AS gg
-            WHERE b.best = gg.g"""
-        )
-        metrics = mindist.metrics.merge(final.metrics)
-        return RunOutcome(int(final.rows[0][0]), metrics)
-
-    # -- dispatch --------------------------------------------------------------
-
-    def run(self, computation: str, workload: Workload) -> RunOutcome:
-        if computation == "gram":
-            return self.gram(workload)
-        if computation == "regression":
-            return self.regression(workload)
-        if computation == "distance":
-            return self.distance(workload)
-        raise ValueError(f"unknown computation {computation!r}")
+        return self.run("distance", workload)

@@ -16,34 +16,26 @@ physically writing it out.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..config import ClusterConfig, TEST_CLUSTER
-from ..db import Database
-from ..engine.cluster import stable_hash
-from .execbench import (
-    ExecCase,
-    _load_distance,
-    _load_regression,
-    _load_vectors,
-)
-from .workloads import generate
+from .harness import digest, run_case
+from .simsql import cases
 
-#: mini-scale shapes: large enough that the spill-forcing budget is hit
-#: by every workload, small enough for CI
+#: mini-scale shapes, catalogue key -> (n, d): large enough that the
+#: spill-forcing budget is hit by every workload, small enough for CI
 SPILL_SCALES = {
-    "gram (vector)": (2048, 8),
-    "regression (vector)": (1536, 8),
-    "distance (vector)": (64, 8),
+    ("gram", "vector"): (2048, 8),
+    ("regression", "vector"): (1536, 8),
+    ("distance", "vector"): (64, 8),
 }
 
 #: reduced shapes for the CI smoke run (--check)
 SPILL_SCALES_SMOKE = {
-    "gram (vector)": (384, 8),
-    "regression (vector)": (256, 8),
-    "distance (vector)": (48, 8),
+    ("gram", "vector"): (384, 8),
+    ("regression", "vector"): (256, 8),
+    ("distance", "vector"): (48, 8),
 }
 
 #: a budget far below any of the working sets above, so every exchange
@@ -87,77 +79,14 @@ class SpillReport:
         return self.all_match and self.all_spilled
 
 
-def _cases(scales) -> List[ExecCase]:
-    cases: List[ExecCase] = []
-
-    n, d = scales["gram (vector)"]
-    gram = generate(n, d, seed=7)
-    cases.append(
-        ExecCase(
-            "gram (vector)",
-            lambda db, w=gram: _load_vectors(db, w),
-            ("SELECT SUM(outer_product(x.value, x.value)) FROM x_vm AS x",),
-        )
+def _simulated(results) -> tuple:
+    """One run's simulated seconds and spill counters, summed over its
+    statements."""
+    return (
+        sum(result.metrics.total_seconds for result in results),
+        sum(result.metrics.spill_bytes for result in results),
+        sum(result.metrics.spill_events for result in results),
     )
-
-    n, d = scales["regression (vector)"]
-    reg = generate(n, d, seed=8)
-    cases.append(
-        ExecCase(
-            "regression (vector)",
-            lambda db, w=reg: _load_regression(db, w),
-            (
-                """SELECT matrix_vector_multiply(
-                       matrix_inverse(SUM(outer_product(x.value, x.value))),
-                       SUM(x.value * y.y_i))
-                FROM x_vm AS x, y_vm AS y
-                WHERE x.id = y.id""",
-            ),
-        )
-    )
-
-    n, d = scales["distance (vector)"]
-    dist = generate(n, d, seed=9)
-    cases.append(
-        ExecCase(
-            "distance (vector)",
-            lambda db, w=dist: _load_distance(db, w),
-            (
-                """CREATE TABLE DISTANCESM AS
-                SELECT a.id AS id, MIN(inner_product(mxx.mx_data, a.value)) AS dist
-                FROM x_vm AS a, MX AS mxx
-                WHERE a.id <> mxx.id
-                GROUP BY a.id""",
-                """SELECT d.id
-                FROM DISTANCESM AS d,
-                     (SELECT MAX(dd.dist) AS g FROM DISTANCESM AS dd) AS gg
-                WHERE d.dist = gg.g""",
-            ),
-        )
-    )
-    return cases
-
-
-def _run_case(
-    case: ExecCase, config: ClusterConfig
-) -> Tuple[float, list, float, float, int]:
-    """One timed execution: wall clock, result digest, simulated
-    seconds, and the spill counters of the run."""
-    db = Database(config)
-    case.setup(db)
-    start = time.perf_counter()
-    digest: list = []
-    simulated = 0.0
-    spill_bytes = 0.0
-    spill_events = 0
-    for sql in case.queries:
-        result = db.execute(sql)
-        digest.append(sorted(stable_hash(tuple(row)) for row in result.rows))
-        simulated += result.metrics.total_seconds
-        spill_bytes += result.metrics.spill_bytes
-        spill_events += result.metrics.spill_events
-    elapsed = time.perf_counter() - start
-    return elapsed, digest, simulated, spill_bytes, spill_events
 
 
 def run_spill_bench(
@@ -172,16 +101,13 @@ def run_spill_bench(
     memory_config = config.with_updates(storage_mode="memory", **constrained)
     disk_config = config.with_updates(storage_mode="disk", **constrained)
     results = []
-    for case in _cases(scales):
-        base_wall, base_digest, base_sim, _, base_events = _run_case(
-            case, base_config
-        )
-        memory_wall, memory_digest, memory_sim, spill_bytes, spill_events = (
-            _run_case(case, memory_config)
-        )
-        disk_wall, disk_digest, disk_sim, disk_bytes, disk_events = _run_case(
-            case, disk_config
-        )
+    for case in cases(scales):
+        base_wall, base = run_case(case, base_config)
+        memory_wall, memory = run_case(case, memory_config)
+        disk_wall, disk = run_case(case, disk_config)
+        base_sim, _, base_events = _simulated(base)
+        memory_sim, spill_bytes, spill_events = _simulated(memory)
+        disk_sim, disk_bytes, disk_events = _simulated(disk)
         results.append(
             SpillCaseResult(
                 name=case.name,
@@ -193,7 +119,7 @@ def run_spill_bench(
                 spill_bytes=spill_bytes,
                 spill_events=spill_events,
                 rows_match=(
-                    base_digest == memory_digest == disk_digest
+                    digest(base) == digest(memory) == digest(disk)
                     and base_events == 0
                     # both constrained back ends must charge the same
                     # simulated spills

@@ -17,11 +17,12 @@ back ends produce different traces (the equivalence contract of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..config import ClusterConfig, TEST_CLUSTER
-from ..db import Database
-from .execbench import EXEC_SCALES, EXEC_SCALES_SMOKE, _cases
+from .execbench import EXEC_SCALES, EXEC_SCALES_SMOKE
+from .harness import run_case
+from .simsql import cases
 
 
 @dataclass(frozen=True)
@@ -84,29 +85,21 @@ def _flatten(trace) -> List[tuple]:
     ]
 
 
-def _run_case_traces(
-    case, config: ClusterConfig, mode: str
-) -> List[Tuple[object, int]]:
-    """Execute the case's statements; (trace, delivered row count) per
-    statement."""
-    db = Database(config, execution_mode=mode)
-    case.setup(db)
-    out = []
-    for sql in case.queries:
-        result = db.execute(sql)
-        out.append((result.metrics.trace, len(result.rows)))
-    return out
-
-
 def run_trace_bench(
     config: ClusterConfig = TEST_CLUSTER, smoke: bool = False
 ) -> TraceReport:
     scales = EXEC_SCALES_SMOKE if smoke else EXEC_SCALES
     results: List[TraceCaseResult] = []
     worst: List[WorstOperator] = []
-    for case in _cases(scales):
-        row_traces = _run_case_traces(case, config, "row")
-        batch_traces = _run_case_traces(case, config, "batch")
+    for case in cases(scales):
+        # (trace, delivered row count) per statement
+        row_traces, batch_traces = (
+            [
+                (result.metrics.trace, len(result.rows))
+                for result in run_case(case, config, mode)[1]
+            ]
+            for mode in ("row", "batch")
+        )
         rows_consistent = all(
             trace is not None and trace.rows_out == delivered
             for trace, delivered in row_traces + batch_traces

@@ -24,10 +24,9 @@ artifact (``BENCH_views.json``) but never gated on.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
-from typing import List
+from dataclasses import asdict, dataclass
+from typing import Dict, List
 
 import numpy as np
 
@@ -92,6 +91,9 @@ class ViewReport:
             and self.hit_count >= len(QUERIES)  # every workload answered
             and self.hit_seconds < self.cold_seconds
         )
+
+    def to_json(self) -> Dict[str, object]:
+        return {**asdict(self), "o_delta": self.o_delta()}
 
 
 def _rows(start: int, count: int, dim: int) -> List[tuple]:
@@ -172,35 +174,6 @@ def run_view_bench(smoke: bool = False) -> ViewReport:
         cold_wall_s=cold_wall,
         rows_identical=identical,
     )
-
-
-def write_snapshot(report: ViewReport, path: str) -> None:
-    snapshot = {
-        "batch_rows": report.batch_rows,
-        "dim": report.dim,
-        "steps": [
-            {
-                "table_rows": step.table_rows,
-                "folded_rows": step.folded_rows,
-                "maintain_wall_s": step.maintain_wall_s,
-                "baseline_wall_s": step.baseline_wall_s,
-                "refresh_rows": step.refresh_rows,
-                "refresh_wall_s": step.refresh_wall_s,
-            }
-            for step in report.steps
-        ],
-        "hit_count": report.hit_count,
-        "hit_seconds": report.hit_seconds,
-        "cold_seconds": report.cold_seconds,
-        "hit_wall_s": report.hit_wall_s,
-        "cold_wall_s": report.cold_wall_s,
-        "rows_identical": report.rows_identical,
-        "o_delta": report.o_delta(),
-        "ok": report.ok(),
-    }
-    with open(path, "w") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_views(report: ViewReport) -> str:

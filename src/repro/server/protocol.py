@@ -90,15 +90,23 @@ def encode_value(value):
 
 
 def decode_value(value):
-    """The inverse of :func:`encode_value` for client-posted values."""
+    """The inverse of :func:`encode_value` for client-posted values.
+    Malformed input — a missing key, a wrong JSON type, a number no
+    double or label can hold — raises ``ValueError`` (or the tensor
+    constructors' ``ReproError``), which the server answers with 400."""
     if isinstance(value, dict):
         tag = value.get("$type")
-        if tag == "labeled":
-            return LabeledScalar(float(value["value"]), int(value.get("label", -1)))
-        if tag == "vector":
-            return Vector(value["data"], label=int(value.get("label", -1)))
-        if tag == "matrix":
-            return Matrix(value["data"])
+        try:
+            if tag == "labeled":
+                return LabeledScalar(float(value["value"]), int(value.get("label", -1)))
+            if tag == "vector":
+                return Vector(value["data"], label=int(value.get("label", -1)))
+            if tag == "matrix":
+                return Matrix(value["data"])
+        except KeyError as exc:
+            raise ValueError(f"{tag} value is missing its {exc} field") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed {tag} value: {exc}") from None
         raise ValueError(f"unknown $type tag {tag!r}")
     if isinstance(value, list):
         raise ValueError(
@@ -108,7 +116,11 @@ def decode_value(value):
 
 
 def decode_params(params: Optional[Dict[str, object]]) -> Dict[str, object]:
-    return {name: decode_value(value) for name, value in (params or {}).items()}
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise ValueError("'params' must be a JSON object of name -> value")
+    return {name: decode_value(value) for name, value in params.items()}
 
 
 # -- results ---------------------------------------------------------------

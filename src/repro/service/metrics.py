@@ -10,10 +10,21 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence
+from typing import Deque, Dict, Sequence
 
 from ..engine.metrics import QueryMetrics
+
+#: how many recent samples the latency and q-error percentiles are taken
+#: over. Counts, sums and so the means stay exact over the service's
+#: whole life; only the percentiles look at a window, which bounds what a
+#: long-lived service retains and what ``stats()`` sorts under its lock.
+PERCENTILE_WINDOW = 4096
+
+
+def _window() -> Deque[float]:
+    return deque(maxlen=PERCENTILE_WINDOW)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -52,15 +63,20 @@ class SessionStats:
 class ServiceMetrics:
     """Aggregated serving metrics across all sessions."""
 
-    latencies: List[float] = field(default_factory=list)
-    compile_latencies: List[float] = field(default_factory=list)
-    queue_latencies: List[float] = field(default_factory=list)
+    queries: int = 0
+    #: the last PERCENTILE_WINDOW client-observed latencies
+    latencies: Deque[float] = field(default_factory=_window)
+    compile_seconds: float = 0.0
+    queue_seconds: float = 0.0
     per_session: Dict[str, SessionStats] = field(default_factory=dict)
     rejected: int = 0
     timeouts: int = 0
     retries: int = 0
-    #: per-operator cardinality q-errors collected from query traces
-    q_errors: List[float] = field(default_factory=list)
+    #: per-operator cardinality q-errors collected from query traces:
+    #: how many, their sum, and the last PERCENTILE_WINDOW of them
+    q_error_operators: int = 0
+    q_error_sum: float = 0.0
+    q_errors: Deque[float] = field(default_factory=_window)
     worst_q_error: float = 0.0
     worst_q_error_operator: str = ""
     #: every trace operator seen, whether or not it carried a q-error —
@@ -102,9 +118,10 @@ class ServiceMetrics:
 
     def observe(self, session_name: str, metrics: QueryMetrics, cache_hit: bool) -> None:
         with self._lock:
+            self.queries += 1
             self.latencies.append(metrics.elapsed_seconds)
-            self.compile_latencies.append(metrics.compile_seconds)
-            self.queue_latencies.append(metrics.queue_seconds)
+            self.compile_seconds += metrics.compile_seconds
+            self.queue_seconds += metrics.queue_seconds
             stats = self.session(session_name)
             stats.queries += 1
             stats.cache_hits += int(cache_hit)
@@ -116,6 +133,8 @@ class ServiceMetrics:
                     q_error = node.q_error
                     if q_error is None:
                         continue
+                    self.q_error_operators += 1
+                    self.q_error_sum += q_error
                     self.q_errors.append(q_error)
                     if q_error > self.worst_q_error:
                         self.worst_q_error = q_error
@@ -137,10 +156,6 @@ class ServiceMetrics:
             self.session(session_name).retries += 1
 
     @property
-    def queries(self) -> int:
-        return len(self.latencies)
-
-    @property
     def latency_p50(self) -> float:
         return percentile(self.latencies, 50.0)
 
@@ -150,23 +165,19 @@ class ServiceMetrics:
 
     @property
     def mean_compile_seconds(self) -> float:
-        if not self.compile_latencies:
-            return 0.0
-        return sum(self.compile_latencies) / len(self.compile_latencies)
+        return self.compile_seconds / self.queries if self.queries else 0.0
 
     @property
     def mean_queue_seconds(self) -> float:
-        if not self.queue_latencies:
-            return 0.0
-        return sum(self.queue_latencies) / len(self.queue_latencies)
+        return self.queue_seconds / self.queries if self.queries else 0.0
 
     @property
     def mean_q_error(self) -> float:
         # q-errors are >= 1.0 by construction, so the empty aggregate
         # is the identity (perfect estimates), not an impossible 0.0
-        if not self.q_errors:
+        if not self.q_error_operators:
             return 1.0
-        return sum(self.q_errors) / len(self.q_errors)
+        return self.q_error_sum / self.q_error_operators
 
     @property
     def q_error_p95(self) -> float:
@@ -181,7 +192,7 @@ class ServiceMetrics:
         so an idle service doesn't read as uninstrumented)."""
         if self.trace_operators == 0:
             return 1.0
-        return len(self.q_errors) / self.trace_operators
+        return self.q_error_operators / self.trace_operators
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -198,7 +209,7 @@ class ServiceMetrics:
             "mean_compile_seconds": self.mean_compile_seconds,
             "mean_queue_seconds": self.mean_queue_seconds,
             "estimate_errors": {
-                "operators": len(self.q_errors),
+                "operators": self.q_error_operators,
                 "trace_operators": self.trace_operators,
                 "coverage": self.estimate_coverage,
                 "mean_q_error": self.mean_q_error,

@@ -30,8 +30,8 @@ the service with heavy queries cannot starve a light one.
 
 The scheduler is a discrete-event simulation over
 :class:`~repro.engine.cluster.SlotTimeline`. Submissions must carry
-non-decreasing arrival times (the closed-loop driver guarantees this;
-interactive use just submits at the current clock).
+non-decreasing arrival times (interactive use just submits at the
+current clock).
 """
 
 from __future__ import annotations

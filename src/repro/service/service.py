@@ -16,9 +16,8 @@ fair-share slot scheduler, and service metrics. SELECT statements flow::
            (queue_seconds / stretch_seconds land in the metrics)
 
 The scheduler runs in simulated time, so "concurrency" means logically
-concurrent clients of the simulation — the driver in
-``repro.bench.serve`` keeps many sessions in flight via
-:meth:`Session.submit` / :meth:`QueryService.next_completion`.
+concurrent clients of the simulation — a driver keeps many sessions in
+flight via :meth:`Session.submit` / :meth:`QueryService.next_completion`.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ class ServiceConfig:
     admission_queue_limit: int = 8
     #: LRU bound of the plan cache
     plan_cache_capacity: int = 128
-    #: disable to measure the cache's effect (every statement re-plans)
-    plan_cache_enabled: bool = True
     #: simulated seconds of fixed planning overhead per compilation
     #: (SimSQL-era systems compile statements to Java — it is not cheap)
     compile_cost_s: float = 2.0
@@ -348,13 +345,12 @@ class QueryService:
             ),
             feedback_version=self.db.feedback.version,
         )
-        if self.config.plan_cache_enabled:
-            cached = self.plan_cache.lookup(
-                key, table_version_of=self.db.catalog.table_version
-            )
-            if cached is not None:
-                cached.bind(converted)
-                return cached, True, 0.0
+        cached = self.plan_cache.lookup(
+            key, table_version_of=self.db.catalog.table_version
+        )
+        if cached is not None:
+            cached.bind(converted)
+            return cached, True, 0.0
         cells: Dict[str, object] = {}
         logical = self.db._plan_select(
             statement, converted, catalog=session.catalog, param_cells=cells
@@ -374,12 +370,11 @@ class QueryService:
             self.config.compile_cost_s
             + self.config.compile_cost_per_node_s * plan.node_count
         )
-        if self.config.plan_cache_enabled:
-            self.plan_cache.purge_stale(
-                self.db.catalog.ddl_version,
-                feedback_version=self.db.feedback.version,
-            )
-            self.plan_cache.store(key, plan)
+        self.plan_cache.purge_stale(
+            self.db.catalog.ddl_version,
+            feedback_version=self.db.feedback.version,
+        )
+        self.plan_cache.store(key, plan)
         return plan, False, compile_seconds
 
     # -- execution ---------------------------------------------------------

@@ -303,8 +303,8 @@ class Session:
     def submit(self, sql: str, params: Optional[Dict[str, object]] = None):
         """Asynchronous flavour of :meth:`execute` for SELECTs: admits
         the query and returns a :class:`~repro.service.PendingQuery`
-        without waiting for its simulated completion (used by the
-        closed-loop benchmark driver)."""
+        without waiting for its simulated completion; drain it with
+        :meth:`QueryService.next_completion`."""
         self._check_open()
         statement = parse_statement(sql)
         if not isinstance(statement, ast.SelectStatement):

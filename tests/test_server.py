@@ -7,8 +7,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
+from repro.errors import ReproError
 from repro.server import (
     Server,
     ServerClient,
@@ -17,6 +20,7 @@ from repro.server import (
     canonical_json,
     canonical_result,
     decode_cursor_token,
+    decode_params,
     decode_value,
     encode_cursor_token,
     encode_value,
@@ -301,6 +305,52 @@ def test_bad_params_get_400_not_dropped_connection(client):
         assert body["error"]["code"] == "bad_request"
     # same keep-alive connection still works
     assert client.health()["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"k": {"$type": "vector"}},  # no 'data'
+        [1, 2],  # not an object
+        {"k": {"$type": "vector", "data": [1.0], "label": None}},
+        {"k": {"$type": "labeled", "value": None}},
+    ],
+)
+def test_malformed_params_are_400_not_500(client, params):
+    status, _, body = client.request(
+        "POST", "/query", payload={"sql": "SELECT i FROM points", "params": params}
+    )
+    assert status == 400
+    assert body["error"]["code"] == "bad_request"
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["$type", "vector", "matrix", "labeled", "data", "label"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["$type", "data", "label", "value"]) | st.text(max_size=4),
+        children,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_decode_params_returns_or_raises_a_client_error(params):
+    """Whatever JSON a client posts as ``params``: a decoded dict, or
+    the ValueError / ReproError the server turns into a 4xx."""
+    try:
+        decoded = decode_params(params)
+    except (ValueError, ReproError):
+        return
+    assert isinstance(decoded, dict)
 
 
 def _raw_roundtrip(address, data):

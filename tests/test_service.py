@@ -275,15 +275,6 @@ def test_cache_lru_eviction(db):
     assert session.execute("SELECT COUNT(i) FROM points").metrics.compile_seconds > 0
 
 
-def test_cache_disabled_always_compiles(db):
-    service = db.service(plan_cache_enabled=False)
-    session = service.session()
-    sql = "SELECT COUNT(i) FROM points"
-    assert session.execute(sql).metrics.compile_seconds > 0
-    assert session.execute(sql).metrics.compile_seconds > 0
-    assert service.plan_cache.stats()["entries"] == 0
-
-
 def test_temp_views_scope_the_cache(service):
     plain = service.session()
     sql = "SELECT COUNT(i) FROM points"
@@ -477,6 +468,37 @@ def test_service_metrics_snapshot(service):
     assert 0 < snapshot["plan_cache"]["hit_rate"] < 1
     report = service.report()
     assert "plan cache" in report and "scheduler" in report
+
+
+def test_service_metrics_retain_a_bounded_window():
+    """A long-lived service keeps exact counts, sums and means, and a
+    fixed window of samples for the percentiles — not a float per query
+    (and per traced operator) forever."""
+    from collections import deque
+
+    from repro.engine.metrics import OperatorTrace, QueryMetrics
+    from repro.service.metrics import PERCENTILE_WINDOW, ServiceMetrics
+
+    metrics = ServiceMetrics()
+    compile_s = [0.001 * (i % 7) for i in range(10_000)]
+    q_errors = []
+    for i, seconds in enumerate(compile_s):
+        trace = OperatorTrace("Scan", rows_out=10, est_rows=10.0 + i % 3)
+        q_errors.append(trace.q_error)
+        observed = QueryMetrics(
+            compile_seconds=seconds, queue_seconds=2 * seconds, trace=trace
+        )
+        metrics.observe("s", observed, cache_hit=False)
+    retained = [v for v in vars(metrics).values() if isinstance(v, (list, deque))]
+    assert retained and all(len(v) == PERCENTILE_WINDOW for v in retained)
+    assert metrics.queries == 10_000
+    assert metrics.mean_compile_seconds == sum(compile_s) / 10_000
+    assert metrics.mean_queue_seconds == sum(2 * s for s in compile_s) / 10_000
+    assert metrics.mean_q_error == sum(q_errors) / 10_000
+    errors = metrics.snapshot()["estimate_errors"]
+    assert errors["operators"] == errors["trace_operators"] == 10_000
+    assert metrics.latency_p95 >= metrics.latency_p50 > 0
+    assert metrics.q_error_p95 == percentile(q_errors[-PERCENTILE_WINDOW:], 95.0)
 
 
 def test_percentile_interpolation():
