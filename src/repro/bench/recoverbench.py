@@ -13,8 +13,9 @@ bit-identity gate also covers partitions that live in sealed segment
 files.
 
 Every point is verified, not just timed: the recovered database must
-match the abandoned one bit-for-bit — rows (tensor payloads compared by
-``tobytes()``), per-table statistics, and the catalog version. ``ok()``
+match the abandoned one bit-for-bit — every partition's stored columns
+(arrays and tensor blocks by their bytes), per-table statistics, and the
+catalog version. ``ok()``
 gates on those checks plus WAL-truncation behaviour; wall-clock numbers
 are recorded for the JSON artifact but never gated (CI machines vary).
 """
@@ -33,32 +34,46 @@ import numpy as np
 from ..config import ClusterConfig
 from ..db import Database
 from ..storage import DiskSegment
-from ..types import Vector
+from ..types import Matrix, Vector
+
+
+def _column_fingerprint(column) -> object:
+    """One stored column by exact bits: a typed array or tensor block is
+    its dtype, shape, bytes and null mask as they are; an object column
+    is its values, tensors by their bytes."""
+    if not column.is_object:
+        return (
+            column.data.dtype.str,
+            column.data.shape,
+            column.data.tobytes(),
+            column.null_mask().tobytes(),
+        )
+    return [
+        (type(value).__name__, value.label, value.data.tobytes())
+        if isinstance(value, Vector)
+        else (type(value).__name__, value.shape, value.data.tobytes())
+        if isinstance(value, Matrix)
+        else value
+        for value in column.pylist()
+    ]
 
 
 def state_fingerprint(db: Database) -> Dict[str, object]:
     """A comparable digest of everything durability promises to keep:
-    per-partition rows (tensors by exact bytes), per-table row counts
-    and distinct counts, view names, and the catalog version."""
+    per-partition columns as the table holds them (their form follows
+    from the values, so equal rows have equal columns), per-table row
+    counts and distinct counts, view names, and the catalog version."""
     tables = {}
     for entry in db.catalog.tables():
         storage = entry.storage
-        partitions = []
-        for slot in range(storage.slots):
-            rows = []
-            for row in storage.partition_rows(slot):
-                rows.append(
-                    tuple(
-                        value.data.tobytes()
-                        if hasattr(value, "data")
-                        and isinstance(getattr(value, "data"), np.ndarray)
-                        else value
-                        for value in row
-                    )
-                )
-            partitions.append(rows)
         tables[entry.name] = {
-            "partitions": partitions,
+            "partitions": [
+                [
+                    _column_fingerprint(column)
+                    for column in storage.partition_chunk(slot).columns()[0]
+                ]
+                for slot in range(storage.slots)
+            ],
             "row_count": entry.stats.row_count,
             "distincts": {
                 name: col.distinct

@@ -15,11 +15,20 @@ costs the subsystem trades between:
   aggregation (the cluster's per-job startup charge, identical on both
   sides, is zeroed here so the comparison shows the operator work).
 
+* **the scan after an append** — a filtered scan of the base table
+  right after an append, timed with one batch in the table and with
+  every partition's unsealed tail nearly full. The tail is columnar and
+  append-only, so the scan converts nothing and costs the same at both
+  sizes; a tail rebuilt per append would make the second ~10x the first.
+
 ``--check`` gates on the O(delta) shape (flat folded-row counts, growing
 refresh work), on the view hit actually happening, on the hit being
-simulated-cheaper than the cold plan, and on bit-identical rows between
-the view-answered and cold results. Wall-clock is recorded in the JSON
-artifact (``BENCH_views.json``) but never gated on.
+simulated-cheaper than the cold plan, on bit-identical rows between
+the view-answered and cold results, and on the scan after an append
+costing at most :data:`TAIL_SCAN_RATIO` times more at the largest table
+size than at the smallest (a same-host ratio of best-of timings). Other
+wall-clock is recorded in the JSON artifact (``BENCH_views.json``) but
+never gated on.
 """
 
 from __future__ import annotations
@@ -47,6 +56,12 @@ QUERIES = (
     "SELECT SUM(outer_product(v, v)), COUNT(v) FROM points",
     "SELECT SUM(outer_product(v, v)), SUM(v * x) FROM points",
 )
+RECENT_SCAN = "SELECT COUNT(i), SUM(x) FROM points WHERE i >= :lo"
+#: appends timed per table size; the best scan is the one recorded
+SCAN_REPEATS = 7
+#: how much dearer the scan after an append may be at the largest table
+#: size than at the smallest
+TAIL_SCAN_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -62,10 +77,19 @@ class AppendStep:
 
 
 @dataclass(frozen=True)
+class ScanProbe:
+    """The filtered scan that follows an append, at one table size."""
+
+    table_rows: int  # table size at the last timed scan
+    scan_after_append_ms: float  # best of SCAN_REPEATS
+
+
+@dataclass(frozen=True)
 class ViewReport:
     batch_rows: int
     dim: int
     steps: List[AppendStep]
+    scans: List[ScanProbe]  # smallest table size, then largest
     hit_count: int  # view_hits of the answered query (want 1)
     hit_seconds: float  # simulated latency, answered from the view
     cold_seconds: float  # simulated latency, cold aggregation
@@ -84,16 +108,26 @@ class ViewReport:
         )
         return flat and growing
 
+    def tail_scan_ratio(self) -> float:
+        """Scan after an append, largest table size over smallest."""
+        small, large = self.scans
+        return large.scan_after_append_ms / small.scan_after_append_ms
+
     def ok(self) -> bool:
         return (
             self.rows_identical
             and self.o_delta()
+            and self.tail_scan_ratio() <= TAIL_SCAN_RATIO
             and self.hit_count >= len(QUERIES)  # every workload answered
             and self.hit_seconds < self.cold_seconds
         )
 
     def to_json(self) -> Dict[str, object]:
-        return {**asdict(self), "o_delta": self.o_delta()}
+        return {
+            **asdict(self),
+            "o_delta": self.o_delta(),
+            "tail_scan_ratio": self.tail_scan_ratio(),
+        }
 
 
 def _rows(start: int, count: int, dim: int) -> List[tuple]:
@@ -105,18 +139,39 @@ def _rows(start: int, count: int, dim: int) -> List[tuple]:
     ]
 
 
+def _points_db(config, viewed: bool) -> Database:
+    db = Database(config)
+    db.execute("CREATE TABLE points (i INTEGER, x DOUBLE, v VECTOR[])")
+    for view_sql in VIEWS if viewed else ():
+        db.execute(view_sql)
+    return db
+
+
+def _scan_after_append(config, start_rows: int, batch: int, dim: int) -> ScanProbe:
+    """Load ``start_rows`` rows under the views, then append a batch and
+    scan the most recent rows, ``SCAN_REPEATS`` times over."""
+    db = _points_db(config, viewed=True)
+    total = start_rows
+    db.load("points", _rows(0, total, dim))
+    best = float("inf")
+    for _ in range(SCAN_REPEATS):
+        db.load("points", _rows(total, batch, dim))
+        total += batch
+        t0 = time.perf_counter()
+        result = db.execute(RECENT_SCAN, {"lo": total - 2 * batch})
+        best = min(best, time.perf_counter() - t0)
+        assert result.rows[0][0] == min(total, 2 * batch)
+    return ScanProbe(table_rows=total, scan_after_append_ms=best * 1e3)
+
+
 def run_view_bench(smoke: bool = False) -> ViewReport:
     steps = 3 if smoke else 6
     batch = 40 if smoke else 200
     dim = 4 if smoke else 8
 
     config = TEST_CLUSTER.with_updates(job_startup_s=0.0)
-    maintained = Database(config)
-    baseline = Database(config)
-    for db in (maintained, baseline):
-        db.execute("CREATE TABLE points (i INTEGER, x DOUBLE, v VECTOR[])")
-    for view_sql in VIEWS:
-        maintained.execute(view_sql)
+    maintained = _points_db(config, viewed=True)
+    baseline = _points_db(config, viewed=False)
     view = maintained.catalog.materialized_view("gram")
 
     records: List[AppendStep] = []
@@ -163,10 +218,16 @@ def run_view_bench(smoke: bool = False) -> ViewReport:
         hit_seconds += hit.metrics.total_seconds
         cold_seconds += cold.metrics.total_seconds
         identical = identical and hit.rows == cold.rows
+    # the largest size leaves every slot's tail one append short of sealing
+    nearly_full = config.slots * config.segment_rows - (SCAN_REPEATS + 1) * batch
     return ViewReport(
         batch_rows=batch,
         dim=dim,
         steps=records,
+        scans=[
+            _scan_after_append(config, start, batch, dim)
+            for start in (0, nearly_full)
+        ],
         hit_count=hit_count,
         hit_seconds=hit_seconds,
         cold_seconds=cold_seconds,
@@ -204,6 +265,13 @@ def format_views(report: ViewReport) -> str:
     lines.append(
         "view-answered rows bit-identical to cold: "
         f"{'yes' if report.rows_identical else 'NO'}"
+    )
+    small, large = report.scans
+    lines.append(
+        f"scan after an append: {small.scan_after_append_ms:.2f} ms at "
+        f"{small.table_rows} rows, {large.scan_after_append_ms:.2f} ms at "
+        f"{large.table_rows} rows (x{report.tail_scan_ratio():.2f}, "
+        f"at most x{TAIL_SCAN_RATIO:g})"
     )
     lines.append("")
     lines.append(f"views check: {'ok' if report.ok() else 'FAILED'}")

@@ -276,6 +276,21 @@ class ColumnData:
             self.data[indices], None if self.nulls is None else self.nulls[indices]
         )
 
+    def slice(self, start: int, stop: int) -> "ColumnData":
+        """Rows ``[start, stop)`` as a zero-copy view (not re-formed: see
+        :func:`canonical`)."""
+        return ColumnData(
+            self.data[start:stop],
+            None if self.nulls is None else self.nulls[start:stop],
+        )
+
+    def copy(self) -> "ColumnData":
+        """The same rows in arrays of their own (a view keeps its whole
+        base array alive)."""
+        return ColumnData(
+            self.data.copy(), None if self.nulls is None else self.nulls.copy()
+        )
+
     @classmethod
     def concat(cls, columns: List["ColumnData"]) -> "ColumnData":
         if len(columns) == 1:
@@ -296,6 +311,123 @@ class ColumnData:
         else:
             nulls = None
         return cls(data, nulls)
+
+
+def canonical(column: ColumnData) -> ColumnData:
+    """``column`` in the form :meth:`ColumnData.from_values` picks for its
+    values. A slice, ``take`` or ``concat`` of a typed column or of a
+    block that keeps a non-NULL cell is in that form already; only an
+    object column (its NULL or odd value may have been left behind), a
+    block left with nothing but NULLs, and an empty column are re-derived
+    — stored columns are always canonical, so what a table holds never
+    depends on how its rows arrived."""
+    if column.is_object or not len(column) or (column.is_block and _all_null(column)):
+        return ColumnData.from_values(column.pylist())
+    return column
+
+
+def _all_null(column: ColumnData) -> bool:
+    return column.nulls is not None and bool(column.nulls.all())
+
+
+class ColumnBuffer:
+    """One column of a partition's unsealed tail: an append-only array
+    with spare capacity (amortised doubling) and its null mask.
+
+    :meth:`extend` takes a canonical column and keeps the whole canonical:
+    equal forms are copied in behind the rows already there, an all-NULL
+    run joins a tensor block as masked rows, and any other mix turns the
+    buffer into objects once. Rows already written never change — growth
+    and re-forming allocate a new array — so the read-only prefix view
+    :meth:`view` hands out stays valid however the buffer grows after it.
+    """
+
+    __slots__ = ("_data", "_nulls", "_length")
+
+    def __init__(self):
+        self._data = np.empty(0, dtype=object)
+        self._nulls: Optional[np.ndarray] = None
+        self._length = 0
+
+    def __len__(self) -> int:
+        return self._length
+
+    def view(self) -> ColumnData:
+        """Every row written so far, without copying."""
+        data = self._data[: self._length]
+        data.flags.writeable = False
+        nulls = None if self._nulls is None else self._nulls[: self._length]
+        return ColumnData(data, nulls)
+
+    def extend(self, column: ColumnData) -> None:
+        data, nulls = column.data, column.nulls
+        held, total = self._length, self._length + len(data)
+        if total == held:
+            return
+        if not held:
+            self._data = np.empty((0,) + data.shape[1:], dtype=data.dtype)
+            self._nulls = None
+        elif (data.dtype, data.shape[1:]) != (self._data.dtype, self._data.shape[1:]):
+            mine = self.view()
+            if mine.is_block and column.is_object and _all_null(column):
+                data = np.zeros((total - held,) + self._data.shape[1:])
+            elif column.is_block and _all_null(mine):
+                self._data = np.zeros((held,) + data.shape[1:])
+            else:
+                if not mine.is_object:
+                    self._data = mine.object_array()
+                data = column.object_array()
+        self._data = _with_capacity(self._data, held, total)
+        self._data[held:total] = data
+        if nulls is not None or self._nulls is not None:
+            if self._nulls is None:
+                self._nulls = np.zeros(len(self._data), dtype=np.bool_)
+            self._nulls = _with_capacity(self._nulls, held, len(self._data))
+            self._nulls[held:total] = False if nulls is None else nulls
+        self._length = total
+
+
+def _with_capacity(array: np.ndarray, held: int, needed: int) -> np.ndarray:
+    """``array`` if it has room for ``needed`` rows, else a new array of
+    at least twice the capacity carrying over the first ``held`` rows."""
+    if needed <= len(array):
+        return array
+    grown = np.empty(
+        (max(needed, 2 * len(array)),) + array.shape[1:], dtype=array.dtype
+    )
+    grown[:held] = array[:held]
+    return grown
+
+
+class ChunkBuffer:
+    """The unsealed tail of one table partition: one :class:`ColumnBuffer`
+    per column plus one for the per-row serialized sizes. An append
+    converts and sizes only its own rows; :meth:`view` relabels what is
+    there as read-only prefix views."""
+
+    __slots__ = ("_columns", "_sizes")
+
+    def __init__(self, width: int):
+        self._columns = [ColumnBuffer() for _ in range(width)]
+        self._sizes = ColumnBuffer()
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    def extend(self, columns: Sequence[ColumnData], sizes: np.ndarray) -> None:
+        for buffer, column in zip(self._columns, columns):
+            buffer.extend(column)
+        self._sizes.extend(ColumnData(sizes))
+
+    def view(self) -> "tuple[List[ColumnData], np.ndarray]":
+        return [buffer.view() for buffer in self._columns], self._sizes.view().data
+
+
+def slice_columns(
+    columns: Sequence[ColumnData], start: int, stop: int
+) -> List[ColumnData]:
+    """Rows ``[start, stop)`` of every column, as canonical views."""
+    return [canonical(column.slice(start, stop)) for column in columns]
 
 
 def columns_from_rows(rows: Sequence[tuple], width: int) -> List[ColumnData]:

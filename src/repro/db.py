@@ -47,7 +47,7 @@ from .plan.logical import OutputColumn, ViewScanNode
 from .plan.physical import PFilter, PHashJoin, PNestedLoopJoin, PScan, PViewScan
 from .sql import ast, parse_script, parse_statement
 from .storage import StorageEngine
-from .storage.segment import decode_segment, encode_rows
+from .storage.segment import decode_segment, encode_columns, encode_rows
 from .types import Matrix, Vector
 from .views import ViewMatcher, ViewRegistry
 
@@ -377,18 +377,21 @@ class Database:
             converted = [
                 tuple(_convert_value(value) for value in row) for row in rows
             ]
+            # rows become columns once: the table appends them and the
+            # WAL record encodes them
+            columns = entry.storage.columns_of(converted)
             with self._durable_root() as log:
-                count = entry.storage.insert_many(converted)
+                entry.storage.append(columns)
                 self._refresh_stats(entry, appended=converted)
                 if log:
                     self._log_durable(
                         {
                             "kind": "load",
                             "table": entry.name,
-                            "rows": encode_rows(converted),
+                            "rows": encode_columns(columns)[0],
                         }
                     )
-            return count
+            return len(converted)
 
     def _refresh_stats(
         self, entry: TableEntry, appended: Optional[List[tuple]] = None
@@ -638,10 +641,12 @@ class Database:
 
         for slot in range(self.config.slots):
             rows = entry.storage.partition_rows(slot)
-            entry.storage.replace_partition(
-                slot,
-                [row for row in rows if not predicate.evaluate(RowView(row, index))],
-            )
+            kept = [
+                row for row in rows if not predicate.evaluate(RowView(row, index))
+            ]
+            # a partition that loses no row keeps its segments as they are
+            if len(kept) != len(rows):
+                entry.storage.replace_partition(slot, kept)
         self._refresh_stats(entry)
         return self._attach_maintenance(Result([], []))
 

@@ -135,7 +135,11 @@ def columns_row_bytes(columns, count: int) -> np.ndarray:
     """``row_bytes`` of each of ``count`` rows stored column-wise."""
     total = np.full(count, ROW_OVERHEAD_BYTES)
     for column in columns:
-        total += _column_value_bytes(column)
+        fixed = cell_bytes(column)
+        if fixed is not None and column.nulls is None:
+            total += fixed  # the same sum as adding an array of ``fixed``
+        else:
+            total += _column_value_bytes(column)
     return total
 
 

@@ -36,7 +36,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..catalog import Schema
-from ..columnar import ColumnData, columns_from_rows, rows_from_columns, truth
+from ..columnar import (
+    ChunkBuffer,
+    ColumnData,
+    canonical,
+    columns_from_rows,
+    rows_from_columns,
+    slice_columns,
+    truth,
+)
 from ..errors import ExecutionError
 from ..la.aggregates import SumAggregate, sum_block
 from ..plan.expressions import FuncExpr
@@ -492,17 +500,17 @@ class PartitionedTable:
     """Base-table storage: rows partitioned across slots at load time.
 
     Each slot holds a list of *sealed* segments — immutable chunks of
-    exactly ``segment_rows`` consecutive rows in insert order — plus a
-    mutable tail of fewer rows. ``engine`` (the database's
+    exactly ``segment_rows`` consecutive rows in insert order — plus an
+    append-only columnar tail of fewer rows. ``engine`` (the database's
     :class:`~repro.storage.engine.StorageEngine`) only decides what
     sealing produces: a :class:`~repro.storage.disk.DiskSegment`
     written under its directory in ``"disk"`` mode, a
     :class:`~repro.storage.segment.MemorySegment` otherwise. Slot choice,
     chunk boundaries and every read below are the same code for both,
     which is why pruning decisions and scan charges cannot differ
-    between the storage modes. Caches (sizes, zone maps, columns) live
-    on the segments, where immutability makes invalidation unnecessary;
-    an append only replaces the tail's segment view.
+    between the storage modes. A statement's rows become columns, and
+    are sized, once on the way in; every column held is in the form
+    ``ColumnData.from_values`` picks for its values, however they arrived.
     """
 
     def __init__(
@@ -534,9 +542,9 @@ class PartitionedTable:
                     )
                 self._key_positions.append(position)
         self._sealed: List[list] = [[] for _ in range(slots)]
-        self._tails: List[List[tuple]] = [[] for _ in range(slots)]
-        #: the tail of each slot as a segment, made on first read after
-        #: an append (None: stale or empty)
+        self._tails = [ChunkBuffer(self.width) for _ in range(slots)]
+        #: the tail of each slot as a segment of prefix views, made on
+        #: first read after an append (None: stale or empty)
         self._tail_views: List[Optional[MemorySegment]] = [None] * slots
         #: round-robin position of the next insert (saved in snapshots)
         self.insert_cursor = 0
@@ -544,51 +552,84 @@ class PartitionedTable:
     # -- mutation -----------------------------------------------------------
 
     def insert(self, row: Sequence) -> None:
-        values = tuple(row)
-        if self._key_positions is None:
-            slot = self.insert_cursor % self.slots
-            self.insert_cursor += 1
-        else:
-            key = tuple(values[i] for i in self._key_positions)
-            slot = stable_hash(key) % self.slots
-        tail = self._tails[slot]
-        tail.append(values)
-        self._tail_views[slot] = None
-        if len(tail) >= self.segment_rows:
-            self._seal_full_chunks(slot)
+        self.insert_many([row])
 
     def insert_many(self, rows: Iterable[Sequence]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        rows = [tuple(row) for row in rows]
+        self.append(self.columns_of(rows))
+        return len(rows)
 
-    def _seal_full_chunks(self, slot: int) -> None:
-        """Turn every full ``segment_rows`` chunk at the head of the
-        slot's tail into a sealed segment."""
+    def columns_of(self, rows: Sequence[tuple]) -> List[ColumnData]:
+        """A statement's rows column-wise, as :meth:`append` takes them."""
+        if any(len(row) != self.width for row in rows):
+            raise ExecutionError(
+                f"a row for table {self.name!r} does not have its "
+                f"{self.width} column(s)"
+            )
+        return columns_from_rows(rows, self.width)
+
+    def append(self, columns: Sequence[ColumnData]) -> None:
+        """Append rows held column-wise: each slot takes its share — dealt
+        round robin from ``insert_cursor`` (a strided view), or by
+        ``stable_hash`` of the partitioning key — in arrival order."""
+        count = len(columns[0])
+        sizes = columns_row_bytes(columns, count)
+        if self._key_positions is None:
+            first = self.insert_cursor
+            self.insert_cursor += count
+            shares = [
+                ((first + offset) % self.slots, slice(offset, count, self.slots))
+                for offset in range(min(count, self.slots))
+            ]
+        else:
+            keys = zip(*[columns[i].pylist() for i in self._key_positions])
+            targets = np.array([stable_hash(key) % self.slots for key in keys])
+            shares = [
+                (slot, np.flatnonzero(targets == slot))
+                for slot in np.unique(targets).tolist()
+            ]
+        if len(shares) == 1:  # one slot takes every row, as it is
+            return self._extend(shares[0][0], columns, sizes)
+        for slot, share in shares:
+            taken = [canonical(column.take(share)) for column in columns]
+            self._extend(slot, taken, sizes[share])
+
+    def _extend(self, slot: int, columns, sizes: np.ndarray) -> None:
+        """Put rows behind one slot's tail, then turn every full
+        ``segment_rows`` chunk at its head into a sealed segment (a
+        compact copy: a sealed segment must not pin the tail's spare
+        capacity) and start a new tail from the rest."""
         tail = self._tails[slot]
+        tail.extend(columns, sizes)
+        self._tail_views[slot] = None
+        if len(tail) < self.segment_rows:
+            return
+        held, held_sizes = tail.view()
         full = len(tail) - len(tail) % self.segment_rows
         for start, stop in chunk_offsets(full, self.segment_rows):
-            chunk = tail[start:stop]
+            chunk = slice_columns(held, start, stop)
+            chunk_sizes = held_sizes[start:stop].copy()
             if self.engine is not None and self.engine.mode == "disk":
                 segment = DiskSegment(
                     self.engine.allocate_segment_path(self.name),
                     chunk,
-                    self.width,
+                    chunk_sizes,
                     injector=self.engine.injector,
                 )
             else:
-                segment = MemorySegment(chunk, self.width)
+                segment = MemorySegment(
+                    [column.copy() for column in chunk], chunk_sizes
+                )
             self._sealed[slot].append(segment)
-        del tail[:full]
+        rest = self._tails[slot] = ChunkBuffer(self.width)
+        rest.extend(slice_columns(held, full, len(tail)), held_sizes[full:])
 
     def _drop(self, slot: int) -> None:
         pool = self.engine.buffer_pool if self.engine is not None else None
         for segment in self._sealed[slot]:
             segment.unlink(pool)
         self._sealed[slot] = []
-        self._tails[slot] = []
+        self._tails[slot] = ChunkBuffer(self.width)
         self._tail_views[slot] = None
 
     def truncate(self) -> None:
@@ -601,21 +642,21 @@ class PartitionedTable:
         are dropped and the surviving rows are re-sealed with the same
         insert-order chunking rule."""
         self._drop(slot)
-        self._tails[slot] = [tuple(row) for row in rows]
-        self._seal_full_chunks(slot)
+        columns = self.columns_of([tuple(row) for row in rows])
+        self._extend(slot, columns, columns_row_bytes(columns, len(rows)))
 
     # -- reads --------------------------------------------------------------
 
     def segments(self, slot: int) -> list:
         """The partition as segments: the sealed ones (the same objects
         on every call) plus, when the tail holds rows, one in-memory
-        segment over a copy of it that lasts until the next append."""
-        tail = self._tails[slot]
-        if not tail:
+        segment of read-only prefix views over it — an O(1) relabel that
+        lasts until the next append."""
+        if not len(self._tails[slot]):
             return list(self._sealed[slot])
         view = self._tail_views[slot]
         if view is None:
-            view = self._tail_views[slot] = MemorySegment(tail, self.width)
+            view = self._tail_views[slot] = MemorySegment(*self._tails[slot].view())
         return self._sealed[slot] + [view]
 
     @property
@@ -630,26 +671,39 @@ class PartitionedTable:
     def partition_rows(self, slot: int) -> List[tuple]:
         """The rows of one partition (bypasses the buffer pool:
         maintenance reads — stats, persistence — are not scans)."""
-        return self.partition_suffix(slot, 0)
+        return [
+            row for segment in self.segments(slot) for row in segment.read(None)[0]
+        ]
 
     def partition_row_count(self, slot: int) -> int:
         sealed = sum(segment.row_count for segment in self._sealed[slot])
         return sealed + len(self._tails[slot])
 
-    def partition_suffix(self, slot: int, start: int) -> List[tuple]:
-        """The rows of one partition from insert position ``start`` on.
-        Sealed segments that end at or before ``start`` are skipped by
-        their row count, never read — an incremental view folding one
-        append decodes only the segment files that append touched."""
-        out: List[tuple] = []
-        offset = 0
-        for segment in self._sealed[slot]:
+    def partition_chunk(self, slot: int, start: int = 0) -> MemorySegment:
+        """The rows of one partition from insert position ``start`` on,
+        column-wise, as one in-memory segment. Sealed segments that end
+        at or before ``start`` are skipped by their row count, never
+        read — an incremental view folding one append reads a slice of
+        the tail, plus only the segment files that append sealed."""
+        pieces, offset = [], 0
+        for segment in self.segments(slot):
             end = offset + segment.row_count
             if end > start:
-                out.extend(segment.read(None)[0][max(start - offset, 0):])
+                columns, sizes, _ = segment.columns(None)
+                if start > offset:
+                    columns = slice_columns(columns, start - offset, len(sizes))
+                    sizes = sizes[start - offset :]
+                pieces.append((columns, sizes))
             offset = end
-        out.extend(self._tails[slot][max(start - offset, 0):])
-        return out
+        if len(pieces) == 1:
+            return MemorySegment(*pieces[0])
+        if not pieces:
+            return MemorySegment(columns_from_rows([], self.width), np.empty(0))
+        columns = [
+            canonical(ColumnData.concat([columns[i] for columns, _ in pieces]))
+            for i in range(self.width)
+        ]
+        return MemorySegment(columns, np.concatenate([sizes for _, sizes in pieces]))
 
     def all_rows(self) -> List[tuple]:
         out: List[tuple] = []

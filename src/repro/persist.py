@@ -43,7 +43,7 @@ from .catalog import ColumnStats, TableStats
 from .config import ClusterConfig
 from .errors import ReproError, SnapshotCorruptError
 from .storage.durable import atomic_write, check_magic, durable_read
-from .storage.segment import decode_segment, encode_rows
+from .storage.segment import decode_segment, encode_columns, encode_rows
 
 #: payload layout: per-table statistics and the catalog version (restore
 #: skips the statistics rescan); rows *per partition*, so restoring onto
@@ -154,7 +154,9 @@ def save_database(db, path: str, injector=None) -> None:
                 ],
                 "partition_by": storage.partition_by,
                 "partitions": [
-                    encode_rows(storage.partition_rows(slot))
+                    # the columns the table holds, as they are: no row is
+                    # rebuilt to be taken apart again
+                    encode_columns(storage.partition_chunk(slot).columns()[0])[0]
                     for slot in range(storage.slots)
                 ],
                 "insert_cursor": storage.insert_cursor,

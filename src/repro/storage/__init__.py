@@ -3,11 +3,11 @@ codec, zone maps, a budgeted buffer pool, and durability.
 
 Every table is one :class:`~repro.engine.storage.PartitionedTable`:
 per slot, sealed immutable segments of ``segment_rows`` insert-order
-rows plus a mutable tail. ``ClusterConfig.storage_mode`` decides only
-what sealing a chunk produces:
+rows plus an append-only columnar tail. ``ClusterConfig.storage_mode``
+decides only what sealing a chunk produces:
 
-* ``"memory"`` — a :class:`MemorySegment`: the row chunk itself, with
-  its sizes, zone maps and columnar form cached on it;
+* ``"memory"`` — a :class:`MemorySegment`: the chunk's columns and
+  per-row sizes, with its zone maps cached on it;
 * ``"disk"`` — a :class:`DiskSegment`: an immutable, checksummed
   columnar segment file (each typed or tensor-block column as its array
   buffer plus null mask, object columns pickled, and a footer carrying

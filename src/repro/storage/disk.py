@@ -19,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columnar import ColumnData, columns_from_rows, rows_from_columns
-from ..engine.cluster import columns_row_bytes
+from ..columnar import ColumnData, rows_from_columns
 from .segment import (
     ZoneMap,
     compute_zones,
@@ -33,24 +32,29 @@ from .segment import (
 class DiskSegment:
     """One sealed, immutable columnar segment file.
 
-    The zone maps and per-row serialized sizes are computed at seal time
-    and kept in memory (they are the scan's pruning/charging metadata);
+    The zone maps are computed at seal time, from the columns the table
+    hands over (with their per-row serialized sizes), and both are kept in
+    memory (they are the scan's pruning/charging metadata);
     only the column payload lives on disk and is decoded on demand through
     the buffer pool, which stays the one budgeted home of decoded columns
     — nothing is cached on the segment. Pooled columns are read-only and
     shared by every query that hits them, like a ``MemorySegment``'s.
     """
 
-    __slots__ = ("path", "row_count", "width", "_zones", "_sizes", "_total")
+    __slots__ = ("path", "row_count", "_zones", "_sizes", "_total")
 
-    def __init__(self, path: str, rows: Sequence[tuple], width: int, injector=None):
+    def __init__(
+        self,
+        path: str,
+        columns: Sequence[ColumnData],
+        sizes: np.ndarray,
+        injector=None,
+    ):
         self.path = path
-        self.row_count = len(rows)
-        self.width = width
-        columns = columns_from_rows(rows, width)
-        self._sizes = columns_row_bytes(columns, len(rows))
-        self._total = float(self._sizes.sum())
-        self._zones: List[ZoneMap] = compute_zones(rows, width)
+        self.row_count = len(sizes)
+        self._sizes = sizes
+        self._total = float(sizes.sum())
+        self._zones: List[ZoneMap] = compute_zones(columns)
         # sealing is crash-atomic (temp file + fsync + os.replace): a
         # crash mid-seal leaves the final name absent, never torn
         blob, _ = encode_columns(columns, self._zones)

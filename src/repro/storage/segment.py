@@ -43,7 +43,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..columnar import ColumnData, columns_from_rows, rows_from_columns
-from ..engine.cluster import columns_row_bytes, row_bytes
 from ..errors import SnapshotCorruptError
 from .durable import atomic_write, check_magic
 
@@ -73,32 +72,43 @@ class ZoneMap:
     row_count: int
 
 
-def compute_zone(values: Sequence) -> ZoneMap:
-    """The zone map of one column chunk. Values that do not admit a
-    total order under Python comparison (tensors, mixed str/number
-    columns) yield ``lo = hi = None`` and never prune."""
-    null_count = 0
-    non_null = []
-    for value in values:
-        if value is None:
-            null_count += 1
-        else:
-            non_null.append(value)
-    lo = hi = None
-    if non_null:
+def compute_zone(column: ColumnData) -> ZoneMap:
+    """The zone map of one column chunk: min/max over its non-NULL,
+    non-NaN values (a NaN compares false with everything, so it bounds
+    nothing). Values that do not admit a total order under Python
+    comparison (tensors, mixed str/number columns) yield ``lo = hi =
+    None`` and never prune."""
+    count = len(column)
+    nulls = 0 if column.nulls is None else int(np.count_nonzero(column.nulls))
+    if column.is_block:
+        # tensors have no order; one alone is its own min and max
+        cells = np.flatnonzero(~column.null_mask())
+        only = column.cell(cells[0]) if len(cells) == 1 else None
+        return ZoneMap(only, only, nulls, count)
+    if column.is_object:
+        present = [value for value in column.pylist() if value is not None]
+        nulls = count - len(present)
+        values = [
+            value
+            for value in present
+            if not (type(value) is float and value != value)
+        ]
         try:
-            lo = min(non_null)
-            hi = max(non_null)
-        except TypeError:
-            lo = hi = None
-    return ZoneMap(lo, hi, null_count, len(values))
+            return ZoneMap(min(values), max(values), nulls, count)
+        except (TypeError, ValueError):  # incomparable, or nothing to compare
+            return ZoneMap(None, None, nulls, count)
+    data = column.data if column.nulls is None else column.data[~column.nulls]
+    if data.dtype == np.float64:
+        data = data[data == data]
+    if not len(data):
+        return ZoneMap(None, None, nulls, count)
+    return ZoneMap(data.min().item(), data.max().item(), nulls, count)
 
 
-def compute_zones(rows: Sequence[tuple], width: int) -> List[ZoneMap]:
-    """Zone maps for every column of a row chunk."""
-    if not rows:
-        return [ZoneMap(None, None, 0, 0) for _ in range(width)]
-    return [compute_zone(column) for column in zip(*rows)]
+def compute_zones(columns: Sequence[ColumnData]) -> List[ZoneMap]:
+    """Zone maps for every column of a chunk held column-wise — the one
+    function both segment homes and the tail view get theirs from."""
+    return [compute_zone(column) for column in columns]
 
 
 def zone_excludes(zone: ZoneMap, op: str, literal) -> bool:
@@ -240,7 +250,8 @@ def decode_columns(blob: bytes, path: str = "") -> List[ColumnData]:
 def encode_segment(rows: Sequence[tuple], width: int) -> Tuple[bytes, dict]:
     """A row chunk as a sealed segment: ``(blob, footer)``, the footer
     carrying the row count and per-column ``lo``/``hi``/``nulls``."""
-    return encode_columns(columns_from_rows(rows, width), compute_zones(rows, width))
+    columns = columns_from_rows(rows, width)
+    return encode_columns(columns, compute_zones(columns))
 
 
 def encode_rows(rows: Sequence[tuple]) -> bytes:
@@ -283,44 +294,36 @@ def read_segment_file(path: str) -> List[ColumnData]:
 
 
 class MemorySegment:
-    """An immutable row chunk held in memory: a sealed segment of a
-    memory-mode partition, or the current view of a partition's
-    not-yet-sealed tail in either mode (the table makes a new view when
-    the tail grows). Everything derived from the rows — per-row sizes,
-    zone maps, the columnar form — is computed on first use and never
-    invalidated, because the rows never change. It answers the same
+    """An immutable chunk held in memory, column-wise: a sealed segment
+    of a memory-mode partition, the current view of a partition's
+    not-yet-sealed tail in either mode, or any run of a partition's rows
+    handed to maintenance (view folds, snapshots). It holds one
+    :class:`~repro.columnar.ColumnData` per column in the form
+    ``from_values`` picks, and the per-row serialized sizes; row tuples
+    are derived on demand through the exact ``pylist`` round trip disk
+    mode relies on, and zone maps on first use. It answers the same
     questions as ``disk.DiskSegment`` (``row_count``, ``sizes``,
     ``total_bytes``, ``zone``, ``read``, ``columns``, ``unlink``), so
     the table and the scan never ask which one they hold."""
 
-    __slots__ = ("rows", "width", "_sizes", "_total", "_zones", "_columns")
+    __slots__ = ("_columns", "_sizes", "total_bytes", "_zones")
 
-    def __init__(self, rows: Sequence[tuple], width: int):
-        self.rows = list(rows)
-        self.width = width
-        self._sizes: Optional[List[float]] = None
-        self._total: Optional[float] = None
+    def __init__(self, columns: Sequence[ColumnData], sizes: np.ndarray):
+        self._columns = list(columns)
+        self._sizes = sizes
+        self.total_bytes = float(sizes.sum())
         self._zones: Optional[List[ZoneMap]] = None
-        self._columns: Optional[Tuple[List[ColumnData], np.ndarray]] = None
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self._sizes)
 
     def sizes(self) -> List[float]:
-        if self._sizes is None:
-            self._sizes = [row_bytes(row) for row in self.rows]
-        return self._sizes
-
-    @property
-    def total_bytes(self) -> float:
-        if self._total is None:
-            self._total = sum(self.sizes())
-        return self._total
+        return self._sizes.tolist()
 
     def zone(self, position: int) -> Optional[ZoneMap]:
         if self._zones is None:
-            self._zones = compute_zones(self.rows, self.width)
+            self._zones = compute_zones(self._columns)
         if position >= len(self._zones):
             return None
         return self._zones[position]
@@ -328,18 +331,15 @@ class MemorySegment:
     def read(self, pool=None) -> Tuple[List[tuple], List[float], Optional[str]]:
         """Rows, per-row serialized sizes, and the buffer-pool outcome
         (always None: memory segments never touch the pool)."""
-        return self.rows, self.sizes(), None
+        return rows_from_columns(self._columns), self.sizes(), None
 
     def columns(
         self, pool=None
     ) -> Tuple[List[ColumnData], np.ndarray, Optional[str]]:
-        """The rows column-wise, their per-row serialized sizes, and the
-        buffer-pool outcome. Every scan shares the same columns (tensor
-        blocks included — they are read-only)."""
-        if self._columns is None:
-            columns = columns_from_rows(self.rows, self.width)
-            self._columns = columns, columns_row_bytes(columns, len(self.rows))
-        return self._columns + (None,)
+        """The columns, the per-row serialized sizes, and the
+        buffer-pool outcome. Every scan shares the same read-only
+        columns."""
+        return self._columns, self._sizes, None
 
     def unlink(self, pool=None) -> None:
         """Nothing outlives the object."""

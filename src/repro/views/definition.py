@@ -10,10 +10,12 @@ single base table with an optional parameter-free predicate. For that
 class the view stores *per-slot accumulator states* plus a per-slot
 consumed-row cursor; an append folds only the new suffix of each
 partition (both storage back ends append in insert order), which is the
-O(delta) maintenance path. The fold *is* the engine's: the suffix becomes
-a chunk of the database's current ``execution_mode``, the predicate is
-the chunk's ``select``, and each stored state is the carried state of the
-chunk's ``partial_aggregate`` (``engine/aggregation.py``); the answer is
+O(delta) maintenance path. The fold *is* the engine's: the suffix — a
+slice of the partition's columnar tail, converted when it was appended —
+becomes a chunk of the database's current ``execution_mode`` the way a
+scanned segment does, the predicate is the chunk's ``select``, and each
+stored state is the carried state of the chunk's ``partial_aggregate``
+(``engine/aggregation.py``); the answer is
 ``final_aggregate`` over the per-slot states in ascending slot order —
 the PartialAggregate → gather → FinalAggregate pipeline with the scan
 replaced by stored states, so answering from the view is bit-identical
@@ -225,7 +227,7 @@ class MaterializedView:
                 if start == count:
                     continue
                 folded += count - start
-                self._fold_slot(slot, storage.partition_suffix(slot, start), chunks)
+                self._fold_slot(slot, storage.partition_chunk(slot, start), chunks)
                 self._consumed[slot] = count
             if rebuild:
                 self.stale = False
@@ -236,13 +238,15 @@ class MaterializedView:
                 self.delta_rows += folded
             return folded
 
-    def _fold_slot(self, slot: int, rows, chunks) -> None:
-        """Advance one slot's states over ``rows`` (in partition order):
-        the engine's Filter → PartialAggregate on that slot, each state
-        carried on from where the previous fold left it. Maintenance
-        charges no simulated time, so the cost is discarded."""
+    def _fold_slot(self, slot: int, segment, chunks) -> None:
+        """Advance one slot's states over ``segment`` (a run of the
+        partition's rows, in partition order, as the table holds them —
+        column-wise): the engine's Filter → PartialAggregate on that
+        slot, each state carried on from where the previous fold left
+        it. Maintenance charges no simulated time, so the cost is
+        discarded."""
         cost = EvalCost()
-        chunk = chunks.from_rows(self._column_ids, rows)
+        chunk, _ = chunks.from_segment(self._column_ids, segment)
         if self.predicate is not None:
             chunk = chunk.select(self.predicate, cost)
         if not len(chunk):

@@ -25,9 +25,9 @@ from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
 from repro.catalog import Schema
-from repro.columnar import ColumnData, truth
+from repro.columnar import ColumnData, columns_from_rows, truth
 from repro.engine import stable_hash
-from repro.engine.cluster import row_bytes
+from repro.engine.cluster import columns_row_bytes, row_bytes
 from repro.engine.keys import stable_order
 from repro.engine import Cluster, Executor
 from repro.engine.storage import Batch, PartitionedTable, RowChunk
@@ -576,7 +576,8 @@ class TestChunkKernelsAgree:
         chunk = RowChunk.from_rows(CHUNK_IDS, rows)
         batch = Batch.from_rows(CHUNK_IDS, rows)
         _assert_chunks_agree(chunk, batch)
-        segment = MemorySegment(rows, len(CHUNK_IDS))
+        columns = columns_from_rows(rows, len(CHUNK_IDS))
+        segment = MemorySegment(columns, columns_row_bytes(columns, len(rows)))
         _assert_chunks_agree(
             *(cls.from_segment(CHUNK_IDS, segment)[0] for cls in (RowChunk, Batch))
         )

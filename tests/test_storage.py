@@ -1,6 +1,8 @@
 """Tests for partitioned storage and distributed relations."""
 
 import os
+import struct
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import TEST_CLUSTER
 from repro.catalog import Schema
+from repro.columnar import columns_from_rows, rows_from_columns
 from repro.engine import (
     BROADCAST,
     DistributedRelation,
@@ -15,9 +18,16 @@ from repro.engine import (
     Partitioning,
     ROUND_ROBIN,
 )
+from repro.engine.cluster import row_bytes, stable_hash
 from repro.errors import ExecutionError
-from repro.storage import DiskSegment, MemorySegment, StorageEngine
-from repro.types import INTEGER
+from repro.storage import (
+    DiskSegment,
+    MemorySegment,
+    StorageEngine,
+    chunk_offsets,
+    compute_zones,
+)
+from repro.types import INTEGER, Matrix, Vector
 
 
 HOMES = ("memory", "disk")
@@ -160,58 +170,141 @@ class TestPartitionedTable:
 
 # -- both homes, any mutation sequence ---------------------------------------
 
-operation = st.one_of(
-    st.tuples(
-        st.just("insert_many"),
-        st.lists(
-            st.tuples(
-                st.integers(0, 9),
-                st.one_of(st.none(), st.integers(-5, 5), st.text(max_size=3)),
-            ),
-            max_size=12,
-        ),
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_DEAD_BEEF))[0]
+
+#: what one statement puts in the ``v`` column: runs of one scalar type
+#: (so the tail is a typed array until another statement turns it into
+#: objects mid-tail), NULL-bearing runs, and anything-goes runs
+_scalar_runs = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=9),
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.5, float("nan"), _NAN_PAYLOAD, float("inf")]),
+        max_size=9,
     ),
+    st.lists(st.booleans(), max_size=5),
+    st.lists(st.one_of(st.none(), st.integers(-5, 5)), max_size=9),
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.integers(-5, 5),
+            st.just(2**70),
+            st.just(-0.0),
+            st.text(max_size=3),
+        ),
+        max_size=9,
+    ),
+)
+#: and in the ``t`` column: same-shape default-label vectors (a tensor
+#: block, with or without NULL cells), all-NULL runs, and runs with a
+#: ragged, labelled or matrix cell among them
+_block_cell = st.builds(
+    lambda a, b: Vector([a, b]), st.sampled_from([0.0, -0.0, 2.5]), st.integers(0, 3)
+)
+_odd_cell = st.sampled_from(
+    [Vector([1.0, 2.0, 3.0]), Vector([1.0, -0.0], label=4), Matrix([[1.0, 2.0]])]
+)
+_tensor_runs = st.one_of(
+    st.lists(_block_cell, max_size=9),
+    st.lists(st.one_of(st.none(), _block_cell), max_size=9),
+    st.lists(st.none(), max_size=4),
+    st.lists(st.one_of(st.none(), _block_cell, _odd_cell), max_size=9),
+)
+
+
+@st.composite
+def _statement_rows(draw):
+    scalars, tensors = draw(_scalar_runs), draw(_tensor_runs)
+    count = min(len(scalars), len(tensors))
+    keys = draw(st.lists(st.integers(0, 9), min_size=count, max_size=count))
+    return list(zip(keys, scalars, tensors))
+
+
+operation = st.one_of(
+    st.tuples(st.just("insert_many"), _statement_rows()),
+    st.tuples(st.just("insert"), _statement_rows()),
     st.tuples(st.just("replace"), st.integers(0, 2), st.integers(0, 9)),
     st.tuples(st.just("truncate")),
 )
 
 
-def _describe(table):
-    """Everything a reader of the table can observe, by slot."""
-    out = {
-        "all_rows": table.all_rows(),
-        "insert_cursor": table.insert_cursor,
-        "row_count": table.row_count,
-        "total_bytes": table.total_bytes(),
-    }
-    for slot in range(table.slots):
-        segments = table.segments(slot)
-        count = table.partition_row_count(slot)
-        out[slot] = {
-            "boundaries": [segment.row_count for segment in segments],
-            "sizes": [segment.sizes() for segment in segments],
-            "totals": [segment.total_bytes for segment in segments],
-            "zones": [
-                [segment.zone(i) for i in range(table.width)] for segment in segments
-            ],
-            "rows": [segment.read(None)[0] for segment in segments],
-            "suffixes": [
-                table.partition_suffix(slot, k) for k in range(count + 2)
-            ],
-            "count": count,
-        }
-    return out
+class RowTable:
+    """The row-at-a-time table the columnar one replaced — a list of
+    tuples per slot, one ``insert`` per row — kept as the oracle."""
+
+    def __init__(self, slots, hashed):
+        self.parts = [[] for _ in range(slots)]
+        self.hashed = hashed
+        self.insert_cursor = 0
+
+    def insert(self, row):
+        if self.hashed:
+            slot = stable_hash((row[0],)) % len(self.parts)
+        else:
+            slot = self.insert_cursor % len(self.parts)
+            self.insert_cursor += 1
+        self.parts[slot].append(tuple(row))
+
+    def truncate(self):
+        self.parts = [[] for _ in self.parts]
+        self.insert_cursor = 0
+
+
+def _exact(value):
+    """A value as (type, bits): the sign of zero, NaN payloads, ``bool``
+    vs ``int``, tensor labels and shapes all included."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, Vector):
+        return ("Vector", value.label, value.data.tobytes())
+    if isinstance(value, Matrix):
+        return ("Matrix", value.shape, value.data.tobytes())
+    if isinstance(value, (tuple, list)):
+        return [_exact(item) for item in value]
+    return (type(value).__name__, value)
+
+
+def _exact_columns(columns):
+    """Columns as (physical form, exact values)."""
+    return [
+        (
+            column.data.dtype.str,
+            column.data.shape,
+            None if column.nulls is None else column.nulls.tolist(),
+            _exact(column.pylist()),
+        )
+        for column in columns
+    ]
+
+
+def _assert_holds(table, oracle, rows, columns, sizes, zones):
+    """One run of a partition as the table holds it is what converting
+    ``rows`` from scratch gives: same physical forms, same bits, same
+    per-row sizes, same zone maps."""
+    scratch = columns_from_rows(rows, table.width)
+    assert _exact_columns(columns) == _exact_columns(scratch)
+    assert _exact(rows_from_columns(columns)) == _exact(rows)
+    assert list(sizes) == [row_bytes(row) for row in rows]
+    if zones is not None:
+        assert _exact([astuple(zone) for zone in zones]) == _exact(
+            [astuple(zone) for zone in compute_zones(scratch)]
+        )
+        keys = [row[0] for row in rows]
+        assert (zones[0].lo, zones[0].hi) == (min(keys), max(keys))
 
 
 class TestBothHomesAgree:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         operations=st.lists(operation, max_size=8),
         segment_rows=st.integers(1, 5),
         hashed=st.booleans(),
     )
     def test_any_mutation_sequence(self, operations, segment_rows, hashed):
-        schema = Schema([("k", INTEGER), ("v", INTEGER)])
+        """After any sequence of statements — seals falling mid-statement
+        — every segment, the tail view and every partition suffix hold
+        exactly what converting the oracle's rows from scratch gives,
+        in both homes."""
+        schema = Schema([("k", INTEGER), ("v", INTEGER), ("t", INTEGER)])
         engines = [
             StorageEngine(TEST_CLUSTER.with_updates(storage_mode=home))
             for home in HOMES
@@ -228,10 +321,23 @@ class TestBothHomesAgree:
                 )
                 for engine in engines
             ]
+            oracle = RowTable(3, hashed)
             for op in operations:
+                if op[0] in ("insert_many", "insert"):
+                    for row in op[1]:
+                        oracle.insert(row)
+                elif op[0] == "replace":
+                    oracle.parts[op[1]] = [
+                        row for row in oracle.parts[op[1]] if row[0] != op[2]
+                    ]
+                else:
+                    oracle.truncate()
                 for table in tables:
                     if op[0] == "insert_many":
-                        table.insert_many(op[1])
+                        assert table.insert_many(op[1]) == len(op[1])
+                    elif op[0] == "insert":
+                        for row in op[1]:
+                            table.insert(row)
                     elif op[0] == "replace":
                         kept = [
                             row
@@ -241,19 +347,42 @@ class TestBothHomesAgree:
                         table.replace_partition(op[1], kept)
                     else:
                         table.truncate()
-                memory, disk = (_describe(table) for table in tables)
-                assert memory == disk
-                for slot in range(3):
-                    assert memory[slot]["suffixes"][0] == [
-                        row for rows in memory[slot]["rows"] for row in rows
-                    ]
-                    assert all(
-                        n == segment_rows
-                        for n in memory[slot]["boundaries"][:-1]
-                    )
+                    self._assert_table_is(table, oracle, segment_rows)
+                memory, disk = tables
+                assert memory.total_bytes() == disk.total_bytes()
         finally:
             for engine in engines:
                 engine.close()
+
+    @staticmethod
+    def _assert_table_is(table, oracle, segment_rows):
+        assert table.insert_cursor == oracle.insert_cursor
+        assert table.row_count == sum(len(part) for part in oracle.parts)
+        assert _exact(table.all_rows()) == _exact(
+            [row for part in oracle.parts for row in part]
+        )
+        for slot, rows in enumerate(oracle.parts):
+            assert table.partition_row_count(slot) == len(rows)
+            segments = table.segments(slot)
+            boundaries = [segment.row_count for segment in segments]
+            assert boundaries == [
+                stop - start
+                for start, stop in chunk_offsets(len(rows), segment_rows)
+            ]
+            offset = 0
+            for segment in segments:
+                run = rows[offset : offset + segment.row_count]
+                offset += segment.row_count
+                columns, sizes, _ = segment.columns(None)
+                zones = [segment.zone(i) for i in range(table.width)]
+                _assert_holds(table, oracle, run, columns, sizes, zones)
+                assert _exact(segment.read(None)[0]) == _exact(run)
+                assert segment.sizes() == list(sizes)
+                assert segment.total_bytes == sum(sizes)
+            for start in range(len(rows) + 2):
+                chunk = table.partition_chunk(slot, start)
+                columns, sizes, _ = chunk.columns(None)
+                _assert_holds(table, oracle, rows[start:], columns, sizes, None)
 
 
 class TestPartitioning:

@@ -20,6 +20,7 @@ stats surface (the table contract, over both segment homes, is in
 import os
 import struct
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
-from repro.columnar import ColumnData
+from repro.columnar import ColumnData, columns_from_rows
 from repro.config import ClusterConfig
 from repro.engine import stable_hash
-from repro.engine.cluster import row_bytes
+from repro.engine.cluster import columns_row_bytes, row_bytes
 from repro.engine.storage import Batch
 from repro.errors import ExecutionError, ServiceOverloadedError
 from repro.faults import FaultPlan
@@ -318,6 +319,118 @@ class TestZoneMapPruning:
         assert result.rows == [(9,)]
 
 
+    @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
+    @pytest.mark.parametrize("execution_mode", ("row", "batch"))
+    @pytest.mark.parametrize("segment_rows", (3, 4096))  # sealed; still the tail
+    def test_a_leading_nan_does_not_prune_the_rows_behind_it(
+        self, storage_mode, execution_mode, segment_rows
+    ):
+        """Zone min/max range over non-NaN values: a NaN (which Python's
+        ``min``/``max`` keep when it comes first) bounds nothing."""
+        nan = float("nan")
+        for values in ([nan, 5.0, 7.0], [5.0, nan, 7.0], [None, nan, 7.0]):
+            db = Database(
+                ClusterConfig(
+                    machines=1,
+                    cores_per_machine=1,
+                    storage_mode=storage_mode,
+                    segment_rows=segment_rows,
+                ),
+                execution_mode=execution_mode,
+            )
+            db.execute("CREATE TABLE t (v DOUBLE)")
+            db.load("t", [(value,) for value in values])
+            for sql, expected in (
+                ("SELECT COUNT(v) FROM t WHERE v > 6.0", 1),
+                ("SELECT COUNT(v) FROM t WHERE v >= 7.0", 1),
+                ("SELECT COUNT(v) FROM t WHERE v < 8.0", values.count(5.0) + 1),
+                ("SELECT COUNT(v) FROM t WHERE v <= 7.0", values.count(5.0) + 1),
+                ("SELECT COUNT(v) FROM t WHERE v = 7.0", 1),
+            ):
+                assert db.execute(sql).scalar() == expected, (values, sql)
+            (segment,) = db.catalog.table("t").storage.segments(0)
+            assert (segment.zone(0).lo, segment.zone(0).hi) == (
+                5.0 if 5.0 in values else 7.0,
+                7.0,
+            )
+        # a segment of nothing but NaN has no bounds, so it is kept
+        zone = compute_zone(_column([nan, nan]))
+        assert (zone.lo, zone.hi) == (None, None)
+        assert not zone_excludes(zone, ">", 0.0)
+
+
+class TestAppendOnlyTail:
+    """O(delta) by count, not by clock: what an append and the reads
+    after it convert from Python values is the append's own rows, however
+    long the unsealed tail already is."""
+
+    @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
+    def test_append_converts_its_rows_once_and_reads_convert_none(
+        self, storage_mode, monkeypatch
+    ):
+        from repro import columnar
+
+        converted = Counter()
+        from_values = ColumnData.from_values.__func__
+        tensor_block = columnar._tensor_block
+
+        def counting_from_values(cls, values):
+            converted["values"] += len(values)
+            return from_values(cls, values)
+
+        def counting_tensor_block(values):
+            converted["cells"] += len(values)
+            return tensor_block(values)
+
+        monkeypatch.setattr(
+            ColumnData, "from_values", classmethod(counting_from_values)
+        )
+        monkeypatch.setattr(columnar, "_tensor_block", counting_tensor_block)
+
+        db = Database(
+            ClusterConfig(
+                machines=1, cores_per_machine=1, storage_mode=storage_mode
+            ),
+            execution_mode="batch",
+        )
+        db.execute("CREATE TABLE t (i INTEGER, x DOUBLE, v VECTOR[8])")
+        db.execute(
+            "CREATE MATERIALIZED VIEW g AS "
+            "SELECT SUM(outer_product(v, v)) AS g, COUNT(v) AS n FROM t"
+        )
+        rng = np.random.default_rng(0)
+
+        def rows(first, count):
+            return [
+                (first + r, (first + r) / 7.0, Vector(rng.normal(size=8)))
+                for r in range(count)
+            ]
+
+        scan = "SELECT COUNT(i), SUM(x) FROM t WHERE i >= :lo"
+        db.load("t", rows(0, 4000))  # one slot: all of it is unsealed tail
+        assert [s.row_count for s in db.catalog.table("t").storage.segments(0)] == [
+            4000
+        ]
+        width, batch = 3, 64
+        for step in range(2):
+            converted.clear()
+            # the append, its statistics and the view's fold
+            db.load("t", rows(4000 + batch * step, batch))
+            assert converted == {"values": batch * width, "cells": batch}
+            converted.clear()
+            result = db.execute(scan, {"lo": 3000})
+            assert result.rows[0][0] == 1000 + batch * (step + 1)
+            # the scan read ~4000 tail rows and converted only its own
+            # one-row results on the way out
+            assert converted["cells"] == 0 and converted["values"] <= 2 * width
+            converted.clear()
+            # answered from the view: the fold was part of the append
+            result = db.execute("SELECT COUNT(v) FROM t")
+            assert result.metrics.view_hits == 1
+            assert result.scalar() == 4000 + batch * (step + 1)
+            assert converted["cells"] == 0 and converted["values"] <= 2 * width
+
+
 class TestPeakMemoryAccounting:
     def test_peak_bytes_reported_and_identical_across_modes(self):
         sql = "SELECT ta.k, ta.x FROM ta WHERE ta.x > 0"
@@ -412,28 +525,37 @@ class TestBufferPool:
 # -- zone maps and chunking --------------------------------------------------
 
 
+def _column(values):
+    return ColumnData.from_values(values)
+
+
+def _segment(rows):
+    columns = columns_from_rows(rows, len(rows[0]))
+    return MemorySegment(columns, columns_row_bytes(columns, len(rows)))
+
+
 class TestZoneMaps:
     def test_compute_zone_basic(self):
-        zone = compute_zone([3, None, 1, 2])
+        zone = compute_zone(_column([3, None, 1, 2]))
         assert zone == ZoneMap(1, 3, 1, 4)
 
     def test_incomparable_values_never_prune(self):
-        zone = compute_zone([Vector([1.0]), Vector([2.0])])
+        zone = compute_zone(_column([Vector([1.0]), Vector([2.0])]))
         assert zone.lo is None and zone.hi is None
         assert not zone_excludes(zone, "=", 5)
 
     def test_mixed_types_never_prune(self):
-        zone = compute_zone([1, "a"])
+        zone = compute_zone(_column([1, "a"]))
         assert zone.lo is None
         assert not zone_excludes(zone, ">", 0)
 
     def test_all_null_segment_prunes(self):
-        zone = compute_zone([None, None])
+        zone = compute_zone(_column([None, None]))
         assert zone_excludes(zone, "=", 1)
         assert zone_excludes(zone, "<", 1)
 
     def test_operator_semantics(self):
-        zone = compute_zone([5, 10])
+        zone = compute_zone(_column([5, 10]))
         assert zone_excludes(zone, "=", 4)
         assert zone_excludes(zone, "=", 11)
         assert not zone_excludes(zone, "=", 7)
@@ -447,11 +569,11 @@ class TestZoneMaps:
         assert not zone_excludes(zone, ">=", 10)
 
     def test_incomparable_literal_keeps_segment(self):
-        zone = compute_zone([1, 2])
+        zone = compute_zone(_column([1, 2]))
         assert not zone_excludes(zone, "=", "a string")
 
     def test_segment_pruned_conjunction(self):
-        segment = MemorySegment([(1, 10.0), (2, 20.0)], width=2)
+        segment = _segment([(1, 10.0), (2, 20.0)])
         assert segment_pruned(segment, [(0, ">", 5)])
         assert not segment_pruned(segment, [(0, ">", 1)])
         # any one excluding predicate of the AND suffices
@@ -693,7 +815,7 @@ class TestSegmentCodec:
 
     def test_sizes_match_cluster_accounting(self):
         rows = [(1, 2.5, "ab"), (2, None, "c")]
-        segment = MemorySegment(rows, width=3)
+        segment = _segment(rows)
         assert segment.sizes() == [row_bytes(row) for row in rows]
 
     def test_golden_segment_bytes(self):
