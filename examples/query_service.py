@@ -47,10 +47,13 @@ def main():
             f"latency {result.metrics.elapsed_seconds:.2f}s"
         )
 
-    # -- 3. DDL invalidates cached plans ---------------------------------------
-    db.execute("CREATE TABLE scratch (x DOUBLE)")  # bumps the catalog version
+    # -- 3. a plan is valid while what it read is unchanged ---------------------
+    db.execute("CREATE TABLE scratch (x DOUBLE)")  # unrelated DDL: still a hit
     result = stmt.execute(k=40)
-    print(f"after DDL the same statement re-plans: compile {result.metrics.compile_seconds:.2f}s")
+    print(f"after DDL elsewhere the plan still hits: compile {result.metrics.compile_seconds:.2f}s")
+    db.execute("INSERT INTO points SELECT i + 1000, vec FROM points WHERE i < 2")
+    result = stmt.execute(k=40)
+    print(f"after a change to points it re-plans: compile {result.metrics.compile_seconds:.2f}s")
 
     # -- 4. overload: bounded admission queue ----------------------------------
     # Fire queries from many sessions at the same simulated instant. With

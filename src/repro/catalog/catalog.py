@@ -40,20 +40,13 @@ class ViewEntry:
 class Catalog:
     """Name-to-object mapping with case-insensitive SQL semantics.
 
-    The catalog carries a monotonically increasing :attr:`version`,
-    bumped on every DDL change and on every statistics refresh. Cached
-    query plans are keyed on it: any version change invalidates them
-    (plans bake in resolved names, refined types, and size estimates).
-
-    Two finer-grained counters let caches invalidate selectively instead
-    of flushing on every data load:
-
-    * :attr:`ddl_version` moves only when the *set of relations* changes
-      (create/drop of a table or view) — name resolution can change, so
-      every cached plan is suspect;
-    * per-table versions (:meth:`table_version`) move when one table's
-      data or statistics change — only plans that read that table are
-      suspect.
+    The catalog carries one monotonically increasing :attr:`version`,
+    advanced on every DDL change and on every statistics refresh. Every
+    relation carries a *stamp* — the counter's value at the relation's
+    last change (:meth:`touch`) — so caches invalidate selectively: a
+    cached plan records the stamp of everything it read and is valid
+    while those are unchanged. Because the counter never goes back, a
+    name that is dropped and created again can never repeat a stamp.
     """
 
     def __init__(self):
@@ -63,31 +56,33 @@ class Catalog:
         #: keyed like every other relation
         self._matviews: Dict[str, object] = {}
         self.version = 0
-        self.ddl_version = 0
-        self._table_versions: Dict[str, int] = {}
+        self._stamps: Dict[str, int] = {}
 
     def bump_version(self) -> int:
-        """Advance the catalog version (DDL or statistics change);
-        returns the new version."""
+        """Advance the catalog version; returns the new version."""
         self.version += 1
         return self.version
 
-    def bump_ddl(self) -> int:
-        """Advance the DDL version (the set of relations changed)."""
-        self.ddl_version += 1
-        return self.ddl_version
+    # -- per-relation stamps ----------------------------------------------
 
-    # -- per-table data versions -----------------------------------------
+    def touch(self, *names: str) -> None:
+        """Relations ``names`` changed (created, data or statistics
+        moved, a materialized view over them came, went or changed
+        state): stamp them with a fresh version. Cached plans that read
+        them are stale, others are not."""
+        version = self.bump_version()
+        for name in names:
+            self._stamps[name.lower()] = version
 
-    def bump_table(self, name: str) -> int:
-        """Advance one table's data version (DML or statistics refresh);
-        cached plans referencing the table are stale, others are not."""
-        key = name.lower()
-        self._table_versions[key] = self._table_versions.get(key, 0) + 1
-        return self._table_versions[key]
+    def stamp(self, name: str) -> int:
+        """The version at ``name``'s last change; 0 for no such relation
+        (a live relation's stamp is never 0)."""
+        return self._stamps.get(name.lower(), 0)
 
-    def table_version(self, name: str) -> int:
-        return self._table_versions.get(name.lower(), 0)
+    def _forget(self, name: str) -> None:
+        """``name`` was dropped: it has no stamp until it exists again."""
+        self._stamps.pop(name.lower(), None)
+        self.bump_version()
 
     # -- tables -----------------------------------------------------------
 
@@ -97,8 +92,7 @@ class Catalog:
             raise CatalogError(f"relation {name!r} already exists")
         entry = TableEntry(name=name, schema=schema)
         self._tables[key] = entry
-        self.bump_version()
-        self.bump_ddl()
+        self.touch(name)
         return entry
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
@@ -117,9 +111,7 @@ class Catalog:
                 views=dependents,
             )
         del self._tables[key]
-        self._table_versions.pop(key, None)
-        self.bump_version()
-        self.bump_ddl()
+        self._forget(name)
 
     def table(self, name: str) -> TableEntry:
         entry = self._tables.get(name.lower())
@@ -143,8 +135,7 @@ class Catalog:
             raise CatalogError(f"relation {name!r} already exists")
         entry = ViewEntry(name=name, query=query, column_names=column_names)
         self._views[key] = entry
-        self.bump_version()
-        self.bump_ddl()
+        self.touch(name)
         return entry
 
     def drop_view(self, name: str, if_exists: bool = False) -> None:
@@ -154,8 +145,7 @@ class Catalog:
                 return
             raise CatalogError(f"no view named {name!r}")
         del self._views[key]
-        self.bump_version()
-        self.bump_ddl()
+        self._forget(name)
 
     def view(self, name: str) -> Optional[ViewEntry]:
         return self._views.get(name.lower())
@@ -165,12 +155,12 @@ class Catalog:
     def create_materialized_view(self, view) -> None:
         """Register one :class:`repro.views.MaterializedView` under its
         name (which must be free across tables, views, and materialized
-        views alike)."""
+        views alike). Its base tables are stamped with it: plans over
+        them re-plan and may now answer from the view."""
         if self.has_relation(view.name):
             raise CatalogError(f"relation {view.name!r} already exists")
         self._matviews[view.name.lower()] = view
-        self.bump_version()
-        self.bump_ddl()
+        self.touch(view.name, *view.base_tables)
 
     def drop_materialized_view(self, name: str, if_exists: bool = False):
         key = name.lower()
@@ -179,8 +169,9 @@ class Catalog:
             if if_exists:
                 return None
             raise CatalogError(f"no materialized view named {name!r}")
-        self.bump_version()
-        self.bump_ddl()
+        del self._stamps[key]
+        # plans that answered from the view must re-plan without it
+        self.touch(*view.base_tables)
         return view
 
     def materialized_view(self, name: str):

@@ -45,7 +45,8 @@ from .errors import CompileError, ExecutionError
 from .plan import Binder, CostModel, Optimizer, PhysicalPlanner
 from .plan.logical import OutputColumn, ViewScanNode
 from .plan.physical import PFilter, PHashJoin, PNestedLoopJoin, PScan, PViewScan
-from .sql import ast, parse_script, parse_statement
+from .plan_cache import CachedPlan, PlanCache, PlanCacheKey, param_signature
+from .sql import ast, parse_keyed, parse_keyed_script, parse_statement
 from .storage import StorageEngine
 from .storage.segment import decode_segment, encode_columns, encode_rows
 from .types import Matrix, Vector
@@ -132,9 +133,14 @@ class Database:
         #: cardinality feedback (docs/ENGINE.md, "Adaptive
         #: optimization"): observed per-operator row counts folded back
         #: from completed statements; consulted by the cost model when
-        #: ``config.feedback_mode == "on"``, versioned so the service's
-        #: plan cache drops plans built from stale statistics
+        #: ``config.feedback_mode == "on"``, versioned so the plan cache
+        #: drops plans built from stale statistics
         self.feedback = FeedbackStatistics()
+        #: compiled SELECTs (and the queries inside CTAS / INSERT ...
+        #: SELECT) of every door into this database — ``execute``,
+        #: ``execute_script``, service sessions and their prepared
+        #: handles, the server — valid while what they read is unchanged
+        self.plan_cache = PlanCache()
         self.cost_model = CostModel(
             self.config, size_blind=size_blind_optimizer, feedback=self.feedback
         )
@@ -309,6 +315,7 @@ class Database:
             if params is not None:
                 names, values = params
                 params = dict(zip(names, decode_segment(values)[0]))
+            # no statement text, so no cache key: replay compiles afresh
             self._execute_statement(record["ast"], params)
         elif kind == "create_table":
             self.create_table(
@@ -406,21 +413,22 @@ class Database:
             entry.stats = collect_stats(entry.schema, entry.storage.all_rows())
         # statistics feed refined types and size estimates into plans, so
         # every refresh invalidates cached plans that read this table
-        # (the plan cache validates the per-table version)
-        self.catalog.bump_table(entry.name)
+        # (the plan cache validates the stamps of what a plan read)
+        self.catalog.touch(entry.name)
         # materialized views over this table fold the delta (append) or
         # refresh/go stale (delete), per config.view_refresh_mode
         self.views.on_table_changed(entry.name, append_only=appended is not None)
-        self.catalog.bump_version()
 
     # -- SQL ----------------------------------------------------------------------
 
     def execute(
         self, sql: str, params: Optional[Dict[str, object]] = None
     ) -> Result:
-        """Parse, plan and execute a single SQL statement."""
-        statement = parse_statement(sql)
-        return self._execute_statement(statement, params)
+        """Parse, plan and execute a single SQL statement. A repeated
+        text skips the lexer and parser, and a SELECT whose relations are
+        unchanged reuses its compiled plan (``repro.plan_cache``)."""
+        statement, key = parse_keyed(sql)
+        return self._execute_statement(statement, params, key)
 
     def execute_script(
         self, sql: str, params: Optional[Dict[str, object]] = None
@@ -428,8 +436,8 @@ class Database:
         """Execute a semicolon-separated script; returns one Result per
         statement."""
         return [
-            self._execute_statement(statement, params)
-            for statement in parse_script(sql)
+            self._execute_statement(statement, params, key)
+            for statement, key in parse_keyed_script(sql)
         ]
 
     def explain(
@@ -467,20 +475,18 @@ class Database:
         actuals, plus a per-operator cardinality q-error column — the
         feedback loop that shows whether the LA-aware estimates the
         optimizer planned with (section 4) were right."""
-        statement = parse_statement(sql)
+        statement, key = parse_keyed(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise CompileError("EXPLAIN ANALYZE supports SELECT statements only")
         with self._admission.shared():
-            logical = self._plan_select(statement, params)
-            physical = self._plan_physical(logical)
-            result = self._execute_physical(logical, physical)
+            result = self._run_select(statement, params, key=key)
         trace = result.metrics.trace
         assert trace is not None
         lines = [trace.render()]
         lines.append(
             f"delivered {len(result.rows)} row(s) in "
             f"{result.metrics.total_seconds:.3f} simulated s "
-            f"({result.metrics.jobs} job(s))"
+            f"({result.metrics.jobs} job(s)), {result.metrics.plan_line}"
         )
         worst = trace.max_q_error()
         if worst is not None:
@@ -490,18 +496,23 @@ class Database:
     # -- statement dispatch ------------------------------------------------------
 
     def _execute_statement(
-        self, statement: ast.Statement, params: Optional[Dict[str, object]]
+        self,
+        statement: ast.Statement,
+        params: Optional[Dict[str, object]],
+        key: Optional[str] = None,
     ) -> Result:
+        """``key`` is the statement's normalised text (``parse_keyed``);
+        without one its queries compile afresh, past the plan cache."""
         # read-only statements overlap under shared admission; anything
         # that can mutate the catalog or table storage takes the
-        # exclusive path (and bumps the catalog version, invalidating
-        # cached plans)
+        # exclusive path (and stamps what it changed, invalidating the
+        # cached plans that read it)
         if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
             with self._admission.shared():
-                return self._dispatch_statement(statement, params)
+                return self._dispatch_statement(statement, params, key)
         with self._admission.exclusive():
             with self._durable_root() as log:
-                result = self._dispatch_statement(statement, params)
+                result = self._dispatch_statement(statement, params, key)
                 if log:
                     # parameter values travel as the one row of a segment
                     frozen = None
@@ -516,18 +527,22 @@ class Database:
                 return result
 
     def _dispatch_statement(
-        self, statement: ast.Statement, params: Optional[Dict[str, object]]
+        self,
+        statement: ast.Statement,
+        params: Optional[Dict[str, object]],
+        key: Optional[str] = None,
     ) -> Result:
         if isinstance(statement, ast.SelectStatement):
-            return self._run_select(statement, params)
+            return self._run_select(statement, params, key=key)
         if isinstance(statement, ast.CreateTable):
             self.create_table(statement.name, statement.columns)
             return Result([], [])
         if isinstance(statement, ast.CreateTableAs):
-            logical = self._plan_select(statement.query, params)
-            result = self._execute_physical(logical, self._plan_physical(logical))
+            # the query's plan is cached under the whole statement's text
+            plan, hit = self._plan(statement.query, params, key)
+            result = self._execute_plan(plan, hit)
             columns = [
-                (column.name, column.data_type) for column in logical.columns
+                (column.name, column.data_type) for column in plan.logical.columns
             ]
             self.create_table(statement.name, columns)
             entry = self.catalog.table(statement.name)
@@ -575,11 +590,11 @@ class Database:
             self._refresh_stats(entry, appended=inserted)
             return self._attach_maintenance(Result([], []))
         if isinstance(statement, ast.InsertSelect):
-            return self._run_insert_select(statement, params)
+            return self._run_insert_select(statement, params, key)
         if isinstance(statement, ast.Delete):
             return self._run_delete(statement, params)
         if isinstance(statement, ast.UnionStatement):
-            return self._run_union(statement, params)
+            return self._run_union(statement, params, key)
         if isinstance(statement, ast.DropTable):
             self.catalog.drop_table(statement.name, if_exists=statement.if_exists)
             return Result([], [])
@@ -591,10 +606,13 @@ class Database:
     # -- writes beyond INSERT ... VALUES -----------------------------------------
 
     def _run_insert_select(
-        self, statement: ast.InsertSelect, params: Optional[Dict[str, object]]
+        self,
+        statement: ast.InsertSelect,
+        params: Optional[Dict[str, object]],
+        key: Optional[str] = None,
     ) -> Result:
         entry = self.catalog.table(statement.table)
-        result = self._run_select(statement.query, params)
+        result = self._run_select(statement.query, params, key=key)
         expected = entry.schema.types
         if result.rows and len(result.rows[0]) != len(expected):
             raise CompileError(
@@ -651,9 +669,16 @@ class Database:
         return self._attach_maintenance(Result([], []))
 
     def _run_union(
-        self, statement: ast.UnionStatement, params: Optional[Dict[str, object]]
+        self,
+        statement: ast.UnionStatement,
+        params: Optional[Dict[str, object]],
+        key: Optional[str] = None,
     ) -> Result:
-        results = [self._run_select(select, params) for select in statement.selects]
+        # one cache entry per branch: normalised text has no newline
+        results = [
+            self._run_select(select, params, key=key and f"{key}\n{index}")
+            for index, select in enumerate(statement.selects)
+        ]
         width = len(results[0].columns)
         for result in results[1:]:
             if len(result.columns) != width:
@@ -692,6 +717,56 @@ class Database:
 
     # -- SELECT pipeline -------------------------------------------------------------
 
+    def _plan(
+        self,
+        statement: ast.SelectStatement,
+        params: Optional[Dict[str, object]],
+        key: Optional[str],
+        catalog=None,
+        scope: str = "",
+    ):
+        """The compiled plan of a SELECT with ``params`` bound to its
+        cells on this thread, and whether it came from the plan cache.
+        ``key`` is the normalised text of the statement the query belongs
+        to (None compiles afresh, uncached); ``catalog`` / ``scope`` are
+        a session's temp-view overlay and its cache scope."""
+        converted = {
+            name: _convert_value(value) for name, value in (params or {}).items()
+        }
+        if key is None:
+            return self._compile(statement, converted, catalog), False
+        cache_key = PlanCacheKey(
+            sql=key,
+            param_types=param_signature(converted),
+            scope=scope,
+            exec_fingerprint=(self.execution_mode, self.config.storage_mode),
+            feedback_version=self.feedback.version,
+        )
+        plan = self.plan_cache.lookup(cache_key, self.catalog.stamp)
+        if plan is not None:
+            plan.bind(converted)
+            return plan, True
+        plan = self._compile(statement, converted, catalog)
+        self.plan_cache.purge_stale(self.feedback.version)
+        self.plan_cache.store(cache_key, plan)
+        return plan, False
+
+    def _compile(self, statement, params, catalog=None) -> CachedPlan:
+        """Bind, optimize and physically plan a SELECT, recording the
+        stamp of every relation the plan read."""
+        cells: Dict[str, object] = {}
+        logical = self._plan_select(
+            statement, params, catalog=catalog, param_cells=cells
+        )
+        return CachedPlan(
+            logical=logical,
+            physical=self._plan_physical(logical),
+            param_cells=cells,
+            stamps=tuple(
+                (name, self.catalog.stamp(name)) for name in logical.relations
+            ),
+        )
+
     def _plan_select(
         self,
         statement: ast.SelectStatement,
@@ -701,27 +776,32 @@ class Database:
         use_views=True,
     ):
         """Bind and optimize a SELECT. ``catalog`` may be a session-level
-        overlay (temp views); ``param_cells`` switches parameters to
-        runtime slots so the service layer can cache the plan;
+        overlay (temp views); parameters bind as runtime cells (collected
+        into ``param_cells`` when given) holding ``params`` on this
+        thread, so the plan is the generic one a cache can keep;
         ``use_views=False`` disables view-based answering (a view's own
-        refresh must recompute from the base tables)."""
+        refresh must recompute from the base tables). The returned plan
+        carries ``relations``: every name its validity depends on."""
         converted = {
             key: _convert_value(value) for key, value in (params or {}).items()
         }
         scope = catalog or self.catalog
+        if param_cells is None:
+            param_cells = {}
         binder = Binder(scope, converted, param_cells=param_cells)
         plan = binder.bind_select(statement)
         whole = self._match_whole_statement(statement, scope) if use_views else None
         if whole is not None:
-            replacement = ViewScanNode(whole, plan.columns, None)
-            replacement.view_hits = 1
-            replacement.view_misses = 0
-            return replacement
-        matcher = ViewMatcher(scope) if use_views else None
-        optimizer = Optimizer(self.cost_model, view_matcher=matcher)
-        optimized = optimizer.optimize(plan)
-        optimized.view_hits = optimizer.view_hits
-        optimized.view_misses = optimizer.view_misses
+            optimized = ViewScanNode(whole, plan.columns, None)
+            optimized.view_hits = 1
+            optimized.view_misses = 0
+        else:
+            matcher = ViewMatcher(scope) if use_views else None
+            optimizer = Optimizer(self.cost_model, view_matcher=matcher)
+            optimized = optimizer.optimize(plan)
+            optimized.view_hits = optimizer.view_hits
+            optimized.view_misses = optimizer.view_misses
+        optimized.relations = binder.relations
         return optimized
 
     @staticmethod
@@ -743,6 +823,11 @@ class Database:
 
     def _plan_physical(self, logical):
         return PhysicalPlanner(self.cost_model).plan(logical)
+
+    def _execute_plan(self, plan: CachedPlan, cached: bool) -> Result:
+        result = self._execute_physical(plan.logical, plan.physical)
+        result.metrics.plan_cached = cached
+        return result
 
     def _execute_physical(self, logical, physical) -> Result:
         # shared admission (reentrant when the caller already holds an
@@ -860,10 +945,13 @@ class Database:
         statement: ast.SelectStatement,
         params: Optional[Dict[str, object]],
         use_views: bool = True,
+        key: Optional[str] = None,
     ) -> Result:
-        logical = self._plan_select(statement, params, use_views=use_views)
-        physical = self._plan_physical(logical)
-        return self._execute_physical(logical, physical)
+        if not use_views:
+            # a view's own refresh: never cached, never answered from views
+            logical = self._plan_select(statement, params, use_views=False)
+            return self._execute_physical(logical, self._plan_physical(logical))
+        return self._execute_plan(*self._plan(statement, params, key))
 
     def _attach_maintenance(self, result: Result) -> Result:
         """Fold the view maintenance a mutating statement triggered into

@@ -234,6 +234,9 @@ class QueryMetrics:
     startup_seconds: float = 0.0
     #: simulated planning (parse/bind/optimize) overhead; 0 on cache hit
     compile_seconds: float = 0.0
+    #: whether the statement's plan came out of the database's plan
+    #: cache (False: it was compiled for this execution)
+    plan_cached: bool = False
     #: simulated time spent waiting for admission to the cluster
     queue_seconds: float = 0.0
     #: extra execution time from running on a share of the slots
@@ -260,6 +263,10 @@ class QueryMetrics:
     #: built by the executor for every statement, estimate columns are
     #: annotated by the database layer's cost model
     trace: Optional[OperatorTrace] = None
+
+    @property
+    def plan_line(self) -> str:
+        return "plan: cached" if self.plan_cached else "plan: compiled"
 
     @property
     def operator_seconds(self) -> float:
@@ -337,6 +344,7 @@ class QueryMetrics:
             jobs=self.jobs + other.jobs,
             startup_seconds=self.startup_seconds + other.startup_seconds,
             compile_seconds=self.compile_seconds + other.compile_seconds,
+            plan_cached=self.plan_cached and other.plan_cached,
             queue_seconds=self.queue_seconds + other.queue_seconds,
             stretch_seconds=self.stretch_seconds + other.stretch_seconds,
             recovery_seconds=self.recovery_seconds + other.recovery_seconds,
@@ -374,7 +382,8 @@ class QueryMetrics:
             f"{'TOTAL':<24}{'':>10}{'':>10}{self.total_seconds:>10.3f}"
             f"{sum(op.network_bytes for op in self.operators) / 1e6:>9.2f}"
             f"{'':>7}  ({self.jobs} job(s), "
-            f"{self.startup_seconds:.1f}s startup)"
+            f"{self.startup_seconds:.1f}s startup"
+            + (f", {self.plan_line})" if self.operators else ")")
         )
         if self.recovery_seconds or self.wasted_seconds or self.speculative_seconds:
             events = ", ".join(

@@ -247,11 +247,12 @@ def apply_snapshot(db, payload: dict) -> None:
                 frozen["stale"],
             ),
         )
-    # the saved version is authoritative for snapshot state: the
-    # database is freshly built (no plan caches to invalidate), and
-    # pinning it exactly is what lets WAL replay reproduce the
-    # original catalog version bit-for-bit
-    db.catalog.version = payload["catalog_version"]
+    # the saved version is authoritative for snapshot state: restoring
+    # replays a subset of the operations that produced it, and pinning
+    # it is what lets WAL replay reproduce the original catalog version
+    # bit-for-bit. Never backwards, though: the relations just created
+    # carry stamps of this counter, and a stamp must not repeat.
+    db.catalog.version = max(db.catalog.version, payload["catalog_version"])
 
 
 def _restore_rows(storage, table: dict) -> None:

@@ -16,7 +16,7 @@ Join-order optimization and equi-join extraction happen later, in
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..catalog import Catalog, TableEntry
 from ..errors import CompileError, NameResolutionError, TypeCheckError
@@ -153,6 +153,14 @@ class Binder:
         #: view may shadow the relation it is defined over without
         #: recursing into itself
         self._view_stack: List[str] = []
+        #: lowercase name of every relation a FROM item resolved to
+        #: (tables, inlined views, materialized views and — their stored
+        #: state tracks them — those views' base tables): what a cached
+        #: plan's validity depends on. A view the optimizer answers from
+        #: instead of scanning adds nothing: its bases are the scanned
+        #: tables, and they are stamped whenever it comes, goes or
+        #: changes state
+        self.relations: Set[str] = set()
 
     # -- public entry points ------------------------------------------------
 
@@ -239,6 +247,7 @@ class Binder:
             return _Binding(item.alias, self.bind_select(item.query))
         assert isinstance(item, ast.TableName)
         name_key = item.name.lower()
+        self.relations.add(name_key)
         if name_key in self._view_stack:
             shared_view = getattr(self._catalog, "shared_view", self._catalog.view)
             view = shared_view(item.name)
@@ -260,6 +269,7 @@ class Binder:
             # FROM <matview> reads the stored state directly — no
             # recomputation (an incremental view self-catches-up at
             # execution; a stale full view serves its last refresh)
+            self.relations.update(matview.base_tables)
             columns = [
                 OutputColumn(next(self._ids), name, data_type)
                 for name, data_type in matview.columns

@@ -1,27 +1,31 @@
 """The plan cache: compiled query plans keyed on normalized SQL.
 
-Every ``Database.execute`` re-parses, re-binds and re-optimizes its
-statement. For a serving workload of repeated query *templates* that is
+One per :class:`~repro.db.Database`, shared by embedded ``db.execute``,
+every service session and its prepared handles. For a workload of
+repeated query *templates* parsing, binding and optimizing per call is
 pure overhead — SimSQL-style systems pay seconds of compilation per
 statement. The cache stores the optimized logical plan, the physical
 plan, and the statement's runtime parameter cells, keyed on:
 
 * the **normalized SQL text** (token-normalized: whitespace and keyword
   case insensitive, so ``select X`` and ``SELECT  x`` share a plan);
-* the **DDL version** — bumped only when the set of relations changes
-  (CREATE/DROP), so schema changes invalidate everything, while plain
-  data changes do not touch the key at all;
-* the **referenced-table versions** — each cached plan records the
-  per-table version of every base table it scans at compile time, and
-  a lookup revalidates them: an ``INSERT`` into table A bumps only A's
-  version, so plans that touch only table B keep hitting (previously
-  any catalog bump flushed the whole cache);
 * the **parameter type signature** — plans bake in inferred vector and
   matrix dimensions (the paper's templated signatures), so ``:v`` bound
   to a length-10 vector compiles a different plan than a length-20 one;
 * the **session scope** — empty for sessions without temp views, so
   plain queries share plans across sessions, while sessions that shadow
-  names with temp views get isolated entries.
+  names with temp views get isolated entries;
+* the **execution fingerprint** and the **feedback version**.
+
+An entry is *valid while what it read is unchanged*: it records the
+catalog stamp (:meth:`repro.catalog.Catalog.stamp`) of every relation it
+resolved — tables, inlined views, materialized views read by name and
+their base tables — and a lookup revalidates them; whatever happens to a
+materialized view (created, dropped, refreshed, gone stale) stamps its
+base tables, so plans that answer from it, or could, re-plan. Stamps are
+values of the catalog's one monotonic version counter, so they never
+repeat for a name across DROP / CREATE: an ``INSERT`` into table A, or a
+CTAS and DROP of table C, leave plans that touch only table B hitting.
 
 Bounded LRU; hit/miss/eviction counters feed the service metrics.
 """
@@ -31,32 +35,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ..sql.lexer import tokenize
-from ..types import LabeledScalar, Matrix, Vector
-
-
-def normalize_sql(sql: str) -> str:
-    """A whitespace- and keyword-case-insensitive rendering of one SQL
-    statement, used as the textual part of the cache key."""
-    parts = []
-    for token in tokenize(sql):
-        if token.kind == "EOF":
-            break
-        if token.kind == "KEYWORD":
-            parts.append(token.text.upper())
-        elif token.kind == "IDENT":
-            parts.append(token.text.lower())
-        elif token.kind == "STRING":
-            # re-quote so a string literal can never collide with an
-            # identifier of the same spelling
-            parts.append(repr(token.text))
-        elif token.kind == "PARAM":
-            parts.append(f":{token.text}")
-        else:
-            parts.append(token.text)
-    return " ".join(parts)
+from .sql import normalize_sql  # noqa: F401  (documented here and in repro.service)
+from .types import LabeledScalar, Matrix, Vector
 
 
 def param_type_key(value) -> Tuple:
@@ -91,13 +73,10 @@ def param_signature(params: Dict[str, object]) -> Tuple:
 
 @dataclass(frozen=True)
 class PlanCacheKey:
+    #: normalised text of the statement the plan belongs to (for the
+    #: query inside a CTAS or INSERT ... SELECT, the whole statement's)
     sql: str
-    #: the catalog's *DDL* version (relation set), not its full version:
-    #: data changes are validated per referenced table instead (see
-    #: :attr:`CachedPlan.table_versions`), so an INSERT into one table
-    #: no longer invalidates plans over unrelated tables
-    ddl_version: int
-    param_types: Tuple
+    param_types: Tuple = ()
     scope: str = ""
     #: execution-relevant configuration baked into the compiled plan:
     #: (execution_mode, storage_mode). A plan
@@ -117,18 +96,15 @@ class CachedPlan:
     logical: object  # plan.LogicalNode
     physical: object  # plan.PhysicalNode
     param_cells: Dict[str, object] = field(default_factory=dict)
-    node_count: int = 0
-    #: (table name, catalog table version) for every base table the plan
-    #: reads — including the bases of any materialized view it answers
-    #: from — captured at compile time; a lookup revalidates these so
-    #: data changes invalidate exactly the plans that read them
-    table_versions: Tuple[Tuple[str, int], ...] = ()
+    #: (relation name, catalog stamp) for everything the plan resolved,
+    #: captured at compile time; a lookup revalidates these, so a change
+    #: to any of them invalidates exactly the plans that read it
+    stamps: Tuple[Tuple[str, int], ...] = ()
 
     def bind(self, params: Dict[str, object]) -> None:
-        """Write fresh parameter values into the plan's cells before an
-        execution; raises KeyError-free CompileError upstream if a used
-        parameter is missing (the cache key makes that impossible for
-        cache hits)."""
+        """Write fresh parameter values into the plan's (thread-local)
+        cells before an execution; the cache key carries the parameter
+        names, so a hit always supplies every cell."""
         for name, cell in self.param_cells.items():
             cell.set(params[name])
 
@@ -136,24 +112,6 @@ class CachedPlan:
 def count_nodes(plan) -> int:
     """Plan size (physical operators), used to model compile cost."""
     return 1 + sum(count_nodes(child) for child in plan.children())
-
-
-def referenced_tables(logical) -> Tuple[str, ...]:
-    """Sorted lowercase names of every base table a logical plan reads.
-    A ViewScan contributes its view's base tables: the stored view state
-    tracks those tables, so the plan is stale exactly when they move."""
-    from ..plan.logical import ScanNode, ViewScanNode
-
-    names = set()
-    stack = [logical]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ScanNode):
-            names.add(node.table.name.lower())
-        elif isinstance(node, ViewScanNode):
-            names.update(node.view.base_tables)
-        stack.extend(node.children())
-    return tuple(sorted(names))
 
 
 class PlanCache:
@@ -176,22 +134,35 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
+    def resize(self, capacity: int) -> None:
+        """Change the LRU bound, evicting the oldest entries past it."""
+        if capacity < 1:
+            raise ValueError("plan cache capacity must be >= 1")
+        with self._lock:
+            self.capacity = capacity
+            self._evict()
+
+    def _evict(self) -> None:
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
     def lookup(
-        self, key: PlanCacheKey, table_version_of=None
+        self,
+        key: PlanCacheKey,
+        stamp_of: Optional[Callable[[str], int]] = None,
     ) -> Optional[CachedPlan]:
-        """Find a live entry. ``table_version_of`` (a ``name -> version``
-        callable, normally ``catalog.table_version``) revalidates the
-        entry's recorded base-table versions: a mismatch means the data
-        under the plan moved, so the entry is dropped and the lookup
-        misses — plans over untouched tables keep hitting."""
+        """Find a live entry. ``stamp_of`` (normally ``catalog.stamp``)
+        revalidates the entry's recorded stamps: a mismatch means
+        something the plan read changed, so the entry is dropped and the
+        lookup misses — plans over untouched relations keep hitting."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            if table_version_of is not None and any(
-                table_version_of(name) != version
-                for name, version in getattr(entry, "table_versions", ())
+            if stamp_of is not None and any(
+                stamp_of(name) != stamp for name, stamp in entry.stamps
             ):
                 del self._entries[key]
                 self.invalidated += 1
@@ -205,28 +176,17 @@ class PlanCache:
         with self._lock:
             self._entries[key] = plan
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._evict()
 
-    def purge_stale(
-        self,
-        current_version: int,
-        feedback_version: Optional[int] = None,
-    ) -> int:
-        """Drop entries compiled against an older DDL version (or, when
-        ``feedback_version`` is given, older feedback statistics); they
-        can never hit again (the key embeds both versions), so this only
+    def purge_stale(self, feedback_version: int) -> int:
+        """Drop entries compiled against older feedback statistics; they
+        can never hit again (the key embeds the version), so this only
         frees memory. Returns the number dropped."""
         with self._lock:
             stale = [
                 key
                 for key in self._entries
-                if key.ddl_version != current_version
-                or (
-                    feedback_version is not None
-                    and key.feedback_version != feedback_version
-                )
+                if key.feedback_version != feedback_version
             ]
             for key in stale:
                 del self._entries[key]

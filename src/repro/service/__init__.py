@@ -1,8 +1,9 @@
 """The concurrent query service layer.
 
 A multi-session serving substrate in front of :class:`repro.Database`:
-sessions with isolated temp views and parameters, an LRU plan cache
-with catalog-version invalidation, prepared statements, admission
+sessions with isolated temp views and parameters, the database's LRU
+plan cache (valid while what a plan read is unchanged; re-exported here,
+it lives in ``repro.plan_cache``), prepared statements, admission
 control with a bounded queue, and a multi-tenant fair-share slot
 scheduler that makes concurrently admitted queries contend for the
 simulated cluster's slot-seconds.
@@ -35,7 +36,7 @@ from ..errors import (
 from .cursors import Cursor
 from .locking import LockDisciplineAuditor, LockViolation, owned
 from .metrics import ServiceMetrics, SessionStats, percentile
-from .plan_cache import (
+from ..plan_cache import (
     CachedPlan,
     PlanCache,
     PlanCacheKey,

@@ -5,8 +5,9 @@ serving substrate: sessions, the plan cache, admission control, the
 fair-share slot scheduler, and service metrics. SELECT statements flow::
 
     session.execute(sql, params)
-        -> plan cache lookup (normalized SQL, catalog version,
-           parameter type signature, session scope)
+        -> the database's plan cache (normalized SQL, parameter type
+           signature, session scope; valid while the relations the plan
+           read keep their catalog stamps)
            miss: bind/optimize once, parameters as runtime cells,
                  charge simulated compile_seconds
            hit:  rebind the cells, compile_seconds = 0
@@ -28,20 +29,12 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional
 
-from ..db import Database, Result, _convert_value
+from ..db import Database, Result
 from ..engine.metrics import QueryMetrics
 from ..errors import QueryTimeoutError, ServiceOverloadedError
+from ..plan_cache import PlanCache, count_nodes
 from ..sql import ast
 from .metrics import ServiceMetrics
-from .plan_cache import (
-    CachedPlan,
-    PlanCache,
-    PlanCacheKey,
-    count_nodes,
-    normalize_sql,
-    param_signature,
-    referenced_tables,
-)
 from .scheduler import SlotScheduler, Ticket
 from .session import Session
 
@@ -55,7 +48,7 @@ class ServiceConfig:
     #: bounded admission queue; a full queue rejects with
     #: ServiceOverloadedError
     admission_queue_limit: int = 8
-    #: LRU bound of the plan cache
+    #: LRU bound of the database's plan cache (the service sizes it)
     plan_cache_capacity: int = 128
     #: simulated seconds of fixed planning overhead per compilation
     #: (SimSQL-era systems compile statements to Java — it is not cheap)
@@ -183,13 +176,11 @@ class PendingQuery:
         sql: str,
         result: Result,
         ticket: Ticket,
-        cache_hit: bool,
     ):
         self.session = session
         self.sql = sql
         self.result = result
         self.ticket = ticket
-        self.cache_hit = cache_hit
         self.finalized = False
         #: set at finalization when the client-observed latency blew the
         #: service's per-query timeout; wait() then raises
@@ -198,6 +189,10 @@ class PendingQuery:
     @property
     def metrics(self) -> QueryMetrics:
         return self.result.metrics
+
+    @property
+    def cache_hit(self) -> bool:
+        return self.result.metrics.plan_cached
 
     @property
     def trace(self):
@@ -224,8 +219,8 @@ class QueryService:
     :meth:`submit_select` — admitted read statements from different
     worker threads genuinely overlap, serialized only by the database's
     reader–writer admission gate (shared for SELECTs, exclusive for
-    DDL/DML). The plan cache, scheduler, breaker, and metrics
-    additionally own their component locks so they stay safe when used
+    DDL/DML). The database's plan cache, the scheduler, breaker, and
+    metrics additionally own their component locks so they stay safe when used
     standalone. The lock-discipline lint
     (``tests/test_lock_discipline.py``) audits that every
     post-construction attribute write holds the owning lock.
@@ -242,7 +237,7 @@ class QueryService:
         #: real (wall-clock) time source for session idle tracking;
         #: injectable so TTL garbage collection is testable
         self._time = time_source or time.monotonic
-        self.plan_cache = PlanCache(self.config.plan_cache_capacity)
+        db.plan_cache.resize(self.config.plan_cache_capacity)
         self.scheduler = SlotScheduler(
             self.config.max_concurrency, self.config.admission_queue_limit
         )
@@ -261,6 +256,12 @@ class QueryService:
         # assigned last: post-construction writes require the lock (see
         # repro.service.locking)
         self._lock = threading.RLock()
+
+    @property
+    def plan_cache(self) -> PlanCache:
+        """The database's plan cache: embedded statements and every
+        session share it (and its counters)."""
+        return self.db.plan_cache
 
     # -- sessions ----------------------------------------------------------
 
@@ -320,63 +321,6 @@ class QueryService:
                     self.metrics.fold_ephemeral(session.name)
                     self.scheduler.retire(session.name)
 
-    # -- planning ----------------------------------------------------------
-
-    def _plan(
-        self,
-        session: Session,
-        sql: str,
-        statement: ast.SelectStatement,
-        params: Dict[str, object],
-    ):
-        """Cached bind+optimize. Returns (cached_plan, cache_hit,
-        compile_seconds)."""
-        converted = {
-            name: _convert_value(value) for name, value in params.items()
-        }
-        key = PlanCacheKey(
-            sql=normalize_sql(sql),
-            ddl_version=self.db.catalog.ddl_version,
-            param_types=param_signature(converted),
-            scope=session.plan_scope,
-            exec_fingerprint=(
-                self.db.execution_mode,
-                self.db.config.storage_mode,
-            ),
-            feedback_version=self.db.feedback.version,
-        )
-        cached = self.plan_cache.lookup(
-            key, table_version_of=self.db.catalog.table_version
-        )
-        if cached is not None:
-            cached.bind(converted)
-            return cached, True, 0.0
-        cells: Dict[str, object] = {}
-        logical = self.db._plan_select(
-            statement, converted, catalog=session.catalog, param_cells=cells
-        )
-        physical = self.db._plan_physical(logical)
-        plan = CachedPlan(
-            logical=logical,
-            physical=physical,
-            param_cells=cells,
-            node_count=count_nodes(physical),
-            table_versions=tuple(
-                (name, self.db.catalog.table_version(name))
-                for name in referenced_tables(logical)
-            ),
-        )
-        compile_seconds = (
-            self.config.compile_cost_s
-            + self.config.compile_cost_per_node_s * plan.node_count
-        )
-        self.plan_cache.purge_stale(
-            self.db.catalog.ddl_version,
-            feedback_version=self.db.feedback.version,
-        )
-        self.plan_cache.store(key, plan)
-        return plan, False, compile_seconds
-
     # -- execution ---------------------------------------------------------
 
     def submit_select(
@@ -384,10 +328,12 @@ class QueryService:
         session: Session,
         sql: str,
         statement: ast.SelectStatement,
+        key: str,
         params: Dict[str, object],
         arrival: Optional[float] = None,
     ) -> PendingQuery:
-        """Plan (via the cache), execute on the cluster, and admit the
+        """Plan (via the database's cache, under the statement's
+        normalised text ``key``), execute on the cluster, and admit the
         query to the slot scheduler at simulated time ``arrival``.
         Raises :class:`ServiceOverloadedError` when the admission queue
         is full or the circuit breaker is open, and
@@ -405,9 +351,20 @@ class QueryService:
             if arrival is None:
                 arrival = session.clock
             self.breaker.check(max(arrival, self.scheduler.clock))
-            plan, cache_hit, compile_seconds = self._plan(
-                session, sql, statement, params
+            plan, cache_hit = self.db._plan(
+                statement,
+                params,
+                key,
+                catalog=session.catalog,
+                scope=session.plan_scope,
             )
+            compile_seconds = 0.0
+            if not cache_hit:
+                compile_seconds = (
+                    self.config.compile_cost_s
+                    + self.config.compile_cost_per_node_s
+                    * count_nodes(plan.physical)
+                )
             budget = self.config.memory_budget_bytes
             if budget is not None:
                 demand = self._estimate_peak_bytes(plan.physical)
@@ -421,7 +378,7 @@ class QueryService:
                     )
         # execute WITHOUT the service lock: concurrent submitters overlap
         # here (the expensive part); everything below re-acquires it
-        result = self.db._execute_physical(plan.logical, plan.physical)
+        result = self.db._execute_plan(plan, cache_hit)
         with self._lock:
             metrics = result.metrics
             metrics.compile_seconds = compile_seconds
@@ -452,7 +409,7 @@ class QueryService:
                 raise
             self.breaker.record_success()
             metrics.stretch_seconds = stretch
-            pending = PendingQuery(session, sql, result, ticket, cache_hit)
+            pending = PendingQuery(session, sql, result, ticket)
             self._inflight[ticket.seq] = pending
             if ticket.finish is not None:
                 # started immediately; timing fully known. It stays in
@@ -547,13 +504,18 @@ class QueryService:
         return walk(physical)
 
     def _execute_passthrough(
-        self, session: Session, statement: ast.Statement, params: Dict[str, object]
+        self,
+        session: Session,
+        statement: ast.Statement,
+        key: str,
+        params: Dict[str, object],
     ) -> Result:
         """Non-SELECT statements: run directly on the shared database.
-        DDL/DML bumps the catalog version, invalidating cached plans."""
+        DDL/DML stamps what it changed, invalidating the cached plans
+        that read it."""
         with self._lock:
             session.last_used = self._time()
-            result = self.db._execute_statement(statement, params)
+            result = self.db._execute_statement(statement, params, key)
             self.metrics.session(session.name).queries += 1
             return result
 

@@ -9,7 +9,7 @@ A session owns
 * **session parameters** — default values for the SQL front end's named
   ``:param`` placeholders, merged under per-call parameters;
 * **prepared statements** — parse once, then execute repeatedly with
-  fresh parameter values; planning is delegated to the service's plan
+  fresh parameter values; planning is delegated to the database's plan
   cache, so repeated executions skip parse/bind/optimize entirely.
 
 Temp views are implemented as a catalog *overlay*: binding resolves
@@ -32,7 +32,7 @@ from ..errors import (
     SessionClosedError,
 )
 from ..plan import Binder
-from ..sql import ast, parse_statement
+from ..sql import ast, parse_keyed
 
 
 def _jitter_fraction(session_name: str, attempt: int) -> float:
@@ -80,16 +80,12 @@ class SessionCatalog:
     def materialized_views(self):
         return self._shared.materialized_views()
 
-    def table_version(self, name: str) -> int:
-        return self._shared.table_version(name)
+    def stamp(self, name: str) -> int:
+        return self._shared.stamp(name)
 
     @property
     def version(self) -> int:
         return self._shared.version
-
-    @property
-    def ddl_version(self) -> int:
-        return self._shared.ddl_version
 
     def temp_view_names(self) -> List[str]:
         return sorted(self._temp_views)
@@ -106,18 +102,24 @@ class SessionCatalog:
 
 class PreparedStatement:
     """A parsed SELECT bound to a session; execution goes through the
-    service's plan cache, so repeated runs with same-typed parameters
+    database's plan cache, so repeated runs with same-typed parameters
     never re-plan — the runtime parameter cells are simply rebound."""
 
-    def __init__(self, session: "Session", sql: str, statement: ast.SelectStatement):
+    def __init__(
+        self, session: "Session", sql: str, statement: ast.SelectStatement, key: str
+    ):
         self.session = session
         self.sql = sql
         self.statement = statement
+        #: the statement's normalised text (its plan-cache key)
+        self.key = key
 
     def execute(self, params: Optional[Dict[str, object]] = None, **kw):
         merged = dict(params or {})
         merged.update(kw)
-        return self.session._execute_select(self.sql, self.statement, merged)
+        return self.session._execute_select(
+            self.sql, self.statement, self.key, merged
+        )
 
     def __repr__(self):
         return f"PreparedStatement({self.sql!r})"
@@ -238,7 +240,7 @@ class Session:
         the same name for this session's SELECTs."""
         self._check_open()
         if isinstance(query, str):
-            statement = parse_statement(query)
+            statement, _ = parse_keyed(query)
             if not isinstance(statement, ast.SelectStatement):
                 raise CompileError("a temp view needs a SELECT query")
         else:
@@ -285,12 +287,12 @@ class Session:
         """Execute one statement through the service: SELECTs go through
         the plan cache and the admission scheduler; ``CREATE TEMP VIEW``
         is session-local; other statements run on the shared database
-        (and, being DDL/DML, invalidate cached plans via the catalog
-        version)."""
+        (and, being DDL/DML, invalidate the cached plans that read what
+        they change)."""
         self._check_open()
-        statement = parse_statement(sql)
+        statement, key = parse_keyed(sql)
         if isinstance(statement, ast.SelectStatement):
-            return self._execute_select(sql, statement, params or {})
+            return self._execute_select(sql, statement, key, params or {})
         if isinstance(statement, ast.CreateView) and statement.temporary:
             self.create_temp_view(
                 statement.name, statement.query, statement.column_names
@@ -298,7 +300,9 @@ class Session:
             from ..db import Result
 
             return Result([], [])
-        return self._service._execute_passthrough(self, statement, self._merge(params))
+        return self._service._execute_passthrough(
+            self, statement, key, self._merge(params)
+        )
 
     def submit(self, sql: str, params: Optional[Dict[str, object]] = None):
         """Asynchronous flavour of :meth:`execute` for SELECTs: admits
@@ -306,23 +310,25 @@ class Session:
         without waiting for its simulated completion; drain it with
         :meth:`QueryService.next_completion`."""
         self._check_open()
-        statement = parse_statement(sql)
+        statement, key = parse_keyed(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise CompileError("submit() supports SELECT statements only")
-        return self._service.submit_select(self, sql, statement, self._merge(params))
+        return self._service.submit_select(
+            self, sql, statement, key, self._merge(params)
+        )
 
     def prepare(self, sql: str) -> PreparedStatement:
         """Parse a SELECT once for repeated parameterized execution."""
         self._check_open()
-        statement = parse_statement(sql)
+        statement, key = parse_keyed(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise CompileError("prepare() supports SELECT statements only")
-        return PreparedStatement(self, sql, statement)
+        return PreparedStatement(self, sql, statement, key)
 
     def explain(self, sql: str, params: Optional[Dict[str, object]] = None) -> str:
         """EXPLAIN against this session's name resolution (temp views)."""
         self._check_open()
-        statement = parse_statement(sql)
+        statement, _ = parse_keyed(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise CompileError("EXPLAIN supports SELECT statements only")
         db = self._service.db
@@ -340,7 +346,11 @@ class Session:
         return merged
 
     def _execute_select(
-        self, sql: str, statement: ast.SelectStatement, params: Optional[Dict[str, object]]
+        self,
+        sql: str,
+        statement: ast.SelectStatement,
+        key: str,
+        params: Optional[Dict[str, object]],
     ):
         """Submit-and-wait with client-side retry: admission rejections
         (queue full, breaker open) are retried up to
@@ -356,7 +366,9 @@ class Session:
         merged = self._merge(params)
         for attempt in range(1, attempts + 1):
             try:
-                pending = self._service.submit_select(self, sql, statement, merged)
+                pending = self._service.submit_select(
+                    self, sql, statement, key, merged
+                )
             except ServiceOverloadedError as exc:
                 if attempt == attempts:
                     raise

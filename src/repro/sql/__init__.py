@@ -1,7 +1,23 @@
 """Extended-SQL front end: lexer, AST, parser."""
 
 from . import ast
-from .lexer import Token, tokenize
-from .parser import Parser, parse_script, parse_statement
+from .lexer import Token, normalize_sql, tokenize
+from .parser import (
+    Parser,
+    parse_keyed,
+    parse_keyed_script,
+    parse_script,
+    parse_statement,
+)
 
-__all__ = ["Parser", "Token", "ast", "parse_script", "parse_statement", "tokenize"]
+__all__ = [
+    "Parser",
+    "Token",
+    "ast",
+    "normalize_sql",
+    "parse_keyed",
+    "parse_keyed_script",
+    "parse_script",
+    "parse_statement",
+    "tokenize",
+]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterable, Iterator, List
 
 from ..errors import SqlSyntaxError
 
@@ -207,3 +207,30 @@ class Lexer:
 def tokenize(text: str) -> List[Token]:
     """Tokenize SQL text into a list ending with an EOF token."""
     return list(Lexer(text).tokens())
+
+
+def normalize_tokens(tokens: Iterable[Token]) -> str:
+    """A whitespace- and keyword-case-insensitive rendering of a token
+    run — the textual part of a plan-cache key."""
+    parts = []
+    for token in tokens:
+        if token.kind == "EOF":
+            break
+        if token.kind == "KEYWORD":
+            parts.append(token.text.upper())
+        elif token.kind == "IDENT":
+            parts.append(token.text.lower())
+        elif token.kind == "STRING":
+            # re-quote so a string literal can never collide with an
+            # identifier of the same spelling
+            parts.append(repr(token.text))
+        elif token.kind == "PARAM":
+            parts.append(f":{token.text}")
+        else:
+            parts.append(token.text)
+    return " ".join(parts)
+
+
+def normalize_sql(sql: str) -> str:
+    """:func:`normalize_tokens` of one SQL text."""
+    return normalize_tokens(tokenize(sql))

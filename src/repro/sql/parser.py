@@ -20,6 +20,8 @@ that the AST distinguishes :class:`AggregateCall` from
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from ..errors import SqlSyntaxError
@@ -27,7 +29,7 @@ from ..la import is_aggregate_name
 from ..types import DataType, MatrixType, VectorType
 from ..types.typeparse import parse_type
 from . import ast
-from .lexer import Token, tokenize
+from .lexer import Token, normalize_tokens, tokenize
 
 
 class Parser:
@@ -76,12 +78,22 @@ class Parser:
     # -- entry points ------------------------------------------------------
 
     def parse_script(self) -> List[ast.Statement]:
-        statements: List[ast.Statement] = []
+        return [statement for statement, _ in self.parse_keyed_script()]
+
+    def parse_keyed_script(self) -> List[Tuple[ast.Statement, str]]:
+        entries = []
         while not self._peek().matches("EOF"):
-            statements.append(self.parse_statement())
+            entries.append(self.parse_keyed_statement())
             while self._accept("OP", ";"):
                 pass
-        return statements
+        return entries
+
+    def parse_keyed_statement(self) -> Tuple[ast.Statement, str]:
+        """One statement and its normalised text (its own tokens, no
+        trailing ``;``) — the textual part of a plan-cache key."""
+        start = self.pos
+        statement = self.parse_statement()
+        return statement, normalize_tokens(self.tokens[start : self.pos])
 
     def parse_statement(self) -> ast.Statement:
         token = self._peek()
@@ -475,10 +487,28 @@ class Parser:
         return ast.FunctionCall(name.lower(), args)
 
 
-def parse_statement(text: str) -> ast.Statement:
-    """Parse exactly one statement (a trailing ';' is allowed)."""
+#: Exact statement text -> ``(statement, normalised text)``: a repeated
+#: text reaches neither the lexer nor the parser. Bounded (LRU) because
+#: INSERTs with literal values are all distinct texts, and texts past
+#: ``_MEMO_MAX_TEXT`` characters (bulk INSERTs) are never kept — the
+#: statements worth remembering are short. The ASTs handed out are
+#: shared: every consumer treats an AST as immutable.
+_MEMO_CAPACITY = 512
+_MEMO_MAX_TEXT = 8192
+_memo: "OrderedDict[str, Tuple[ast.Statement, str]]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def parse_keyed(text: str) -> Tuple[ast.Statement, str]:
+    """Parse exactly one statement (a trailing ';' is allowed); returns
+    it with its normalised text. Memoised on the exact text."""
+    with _memo_lock:
+        entry = _memo.get(text)
+        if entry is not None:
+            _memo.move_to_end(text)
+            return entry
     parser = Parser(text)
-    statement = parser.parse_statement()
+    entry = parser.parse_keyed_statement()
     while parser._accept("OP", ";"):
         pass
     if not parser._peek().matches("EOF"):
@@ -486,7 +516,23 @@ def parse_statement(text: str) -> ast.Statement:
             f"unexpected trailing input {parser._peek().text!r}; "
             f"use parse_script for multi-statement text"
         )
-    return statement
+    if len(text) <= _MEMO_MAX_TEXT:
+        with _memo_lock:
+            _memo[text] = entry
+            if len(_memo) > _MEMO_CAPACITY:
+                _memo.popitem(last=False)
+    return entry
+
+
+def parse_statement(text: str) -> ast.Statement:
+    """Parse exactly one statement (a trailing ';' is allowed)."""
+    return parse_keyed(text)[0]
+
+
+def parse_keyed_script(text: str) -> List[Tuple[ast.Statement, str]]:
+    """Parse a semicolon-separated sequence of statements, each with its
+    normalised text."""
+    return Parser(text).parse_keyed_script()
 
 
 def parse_script(text: str) -> List[ast.Statement]:

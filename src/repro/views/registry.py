@@ -117,6 +117,9 @@ class ViewRegistry:
             view.catch_up(self._chunks)
         else:
             self._recompute(view)
+        # a stale view turning fresh (or a refreshed one changing size)
+        # is a change to what plans over its base tables may answer from
+        self._db.catalog.touch(*view.base_tables)
         return view
 
     # -- base-table change hooks ----------------------------------------------
@@ -135,6 +138,8 @@ class ViewRegistry:
                     continue
                 rebuild = not (view.incremental and append_only)
                 if rebuild:
+                    # the caller stamped ``table``, one of the view's
+                    # bases, so plans answering from the view re-plan
                     view.invalidate()
                 if self.refresh_mode != "eager":
                     # deferred: an incremental view catches up at its
@@ -158,7 +163,6 @@ class ViewRegistry:
                     summary["delta_rows"] += folded
                     summary["maintained"] += 1
             self.last_maintenance = summary
-            self._db.catalog.bump_version()
 
     # -- full recompute -------------------------------------------------------
 

@@ -101,6 +101,33 @@ class TestCatalog:
             catalog.drop_view("v")
         catalog.drop_view("v", if_exists=True)
 
+    def test_stamps_are_values_of_the_one_version_counter(self):
+        catalog = Catalog()
+        assert catalog.stamp("t") == 0  # no such relation
+        catalog.create_table("t", Schema([("a", INTEGER)]))
+        catalog.create_view("v", query=None)
+        assert catalog.stamp("T") == 1 and catalog.stamp("v") == 2
+        catalog.touch("t")  # data or statistics moved
+        assert catalog.stamp("t") == catalog.version == 3
+        assert catalog.stamp("v") == 2  # others keep theirs
+        assert not hasattr(catalog, "ddl_version")
+
+    def test_a_recreated_name_never_repeats_a_stamp(self):
+        catalog = Catalog()
+        seen = set()
+        for _ in range(3):
+            catalog.create_table("t", Schema([("a", INTEGER)]))
+            catalog.touch("t")
+            assert catalog.stamp("t") not in seen
+            seen.add(catalog.stamp("t"))
+            catalog.drop_table("t")
+            assert catalog.stamp("t") == 0
+        for _ in range(2):
+            catalog.create_view("t", query=None)
+            assert catalog.stamp("t") not in seen
+            seen.add(catalog.stamp("t"))
+            catalog.drop_view("t")
+
 
 class TestStatistics:
     def test_collect_row_count_and_distinct(self):
@@ -233,6 +260,7 @@ class TestStatsFreshAfterDML:
         assert stats.row_count == 9
         assert stats.distinct("k") == 5
         assert db.catalog.version > before
+        assert db.catalog.stamp("t") > before  # the table, not just the catalog
 
     def test_insert_select_refreshes(self):
         db = self._db()

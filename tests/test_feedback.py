@@ -24,7 +24,7 @@ from repro.plan.expressions import (
     ParamExpr,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.plan_cache import PlanCacheKey
+from repro.service import PlanCacheKey
 from repro.types import DOUBLE, INTEGER
 
 
@@ -191,19 +191,19 @@ class TestExecutedFlag:
 
 class TestPlanCacheStaleness:
     def test_key_includes_every_execution_knob(self):
-        base = PlanCacheKey("select 1", 0, (), "")
-        assert base == PlanCacheKey("select 1", 0, (), "")
+        base = PlanCacheKey("select 1", (), "")
+        assert base == PlanCacheKey("select 1", (), "")
         variants = [
             PlanCacheKey(
-                "select 1", 0, (), "", exec_fingerprint=("batch", "memory", 1)
+                "select 1", (), "", exec_fingerprint=("batch", "memory", 1)
             ),
             PlanCacheKey(
-                "select 1", 0, (), "", exec_fingerprint=("row", "disk", 1)
+                "select 1", (), "", exec_fingerprint=("row", "disk", 1)
             ),
             PlanCacheKey(
-                "select 1", 0, (), "", exec_fingerprint=("row", "memory", 4)
+                "select 1", (), "", exec_fingerprint=("row", "memory", 4)
             ),
-            PlanCacheKey("select 1", 0, (), "", feedback_version=3),
+            PlanCacheKey("select 1", (), "", feedback_version=3),
         ]
         assert len({base, *variants}) == len(variants) + 1
 
@@ -243,9 +243,7 @@ class TestPlanCacheStaleness:
         session.execute("SELECT COUNT(i) FROM pts")
         assert len(service.plan_cache) == 1
         db.feedback.record_scan_rows("pts", 9999.0)
-        dropped = service.plan_cache.purge_stale(
-            db.catalog.version, feedback_version=db.feedback.version
-        )
+        dropped = service.plan_cache.purge_stale(db.feedback.version)
         assert dropped == 1
         assert len(service.plan_cache) == 0
         session.close()

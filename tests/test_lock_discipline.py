@@ -32,7 +32,7 @@ from repro.storage.engine import StorageEngine
 
 AUDITED = (
     QueryService,
-    PlanCache,
+    PlanCache,  # repro.plan_cache: one per Database, sized by the service
     SlotScheduler,
     CircuitBreaker,
     ServiceMetrics,
@@ -114,6 +114,9 @@ def run_workload(service):
             cursor.close()
         session.execute("SELECT SUM(x) FROM t")  # cache miss then hits
         session.execute("SELECT SUM(x) FROM t")
+    # the plan cache is the database's: the embedded door shares it
+    service.db.execute("SELECT SUM(x) FROM t")
+    service.db.execute("SELECT i FROM t WHERE i < :k", {"k": 3})
     service.gc_sessions()
     service.stats()
 

@@ -1,0 +1,461 @@
+"""The one plan cache under ``Database``: every door (``db.execute``,
+scripts, sessions, prepared handles, the server) reuses a compiled plan
+while what it read is unchanged, and a cached plan is the plan a fresh
+compile would produce."""
+
+import copy
+import random
+import threading
+
+import numpy as np
+import pytest
+
+import repro.sql.lexer as lexer_module
+import repro.sql.parser as parser_module
+from repro import Database, TEST_CLUSTER
+from repro.bench.harness import digest
+from repro.bench.simsql import CASES, case
+from repro.bench.workloads import generate
+from repro.plan import Binder, Optimizer, PhysicalPlanner
+from repro.server import Server, ServerClient
+from repro.sql import ast, parse_keyed, parse_statement
+
+
+def make_db(config=TEST_CLUSTER, mode=None):
+    db = Database(config, execution_mode=mode)
+    db.execute("CREATE TABLE a (k INTEGER, x DOUBLE)")
+    db.execute("CREATE TABLE b (k INTEGER, y DOUBLE)")
+    db.load("a", [(i % 5, float(i)) for i in range(40)])
+    db.load("b", [(i % 5, float(i * i)) for i in range(15)])
+    return db
+
+
+def run_fresh(db, sql, params=None):
+    """A from-scratch compile of ``sql``'s query and its execution, past
+    the plan cache: ``(result, physical plan)``."""
+    statement = parse_statement(sql)
+    query = getattr(statement, "query", statement)
+    logical = db._plan_select(query, params)
+    physical = db._plan_physical(logical)
+    return db._execute_physical(logical, physical), physical
+
+
+def cached_physical(db, sql, params=None):
+    """The physical plan the cache holds for ``sql`` right now (None
+    when it holds none)."""
+    statement, key = parse_keyed(sql)
+    plan, hit = db._plan(getattr(statement, "query", statement), params, key)
+    return plan.physical if hit else None
+
+
+def assert_cached_equals_fresh(db, sql, params=None, undo=None):
+    """Execute ``sql`` through the cache and from scratch on the same
+    database: same rows, simulated seconds, simulated peak and physical
+    plan. ``undo`` reverts a write between the two (DROP after a CTAS).
+    An execution that teaches the feedback store something moves the
+    statistics the other compile would see, so the pair is taken again
+    until the store is quiet."""
+    for _ in range(6):
+        version = db.feedback.version
+        cached = db.execute(sql, params)
+        held = cached_physical(db, sql, params)
+        if undo is not None:
+            db.execute(undo)
+        fresh, physical = run_fresh(db, sql, params)
+        if db.feedback.version == version:
+            break
+    else:  # pragma: no cover - feedback converges in two rounds
+        raise AssertionError("feedback never settled")
+    assert digest([cached]) == digest([fresh])
+    assert cached.rows == fresh.rows
+    assert cached.metrics.total_seconds == fresh.metrics.total_seconds
+    assert cached.metrics.peak_memory_bytes == fresh.metrics.peak_memory_bytes
+    assert held.pretty() == physical.pretty()
+    return cached
+
+
+# -- satellite: REFRESH through a session ------------------------------------
+
+
+@pytest.mark.parametrize("door", ["embedded", "session"])
+def test_refresh_makes_cached_plans_answer_from_the_view_again(door):
+    """Deferred full view, INSERT (the view goes stale and is rightly
+    ignored), REFRESH, same SELECT: the plan compiled while the view was
+    stale must not outlive the refresh — through either door."""
+    db = make_db(TEST_CLUSTER.with_updates(view_refresh_mode="deferred"))
+    sql = "SELECT k, COUNT(k) AS c FROM a GROUP BY k ORDER BY k"
+    db.execute(f"CREATE MATERIALIZED VIEW mv AS {sql}")
+    session = db.service().session()
+    execute = db.execute if door == "embedded" else session.execute
+    assert execute(sql).metrics.view_hits == 1
+    execute("INSERT INTO a VALUES (1, 99.0)")
+    stale = execute(sql)
+    assert stale.metrics.view_hits == 0
+    assert execute(sql).metrics.plan_cached  # the scan plan is cached
+    execute("REFRESH MATERIALIZED VIEW mv")
+    refreshed = execute(sql)
+    assert refreshed.metrics.view_hits == 1
+    assert not refreshed.metrics.plan_cached
+    assert refreshed.rows == stale.rows
+
+
+# -- satellite: a recreated name never aliases --------------------------------
+
+
+@pytest.mark.parametrize("door", ["embedded", "session"])
+def test_recreated_relations_recompile(door):
+    db = make_db()
+    execute = db.execute if door == "embedded" else db.service().session().execute
+
+    # a table: different rows *and* a different column type
+    execute("CREATE TABLE t2 AS SELECT k, x FROM a WHERE k = 1")
+    first = execute("SELECT x FROM t2 ORDER BY x")
+    assert first.rows[0] == (1.0,)
+    execute("DROP TABLE t2")
+    execute("CREATE TABLE t2 AS SELECT k, k + 100 AS x FROM a WHERE k = 2")
+    second = execute("SELECT x FROM t2 ORDER BY x")
+    assert not second.metrics.plan_cached
+    assert set(second.rows) == {(102,)}
+
+    # a plain view
+    execute("CREATE VIEW v AS SELECT x FROM a WHERE k = 0")
+    assert execute("SELECT COUNT(x) FROM v").scalar() == 8
+    execute("DROP VIEW v")
+    execute("CREATE VIEW v AS SELECT x FROM a WHERE k < 2")
+    again = execute("SELECT COUNT(x) FROM v")
+    assert not again.metrics.plan_cached and again.scalar() == 16
+
+    # a materialized view, read by name
+    execute("CREATE MATERIALIZED VIEW m AS SELECT SUM(x) AS s FROM a")
+    assert execute("SELECT s FROM m").scalar() == sum(range(40))
+    execute("DROP MATERIALIZED VIEW m")
+    execute("CREATE MATERIALIZED VIEW m AS SELECT SUM(y) AS s FROM b")
+    again = execute("SELECT s FROM m")
+    assert not again.metrics.plan_cached
+    assert again.scalar() == sum(i * i for i in range(15))
+
+
+def test_stamps_of_a_recreated_name_never_repeat():
+    """On the parent a dropped table's version restarted at zero, and
+    only the global DDL version in the key hid the aliasing."""
+    db = make_db()
+    seen = set()
+    for _ in range(3):
+        db.execute("CREATE TABLE scratch AS SELECT k FROM a")
+        assert db.catalog.stamp("scratch") not in seen
+        seen.add(db.catalog.stamp("scratch"))
+        db.execute("DROP TABLE scratch")
+        assert db.catalog.stamp("scratch") == 0
+
+
+def test_session_temp_view_shadowing_a_table_is_scoped():
+    db = make_db()
+    service = db.service()
+    plain, shadowed = service.session(), service.session()
+    sql = "SELECT COUNT(x) FROM a"
+    assert plain.execute(sql).scalar() == 40
+    shadowed.create_temp_view("a", "SELECT x FROM a WHERE k = 0")
+    result = shadowed.execute(sql)
+    assert not result.metrics.plan_cached and result.scalar() == 8
+    assert shadowed.execute(sql).metrics.plan_cached
+    # neither the other session nor the embedded door sees the shadow
+    assert plain.execute(sql).scalar() == 40
+    assert db.execute(sql).scalar() == 40
+    shadowed.drop_temp_view("a")
+    assert shadowed.execute(sql).scalar() == 40
+
+
+# -- satellite: cached == fresh -----------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["batch", "row"])
+@pytest.mark.parametrize("program", sorted(CASES), ids=lambda key: "-".join(key))
+def test_catalogue_programs_cached_equal_fresh(program, mode):
+    """Every program of the paper catalogue, second execution: what the
+    cache serves is what a from-scratch compile produces."""
+    computation, style = program
+    entry = case(computation, style, generate(16, 4, seed=5), block_size=4)
+    db = Database(TEST_CLUSTER, execution_mode=mode)
+    entry.setup(db)
+
+    def created(sql):
+        statement = parse_statement(sql)
+        return statement.name if isinstance(statement, ast.CreateTableAs) else None
+
+    def drop_created():
+        for sql in reversed(entry.queries):
+            if created(sql):
+                db.execute(f"DROP TABLE {created(sql)}")
+
+    first = [db.execute(sql) for sql in entry.queries]
+    drop_created()
+    second = []
+    for sql in entry.queries:
+        name = created(sql)
+        second.append(
+            assert_cached_equals_fresh(
+                db, sql, undo=f"DROP TABLE {name}" if name else None
+            )
+        )
+        if name:  # the statements after a CTAS read its table
+            db.execute(sql)
+    assert digest(first) == digest(second)
+    # the value is still the program's value
+    np.testing.assert_allclose(entry.value(first), entry.value(second))
+
+
+PARAMETRISED = (
+    ("SELECT k, SUM(x), COUNT(x) FROM a WHERE x < :hi GROUP BY k", "hi"),
+    ("SELECT COUNT(x) FROM a WHERE x >= :lo AND x < :hi", "lo hi"),
+    ("SELECT k, x FROM a WHERE x > :lo ORDER BY x DESC LIMIT 3", "lo"),
+    (
+        "SELECT a.k, SUM(a.x * b.y) FROM a, b "
+        "WHERE a.k = b.k AND b.y < :hi GROUP BY a.k",
+        "hi",
+    ),
+    ("SELECT COUNT(x) FROM a WHERE k = :key", "key"),
+)
+
+
+@pytest.mark.parametrize("mode", ["batch", "row"])
+def test_parametrised_statements_cached_equal_fresh(mode):
+    db = make_db(mode=mode)
+    rng = random.Random(7)
+    for sql, names in PARAMETRISED:
+        for round_ in range(4):
+            lo = float(rng.randrange(0, 20))
+            values = {"lo": lo, "hi": lo + rng.randrange(5, 30), "key": round_ % 5}
+            params = {name: values[name] for name in names.split()}
+            result = assert_cached_equals_fresh(db, sql, params)
+            # a generic plan: changing values never recompiles it
+            assert result.metrics.plan_cached or round_ == 0
+
+
+@pytest.mark.parametrize("refresh_mode", ["eager", "deferred"])
+def test_interleaved_changes_keep_cached_equal_to_fresh(refresh_mode):
+    """A seeded interleaving of everything that can move what a plan
+    read; after every step a cached lookup and a fresh compile agree."""
+    db = make_db(TEST_CLUSTER.with_updates(view_refresh_mode=refresh_mode))
+    rng = random.Random(11)
+    full_view = "SELECT k, COUNT(k) AS c FROM a GROUP BY k ORDER BY k"
+    view_bodies = ["SELECT k, x FROM a WHERE k < 3", "SELECT k, x FROM a WHERE k > 1"]
+
+    def toggle(name, create, drop):
+        db.execute(drop if db.catalog.has_relation(name) else create)
+
+    def refresh():
+        if db.catalog.materialized_view("m") is not None:
+            db.execute("REFRESH MATERIALIZED VIEW m")
+            db.execute("REFRESH MATERIALIZED VIEW mi")
+
+    def toggle_matviews():
+        toggle("m", f"CREATE MATERIALIZED VIEW m AS {full_view}",
+               "DROP MATERIALIZED VIEW m")
+        toggle("mi", "CREATE MATERIALIZED VIEW mi AS SELECT SUM(x) AS s FROM a",
+               "DROP MATERIALIZED VIEW mi")
+
+    steps = [
+        lambda n: db.execute(f"INSERT INTO a VALUES ({n % 5}, {n}.5)"),
+        lambda n: db.execute("INSERT INTO b SELECT k, x FROM a WHERE x < :hi", {"hi": 3.0}),
+        lambda n: db.load("b", [(n % 5, float(n))]),
+        lambda n: db.execute("DELETE FROM a WHERE x = :x", {"x": float(n)}),
+        lambda n: toggle("s", "CREATE TABLE s AS SELECT k, x FROM a WHERE k = 1",
+                         "DROP TABLE s"),
+        lambda n: toggle("v", f"CREATE VIEW v AS {view_bodies[n % 2]}", "DROP VIEW v"),
+        lambda n: toggle_matviews(),
+        lambda n: refresh(),
+        lambda n: db.set_execution_mode("row" if db.execution_mode == "batch" else "batch"),
+        # the estimate is far off: the execution records feedback
+        lambda n: db.execute("SELECT COUNT(x) FROM a WHERE x * 0.0 > 1.0"),
+    ]
+    probes = [
+        (None, full_view, None),
+        (None, "SELECT SUM(x) FROM a", None),
+        (None, "SELECT a.k, SUM(b.y) FROM a, b WHERE a.k = b.k AND a.x < :hi GROUP BY a.k",
+         {"hi": 20.0}),
+        ("s", "SELECT COUNT(x) FROM s", None),
+        ("v", "SELECT k, SUM(x) FROM v GROUP BY k", None),
+        ("m", "SELECT c FROM m WHERE k = 1", None),
+    ]
+    for n in range(40):
+        rng.choice(steps)(n)
+        for needs, sql, params in probes:
+            if needs is None or db.catalog.has_relation(needs):
+                assert_cached_equals_fresh(db, sql, params)
+    stats = db.plan_cache.stats()
+    assert stats["hits"] > 0 and stats["invalidated"] > 0
+
+
+# -- satellite: the hot path --------------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Call counters on the front end's and the planner's entry points."""
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(lexer_module, "tokenize")
+    count(parser_module, "tokenize")
+    count(Binder, "bind_select")
+    count(Optimizer, "optimize")
+    count(PhysicalPlanner, "plan")
+    return calls
+
+
+HOT = (
+    ("SELECT k, SUM(x) FROM a WHERE x < :hi GROUP BY k", {"hi": 10.0}, {"hi": 30.0}),
+    ("SELECT COUNT(y) FROM b", None, None),
+)
+
+
+def test_hot_statement_never_reaches_lexer_binder_or_optimizer(counted):
+    db = make_db()
+    with Server(db) as server, ServerClient(*server.address) as client:
+        session = server.service.session()
+        prepared = session.prepare(HOT[0][0])
+        doors = {
+            "embedded": db.execute,
+            "session": session.execute,
+            "prepared": lambda sql, params: prepared.execute(params),
+            "served": lambda sql, params: client.query(sql, params),
+        }
+        for sql, first, second in HOT:
+            db.execute(sql, first)  # compile once, by whichever door
+            for door, execute in doors.items():
+                if door == "prepared" and sql != prepared.sql:
+                    continue
+                counted.clear()
+                execute(sql, second)
+                assert counted == {}, (door, sql, counted)
+        # a CTAS re-issued after a DROP reuses its query's plan too
+        ctas = "CREATE TABLE colsum AS SELECT k, SUM(x) AS s FROM a GROUP BY k"
+        db.execute(ctas)
+        db.execute("DROP TABLE colsum")
+        counted.clear()
+        assert db.execute(ctas).metrics.plan_cached
+        db.execute("DROP TABLE colsum")
+        assert counted == {}
+
+
+def test_served_stats_count_embedded_statements_too():
+    db = make_db()
+    service = db.service()
+    sql = "SELECT COUNT(y) FROM b"
+    db.execute(sql)
+    pending = service.session().submit(sql)
+    assert pending.cache_hit and pending.metrics.plan_cached
+    service.wait(pending)
+    cache = service.stats()["plan_cache"]
+    assert (cache["hits"], cache["misses"]) == (1, 1)
+    assert {"entries", "capacity", "hit_rate", "evictions", "invalidated"} <= set(cache)
+
+
+def test_plan_line_in_explain_analyze_and_report():
+    db = make_db()
+    sql = "SELECT SUM(x) FROM a"
+    assert db.explain_analyze(sql).splitlines()[-2].endswith("plan: compiled")
+    assert db.explain_analyze(sql).splitlines()[-2].endswith("plan: cached")
+    assert "plan: cached" in db.execute(sql).metrics.report()
+    db.execute("INSERT INTO a VALUES (0, 1.0)")
+    assert "plan: compiled" in db.execute(sql).profile()
+
+
+# -- satellite: ASTs are immutable ---------------------------------------------
+
+
+def test_asts_survive_bind_plan_execute_and_wal_logging(tmp_path):
+    """The parse memo hands the same AST to every caller, so nothing —
+    binder, optimizer, view registration, WAL logging — may write to it."""
+    config = TEST_CLUSTER.with_updates(
+        durability_mode="wal", data_dir=str(tmp_path / "data")
+    )
+    for number, (computation, style) in enumerate(sorted(CASES)):
+        entry = case(computation, style, generate(16, 4, seed=5), block_size=4)
+        db = Database(config.with_updates(data_dir=str(tmp_path / f"d{number}")))
+        entry.setup(db)
+        for sql in entry.queries:
+            statement = parse_statement(sql)
+            before = copy.deepcopy(statement)
+            db.execute(sql)
+            assert parse_statement(sql) is statement  # memoised
+            assert statement == before
+        db.close()
+    db = Database(config)
+    db.execute("CREATE TABLE t (k INTEGER, x DOUBLE)")
+    for sql in (
+        "INSERT INTO t VALUES (1, 2.0), (2, :x)",
+        "INSERT INTO t SELECT k + 1, x FROM t WHERE x < :x",
+        "CREATE VIEW tv (kk, xx) AS SELECT k, x FROM t",
+        "CREATE MATERIALIZED VIEW tm AS SELECT SUM(x) AS s FROM t",
+        "SELECT kk FROM tv UNION ALL SELECT k FROM t",
+        "DELETE FROM t WHERE x > :x",
+        "REFRESH MATERIALIZED VIEW tm",
+    ):
+        statement = parse_statement(sql)
+        before = copy.deepcopy(statement)
+        db.execute(sql, {"x": 5.0})
+        assert statement == before, sql
+    db.close()
+
+
+# -- satellite: threads and bounds ---------------------------------------------
+
+
+def test_concurrent_embedded_executions_keep_their_own_parameters():
+    db = make_db()
+    sql = "SELECT COUNT(x) FROM a WHERE x < :hi"
+    db.execute(sql, {"hi": 1.0})
+    barrier = threading.Barrier(4)
+    failures = []
+
+    def worker(index):
+        barrier.wait()
+        for round_ in range(25):
+            hi = float(1 + (index * 7 + round_) % 40)
+            got = db.execute(sql, {"hi": hi}).scalar()
+            if got != int(hi):
+                failures.append((index, hi, got))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert failures == []
+    assert db.plan_cache.stats()["misses"] == 1
+
+
+def test_distinct_insert_texts_leave_both_maps_bounded():
+    db = Database(TEST_CLUSTER)
+    db.execute("CREATE TABLE t (k INTEGER)")
+    db.service(plan_cache_capacity=4)
+    parser_module._memo.clear()
+    for n in range(10_000):
+        parse_statement(f"INSERT INTO t VALUES ({n})")
+    assert len(parser_module._memo) == parser_module._MEMO_CAPACITY
+    for n in range(12):
+        db.execute(f"SELECT COUNT(k) FROM t WHERE k < {n}")
+    assert len(db.plan_cache) == 4 == db.plan_cache.capacity
+    # a bulk text is parsed but never kept
+    bulk = "INSERT INTO t VALUES " + ", ".join(f"({n})" for n in range(3000))
+    assert len(bulk) > parser_module._MEMO_MAX_TEXT
+    parse_statement(bulk)
+    assert bulk not in parser_module._memo
+
+
+def test_script_statements_go_through_the_cache():
+    db = make_db()
+    script = "SELECT COUNT(x) FROM a; SELECT COUNT(y) FROM b;"
+    assert [r.metrics.plan_cached for r in db.execute_script(script)] == [False] * 2
+    assert [r.metrics.plan_cached for r in db.execute_script(script)] == [True] * 2
+    # a script statement and the same statement alone share an entry
+    assert db.execute("select count(x)   from A").metrics.plan_cached

@@ -25,6 +25,22 @@ class TestExports:
     def test_comparators_importable(self):
         from repro.comparators import SciDB, SparkMllib, SystemML  # noqa: F401
 
+    def test_plan_cache_names_are_one_implementation(self):
+        """The plan cache lives under the database (``repro.plan_cache``);
+        ``repro.service`` documents and re-exports its names — the same
+        objects, not a second implementation."""
+        import repro.plan_cache as home
+        import repro.service as service
+        import repro.sql as sql
+
+        for name in ("PlanCache", "PlanCacheKey", "CachedPlan", "param_signature"):
+            assert getattr(service, name) is getattr(home, name), name
+            assert name in service.__all__
+        assert service.normalize_sql is home.normalize_sql is sql.normalize_sql
+        db = repro.Database(repro.TEST_CLUSTER)
+        assert isinstance(db.plan_cache, home.PlanCache)
+        assert db.service().plan_cache is db.plan_cache
+
 
 class TestErrorHierarchy:
     def test_everything_derives_from_repro_error(self):

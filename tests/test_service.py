@@ -13,6 +13,7 @@ from repro import (
     TEST_CLUSTER,
 )
 from repro.service import (
+    CachedPlan,
     PlanCache,
     PlanCacheKey,
     ServiceConfig,
@@ -232,10 +233,17 @@ def test_cached_and_fresh_agree(service, db):
     assert hit.metrics.total_seconds == pytest.approx(fresh.metrics.total_seconds)
 
 
+def _recreate_points(db):
+    db.execute("DROP TABLE points")
+    db.execute("CREATE TABLE points (i INTEGER, vec VECTOR[])")
+
+
 @pytest.mark.parametrize(
     "invalidate",
     [
-        lambda db: db.execute("CREATE TABLE other (x DOUBLE)"),
+        # creating the relation a plan read — again, under the same name:
+        # its stamp is a fresh value of the catalog's one counter
+        _recreate_points,
         lambda db: db.execute("DELETE FROM points WHERE i = 39"),
         lambda db: db.load("points", [(100, np.zeros(5))]),
     ],
@@ -252,6 +260,22 @@ def test_ddl_and_stats_invalidate_cached_plans(db, invalidate):
     assert db.catalog.version > version
     result = session.execute(sql, {"k": 20})
     assert result.metrics.compile_seconds > 0, "stale plan must not be served"
+
+
+def test_ddl_on_other_relations_keeps_cached_plans(db):
+    """Validity is "what the plan read is unchanged": a CTAS and DROP of
+    an unrelated table move the catalog version, not the plan."""
+    session = db.service().session()
+    sql = "SELECT COUNT(i) FROM points WHERE i < :k"
+    session.execute(sql, {"k": 20})
+    version = db.catalog.version
+    stamp = db.catalog.stamp("points")
+    db.execute("CREATE TABLE other AS SELECT i FROM points")
+    db.execute("DROP TABLE other")
+    assert db.catalog.version > version
+    assert db.catalog.stamp("points") == stamp
+    assert db.catalog.stamp("other") == 0
+    assert session.execute(sql, {"k": 20}).metrics.compile_seconds == 0.0
 
 
 def test_dml_through_session_invalidates(service):
@@ -290,9 +314,9 @@ def test_temp_views_scope_the_cache(service):
 
 def test_plan_cache_unit_lru_and_counters():
     cache = PlanCache(capacity=2)
-    k1 = PlanCacheKey("a", 0, (), "")
-    k2 = PlanCacheKey("b", 0, (), "")
-    k3 = PlanCacheKey("c", 0, (), "")
+    k1 = PlanCacheKey("a", (), "")
+    k2 = PlanCacheKey("b", (), "")
+    k3 = PlanCacheKey("c", (), "")
     assert cache.lookup(k1) is None
     cache.store(k1, "plan1")
     cache.store(k2, "plan2")
@@ -303,9 +327,27 @@ def test_plan_cache_unit_lru_and_counters():
     stats = cache.stats()
     assert stats["evictions"] == 1
     assert stats["hits"] == 2 and stats["misses"] == 2
-    cache.purge_stale(current_version=1)
+    cache.purge_stale(feedback_version=1)
     assert cache.stats()["entries"] == 0
     assert cache.stats()["invalidated"] == 2
+
+
+def test_plan_cache_unit_stamps_and_resize():
+    cache = PlanCache(capacity=3)
+    stamps = {"t": 4, "v": 7}
+    key = PlanCacheKey("q", (), "")
+    cache.store(key, CachedPlan(None, None, stamps=(("t", 4), ("v", 7))))
+    assert cache.lookup(key, stamps.get) is not None
+    stamps["v"] = 9  # something the plan read changed
+    assert cache.lookup(key, stamps.get) is None
+    assert cache.stats()["invalidated"] == 1 and len(cache) == 0
+    for name in "abc":
+        cache.store(PlanCacheKey(name, (), ""), CachedPlan(None, None))
+    cache.resize(1)
+    assert len(cache) == 1 and cache.stats()["evictions"] == 2
+    assert cache.lookup(PlanCacheKey("c", (), "")) is not None
+    with pytest.raises(ValueError):
+        cache.resize(0)
 
 
 # -- prepared statements ----------------------------------------------------

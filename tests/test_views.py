@@ -673,7 +673,7 @@ class TestPlanCacheInvalidation:
         assert service.plan_cache.invalidated > invalidated
         session.close()
 
-    def test_ddl_still_flushes_the_whole_cache(self):
+    def test_ddl_invalidates_only_plans_that_read_the_relation(self):
         db, service = self._service()
         session = service.session()
         sql = "SELECT COUNT(y) FROM b"
@@ -682,10 +682,19 @@ class TestPlanCacheInvalidation:
         hits = service.plan_cache.hits
         session.execute(sql)
         assert service.plan_cache.hits == hits + 1
+        stamp = db.catalog.stamp("b")
         db.execute("CREATE TABLE c (z DOUBLE)")
-        result = session.execute(sql)  # recompiled: DDL version moved
-        assert service.plan_cache.hits == hits + 1
+        assert db.catalog.stamp("b") == stamp < db.catalog.stamp("c")
+        session.execute(sql)  # b was not touched: still a hit
+        assert service.plan_cache.hits == hits + 2
+        # a materialized view over b is something plans over b could
+        # answer from: creating it stamps b
+        db.execute("CREATE MATERIALIZED VIEW mb AS SELECT COUNT(y) AS n FROM b")
+        assert db.catalog.stamp("b") > stamp
+        result = session.execute(sql)
+        assert service.plan_cache.hits == hits + 2
         assert result.metrics.compile_seconds > 0.0
+        assert result.metrics.view_hits == 1
         session.close()
 
     def test_service_stats_expose_views(self):
