@@ -39,11 +39,12 @@ EXEC_SCALES = {
     ("distance", "vector"): (96, 8),
 }
 
-#: the --check gate on the batch-vs-row geomean: half of the 3.9x measured
-#: on the six smoke shapes with tensor-block columns and typed key
-#: kernels (3.93 / 3.92 / 3.78 over three runs; a ratio taken on one
-#: host, so runner speed cancels — at smoke size fixed per-call costs
-#: hide most of the kernels' lead, which is 9.5x on the full shapes)
+#: the --check gate on the batch-vs-row geomean: under half of the 4.3x
+#: measured on the six smoke shapes (4.31 / 4.29 / 4.26 over three runs
+#: on a 2-CPU x86-64 host; 4.5x there before the row oracle shared the
+#: fused SUM's BLAS kernel — row gram (vector) 8.3 → 5.5 ms, regression
+#: 9.7 → 7.6 ms). A ratio taken on one host, so runner speed cancels; at
+#: smoke size fixed per-call costs hide most of the kernels' lead
 MIN_GEOMEAN_SPEEDUP = 1.9
 
 #: reduced shapes for the CI smoke run (--check)

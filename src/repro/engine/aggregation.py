@@ -4,28 +4,37 @@ how states merge and finish.
 Every aggregate is an accumulate/merge pair (:mod:`repro.la.aggregates`)
 so partial aggregation can run before the shuffle (paper sections
 3.2–3.3). This module is the only caller of those pairs, and fixes the
-two orders every bit-identity contract rests on. *Advance*: a state
-moves over its group's rows in row order, the canonical sequential chain
-``((s + v0) + v1) + …`` (docs/ENGINE.md, "The float contract") — the
-``add`` chain in :func:`fold_groups`, the same chain over tensor blocks
-in :func:`sum_blocks` and over a typed scalar column in
+orders every bit-identity contract rests on (docs/ENGINE.md, "The float
+contract"). *Advance*: a state moves over its group's rows in row
+order. Every aggregate but a fused SUM follows the canonical sequential
+chain ``((s + v0) + v1) + …`` — the ``add`` chain in
+:func:`fold_groups`, the same chain over tensor blocks in
+:func:`sum_blocks` and over a typed scalar column in
 :func:`fold_column`'s kernels, which work on a
-:class:`~repro.engine.keys.Grouping`'s integer codes. All continue from
-an optional *carried* state per group, so folding a partition in one run
-or in consecutive runs performs the same additions in the same order.
-*Merge and finish*: :func:`final_aggregate`. PartialAggregate and
-FinalAggregate call these with no carried state; a materialized view
-calls them with its stored per-slot states, which makes view ≡ rescan
-hold by construction.
+:class:`~repro.engine.keys.Grouping`'s integer codes. A *fused SUM* —
+SUM over a builtin with a ``block_sum``, ``SUM(outer_product(a, b))`` —
+follows the blocked order instead: fixed steps of :data:`STEP_ROWS`
+rows, one BLAS ``Aₛᵀ Bₛ`` per step, steps added left to right
+(:func:`fused_sums`, :func:`advance`, the one kernel :func:`sum_steps`),
+with the open step's rows carried in its state (:class:`OpenSum`). All
+continue from an optional *carried* state per group, so folding a
+partition in one run or in consecutive runs performs the same
+arithmetic in the same order. *Merge and finish*: :func:`final_aggregate`.
+PartialAggregate and FinalAggregate call these with no carried state;
+a materialized view calls them with its stored per-slot states, which
+makes view ≡ rescan hold by construction.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..columnar import wrap_cell
+from ..errors import RuntimeTypeError
+from ..la.aggregates import check_carried, sum_block
 from .cluster import cell_bytes, value_bytes
 from .keys import HashedKeys, descending, index_list, one_nan
 
@@ -203,23 +212,21 @@ def fold_column(spec, column, grouping, cost, carried=None) -> list:
     return fold_groups(spec, values, grouping.positions(), cost, carried)
 
 
-def sum_blocks(fold, blocks, nulls, group_indices, cost, carried=None) -> list:
-    """SUM states, one per group, over the tensor cells ``fold`` makes
-    of the operand ``blocks`` (NULL where ``nulls``): ``sum_block`` over
-    a column's own block, or a builtin's fused ``block_sum`` over its
-    argument blocks. Each group's rows are folded in row order,
-    bit-identical to the ``SumAggregate.add`` chain over the wrapped
-    values; a ``carried`` state is row 0 of that chain (``fold`` raises
-    ``RuntimeTypeError`` unless it has the cells' shape) and is kept by
-    a group with no non-NULL row. The states are fresh arrays: nothing
-    here writes into, or hands out, a block a table segment's cached
-    columns may share."""
-    count = len(blocks[0])
+def sum_blocks(block, nulls, group_indices, cost, carried=None) -> list:
+    """SUM states, one per group, over a tensor ``block`` (NULL where
+    ``nulls``) through ``sum_block``: each group's rows folded in row
+    order, bit-identical to the ``SumAggregate.add`` chain over the
+    wrapped values. A ``carried`` state is row 0 of that chain
+    (``sum_block`` raises ``RuntimeTypeError`` unless it has the cells'
+    shape) and is kept by a group with no non-NULL row. The states are
+    fresh arrays: nothing here writes into, or hands out, a block a table
+    segment's cached columns may share. (SUM over a builtin with a
+    ``block_sum`` is a fused SUM, :func:`fused_sums`.)"""
     states = []
     for group, indices in enumerate(group_indices):
         start = None if carried is None else carried[group]
-        if nulls is None and len(indices) == count:
-            operands = blocks  # the whole partition, already in row order
+        if nulls is None and len(indices) == len(block):
+            cells = block  # the whole partition, already in row order
         else:
             rows = np.asarray(indices, dtype=np.int64)
             if nulls is not None:
@@ -227,10 +234,186 @@ def sum_blocks(fold, blocks, nulls, group_indices, cost, carried=None) -> list:
             if not len(rows):
                 states.append(start)
                 continue
-            operands = [block[rows] for block in blocks]
-        total = fold(*operands, None if start is None else start.data)
-        cost.stream_bytes += (8.0 * total.size + 8.0) * len(operands[0])
+            cells = block[rows]
+        total = sum_block(cells, None if start is None else start.data)
+        cost.stream_bytes += (8.0 * total.size + 8.0) * len(cells)
         states.append(wrap_cell(total))
+    return states
+
+
+#: rows per step of a fused SUM (docs/ENGINE.md, "The float contract"). A
+#: constant, never a knob: a group's step boundaries are then a function
+#: of its rows alone, so every door issues the same BLAS calls
+STEP_ROWS = 128
+
+#: bound on the step sums one BLAS call produces. Bit-neutral — each step
+#: is its own product and the steps are added in order whichever call
+#: computed them — it only keeps a long partition of wide cells from
+#: holding every step's product at once
+_CALL_BYTES = 1 << 21
+
+
+def _result_cells(call, operands, lead: int) -> int:
+    """Elements of one result cell of ``call`` — one per pair of
+    argument elements (``block_sum``'s contract) — from its distinct
+    ``operands``, whose first ``lead`` axes are not the cell's."""
+    return math.prod(math.prod(operands[i].shape[lead:]) for i in call.operand_of)
+
+
+def _cell_bits(array):
+    return None if array is None else (array.shape, array.tobytes())
+
+
+class OpenSum:
+    """A fused SUM's partial state: ``total``, the sum of the group's
+    complete steps (None before the first), and ``rows``, the operand
+    rows of its open step — one ``(k, …)`` array per distinct argument
+    expression of ``call``, ``k < STEP_ROWS``. PartialAggregate emits
+    :meth:`finish` (:func:`finished`); a materialized view keeps the
+    state itself and finishes it at each answer. Equality is bit for bit
+    (two doors' states compared by a test)."""
+
+    __slots__ = ("call", "total", "rows")
+
+    def __init__(self, call, total, rows):
+        self.call = call
+        self.total = total
+        self.rows = rows
+
+    def finish(self):
+        """The SUM of every row folded so far — the open step added as
+        the last step — as a fresh cell; the state itself is unchanged."""
+        if not len(self.rows[0]):
+            return wrap_cell(self.total.copy())
+        return wrap_cell(
+            sum_steps(self.call, [rows[None] for rows in self.rows], self.total)
+        )
+
+    def __eq__(self, other):
+        return (
+            type(other) is OpenSum
+            and _cell_bits(self.total) == _cell_bits(other.total)
+            and list(map(_cell_bits, self.rows)) == list(map(_cell_bits, other.rows))
+        )
+
+    __hash__ = None
+
+
+def finished(state):
+    """What PartialAggregate emits for a state: a fused SUM finished, any
+    other state as it is."""
+    return state.finish() if type(state) is OpenSum else state
+
+
+def sum_steps(call, steps, total=None):
+    """The one fused-SUM kernel: ``total`` (None: none yet) continued,
+    left to right, over the step sums of ``steps`` — per distinct operand
+    of ``call``, an ``(m, s, …)`` stack of ``m`` steps — each one
+    ``Aₛᵀ Bₛ`` of ``call.step_products``, then added by ``sum_block``
+    (which raises ``RuntimeTypeError`` when ``total`` is not the steps'
+    shape)."""
+    count = len(steps[0])
+    if count == 1:
+        # one step (as when an open step is finished): sum_block's
+        # -0.0 + P is P, and its (-0.0 + total) + P is total + P, bit for
+        # bit — without its copy of the total
+        (product,) = call.step_products(*steps)
+        if total is None:
+            return product
+        check_carried(total, product.shape)
+        return total + product
+    per_call = max(1, _CALL_BYTES // (8 * _result_cells(call, steps, 2)))
+    for start in range(0, count, per_call):
+        stop = start + per_call
+        products = call.step_products(*[step[start:stop] for step in steps])
+        total = sum_block(products, total)
+    return total
+
+
+def _shape_error(left, right):
+    return RuntimeTypeError(
+        f"SUM: element-wise addition of tensors of different shapes: "
+        f"operand cells {tuple(left)} vs {tuple(right)}"
+    )
+
+
+def advance(call, operands, state=None) -> OpenSum:
+    """A fused SUM's state continued over more operand rows of ``call``
+    — one ``(n, …)`` array per distinct argument, in row order: the open
+    step's rows go in front, every complete step of :data:`STEP_ROWS`
+    rows is added by :func:`sum_steps` and the rest is the new open step.
+    Steps are counted from the group's first row whatever runs its rows
+    arrive in, so folding in one run or over any number of appends makes
+    the same BLAS products and additions."""
+    total = None
+    if state is not None:
+        total, held = state.total, state.rows
+        for before, after in zip(held, operands):
+            if before.shape[1:] != after.shape[1:]:
+                raise _shape_error(before.shape[1:], after.shape[1:])
+        if len(held[0]):
+            operands = [
+                np.concatenate([before, after]) for before, after in zip(held, operands)
+            ]
+    count = len(operands[0])
+    full = count - count % STEP_ROWS
+    if full:
+        steps = [
+            np.require(operand[:full], np.float64, "CA").reshape(
+                (full // STEP_ROWS, STEP_ROWS) + operand.shape[1:]
+            )
+            for operand in operands
+        ]
+        total = sum_steps(call, steps, total)
+    # the open rows are copied: a state must not pin a table's block
+    rest = [np.array(operand[full:], np.float64, order="C") for operand in operands]
+    return OpenSum(call, total, tuple(rest))
+
+
+def _stacked(operand, rows):
+    """The cells of ``rows`` of one operand — a tensor block, or a list
+    of Python tensor values — as one ``(len(rows), …)`` array; cells of
+    two shapes raise the ``RuntimeTypeError`` the ``add`` chain raises on
+    their products, never numpy's ``ValueError``."""
+    if isinstance(operand, np.ndarray):
+        return operand[rows]
+    cells = [operand[i].data for i in rows.tolist()]
+    shape = cells[0].shape
+    for cell in cells:
+        if cell.shape != shape:
+            raise _shape_error(shape, cell.shape)
+    return np.stack(cells)
+
+
+def fused_sums(call, operands, valid, group_indices, cost, carried=None) -> list:
+    """Fused SUM states (:class:`OpenSum`), one per group, over the
+    calls of ``call`` — a ``FuncExpr`` whose builtin has a ``block_sum``
+    — whose arguments are ``operands``: per distinct argument
+    expression, an ``(n, …)`` tensor block or a list of ``n`` Python
+    tensor values, read on the rows ``valid`` marks (None: every row).
+    Every door stacks a group's operand rows in row order and continues
+    its ``carried`` state (None: a fresh one) through :func:`advance` —
+    the batch kernel and the row oracle alike — and a group with no
+    non-NULL call keeps its state. Charges what the ``add`` chain over
+    the result cells would: ``8·cells + 8`` streamed bytes per call."""
+    count = len(operands[0])
+    blocks = all(isinstance(operand, np.ndarray) for operand in operands)
+    states = []
+    for group, indices in enumerate(group_indices):
+        state = None if carried is None else carried[group]
+        if blocks and valid is None and len(indices) == count:
+            stacks = operands  # the whole partition, already in row order
+        else:
+            rows = np.asarray(indices, dtype=np.int64)
+            if valid is not None:
+                rows = rows[valid[rows]]
+            if not len(rows):
+                states.append(state)
+                continue
+            stacks = [_stacked(operand, rows) for operand in operands]
+        cells = _result_cells(call, stacks, 1)
+        cost.stream_bytes += (8.0 * cells + 8.0) * len(stacks[0])
+        states.append(advance(call, stacks, state))
     return states
 
 

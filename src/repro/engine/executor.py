@@ -72,7 +72,7 @@ from ..plan.physical import (
     resolve_prune_predicates,
 )
 from ..storage.segment import segment_pruned
-from .aggregation import final_aggregate
+from .aggregation import final_aggregate, finished
 from .cluster import Cluster, row_bytes, stable_hash
 from .keys import one_nan, rows_by_code, stable_order
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
@@ -957,13 +957,14 @@ class Executor:
             # each aggregate's input in its native column form): groups
             # come out in first-seen order, every state sees its group's
             # values in row order, and the (integral) cost totals are
-            # order-independent
+            # order-independent. A fused SUM's open step is finished
+            # here, so what crosses the exchange is a plain cell
             grouping = chunk.keys(node.group_exprs, cost).grouping()
             spec_states = [
                 chunk.partial_aggregate(spec, grouping, cost) for spec in specs
             ]
             out_rows = [
-                key + tuple(states[g] for states in spec_states)
+                key + tuple(finished(states[g]) for states in spec_states)
                 for g, key in enumerate(grouping.keys)
             ]
             # the group hash table is this operator's in-memory state;

@@ -46,13 +46,28 @@ from ..columnar import (
     truth,
 )
 from ..errors import ExecutionError
-from ..la.aggregates import SumAggregate, sum_block
+from ..la.aggregates import SumAggregate
 from ..plan.expressions import FuncExpr
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
-from .aggregation import fold_column, fold_groups, sum_blocks
+from .aggregation import fold_column, fold_groups, fused_sums, sum_blocks
 from .cluster import ROW_OVERHEAD_BYTES, columns_row_bytes, row_bytes, stable_hash
 from .keys import Grouping, HashedKeys, index_list, typed_keys
+
+
+def fused_call(spec) -> Optional[FuncExpr]:
+    """The call a fused SUM folds — SUM, not DISTINCT, over a builtin
+    that registers a ``block_sum`` (docs/ENGINE.md, "The float
+    contract") — or None for every other aggregate."""
+    call = spec.arg
+    if (
+        not spec.distinct
+        and isinstance(spec.aggregate, SumAggregate)
+        and isinstance(call, FuncExpr)
+        and call.builtin.block_sum is not None
+    ):
+        return call
+    return None
 
 
 @dataclass(frozen=True)
@@ -186,9 +201,22 @@ class RowChunk:
         :class:`~repro.engine.keys.Grouping`, or plain per-group row
         positions), over ``spec.arg`` evaluated on this chunk (None:
         ``COUNT(*)``), each continuing from its ``carried`` state when
-        one is given."""
-        values = None if spec.arg is None else self.values(spec.arg, cost)
+        one is given. A fused SUM stacks each call's checked arguments
+        and folds them with the batch kernel's steps (``fused_sums``)."""
         groups = Grouping.of(grouping, len(self)).positions()
+        call = fused_call(spec)
+        if call is not None:
+            view, calls = RowView((), self.index), []
+            for row in self._rows:
+                view.values = row
+                calls.append(call.call_args(view, cost))
+            operands = [
+                [None if values is None else values[i] for values in calls]
+                for i in call.operand_args
+            ]
+            valid = np.array([values is not None for values in calls], dtype=bool)
+            return fused_sums(call, operands, valid, groups, cost, carried)
+        values = None if spec.arg is None else self.values(spec.arg, cost)
         return fold_groups(spec, values, groups, cost, carried)
 
     # -- derivation ---------------------------------------------------------
@@ -345,30 +373,27 @@ class Batch:
         :class:`~repro.engine.keys.Grouping`, or plain per-group row
         positions), over ``spec.arg`` evaluated on this batch (None:
         ``COUNT(*)``), each continuing from its ``carried`` state when
-        one is given. SUM over a tensor block is one ``sum_block`` per
-        group, SUM over a builtin with a fused ``block_sum``
-        (``outer_product``) folds the argument blocks without
-        materializing the result cells, and every other column goes to
+        one is given. A fused SUM (``outer_product``) folds the argument
+        rows — blocks or object columns — in ``fused_sums``' steps, never
+        materializing a result cell; SUM over a tensor block is one
+        ``sum_block`` per group, and every other column goes to
         ``fold_column``: arithmetic on the group codes where the column
         is typed, the ``add`` chain where it is not."""
         grouping = Grouping.of(grouping, self.length)
-        expr = spec.arg
-        if expr is None:
+        if spec.arg is None:
             return fold_column(spec, None, grouping, cost, carried)
-        summing = not spec.distinct and isinstance(spec.aggregate, SumAggregate)
-        if summing and isinstance(expr, FuncExpr) and expr.builtin.block_sum:
-            column, blocks, nulls = expr.block_call(self, cost)
-            if column is None:
-                return sum_blocks(
-                    expr.builtin.block_sum, blocks, nulls, grouping.positions(),
-                    cost, carried,
-                )
-        else:
-            column = self.values(expr, cost)
-        if summing and column.is_block:
+        call = fused_call(spec)
+        if call is not None:
+            operands, valid = call.sum_operands(self, cost)
+            return fused_sums(
+                call, operands, valid, grouping.positions(), cost, carried
+            )
+        column = self.values(spec.arg, cost)
+        if column.is_block and not spec.distinct and isinstance(
+            spec.aggregate, SumAggregate
+        ):
             return sum_blocks(
-                sum_block, [column.data], column.nulls, grouping.positions(),
-                cost, carried,
+                column.data, column.nulls, grouping.positions(), cost, carried
             )
         return fold_column(spec, column, grouping, cost, carried)
 

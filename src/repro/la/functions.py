@@ -37,7 +37,6 @@ from ..types import (
     runtime_shape_check,
 )
 from ..types.scalar import DEFAULT_UNKNOWN_DIM
-from .aggregates import check_carried, sum_block
 
 #: Type of a FLOP-cost formula: receives the concrete dimensions bound for
 #: each templated variable and returns an estimated FLOP count.
@@ -111,10 +110,17 @@ class BuiltinFunction:
     #: bit-identical to ``impl`` on that row (docs/ENGINE.md, "Tensor
     #: columns").
     block_impl: Optional[Callable] = None
-    #: optional fused fold: ``block_sum(*blocks, start)`` is bit-identical
-    #: to ``sum_block(block_impl(*blocks), start)`` without materializing
-    #: the ``n`` result cells (registered where a result cell is much
-    #: larger than its operands).
+    #: optional fused SUM: ``block_sum(*steps)`` takes, per argument, an
+    #: ``(m, s, …)`` float64 C-contiguous stack of ``m`` steps of ``s``
+    #: argument rows (the same array for arguments that are one
+    #: expression) and returns the ``(m, …)`` sums of the results over
+    #: each step in one BLAS call, never materializing a result cell per
+    #: row. Registering one makes SUM over the builtin a *fused SUM*:
+    #: its canonical order is the blocked one of
+    #: ``engine/aggregation.py::advance`` (docs/ENGINE.md, "The float
+    #: contract"), not the sequential chain, and its result cells hold
+    #: one element per pair of argument elements (an outer product's),
+    #: which is what SUM charges streamed bytes for.
     block_sum: Optional[Callable] = None
     #: unused — the per-row-list kernels this named were replaced by
     #: ``block_impl``; ``perfbench/layers.py`` still reads the attribute
@@ -244,38 +250,12 @@ def _outer_product_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left[:, :, None] * right[:, None, :]
 
 
-#: bytes of outer products computed per step of the fused fold (sized to
-#: stay cache-resident: 512 rows of 8x8 cells, 8 rows of 64x64)
-_FOLD_STEP_BYTES = 1 << 18
-
-
-def _outer_product_block_sum(
-    left: np.ndarray, right: np.ndarray, total: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``sum_block(_outer_product_block(left, right), total)`` without
-    the ``n`` products in memory at once: the products of a few rows at
-    a time are written behind the running total (from the first step on
-    when a carried ``total`` comes in) and folded with it, so every
-    addition happens in the same row order."""
-    n, rows = left.shape
-    cols = right.shape[1]
-    if total is not None:
-        check_carried(total, (rows, cols))
-    step = max(1, _FOLD_STEP_BYTES // max(8, 8 * rows * cols))
-    buffer = np.empty((min(step, n) + 1, rows, cols))
-    for start in range(0, n, step):
-        part_left = left[start : start + step]
-        part_right = right[start : start + step]
-        # slot 0 carries the total so far (if any) into the fold
-        first = 0 if total is None else 1
-        stop = first + len(part_left)
-        np.multiply(
-            part_left[:, :, None], part_right[:, None, :], out=buffer[first:stop]
-        )
-        if first:
-            buffer[0] = total
-        total = sum_block(buffer[:stop])
-    return total
+def _outer_product_block_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """One ``Aₛᵀ Bₛ`` per step: the sum of a step's outer products as a
+    matrix product. numpy runs ``syrk`` (and copies its triangle, so the
+    result is exactly symmetric) when ``left`` and ``right`` are one
+    array, ``gemm`` otherwise."""
+    return np.matmul(left.transpose(0, 2, 1), right)
 
 
 outer_product.block_impl = _outer_product_block

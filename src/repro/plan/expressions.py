@@ -18,6 +18,7 @@ expression slots.
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -699,6 +700,19 @@ def _common_branch_type(branch_types: List[DataType]) -> DataType:
     return result
 
 
+def _operand_key(expr: TypedExpr):
+    """``expr.key()`` when it names one value per row; a key of its own
+    when it may name two (a tensor literal's key is its abbreviated
+    repr)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LiteralExpr) and isinstance(node.value, (Vector, Matrix)):
+            return object()
+        stack.extend(node.children())
+    return expr.key()
+
+
 class FuncExpr(TypedExpr):
     """A call to a built-in LA function; the result type was inferred by
     binding the templated signature against the argument types."""
@@ -708,70 +722,110 @@ class FuncExpr(TypedExpr):
         self.args = list(args)
         self.data_type = builtin.bind([arg.data_type for arg in self.args])
         self._flops = builtin.estimate_flops([arg.data_type for arg in self.args])
+        #: (per-call flops, uniform[, shape check]) per argument form
+        self._checks: Dict[tuple, tuple] = {}
 
-    def evaluate(self, row: Row, cost: Optional[EvalCost] = None):
+    @cached_property
+    def operand_of(self) -> Tuple[int, ...]:
+        """Per argument, the index of its operand among the distinct
+        argument expressions. A fused SUM stacks each distinct one once
+        and hands the same array to every argument it feeds, so
+        ``SUM(outer_product(v, v))`` is one ``syrk`` per step in every
+        chunk form: decided here, from the expression, never from array
+        identity."""
+        keys = [_operand_key(arg) for arg in self.args]
+        distinct = list(dict.fromkeys(keys))
+        return tuple(distinct.index(key) for key in keys)
+
+    @property
+    def operand_args(self) -> Tuple[int, ...]:
+        """Per distinct operand, the first argument that is it."""
+        operands = len(set(self.operand_of))
+        return tuple(self.operand_of.index(i) for i in range(operands))
+
+    def call_args(self, row: Row, cost: Optional[EvalCost] = None):
+        """The argument values of this call on one row, checked and
+        charged as :meth:`evaluate` checks and charges them but not yet
+        computed; None when an argument is NULL."""
         values = [arg.evaluate(row, cost) for arg in self.args]
         if any(value is None for value in values):
             return None
         if cost is not None:
             self._charge(cost, 1, self.builtin.runtime_flops(values))
-        return self.builtin(*values)
+        ok, message = runtime_shape_check(self.builtin.signature, values)
+        if not ok:
+            raise RuntimeTypeError(message)
+        return values
 
-    def evaluate_batch(self, batch, cost=None, mask=None) -> ColumnData:
-        column, blocks, nulls = self.block_call(batch, cost, mask)
-        if column is None:
-            kernel = self.builtin.block_impl
-            column = ColumnData(apply_rows(kernel, blocks, nulls), nulls)
-        return column
+    def evaluate(self, row: Row, cost: Optional[EvalCost] = None):
+        values = self.call_args(row, cost)
+        return None if values is None else self.builtin.impl(*values)
 
-    def block_call(self, batch, cost=None, mask=None) -> tuple:
-        """Evaluate the arguments, then check and charge every call.
-        When the builtin has a block kernel and every argument is a
-        tensor block, the calls come back not yet computed, as ``(None,
-        blocks, nulls)`` with ``nulls`` None or the mask of NULL result
-        rows: ``evaluate_batch`` applies ``block_impl`` to them, and SUM
-        over this expression applies the fused ``block_sum`` instead
-        (``Batch.partial_aggregate``). Otherwise they are computed per
-        row and returned as ``(column, None, None)``."""
-        n = batch.length
+    def step_products(self, *operands) -> np.ndarray:
+        """The builtin's ``block_sum`` over step stacks of the distinct
+        operands (``operand_of`` spreads them over the arguments): the
+        kernel of a fused SUM over this call (``engine/aggregation.py``)."""
+        return self.builtin.block_sum(*[operands[i] for i in self.operand_of])
+
+    def _arguments(self, batch, cost, mask) -> tuple:
+        """The argument columns, the mask of rows whose call is not NULL
+        (None: every row) and their positions, and whether every call was
+        checked and charged here already: typed scalar columns and tensor
+        blocks give every row the same argument types and shapes by
+        construction, so the shape check and the flop price of the first
+        active row hold for all of them (integral per-call flops make
+        count * per_flops equal the row path's running float sum
+        exactly) — and, being functions of those types and shapes, are
+        worked out once per form. Object columns (ragged, labelled or
+        mixed cells) are left to a per-row check."""
         args = [arg.evaluate_batch(batch, cost, mask) for arg in self.args]
-        valid = full_mask(mask, n)
+        valid = mask
         for column in args:
             if column.nulls is not None:
-                valid = valid & ~column.nulls
-        indices = np.flatnonzero(valid)
-        if not len(indices):
-            return ColumnData.constant(None, n), None, None
-        builtin = self.builtin
-        # typed scalar columns and tensor blocks give every row the same
-        # argument types and shapes by construction, so the shape check
-        # and the flop price of the first active row hold for all of
-        # them (integral per-call flops make count * per_flops equal the
-        # row path's running float sum exactly)
-        uniform = not any(column.is_object for column in args)
-        if uniform:
+                valid = ~column.nulls if valid is None else valid & ~column.nulls
+        indices = range(batch.length) if valid is None else np.flatnonzero(valid)
+        if not len(indices) or any(column.is_object for column in args):
+            return args, valid, indices, False
+        form = tuple((column.data.dtype, column.data.shape[1:]) for column in args)
+        checked = self._checks.get(form)
+        if checked is None:
             first = [column.cell(indices[0]) for column in args]
-            per_flops = builtin.runtime_flops(first)
-            uniform = float(per_flops).is_integer()
+            per_flops = self.builtin.runtime_flops(first)
+            checked = (per_flops, float(per_flops).is_integer())
+            if checked[1]:
+                checked += runtime_shape_check(self.builtin.signature, first)
+            self._checks[form] = checked
+        per_flops, uniform = checked[:2]
         if uniform:
-            ok, message = runtime_shape_check(builtin.signature, first)
+            ok, message = checked[2:]
             if not ok:
                 raise RuntimeTypeError(message)
             self._charge(cost, len(indices), per_flops * len(indices))
-            if builtin.block_impl is not None and all(
-                column.is_block for column in args
-            ):
-                nulls = None if len(indices) == n else ~valid
-                return None, [column.data for column in args], nulls
+        return args, valid, indices, uniform
+
+    def evaluate_batch(self, batch, cost=None, mask=None) -> ColumnData:
+        """One block kernel call when the builtin has one and every
+        argument is a tensor block (NULL rows never reach it), else the
+        scalar ``impl`` per row."""
+        n = batch.length
+        args, valid, indices, checked = self._arguments(batch, cost, mask)
+        if not len(indices):
+            return ColumnData.constant(None, n)
+        builtin = self.builtin
+        if checked and builtin.block_impl is not None and all(
+            column.is_block for column in args
+        ):
+            nulls = None if len(indices) == n else ~valid
+            blocks = [column.data for column in args]
+            return ColumnData(apply_rows(builtin.block_impl, blocks, nulls), nulls)
         results: list = [None] * n
         arg_values = [column.pylist() for column in args]
-        if uniform:
+        if checked:
             impl = builtin.impl
             for i in indices:
                 results[i] = impl(*[values[i] for values in arg_values])
         else:
-            # object columns (ragged, labelled or mixed cells): each call
-            # runs the same shape check + kernel the row path runs
+            # each call runs the same shape check + kernel the row path runs
             runtime_flops = builtin.runtime_flops
             flops = 0.0
             for i in indices:
@@ -780,7 +834,32 @@ class FuncExpr(TypedExpr):
                     flops += runtime_flops(values)
                 results[i] = builtin(*values)
             self._charge(cost, len(indices), flops)
-        return ColumnData.from_values(results), None, None
+        return ColumnData.from_values(results)
+
+    def sum_operands(self, batch, cost=None) -> tuple:
+        """What a fused SUM over this call folds (``Batch.partial_aggregate``):
+        per distinct operand (``operand_args``) its tensor block, or the
+        list of its Python values for an object column, and the mask of
+        rows whose call is not NULL (None: every row). Every call is
+        checked and charged as :meth:`evaluate_batch` checks and charges
+        it; none is computed."""
+        args, valid, indices, checked = self._arguments(batch, cost, None)
+        if len(indices) and not checked:
+            arg_values = [column.pylist() for column in args]
+            builtin, flops = self.builtin, 0.0
+            for i in indices:
+                values = [column[i] for column in arg_values]
+                if cost is not None:
+                    flops += builtin.runtime_flops(values)
+                ok, message = runtime_shape_check(builtin.signature, values)
+                if not ok:
+                    raise RuntimeTypeError(message)
+            self._charge(cost, len(indices), flops)
+        operands = [
+            args[i].data if args[i].is_block else args[i].pylist()
+            for i in self.operand_args
+        ]
+        return operands, None if len(indices) == batch.length else valid
 
     def _charge(self, cost: Optional[EvalCost], calls: int, flops: float) -> None:
         """``calls`` invocations costing ``flops`` in total."""

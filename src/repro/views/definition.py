@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..engine.aggregation import final_aggregate
+from ..engine.aggregation import final_aggregate, finished
 from ..errors import CompileError
 from ..plan.logical import (
     AggregateNode,
@@ -243,8 +243,9 @@ class MaterializedView:
         partition's rows, in partition order, as the table holds them —
         column-wise): the engine's Filter → PartialAggregate on that
         slot, each state carried on from where the previous fold left
-        it. Maintenance charges no simulated time, so the cost is
-        discarded."""
+        it — a fused SUM's with its open step, so the next fold cuts the
+        steps a rescan cuts. Maintenance charges no simulated time, so
+        the cost is discarded."""
         cost = EvalCost()
         chunk, _ = chunks.from_segment(self._column_ids, segment)
         if self.predicate is not None:
@@ -276,13 +277,17 @@ class MaterializedView:
             # cheap no-op when current; folds pending deltas when
             # running deferred (and rebuilds when stale)
             self.catch_up(chunks)
+            # a fused SUM's stored state keeps its open step: the answer
+            # finishes it as PartialAggregate would, leaving it open
             state_rows = [
-                tuple(states) for states in self._slot_states if states is not None
+                tuple(map(finished, states))
+                for states in self._slot_states
+                if states is not None
             ]
-            (finished,) = final_aggregate(
+            (answer,) = final_aggregate(
                 self.specs, 0, state_rows, EvalCost(), scalar_on_empty=True
             )
-            return [tuple(finished[i] for i in spec_indices)]
+            return [tuple(answer[i] for i in spec_indices)]
 
     # -- full-view state ------------------------------------------------------
 

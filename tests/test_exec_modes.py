@@ -31,7 +31,7 @@ from repro.engine.cluster import columns_row_bytes, row_bytes
 from repro.engine.keys import stable_order
 from repro.engine import Cluster, Executor
 from repro.engine.storage import Batch, PartitionedTable, RowChunk
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError, ReproError, RuntimeTypeError
 from repro.la import lookup, lookup_aggregate
 from repro.plan.physical import PExchange
 from repro.plan.expressions import (
@@ -341,6 +341,27 @@ class TestEvalCostEquivalence:
         ]
         v = ColumnVar(1, VectorType(None), "v")
         self._compare(FuncExpr(lookup("outer_product"), [v, v]), rows, (0, 1))
+
+    def test_checks_are_kept_per_argument_form(self):
+        """One ``FuncExpr`` over batches of several forms: each form's
+        shape check and flop price are its own — a form seen before is
+        charged its price again, and a mismatched one still raises."""
+        m = ColumnVar(0, MatrixType(None, None), "m")
+        v = ColumnVar(1, VectorType(None), "v")
+        times = FuncExpr(lookup("matrix_vector_multiply"), [m, v])
+
+        def batch(rows, cols, length):
+            return Batch.from_rows(
+                (0, 1), [(Matrix(np.ones((rows, cols))), Vector(np.ones(length)))] * 4
+            )
+
+        for rows, cols in ((2, 3), (3, 4), (2, 3)):
+            for expr in (times, FuncExpr(times.builtin, [m, v])):  # warm, fresh
+                cost = EvalCost()
+                expr.evaluate_batch(batch(rows, cols, cols), cost)
+                assert (cost.blas1_flops, cost.calls) == (4 * 2 * rows * cols, 4)
+        with pytest.raises(RuntimeTypeError):
+            times.evaluate_batch(batch(2, 3, 2), EvalCost())
 
 
 # -- columnar building blocks ------------------------------------------------
@@ -809,9 +830,11 @@ class TestChunkKernelsAgree:
                     assert _cells_identical(*pair), (name, expr)
 
     def test_sum_order_on_large_blocks(self):
-        """The block SUM is the sequential fold at partition scale too
-        (numpy buffers long reductions): plain, fused outer-product and
-        single-element cells against the value-at-a-time chain."""
+        """The block SUM is the sequential fold, and the fused
+        outer-product SUM the blocked one, at partition scale too (numpy
+        buffers long reductions; a partition spans many steps): plain,
+        fused and single-element cells, the row oracle against the batch
+        kernel."""
         rng = np.random.default_rng(5)
         for count, dim in ((9000, 1), (9000, 2), (3000, 8), (300, 64)):
             scale = 10.0 ** rng.integers(-8, 8, size=(count, dim))
@@ -950,7 +973,7 @@ class TestSharedBlocks:
             _spec("SUM", product), [range(len(batch))], EvalCost()
         )
         assert not calls
-        assert state.data.tobytes() == column.data.sum(axis=0).tobytes()
+        assert state.finish().data.tobytes() == column.data.sum(axis=0).tobytes()
 
     def test_mutating_a_result_cannot_corrupt_the_cached_block(self):
         db = self._db()
@@ -1308,6 +1331,97 @@ class TestKeyKernelsAgree:
                 len({row[0] for row in storage.partition_rows(slot)})
                 for slot in range(storage.slots)
             ) < len(routed)
+
+
+class TestFusedSum:
+    """``SUM(outer_product(a, b))`` is a fused SUM: one blocked kernel
+    that every door calls (docs/ENGINE.md, "The float contract")."""
+
+    @staticmethod
+    def _gram_rows(count, label=-1):
+        return [
+            (i % 3, Vector([float(i), 1.0 / (i + 1), -0.5 * i], label=label))
+            for i in range(count)
+        ]
+
+    def test_every_door_reaches_the_one_kernel(self, monkeypatch):
+        """Row ≡ batch and view ≡ rescan hold by construction only while
+        every door calls the one kernel, so pin it: ``sum_steps`` runs for
+        a batch block column, a batch object column (labelled vectors), a
+        ``RowChunk``, a view's fold and a view's answer — and no fused SUM
+        reaches ``SumAggregate.add`` (the sequential chain)."""
+        from repro.engine import aggregation
+        from repro.engine.aggregation import STEP_ROWS
+        from repro.la.aggregates import SumAggregate
+
+        kernel, calls = aggregation.sum_steps, []
+        monkeypatch.setattr(
+            aggregation,
+            "sum_steps",
+            lambda *args: calls.append(args) or kernel(*args),
+        )
+
+        def chain(self, state, value):
+            raise AssertionError("a fused SUM reached the add chain")
+
+        monkeypatch.setattr(SumAggregate, "add", chain)
+        v = ColumnVar(1, VectorType(3), "v")
+        spec = _spec("SUM", FuncExpr(lookup("outer_product"), [v, v]))
+        uniform, labelled = self._gram_rows(STEP_ROWS), self._gram_rows(STEP_ROWS, 2)
+        for cls, rows, form in (
+            (Batch, uniform, "is_block"),
+            (Batch, labelled, "is_object"),
+            (RowChunk, uniform, None),
+        ):
+            chunk = cls.from_rows((0, 1), rows)
+            if form:
+                assert getattr(chunk.col(1), form)
+            del calls[:]
+            (state,) = chunk.partial_aggregate(spec, [range(len(rows))], EvalCost())
+            assert len(calls) == 1 and state.total is not None, (cls, form)
+
+        for mode in ("row", "batch"):
+            db = Database(TEST_CLUSTER, execution_mode=mode)
+            db.execute("CREATE TABLE t (k INTEGER, v VECTOR[3])")
+            db.execute(
+                "CREATE MATERIALIZED VIEW mv AS "
+                "SELECT SUM(outer_product(v, v)) AS g FROM t"
+            )
+            del calls[:]
+            db.load("t", self._gram_rows(4 * STEP_ROWS))  # a step per slot
+            assert len(calls) == 4, mode
+            db.load("t", self._gram_rows(3))  # open steps only
+            del calls[:]
+            answer = db.execute("SELECT SUM(outer_product(v, v)) FROM t")
+            assert answer.metrics.view_hits == 1
+            assert len(calls) == 3, mode  # the three slots' open steps
+
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_ragged_operands_are_a_structured_error(self, mode):
+        """Operand rows of two lengths in one group raise the
+        ``RuntimeTypeError`` the chain raised on their products — never
+        numpy's ``ValueError`` from stacking them — while groups of
+        different lengths each fold."""
+        db = Database(TEST_CLUSTER, execution_mode=mode)
+        db.execute("CREATE TABLE t (k INTEGER, v VECTOR[])")
+        db.load(
+            "t",
+            [(0, Vector([1.0, 2.0]))] * 8 + [(1, Vector([1.0, 2.0, 3.0]))] * 8,
+        )
+        with pytest.raises(RuntimeTypeError):
+            db.execute("SELECT SUM(outer_product(v, v)) FROM t")
+        grouped = db.execute(
+            "SELECT k, SUM(outer_product(v, v)) FROM t GROUP BY k ORDER BY k"
+        ).rows
+        assert [value.data.shape for _, value in grouped] == [(2, 2), (3, 3)]
+        v = ColumnVar(1, VectorType(None), "v")
+        spec = _spec("SUM", FuncExpr(lookup("outer_product"), [v, v]))
+        rows = [(0, Vector([1.0, 2.0])), (0, Vector([1.0, 2.0, 3.0]))]
+        for cls in (RowChunk, Batch):
+            with pytest.raises(RuntimeTypeError):
+                cls.from_rows((0, 1), rows).partial_aggregate(
+                    spec, [range(2)], EvalCost()
+                )
 
 
 def _metrics_print(metrics):

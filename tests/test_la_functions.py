@@ -1,10 +1,18 @@
 """Tests for the built-in linear algebra function library."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.engine.aggregation import STEP_ROWS, advance
 from repro.errors import ExecutionError, RuntimeTypeError
 from repro.la import all_builtins, lookup
+from repro.la.aggregates import sum_block
+from repro.plan.expressions import ColumnVar, FuncExpr
 from repro.types import Matrix, MatrixType, Vector, VectorType
 
 
@@ -242,3 +250,127 @@ class TestAllBuiltinCostFormulas:
             "solve",
             "determinant",
         }
+
+
+class TestFusedSumOracle:
+    """The fused SUM's blocked BLAS order (``engine/aggregation.py``)
+    against the sequential chain it replaced — ``sum_block`` over the
+    per-row outer products. Row ≡ batch runs the one kernel on both
+    sides, so this numpy differential is the check of its arithmetic."""
+
+    COUNTS = (1, STEP_ROWS - 1, STEP_ROWS, STEP_ROWS + 1, 2 * STEP_ROWS + 1)
+    #: (rows, cols, one expression): square Grams and non-square a x b
+    SHAPES = ((3, 3, True), (1, 1, True), (3, 5, False), (8, 2, False), (1, 4, False))
+
+    X = ColumnVar(0, VectorType(None), "x")
+    Y = ColumnVar(1, VectorType(None), "y")
+
+    def _call(self, same):
+        return FuncExpr(fn("outer_product"), [self.X, self.X if same else self.Y])
+
+    @staticmethod
+    def _fold(call, operands, cuts=()):
+        """The kernel over ``operands``, in runs split at ``cuts`` — each
+        run continuing the state the one before it carried."""
+        state, bounds = None, [0, *cuts, len(operands[0])]
+        for start, stop in zip(bounds, bounds[1:]):
+            state = advance(call, [operand[start:stop] for operand in operands], state)
+        return state.finish().data
+
+    @staticmethod
+    def _chain(left, right):
+        return sum_block(fn("outer_product").block_impl(left, right))
+
+    def _cases(self, fill):
+        rng = np.random.default_rng(7)
+        for count in self.COUNTS:
+            for rows, cols, same in self.SHAPES:
+                left = fill(rng, (count, rows))
+                right = left if same else fill(rng, (count, cols))
+                operands = [left] if same else [left, right]
+                yield count, same, operands, left, right
+
+    @staticmethod
+    def _wide(rng, shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+
+    def test_within_the_error_bound_of_the_sequential_chain(self):
+        """Both orders sum the same ``n`` products per cell, so they
+        differ by at most ``γₙ·(|A|ᵀ|B|)``, ``γₙ = nu / (1 - nu)``; the
+        result of one expression is exactly symmetric (``syrk``); and a
+        state carried across every step boundary, or a row either side
+        of one, gives the one-run bits."""
+        unit = np.finfo(np.float64).eps / 2
+        for count, same, operands, left, right in self._cases(self._wide):
+            got = self._fold(self._call(same), operands)
+            want = self._chain(left, right)
+            gamma = count * unit / (1 - count * unit)
+            bound = gamma * (np.abs(left).T @ np.abs(right))
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= bound).all(), (count, left.shape, same)
+            if same:
+                assert (got == got.T).all()
+            for cut in (STEP_ROWS - 1, STEP_ROWS, STEP_ROWS + 1, 2 * STEP_ROWS):
+                if cut < count:
+                    again = self._fold(self._call(same), operands, (1, cut))
+                    assert again.tobytes() == got.tobytes(), (count, cut)
+
+    def test_nan_and_infinities_land_in_the_same_cells(self):
+        """An inf meeting a zero, or +inf meeting -inf, is NaN in either
+        order; moderate finite values cannot overflow in one order only."""
+
+        def special(rng, shape):
+            values = rng.normal(size=shape)
+            picks = rng.random(size=shape)
+            values[picks < 0.03] = np.inf
+            values[(picks >= 0.03) & (picks < 0.06)] = -np.inf
+            values[(picks >= 0.06) & (picks < 0.08)] = np.nan
+            values[(picks >= 0.08) & (picks < 0.12)] = 0.0
+            return values
+
+        with np.errstate(invalid="ignore"):
+            for count, same, operands, left, right in self._cases(special):
+                got = self._fold(self._call(same), operands)
+                want = self._chain(left, right)
+                for where in (np.isnan, np.isposinf, np.isneginf):
+                    assert (where(got) == where(want)).all(), (count, where)
+
+    def test_blas_thread_count_does_not_change_bits(self):
+        """The contract lets the BLAS build change the bits, never its
+        thread count: the kernel over operands large enough for OpenBLAS
+        to thread (one step of 1000-wide rows, 4096 x 512) hashes the
+        same at one and at two threads, ``syrk`` and ``gemm`` alike."""
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from repro.engine.aggregation import STEP_ROWS, advance\n"
+            "from repro.la import lookup\n"
+            "from repro.plan.expressions import ColumnVar, FuncExpr\n"
+            "from repro.types import VectorType\n"
+            "x, y = (ColumnVar(i, VectorType(None), n) for i, n in enumerate('xy'))\n"
+            "outer, digest = lookup('outer_product'), hashlib.sha256()\n"
+            "rng = np.random.default_rng(3)\n"
+            "for count, dim in ((STEP_ROWS, 1000), (4096, 512)):\n"
+            "    left, right = rng.normal(size=(2, count, dim))\n"
+            "    for args, operands in (([x, x], [left]), ([x, y], [left, right])):\n"
+            "        state = advance(FuncExpr(outer, args), operands)\n"
+            "        digest.update(state.finish().data.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [source] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]

@@ -26,7 +26,7 @@ from repro.errors import (
     RuntimeTypeError,
 )
 from repro.faults import FaultPlan
-from repro.types import Matrix, Vector
+from repro.types import Matrix, Vector, VectorType
 
 DIM = 3
 
@@ -471,6 +471,33 @@ class TestCarriedState:
             assert answer.metrics.view_hits == 1
             assert _bits(answer.rows) == _bits(plain.execute(self.QUERY).rows)
 
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_fused_sum_steps_span_appends(self, mode):
+        """A Gram view's open step carries across appends of every size
+        against the 128-row steps — one row, a step less one, a step and
+        one, several steps — so each fold cuts the steps a rescan of the
+        slot cuts, and the answer is the rescan's to the bit."""
+        from repro.engine.aggregation import STEP_ROWS
+
+        rng = np.random.default_rng(5)
+        query = "SELECT SUM(outer_product(v, v)), SUM(outer_product(v, v * x)) FROM t"
+        db = _db(
+            "SELECT SUM(outer_product(v, v)) AS g, "
+            "SUM(outer_product(v, v * x)) AS h FROM t",
+            rows=[],
+            execution_mode=mode,
+        )
+        plain = _db(rows=[], execution_mode=mode)
+        for per_slot in (1, STEP_ROWS - 1, 1, STEP_ROWS + 1, 3 * STEP_ROWS, 7):
+            count = per_slot * TEST_CLUSTER.slots
+            wide = rng.normal(size=(count, 4)) * 10.0 ** rng.integers(-6, 6, (count, 4))
+            batch = [(i, x, Vector(v)) for i, (x, *v) in enumerate(wide.tolist())]
+            db.load("t", batch)
+            plain.load("t", batch)
+            answer = db.execute(query)
+            assert answer.metrics.view_hits == 1
+            assert _bits(answer.rows) == _bits(plain.execute(query).rows), per_slot
+
     SCALARS = "SUM(x), AVG(x), MIN(x), MAX(x), COUNT(x), SUM(k), AVG(k), MIN(k)"
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
@@ -507,16 +534,30 @@ class TestCarriedState:
 
     def test_state_of_another_cell_shape_is_a_structured_error(self):
         """Not numpy's ValueError from stacking the state onto the
-        block — and never a silent broadcast of a smaller state."""
+        block or its open rows onto the operands — and never a silent
+        broadcast of a smaller state."""
+        from repro.engine.aggregation import STEP_ROWS, OpenSum, advance
         from repro.la.aggregates import sum_block
         from repro.la.functions import lookup
+        from repro.plan.expressions import ColumnVar, FuncExpr
 
-        fused = lookup("outer_product").block_sum
         with pytest.raises(RuntimeTypeError):
             sum_block(np.ones((2, 4)), np.ones(3))
-        for state in (np.ones((3, 3)), np.ones((1, 1))):
+        v = ColumnVar(0, VectorType(None), "v")
+        gram = FuncExpr(lookup("outer_product"), [v, v])
+        for dim in (3, 1):
+            # open rows only, a total only, and both
+            for count in (STEP_ROWS - 1, STEP_ROWS, STEP_ROWS + 1):
+                state = advance(gram, [np.ones((count, dim))])
+                for more in (2, STEP_ROWS):  # no step completes / one does
+                    with pytest.raises(RuntimeTypeError):
+                        advance(gram, [np.ones((more, 4))], state)
+            # a total of another shape than its open rows' products
+            state = OpenSum(gram, np.ones((dim, dim)), (np.ones((2, 4)),))
             with pytest.raises(RuntimeTypeError):
-                fused(np.ones((2, 4)), np.ones((2, 4)), state)
+                state.finish()
+            with pytest.raises(RuntimeTypeError):
+                advance(gram, [np.ones((STEP_ROWS, 4))], state)
         # end to end: a deferred view folds at the read, which raises it
         db = _db(
             "SELECT SUM(v) AS s, SUM(outer_product(v, v)) AS g FROM t",
