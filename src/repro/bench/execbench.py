@@ -39,12 +39,13 @@ EXEC_SCALES = {
     ("distance", "vector"): (96, 8),
 }
 
-#: the --check gate on the batch-vs-row geomean: under half of the 4.3x
-#: measured on the six smoke shapes (4.31 / 4.29 / 4.26 over three runs
-#: on a 2-CPU x86-64 host; 4.5x there before the row oracle shared the
-#: fused SUM's BLAS kernel — row gram (vector) 8.3 → 5.5 ms, regression
-#: 9.7 → 7.6 ms). A ratio taken on one host, so runner speed cancels; at
-#: smoke size fixed per-call costs hide most of the kernels' lead
+#: the --check gate on the batch-vs-row geomean: under half of the 4.6x
+#: measured on the six smoke shapes (4.66 / 4.60 / 4.63 over three runs
+#: of --repeats 9 on a 2-CPU x86-64 host, against 4.41 / 4.42 / 4.51
+#: before the key kernels dropped their comparison sorts — batch gram
+#: (tuple) 2.8 → 2.4 ms, group filter 1.8 → 1.7 ms). A ratio taken on
+#: one host, so runner speed cancels; at smoke size fixed per-call costs
+#: hide most of the kernels' lead
 MIN_GEOMEAN_SPEEDUP = 1.9
 
 #: reduced shapes for the CI smoke run (--check)

@@ -36,7 +36,7 @@ from ..columnar import wrap_cell
 from ..errors import RuntimeTypeError
 from ..la.aggregates import check_carried, sum_block
 from .cluster import cell_bytes, value_bytes
-from .keys import HashedKeys, descending, index_list, one_nan
+from .keys import HashedKeys, index_list, one_nan
 
 
 def fold_groups(
@@ -162,8 +162,10 @@ def _count_kernel(aggregate, column, grouping, carried):
 def _extreme_kernel(aggregate, column, grouping, carried):
     """MIN/MAX: per group, the **first** row in row order attaining the
     extreme — what the ``min(state, value)`` chain keeps on a ``±0.0``
-    tie (``np.minimum.at`` would keep the last) — by one stable
-    ``lexsort`` on (group code, value); a carried state then meets it
+    tie. Each group's extreme is folded by ``np.minimum.at`` /
+    ``np.maximum.at`` from one of its own values, then the first row
+    whose value ``==`` it (``±0.0`` are equal) is one more
+    ``np.minimum.at`` over row positions; a carried state then meets it
     through the aggregate's own ``add``. A NaN makes the chain's result
     order-dependent, so a column holding one takes the chain."""
     if column is None or not column.is_numeric:
@@ -171,10 +173,14 @@ def _extreme_kernel(aggregate, column, grouping, carried):
     values, codes, counts = _live(column, grouping)
     if values.dtype == np.float64 and np.isnan(values).any():
         return None
-    ranked = descending(values) if aggregate.name == "MAX" else values
-    order = np.lexsort((ranked, codes))
+    extreme = np.empty(len(grouping), dtype=values.dtype)
+    extreme[codes] = values
+    (np.maximum if aggregate.name == "MAX" else np.minimum).at(extreme, codes, values)
+    ties = np.flatnonzero(values == extreme[codes])
+    first = np.full(len(grouping), len(values))
+    np.minimum.at(first, codes[ties], ties)
     present = np.flatnonzero(counts)
-    picks = values[order[(np.cumsum(counts) - counts)[present]]]
+    picks = values[first[present]]
     states = [None] * len(grouping) if carried is None else list(carried)
     for group, value in zip(present.tolist(), picks.tolist()):
         states[group] = aggregate.add(states[group], value)

@@ -74,7 +74,7 @@ from ..plan.physical import (
 from ..storage.segment import segment_pruned
 from .aggregation import final_aggregate, finished
 from .cluster import Cluster, row_bytes, stable_hash
-from .keys import one_nan, rows_by_code, stable_order
+from .keys import one_nan, rows_by_code, stable_order, top_order
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
 from .storage import (
     BROADCAST,
@@ -1038,11 +1038,11 @@ class Executor:
 
         def sort_chunk(chunk, slot, op):
             count = len(chunk)
-            order = stable_order(
-                count, _charged_sort_keys(chunk, reversed(node.keys), slot, op)
-            )
-            if node.limit is not None:
-                order = order[: node.limit]
+            keys = _charged_sort_keys(chunk, reversed(node.keys), slot, op)
+            if node.limit is None:
+                order = stable_order(count, keys)
+            else:
+                order = top_order(count, keys, node.limit)
             op.charge_cpu(slot, tuples=count * max(1.0, math.log2(count + 1)))
             # the full sort materializes an ordered copy of the whole
             # partition before any LIMIT truncation — O(n) state (the
@@ -1062,9 +1062,9 @@ class Executor:
         """The simulated cluster models a k-bounded heap — n·log2(k)
         comparisons charged, the k survivors noted as peak state. The
         interpreter selects those rows with the full sort's own stable
-        chain and keeps the first k, so Top-K ≡ full sort by
-        construction, ties at rank k (broken by input position)
-        included."""
+        chain, run over the candidates ``top_order``'s selection leaves,
+        and keeps the first k, so Top-K ≡ full sort by construction,
+        ties at rank k (broken by input position) included."""
         name = f"TopK({'final' if node.final else 'local'})"
         if node.limit <= 0:
             # ``LIMIT 0``: emit nothing — and never execute the child
@@ -1081,8 +1081,7 @@ class Executor:
         def topk_chunk(chunk, slot, op):
             # keys are evaluated (and charged) in ORDER BY sequence
             sort_keys = _charged_sort_keys(chunk, node.keys, slot, op)
-            order = stable_order(len(chunk), reversed(sort_keys))
-            out = chunk.take(order[: node.limit])
+            out = chunk.take(top_order(len(chunk), reversed(sort_keys), node.limit))
             op.charge_cpu(slot, tuples=_top_k_comparisons(len(chunk), node.limit))
             op.note_peak(out.total_bytes())
             return out

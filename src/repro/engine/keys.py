@@ -12,8 +12,9 @@ chosen only by the physical form of the key columns, exactly as
   oracle), and the fallback a ``Batch`` takes for any object,
   NULL-bearing or tensor key column;
 * :class:`TypedKeys` — ``int64``/``bool_``/``float64`` arrays without a
-  null mask, factorised and matched by sorting (``np.unique``,
-  ``searchsorted``, stable ``argsort``).
+  null mask, factorised into dense codes (``value - min`` where the span
+  is narrow, ``np.unique`` otherwise) and matched by a stable sort (a
+  radix sort where the span is narrow) and ``searchsorted``.
 
 Both number groups in **first-seen order**, emit join pairs probe-row
 major with build rows ascending within a key, and order rows by a
@@ -154,9 +155,54 @@ class Grouping:
 def rows_by_code(codes: np.ndarray, count: int) -> List[np.ndarray]:
     """For each code in ``range(count)`` (at least one), the positions of
     the rows holding it, ascending."""
-    order = np.argsort(codes, kind="stable")
+    order = stable_argsort(codes)
     bounds = np.cumsum(np.bincount(codes, minlength=count))
     return np.split(order, bounds[:-1])
+
+
+def stable_argsort(array: np.ndarray) -> np.ndarray:
+    """``np.argsort(array, kind="stable")``. A stable sort's permutation
+    is unique, so any stable sort returns it: an ``int64`` array spanning
+    fewer than 2¹⁶ values is sorted as ``uint16`` offsets from its
+    minimum, which numpy radix-sorts (a wider int takes its comparison
+    mergesort). Up to 16 elements numpy's insertion sort is cheaper than
+    the offsets."""
+    if array.dtype == np.int64 and len(array) > 16:
+        low = int(array.min())
+        if int(array.max()) - low < 1 << 16:
+            array = np.subtract(array, low).astype(np.uint16)
+    return np.argsort(array, kind="stable")
+
+
+def _column_codes(array: np.ndarray, bound: int) -> Tuple[np.ndarray, int]:
+    """``(codes, size)``: per row an int64 code in ``range(size)``, equal
+    exactly where the values are one key. An int or bool column whose
+    span fits ``bound`` codes its values as ``value - min`` (the span is
+    taken in Python ints, so ``-2⁶³ … 2⁶³-1`` cannot overflow); any other
+    column takes ``np.unique``'s inverse — an unstable sort is enough,
+    only the codes are used — under which ``±0.0`` are one key and every
+    NaN is one key, the ``dict`` loop's rules."""
+    if array.dtype != np.float64:
+        low = int(array.min())
+        size = int(array.max()) - low + 1
+        if size <= bound:
+            return np.subtract(array, low, dtype=np.int64), size
+    uniques, inverse = np.unique(array, return_inverse=True)
+    return inverse, len(uniques)
+
+
+def _key_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """:func:`_column_codes` of several key columns at once, folded
+    pairwise; every table stays within ``4·rows + 64`` codes (a product
+    past that is coded again), so no fold can overflow int64."""
+    bound = 4 * len(arrays[0]) + 64
+    codes, size = _column_codes(arrays[0], bound)
+    for array in arrays[1:]:
+        right, width = _column_codes(array, bound)
+        codes, size = codes * width + right, size * width
+        if size > bound:
+            codes, size = _column_codes(codes, bound)
+    return codes, size
 
 
 class HashedKeys:
@@ -245,23 +291,17 @@ class TypedKeys:
         return self._hashed
 
     def grouping(self) -> Grouping:
-        # ``np.unique`` sorts, so ±0.0 are one key and (its default)
-        # every NaN is one key — the dict loop's rules; several columns
-        # are folded pairwise into one code column (below count², so
-        # int64 cannot overflow)
-        codes = self.arrays[0]
-        for array in self.arrays[1:]:
-            left = np.unique(codes, return_inverse=True)[1]
-            right = np.unique(array, return_inverse=True)[1]
-            codes = left * (int(right.max()) + 1) + right
-        _, first, codes = np.unique(codes, return_index=True, return_inverse=True)
-        # sorted-value numbering -> first-seen numbering
-        by_first = np.argsort(first)
-        rank = np.empty_like(by_first)
-        rank[by_first] = np.arange(len(by_first))
-        first = first[by_first]
+        # first-seen numbering without a sort: each code's first row by
+        # one ``np.minimum.at``; a row is its group's first when it is
+        # that row, and the first rows, ascending, number the groups
+        codes, size = _key_codes(self.arrays)
+        rows = np.arange(self.count)
+        table = np.full(size, self.count)
+        np.minimum.at(table, codes, rows)
+        first = np.flatnonzero(table[codes] == rows)
+        table[codes[first]] = np.arange(len(first))
         keys = list(zip(*[array[first].tolist() for array in self.arrays]))
-        return Grouping(rank[codes], keys, first)
+        return Grouping(table[codes], keys, first)
 
     def pairs(self, build) -> Tuple[np.ndarray, np.ndarray]:
         if build.dtypes != self.dtypes:
@@ -310,9 +350,9 @@ class TypedKeys:
         if not ascending:
             array = descending(array)
         if order is None:
-            return np.argsort(array, kind="stable")
+            return stable_argsort(array)
         order = np.asarray(order, dtype=np.int64)
-        return order[np.argsort(array[order], kind="stable")]
+        return order[stable_argsort(array[order])]
 
 
 def _sorted_runs(keys: np.ndarray) -> tuple:
@@ -321,7 +361,7 @@ def _sorted_runs(keys: np.ndarray) -> tuple:
     to it ends — None when no key repeats (the build side of a key–
     foreign-key join). A NaN equals nothing, so each is a run of its own
     — and no probe finds it (``==`` again)."""
-    order = np.argsort(keys, kind="stable")
+    order = stable_argsort(keys)
     haystack = keys[order]
     last = np.empty(len(haystack), dtype=np.bool_)  # last of its run
     last[-1] = True
@@ -336,15 +376,9 @@ def _joint_codes(probe: Sequence[np.ndarray], build: Sequence[np.ndarray]):
     """One int64 code per row of each side such that two rows agree on
     every key column exactly when their codes are equal."""
     split = len(probe[0])
-    codes = None
-    for mine, theirs in zip(probe, build):
-        column = np.unique(np.concatenate([mine, theirs]), return_inverse=True)[1]
-        if codes is None:
-            codes = column
-        else:
-            codes = np.unique(
-                codes * (int(column.max()) + 1) + column, return_inverse=True
-            )[1]
+    codes, _ = _key_codes(
+        [np.concatenate([mine, theirs]) for mine, theirs in zip(probe, build)]
+    )
     return codes[:split], codes[split:]
 
 
@@ -366,3 +400,31 @@ def stable_order(count: int, keys_last_first):
     for keys, ascending in keys_last_first:
         order = keys.reorder(order, ascending)
     return range(count) if order is None else order
+
+
+def top_order(count: int, keys_last_first, k: int):
+    """``stable_order(count, keys_last_first)[:k]`` by selection: one
+    ``np.partition`` finds the dominant (first ORDER BY) key's k-th
+    ranked value, and the chain sorts only the rows ranked at or before
+    it (ties included, in row order). Every other row ranks after all of
+    them, and a stable sort of a subsequence under a total order is the
+    full sort restricted to it, so the first k are the same rows in the
+    same order — when every key is typed and NaN-free. A NaN (or an
+    object key) makes the chain's order depend on the rows it sees, so
+    such keys sort every row."""
+    keys_last_first = list(keys_last_first)
+    arrays = [
+        keys.arrays[0] if isinstance(keys, TypedKeys) else None
+        for keys, _ in keys_last_first
+    ]
+    if not arrays or not 0 < k < count or any(
+        array is None or (array.dtype == np.float64 and np.isnan(array).any())
+        for array in arrays
+    ):
+        return stable_order(count, keys_last_first)[:k]
+    array, ascending = arrays[-1], keys_last_first[-1][1]
+    ranked = array if ascending else descending(array)
+    order = np.flatnonzero(ranked <= np.partition(ranked, k - 1)[k - 1])
+    for keys, ascending in keys_last_first:
+        order = keys.reorder(order, ascending)
+    return order[:k]

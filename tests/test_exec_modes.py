@@ -28,7 +28,7 @@ from repro.catalog import Schema
 from repro.columnar import ColumnData, columns_from_rows, truth
 from repro.engine import stable_hash
 from repro.engine.cluster import columns_row_bytes, row_bytes
-from repro.engine.keys import stable_order
+from repro.engine.keys import TypedKeys, _key_codes, stable_order
 from repro.engine import Cluster, Executor
 from repro.engine.storage import Batch, PartitionedTable, RowChunk
 from repro.errors import ExecutionError, ReproError, RuntimeTypeError
@@ -46,6 +46,7 @@ from repro.plan.expressions import (
 from repro.sql import parse_statement
 from repro.storage import MemorySegment, StorageEngine
 from repro.types import (
+    BOOLEAN,
     DOUBLE,
     INTEGER,
     STRING,
@@ -994,13 +995,19 @@ class TestSharedBlocks:
 
 #: one draw per kind of key column: the three typed forms (their edges
 #: included), and the three that keep the dict loops — NULL-bearing,
-#: int beside float (one Python-number key space: 1 = 1.0), strings
+#: int beside float (one Python-number key space: 1 = 1.0), strings.
+#: ``int`` keeps int64's minimum and maximum in one column (a span that
+#: overflows int64); ``narrow`` spans up to 81 values, so a column of a
+#: few rows takes ``np.unique``'s codes and one of more rows ``value -
+#: min``, two of them fold past the table bound, and a sort of more than
+#: 16 rows takes the ``uint16`` radix form
 _NAN = float("nan")
 KEY_KINDS = {
     "int": st.one_of(
         st.integers(-2, 2),
         st.sampled_from([-(2**63), 2**63 - 1, 2**62, 2**62 + 1]),
     ),
+    "narrow": st.integers(-40, 40),
     "bool": st.booleans(),
     # 2.0**62 is 2**62 and not 2**62 + 1: float64 cannot tell, Python can
     "float": st.sampled_from(
@@ -1012,7 +1019,7 @@ KEY_KINDS = {
     "text": st.sampled_from(["", "a", "b", "ab"]),
 }
 KEY_SQL_TYPES = {
-    "int": "INTEGER", "bool": "INTEGER", "float": "DOUBLE",
+    "int": "INTEGER", "narrow": "INTEGER", "bool": "INTEGER", "float": "DOUBLE",
     "nullable": "INTEGER", "mixed": "DOUBLE", "text": "STRING",
 }
 #: full-width doubles either side of zero, so a reassociated or
@@ -1041,7 +1048,8 @@ VALUE_COLUMNS = (
 #: (probe kind, build kind) of one join key: the same typed form on both
 #: sides (the sort), or forms that only the dict can compare
 JOIN_KEY_KINDS = [
-    ("int", "int"), ("float", "float"), ("bool", "bool"), ("float", "float"),
+    ("int", "int"), ("narrow", "narrow"), ("float", "float"), ("bool", "bool"),
+    ("float", "float"),
     ("int", "float"), ("int", "mixed"), ("bool", "int"), ("float", "mixed"),
     ("nullable", "nullable"), ("nullable", "int"), ("text", "text"),
 ]
@@ -1052,14 +1060,16 @@ AGGREGATES = (
 
 
 @st.composite
-def keyed_tables(draw, max_rows=14):
+def keyed_tables(draw, max_rows=14, long_rows=None):
     """``(key kinds, rows)``: one to three key columns, then the value
     columns; few distinct keys, so groups, duplicate join keys and sort
-    ties all occur; possibly no rows at all."""
+    ties all occur; possibly no rows at all. Given ``long_rows``, half
+    of the tables have 17 to that many rows instead."""
     kinds = draw(st.lists(st.sampled_from(sorted(KEY_KINDS)), min_size=1, max_size=3))
     columns = [KEY_KINDS[kind] for kind in kinds]
     columns += [strategy for _, _, strategy in VALUE_COLUMNS]
-    return kinds, draw(st.lists(st.tuples(*columns), max_size=max_rows))
+    low, high = (17, long_rows) if long_rows and draw(st.booleans()) else (0, max_rows)
+    return kinds, draw(st.lists(st.tuples(*columns), min_size=low, max_size=high))
 
 
 def _exact(value):
@@ -1109,7 +1119,7 @@ class TestKeyKernelsAgree:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(table=keyed_tables(), data=st.data())
+    @given(table=keyed_tables(long_rows=40), data=st.data())
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
     def test_grouping_folds_and_order(self, table, data):
         kinds, rows = table
@@ -1121,8 +1131,12 @@ class TestKeyKernelsAgree:
         for width in range(len(keys) + 1):
             row_cost, batch_cost = EvalCost(), EvalCost()
             row_group = chunk.keys(keys[:width], row_cost).grouping()
-            batch_group = batch.keys(keys[:width], batch_cost).grouping()
+            batch_keys = batch.keys(keys[:width], batch_cost)
+            batch_group = batch_keys.grouping()
             assert _grouping_print(row_group) == _grouping_print(batch_group)
+            if isinstance(batch_keys, TypedKeys):
+                # no code table is wider than a few times the rows
+                assert _key_codes(batch_keys.arrays)[1] <= 4 * len(rows) + 64
             assert _costs(row_cost) == _costs(batch_cost)
             for name, distinct in AGGREGATES if width in (0, len(keys)) else ():
                 for arg in values + [None]:
@@ -1184,12 +1198,18 @@ class TestKeyKernelsAgree:
         # a build side without repeated keys (a key–foreign-key join)
         # half of the time: it has its own, shorter pair kernel
         unique_build = data.draw(st.booleans(), label="unique build keys")
+        # otherwise sides of 17 to 40 rows half of the time: a longer
+        # build side sorts in the radix form
+        long = not unique_build and data.draw(st.booleans(), label="long sides")
         sides = []
         for side in (0, 1):
             columns = [KEY_KINDS[pair[side]] for pair in kinds]
             rows = data.draw(
                 st.lists(
-                    st.tuples(*columns), max_size=10, unique=unique_build and side == 1
+                    st.tuples(*columns),
+                    min_size=17 if long else 0,
+                    max_size=40 if long else 10,
+                    unique=unique_build and side == 1,
                 )
             )
             ids = tuple(range(len(kinds)))
@@ -1256,6 +1276,40 @@ class TestKeyKernelsAgree:
                         )
                     assert _exact(state) == _exact(want), (cls, name)
 
+    def test_extremes_keep_the_first_row_of_a_tie(self):
+        """MIN/MAX against ``fold_groups``' chain by bits, the groups'
+        rows interleaved: ``[0.0, -0.0]`` and ``[-0.0, 0.0]`` (an ``==``
+        tie, where ``min``/``max`` keep the first row), int64's extremes
+        and a ``bool_`` column, fresh and continuing a carried state."""
+        from repro.engine.aggregation import fold_groups
+
+        columns = (
+            (DOUBLE, [[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0, 0.0], [-0.0, -0.0, 0.0]],
+             [-0.0, 0.0, 0.0, 2.0]),
+            (INTEGER, [[-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)], [0, -1, 0], [5]],
+             [2**63 - 1, -(2**63), 0, 5]),
+            (BOOLEAN, [[True, False], [False, True], [True, True], [False]],
+             [False, True, True, True]),
+        )
+        for column_type, groups, carried in columns:
+            rows = [
+                (group, values[j])
+                for j in range(max(map(len, groups)))
+                for group, values in enumerate(groups)
+                if j < len(values)
+            ]
+            batch = Batch.from_rows((0, 1), rows)
+            grouping = batch.keys([ColumnVar(0, INTEGER, "g")], EvalCost()).grouping()
+            values = [value for _, value in rows]
+            for name in ("MIN", "MAX"):
+                spec = _spec(name, ColumnVar(1, column_type, "x"))
+                for start in (None, carried):
+                    want = fold_groups(
+                        spec, values, grouping.positions(), EvalCost(), start
+                    )
+                    got = batch.partial_aggregate(spec, grouping, EvalCost(), start)
+                    assert _exact(got) == _exact(want), (column_type, name, start)
+
     def test_typed_keys_never_reach_the_dict_loops(self, monkeypatch):
         """A silent fall back would keep every result right and only
         lose the speed, so pin the path: over typed columns the ``gram
@@ -1263,9 +1317,31 @@ class TestKeyKernelsAgree:
         read no key or aggregate-argument column back as Python values,
         hash each distinct key of a source chunk at most once, and never
         enter ``fold_groups``; over an object key column (NULL-bearing)
-        they do — the fallback is alive."""
+        they do — the fallback is alive. Nor does any key kernel pay a
+        comparison sort that the key's form avoids: no ``np.lexsort``, no
+        ``np.unique(return_index=True)`` (a stable mergesort), no stable
+        sort of more than 16 ``int64`` (a narrow span sorts as
+        ``uint16``); a float GROUP BY key still takes ``np.unique``."""
         from repro.engine import aggregation, executor
 
+        sorts, uniqued = [], []
+        argsort, unique = np.argsort, np.unique
+
+        def lexsort(*args, **kwargs):
+            raise AssertionError("np.lexsort called")
+
+        def counted_argsort(array, *args, **kwargs):
+            if kwargs.get("kind") == "stable" and array.dtype == np.int64:
+                sorts.append(len(array))
+            return argsort(array, *args, **kwargs)
+
+        def counted_unique(array, *args, **kwargs):
+            uniqued.append((array.dtype, kwargs.get("return_index", False)))
+            return unique(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        monkeypatch.setattr(np, "argsort", counted_argsort)
+        monkeypatch.setattr(np, "unique", counted_unique)
         statements = (
             "SELECT a.c, b.c, SUM(a.v * b.v) FROM t AS a, t AS b "
             "WHERE a.r = b.r GROUP BY a.c, b.c",
@@ -1309,23 +1385,30 @@ class TestKeyKernelsAgree:
             db.execute("CREATE TABLE t (r INTEGER, c INTEGER, v DOUBLE)")
             db.load("t", rows + [(None, None, None)] * (4 if null_key else 0))
             for sql in statements:
-                del evaluated[:], listed[:], hashed[:], folds[:]
+                del evaluated[:], listed[:], hashed[:], folds[:], sorts[:], uniqued[:]
                 db.execute(sql)
                 assert evaluated
                 assert fell_back() == null_key, sql
                 assert bool(folds) == (null_key and "SUM" in sql), sql
+                assert max(sorts, default=0) <= 16, sql
+                assert not any(index for _, index in uniqued), sql
+            if not null_key:
+                del uniqued[:]
+                db.execute("SELECT v, COUNT(*) FROM t GROUP BY v")
+                assert (np.dtype(np.float64), False) in uniqued
             # a hash repartition of the scan itself, where every source
             # chunk holds each of its keys several times
             scan = db._plan_physical(
                 db._plan_select(parse_statement("SELECT r, c, v FROM t"), None)
             )
             key = ColumnVar(scan.columns[0].column_id, INTEGER, "r")
-            del evaluated[:], listed[:], hashed[:]
+            del evaluated[:], listed[:], hashed[:], sorts[:]
             routed, _ = Executor(db.cluster, "batch").run(
                 PExchange(scan, "hash", [key])
             )
             assert len(routed) == len(rows) + (4 if null_key else 0)
             assert fell_back() == null_key
+            assert max(sorts, default=0) <= 16
             storage = db.catalog.table("t").storage
             assert len(hashed) == sum(
                 len({row[0] for row in storage.partition_rows(slot)})

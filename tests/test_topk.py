@@ -9,10 +9,15 @@ mode combination and under fault injection, while never materializing
 more than k rows per slot (the full sort holds the whole partition).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
+from repro.engine.keys import TypedKeys, stable_order, top_order
 from repro.faults import FaultPlan
 from repro.plan import PhysicalPlanner
 from repro.plan.physical import PSortLimit, PTopK
@@ -128,6 +133,57 @@ class TestBitIdenticalToFullSort:
             (tuple(row[3].data.tolist()) for row in ROWS)
         )[:3]
         assert [tuple(row[1].data.tolist()) for row in result.rows] == expected
+
+
+#: the typed sort key forms, few values each so ties straddle rank k:
+#: int64 with its extremes (DESC sorts ``~x``, 2**63 - 1 at -2**63),
+#: bool, ±0.0 and infinities, and a NaN-bearing float, under which no
+#: selection may run: the chain keeps Python's comparison order, which
+#: depends on the rows it sorts, even when the NaN key is not dominant
+SORT_KEYS = {
+    "int": (np.int64, st.one_of(
+        st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1]))),
+    "bool": (np.bool_, st.booleans()),
+    "float": (np.float64, st.sampled_from(
+        [0.0, -0.0, 1.5, -2.0, float("inf"), float("-inf")])),
+    "nan": (np.float64, st.sampled_from([0.0, 1.5, float("nan")])),
+}
+
+
+@st.composite
+def sort_keys(draw):
+    """``(n, ORDER BY keys as (TypedKeys, ascending), k)``."""
+    n = draw(st.integers(1, 40))
+    keys = []
+    forms = draw(st.lists(st.sampled_from(sorted(SORT_KEYS)), min_size=1, max_size=3))
+    for form in forms:
+        dtype, values = SORT_KEYS[form]
+        column = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+        keys.append((TypedKeys([column], n), draw(st.booleans())))
+    return n, keys, draw(st.sampled_from([1, n - 1, n, n + 5]))
+
+
+class TestSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=sort_keys())
+    def test_top_order_is_the_full_orders_prefix(self, drawn):
+        """``top_order`` ≡ ``stable_order(...)[:k]``, and it selects on
+        the dominant key exactly when it can: 0 < k < n, no NaN key."""
+        n, keys, k = drawn
+        last_first = keys[::-1]
+        want = [int(i) for i in stable_order(n, last_first)[:k]]
+        partition, selected = np.partition, []
+        with mock.patch.object(
+            np, "partition", lambda *args: selected.append(args) or partition(*args)
+        ):
+            got = [int(i) for i in top_order(n, last_first, k)]
+        assert got == want
+        nan = any(
+            np.isnan(column.arrays[0]).any()
+            for column, _ in keys
+            if column.dtypes[0] == np.float64
+        )
+        assert bool(selected) == (0 < k < n and not nan)
 
 
 class TestModeAndStorageParity:
