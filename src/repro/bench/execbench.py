@@ -39,13 +39,14 @@ EXEC_SCALES = {
     ("distance", "vector"): (96, 8),
 }
 
-#: the --check gate on the batch-vs-row geomean: under half of the 4.6x
-#: measured on the six smoke shapes (4.66 / 4.60 / 4.63 over three runs
-#: of --repeats 9 on a 2-CPU x86-64 host, against 4.41 / 4.42 / 4.51
-#: before the key kernels dropped their comparison sorts — batch gram
-#: (tuple) 2.8 → 2.4 ms, group filter 1.8 → 1.7 ms). A ratio taken on
-#: one host, so runner speed cancels; at smoke size fixed per-call costs
-#: hide most of the kernels' lead
+#: the --check gate on the batch-vs-row geomean: under half of the 4.8–5.2x
+#: measured on the six smoke shapes (4.79 / 5.19 / 5.01 over three runs
+#: of --repeats 9 on a 2-CPU x86-64 host, alternating with 4.20 / 4.40 /
+#: 4.34 while every execution re-estimated its plan and re-summed its
+#: byte totals — batch gram (tuple) 3.0 → 2.6 ms, group filter 2.3 →
+#: 2.0 ms).
+#: A ratio taken on one host, so runner speed cancels; at smoke size
+#: fixed per-call costs hide most of the kernels' lead
 MIN_GEOMEAN_SPEEDUP = 1.9
 
 #: reduced shapes for the CI smoke run (--check)

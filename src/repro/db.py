@@ -752,19 +752,21 @@ class Database:
         return plan, False
 
     def _compile(self, statement, params, catalog=None) -> CachedPlan:
-        """Bind, optimize and physically plan a SELECT, recording the
-        stamp of every relation the plan read."""
+        """Bind, optimize, physically plan and estimate a SELECT,
+        recording the stamp of every relation the plan read."""
         cells: Dict[str, object] = {}
         logical = self._plan_select(
             statement, params, catalog=catalog, param_cells=cells
         )
+        physical = self._plan_physical(logical)
         return CachedPlan(
             logical=logical,
-            physical=self._plan_physical(logical),
+            physical=physical,
             param_cells=cells,
             stamps=tuple(
                 (name, self.catalog.stamp(name)) for name in logical.relations
             ),
+            estimates=self.cost_model.plan_estimates(physical),
         )
 
     def _plan_select(
@@ -825,11 +827,11 @@ class Database:
         return PhysicalPlanner(self.cost_model).plan(logical)
 
     def _execute_plan(self, plan: CachedPlan, cached: bool) -> Result:
-        result = self._execute_physical(plan.logical, plan.physical)
+        result = self._execute_physical(plan.logical, plan.physical, plan.estimates)
         result.metrics.plan_cached = cached
         return result
 
-    def _execute_physical(self, logical, physical) -> Result:
+    def _execute_physical(self, logical, physical, estimates=()) -> Result:
         # shared admission (reentrant when the caller already holds an
         # admission, e.g. DML running its inner SELECT): read-only
         # execution overlaps with other readers. Each statement gets a
@@ -840,9 +842,11 @@ class Database:
             executor = self._executor.fresh()
             rows, metrics = executor.run(physical)
             if metrics.trace is not None:
-                # annotate estimates here (not in the executor) so both
-                # direct execution and service-cached plans carry them
-                self.cost_model.annotate_trace(metrics.trace, physical)
+                # the estimates the plan was compiled with, or — for a
+                # plan compiled for this run alone — made now
+                metrics.trace.annotate(
+                    estimates or self.cost_model.plan_estimates(physical)
+                )
                 if self.config.feedback_mode == "on":
                     self._absorb_feedback(metrics.trace, physical)
         metrics.view_hits = self._count_view_scans(physical)

@@ -115,6 +115,19 @@ def cell_bytes(column) -> Optional[float]:
     return None
 
 
+def fixed_row_bytes(columns) -> Optional[float]:
+    """``row_bytes`` shared by every row of columns whose physical form
+    fixes it (typed or block, no NULL); None when any column is an
+    object or masked column, whose rows are sized one by one."""
+    total = ROW_OVERHEAD_BYTES
+    for column in columns:
+        fixed = cell_bytes(column)
+        if fixed is None or column.nulls is not None:
+            return None
+        total += fixed
+    return total
+
+
 def _column_value_bytes(column) -> np.ndarray:
     """``value_bytes`` of every value in a ``ColumnData``."""
     n = len(column)
@@ -360,12 +373,10 @@ class Cluster:
     def check_memory_relation(self, name: str, relation) -> None:
         """Raise ResourceExhaustedError when any slot's materialized
         partition exceeds its RAM share — the engine-level behaviour
-        behind the 'Fail' entries in the paper's Figure 3. Partition
-        sizes computed (and cached) while executing the operator are
-        reused instead of re-walking every row."""
+        behind the 'Fail' entries in the paper's Figure 3. It reads the
+        relation's per-slot totals, computed once for every reader."""
         limit = self.config.memory_per_slot
-        for slot in range(len(relation.partitions)):
-            used = relation.partition_total_bytes(slot)
+        for slot, used in enumerate(relation.partition_totals()):
             if used > limit:
                 raise ResourceExhaustedError(
                     f"operator {name}: partition on slot {slot} needs "

@@ -73,7 +73,7 @@ from ..plan.physical import (
 )
 from ..storage.segment import segment_pruned
 from .aggregation import final_aggregate, finished
-from .cluster import Cluster, row_bytes, stable_hash
+from .cluster import Cluster, stable_hash
 from .keys import one_nan, rows_by_code, stable_order, top_order
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
 from .storage import (
@@ -230,6 +230,9 @@ class Executor:
         self._node_index: Dict[int, int] = {}
         self._node_retries: Dict[int, int] = {}
         self._node_faults: Dict[int, int] = {}
+        #: the statement's one empty chunk per column layout: chunks are
+        #: immutable, so every empty slot of that layout shares it
+        self._empties: Dict[tuple, object] = {}
 
     def fresh(self) -> "Executor":
         """A new executor sharing this one's cluster, mode, storage and
@@ -259,6 +262,7 @@ class Executor:
         self._node_index.clear()
         self._node_retries.clear()
         self._node_faults.clear()
+        self._empties.clear()
         try:
             for _ in range(max(1, count_job_boundaries(plan))):
                 self.cluster.record_job()
@@ -307,12 +311,7 @@ class Executor:
             trace.peak_memory_bytes = op.peak_memory_bytes
         relation = self._materialized.get(key)
         if relation is not None:
-            # materialized output bytes; partition sizes were already
-            # computed (and cached) by the memory check
-            trace.bytes_out = sum(
-                relation.partition_total_bytes(slot)
-                for slot in range(len(relation.partitions))
-            )
+            trace.bytes_out = sum(relation.partition_totals())
         return trace
 
     # -- dispatch ------------------------------------------------------------
@@ -345,16 +344,9 @@ class Executor:
         self._node_faults[id(node)] = faults
         if own is not None:
             # the materialized output is part of the operator's working
-            # set (partition sizes were cached by the memory check);
-            # state extras — build sides, hash tables, staging — were
-            # already noted by the handler via OperatorRun.note_peak
-            peak = max(
-                (
-                    relation.partition_total_bytes(slot)
-                    for slot in range(len(relation.partitions))
-                ),
-                default=0.0,
-            )
+            # set; state extras — build sides, hash tables, staging —
+            # were already noted by the handler via OperatorRun.note_peak
+            peak = max(relation.partition_totals(), default=0.0)
             if peak > own.peak_memory_bytes:
                 own.peak_memory_bytes = peak
             self._node_ops[id(node)] = own
@@ -519,9 +511,7 @@ class Executor:
         seconds = 0.0
         for rel in sources:
             if slot < len(rel.partitions):
-                seconds += (
-                    rel.partition_total_bytes(slot) / config.disk_rate_per_slot
-                )
+                seconds += rel.partition_totals()[slot] / config.disk_rate_per_slot
         return seconds
 
     def _apply_lost_inputs(self, node: PhysicalNode, op_index: int) -> None:
@@ -546,7 +536,7 @@ class Executor:
                 if not injector.partition_lost(op_index, slot):
                     continue
                 self._count("lost_partition")
-                nbytes = relation.partition_total_bytes(slot)
+                nbytes = relation.partition_totals()[slot]
                 redo = base[slot] if slot < len(base) else 0.0
                 refetch = nbytes / config.disk_rate_per_slot + nbytes / (
                     config.network_rate / config.cores_per_machine
@@ -560,6 +550,21 @@ class Executor:
                 op.rewrite_slot_seconds(adjusted)
 
     # -- helpers ------------------------------------------------------------
+
+    def _from_rows(self, column_ids, rows):
+        """``rows`` as a chunk; no rows is the layout's shared empty one."""
+        if rows:
+            return self._chunks.from_rows(column_ids, rows)
+        key = tuple(column_ids)
+        empty = self._empties.get(key)
+        if empty is None:
+            empty = self._empties[key] = self._chunks.from_rows(key, [])
+        return empty
+
+    def _concat(self, column_ids, chunks):
+        if any(len(chunk) for chunk in chunks):
+            return self._chunks.concat(column_ids, chunks)
+        return self._from_rows(column_ids, [])
 
     def _over_budget(self, nbytes: float) -> bool:
         return nbytes > 0.0 and nbytes > self.spill_budget
@@ -666,7 +671,7 @@ class Executor:
                 elif outcome == "miss":
                     op.pool_misses += 1
                 pieces.append(piece)
-            chunk = self._chunks.concat(column_ids, pieces)
+            chunk = self._concat(column_ids, pieces)
             scanned = chunk.total_bytes()
             op.charge_disk(slot, scanned)
             op.charge_cpu(slot, tuples=len(chunk))
@@ -690,8 +695,8 @@ class Executor:
 
         def view_slot(slot, op):
             if slot != 0:
-                return self._chunks.from_rows(column_ids, [])
-            chunk = self._chunks.from_rows(
+                return self._from_rows(column_ids, [])
+            chunk = self._from_rows(
                 column_ids, node.view.answer_rows(node.spec_indices, self._chunks)
             )
             op.charge_cpu(slot, tuples=len(chunk))
@@ -740,7 +745,7 @@ class Executor:
         config = self.cluster.config
 
         if node.kind == "broadcast":
-            merged = self._chunks.concat(column_ids, source_parts)
+            merged = self._concat(column_ids, source_parts)
             total = merged.total_bytes()
             run.charge_network(total * config.machines)
             for machine in range(config.machines):
@@ -761,16 +766,15 @@ class Executor:
                 run.charge_network(moved)
                 gathered += moved
                 run.rows_in += len(chunk)
-            merged = self._chunks.concat(column_ids, source_parts)
+            merged = self._concat(column_ids, source_parts)
             # gather staging on the reducer is exchange state: when the
             # collected partition exceeds the budget it spills before
             # the reduce-side read
             if self._spill_state(run, 0, gathered):
                 merged = self._spill_roundtrip(merged)
-            parts_out = [merged] + [
-                self._chunks.from_rows(column_ids, [])
-                for _ in range(self.slots - 1)
-            ]
+            parts_out = [merged] + [self._from_rows(column_ids, [])] * (
+                self.slots - 1
+            )
             # the single reducer owns the whole machine's disk bandwidth
             run.charge_disk(0, gathered / config.cores_per_machine)
             run.charge_cpu(0, tuples=len(merged))
@@ -818,7 +822,7 @@ class Executor:
                     received.append(chunk.take(indices))
 
         def reduce_side(slot, op):
-            received = self._chunks.concat(column_ids, scattered[slot])
+            received = self._concat(column_ids, scattered[slot])
             nbytes = received.total_bytes()
             # reduce-side staging above the budget spills before the read
             if self._spill_state(op, slot, nbytes):
@@ -972,14 +976,15 @@ class Executor:
             # simulated in every mode — DISTINCT states are Python sets
             # whose iteration order would not survive a physical round
             # trip, and the final fold must stay bit-identical.
-            self._spill_state(op, slot, sum(row_bytes(row) for row in out_rows))
+            out = self._from_rows(column_ids, out_rows)
+            self._spill_state(op, slot, out.total_bytes())
             # hash aggregation costs ~2x a plain per-tuple pass: hash the
             # key, probe the table, update the state (this is why the
             # paper's Figure 4 shows aggregation dominating the join)
             op.charge_eval(slot, 2 * len(chunk) + len(out_rows), cost)
             op.rows_in += len(chunk)
             op.rows_out += len(out_rows)
-            return self._chunks.from_rows(column_ids, out_rows)
+            return out
 
         parts_out = [aggregate_slot(slot, run) for slot in range(len(parts_in))]
         self.cluster.record(run)
@@ -1007,7 +1012,7 @@ class Executor:
             op.charge_eval(slot, len(rows), cost)
             op.rows_in += len(rows)
             op.rows_out += len(out_rows)
-            return self._chunks.from_rows(column_ids, out_rows)
+            return self._from_rows(column_ids, out_rows)
 
         parts_out = [
             merge_slot(slot, run) for slot in range(len(child.partitions))
@@ -1072,9 +1077,7 @@ class Executor:
             # marked not-executed in the trace)
             self.cluster.record(self.cluster.operator(name))
             column_ids = [column.column_id for column in node.columns]
-            parts = [
-                self._chunks.from_rows(column_ids, []) for _ in range(self.slots)
-            ]
+            parts = [self._from_rows(column_ids, [])] * self.slots
             return DistributedRelation(column_ids, parts, node.partitioning)
         child = self.execute(node.child)
 

@@ -118,7 +118,7 @@ class OperatorTrace:
     #: — and cardinality feedback must not learn from it
     executed: bool = True
     children: List["OperatorTrace"] = field(default_factory=list)
-    #: filled by CostModel.annotate_trace
+    #: filled by :meth:`annotate`
     est_rows: Optional[float] = None
     est_width_bytes: Optional[float] = None
     est_bytes: Optional[float] = None
@@ -141,6 +141,14 @@ class OperatorTrace:
         yield self
         for child in self.children:
             yield from child.walk()
+
+    def annotate(self, estimates) -> None:
+        """Fill the estimate columns of this tree from ``estimates``: one
+        ``(est_rows, est_width_bytes, est_bytes, est_seconds)`` per node,
+        in pre-order (``CostModel.plan_estimates`` of the executed plan)."""
+        for node, estimate in zip(self.walk(), estimates):
+            node.est_rows, node.est_width_bytes = estimate[:2]
+            node.est_bytes, node.est_seconds = estimate[2:]
 
     def render(self) -> str:
         """The estimate-vs-actual table for this subtree."""

@@ -51,7 +51,9 @@ from ..plan.expressions import FuncExpr
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
 from .aggregation import fold_column, fold_groups, fused_sums, sum_blocks
-from .cluster import ROW_OVERHEAD_BYTES, columns_row_bytes, row_bytes, stable_hash
+from .cluster import (
+    ROW_OVERHEAD_BYTES, columns_row_bytes, fixed_row_bytes, row_bytes, stable_hash
+)
 from .keys import Grouping, HashedKeys, index_list, typed_keys
 
 
@@ -334,10 +336,15 @@ class Batch:
         return self._row_bytes
 
     def total_bytes(self) -> float:
+        """The sum of the per-row sizes: ``length`` times the one size
+        of rows whose columns fix it — the same sum exactly (integral
+        floats far below 2⁵³) — with no per-row array."""
         if self._total is None:
-            self._total = (
-                float(np.sum(self.row_bytes_array())) if self.length else 0.0
-            )
+            fixed = fixed_row_bytes(self.columns) if self.length else 0.0
+            if fixed is None:
+                self._total = float(np.sum(self.row_bytes_array()))
+            else:
+                self._total = self.length * fixed
         return self._total
 
     # -- expression kernels -------------------------------------------------
@@ -439,6 +446,8 @@ class Batch:
             columns = list(probe_take.columns) + list(build_take.columns)
         else:
             columns = list(build_take.columns) + list(probe_take.columns)
+        if fixed_row_bytes(columns) is not None:
+            return Batch(column_ids, columns, probe_take.length)
         # a joined row's serialized size is both sides' sizes minus one
         # double-counted per-row overhead (sums of integral floats: exact)
         joined_bytes = (
@@ -480,7 +489,9 @@ class DistributedRelation:
     wrapped into :class:`RowChunk` on construction. Chunks memoize their
     serialized sizes, so every operator downstream of a materialization
     reuses — not recomputes — the same byte accounting for disk,
-    network, memory-guard and ``bytes_out`` charges.
+    network and spill charges; the relation keeps its per-slot totals as
+    one list, made on first use, which the memory guard, the operator's
+    peak and the trace's ``bytes_out`` all read.
     """
 
     def __init__(
@@ -498,6 +509,7 @@ class DistributedRelation:
         ]
         self.partitioning = partitioning
         self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
+        self._totals: Optional[List[float]] = None
 
     @property
     def row_count(self) -> int:
@@ -517,8 +529,11 @@ class DistributedRelation:
             out.extend(part.rows())
         return out
 
-    def partition_total_bytes(self, slot: int) -> float:
-        return self.partitions[slot].total_bytes()
+    def partition_totals(self) -> List[float]:
+        """Each slot's partition bytes, in slot order."""
+        if self._totals is None:
+            self._totals = [part.total_bytes() for part in self.partitions]
+        return self._totals
 
 
 class PartitionedTable:

@@ -567,9 +567,11 @@ class CostModel:
         *physical* node — the numbers ``explain_analyze`` prints next to
         the measured actuals. ``memo`` is the caller's, keyed by
         ``id(node)`` of the plan it holds, so each node is estimated once
-        per call tree and nothing outlives it (a cached plan is
-        re-estimated per execution: statistics, feedback and a view's
-        row count move underneath it)."""
+        per call tree and nothing outlives it. A compiled plan is
+        estimated once, by :meth:`plan_estimates`, and a plan-cache hit
+        reuses those numbers: what they read — statistics, a view's row
+        count, feedback — moves a relation stamp or the feedback version,
+        and either makes the cached plan miss."""
         if memo is None:
             memo = {}
         cached = memo.get(id(node))
@@ -684,34 +686,26 @@ class CostModel:
             + self._spill_seconds(build_per_slot)
         )
 
-    def annotate_trace(self, trace, node) -> None:
-        """Fill the estimate columns (``est_rows`` / ``est_width_bytes``
-        / ``est_bytes`` / ``est_seconds``) of an :class:`OperatorTrace`
-        tree built from executing ``node`` — the trace and the physical
-        plan have identical shapes by construction."""
+    def plan_estimates(self, node) -> Tuple[Tuple[float, float, float, float], ...]:
+        """``(est_rows, est_width_bytes, est_bytes, est_seconds)`` of
+        every node of the physical plan ``node``, in pre-order: the
+        estimate columns of the :class:`OperatorTrace` tree an execution
+        of it builds (the two have identical shapes by construction)."""
         from .physical import PExchange
 
         memo: Dict[int, Tuple[Estimate, float]] = {}
 
-        def annotate(trace_node, plan_node) -> None:
+        def walk(plan_node):
             est, seconds = self.physical_estimate(plan_node, memo)
-            trace_node.est_rows = est.rows
-            trace_node.est_width_bytes = est.width_bytes
             copies = 1.0
-            if (
-                isinstance(plan_node, PExchange)
-                and plan_node.kind == "broadcast"
-            ):
+            if isinstance(plan_node, PExchange) and plan_node.kind == "broadcast":
                 # the trace's measured bytes count every slot's replica
                 copies = float(self.config.slots)
-            trace_node.est_bytes = est.total_bytes * copies
-            trace_node.est_seconds = seconds
-            for child_trace, child_plan in zip(
-                trace_node.children, plan_node.children()
-            ):
-                annotate(child_trace, child_plan)
+            yield est.rows, est.width_bytes, est.total_bytes * copies, seconds
+            for child in plan_node.children():
+                yield from walk(child)
 
-        annotate(trace, node)
+        return tuple(walk(node))
 
 
 class PlanEstimates:

@@ -367,7 +367,7 @@ class QueryService:
                 )
             budget = self.config.memory_budget_bytes
             if budget is not None:
-                demand = self._estimate_peak_bytes(plan.physical)
+                demand = self._estimate_peak_bytes(plan)
                 if demand > budget:
                     self.metrics.observe_rejection(session.name)
                     self.breaker.record_rejection(self.scheduler.clock)
@@ -485,23 +485,23 @@ class QueryService:
             self.metrics.observe_timeout(pending.session.name)
         pending.finalized = True
 
-    def _estimate_peak_bytes(self, physical) -> float:
-        """A plan's estimated per-slot working-set peak: the largest
-        single operator output divided across slots (broadcast outputs
-        are a full copy on every slot). Used by admission when
+    def _estimate_peak_bytes(self, plan) -> float:
+        """A compiled plan's estimated per-slot working-set peak: the
+        largest single operator output divided across slots (broadcast
+        outputs are a full copy on every slot), read off the estimates
+        the plan was compiled with. Used by admission when
         ``ServiceConfig.memory_budget_bytes`` is set."""
-        memo: Dict[int, object] = {}
+        estimates = iter(plan.estimates)  # pre-order, like walk below
         slots = self.db.config.slots
 
         def walk(node) -> float:
-            est, _ = self.db.cost_model.physical_estimate(node, memo)
-            if node.partitioning.kind == "broadcast":
-                per_slot = est.total_bytes
-            else:
-                per_slot = est.total_bytes / slots
+            rows, width, _, _ = next(estimates)
+            per_slot = rows * width
+            if node.partitioning.kind != "broadcast":
+                per_slot /= slots
             return max([per_slot] + [walk(child) for child in node.children()])
 
-        return walk(physical)
+        return walk(plan.physical)
 
     def _execute_passthrough(
         self,

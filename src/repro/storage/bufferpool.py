@@ -44,6 +44,10 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: the entries' byte total, kept as they come and go (sums of
+        #: integral floats: exact, so eviction decides as a re-sum would)
+        self._resident = 0.0
+        # assigned last: post-construction writes require the lock
         self._lock = threading.RLock()
 
     def __contains__(self, key: Hashable) -> bool:
@@ -57,10 +61,7 @@ class BufferPool:
     @property
     def total_bytes(self) -> float:
         with self._lock:
-            return self._total_bytes_locked()
-
-    def _total_bytes_locked(self) -> float:
-        return sum(entry.nbytes for entry in self._entries.values())
+            return self._resident
 
     def pins(self, key: Hashable) -> int:
         with self._lock:
@@ -91,6 +92,7 @@ class BufferPool:
                 self._entries.move_to_end(key)
                 return
             self._entries[key] = _Entry(payload, float(nbytes), 1)
+            self._resident += float(nbytes)
             self._evict()
 
     def release(self, key: Hashable) -> None:
@@ -106,15 +108,18 @@ class BufferPool:
         """Remove an entry whose backing segment was deleted (table
         rewrite); not counted as an eviction."""
         with self._lock:
-            self._entries.pop(key, None)
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self._resident -= entry.nbytes
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._resident = 0.0
 
     def _evict(self) -> None:
         # callers hold self._lock
-        while self._total_bytes_locked() > self.budget_bytes:
+        while self._resident > self.budget_bytes:
             victim = None
             for key, entry in self._entries.items():  # LRU order
                 if entry.pins == 0:
@@ -122,14 +127,14 @@ class BufferPool:
                     break
             if victim is None:
                 return  # everything pinned; over budget until release
-            del self._entries[victim]
+            self._resident -= self._entries.pop(victim).nbytes
             self.evictions += 1
 
     def stats(self) -> Dict[str, float]:
         with self._lock:
             return {
                 "budget_bytes": self.budget_bytes,
-                "resident_bytes": self._total_bytes_locked(),
+                "resident_bytes": self._resident,
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,

@@ -271,6 +271,35 @@ def test_engine_and_storage_obey_lock_discipline():
     assert gate["exclusive_admissions"] >= 6  # DDL + loads
 
 
+def test_buffer_pool_running_total_is_written_under_its_lock():
+    """``BufferPool._resident`` moves on insert, eviction, invalidation
+    and clear — from several threads at once, always under the pool's
+    lock, and it ends equal to the entries' sum."""
+    auditor = LockDisciplineAuditor()
+    with auditor.audit(BufferPool):
+        pool = BufferPool(budget_bytes=64.0)
+
+        def worker(n):
+            for i in range(300):
+                key = (n * 7 + i) % 12
+                if pool.acquire(key) is None:
+                    pool.insert(key, key, nbytes=float(1 + key))
+                pool.release(key)
+                if i % 17 == n:
+                    pool.invalidate(key)
+                if i % 101 == n:
+                    pool.clear()
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+    assert auditor.violations == [], "\n".join(str(v) for v in auditor.violations)
+    assert pool.total_bytes == sum(entry.nbytes for entry in pool._entries.values())
+
+
 def test_server_request_path_obeys_lock_discipline():
     """The full HTTP path — event loop, worker pool, cursors, jobs —
     under the auditor."""

@@ -16,7 +16,8 @@ from repro import Database, TEST_CLUSTER
 from repro.bench.harness import digest
 from repro.bench.simsql import CASES, case
 from repro.bench.workloads import generate
-from repro.plan import Binder, Optimizer, PhysicalPlanner
+from repro.errors import ServiceOverloadedError
+from repro.plan import Binder, CostModel, Optimizer, PhysicalPlanner
 from repro.server import Server, ServerClient
 from repro.sql import ast, parse_keyed, parse_statement
 
@@ -48,10 +49,19 @@ def cached_physical(db, sql, params=None):
     return plan.physical if hit else None
 
 
+def estimates(trace):
+    """The estimate columns of a trace tree, in pre-order."""
+    return [
+        (node.est_rows, node.est_width_bytes, node.est_bytes, node.est_seconds)
+        for node in trace.walk()
+    ]
+
+
 def assert_cached_equals_fresh(db, sql, params=None, undo=None):
     """Execute ``sql`` through the cache and from scratch on the same
-    database: same rows, simulated seconds, simulated peak and physical
-    plan. ``undo`` reverts a write between the two (DROP after a CTAS).
+    database: same rows, simulated seconds, simulated peak, physical
+    plan and estimates. ``undo`` reverts a write between the two (DROP
+    after a CTAS).
     An execution that teaches the feedback store something moves the
     statistics the other compile would see, so the pair is taken again
     until the store is quiet."""
@@ -71,6 +81,7 @@ def assert_cached_equals_fresh(db, sql, params=None, undo=None):
     assert cached.metrics.total_seconds == fresh.metrics.total_seconds
     assert cached.metrics.peak_memory_bytes == fresh.metrics.peak_memory_bytes
     assert held.pretty() == physical.pretty()
+    assert estimates(cached.metrics.trace) == estimates(fresh.metrics.trace)
     return cached
 
 
@@ -459,3 +470,113 @@ def test_script_statements_go_through_the_cache():
     assert [r.metrics.plan_cached for r in db.execute_script(script)] == [True] * 2
     # a script statement and the same statement alone share an entry
     assert db.execute("select count(x)   from A").metrics.plan_cached
+
+
+# -- estimates live on the cached plan ------------------------------------------
+
+
+def never_estimate(*args, **kwargs):
+    raise AssertionError("a plan-cache hit re-estimated its plan")
+
+
+def settle(db, sql):
+    """Run ``sql`` until an execution teaches the feedback store nothing,
+    so its plan stays cached."""
+    for _ in range(6):
+        version = db.feedback.version
+        db.execute(sql)
+        if db.feedback.version == version:
+            return
+    raise AssertionError("feedback never settled")  # pragma: no cover
+
+
+def hit_with_fresh_estimates(db, sql, monkeypatch):
+    """Settle ``sql``, then run it once more as a plan-cache hit, with
+    ``CostModel.physical_estimate`` raising, beside its EXPLAIN ANALYZE
+    (a hit too). The hit's trace carries what a fresh annotation of the
+    cached plan gives, and EXPLAIN ANALYZE prints the trace of a
+    from-scratch compile. Returns the hit."""
+    settle(db, sql)
+    with monkeypatch.context() as patch:
+        patch.setattr(CostModel, "physical_estimate", never_estimate)
+        hit = db.execute(sql)
+        text = db.explain_analyze(sql)
+    assert hit.metrics.plan_cached and "plan: cached" in text
+    annotated = copy.deepcopy(hit.metrics.trace)
+    annotated.annotate(db.cost_model.plan_estimates(cached_physical(db, sql)))
+    assert estimates(hit.metrics.trace) == estimates(annotated)
+    fresh, _ = run_fresh(db, sql)
+    assert text.startswith(fresh.metrics.trace.render() + "\n")
+    return hit
+
+
+def node_named(result, prefix):
+    return next(n for n in result.metrics.trace.walk() if n.name.startswith(prefix))
+
+
+def test_cache_hits_carry_the_estimates_of_the_current_statistics(monkeypatch):
+    """Estimates are made once, when a plan compiles. After each event
+    that moves what they read — statistics (INSERT), a feedback record,
+    incremental view maintenance (with a full view's row count), a DROP
+    and CREATE of a read table — a hit carries the new numbers."""
+    db = make_db()
+    db.execute("CREATE MATERIALIZED VIEW total AS SELECT SUM(x) AS s FROM a")
+    db.execute("CREATE MATERIALIZED VIEW per_k AS SELECT k, COUNT(k) AS c FROM a GROUP BY k")
+    join = "SELECT a.k, SUM(b.y) FROM a, b WHERE a.k = b.k AND a.x < 20.0 GROUP BY a.k"
+    total, per_k = "SELECT SUM(x) AS s FROM a", "SELECT k, COUNT(k) AS c FROM a GROUP BY k"
+
+    def check_all():
+        return [hit_with_fresh_estimates(db, sql, monkeypatch) for sql in (join, total, per_k)]
+
+    check_all()
+    db.execute("INSERT INTO b VALUES (2, 9.0)")  # statistics of b move
+    assert node_named(check_all()[0], "Scan b").est_rows == 16.0
+    # within the recording threshold of the 16 rows seen: it stays learnt
+    db.feedback.record_scan_rows("b", 20.0)
+    assert node_named(check_all()[0], "Scan b").est_rows == 20.0
+    inserted = db.execute("INSERT INTO a VALUES (7, 3.5)")
+    assert inserted.metrics.view_maintenance == 1  # `total` folds, `per_k` recomputes
+    assert node_named(check_all()[2], "ViewScan per_k").est_rows == 6.0
+    db.execute("DROP TABLE b")
+    db.execute("CREATE TABLE b (k INTEGER, y DOUBLE)")
+    db.load("b", [(i % 3, float(i)) for i in range(40)])
+    # 40 rows against the 20 learnt: feedback learns them anew
+    assert node_named(check_all()[0], "Scan b").est_rows == 40.0
+
+
+def peak_by_walking_estimates(db, physical):
+    """The per-slot peak admission compared against before estimates were
+    kept on the plan: a walk over ``physical_estimate``."""
+    memo, slots = {}, db.config.slots
+
+    def walk(node):
+        est, _ = db.cost_model.physical_estimate(node, memo)
+        per_slot = est.total_bytes
+        if node.partitioning.kind != "broadcast":
+            per_slot = est.total_bytes / slots
+        return max([per_slot] + [walk(child) for child in node.children()])
+
+    return walk(physical)
+
+
+def test_admission_budget_decides_on_the_compiled_estimates(monkeypatch):
+    """With ``memory_budget_bytes`` set, a hit is admitted exactly when
+    the per-slot peak of the old walk fits — to the last bit — and never
+    re-estimates its plan to decide."""
+    db = make_db()
+    for sql in (
+        "SELECT k, x FROM a",
+        "SELECT a.k, SUM(b.y) FROM a, b WHERE a.k = b.k GROUP BY a.k",
+        "SELECT a.x, b.y FROM a, b WHERE a.x < b.y",  # a broadcast build side
+    ):
+        settle(db, sql)
+        demand = peak_by_walking_estimates(db, cached_physical(db, sql))
+        for budget, admitted in ((demand, True), (np.nextafter(demand, 0.0), False)):
+            session = db.service(memory_budget_bytes=float(budget)).session()
+            with monkeypatch.context() as patch:
+                patch.setattr(CostModel, "physical_estimate", never_estimate)
+                if admitted:
+                    assert session.execute(sql).metrics.plan_cached
+                else:
+                    with pytest.raises(ServiceOverloadedError):
+                        session.execute(sql)

@@ -18,6 +18,7 @@ stats surface (the table contract, over both segment homes, is in
 """
 
 import os
+import random
 import struct
 import tempfile
 from collections import Counter
@@ -520,6 +521,37 @@ class TestBufferPool:
         pool.clear()
         assert len(pool) == 0
         assert pool.total_bytes == 0.0
+
+    def test_running_total_evicts_as_a_resum_would(self):
+        """The pool keeps its byte total as entries come and go. Under a
+        seeded mix of every operation it is the entries' sum, and the
+        pool holds — and evicts — exactly what one re-summing its
+        entries at every check holds."""
+
+        class Resumming(BufferPool):
+            def _evict(self):
+                while sum(e.nbytes for e in self._entries.values()) > self.budget_bytes:
+                    victim = next(
+                        (key for key, e in self._entries.items() if e.pins == 0), None
+                    )
+                    if victim is None:
+                        return
+                    del self._entries[victim]
+                    self.evictions += 1
+
+        rng = random.Random(5)
+        pool, reference = BufferPool(budget_bytes=100.0), Resumming(budget_bytes=100.0)
+        for step in range(2000):
+            key = rng.randrange(12)
+            op = rng.choice(["insert", "acquire", "release", "release", "invalidate"])
+            args = (key, key, float(rng.randint(1, 40))) if op == "insert" else (key,)
+            if step % 500 == 499:
+                op, args = "clear", ()
+            for target in (pool, reference):
+                getattr(target, op)(*args)
+            assert list(pool._entries) == list(reference._entries)
+            assert pool.evictions == reference.evictions
+            assert pool.total_bytes == sum(e.nbytes for e in pool._entries.values())
 
 
 # -- zone maps and chunking --------------------------------------------------
