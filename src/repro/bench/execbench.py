@@ -39,12 +39,12 @@ EXEC_SCALES = {
     ("distance", "vector"): (96, 8),
 }
 
-#: the --check gate on the batch-vs-row geomean: under half of the 4.8–5.2x
-#: measured on the six smoke shapes (4.79 / 5.19 / 5.01 over three runs
-#: of --repeats 9 on a 2-CPU x86-64 host, alternating with 4.20 / 4.40 /
-#: 4.34 while every execution re-estimated its plan and re-summed its
-#: byte totals — batch gram (tuple) 3.0 → 2.6 ms, group filter 2.3 →
-#: 2.0 ms).
+#: the --check gate on the batch-vs-row geomean: under half of the 5.0–5.8x
+#: measured on the six smoke shapes since operators run once per stage
+#: (4.98 / 5.79 / 5.62 over three runs of --repeats 9 on a 2-CPU x86-64
+#: host, alternating with 5.15 / 5.12 / 5.06 while every operator looped
+#: over slots — the row oracle walks the same stages slot by slot, so
+#: the ratio barely moved while batch@80 fell 2.7–4.7x).
 #: A ratio taken on one host, so runner speed cancels; at smoke size
 #: fixed per-call costs hide most of the kernels' lead
 MIN_GEOMEAN_SPEEDUP = 1.9

@@ -52,7 +52,7 @@ def fold_groups(
     :func:`final_aggregate` folds, and is never carried."""
     states = []
     aggregate = spec.aggregate
-    streamed = 0.0
+    firsts, streamed = [], []  # per group: its first row, its bytes
     for group, indices in enumerate(group_indices):
         if values is None:
             picked = [1] * len(indices)  # COUNT(*) counts a literal
@@ -68,8 +68,11 @@ def fold_groups(
         states.append(state)
         # sized in one pass after the chain (integral, so the total is
         # the one the per-value additions reached)
-        streamed += sum(value_bytes(value) for value in picked if value is not None)
-    cost.stream_bytes += streamed
+        firsts.append(indices[0])
+        streamed.append(sum(value_bytes(v) for v in picked if v is not None))
+    # a group lies in one slot (over a stage, its key holds the slot): each
+    # group's bytes go to the slot of its first row, group by group
+    cost.add("stream_bytes", streamed, np.array(firsts, dtype=np.int64))
     return states
 
 
@@ -116,7 +119,7 @@ def _chain_sums(column, grouping, starts):
         )
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's + is
         np.add.at(buffer, codes, values)
-    return buffer.tolist(), counts.tolist(), 8.0 * len(values)
+    return buffer.tolist(), counts.tolist()
 
 
 def _sum_kernel(aggregate, column, grouping, carried):
@@ -124,11 +127,11 @@ def _sum_kernel(aggregate, column, grouping, carried):
     sums = _chain_sums(column, grouping, starts)
     if sums is None:
         return None
-    totals, counts, streamed = sums
+    totals, counts = sums
     return [
         total if count else start
         for total, count, start in zip(totals, counts, starts)
-    ], streamed
+    ]
 
 
 def _avg_kernel(aggregate, column, grouping, carried):
@@ -139,24 +142,23 @@ def _avg_kernel(aggregate, column, grouping, carried):
     )
     if sums is None:
         return None
-    totals, counts, streamed = sums
+    totals, counts = sums
     return [
         (total, count + (state[1] if state else 0)) if count else state
         for total, count, state in zip(totals, counts, before)
-    ], streamed
+    ]
 
 
 def _count_kernel(aggregate, column, grouping, carried):
     """COUNT: rows per group, minus the NULLs; ``COUNT(*)`` (no column)
     counts a literal 1 per row."""
-    each, nulls = (8.0, None) if column is None else (cell_bytes(column), column.nulls)
-    if each is None:
+    if column is not None and cell_bytes(column) is None:
         return None
+    nulls = None if column is None else column.nulls
     counts = grouping.sizes(None if nulls is None else grouping.codes[~nulls]).tolist()
-    streamed = each * sum(counts)
     if carried is not None:
         counts = [start + count for start, count in zip(carried, counts)]
-    return counts, streamed
+    return counts
 
 
 def _extreme_kernel(aggregate, column, grouping, carried):
@@ -184,12 +186,12 @@ def _extreme_kernel(aggregate, column, grouping, carried):
     states = [None] * len(grouping) if carried is None else list(carried)
     for group, value in zip(present.tolist(), picks.tolist()):
         states[group] = aggregate.add(states[group], value)
-    return states, 8.0 * len(values)
+    return states
 
 
 #: aggregate name -> kernel(aggregate, column, grouping, carried) ->
-#: (states, streamed bytes), or None when the column's form or values
-#: are outside what the kernel computes bit-identically
+#: states, or None when the column's form or values are outside what the
+#: kernel computes bit-identically
 _KERNELS = {
     "SUM": _sum_kernel,
     "AVG": _avg_kernel,
@@ -209,10 +211,12 @@ def fold_column(spec, column, grouping, cost, carried=None) -> list:
     aggregate or column form is that chain itself."""
     kernel = None if spec.distinct else _KERNELS.get(spec.aggregate.name)
     if kernel is not None:
-        folded = kernel(spec.aggregate, column, grouping, carried)
-        if folded is not None:
-            states, streamed = folded
-            cost.stream_bytes += streamed
+        states = kernel(spec.aggregate, column, grouping, carried)
+        if states is not None:  # a kernel's column form fixes a value's size
+            nulls = None if column is None else column.nulls
+            live = range(len(grouping.codes)) if nulls is None else ~nulls
+            each = 8.0 if column is None else cell_bytes(column)
+            cost.add("stream_bytes", each, live)
             return states
     values = None if column is None else column.pylist()
     return fold_groups(spec, values, grouping.positions(), cost, carried)
@@ -228,11 +232,14 @@ def sum_blocks(block, nulls, group_indices, cost, carried=None) -> list:
     fresh arrays: nothing here writes into, or hands out, a block a table
     segment's cached columns may share. (SUM over a builtin with a
     ``block_sum`` is a fused SUM, :func:`fused_sums`.)"""
-    states = []
+    states, firsts, streamed = [], [], []
     for group, indices in enumerate(group_indices):
         start = None if carried is None else carried[group]
-        if nulls is None and len(indices) == len(block):
-            cells = block  # the whole partition, already in row order
+        if len(indices) == len(block):
+            indices = range(len(block))  # the whole partition
+        if nulls is None and isinstance(indices, range):
+            rows = indices
+            cells = block[rows.start : rows.stop]  # a run of rows: a view
         else:
             rows = np.asarray(indices, dtype=np.int64)
             if nulls is not None:
@@ -242,8 +249,10 @@ def sum_blocks(block, nulls, group_indices, cost, carried=None) -> list:
                 continue
             cells = block[rows]
         total = sum_block(cells, None if start is None else start.data)
-        cost.stream_bytes += (8.0 * total.size + 8.0) * len(cells)
+        firsts.append(rows[0])
+        streamed.append((8.0 * total.size + 8.0) * len(cells))
         states.append(wrap_cell(total))
+    cost.add("stream_bytes", streamed, np.array(firsts, dtype=np.int64))
     return states
 
 
@@ -404,11 +413,14 @@ def fused_sums(call, operands, valid, group_indices, cost, carried=None) -> list
     the result cells would: ``8·cells + 8`` streamed bytes per call."""
     count = len(operands[0])
     blocks = all(isinstance(operand, np.ndarray) for operand in operands)
-    states = []
+    states, firsts, streamed = [], [], []
     for group, indices in enumerate(group_indices):
         state = None if carried is None else carried[group]
-        if blocks and valid is None and len(indices) == count:
-            stacks = operands  # the whole partition, already in row order
+        if len(indices) == count:
+            indices = range(count)  # the whole partition
+        if blocks and valid is None and isinstance(indices, range):
+            rows = indices
+            stacks = [operand[rows.start : rows.stop] for operand in operands]
         else:
             rows = np.asarray(indices, dtype=np.int64)
             if valid is not None:
@@ -418,8 +430,10 @@ def fused_sums(call, operands, valid, group_indices, cost, carried=None) -> list
                 continue
             stacks = [_stacked(operand, rows) for operand in operands]
         cells = _result_cells(call, stacks, 1)
-        cost.stream_bytes += (8.0 * cells + 8.0) * len(stacks[0])
+        firsts.append(rows[0])
+        streamed.append((8.0 * cells + 8.0) * len(stacks[0]))
         states.append(advance(call, stacks, state))
+    cost.add("stream_bytes", streamed, np.array(firsts, dtype=np.int64))
     return states
 
 
@@ -439,6 +453,7 @@ def final_aggregate(
     key_columns = list(zip(*[row[:key_count] for row in rows]))
     grouping = HashedKeys(key_columns, len(rows)).grouping()
     merged: List[Optional[list]] = [None] * len(grouping)
+    streamed = 0.0
     for row, group in zip(rows, grouping.codes.tolist()):
         states = row[key_count:]
         existing = merged[group]
@@ -456,7 +471,8 @@ def final_aggregate(
                 else:
                     existing[i] = spec.aggregate.merge(existing[i], states[i])
         for state in states:
-            cost.stream_bytes += value_bytes(state) if state is not None else 1.0
+            streamed += value_bytes(state) if state is not None else 1.0
+    cost.add("stream_bytes", streamed)  # integral, so the one sum is exact
     out_rows: List[tuple] = []
     for key, states in zip(grouping.keys, merged):
         finished = []

@@ -1,8 +1,8 @@
 """Physical plan execution on the simulated cluster.
 
-Operators materialize their outputs partition by partition (the
-MapReduce-style execution model SimSQL inherits from Hadoop), processing
-**real tuples** — results are exact — while charging simulated time:
+Operators materialize one output partition per slot (the MapReduce
+model SimSQL inherits from Hadoop) — most of them over a whole *stage* of
+real tuples at once — and results are exact, while charging per slot:
 
 * per-tuple iterator overhead on the slot that owns the partition;
 * actual FLOPs / streamed bytes measured while evaluating expressions
@@ -31,9 +31,9 @@ simulated costs for the same values; that the two kernels compute the
 same values is enforced by ``tests/test_exec_modes.py``. The batch
 kernels only improve *real* wall-clock time (see ``docs/ENGINE.md``).
 
-A statement runs on the thread that admitted it: every operator loops
-over its slots in order, charging one :class:`OperatorRun` (the
-concurrency model is in ``docs/ENGINE.md``). Statements overlap each
+A statement runs on the thread that admitted it: every operator charges
+its slots in order to one :class:`OperatorRun` (the concurrency
+model is in ``docs/ENGINE.md``). Statements overlap each
 other on server worker threads, so fault injection is
 schedule-independent by construction: every draw is a pure hash of
 ``(plan seed, kind, operator pre-order index, partition, attempt)`` —
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import threading
+from operator import add, is_
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +55,7 @@ from ..errors import (
     TransientClusterError,
 )
 from ..faults import FaultInjector
-from ..plan.expressions import EvalCost
+from ..plan.expressions import EvalCost, slot_sums
 from ..plan.physical import (
     PDistinct,
     PExchange,
@@ -74,7 +75,7 @@ from ..plan.physical import (
 from ..storage.segment import segment_pruned
 from .aggregation import final_aggregate, finished
 from .cluster import Cluster, stable_hash
-from .keys import one_nan, rows_by_code, stable_order, top_order
+from .keys import one_nan, stable_argsort, stable_order, top_order
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
 from .storage import (
     BROADCAST,
@@ -82,8 +83,9 @@ from .storage import (
     SINGLE,
     Batch,
     DistributedRelation,
-    Partitioning,
     RowChunk,
+    slot_counts,
+    slot_offsets,
 )
 
 if False:  # pragma: no cover - typing only, avoids an import cycle at runtime
@@ -230,9 +232,6 @@ class Executor:
         self._node_index: Dict[int, int] = {}
         self._node_retries: Dict[int, int] = {}
         self._node_faults: Dict[int, int] = {}
-        #: the statement's one empty chunk per column layout: chunks are
-        #: immutable, so every empty slot of that layout shares it
-        self._empties: Dict[tuple, object] = {}
 
     def fresh(self) -> "Executor":
         """A new executor sharing this one's cluster, mode, storage and
@@ -262,7 +261,6 @@ class Executor:
         self._node_index.clear()
         self._node_retries.clear()
         self._node_faults.clear()
-        self._empties.clear()
         try:
             for _ in range(max(1, count_job_boundaries(plan))):
                 self.cluster.record_job()
@@ -551,21 +549,6 @@ class Executor:
 
     # -- helpers ------------------------------------------------------------
 
-    def _from_rows(self, column_ids, rows):
-        """``rows`` as a chunk; no rows is the layout's shared empty one."""
-        if rows:
-            return self._chunks.from_rows(column_ids, rows)
-        key = tuple(column_ids)
-        empty = self._empties.get(key)
-        if empty is None:
-            empty = self._empties[key] = self._chunks.from_rows(key, [])
-        return empty
-
-    def _concat(self, column_ids, chunks):
-        if any(len(chunk) for chunk in chunks):
-            return self._chunks.concat(column_ids, chunks)
-        return self._from_rows(column_ids, [])
-
     def _over_budget(self, nbytes: float) -> bool:
         return nbytes > 0.0 and nbytes > self.spill_budget
 
@@ -593,58 +576,57 @@ class Executor:
             chunk.column_ids, self.storage.spill_roundtrip(chunk.rows())
         )
 
-    def _effective_partitions(
-        self, relation: DistributedRelation
-    ) -> Tuple[list, bool]:
-        """For row-wise operators: the partitions to process and whether
-        the input was broadcast (process one copy, stay broadcast)."""
-        if relation.partitioning.kind == "broadcast":
-            return [relation.partitions[0]], True
-        return relation.partitions, False
+    def _staged(self, column_ids, chunk, offsets, partitioning, broadcast=False):
+        """``chunk`` cut at ``offsets`` — over a broadcast input, the one
+        copy every slot shares (chunks are immutable)."""
+        if broadcast:
+            return DistributedRelation(column_ids, [chunk] * self.slots, BROADCAST)
+        return DistributedRelation(column_ids, None, partitioning, (chunk, offsets))
 
-    def _wrap_output(
-        self,
-        column_ids,
-        parts: list,
-        was_broadcast: bool,
-        partitioning: Partitioning,
-    ) -> DistributedRelation:
-        if was_broadcast:
-            # chunks are immutable, so every slot can share one
-            return DistributedRelation(column_ids, [parts[0]] * self.slots, BROADCAST)
-        return DistributedRelation(column_ids, parts, partitioning)
+    @staticmethod
+    def _charge_slots(run, tuples, cost) -> None:
+        """Charge each slot, in order, its ``tuples`` and its ``cost``."""
+        for slot, (count, slot_cost) in enumerate(zip(tuples, cost.split())):
+            run.charge_eval(slot, count, slot_cost)
 
     def _map_partitions(
         self, child: DistributedRelation, name: str, column_ids, partitioning, fn
     ) -> DistributedRelation:
-        """The skeleton of a row-wise operator: ``fn(chunk, slot, op)``
-        turns each input partition into its output chunk, charging the
-        operator's run ``op``; a broadcast input is processed once and
-        stays broadcast."""
+        """The skeleton of an operator that still loops over slots:
+        ``fn(chunk, slot, op)`` turns each input partition into its output
+        chunk, charging the operator's run ``op``; a broadcast input is
+        processed once and stays broadcast."""
         run = self.cluster.operator(name)
-        parts_in, was_broadcast = self._effective_partitions(child)
+        broadcast = child.partitioning.kind == "broadcast"
         parts_out = []
+        parts_in = child.partitions[:1] if broadcast else child.partitions
         for slot, chunk in enumerate(parts_in):
             out = fn(chunk, slot, run)
             run.rows_in += len(chunk)
             run.rows_out += len(out)
             parts_out.append(out)
         self.cluster.record(run)
-        return self._wrap_output(column_ids, parts_out, was_broadcast, partitioning)
+        if broadcast:
+            return self._staged(column_ids, parts_out[0], None, BROADCAST, True)
+        return DistributedRelation(column_ids, parts_out, partitioning)
 
     # =======================================================================
     # operators
     #
     # One handler per physical operator, written against the chunk
-    # protocol of ``engine.storage``: a handler owns child execution,
-    # the per-slot loop and every charge; the chunks own the value
-    # computation. Both execution modes run these same handlers, so the
-    # charge sequence cannot differ between them.
+    # protocol of ``engine.storage``: a handler owns child execution and
+    # every charge; the chunks own the value computation. Scan, Filter,
+    # Project, PartialAggregate, the joins and every Exchange compute once
+    # over a stage and charge each slot from a per-slot ledger
+    # (``EvalCost`` over the stage's offsets) with the arguments, in the
+    # order, a loop over the slots' own partitions would; the rest loop
+    # over partitions. Both execution modes run these same handlers, so
+    # the charge sequence cannot differ between them.
     # =======================================================================
 
     def _scan(self, node: PScan) -> DistributedRelation:
-        """Each partition is the concatenation of its unpruned segments'
-        chunks. Segment boundaries come from the one table class, so
+        """The stage is every slot's unpruned segments, slot by slot, as
+        one chunk. Segment boundaries come from the one table class, so
         pruning decisions — and the scan charges they remove — match
         across storage modes; only disk-backed segments touch the buffer
         pool (that is where the hit/miss counters come from)."""
@@ -655,34 +637,26 @@ class Executor:
         column_ids = [column.column_id for column in node.columns]
         predicates = resolve_prune_predicates(node.prune_predicates)
         pool = self.storage.buffer_pool if self.storage is not None else None
-
-        def scan_slot(slot, op):
-            pieces = []
-            for segment in storage.segments(slot):
-                if segment_pruned(segment, predicates):
-                    op.segments_pruned += 1
-                    continue
-                op.segments_scanned += 1
-                piece, outcome = self._chunks.from_segment(
-                    column_ids, segment, pool
-                )
-                if outcome == "hit":
-                    op.pool_hits += 1
-                elif outcome == "miss":
-                    op.pool_misses += 1
-                pieces.append(piece)
-            chunk = self._concat(column_ids, pieces)
-            scanned = chunk.total_bytes()
-            op.charge_disk(slot, scanned)
-            op.charge_cpu(slot, tuples=len(chunk))
-            op.rows_out += len(chunk)
-            op.bytes_out += scanned
-            return chunk
-
-        parts = [scan_slot(slot, run) for slot in range(self.slots)]
-        run.rows_in = run.rows_out
+        slot_segments = []
+        for slot in range(self.slots):
+            segments = storage.segments(slot)
+            kept = [seg for seg in segments if not segment_pruned(seg, predicates)]
+            slot_segments.append(kept)
+            run.segments_pruned += len(segments) - len(kept)
+        run.segments_scanned = sum(map(len, slot_segments))
+        chunk, counts, outcomes = storage.scan_stage(
+            self._chunks, column_ids, slot_segments, pool
+        )
+        run.pool_hits, run.pool_misses = outcomes.count("hit"), outcomes.count("miss")
+        offsets = slot_offsets(counts)
+        relation = self._staged(column_ids, chunk, offsets, node.partitioning)
+        for slot, scanned in enumerate(relation.partition_totals()):
+            run.charge_disk(slot, scanned)
+            run.charge_cpu(slot, tuples=counts[slot])
+            run.bytes_out += scanned
+        run.rows_in = run.rows_out = sum(counts)
         self.cluster.record(run)
-        return DistributedRelation(column_ids, parts, node.partitioning)
+        return relation
 
     def _view_scan(self, node: PViewScan) -> DistributedRelation:
         """Answer from a materialized view's stored state: slot 0 emits
@@ -692,170 +666,167 @@ class Executor:
         layout of the final aggregate or gathered result it replaces."""
         run = self.cluster.operator(f"ViewScan({node.view.name})")
         column_ids = [column.column_id for column in node.columns]
-
-        def view_slot(slot, op):
-            if slot != 0:
-                return self._from_rows(column_ids, [])
-            chunk = self._from_rows(
-                column_ids, node.view.answer_rows(node.spec_indices, self._chunks)
-            )
-            op.charge_cpu(slot, tuples=len(chunk))
-            op.rows_out += len(chunk)
-            op.bytes_out += chunk.total_bytes()
-            return chunk
-
-        parts = [view_slot(slot, run) for slot in range(self.slots)]
-        run.rows_in = run.rows_out
+        rows = node.view.answer_rows(node.spec_indices, self._chunks)
+        chunk = self._chunks.from_rows(column_ids, rows)
+        run.charge_cpu(0, tuples=len(chunk))
+        run.rows_in = run.rows_out = len(chunk)
+        run.bytes_out += chunk.total_bytes()
         self.cluster.record(run)
-        return DistributedRelation(column_ids, parts, node.partitioning)
+        on_slot_0 = slot_offsets([len(chunk)] + [0] * (self.slots - 1))
+        return self._staged(column_ids, chunk, on_slot_0, node.partitioning)
 
     def _filter(self, node: PFilter) -> DistributedRelation:
         child = self.execute(node.child)
-
-        def filter_chunk(chunk, slot, op):
-            cost = EvalCost()
-            kept = chunk.select(node.predicate, cost)
-            op.charge_eval(slot, len(chunk), cost)
-            return kept
-
-        return self._map_partitions(
-            child, "Filter", child.column_ids, child.partitioning, filter_chunk
+        run = self.cluster.operator("Filter")
+        chunk, offsets = child.stage
+        cost = EvalCost(offsets)
+        keep = chunk.keep(node.predicate, cost)
+        kept = slot_offsets(slot_sums(offsets, keep))
+        self._charge_slots(run, slot_counts(offsets), cost)
+        run.rows_in, run.rows_out = int(offsets[-1]), int(kept[-1])
+        self.cluster.record(run)
+        broadcast = child.partitioning.kind == "broadcast"
+        return self._staged(
+            child.column_ids, chunk.filter(keep), kept, child.partitioning, broadcast
         )
 
     def _project(self, node: PProject) -> DistributedRelation:
         child = self.execute(node.child)
+        run = self.cluster.operator("Project")
         column_ids = [column.column_id for column in node.columns]
-
-        def project_chunk(chunk, slot, op):
-            cost = EvalCost()
-            out = chunk.project(column_ids, node.exprs, cost)
-            op.charge_eval(slot, len(chunk), cost)
-            op.bytes_out += out.total_bytes()
-            return out
-
-        return self._map_partitions(
-            child, "Project", column_ids, node.partitioning, project_chunk
-        )
+        chunk, offsets = child.stage
+        cost = EvalCost(offsets)
+        out = chunk.project(column_ids, node.exprs, cost)
+        broadcast = child.partitioning.kind == "broadcast"
+        relation = self._staged(column_ids, out, offsets, node.partitioning, broadcast)
+        counts, totals = slot_counts(offsets), relation.partition_totals()
+        for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
+            run.charge_eval(slot, count, slot_cost)
+            run.bytes_out += totals[slot]
+        run.rows_in = run.rows_out = int(offsets[-1])
+        self.cluster.record(run)
+        return relation
 
     def _exchange(self, node: PExchange) -> DistributedRelation:
+        """One pass over the child's stage (a broadcast child: its one
+        copy, as slot 0); each source slot is charged its own rows, bytes
+        and key-evaluation cost."""
         child = self.execute(node.child)
         run = self.cluster.operator(f"Exchange({node.kind})")
-        source_parts, _ = self._effective_partitions(child)
         column_ids = child.column_ids
         config = self.cluster.config
+        chunk, offsets = child.stage
+        counts, totals = slot_counts(offsets), child.partition_totals()
 
         if node.kind == "broadcast":
-            merged = self._concat(column_ids, source_parts)
-            total = merged.total_bytes()
+            total = chunk.total_bytes()
             run.charge_network(total * config.machines)
             for machine in range(config.machines):
-                run.charge_cpu(
-                    machine * config.cores_per_machine, tuples=len(merged)
-                )
-            run.rows_in = run.rows_out = len(merged)
+                run.charge_cpu(machine * config.cores_per_machine, tuples=len(chunk))
+            run.rows_in = run.rows_out = len(chunk)
             run.bytes_out = total * config.machines
             self.cluster.record(run)
-            return self._wrap_output(column_ids, [merged], True, BROADCAST)
+            return self._staged(column_ids, chunk, None, BROADCAST, True)
 
         if node.kind == "gather":
             gathered = 0.0
-            for slot, chunk in enumerate(source_parts):
-                moved = chunk.total_bytes()
-                run.charge_cpu(slot, tuples=len(chunk))
+            for slot, count in enumerate(counts):
+                moved = totals[slot]
+                run.charge_cpu(slot, tuples=count)
                 run.charge_disk(slot, moved)  # map output spill
                 run.charge_network(moved)
                 gathered += moved
-                run.rows_in += len(chunk)
-            merged = self._concat(column_ids, source_parts)
+                run.rows_in += count
             # gather staging on the reducer is exchange state: when the
             # collected partition exceeds the budget it spills before
             # the reduce-side read
             if self._spill_state(run, 0, gathered):
-                merged = self._spill_roundtrip(merged)
-            parts_out = [merged] + [self._from_rows(column_ids, [])] * (
-                self.slots - 1
-            )
+                chunk = self._spill_roundtrip(chunk)
             # the single reducer owns the whole machine's disk bandwidth
             run.charge_disk(0, gathered / config.cores_per_machine)
-            run.charge_cpu(0, tuples=len(merged))
-            run.rows_out = len(merged)
+            run.charge_cpu(0, tuples=len(chunk))
+            run.rows_out = len(chunk)
             self.cluster.record(run)
-            return DistributedRelation(column_ids, parts_out, SINGLE)
+            # every row moves to slot 0: only the offsets change
+            gathered_at = slot_offsets([len(chunk)] + [0] * (self.slots - 1))
+            return self._staged(column_ids, chunk, gathered_at, SINGLE)
 
-        # hash repartition. The map side evaluates and buckets each
-        # partition's keys and charges the map side; each chunk's
-        # distinct keys are then placed in (source slot, first row)
-        # order — that order is what fixes the balanced first-seen key
-        # assignment — and rows routed by their key's target, ascending
-        # within a (source, target) pair; the reduce side concatenates
-        # and charges the receive side.
-        balanced_assignment: Dict[tuple, int] = {}
-        scattered: List[list] = [[] for _ in range(self.slots)]
-
-        def map_side(slot, op):
-            chunk = source_parts[slot]
-            cost = EvalCost()
-            grouping = chunk.keys(node.keys, cost).grouping()
-            moved = chunk.total_bytes()
-            op.charge_eval(slot, len(chunk), cost)
-            op.charge_disk(slot, moved)  # map output spill
-            op.charge_network(moved)
-            op.rows_in += len(chunk)
-            return grouping
-
-        grouped = [map_side(slot, run) for slot in range(len(source_parts))]
-        for chunk, grouping in zip(source_parts, grouped):
-            if config.balanced_placement:
-                targets = [
-                    balanced_assignment.setdefault(
-                        one_nan(key), len(balanced_assignment) % self.slots
-                    )
-                    for key in grouping.keys
-                ]
-            else:
-                targets = [stable_hash(key) % self.slots for key in grouping.keys]
-            row_targets = np.array(targets, dtype=np.int64)[grouping.codes]
-            for received, indices in zip(
-                scattered, rows_by_code(row_targets, self.slots)
-            ):
-                if len(indices):
-                    received.append(chunk.take(indices))
-
-        def reduce_side(slot, op):
-            received = self._concat(column_ids, scattered[slot])
-            nbytes = received.total_bytes()
-            # reduce-side staging above the budget spills before the read
-            if self._spill_state(op, slot, nbytes):
-                received = self._spill_roundtrip(received)
-            op.charge_disk(slot, nbytes)  # reduce-side read
-            op.charge_cpu(slot, tuples=len(received))
-            op.rows_out += len(received)
-            op.bytes_out += nbytes
-            return received
-
-        parts_out = [reduce_side(slot, run) for slot in range(self.slots)]
-        self.cluster.record(run)
-        return DistributedRelation(column_ids, parts_out, node.partitioning)
-
-    @staticmethod
-    def _joined(node, column_ids, probe, build, probe_indices, build_indices, cost):
-        """The joined chunk for the given row pairs, residual applied."""
-        joined = probe.join(
-            column_ids, build, probe_indices, build_indices, node.probe_is_left
+        # hash repartition. The map side buckets the keys of every source
+        # slot at once — groups are (source slot, key), numbered in
+        # (source slot, first row) order, the order that fixes the
+        # balanced first-seen key assignment. One stable sort by target
+        # then lays the rows out target by target, source slot by source
+        # slot and ascending within one (the stage is slot-ordered): the
+        # order a reduce side concatenating its pieces from every source
+        # receives them in.
+        cost = EvalCost(offsets)
+        grouping = chunk.keys(node.keys, cost).grouping()
+        for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
+            run.charge_eval(slot, count, slot_cost)
+            run.charge_disk(slot, totals[slot])  # map output spill
+            run.charge_network(totals[slot])
+        if config.balanced_placement:
+            assignment: Dict[tuple, int] = {}
+            targets = [
+                assignment.setdefault(one_nan(key), len(assignment) % self.slots)
+                for key in grouping.keys
+            ]
+        else:
+            targets = [stable_hash(key) % self.slots for key in grouping.keys]
+        row_targets = np.array(targets, dtype=np.int64)[grouping.codes]
+        order = stable_argsort(row_targets)
+        received = np.bincount(row_targets, minlength=self.slots)
+        relation = self._staged(
+            column_ids, chunk.take(order), slot_offsets(received), node.partitioning
         )
-        if node.residual is not None and len(joined):
-            joined = joined.select(node.residual, cost)
-        return joined
+        parts = None
+        for slot, nbytes in enumerate(relation.partition_totals()):
+            # reduce-side staging above the budget spills before the read;
+            # a slot whose rows cross a spill file takes its own copy back
+            if self._spill_state(run, slot, nbytes):
+                part = relation.partition(slot)
+                reloaded = self._spill_roundtrip(part)
+                if reloaded is not part:
+                    parts = parts or list(relation.partitions)
+                    parts[slot] = reloaded
+            run.charge_disk(slot, nbytes)  # reduce-side read
+            run.charge_cpu(slot, tuples=int(received[slot]))
+            run.bytes_out += nbytes
+        run.rows_in = run.rows_out = int(offsets[-1])
+        self.cluster.record(run)
+        if parts is not None:
+            return DistributedRelation(column_ids, parts, node.partitioning)
+        return relation
+
+    def _joined(self, run, node, probe, build, pairs, tuples, offsets, cost):
+        """The joined stage of ``pairs`` — row ``pairs[0][n]`` of ``probe``
+        beside row ``pairs[1][n]`` of ``build``, cut at ``offsets`` — with
+        the residual applied, charging each slot ``tuples`` plus its rows
+        out and its entry of ``cost``, a ledger over ``offsets``."""
+        column_ids = [column.column_id for column in node.columns]
+        if node.residual is not None and len(pairs[0]):
+            # the residual reads a join of its own columns only; the
+            # surviving pairs are then joined in full, once
+            narrow = probe.join(
+                column_ids, build, *pairs, node.probe_is_left, node.residual.column_ids
+            )
+            keep = narrow.keep(node.residual, cost)
+            pairs = [side[keep] for side in pairs]
+            offsets = slot_offsets(slot_sums(offsets, keep))
+        joined = probe.join(column_ids, build, *pairs, node.probe_is_left)
+        self._charge_slots(run, map(add, tuples, slot_counts(offsets)), cost)
+        run.rows_out = len(joined)
+        self.cluster.record(run)
+        return self._staged(column_ids, joined, offsets, node.partitioning)
 
     def _hash_join(self, node: PHashJoin) -> DistributedRelation:
+        """The build side per slot; each slot's pairs are found among its
+        own rows, and the joined stage is one ``join`` of them all."""
         probe_rel = self.execute(node.probe)
         build_rel = self.execute(node.build)
         run = self.cluster.operator("HashJoin")
-
-        probe_parts, probe_was_broadcast = self._effective_partitions(probe_rel)
-        if probe_was_broadcast:
+        if probe_rel.partitioning.kind == "broadcast":
             raise ExecutionError("hash join probe side cannot be broadcast")
-        column_ids = [column.column_id for column in node.columns]
 
         def build_table(slot):
             """One build partition, its size, and its join keys — the
@@ -885,140 +856,130 @@ class Executor:
             return chunk, keys
 
         built = [build_slot(slot, run) for slot in range(self.slots)]
-
-        def probe_slot(slot, op):
-            chunk = probe_parts[slot]
+        # build rows are indexed in the shared copy, or in every slot's
+        # build partition end to end: the build side's own stage, unless a
+        # disk-mode spill round-tripped a partition
+        parts = [chunk for chunk, _ in built]
+        if shared is not None:
+            build, build_starts = shared[0], [0] * self.slots
+        elif all(map(is_, parts, build_rel.partitions)):
+            build, build_starts = build_rel.stage
+        else:
+            build = self._chunks.concat(build_rel.column_ids, parts)
+            build_starts = slot_offsets(list(map(len, parts)))
+        probe, offsets = probe_rel.stage
+        found, costs = [], []
+        for slot, (_, build_keys) in enumerate(built):
             cost = EvalCost()
-            build_chunk, build_keys = built[slot]
             # NULL (and NaN) keys match nothing
-            probe_indices, build_indices = chunk.keys(node.probe_keys, cost).pairs(
-                build_keys
-            )
-            joined = self._joined(
-                node, column_ids, chunk, build_chunk, probe_indices, build_indices, cost
-            )
-            op.charge_eval(slot, len(chunk) + len(joined), cost)
-            op.rows_in += len(chunk)
-            op.rows_out += len(joined)
-            return joined
-
-        parts_out = [probe_slot(slot, run) for slot in range(self.slots)]
-        self.cluster.record(run)
-        return DistributedRelation(column_ids, parts_out, node.partitioning)
+            keys = probe_rel.partition(slot).keys(node.probe_keys, cost)
+            starts = (offsets[slot], build_starts[slot])
+            found.append([
+                np.asarray(side, np.int64) + at
+                for side, at in zip(keys.pairs(build_keys), starts)
+            ])
+            costs.append(cost)
+        pair_offsets = slot_offsets([len(indices) for indices, _ in found])
+        run.rows_in += int(offsets[-1])
+        return self._joined(
+            run, node, probe, build, [np.concatenate(side) for side in zip(*found)],
+            slot_counts(offsets), pair_offsets, EvalCost(pair_offsets).hold(costs),
+        )
 
     def _nested_loop_join(self, node: PNestedLoopJoin) -> DistributedRelation:
+        """Every slot's probe-major cross product with the broadcast build
+        side, in one pass over the probe stage (slot-ordered as it is)."""
         probe_rel = self.execute(node.probe)
         build_rel = self.execute(node.build)
         if build_rel.partitioning.kind != "broadcast":
             raise ExecutionError("nested-loop build side must be broadcast")
         run = self.cluster.operator("NestedLoopJoin")
-        build_chunk = build_rel.partitions[0]
-        probe_parts, probe_was_broadcast = self._effective_partitions(probe_rel)
-        if probe_was_broadcast:
+        if probe_rel.partitioning.kind == "broadcast":
             raise ExecutionError("nested-loop probe side cannot be broadcast")
-        column_ids = [column.column_id for column in node.columns]
-        build_count = len(build_chunk)
-
-        def join_slot(slot, op):
-            chunk = probe_parts[slot]
-            cost = EvalCost()
-            probe_count = len(chunk)
-            # the probe-major cross product
-            joined = self._joined(
-                node,
-                column_ids,
-                chunk,
-                build_chunk,
-                np.repeat(np.arange(probe_count, dtype=np.int64), build_count),
-                np.tile(np.arange(build_count, dtype=np.int64), probe_count),
-                cost,
-            )
-            op.charge_eval(
-                slot, probe_count * max(build_count, 1) + len(joined), cost
-            )
-            op.rows_in += probe_count
-            op.rows_out += len(joined)
-            return joined
-
-        parts_out = [join_slot(slot, run) for slot in range(len(probe_parts))]
-        self.cluster.record(run)
-        return DistributedRelation(column_ids, parts_out, node.partitioning)
+        (build, _), (probe, offsets) = build_rel.stage, probe_rel.stage
+        pairs = [
+            np.repeat(np.arange(len(probe), dtype=np.int64), len(build)),
+            np.tile(np.arange(len(build), dtype=np.int64), len(probe)),
+        ]
+        tuples = [count * max(len(build), 1) for count in slot_counts(offsets)]
+        run.rows_in = len(probe)
+        pair_offsets = offsets * len(build)
+        return self._joined(
+            run, node, probe, build, pairs, tuples, pair_offsets, EvalCost(pair_offsets)
+        )
 
     def _partial_aggregate(self, node: PPartialAggregate) -> DistributedRelation:
         child = self.execute(node.child)
         run = self.cluster.operator("PartialAggregate")
-        parts_in, _ = self._effective_partitions(child)
         if child.partitioning.kind == "broadcast":
             raise ExecutionError("aggregating a broadcast relation")
         column_ids = [column.column_id for column in node.columns]
-        specs = node.aggregates
-
-        def aggregate_slot(slot, op):
-            chunk = parts_in[slot]
-            cost = EvalCost()
-            # bucket the rows by group key (no keys: one group of every
-            # row), then aggregate column by column (the chunk evaluates
-            # each aggregate's input in its native column form): groups
-            # come out in first-seen order, every state sees its group's
-            # values in row order, and the (integral) cost totals are
-            # order-independent. A fused SUM's open step is finished
-            # here, so what crosses the exchange is a plain cell
-            grouping = chunk.keys(node.group_exprs, cost).grouping()
-            spec_states = [
-                chunk.partial_aggregate(spec, grouping, cost) for spec in specs
-            ]
-            out_rows = [
-                key + tuple(finished(states[g]) for states in spec_states)
-                for g, key in enumerate(grouping.keys)
-            ]
+        chunk, offsets = child.stage
+        cost = EvalCost(offsets)
+        # bucket the rows by (slot, group key) — no keys: one group of
+        # each slot's rows — then aggregate column by column (the chunk
+        # evaluates each aggregate's input in its native column form):
+        # groups come out slot by slot, each slot's in first-seen order,
+        # every state sees its group's values in row order, and the
+        # (integral) cost totals are order-independent. A fused SUM's
+        # open step is finished here, so what crosses the exchange is a
+        # plain cell
+        grouping = chunk.keys(node.group_exprs, cost).grouping()
+        spec_states = [
+            chunk.partial_aggregate(spec, grouping, cost) for spec in node.aggregates
+        ]
+        out_rows = [
+            key + tuple(finished(states[g]) for states in spec_states)
+            for g, key in enumerate(grouping.keys)
+        ]
+        groups = slot_sums(offsets, grouping.first).tolist()
+        out = self._chunks.from_rows(column_ids, out_rows)
+        relation = self._staged(column_ids, out, slot_offsets(groups), ROUND_ROBIN)
+        counts, totals = slot_counts(offsets), relation.partition_totals()
+        for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
             # the group hash table is this operator's in-memory state;
             # above the budget the partition spills. The reload is
             # simulated in every mode — DISTINCT states are Python sets
             # whose iteration order would not survive a physical round
             # trip, and the final fold must stay bit-identical.
-            out = self._from_rows(column_ids, out_rows)
-            self._spill_state(op, slot, out.total_bytes())
+            self._spill_state(run, slot, totals[slot])
             # hash aggregation costs ~2x a plain per-tuple pass: hash the
             # key, probe the table, update the state (this is why the
             # paper's Figure 4 shows aggregation dominating the join)
-            op.charge_eval(slot, 2 * len(chunk) + len(out_rows), cost)
-            op.rows_in += len(chunk)
-            op.rows_out += len(out_rows)
-            return out
-
-        parts_out = [aggregate_slot(slot, run) for slot in range(len(parts_in))]
+            run.charge_eval(slot, 2 * count + groups[slot], slot_cost)
+        run.rows_in, run.rows_out = int(offsets[-1]), len(out_rows)
         self.cluster.record(run)
-        return DistributedRelation(column_ids, parts_out, ROUND_ROBIN)
+        return relation
 
     def _final_aggregate(self, node: PFinalAggregate) -> DistributedRelation:
         child = self.execute(node.child)
         run = self.cluster.operator("FinalAggregate")
         key_count = len(node.group_columns)
         column_ids = [column.column_id for column in node.columns]
+        lengths = child.partition_lengths()
 
         # SQL scalar aggregates yield exactly one row on empty input
-        no_input = key_count == 0 and not any(
-            len(part) for part in child.partitions
-        )
+        no_input = key_count == 0 and not any(lengths)
 
-        def merge_slot(slot, op):
+        out_rows, counts = [], [0] * len(lengths)
+        for slot, length in enumerate(lengths):
+            if not length and not (no_input and slot == 0):
+                continue  # nothing to merge: a charge of nothing adds +0.0
             # state merging is inherently value-at-a-time
-            rows = child.partitions[slot].rows()
+            rows = child.partition(slot).rows()
             cost = EvalCost()
-            out_rows = final_aggregate(
+            merged = final_aggregate(
                 node.aggregates, key_count, rows, cost,
                 scalar_on_empty=no_input and slot == 0,
             )
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out_rows)
-            return self._from_rows(column_ids, out_rows)
-
-        parts_out = [
-            merge_slot(slot, run) for slot in range(len(child.partitions))
-        ]
+            run.charge_eval(slot, len(rows), cost)
+            run.rows_in += len(rows)
+            out_rows.extend(merged)
+            counts[slot] = len(merged)
+        run.rows_out = len(out_rows)
         self.cluster.record(run)
-        return DistributedRelation(column_ids, parts_out, node.partitioning)
+        out = self._chunks.from_rows(column_ids, out_rows)
+        return self._staged(column_ids, out, slot_offsets(counts), node.partitioning)
 
     def _distinct(self, node: PDistinct) -> DistributedRelation:
         child = self.execute(node.child)
@@ -1077,8 +1038,9 @@ class Executor:
             # marked not-executed in the trace)
             self.cluster.record(self.cluster.operator(name))
             column_ids = [column.column_id for column in node.columns]
-            parts = [self._from_rows(column_ids, [])] * self.slots
-            return DistributedRelation(column_ids, parts, node.partitioning)
+            empty = self._chunks.from_rows(column_ids, [])
+            nowhere = slot_offsets([0] * self.slots)
+            return self._staged(column_ids, empty, nowhere, node.partitioning)
         child = self.execute(node.child)
 
         def topk_chunk(chunk, slot, op):

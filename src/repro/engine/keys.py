@@ -118,6 +118,16 @@ class Grouping:
         )
 
     @classmethod
+    def runs(cls, offsets: np.ndarray) -> "Grouping":
+        """No key columns over a stage cut at ``offsets``: one group per
+        non-empty slot, its rows a run."""
+        present = np.flatnonzero(offsets[1:] - offsets[:-1])
+        starts, stops = offsets[present], offsets[present + 1]
+        runs = list(map(range, starts.tolist(), stops.tolist()))
+        codes = np.repeat(np.arange(len(runs)), stops - starts)
+        return cls(codes, [()] * len(runs), starts, runs)
+
+    @classmethod
     def of(cls, groups, count: int) -> "Grouping":
         """``groups`` itself, or — given plain per-group sequences of
         ascending row positions that put each of the ``count`` rows in
@@ -206,14 +216,17 @@ def _key_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
 
 
 class HashedKeys:
-    """Key columns as lists of Python values, bucketed by ``dict``."""
+    """Key columns as lists of Python values, bucketed by ``dict`` — over
+    a stage cut at ``offsets``, by ``(slot, key)``: each slot's own
+    groups in first-seen order, slot by slot."""
 
     #: no typed form: a typed probe side meets these keys as hashed ones
     dtypes = None
 
-    def __init__(self, columns: Sequence[list], count: int):
+    def __init__(self, columns: Sequence[list], count: int, offsets=None):
         self.columns = columns
         self.count = count
+        self.offsets = offsets
         self._table: Optional[dict] = None
 
     def hashed(self) -> "HashedKeys":
@@ -221,11 +234,16 @@ class HashedKeys:
 
     def grouping(self) -> Grouping:
         if not self.columns:
-            return Grouping.one(self.count)
+            if self.offsets is None:
+                return Grouping.one(self.count)
+            return Grouping.runs(self.offsets)
+        columns = list(map(_one_nan_column, self.columns))
+        if self.offsets is not None:
+            columns.insert(0, Grouping.runs(self.offsets).codes.tolist())
         index: dict = {}
         codes: List[int] = []
         first: List[int] = []
-        for i, key in enumerate(zip(*map(_one_nan_column, self.columns))):
+        for i, key in enumerate(zip(*columns)):
             code = index.setdefault(key, len(index))
             if code == len(first):
                 first.append(i)
@@ -272,11 +290,13 @@ class HashedKeys:
 
 
 class TypedKeys:
-    """Key columns as typed arrays (no NULLs), handled by sorting."""
+    """Key columns as typed arrays (no NULLs), handled by sorting (over a
+    stage, grouped by ``(slot, key)``)."""
 
-    def __init__(self, arrays: Sequence[np.ndarray], count: int):
+    def __init__(self, arrays: Sequence[np.ndarray], count: int, offsets=None):
         self.arrays = arrays
         self.count = count
+        self.offsets = offsets
         self.dtypes = tuple(array.dtype for array in arrays)
         self._hashed: Optional[HashedKeys] = None
         self._sorted: Optional[tuple] = None
@@ -294,7 +314,10 @@ class TypedKeys:
         # first-seen numbering without a sort: each code's first row by
         # one ``np.minimum.at``; a row is its group's first when it is
         # that row, and the first rows, ascending, number the groups
-        codes, size = _key_codes(self.arrays)
+        arrays = list(self.arrays)
+        if self.offsets is not None:
+            arrays.insert(0, Grouping.runs(self.offsets).codes)
+        codes, size = _key_codes(arrays)
         rows = np.arange(self.count)
         table = np.full(size, self.count)
         np.minimum.at(table, codes, rows)
@@ -382,13 +405,14 @@ def _joint_codes(probe: Sequence[np.ndarray], build: Sequence[np.ndarray]):
     return codes[:split], codes[split:]
 
 
-def typed_keys(columns: Sequence, count: int):
-    """The keys of a batch: typed when every key column is a typed
-    scalar array without NULLs, hashed otherwise."""
+def typed_keys(columns: Sequence, count: int, offsets: Optional[np.ndarray] = None):
+    """The keys of a batch (over a stage, cut at ``offsets``): typed when
+    every key column is a typed scalar array without NULLs, hashed
+    otherwise."""
     arrays = [column.typed_array() for column in columns]
     if count and arrays and all(array is not None for array in arrays):
-        return TypedKeys(arrays, count)
-    return HashedKeys([column.pylist() for column in columns], count)
+        return TypedKeys(arrays, count, offsets)
+    return HashedKeys([column.pylist() for column in columns], count, offsets)
 
 
 def stable_order(count: int, keys_last_first):

@@ -15,10 +15,11 @@ one scans and ``from_rows`` produce:
   and summing tensor blocks with one order-preserving reduce.
 
 Both implement the same *chunk protocol* — ``len``, ``rows``,
-``total_bytes``, ``values``, ``keys``, ``row_keys``, ``select``,
-``project``, ``take``, ``join``, ``partial_aggregate`` and the
-constructors ``from_rows``, ``from_segment`` and ``concat`` — and the
-executor's operator handlers are written against that protocol only.
+``total_bytes``, ``slot_totals``, ``values``, ``keys``, ``row_keys``,
+``keep``, ``filter``, ``project``, ``take``, ``slice``,
+``join``, ``partial_aggregate`` and the constructors — and the
+executor's handlers are written against it only; over a stage, the
+``cost`` argument carries the slot offsets (``EvalCost``).
 Everything that differs between the execution modes lives in this file;
 both modes produce identical result rows and identical simulated costs,
 and the batch kernels only change *real* wall-clock time (see
@@ -31,6 +32,7 @@ of :mod:`repro.engine.aggregation`, that fits the column form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,7 +116,7 @@ class RowView:
 class RowChunk:
     """The row-mode chunk: the tuples of one partition plus their
     per-row serialized sizes (computed lazily, then sliced along by
-    ``take``/``select``/``concat``). Immutable once built — a broadcast
+    ``take``/``filter``/``concat``). Immutable once built — a broadcast
     relation shares one chunk across every slot."""
 
     __slots__ = ("column_ids", "index", "_rows", "_row_bytes", "_total")
@@ -162,41 +164,57 @@ class RowChunk:
             self._total = float(sum(self.row_bytes()))
         return self._total
 
+    def slot_totals(self, offsets) -> List[float]:
+        """``total_bytes`` of each slot of a stage cut at ``offsets``."""
+        sizes, bounds = self.row_bytes(), offsets.tolist()
+        return [float(sum(sizes[a:b])) for a, b in zip(bounds, bounds[1:])]
+
     # -- expression kernels -------------------------------------------------
+
+    def _each_row(self, cost, fn) -> list:
+        """``fn(row, cost)`` on every row in order — over a stage, each
+        slot's rows charging a plain cost of the slot's own, as a
+        partition of its own would."""
+        view, out = RowView((), self.index), []
+        staged = cost is not None and cost.offsets is not None
+        bounds = cost.offsets.tolist() if staged else [0, len(self._rows)]
+        costs = cost.split() if staged else [cost]
+        for start, stop, slot_cost in zip(bounds, bounds[1:], costs):
+            for row in self._rows[start:stop]:
+                view.values = row
+                out.append(fn(view, slot_cost))
+        if staged:
+            cost.hold(costs)
+        return out
 
     def values(self, expr, cost) -> list:
         """``expr`` evaluated on every row: a sequence of Python values
         in the chunk's native form (here a list), which is also what
         this chunk's ``partial_aggregate`` folds."""
-        view = RowView((), self.index)
-        out = []
-        for row in self._rows:
-            view.values = row
-            out.append(expr.evaluate(view, cost))
-        return out
+        return self._each_row(cost, expr.evaluate)
 
     def keys(self, exprs, cost) -> HashedKeys:
         """``exprs`` evaluated on every row as the key columns of a
         GROUP BY, exchange, join side or ORDER BY key: the tuple/``dict``
         loops, whatever the values."""
-        return HashedKeys([self.values(expr, cost) for expr in exprs], len(self))
+        columns = [self.values(expr, cost) for expr in exprs]
+        return HashedKeys(columns, len(self), None if cost is None else cost.offsets)
 
     def row_keys(self) -> HashedKeys:
         """Every column as a key (DISTINCT)."""
         return HashedKeys(list(zip(*self._rows)), len(self))
 
-    def select(self, predicate, cost) -> "RowChunk":
-        """The rows on which ``predicate`` is true (NULL is false)."""
-        keep = [i for i, flag in enumerate(self.values(predicate, cost)) if flag]
-        return self if len(keep) == len(self._rows) else self.take(keep)
+    def keep(self, predicate, cost) -> np.ndarray:
+        """Per row, whether ``predicate`` is true on it (NULL is false)."""
+        flags = self.values(predicate, cost)
+        return np.fromiter(map(bool, flags), dtype=np.bool_, count=len(flags))
+
+    def filter(self, mask: np.ndarray) -> "RowChunk":
+        return self if mask.all() else self.take(np.flatnonzero(mask))
 
     def project(self, column_ids, exprs, cost) -> "RowChunk":
-        view = RowView((), self.index)
-        out = []
-        for row in self._rows:
-            view.values = row
-            out.append(tuple(expr.evaluate(view, cost) for expr in exprs))
-        return RowChunk(column_ids, out)
+        row = lambda view, cost: tuple(expr.evaluate(view, cost) for expr in exprs)
+        return RowChunk(column_ids, self._each_row(cost, row))
 
     def partial_aggregate(self, spec, grouping, cost, carried=None) -> list:
         """One partial-aggregate state per group of ``grouping`` (a
@@ -208,10 +226,7 @@ class RowChunk:
         groups = Grouping.of(grouping, len(self)).positions()
         call = fused_call(spec)
         if call is not None:
-            view, calls = RowView((), self.index), []
-            for row in self._rows:
-                view.values = row
-                calls.append(call.call_args(view, cost))
+            calls = self._each_row(cost, call.call_args)
             operands = [
                 [None if values is None else values[i] for values in calls]
                 for i in call.operand_args
@@ -222,6 +237,15 @@ class RowChunk:
         return fold_groups(spec, values, groups, cost, carried)
 
     # -- derivation ---------------------------------------------------------
+
+    def with_ids(self, column_ids: Sequence[int]) -> "RowChunk":
+        """The same rows under different plan column ids."""
+        return RowChunk(column_ids, self._rows, self._row_bytes)
+
+    def slice(self, start: int, stop: int) -> "RowChunk":
+        """Rows ``[start, stop)``: one slot of a stage."""
+        sizes = None if self._row_bytes is None else self._row_bytes[start:stop]
+        return RowChunk(self.column_ids, self._rows[start:stop], sizes)
 
     def take(self, indices) -> "RowChunk":
         indices = index_list(indices)
@@ -234,10 +258,11 @@ class RowChunk:
 
     def join(
         self, column_ids, build: "RowChunk", probe_indices, build_indices,
-        probe_is_left: bool,
+        probe_is_left: bool, only=None,
     ) -> "RowChunk":
         """Row ``probe_indices[n]`` of this chunk beside row
-        ``build_indices[n]`` of ``build``, for every ``n``."""
+        ``build_indices[n]`` of ``build``, for every ``n`` (every column,
+        whatever ``only`` names)."""
         probe_rows, build_rows = self._rows, build._rows
         pairs = zip(index_list(probe_indices), index_list(build_indices))
         if probe_is_left:
@@ -347,6 +372,17 @@ class Batch:
                 self._total = self.length * fixed
         return self._total
 
+    def slot_totals(self, offsets) -> List[float]:
+        """``total_bytes`` of each slot of a stage cut at ``offsets``: a
+        count times the one row size, or differences of the running sum of
+        the sizes (integral floats, so each is the slot's own sum)."""
+        fixed = fixed_row_bytes(self.columns) if self.length else 0.0
+        if fixed is not None:
+            return [count * fixed for count in slot_counts(offsets)]
+        seen = np.zeros(self.length + 1)
+        np.cumsum(self.row_bytes_array(), out=seen[1:])
+        return (seen[offsets[1:]] - seen[offsets[:-1]]).tolist()
+
     # -- expression kernels -------------------------------------------------
 
     def values(self, expr, cost) -> ColumnData:
@@ -361,15 +397,16 @@ class Batch:
         GROUP BY, exchange, join side or ORDER BY key: sorted and
         factorised as arrays when every column is typed without NULLs,
         the ``RowChunk`` loops over their Python values otherwise."""
-        return typed_keys([self.values(expr, cost) for expr in exprs], self.length)
+        columns = [self.values(expr, cost) for expr in exprs]
+        return typed_keys(columns, self.length, None if cost is None else cost.offsets)
 
     def row_keys(self):
         """Every column as a key (DISTINCT)."""
         return typed_keys(self.columns, self.length)
 
-    def select(self, predicate, cost) -> "Batch":
-        """The rows on which ``predicate`` is true (NULL is false)."""
-        return self.filter(truth(predicate.evaluate_batch(self, cost)))
+    def keep(self, predicate, cost) -> np.ndarray:
+        """Per row, whether ``predicate`` is true on it (NULL is false)."""
+        return truth(predicate.evaluate_batch(self, cost))
 
     def project(self, column_ids, exprs, cost) -> "Batch":
         columns = [expr.evaluate_batch(self, cost) for expr in exprs]
@@ -406,6 +443,12 @@ class Batch:
 
     # -- derivation ---------------------------------------------------------
 
+    def slice(self, start: int, stop: int) -> "Batch":
+        """Rows ``[start, stop)`` as zero-copy views: one slot of a stage."""
+        sizes = None if self._row_bytes is None else self._row_bytes[start:stop]
+        columns = [column.slice(start, stop) for column in self.columns]
+        return Batch(self.column_ids, columns, stop - start, row_bytes=sizes)
+
     def with_ids(self, column_ids: Sequence[int]) -> "Batch":
         """The same data under different plan column ids."""
         return Batch(
@@ -436,10 +479,19 @@ class Batch:
 
     def join(
         self, column_ids, build: "Batch", probe_indices, build_indices,
-        probe_is_left: bool,
+        probe_is_left: bool, only=None,
     ) -> "Batch":
         """Row ``probe_indices[n]`` of this batch beside row
-        ``build_indices[n]`` of ``build``, for every ``n``."""
+        ``build_indices[n]`` of ``build``, for every ``n`` — only of the
+        columns ``only`` names, when given (all a residual reads)."""
+        if only is not None:
+            sides = [(self, probe_indices), (build, build_indices)]
+            if not probe_is_left:
+                sides.reverse()
+            held = [(column, rows) for side, rows in sides for column in side.columns]
+            kept = [p for p, column_id in enumerate(column_ids) if column_id in only]
+            columns = [held[p][0].take(held[p][1]) for p in kept]
+            return Batch([column_ids[p] for p in kept], columns, len(probe_indices))
         probe_take = self.take(probe_indices)
         build_take = build.take(build_indices)
         if probe_is_left:
@@ -480,12 +532,29 @@ class Batch:
         )
 
 
+def slot_offsets(counts) -> np.ndarray:
+    """The offsets of a stage whose slots hold ``counts`` rows each."""
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else counts
+    return np.array([0, *accumulate(counts)], dtype=np.int64)
+
+
+def slot_counts(offsets: np.ndarray) -> List[int]:
+    """The rows each slot of a stage cut at ``offsets`` holds."""
+    return (offsets[1:] - offsets[:-1]).tolist()
+
+
 class DistributedRelation:
-    """Rows spread across the cluster's slots, one chunk per slot.
+    """Rows spread across the cluster's slots, held in one of two forms
+    that each make the other on first use, once: a **stage** — one
+    slot-ordered chunk and ``offsets``, slot ``s`` holding rows
+    ``offsets[s]:offsets[s + 1]``, what the stage-wide operators read and
+    write — or ``partitions``, one chunk per slot (a stage's are zero-copy
+    slices), what FinalAggregate, Sort, Top-K and Distinct loop over. A broadcast relation is one chunk every slot shares; its stage
+    is that copy as one slot.
 
     ``column_ids`` gives the positional layout: value ``j`` of every row
-    belongs to plan column ``column_ids[j]``. Partitions are chunks of
-    one class (:class:`RowChunk` or :class:`Batch`); plain row lists are
+    belongs to plan column ``column_ids[j]``. Partitions are chunks of one
+    class (:class:`RowChunk` or :class:`Batch`); plain row lists are
     wrapped into :class:`RowChunk` on construction. Chunks memoize their
     serialized sizes, so every operator downstream of a materialization
     reuses — not recomputes — the same byte accounting for disk,
@@ -497,30 +566,65 @@ class DistributedRelation:
     def __init__(
         self,
         column_ids: Sequence[int],
-        partitions: list,
+        partitions: Optional[list],
         partitioning: Partitioning,
+        stage: Optional[tuple] = None,
     ):
         self.column_ids = tuple(column_ids)
-        self.partitions = [
+        self.partitioning = partitioning
+        self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
+        self._stage = stage
+        self._parts = None if partitions is None else [
             RowChunk(self.column_ids, part)
             if isinstance(part, (list, tuple))
             else part
             for part in partitions
         ]
-        self.partitioning = partitioning
-        self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
         self._totals: Optional[List[float]] = None
+
+    @property
+    def partitions(self) -> list:
+        if self._parts is None:
+            slots = range(len(self._stage[1]) - 1)
+            self._parts = [self.partition(slot) for slot in slots]
+        return self._parts
+
+    def partition(self, slot: int):
+        """One slot's chunk, without slicing the others."""
+        if self._parts is not None:
+            return self._parts[slot]
+        chunk, offsets = self._stage
+        return chunk.slice(int(offsets[slot]), int(offsets[slot + 1]))
+
+    @property
+    def stage(self) -> tuple:
+        """``(chunk, offsets)``."""
+        if self._stage is None:
+            parts = self._parts
+            if self.partitioning.kind == "broadcast" or len(parts) == 1:
+                chunk, parts = parts[0], parts[:1]
+            else:
+                chunk = type(parts[0]).concat(self.column_ids, parts)
+            self._stage = (chunk, slot_offsets([len(part) for part in parts]))
+        return self._stage
+
+    def partition_lengths(self) -> List[int]:
+        """Each slot's row count, in slot order."""
+        parts = self._parts
+        return slot_counts(self._stage[1]) if parts is None else list(map(len, parts))
 
     @property
     def row_count(self) -> int:
         if self.partitioning.kind == "broadcast":
             return len(self.partitions[0]) if self.partitions else 0
-        return sum(len(part) for part in self.partitions)
+        return sum(self.partition_lengths())
 
     def view(self, values: Sequence) -> RowView:
         return RowView(values, self.index)
 
     def all_rows(self) -> List[tuple]:
+        if self._stage is not None:
+            return list(self._stage[0].rows())
         parts = self.partitions
         if self.partitioning.kind == "broadcast":
             parts = parts[:1]
@@ -531,8 +635,10 @@ class DistributedRelation:
 
     def partition_totals(self) -> List[float]:
         """Each slot's partition bytes, in slot order."""
-        if self._totals is None:
-            self._totals = [part.total_bytes() for part in self.partitions]
+        if self._totals is None and self._parts is None:
+            self._totals = self._stage[0].slot_totals(self._stage[1])
+        elif self._totals is None:
+            self._totals = [part.total_bytes() for part in self._parts]
         return self._totals
 
 
@@ -588,6 +694,8 @@ class PartitionedTable:
         self._tail_views: List[Optional[MemorySegment]] = [None] * slots
         #: round-robin position of the next insert (saved in snapshots)
         self.insert_cursor = 0
+        #: (segments, stage) of the last scan of in-memory segments only
+        self._stage_memo: Optional[tuple] = None
 
     # -- mutation -----------------------------------------------------------
 
@@ -642,6 +750,7 @@ class PartitionedTable:
         tail = self._tails[slot]
         tail.extend(columns, sizes)
         self._tail_views[slot] = None
+        self._stage_memo = None  # stale now: let it go before the next scan
         if len(tail) < self.segment_rows:
             return
         held, held_sizes = tail.view()
@@ -671,6 +780,7 @@ class PartitionedTable:
         self._sealed[slot] = []
         self._tails[slot] = ChunkBuffer(self.width)
         self._tail_views[slot] = None
+        self._stage_memo = None
 
     def truncate(self) -> None:
         for slot in range(self.slots):
@@ -698,6 +808,24 @@ class PartitionedTable:
         if view is None:
             view = self._tail_views[slot] = MemorySegment(*self._tails[slot].view())
         return self._sealed[slot] + [view]
+
+    def scan_stage(self, chunks, column_ids, slot_segments, pool=None):
+        """``(stage, counts, outcomes)`` of a scan reading ``slot_segments``
+        (per slot, its unpruned segments): their ``chunks`` in slot order
+        as one chunk, each slot's row count, the buffer-pool outcome of
+        every read. A stage of in-memory segments is kept until the table
+        changes, and a scan of the same segments reads and copies nothing."""
+        key = (chunks, *map(tuple, slot_segments))
+        counts = [sum(segment.row_count for segment in kept) for kept in slot_segments]
+        memo = self._stage_memo
+        if memo is not None and memo[0] == key:
+            return memo[1].with_ids(column_ids), counts, []
+        segments = list(chain(*key[1:]))
+        read = [chunks.from_segment(column_ids, segment, pool) for segment in segments]
+        stage = chunks.concat(column_ids, [piece for piece, _ in read])
+        if all(isinstance(segment, MemorySegment) for segment in segments):
+            self._stage_memo = (key, stage)
+        return stage, counts, [outcome for _, outcome in read]
 
     @property
     def row_count(self) -> int:

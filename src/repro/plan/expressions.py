@@ -18,7 +18,8 @@ expression slots.
 from __future__ import annotations
 
 import threading
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,11 +73,32 @@ def _row_elements(column: ColumnData) -> Optional[float]:
     return None if column.is_object else float(column.cell_elements)
 
 
-def _masked_elements(values: list, valid: np.ndarray) -> float:
-    total = 0.0
-    for i in np.flatnonzero(valid):
-        total += _value_elements(values[i])
-    return total
+def slot_sums(offsets: np.ndarray, rows, amount=1) -> np.ndarray:
+    """Per slot of a stage cut at ``offsets`` (slot ``s`` holds rows
+    ``offsets[s]:offsets[s + 1]``), ``amount`` over the rows ``rows``
+    selects — a boolean mask, row positions in any order, or a ``range``
+    of every row: a count times a scalar ``amount``, or the running sum,
+    row by row, of a list of one amount per selected row
+    (``np.bincount``'s weights loop: the sum a per-partition loop keeps;
+    not ``np.add.reduceat``, which gives an empty slot the next row's
+    value, nor a pairwise ``np.sum``)."""
+    rows = np.ones(len(rows), np.bool_) if isinstance(rows, range) else np.asarray(rows)
+    masked = rows.dtype == np.bool_
+    if not isinstance(amount, list) and masked:
+        if rows.all():
+            return (offsets[1:] - offsets[:-1]) * amount
+        bounds = offsets.tolist()
+        kept = [np.count_nonzero(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return np.array(kept, dtype=np.int64) * amount
+    codes = np.searchsorted(offsets, np.flatnonzero(rows) if masked else rows, "right")
+    if not isinstance(amount, list):
+        return np.bincount(codes - 1, minlength=len(offsets) - 1) * amount
+    weights = np.asarray(amount, dtype=np.float64)  # (no rows come back as ints)
+    return np.bincount(codes - 1, weights, len(offsets) - 1).astype(np.float64)
+
+
+#: what an :class:`EvalCost` measures
+COST_FIELDS = ("flops", "blas1_flops", "stream_bytes", "calls")
 
 
 class EvalCost:
@@ -88,15 +110,57 @@ class EvalCost:
     Work is split into BLAS-3 flops (big cache-friendly kernels), BLAS-1/2
     flops (memory-bound dots/outers), streamed bytes (element-wise
     arithmetic and aggregation), and built-in function invocations (each
-    costs one tuple-overhead, like a UDF call)."""
+    costs one tuple-overhead, like a UDF call).
 
-    __slots__ = ("flops", "blas1_flops", "stream_bytes", "calls")
+    Over a *stage* of several slots (one slot-ordered chunk, slot ``s``
+    its rows ``offsets[s]:offsets[s + 1]``) it is a per-slot ledger: a
+    field, once charged, holds one entry per slot, each the float a
+    partition of its own accumulates — every charge goes through
+    :meth:`add`."""
 
-    def __init__(self):
-        self.flops = 0.0
-        self.blas1_flops = 0.0
-        self.stream_bytes = 0.0
+    __slots__ = COST_FIELDS + ("offsets",)
+
+    def __init__(self, offsets: Optional[np.ndarray] = None):
+        self.offsets = offsets if offsets is not None and len(offsets) > 2 else None
+        self.flops = self.blas1_flops = self.stream_bytes = 0.0
         self.calls = 0
+
+    def add(self, field: str, amount, rows=None) -> None:
+        """Charge ``amount`` of ``field`` per row ``rows`` selects (see
+        :func:`slot_sums`); ``rows`` None: once, for a row evaluated on
+        its own."""
+        if rows is not None and self.offsets is not None:
+            amount = slot_sums(self.offsets, rows, amount)
+        elif isinstance(amount, list):  # one slot: the running sum
+            amount = reduce(add, amount, 0.0)
+        elif rows is not None:  # one slot: a count times the amount
+            masked = not isinstance(rows, range) and np.asarray(rows).dtype == np.bool_
+            amount *= int(np.count_nonzero(rows)) if masked else len(rows)
+        setattr(self, field, getattr(self, field) + amount)
+
+    def split(self) -> List["EvalCost"]:
+        """One plain EvalCost per slot, holding that slot's totals (a
+        plain cost is its own one slot)."""
+        if self.offsets is None:
+            return [self]
+        count = len(self.offsets) - 1
+        fields = map(self.__getattribute__, COST_FIELDS)
+        columns = [
+            v.tolist() if isinstance(v, np.ndarray) else [v] * count for v in fields
+        ]
+        out = [EvalCost() for _ in range(count)]
+        for cost, values in zip(out, zip(*columns)):
+            cost.flops, cost.blas1_flops, cost.stream_bytes, cost.calls = values
+        return out
+
+    def hold(self, costs: List["EvalCost"]) -> "EvalCost":
+        """This ledger holding ``costs``, one plain cost per slot (a
+        plain cost: ``costs[0]``) — the inverse of :meth:`split`."""
+        if self.offsets is None:
+            return costs[0]
+        for field in COST_FIELDS:
+            setattr(self, field, np.array([getattr(cost, field) for cost in costs]))
+        return self
 
 
 def _value_elements(value) -> float:
@@ -299,9 +363,8 @@ class BinaryExpr(TypedExpr):
         if left is None or right is None:
             return None
         if cost is not None:
-            cost.stream_bytes += 8.0 * max(
-                _value_elements(left), _value_elements(right)
-            )
+            elements = max(_value_elements(left), _value_elements(right))
+            cost.add("stream_bytes", 8.0 * elements)
         if self.op in ("=", "<>", "!=", "<", ">", "<=", ">="):
             left = _plain(left)
             right = _plain(right)
@@ -320,19 +383,19 @@ class BinaryExpr(TypedExpr):
             left_elements, right_elements = _row_elements(left), _row_elements(right)
             if left_elements is None or right_elements is None:
                 left_values, right_values = left.pylist(), right.pylist()
-                total = 0.0
-                for i in np.flatnonzero(valid):
-                    total += max(
+                per_row = [
+                    8.0
+                    * max(
                         _value_elements(left_values[i]),
                         _value_elements(right_values[i]),
                     )
+                    for i in np.flatnonzero(valid)
+                ]
             else:
                 # typed scalars and tensor blocks: every row has the same
                 # element count (integral, so the product is exact)
-                total = max(left_elements, right_elements) * float(
-                    np.count_nonzero(valid)
-                )
-            cost.stream_bytes += 8.0 * total
+                per_row = 8.0 * max(left_elements, right_elements)
+            cost.add("stream_bytes", per_row, valid)
         if left.is_numeric and right.is_numeric:
             result = self._numeric_batch(left.data, right.data, valid)
             if result is not None:
@@ -533,7 +596,7 @@ class NegExpr(TypedExpr):
     def evaluate(self, row: Row, cost: Optional[EvalCost] = None):
         value = self.operand.evaluate(row, cost)
         if cost is not None and value is not None:
-            cost.stream_bytes += 8.0 * _value_elements(value)
+            cost.add("stream_bytes", 8.0 * _value_elements(value))
         return None if value is None else -value
 
     def evaluate_batch(self, batch, cost=None, mask=None) -> ColumnData:
@@ -545,9 +608,13 @@ class NegExpr(TypedExpr):
         if cost is not None:
             elements = _row_elements(value)
             if elements is None:
-                cost.stream_bytes += 8.0 * _masked_elements(value.pylist(), valid)
+                values = value.pylist()
+                per_row = [
+                    8.0 * _value_elements(values[i]) for i in np.flatnonzero(valid)
+                ]
             else:
-                cost.stream_bytes += 8.0 * elements * float(np.count_nonzero(valid))
+                per_row = 8.0 * elements
+            cost.add("stream_bytes", per_row, valid)
         if value.is_numeric:
             data = np.where(valid, value.data, 0)
             if data.dtype != np.int64 or _int64_within(data, valid, _INT_ADD_BOUND):
@@ -751,7 +818,7 @@ class FuncExpr(TypedExpr):
         if any(value is None for value in values):
             return None
         if cost is not None:
-            self._charge(cost, 1, self.builtin.runtime_flops(values))
+            self._charge(cost, self.builtin.runtime_flops(values))
         ok, message = runtime_shape_check(self.builtin.signature, values)
         if not ok:
             raise RuntimeTypeError(message)
@@ -800,7 +867,7 @@ class FuncExpr(TypedExpr):
             ok, message = checked[2:]
             if not ok:
                 raise RuntimeTypeError(message)
-            self._charge(cost, len(indices), per_flops * len(indices))
+            self._charge(cost, per_flops, indices if valid is None else valid)
         return args, valid, indices, uniform
 
     def evaluate_batch(self, batch, cost=None, mask=None) -> ColumnData:
@@ -827,13 +894,13 @@ class FuncExpr(TypedExpr):
         else:
             # each call runs the same shape check + kernel the row path runs
             runtime_flops = builtin.runtime_flops
-            flops = 0.0
+            flops = []
             for i in indices:
                 values = [column[i] for column in arg_values]
                 if cost is not None:
-                    flops += runtime_flops(values)
+                    flops.append(runtime_flops(values))
                 results[i] = builtin(*values)
-            self._charge(cost, len(indices), flops)
+            self._charge(cost, flops, indices)
         return ColumnData.from_values(results)
 
     def sum_operands(self, batch, cost=None) -> tuple:
@@ -846,30 +913,30 @@ class FuncExpr(TypedExpr):
         args, valid, indices, checked = self._arguments(batch, cost, None)
         if len(indices) and not checked:
             arg_values = [column.pylist() for column in args]
-            builtin, flops = self.builtin, 0.0
+            builtin, flops = self.builtin, []
             for i in indices:
                 values = [column[i] for column in arg_values]
                 if cost is not None:
-                    flops += builtin.runtime_flops(values)
+                    flops.append(builtin.runtime_flops(values))
                 ok, message = runtime_shape_check(builtin.signature, values)
                 if not ok:
                     raise RuntimeTypeError(message)
-            self._charge(cost, len(indices), flops)
+            self._charge(cost, flops, indices)
         operands = [
             args[i].data if args[i].is_block else args[i].pylist()
             for i in self.operand_args
         ]
         return operands, None if len(indices) == batch.length else valid
 
-    def _charge(self, cost: Optional[EvalCost], calls: int, flops: float) -> None:
-        """``calls`` invocations costing ``flops`` in total."""
+    def _charge(self, cost: Optional[EvalCost], flops, rows=None) -> None:
+        """One invocation per row ``rows`` selects (None: one call on its
+        own), costing ``flops`` each — one price, or a list with one per
+        call."""
         if cost is None:
             return
-        cost.calls += calls
-        if self.builtin.kind == "blas3":
-            cost.flops += flops
-        else:
-            cost.blas1_flops += flops
+        cost.add("calls", 1, rows)
+        field = "flops" if self.builtin.kind == "blas3" else "blas1_flops"
+        cost.add(field, flops, rows)
 
     def children(self):
         return tuple(self.args)

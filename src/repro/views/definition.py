@@ -249,7 +249,7 @@ class MaterializedView:
         cost = EvalCost()
         chunk, _ = chunks.from_segment(self._column_ids, segment)
         if self.predicate is not None:
-            chunk = chunk.select(self.predicate, cost)
+            chunk = chunk.filter(chunk.keep(self.predicate, cost))
         if not len(chunk):
             return
         states = self._slot_states[slot]

@@ -15,15 +15,17 @@ cells, special floats and the extent-1 shapes where numpy's reduce order
 changes — and the ``execution_mode`` knob itself.
 """
 
+import dataclasses
+import itertools
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import Database, TEST_CLUSTER
+from repro import Database, PAPER_CLUSTER, TEST_CLUSTER
 from repro.catalog import Schema
 from repro.columnar import ColumnData, columns_from_rows, truth
 from repro.engine import stable_hash
@@ -42,6 +44,7 @@ from repro.plan.expressions import (
     IsNullExpr,
     LiteralExpr,
     NegExpr,
+    slot_sums,
 )
 from repro.sql import parse_statement
 from repro.storage import MemorySegment, StorageEngine
@@ -643,7 +646,8 @@ class TestChunkKernelsAgree:
         positive = BinaryExpr(">", x, LiteralExpr(0.0, DOUBLE))
         row_cost, batch_cost = EvalCost(), EvalCost()
         _assert_chunks_agree(
-            chunk.select(positive, row_cost), batch.select(positive, batch_cost)
+            chunk.filter(chunk.keep(positive, row_cost)),
+            batch.filter(batch.keep(positive, batch_cost)),
         )
         assert _costs(row_cost) == _costs(batch_cost)
 
@@ -797,8 +801,8 @@ class TestChunkKernelsAgree:
         keep = BinaryExpr(">", k, LiteralExpr(0, INTEGER))
         _assert_chunks_agree(
             *self._both(
-                lambda cost: chunk.select(keep, cost),
-                lambda cost: batch.select(keep, cost),
+                lambda cost: chunk.filter(chunk.keep(keep, cost)),
+                lambda cost: batch.filter(batch.keep(keep, cost)),
             )
         )
 
@@ -1674,6 +1678,202 @@ class TestNaNKeys:
             )
             assert counted == _exact([(2, 5)])
             assert len(ordered) == 5 and len(extremes) == 1
+
+
+# -- stages: one batch per operator, charged per slot ------------------------
+
+STAGE_SLOTS = (1, 3, 4, 80)
+STAGE_STATEMENTS = (
+    "SELECT g, COUNT(*), SUM(x), MIN(x), MAX(k), COUNT(DISTINCT k) FROM t GROUP BY g",
+    "SELECT k, x * 2.0, g FROM t WHERE x > 0.5 OR k IS NULL",
+    "SELECT SUM(outer_product(v, v)), SUM(v * x), COUNT(v) FROM t WHERE x < 9.0",
+    "SELECT g, SUM(y) FROM t, one WHERE t.k = one.c GROUP BY g",
+    "SELECT a.k, b.c FROM t AS a, one AS b WHERE a.x < b.y",
+    "SELECT DISTINCT g FROM t",
+    "SELECT k, x FROM t ORDER BY x DESC, k LIMIT 4",
+    "SELECT c, SUM(y), COUNT(*) FROM one GROUP BY c",
+    "SELECT COUNT(*), SUM(x) FROM t WHERE k > 1000",
+)
+
+
+def _stage_cell(value):
+    if isinstance(value, (Vector, Matrix)):
+        return (type(value).__name__, value.data.shape, value.data.tobytes())
+    if isinstance(value, tuple):
+        return tuple(map(_stage_cell, value))
+    return _exact(value)
+
+
+def _stage_run(slots, mode, fault_plan=None):
+    """Every statement's rows in order and every field of every operator
+    — ``slot_seconds`` by ``float.hex`` — on ``slots`` slots."""
+    db = Database(
+        TEST_CLUSTER.with_updates(
+            machines=slots // 2 or 1,
+            cores_per_machine=min(slots, 2) if slots % 2 == 0 else slots,
+            fault_plan=fault_plan,
+        ),
+        execution_mode=mode,
+    )
+    nan = float("nan")
+    db.create_table(
+        "t", [("k", "INTEGER"), ("g", "STRING"), ("x", "DOUBLE"), ("v", "VECTOR[]")]
+    )
+    db.load(
+        "t",
+        [
+            (i if i % 5 else None, "ab"[i % 2] * (i % 3), x, Vector([x or 0.0, -1.5]))
+            for i, x in enumerate(
+                [0.25, None, 3.0, nan, -0.0, 7.5, 1.0, None, 2.5, nan, 8.0, 0.75, 5.0]
+            )
+        ],
+    )
+    # every row of ``one`` hashes to one slot: ``c`` is the partitioning key
+    db.create_table("one", [("c", "INTEGER"), ("y", "DOUBLE")], partition_by=["c"])
+    db.load("one", [(3, 0.5 * i) for i in range(6)])
+    out = []
+    for sql in STAGE_STATEMENTS:
+        result = db.execute(sql)
+        ops = tuple(
+            tuple(
+                tuple(s.hex() for s in value) if field.name == "slot_seconds" else value
+                for field, value in (
+                    (field, getattr(op, field.name)) for field in dataclasses.fields(op)
+                )
+            )
+            for op in result.metrics.operators
+        )
+        out.append((tuple(map(_stage_cell, result.rows)), ops, result.metrics.fault_events))
+    return out
+
+
+class TestStages:
+    """Scan, Filter, Project, PartialAggregate, the joins' outputs and
+    every exchange run once per operator over a slot-ordered stage, and
+    charge each slot from a per-slot cost ledger; the row oracle walks
+    the same stages slot by slot with one plain cost each — the
+    per-partition arithmetic. Both must agree on every row, in order,
+    and every charge, bit for bit, at any cluster shape: empty slots
+    (80 slots, 13 rows), every row on one slot (``one``), NULL, NaN,
+    string and tensor columns, and under injected faults."""
+
+    @pytest.mark.parametrize("slots", STAGE_SLOTS)
+    def test_row_oracle_agrees_at_every_cluster_shape(self, slots):
+        from repro.faults import FaultPlan
+
+        plans = [
+            None,
+            FaultPlan(
+                seed=slots,
+                slot_crash_rate=0.2,
+                straggler_rate=0.2,
+                lost_partition_rate=0.3,
+                max_partition_retries=20,
+            ),
+        ]
+        for plan in plans:
+            row, batch = (_stage_run(slots, mode, plan) for mode in ("row", "batch"))
+            assert row == batch, (slots, plan)
+        assert any(events for _, _, events in row)  # the faults did land
+
+    def test_converted_operators_evaluate_each_expression_once(self, monkeypatch):
+        """A stage is one batch: each expression node is evaluated once per
+        statement whatever the slot count — not once per slot."""
+        import collections
+        import repro.plan.expressions as expressions
+
+        calls = collections.Counter()
+        for cls in vars(expressions).values():
+            if isinstance(cls, type) and "evaluate_batch" in vars(cls):
+                original = cls.evaluate_batch
+
+                def counted(self, batch, cost=None, mask=None, _original=original):
+                    calls[self.key(), id(self)] += 1
+                    return _original(self, batch, cost, mask)
+
+                monkeypatch.setattr(cls, "evaluate_batch", counted)
+        sql = (
+            "SELECT g, SUM(x * 2.0), COUNT(*) FROM t "
+            "WHERE x > 0.0 AND k IS NOT NULL GROUP BY g"
+        )
+        seen = []
+        for slots in (1, 4, 80):
+            db = Database(PAPER_CLUSTER.with_updates(machines=slots // 2 or 1, cores_per_machine=min(slots, 2)))
+            db.execute("CREATE TABLE t (k INTEGER, g INTEGER, x DOUBLE)")
+            db.load("t", [(i, i % 7, i * 0.5) for i in range(400)])
+            calls.clear()
+            db.execute(sql)
+            seen.append(sorted((key, count) for (key, _), count in calls.items()))
+        assert seen[0] == seen[1] == seen[2]
+        assert {count for _, count in seen[0]} == {1}
+
+    def test_hash_exchange_takes_once(self, monkeypatch):
+        """A hash exchange regroups its stage with one ``take``, however
+        many (source, target) pairs the cluster has."""
+        takes = []
+        take = Batch.take
+        monkeypatch.setattr(
+            Batch, "take", lambda self, indices: takes.append(1) or take(self, indices)
+        )
+        for slots in (4, 80):
+            db = Database(PAPER_CLUSTER.with_updates(machines=slots // 2, cores_per_machine=2))
+            db.execute("CREATE TABLE t (r INTEGER, v DOUBLE)")
+            db.load("t", [(i % 11, float(i)) for i in range(500)])
+            scan = db._plan_physical(
+                db._plan_select(parse_statement("SELECT r, v FROM t"), None)
+            )
+            key = ColumnVar(scan.columns[0].column_id, INTEGER, "r")
+            del takes[:]
+            rows, _ = Executor(db.cluster, "batch").run(PExchange(scan, "hash", [key]))
+            assert len(rows) == 500 and len(takes) == 1, slots
+
+
+class TestSlotSums:
+    """``slot_sums``, the ledger's one helper: per slot of a stage, a
+    count or a sum of per-row amounts over the selected rows — each the
+    number the per-partition loop made over that slot's slice, empty
+    slots (leading, middle, trailing) included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+        data=st.data(),
+    )
+    @example(counts=[0, 10, 0], data=None)
+    def test_per_slot_counts_and_running_sums(self, counts, data):
+        offsets = np.array([0, *itertools.accumulate(counts)], dtype=np.int64)
+        total = int(offsets[-1])
+        if data is None:
+            mask = np.ones(total, dtype=bool)
+            amounts = [0.1] * total
+        else:
+            mask = np.array(
+                data.draw(st.lists(st.booleans(), min_size=total, max_size=total)),
+                dtype=bool,
+            )
+            amounts = data.draw(
+                st.lists(
+                    st.floats(-1e3, 1e3, allow_nan=False),
+                    min_size=int(mask.sum()),
+                    max_size=int(mask.sum()),
+                )
+            )
+        bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        want_counts = [int(np.count_nonzero(mask[a:b])) for a, b in bounds]
+        positions = np.flatnonzero(mask)
+        want_sums = []
+        for a, b in bounds:
+            running = 0.0  # the per-partition loop's order
+            for i in np.flatnonzero(mask[a:b]):
+                running += amounts[int(np.searchsorted(positions, a + i))]
+            want_sums.append(running)
+        assert slot_sums(offsets, mask).tolist() == want_counts
+        assert slot_sums(offsets, positions[::-1]).tolist() == want_counts
+        assert (slot_sums(offsets, mask, 8.0)).tolist() == [8.0 * c for c in want_counts]
+        assert slot_sums(offsets, range(total)).tolist() == counts
+        got = slot_sums(offsets, mask, amounts).tolist()
+        assert [s.hex() for s in got] == [s.hex() for s in want_sums]
+        assert slot_sums(offsets, positions, amounts).tolist() == got
 
 
 # -- the execution_mode knob -------------------------------------------------
