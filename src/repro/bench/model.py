@@ -3,14 +3,17 @@
 The engine executes real tuples, so it cannot *materialize* the paper's
 full-scale runs in-process (tuple-based Gram at 1000 dimensions pushes
 5x10^11 tuples — which is the paper's whole point). This module prices
-the same physical plans analytically, mirroring the engine's charging
-rules one-for-one:
+the same physical plans analytically: a closed-form model of its own
+that follows the engine's charging rules in kind, not term for term (its
+shuffle pays three disk passes where the engine's exchange pays two).
+It prices:
 
 * per-tuple iterator overhead (``tuple_cpu_s``), with hash aggregation
   costing ~2 tuple-passes per input row;
 * dense kernels at ``flop_rate``; element-wise/aggregation traffic at
   ``stream_rate``;
-* exchanges in the MapReduce style: map spill + network + reduce read;
+* exchanges in the MapReduce style: map spill + network + reduce-side
+  sort-merge + read;
 * per-job startup, plus a fixed per-statement compile/submit overhead —
   SimSQL is a prototype that compiles every query to Java (the paper:
   "as a prototype system, it is not engineered for high throughput"),

@@ -3,8 +3,9 @@
 Runs the paper's Gram / regression / distance workloads at mini scale in
 both interpreter back ends, collects the per-operator
 :class:`~repro.engine.OperatorTrace` of every statement, and reports the
-operators with the worst cardinality q-error — the measured feedback on
-the section-4 cost model that ``EXPLAIN ANALYZE`` gives for a single
+operators with the worst cardinality q-error and the worst seconds
+q-error (estimated seconds against charged ones) — the measured feedback
+on the section-4 cost model that ``EXPLAIN ANALYZE`` gives for a single
 query, aggregated over the whole evaluation workload.
 
 ``--check`` (smoke scales) fails the run when any statement's traced
@@ -35,6 +36,9 @@ class WorstOperator:
     est_rows: float
     actual_rows: int
     q_error: float
+    est_seconds: float
+    wall_seconds: float
+    seconds_q_error: float
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,8 @@ class TraceCaseResult:
     operators: int
     mean_q_error: float
     max_q_error: float
+    #: largest q-error of an operator's estimated against charged seconds
+    max_seconds_q_error: float
     #: every statement's root trace rows_out == delivered len(rows),
     #: in both execution modes
     rows_consistent: bool
@@ -57,6 +63,8 @@ class TraceCaseResult:
 class TraceReport:
     cases: List[TraceCaseResult]
     worst: List[WorstOperator]
+    #: the operators with the worst seconds q-error
+    worst_seconds: List[WorstOperator]
 
     def ok(self) -> bool:
         """The --check criterion: traced row counts equal delivered row
@@ -109,6 +117,7 @@ def run_trace_bench(
             for (row_trace, _), (batch_trace, _) in zip(row_traces, batch_traces)
         )
         q_errors: List[float] = []
+        seconds_q_errors: List[float] = []
         fully_annotated = True
         operators = 0
         for statement, (trace, _) in enumerate(row_traces):
@@ -122,6 +131,7 @@ def run_trace_bench(
                     fully_annotated = False
                     continue
                 q_errors.append(node.q_error)
+                seconds_q_errors.append(node.seconds_q_error)
                 worst.append(
                     WorstOperator(
                         case=case.name,
@@ -130,6 +140,9 @@ def run_trace_bench(
                         est_rows=node.est_rows,
                         actual_rows=node.rows_out,
                         q_error=node.q_error,
+                        est_seconds=node.est_seconds,
+                        wall_seconds=node.wall_seconds,
+                        seconds_q_error=node.seconds_q_error,
                     )
                 )
         results.append(
@@ -141,26 +154,29 @@ def run_trace_bench(
                     sum(q_errors) / len(q_errors) if q_errors else 0.0
                 ),
                 max_q_error=max(q_errors) if q_errors else 0.0,
+                max_seconds_q_error=max(seconds_q_errors, default=0.0),
                 rows_consistent=rows_consistent,
                 fully_annotated=fully_annotated,
                 modes_match=modes_match,
             )
         )
+    by_seconds = sorted(worst, key=lambda op: op.seconds_q_error, reverse=True)
     worst.sort(key=lambda op: op.q_error, reverse=True)
-    return TraceReport(cases=results, worst=worst[:8])
+    return TraceReport(cases=results, worst=worst[:8], worst_seconds=by_seconds[:8])
 
 
 def format_trace(report: TraceReport) -> str:
     lines = [
         "Estimate-accuracy benchmark (per-operator q-error, row + batch)",
         "",
-        f"{'workload':24} {'stmts':>5} {'ops':>5} {'mean q':>8} {'max q':>8}  "
-        f"rows-ok annotated modes-match",
+        f"{'workload':24} {'stmts':>5} {'ops':>5} {'mean q':>8} {'max q':>8} "
+        f"{'max s-q':>8}  rows-ok annotated modes-match",
     ]
     for case in report.cases:
         lines.append(
             f"{case.name:24} {case.statements:>5} {case.operators:>5} "
-            f"{case.mean_q_error:>8.2f} {case.max_q_error:>8.2f}  "
+            f"{case.mean_q_error:>8.2f} {case.max_q_error:>8.2f} "
+            f"{case.max_seconds_q_error:>8.2f}  "
             f"{'yes' if case.rows_consistent else 'NO':>7} "
             f"{'yes' if case.fully_annotated else 'NO':>9} "
             f"{'yes' if case.modes_match else 'NO':>11}"
@@ -171,6 +187,14 @@ def format_trace(report: TraceReport) -> str:
         lines.append(
             f"  q-error {op.q_error:8.2f}  est {op.est_rows:>12,.0f}  "
             f"actual {op.actual_rows:>10,}  {op.case} "
+            f"stmt {op.statement}: {op.operator}"
+        )
+    lines.append("")
+    lines.append("worst-estimated operator seconds (estimated vs charged):")
+    for op in report.worst_seconds:
+        lines.append(
+            f"  s-q-error {op.seconds_q_error:6.2f}  est {op.est_seconds:.3g}s  "
+            f"charged {op.wall_seconds:.3g}s  {op.case} "
             f"stmt {op.statement}: {op.operator}"
         )
     lines.append("")

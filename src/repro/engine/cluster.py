@@ -4,14 +4,22 @@ Physical operators process *real* tuples but charge their work to virtual
 workers ("slots" — one per core, 80 of them in the paper's 10x8 setup).
 An operator's simulated wall time is::
 
-    max over slots of (per-slot CPU seconds)  +  network seconds
+    max over slots of (per-slot seconds)  +  network seconds
 
-CPU seconds per slot combine three rates from :class:`ClusterConfig`:
+A slot's seconds combine CPU and disk, at rates from
+:class:`ClusterConfig`:
 
 * ``tuple_cpu_s`` — fixed per-tuple iterator overhead (the cost that blows
   up the tuple-based implementations in the paper's Figure 1-3);
 * ``flop_rate`` — dense kernels (matrix multiply, inverse, ...);
-* ``stream_rate`` — element-wise arithmetic and aggregation traffic.
+* ``blas1_rate`` — memory-bound dots and outer products;
+* ``stream_rate`` — element-wise arithmetic and aggregation traffic;
+* ``disk_rate_per_slot`` — scans, map-output spills, reduce-side reads
+  and operator state spilled over the working-memory budget.
+
+:class:`OperatorRun` is the only code that turns work into seconds (the
+executor charges it per slot, the cost model the busiest slot's
+estimated work); the comparison counts and the spill rule live beside it.
 
 Because partitions are placed on slots by *hashing*, a computation with
 only 100 blocks on 80 slots develops exactly the load imbalance the paper
@@ -22,6 +30,7 @@ reports for its blocked distance computation; setting
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import threading
 from typing import List, Optional
@@ -156,6 +165,32 @@ def columns_row_bytes(columns, count: int) -> np.ndarray:
     return total
 
 
+def sort_comparisons(count: float) -> float:
+    """Comparisons charged for sorting ``count`` rows, ``n·log2(n+1)``."""
+    return count * max(1.0, math.log2(count + 1))
+
+
+def top_k_comparisons(count: float, limit: int) -> float:
+    """Comparisons charged for a bounded-heap selection of ``limit`` of
+    ``count`` rows, ``n·log2(min(k, n)+1)``."""
+    return count * max(1.0, math.log2(min(limit, count) + 1))
+
+
+def disk_seconds(config: ClusterConfig, nbytes: float) -> float:
+    """One slot moving ``nbytes`` through its share of its machine's disk."""
+    return nbytes / config.disk_rate_per_slot
+
+
+def refetch_seconds(config: ClusterConfig, nbytes: float, remote: bool) -> float:
+    """A recovering task re-reading ``nbytes`` of its input from the
+    lineage store: from its share of its machine's disk, and also of its
+    network link when the partition was lost (``remote``)."""
+    seconds = disk_seconds(config, nbytes)
+    if remote:
+        seconds += nbytes / config.network_rate_per_slot
+    return seconds
+
+
 class OperatorRun:
     """Cost accumulator for one operator execution; closed by the
     cluster, which converts charges into an OperatorMetrics record."""
@@ -215,9 +250,7 @@ class OperatorRun:
 
     def charge_disk(self, slot: int, scan_bytes: float) -> None:
         config = self._config
-        self._slot_seconds[slot % config.slots] += (
-            scan_bytes / config.disk_rate_per_slot
-        )
+        self._slot_seconds[slot % config.slots] += disk_seconds(config, scan_bytes)
 
     def charge_network(self, transfer_bytes: float) -> None:
         self.network_bytes += transfer_bytes
@@ -227,32 +260,45 @@ class OperatorRun:
         if nbytes > self.peak_memory_bytes:
             self.peak_memory_bytes = nbytes
 
-    def charge_spill(self, slot: int, state_bytes: float) -> None:
-        """Operator state on ``slot`` exceeded the working-memory budget:
-        charge a write plus a reload at disk rate and count the spill.
+    def spills(self, state_bytes: float) -> bool:
+        """Whether ``state_bytes`` of one slot's operator state exceed the
+        working-memory budget."""
+        budget = self._config.effective_buffer_pool_bytes
+        return state_bytes > 0.0 and state_bytes > budget
+
+    def charge_state(self, slot: int, state_bytes: float) -> bool:
+        """Note one slot's operator state; over the budget it spills — a
+        write plus a reload at disk rate, counted — and this returns True.
         The decision and the charge are pure byte accounting, identical
         in both storage modes (disk mode additionally round-trips the
         state through a physical spill file)."""
+        self.note_peak(state_bytes)
+        if not self.spills(state_bytes):
+            return False
         self.charge_disk(slot, 2.0 * state_bytes)
         self.spill_bytes += state_bytes
         self.spill_events += 1
-        self.note_peak(state_bytes)
+        return True
 
     # -- results -----------------------------------------------------------
 
-    def finish(self) -> OperatorMetrics:
+    @property
+    def wall_seconds(self) -> float:
+        """The busiest slot's seconds plus the network's, which every
+        machine's link shares."""
         config = self._config
+        network = self.network_bytes / (config.network_rate * config.machines)
+        return max(self._slot_seconds) + network
+
+    def finish(self) -> OperatorMetrics:
         busiest = max(self._slot_seconds)
         mean = sum(self._slot_seconds) / len(self._slot_seconds)
-        network_seconds = self.network_bytes / (
-            config.network_rate * config.machines
-        )
         return OperatorMetrics(
             name=self.name,
             rows_in=self.rows_in,
             rows_out=self.rows_out,
             bytes_out=self.bytes_out,
-            wall_seconds=busiest + network_seconds,
+            wall_seconds=self.wall_seconds,
             max_worker_seconds=busiest,
             mean_worker_seconds=mean,
             network_bytes=self.network_bytes,

@@ -42,7 +42,6 @@ per-statement coordinates, never thread identity or real time.
 
 from __future__ import annotations
 
-import math
 import threading
 from operator import add, is_
 from typing import Dict, List, Optional, Tuple
@@ -74,7 +73,13 @@ from ..plan.physical import (
 )
 from ..storage.segment import segment_pruned
 from .aggregation import final_aggregate, finished
-from .cluster import Cluster, stable_hash
+from .cluster import (
+    Cluster,
+    refetch_seconds,
+    sort_comparisons,
+    stable_hash,
+    top_k_comparisons,
+)
 from .keys import one_nan, stable_argsort, stable_order, top_order
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
 from .storage import (
@@ -183,8 +188,6 @@ class Executor:
         #: the database's storage engine (segment files, buffer pool,
         #: physical spill); None behaves exactly like memory mode
         self.storage = storage
-        #: per-slot operator-state budget; tracked state above it spills
-        self.spill_budget = cluster.config.effective_buffer_pool_bytes
         mode = execution_mode or cluster.config.execution_mode
         if mode not in EXECUTION_MODES:
             raise ExecutionError(
@@ -493,23 +496,14 @@ class Executor:
 
     def _refetch_seconds(self, node: PhysicalNode, relation, slot: int) -> float:
         """Simulated cost of re-reading a restarted task's inputs from
-        the lineage store (local checkpoint/scan re-read)."""
-        config = self.cluster.config
-        sources = [
-            rel
-            for rel in (
-                self._materialized.get(id(child)) for child in node.children()
-            )
-            if rel is not None
-        ]
-        if not sources:
-            # a leaf (scan): the restarted task re-reads its own
-            # partition of the base table
-            sources = [relation]
+        the lineage store (local checkpoint/scan re-read); a leaf (scan)
+        re-reads its own partition of the base table."""
+        inputs = [self._materialized.get(id(child)) for child in node.children()]
         seconds = 0.0
-        for rel in sources:
-            if slot < len(rel.partitions):
-                seconds += rel.partition_totals()[slot] / config.disk_rate_per_slot
+        for rel in [rel for rel in inputs if rel is not None] or [relation]:
+            totals = rel.partition_totals()
+            if slot < len(totals):
+                seconds += refetch_seconds(self.cluster.config, totals[slot], False)
         return seconds
 
     def _apply_lost_inputs(self, node: PhysicalNode, op_index: int) -> None:
@@ -528,18 +522,13 @@ class Executor:
             base = list(op.slot_seconds)
             adjusted = list(base)
             changed = False
-            for slot in range(len(relation.partitions)):
-                if len(relation.partitions[slot]) == 0:
-                    continue
-                if not injector.partition_lost(op_index, slot):
+            totals = relation.partition_totals()
+            for slot, length in enumerate(relation.partition_lengths()):
+                if length == 0 or not injector.partition_lost(op_index, slot):
                     continue
                 self._count("lost_partition")
-                nbytes = relation.partition_totals()[slot]
                 redo = base[slot] if slot < len(base) else 0.0
-                refetch = nbytes / config.disk_rate_per_slot + nbytes / (
-                    config.network_rate / config.cores_per_machine
-                )
-                charge = redo + refetch
+                charge = redo + refetch_seconds(config, totals[slot], True)
                 if slot < len(adjusted):
                     adjusted[slot] += charge
                 metrics.recovery_seconds += charge
@@ -549,22 +538,16 @@ class Executor:
 
     # -- helpers ------------------------------------------------------------
 
-    def _over_budget(self, nbytes: float) -> bool:
-        return nbytes > 0.0 and nbytes > self.spill_budget
-
     def _spill_state(self, run, slot: int, nbytes: float) -> bool:
         """Check one slot's operator state against the working-memory
         budget; over-budget state is charged as a spill (write plus
         reload at disk rate). The decision and the charge are pure byte
         accounting, identical across storage and execution modes.
         Returns True when the state spilled."""
-        run.note_peak(nbytes)
-        if not self._over_budget(nbytes):
-            return False
-        run.charge_spill(slot, nbytes)
-        if self.storage is not None:
+        spilled = run.charge_state(slot, nbytes)
+        if spilled and self.storage is not None:
             self.storage.note_spill(nbytes)
-        return True
+        return spilled
 
     def _spill_roundtrip(self, chunk):
         """Physically round-trip a spilled chunk through a spill file in
@@ -836,7 +819,7 @@ class Executor:
             round-trips through a spill file."""
             chunk = build_rel.partitions[slot]
             nbytes = chunk.total_bytes()
-            if self._over_budget(nbytes):
+            if run.spills(nbytes):
                 chunk = self._spill_roundtrip(chunk)
             cost = EvalCost()
             return chunk, nbytes, cost, chunk.keys(node.build_keys, cost)
@@ -1009,7 +992,7 @@ class Executor:
                 order = stable_order(count, keys)
             else:
                 order = top_order(count, keys, node.limit)
-            op.charge_cpu(slot, tuples=count * max(1.0, math.log2(count + 1)))
+            op.charge_cpu(slot, tuples=sort_comparisons(count))
             # the full sort materializes an ordered copy of the whole
             # partition before any LIMIT truncation — O(n) state (the
             # simulated PTopK holds O(k); see _top_k)
@@ -1047,7 +1030,7 @@ class Executor:
             # keys are evaluated (and charged) in ORDER BY sequence
             sort_keys = _charged_sort_keys(chunk, node.keys, slot, op)
             out = chunk.take(top_order(len(chunk), reversed(sort_keys), node.limit))
-            op.charge_cpu(slot, tuples=_top_k_comparisons(len(chunk), node.limit))
+            op.charge_cpu(slot, tuples=top_k_comparisons(len(chunk), node.limit))
             op.note_peak(out.total_bytes())
             return out
 
@@ -1065,10 +1048,3 @@ def _charged_sort_keys(chunk, keys, slot, op) -> list:
         out.append((chunk.keys([expr], cost), ascending))
         op.charge_eval(slot, 0, cost)
     return out
-
-
-def _top_k_comparisons(count: int, limit: int) -> float:
-    """Simulated comparison count for a bounded-heap selection —
-    ``n·log2(min(k, n)+1)`` against the full sort's ``n·log2(n+1)``.
-    Identical in row and batch mode by construction."""
-    return count * max(1.0, math.log2(min(limit, count) + 1))

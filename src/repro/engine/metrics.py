@@ -136,6 +136,17 @@ class OperatorTrace:
         actual = max(float(self.rows_out), 1.0)
         return max(estimated / actual, actual / estimated)
 
+    @property
+    def seconds_q_error(self) -> Optional[float]:
+        """The same ratio between the estimated seconds and the charged
+        ``wall_seconds``, both floored at a nanosecond (far below one
+        tuple's charge); None when :attr:`q_error` is."""
+        if self.est_seconds is None or not self.executed:
+            return None
+        estimated = max(self.est_seconds, 1e-9)
+        charged = max(self.wall_seconds, 1e-9)
+        return max(estimated / charged, charged / estimated)
+
     def walk(self) -> Iterator["OperatorTrace"]:
         """This node and all descendants, pre-order."""
         yield self

@@ -43,7 +43,6 @@ from ..types import (
     Vector,
     VectorType,
 )
-from ..types.scalar import DEFAULT_UNKNOWN_DIM
 
 
 class Aggregate:
@@ -69,21 +68,6 @@ class Aggregate:
 
     def finish(self, state):
         return state
-
-    def add_flops(self, arg_type: DataType) -> float:
-        """FLOPs charged for accumulating one input value."""
-        return _elements(arg_type)
-
-
-def _elements(arg_type: DataType) -> float:
-    if isinstance(arg_type, VectorType):
-        length = arg_type.length if arg_type.length is not None else DEFAULT_UNKNOWN_DIM
-        return float(length)
-    if isinstance(arg_type, MatrixType):
-        rows = arg_type.rows if arg_type.rows is not None else DEFAULT_UNKNOWN_DIM
-        cols = arg_type.cols if arg_type.cols is not None else DEFAULT_UNKNOWN_DIM
-        return float(rows * cols)
-    return 1.0
 
 
 def _numeric(value):
@@ -158,9 +142,6 @@ class CountAggregate(Aggregate):
 
     def merge(self, left, right):
         return left + right
-
-    def add_flops(self, arg_type: DataType) -> float:
-        return 1.0
 
 
 class MinAggregate(Aggregate):
@@ -296,9 +277,6 @@ class VectorizeAggregate(Aggregate):
         for label, value in state.items():
             data[label - 1] = value
         return Vector(data)
-
-    def add_flops(self, arg_type: DataType) -> float:
-        return 1.0
 
 
 class _MatrixFromVectors(Aggregate):

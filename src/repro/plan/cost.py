@@ -19,7 +19,12 @@ exchange instead of the join.
 
 Costs are expressed in estimated *seconds* on the configured cluster so
 that data movement (bytes / bandwidth) and compute (FLOPs / rate) share a
-currency.
+currency. This module prices no work itself: an operator's seconds are
+what :class:`~repro.engine.cluster.OperatorRun` charges for the busiest
+slot's estimated work, through the same charge calls the operator's
+handler in ``engine/executor.py`` makes — so EXPLAIN ANALYZE's
+estimated seconds mean what the simulation charges, and a rate is read
+in one place.
 
 A **size-blind** mode is provided for the ablation benchmark: it prices
 every attribute at a constant width, which is how an optimizer without LA
@@ -28,7 +33,6 @@ type information would behave.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,15 +43,19 @@ from ..catalog.statistics import (
     predicate_fingerprint,
 )
 from ..config import ClusterConfig
+from ..engine.cluster import OperatorRun, sort_comparisons, top_k_comparisons
+from ..engine.storage import ROUND_ROBIN
 from ..types import DataType
 from .expressions import (
     BinaryExpr,
     BoolExpr,
     ColumnVar,
+    EvalCost,
     IsNullExpr,
     LiteralExpr,
     NotExpr,
     TypedExpr,
+    row_cost,
 )
 from .logical import (
     AggregateNode,
@@ -93,6 +101,15 @@ def _clamped(distinct: Dict[int, float], rows: float) -> Dict[int, float]:
 #: other layer's; see :meth:`CostModel._unsplit_rule`).
 LOGICAL_UNSPLIT = (ScanNode, ViewScanNode, FilterNode, ProjectNode)
 
+#: the partitioning kind of rows spread over every slot
+SPREAD = ROUND_ROBIN.kind
+
+
+def _kind(node) -> str:
+    """The partitioning kind of a node's rows: a physical node's own, a
+    logical node's (it has none) spread over every slot."""
+    return getattr(node, "partitioning", ROUND_ROBIN).kind
+
 
 class CostModel:
     """Estimates cardinalities and execution cost in seconds.
@@ -101,9 +118,9 @@ class CostModel:
     is on), observed cardinalities learned from completed queries
     override the static guesses: scan row counts, filter selectivities
     and join selectivities keyed by normalized fingerprints (see
-    ``catalog/statistics.py``). Everything else — widths, cost rates,
-    the per-operator formulas — is unchanged, so feedback sharpens
-    *estimates* without touching the charging model."""
+    ``catalog/statistics.py``). Everything else — widths and the
+    charges — is unchanged, so feedback sharpens *estimates* without
+    touching the charging model."""
 
     def __init__(
         self,
@@ -113,9 +130,7 @@ class CostModel:
     ):
         self.config = config
         self.size_blind = size_blind
-        self.feedback = (
-            feedback if getattr(config, "feedback_mode", "on") == "on" else None
-        )
+        self.feedback = feedback if config.feedback_mode == "on" else None
 
     # -- cardinality feedback --------------------------------------------------
 
@@ -326,131 +341,162 @@ class CostModel:
             return 1.0 if predicate.value else 0.0
         return 0.5
 
-    # -- costs (seconds) ----------------------------------------------------------
+    # -- seconds: OperatorRun's charges on the busiest slot ------------------------
+    #
+    # Each ``_charge_*`` method makes the charge calls one handler in
+    # engine/executor.py makes, arguments read off estimates, for the
+    # busiest slot of a phase whose rows are partitioned as ``kind``.
 
-    def _cpu_seconds(self, rows: float, expr_flops: float, expr_bytes: float) -> float:
+    def _share(self, est: Estimate, kind: str) -> Tuple[float, float]:
+        """Rows and bytes of ``est`` on the busiest slot: all of them in a
+        SINGLE, gathered or broadcast phase, else rows / slots (at least
+        one)."""
+        if kind in ("single", "broadcast"):
+            return est.rows, est.total_bytes
+        rows = min(est.rows, max(est.rows / self.config.slots, 1.0))
+        return rows, rows * est.width_bytes
+
+    def _seconds(self, charge, *args) -> float:
+        """The simulated seconds of a run ``charge(run, *args)`` charges."""
+        run = OperatorRun("estimate", self.config)
+        charge(run, *args)
+        return run.wall_seconds
+
+    def _charge_scan(self, run, est: Estimate, kind: str) -> None:
+        rows, nbytes = self._share(est, kind)
+        run.charge_disk(0, nbytes)
+        run.charge_cpu(0, tuples=rows)
+
+    def _charge_eval(self, run, child: Estimate, kind: str, exprs) -> None:
+        """Filter, Project and ViewScan: every row plus its expressions."""
+        rows, _ = self._share(child, kind)
+        run.charge_eval(0, rows, row_cost(exprs, rows))
+
+    def _charge_broadcast(self, run, child: Estimate) -> None:
         config = self.config
-        per_row = (
-            config.tuple_cpu_s
-            + expr_flops / config.flop_rate
-            + expr_bytes / config.stream_rate
-        )
-        return rows * per_row / config.slots
+        run.charge_network(child.total_bytes * config.machines)
+        for machine in range(config.machines):
+            run.charge_cpu(machine * config.cores_per_machine, tuples=child.rows)
 
-    def _shuffle_seconds(self, total_bytes: float, rows: float) -> float:
-        """A hash/gather exchange in the MapReduce execution model: map
-        output spilled to disk, moved over the network, read back by the
-        reduce side."""
-        config = self.config
-        transfer = total_bytes / config.network_rate / config.machines
-        materialize = 2.0 * total_bytes / config.disk_rate / config.machines
-        serialization = rows * config.tuple_cpu_s / config.slots
-        return transfer + materialize + serialization
+    def _charge_gather(self, run, child: Estimate, kind: str) -> None:
+        rows, nbytes = self._share(child, kind)
+        run.charge_cpu(0, tuples=rows)
+        run.charge_disk(0, nbytes)  # map output spill
+        run.charge_network(child.total_bytes)
+        run.charge_state(0, child.total_bytes)
+        run.charge_disk(0, child.total_bytes / self.config.cores_per_machine)
+        run.charge_cpu(0, tuples=child.rows)
 
-    def _spill_seconds(self, per_slot_bytes: float) -> float:
-        """Anticipated spill cost when one slot's operator state exceeds
-        the working-memory budget: the state is written and re-read at
-        disk rate, mirroring ``OperatorRun.charge_spill``. Zero when the
-        state fits."""
-        if per_slot_bytes <= self.config.effective_buffer_pool_bytes:
-            return 0.0
-        return 2.0 * per_slot_bytes / self.config.disk_rate_per_slot
+    def _charge_hash(self, run, child: Estimate, kind: str, keys=()) -> None:
+        rows, nbytes = self._share(child, kind)
+        run.charge_eval(0, rows, row_cost(keys, rows))
+        run.charge_disk(0, nbytes)  # map output spill
+        run.charge_network(child.total_bytes)
+        rows, nbytes = self._share(child, SPREAD)
+        run.charge_state(0, nbytes)
+        run.charge_disk(0, nbytes)  # reduce-side read
+        run.charge_cpu(0, tuples=rows)
 
-    def _broadcast_seconds(self, side_bytes: float, rows: float) -> float:
-        """Replicating one side to every machine (a map-side join): pure
-        network plus deserialization, no reduce materialization."""
-        config = self.config
-        transfer = side_bytes / config.network_rate  # machines copies / machines
-        deserialize = rows * config.tuple_cpu_s / config.cores_per_machine
-        return transfer + deserialize
+    def _charge_hash_join(self, run, probe, build, out, kinds, keys, residual) -> None:
+        """``kinds`` and ``keys``: the probe side's, then the build
+        side's; the residual is priced on the output rows."""
+        rows, nbytes = self._share(build, kinds[1])
+        run.charge_state(0, nbytes)
+        run.charge_eval(0, rows, row_cost(keys[1], rows))
+        rows = self._share(probe, kinds[0])[0]
+        pairs = self._share(out, kinds[0])[0]
+        cost = row_cost([residual], pairs, row_cost(keys[0], rows))
+        run.charge_eval(0, rows + pairs, cost)
 
-    def scan_cost(self, estimate: Estimate) -> float:
-        config = self.config
-        return (
-            estimate.total_bytes / config.disk_rate / config.machines
-            + estimate.rows * config.tuple_cpu_s / config.slots
-        )
+    def _charge_nested_loop(self, run, probe, build, out, kind, residual) -> None:
+        pairs = self._share(probe, kind)[0] * max(build.rows, 1.0)
+        out_rows = self._share(out, kind)[0]
+        run.charge_eval(0, pairs + out_rows, row_cost([residual], pairs))
 
-    def view_scan_cost(self, estimate: Estimate) -> float:
-        # stored state, no scan, no shuffle: just emitting the rows
-        return estimate.rows * self.config.tuple_cpu_s
-
-    def filter_cost(self, input_est: Estimate, predicate: TypedExpr) -> float:
-        return self._cpu_seconds(
-            input_est.rows, predicate.total_flops(), predicate.total_bytes_touched()
-        )
-
-    def project_cost(self, input_rows: float, exprs) -> float:
-        flops = sum(expr.total_flops() for expr in exprs)
-        stream = sum(expr.total_bytes_touched() for expr in exprs)
-        return self._cpu_seconds(input_rows, flops, stream)
-
-    def join_cost(
-        self, left: Estimate, right: Estimate, output: Estimate, is_cross: bool
-    ) -> float:
-        """Cost of a distributed join: the cheaper of broadcasting the
-        smaller input (map-side, output pipelined) or repartitioning both
-        (reduce-side, output materialized to disk), plus probe/emit CPU."""
-        smaller_bytes = min(left.total_bytes, right.total_bytes)
-        smaller_rows = min(left.rows, right.rows)
-        # the build side is held in memory; a broadcast build is a full
-        # copy per slot, a partitioned build holds 1/slots of it
-        broadcast = self._broadcast_seconds(
-            smaller_bytes, smaller_rows
-        ) + self._spill_seconds(smaller_bytes)
-        if is_cross:
-            movement = broadcast
-        else:
-            repartition = (
-                self._shuffle_seconds(
-                    left.total_bytes + right.total_bytes, left.rows + right.rows
-                )
-                + 2.0 * output.total_bytes / self.config.disk_rate / self.config.machines
-                + self._spill_seconds(smaller_bytes / self.config.slots)
-            )
-            movement = min(broadcast, repartition)
-        build_probe = self._cpu_seconds(left.rows + right.rows, 0.0, 8.0)
-        emit = self._cpu_seconds(output.rows, 0.0, 8.0)
-        return movement + build_probe + emit
-
-    @staticmethod
-    def _argument_work(aggregates) -> Tuple[float, float]:
-        """FLOPs and bytes touched per input row to evaluate the
-        aggregates' argument expressions."""
-        args = [spec.arg for spec in aggregates if spec.arg is not None]
-        return (
-            sum(arg.total_flops() for arg in args),
-            sum(arg.total_bytes_touched() for arg in args),
-        )
-
-    def aggregate_cost(self, input_est: Estimate, node: AggregateNode, output: Estimate) -> float:
-        arg_flops, arg_bytes = self._argument_work(node.aggregates)
-        accumulate_bytes = sum(
-            spec.aggregate.add_flops(spec.arg.data_type) * 8.0
+    def _charge_partial(self, run, child, kind, est, node) -> None:
+        """``node``'s keys and aggregates, per slot: a hash aggregation
+        costs about two passes a row plus one a group."""
+        rows = self._share(child, kind)[0]
+        groups, nbytes = self._share(est, kind)
+        run.charge_state(0, nbytes)
+        exprs = [*node.group_exprs, *(spec.arg for spec in node.aggregates)]
+        cost = row_cost(exprs, rows)
+        streamed = sum(  # each aggregate streams its input into its state
+            8.0 if spec.arg is None else self.type_width(spec.arg.data_type)
             for spec in node.aggregates
-            if spec.arg is not None
         )
-        consume = self._cpu_seconds(
-            input_est.rows, arg_flops, arg_bytes + accumulate_bytes
-        )
-        shuffle = self._shuffle_seconds(output.total_bytes, output.rows)
-        # aggregation state that outgrows the budget spills per slot
-        spill = self._spill_seconds(output.total_bytes / self.config.slots)
-        return consume + shuffle + spill
+        cost.add("stream_bytes", streamed * rows)
+        run.charge_eval(0, 2 * rows + groups, cost)
 
-    def sort_seconds(
-        self, input_est: Estimate, limit: Optional[int]
-    ) -> Tuple[float, float]:
-        """ORDER BY's two charges, ``(gather, ordering)``."""
-        # the pre-gather local sort/Top-K truncates to the limit, so
-        # the gather ships at most ``limit`` rows per slot
-        shipped_rows = input_est.rows
-        if limit is not None:
-            shipped_rows = min(shipped_rows, float(limit) * self.config.slots)
-        shipped_bytes = shipped_rows * input_est.width_bytes
-        return (
-            self._shuffle_seconds(shipped_bytes, shipped_rows),
-            self._cpu_seconds(self.sort_comparisons(input_est.rows, limit), 0.0, 8.0),
+    def _charge_final(self, run, child: Estimate, kind: str, node) -> None:
+        """Merging: every partial state of ``node`` streams in."""
+        rows = self._share(child, kind)[0]
+        cost = EvalCost()
+        states = sum(self.type_width(spec.output.data_type) for spec in node.aggregates)
+        cost.add("stream_bytes", states * rows)
+        run.charge_eval(0, rows, cost)
+
+    def _charge_distinct(self, run, child: Estimate, kind: str) -> None:
+        rows, nbytes = self._share(child, kind)
+        run.charge_cpu(0, tuples=rows, stream_bytes=nbytes)
+
+    def _charge_ordering(self, run, child, kind, keys, limit) -> None:
+        """A full sort (``limit`` None) or a Top-K; ``keys`` in the order
+        the handler evaluates them. ``LIMIT 0`` runs nothing."""
+        if limit == 0:
+            return
+        rows = self._share(child, kind)[0]
+        for expr, _ in keys:
+            run.charge_eval(0, 0, row_cost([expr], rows))
+        if limit is None:
+            run.charge_cpu(0, tuples=sort_comparisons(rows))
+        else:
+            run.charge_cpu(0, tuples=top_k_comparisons(rows, limit))
+
+    def broadcast_join(
+        self,
+        left: Estimate,
+        right: Estimate,
+        output: Estimate,
+        left_ready: bool = False,
+        right_ready: bool = False,
+    ) -> bool:
+        """The join strategy, by bytes: broadcast the smaller input (a
+        map-side join, its output pipelined) when copying it to every
+        machine moves fewer bytes than shuffling the inputs not already
+        partitioned on the keys (``*_ready``) and materializing the output
+        (a reduce-side join). The physical planner plans by it, and the
+        logical walker prices the strategy it picks."""
+        repartition = (
+            (0.0 if left_ready else left.total_bytes)
+            + (0.0 if right_ready else right.total_bytes)
+            + output.total_bytes
+        )
+        smaller = min(left.total_bytes, right.total_bytes)
+        return smaller * self.config.machines < repartition
+
+    def _join_seconds(self, node: JoinNode, left, right, out) -> float:
+        """A logical join priced as the physical planner lowers it, its
+        inputs spread over every slot: the smaller one broadcast and
+        joined against its copy, or both hashed on the keys and joined
+        slot by slot."""
+        keys = [[pair[0] for pair in node.equi], [pair[1] for pair in node.equi]]
+        if right.total_bytes > left.total_bytes:  # build on the smaller side
+            keys.reverse()
+            left, right = right, left
+        probe, build, seconds = left, right, self._seconds
+        if node.is_cross:
+            return seconds(self._charge_broadcast, build) + seconds(
+                self._charge_nested_loop, probe, build, out, SPREAD, node.residual
+            )
+        if self.broadcast_join(probe, build, out):
+            moved, kinds = seconds(self._charge_broadcast, build), (SPREAD, "broadcast")
+        else:
+            moved = seconds(self._charge_hash, probe, SPREAD, keys[0])
+            moved += seconds(self._charge_hash, build, SPREAD, keys[1])
+            kinds = (SPREAD, SPREAD)
+        return moved + seconds(
+            self._charge_hash_join, probe, build, out, kinds, keys, node.residual
         )
 
     # -- logical plans ---------------------------------------------------------------
@@ -478,75 +524,79 @@ class CostModel:
         scan, view_scan, filter_, project = kinds
         if isinstance(node, scan):
             est = self.scan_rule(node.table, node.columns, self.row_width(node))
-            return est, self.scan_cost(est)
+            return est, self._seconds(self._charge_scan, est, _kind(node))
         if isinstance(node, view_scan):
+            # stored state on one slot: no scan, no shuffle, just the rows
             est = self.view_scan_rule(node.view, self.row_width(node))
-            return est, self.view_scan_cost(est)
+            return est, self._seconds(self._charge_eval, est, "single", ())
         if isinstance(node, filter_):
             (child,) = inputs
             # a filter directly above a scan learns per table
             above_scan = isinstance(node.child, scan)
             scope = str(node.child.table.name).lower() if above_scan else ""
             est = self.filter_rule(child, node.predicate, scope, self.row_width(node))
-            return est, self.filter_cost(child, node.predicate)
-        if isinstance(node, project):
+            exprs = [node.predicate]
+        elif isinstance(node, project):
             (child,) = inputs
             est = self.project_rule(
                 child, node.exprs, node.columns, self.row_width(node)
             )
-            return est, self.project_cost(child.rows, node.exprs)
-        return None
+            exprs = node.exprs
+        else:
+            return None
+        kind = _kind(node.child)
+        return est, self._seconds(self._charge_eval, child, kind, exprs)
 
     def _logical_rule(
         self, node: LogicalNode, inputs: List[Estimate], below: float
     ) -> Tuple[Estimate, float]:
         """One logical operator's output estimate from its inputs'
         estimates, and the cost of the plan rooted at it: ``below`` (its
-        input subtrees' cost) plus its own seconds."""
+        input subtrees' cost) plus its own seconds — those of the
+        operators the physical planner lowers it to, with their input
+        rows spread over every slot."""
         unsplit = self._unsplit_rule(node, inputs, LOGICAL_UNSPLIT)
         if unsplit is not None:
             return unsplit[0], below + unsplit[1]
+        width, seconds = self.row_width(node), self._seconds
         if isinstance(node, JoinNode):
             left, right = inputs
-            est = self.join_rule(
-                left, right, node.equi, node.residual, self.row_width(node)
-            )
-            return est, below + self.join_cost(left, right, est, node.is_cross)
+            est = self.join_rule(left, right, node.equi, node.residual, width)
+            return est, below + self._join_seconds(node, left, right, est)
         (child,) = inputs
         if isinstance(node, AggregateNode):
-            key_distinct = [
-                self._expr_distinct(expr, child) for expr in node.group_exprs
-            ]
-            est = self.group_rule(
-                child, key_distinct, node.group_columns, self.row_width(node)
+            keys = [self._expr_distinct(expr, child) for expr in node.group_exprs]
+            est = self.group_rule(child, keys, node.group_columns, width)
+            partial = self.group_rule(
+                child, keys, node.group_columns, width, per_slot=True
             )
-            return est, below + self.aggregate_cost(child, node, est)
+            own = seconds(self._charge_partial, child, SPREAD, partial, node)
+            if node.group_columns:
+                own += seconds(self._charge_hash, partial, SPREAD)
+                own += seconds(self._charge_final, partial, SPREAD, node)
+            else:
+                own += seconds(self._charge_gather, partial, SPREAD)
+                own += seconds(self._charge_final, partial, "single", node)
+            return est, below + own
         if isinstance(node, DistinctNode):
-            est = self.distinct_rule(child, node.columns, self.row_width(node))
-            return est, below + self._shuffle_seconds(child.total_bytes, child.rows)
+            est = self.distinct_rule(child, node.columns, width)
+            local = self.distinct_rule(child, node.columns, width, per_slot=True)
+            own = seconds(self._charge_distinct, child, SPREAD)
+            own += seconds(self._charge_hash, local, SPREAD)
+            return est, below + own + seconds(self._charge_distinct, local, SPREAD)
         if isinstance(node, SortNode):
             cap = float(node.limit) if node.limit is not None else None
             est = self.limit_rule(child, cap, floor=0.0)
-            gather, ordering = self.sort_seconds(child, node.limit)
-            return est, below + gather + ordering
+            # each slot's own pass keeps its own k before the gather
+            local = self.limit_rule(child, cap and cap * self.config.slots, floor=1.0)
+            limit = node.limit if self.use_top_k(node.limit, child.rows) else None
+            order = self._charge_ordering
+            own = seconds(order, child, SPREAD, node.keys, limit)
+            own += seconds(self._charge_gather, local, SPREAD)
+            return est, below + own + seconds(order, local, "single", node.keys, limit)
         raise TypeError(f"cannot estimate {type(node).__name__}")
 
     # -- ORDER BY ... LIMIT strategy ----------------------------------------------
-
-    def sort_comparisons(self, input_rows: float, limit: Optional[int]) -> float:
-        """Estimated comparison count of ordering ``input_rows``: a full
-        sort is n·log2(n); with a LIMIT the bounded-heap Top-K pass does
-        n·log2(k) (see :meth:`use_top_k`)."""
-        n = max(input_rows, 1.0)
-        if limit is not None and self.use_top_k(limit, n):
-            return self._top_k_comparisons(n, limit)
-        return n * math.log2(max(n, 2.0))
-
-    @staticmethod
-    def _top_k_comparisons(n: float, limit: int) -> float:
-        """n rows streamed against a heap of at most ``limit`` entries."""
-        bound = max(min(float(limit), n), 1.0)
-        return n * math.log2(bound + 1.0)
 
     def use_top_k(self, limit: Optional[int], input_rows: float) -> bool:
         """Whether the bounded-heap Top-K beats the full sort for
@@ -585,80 +635,60 @@ class CostModel:
     def _physical_rule(self, node, inputs: List[Estimate]) -> Tuple[Estimate, float]:
         """One physical operator's output estimate and own seconds: the
         same rules as :meth:`_logical_rule`. What differs is what only a
-        physical plan has, for one of three reasons noted at each — a
-        per-slot phase runs before the shuffle, an exchange only moves
-        rows, or movement is paid by the exchange below instead of by
-        the operator."""
+        physical plan has: a per-slot phase before each shuffle, exchanges
+        that move rows and change none, and where each input's rows are."""
         # imported lazily: physical.py imports this module at top level
         from . import physical as p
 
         unsplit = self._unsplit_rule(node, inputs, p.PHYSICAL_UNSPLIT)
         if unsplit is not None:
             return unsplit
+        width, seconds = self.row_width(node), self._seconds
         if isinstance(node, (p.PHashJoin, p.PNestedLoopJoin)):
             probe, build = inputs
-            keys = (
-                list(zip(node.probe_keys, node.build_keys))
-                if isinstance(node, p.PHashJoin)
-                else []
-            )
+            hashed = isinstance(node, p.PHashJoin)
+            keys = list(zip(node.probe_keys, node.build_keys)) if hashed else []
             if node.probe_is_left:
-                left, right, equi = probe, build, keys
+                est = self.join_rule(probe, build, keys, node.residual, width)
             else:
-                left, right, equi = build, probe, [(b, a) for a, b in keys]
-            est = self.join_rule(
-                left, right, equi, node.residual, self.row_width(node)
-            )
-            # movement is the exchanges'; see _join_cpu_seconds
-            return est, self._join_cpu_seconds(node, probe, build, est)
+                equi = [(b, a) for a, b in keys]
+                est = self.join_rule(build, probe, equi, node.residual, width)
+            kind = _kind(node.probe)
+            if not hashed:
+                charge = self._charge_nested_loop
+                return est, seconds(charge, probe, build, est, kind, node.residual)
+            kinds = (kind, _kind(node.build))
+            keys = (node.probe_keys, node.build_keys)
+            charge = self._charge_hash_join
+            return est, seconds(charge, probe, build, est, kinds, keys, node.residual)
         (child,) = inputs
+        kind = _kind(node.child)
         if isinstance(node, p.PExchange):
             # moves rows, changes none: the input's estimate passes through
             if node.kind == "broadcast":
-                return child, self._broadcast_seconds(child.total_bytes, child.rows)
-            # reduce-side staging: a gather stages everything on one
-            # slot, a hash exchange 1/slots of it per slot
-            staged = (
-                child.total_bytes
-                if node.kind == "gather"
-                else child.total_bytes / self.config.slots
-            )
-            return child, self._shuffle_seconds(
-                child.total_bytes, child.rows
-            ) + self._spill_seconds(staged)
+                return child, seconds(self._charge_broadcast, child)
+            if node.kind == "gather":
+                return child, seconds(self._charge_gather, child, kind)
+            return child, seconds(self._charge_hash, child, kind, node.keys)
         if isinstance(node, p.PPartialAggregate):
-            # the per-slot phase: it consumes the input; the shuffle is
-            # the exchange's and the merge the final phase's
-            key_distinct = [
-                self._expr_distinct(expr, child) for expr in node.group_exprs
-            ]
+            # the per-slot phase: the shuffle is the exchange's and the
+            # merge the final phase's
+            keys = [self._expr_distinct(expr, child) for expr in node.group_exprs]
             est = self.group_rule(
-                child,
-                key_distinct,
-                node.group_columns,
-                self.row_width(node),
-                per_slot=True,
+                child, keys, node.group_columns, width, per_slot=True
             )
-            arg_flops, arg_bytes = self._argument_work(node.aggregates)
-            return est, self._cpu_seconds(
-                child.rows, arg_flops, arg_bytes + 8.0
-            ) + self._spill_seconds(est.total_bytes / self.config.slots)
+            return est, seconds(self._charge_partial, child, kind, est, node)
         if isinstance(node, p.PFinalAggregate):
             # merges partial rows: its keys are columns by now
-            key_distinct = [
+            keys = [
                 self._column_distinct(column.column_id, child)
                 for column in node.group_columns
             ]
-            est = self.group_rule(
-                child, key_distinct, node.group_columns, self.row_width(node)
-            )
-            return est, self._cpu_seconds(child.rows, 0.0, 8.0)
+            est = self.group_rule(child, keys, node.group_columns, width)
+            return est, seconds(self._charge_final, child, kind, node)
         if isinstance(node, p.PDistinct):
-            # local (per-slot) then final; the shuffle is the exchange's
-            est = self.distinct_rule(
-                child, node.columns, self.row_width(node), per_slot=node.local
-            )
-            return est, self._cpu_seconds(child.rows, 0.0, 8.0)
+            est = self.distinct_rule(child, node.columns, width, per_slot=node.local)
+            return est, seconds(self._charge_distinct, child, kind)
         if isinstance(node, (p.PSortLimit, p.PTopK)):
             cap = float(node.limit) if node.limit is not None else None
             if cap is not None and not node.final:
@@ -666,25 +696,11 @@ class CostModel:
             est = self.limit_rule(child, cap, floor=1.0)
             # the strategy was fixed at planning; the gather is the exchange's
             if isinstance(node, p.PTopK):
-                comparisons = self._top_k_comparisons(child.rows, node.limit)
-            else:
-                comparisons = self.sort_comparisons(child.rows, None)
-            return est, self._cpu_seconds(comparisons, 0.0, 8.0)
+                keys, limit = node.keys, node.limit
+            else:  # the full sort evaluates its keys last to first
+                keys, limit = node.keys[::-1], None
+            return est, seconds(self._charge_ordering, child, kind, keys, limit)
         raise TypeError(f"cannot estimate {type(node).__name__}")
-
-    def _join_cpu_seconds(self, node, probe, build, combined) -> float:
-        # movement was charged to the exchanges below; this node pays
-        # build + probe + emit CPU plus any anticipated build-side spill
-        # (a broadcast build is a full copy on every slot)
-        if node.build.partitioning.kind == "broadcast":
-            build_per_slot = build.total_bytes
-        else:
-            build_per_slot = build.total_bytes / self.config.slots
-        return (
-            self._cpu_seconds(probe.rows + build.rows, 0.0, 8.0)
-            + self._cpu_seconds(combined.rows, 0.0, 8.0)
-            + self._spill_seconds(build_per_slot)
-        )
 
     def plan_estimates(self, node) -> Tuple[Tuple[float, float, float, float], ...]:
         """``(est_rows, est_width_bytes, est_bytes, est_seconds)`` of

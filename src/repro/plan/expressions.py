@@ -5,10 +5,9 @@ The binder converts AST expressions into these nodes. Every node knows:
 * its result :class:`~repro.types.DataType` (with vector/matrix dimensions
   inferred through templated signatures, section 4.2);
 * how to evaluate itself against a row (a dict from column id to value);
-* its estimated **compute cost per evaluation**, split into ``flops``
-  (dense kernels such as ``matrix_multiply`` that run at the machine's
-  floating-point rate) and ``bytes_touched`` (element-wise arithmetic and
-  data movement that run at memory-streaming rate).
+* the work one evaluation is charged, read off its types as a per-row
+  :class:`EvalCost` (:func:`row_cost`) — the same fields, priced the same
+  way, that evaluating it over real values charges.
 
 Columns are referenced by **column id** — a plan-wide unique integer
 assigned at bind time — so that join reordering never has to renumber
@@ -163,6 +162,23 @@ class EvalCost:
         return self
 
 
+def row_cost(exprs, rows: float = 1.0, cost: Optional[EvalCost] = None) -> EvalCost:
+    """The work evaluating ``exprs`` (None entries skipped) on ``rows``
+    rows is charged, read off their types (a tensor of unknown dimensions
+    at the default) and added to ``cost`` (None: a fresh one): the cost
+    model's price of it. Each node prices what its evaluation over values
+    charges, except that every branch of a CASE and both sides of AND/OR
+    count."""
+    cost = EvalCost() if cost is None else cost
+    stack = [expr for expr in exprs if expr is not None]
+    while stack:
+        expr = stack.pop()
+        for field, amount in expr.own_work():
+            cost.add(field, amount * rows)
+        stack.extend(expr.children())
+    return cost
+
+
 def _value_elements(value) -> float:
     """Number of scalar elements in a runtime value."""
     if isinstance(value, Vector):
@@ -212,21 +228,10 @@ class TypedExpr:
             stack.extend(node.children())
         return frozenset(ids)
 
-    def flops(self) -> float:
-        """Dense-kernel FLOPs per evaluation (this node only)."""
-        return 0.0
-
-    def bytes_touched(self) -> float:
-        """Streaming bytes per evaluation (this node only)."""
-        return 0.0
-
-    def total_flops(self) -> float:
-        return self.flops() + sum(child.total_flops() for child in self.children())
-
-    def total_bytes_touched(self) -> float:
-        return self.bytes_touched() + sum(
-            child.total_bytes_touched() for child in self.children()
-        )
+    def own_work(self) -> Tuple[Tuple[str, float], ...]:
+        """``(EvalCost field, amount)`` this node alone (not its
+        children) is charged per evaluation, read off its types."""
+        return ()
 
     def key(self) -> Tuple:
         """A structural identity used to match GROUP BY expressions with
@@ -465,8 +470,8 @@ class BinaryExpr(TypedExpr):
     def children(self):
         return (self.left, self.right)
 
-    def bytes_touched(self) -> float:
-        return self._bytes
+    def own_work(self):
+        return (("stream_bytes", self._bytes),)
 
     def key(self):
         return ("bin", self.op, self.left.key(), self.right.key())
@@ -631,8 +636,9 @@ class NegExpr(TypedExpr):
     def children(self):
         return (self.operand,)
 
-    def bytes_touched(self) -> float:
-        return 8.0
+    def own_work(self):
+        elements = arithmetic_flops("-", self.data_type, self.data_type)
+        return (("stream_bytes", 8.0 * elements),)
 
     def key(self):
         return ("neg", self.operand.key())
@@ -789,6 +795,8 @@ class FuncExpr(TypedExpr):
         self.args = list(args)
         self.data_type = builtin.bind([arg.data_type for arg in self.args])
         self._flops = builtin.estimate_flops([arg.data_type for arg in self.args])
+        #: the EvalCost field its flops are charged to
+        self._flop_field = "flops" if builtin.kind == "blas3" else "blas1_flops"
         #: (per-call flops, uniform[, shape check]) per argument form
         self._checks: Dict[tuple, tuple] = {}
 
@@ -935,14 +943,13 @@ class FuncExpr(TypedExpr):
         if cost is None:
             return
         cost.add("calls", 1, rows)
-        field = "flops" if self.builtin.kind == "blas3" else "blas1_flops"
-        cost.add(field, flops, rows)
+        cost.add(self._flop_field, flops, rows)
 
     def children(self):
         return tuple(self.args)
 
-    def flops(self) -> float:
-        return self._flops
+    def own_work(self):
+        return (("calls", 1), (self._flop_field, self._flops))
 
     def key(self):
         return ("fn", self.builtin.name, tuple(arg.key() for arg in self.args))

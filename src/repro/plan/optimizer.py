@@ -437,9 +437,10 @@ class _RegionContext:
         plan, computed = self._shrink(plan, mask, frozenset())
         return _Candidate(plan, computed, self.estimates.plan_cost(plan))
 
-    def _combine(self, left: _Candidate, right: _Candidate, left_mask: int, right_mask: int) -> _Candidate:
+    def _connecting(self, left_mask: int, right_mask: int) -> List[_Conjunct]:
+        """The conjuncts that join the two relation sets."""
         mask = left_mask | right_mask
-        connecting = [
+        return [
             c
             for c in self.conjuncts
             if c.rel_mask
@@ -447,6 +448,10 @@ class _RegionContext:
             and c.rel_mask & right_mask
             and (c.rel_mask | mask) == mask
         ]
+
+    def _combine(self, left: _Candidate, right: _Candidate, left_mask: int, right_mask: int) -> _Candidate:
+        mask = left_mask | right_mask
+        connecting = self._connecting(left_mask, right_mask)
         left_cols = left.plan.column_ids
         right_cols = right.plan.column_ids
         equi: List[Tuple[TypedExpr, TypedExpr]] = []
@@ -580,15 +585,20 @@ class _RegionContext:
             for index in range(len(self.relations))
         }
         while len(entries) > 1:
-            best_pair = None
-            best_candidate = None
+            best_key = best_pair = best_candidate = None
             masks = list(entries)
             for i, left_mask in enumerate(masks):
                 for right_mask in masks[i + 1 :]:
                     candidate = self._combine(
                         entries[left_mask], entries[right_mask], left_mask, right_mask
                     )
-                    if best_candidate is None or candidate.cost < best_candidate.cost:
+                    # the cheapest pair a predicate joins: a cross product
+                    # can cost no more than a join on its own while its
+                    # output grows every join above it, which a greedy
+                    # pick never sees — so it comes last
+                    cross = not self._connecting(left_mask, right_mask)
+                    if best_key is None or (cross, candidate.cost) < best_key:
+                        best_key = (cross, candidate.cost)
                         best_candidate = candidate
                         best_pair = (left_mask, right_mask)
             left_mask, right_mask = best_pair

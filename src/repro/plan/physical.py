@@ -5,7 +5,8 @@ cluster:
 
 * joins pick **broadcast** vs. **repartition** strategies by comparing
   estimated data movement (sizes again come from the LA-aware type
-  widths);
+  widths) — ``CostModel.broadcast_join``, the one rule the cost model
+  also prices a logical join by;
 * exchanges are elided when a side is already co-partitioned on the join
   keys (base tables can be hash-partitioned at load time);
 * aggregation is split into a partial (pre-shuffle) and final phase,
@@ -511,19 +512,10 @@ class PhysicalPlanner:
         left_ready = left.partitioning.co_partitioned_with(left_sig)
         right_ready = right.partitioning.co_partitioned_with(right_sig)
 
-        # A repartition join is a reduce-side MR join: both unready sides
-        # are shuffled and the output is materialized; a broadcast join is
-        # map-side and pipelines its output. Compare bytes moved/written.
         output_est = estimates.estimate(node)
-        repartition_bytes = (
-            (0.0 if left_ready else left_est.total_bytes)
-            + (0.0 if right_ready else right_est.total_bytes)
-            + output_est.total_bytes
-        )
-        smaller_bytes = min(left_est.total_bytes, right_est.total_bytes)
-        broadcast_bytes = smaller_bytes * self.cost.config.machines
-
-        if broadcast_bytes < repartition_bytes:
+        if self.cost.broadcast_join(
+            left_est, right_est, output_est, left_ready, right_ready
+        ):
             if left_est.total_bytes <= right_est.total_bytes:
                 build, probe = left, right
                 build_keys, probe_keys = left_keys, right_keys

@@ -1,9 +1,12 @@
 """Tests for cardinality/selectivity estimation and the size-aware cost
 model (paper section 4)."""
 
+import inspect
+import re
+
 import pytest
 
-from repro import Database, TEST_CLUSTER
+from repro import Database, PAPER_CLUSTER, TEST_CLUSTER
 from repro.plan import Binder, CostModel
 from repro.plan.logical import ScanNode
 from repro.sql import parse_statement
@@ -226,3 +229,50 @@ class TestPhysicalEstimates:
             node = node.children()[0]
         estimate, _ = cost_model.physical_estimate(node)
         assert estimate.rows == 100
+
+
+class TestOneFormulaSet:
+    """The cost model prices an operator through the OperatorRun charges
+    its handler makes, on the busiest slot: with exact row estimates and
+    rows spread evenly, estimated seconds are the charged seconds, bit
+    for bit."""
+
+    #: statement -> the operators (name prefixes) whose inputs it
+    #: estimates exactly
+    CHECKED = {
+        "SELECT id FROM t WHERE v > 10": ("Scan t", "Filter"),
+        "SELECT id, v * 2.0 FROM t": ("Scan t", "Project"),
+        "SELECT id, v FROM t ORDER BY v": ("Exchange gather", "Sort(final)"),
+        "SELECT t.id, s.w FROM t, s WHERE t.id = s.id": ("Exchange broadcast",),
+    }
+
+    @pytest.mark.parametrize("cluster", [TEST_CLUSTER, PAPER_CLUSTER], ids=["4", "80"])
+    def test_estimated_seconds_are_the_charged_seconds(self, cluster):
+        config = cluster.with_updates(balanced_placement=True)
+        database = Database(config)
+        database.execute("CREATE TABLE t (id INTEGER, v DOUBLE)")
+        database.execute("CREATE TABLE s (id INTEGER, w DOUBLE)")
+        database.load("t", [[i, float(i)] for i in range(32 * config.slots)])
+        database.load("s", [[i, float(i)] for i in range(config.slots)])
+        seen = set()
+        for sql, checked in self.CHECKED.items():
+            for node in database.execute(sql).metrics.trace.walk():
+                name = next((n for n in checked if node.name.startswith(n)), None)
+                if name is not None:
+                    seen.add(name)
+                    estimated, charged = node.est_seconds, node.wall_seconds
+                    assert estimated.hex() == charged.hex(), (sql, node.name)
+        assert seen == {name for names in self.CHECKED.values() for name in names}
+
+    def test_rates_are_read_in_one_module(self):
+        """Only engine/cluster.py turns work into seconds; the paper-scale
+        analytic model (bench/model.py) is a separate model."""
+        from repro.engine import executor
+        from repro.plan import cost
+
+        rates = re.compile(
+            r"\b(tuple_cpu_s|flop_rate|blas1_rate|stream_rate|disk_rate|"
+            r"network_rate)(_per_slot)?\b"
+        )
+        for module in (cost, executor):
+            assert rates.findall(inspect.getsource(module)) == [], module.__name__
