@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..columnar import wrap_cell
+from ..columnar import ColumnData, wrap_cell
 from ..errors import RuntimeTypeError
 from ..la.aggregates import check_carried, sum_block
 from .cluster import cell_bytes, value_bytes
@@ -184,9 +184,40 @@ def _extreme_kernel(aggregate, column, grouping, carried):
     present = np.flatnonzero(counts)
     picks = values[first[present]]
     states = [None] * len(grouping) if carried is None else list(carried)
+    if carried is None:  # a fresh state's ``add`` of a number is the number
+        for group, value in zip(present.tolist(), picks.tolist()):
+            states[group] = value
+        return states
     for group, value in zip(present.tolist(), picks.tolist()):
         states[group] = aggregate.add(states[group], value)
     return states
+
+
+def tile_extremes(aggregate, tile, valid, rows, grouping) -> Optional[list]:
+    """MIN/MAX states over a nested-loop join's pair stage, never its
+    joined rows: ``tile`` is a float64 result per (probe row, build row)
+    pair as a ``(p, b)`` array, ``valid`` its non-NULL kept pairs, and
+    ``grouping`` groups the probe rows ``rows`` selects (each has a kept
+    pair). Each probe row's extreme over its valid pairs is its first, in
+    build order, that ``==`` the row's extreme; then
+    :func:`_extreme_kernel` merges the rows of each group. A group's pick
+    is that of its first row holding the group's extreme — the first
+    pair, in the joined rows' order, whose value ``==`` it (``±0.0``
+    alike): the kernel's own pick over the joined rows. None when a valid
+    pair is NaN (the extreme of its row then is): the kernel takes the
+    chain there, so the caller builds the joined rows."""
+    if not rows.all():
+        tile, valid = tile[rows], valid[rows]
+    least = aggregate.name == "MIN"
+    extreme = (np.minimum if least else np.maximum).reduce(
+        tile, axis=1, where=valid, initial=np.inf if least else -np.inf
+    )
+    if np.isnan(extreme).any():
+        return None
+    first = (valid & (tile == extreme[:, None])).argmax(axis=1)
+    picks = tile[np.arange(len(tile)), first]
+    column = ColumnData(picks, ~valid.any(axis=1))
+    return _extreme_kernel(aggregate, column, grouping, None)
 
 
 #: aggregate name -> kernel(aggregate, column, grouping, carried) ->

@@ -88,6 +88,8 @@ from .storage import (
     SINGLE,
     Batch,
     DistributedRelation,
+    IndexPairs,
+    PairStage,
     RowChunk,
     slot_counts,
     slot_offsets,
@@ -674,14 +676,29 @@ class Executor:
         )
 
     def _project(self, node: PProject) -> DistributedRelation:
+        """Over a pair stage, a pair stage of column references and tiled
+        calls (``PairStage.project``) when every expression is one; over
+        anything else, one ``project`` of the stage."""
         child = self.execute(node.child)
         run = self.cluster.operator("Project")
         column_ids = [column.column_id for column in node.columns]
-        chunk, offsets = child.stage
-        cost = EvalCost(offsets)
-        out = chunk.project(column_ids, node.exprs, cost)
-        broadcast = child.partitioning.kind == "broadcast"
-        relation = self._staged(column_ids, out, offsets, node.partitioning, broadcast)
+        pairs = child.pairs if isinstance(child.pairs, PairStage) else None
+        if pairs is not None:
+            cost = EvalCost(pairs.offsets)
+            pairs = pairs.project(column_ids, node.exprs, cost)
+        if pairs is not None:
+            offsets = pairs.offsets
+            relation = DistributedRelation(
+                column_ids, None, node.partitioning, pairs=pairs
+            )
+        else:
+            chunk, offsets = child.stage
+            cost = EvalCost(offsets)
+            out = chunk.project(column_ids, node.exprs, cost)
+            broadcast = child.partitioning.kind == "broadcast"
+            relation = self._staged(
+                column_ids, out, offsets, node.partitioning, broadcast
+            )
         counts, totals = slot_counts(offsets), relation.partition_totals()
         for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
             run.charge_eval(slot, count, slot_cost)
@@ -781,26 +798,22 @@ class Executor:
             return DistributedRelation(column_ids, parts, node.partitioning)
         return relation
 
-    def _joined(self, run, node, probe, build, pairs, tuples, offsets, cost):
-        """The joined stage of ``pairs`` — row ``pairs[0][n]`` of ``probe``
-        beside row ``pairs[1][n]`` of ``build``, cut at ``offsets`` — with
-        the residual applied, charging each slot ``tuples`` plus its rows
-        out and its entry of ``cost``, a ledger over ``offsets``."""
-        column_ids = [column.column_id for column in node.columns]
-        if node.residual is not None and len(pairs[0]):
-            # the residual reads a join of its own columns only; the
-            # surviving pairs are then joined in full, once
-            narrow = probe.join(
-                column_ids, build, *pairs, node.probe_is_left, node.residual.column_ids
-            )
-            keep = narrow.keep(node.residual, cost)
-            pairs = [side[keep] for side in pairs]
-            offsets = slot_offsets(slot_sums(offsets, keep))
-        joined = probe.join(column_ids, build, *pairs, node.probe_is_left)
-        self._charge_slots(run, map(add, tuples, slot_counts(offsets)), cost)
-        run.rows_out = len(joined)
+    def _joined(self, run, node, pairs, tuples, cost):
+        """The relation of a join's ``pairs`` (:class:`PairStage` or
+        :class:`IndexPairs`) with the residual applied, charging each slot
+        ``tuples`` plus its rows out and its entry of ``cost``, a ledger
+        over the pairs' offsets. The residual reads the pairs spread over
+        its own columns only; the joined rows are built when a consumer
+        needs them, once."""
+        if node.residual is not None and pairs.count:
+            keep = pairs.spread(node.residual.column_ids).keep(node.residual, cost)
+            pairs = pairs.kept_by(keep)
+        self._charge_slots(run, map(add, tuples, slot_counts(pairs.offsets)), cost)
+        run.rows_out = pairs.count
         self.cluster.record(run)
-        return self._staged(column_ids, joined, offsets, node.partitioning)
+        return DistributedRelation(
+            pairs.column_ids, None, node.partitioning, pairs=pairs
+        )
 
     def _hash_join(self, node: PHashJoin) -> DistributedRelation:
         """The build side per slot; each slot's pairs are found among its
@@ -864,14 +877,22 @@ class Executor:
             costs.append(cost)
         pair_offsets = slot_offsets([len(indices) for indices, _ in found])
         run.rows_in += int(offsets[-1])
+        column_ids = [column.column_id for column in node.columns]
+        pairs = IndexPairs(
+            column_ids, probe, build,
+            [np.concatenate(side) for side in zip(*found)], pair_offsets,
+            node.probe_is_left,
+        )
         return self._joined(
-            run, node, probe, build, [np.concatenate(side) for side in zip(*found)],
-            slot_counts(offsets), pair_offsets, EvalCost(pair_offsets).hold(costs),
+            run, node, pairs, slot_counts(offsets), EvalCost(pair_offsets).hold(costs)
         )
 
     def _nested_loop_join(self, node: PNestedLoopJoin) -> DistributedRelation:
         """Every slot's probe-major cross product with the broadcast build
-        side, in one pass over the probe stage (slot-ordered as it is)."""
+        side, in one pass over the probe stage (slot-ordered as it is).
+        Over batches it is a :class:`PairStage`: the residual's keep mask
+        over the (probe × build) pairs, rows built only when a consumer
+        needs them; the row oracle pairs every row by index."""
         probe_rel = self.execute(node.probe)
         build_rel = self.execute(node.build)
         if build_rel.partitioning.kind != "broadcast":
@@ -880,16 +901,21 @@ class Executor:
         if probe_rel.partitioning.kind == "broadcast":
             raise ExecutionError("nested-loop probe side cannot be broadcast")
         (build, _), (probe, offsets) = build_rel.stage, probe_rel.stage
-        pairs = [
-            np.repeat(np.arange(len(probe), dtype=np.int64), len(build)),
-            np.tile(np.arange(len(build), dtype=np.int64), len(probe)),
-        ]
+        column_ids = [column.column_id for column in node.columns]
+        if isinstance(probe, Batch):
+            pairs = PairStage(column_ids, probe, build, offsets)
+        else:
+            pairs = IndexPairs(
+                column_ids, probe, build,
+                [
+                    np.repeat(np.arange(len(probe), dtype=np.int64), len(build)),
+                    np.tile(np.arange(len(build), dtype=np.int64), len(probe)),
+                ],
+                offsets * len(build), node.probe_is_left,
+            )
         tuples = [count * max(len(build), 1) for count in slot_counts(offsets)]
         run.rows_in = len(probe)
-        pair_offsets = offsets * len(build)
-        return self._joined(
-            run, node, probe, build, pairs, tuples, pair_offsets, EvalCost(pair_offsets)
-        )
+        return self._joined(run, node, pairs, tuples, EvalCost(offsets * len(build)))
 
     def _partial_aggregate(self, node: PPartialAggregate) -> DistributedRelation:
         child = self.execute(node.child)
@@ -897,26 +923,41 @@ class Executor:
         if child.partitioning.kind == "broadcast":
             raise ExecutionError("aggregating a broadcast relation")
         column_ids = [column.column_id for column in node.columns]
-        chunk, offsets = child.stage
-        cost = EvalCost(offsets)
-        # bucket the rows by (slot, group key) — no keys: one group of
-        # each slot's rows — then aggregate column by column (the chunk
-        # evaluates each aggregate's input in its native column form):
-        # groups come out slot by slot, each slot's in first-seen order,
-        # every state sees its group's values in row order, and the
-        # (integral) cost totals are order-independent. A fused SUM's
-        # open step is finished here, so what crosses the exchange is a
-        # plain cell
-        grouping = chunk.keys(node.group_exprs, cost).grouping()
-        spec_states = [
-            chunk.partial_aggregate(spec, grouping, cost) for spec in node.aggregates
-        ]
-        out_rows = [
-            key + tuple(finished(states[g]) for states in spec_states)
-            for g, key in enumerate(grouping.keys)
-        ]
-        groups = slot_sums(offsets, grouping.first).tolist()
-        out = self._chunks.from_rows(column_ids, out_rows)
+        # over a pair stage: MIN/MAX of a tile grouped by probe columns,
+        # reduced without the joined rows (``PairStage.partial_aggregate``)
+        pairs = child.pairs if isinstance(child.pairs, PairStage) else None
+        folded = None
+        if pairs is not None:
+            offsets = pairs.offsets
+            cost = EvalCost(offsets)
+            folded = pairs.partial_aggregate(node.group_exprs, node.aggregates, cost)
+        if folded is not None:
+            keys, spec_states, groups = folded
+            out = Batch.from_columns(
+                column_ids, [*zip(*keys), *spec_states], len(keys)
+            )
+        else:
+            chunk, offsets = child.stage
+            cost = EvalCost(offsets)
+            # bucket the rows by (slot, group key) — no keys: one group of
+            # each slot's rows — then aggregate column by column (the
+            # chunk evaluates each aggregate's input in its native column
+            # form): groups come out slot by slot, each slot's in
+            # first-seen order, every state sees its group's values in row
+            # order, and the (integral) cost totals are order-independent.
+            # A fused SUM's open step is finished here, so what crosses the
+            # exchange is a plain cell
+            grouping = chunk.keys(node.group_exprs, cost).grouping()
+            spec_states = [
+                chunk.partial_aggregate(spec, grouping, cost)
+                for spec in node.aggregates
+            ]
+            out_rows = [
+                key + tuple(finished(states[g]) for states in spec_states)
+                for g, key in enumerate(grouping.keys)
+            ]
+            groups = slot_sums(offsets, grouping.first).tolist()
+            out = self._chunks.from_rows(column_ids, out_rows)
         relation = self._staged(column_ids, out, slot_offsets(groups), ROUND_ROBIN)
         counts, totals = slot_counts(offsets), relation.partition_totals()
         for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
@@ -930,7 +971,7 @@ class Executor:
             # key, probe the table, update the state (this is why the
             # paper's Figure 4 shows aggregation dominating the join)
             run.charge_eval(slot, 2 * count + groups[slot], slot_cost)
-        run.rows_in, run.rows_out = int(offsets[-1]), len(out_rows)
+        run.rows_in, run.rows_out = int(offsets[-1]), len(out)
         self.cluster.record(run)
         return relation
 

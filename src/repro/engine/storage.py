@@ -49,12 +49,17 @@ from ..columnar import (
 )
 from ..errors import ExecutionError
 from ..la.aggregates import SumAggregate
-from ..plan.expressions import FuncExpr
+from ..plan.expressions import ColumnVar, EvalCost, FuncExpr, slot_sums
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
-from .aggregation import fold_column, fold_groups, fused_sums, sum_blocks
+from .aggregation import fold_column, fold_groups, fused_sums, sum_blocks, tile_extremes
 from .cluster import (
-    ROW_OVERHEAD_BYTES, columns_row_bytes, fixed_row_bytes, row_bytes, stable_hash
+    ROW_OVERHEAD_BYTES,
+    cell_bytes,
+    columns_row_bytes,
+    fixed_row_bytes,
+    row_bytes,
+    stable_hash,
 )
 from .keys import Grouping, HashedKeys, index_list, typed_keys
 
@@ -329,6 +334,14 @@ class Batch:
         return cls(column_ids, columns, len(rows), row_bytes=row_bytes)
 
     @classmethod
+    def from_columns(cls, column_ids, values: Sequence[list], length: int) -> "Batch":
+        """The batch ``from_rows`` makes of ``length`` rows, from each
+        column's values: no row tuple is made."""
+        if not length:
+            return cls.from_rows(column_ids, [])
+        return cls(column_ids, [ColumnData.from_values(v) for v in values], length)
+
+    @classmethod
     def from_segment(
         cls, column_ids, segment, pool=None
     ) -> Tuple["Batch", Optional[str]]:
@@ -543,6 +556,264 @@ def slot_counts(offsets: np.ndarray) -> List[int]:
     return (offsets[1:] - offsets[:-1]).tolist()
 
 
+class IndexPairs:
+    """A join's output before its rows are built: row ``pairs[0][n]`` of
+    the ``probe`` chunk beside row ``pairs[1][n]`` of ``build``, the
+    stage cut at ``offsets``. What the hash join finds, and the row
+    oracle's cross product; every consumer reads its joined chunk."""
+
+    def __init__(self, column_ids, probe, build, pairs, offsets, probe_is_left):
+        self.column_ids = tuple(column_ids)
+        self.probe, self.build = probe, build
+        self.pairs, self.offsets = pairs, offsets
+        self.probe_is_left = probe_is_left
+        self.count = len(pairs[0])
+
+    def spread(self, column_ids):
+        """The pairs joined on the columns ``column_ids`` names only (what
+        a residual reads)."""
+        return self.probe.join(
+            self.column_ids, self.build, *self.pairs, self.probe_is_left, column_ids
+        )
+
+    def kept_by(self, keep: np.ndarray) -> "IndexPairs":
+        """The pairs ``keep`` marks."""
+        return IndexPairs(
+            self.column_ids, self.probe, self.build,
+            [side[keep] for side in self.pairs],
+            slot_offsets(slot_sums(self.offsets, keep)), self.probe_is_left,
+        )
+
+    def chunk(self):
+        """The joined rows, built."""
+        return self.probe.join(
+            self.column_ids, self.build, *self.pairs, self.probe_is_left
+        )
+
+
+class PairStage:
+    """A nested-loop join's output before its rows are built: every row
+    of the ``probe`` stage (a :class:`Batch` cut at ``probe_offsets``)
+    beside every row of the shared ``build`` batch, probe row major, of
+    which ``keep`` marks the pairs the residual kept (a flat mask; None:
+    all). ``column_ids`` lays the output out: each column is a column of
+    ``probe``, a column of ``build``, or one of ``tiles`` — a column a
+    Project computed per pair (one flat :class:`ColumnData` over every
+    pair, kept or not; ``FuncExpr.evaluate_tile``).
+
+    Two consumers read it as it is: Project, which keeps column
+    references and tiles the builtin calls it can, and PartialAggregate,
+    which reduces a MIN/MAX of a tile grouped by probe columns. Every
+    other consumer, and these two on anything else, reads :meth:`chunk`
+    — the joined rows, built once. The per-slot counts (``offsets``) and
+    byte totals (:meth:`slot_totals`) are those of the joined rows,
+    computed from per-row sizes, so every charge, the memory check and
+    the trace read what the built rows would give them."""
+
+    def __init__(
+        self, column_ids, probe, build, probe_offsets,
+        keep=None, tiles=None, kept=None,
+    ):
+        self.column_ids = tuple(column_ids)
+        self.probe, self.build = probe, build
+        self.probe_offsets = probe_offsets
+        self.keep = keep
+        self.tiles = tiles or {}
+        if kept is None:
+            width = len(build)
+            kept = (
+                np.full(len(probe), width, dtype=np.int64) if keep is None
+                else np.count_nonzero(keep.reshape(len(probe), width), axis=1)
+            )
+        #: each probe row's kept pairs
+        self.kept = kept
+        held = np.zeros(len(probe) + 1, dtype=np.int64)
+        np.cumsum(kept, out=held[1:])
+        #: the kept pairs' stage offsets: slot ``s`` holds the pairs of
+        #: its own probe rows
+        self.offsets = held[probe_offsets]
+        self.count = int(held[-1])
+
+    def _source(self, column_id):
+        """``(side, column)``: 0 probe, 1 build, 2 a tile."""
+        if column_id in self.tiles:
+            return 2, self.tiles[column_id]
+        if column_id in self.probe.index:
+            return 0, self.probe.col(column_id)
+        return 1, self.build.col(column_id)
+
+    def spread(self, column_ids, row_bytes=None) -> Batch:
+        """The columns ``column_ids`` names over every pair, kept or not,
+        probe row major: a probe column repeats each row once per build
+        row, a build column repeats whole — no pair index is made."""
+        rows, width = len(self.probe), len(self.build)
+        columns = []
+        for column_id in column_ids:
+            side, column = self._source(column_id)
+            if side == 0:
+                column = ColumnData(
+                    np.repeat(column.data, width, axis=0),
+                    None if column.nulls is None else np.repeat(column.nulls, width),
+                )
+            elif side == 1:
+                column = ColumnData(*[
+                    None if part is None
+                    else np.broadcast_to(part, (rows,) + part.shape).reshape(
+                        (rows * width,) + part.shape[1:]
+                    )
+                    for part in (column.data, column.nulls)
+                ])
+            columns.append(column)
+        return Batch(column_ids, columns, rows * width, row_bytes=row_bytes)
+
+    def kept_by(self, keep: np.ndarray) -> "PairStage":
+        """The pairs ``keep`` (a flat mask over every pair) marks."""
+        return PairStage(
+            self.column_ids, self.probe, self.build, self.probe_offsets, keep
+        )
+
+    def _fixed_bytes(self) -> Optional[float]:
+        """The one ``row_bytes`` of every joined row, or None when rows
+        differ: ``fixed_row_bytes`` of the sides' columns, and of the
+        tiles as the kept pairs hold them."""
+        fixed = fixed_row_bytes(self.probe.columns + self.build.columns)
+        for tile in self.tiles.values():
+            size = cell_bytes(tile)
+            if fixed is None or size is None:
+                return None
+            nulls = tile.nulls
+            if nulls is not None and (self.keep is None or nulls[self.keep].any()):
+                return None
+            fixed += size
+        return fixed
+
+    def _pair_bytes(self) -> np.ndarray:
+        """``row_bytes`` of every pair's joined row, kept or not: both
+        sides' per-row sizes minus one double-counted row overhead, plus
+        each tile's value size (integral floats: exact)."""
+        probe = self.probe.row_bytes_array() - ROW_OVERHEAD_BYTES
+        sizes = (self.build.row_bytes_array()[None] + probe[:, None]).reshape(-1)
+        for tile in self.tiles.values():
+            sizes += columns_row_bytes([tile], len(tile)) - ROW_OVERHEAD_BYTES
+        return sizes
+
+    def chunk(self) -> Batch:
+        """The joined rows, built: every column spread over the pairs,
+        the kept ones taken."""
+        sizes = None if self._fixed_bytes() is not None else self._pair_bytes()
+        joined = self.spread(self.column_ids, sizes)
+        return joined if self.keep is None else joined.filter(self.keep)
+
+    def slot_totals(self) -> List[float]:
+        """Each slot's joined bytes, without the joined rows: a count
+        times the one row size, or each probe row's kept pairs' sizes
+        summed, then its slot's rows (integral floats: each sum is the
+        one the joined rows' ``slot_totals`` makes)."""
+        fixed = self._fixed_bytes() if self.count else 0.0
+        if fixed is not None:
+            return [count * fixed for count in slot_counts(self.offsets)]
+        sizes = self._pair_bytes()
+        if self.keep is not None:
+            sizes = np.where(self.keep, sizes, 0.0)
+        held = np.zeros(len(self.probe) + 1)
+        np.cumsum(sizes.reshape(len(self.probe), -1).sum(axis=1), out=held[1:])
+        offsets = self.probe_offsets
+        return (held[offsets[1:]] - held[offsets[:-1]]).tolist()
+
+    def project(self, column_ids, exprs, cost) -> Optional["PairStage"]:
+        """Project's output as a pair stage: a column reference keeps its
+        side, a builtin call becomes a tile (``cost``, a ledger over the
+        kept pairs, is charged what evaluating it over the joined rows
+        charges) — or None, at the first expression of any other kind:
+        the joined rows must be built, and the caller drops ``cost``."""
+        held = ([], []), ([], [])
+        tiles = {}
+        for column_id, expr in zip(column_ids, exprs):
+            if isinstance(expr, ColumnVar):
+                side, column = self._source(expr.column_id)
+                if side == 2:
+                    tiles[column_id] = column
+                else:
+                    held[side][0].append(column_id)
+                    held[side][1].append(column)
+                continue
+            tile = None
+            if isinstance(expr, FuncExpr):
+                tile = expr.evaluate_tile(self.probe, self.build, self.keep, cost)
+            if tile is None:
+                return None
+            tiles[column_id] = tile
+        probe, build = (
+            Batch(ids, columns, len(chunk))
+            for (ids, columns), chunk in zip(held, (self.probe, self.build))
+        )
+        return PairStage(
+            column_ids, probe, build, self.probe_offsets, self.keep, tiles, self.kept
+        )
+
+    def _valid(self, tile) -> np.ndarray:
+        """The kept pairs whose value in ``tile`` is not NULL."""
+        if tile.nulls is None:
+            return np.ones(len(tile), np.bool_) if self.keep is None else self.keep
+        valid = ~tile.nulls
+        return valid if self.keep is None else valid & self.keep
+
+    def _kept(self, pairs: np.ndarray):
+        """A mask over every pair as rows of the joined stage: the kept
+        pairs' entries, or the range of every row when that is all of them."""
+        if np.count_nonzero(pairs) == self.count:
+            return range(self.count)
+        return pairs if self.keep is None else pairs[self.keep]
+
+    def partial_aggregate(self, group_exprs, specs, cost) -> Optional[tuple]:
+        """PartialAggregate without the joined rows, when it groups by
+        probe columns and every aggregate is a MIN or MAX of a float64
+        tile (a tiled column, or a call :meth:`FuncExpr.evaluate_tile`
+        tiles): ``(keys, states per spec, groups per slot)``, each as a
+        fold of the joined rows makes it (``tile_extremes``), and ``cost``
+        (a ledger over the kept pairs) charged the same. None otherwise —
+        a NaN among the values included — and the caller drops ``cost``."""
+        if not all(
+            isinstance(expr, ColumnVar) and expr.column_id in self.probe.index
+            for expr in group_exprs
+        ):
+            return None
+        tiles = []
+        for spec in specs:
+            arg, tile = spec.arg, None
+            if spec.distinct or spec.aggregate.name not in ("MIN", "MAX"):
+                return None
+            if isinstance(arg, ColumnVar):
+                tile = self.tiles.get(arg.column_id)
+            elif isinstance(arg, FuncExpr):
+                tile = arg.evaluate_tile(self.probe, self.build, self.keep, cost)
+            if tile is None or tile.data.dtype != np.float64 or tile.data.ndim != 1:
+                return None
+            tiles.append(tile)
+        present = self.kept > 0
+        offsets = self.probe_offsets
+        if not present.all():
+            offsets = slot_offsets(slot_sums(offsets, present))
+        rows = self.probe.filter(present)
+        grouping = rows.keys(group_exprs, EvalCost(offsets)).grouping()
+        shape, states, live = (len(self.probe), len(self.build)), [], []
+        for spec, tile in zip(specs, tiles):
+            valid = self._valid(tile)
+            folded = tile_extremes(
+                spec.aggregate, tile.data.reshape(shape), valid.reshape(shape),
+                present, grouping,
+            )
+            if folded is None:
+                return None
+            states.append(folded)
+            live.append(self._kept(valid))
+        for valid in live:
+            # what fold_column charges the joined column: each non-NULL value
+            cost.add("stream_bytes", 8.0, valid)
+        groups = slot_sums(offsets, grouping.first).tolist()
+        return grouping.keys, states, groups
+
+
 class DistributedRelation:
     """Rows spread across the cluster's slots, held in one of two forms
     that each make the other on first use, once: a **stage** — one
@@ -550,7 +821,10 @@ class DistributedRelation:
     ``offsets[s]:offsets[s + 1]``, what the stage-wide operators read and
     write — or ``partitions``, one chunk per slot (a stage's are zero-copy
     slices), what FinalAggregate, Sort, Top-K and Distinct loop over. A broadcast relation is one chunk every slot shares; its stage
-    is that copy as one slot.
+    is that copy as one slot. A join's relation holds its ``pairs``
+    instead and builds its stage from them on first use; a
+    :class:`PairStage` answers the per-slot lengths and totals without
+    building it.
 
     ``column_ids`` gives the positional layout: value ``j`` of every row
     belongs to plan column ``column_ids[j]``. Partitions are chunks of one
@@ -569,11 +843,15 @@ class DistributedRelation:
         partitions: Optional[list],
         partitioning: Partitioning,
         stage: Optional[tuple] = None,
+        pairs=None,
     ):
         self.column_ids = tuple(column_ids)
         self.partitioning = partitioning
         self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
         self._stage = stage
+        #: a join's :class:`PairStage` or :class:`IndexPairs`, whose
+        #: joined chunk is the stage, built on first use
+        self.pairs = pairs
         self._parts = None if partitions is None else [
             RowChunk(self.column_ids, part)
             if isinstance(part, (list, tuple))
@@ -585,7 +863,7 @@ class DistributedRelation:
     @property
     def partitions(self) -> list:
         if self._parts is None:
-            slots = range(len(self._stage[1]) - 1)
+            slots = range(len(self.stage[1]) - 1)
             self._parts = [self.partition(slot) for slot in slots]
         return self._parts
 
@@ -593,13 +871,16 @@ class DistributedRelation:
         """One slot's chunk, without slicing the others."""
         if self._parts is not None:
             return self._parts[slot]
-        chunk, offsets = self._stage
+        chunk, offsets = self.stage
         return chunk.slice(int(offsets[slot]), int(offsets[slot + 1]))
 
     @property
     def stage(self) -> tuple:
         """``(chunk, offsets)``."""
-        if self._stage is None:
+        if self._stage is None and self.pairs is not None:
+            self._stage = (self.pairs.chunk(), self.pairs.offsets)
+            self.pairs = None  # built: let the pairs' arrays go
+        elif self._stage is None:
             parts = self._parts
             if self.partitioning.kind == "broadcast" or len(parts) == 1:
                 chunk, parts = parts[0], parts[:1]
@@ -610,8 +891,10 @@ class DistributedRelation:
 
     def partition_lengths(self) -> List[int]:
         """Each slot's row count, in slot order."""
-        parts = self._parts
-        return slot_counts(self._stage[1]) if parts is None else list(map(len, parts))
+        if self._parts is not None:
+            return list(map(len, self._parts))
+        offsets = self.pairs.offsets if self._stage is None else self._stage[1]
+        return slot_counts(offsets)
 
     @property
     def row_count(self) -> int:
@@ -623,8 +906,8 @@ class DistributedRelation:
         return RowView(values, self.index)
 
     def all_rows(self) -> List[tuple]:
-        if self._stage is not None:
-            return list(self._stage[0].rows())
+        if self._stage is not None or self._parts is None:
+            return list(self.stage[0].rows())
         parts = self.partitions
         if self.partitioning.kind == "broadcast":
             parts = parts[:1]
@@ -634,9 +917,12 @@ class DistributedRelation:
         return out
 
     def partition_totals(self) -> List[float]:
-        """Each slot's partition bytes, in slot order."""
-        if self._totals is None and self._parts is None:
-            self._totals = self._stage[0].slot_totals(self._stage[1])
+        """Each slot's partition bytes, in slot order — of a pair stage's
+        joined rows without building them."""
+        if self._totals is None and isinstance(self.pairs, PairStage):
+            self._totals = self.pairs.slot_totals()
+        elif self._totals is None and self._parts is None:
+            self._totals = self.stage[0].slot_totals(self.stage[1])
         elif self._totals is None:
             self._totals = [part.total_bytes() for part in self._parts]
         return self._totals

@@ -105,10 +105,13 @@ class BuiltinFunction:
     #: optional kernel over tensor blocks for the batch interpreter:
     #: ``block_impl(*blocks)`` takes one C-contiguous ``(n, …)`` float64
     #: array per argument (shapes already checked once for the whole
-    #: block) and returns the ``(n, …)`` array of results. Registered
-    #: only where the row≡batch differential tests show every result row
-    #: bit-identical to ``impl`` on that row (docs/ENGINE.md, "Tensor
-    #: columns").
+    #: block) and returns the ``(n, …)`` array of results. The leading
+    #: axes broadcast as numpy's do: a nested-loop join's pair stage
+    #: passes ``(p, 1, …)`` probe and ``(1, b, …)`` build blocks and gets
+    #: the ``(p, b, …)`` tile of every pair's result. Registered only
+    #: where the row≡batch and pair-stage differential tests show every
+    #: result bit-identical to ``impl`` on that row (docs/ENGINE.md,
+    #: "Tensor columns").
     block_impl: Optional[Callable] = None
     #: optional fused SUM: ``block_sum(*steps)`` takes, per argument, an
     #: ``(m, s, …)`` float64 C-contiguous stack of ``m`` steps of ``s``
@@ -247,7 +250,7 @@ def _outer_product_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     # per-row elementwise multiplies np.outer performs, so each cell is
     # bit-identical to the row path's result (einsum is NOT: it loses
     # the sign of -0.0 products)
-    return left[:, :, None] * right[:, None, :]
+    return left[..., :, None] * right[..., None, :]
 
 
 def _outer_product_block_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -277,15 +280,17 @@ def inner_product(left: Vector, right: Vector) -> float:
 
 # stacked matmul runs the same BLAS routine per row that ``@`` runs on one
 # row's operands (dot for vector·vector, gemv for matrix·vector), so each
-# result is bit-identical to the scalar impl's
+# result is bit-identical to the scalar impl's — over broadcast leading
+# axes too, where numpy loops the same routine over the pairs (never the
+# GEMM ``P @ Bᵀ``, whose blocked sums differ in bits from d = 17 on)
 
 
 def _inner_product_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return np.matmul(left[:, None, :], right[:, :, None])[:, 0, 0]
+    return np.matmul(left[..., None, :], right[..., :, None])[..., 0, 0]
 
 
 def _matrix_vector_block(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    return np.matmul(matrix, vector[:, :, None])[:, :, 0]
+    return np.matmul(matrix, vector[..., None])[..., 0]
 
 
 inner_product.block_impl = _inner_product_block

@@ -861,22 +861,32 @@ class FuncExpr(TypedExpr):
         indices = range(batch.length) if valid is None else np.flatnonzero(valid)
         if not len(indices) or any(column.is_object for column in args):
             return args, valid, indices, False
+        rows = indices if valid is None else valid
+        uniform = self._check_form(args, [indices[0]] * len(args), cost, rows)
+        return args, valid, indices, uniform
+
+    def _check_form(self, args, first, cost, rows) -> bool:
+        """Check and charge, as one form, the calls on the rows ``rows``
+        selects of the typed or block argument columns ``args`` — whose
+        rows ``first`` hold the first call's arguments — and return True;
+        or charge nothing and return False when their per-call flops are
+        not integral, so each call is checked and charged on its own."""
         form = tuple((column.data.dtype, column.data.shape[1:]) for column in args)
         checked = self._checks.get(form)
         if checked is None:
-            first = [column.cell(indices[0]) for column in args]
-            per_flops = self.builtin.runtime_flops(first)
+            cells = [column.cell(row) for column, row in zip(args, first)]
+            per_flops = self.builtin.runtime_flops(cells)
             checked = (per_flops, float(per_flops).is_integer())
             if checked[1]:
-                checked += runtime_shape_check(self.builtin.signature, first)
+                checked += runtime_shape_check(self.builtin.signature, cells)
             self._checks[form] = checked
         per_flops, uniform = checked[:2]
         if uniform:
             ok, message = checked[2:]
             if not ok:
                 raise RuntimeTypeError(message)
-            self._charge(cost, per_flops, indices if valid is None else valid)
-        return args, valid, indices, uniform
+            self._charge(cost, per_flops, rows)
+        return uniform
 
     def evaluate_batch(self, batch, cost=None, mask=None) -> ColumnData:
         """One block kernel call when the builtin has one and every
@@ -910,6 +920,60 @@ class FuncExpr(TypedExpr):
                 results[i] = builtin(*values)
             self._charge(cost, flops, indices)
         return ColumnData.from_values(results)
+
+    def evaluate_tile(self, probe, build, keep, cost) -> Optional[ColumnData]:
+        """This call on every (probe row, build row) pair of a nested-loop
+        join's pair stage at once, as one column over the pairs, probe
+        row major — or None (and nothing charged) unless every argument
+        is a column of ``probe`` or of ``build`` held as a tensor block and
+        the builtin has a ``block_impl``. The kernel takes the probe
+        blocks as ``(p, 1, …)`` and the build blocks as ``(1, b, …)``, so
+        numpy runs per pair the routine it runs per row of a joined
+        chunk: the same bits, with no pair gathered. The calls on the
+        pairs ``keep`` marks (None: all) are checked and charged as
+        :meth:`evaluate_batch` over the joined rows checks and charges
+        them; ``cost`` is a ledger over those rows."""
+        if self.builtin.block_impl is None:
+            return None
+        sides = []
+        for arg in self.args:
+            if not isinstance(arg, ColumnVar):
+                return None
+            axis = 0 if arg.column_id in probe.index else 1
+            if arg.column_id not in (probe, build)[axis].index:
+                return None  # a tile: its pairs are not one side's rows
+            column = (probe, build)[axis].col(arg.column_id)
+            if not column.is_block:
+                return None
+            sides.append((axis, column))
+        shape = (len(probe), len(build))
+        valid = keep  # the pairs whose call is not NULL (None: every pair)
+        for axis, column in sides:
+            if column.nulls is not None:
+                live = ~(column.nulls[:, None] if axis == 0 else column.nulls[None])
+                live = np.broadcast_to(live, shape).reshape(-1)
+                valid = live if valid is None else valid & live
+        count = shape[0] * shape[1]
+        first = 0 if valid is None or not count else int(valid.argmax())
+        if not count or (valid is not None and not valid[first]):
+            return ColumnData.constant(None, count)
+        if valid is None or valid is keep:  # no NULL argument: every kept pair
+            rows = range(count if keep is None else int(np.count_nonzero(keep)))
+        else:
+            rows = valid if keep is None else valid[keep]
+        at = divmod(first, shape[1])
+        args = [column for _, column in sides]
+        if not self._check_form(args, [at[axis] for axis, _ in sides], cost, rows):
+            return None
+        tile = self.builtin.block_impl(*[
+            column.data[:, None] if axis == 0 else column.data[None]
+            for axis, column in sides
+        ])
+        cell = tile.shape[2:]
+        if tile.shape[:2] != shape:  # every argument on one side
+            tile = np.broadcast_to(tile, shape + cell)
+        nulls = None if valid is None else ~valid
+        return ColumnData(tile.reshape((count,) + cell), nulls)
 
     def sum_operands(self, batch, cost=None) -> tuple:
         """What a fused SUM over this call folds (``Batch.partial_aggregate``):

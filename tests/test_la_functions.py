@@ -357,20 +357,60 @@ class TestFusedSumOracle:
             "        digest.update(state.finish().data.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
-        source = str(Path(__file__).resolve().parents[1] / "src")
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [source] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-            )
-            done = subprocess.run(
-                [sys.executable, "-c", script],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert done.returncode == 0, done.stderr
-            digests.append(done.stdout.strip())
+        digests = _digests_by_thread_count(script)
         assert digests[0] == digests[1]
+
+    def test_blas_thread_count_does_not_change_a_tile(self):
+        """A nested-loop join's pair stage computes ``inner_product`` as one
+        tile, the block kernel over ``(p, 1, d)`` probe and ``(1, b, d)``
+        build blocks. In every process it equals, bit for bit, the kernel
+        over the gathered pairs and the scalar ``float(l @ r)``; at one and
+        at two threads it hashes the same up to ``d = 10000``. Past that
+        OpenBLAS threads each dot and its bits follow the thread count —
+        in every door alike, the row oracle's scalar dot included (the
+        float contract in docs/ENGINE.md says so) — so ``d = 20000`` is
+        held to the in-process identity only."""
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from repro.la import lookup\n"
+            "kernel, digest = lookup('inner_product').block_impl, hashlib.sha256()\n"
+            "rng = np.random.default_rng(5)\n"
+            "for rows, cols, dim in ((96, 96, 8), (40, 30, 17), (6, 5, 10000),\n"
+            "                        (12, 10, 20000)):\n"
+            "    probe = rng.normal(size=(rows, dim))\n"
+            "    build = rng.normal(size=(cols, dim))\n"
+            "    tile = kernel(probe[:, None], build[None])\n"
+            "    i, j = np.divmod(np.arange(rows * cols), cols)\n"
+            "    pairs = kernel(probe[i], build[j]).reshape(rows, cols)\n"
+            "    scalar = np.array([[float(p @ b) for b in build] for p in probe])\n"
+            "    assert tile.tobytes() == pairs.tobytes() == scalar.tobytes(), dim\n"
+            "    if dim <= 10000:\n"
+            "        digest.update(tile.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = _digests_by_thread_count(script)
+        assert digests[0] == digests[1]
+
+
+def _digests_by_thread_count(script):
+    """What ``script`` prints, run under ``OPENBLAS_NUM_THREADS=1`` and
+    ``=2``, each in a process of its own (the thread count is read once,
+    at load)."""
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    return digests
