@@ -28,7 +28,7 @@ makes view ≡ rescan hold by construction.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -470,21 +470,24 @@ def fused_sums(call, operands, valid, group_indices, cost, carried=None) -> list
 
 def final_aggregate(
     specs: Sequence, key_count: int, rows, cost, scalar_on_empty: bool = False
-) -> List[tuple]:
+) -> Tuple[List[tuple], np.ndarray]:
     """FinalAggregate over ``rows`` of ``key + partial states``: merge
     the states of each key in arrival order, fold each DISTINCT value
-    set through the ``add`` chain, ``finish``. Merging updates dict
-    states (VECTORIZE/ROWMATRIX/COLMATRIX) and value sets in place, so a
-    key's first such state is copied: the rows stay valid for a retried
-    operator or a view's next answer. Keys are bucketed by the shared
-    key loop and value sets re-read through ``one_nan`` (a set that
-    crossed a spill file holds NaN objects of its own), so every NaN is
-    one key and one value here too. ``scalar_on_empty`` with no rows yields SQL's
-    one row over empty input, every aggregate finished from ``create()``."""
+    set through the ``add`` chain, ``finish``. Over a stage (``cost`` a
+    ledger over its offsets) the keys are ``(slot, key)``: each slot's
+    groups, slot by slot, each slot charged its own states' bytes.
+    Returns the finished rows and each group's first row. Merging
+    updates dict states (VECTORIZE/ROWMATRIX/COLMATRIX) and value sets
+    in place, so a key's first such state is copied: the rows stay valid
+    for a retried operator or a view's next answer. Keys are bucketed by
+    the shared key loop and value sets re-read through ``one_nan`` (a set
+    that crossed a spill file holds NaN objects of its own), so every NaN
+    is one key and one value here too. ``scalar_on_empty`` with no rows
+    yields SQL's one row over empty input, every aggregate finished from
+    ``create()``."""
     key_columns = list(zip(*[row[:key_count] for row in rows]))
-    grouping = HashedKeys(key_columns, len(rows)).grouping()
+    grouping = HashedKeys(key_columns, len(rows), cost.offsets).grouping()
     merged: List[Optional[list]] = [None] * len(grouping)
-    streamed = 0.0
     for row, group in zip(rows, grouping.codes.tolist()):
         states = row[key_count:]
         existing = merged[group]
@@ -501,9 +504,10 @@ def final_aggregate(
                     existing[i].update(one_nan(states[i]))
                 else:
                     existing[i] = spec.aggregate.merge(existing[i], states[i])
-        for state in states:
-            streamed += value_bytes(state) if state is not None else 1.0
-    cost.add("stream_bytes", streamed)  # integral, so the one sum is exact
+    # every state's bytes, charged to its row's slot (integral, so each
+    # slot's sum is exact in any order)
+    streamed = [value_bytes(state) for row in rows for state in row[key_count:]]
+    cost.add("stream_bytes", streamed, np.repeat(np.arange(len(rows)), len(specs)))
     out_rows: List[tuple] = []
     for key, states in zip(grouping.keys, merged):
         finished = []
@@ -519,4 +523,4 @@ def final_aggregate(
         out_rows.append(
             tuple(spec.aggregate.finish(spec.aggregate.create()) for spec in specs)
         )
-    return out_rows
+    return out_rows, grouping.first

@@ -15,7 +15,7 @@ Figure 4 breakdown for free; per-slot busy times expose skew.
 
 Each physical operator has **one** handler, written against the chunk
 protocol of :mod:`repro.engine.storage`: the handler owns child
-execution, the per-slot loop, every ``charge_*``/``note_peak``/
+execution, the per-slot charges, every ``charge_*``/``note_peak``/
 spill call and the fault and checkpoint hooks; the chunks own the value
 computation. ``ClusterConfig.execution_mode`` selects only which chunk
 class scans and ``from_rows`` produce:
@@ -43,7 +43,7 @@ per-statement coordinates, never thread identity or real time.
 from __future__ import annotations
 
 import threading
-from operator import add, is_
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -561,12 +561,25 @@ class Executor:
             chunk.column_ids, self.storage.spill_roundtrip(chunk.rows())
         )
 
-    def _staged(self, column_ids, chunk, offsets, partitioning, broadcast=False):
-        """``chunk`` cut at ``offsets`` — over a broadcast input, the one
-        copy every slot shares (chunks are immutable)."""
-        if broadcast:
-            return DistributedRelation(column_ids, [chunk] * self.slots, BROADCAST)
-        return DistributedRelation(column_ids, None, partitioning, (chunk, offsets))
+    def _spill_slots(self, chunk, offsets, spilled):
+        """The stage ``chunk`` (cut at ``offsets``) with the rows of every
+        slot in ``spilled`` round-tripped through a spill file — in disk
+        mode; in memory mode, ``chunk`` itself."""
+        if not spilled or self.storage is None or self.storage.mode != "disk":
+            return chunk
+        bounds = offsets.tolist()
+        pieces = [chunk.slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        for slot in spilled:
+            pieces[slot] = self._spill_roundtrip(pieces[slot])
+        return type(chunk).concat(chunk.column_ids, pieces)
+
+    def _staged(self, column_ids, chunk, offsets, partitioning):
+        """``chunk`` cut at ``offsets`` — of a broadcast relation, the one
+        copy every slot shares (chunks are immutable), as one slot."""
+        if partitioning.kind == "broadcast":
+            offsets = slot_offsets([len(chunk)])
+        stage = (chunk, offsets)
+        return DistributedRelation(column_ids, partitioning, stage, slots=self.slots)
 
     @staticmethod
     def _charge_slots(run, tuples, cost) -> None:
@@ -574,39 +587,21 @@ class Executor:
         for slot, (count, slot_cost) in enumerate(zip(tuples, cost.split())):
             run.charge_eval(slot, count, slot_cost)
 
-    def _map_partitions(
-        self, child: DistributedRelation, name: str, column_ids, partitioning, fn
-    ) -> DistributedRelation:
-        """The skeleton of an operator that still loops over slots:
-        ``fn(chunk, slot, op)`` turns each input partition into its output
-        chunk, charging the operator's run ``op``; a broadcast input is
-        processed once and stays broadcast."""
-        run = self.cluster.operator(name)
-        broadcast = child.partitioning.kind == "broadcast"
-        parts_out = []
-        parts_in = child.partitions[:1] if broadcast else child.partitions
-        for slot, chunk in enumerate(parts_in):
-            out = fn(chunk, slot, run)
-            run.rows_in += len(chunk)
-            run.rows_out += len(out)
-            parts_out.append(out)
-        self.cluster.record(run)
-        if broadcast:
-            return self._staged(column_ids, parts_out[0], None, BROADCAST, True)
-        return DistributedRelation(column_ids, parts_out, partitioning)
-
     # =======================================================================
     # operators
     #
     # One handler per physical operator, written against the chunk
     # protocol of ``engine.storage``: a handler owns child execution and
-    # every charge; the chunks own the value computation. Scan, Filter,
-    # Project, PartialAggregate, the joins and every Exchange compute once
-    # over a stage and charge each slot from a per-slot ledger
-    # (``EvalCost`` over the stage's offsets) with the arguments, in the
-    # order, a loop over the slots' own partitions would; the rest loop
-    # over partitions. Both execution modes run these same handlers, so
-    # the charge sequence cannot differ between them.
+    # every charge; the chunks own the value computation. Every handler
+    # reads its child's stage (or zero-copy slices of it) and writes one
+    # stage, and charges each slot — from a per-slot ledger (``EvalCost``
+    # over the stage's offsets) where it evaluates expressions — with the
+    # arguments, in the order, a loop over the slots' own partitions
+    # would. Sort and Top-K order each slot's slice on its own (a NaN or
+    # object key makes the comparison chain depend on the rows it sees)
+    # and apply every slot's order with one ``take``. Both execution
+    # modes run these same handlers, so the charge sequence cannot differ
+    # between them.
     # =======================================================================
 
     def _scan(self, node: PScan) -> DistributedRelation:
@@ -670,9 +665,8 @@ class Executor:
         self._charge_slots(run, slot_counts(offsets), cost)
         run.rows_in, run.rows_out = int(offsets[-1]), int(kept[-1])
         self.cluster.record(run)
-        broadcast = child.partitioning.kind == "broadcast"
         return self._staged(
-            child.column_ids, chunk.filter(keep), kept, child.partitioning, broadcast
+            child.column_ids, chunk.filter(keep), kept, child.partitioning
         )
 
     def _project(self, node: PProject) -> DistributedRelation:
@@ -688,17 +682,12 @@ class Executor:
             pairs = pairs.project(column_ids, node.exprs, cost)
         if pairs is not None:
             offsets = pairs.offsets
-            relation = DistributedRelation(
-                column_ids, None, node.partitioning, pairs=pairs
-            )
+            relation = DistributedRelation(column_ids, node.partitioning, pairs=pairs)
         else:
             chunk, offsets = child.stage
             cost = EvalCost(offsets)
             out = chunk.project(column_ids, node.exprs, cost)
-            broadcast = child.partitioning.kind == "broadcast"
-            relation = self._staged(
-                column_ids, out, offsets, node.partitioning, broadcast
-            )
+            relation = self._staged(column_ids, out, offsets, node.partitioning)
         counts, totals = slot_counts(offsets), relation.partition_totals()
         for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
             run.charge_eval(slot, count, slot_cost)
@@ -726,7 +715,7 @@ class Executor:
             run.rows_in = run.rows_out = len(chunk)
             run.bytes_out = total * config.machines
             self.cluster.record(run)
-            return self._staged(column_ids, chunk, None, BROADCAST, True)
+            return self._staged(column_ids, chunk, None, BROADCAST)
 
         if node.kind == "gather":
             gathered = 0.0
@@ -776,27 +765,25 @@ class Executor:
         row_targets = np.array(targets, dtype=np.int64)[grouping.codes]
         order = stable_argsort(row_targets)
         received = np.bincount(row_targets, minlength=self.slots)
+        received_at = slot_offsets(received)
         relation = self._staged(
-            column_ids, chunk.take(order), slot_offsets(received), node.partitioning
+            column_ids, chunk.take(order), received_at, node.partitioning
         )
-        parts = None
+        spilled = []
         for slot, nbytes in enumerate(relation.partition_totals()):
-            # reduce-side staging above the budget spills before the read;
-            # a slot whose rows cross a spill file takes its own copy back
+            # reduce-side staging above the budget spills before the read
             if self._spill_state(run, slot, nbytes):
-                part = relation.partition(slot)
-                reloaded = self._spill_roundtrip(part)
-                if reloaded is not part:
-                    parts = parts or list(relation.partitions)
-                    parts[slot] = reloaded
+                spilled.append(slot)
             run.charge_disk(slot, nbytes)  # reduce-side read
             run.charge_cpu(slot, tuples=int(received[slot]))
             run.bytes_out += nbytes
         run.rows_in = run.rows_out = int(offsets[-1])
         self.cluster.record(run)
-        if parts is not None:
-            return DistributedRelation(column_ids, parts, node.partitioning)
-        return relation
+        # a slot whose rows crossed a spill file takes its own copy back
+        staged = self._spill_slots(relation.stage[0], received_at, spilled)
+        if staged is relation.stage[0]:
+            return relation
+        return self._staged(column_ids, staged, received_at, node.partitioning)
 
     def _joined(self, run, node, pairs, tuples, cost):
         """The relation of a join's ``pairs`` (:class:`PairStage` or
@@ -811,80 +798,55 @@ class Executor:
         self._charge_slots(run, map(add, tuples, slot_counts(pairs.offsets)), cost)
         run.rows_out = pairs.count
         self.cluster.record(run)
-        return DistributedRelation(
-            pairs.column_ids, None, node.partitioning, pairs=pairs
-        )
+        return DistributedRelation(pairs.column_ids, node.partitioning, pairs=pairs)
 
     def _hash_join(self, node: PHashJoin) -> DistributedRelation:
-        """The build side per slot; each slot's pairs are found among its
-        own rows, and the joined stage is one ``join`` of them all."""
+        """The build keys evaluated once over the build stage and the
+        probe keys once over the probe stage, matched by one ``pairs``: a
+        broadcast build side is one chunk every slot matches, a
+        partitioned one matches on keys that carry the slot. Pairs come
+        probe-row major with build rows ascending — every slot's pairs,
+        end to end."""
         probe_rel = self.execute(node.probe)
         build_rel = self.execute(node.build)
         run = self.cluster.operator("HashJoin")
         if probe_rel.partitioning.kind == "broadcast":
             raise ExecutionError("hash join probe side cannot be broadcast")
-
-        def build_table(slot):
-            """One build partition, its size, and its join keys — the
-            "hash table" (the keys index themselves on first probe) —
-            with the cost of evaluating them. The build side is this
-            join's in-memory state: above the working-memory budget it
-            round-trips through a spill file."""
-            chunk = build_rel.partitions[slot]
-            nbytes = chunk.total_bytes()
-            if run.spills(nbytes):
-                chunk = self._spill_roundtrip(chunk)
-            cost = EvalCost()
-            return chunk, nbytes, cost, chunk.keys(node.build_keys, cost)
-
-        # a broadcast build side is one shared chunk hashed once, but it
-        # is a full copy on every slot: each slot charges the key
-        # evaluation and its own spill.
-        shared = (
-            build_table(0) if build_rel.partitioning.kind == "broadcast" else None
-        )
-
-        def build_slot(slot, op):
-            chunk, nbytes, cost, keys = shared or build_table(slot)
-            self._spill_state(op, slot, nbytes)
-            op.charge_eval(slot, len(chunk), cost)
-            op.rows_in += len(chunk)
-            return chunk, keys
-
-        built = [build_slot(slot, run) for slot in range(self.slots)]
-        # build rows are indexed in the shared copy, or in every slot's
-        # build partition end to end: the build side's own stage, unless a
-        # disk-mode spill round-tripped a partition
-        parts = [chunk for chunk, _ in built]
-        if shared is not None:
-            build, build_starts = shared[0], [0] * self.slots
-        elif all(map(is_, parts, build_rel.partitions)):
-            build, build_starts = build_rel.stage
-        else:
-            build = self._chunks.concat(build_rel.column_ids, parts)
-            build_starts = slot_offsets(list(map(len, parts)))
+        build, build_offsets = build_rel.stage
+        totals = build_rel.partition_totals()
+        # the build side is this join's in-memory state: a slot's build
+        # rows above the working-memory budget round-trip a spill file. A
+        # broadcast build side is one shared chunk (its stage's one slot),
+        # but a full copy on every slot: each slot charges the key
+        # evaluation and its spill
+        slots = range(len(build_offsets) - 1)
+        spilled = [slot for slot in slots if run.spills(totals[slot])]
+        build = self._spill_slots(build, build_offsets, spilled)
+        build_cost = EvalCost(build_offsets)
+        # the keys index themselves on first probe: the "hash table"
+        build_keys = build.keys(node.build_keys, build_cost)
+        build_costs = build_cost.split()
+        if build_rel.partitioning.kind == "broadcast":
+            build_costs *= self.slots
+        build_counts = build_rel.partition_lengths()
+        for slot, (count, cost) in enumerate(zip(build_counts, build_costs)):
+            self._spill_state(run, slot, totals[slot])
+            run.charge_eval(slot, count, cost)
+            run.rows_in += count
         probe, offsets = probe_rel.stage
-        found, costs = [], []
-        for slot, (_, build_keys) in enumerate(built):
-            cost = EvalCost()
-            # NULL (and NaN) keys match nothing
-            keys = probe_rel.partition(slot).keys(node.probe_keys, cost)
-            starts = (offsets[slot], build_starts[slot])
-            found.append([
-                np.asarray(side, np.int64) + at
-                for side, at in zip(keys.pairs(build_keys), starts)
-            ])
-            costs.append(cost)
-        pair_offsets = slot_offsets([len(indices) for indices, _ in found])
+        cost = EvalCost(offsets)
+        # NULL (and NaN) keys match nothing
+        found = probe.keys(node.probe_keys, cost).pairs(build_keys)
+        found = [np.asarray(side, np.int64) for side in found]
+        pair_offsets = np.searchsorted(found[0], offsets)
         run.rows_in += int(offsets[-1])
         column_ids = [column.column_id for column in node.columns]
         pairs = IndexPairs(
-            column_ids, probe, build,
-            [np.concatenate(side) for side in zip(*found)], pair_offsets,
-            node.probe_is_left,
+            column_ids, probe, build, found, pair_offsets, node.probe_is_left
         )
         return self._joined(
-            run, node, pairs, slot_counts(offsets), EvalCost(pair_offsets).hold(costs)
+            run, node, pairs, slot_counts(offsets),
+            EvalCost(pair_offsets).hold(cost.split()),
         )
 
     def _nested_loop_join(self, node: PNestedLoopJoin) -> DistributedRelation:
@@ -976,77 +938,94 @@ class Executor:
         return relation
 
     def _final_aggregate(self, node: PFinalAggregate) -> DistributedRelation:
+        """One merge over the slots that hold rows, grouped by ``(slot,
+        key)``: each slot's groups, slot by slot, each slot charged its
+        own states. An empty slot merges nothing (a charge of nothing adds
+        +0.0), except that SQL's one row over empty input is slot 0's."""
         child = self.execute(node.child)
         run = self.cluster.operator("FinalAggregate")
-        key_count = len(node.group_columns)
         column_ids = [column.column_id for column in node.columns]
-        lengths = child.partition_lengths()
-
-        # SQL scalar aggregates yield exactly one row on empty input
-        no_input = key_count == 0 and not any(lengths)
-
-        out_rows, counts = [], [0] * len(lengths)
-        for slot, length in enumerate(lengths):
-            if not length and not (no_input and slot == 0):
-                continue  # nothing to merge: a charge of nothing adds +0.0
-            # state merging is inherently value-at-a-time
-            rows = child.partition(slot).rows()
-            cost = EvalCost()
-            merged = final_aggregate(
-                node.aggregates, key_count, rows, cost,
-                scalar_on_empty=no_input and slot == 0,
-            )
-            run.charge_eval(slot, len(rows), cost)
-            run.rows_in += len(rows)
-            out_rows.extend(merged)
-            counts[slot] = len(merged)
-        run.rows_out = len(out_rows)
+        chunk, offsets = child.stage
+        lengths = slot_counts(offsets)
+        held = [slot for slot, length in enumerate(lengths) if length] or [0]
+        merged = slot_offsets([lengths[slot] for slot in held])
+        cost = EvalCost(merged)
+        # state merging is inherently value-at-a-time
+        out_rows, first = final_aggregate(
+            node.aggregates, len(node.group_columns), chunk.rows(), cost,
+            scalar_on_empty=not node.group_columns,
+        )
+        groups = slot_sums(merged, first) if len(held) > 1 else [len(out_rows)]
+        counts = [0] * len(lengths)
+        for slot, slot_cost, count in zip(held, cost.split(), groups):
+            run.charge_eval(slot, lengths[slot], slot_cost)
+            counts[slot] = int(count)
+        run.rows_in, run.rows_out = len(chunk), len(out_rows)
         self.cluster.record(run)
         out = self._chunks.from_rows(column_ids, out_rows)
         return self._staged(column_ids, out, slot_offsets(counts), node.partitioning)
 
     def _distinct(self, node: PDistinct) -> DistributedRelation:
+        """One ``(slot, row)`` grouping over the stage: each slot's
+        distinct rows where they were first seen, slot by slot."""
         child = self.execute(node.child)
-
-        def distinct_chunk(chunk, slot, op):
-            op.charge_cpu(
-                slot, tuples=len(chunk), stream_bytes=chunk.total_bytes()
-            )
-            # each distinct row where it was first seen
-            return chunk.take(chunk.row_keys().grouping().first)
-
-        return self._map_partitions(
-            child,
-            f"Distinct({'local' if node.local else 'final'})",
-            child.column_ids,
-            child.partitioning,
-            distinct_chunk,
+        run = self.cluster.operator(
+            f"Distinct({'local' if node.local else 'final'})"
+        )
+        chunk, offsets = child.stage
+        totals = child.partition_totals()
+        for slot, count in enumerate(slot_counts(offsets)):
+            run.charge_cpu(slot, tuples=count, stream_bytes=totals[slot])
+        first = chunk.row_keys(offsets).grouping().first
+        run.rows_in, run.rows_out = len(chunk), len(first)
+        self.cluster.record(run)
+        return self._staged(
+            child.column_ids, chunk.take(first),
+            slot_offsets(slot_sums(offsets, first)), child.partitioning,
         )
 
-    def _sort_limit(self, node: PSortLimit) -> DistributedRelation:
+    def _ordered(self, node, name, order_slot) -> tuple:
+        """``(run, relation)`` of Sort or Top-K, the run not yet recorded:
+        ``order_slot(run, chunk, slot)`` orders one slot's slice of the
+        stage (positions in it), charging ``slot``; every slot's order,
+        offset by the slot's start, is applied with one ``take``. Each
+        slot sorts on its own: a NaN or object key makes the comparison
+        chain depend on the rows it sees."""
         child = self.execute(node.child)
+        run = self.cluster.operator(name)
+        chunk, offsets = child.stage
+        orders = [
+            np.asarray(order_slot(run, child.partition(slot), slot), np.int64)
+            + offsets[slot]
+            for slot in range(len(offsets) - 1)
+        ]
+        order = np.concatenate(orders)
+        run.rows_in, run.rows_out = len(chunk), len(order)
+        relation = self._staged(
+            child.column_ids, chunk.take(order), slot_offsets(list(map(len, orders))),
+            child.partitioning,
+        )
+        return run, relation
 
-        def sort_chunk(chunk, slot, op):
+    def _sort_limit(self, node: PSortLimit) -> DistributedRelation:
+        def sort_slot(run, chunk, slot):
             count = len(chunk)
-            keys = _charged_sort_keys(chunk, reversed(node.keys), slot, op)
+            keys = _charged_sort_keys(chunk, reversed(node.keys), slot, run)
             if node.limit is None:
                 order = stable_order(count, keys)
             else:
                 order = top_order(count, keys, node.limit)
-            op.charge_cpu(slot, tuples=sort_comparisons(count))
+            run.charge_cpu(slot, tuples=sort_comparisons(count))
             # the full sort materializes an ordered copy of the whole
             # partition before any LIMIT truncation — O(n) state (the
             # simulated PTopK holds O(k); see _top_k)
-            op.note_peak(chunk.total_bytes())
-            return chunk.take(order)
+            run.note_peak(chunk.total_bytes())
+            return order
 
-        return self._map_partitions(
-            child,
-            f"Sort({'final' if node.final else 'local'})",
-            child.column_ids,
-            child.partitioning,
-            sort_chunk,
-        )
+        name = f"Sort({'final' if node.final else 'local'})"
+        run, relation = self._ordered(node, name, sort_slot)
+        self.cluster.record(run)
+        return relation
 
     def _top_k(self, node: PTopK) -> DistributedRelation:
         """The simulated cluster models a k-bounded heap — n·log2(k)
@@ -1065,19 +1044,20 @@ class Executor:
             empty = self._chunks.from_rows(column_ids, [])
             nowhere = slot_offsets([0] * self.slots)
             return self._staged(column_ids, empty, nowhere, node.partitioning)
-        child = self.execute(node.child)
 
-        def topk_chunk(chunk, slot, op):
+        def topk_slot(run, chunk, slot):
             # keys are evaluated (and charged) in ORDER BY sequence
-            sort_keys = _charged_sort_keys(chunk, node.keys, slot, op)
-            out = chunk.take(top_order(len(chunk), reversed(sort_keys), node.limit))
-            op.charge_cpu(slot, tuples=top_k_comparisons(len(chunk), node.limit))
-            op.note_peak(out.total_bytes())
-            return out
+            sort_keys = _charged_sort_keys(chunk, node.keys, slot, run)
+            order = top_order(len(chunk), reversed(sort_keys), node.limit)
+            run.charge_cpu(slot, tuples=top_k_comparisons(len(chunk), node.limit))
+            return order
 
-        return self._map_partitions(
-            child, name, child.column_ids, child.partitioning, topk_chunk
-        )
+        run, relation = self._ordered(node, name, topk_slot)
+        # each slot's k survivors are its peak state
+        for nbytes in relation.partition_totals():
+            run.note_peak(nbytes)
+        self.cluster.record(run)
+        return relation
 
 
 def _charged_sort_keys(chunk, keys, slot, op) -> list:

@@ -170,6 +170,11 @@ def rows_by_code(codes: np.ndarray, count: int) -> List[np.ndarray]:
     return np.split(order, bounds[:-1])
 
 
+def slot_codes(offsets: np.ndarray) -> np.ndarray:
+    """Per row of a stage cut at ``offsets``, the slot holding it."""
+    return np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
+
+
 def stable_argsort(array: np.ndarray) -> np.ndarray:
     """``np.argsort(array, kind="stable")``. A stable sort's permutation
     is unique, so any stable sort returns it: an ``int64`` array spanning
@@ -218,7 +223,8 @@ def _key_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
 class HashedKeys:
     """Key columns as lists of Python values, bucketed by ``dict`` — over
     a stage cut at ``offsets``, by ``(slot, key)``: each slot's own
-    groups in first-seen order, slot by slot."""
+    groups in first-seen order, slot by slot. Two stages' keys match by
+    ``(slot, key)`` too, when both carry offsets."""
 
     #: no typed form: a typed probe side meets these keys as hashed ones
     dtypes = None
@@ -239,7 +245,7 @@ class HashedKeys:
             return Grouping.runs(self.offsets)
         columns = list(map(_one_nan_column, self.columns))
         if self.offsets is not None:
-            columns.insert(0, Grouping.runs(self.offsets).codes.tolist())
+            columns.insert(0, slot_codes(self.offsets).tolist())
         index: dict = {}
         codes: List[int] = []
         first: List[int] = []
@@ -253,13 +259,19 @@ class HashedKeys:
             np.array(codes, dtype=np.int64), keys, np.array(first, dtype=np.int64)
         )
 
-    def table(self) -> dict:
-        """Key tuple -> ascending row positions, over the rows whose key
-        can match anything. Made on first probe and kept: a broadcast
-        build side is hashed once."""
+    def _slotted(self, slotted: bool) -> list:
+        """The key columns, led by each row's slot when ``slotted``."""
+        if not slotted:
+            return self.columns
+        return [slot_codes(self.offsets).tolist(), *self.columns]
+
+    def table(self, slotted: bool = False) -> dict:
+        """Key tuple (led by the slot when ``slotted``) -> ascending row
+        positions, over the rows whose key can match anything. Made on
+        first probe and kept: a broadcast build side is hashed once."""
         if self._table is None:
             table: dict = {}
-            for i, key in enumerate(zip(*self.columns)):
+            for i, key in enumerate(zip(*self._slotted(slotted))):
                 if _matchable(key):
                     table.setdefault(key, []).append(i)
             self._table = table
@@ -267,14 +279,16 @@ class HashedKeys:
 
     def pairs(self, build) -> Tuple[list, list]:
         """``(probe_indices, build_indices)`` of every row of these keys
-        beside every row of ``build`` with an equal key."""
-        table = build.hashed().table()
-        if not table:  # an empty build partition: nothing to look up
+        beside every row of ``build`` with an equal key — in the same
+        slot, when both sides are stages."""
+        slotted = _by_slot(self, build)
+        table = build.hashed().table(slotted)
+        if not table:  # an empty build side: nothing to look up
             return [], []
         probe_indices: List[int] = []
         build_indices: List[int] = []
         # the table holds no NULL or NaN key, so such a probe finds nothing
-        for i, key in enumerate(zip(*self.columns)):
+        for i, key in enumerate(zip(*self._slotted(slotted))):
             for j in table.get(key, ()):
                 probe_indices.append(i)
                 build_indices.append(j)
@@ -306,18 +320,21 @@ class TypedKeys:
         express: a probe side of another dtype, NaN sort keys."""
         if self._hashed is None:
             self._hashed = HashedKeys(
-                [array.tolist() for array in self.arrays], self.count
+                [array.tolist() for array in self.arrays], self.count, self.offsets
             )
         return self._hashed
+
+    def _slotted(self, slotted: bool) -> list:
+        """The key arrays, led by each row's slot when ``slotted``."""
+        if not slotted:
+            return self.arrays
+        return [slot_codes(self.offsets), *self.arrays]
 
     def grouping(self) -> Grouping:
         # first-seen numbering without a sort: each code's first row by
         # one ``np.minimum.at``; a row is its group's first when it is
         # that row, and the first rows, ascending, number the groups
-        arrays = list(self.arrays)
-        if self.offsets is not None:
-            arrays.insert(0, Grouping.runs(self.offsets).codes)
-        codes, size = _key_codes(arrays)
+        codes, size = _key_codes(self._slotted(self.offsets is not None))
         rows = np.arange(self.count)
         table = np.full(size, self.count)
         np.minimum.at(table, codes, rows)
@@ -330,18 +347,21 @@ class TypedKeys:
         if build.dtypes != self.dtypes:
             # int = float keys compare exactly as Python numbers
             return self.hashed().pairs(build)
-        if len(self.arrays) == 1:
+        slotted = _by_slot(self, build)
+        if len(self.arrays) == 1 and not slotted:
             probe = self.arrays[0]
             order, haystack, run_stop = build._sorted_side()
         else:
-            probe, theirs = _joint_codes(self.arrays, build.arrays)
+            probe, theirs = _joint_codes(
+                self._slotted(slotted), build._slotted(slotted)
+            )
             order, haystack, run_stop = _sorted_runs(theirs)
         # one binary search per probe row: where its key's run of equal
         # build keys starts; the run's length was counted on the build side
         low = np.searchsorted(haystack, probe, side="left")
         at = np.minimum(low, len(haystack) - 1)
         hit = haystack[at] == probe
-        if len(self.arrays) > 1:  # joint codes made every NaN one code
+        if len(self.arrays) > 1 or slotted:  # joint codes made every NaN one code
             for array in self.arrays:
                 if array.dtype == np.float64:
                     hit[np.isnan(array)] = False
@@ -376,6 +396,11 @@ class TypedKeys:
             return stable_argsort(array)
         order = np.asarray(order, dtype=np.int64)
         return order[stable_argsort(array[order])]
+
+
+def _by_slot(probe, build) -> bool:
+    """Whether a join matches by ``(slot, key)``: both sides are stages."""
+    return probe.offsets is not None and build.offsets is not None
 
 
 def _sorted_runs(keys: np.ndarray) -> tuple:

@@ -205,9 +205,10 @@ class RowChunk:
         columns = [self.values(expr, cost) for expr in exprs]
         return HashedKeys(columns, len(self), None if cost is None else cost.offsets)
 
-    def row_keys(self) -> HashedKeys:
-        """Every column as a key (DISTINCT)."""
-        return HashedKeys(list(zip(*self._rows)), len(self))
+    def row_keys(self, offsets=None) -> HashedKeys:
+        """Every column as a key (DISTINCT; over a stage, cut at
+        ``offsets``)."""
+        return HashedKeys(list(zip(*self._rows)), len(self), offsets)
 
     def keep(self, predicate, cost) -> np.ndarray:
         """Per row, whether ``predicate`` is true on it (NULL is false)."""
@@ -413,9 +414,10 @@ class Batch:
         columns = [self.values(expr, cost) for expr in exprs]
         return typed_keys(columns, self.length, None if cost is None else cost.offsets)
 
-    def row_keys(self):
-        """Every column as a key (DISTINCT)."""
-        return typed_keys(self.columns, self.length)
+    def row_keys(self, offsets=None):
+        """Every column as a key (DISTINCT; over a stage, cut at
+        ``offsets``)."""
+        return typed_keys(self.columns, self.length, offsets)
 
     def keep(self, predicate, cost) -> np.ndarray:
         """Per row, whether ``predicate`` is true on it (NULL is false)."""
@@ -815,21 +817,19 @@ class PairStage:
 
 
 class DistributedRelation:
-    """Rows spread across the cluster's slots, held in one of two forms
-    that each make the other on first use, once: a **stage** — one
+    """Rows spread across the cluster's slots, held as one **stage**: a
     slot-ordered chunk and ``offsets``, slot ``s`` holding rows
-    ``offsets[s]:offsets[s + 1]``, what the stage-wide operators read and
-    write — or ``partitions``, one chunk per slot (a stage's are zero-copy
-    slices), what FinalAggregate, Sort, Top-K and Distinct loop over. A broadcast relation is one chunk every slot shares; its stage
-    is that copy as one slot. A join's relation holds its ``pairs``
+    ``offsets[s]:offsets[s + 1]``. Every operator reads the stage (or
+    zero-copy ``partition(slot)`` slices of it) and writes one. A
+    broadcast relation is the one chunk every one of its ``slots``
+    shares: its stage is that copy as one slot, and its per-slot lengths
+    and totals repeat the copy's. A join's relation holds its ``pairs``
     instead and builds its stage from them on first use; a
     :class:`PairStage` answers the per-slot lengths and totals without
     building it.
 
     ``column_ids`` gives the positional layout: value ``j`` of every row
-    belongs to plan column ``column_ids[j]``. Partitions are chunks of one
-    class (:class:`RowChunk` or :class:`Batch`); plain row lists are
-    wrapped into :class:`RowChunk` on construction. Chunks memoize their
+    belongs to plan column ``column_ids[j]``. Chunks memoize their
     serialized sizes, so every operator downstream of a materialization
     reuses — not recomputes — the same byte accounting for disk,
     network and spill charges; the relation keeps its per-slot totals as
@@ -840,91 +840,52 @@ class DistributedRelation:
     def __init__(
         self,
         column_ids: Sequence[int],
-        partitions: Optional[list],
         partitioning: Partitioning,
         stage: Optional[tuple] = None,
         pairs=None,
+        slots: int = 1,
     ):
         self.column_ids = tuple(column_ids)
         self.partitioning = partitioning
-        self.index = {column_id: i for i, column_id in enumerate(self.column_ids)}
         self._stage = stage
         #: a join's :class:`PairStage` or :class:`IndexPairs`, whose
         #: joined chunk is the stage, built on first use
         self.pairs = pairs
-        self._parts = None if partitions is None else [
-            RowChunk(self.column_ids, part)
-            if isinstance(part, (list, tuple))
-            else part
-            for part in partitions
-        ]
+        #: the slots a broadcast relation's one chunk is copied to
+        self._copies = slots if partitioning.kind == "broadcast" else 1
         self._totals: Optional[List[float]] = None
-
-    @property
-    def partitions(self) -> list:
-        if self._parts is None:
-            slots = range(len(self.stage[1]) - 1)
-            self._parts = [self.partition(slot) for slot in slots]
-        return self._parts
 
     def partition(self, slot: int):
         """One slot's chunk, without slicing the others."""
-        if self._parts is not None:
-            return self._parts[slot]
         chunk, offsets = self.stage
+        if self._copies > 1:
+            return chunk
         return chunk.slice(int(offsets[slot]), int(offsets[slot + 1]))
 
     @property
     def stage(self) -> tuple:
         """``(chunk, offsets)``."""
-        if self._stage is None and self.pairs is not None:
+        if self._stage is None:
             self._stage = (self.pairs.chunk(), self.pairs.offsets)
             self.pairs = None  # built: let the pairs' arrays go
-        elif self._stage is None:
-            parts = self._parts
-            if self.partitioning.kind == "broadcast" or len(parts) == 1:
-                chunk, parts = parts[0], parts[:1]
-            else:
-                chunk = type(parts[0]).concat(self.column_ids, parts)
-            self._stage = (chunk, slot_offsets([len(part) for part in parts]))
         return self._stage
 
     def partition_lengths(self) -> List[int]:
         """Each slot's row count, in slot order."""
-        if self._parts is not None:
-            return list(map(len, self._parts))
         offsets = self.pairs.offsets if self._stage is None else self._stage[1]
-        return slot_counts(offsets)
-
-    @property
-    def row_count(self) -> int:
-        if self.partitioning.kind == "broadcast":
-            return len(self.partitions[0]) if self.partitions else 0
-        return sum(self.partition_lengths())
-
-    def view(self, values: Sequence) -> RowView:
-        return RowView(values, self.index)
+        return slot_counts(offsets) * self._copies
 
     def all_rows(self) -> List[tuple]:
-        if self._stage is not None or self._parts is None:
-            return list(self.stage[0].rows())
-        parts = self.partitions
-        if self.partitioning.kind == "broadcast":
-            parts = parts[:1]
-        out: List[tuple] = []
-        for part in parts:
-            out.extend(part.rows())
-        return out
+        return list(self.stage[0].rows())
 
     def partition_totals(self) -> List[float]:
         """Each slot's partition bytes, in slot order — of a pair stage's
         joined rows without building them."""
         if self._totals is None and isinstance(self.pairs, PairStage):
             self._totals = self.pairs.slot_totals()
-        elif self._totals is None and self._parts is None:
-            self._totals = self.stage[0].slot_totals(self.stage[1])
         elif self._totals is None:
-            self._totals = [part.total_bytes() for part in self._parts]
+            chunk, offsets = self.stage
+            self._totals = chunk.slot_totals(offsets) * self._copies
         return self._totals
 
 

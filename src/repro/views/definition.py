@@ -284,7 +284,7 @@ class MaterializedView:
                 for states in self._slot_states
                 if states is not None
             ]
-            (answer,) = final_aggregate(
+            (answer,), _ = final_aggregate(
                 self.specs, 0, state_rows, EvalCost(), scalar_on_empty=True
             )
             return [tuple(answer[i] for i in spec_indices)]

@@ -30,12 +30,12 @@ from repro.catalog import Schema
 from repro.columnar import ColumnData, columns_from_rows, truth
 from repro.engine import stable_hash
 from repro.engine.cluster import columns_row_bytes, row_bytes
-from repro.engine.keys import TypedKeys, _key_codes, stable_order
-from repro.engine import Cluster, Executor
+from repro.engine.keys import HashedKeys, TypedKeys, _key_codes, stable_order
+from repro.engine import Cluster, Executor, OperatorMetrics
 from repro.engine.storage import Batch, PartitionedTable, RowChunk
 from repro.errors import ExecutionError, ReproError, RuntimeTypeError
 from repro.la import lookup, lookup_aggregate
-from repro.plan.physical import PExchange
+from repro.plan.physical import PExchange, PHashJoin
 from repro.plan.expressions import (
     BinaryExpr,
     ColumnVar,
@@ -1693,6 +1693,11 @@ STAGE_STATEMENTS = (
     "SELECT k, x FROM t ORDER BY x DESC, k LIMIT 4",
     "SELECT c, SUM(y), COUNT(*) FROM one GROUP BY c",
     "SELECT COUNT(*), SUM(x) FROM t WHERE k > 1000",
+    "SELECT g, x, k FROM t ORDER BY x, k DESC",
+    # ``p`` is hash-partitioned on ``k``: a co-partitioned join whose NULL
+    # keys all sit on one slot
+    "SELECT a.k, a.z, b.z FROM p AS a, p AS b WHERE a.k = b.k AND a.z <= b.z",
+    "SELECT DISTINCT g, x FROM t",
 )
 
 
@@ -1704,14 +1709,13 @@ def _stage_cell(value):
     return _exact(value)
 
 
-def _stage_run(slots, mode, fault_plan=None):
-    """Every statement's rows in order and every field of every operator
-    — ``slot_seconds`` by ``float.hex`` — on ``slots`` slots."""
+def _stage_db(slots, mode="batch", **config):
+    """The tables ``STAGE_STATEMENTS`` read, on ``slots`` slots."""
     db = Database(
         TEST_CLUSTER.with_updates(
             machines=slots // 2 or 1,
             cores_per_machine=min(slots, 2) if slots % 2 == 0 else slots,
-            fault_plan=fault_plan,
+            **config,
         ),
         execution_mode=mode,
     )
@@ -1731,6 +1735,20 @@ def _stage_run(slots, mode, fault_plan=None):
     # every row of ``one`` hashes to one slot: ``c`` is the partitioning key
     db.create_table("one", [("c", "INTEGER"), ("y", "DOUBLE")], partition_by=["c"])
     db.load("one", [(3, 0.5 * i) for i in range(6)])
+    db.create_table("p", [("k", "INTEGER"), ("z", "DOUBLE")], partition_by=["k"])
+    db.load("p", [(None if i % 7 == 3 else i // 2, i * 0.25) for i in range(30)])
+    return db
+
+
+def _stage_run(slots, mode, fault_plan=None, storage="memory"):
+    """Every statement's rows in order and every field of every operator
+    — ``slot_seconds`` by ``float.hex`` — on ``slots`` slots. In disk
+    mode a 64-byte working-memory budget makes every sizeable state
+    spill, so build sides and exchanged slots cross spill files."""
+    config = {"fault_plan": fault_plan}
+    if storage == "disk":
+        config.update(storage_mode="disk", buffer_pool_bytes=64.0)
+    db = _stage_db(slots, mode, **config)
     out = []
     for sql in STAGE_STATEMENTS:
         result = db.execute(sql)
@@ -1744,18 +1762,28 @@ def _stage_run(slots, mode, fault_plan=None):
             for op in result.metrics.operators
         )
         out.append((tuple(map(_stage_cell, result.rows)), ops, result.metrics.fault_events))
+    db.close()
     return out
 
 
+def _spilled(run, name):
+    """Whether an operator whose name starts with ``name`` spilled."""
+    fields = [field.name for field in dataclasses.fields(OperatorMetrics)]
+    at = fields.index("name"), fields.index("spill_events")
+    return any(
+        op[at[0]].startswith(name) and op[at[1]] for _, ops, _ in run for op in ops
+    )
+
+
 class TestStages:
-    """Scan, Filter, Project, PartialAggregate, the joins' outputs and
-    every exchange run once per operator over a slot-ordered stage, and
-    charge each slot from a per-slot cost ledger; the row oracle walks
-    the same stages slot by slot with one plain cost each — the
-    per-partition arithmetic. Both must agree on every row, in order,
-    and every charge, bit for bit, at any cluster shape: empty slots
-    (80 slots, 13 rows), every row on one slot (``one``), NULL, NaN,
-    string and tensor columns, and under injected faults."""
+    """Every operator runs once over a slot-ordered stage and charges
+    each slot from a per-slot cost ledger; the row oracle walks the same
+    stages slot by slot with one plain cost each — the per-partition
+    arithmetic. Both must agree on every row, in order, and every charge,
+    bit for bit, at any cluster shape: empty slots (80 slots, 13 rows),
+    every row on one slot (``one``), NULL keys on one slot only (``p``),
+    NULL, NaN, string and tensor columns, under injected faults, and
+    with disk-mode spills."""
 
     @pytest.mark.parametrize("slots", STAGE_SLOTS)
     def test_row_oracle_agrees_at_every_cluster_shape(self, slots):
@@ -1771,9 +1799,13 @@ class TestStages:
                 max_partition_retries=20,
             ),
         ]
-        for plan in plans:
-            row, batch = (_stage_run(slots, mode, plan) for mode in ("row", "batch"))
-            assert row == batch, (slots, plan)
+        for plan, storage in itertools.product(plans, ("memory", "disk")):
+            row, batch = (
+                _stage_run(slots, mode, plan, storage) for mode in ("row", "batch")
+            )
+            assert row == batch, (slots, plan, storage)
+            spills = _spilled(row, "HashJoin"), _spilled(row, "Exchange(hash)")
+            assert spills == ((storage == "disk"),) * 2, (slots, storage)
         assert any(events for _, _, events in row)  # the faults did land
 
     def test_converted_operators_evaluate_each_expression_once(self, monkeypatch):
@@ -1826,6 +1858,106 @@ class TestStages:
             del takes[:]
             rows, _ = Executor(db.cluster, "batch").run(PExchange(scan, "hash", [key]))
             assert len(rows) == 500 and len(takes) == 1, slots
+
+
+    @staticmethod
+    def _per_operator(monkeypatch, handler, counter):
+        """Wrap ``Executor.<handler>`` so each run of it records how far
+        ``counter`` (a list) grew while it ran — its child executed
+        first, whose calls are not this operator's."""
+        original = getattr(Executor, handler)
+        grew = []
+
+        def counted(self, node):
+            self.execute(node.child)
+            before = len(counter)
+            relation = original(self, node)
+            grew.append(len(counter) - before)
+            return relation
+
+        monkeypatch.setattr(Executor, handler, counted)
+        return grew
+
+    @pytest.mark.parametrize(
+        "handler, sql",
+        [
+            ("_sort_limit", "SELECT k, x FROM t ORDER BY x, k DESC"),
+            ("_top_k", "SELECT k, x FROM t ORDER BY x DESC, k LIMIT 4"),
+            ("_distinct", "SELECT DISTINCT g, x FROM t"),
+        ],
+    )
+    def test_ordering_operators_take_once(self, monkeypatch, handler, sql):
+        """Sort, Top-K and Distinct apply every slot's picks to their
+        stage with one ``take``, however many slots the cluster has."""
+        takes = []
+        take = Batch.take
+        monkeypatch.setattr(
+            Batch, "take", lambda self, indices: takes.append(1) or take(self, indices)
+        )
+        grew = self._per_operator(monkeypatch, handler, takes)
+        for slots in (4, 80):
+            del grew[:]
+            _stage_db(slots).execute(sql)
+            assert grew and set(grew) == {1}, (slots, grew)
+
+    def test_final_aggregate_merges_once(self, monkeypatch):
+        """FinalAggregate makes one ``final_aggregate`` call over its stage,
+        grouped by (slot, key)."""
+        import repro.engine.executor as executor
+
+        calls = []
+        merge = executor.final_aggregate
+        monkeypatch.setattr(
+            executor, "final_aggregate",
+            lambda *args, **kwargs: calls.append(1) or merge(*args, **kwargs),
+        )
+        grew = self._per_operator(monkeypatch, "_final_aggregate", calls)
+        for slots in (4, 80):
+            del grew[:]
+            db = _stage_db(slots)
+            result = db.execute("SELECT k, COUNT(*), SUM(z) FROM p GROUP BY k")
+            assert len(result.rows) == 16
+            assert grew == [1], (slots, grew)
+
+    @pytest.mark.parametrize(
+        "build_sql, broadcast",
+        [("SELECT c, y FROM one", True), ("SELECT k, z FROM p", False)],
+    )
+    def test_hash_join_pairs_once(self, monkeypatch, build_sql, broadcast):
+        """A hash join finds every slot's pairs with one ``pairs`` call: a
+        broadcast build side (``one``) is one chunk every slot matches, a
+        co-partitioned one (``p`` again) matches on keys that carry the
+        slot."""
+        calls, depth = [], []
+        for cls in (TypedKeys, HashedKeys):
+
+            def counted(self, build, _original=cls.pairs):
+                calls.extend([] if depth else [1])  # typed keys may hash
+                depth.append(1)
+                try:
+                    return _original(self, build)
+                finally:
+                    depth.pop()
+
+            monkeypatch.setattr(cls, "pairs", counted)
+        for slots in (4, 80):
+            db = _stage_db(slots)
+            probe, build = (
+                db._plan_physical(db._plan_select(parse_statement(sql), None))
+                for sql in ("SELECT k, z FROM p", build_sql)
+            )
+            if broadcast:
+                build = PExchange(build, "broadcast")
+            keys = [
+                [ColumnVar(side.columns[0].column_id, INTEGER, "k")]
+                for side in (probe, build)
+            ]
+            join = PHashJoin(probe, build, *keys, None, True)
+            want, _ = Executor(db.cluster, "row").run(join)
+            del calls[:]
+            rows, _ = Executor(db.cluster, "batch").run(join)
+            assert rows == want and len(rows) in (12, 48)
+            assert len(calls) == 1, (slots, calls)
 
 
 class TestSlotSums:

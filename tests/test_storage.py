@@ -17,7 +17,10 @@ from repro.engine import (
     PartitionedTable,
     Partitioning,
     ROUND_ROBIN,
+    RowView,
+    SINGLE,
 )
+from repro.engine.storage import Batch, PairStage, slot_offsets
 from repro.engine.cluster import row_bytes, stable_hash
 from repro.errors import ExecutionError
 from repro.storage import (
@@ -394,22 +397,48 @@ class TestPartitioning:
 
 
 class TestDistributedRelation:
-    def test_row_count_and_all_rows(self):
+    def test_all_rows_in_slot_order(self):
+        chunk = Batch.from_rows((5, 6), [(1, 2), (3, 4)])
         relation = DistributedRelation(
-            (5, 6), [[(1, 2)], [(3, 4)], []], ROUND_ROBIN
+            (5, 6), ROUND_ROBIN, (chunk, slot_offsets([1, 1, 0]))
         )
-        assert relation.row_count == 2
-        assert sorted(relation.all_rows()) == [(1, 2), (3, 4)]
+        assert relation.partition_lengths() == [1, 1, 0]
+        assert relation.all_rows() == [(1, 2), (3, 4)]
 
     def test_broadcast_counts_once(self):
         rows = [(1, 2), (3, 4)]
-        relation = DistributedRelation((5, 6), [rows, rows, rows], BROADCAST)
-        assert relation.row_count == 2
+        chunk = Batch.from_rows((5, 6), rows)
+        relation = DistributedRelation(
+            (5, 6), BROADCAST, (chunk, slot_offsets([2])), slots=3
+        )
         assert relation.all_rows() == rows
+        assert relation.partition_lengths() == [2] * 3
+        assert relation.partition_totals() == [chunk.total_bytes()] * 3
+        assert all(relation.partition(slot) is chunk for slot in range(3))
+
+    def test_partition_of_a_gathered_stage(self):
+        rows = [(1, "a"), (2, "bb"), (3, None)]
+        chunk = Batch.from_rows((5, 6), rows)
+        gathered = DistributedRelation(
+            (5, 6), SINGLE, (chunk, slot_offsets([3, 0, 0, 0]))
+        )
+        assert gathered.partition(0).rows() == rows
+        assert [len(gathered.partition(slot)) for slot in range(4)] == [3, 0, 0, 0]
+        assert gathered.partition_totals() == [sum(map(row_bytes, rows)), 0, 0, 0]
+
+    def test_pairs_answer_lengths_and_totals_unbuilt(self, monkeypatch):
+        probe = Batch.from_rows((0, 1), [(i, "x" * i) for i in range(5)])
+        build = Batch.from_rows((2,), [(0.5,), (1.5,)])
+        pairs = PairStage((0, 1, 2), probe, build, slot_offsets([2, 0, 3]))
+        relation = DistributedRelation((0, 1, 2), ROUND_ROBIN, pairs=pairs)
+        built = pairs.chunk()
+        monkeypatch.setattr(PairStage, "chunk", None)  # building would fail
+        assert relation.partition_lengths() == [4, 0, 6]
+        assert relation.partition_totals() == built.slot_totals(pairs.offsets)
+        assert relation.pairs is pairs
 
     def test_row_view_maps_column_ids(self):
-        relation = DistributedRelation((10, 20), [[(7, 8)]], ROUND_ROBIN)
-        view = relation.view((7, 8))
+        view = RowView((7, 8), {10: 0, 20: 1})
         assert view[10] == 7
         assert view[20] == 8
         with pytest.raises(KeyError):
