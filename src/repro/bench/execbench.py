@@ -17,7 +17,9 @@ Each case also runs in batch mode on ``PAPER_CLUSTER``'s 80 slots: the
 interpreter pays real Python per simulated slot, and the
 ``slots80_vs_slots4`` ratio is that cost (recorded, never gated). The
 row oracle runs that shape once, untimed, so the equivalence contract
-covers the 80-slot stages too.
+covers the 80-slot stages too. The GROUP BY probe (:data:`PROBES`) is
+timed and checked like every case but kept out of the geomean gate: it
+is there for its "80 vs 4" ratio.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ EXEC_SCALES = {
     ("top-k", "tuple"): (2048, 8),
     ("regression", "vector"): (3072, 8),
     ("distance", "vector"): (96, 8),
+    ("group by", "tuple"): (8192, 1),
 }
+
+#: cases recorded and equivalence-checked but outside the geomean gate:
+#: the GROUP BY probe of 37 keys, whose states every slot holds at 80
+#: slots (its "80 vs 4" ratio is the merge's per-slot cost)
+PROBES = {"group by (tuple)"}
 
 #: the --check gate on the batch-vs-row geomean: under half of the 5.0–5.8x
 #: measured on the six smoke shapes since operators run once per stage
@@ -59,6 +67,7 @@ EXEC_SCALES_SMOKE = {
     ("top-k", "tuple"): (256, 8),
     ("regression", "vector"): (384, 8),
     ("distance", "vector"): (40, 8),
+    ("group by", "tuple"): (1024, 1),
 }
 
 
@@ -101,10 +110,11 @@ class ExecReport:
 
     @property
     def geomean_speedup(self) -> float:
+        gated = [case for case in self.cases if case.name not in PROBES]
         product = 1.0
-        for case in self.cases:
+        for case in gated:
             product *= case.speedup
-        return product ** (1.0 / len(self.cases)) if self.cases else 1.0
+        return product ** (1.0 / len(gated)) if gated else 1.0
 
     def ok(self) -> bool:
         """The --check criterion: identical results and simulated
@@ -165,7 +175,8 @@ def format_exec(report: ExecReport) -> str:
         )
     lines.append("")
     lines.append(
-        f"geometric-mean speedup: {report.geomean_speedup:.2f}x; "
+        f"geometric-mean speedup (all but {', '.join(sorted(PROBES))}): "
+        f"{report.geomean_speedup:.2f}x; "
         f"rows and simulated metrics identical in both modes: "
         f"{'yes' if report.all_match else 'NO'} (at 80 slots: "
         f"{'yes' if all(case.match_80 for case in report.cases) else 'NO'})"

@@ -1,6 +1,6 @@
 """The catalogue of the paper's programs (section 5): Gram matrix,
 least-squares regression and metric distance, each in the three SimSQL
-styles, plus the two tuple-table probes the benchmarks add.
+styles, plus the tuple-table probes the benchmarks add.
 
 Every entry of :data:`CASES` is real extended SQL on
 :class:`repro.Database` — the queries the paper lists, written here once
@@ -43,7 +43,14 @@ INF_DISTANCE = 1.0e18
 
 #: the seed each computation's synthetic workload is generated with
 #: wherever a benchmark picks a case by name (:func:`cases`)
-SEEDS = {"gram": 7, "regression": 8, "distance": 9, "group filter": 10, "top-k": 11}
+SEEDS = {
+    "gram": 7,
+    "regression": 8,
+    "distance": 9,
+    "group filter": 10,
+    "top-k": 11,
+    "group by": 12,
+}
 
 # -- loading (always untimed setup) -------------------------------------------
 
@@ -341,8 +348,9 @@ def _distance_block(workload: Workload, block_size: int) -> Program:
     return setup, queries, _first_id
 
 
-# The two tuple-table probes beside the paper's programs: they put the
-# key kernels (filtered GROUP BY, Top-K) on ``repro-bench exec|trace``.
+# The tuple-table probes beside the paper's programs: they put the key
+# kernels (filtered GROUP BY, Top-K) on ``repro-bench exec|trace``, and
+# the merge of many (slot, key) states on ``repro-bench exec``.
 
 
 @_program("group filter", "tuple")
@@ -357,6 +365,28 @@ def _top_k_tuple(workload: Workload, block_size: int) -> Program:
     sql = """SELECT row_index, col_index, value
         FROM x ORDER BY value DESC, row_index LIMIT 10"""
     return lambda db: _load_tuple_points(db, workload), (sql,), _rows
+
+
+#: the GROUP BY probe's keys
+PROBE_GROUPS = 37
+
+
+@_program("group by", "tuple")
+def _group_by_tuple(workload: Workload, block_size: int) -> Program:
+    """A table built by single-row INSERTs (each key seen once per
+    ``PROBE_GROUPS`` rows), grouped into ``PROBE_GROUPS`` keys: on many
+    slots, every slot holds a state of every key."""
+
+    def setup(db: Database) -> None:
+        db.execute("CREATE TABLE g (a INTEGER, b INTEGER, v DOUBLE)")
+        for i in range(workload.n):
+            db.execute(
+                "INSERT INTO g VALUES (:a, :b, :v)",
+                {"a": i, "b": i % PROBE_GROUPS, "v": float(workload.X[i, 0])},
+            )
+
+    sql = "SELECT b, SUM(v), COUNT(*) FROM g GROUP BY b"
+    return setup, (sql,), _rows
 
 
 def case(

@@ -19,15 +19,25 @@ rows, one BLAS ``Aₛᵀ Bₛ`` per step, steps added left to right
 with the open step's rows carried in its state (:class:`OpenSum`). All
 continue from an optional *carried* state per group, so folding a
 partition in one run or in consecutive runs performs the same
-arithmetic in the same order. *Merge and finish*: :func:`final_aggregate`.
+arithmetic in the same order. *Merge and finish*
+(:func:`final_aggregate`): a state merges into its group as a value is
+added, so each column of partial states is merged in received row order
+by the same canonical chain — by the advance kernels themselves where the
+column is typed and long enough to repay them (:func:`merge_column`: SUM
+and COUNT states through :func:`_chain_sums`, MIN/MAX through
+:func:`_extremes`, a tensor-block SUM through :func:`sum_blocks`), by the
+aggregate's own ``merge`` otherwise (:func:`merge_states`, the row
+oracle's loop) — then finished.
 PartialAggregate and FinalAggregate call these with no carried state;
-a materialized view calls them with its stored per-slot states, which
-makes view ≡ rescan hold by construction.
+a materialized view folds with its stored per-slot states and answers
+through the row merge, which every merge kernel matches bit for bit, so
+view ≡ rescan holds.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +46,7 @@ from ..columnar import ColumnData, wrap_cell
 from ..errors import RuntimeTypeError
 from ..la.aggregates import check_carried, sum_block
 from .cluster import cell_bytes, value_bytes
-from .keys import HashedKeys, index_list, one_nan
+from .keys import index_list, one_nan
 
 
 def fold_groups(
@@ -86,11 +96,12 @@ def _live(column, grouping):
     return column.data[keep], codes, grouping.sizes(codes)
 
 
-def _chain_sums(column, grouping, starts):
+def _chain_sums(column, grouping, starts=None):
     """Per group, the canonical chain ``((start + v0) + v1) + …`` over
-    the non-NULL values of a float64/int64 ``column`` (``start`` None: a
-    fresh chain, which begins at ``v0``) and how many there were — or
-    None when no array form performs that chain exactly.
+    the non-NULL values of a float64/int64 ``column`` (``starts`` None,
+    or a group's start None: a fresh chain, which begins at ``v0``) and
+    how many there were, as arrays — or None when no array form performs
+    that chain exactly.
 
     float64: ``np.add.at`` into a buffer holding the starts, ``-0.0`` for
     a fresh chain (``-0.0 + v`` is ``v`` for every ``v``). ``ufunc.at``
@@ -103,31 +114,33 @@ def _chain_sums(column, grouping, starts):
     if column is None or not column.is_numeric:
         return None
     values, codes, counts = _live(column, grouping)
-    kind = float if values.dtype == np.float64 else int
-    if any(start is not None and type(start) is not kind for start in starts):
+    kind, fresh = (float, -0.0) if values.dtype == np.float64 else (int, 0)
+    held = () if starts is None else [start for start in starts if start is not None]
+    if any(type(start) is not kind for start in held):
         return None
-    if kind is float:
-        buffer = np.array([-0.0 if start is None else start for start in starts])
-    else:
-        bound = max((abs(start) for start in starts if start is not None), default=0)
+    if kind is int:
+        bound = max(map(abs, held), default=0)
         if len(values):
             bound += len(values) * max(int(values.max()), -int(values.min()))
         if bound >= 2**63:
             return None
+    if starts is None:
+        buffer = np.full(len(grouping), fresh, values.dtype)
+    else:
         buffer = np.array(
-            [0 if start is None else start for start in starts], dtype=np.int64
+            [fresh if start is None else start for start in starts], values.dtype
         )
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's + is
         np.add.at(buffer, codes, values)
-    return buffer.tolist(), counts.tolist()
+    return buffer, counts
 
 
 def _sum_kernel(aggregate, column, grouping, carried):
-    starts = [None] * len(grouping) if carried is None else carried
-    sums = _chain_sums(column, grouping, starts)
+    sums = _chain_sums(column, grouping, carried)
     if sums is None:
         return None
-    totals, counts = sums
+    starts = [None] * len(grouping) if carried is None else carried
+    totals, counts = (array.tolist() for array in sums)
     return [
         total if count else start
         for total, count, start in zip(totals, counts, starts)
@@ -142,7 +155,7 @@ def _avg_kernel(aggregate, column, grouping, carried):
     )
     if sums is None:
         return None
-    totals, counts = sums
+    totals, counts = (array.tolist() for array in sums)
     return [
         (total, count + (state[1] if state else 0)) if count else state
         for total, count, state in zip(totals, counts, before)
@@ -161,15 +174,16 @@ def _count_kernel(aggregate, column, grouping, carried):
     return counts
 
 
-def _extreme_kernel(aggregate, column, grouping, carried):
+def _extremes(aggregate, column, grouping):
     """MIN/MAX: per group, the **first** row in row order attaining the
     extreme — what the ``min(state, value)`` chain keeps on a ``±0.0``
     tie. Each group's extreme is folded by ``np.minimum.at`` /
     ``np.maximum.at`` from one of its own values, then the first row
     whose value ``==`` it (``±0.0`` are equal) is one more
-    ``np.minimum.at`` over row positions; a carried state then meets it
-    through the aggregate's own ``add``. A NaN makes the chain's result
-    order-dependent, so a column holding one takes the chain."""
+    ``np.minimum.at`` over row positions. Returns the picks of the
+    groups holding a non-NULL value, and those groups — or None: a NaN
+    makes the chain's result order-dependent, so a column holding one
+    takes the chain."""
     if column is None or not column.is_numeric:
         return None
     values, codes, counts = _live(column, grouping)
@@ -182,13 +196,22 @@ def _extreme_kernel(aggregate, column, grouping, carried):
     first = np.full(len(grouping), len(values))
     np.minimum.at(first, codes[ties], ties)
     present = np.flatnonzero(counts)
-    picks = values[first[present]]
+    return values[first[present]], present
+
+
+def _extreme_kernel(aggregate, column, grouping, carried):
+    """MIN/MAX states: each group's pick (:func:`_extremes`) meets its
+    carried state through the aggregate's own ``add``."""
+    extremes = _extremes(aggregate, column, grouping)
+    if extremes is None:
+        return None
+    picks, present = (array.tolist() for array in extremes)
     states = [None] * len(grouping) if carried is None else list(carried)
     if carried is None:  # a fresh state's ``add`` of a number is the number
-        for group, value in zip(present.tolist(), picks.tolist()):
+        for group, value in zip(present, picks):
             states[group] = value
         return states
-    for group, value in zip(present.tolist(), picks.tolist()):
+    for group, value in zip(present, picks):
         states[group] = aggregate.add(states[group], value)
     return states
 
@@ -468,59 +491,104 @@ def fused_sums(call, operands, valid, group_indices, cost, carried=None) -> list
     return states
 
 
-def final_aggregate(
-    specs: Sequence, key_count: int, rows, cost, scalar_on_empty: bool = False
-) -> Tuple[List[tuple], np.ndarray]:
-    """FinalAggregate over ``rows`` of ``key + partial states``: merge
-    the states of each key in arrival order, fold each DISTINCT value
-    set through the ``add`` chain, ``finish``. Over a stage (``cost`` a
-    ledger over its offsets) the keys are ``(slot, key)``: each slot's
-    groups, slot by slot, each slot charged its own states' bytes.
-    Returns the finished rows and each group's first row. Merging
-    updates dict states (VECTORIZE/ROWMATRIX/COLMATRIX) and value sets
-    in place, so a key's first such state is copied: the rows stay valid
-    for a retried operator or a view's next answer. Keys are bucketed by
-    the shared key loop and value sets re-read through ``one_nan`` (a set
-    that crossed a spill file holds NaN objects of its own), so every NaN
-    is one key and one value here too. ``scalar_on_empty`` with no rows
-    yields SQL's one row over empty input, every aggregate finished from
-    ``create()``."""
-    key_columns = list(zip(*[row[:key_count] for row in rows]))
-    grouping = HashedKeys(key_columns, len(rows), cost.offsets).grouping()
-    merged: List[Optional[list]] = [None] * len(grouping)
-    for row, group in zip(rows, grouping.codes.tolist()):
-        states = row[key_count:]
-        existing = merged[group]
-        if existing is None:
-            merged[group] = [
-                set(one_nan(state)) if spec.distinct
-                else dict(state) if isinstance(state, dict)
-                else state
-                for spec, state in zip(specs, states)
-            ]
+#: a group's merge before its first state
+_UNSET = object()
+
+
+def merge_states(spec, states: Sequence, grouping, cost) -> list:
+    """One column of partial states (Python values) merged per group in
+    row order through the aggregate's ``merge`` — the row oracle's merge
+    and every other column's fallback — each state charged its
+    ``value_bytes`` (a NULL one 1.0) on its row's slot (integral, so each
+    slot's sum is exact in any order). A DISTINCT spec's value sets are
+    united, re-read through ``one_nan`` (a set that crossed a spill file
+    holds NaN objects of its own). Dict states and value sets merge in
+    place, so a group's first one is copied: the rows stay valid for a
+    retried operator or a view's next answer."""
+    aggregate, merged = spec.aggregate, [_UNSET] * len(grouping)
+    for state, group in zip(states, grouping.codes.tolist()):
+        held = merged[group]
+        if spec.distinct:
+            if held is _UNSET:
+                merged[group] = set(one_nan(state))
+            else:
+                held.update(one_nan(state))
+        elif held is _UNSET:
+            merged[group] = dict(state) if isinstance(state, dict) else state
         else:
-            for i, spec in enumerate(specs):
-                if spec.distinct:
-                    existing[i].update(one_nan(states[i]))
-                else:
-                    existing[i] = spec.aggregate.merge(existing[i], states[i])
-    # every state's bytes, charged to its row's slot (integral, so each
-    # slot's sum is exact in any order)
-    streamed = [value_bytes(state) for row in rows for state in row[key_count:]]
-    cost.add("stream_bytes", streamed, np.repeat(np.arange(len(rows)), len(specs)))
-    out_rows: List[tuple] = []
-    for key, states in zip(grouping.keys, merged):
-        finished = []
-        for spec, state in zip(specs, states):
-            if spec.distinct:
-                fold = spec.aggregate.create()
-                for value in state:
-                    fold = spec.aggregate.add(fold, value)
-                state = fold
-            finished.append(spec.aggregate.finish(state))
-        out_rows.append(tuple(key) + tuple(finished))
-    if scalar_on_empty and not out_rows:
-        out_rows.append(
-            tuple(spec.aggregate.finish(spec.aggregate.create()) for spec in specs)
+            merged[group] = aggregate.merge(held, state)
+    cost.add("stream_bytes", list(map(value_bytes, states)), range(len(states)))
+    return merged
+
+
+#: scalar states below which a merge takes the loop: a kernel's numpy
+#: calls cost 7–14 µs a column whatever its length, the loop ~0.4 µs a
+#: state, level at about this many (a gathered scalar aggregate merges
+#: one state per slot). A constant, never a knob: the path is a function
+#: of the column alone
+MERGE_KERNEL_STATES = 16
+
+
+def merge_column(spec, column, grouping, cost) -> Optional[ColumnData]:
+    """:func:`merge_states` of a ``ColumnData``, finished (SUM, COUNT,
+    MIN and MAX finish a state as it is), by the partial aggregate's own
+    fold — a state merges into its group as a value is added: SUM, COUNT
+    and MIN/MAX states in a typed column take :func:`fold_column`'s
+    kernels, a tensor-block SUM state :func:`sum_blocks`, each charged
+    ``value_bytes`` per state. None, for that loop, where the column
+    holds a NULL state (charged 1.0 there, skipped by a kernel), a NaN
+    extreme (the kernel then declines), no typed or block form, or fewer
+    than :data:`MERGE_KERNEL_STATES` scalar states."""
+    name = spec.aggregate.name
+    if column.nulls is not None or spec.distinct:
+        return None
+    if column.is_block:
+        if name != "SUM":
+            return None
+        return ColumnData.from_values(
+            sum_blocks(column.data, None, grouping.positions(), cost)
         )
-    return out_rows, grouping.first
+    if len(column) < MERGE_KERNEL_STATES:
+        return None
+    if name in ("SUM", "COUNT"):  # a COUNT's states are int64 counts
+        merged = _chain_sums(column, grouping)
+    elif name in ("MIN", "MAX"):
+        merged = _extremes(spec.aggregate, column, grouping)
+    else:
+        return None
+    if merged is None:
+        return None
+    cost.add("stream_bytes", cell_bytes(column), range(len(column)))
+    return ColumnData(merged[0])
+
+
+def final_aggregate(
+    specs: Sequence, grouping, columns: Sequence, cost, scalar_on_empty: bool = False
+) -> Tuple[List[Sequence], np.ndarray]:
+    """FinalAggregate's merge of ``columns``, one of partial states per
+    spec — each a ``ColumnData`` or a row chunk's Python values — per
+    group of ``grouping`` (over a stage, with ``cost`` a ledger over its
+    offsets, ``(slot, key)`` groups): :func:`merge_column` where it
+    applies, else :func:`merge_states` and ``finish``, a DISTINCT value
+    set folded through the ``add`` chain first. Returns one output column
+    per spec and each group's first row. ``scalar_on_empty`` with no rows
+    yields SQL's one row over empty input, every aggregate finished from
+    ``create()``, as if at row 0."""
+    out: List[Sequence] = []
+    for spec, column in zip(specs, columns):
+        if isinstance(column, ColumnData):
+            merged = merge_column(spec, column, grouping, cost)
+            if merged is not None:
+                out.append(merged)
+                continue
+            column = column.pylist()
+        merged = merge_states(spec, column, grouping, cost)
+        aggregate = spec.aggregate
+        if spec.distinct:
+            fresh = aggregate.create
+            merged = [reduce(aggregate.add, values, fresh()) for values in merged]
+        out.append(list(map(aggregate.finish, merged)))
+    if scalar_on_empty and not len(grouping):
+        out = [[spec.aggregate.finish(spec.aggregate.create())] for spec in specs]
+        return out, np.zeros(1, dtype=np.int64)
+    return out, grouping.first

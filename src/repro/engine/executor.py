@@ -72,7 +72,7 @@ from ..plan.physical import (
     resolve_prune_predicates,
 )
 from ..storage.segment import segment_pruned
-from .aggregation import final_aggregate, finished
+from .aggregation import finished
 from .cluster import (
     Cluster,
     refetch_seconds,
@@ -80,7 +80,7 @@ from .cluster import (
     stable_hash,
     top_k_comparisons,
 )
-from .keys import one_nan, stable_argsort, stable_order, top_order
+from .keys import stable_argsort, stable_order, top_order
 from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
 from .storage import (
     BROADCAST,
@@ -741,28 +741,27 @@ class Executor:
             return self._staged(column_ids, chunk, gathered_at, SINGLE)
 
         # hash repartition. The map side buckets the keys of every source
-        # slot at once — groups are (source slot, key), numbered in
-        # (source slot, first row) order, the order that fixes the
-        # balanced first-seen key assignment. One stable sort by target
-        # then lays the rows out target by target, source slot by source
-        # slot and ascending within one (the stage is slot-ordered): the
+        # slot at once by the key alone — placement depends on nothing
+        # else — numbered in first-seen order over the slot-ordered stage,
+        # the order that fixes the balanced assignment (the n-th distinct
+        # key goes to slot n mod slots); each distinct key is hashed once.
+        # One stable sort by target then lays the rows out target by
+        # target, source slot by source slot and ascending within one: the
         # order a reduce side concatenating its pieces from every source
         # receives them in.
         cost = EvalCost(offsets)
-        grouping = chunk.keys(node.keys, cost).grouping()
+        grouping = chunk.keys(node.keys, cost).grouping(by_slot=False)
         for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
             run.charge_eval(slot, count, slot_cost)
             run.charge_disk(slot, totals[slot])  # map output spill
             run.charge_network(totals[slot])
         if config.balanced_placement:
-            assignment: Dict[tuple, int] = {}
-            targets = [
-                assignment.setdefault(one_nan(key), len(assignment) % self.slots)
-                for key in grouping.keys
-            ]
+            targets = np.arange(len(grouping)) % self.slots
         else:
-            targets = [stable_hash(key) % self.slots for key in grouping.keys]
-        row_targets = np.array(targets, dtype=np.int64)[grouping.codes]
+            targets = np.array(
+                [stable_hash(key) % self.slots for key in grouping.keys], np.int64
+            )
+        row_targets = targets[grouping.codes]
         order = stable_argsort(row_targets)
         received = np.bincount(row_targets, minlength=self.slots)
         received_at = slot_offsets(received)
@@ -895,9 +894,6 @@ class Executor:
             folded = pairs.partial_aggregate(node.group_exprs, node.aggregates, cost)
         if folded is not None:
             keys, spec_states, groups = folded
-            out = Batch.from_columns(
-                column_ids, [*zip(*keys), *spec_states], len(keys)
-            )
         else:
             chunk, offsets = child.stage
             cost = EvalCost(offsets)
@@ -910,16 +906,15 @@ class Executor:
             # A fused SUM's open step is finished here, so what crosses the
             # exchange is a plain cell
             grouping = chunk.keys(node.group_exprs, cost).grouping()
+            keys = grouping.keys
             spec_states = [
-                chunk.partial_aggregate(spec, grouping, cost)
+                list(map(finished, chunk.partial_aggregate(spec, grouping, cost)))
                 for spec in node.aggregates
             ]
-            out_rows = [
-                key + tuple(finished(states[g]) for states in spec_states)
-                for g, key in enumerate(grouping.keys)
-            ]
             groups = slot_sums(offsets, grouping.first).tolist()
-            out = self._chunks.from_rows(column_ids, out_rows)
+        out = self._chunks.from_columns(
+            column_ids, [*zip(*keys), *spec_states], len(keys)
+        )
         relation = self._staged(column_ids, out, slot_offsets(groups), ROUND_ROBIN)
         counts, totals = slot_counts(offsets), relation.partition_totals()
         for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
@@ -939,9 +934,10 @@ class Executor:
 
     def _final_aggregate(self, node: PFinalAggregate) -> DistributedRelation:
         """One merge over the slots that hold rows, grouped by ``(slot,
-        key)``: each slot's groups, slot by slot, each slot charged its
-        own states. An empty slot merges nothing (a charge of nothing adds
-        +0.0), except that SQL's one row over empty input is slot 0's."""
+        key)`` (``chunk.final_aggregate``): each slot's groups, slot by
+        slot, each slot charged its own states. An empty slot merges
+        nothing (a charge of nothing adds +0.0), except that SQL's one row
+        over empty input is slot 0's."""
         child = self.execute(node.child)
         run = self.cluster.operator("FinalAggregate")
         column_ids = [column.column_id for column in node.columns]
@@ -950,19 +946,17 @@ class Executor:
         held = [slot for slot, length in enumerate(lengths) if length] or [0]
         merged = slot_offsets([lengths[slot] for slot in held])
         cost = EvalCost(merged)
-        # state merging is inherently value-at-a-time
-        out_rows, first = final_aggregate(
-            node.aggregates, len(node.group_columns), chunk.rows(), cost,
+        out, first = chunk.final_aggregate(
+            column_ids, node.aggregates, len(node.group_columns), cost,
             scalar_on_empty=not node.group_columns,
         )
-        groups = slot_sums(merged, first) if len(held) > 1 else [len(out_rows)]
+        groups = slot_sums(merged, first) if len(held) > 1 else [len(out)]
         counts = [0] * len(lengths)
         for slot, slot_cost, count in zip(held, cost.split(), groups):
             run.charge_eval(slot, lengths[slot], slot_cost)
             counts[slot] = int(count)
-        run.rows_in, run.rows_out = len(chunk), len(out_rows)
+        run.rows_in, run.rows_out = len(chunk), len(out)
         self.cluster.record(run)
-        out = self._chunks.from_rows(column_ids, out_rows)
         return self._staged(column_ids, out, slot_offsets(counts), node.partitioning)
 
     def _distinct(self, node: PDistinct) -> DistributedRelation:

@@ -238,13 +238,14 @@ class HashedKeys:
     def hashed(self) -> "HashedKeys":
         return self
 
-    def grouping(self) -> Grouping:
+    def grouping(self, by_slot: bool = True) -> Grouping:
+        """The rows bucketed by key — over a stage, by ``(slot, key)``
+        unless not ``by_slot``."""
+        slotted = by_slot and self.offsets is not None
         if not self.columns:
-            if self.offsets is None:
-                return Grouping.one(self.count)
-            return Grouping.runs(self.offsets)
+            return Grouping.runs(self.offsets) if slotted else Grouping.one(self.count)
         columns = list(map(_one_nan_column, self.columns))
-        if self.offsets is not None:
+        if slotted:
             columns.insert(0, slot_codes(self.offsets).tolist())
         index: dict = {}
         codes: List[int] = []
@@ -330,11 +331,11 @@ class TypedKeys:
             return self.arrays
         return [slot_codes(self.offsets), *self.arrays]
 
-    def grouping(self) -> Grouping:
+    def grouping(self, by_slot: bool = True) -> Grouping:
         # first-seen numbering without a sort: each code's first row by
         # one ``np.minimum.at``; a row is its group's first when it is
         # that row, and the first rows, ascending, number the groups
-        codes, size = _key_codes(self._slotted(self.offsets is not None))
+        codes, size = _key_codes(self._slotted(by_slot and self.offsets is not None))
         rows = np.arange(self.count)
         table = np.full(size, self.count)
         np.minimum.at(table, codes, rows)

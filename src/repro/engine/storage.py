@@ -52,7 +52,14 @@ from ..la.aggregates import SumAggregate
 from ..plan.expressions import ColumnVar, EvalCost, FuncExpr, slot_sums
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
-from .aggregation import fold_column, fold_groups, fused_sums, sum_blocks, tile_extremes
+from .aggregation import (
+    final_aggregate,
+    fold_column,
+    fold_groups,
+    fused_sums,
+    sum_blocks,
+    tile_extremes,
+)
 from .cluster import (
     ROW_OVERHEAD_BYTES,
     cell_bytes,
@@ -141,6 +148,11 @@ class RowChunk:
     @classmethod
     def from_rows(cls, column_ids, rows, row_bytes=None) -> "RowChunk":
         return cls(column_ids, rows, row_bytes)
+
+    @classmethod
+    def from_columns(cls, column_ids, values: Sequence, length: int) -> "RowChunk":
+        """The chunk of ``length`` rows whose columns hold ``values``."""
+        return cls(column_ids, list(zip(*values)) if values else [()] * length)
 
     @classmethod
     def from_segment(
@@ -242,6 +254,21 @@ class RowChunk:
         values = None if spec.arg is None else self.values(spec.arg, cost)
         return fold_groups(spec, values, groups, cost, carried)
 
+    def final_aggregate(
+        self, column_ids, specs, key_count: int, cost, scalar_on_empty=False
+    ) -> Tuple["RowChunk", np.ndarray]:
+        """FinalAggregate over rows of ``key + partial states``: the keys
+        under the ``dict`` loop, each state column merged row by row
+        (``final_aggregate``). The finished rows and each group's first
+        row."""
+        columns = list(zip(*self._rows)) or [()] * (key_count + len(specs))
+        grouping = HashedKeys(columns[:key_count], len(self), cost.offsets).grouping()
+        states, first = final_aggregate(
+            specs, grouping, columns[key_count:], cost, scalar_on_empty
+        )
+        keys = list(zip(*grouping.keys))
+        return RowChunk.from_columns(column_ids, keys + states, len(first)), first
+
     # -- derivation ---------------------------------------------------------
 
     def with_ids(self, column_ids: Sequence[int]) -> "RowChunk":
@@ -335,12 +362,17 @@ class Batch:
         return cls(column_ids, columns, len(rows), row_bytes=row_bytes)
 
     @classmethod
-    def from_columns(cls, column_ids, values: Sequence[list], length: int) -> "Batch":
+    def from_columns(cls, column_ids, values: Sequence, length: int) -> "Batch":
         """The batch ``from_rows`` makes of ``length`` rows, from each
-        column's values: no row tuple is made."""
+        column's values — a list, or a ``ColumnData`` already in the form
+        ``ColumnData.from_values`` gives them: no row tuple is made."""
         if not length:
             return cls.from_rows(column_ids, [])
-        return cls(column_ids, [ColumnData.from_values(v) for v in values], length)
+        columns = [
+            column if isinstance(column, ColumnData) else ColumnData.from_values(column)
+            for column in values
+        ]
+        return cls(column_ids, columns, length)
 
     @classmethod
     def from_segment(
@@ -455,6 +487,22 @@ class Batch:
                 column.data, column.nulls, grouping.positions(), cost, carried
             )
         return fold_column(spec, column, grouping, cost, carried)
+
+    def final_aggregate(
+        self, column_ids, specs, key_count: int, cost, scalar_on_empty=False
+    ) -> Tuple["Batch", np.ndarray]:
+        """FinalAggregate over columns of ``key + partial states``: typed
+        keys grouped by their codes, each state column merged by the
+        partial aggregate's kernels where its form allows
+        (``final_aggregate``). The finished groups as columns and each
+        group's first row."""
+        key_columns = self.columns[:key_count]
+        grouping = typed_keys(key_columns, self.length, cost.offsets).grouping()
+        states, first = final_aggregate(
+            specs, grouping, self.columns[key_count:], cost, scalar_on_empty
+        )
+        keys = [canonical(column.take(grouping.first)) for column in key_columns]
+        return Batch.from_columns(column_ids, keys + states, len(first)), first
 
     # -- derivation ---------------------------------------------------------
 

@@ -81,7 +81,11 @@ def slot_sums(offsets: np.ndarray, rows, amount=1) -> np.ndarray:
     (``np.bincount``'s weights loop: the sum a per-partition loop keeps;
     not ``np.add.reduceat``, which gives an empty slot the next row's
     value, nor a pairwise ``np.sum``)."""
-    rows = np.ones(len(rows), np.bool_) if isinstance(rows, range) else np.asarray(rows)
+    if isinstance(rows, range):
+        if not isinstance(amount, list):
+            return (offsets[1:] - offsets[:-1]) * amount
+        rows = np.ones(len(rows), np.bool_)
+    rows = np.asarray(rows)
     masked = rows.dtype == np.bool_
     if not isinstance(amount, list) and masked:
         if rows.all():

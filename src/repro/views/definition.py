@@ -15,12 +15,14 @@ slice of the partition's columnar tail, converted when it was appended —
 becomes a chunk of the database's current ``execution_mode`` the way a
 scanned segment does, the predicate is the chunk's ``select``, and each
 stored state is the carried state of the chunk's ``partial_aggregate``
-(``engine/aggregation.py``); the answer is
-``final_aggregate`` over the per-slot states in ascending slot order —
-the PartialAggregate → gather → FinalAggregate pipeline with the scan
-replaced by stored states, so answering from the view is bit-identical
-to rescanning by construction. What stays here is view-specific:
-classification, cursors, counters, locking.
+(``engine/aggregation.py``); the answer is FinalAggregate's merge over
+the per-slot states in ascending slot order — the PartialAggregate →
+gather → FinalAggregate pipeline with the scan replaced by stored
+states. It is the row chunk's merge (a handful of states, converted to
+no column), which a rescan in row mode runs too and every batch merge
+kernel matches bit for bit, so answering from the view is bit-identical
+to rescanning. What stays here is view-specific: classification,
+cursors, counters, locking.
 
 Everything else (GROUP BY, DISTINCT, joins, subqueries, ORDER BY, ...)
 is a **full** view: the stored result rows are recomputed by a tracked
@@ -34,7 +36,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..engine.aggregation import final_aggregate, finished
+from ..engine.aggregation import finished
+from ..engine.storage import RowChunk
 from ..errors import CompileError
 from ..plan.logical import (
     AggregateNode,
@@ -284,10 +287,12 @@ class MaterializedView:
                 for states in self._slot_states
                 if states is not None
             ]
-            (answer,), _ = final_aggregate(
-                self.specs, 0, state_rows, EvalCost(), scalar_on_empty=True
+            ids = range(len(self.specs))
+            answer, _ = RowChunk(ids, state_rows).final_aggregate(
+                ids, self.specs, 0, EvalCost(), scalar_on_empty=True
             )
-            return [tuple(answer[i] for i in spec_indices)]
+            (row,) = answer.rows()
+            return [tuple(row[i] for i in spec_indices)]
 
     # -- full-view state ------------------------------------------------------
 

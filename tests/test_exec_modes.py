@@ -1319,9 +1319,11 @@ class TestKeyKernelsAgree:
         lose the speed, so pin the path: over typed columns the ``gram
         (tuple)``, group-filter and top-k shapes and a hash repartition
         read no key or aggregate-argument column back as Python values,
-        hash each distinct key of a source chunk at most once, and never
-        enter ``fold_groups``; over an object key column (NULL-bearing)
-        they do — the fallback is alive. Nor does any key kernel pay a
+        hash each distinct key once and never enter ``fold_groups``; over
+        an object key column (NULL-bearing) they do — the fallback is
+        alive. Either way no state but AVG's — or a handful, below
+        ``MERGE_KERNEL_STATES`` — takes the row merge (``merge_states``):
+        the states are typed. Nor does any key kernel pay a
         comparison sort that the key's form avoids: no ``np.lexsort``, no
         ``np.unique(return_index=True)`` (a stable mergesort), no stable
         sort of more than 16 ``int64`` (a narrow span sorts as
@@ -1370,11 +1372,19 @@ class TestKeyKernelsAgree:
             "stable_hash",
             lambda key: hashed.append(key) or stable_hash(key),
         )
-        fold_groups = aggregation.fold_groups
+        fold_groups, merge_states = aggregation.fold_groups, aggregation.merge_states
         monkeypatch.setattr(
             aggregation,
             "fold_groups",
             lambda *args: folds.append(args) or fold_groups(*args),
+        )
+        merged = []
+        monkeypatch.setattr(
+            aggregation,
+            "merge_states",
+            lambda spec, states, *args: merged.append(
+                (spec.aggregate.name, len(states))
+            ) or merge_states(spec, states, *args),
         )
 
         def fell_back():  # (an empty partition has no form to speak of)
@@ -1390,10 +1400,16 @@ class TestKeyKernelsAgree:
             db.load("t", rows + [(None, None, None)] * (4 if null_key else 0))
             for sql in statements:
                 del evaluated[:], listed[:], hashed[:], folds[:], sorts[:], uniqued[:]
+                del merged[:]
                 db.execute(sql)
                 assert evaluated
                 assert fell_back() == null_key, sql
                 assert bool(folds) == (null_key and "SUM" in sql), sql
+                assert all(
+                    name == "AVG" or count < aggregation.MERGE_KERNEL_STATES
+                    for name, count in merged
+                ), sql
+                assert ("AVG" in {name for name, _ in merged}) == ("AVG" in sql)
                 assert max(sorts, default=0) <= 16, sql
                 assert not any(index for _, index in uniqued), sql
             if not null_key:
@@ -1414,10 +1430,7 @@ class TestKeyKernelsAgree:
             assert fell_back() == null_key
             assert max(sorts, default=0) <= 16
             storage = db.catalog.table("t").storage
-            assert len(hashed) == sum(
-                len({row[0] for row in storage.partition_rows(slot)})
-                for slot in range(storage.slots)
-            ) < len(routed)
+            assert len(hashed) == len({row[0] for row in storage.all_rows()})
 
 
 class TestFusedSum:
@@ -1737,10 +1750,30 @@ def _stage_db(slots, mode="batch", **config):
     db.load("one", [(3, 0.5 * i) for i in range(6)])
     db.create_table("p", [("k", "INTEGER"), ("z", "DOUBLE")], partition_by=["k"])
     db.load("p", [(None if i % 7 == 3 else i // 2, i * 0.25) for i in range(30)])
+    # ``MERGE_STATEMENTS``' partial states: all -0.0 (``nz``), ±0.0 by
+    # row (``pz``), NaN (``w``), NULL-only on all but one slot (group 2 of
+    # ``y``), int64 near 2**63 in sum (``big``)
+    db.create_table(
+        "m",
+        [("g", "INTEGER"), ("nz", "DOUBLE"), ("pz", "DOUBLE"), ("n", "INTEGER"),
+         ("w", "DOUBLE"), ("y", "DOUBLE"), ("big", "INTEGER")],
+    )
+    db.load(
+        "m",
+        [
+            (i % 3, -0.0, 0.0 if i % 2 else -0.0, i % 2 - 1,
+             nan if i % 6 == 0 else i * 0.5,
+             None if i % 3 == 2 and i != 5 else i * 0.25,
+             2**61 + i)
+            for i in range(40)
+        ],
+    )
     return db
 
 
-def _stage_run(slots, mode, fault_plan=None, storage="memory"):
+def _stage_run(
+    slots, mode, fault_plan=None, storage="memory", statements=STAGE_STATEMENTS
+):
     """Every statement's rows in order and every field of every operator
     — ``slot_seconds`` by ``float.hex`` — on ``slots`` slots. In disk
     mode a 64-byte working-memory budget makes every sizeable state
@@ -1750,7 +1783,7 @@ def _stage_run(slots, mode, fault_plan=None, storage="memory"):
         config.update(storage_mode="disk", buffer_pool_bytes=64.0)
     db = _stage_db(slots, mode, **config)
     out = []
-    for sql in STAGE_STATEMENTS:
+    for sql in statements:
         result = db.execute(sql)
         ops = tuple(
             tuple(
@@ -1859,6 +1892,34 @@ class TestStages:
             rows, _ = Executor(db.cluster, "batch").run(PExchange(scan, "hash", [key]))
             assert len(rows) == 500 and len(takes) == 1, slots
 
+    @pytest.mark.parametrize("mode", ("row", "batch"))
+    def test_hash_exchange_hashes_each_key_once(self, monkeypatch, mode):
+        """A hash exchange groups its stage on the key alone: one
+        ``stable_hash`` call per distinct key, however many source slots
+        hold it — typed (``r``), object (``s``) and composite keys alike."""
+        import repro.engine.executor as executor
+
+        hashed = []
+        monkeypatch.setattr(
+            executor, "stable_hash", lambda key: hashed.append(key) or stable_hash(key)
+        )
+        grew = self._per_operator(monkeypatch, "_exchange", hashed)
+        for slots in (4, 80):
+            db = Database(
+                PAPER_CLUSTER.with_updates(machines=slots // 2, cores_per_machine=2),
+                execution_mode=mode,
+            )
+            db.execute("CREATE TABLE t (r INTEGER, s STRING, v DOUBLE)")
+            db.load("t", [(i % 11, "abc"[i % 3], float(i)) for i in range(500)])
+            for sql, keys in (
+                ("SELECT r, SUM(v) FROM t GROUP BY r", 11),
+                ("SELECT s, COUNT(*) FROM t GROUP BY s", 3),
+                ("SELECT r, s, MIN(v) FROM t GROUP BY r, s", 33),
+            ):
+                del grew[:]
+                assert len(db.execute(sql).rows) == keys
+                assert grew == [keys], (slots, sql, grew)
+
 
     @staticmethod
     def _per_operator(monkeypatch, handler, counter):
@@ -1901,23 +1962,136 @@ class TestStages:
             assert grew and set(grew) == {1}, (slots, grew)
 
     def test_final_aggregate_merges_once(self, monkeypatch):
-        """FinalAggregate makes one ``final_aggregate`` call over its stage,
-        grouped by (slot, key)."""
-        import repro.engine.executor as executor
+        """FinalAggregate makes one ``final_aggregate`` call over its
+        stage, grouped by (slot, key), and typed SUM, COUNT, MIN and MAX
+        states and tensor-block SUM states merge by the partial
+        aggregate's kernels. A silent fall back would keep every result
+        right and only lose the speed, so pin the path: over typed columns
+        no statement enters the ``dict`` grouping of a key
+        (``HashedKeys.grouping``), and only a merge of fewer scalar states
+        than ``MERGE_KERNEL_STATES`` (a scalar aggregate gathered from 4
+        slots) enters the row merge (``merge_states``) — the only caller
+        of ``value_bytes`` here."""
+        from repro.engine import aggregation, storage
 
-        calls = []
-        merge = executor.final_aggregate
-        monkeypatch.setattr(
-            executor, "final_aggregate",
-            lambda *args, **kwargs: calls.append(1) or merge(*args, **kwargs),
-        )
+        calls, loops, sized, hashed = [], [], [], []
+        for owner, name, seen in (
+            (storage, "final_aggregate", calls),
+            (aggregation, "merge_states", loops),
+            (aggregation, "value_bytes", sized),
+            (HashedKeys, "grouping", hashed),
+        ):
+            original = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name,
+                lambda *args, _seen=seen, _original=original, **kwargs:
+                _seen.append(args) or _original(*args, **kwargs),
+            )
         grew = self._per_operator(monkeypatch, "_final_aggregate", calls)
+        statements = (
+            "SELECT k, COUNT(*), COUNT(z), SUM(z), MIN(z), MAX(z), SUM(n), MIN(n) "
+            "FROM q GROUP BY k",
+            "SELECT SUM(z), COUNT(*), MAX(n) FROM q",
+            "SELECT k, SUM(v), SUM(outer_product(v, v)) FROM q GROUP BY k",
+            "SELECT SUM(v * z) FROM q",
+        )
         for slots in (4, 80):
-            del grew[:]
-            db = _stage_db(slots)
-            result = db.execute("SELECT k, COUNT(*), SUM(z) FROM p GROUP BY k")
-            assert len(result.rows) == 16
-            assert grew == [1], (slots, grew)
+            db = Database(
+                PAPER_CLUSTER.with_updates(machines=slots // 2, cores_per_machine=2)
+            )
+            db.create_table(
+                "q",
+                [("k", "INTEGER"), ("z", "DOUBLE"), ("n", "INTEGER"), ("v", "VECTOR[]")],
+            )
+            db.load(
+                "q",
+                [
+                    (i % 16, i * 0.25 - 3.0, i % 5 - 2, Vector([i * 0.5, -1.0, 2.0]))
+                    for i in range(200)
+                ],
+            )
+            for sql in statements:
+                del grew[:], loops[:], sized[:], hashed[:]
+                result = db.execute(sql)
+                assert len(result.rows) == (16 if "GROUP" in sql else 1), sql
+                assert grew == [1], (slots, sql, grew)
+                few = slots < aggregation.MERGE_KERNEL_STATES and "k," not in sql
+                assert [len(states) for _, states, *_ in loops] == (
+                    [slots] * 3 if few and "MAX(n)" in sql else []
+                ), (slots, sql)
+                assert len(sized) == sum(len(states) for _, states, *_ in loops)
+                assert not any(keys.columns for keys, *_ in hashed), (slots, sql)
+
+    @pytest.mark.parametrize(
+        "aggregate, merged, where",
+        [
+            ("AVG(z)", "AVG", ""),
+            ("COUNT(DISTINCT n)", "COUNT", ""),
+            ("SUM(DISTINCT z)", "SUM", ""),
+            ("VECTORIZE(label_scalar(z, n + 3))", "VECTORIZE", ""),
+            ("ROWMATRIX(label_vector(v, n + 3))", "ROWMATRIX", ""),
+            ("COLMATRIX(label_vector(v, n + 3))", "COLMATRIX", ""),
+            ("SUM(y)", "SUM", ""),  # NULL-bearing: every y of a (slot, key) NULL
+            ("MIN(y)", "MIN", ""),
+            ("MIN(w)", "MIN", ""),  # NaN-bearing
+            ("MAX(w)", "MAX", ""),
+            ("MIN(v)", "MIN", ""),  # element-wise over VECTOR cells
+            ("MIN(s)", "MIN", ""),  # STRING
+            # one key: one state per slot, fewer than MERGE_KERNEL_STATES
+            ("MAX(z)", "MAX", "WHERE k = 0"),
+        ],
+    )
+    def test_every_merge_fallback_is_named(
+        self, monkeypatch, aggregate, merged, where
+    ):
+        """Each state column without a merge kernel takes the row merge
+        (``merge_states``), named here by its aggregate, beside a typed
+        SUM that never does: AVG's ``(sum, count)`` pairs, DISTINCT value
+        sets, VECTORIZE/ROWMATRIX/COLMATRIX dicts, a NULL state (charged
+        ``value_bytes(None)``, which the kernels skip), a NaN extreme (the
+        chain's answer depends on where it sits), tensor MIN/MAX, object
+        states, and too few states to repay a kernel's fixed cost. The rows
+        and charges stay the row oracle's."""
+        from repro.engine import aggregation
+
+        loops = []
+        original = aggregation.merge_states
+        monkeypatch.setattr(
+            aggregation, "merge_states",
+            lambda spec, *args: loops.append(spec) or original(spec, *args),
+        )
+        nan = float("nan")
+        sql = f"SELECT k, {aggregate}, SUM(z) FROM q {where} GROUP BY k"
+        seen = []
+        for mode in ("row", "batch"):
+            db = Database(TEST_CLUSTER, execution_mode=mode)
+            db.create_table(
+                "q",
+                [("k", "INTEGER"), ("z", "DOUBLE"), ("n", "INTEGER"), ("v", "VECTOR[]"),
+                 ("y", "DOUBLE"), ("w", "DOUBLE"), ("s", "STRING")],
+            )
+            db.load(
+                "q",
+                [
+                    (i % 5, i * 0.5, i % 3, Vector([i * 1.0, 2.0]),
+                     None if i % 4 == 1 else i * 0.25,
+                     nan if i % 8 == 2 else i * 0.75, "abc"[i % 3])
+                    for i in range(48)
+                ],
+            )
+            del loops[:]
+            result = db.execute(sql)
+            if mode == "batch":
+                names = {spec.aggregate.name for spec in loops}
+                assert names == {merged} | ({"SUM"} if where else set()), names
+            seen.append((
+                list(map(_stage_cell, result.rows)),
+                [
+                    (op.name, tuple(s.hex() for s in op.slot_seconds))
+                    for op in result.metrics.operators
+                ],
+            ))
+        assert seen[0] == seen[1]
 
     @pytest.mark.parametrize(
         "build_sql, broadcast",
@@ -1958,6 +2132,58 @@ class TestStages:
             rows, _ = Executor(db.cluster, "batch").run(join)
             assert rows == want and len(rows) in (12, 48)
             assert len(calls) == 1, (slots, calls)
+
+
+#: FinalAggregate merges, each a case of the float and charge contract
+#: the merge kernels keep (over table ``m`` of :func:`_stage_db`)
+MERGE_STATEMENTS = (
+    # every slot's partial total is -0.0: the merged SUM stays -0.0
+    "SELECT g, SUM(nz), COUNT(*) FROM m GROUP BY g",
+    "SELECT SUM(nz) FROM m",
+    # ±0.0 ties across slots: MIN and MAX keep the first slot's state
+    "SELECT g, MIN(pz), MAX(pz) FROM m GROUP BY g",
+    "SELECT MIN(pz), MAX(pz), MIN(n), MAX(n) FROM m",
+    # a NaN partial extreme takes the chain
+    "SELECT g, MIN(w), MAX(w) FROM m GROUP BY g",
+    # NULL-only in a slot: that slot's state is None, charged 1.0
+    "SELECT g, SUM(y), MIN(y), COUNT(y) FROM m GROUP BY g",
+    # int64 SUMs whose merge crosses 2**63 (and COUNTs beside them)
+    "SELECT g, SUM(big), COUNT(big) FROM m GROUP BY g",
+    "SELECT SUM(big), COUNT(*) FROM m",
+    # SQL's one row over empty input
+    "SELECT SUM(nz), COUNT(*), MIN(pz), MAX(big), AVG(w) FROM m WHERE g < 0",
+)
+
+
+class TestMergeKernels:
+    """FinalAggregate merges typed state columns with the partial
+    aggregate's kernels and everything else with the row merge; the row
+    oracle always merges row by row. At every cluster shape the two must
+    agree on every row, by bits, and every charge — with the kernels
+    taking every typed column (``MERGE_KERNEL_STATES`` 1) and at the
+    shipped threshold."""
+
+    @pytest.mark.parametrize("kernel_states", [1, None])
+    @pytest.mark.parametrize("slots", STAGE_SLOTS)
+    def test_merge_kernels_agree_with_the_row_merge(
+        self, monkeypatch, slots, kernel_states
+    ):
+        from repro.engine import aggregation
+
+        if kernel_states is not None:
+            monkeypatch.setattr(aggregation, "MERGE_KERNEL_STATES", kernel_states)
+        row, batch = (
+            _stage_run(slots, mode, statements=MERGE_STATEMENTS)
+            for mode in ("row", "batch")
+        )
+        for sql, want, got in zip(MERGE_STATEMENTS, row, batch):
+            assert want == got, (slots, sql)
+        (sums, _, _), (total, _, _) = batch[:2]
+        # -0.0 survives the merge: no +0.0 start anywhere in the chain
+        assert {cell[1] for cell in sums} == {_exact(-0.0)}
+        assert total == ((_exact(-0.0),),)
+        empty, _, _ = batch[-1]
+        assert empty == (tuple(map(_exact, (None, 0, None, None, None))),)
 
 
 class TestSlotSums:
