@@ -57,8 +57,8 @@ def main():
     honest = CostModel(db.config)
     from repro.sql import parse_statement
 
-    aware_cost = honest.plan_cost(db._plan_select(parse_statement(RST_SQL), None))
-    blind_cost = honest.plan_cost(blind._plan_select(parse_statement(RST_SQL), None))
+    aware_cost = honest.plan_cost(db._compile(parse_statement(RST_SQL), None).logical)
+    blind_cost = honest.plan_cost(blind._compile(parse_statement(RST_SQL), None).logical)
     print(f"\nhonestly-priced cost, LA-aware plan:   {aware_cost:8.1f}s")
     print(f"honestly-priced cost, size-blind plan: {blind_cost:8.1f}s")
     print(f"-> the blind plan is {blind_cost / aware_cost:.1f}x more expensive")

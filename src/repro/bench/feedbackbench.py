@@ -169,9 +169,11 @@ def _probe_top_k(rows: int, limit: int, config: ClusterConfig) -> TopKProbe:
     db = _build(rows, "on", config)
     sql = TOP_K_SQL.format(k=limit)
     top_k = db.execute(sql)
-    logical = db._plan_select(parse_statement(sql), None)
-    physical = PhysicalPlanner(db.cost_model, enable_top_k=False).plan(logical)
-    full = db._execute_physical(logical, physical)
+    # the same query lowered to the full sort
+    plan = db._compile(parse_statement(sql), None)
+    planner = PhysicalPlanner(db.cost_model, enable_top_k=False)
+    plan.physical = planner.plan(plan.logical)
+    full = db._execute_plan(plan)
 
     def local_peak(trace, prefix: str) -> float:
         return max(

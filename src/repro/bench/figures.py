@@ -261,8 +261,8 @@ def rst_experiment(
     estimates = {}
     for blind in (False, True):
         db = _rst_database(config, blind)
-        plan = db._plan_select(parse_statement(RST_SQL), None)
-        estimates[blind] = honest.plan_cost(plan)
+        plan = db._compile(parse_statement(RST_SQL), None)
+        estimates[blind] = honest.plan_cost(plan.logical)
 
     # mini-scale real execution (same seed => identical data per run)
     inner = 100000 // scale

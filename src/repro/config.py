@@ -52,8 +52,6 @@ class ClusterConfig:
     #: when True, partitions are placed round-robin (ideal balance); when
     #: False, hash placement is used and skew emerges naturally
     balanced_placement: bool = False
-    #: seed for any randomized placement decisions
-    seed: int = 0
     #: interpreter back end: "batch" runs the columnar vectorized
     #: pipeline, "row" the original tuple-at-a-time loops. Both charge
     #: identical simulated costs and return identical rows (see

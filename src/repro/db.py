@@ -445,26 +445,30 @@ class Database:
         sql: str,
         params: Optional[Dict[str, object]] = None,
         verbose: bool = False,
+        catalog=None,
     ) -> str:
         """The optimized logical and physical plans for a SELECT; with
         ``verbose=True`` every logical node is annotated with its
         estimated cardinality and row width — the size information the
-        LA-aware optimizer plans with (section 4)."""
+        LA-aware optimizer plans with (section 4) — read from the planning
+        pass the plan was compiled with. ``catalog`` is a session's
+        temp-view overlay."""
         statement = parse_statement(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise CompileError("EXPLAIN supports SELECT statements only")
+        estimates = self.cost_model.planning_pass()
         with self._admission.shared():
-            logical = self._plan_select(statement, params)
-            physical = PhysicalPlanner(self.cost_model).plan(logical)
-        estimates = self.cost_model.planning_pass() if verbose else None
-        text = (
-            "== logical ==\n"
-            + logical.pretty(cost_model=estimates)
-            + "\n== physical ==\n"
-            + physical.pretty()
-        )
-        if verbose:
-            text += f"\n== estimated cost ==\n{estimates.plan_cost(logical):.2f}s"
+            plan = self._compile(statement, params, catalog, estimates=estimates)
+            shown = estimates if verbose else None
+            text = (
+                "== logical ==\n"
+                + plan.logical.pretty(cost_model=shown)
+                + "\n== physical ==\n"
+                + plan.physical.pretty()
+            )
+            if verbose:
+                cost = estimates.plan_cost(plan.logical)
+                text += f"\n== estimated cost ==\n{cost:.2f}s"
         return text
 
     def explain_analyze(
@@ -751,60 +755,48 @@ class Database:
         self.plan_cache.store(cache_key, plan)
         return plan, False
 
-    def _compile(self, statement, params, catalog=None) -> CachedPlan:
-        """Bind, optimize, physically plan and estimate a SELECT,
-        recording the stamp of every relation the plan read."""
+    def _compile(
+        self, statement, params, catalog=None, use_views=True, estimates=None
+    ) -> CachedPlan:
+        """Bind, optimize, lower and price a SELECT — the one path every
+        SELECT compiles by — recording the stamp of every relation the
+        plan read. ``catalog`` may be a session-level overlay (temp
+        views); parameters bind as runtime cells holding ``params`` on
+        this thread, so the plan is the generic one a cache can keep;
+        ``use_views=False`` disables view-based answering (a view's own
+        refresh must recompute from the base tables). One planning pass
+        (``estimates``, a fresh one when None) serves the optimizer and
+        the physical planner, and the physical plan is priced once, onto
+        its nodes."""
+        converted = {
+            key: _convert_value(value) for key, value in (params or {}).items()
+        }
+        estimates = estimates or self.cost_model.planning_pass()
+        scope = catalog or self.catalog
         cells: Dict[str, object] = {}
-        logical = self._plan_select(
-            statement, params, catalog=catalog, param_cells=cells
-        )
-        physical = self._plan_physical(logical)
+        binder = Binder(scope, converted, param_cells=cells)
+        plan = binder.bind_select(statement)
+        whole = self._match_whole_statement(statement, scope) if use_views else None
+        if whole is not None:
+            logical = ViewScanNode(whole, plan.columns, None)
+            logical.view_hits = 1
+            logical.view_misses = 0
+        else:
+            matcher = ViewMatcher(scope) if use_views else None
+            optimizer = Optimizer(self.cost_model, view_matcher=matcher)
+            logical = optimizer.optimize(plan, estimates)
+            logical.view_hits = optimizer.view_hits
+            logical.view_misses = optimizer.view_misses
+        physical = PhysicalPlanner(self.cost_model).plan(logical, estimates)
+        self.cost_model.price_physical(physical)
         return CachedPlan(
             logical=logical,
             physical=physical,
             param_cells=cells,
             stamps=tuple(
-                (name, self.catalog.stamp(name)) for name in logical.relations
+                (name, self.catalog.stamp(name)) for name in binder.relations
             ),
-            estimates=self.cost_model.plan_estimates(physical),
         )
-
-    def _plan_select(
-        self,
-        statement: ast.SelectStatement,
-        params: Optional[Dict[str, object]],
-        catalog=None,
-        param_cells=None,
-        use_views=True,
-    ):
-        """Bind and optimize a SELECT. ``catalog`` may be a session-level
-        overlay (temp views); parameters bind as runtime cells (collected
-        into ``param_cells`` when given) holding ``params`` on this
-        thread, so the plan is the generic one a cache can keep;
-        ``use_views=False`` disables view-based answering (a view's own
-        refresh must recompute from the base tables). The returned plan
-        carries ``relations``: every name its validity depends on."""
-        converted = {
-            key: _convert_value(value) for key, value in (params or {}).items()
-        }
-        scope = catalog or self.catalog
-        if param_cells is None:
-            param_cells = {}
-        binder = Binder(scope, converted, param_cells=param_cells)
-        plan = binder.bind_select(statement)
-        whole = self._match_whole_statement(statement, scope) if use_views else None
-        if whole is not None:
-            optimized = ViewScanNode(whole, plan.columns, None)
-            optimized.view_hits = 1
-            optimized.view_misses = 0
-        else:
-            matcher = ViewMatcher(scope) if use_views else None
-            optimizer = Optimizer(self.cost_model, view_matcher=matcher)
-            optimized = optimizer.optimize(plan)
-            optimized.view_hits = optimizer.view_hits
-            optimized.view_misses = optimizer.view_misses
-        optimized.relations = binder.relations
-        return optimized
 
     @staticmethod
     def _match_whole_statement(statement: ast.SelectStatement, catalog):
@@ -823,15 +815,7 @@ class Database:
                 return view
         return None
 
-    def _plan_physical(self, logical):
-        return PhysicalPlanner(self.cost_model).plan(logical)
-
-    def _execute_plan(self, plan: CachedPlan, cached: bool) -> Result:
-        result = self._execute_physical(plan.logical, plan.physical, plan.estimates)
-        result.metrics.plan_cached = cached
-        return result
-
-    def _execute_physical(self, logical, physical, estimates=()) -> Result:
+    def _execute_plan(self, plan: CachedPlan, cached: bool = False) -> Result:
         # shared admission (reentrant when the caller already holds an
         # admission, e.g. DML running its inner SELECT): read-only
         # execution overlaps with other readers. Each statement gets a
@@ -840,18 +824,13 @@ class Database:
         # counters stay database-wide.
         with self._admission.shared():
             executor = self._executor.fresh()
-            rows, metrics = executor.run(physical)
-            if metrics.trace is not None:
-                # the estimates the plan was compiled with, or — for a
-                # plan compiled for this run alone — made now
-                metrics.trace.annotate(
-                    estimates or self.cost_model.plan_estimates(physical)
-                )
-                if self.config.feedback_mode == "on":
-                    self._absorb_feedback(metrics.trace, physical)
-        metrics.view_hits = self._count_view_scans(physical)
-        metrics.view_misses = getattr(logical, "view_misses", 0)
-        columns = [column.name for column in logical.columns]
+            rows, metrics = executor.run(plan.physical)
+            if metrics.trace is not None and self.config.feedback_mode == "on":
+                self._absorb_feedback(metrics.trace, plan.physical)
+        metrics.plan_cached = cached
+        metrics.view_hits = self._count_view_scans(plan.physical)
+        metrics.view_misses = getattr(plan.logical, "view_misses", 0)
+        columns = [column.name for column in plan.logical.columns]
         return Result(columns, rows, metrics)
 
     @staticmethod
@@ -953,8 +932,7 @@ class Database:
     ) -> Result:
         if not use_views:
             # a view's own refresh: never cached, never answered from views
-            logical = self._plan_select(statement, params, use_views=False)
-            return self._execute_physical(logical, self._plan_physical(logical))
+            return self._execute_plan(self._compile(statement, params, use_views=False))
         return self._execute_plan(*self._plan(statement, params, key))
 
     def _attach_maintenance(self, result: Result) -> Result:

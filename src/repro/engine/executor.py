@@ -284,7 +284,8 @@ class Executor:
 
     def _build_trace(self, node: PhysicalNode) -> OperatorTrace:
         """The OperatorTrace tree mirroring ``node``'s plan shape, with
-        the measured actuals of this run filled in."""
+        the measured actuals of this run and each node's compiled
+        estimates filled in."""
         key = id(node)
         trace = OperatorTrace(
             name=node.describe(),
@@ -292,6 +293,10 @@ class Executor:
             children=[self._build_trace(child) for child in node.children()],
             retries=self._node_retries.get(key, 0),
             fault_count=self._node_faults.get(key, 0),
+            est_rows=node.est_rows,
+            est_width_bytes=node.est_width_bytes,
+            est_bytes=node.est_bytes,
+            est_seconds=node.est_seconds,
         )
         op = self._node_ops.get(key)
         # a node with no recorded operator run was skipped entirely (the

@@ -76,9 +76,9 @@ class OperatorMetrics:
 class OperatorTrace:
     """EXPLAIN ANALYZE record for one physical operator: the *measured*
     execution (rows, materialized bytes, simulated seconds, skew,
-    fault/retry counts) plus — once a cost model annotates the trace —
-    the optimizer's *estimates* for the same node, so every operator can
-    report its q-error (max(est/actual, actual/est) on output rows).
+    fault/retry counts) plus the cost model's *estimates* for the same
+    node, copied from the plan node its compile priced, so every operator
+    can report its q-error (max(est/actual, actual/est) on output rows).
 
     Traces form a tree mirroring the physical plan; the root's
     ``rows_out`` is the statement's delivered row count. Both
@@ -118,7 +118,8 @@ class OperatorTrace:
     #: — and cardinality feedback must not learn from it
     executed: bool = True
     children: List["OperatorTrace"] = field(default_factory=list)
-    #: filled by :meth:`annotate`
+    #: the operator's estimates, copied from its plan node (written when
+    #: the plan compiled, ``CostModel.price_physical``)
     est_rows: Optional[float] = None
     est_width_bytes: Optional[float] = None
     est_bytes: Optional[float] = None
@@ -127,7 +128,7 @@ class OperatorTrace:
     @property
     def q_error(self) -> Optional[float]:
         """Cardinality q-error of this operator (>= 1.0; 1.0 is a
-        perfect estimate); None until estimates are annotated — and None
+        perfect estimate); None on a plan never priced — and None
         for operators that never executed, whose ``rows_out == 0`` says
         nothing about the estimate's quality."""
         if self.est_rows is None or not self.executed:
@@ -152,14 +153,6 @@ class OperatorTrace:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def annotate(self, estimates) -> None:
-        """Fill the estimate columns of this tree from ``estimates``: one
-        ``(est_rows, est_width_bytes, est_bytes, est_seconds)`` per node,
-        in pre-order (``CostModel.plan_estimates`` of the executed plan)."""
-        for node, estimate in zip(self.walk(), estimates):
-            node.est_rows, node.est_width_bytes = estimate[:2]
-            node.est_bytes, node.est_seconds = estimate[2:]
 
     def render(self) -> str:
         """The estimate-vs-actual table for this subtree."""
@@ -279,8 +272,8 @@ class QueryMetrics:
     view_delta_rows: int = 0
     view_refreshes: int = 0
     #: per-operator estimate-vs-actual trace tree (EXPLAIN ANALYZE);
-    #: built by the executor for every statement, estimate columns are
-    #: annotated by the database layer's cost model
+    #: built by the executor for every statement, estimate columns from
+    #: the plan nodes the compile priced
     trace: Optional[OperatorTrace] = None
 
     @property

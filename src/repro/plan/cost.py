@@ -9,13 +9,17 @@ find the ``(pi(S x R)) |x| T`` plan in the paper's section 4.1 example.
 
 How an operator's estimate follows from its inputs' estimates is written
 **once**, as the ``*_rule`` methods of :class:`CostModel` (scan, view
-scan, filter, project, join, group, distinct, limit). Two thin
-dispatchers apply them: :class:`PlanEstimates` walks *logical* plans
-(optimizer, physical planner, ``EXPLAIN``), one planning pass at a time;
-:meth:`CostModel.physical_estimate` walks *physical* plans (``EXPLAIN
-ANALYZE``, admission) and adds only what a logical plan cannot express —
-a per-slot phase before each shuffle, exchanges, movement charged to the
-exchange instead of the join.
+scan, filter, project, join, group, distinct, limit), and a compile
+applies them in one pass per layer. :class:`PlanEstimates` walks the
+*logical* plan once for the optimizer, the physical planner and verbose
+``EXPLAIN`` alike; :meth:`CostModel.price_physical` walks the lowered
+*physical* plan once and writes each operator's estimate onto its node
+(``est_rows`` … ``est_seconds``, read by EXPLAIN ANALYZE's trace and by
+admission), adding only what a logical plan cannot express — a per-slot
+phase before each shuffle, exchanges, movement charged to the exchange
+instead of the join. Which input a join builds, and how it moves, is one
+rule too (:meth:`CostModel.join_layout`): the planner lowers by it and
+the logical walker prices what it picks.
 
 Costs are expressed in estimated *seconds* on the configured cluster so
 that data movement (bytes / bandwidth) and compute (FLOPs / rate) share a
@@ -173,7 +177,7 @@ class CostModel:
     # How one operator's output estimate follows from its inputs'
     # estimates and its own parameters. Each rule is written once and
     # applied by both walkers: PlanEstimates over logical nodes,
-    # physical_estimate over physical ones.
+    # price_physical over physical ones.
 
     def scan_rule(self, table, columns, width: float) -> Estimate:
         rows = self._feedback_scan_rows(table.name)
@@ -453,48 +457,56 @@ class CostModel:
         else:
             run.charge_cpu(0, tuples=top_k_comparisons(rows, limit))
 
-    def broadcast_join(
+    def join_layout(
         self,
         left: Estimate,
         right: Estimate,
         output: Estimate,
+        cross: bool,
         left_ready: bool = False,
         right_ready: bool = False,
-    ) -> bool:
-        """The join strategy, by bytes: broadcast the smaller input (a
-        map-side join, its output pipelined) when copying it to every
-        machine moves fewer bytes than shuffling the inputs not already
-        partitioned on the keys (``*_ready``) and materializing the output
-        (a reduce-side join). The physical planner plans by it, and the
-        logical walker prices the strategy it picks."""
+    ) -> Tuple[bool, bool]:
+        """How a join runs, as ``(build_left, broadcast)``: which input is
+        the build side, and whether it is broadcast (a map-side join, its
+        output pipelined) or both inputs are hashed on the keys, each
+        unless already partitioned on them (``*_ready``; a reduce-side
+        join). A cross product broadcasts its smaller input, the right
+        one on an exact byte tie. A hash join builds on its smaller input,
+        the left one on a tie, and broadcasts it when copying it to every
+        machine moves fewer bytes than shuffling the unready inputs and
+        materializing the output. The physical planner lowers by this and
+        the logical walker prices what it picks."""
+        if cross:
+            return left.total_bytes < right.total_bytes, True
         repartition = (
             (0.0 if left_ready else left.total_bytes)
             + (0.0 if right_ready else right.total_bytes)
             + output.total_bytes
         )
         smaller = min(left.total_bytes, right.total_bytes)
-        return smaller * self.config.machines < repartition
+        broadcast = smaller * self.config.machines < repartition
+        return left.total_bytes <= right.total_bytes, broadcast
 
     def _join_seconds(self, node: JoinNode, left, right, out) -> float:
         """A logical join priced as the physical planner lowers it, its
-        inputs spread over every slot: the smaller one broadcast and
-        joined against its copy, or both hashed on the keys and joined
-        slot by slot."""
+        inputs spread over every slot: the build side broadcast and
+        joined against its copy, or both inputs hashed on the keys and
+        joined slot by slot."""
         keys = [[pair[0] for pair in node.equi], [pair[1] for pair in node.equi]]
-        if right.total_bytes > left.total_bytes:  # build on the smaller side
-            keys.reverse()
-            left, right = right, left
+        build_left, broadcast = self.join_layout(left, right, out, node.is_cross)
         probe, build, seconds = left, right, self._seconds
-        if node.is_cross:
-            return seconds(self._charge_broadcast, build) + seconds(
-                self._charge_nested_loop, probe, build, out, SPREAD, node.residual
-            )
-        if self.broadcast_join(probe, build, out):
+        if build_left:
+            keys.reverse()
+            probe, build = right, left
+        if broadcast:
             moved, kinds = seconds(self._charge_broadcast, build), (SPREAD, "broadcast")
         else:
             moved = seconds(self._charge_hash, probe, SPREAD, keys[0])
             moved += seconds(self._charge_hash, build, SPREAD, keys[1])
             kinds = (SPREAD, SPREAD)
+        if node.is_cross:
+            charge = self._charge_nested_loop
+            return moved + seconds(charge, probe, build, out, SPREAD, node.residual)
         return moved + seconds(
             self._charge_hash_join, probe, build, out, kinds, keys, node.residual
         )
@@ -610,27 +622,23 @@ class CostModel:
 
     # -- physical plans (EXPLAIN ANALYZE, admission) -----------------------------------
 
-    def physical_estimate(
-        self, node, memo: Optional[Dict[int, Tuple[Estimate, float]]] = None
-    ) -> Tuple[Estimate, float]:
-        """Per-operator output estimate and estimated seconds for one
-        *physical* node — the numbers ``explain_analyze`` prints next to
-        the measured actuals. ``memo`` is the caller's, keyed by
-        ``id(node)`` of the plan it holds, so each node is estimated once
-        per call tree and nothing outlives it. A compiled plan is
-        estimated once, by :meth:`plan_estimates`, and a plan-cache hit
-        reuses those numbers: what they read — statistics, a view's row
-        count, feedback — moves a relation stamp or the feedback version,
-        and either makes the cached plan miss."""
-        if memo is None:
-            memo = {}
-        cached = memo.get(id(node))
-        if cached is None:
-            inputs = [
-                self.physical_estimate(child, memo)[0] for child in node.children()
-            ]
-            cached = memo[id(node)] = self._physical_rule(node, inputs)
-        return cached
+    def price_physical(self, node) -> Estimate:
+        """Estimate the physical plan rooted at ``node`` once, bottom up,
+        writing each operator's ``(est_rows, est_width_bytes, est_bytes,
+        est_seconds)`` onto its node — the numbers EXPLAIN ANALYZE's trace
+        prints beside the measured actuals and admission sizes a plan by.
+        Returns the root's estimate. A compile prices its plan once and a
+        plan-cache hit reuses the numbers: what they read — statistics, a
+        view's row count, feedback — moves a relation stamp or the
+        feedback version, and either makes the cached plan miss."""
+        inputs = [self.price_physical(child) for child in node.children()]
+        est, node.est_seconds = self._physical_rule(node, inputs)
+        node.est_rows, node.est_width_bytes = est.rows, est.width_bytes
+        node.est_bytes = est.total_bytes
+        if getattr(node, "kind", None) == "broadcast":
+            # the trace's measured bytes count every slot's replica
+            node.est_bytes *= float(self.config.slots)
+        return est
 
     def _physical_rule(self, node, inputs: List[Estimate]) -> Tuple[Estimate, float]:
         """One physical operator's output estimate and own seconds: the
@@ -701,27 +709,6 @@ class CostModel:
                 keys, limit = node.keys[::-1], None
             return est, seconds(self._charge_ordering, child, kind, keys, limit)
         raise TypeError(f"cannot estimate {type(node).__name__}")
-
-    def plan_estimates(self, node) -> Tuple[Tuple[float, float, float, float], ...]:
-        """``(est_rows, est_width_bytes, est_bytes, est_seconds)`` of
-        every node of the physical plan ``node``, in pre-order: the
-        estimate columns of the :class:`OperatorTrace` tree an execution
-        of it builds (the two have identical shapes by construction)."""
-        from .physical import PExchange
-
-        memo: Dict[int, Tuple[Estimate, float]] = {}
-
-        def walk(plan_node):
-            est, seconds = self.physical_estimate(plan_node, memo)
-            copies = 1.0
-            if isinstance(plan_node, PExchange) and plan_node.kind == "broadcast":
-                # the trace's measured bytes count every slot's replica
-                copies = float(self.config.slots)
-            yield est.rows, est.width_bytes, est.total_bytes * copies, seconds
-            for child in plan_node.children():
-                yield from walk(child)
-
-        return tuple(walk(node))
 
 
 class PlanEstimates:

@@ -23,7 +23,8 @@ Every cost comparison of one ``optimize()`` call — DP and greedy
 candidates, the view-replacement gate, limit pushdown — reads one
 planning pass (:class:`~repro.plan.cost.PlanEstimates`), which evaluates
 each plan node once: a candidate join costs its own operator plus its
-children's totals, never a re-walk of their subtrees.
+children's totals, never a re-walk of their subtrees. A compile hands
+the same pass on to the physical planner.
 
 With a size-blind cost model (the ablation), every attribute looks 8
 bytes wide, early projection never looks beneficial, and the optimizer
@@ -225,9 +226,13 @@ class Optimizer:
         self.view_hits = 0
         self.view_misses = 0
 
-    def optimize(self, plan: LogicalNode) -> LogicalNode:
+    def optimize(
+        self, plan: LogicalNode, estimates: Optional[PlanEstimates] = None
+    ) -> LogicalNode:
+        """``estimates`` is the compile's planning pass, which the
+        physical planner then lowers with (a fresh one when None)."""
         self._ids = itertools.count(_max_column_id(plan) + 1)
-        self._estimates = self.cost.planning_pass()
+        self._estimates = estimates or self.cost.planning_pass()
         self.view_hits = 0
         self.view_misses = 0
         optimized, _ = self._optimize(plan, None)

@@ -3,10 +3,10 @@
 The physical planner lowers an optimized logical plan onto the simulated
 cluster:
 
-* joins pick **broadcast** vs. **repartition** strategies by comparing
-  estimated data movement (sizes again come from the LA-aware type
-  widths) — ``CostModel.broadcast_join``, the one rule the cost model
-  also prices a logical join by;
+* joins pick their build side and **broadcast** vs. **repartition**
+  strategies by comparing estimated data movement (sizes again come from
+  the LA-aware type widths) — ``CostModel.join_layout``, the one rule the
+  cost model also prices a logical join by;
 * exchanges are elided when a side is already co-partitioned on the join
   keys (base tables can be hash-partitioned at load time);
 * aggregation is split into a partial (pre-shuffle) and final phase,
@@ -52,6 +52,9 @@ from .logical import (
 class PhysicalNode:
     columns: List[OutputColumn]
     partitioning: Partitioning
+    #: this operator's estimate, written once when its plan compiles
+    #: (``CostModel.price_physical``); None on a plan never priced
+    est_rows = est_width_bytes = est_bytes = est_seconds = None
 
     def children(self) -> Sequence["PhysicalNode"]:
         return ()
@@ -441,12 +444,15 @@ class PhysicalPlanner:
         #: planning the same statement with this off
         self.enable_top_k = enable_top_k
 
-    def plan(self, node: LogicalNode) -> PhysicalNode:
-        return self._lower(node, self.cost.planning_pass())
+    def plan(
+        self, node: LogicalNode, estimates: Optional[PlanEstimates] = None
+    ) -> PhysicalNode:
+        """Lower an optimized logical plan. ``estimates`` is the planning
+        pass the plan was optimized with (a fresh one when None): every
+        sizing decision below reads a logical node's estimate from it."""
+        return self._lower(node, estimates or self.cost.planning_pass())
 
     def _lower(self, node: LogicalNode, estimates: PlanEstimates) -> PhysicalNode:
-        """``estimates`` is this plan's one pass: every sizing decision
-        below reads a logical node's estimate from it."""
         if isinstance(node, ScanNode):
             return PScan(node.table, node.columns)
         if isinstance(node, ViewScanNode):
@@ -495,51 +501,32 @@ class PhysicalPlanner:
         right = self._lower(node.right, estimates)
         left_est = estimates.estimate(node.left)
         right_est = estimates.estimate(node.right)
-
-        if node.is_cross:
-            # broadcast the (estimated) smaller side
-            if right_est.total_bytes <= left_est.total_bytes:
-                build, probe, probe_is_left = right, left, True
-            else:
-                build, probe, probe_is_left = left, right, False
-            build = PExchange(build, "broadcast")
-            return PNestedLoopJoin(probe, build, node.residual, probe_is_left)
-
         left_keys = [pair[0] for pair in node.equi]
         right_keys = [pair[1] for pair in node.equi]
         left_sig = tuple(key.key() for key in left_keys)
         right_sig = tuple(key.key() for key in right_keys)
         left_ready = left.partitioning.co_partitioned_with(left_sig)
         right_ready = right.partitioning.co_partitioned_with(right_sig)
-
-        output_est = estimates.estimate(node)
-        if self.cost.broadcast_join(
-            left_est, right_est, output_est, left_ready, right_ready
-        ):
-            if left_est.total_bytes <= right_est.total_bytes:
-                build, probe = left, right
-                build_keys, probe_keys = left_keys, right_keys
-                probe_is_left = False
-            else:
-                build, probe = right, left
-                build_keys, probe_keys = right_keys, left_keys
-                probe_is_left = True
+        # a cross product's layout reads no output estimate
+        output = None if node.is_cross else estimates.estimate(node)
+        build_left, broadcast = self.cost.join_layout(
+            left_est, right_est, output, node.is_cross, left_ready, right_ready
+        )
+        if not broadcast:
+            if not left_ready:
+                left = PExchange(left, "hash", left_keys)
+            if not right_ready:
+                right = PExchange(right, "hash", right_keys)
+        probe, build = (right, left) if build_left else (left, right)
+        if broadcast:
             build = PExchange(build, "broadcast")
-            return PHashJoin(
-                probe, build, probe_keys, build_keys, node.residual, probe_is_left
-            )
-
-        if not left_ready:
-            left = PExchange(left, "hash", left_keys)
-        if not right_ready:
-            right = PExchange(right, "hash", right_keys)
-        # build on the smaller side
-        if left_est.total_bytes <= right_est.total_bytes:
-            return PHashJoin(
-                right, left, right_keys, left_keys, node.residual, probe_is_left=False
-            )
+        if node.is_cross:
+            return PNestedLoopJoin(probe, build, node.residual, not build_left)
+        probe_keys, build_keys = (
+            (right_keys, left_keys) if build_left else (left_keys, right_keys)
+        )
         return PHashJoin(
-            left, right, left_keys, right_keys, node.residual, probe_is_left=True
+            probe, build, probe_keys, build_keys, node.residual, not build_left
         )
 
     # -- aggregation ----------------------------------------------------------------

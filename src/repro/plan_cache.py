@@ -91,7 +91,10 @@ class PlanCacheKey:
 
 @dataclass
 class CachedPlan:
-    """One compiled statement: plans plus its runtime parameter cells."""
+    """One compiled statement: plans plus its runtime parameter cells.
+    The physical plan's nodes carry the estimates it was compiled with
+    (``CostModel.price_physical``): what they read moves a stamp or the
+    key's feedback version, so they hold while the entry hits."""
 
     logical: object  # plan.LogicalNode
     physical: object  # plan.PhysicalNode
@@ -100,9 +103,6 @@ class CachedPlan:
     #: captured at compile time; a lookup revalidates these, so a change
     #: to any of them invalidates exactly the plans that read it
     stamps: Tuple[Tuple[str, int], ...] = ()
-    #: ``CostModel.plan_estimates`` of ``physical``: what they read moves
-    #: a stamp or the key's feedback version, so they hold while it hits
-    estimates: Tuple = ()
 
     def bind(self, params: Dict[str, object]) -> None:
         """Write fresh parameter values into the plan's (thread-local)

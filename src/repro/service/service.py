@@ -491,12 +491,10 @@ class QueryService:
         outputs are a full copy on every slot), read off the estimates
         the plan was compiled with. Used by admission when
         ``ServiceConfig.memory_budget_bytes`` is set."""
-        estimates = iter(plan.estimates)  # pre-order, like walk below
         slots = self.db.config.slots
 
         def walk(node) -> float:
-            rows, width, _, _ = next(estimates)
-            per_slot = rows * width
+            per_slot = node.est_rows * node.est_width_bytes
             if node.partitioning.kind != "broadcast":
                 per_slot /= slots
             return max([per_slot] + [walk(child) for child in node.children()])

@@ -328,14 +328,8 @@ class Session:
     def explain(self, sql: str, params: Optional[Dict[str, object]] = None) -> str:
         """EXPLAIN against this session's name resolution (temp views)."""
         self._check_open()
-        statement, _ = parse_keyed(sql)
-        if not isinstance(statement, ast.SelectStatement):
-            raise CompileError("EXPLAIN supports SELECT statements only")
-        db = self._service.db
-        logical = db._plan_select(statement, self._merge(params), catalog=self.catalog)
-        physical = db._plan_physical(logical)
-        return (
-            "== logical ==\n" + logical.pretty() + "\n== physical ==\n" + physical.pretty()
+        return self._service.db.explain(
+            sql, self._merge(params), catalog=self.catalog
         )
 
     # -- helpers -----------------------------------------------------------

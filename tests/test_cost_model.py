@@ -8,7 +8,8 @@ import pytest
 
 from repro import Database, PAPER_CLUSTER, TEST_CLUSTER
 from repro.plan import Binder, CostModel
-from repro.plan.logical import ScanNode
+from repro.plan.logical import JoinNode, ScanNode
+from repro.plan.physical import PExchange, PHashJoin
 from repro.sql import parse_statement
 from repro.types import MatrixType
 
@@ -185,7 +186,7 @@ class TestEstimatorInvariants:
 
 
 class TestPhysicalEstimates:
-    """CostModel.physical_estimate backs the EXPLAIN ANALYZE estimate
+    """CostModel.price_physical backs the EXPLAIN ANALYZE estimate
     columns; it must cover every physical node and keep the same
     invariants as the logical estimator."""
 
@@ -204,13 +205,12 @@ class TestPhysicalEstimates:
 
         cost_model = model(db)
         physical = PhysicalPlanner(cost_model).plan(bound(db, sql))
-        memo = {}
 
         def check(node):
-            estimate, seconds = cost_model.physical_estimate(node, memo)
-            assert estimate.rows >= 1.0
-            assert estimate.width_bytes > 0.0
-            assert seconds >= 0.0
+            estimate = cost_model.price_physical(node)
+            assert estimate.rows == node.est_rows >= 1.0
+            assert estimate.width_bytes == node.est_width_bytes > 0.0
+            assert node.est_seconds >= 0.0
             for value in estimate.distinct.values():
                 assert value <= estimate.rows + 1e-9
             for child in node.children():
@@ -227,8 +227,7 @@ class TestPhysicalEstimates:
         node = physical
         while not isinstance(node, PScan):
             node = node.children()[0]
-        estimate, _ = cost_model.physical_estimate(node)
-        assert estimate.rows == 100
+        assert cost_model.price_physical(node).rows == node.est_rows == 100
 
 
 class TestOneFormulaSet:
@@ -276,3 +275,40 @@ class TestOneFormulaSet:
         )
         for module in (cost, executor):
             assert rates.findall(inspect.getsource(module)) == [], module.__name__
+
+
+class TestJoinLayout:
+    """One rule picks a join's build side and strategy
+    (``CostModel.join_layout``): the DP prices the join the physical
+    planner builds."""
+
+    def test_tied_inputs_price_the_join_that_is_built(self):
+        database = Database(TEST_CLUSTER)
+        database.execute("CREATE TABLE r (k INTEGER)")
+        database.execute("CREATE TABLE s (k INTEGER, x DOUBLE, y DOUBLE)")
+        # 40 rows of 24 bytes against 24 rows of 40 bytes: the inputs tie
+        # on estimated bytes and differ in rows
+        database.load("r", [[i % 8] for i in range(40)])
+        database.load("s", [[i % 8, float(i), 0.0] for i in range(24)])
+        estimates = database.cost_model.planning_pass()
+        statement = parse_statement("SELECT * FROM r, s WHERE r.k = s.k")
+        plan = database._compile(statement, None, estimates=estimates)
+
+        def walk(node):
+            yield node
+            for child in node.children():
+                yield from walk(child)
+
+        join = next(node for node in walk(plan.logical) if isinstance(node, JoinNode))
+        left, right = estimates.estimate(join.left), estimates.estimate(join.right)
+        assert left.total_bytes == right.total_bytes and left.rows != right.rows
+        priced = database.cost_model._join_seconds(
+            join, left, right, estimates.estimate(join)
+        )
+        built = next(node for node in walk(plan.physical) if isinstance(node, PHashJoin))
+        moved = sum(
+            child.est_seconds
+            for child in built.children()
+            if isinstance(child, PExchange)
+        )
+        assert priced == moved + built.est_seconds

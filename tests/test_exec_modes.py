@@ -1418,9 +1418,7 @@ class TestKeyKernelsAgree:
                 assert (np.dtype(np.float64), False) in uniqued
             # a hash repartition of the scan itself, where every source
             # chunk holds each of its keys several times
-            scan = db._plan_physical(
-                db._plan_select(parse_statement("SELECT r, c, v FROM t"), None)
-            )
+            scan = db._compile(parse_statement("SELECT r, c, v FROM t"), None).physical
             key = ColumnVar(scan.columns[0].column_id, INTEGER, "r")
             del evaluated[:], listed[:], hashed[:], sorts[:]
             routed, _ = Executor(db.cluster, "batch").run(
@@ -1884,9 +1882,7 @@ class TestStages:
             db = Database(PAPER_CLUSTER.with_updates(machines=slots // 2, cores_per_machine=2))
             db.execute("CREATE TABLE t (r INTEGER, v DOUBLE)")
             db.load("t", [(i % 11, float(i)) for i in range(500)])
-            scan = db._plan_physical(
-                db._plan_select(parse_statement("SELECT r, v FROM t"), None)
-            )
+            scan = db._compile(parse_statement("SELECT r, v FROM t"), None).physical
             key = ColumnVar(scan.columns[0].column_id, INTEGER, "r")
             del takes[:]
             rows, _ = Executor(db.cluster, "batch").run(PExchange(scan, "hash", [key]))
@@ -2117,7 +2113,7 @@ class TestStages:
         for slots in (4, 80):
             db = _stage_db(slots)
             probe, build = (
-                db._plan_physical(db._plan_select(parse_statement(sql), None))
+                db._compile(parse_statement(sql), None).physical
                 for sql in ("SELECT k, z FROM p", build_sql)
             )
             if broadcast:

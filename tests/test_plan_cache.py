@@ -35,10 +35,8 @@ def run_fresh(db, sql, params=None):
     """A from-scratch compile of ``sql``'s query and its execution, past
     the plan cache: ``(result, physical plan)``."""
     statement = parse_statement(sql)
-    query = getattr(statement, "query", statement)
-    logical = db._plan_select(query, params)
-    physical = db._plan_physical(logical)
-    return db._execute_physical(logical, physical), physical
+    plan = db._compile(getattr(statement, "query", statement), params)
+    return db._execute_plan(plan), plan.physical
 
 
 def cached_physical(db, sql, params=None):
@@ -492,19 +490,26 @@ def settle(db, sql):
 
 def hit_with_fresh_estimates(db, sql, monkeypatch):
     """Settle ``sql``, then run it once more as a plan-cache hit, with
-    ``CostModel.physical_estimate`` raising, beside its EXPLAIN ANALYZE
-    (a hit too). The hit's trace carries what a fresh annotation of the
+    ``CostModel._physical_rule`` raising, beside its EXPLAIN ANALYZE
+    (a hit too). The hit's trace carries what a fresh pricing of the
     cached plan gives, and EXPLAIN ANALYZE prints the trace of a
     from-scratch compile. Returns the hit."""
     settle(db, sql)
     with monkeypatch.context() as patch:
-        patch.setattr(CostModel, "physical_estimate", never_estimate)
+        patch.setattr(CostModel, "_physical_rule", never_estimate)
         hit = db.execute(sql)
         text = db.explain_analyze(sql)
     assert hit.metrics.plan_cached and "plan: cached" in text
-    annotated = copy.deepcopy(hit.metrics.trace)
-    annotated.annotate(db.cost_model.plan_estimates(cached_physical(db, sql)))
-    assert estimates(hit.metrics.trace) == estimates(annotated)
+    held = estimates(hit.metrics.trace)
+    physical = cached_physical(db, sql)
+    db.cost_model.price_physical(physical)
+
+    def walk(node):
+        yield node.est_rows, node.est_width_bytes, node.est_bytes, node.est_seconds
+        for child in node.children():
+            yield from walk(child)
+
+    assert held == list(walk(physical))
     fresh, _ = run_fresh(db, sql)
     assert text.startswith(fresh.metrics.trace.render() + "\n")
     return hit
@@ -546,17 +551,18 @@ def test_cache_hits_carry_the_estimates_of_the_current_statistics(monkeypatch):
 
 def peak_by_walking_estimates(db, physical):
     """The per-slot peak admission compared against before estimates were
-    kept on the plan: a walk over ``physical_estimate``."""
-    memo, slots = {}, db.config.slots
+    kept on the plan: a fresh walk of ``CostModel._physical_rule``."""
+    slots = db.config.slots
 
     def walk(node):
-        est, _ = db.cost_model.physical_estimate(node, memo)
+        inputs = [walk(child) for child in node.children()]
+        est, _ = db.cost_model._physical_rule(node, [est for est, _ in inputs])
         per_slot = est.total_bytes
         if node.partitioning.kind != "broadcast":
             per_slot = est.total_bytes / slots
-        return max([per_slot] + [walk(child) for child in node.children()])
+        return est, max([per_slot] + [peak for _, peak in inputs])
 
-    return walk(physical)
+    return walk(physical)[1]
 
 
 def test_admission_budget_decides_on_the_compiled_estimates(monkeypatch):
@@ -574,7 +580,7 @@ def test_admission_budget_decides_on_the_compiled_estimates(monkeypatch):
         for budget, admitted in ((demand, True), (np.nextafter(demand, 0.0), False)):
             session = db.service(memory_budget_bytes=float(budget)).session()
             with monkeypatch.context() as patch:
-                patch.setattr(CostModel, "physical_estimate", never_estimate)
+                patch.setattr(CostModel, "_physical_rule", never_estimate)
                 if admitted:
                     assert session.execute(sql).metrics.plan_cached
                 else:

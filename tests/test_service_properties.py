@@ -39,8 +39,7 @@ INVALIDATORS = {
 
 def run_fresh(db, sql, params):
     """A from-scratch compile and execution, past the plan cache."""
-    logical = db._plan_select(parse_statement(sql), params)
-    return db._execute_physical(logical, db._plan_physical(logical))
+    return db._execute_plan(db._compile(parse_statement(sql), params))
 
 steps = st.lists(
     st.tuples(

@@ -60,10 +60,12 @@ def _db(**overrides):
 
 def _run_full_sort(db, sql):
     """The same statement forced through the full PSortLimit sort."""
-    logical = db._plan_select(parse_statement(sql), None)
-    physical = PhysicalPlanner(db.cost_model, enable_top_k=False).plan(logical)
-    assert not _collect(physical, PTopK)
-    return db._execute_physical(logical, physical)
+    plan = db._compile(parse_statement(sql), None)
+    plan.physical = PhysicalPlanner(db.cost_model, enable_top_k=False).plan(
+        plan.logical
+    )
+    assert not _collect(plan.physical, PTopK)
+    return db._execute_plan(plan)
 
 
 def _collect(node, node_type):
