@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import CatalogError, DependentViewError
+from ..types import DataType
 from .schema import Schema
 from .statistics import TableStats
 
@@ -25,7 +26,15 @@ class TableEntry:
     name: str
     schema: Schema
     storage: object = None  # engine.storage.PartitionedTable once loaded
+    #: read by a compile only through ``CostModel.scan_rule``, which
+    #: records the read (the plan then holds the statistics stamp)
     stats: TableStats = field(default_factory=TableStats)
+
+    def refined_type(self, column) -> DataType:
+        """``column``'s declared type with the dimensions its statistics
+        observed filled in: part of the table's shape, so a statistics
+        refresh that changes it moves the shape stamp."""
+        return self.stats.column(column.name).refine_type(column.data_type)
 
 
 @dataclass
@@ -41,12 +50,22 @@ class Catalog:
     """Name-to-object mapping with case-insensitive SQL semantics.
 
     The catalog carries one monotonically increasing :attr:`version`,
-    advanced on every DDL change and on every statistics refresh. Every
-    relation carries a *stamp* — the counter's value at the relation's
-    last change (:meth:`touch`) — so caches invalidate selectively: a
-    cached plan records the stamp of everything it read and is valid
-    while those are unchanged. Because the counter never goes back, a
-    name that is dropped and created again can never repeat a stamp.
+    advanced once by every statement that changes it. Every relation
+    carries two *stamps*, values of that counter (:meth:`touch`):
+
+    * its **shape** stamp (:meth:`stamp`) moves when what a binder or
+      view matcher resolves for it changes — DDL, a materialized view
+      over it created, dropped, refreshed, rebuilt or gone stale, and a
+      statistics refresh that changes a ``VECTOR[]`` / ``MATRIX[][]``
+      dimension the binder refines its columns with;
+    * its **statistics** stamp (:meth:`statistics_stamp`) moves with
+      every statement that changes its rows, and with its shape.
+
+    So caches invalidate selectively: a cached plan records the shape
+    stamp of everything it resolved and the statistics stamp of the
+    tables whose statistics it read, and is valid while those are
+    unchanged. Because the counter never goes back, a name that is
+    dropped and created again can never repeat a stamp.
     """
 
     def __init__(self):
@@ -57,6 +76,7 @@ class Catalog:
         self._matviews: Dict[str, object] = {}
         self.version = 0
         self._stamps: Dict[str, int] = {}
+        self._statistics: Dict[str, int] = {}
 
     def bump_version(self) -> int:
         """Advance the catalog version; returns the new version."""
@@ -65,23 +85,38 @@ class Catalog:
 
     # -- per-relation stamps ----------------------------------------------
 
-    def touch(self, *names: str) -> None:
-        """Relations ``names`` changed (created, data or statistics
-        moved, a materialized view over them came, went or changed
-        state): stamp them with a fresh version. Cached plans that read
-        them are stale, others are not."""
+    def touch(self, *names: str, shape: bool = True) -> None:
+        """Relations ``names`` changed: stamp them with one fresh
+        version. Every touch moves their statistics stamps; ``shape``
+        (the default: created, a materialized view over them came, went
+        or changed state, a refined dimension moved) moves their shape
+        stamps too, and ``shape=False`` is a change of rows alone.
+        Cached plans that read what moved are stale, others are not."""
         version = self.bump_version()
         for name in names:
-            self._stamps[name.lower()] = version
+            key = name.lower()
+            self._statistics[key] = version
+            if shape:
+                self._stamps[key] = version
 
     def stamp(self, name: str) -> int:
-        """The version at ``name``'s last change; 0 for no such relation
-        (a live relation's stamp is never 0)."""
+        """The version at ``name``'s last change of shape; 0 for no such
+        relation (a live relation's stamp is never 0)."""
         return self._stamps.get(name.lower(), 0)
+
+    def statistics_stamp(self, name: str) -> int:
+        """The version at ``name``'s last change of rows or shape; 0 for
+        no such relation."""
+        return self._statistics.get(name.lower(), 0)
+
+    def _unstamp(self, name: str) -> None:
+        key = name.lower()
+        self._stamps.pop(key, None)
+        self._statistics.pop(key, None)
 
     def _forget(self, name: str) -> None:
         """``name`` was dropped: it has no stamp until it exists again."""
-        self._stamps.pop(name.lower(), None)
+        self._unstamp(name)
         self.bump_version()
 
     # -- tables -----------------------------------------------------------
@@ -169,7 +204,7 @@ class Catalog:
             if if_exists:
                 return None
             raise CatalogError(f"no materialized view named {name!r}")
-        del self._stamps[key]
+        self._unstamp(key)
         # plans that answered from the view must re-plan without it
         self.touch(*view.base_tables)
         return view

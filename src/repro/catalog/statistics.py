@@ -7,19 +7,20 @@ optimizer cost plans over ``VECTOR[]`` data nearly as accurately as over
 fully declared types (section 4.1 of the paper).
 
 Statistics must track DML: every INSERT / INSERT ... SELECT / CTAS /
-DELETE refreshes them (``Database._refresh_stats``), since stale row
-counts or tensor dims would silently mis-cost every subsequent plan.
-Appends are handled incrementally — the value/shape accumulator sets
-stay on the stats objects, and :func:`append_stats` folds new rows in
-without rescanning the table (:func:`collect_stats` is that same fold
-started from empty accumulators).
+DELETE that changes rows refreshes them (``Database._refresh_stats``),
+since stale row counts or tensor dims would silently mis-cost every
+subsequent plan. Appends are handled incrementally — the value/shape
+accumulator sets stay on the stats objects, and :func:`append_stats`
+folds new rows in without rescanning the table (:func:`collect_stats`
+is that same fold started from empty accumulators) and reports whether
+a refined type changed, which is a change of the table's shape.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from ..types import DataType, Matrix, MatrixType, Vector, VectorType
 
@@ -103,20 +104,29 @@ def collect_stats(schema, rows) -> TableStats:
     return stats
 
 
-def append_stats(stats: TableStats, schema, rows) -> bool:
+class Appended(NamedTuple):
+    """What :func:`append_stats` folded: whether a column's refined type
+    (``ColumnStats.refine_type`` of its declared type) changed."""
+
+    refined_changed: bool
+
+
+def append_stats(stats: TableStats, schema, rows) -> Optional[Appended]:
     """Fold appended ``rows`` into existing ``stats`` without rescanning
-    the table. Returns False when the stats carry no accumulators (e.g.
+    the table. Returns None when the stats carry no accumulators (e.g.
     hand-built fixtures) — callers then fall back to a full
     :func:`collect_stats` pass."""
     if not stats.incremental:
-        return False
+        return None
     rows = list(rows)
+    refined_changed = False
     for position, column in enumerate(schema):
         col_stats = stats.column(column.name)
         declared = column.data_type
         if isinstance(declared, (VectorType, MatrixType)):
             if col_stats.length_set is None or col_stats.shape_set is None:
-                return False
+                return None
+            refined = col_stats.refine_type(declared)
             for row in rows:
                 value = row[position]
                 if isinstance(value, Vector):
@@ -124,6 +134,7 @@ def append_stats(stats: TableStats, schema, rows) -> bool:
                 elif isinstance(value, Matrix):
                     col_stats.shape_set.add(value.shape)
             _tensor_observed(col_stats)
+            refined_changed |= col_stats.refine_type(declared) != refined
         elif col_stats.value_set is not None:
             for row in rows:
                 try:
@@ -137,7 +148,7 @@ def append_stats(stats: TableStats, schema, rows) -> bool:
         # value_set is None: the column is (or became) unhashable —
         # distinct stays unknown, appends cannot change that
     stats.row_count += len(rows)
-    return True
+    return Appended(refined_changed)
 
 
 # -- cardinality feedback ---------------------------------------------------

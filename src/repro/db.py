@@ -23,7 +23,8 @@ Quickstart::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,10 +62,15 @@ class Result:
         columns: List[str],
         rows: List[tuple],
         metrics: Optional[QueryMetrics] = None,
+        stamps: Tuple[Tuple[str, int, int], ...] = (),
     ):
         self.columns = columns
         self.rows = rows
         self.metrics = metrics or QueryMetrics()
+        #: (relation, shape stamp, statistics stamp) of every relation
+        #: the statement read, as it executed: a cursor over the result
+        #: stays valid while they hold (``repro.service.cursors``)
+        self.stamps = stamps
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -389,7 +395,8 @@ class Database:
             columns = entry.storage.columns_of(converted)
             with self._durable_root() as log:
                 entry.storage.append(columns)
-                self._refresh_stats(entry, appended=converted)
+                if converted:  # zero rows change nothing
+                    self._refresh_stats(entry, appended=converted)
                 if log:
                     self._log_durable(
                         {
@@ -403,21 +410,33 @@ class Database:
     def _refresh_stats(
         self, entry: TableEntry, appended: Optional[List[tuple]] = None
     ) -> None:
-        """Refresh ``entry``'s statistics after a DML statement. When the
-        statement only appended rows, pass them via ``appended`` and the
-        accumulator sets kept by ``collect_stats`` are updated in place
-        instead of rescanning the whole table; deletes always rescan."""
-        if appended is None or not append_stats(
-            entry.stats, entry.schema, appended
-        ):
+        """Refresh ``entry``'s statistics after a DML statement that
+        changed rows. When the statement only appended rows, pass them
+        via ``appended`` and the accumulator sets kept by
+        ``collect_stats`` are updated in place instead of rescanning the
+        whole table; deletes always rescan."""
+        outcome = None
+        if appended is not None:
+            outcome = append_stats(entry.stats, entry.schema, appended)
+        if outcome is not None:
+            reshaped = outcome.refined_changed
+        else:
+            before = [entry.refined_type(column) for column in entry.schema]
             entry.stats = collect_stats(entry.schema, entry.storage.all_rows())
-        # statistics feed refined types and size estimates into plans, so
-        # every refresh invalidates cached plans that read this table
-        # (the plan cache validates the stamps of what a plan read)
-        self.catalog.touch(entry.name)
+            reshaped = before != [
+                entry.refined_type(column) for column in entry.schema
+            ]
+        append_only = appended is not None
+        # one version for the statement: the statistics stamp always
+        # moves, the shape stamp when a refined dimension the binder
+        # reads moved or a view over the table is rebuilt or goes stale
+        # (plans that answered from it re-plan); plans that read neither
+        # the table's statistics nor its shape keep hitting
+        rebuilds = self.views.rebuilds(entry.name, append_only)
+        self.catalog.touch(entry.name, shape=reshaped or rebuilds)
         # materialized views over this table fold the delta (append) or
         # refresh/go stale (delete), per config.view_refresh_mode
-        self.views.on_table_changed(entry.name, append_only=appended is not None)
+        self.views.on_table_changed(entry.name, append_only)
 
     # -- SQL ----------------------------------------------------------------------
 
@@ -636,6 +655,8 @@ class Database:
                 )
             )
         entry.storage.insert_many(coerced)
+        if not coerced:  # zero rows change nothing
+            return Result([], [], result.metrics)
         self._refresh_stats(entry, appended=coerced)
         return self._attach_maintenance(Result([], [], result.metrics))
 
@@ -643,10 +664,15 @@ class Database:
         self, statement: ast.Delete, params: Optional[Dict[str, object]]
     ) -> Result:
         """DELETE FROM t [WHERE ...]: filters the stored partitions in
-        place (deletes rewrite partition files locally; no shuffle)."""
+        place (deletes rewrite partition files locally; no shuffle). A
+        DELETE that removes no row changes nothing: no statistics pass,
+        no stamp, no view maintenance."""
         entry = self.catalog.table(statement.table)
         if statement.where is None:
+            changed = entry.storage.row_count > 0
             entry.storage.truncate()
+            if not changed:
+                return Result([], [])
             self._refresh_stats(entry)
             return self._attach_maintenance(Result([], []))
         converted = {
@@ -661,6 +687,7 @@ class Database:
         }
         from .engine.storage import RowView
 
+        changed = False
         for slot in range(self.config.slots):
             rows = entry.storage.partition_rows(slot)
             kept = [
@@ -669,6 +696,9 @@ class Database:
             # a partition that loses no row keeps its segments as they are
             if len(kept) != len(rows):
                 entry.storage.replace_partition(slot, kept)
+                changed = True
+        if not changed:
+            return Result([], [])
         self._refresh_stats(entry)
         return self._attach_maintenance(Result([], []))
 
@@ -701,7 +731,8 @@ class Database:
         metrics = results[0].metrics
         for result in results[1:]:
             metrics = metrics.merge(result.metrics)
-        return Result(results[0].columns, rows, metrics)
+        stamps = tuple(chain.from_iterable(result.stamps for result in results))
+        return Result(results[0].columns, rows, metrics, stamps)
 
     # -- service layer -------------------------------------------------------------
 
@@ -746,7 +777,10 @@ class Database:
             exec_fingerprint=(self.execution_mode, self.config.storage_mode),
             feedback_version=self.feedback.version,
         )
-        plan = self.plan_cache.lookup(cache_key, self.catalog.stamp)
+        shared = self.catalog
+        plan = self.plan_cache.lookup(
+            cache_key, shared.stamp, shared.statistics_stamp
+        )
         if plan is not None:
             plan.bind(converted)
             return plan, True
@@ -759,15 +793,18 @@ class Database:
         self, statement, params, catalog=None, use_views=True, estimates=None
     ) -> CachedPlan:
         """Bind, optimize, lower and price a SELECT — the one path every
-        SELECT compiles by — recording the stamp of every relation the
-        plan read. ``catalog`` may be a session-level overlay (temp
-        views); parameters bind as runtime cells holding ``params`` on
-        this thread, so the plan is the generic one a cache can keep;
-        ``use_views=False`` disables view-based answering (a view's own
-        refresh must recompute from the base tables). One planning pass
-        (``estimates``, a fresh one when None) serves the optimizer and
-        the physical planner, and the physical plan is priced once, onto
-        its nodes."""
+        SELECT compiles by — recording the shape stamp of every relation
+        the binder resolved and the statistics stamp of every table whose
+        statistics the estimates read (``CostModel.scan_rule``): a plan
+        answered from an incremental view reads none, so appends to its
+        base table leave it cached. ``catalog`` may be a session-level
+        overlay (temp views); parameters bind as runtime cells holding
+        ``params`` on this thread, so the plan is the generic one a cache
+        can keep; ``use_views=False`` disables view-based answering (a
+        view's own refresh must recompute from the base tables). One
+        planning pass (``estimates``, a fresh one when None) serves the
+        optimizer and the physical planner, and the physical plan is
+        priced once, onto its nodes."""
         converted = {
             key: _convert_value(value) for key, value in (params or {}).items()
         }
@@ -777,24 +814,27 @@ class Database:
         binder = Binder(scope, converted, param_cells=cells)
         plan = binder.bind_select(statement)
         whole = self._match_whole_statement(statement, scope) if use_views else None
-        if whole is not None:
-            logical = ViewScanNode(whole, plan.columns, None)
-            logical.view_hits = 1
-            logical.view_misses = 0
-        else:
-            matcher = ViewMatcher(scope) if use_views else None
-            optimizer = Optimizer(self.cost_model, view_matcher=matcher)
-            logical = optimizer.optimize(plan, estimates)
-            logical.view_hits = optimizer.view_hits
-            logical.view_misses = optimizer.view_misses
-        physical = PhysicalPlanner(self.cost_model).plan(logical, estimates)
-        self.cost_model.price_physical(physical)
+        with self.cost_model.recording_reads() as read:
+            if whole is not None:
+                logical = ViewScanNode(whole, plan.columns, None)
+                logical.view_hits = 1
+                logical.view_misses = 0
+            else:
+                matcher = ViewMatcher(scope) if use_views else None
+                optimizer = Optimizer(self.cost_model, view_matcher=matcher)
+                logical = optimizer.optimize(plan, estimates)
+                logical.view_hits = optimizer.view_hits
+                logical.view_misses = optimizer.view_misses
+            physical = PhysicalPlanner(self.cost_model).plan(logical, estimates)
+            self.cost_model.price_physical(physical)
+        shared = self.catalog
         return CachedPlan(
             logical=logical,
             physical=physical,
             param_cells=cells,
-            stamps=tuple(
-                (name, self.catalog.stamp(name)) for name in binder.relations
+            stamps=tuple((name, shared.stamp(name)) for name in binder.relations),
+            statistics=tuple(
+                (name, shared.statistics_stamp(name)) for name in read
             ),
         )
 
@@ -827,11 +867,16 @@ class Database:
             rows, metrics = executor.run(plan.physical)
             if metrics.trace is not None and self.config.feedback_mode == "on":
                 self._absorb_feedback(metrics.trace, plan.physical)
+            catalog = self.catalog
+            stamps = tuple(
+                (name, catalog.stamp(name), catalog.statistics_stamp(name))
+                for name, _ in plan.stamps
+            )
         metrics.plan_cached = cached
         metrics.view_hits = self._count_view_scans(plan.physical)
         metrics.view_misses = getattr(plan.logical, "view_misses", 0)
         columns = [column.name for column in plan.logical.columns]
-        return Result(columns, rows, metrics)
+        return Result(columns, rows, metrics, stamps)
 
     @staticmethod
     def _count_view_scans(physical) -> int:

@@ -277,9 +277,10 @@ class CursorClosedError(CursorError):
 
 
 class CursorInvalidatedError(CursorError):
-    """A fetch on a cursor opened before a DDL/DML statement changed the
-    shared catalog; the snapshot the cursor paginates can no longer be
-    assumed consistent with the catalog, so the cursor is invalidated."""
+    """A fetch on a cursor opened before a DDL/DML statement changed a
+    relation the cursor's statement read; the snapshot the cursor
+    paginates can no longer be assumed consistent with the catalog, so
+    the cursor is invalidated."""
 
     code = "cursor_invalidated"
 

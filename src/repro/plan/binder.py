@@ -284,11 +284,10 @@ class Binder:
         return _Binding(item.binding_name, self._scan(table, item.binding_name))
 
     def _scan(self, table: TableEntry, binding_name: str) -> ScanNode:
-        columns = []
-        for column in table.schema:
-            declared = column.data_type
-            refined = table.stats.column(column.name).refine_type(declared)
-            columns.append(OutputColumn(next(self._ids), column.name, refined))
+        columns = [
+            OutputColumn(next(self._ids), column.name, table.refined_type(column))
+            for column in table.schema
+        ]
         return ScanNode(table, binding_name, columns)
 
     def _rename(self, plan: LogicalNode, names: List[str]) -> LogicalNode:

@@ -37,9 +37,11 @@ type information would behave.
 
 from __future__ import annotations
 
+import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..catalog.statistics import (
     FeedbackStatistics,
@@ -108,6 +110,10 @@ LOGICAL_UNSPLIT = (ScanNode, ViewScanNode, FilterNode, ProjectNode)
 #: the partitioning kind of rows spread over every slot
 SPREAD = ROUND_ROBIN.kind
 
+#: per thread, the tables whose statistics the open
+#: :meth:`CostModel.recording_reads` block saw read
+_READS = threading.local()
+
 
 def _kind(node) -> str:
     """The partitioning kind of a node's rows: a physical node's own, a
@@ -135,6 +141,22 @@ class CostModel:
         self.config = config
         self.size_blind = size_blind
         self.feedback = feedback if config.feedback_mode == "on" else None
+
+    @staticmethod
+    @contextmanager
+    def recording_reads() -> Iterator[Set[str]]:
+        """Yield the set of (lower-case) names of the tables whose
+        statistics the rules read on this thread until the block ends:
+        what a compiled plan depends on beyond its relations' shapes. An
+        inner block's reads count for the outer one too."""
+        outer = getattr(_READS, "tables", None)
+        tables = _READS.tables = set()
+        try:
+            yield tables
+        finally:
+            _READS.tables = outer
+            if outer is not None:
+                outer |= tables
 
     # -- cardinality feedback --------------------------------------------------
 
@@ -180,6 +202,11 @@ class CostModel:
     # price_physical over physical ones.
 
     def scan_rule(self, table, columns, width: float) -> Estimate:
+        """The one place an estimate reads a table's statistics: the read
+        is recorded for :meth:`recording_reads`."""
+        reads = getattr(_READS, "tables", None)
+        if reads is not None:
+            reads.add(table.name.lower())
         rows = self._feedback_scan_rows(table.name)
         if rows is None:
             rows = float(table.stats.row_count)
@@ -628,9 +655,10 @@ class CostModel:
         est_seconds)`` onto its node — the numbers EXPLAIN ANALYZE's trace
         prints beside the measured actuals and admission sizes a plan by.
         Returns the root's estimate. A compile prices its plan once and a
-        plan-cache hit reuses the numbers: what they read — statistics, a
-        view's row count, feedback — moves a relation stamp or the
-        feedback version, and either makes the cached plan miss."""
+        plan-cache hit reuses the numbers: what they read — a table's
+        statistics (recorded by :meth:`scan_rule`), a view's row count,
+        feedback — moves a statistics or shape stamp the plan holds, or
+        the feedback version, and any of them makes the cached plan miss."""
         inputs = [self.price_physical(child) for child in node.children()]
         est, node.est_seconds = self._physical_rule(node, inputs)
         node.est_rows, node.est_width_bytes = est.rows, est.width_bytes

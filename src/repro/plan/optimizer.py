@@ -20,9 +20,9 @@ region it
 4. prunes columns nothing downstream needs.
 
 Every cost comparison of one ``optimize()`` call — DP and greedy
-candidates, the view-replacement gate, limit pushdown — reads one
-planning pass (:class:`~repro.plan.cost.PlanEstimates`), which evaluates
-each plan node once: a candidate join costs its own operator plus its
+candidates, limit pushdown — reads one planning pass
+(:class:`~repro.plan.cost.PlanEstimates`), which evaluates each plan
+node once: a candidate join costs its own operator plus its
 children's totals, never a re-walk of their subtrees. A compile hands
 the same pass on to the physical planner.
 
@@ -249,10 +249,11 @@ class Optimizer:
             return ProjectNode(child, exprs, node.columns), {}
         if isinstance(node, AggregateNode):
             if self.views is not None:
+                # a matched view is always cheaper (views/matcher.py), so
+                # the rewrite is taken without pricing either side: a
+                # view-answered plan reads no statistics of its base table
                 replacement, considered = self.views.match_aggregate(node)
-                if replacement is not None and self._estimates.plan_cost(
-                    replacement
-                ) < self._estimates.plan_cost(node):
+                if replacement is not None:
                     self.view_hits += 1
                     return replacement, {}
                 if considered:

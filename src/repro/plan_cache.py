@@ -17,15 +17,27 @@ plan, and the statement's runtime parameter cells, keyed on:
   names with temp views get isolated entries;
 * the **execution fingerprint** and the **feedback version**.
 
-An entry is *valid while what it read is unchanged*: it records the
-catalog stamp (:meth:`repro.catalog.Catalog.stamp`) of every relation it
-resolved — tables, inlined views, materialized views read by name and
-their base tables — and a lookup revalidates them; whatever happens to a
-materialized view (created, dropped, refreshed, gone stale) stamps its
-base tables, so plans that answer from it, or could, re-plan. Stamps are
-values of the catalog's one monotonic version counter, so they never
-repeat for a name across DROP / CREATE: an ``INSERT`` into table A, or a
-CTAS and DROP of table C, leave plans that touch only table B hitting.
+An entry is *valid while what it read is unchanged*. It records two
+kinds of catalog stamp (:class:`repro.catalog.Catalog`), and a lookup
+revalidates both:
+
+* the **shape** stamp of every relation it resolved — tables, inlined
+  views, materialized views read by name and their base tables. DDL
+  moves it, and so does whatever happens to a materialized view
+  (created, dropped, refreshed, rebuilt, gone stale), which stamps its
+  base tables, so plans that answer from it, or could, re-plan; so does
+  a statistics refresh that changes a ``VECTOR[]`` / ``MATRIX[][]``
+  dimension the binder refined a column with;
+* the **statistics** stamp of only those tables whose statistics its
+  estimates read (``CostModel.scan_rule``). Every statement that changes
+  a table's rows moves it.
+
+So an append to a table invalidates the plans that estimated from its
+row count, and leaves a plan answered from an incremental view over it
+— which reads no statistics — cached. Stamps are values of the catalog's
+one monotonic version counter, so they never repeat for a name across
+DROP / CREATE: an ``INSERT`` into table A, or a CTAS and DROP of table C,
+leave plans that touch only table B hitting.
 
 Bounded LRU; hit/miss/eviction counters feed the service metrics.
 """
@@ -93,16 +105,20 @@ class PlanCacheKey:
 class CachedPlan:
     """One compiled statement: plans plus its runtime parameter cells.
     The physical plan's nodes carry the estimates it was compiled with
-    (``CostModel.price_physical``): what they read moves a stamp or the
-    key's feedback version, so they hold while the entry hits."""
+    (``CostModel.price_physical``): what they read moves a recorded
+    shape or statistics stamp or the key's feedback version, so they
+    hold while the entry hits."""
 
     logical: object  # plan.LogicalNode
     physical: object  # plan.PhysicalNode
     param_cells: Dict[str, object] = field(default_factory=dict)
-    #: (relation name, catalog stamp) for everything the plan resolved,
+    #: (relation name, shape stamp) for everything the plan resolved,
     #: captured at compile time; a lookup revalidates these, so a change
     #: to any of them invalidates exactly the plans that read it
     stamps: Tuple[Tuple[str, int], ...] = ()
+    #: (table name, statistics stamp) for the tables whose statistics
+    #: the compile's estimates read — none for a view-answered plan
+    statistics: Tuple[Tuple[str, int], ...] = ()
 
     def bind(self, params: Dict[str, object]) -> None:
         """Write fresh parameter values into the plan's (thread-local)
@@ -154,9 +170,11 @@ class PlanCache:
         self,
         key: PlanCacheKey,
         stamp_of: Optional[Callable[[str], int]] = None,
+        statistics_of: Optional[Callable[[str], int]] = None,
     ) -> Optional[CachedPlan]:
-        """Find a live entry. ``stamp_of`` (normally ``catalog.stamp``)
-        revalidates the entry's recorded stamps: a mismatch means
+        """Find a live entry. ``stamp_of`` and ``statistics_of``
+        (normally ``catalog.stamp`` and ``catalog.statistics_stamp``)
+        revalidate the entry's recorded stamps: a mismatch means
         something the plan read changed, so the entry is dropped and the
         lookup misses — plans over untouched relations keep hitting."""
         with self._lock:
@@ -164,8 +182,15 @@ class PlanCache:
             if entry is None:
                 self.misses += 1
                 return None
-            if stamp_of is not None and any(
-                stamp_of(name) != stamp for name, stamp in entry.stamps
+            if (
+                stamp_of is not None
+                and any(stamp_of(name) != stamp for name, stamp in entry.stamps)
+            ) or (
+                statistics_of is not None
+                and any(
+                    statistics_of(name) != stamp
+                    for name, stamp in entry.statistics
+                )
             ):
                 del self._entries[key]
                 self.invalidated += 1

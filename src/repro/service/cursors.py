@@ -14,10 +14,15 @@ Two events force-close a cursor from the outside:
 * the owning **session closes** (explicitly or via TTL garbage
   collection) — every fetch afterwards raises
   :class:`CursorClosedError`;
-* **DDL/DML on the shared catalog** — the catalog version moves past
-  the one the cursor was opened under, the snapshot can no longer be
-  assumed consistent, and the next fetch raises
-  :class:`CursorInvalidatedError` (and closes the cursor).
+* **a change to a relation the statement read** — the cursor is pinned
+  to the shape and statistics stamps (:class:`repro.catalog.Catalog`)
+  of every relation its statement read, as it executed
+  (``Result.stamps``). DDL on one of them, a materialized view over one
+  created, dropped or refreshed, or DML that changes one's rows moves a
+  stamp: the snapshot can no longer be assumed consistent, and the next
+  fetch raises :class:`CursorInvalidatedError` (and closes the cursor).
+  Changes to other relations — an ``INSERT`` into another table, DDL
+  of an unrelated one — leave the cursor open.
 
 Pages are bounded: ``page_size`` is both the default and the *maximum*
 rows per fetch — a client asking for more is clamped, so a single
@@ -41,9 +46,6 @@ class Cursor:
         self.result = result
         self.page_size = page_size
         self.id = cursor_id
-        #: shared-catalog version the result was computed under; a DDL
-        #: statement moving past it invalidates the cursor
-        self.catalog_version = session.catalog.version
         self.state = "open"
         self._position = 0
         self.pages_served = 0
@@ -85,13 +87,18 @@ class Cursor:
                 f"cursor {self.id}: owning session "
                 f"{self.session.name!r} was closed"
             )
-        if self.session.catalog.version != self.catalog_version:
+        catalog = self.session.catalog
+        moved = [
+            name
+            for name, shape, statistics in self.result.stamps
+            if catalog.stamp(name) != shape
+            or catalog.statistics_stamp(name) != statistics
+        ]
+        if moved:
             self.close()
             raise CursorInvalidatedError(
-                f"cursor {self.id}: catalog moved from version "
-                f"{self.catalog_version} to "
-                f"{self.session.catalog.version} (DDL/DML since the "
-                f"result was computed)"
+                f"cursor {self.id}: {', '.join(sorted(moved))} changed "
+                f"(DDL/DML since the result was computed)"
             )
 
     # -- fetching ----------------------------------------------------------

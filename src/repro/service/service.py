@@ -6,8 +6,9 @@ fair-share slot scheduler, and service metrics. SELECT statements flow::
 
     session.execute(sql, params)
         -> the database's plan cache (normalized SQL, parameter type
-           signature, session scope; valid while the relations the plan
-           read keep their catalog stamps)
+           signature, session scope; valid while what the plan read —
+           its relations' shapes, the statistics its estimates used —
+           keeps its catalog stamps)
            miss: bind/optimize once, parameters as runtime cells,
                  charge simulated compile_seconds
            hit:  rebind the cells, compile_seconds = 0

@@ -80,12 +80,13 @@ class SessionCatalog:
     def materialized_views(self):
         return self._shared.materialized_views()
 
+    # stamps are the shared catalog's: a temp view has none (the plan
+    # cache scopes plans over the overlay instead)
     def stamp(self, name: str) -> int:
         return self._shared.stamp(name)
 
-    @property
-    def version(self) -> int:
-        return self._shared.version
+    def statistics_stamp(self, name: str) -> int:
+        return self._shared.statistics_stamp(name)
 
     def temp_view_names(self) -> List[str]:
         return sorted(self._temp_views)

@@ -118,11 +118,24 @@ class ViewRegistry:
         else:
             self._recompute(view)
         # a stale view turning fresh (or a refreshed one changing size)
-        # is a change to what plans over its base tables may answer from
+        # is a change to the shape of what plans over its base tables
+        # may answer from
         self._db.catalog.touch(*view.base_tables)
         return view
 
     # -- base-table change hooks ----------------------------------------------
+
+    def rebuilds(self, table: str, append_only: bool) -> bool:
+        """Whether :meth:`on_table_changed` with these arguments rebuilds
+        (or leaves stale) a view over ``table``: any full view, or an
+        incremental one unless rows were only appended. The caller then
+        stamps the table's shape, so plans answering from it re-plan."""
+        key = table.lower()
+        return not self._refreshing and any(
+            not (view.incremental and append_only)
+            for view in self._db.catalog.materialized_views()
+            if key in view.base_tables
+        )
 
     def on_table_changed(self, table: str, append_only: bool) -> None:
         """``table`` changed: rows were appended (INSERT/CTAS/load — the
@@ -138,8 +151,9 @@ class ViewRegistry:
                     continue
                 rebuild = not (view.incremental and append_only)
                 if rebuild:
-                    # the caller stamped ``table``, one of the view's
-                    # bases, so plans answering from the view re-plan
+                    # the caller stamped the shape of ``table``, one of
+                    # the view's bases (``rebuilds``), so plans
+                    # answering from the view re-plan
                     view.invalidate()
                 if self.refresh_mode != "eager":
                     # deferred: an incremental view catches up at its

@@ -142,10 +142,11 @@ def test_session_close_releases_cursors(service):
 
 
 def test_ddl_invalidates_cursor(service):
+    # DDL on the relation the cursor's statement read
     with service.session() as session:
         cursor = session.open_cursor(session.execute("SELECT i FROM t"))
         assert len(cursor.fetchmany()) == 4
-        session.execute("CREATE TABLE other (j INTEGER)")
+        session.execute("DROP TABLE t")
         with pytest.raises(CursorInvalidatedError):
             cursor.fetchmany()
         assert cursor.closed
@@ -157,6 +158,40 @@ def test_dml_invalidates_cursor(service):
         session.execute("INSERT INTO t VALUES (99, 99.0)")
         with pytest.raises(CursorInvalidatedError):
             cursor.fetchmany()
+
+
+def test_materialized_view_over_the_read_table_invalidates_cursor(service):
+    # a view over t moves t's shape stamp, not its statistics stamp
+    with service.session() as session:
+        cursor = session.open_cursor(session.execute("SELECT i FROM t"))
+        session.execute("CREATE MATERIALIZED VIEW total AS SELECT SUM(x) AS s FROM t")
+        with pytest.raises(CursorInvalidatedError):
+            cursor.fetchmany()
+
+
+def test_changes_to_other_tables_keep_the_cursor(service, db):
+    """A cursor is pinned to the stamps of the relations its statement
+    read, not to the catalog's version: DDL and DML elsewhere leave it
+    paging."""
+    db.execute("CREATE TABLE events (e INTEGER)")
+    with service.session() as session:
+        cursor = session.open_cursor(session.execute("SELECT i FROM t"))
+        assert len(cursor.fetchmany()) == 4
+        session.execute("INSERT INTO events VALUES (1)")
+        session.execute("CREATE TABLE other (j INTEGER)")
+        session.execute("DROP TABLE other")
+        assert len(cursor.fetchmany()) == 4
+        session.execute("INSERT INTO t VALUES (99, 99.0)")
+        with pytest.raises(CursorInvalidatedError, match="t changed"):
+            cursor.fetchmany()
+
+
+def test_a_dml_that_changes_no_row_keeps_the_cursor(service):
+    with service.session() as session:
+        cursor = session.open_cursor(session.execute("SELECT i FROM t"))
+        session.execute("DELETE FROM t WHERE i > 100")
+        session.execute("INSERT INTO t SELECT i, x FROM t WHERE i > 100")
+        assert len(cursor.fetchall()) == 10
 
 
 def test_temp_view_does_not_invalidate_cursor(service):

@@ -271,6 +271,28 @@ class TestDurabilityLifecycle:
         assert recovered.durability.records_replayed == len(ops) - 4
         recovered.close()
 
+    def test_statements_that_change_no_row_replay_to_the_same_version(
+        self, tmp_path
+    ):
+        """A DML statement that changes no row moves no stamp and no
+        catalog version; it is still logged, and its replay is the same
+        no-op, so recovery reproduces the catalog version."""
+        db = Database(durable_config(tmp_path / "d"))
+        ops = workload_ops(n_inserts=2)
+        run_workload(db, ops)
+        version = db.catalog.version
+        db.execute("DELETE FROM pts WHERE k = 999")
+        db.execute("INSERT INTO pts SELECT k, v FROM pts WHERE k = 999")
+        db.load("pts", [])
+        assert db.catalog.version == version
+        db.execute("DELETE FROM pts WHERE k = 0")
+        want = state_fingerprint(db)
+        db.close()
+        recovered = Database.restore(str(tmp_path / "d"), recover_config())
+        assert state_fingerprint(recovered) == want
+        assert recovered.durability.records_replayed == len(ops) + 4
+        recovered.close()
+
     def test_fresh_database_over_existing_dir_refused(self, tmp_path):
         config = durable_config(tmp_path / "d")
         db = Database(config)

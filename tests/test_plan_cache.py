@@ -12,7 +12,7 @@ import pytest
 
 import repro.sql.lexer as lexer_module
 import repro.sql.parser as parser_module
-from repro import Database, TEST_CLUSTER
+from repro import Database, TEST_CLUSTER, Vector
 from repro.bench.harness import digest
 from repro.bench.simsql import CASES, case
 from repro.bench.workloads import generate
@@ -477,27 +477,30 @@ def never_estimate(*args, **kwargs):
     raise AssertionError("a plan-cache hit re-estimated its plan")
 
 
-def settle(db, sql):
+def settle(db, sql, execute=None):
     """Run ``sql`` until an execution teaches the feedback store nothing,
     so its plan stays cached."""
+    execute = execute or db.execute
     for _ in range(6):
         version = db.feedback.version
-        db.execute(sql)
+        execute(sql)
         if db.feedback.version == version:
             return
     raise AssertionError("feedback never settled")  # pragma: no cover
 
 
-def hit_with_fresh_estimates(db, sql, monkeypatch):
+def hit_with_fresh_estimates(db, sql, monkeypatch, execute=None):
     """Settle ``sql``, then run it once more as a plan-cache hit, with
     ``CostModel._physical_rule`` raising, beside its EXPLAIN ANALYZE
     (a hit too). The hit's trace carries what a fresh pricing of the
     cached plan gives, and EXPLAIN ANALYZE prints the trace of a
-    from-scratch compile. Returns the hit."""
-    settle(db, sql)
+    from-scratch compile. ``execute`` is the door (``db.execute`` when
+    None). Returns the hit."""
+    execute = execute or db.execute
+    settle(db, sql, execute)
     with monkeypatch.context() as patch:
         patch.setattr(CostModel, "_physical_rule", never_estimate)
-        hit = db.execute(sql)
+        hit = execute(sql)
         text = db.explain_analyze(sql)
     assert hit.metrics.plan_cached and "plan: cached" in text
     held = estimates(hit.metrics.trace)
@@ -547,6 +550,184 @@ def test_cache_hits_carry_the_estimates_of_the_current_statistics(monkeypatch):
     db.load("b", [(i % 3, float(i)) for i in range(40)])
     # 40 rows against the 20 learnt: feedback learns them anew
     assert node_named(check_all()[0], "Scan b").est_rows == 40.0
+
+
+# -- plans outlive appends -------------------------------------------------------
+
+GRAM = "SELECT SUM(outer_product(v, v)), COUNT(v) FROM points"
+PER_K = "SELECT k, COUNT(i) AS c FROM points GROUP BY k ORDER BY k"
+RECENT = "SELECT COUNT(i), SUM(x) FROM points WHERE i >= :lo"
+OUTLIVE = (
+    GRAM,  # answered from the incremental view `gram`
+    PER_K,  # answered whole from the full view `per_k` while it is fresh
+    "SELECT COUNT(i), SUM(x) FROM points WHERE i >= 2",  # estimates a scan
+    "SELECT SUM(v * x) FROM points",  # no view answers it
+)
+POINTS = "CREATE TABLE points (i INTEGER, k INTEGER, x DOUBLE, v VECTOR[], w VECTOR[])"
+MATVIEWS = (
+    "CREATE MATERIALIZED VIEW gram AS "
+    "SELECT SUM(outer_product(v, v)) AS g, COUNT(v) AS n FROM points",
+    f"CREATE MATERIALIZED VIEW per_k AS {PER_K}",
+)
+
+
+def points_rows(first, count, dim=4, w_dim=2):
+    rng = np.random.default_rng(first)
+    return [
+        (i, i % 3, float(i) / 7.0, rng.normal(size=dim), rng.normal(size=w_dim))
+        for i in range(first, first + count)
+    ]
+
+
+def points_db(refresh_mode="eager"):
+    db = Database(TEST_CLUSTER.with_updates(view_refresh_mode=refresh_mode))
+    db.execute(POINTS)
+    for sql in MATVIEWS:
+        db.execute(sql)
+    return db
+
+
+@pytest.mark.parametrize("refresh_mode", ["eager", "deferred"])
+@pytest.mark.parametrize("door", ["embedded", "session"])
+def test_every_hit_has_fresh_estimates_across_appends_and_view_events(
+    door, refresh_mode, monkeypatch
+):
+    """A plan keeps hitting while neither the shape nor the statistics
+    it read moved. After each event — the first append (which fixes the
+    ``VECTOR[]`` dimensions), later appends, a dimension that stops
+    agreeing, DELETE, REFRESH, DROP and CREATE of a view and of the table
+    — every statement's hit equals a fresh compile, through either
+    door."""
+    db = points_db(refresh_mode)
+    execute = db.execute if door == "embedded" else db.service().session().execute
+    step = iter(range(0, 10_000, 12))
+
+    def append(**dims):
+        db.load("points", points_rows(next(step), 12, **dims))
+
+    def recreate_table():
+        for name in ("gram", "per_k"):
+            execute(f"DROP MATERIALIZED VIEW {name}")
+        execute("DROP TABLE points")
+        execute(POINTS)
+        for sql in MATVIEWS:
+            execute(sql)
+        db.load("points", points_rows(next(step), 12, dim=3))
+
+    events = [
+        ("first append", append),
+        ("second append", append),
+        ("insert", lambda: execute(
+            "INSERT INTO points VALUES (5000, 1, 1.5, :v, :w)",
+            {"v": Vector(np.ones(4)), "w": Vector(np.ones(2))})),
+        ("w stops agreeing", lambda: append(w_dim=3)),
+        ("insert select", lambda: execute(
+            "INSERT INTO points SELECT i + 6000, k, x, v, w FROM points WHERE i < 3")),
+        ("delete", lambda: execute("DELETE FROM points WHERE i = 1")),
+        ("refresh incremental", lambda: execute("REFRESH MATERIALIZED VIEW gram")),
+        ("refresh full", lambda: execute("REFRESH MATERIALIZED VIEW per_k")),
+        ("append after refresh", append),
+        ("drop and create the view", lambda: (
+            execute("DROP MATERIALIZED VIEW gram"), execute(MATVIEWS[0]))),
+        ("drop and create the table", recreate_table),
+        ("append to the new table", lambda: append(dim=3)),
+    ]
+    for label, event in events:
+        event()
+        for sql in OUTLIVE:
+            hit = hit_with_fresh_estimates(db, sql, monkeypatch, execute)
+            if sql == GRAM:
+                assert hit.metrics.view_hits == 1, label
+    assert db.plan_cache.stats()["invalidated"] > 0
+
+
+def test_view_answered_reads_skip_compile_after_appends(monkeypatch):
+    """From the second append on, a read answered from an incremental
+    view is a plan-cache hit: no ``Database._compile`` call. The
+    statement that estimates a scan of the table still recompiles — its
+    estimate read the row count the append moved. (A full view over the
+    table would recompute on every append, which stamps its shape.)"""
+    db = points_db()
+    db.execute("DROP MATERIALIZED VIEW per_k")
+    compiles = []
+    compile_ = Database._compile
+
+    def counting(self, statement, *args, **kwargs):
+        compiles.append(statement)
+        return compile_(self, statement, *args, **kwargs)
+
+    monkeypatch.setattr(Database, "_compile", counting)
+    read_gram, recent = parse_statement(GRAM), parse_statement(RECENT)
+    for step in range(4):
+        db.load("points", points_rows(12 * step, 12))
+        del compiles[:]
+        gram = db.execute(GRAM)
+        scan = db.execute(RECENT, {"lo": 12 * step})
+        assert gram.metrics.view_hits == 1
+        assert scan.rows[0][0] == 12
+        assert compiles.count(recent) == 1  # every step
+        if step >= 1:
+            assert compiles.count(read_gram) == 0
+            assert gram.metrics.plan_cached
+
+
+def test_stamps_split_into_shape_and_statistics():
+    """An append moves the table's statistics stamp; its shape stamp
+    moves only when a refined dimension the binder reads changes (the
+    first append, or values that stop agreeing), or when a view over it
+    is rebuilt — one catalog version per statement either way."""
+    db = points_db()
+    catalog = db.catalog
+
+    def stamps():
+        return catalog.stamp("points"), catalog.statistics_stamp("points")
+
+    def load(rows):
+        before, version = stamps(), catalog.version
+        db.load("points", rows)
+        assert catalog.version == version + 1
+        assert stamps()[1] == catalog.version
+        return stamps()[0] != before[0]
+
+    # the first rows fix v's and w's dimensions, and the full view
+    # recomputes (an eager rebuild): shape
+    assert load(points_rows(0, 12))
+    db.execute("DROP MATERIALIZED VIEW per_k")
+    assert not load(points_rows(12, 12))  # the same dimensions: statistics only
+    assert load(points_rows(24, 12, w_dim=3))  # w's lengths stop agreeing
+    assert not load(points_rows(36, 12, w_dim=5))  # and stay unknown
+    # a DELETE rebuilds the incremental view: shape
+    shape = catalog.stamp("points")
+    db.execute("DELETE FROM points WHERE i = 3")
+    assert catalog.stamp("points") > shape
+
+
+@pytest.mark.parametrize("refresh_mode", ["eager", "deferred"])
+def test_a_dml_that_changes_no_row_changes_nothing(refresh_mode):
+    """A DELETE matching nothing, an INSERT ... SELECT of no rows and a
+    load of none keep the statistics, every stamp and the catalog
+    version, and rebuild no view: no statistics pass, no stamp for the
+    plans over the table to miss on, no view maintenance."""
+    db = points_db(refresh_mode)
+    db.load("points", points_rows(0, 12))
+    db.execute("REFRESH MATERIALIZED VIEW per_k")
+    assert db.execute(RECENT, {"lo": 0}).rows[0][0] == 12
+    views = [db.catalog.materialized_view(name) for name in ("gram", "per_k")]
+    refreshes = [view.refresh_count for view in views]
+    version, stats = db.catalog.version, db.catalog.table("points").stats
+    for sql in (
+        "DELETE FROM points WHERE i > 100",
+        "INSERT INTO points SELECT i, k, x, v, w FROM points WHERE i > 100",
+    ):
+        result = db.execute(sql)
+        assert result.metrics.view_refreshes == 0
+    db.load("points", [])
+    assert db.catalog.version == version
+    assert db.catalog.table("points").stats is stats
+    assert [view.refresh_count for view in views] == refreshes
+    assert all(view.fresh for view in views)
+    assert db.execute(RECENT, {"lo": 0}).metrics.plan_cached
+    assert db.execute(PER_K).metrics.view_hits == 1
 
 
 def peak_by_walking_estimates(db, physical):

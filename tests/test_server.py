@@ -183,7 +183,10 @@ def test_fetch_after_session_close_is_410(client):
 def test_ddl_invalidates_wire_cursor(client):
     client.open_session("carol")
     resp = client.query("SELECT i FROM outcomes", session="carol", page_size=4)
+    # DDL elsewhere leaves the cursor paging; DDL on what it read does not
     client.query("CREATE TABLE scratch (j INTEGER)", session="carol")
+    assert len(client.fetch(resp["cursor"])["rows"]) == 4
+    client.query("DROP TABLE outcomes", session="carol")
     with pytest.raises(ServerError) as excinfo:
         client.fetch(resp["cursor"])
     assert excinfo.value.status == 410
