@@ -54,6 +54,15 @@ from .types import Matrix, Vector
 from .views import ViewMatcher, ViewRegistry
 
 
+def _ieee():
+    """Floating-point arithmetic in a statement follows IEEE 754, as
+    Python's own float arithmetic does: an overflow is ``inf``, ``0/0``
+    ``nan`` (docs/SQL.md). numpy's warnings for those are silenced once,
+    at the statement boundary — execution, view maintenance and loads —
+    never per kernel."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 class Result:
     """Rows plus metadata from executing one statement."""
 
@@ -385,7 +394,7 @@ class Database:
     def load(self, name: str, rows: Iterable[Sequence]) -> int:
         """Bulk-load rows (each a sequence of values; numpy arrays become
         vectors/matrices) and refresh the table's statistics."""
-        with self._admission.exclusive():
+        with self._admission.exclusive(), _ieee():
             entry = self.catalog.table(name)
             converted = [
                 tuple(_convert_value(value) for value in row) for row in rows
@@ -533,7 +542,7 @@ class Database:
         if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
             with self._admission.shared():
                 return self._dispatch_statement(statement, params, key)
-        with self._admission.exclusive():
+        with self._admission.exclusive(), _ieee():
             with self._durable_root() as log:
                 result = self._dispatch_statement(statement, params, key)
                 if log:
@@ -862,7 +871,7 @@ class Database:
         # fresh executor so no per-statement state is shared; the
         # template's fault injector is shared so cumulative fault
         # counters stay database-wide.
-        with self._admission.shared():
+        with self._admission.shared(), _ieee():
             executor = self._executor.fresh()
             rows, metrics = executor.run(plan.physical)
             if metrics.trace is not None and self.config.feedback_mode == "on":

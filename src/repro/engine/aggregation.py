@@ -1,37 +1,34 @@
 """The one fold: how an aggregate state advances over a run of rows, and
 how states merge and finish.
 
-Every aggregate is an accumulate/merge pair (:mod:`repro.la.aggregates`)
-so partial aggregation can run before the shuffle (paper sections
-3.2–3.3). This module is the only caller of those pairs, and fixes the
-orders every bit-identity contract rests on (docs/ENGINE.md, "The float
-contract"). *Advance*: a state moves over its group's rows in row
-order. Every aggregate but a fused SUM follows the canonical sequential
-chain ``((s + v0) + v1) + …`` — the ``add`` chain in
+Every aggregate accumulates value by value (:mod:`repro.la.aggregates`)
+and its partial states merge, so partial aggregation can run before the
+shuffle (paper sections 3.2–3.3). This module is the only caller of
+those steps, and fixes the orders every bit-identity contract rests on
+(docs/ENGINE.md, "The float contract"). *Advance*: a state moves over
+its group's rows in row order. Every aggregate but a fused SUM follows
+the canonical sequential chain ``((s + v0) + v1) + …`` — :func:`fold`
+picks the path from the operand's form: the ``add`` chain in
 :func:`fold_groups`, the same chain over tensor blocks in
-:func:`sum_blocks` and over a typed scalar column in
-:func:`fold_column`'s kernels, which work on a
-:class:`~repro.engine.keys.Grouping`'s integer codes. A *fused SUM* —
-SUM over a builtin with a ``block_sum``, ``SUM(outer_product(a, b))`` —
-follows the blocked order instead: fixed steps of :data:`STEP_ROWS`
-rows, one BLAS ``Aₛᵀ Bₛ`` per step, steps added left to right
-(:func:`fused_sums`, :func:`advance`, the one kernel :func:`sum_steps`),
-with the open step's rows carried in its state (:class:`OpenSum`). All
-continue from an optional *carried* state per group, so folding a
-partition in one run or in consecutive runs performs the same
-arithmetic in the same order. *Merge and finish*
+:func:`sum_blocks`, and over a typed scalar column its kernels, which
+work on a :class:`~repro.engine.keys.Grouping`'s integer codes. A
+*fused SUM* — SUM over a builtin with a ``block_sum``,
+``SUM(outer_product(a, b))`` — follows the blocked order instead: fixed
+steps of :data:`STEP_ROWS` rows, one BLAS ``Aₛᵀ Bₛ`` per step, steps
+added left to right (:func:`fused_sums`, :func:`advance`, the one kernel
+:func:`sum_steps`), with the open step's rows carried in its state
+(:class:`OpenSum`). All continue from an optional *carried* state per
+group, so folding a partition in one run or in consecutive runs
+performs the same arithmetic in the same order. *Merge and finish*
 (:func:`final_aggregate`): a state merges into its group as a value is
-added, so each column of partial states is merged in received row order
-by the same canonical chain — by the advance kernels themselves where the
-column is typed and long enough to repay them (:func:`merge_column`: SUM
-and COUNT states through :func:`_chain_sums`, MIN/MAX through
-:func:`_extremes`, a tensor-block SUM through :func:`sum_blocks`), by the
-aggregate's own ``merge`` otherwise (:func:`merge_states`, the row
-oracle's loop) — then finished.
-PartialAggregate and FinalAggregate call these with no carried state;
-a materialized view folds with its stored per-slot states and answers
-through the row merge, which every merge kernel matches bit for bit, so
-view ≡ rescan holds.
+added, so a column of SUM, COUNT, MIN or MAX states is one more
+:func:`fold` — in received row order, under the aggregate's ``merger``
+(COUNT's counts under SUM) — and only AVG pairs, DISTINCT value sets and
+label dicts take the aggregate's own ``merge`` (:func:`merge_states`)
+before ``finish``. PartialAggregate and FinalAggregate call these with
+no carried state; a materialized view folds with its stored per-slot
+states and answers through the row chunk's merge, which the fold over a
+state column matches bit for bit in either form, so view ≡ rescan holds.
 """
 
 from __future__ import annotations
@@ -50,25 +47,20 @@ from .keys import index_list, one_nan
 
 
 def fold_groups(
-    spec, values: Optional[list], group_indices, cost, carried=None
+    aggregate, values: Sequence, group_indices, cost, carried=None, distinct=False
 ) -> list:
-    """Partial-aggregate one column over pre-bucketed groups (each a
-    sequence of ascending row positions) with the aggregate's own ``add``
-    chain, returning one state per group. The row oracle's fold, and the
-    fallback for every column :func:`fold_column` has no kernel for.
-    ``values`` is the list ``RowChunk.values`` returned, or None for
-    ``COUNT(*)``. ``carried`` holds the state each group's chain starts
-    from (None: a fresh one); a DISTINCT state is a value set only
+    """Partial-aggregate Python ``values`` over pre-bucketed groups (each
+    a sequence of ascending row positions) with the aggregate's own
+    ``add`` chain, returning one state per group. The row oracle's fold,
+    and the fallback for every column :func:`fold` has no kernel for.
+    ``carried`` holds the state each group's chain starts from (None: a
+    fresh one); a DISTINCT state is a value set only
     :func:`final_aggregate` folds, and is never carried."""
     states = []
-    aggregate = spec.aggregate
     firsts, streamed = [], []  # per group: its first row, its bytes
     for group, indices in enumerate(group_indices):
-        if values is None:
-            picked = [1] * len(indices)  # COUNT(*) counts a literal
-        else:
-            picked = [values[i] for i in index_list(indices)]
-        if spec.distinct:
+        picked = [values[i] for i in index_list(indices)]
+        if distinct:
             # a value set, every NaN one value (docs/SQL.md)
             state = set(one_nan(value for value in picked if value is not None))
         else:
@@ -111,7 +103,7 @@ def _chain_sums(column, grouping, starts=None):
     comes out ``+0.0``), and ``np.add.reduceat`` / a contiguous
     ``np.add.reduce`` sum pairwise. int64: the same call, eligible only
     while no chain can leave int64 (Python ints do not wrap)."""
-    if column is None or not column.is_numeric:
+    if not column.is_numeric:
         return None
     values, codes, counts = _live(column, grouping)
     kind, fresh = (float, -0.0) if values.dtype == np.float64 else (int, 0)
@@ -130,8 +122,7 @@ def _chain_sums(column, grouping, starts=None):
         buffer = np.array(
             [fresh if start is None else start for start in starts], values.dtype
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python's + is
-        np.add.at(buffer, codes, values)
+    np.add.at(buffer, codes, values)
     return buffer, counts
 
 
@@ -184,7 +175,7 @@ def _extremes(aggregate, column, grouping):
     groups holding a non-NULL value, and those groups — or None: a NaN
     makes the chain's result order-dependent, so a column holding one
     takes the chain."""
-    if column is None or not column.is_numeric:
+    if not column.is_numeric:
         return None
     values, codes, counts = _live(column, grouping)
     if values.dtype == np.float64 and np.isnan(values).any():
@@ -255,25 +246,34 @@ _KERNELS = {
 }
 
 
-def fold_column(spec, column, grouping, cost, carried=None) -> list:
-    """Partial-aggregate a ``ColumnData`` (None: ``COUNT(*)``) over a
-    :class:`~repro.engine.keys.Grouping`: one state per group, each
-    bit-identical to :func:`fold_groups`' chain over the same rows and
-    charged the same streamed bytes (``value_bytes`` per non-NULL value,
-    fixed by a typed column's form). A scalar SUM/AVG/COUNT/MIN/MAX over
-    a typed column is arithmetic on the group codes; every other
-    aggregate or column form is that chain itself."""
-    kernel = None if spec.distinct else _KERNELS.get(spec.aggregate.name)
-    if kernel is not None:
-        states = kernel(spec.aggregate, column, grouping, carried)
-        if states is not None:  # a kernel's column form fixes a value's size
-            nulls = None if column is None else column.nulls
-            live = range(len(grouping.codes)) if nulls is None else ~nulls
-            each = 8.0 if column is None else cell_bytes(column)
-            cost.add("stream_bytes", each, live)
-            return states
-    values = None if column is None else column.pylist()
-    return fold_groups(spec, values, grouping.positions(), cost, carried)
+def fold(aggregate, operand, grouping, cost, carried=None, distinct=False) -> list:
+    """The one fold: a state per group of a
+    :class:`~repro.engine.keys.Grouping` over ``operand`` — a chunk's
+    ``values`` of the aggregate's input, or a column of partial states
+    under their ``merger`` — each continuing from its ``carried`` state
+    when one is given. The operand's form picks the path: SUM over a
+    tensor block goes to :func:`sum_blocks`; SUM/AVG/COUNT/MIN/MAX over a
+    typed column (None: ``COUNT(*)``) to arithmetic on the group codes;
+    Python values, an object column and anything a kernel declines to
+    the ``add`` chain (:func:`fold_groups`). Every path is bit-identical
+    to that chain over the same rows and charged the same streamed bytes
+    (``value_bytes`` per non-NULL value, fixed by a typed column's form)."""
+    if operand is None or isinstance(operand, ColumnData):
+        if aggregate.name == "SUM" and not distinct and operand.is_block:
+            positions = grouping.positions()
+            return sum_blocks(operand.data, operand.nulls, positions, cost, carried)
+        kernel = None if distinct else _KERNELS.get(aggregate.name)
+        if kernel is not None:
+            states = kernel(aggregate, operand, grouping, carried)
+            if states is not None:  # a kernel's column form fixes a value's size
+                nulls = None if operand is None else operand.nulls
+                live = range(len(grouping.codes)) if nulls is None else ~nulls
+                each = 8.0 if operand is None else cell_bytes(operand)
+                cost.add("stream_bytes", each, live)
+                return states
+        operand = operand.pylist()
+    positions = grouping.positions()
+    return fold_groups(aggregate, operand, positions, cost, carried, distinct)
 
 
 def sum_blocks(block, nulls, group_indices, cost, carried=None) -> list:
@@ -496,15 +496,16 @@ _UNSET = object()
 
 
 def merge_states(spec, states: Sequence, grouping, cost) -> list:
-    """One column of partial states (Python values) merged per group in
-    row order through the aggregate's ``merge`` — the row oracle's merge
-    and every other column's fallback — each state charged its
-    ``value_bytes`` (a NULL one 1.0) on its row's slot (integral, so each
-    slot's sum is exact in any order). A DISTINCT spec's value sets are
-    united, re-read through ``one_nan`` (a set that crossed a spill file
-    holds NaN objects of its own). Dict states and value sets merge in
-    place, so a group's first one is copied: the rows stay valid for a
-    retried operator or a view's next answer."""
+    """One column of partial states that are no values — AVG's ``(sum,
+    count)`` pairs, DISTINCT value sets, VECTORIZE/ROWMATRIX/COLMATRIX
+    label dicts — merged per group in row order through the aggregate's
+    ``merge``, each state charged its ``value_bytes`` (a NULL one 1.0) on
+    its row's slot (integral, so each slot's sum is exact in any order).
+    A DISTINCT spec's value sets are united, re-read through ``one_nan``
+    (a set that crossed a spill file holds NaN objects of its own). Dict
+    states and value sets merge in place, so a group's first one is
+    copied: the rows stay valid for a retried operator or a view's next
+    answer."""
     aggregate, merged = spec.aggregate, [_UNSET] * len(grouping)
     for state, group in zip(states, grouping.codes.tolist()):
         held = merged[group]
@@ -521,69 +522,37 @@ def merge_states(spec, states: Sequence, grouping, cost) -> list:
     return merged
 
 
-#: scalar states below which a merge takes the loop: a kernel's numpy
-#: calls cost 7–14 µs a column whatever its length, the loop ~0.4 µs a
-#: state, level at about this many (a gathered scalar aggregate merges
-#: one state per slot). A constant, never a knob: the path is a function
-#: of the column alone
-MERGE_KERNEL_STATES = 16
-
-
-def merge_column(spec, column, grouping, cost) -> Optional[ColumnData]:
-    """:func:`merge_states` of a ``ColumnData``, finished (SUM, COUNT,
-    MIN and MAX finish a state as it is), by the partial aggregate's own
-    fold — a state merges into its group as a value is added: SUM, COUNT
-    and MIN/MAX states in a typed column take :func:`fold_column`'s
-    kernels, a tensor-block SUM state :func:`sum_blocks`, each charged
-    ``value_bytes`` per state. None, for that loop, where the column
-    holds a NULL state (charged 1.0 there, skipped by a kernel), a NaN
-    extreme (the kernel then declines), no typed or block form, or fewer
-    than :data:`MERGE_KERNEL_STATES` scalar states."""
-    name = spec.aggregate.name
-    if column.nulls is not None or spec.distinct:
-        return None
-    if column.is_block:
-        if name != "SUM":
-            return None
-        return ColumnData.from_values(
-            sum_blocks(column.data, None, grouping.positions(), cost)
-        )
-    if len(column) < MERGE_KERNEL_STATES:
-        return None
-    if name in ("SUM", "COUNT"):  # a COUNT's states are int64 counts
-        merged = _chain_sums(column, grouping)
-    elif name in ("MIN", "MAX"):
-        merged = _extremes(spec.aggregate, column, grouping)
-    else:
-        return None
-    if merged is None:
-        return None
-    cost.add("stream_bytes", cell_bytes(column), range(len(column)))
-    return ColumnData(merged[0])
-
-
 def final_aggregate(
     specs: Sequence, grouping, columns: Sequence, cost, scalar_on_empty: bool = False
 ) -> Tuple[List[Sequence], np.ndarray]:
     """FinalAggregate's merge of ``columns``, one of partial states per
     spec — each a ``ColumnData`` or a row chunk's Python values — per
     group of ``grouping`` (over a stage, with ``cost`` a ledger over its
-    offsets, ``(slot, key)`` groups): :func:`merge_column` where it
-    applies, else :func:`merge_states` and ``finish``, a DISTINCT value
-    set folded through the ``add`` chain first. Returns one output column
-    per spec and each group's first row. ``scalar_on_empty`` with no rows
-    yields SQL's one row over empty input, every aggregate finished from
+    offsets, ``(slot, key)`` groups). A state merges into its group as a
+    value is added, so a column whose aggregate has a ``merger`` is
+    folded under it (:func:`fold`, in received row order), each NULL
+    state charged the ``value_bytes`` a fold skips; the rest go through
+    :func:`merge_states` and ``finish``, a DISTINCT value set folded
+    through the ``add`` chain first. Returns one output column per spec
+    and each group's first row. ``scalar_on_empty`` with no rows yields
+    SQL's one row over empty input, every aggregate finished from
     ``create()``, as if at row 0."""
     out: List[Sequence] = []
     for spec, column in zip(specs, columns):
+        aggregate = spec.aggregate
+        merger = None if spec.distinct else aggregate.merger
+        if merger is not None:
+            if isinstance(column, ColumnData):
+                nulls = column.nulls
+            else:
+                nulls = [i for i, state in enumerate(column) if state is None] or None
+            if nulls is not None:
+                cost.add("stream_bytes", value_bytes(None), nulls)
+            out.append(fold(merger, column, grouping, cost))
+            continue
         if isinstance(column, ColumnData):
-            merged = merge_column(spec, column, grouping, cost)
-            if merged is not None:
-                out.append(merged)
-                continue
             column = column.pylist()
         merged = merge_states(spec, column, grouping, cost)
-        aggregate = spec.aggregate
         if spec.distinct:
             fresh = aggregate.create
             merged = [reduce(aggregate.add, values, fresh()) for values in merged]

@@ -52,14 +52,7 @@ from ..la.aggregates import SumAggregate
 from ..plan.expressions import ColumnVar, EvalCost, FuncExpr, slot_sums
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
-from .aggregation import (
-    final_aggregate,
-    fold_column,
-    fold_groups,
-    fused_sums,
-    sum_blocks,
-    tile_extremes,
-)
+from .aggregation import final_aggregate, fold, fused_sums, tile_extremes
 from .cluster import (
     ROW_OVERHEAD_BYTES,
     cell_bytes,
@@ -240,8 +233,10 @@ class RowChunk:
         positions), over ``spec.arg`` evaluated on this chunk (None:
         ``COUNT(*)``), each continuing from its ``carried`` state when
         one is given. A fused SUM stacks each call's checked arguments
-        and folds them with the batch kernel's steps (``fused_sums``)."""
-        groups = Grouping.of(grouping, len(self)).positions()
+        and folds them with the batch kernel's steps (``fused_sums``);
+        every other aggregate folds its Python values through ``fold``
+        (``COUNT(*)`` counts a literal 1 per row)."""
+        grouping = Grouping.of(grouping, len(self))
         call = fused_call(spec)
         if call is not None:
             calls = self._each_row(cost, call.call_args)
@@ -250,17 +245,18 @@ class RowChunk:
                 for i in call.operand_args
             ]
             valid = np.array([values is not None for values in calls], dtype=bool)
+            groups = grouping.positions()
             return fused_sums(call, operands, valid, groups, cost, carried)
-        values = None if spec.arg is None else self.values(spec.arg, cost)
-        return fold_groups(spec, values, groups, cost, carried)
+        values = [1] * len(self) if spec.arg is None else self.values(spec.arg, cost)
+        return fold(spec.aggregate, values, grouping, cost, carried, spec.distinct)
 
     def final_aggregate(
         self, column_ids, specs, key_count: int, cost, scalar_on_empty=False
     ) -> Tuple["RowChunk", np.ndarray]:
         """FinalAggregate over rows of ``key + partial states``: the keys
         under the ``dict`` loop, each state column merged row by row
-        (``final_aggregate``). The finished rows and each group's first
-        row."""
+        (``final_aggregate``: the ``add`` chain over Python values). The
+        finished rows and each group's first row."""
         columns = list(zip(*self._rows)) or [()] * (key_count + len(specs))
         grouping = HashedKeys(columns[:key_count], len(self), cost.offsets).grouping()
         states, first = final_aggregate(
@@ -466,36 +462,26 @@ class Batch:
         ``COUNT(*)``), each continuing from its ``carried`` state when
         one is given. A fused SUM (``outer_product``) folds the argument
         rows — blocks or object columns — in ``fused_sums``' steps, never
-        materializing a result cell; SUM over a tensor block is one
-        ``sum_block`` per group, and every other column goes to
-        ``fold_column``: arithmetic on the group codes where the column
-        is typed, the ``add`` chain where it is not."""
+        materializing a result cell; every other column goes to ``fold``,
+        which picks its path from the column's form."""
         grouping = Grouping.of(grouping, self.length)
-        if spec.arg is None:
-            return fold_column(spec, None, grouping, cost, carried)
         call = fused_call(spec)
         if call is not None:
             operands, valid = call.sum_operands(self, cost)
             return fused_sums(
                 call, operands, valid, grouping.positions(), cost, carried
             )
-        column = self.values(spec.arg, cost)
-        if column.is_block and not spec.distinct and isinstance(
-            spec.aggregate, SumAggregate
-        ):
-            return sum_blocks(
-                column.data, column.nulls, grouping.positions(), cost, carried
-            )
-        return fold_column(spec, column, grouping, cost, carried)
+        column = None if spec.arg is None else self.values(spec.arg, cost)
+        return fold(spec.aggregate, column, grouping, cost, carried, spec.distinct)
 
     def final_aggregate(
         self, column_ids, specs, key_count: int, cost, scalar_on_empty=False
     ) -> Tuple["Batch", np.ndarray]:
         """FinalAggregate over columns of ``key + partial states``: typed
         keys grouped by their codes, each state column merged by the
-        partial aggregate's kernels where its form allows
-        (``final_aggregate``). The finished groups as columns and each
-        group's first row."""
+        partial aggregate's fold, which takes its kernels where the
+        column's form allows (``final_aggregate``). The finished groups
+        as columns and each group's first row."""
         key_columns = self.columns[:key_count]
         grouping = typed_keys(key_columns, self.length, cost.offsets).grouping()
         states, first = final_aggregate(
@@ -858,7 +844,7 @@ class PairStage:
             states.append(folded)
             live.append(self._kept(valid))
         for valid in live:
-            # what fold_column charges the joined column: each non-NULL value
+            # what fold charges the joined column: each non-NULL value
             cost.add("stream_bytes", 8.0, valid)
         groups = slot_sums(offsets, grouping.first).tolist()
         return grouping.keys, states, groups

@@ -14,12 +14,15 @@ Three special aggregates construct tensors from labeled parts (section
   the row named by its label;
 * ``COLMATRIX`` does the same with columns.
 
-Labels are 1-based. Every aggregate is implemented as a pair of
-*accumulate* and *merge* steps so the engine can run distributed
-partial aggregation before the shuffle. This module defines the pairs
-(and ``sum_block``, SUM's order-preserving form over a tensor block);
-the order they are applied in is decided by their only caller,
-:mod:`repro.engine.aggregation`.
+Labels are 1-based. Every aggregate accumulates a state value by value
+(``add``), and its partial states merge so the engine can run
+distributed partial aggregation before the shuffle. A state that is a
+value merges as a value is added: each aggregate names the aggregate
+whose ``add`` chain merges its states (``merger``), and only states
+that are no value — AVG's pairs, the label dicts — keep a ``merge`` of
+their own. This module defines those steps (and ``sum_block``, SUM's
+order-preserving form over a tensor block); the order they are applied
+in is decided by their only caller, :mod:`repro.engine.aggregation`.
 """
 
 from __future__ import annotations
@@ -63,8 +66,13 @@ class Aggregate:
     def add(self, state, value):
         raise NotImplementedError
 
-    def merge(self, left, right):
-        raise NotImplementedError
+    @property
+    def merger(self) -> Optional["Aggregate"]:
+        """The aggregate whose ``add`` chain merges this one's partial
+        states, each state added as a value and the merged state finished
+        as it is — SUM, MIN and MAX by their own — or None where a state
+        is no value and ``merge`` unites two."""
+        return self
 
     def finish(self, state):
         return state
@@ -93,8 +101,6 @@ class SumAggregate(Aggregate):
         if value is None:
             return state
         return value if state is None else state + value
-
-    merge = add
 
 
 def check_carried(start: np.ndarray, cell_shape: tuple) -> None:
@@ -137,11 +143,11 @@ class CountAggregate(Aggregate):
     def create(self):
         return 0
 
+    #: a COUNT state is a count: states merge as SUM adds them
+    merger = SumAggregate()
+
     def add(self, state, value):
         return state + (0 if value is None else 1)
-
-    def merge(self, left, right):
-        return left + right
 
 
 class MinAggregate(Aggregate):
@@ -190,8 +196,6 @@ class MinAggregate(Aggregate):
             return state
         return value if state is None else self._pick_pair(state, value)
 
-    merge = add
-
 
 class MaxAggregate(MinAggregate):
     name = "MAX"
@@ -203,6 +207,7 @@ class AvgAggregate(Aggregate):
     aggregated before the shuffle."""
 
     name = "AVG"
+    merger = None
 
     def result_type(self, arg_type: DataType) -> DataType:
         if isinstance(arg_type, (IntegerType, DoubleType, LabeledScalarType)):
@@ -238,6 +243,7 @@ class VectorizeAggregate(Aggregate):
     """Build a VECTOR from LABELED_SCALAR values (paper section 3.3)."""
 
     name = "VECTORIZE"
+    merger = None
 
     def result_type(self, arg_type: DataType) -> DataType:
         if not isinstance(arg_type, LabeledScalarType):
@@ -284,6 +290,7 @@ class _MatrixFromVectors(Aggregate):
 
     #: 'row' or 'col'
     orientation = "row"
+    merger = None
 
     def result_type(self, arg_type: DataType) -> DataType:
         if not isinstance(arg_type, VectorType):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Optional
 
-from ..errors import TypeCheckError
+from ..errors import ExecutionError, TypeCheckError
 from ..types import (
     BOOLEAN,
     DOUBLE,
@@ -30,10 +30,15 @@ COMPARISON_OPS = {"=", "<>", "!=", "<", ">", "<=", ">="}
 
 def _div(left, right):
     """SQL-style division: integer/integer truncates toward zero, exactly
-    what the paper's blocking query ``x.id/1000 = ind.mi`` relies on."""
-    if isinstance(left, int) and isinstance(right, int):
-        quotient = abs(left) // abs(right)
-        return quotient if (left >= 0) == (right >= 0) else -quotient
+    what the paper's blocking query ``x.id/1000 = ind.mi`` relies on. A
+    scalar divided by zero is an ``ExecutionError``; a tensor operand
+    keeps IEEE ``inf``/``nan`` (docs/SQL.md)."""
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        if right == 0:
+            raise ExecutionError("division by zero")
+        if isinstance(left, int) and isinstance(right, int):
+            quotient = abs(left) // abs(right)
+            return quotient if (left >= 0) == (right >= 0) else -quotient
     return left / right
 
 

@@ -443,7 +443,7 @@ class BinaryExpr(TypedExpr):
         right = np.where(valid, right, 1 if self.op == "/" else 0)
         if self.op == "/":
             if np.any(right[valid] == 0):
-                return None  # Python raises ZeroDivisionError per row
+                return None  # the per-row ``_div`` raises ExecutionError
             if not both_int:
                 return left / right
             if not (

@@ -19,9 +19,10 @@ stored state is the carried state of the chunk's ``partial_aggregate``
 the per-slot states in ascending slot order — the PartialAggregate →
 gather → FinalAggregate pipeline with the scan replaced by stored
 states. It is the row chunk's merge (a handful of states, converted to
-no column), which a rescan in row mode runs too and every batch merge
-kernel matches bit for bit, so answering from the view is bit-identical
-to rescanning. What stays here is view-specific: classification,
+no column): the same fold a rescan's FinalAggregate makes over its
+state column in either mode, the ``add`` chain here and the kernels a
+batch column takes, which match it bit for bit — so answering from the
+view is bit-identical to rescanning. What stays here is view-specific: classification,
 cursors, counters, locking.
 
 Everything else (GROUP BY, DISTINCT, joins, subqueries, ORDER BY, ...)

@@ -1,6 +1,8 @@
 """Tests for aggregate functions, including VECTORIZE / ROWMATRIX /
 COLMATRIX (paper section 3.3)."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -37,9 +39,11 @@ def run_distributed(agg_name, partitions):
         for value in part:
             state = agg.add(state, value)
         partials.append(state)
-    merged = partials[0]
-    for other in partials[1:]:
-        merged = agg.merge(merged, other)
+    merger = agg.merger
+    if merger is None:  # pairs and label dicts: the aggregate's own merge
+        merged = reduce(agg.merge, partials)
+    else:  # a state merges into its group as a value is added
+        merged = reduce(merger.add, partials, merger.create())
     return agg.finish(merged)
 
 
@@ -119,6 +123,26 @@ class TestCountMinMaxAvg:
 
     def test_avg_distributed(self):
         assert run_distributed("AVG", [[1, 2], [3, 4, 5]]) == 3.0
+
+    def test_count_min_max_distributed(self):
+        parts = [[1, None, 7], [], [None], [4, 2]]
+        assert run_distributed("COUNT", parts) == 4
+        assert run_distributed("MIN", parts[:3]) == 1
+        assert run_distributed("MAX", parts) == 7
+
+    def test_merge_rule_is_declared_once(self):
+        """A state that is a value merges as a value is added: SUM, MIN
+        and MAX by their own ``add``, COUNT's counts by SUM's; AVG pairs
+        and the label dicts keep a ``merge`` of their own."""
+        mergers = {
+            name: lookup_aggregate(name).merger
+            for name in ("SUM", "COUNT", "MIN", "MAX", "AVG", "VECTORIZE",
+                         "ROWMATRIX", "COLMATRIX")
+        }
+        assert {name: merger and merger.name for name, merger in mergers.items()} == {
+            "SUM": "SUM", "COUNT": "SUM", "MIN": "MIN", "MAX": "MAX", "AVG": None,
+            "VECTORIZE": None, "ROWMATRIX": None, "COLMATRIX": None,
+        }
 
     def test_avg_empty_is_null(self):
         assert run("AVG", []) is None

@@ -149,6 +149,82 @@ class TestRuntimeFailures:
             db.execute("SELECT matrix_inverse(mat) FROM sing")
 
 
+class TestArithmeticFailures:
+    """A scalar divided by zero is a structured ``ExecutionError`` in both
+    modes; every other floating-point exception is IEEE 754's answer
+    (docs/SQL.md), with no numpy warning escaping a statement."""
+
+    @pytest.fixture(params=["row", "batch"])
+    def mode_db(self, request):
+        database = Database(TEST_CLUSTER, execution_mode=request.param)
+        database.execute("CREATE TABLE z (i INTEGER, x DOUBLE, vec VECTOR[2])")
+        database.load(
+            "z",
+            [(0, 1e308, np.array([1.0, 0.0])), (2, -1e308, np.array([0.0, -2.0]))],
+        )
+        return database
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT x / 0.0 FROM z",
+            "SELECT 1 / i FROM z",
+            "SELECT x / i FROM z",
+            "SELECT i FROM z WHERE 1.0 / (i - 2) > 0.0",
+            "INSERT INTO z VALUES (1, 1.0 / 0, NULL)",
+        ],
+    )
+    def test_scalar_division_by_zero_is_an_execution_error(self, mode_db, sql):
+        with pytest.raises(ExecutionError, match="division by zero"):
+            mode_db.execute(sql)
+
+    def test_tensor_division_by_zero_keeps_ieee(self, mode_db):
+        rows = mode_db.execute("SELECT i, vec / 0.0, 1.0 / vec FROM z ORDER BY i").rows
+        quotients = [value.data.tolist() for row in rows for value in row[1:]]
+        assert str(quotients) == str(
+            [[np.inf, np.nan], [1.0, np.inf], [np.nan, -np.inf], [np.inf, -0.5]]
+        )
+
+    def test_overflow_is_silent_and_mode_independent(self):
+        """Under ``warnings.simplefilter("error")`` overflowing tensor and
+        scalar statements return, bit for bit, the same rows in row and
+        batch mode."""
+        import warnings
+
+        statements = (
+            "SELECT i, x * 10.0, vec * 1e308 * 10.0, x - x * 10.0 FROM z ORDER BY i",
+            "SELECT SUM(x * 10.0), SUM(vec * 1e308 * 10.0), SUM(x), MIN(x * 10.0) "
+            "FROM z",
+            "SELECT i, inner_product(vec * 1e308, vec * 1e308) FROM z ORDER BY i",
+            "SELECT i, SUM(outer_product(vec * 1e308, vec * 1e308)) FROM z "
+            "GROUP BY i ORDER BY i",
+        )
+        seen = []
+        for mode in ("row", "batch"):
+            database = Database(TEST_CLUSTER, execution_mode=mode)
+            database.execute("CREATE TABLE z (i INTEGER, x DOUBLE, vec VECTOR[2])")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                database.load(
+                    "z",
+                    [(0, 1e308, np.array([1.0, 0.0])),
+                     (2, -1e308, np.array([0.0, -2.0]))],
+                )
+                seen.append([
+                    [
+                        tuple(
+                            value.data.tobytes() if hasattr(value, "data")
+                            else float(value).hex()
+                            for value in row
+                        )
+                        for row in database.execute(sql).rows
+                    ]
+                    for sql in statements
+                ])
+        assert seen[0] == seen[1]
+        assert float("inf").hex() in seen[1][0][0]
+
+
 class TestRepeatability:
     def test_same_query_same_metrics(self, db):
         first = db.execute("SELECT id, SUM(v) FROM t GROUP BY id")

@@ -1309,7 +1309,7 @@ class TestKeyKernelsAgree:
                 spec = _spec(name, ColumnVar(1, column_type, "x"))
                 for start in (None, carried):
                     want = fold_groups(
-                        spec, values, grouping.positions(), EvalCost(), start
+                        spec.aggregate, values, grouping.positions(), EvalCost(), start
                     )
                     got = batch.partial_aggregate(spec, grouping, EvalCost(), start)
                     assert _exact(got) == _exact(want), (column_type, name, start)
@@ -1321,10 +1321,9 @@ class TestKeyKernelsAgree:
         read no key or aggregate-argument column back as Python values,
         hash each distinct key once and never enter ``fold_groups``; over
         an object key column (NULL-bearing) they do — the fallback is
-        alive. Either way no state but AVG's — or a handful, below
-        ``MERGE_KERNEL_STATES`` — takes the row merge (``merge_states``):
-        the states are typed. Nor does any key kernel pay a
-        comparison sort that the key's form avoids: no ``np.lexsort``, no
+        alive. Either way no state but AVG's takes the row merge
+        (``merge_states``): the states are typed. Nor does any key kernel
+        pay a comparison sort that the key's form avoids: no ``np.lexsort``, no
         ``np.unique(return_index=True)`` (a stable mergesort), no stable
         sort of more than 16 ``int64`` (a narrow span sorts as
         ``uint16``); a float GROUP BY key still takes ``np.unique``."""
@@ -1405,10 +1404,7 @@ class TestKeyKernelsAgree:
                 assert evaluated
                 assert fell_back() == null_key, sql
                 assert bool(folds) == (null_key and "SUM" in sql), sql
-                assert all(
-                    name == "AVG" or count < aggregation.MERGE_KERNEL_STATES
-                    for name, count in merged
-                ), sql
+                assert all(name == "AVG" for name, _ in merged), sql
                 assert ("AVG" in {name for name, _ in merged}) == ("AVG" in sql)
                 assert max(sorts, default=0) <= 16, sql
                 assert not any(index for _, index in uniqued), sql
@@ -1447,8 +1443,10 @@ class TestFusedSum:
         every door calls the one kernel, so pin it: ``sum_steps`` runs for
         a batch block column, a batch object column (labelled vectors), a
         ``RowChunk``, a view's fold and a view's answer — and no fused SUM
-        reaches ``SumAggregate.add`` (the sequential chain)."""
-        from repro.engine import aggregation
+        enters ``SumAggregate.add`` (the sequential chain) in
+        PartialAggregate or in a view's fold. The merge of finished cells
+        (FinalAggregate, a view's answer) is that chain, and always was."""
+        from repro.engine import aggregation, storage
         from repro.engine.aggregation import STEP_ROWS
         from repro.la.aggregates import SumAggregate
 
@@ -1458,10 +1456,21 @@ class TestFusedSum:
             "sum_steps",
             lambda *args: calls.append(args) or kernel(*args),
         )
+        merging, merge, add = [], storage.final_aggregate, SumAggregate.add
+
+        def merged(*args, **kwargs):
+            merging.append(1)
+            try:
+                return merge(*args, **kwargs)
+            finally:
+                merging.pop()
 
         def chain(self, state, value):
-            raise AssertionError("a fused SUM reached the add chain")
+            if not merging:
+                raise AssertionError("a fused SUM reached the add chain")
+            return add(self, state, value)
 
+        monkeypatch.setattr(storage, "final_aggregate", merged)
         monkeypatch.setattr(SumAggregate, "add", chain)
         v = ColumnVar(1, VectorType(3), "v")
         spec = _spec("SUM", FuncExpr(lookup("outer_product"), [v, v]))
@@ -1750,11 +1759,13 @@ def _stage_db(slots, mode="batch", **config):
     db.load("p", [(None if i % 7 == 3 else i // 2, i * 0.25) for i in range(30)])
     # ``MERGE_STATEMENTS``' partial states: all -0.0 (``nz``), ±0.0 by
     # row (``pz``), NaN (``w``), NULL-only on all but one slot (group 2 of
-    # ``y``), int64 near 2**63 in sum (``big``)
+    # ``y`` and ``v``), int64 near 2**63 in sum (``big``), tensor cells
+    # (``v``) and STRING (``s``)
     db.create_table(
         "m",
         [("g", "INTEGER"), ("nz", "DOUBLE"), ("pz", "DOUBLE"), ("n", "INTEGER"),
-         ("w", "DOUBLE"), ("y", "DOUBLE"), ("big", "INTEGER")],
+         ("w", "DOUBLE"), ("y", "DOUBLE"), ("big", "INTEGER"), ("v", "VECTOR[]"),
+         ("s", "STRING")],
     )
     db.load(
         "m",
@@ -1762,7 +1773,9 @@ def _stage_db(slots, mode="batch", **config):
             (i % 3, -0.0, 0.0 if i % 2 else -0.0, i % 2 - 1,
              nan if i % 6 == 0 else i * 0.5,
              None if i % 3 == 2 and i != 5 else i * 0.25,
-             2**61 + i)
+             2**61 + i,
+             None if i % 3 == 2 and i != 5 else Vector([i % 7 - 3.0, -0.0]),
+             "abc"[i % 3] * (i % 4))
             for i in range(40)
         ],
     )
@@ -1961,13 +1974,12 @@ class TestStages:
         """FinalAggregate makes one ``final_aggregate`` call over its
         stage, grouped by (slot, key), and typed SUM, COUNT, MIN and MAX
         states and tensor-block SUM states merge by the partial
-        aggregate's kernels. A silent fall back would keep every result
-        right and only lose the speed, so pin the path: over typed columns
-        no statement enters the ``dict`` grouping of a key
-        (``HashedKeys.grouping``), and only a merge of fewer scalar states
-        than ``MERGE_KERNEL_STATES`` (a scalar aggregate gathered from 4
-        slots) enters the row merge (``merge_states``) — the only caller
-        of ``value_bytes`` here."""
+        aggregate's kernels, however few states a column holds. A silent
+        fall back would keep every result right and only lose the speed,
+        so pin the path: over typed columns no statement enters the
+        ``dict`` grouping of a key (``HashedKeys.grouping``) or the row
+        merge (``merge_states``), and no state is sized one by one
+        (``value_bytes``)."""
         from repro.engine import aggregation, storage
 
         calls, loops, sized, hashed = [], [], [], []
@@ -2011,11 +2023,7 @@ class TestStages:
                 result = db.execute(sql)
                 assert len(result.rows) == (16 if "GROUP" in sql else 1), sql
                 assert grew == [1], (slots, sql, grew)
-                few = slots < aggregation.MERGE_KERNEL_STATES and "k," not in sql
-                assert [len(states) for _, states, *_ in loops] == (
-                    [slots] * 3 if few and "MAX(n)" in sql else []
-                ), (slots, sql)
-                assert len(sized) == sum(len(states) for _, states, *_ in loops)
+                assert not loops and not sized, (slots, sql)
                 assert not any(keys.columns for keys, *_ in hashed), (slots, sql)
 
     @pytest.mark.parametrize(
@@ -2033,21 +2041,21 @@ class TestStages:
             ("MAX(w)", "MAX", ""),
             ("MIN(v)", "MIN", ""),  # element-wise over VECTOR cells
             ("MIN(s)", "MIN", ""),  # STRING
-            # one key: one state per slot, fewer than MERGE_KERNEL_STATES
+            # one key: one state per slot
             ("MAX(z)", "MAX", "WHERE k = 0"),
         ],
     )
     def test_every_merge_fallback_is_named(
         self, monkeypatch, aggregate, merged, where
     ):
-        """Each state column without a merge kernel takes the row merge
-        (``merge_states``), named here by its aggregate, beside a typed
-        SUM that never does: AVG's ``(sum, count)`` pairs, DISTINCT value
-        sets, VECTORIZE/ROWMATRIX/COLMATRIX dicts, a NULL state (charged
-        ``value_bytes(None)``, which the kernels skip), a NaN extreme (the
-        chain's answer depends on where it sits), tensor MIN/MAX, object
-        states, and too few states to repay a kernel's fixed cost. The rows
-        and charges stay the row oracle's."""
+        """Only states that are no values take the row merge
+        (``merge_states``), named here by their aggregate: AVG's ``(sum,
+        count)`` pairs, DISTINCT value sets and VECTORIZE/ROWMATRIX/
+        COLMATRIX label dicts. Every other column — a NULL state (charged
+        ``value_bytes(None)`` beside the fold), a NaN extreme, tensor or
+        STRING extremes, one state per slot — and the typed SUM beside it
+        fold under the aggregate's ``merger`` and never enter it. The
+        rows and charges stay the row oracle's."""
         from repro.engine import aggregation
 
         loops = []
@@ -2079,7 +2087,8 @@ class TestStages:
             result = db.execute(sql)
             if mode == "batch":
                 names = {spec.aggregate.name for spec in loops}
-                assert names == {merged} | ({"SUM"} if where else set()), names
+                fallback = "DISTINCT" in aggregate or merged in MERGE_FALLBACKS
+                assert names == ({merged} if fallback else set()), names
             seen.append((
                 list(map(_stage_cell, result.rows)),
                 [
@@ -2130,6 +2139,11 @@ class TestStages:
             assert len(calls) == 1, (slots, calls)
 
 
+#: the aggregates whose states are no values — pairs and label dicts —
+#: and so, with DISTINCT's value sets, the only ones FinalAggregate merges
+#: through ``merge_states``
+MERGE_FALLBACKS = {"AVG", "VECTORIZE", "ROWMATRIX", "COLMATRIX"}
+
 #: FinalAggregate merges, each a case of the float and charge contract
 #: the merge kernels keep (over table ``m`` of :func:`_stage_db`)
 MERGE_STATEMENTS = (
@@ -2146,28 +2160,24 @@ MERGE_STATEMENTS = (
     # int64 SUMs whose merge crosses 2**63 (and COUNTs beside them)
     "SELECT g, SUM(big), COUNT(big) FROM m GROUP BY g",
     "SELECT SUM(big), COUNT(*) FROM m",
+    # tensor (element-wise, NULL-only on some slots) and STRING extremes
+    "SELECT g, MIN(v), MAX(v), MIN(s), MAX(s) FROM m GROUP BY g",
+    # one key: one state per slot
+    "SELECT g, MAX(pz), SUM(nz), COUNT(y), MIN(w) FROM m WHERE g = 1 GROUP BY g",
     # SQL's one row over empty input
     "SELECT SUM(nz), COUNT(*), MIN(pz), MAX(big), AVG(w) FROM m WHERE g < 0",
 )
 
 
 class TestMergeKernels:
-    """FinalAggregate merges typed state columns with the partial
-    aggregate's kernels and everything else with the row merge; the row
-    oracle always merges row by row. At every cluster shape the two must
-    agree on every row, by bits, and every charge — with the kernels
-    taking every typed column (``MERGE_KERNEL_STATES`` 1) and at the
-    shipped threshold."""
+    """FinalAggregate folds a column of SUM, COUNT, MIN or MAX states as
+    PartialAggregate folds values — by the kernels where the column is
+    typed, whatever its length — and the row oracle by the ``add`` chain.
+    At every cluster shape the two must agree on every row, by bits, and
+    every charge."""
 
-    @pytest.mark.parametrize("kernel_states", [1, None])
     @pytest.mark.parametrize("slots", STAGE_SLOTS)
-    def test_merge_kernels_agree_with_the_row_merge(
-        self, monkeypatch, slots, kernel_states
-    ):
-        from repro.engine import aggregation
-
-        if kernel_states is not None:
-            monkeypatch.setattr(aggregation, "MERGE_KERNEL_STATES", kernel_states)
+    def test_merge_kernels_agree_with_the_row_merge(self, slots):
         row, batch = (
             _stage_run(slots, mode, statements=MERGE_STATEMENTS)
             for mode in ("row", "batch")

@@ -9,6 +9,7 @@ same rows as the unoptimized canonical plan.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -134,9 +135,7 @@ class TestAggregateProperties:
             for value in values[start : start + chunk]:
                 state = agg.add(state, value)
             partials.append(state)
-        merged = partials[0]
-        for other in partials[1:]:
-            merged = agg.merge(merged, other)
+        merged = reduce(agg.merger.add, partials, agg.merger.create())
         assert agg.finish(merged) == pytest.approx(serial, rel=1e-9, abs=1e-6)
 
     @given(st.lists(st.tuples(st.integers(1, 10), finite), min_size=1, max_size=20))

@@ -519,6 +519,20 @@ def test_job_error_surfaces_structured_payload(client):
     client.delete_job(job_id)
 
 
+def test_division_by_zero_is_an_execution_error(client):
+    """A scalar divided by zero is the engine's structured error on the
+    wire and in a job — never the catch-all ``internal``."""
+    with pytest.raises(ServerError) as excinfo:
+        client.query("SELECT 1 / (i - i) FROM points")
+    assert excinfo.value.code == "execution_error"
+    assert "division by zero" in str(excinfo.value)
+    job_id = client.submit_job("SELECT y_i / 0.0 FROM outcomes")
+    poll = wait_job(client, job_id)
+    assert poll["state"] == "error"
+    assert poll["error"]["code"] == "execution_error"
+    client.delete_job(job_id)
+
+
 def test_job_result_streams_in_pages(client):
     job_id = client.submit_job("SELECT i, y_i FROM outcomes", page_size=10)
     poll = wait_job(client, job_id)
