@@ -1783,15 +1783,21 @@ def _stage_db(slots, mode="batch", **config):
 
 
 def _stage_run(
-    slots, mode, fault_plan=None, storage="memory", statements=STAGE_STATEMENTS
+    slots,
+    mode,
+    fault_plan=None,
+    storage="memory",
+    statements=STAGE_STATEMENTS,
+    budget=64.0,
 ):
     """Every statement's rows in order and every field of every operator
     — ``slot_seconds`` by ``float.hex`` — on ``slots`` slots. In disk
-    mode a 64-byte working-memory budget makes every sizeable state
-    spill, so build sides and exchanged slots cross spill files."""
+    mode a ``budget``-byte working-memory budget (64 by default) makes
+    every sizeable state spill, so build sides and exchanged slots cross
+    spill files."""
     config = {"fault_plan": fault_plan}
     if storage == "disk":
-        config.update(storage_mode="disk", buffer_pool_bytes=64.0)
+        config.update(storage_mode="disk", buffer_pool_bytes=budget)
     db = _stage_db(slots, mode, **config)
     out = []
     for sql in statements:
@@ -2174,16 +2180,30 @@ class TestMergeKernels:
     PartialAggregate folds values — by the kernels where the column is
     typed, whatever its length — and the row oracle by the ``add`` chain.
     At every cluster shape the two must agree on every row, by bits, and
-    every charge."""
+    every charge — with the states held in memory (``spill_budget``
+    None) and with every partial state crossing disk-mode spill files on
+    its way to the merge (a 1-byte working-memory budget)."""
 
+    @pytest.mark.parametrize("spill_budget", [1, None])
     @pytest.mark.parametrize("slots", STAGE_SLOTS)
-    def test_merge_kernels_agree_with_the_row_merge(self, slots):
+    def test_merge_kernels_agree_with_the_row_merge(self, slots, spill_budget):
+        storage = "memory" if spill_budget is None else "disk"
         row, batch = (
-            _stage_run(slots, mode, statements=MERGE_STATEMENTS)
+            _stage_run(
+                slots,
+                mode,
+                storage=storage,
+                statements=MERGE_STATEMENTS,
+                budget=spill_budget,
+            )
             for mode in ("row", "batch")
         )
         for sql, want, got in zip(MERGE_STATEMENTS, row, batch):
-            assert want == got, (slots, sql)
+            assert want == got, (slots, spill_budget, sql)
+        if spill_budget is not None:
+            # the partial states spill, and cross the exchange by spill files
+            assert _spilled(batch, "PartialAggregate"), slots
+            assert _spilled(batch, "Exchange"), slots
         (sums, _, _), (total, _, _) = batch[:2]
         # -0.0 survives the merge: no +0.0 start anywhere in the chain
         assert {cell[1] for cell in sums} == {_exact(-0.0)}
