@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import ClusterConfig
 from ..db import Database, Result
-from ..engine.cluster import stable_hash
+from ..engine.cluster import exact_hash
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def digest(results: Sequence[Result]) -> List[List[int]]:
     """Order-insensitive fingerprint of each statement's rows, for the
     bit-identity comparisons between configurations."""
     return [
-        sorted(stable_hash(tuple(row)) for row in result.rows) for result in results
+        sorted(exact_hash(tuple(row)) for row in result.rows) for result in results
     ]
 
 

@@ -4,6 +4,7 @@ from .cluster import (
     Cluster,
     OperatorRun,
     SlotTimeline,
+    exact_hash,
     row_bytes,
     stable_hash,
     value_bytes,
@@ -37,6 +38,7 @@ __all__ = [
     "SINGLE",
     "SlotTimeline",
     "count_job_boundaries",
+    "exact_hash",
     "row_bytes",
     "stable_hash",
     "value_bytes",

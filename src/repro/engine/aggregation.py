@@ -20,21 +20,23 @@ added left to right (:func:`fused_sums`, :func:`advance`, the one kernel
 (:class:`OpenSum`). All continue from an optional *carried* state per
 group, so folding a partition in one run or in consecutive runs
 performs the same arithmetic in the same order. *Merge and finish*
-(:func:`final_aggregate`): a state merges into its group as a value is
-added, so a column of SUM, COUNT, MIN or MAX states is one more
-:func:`fold` — in received row order, under the aggregate's ``merger``
-(COUNT's counts under SUM) — and only AVG pairs, DISTINCT value sets and
-label dicts take the aggregate's own ``merge`` (:func:`merge_states`)
-before ``finish``. PartialAggregate and FinalAggregate call these with
-no carried state; a materialized view folds with its stored per-slot
-states and answers through the row chunk's merge, which the fold over a
-state column matches bit for bit in either form, so view ≡ rescan holds.
+(:func:`final_aggregate`): a merge is one more :func:`fold` — a column
+of partial states in received row order, under the aggregate's
+``merger`` — then ``finish``: SUM, MIN and MAX states by their own
+chain, COUNT's under SUM, AVG's ``(sum, count)`` pairs added pairwise,
+label dicts and DISTINCT value sets united into a fresh dict or set.
+``AGG(DISTINCT x)`` folds through its spec's
+:class:`~repro.la.aggregates.Distinct` (``AggSpec.folding``): its state
+is the group's value set, and its ``finish`` runs the inner aggregate's
+chain over it. PartialAggregate
+and FinalAggregate call these with no carried state; a materialized
+view folds with its stored per-slot states and answers through
+:func:`final_aggregate` itself, so view ≡ rescan holds.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,30 +45,24 @@ from ..columnar import ColumnData, wrap_cell
 from ..errors import RuntimeTypeError
 from ..la.aggregates import check_carried, sum_block
 from .cluster import cell_bytes, value_bytes
-from .keys import index_list, one_nan
+from .keys import index_list
 
 
-def fold_groups(
-    aggregate, values: Sequence, group_indices, cost, carried=None, distinct=False
-) -> list:
-    """Partial-aggregate Python ``values`` over pre-bucketed groups (each
-    a sequence of ascending row positions) with the aggregate's own
-    ``add`` chain, returning one state per group. The row oracle's fold,
-    and the fallback for every column :func:`fold` has no kernel for.
+def fold_groups(aggregate, values: Sequence, group_indices, cost, carried=None) -> list:
+    """Fold Python ``values`` over pre-bucketed groups (each a sequence
+    of ascending row positions) with the aggregate's own ``add`` chain,
+    returning one state per group. The row oracle's fold, and the
+    fallback for every column :func:`fold` has no kernel for — among
+    them every column of states that are no values, under its merger.
     ``carried`` holds the state each group's chain starts from (None: a
-    fresh one); a DISTINCT state is a value set only
-    :func:`final_aggregate` folds, and is never carried."""
-    states = []
+    fresh one)."""
+    states, add = [], aggregate.add
     firsts, streamed = [], []  # per group: its first row, its bytes
     for group, indices in enumerate(group_indices):
         picked = [values[i] for i in index_list(indices)]
-        if distinct:
-            # a value set, every NaN one value (docs/SQL.md)
-            state = set(one_nan(value for value in picked if value is not None))
-        else:
-            state = aggregate.create() if carried is None else carried[group]
-            for value in picked:
-                state = aggregate.add(state, value)
+        state = aggregate.create() if carried is None else carried[group]
+        for value in picked:
+            state = add(state, value)
         states.append(state)
         # sized in one pass after the chain (integral, so the total is
         # the one the per-value additions reached)
@@ -246,7 +242,7 @@ _KERNELS = {
 }
 
 
-def fold(aggregate, operand, grouping, cost, carried=None, distinct=False) -> list:
+def fold(aggregate, operand, grouping, cost, carried=None) -> list:
     """The one fold: a state per group of a
     :class:`~repro.engine.keys.Grouping` over ``operand`` — a chunk's
     ``values`` of the aggregate's input, or a column of partial states
@@ -259,10 +255,10 @@ def fold(aggregate, operand, grouping, cost, carried=None, distinct=False) -> li
     to that chain over the same rows and charged the same streamed bytes
     (``value_bytes`` per non-NULL value, fixed by a typed column's form)."""
     if operand is None or isinstance(operand, ColumnData):
-        if aggregate.name == "SUM" and not distinct and operand.is_block:
+        if aggregate.name == "SUM" and operand.is_block:
             positions = grouping.positions()
             return sum_blocks(operand.data, operand.nulls, positions, cost, carried)
-        kernel = None if distinct else _KERNELS.get(aggregate.name)
+        kernel = _KERNELS.get(aggregate.name)
         if kernel is not None:
             states = kernel(aggregate, operand, grouping, carried)
             if states is not None:  # a kernel's column form fixes a value's size
@@ -272,8 +268,7 @@ def fold(aggregate, operand, grouping, cost, carried=None, distinct=False) -> li
                 cost.add("stream_bytes", each, live)
                 return states
         operand = operand.pylist()
-    positions = grouping.positions()
-    return fold_groups(aggregate, operand, positions, cost, carried, distinct)
+    return fold_groups(aggregate, operand, grouping.positions(), cost, carried)
 
 
 def sum_blocks(block, nulls, group_indices, cost, carried=None) -> list:
@@ -491,73 +486,31 @@ def fused_sums(call, operands, valid, group_indices, cost, carried=None) -> list
     return states
 
 
-#: a group's merge before its first state
-_UNSET = object()
-
-
-def merge_states(spec, states: Sequence, grouping, cost) -> list:
-    """One column of partial states that are no values — AVG's ``(sum,
-    count)`` pairs, DISTINCT value sets, VECTORIZE/ROWMATRIX/COLMATRIX
-    label dicts — merged per group in row order through the aggregate's
-    ``merge``, each state charged its ``value_bytes`` (a NULL one 1.0) on
-    its row's slot (integral, so each slot's sum is exact in any order).
-    A DISTINCT spec's value sets are united, re-read through ``one_nan``
-    (a set that crossed a spill file holds NaN objects of its own). Dict
-    states and value sets merge in place, so a group's first one is
-    copied: the rows stay valid for a retried operator or a view's next
-    answer."""
-    aggregate, merged = spec.aggregate, [_UNSET] * len(grouping)
-    for state, group in zip(states, grouping.codes.tolist()):
-        held = merged[group]
-        if spec.distinct:
-            if held is _UNSET:
-                merged[group] = set(one_nan(state))
-            else:
-                held.update(one_nan(state))
-        elif held is _UNSET:
-            merged[group] = dict(state) if isinstance(state, dict) else state
-        else:
-            merged[group] = aggregate.merge(held, state)
-    cost.add("stream_bytes", list(map(value_bytes, states)), range(len(states)))
-    return merged
-
-
 def final_aggregate(
     specs: Sequence, grouping, columns: Sequence, cost, scalar_on_empty: bool = False
 ) -> Tuple[List[Sequence], np.ndarray]:
     """FinalAggregate's merge of ``columns``, one of partial states per
-    spec — each a ``ColumnData`` or a row chunk's Python values — per
-    group of ``grouping`` (over a stage, with ``cost`` a ledger over its
-    offsets, ``(slot, key)`` groups). A state merges into its group as a
-    value is added, so a column whose aggregate has a ``merger`` is
-    folded under it (:func:`fold`, in received row order), each NULL
-    state charged the ``value_bytes`` a fold skips; the rest go through
-    :func:`merge_states` and ``finish``, a DISTINCT value set folded
-    through the ``add`` chain first. Returns one output column per spec
+    spec — each a ``ColumnData`` or Python values — per group of
+    ``grouping`` (over a stage, with ``cost`` a ledger over its offsets,
+    ``(slot, key)`` groups). A merge is one more fold: each column is
+    folded under its aggregate's ``merger`` (:func:`fold`, in received
+    row order), each NULL state charged the ``value_bytes`` a fold skips,
+    and each merged state finished. Returns one output column per spec
     and each group's first row. ``scalar_on_empty`` with no rows yields
     SQL's one row over empty input, every aggregate finished from
     ``create()``, as if at row 0."""
-    out: List[Sequence] = []
-    for spec, column in zip(specs, columns):
-        aggregate = spec.aggregate
-        merger = None if spec.distinct else aggregate.merger
-        if merger is not None:
-            if isinstance(column, ColumnData):
-                nulls = column.nulls
-            else:
-                nulls = [i for i, state in enumerate(column) if state is None] or None
-            if nulls is not None:
-                cost.add("stream_bytes", value_bytes(None), nulls)
-            out.append(fold(merger, column, grouping, cost))
-            continue
-        if isinstance(column, ColumnData):
-            column = column.pylist()
-        merged = merge_states(spec, column, grouping, cost)
-        if spec.distinct:
-            fresh = aggregate.create
-            merged = [reduce(aggregate.add, values, fresh()) for values in merged]
-        out.append(list(map(aggregate.finish, merged)))
+    aggregates = [spec.folding for spec in specs]
     if scalar_on_empty and not len(grouping):
-        out = [[spec.aggregate.finish(spec.aggregate.create())] for spec in specs]
+        out = [[aggregate.finish(aggregate.create())] for aggregate in aggregates]
         return out, np.zeros(1, dtype=np.int64)
+    out: List[Sequence] = []
+    for aggregate, column in zip(aggregates, columns):
+        if isinstance(column, ColumnData):
+            nulls = column.nulls
+        else:
+            nulls = [i for i, state in enumerate(column) if state is None] or None
+        if nulls is not None:
+            cost.add("stream_bytes", value_bytes(None), nulls)
+        merged = fold(aggregate.merger, column, grouping, cost)
+        out.append(list(map(aggregate.finish, merged)))
     return out, grouping.first

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..config import ClusterConfig
 from ..errors import ResourceExhaustedError
-from ..types import LabeledScalar, Matrix, Vector
+from ..types import LabeledScalar, Matrix, Vector, key_bytes
 from .metrics import OperatorMetrics, QueryMetrics
 
 
@@ -48,8 +48,21 @@ _NAN = struct.pack("<d", float("nan"))
 
 def stable_hash(values) -> int:
     """A deterministic, platform-independent hash of a tuple of SQL
-    values. Python's builtin ``hash`` is salted per process for strings,
-    which would make benchmark placement non-reproducible."""
+    values, for placement: keys that are one key in GROUP BY and a join
+    hash alike (docs/SQL.md). Python's builtin ``hash`` is salted per
+    process for strings, which would make benchmark placement
+    non-reproducible."""
+    return _blake2b(values, key_bytes)
+
+
+def exact_hash(values) -> int:
+    """:func:`stable_hash` with each tensor hashed by its exact bits, so
+    ``[0.0]`` and ``[-0.0]`` differ: the fingerprint of the bit-identity
+    checks between configurations."""
+    return _blake2b(values, np.ndarray.tobytes)
+
+
+def _blake2b(values, tensor_bytes) -> int:
     hasher = hashlib.blake2b(digest_size=8)
     for value in values:
         if value is None:
@@ -76,10 +89,10 @@ def stable_hash(values) -> int:
         elif isinstance(value, LabeledScalar):
             hasher.update(b"\x03" + struct.pack("<d", value.value))
         elif isinstance(value, Vector):
-            hasher.update(b"\x05" + value.data.tobytes())
+            hasher.update(b"\x05" + tensor_bytes(value.data))
         elif isinstance(value, Matrix):
             hasher.update(b"\x06" + struct.pack("<q", value.rows))
-            hasher.update(value.data.tobytes())
+            hasher.update(tensor_bytes(value.data))
         else:
             hasher.update(b"\x07" + repr(value).encode("utf-8"))
     return int.from_bytes(hasher.digest(), "little")

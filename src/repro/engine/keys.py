@@ -22,9 +22,11 @@ stable sort, so which class ran is invisible in the rows, their order
 and every simulated charge (docs/ENGINE.md, "Key kernels").
 
 One rule for NaN keys (docs/SQL.md): grouping, DISTINCT and placement
-treat every NaN as **one** key whose representative is the first seen;
-an equi-join never matches a NaN key, like NULL and like ``=``. ORDER
-BY over NaN keeps Python's order-dependent comparison chain.
+treat every NaN as **one** key whose representative is the first seen —
+and tensors that differ only where both hold a NaN as one key
+(:func:`~repro.la.aggregates.one_value`); an equi-join never matches a
+NaN key or a tensor holding one, like NULL and like ``=``. ORDER BY over
+NaN keeps Python's order-dependent comparison chain.
 """
 
 from __future__ import annotations
@@ -33,32 +35,25 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..types import Vector
-
-#: the object every NaN key is looked up as: a ``dict`` finds a key by
-#: identity before ``==``, and NaN equals nothing, itself included
-NAN = float("nan")
-
-
-def one_nan(key) -> tuple:
-    """The values of ``key`` with every float NaN replaced by :data:`NAN`."""
-    return tuple(
-        NAN if isinstance(value, float) and value != value else value
-        for value in key
-    )
+from ..la.aggregates import one_value
+from ..types import Matrix, Vector
 
 
 def _one_nan_column(values: Sequence) -> Sequence:
-    """:func:`one_nan` over a key column, which mostly holds no float."""
-    if any(issubclass(kind, float) for kind in set(map(type, values))):
-        return one_nan(values)
+    """A key column as :func:`~repro.la.aggregates.one_value` looks it
+    up; most columns hold no float or tensor and are their own."""
+    kinds = set(map(type, values))
+    if any(issubclass(kind, (float, Vector, Matrix)) for kind in kinds):
+        return list(map(one_value, values))
     return values
 
 
 def _matchable(key: tuple) -> bool:
-    """False for a join key holding a NULL or a NaN: it equals nothing."""
+    """False for a join key holding a NULL, a NaN or a tensor with a NaN
+    cell: it equals nothing, not even itself (which a ``dict`` lookup
+    would find by identity)."""
     for value in key:
-        if value is None or (isinstance(value, float) and value != value):
+        if value is None or value != value:
             return False
     return True
 

@@ -65,13 +65,13 @@ from .keys import Grouping, HashedKeys, index_list, typed_keys
 
 
 def fused_call(spec) -> Optional[FuncExpr]:
-    """The call a fused SUM folds — SUM, not DISTINCT, over a builtin
-    that registers a ``block_sum`` (docs/ENGINE.md, "The float
-    contract") — or None for every other aggregate."""
+    """The call a fused SUM folds — SUM (its ``folding`` aggregate, so
+    not DISTINCT) over a builtin that registers a ``block_sum``
+    (docs/ENGINE.md, "The float contract") — or None for every other
+    aggregate."""
     call = spec.arg
     if (
-        not spec.distinct
-        and isinstance(spec.aggregate, SumAggregate)
+        isinstance(spec.folding, SumAggregate)
         and isinstance(call, FuncExpr)
         and call.builtin.block_sum is not None
     ):
@@ -248,7 +248,7 @@ class RowChunk:
             groups = grouping.positions()
             return fused_sums(call, operands, valid, groups, cost, carried)
         values = [1] * len(self) if spec.arg is None else self.values(spec.arg, cost)
-        return fold(spec.aggregate, values, grouping, cost, carried, spec.distinct)
+        return fold(spec.folding, values, grouping, cost, carried)
 
     def final_aggregate(
         self, column_ids, specs, key_count: int, cost, scalar_on_empty=False
@@ -472,7 +472,7 @@ class Batch:
                 call, operands, valid, grouping.positions(), cost, carried
             )
         column = None if spec.arg is None else self.values(spec.arg, cost)
-        return fold(spec.aggregate, column, grouping, cost, carried, spec.distinct)
+        return fold(spec.folding, column, grouping, cost, carried)
 
     def final_aggregate(
         self, column_ids, specs, key_count: int, cost, scalar_on_empty=False
@@ -817,7 +817,7 @@ class PairStage:
         tiles = []
         for spec in specs:
             arg, tile = spec.arg, None
-            if spec.distinct or spec.aggregate.name not in ("MIN", "MAX"):
+            if spec.folding.name not in ("MIN", "MAX"):
                 return None
             if isinstance(arg, ColumnVar):
                 tile = self.tiles.get(arg.column_id)

@@ -14,19 +14,23 @@ Three special aggregates construct tensors from labeled parts (section
   the row named by its label;
 * ``COLMATRIX`` does the same with columns.
 
-Labels are 1-based. Every aggregate accumulates a state value by value
-(``add``), and its partial states merge so the engine can run
-distributed partial aggregation before the shuffle. A state that is a
-value merges as a value is added: each aggregate names the aggregate
-whose ``add`` chain merges its states (``merger``), and only states
-that are no value — AVG's pairs, the label dicts — keep a ``merge`` of
-their own. This module defines those steps (and ``sum_block``, SUM's
+Labels are 1-based. Every aggregate is one protocol: ``create`` a
+state, ``add`` a value to it, and ``finish`` it; its partial states merge
+so the engine can run distributed partial aggregation before the
+shuffle. A merge is one more fold: each aggregate names the aggregate
+whose ``add`` chain merges its states (``merger``), each state added as
+a value — SUM, MIN and MAX by their own, COUNT's counts by SUM's, AVG's
+``(sum, count)`` pairs added pairwise, the label dicts united into a
+fresh one. ``AGG(DISTINCT x)`` folds through :class:`Distinct`, whose
+states are value sets with every NaN one value (:func:`one_value`),
+united into a fresh set. This module defines those steps (and ``sum_block``, SUM's
 order-preserving form over a tensor block); the order they are applied
 in is decided by their only caller, :mod:`repro.engine.aggregation`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, Optional
 
 import numpy as np
@@ -45,7 +49,43 @@ from ..types import (
     StringType,
     Vector,
     VectorType,
+    key_bytes,
 )
+from .functions import allocate
+
+#: the object every float NaN is looked up as: a ``dict`` or ``set``
+#: finds a key by identity before ``==``, and NaN equals nothing
+NAN = float("nan")
+
+
+class NanCells:
+    """A tensor holding a NaN cell, as a key or a DISTINCT value: equal
+    to another of its kind and shape whose cells are equal, every NaN
+    one value (as a float NaN is one key)."""
+
+    __slots__ = ("value", "key")
+
+    def __init__(self, value):
+        self.value = value
+        self.key = (type(value), value.data.shape, key_bytes(value.data))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is NanCells and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+def one_value(value):
+    """What ``value`` is looked up as in GROUP BY, DISTINCT and a
+    DISTINCT value set (docs/SQL.md): every float NaN :data:`NAN`, a
+    tensor holding a NaN its :class:`NanCells`, any other value — one
+    that equals itself — itself."""
+    if value == value:
+        return value
+    if isinstance(value, float):
+        return NAN
+    return NanCells(value) if isinstance(value, (Vector, Matrix)) else value
 
 
 class Aggregate:
@@ -67,11 +107,11 @@ class Aggregate:
         raise NotImplementedError
 
     @property
-    def merger(self) -> Optional["Aggregate"]:
-        """The aggregate whose ``add`` chain merges this one's partial
-        states, each state added as a value and the merged state finished
-        as it is — SUM, MIN and MAX by their own — or None where a state
-        is no value and ``merge`` unites two."""
+    def merger(self) -> "Aggregate":
+        """The aggregate whose ``add`` chain, from its own ``create()``,
+        merges this one's partial states, each state added as a value;
+        this one's ``finish`` then finishes the merged state. SUM, MIN
+        and MAX merge by their own."""
         return self
 
     def finish(self, state):
@@ -202,12 +242,77 @@ class MaxAggregate(MinAggregate):
     _np_pick = staticmethod(np.maximum)
 
 
+class PairSum(Aggregate):
+    """AVG's merger: ``(sum, count)`` pairs added pairwise."""
+
+    name = "PAIR_SUM"
+
+    def add(self, state, value):
+        if value is None:
+            return state
+        return value if state is None else (state[0] + value[0], state[1] + value[1])
+
+
+class DictUnion(Aggregate):
+    """The label aggregates' merger: dicts united into a fresh one (a
+    later state's label wins), so no partial state is written."""
+
+    name = "DICT_UNION"
+
+    def create(self):
+        return {}
+
+    def add(self, state, value):
+        state.update(value)
+        return state
+
+
+class SetUnion(Aggregate):
+    """DISTINCT's merger: value sets united into a fresh one, re-read
+    through ``one_value`` (a set that crossed a spill file holds NaN
+    objects of its own), so no partial state is written."""
+
+    name = "SET_UNION"
+
+    def create(self):
+        return set()
+
+    def add(self, state, value):
+        state.update(v if v == v else one_value(v) for v in value)
+        return state
+
+
+class Distinct(Aggregate):
+    """``AGG(DISTINCT x)``: its state is the group's set of non-NULL
+    values, each as :func:`one_value` looks it up; ``finish`` runs
+    ``aggregate``'s ``add`` chain over the set, then its ``finish``."""
+
+    name = "DISTINCT"
+    merger = SetUnion()
+
+    def __init__(self, aggregate: Aggregate):
+        self.aggregate = aggregate
+
+    def create(self):
+        return set()
+
+    def add(self, state, value):
+        if value is not None:  # a value equal to itself is its own key
+            state.add(value if value == value else one_value(value))
+        return state
+
+    def finish(self, state):
+        inner = self.aggregate
+        values = (v.value if type(v) is NanCells else v for v in state)
+        return inner.finish(reduce(inner.add, values, inner.create()))
+
+
 class AvgAggregate(Aggregate):
     """AVG decomposes into (SUM, COUNT) so it can still be partially
     aggregated before the shuffle."""
 
     name = "AVG"
-    merger = None
+    merger = PairSum()
 
     def result_type(self, arg_type: DataType) -> DataType:
         if isinstance(arg_type, (IntegerType, DoubleType, LabeledScalarType)):
@@ -225,13 +330,6 @@ class AvgAggregate(Aggregate):
         total, count = state
         return (total + value, count + 1)
 
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return (left[0] + right[0], left[1] + right[1])
-
     def finish(self, state):
         if state is None:
             return None
@@ -243,7 +341,7 @@ class VectorizeAggregate(Aggregate):
     """Build a VECTOR from LABELED_SCALAR values (paper section 3.3)."""
 
     name = "VECTORIZE"
-    merger = None
+    merger = DictUnion()
 
     def result_type(self, arg_type: DataType) -> DataType:
         if not isinstance(arg_type, LabeledScalarType):
@@ -271,15 +369,10 @@ class VectorizeAggregate(Aggregate):
         state[value.label] = value.value
         return state
 
-    def merge(self, left: Dict[int, float], right: Dict[int, float]):
-        left.update(right)
-        return left
-
     def finish(self, state: Optional[Dict[int, float]]):
         if not state:
             return None
-        length = max(state)
-        data = np.zeros(length)
+        data = allocate(self.name, np.zeros, (max(state),))
         for label, value in state.items():
             data[label - 1] = value
         return Vector(data)
@@ -290,7 +383,7 @@ class _MatrixFromVectors(Aggregate):
 
     #: 'row' or 'col'
     orientation = "row"
-    merger = None
+    merger = DictUnion()
 
     def result_type(self, arg_type: DataType) -> DataType:
         if not isinstance(arg_type, VectorType):
@@ -319,10 +412,6 @@ class _MatrixFromVectors(Aggregate):
         state[value.label] = value
         return state
 
-    def merge(self, left, right):
-        left.update(right)
-        return left
-
     def finish(self, state: Optional[Dict[int, Vector]]):
         if not state:
             return None
@@ -331,15 +420,10 @@ class _MatrixFromVectors(Aggregate):
             raise RuntimeTypeError(
                 f"{self.name}: input vectors have differing lengths {sorted(lengths)}"
             )
-        width = lengths.pop()
-        count = max(state)
-        data = np.zeros((count, width))
+        data = allocate(self.name, np.zeros, (max(state), lengths.pop()))
         for label, vector in state.items():
             data[label - 1] = vector.data
-        matrix = Matrix(data)
-        if self.orientation == "col":
-            matrix = Matrix(data.T.copy())
-        return matrix
+        return Matrix(data if self.orientation == "row" else data.T.copy())
 
 
 class RowMatrixAggregate(_MatrixFromVectors):

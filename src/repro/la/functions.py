@@ -181,6 +181,18 @@ def _num(value) -> float:
     return float(value)
 
 
+def allocate(name: str, fill, shape: tuple) -> np.ndarray:
+    """``fill(shape)`` — a new tensor of ``np.zeros``/``np.ones`` — or,
+    where numpy cannot allocate that much (its ``ValueError`` past the
+    address space, a ``MemoryError`` short of it), the ``ExecutionError``
+    naming the function ``name`` and the size it asked for."""
+    try:
+        return fill(shape)
+    except (ValueError, MemoryError):
+        size = " x ".join(map(str, shape))
+        raise ExecutionError(f"{name}: cannot allocate a {size} tensor") from None
+
+
 def _index(value, what: str, upper: int) -> int:
     """Validate a 1-based index and convert it to 0-based."""
     index = int(value)
@@ -629,7 +641,8 @@ def col_maxs(matrix: Matrix) -> Vector:
 def identity_matrix(n: int) -> Matrix:
     if int(n) <= 0:
         raise ExecutionError(f"identity_matrix: size must be positive, got {n}")
-    return Matrix(np.eye(int(n)))
+    n = int(n)
+    return Matrix(allocate("identity_matrix", lambda shape: np.eye(*shape), (n, n)))
 
 
 @register(
@@ -640,7 +653,7 @@ def identity_matrix(n: int) -> Matrix:
 def zeros_vector_fn(n: int) -> Vector:
     if int(n) <= 0:
         raise ExecutionError(f"zeros_vector: size must be positive, got {n}")
-    return Vector(np.zeros(int(n)))
+    return Vector(allocate("zeros_vector", np.zeros, (int(n),)))
 
 
 @register(
@@ -651,7 +664,7 @@ def zeros_vector_fn(n: int) -> Vector:
 def ones_vector(n: int) -> Vector:
     if int(n) <= 0:
         raise ExecutionError(f"ones_vector: size must be positive, got {n}")
-    return Vector(np.ones(int(n)))
+    return Vector(allocate("ones_vector", np.ones, (int(n),)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ tree takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from ..catalog import TableEntry
-from ..la.aggregates import Aggregate
+from ..la.aggregates import Aggregate, Distinct
 from ..types import DataType
 from .expressions import ColumnVar, TypedExpr
 
@@ -193,6 +194,12 @@ class AggSpec:
     arg: Optional[TypedExpr]  # None for COUNT(*)
     output: OutputColumn
     distinct: bool = False
+
+    @cached_property
+    def folding(self) -> Aggregate:
+        """The aggregate that folds this spec's input: its own, or for
+        ``AGG(DISTINCT x)`` a :class:`~repro.la.aggregates.Distinct` of it."""
+        return Distinct(self.aggregate) if self.distinct else self.aggregate
 
     def describe(self) -> str:
         inner = "*" if self.arg is None else repr(self.arg)

@@ -22,7 +22,7 @@ from .scalar import (
     common_numeric_type,
 )
 from .signature import Signature, SigMatrix, SigScalar, SigVector, runtime_shape_check
-from .tensor import Matrix, Vector, zeros_matrix, zeros_vector
+from .tensor import Matrix, Vector, key_bytes, zeros_matrix, zeros_vector
 from .typeparse import parse_type
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "Vector",
     "VectorType",
     "common_numeric_type",
+    "key_bytes",
     "parse_type",
     "runtime_shape_check",
     "zeros_matrix",

@@ -27,6 +27,17 @@ from .labeled import DEFAULT_LABEL, LabeledScalar
 Numeric = Union[int, float, LabeledScalar]
 
 
+def key_bytes(data: np.ndarray) -> bytes:
+    """A tensor's cells as a key: ``±0.0`` one value and every NaN one
+    value, so tensors that are ``=`` (``np.array_equal``), or that differ
+    only where both hold a NaN, give the same bytes."""
+    data = data + 0.0  # -0.0 + 0.0 is +0.0
+    nan = np.isnan(data)
+    if nan.any():
+        data[nan] = np.nan
+    return data.tobytes()
+
+
 def _as_scalar(value) -> float:
     if isinstance(value, LabeledScalar):
         return value.value
@@ -112,7 +123,9 @@ class Vector:
         )
 
     def __hash__(self):
-        return hash((self.length, self.data.tobytes()))
+        # ``+ 0.0`` makes -0.0 +0.0, so equal tensors hash alike (a tensor
+        # holding a NaN equals nothing, so its NaN bits may stay)
+        return hash((self.length, (self.data + 0.0).tobytes()))
 
     def allclose(self, other: "Vector", rtol: float = 1e-9) -> bool:
         return self.length == other.length and bool(
@@ -209,7 +222,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
+        return hash((self.shape, (self.data + 0.0).tobytes()))  # as Vector's
 
     def allclose(self, other: "Matrix", rtol: float = 1e-9) -> bool:
         return self.shape == other.shape and bool(

@@ -18,12 +18,13 @@ stored state is the carried state of the chunk's ``partial_aggregate``
 (``engine/aggregation.py``); the answer is FinalAggregate's merge over
 the per-slot states in ascending slot order — the PartialAggregate →
 gather → FinalAggregate pipeline with the scan replaced by stored
-states. It is the row chunk's merge (a handful of states, converted to
-no column): the same fold a rescan's FinalAggregate makes over its
-state column in either mode, the ``add`` chain here and the kernels a
-batch column takes, which match it bit for bit — so answering from the
-view is bit-identical to rescanning. What stays here is view-specific: classification,
-cursors, counters, locking.
+states. It is ``aggregation.final_aggregate`` itself over the handful of
+states as Python values: the same fold under each aggregate's merger a
+rescan's FinalAggregate makes over its state column in either mode, the
+``add`` chain here and the kernels a batch column takes, which match it
+bit for bit — so answering from the view is bit-identical to
+rescanning. What stays here is view-specific: classification, cursors,
+counters, locking.
 
 Everything else (GROUP BY, DISTINCT, joins, subqueries, ORDER BY, ...)
 is a **full** view: the stored result rows are recomputed by a tracked
@@ -37,8 +38,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..engine.aggregation import finished
-from ..engine.storage import RowChunk
+from ..engine.aggregation import final_aggregate, finished
+from ..engine.keys import Grouping
 from ..errors import CompileError
 from ..plan.logical import (
     AggregateNode,
@@ -283,17 +284,13 @@ class MaterializedView:
             self.catch_up(chunks)
             # a fused SUM's stored state keeps its open step: the answer
             # finishes it as PartialAggregate would, leaving it open
-            state_rows = [
-                tuple(map(finished, states))
-                for states in self._slot_states
-                if states is not None
-            ]
-            ids = range(len(self.specs))
-            answer, _ = RowChunk(ids, state_rows).final_aggregate(
-                ids, self.specs, 0, EvalCost(), scalar_on_empty=True
+            held = [states for states in self._slot_states if states is not None]
+            columns = [list(map(finished, column)) for column in zip(*held)]
+            answer, _ = final_aggregate(
+                self.specs, Grouping.one(len(held)), columns,
+                EvalCost(), scalar_on_empty=True,
             )
-            (row,) = answer.rows()
-            return [tuple(row[i] for i in spec_indices)]
+            return [tuple(answer[i][0] for i in spec_indices)]
 
     # -- full-view state ------------------------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ExecutionError, RuntimeTypeError, TypeCheckError
 from repro.la import lookup_aggregate
+from repro.la.aggregates import Distinct
 from repro.types import (
     DOUBLE,
     INTEGER,
@@ -39,11 +40,8 @@ def run_distributed(agg_name, partitions):
         for value in part:
             state = agg.add(state, value)
         partials.append(state)
-    merger = agg.merger
-    if merger is None:  # pairs and label dicts: the aggregate's own merge
-        merged = reduce(agg.merge, partials)
-    else:  # a state merges into its group as a value is added
-        merged = reduce(merger.add, partials, merger.create())
+    # a state merges into its group as a value is added
+    merged = reduce(agg.merger.add, partials, agg.merger.create())
     return agg.finish(merged)
 
 
@@ -131,18 +129,54 @@ class TestCountMinMaxAvg:
         assert run_distributed("MAX", parts) == 7
 
     def test_merge_rule_is_declared_once(self):
-        """A state that is a value merges as a value is added: SUM, MIN
-        and MAX by their own ``add``, COUNT's counts by SUM's; AVG pairs
-        and the label dicts keep a ``merge`` of their own."""
-        mergers = {
-            name: lookup_aggregate(name).merger
-            for name in ("SUM", "COUNT", "MIN", "MAX", "AVG", "VECTORIZE",
-                         "ROWMATRIX", "COLMATRIX")
+        """Every state merges as a value is added, under a declared
+        ``merger`` and no ``merge`` of its own: SUM, MIN and MAX by their
+        own ``add``, COUNT's counts by SUM's, AVG pairs pairwise, the
+        label dicts united into a fresh dict and a DISTINCT value set
+        into a fresh set."""
+        names = ("SUM", "COUNT", "MIN", "MAX", "AVG", "VECTORIZE", "ROWMATRIX",
+                 "COLMATRIX")
+        aggregates = {name: lookup_aggregate(name) for name in names}
+        aggregates["COUNT(DISTINCT)"] = Distinct(lookup_aggregate("COUNT"))
+        assert {name: agg.merger.name for name, agg in aggregates.items()} == {
+            "SUM": "SUM", "COUNT": "SUM", "MIN": "MIN", "MAX": "MAX",
+            "AVG": "PAIR_SUM", "VECTORIZE": "DICT_UNION", "ROWMATRIX": "DICT_UNION",
+            "COLMATRIX": "DICT_UNION", "COUNT(DISTINCT)": "SET_UNION",
         }
-        assert {name: merger and merger.name for name, merger in mergers.items()} == {
-            "SUM": "SUM", "COUNT": "SUM", "MIN": "MIN", "MAX": "MAX", "AVG": None,
-            "VECTORIZE": None, "ROWMATRIX": None, "COLMATRIX": None,
-        }
+        assert not any(hasattr(agg, "merge") for agg in aggregates.values())
+        # the set-valued mergers start from a fresh state: a partial
+        # state is read, never written
+        for name in ("VECTORIZE", "COUNT(DISTINCT)"):
+            merger = aggregates[name].merger
+            assert merger.create() is not merger.create()
+
+    def test_distinct_merges_value_sets(self):
+        """A DISTINCT state is its group's value set with every NaN one
+        value; the merge unites sets (one NaN again, whatever NaN object
+        each set holds) and ``finish`` folds the inner aggregate over
+        the set. Tensors that differ only where both hold a NaN are one
+        value too."""
+        nan = float("nan")
+        count = Distinct(lookup_aggregate("COUNT"))
+        partials = []
+        for part in (
+            [1.0, nan, None, 1.0, -0.0, Vector([nan, 1.0])],
+            [float("nan"), 0.0, 2.0, Vector([-nan, 1.0]), Vector([nan, 2.0])],
+            [],
+        ):
+            state = count.create()
+            for value in part:
+                state = count.add(state, value)
+            partials.append(state)
+        assert [len(state) for state in partials] == [4, 5, 0]
+        merged = reduce(count.merger.add, partials, count.merger.create())
+        assert count.finish(merged) == 6
+        assert [len(state) for state in partials] == [4, 5, 0]
+        # ``finish`` adds the tensors themselves, one per NaN pattern
+        total = Distinct(lookup_aggregate("SUM"))
+        values = [Vector([nan, 1.0]), Vector([-nan, 1.0]), Vector([0.0, 2.0])]
+        summed = total.finish(reduce(total.add, values, total.create()))
+        assert isinstance(summed, Vector) and summed.data[1] == 3.0
 
     def test_avg_empty_is_null(self):
         assert run("AVG", []) is None

@@ -149,6 +149,43 @@ class TestRuntimeFailures:
             db.execute("SELECT matrix_inverse(mat) FROM sing")
 
 
+class TestOversizedTensors:
+    """A tensor result numpy cannot allocate is a structured
+    ``ExecutionError`` naming the function and the size it asked for,
+    never numpy's ``ValueError``/``MemoryError``. Every size here is one
+    numpy rejects before allocating anything."""
+
+    @pytest.fixture(params=["row", "batch"])
+    def mode_db(self, request):
+        database = Database(TEST_CLUSTER, execution_mode=request.param)
+        database.execute("CREATE TABLE z (x DOUBLE, vec VECTOR[2])")
+        database.load("z", [(1.5, np.array([1.0, 2.0])), (2.5, np.array([0.0, 3.0]))])
+        return database
+
+    @pytest.mark.parametrize(
+        "sql, name, size",
+        [
+            ("SELECT VECTORIZE(label_scalar(x, 4611686018427387904)) FROM z",
+             "VECTORIZE", "4611686018427387904"),
+            ("SELECT VECTORIZE(label_scalar(x, 9223372036854775807)) FROM z",
+             "VECTORIZE", "9223372036854775807"),
+            ("SELECT ROWMATRIX(label_vector(vec, 4611686018427387904)) FROM z",
+             "ROWMATRIX", "4611686018427387904 x 2"),
+            ("SELECT COLMATRIX(label_vector(vec, 4611686018427387904)) FROM z",
+             "COLMATRIX", "4611686018427387904 x 2"),
+            ("SELECT zeros_vector(4611686018427387904) FROM z",
+             "zeros_vector", "4611686018427387904"),
+            ("SELECT ones_vector(4611686018427387904) FROM z",
+             "ones_vector", "4611686018427387904"),
+            ("SELECT identity_matrix(10000000000) FROM z",
+             "identity_matrix", "10000000000 x 10000000000"),
+        ],
+    )
+    def test_is_an_execution_error(self, mode_db, sql, name, size):
+        with pytest.raises(ExecutionError, match=f"{name}: cannot allocate a {size} "):
+            mode_db.execute(sql)
+
+
 class TestArithmeticFailures:
     """A scalar divided by zero is a structured ``ExecutionError`` in both
     modes; every other floating-point exception is IEEE 754's answer

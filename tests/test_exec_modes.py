@@ -18,7 +18,6 @@ changes — and the ``execution_mode`` knob itself.
 import dataclasses
 import itertools
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,13 +27,17 @@ from hypothesis import strategies as st
 from repro import Database, PAPER_CLUSTER, TEST_CLUSTER
 from repro.catalog import Schema
 from repro.columnar import ColumnData, columns_from_rows, truth
-from repro.engine import stable_hash
+from repro.engine import exact_hash, stable_hash
 from repro.engine.cluster import columns_row_bytes, row_bytes
 from repro.engine.keys import HashedKeys, TypedKeys, _key_codes, stable_order
 from repro.engine import Cluster, Executor, OperatorMetrics
 from repro.engine.storage import Batch, PartitionedTable, RowChunk
 from repro.errors import ExecutionError, ReproError, RuntimeTypeError
+from repro.bench.harness import digest
+from repro.db import Result
 from repro.la import lookup, lookup_aggregate
+from repro.la.aggregates import NanCells
+from repro.plan.logical import AggSpec
 from repro.plan.physical import PExchange, PHashJoin
 from repro.plan.expressions import (
     BinaryExpr,
@@ -106,8 +109,8 @@ def _fingerprint(metrics):
 def _assert_modes_agree(sql):
     row_result = _db("row").execute(sql)
     batch_result = _db("batch").execute(sql)
-    row_digest = sorted(stable_hash(tuple(r)) for r in row_result.rows)
-    batch_digest = sorted(stable_hash(tuple(r)) for r in batch_result.rows)
+    row_digest = sorted(exact_hash(tuple(r)) for r in row_result.rows)
+    batch_digest = sorted(exact_hash(tuple(r)) for r in batch_result.rows)
     assert row_digest == batch_digest
     assert _fingerprint(row_result.metrics) == _fingerprint(batch_result.metrics)
 
@@ -557,6 +560,8 @@ def _cells_identical(want, got):
 
 def _bits(value):
     """An orderable stand-in for a DISTINCT state's member (NaN-proof)."""
+    if isinstance(value, NanCells):  # a tensor holding a NaN
+        value = value.value
     if isinstance(value, (Vector, Matrix)):
         return value.data.tobytes()
     return struct.pack("<d", value)
@@ -567,10 +572,9 @@ def _costs(cost):
 
 
 def _spec(name, arg, distinct=False):
-    """An aggregate spec as ``partial_aggregate`` reads one."""
-    return SimpleNamespace(
-        distinct=distinct, aggregate=lookup_aggregate(name), arg=arg
-    )
+    """An aggregate spec as ``partial_aggregate`` reads one (no output
+    column)."""
+    return AggSpec(lookup_aggregate(name), arg, None, distinct)
 
 
 def _assert_chunks_agree(chunk, batch):
@@ -1319,11 +1323,11 @@ class TestKeyKernelsAgree:
         lose the speed, so pin the path: over typed columns the ``gram
         (tuple)``, group-filter and top-k shapes and a hash repartition
         read no key or aggregate-argument column back as Python values,
-        hash each distinct key once and never enter ``fold_groups``; over
-        an object key column (NULL-bearing) they do — the fallback is
-        alive. Either way no state but AVG's takes the row merge
-        (``merge_states``): the states are typed. Nor does any key kernel
-        pay a comparison sort that the key's form avoids: no ``np.lexsort``, no
+        hash each distinct key once and never enter ``fold_groups`` but
+        to merge AVG's ``(sum, count)`` pairs under their merger; over an
+        object key column (NULL-bearing) they do — the fallback is alive.
+        Nor does any key kernel pay a comparison sort that the key's form
+        avoids: no ``np.lexsort``, no
         ``np.unique(return_index=True)`` (a stable mergesort), no stable
         sort of more than 16 ``int64`` (a narrow span sorts as
         ``uint16``); a float GROUP BY key still takes ``np.unique``."""
@@ -1371,19 +1375,11 @@ class TestKeyKernelsAgree:
             "stable_hash",
             lambda key: hashed.append(key) or stable_hash(key),
         )
-        fold_groups, merge_states = aggregation.fold_groups, aggregation.merge_states
+        fold_groups = aggregation.fold_groups
         monkeypatch.setattr(
             aggregation,
             "fold_groups",
-            lambda *args: folds.append(args) or fold_groups(*args),
-        )
-        merged = []
-        monkeypatch.setattr(
-            aggregation,
-            "merge_states",
-            lambda spec, states, *args: merged.append(
-                (spec.aggregate.name, len(states))
-            ) or merge_states(spec, states, *args),
+            lambda *args: folds.append(args[0].name) or fold_groups(*args),
         )
 
         def fell_back():  # (an empty partition has no form to speak of)
@@ -1399,13 +1395,13 @@ class TestKeyKernelsAgree:
             db.load("t", rows + [(None, None, None)] * (4 if null_key else 0))
             for sql in statements:
                 del evaluated[:], listed[:], hashed[:], folds[:], sorts[:], uniqued[:]
-                del merged[:]
                 db.execute(sql)
                 assert evaluated
                 assert fell_back() == null_key, sql
-                assert bool(folds) == (null_key and "SUM" in sql), sql
-                assert all(name == "AVG" for name, _ in merged), sql
-                assert ("AVG" in {name for name, _ in merged}) == ("AVG" in sql)
+                # AVG's pairs merge by their merger's chain, and nothing
+                # else over typed columns does
+                pairs = ["PAIR_SUM"] if "AVG" in sql else []
+                assert (folds != pairs) == (null_key and "SUM" in sql), (sql, folds)
                 assert max(sorts, default=0) <= 16, sql
                 assert not any(index for _, index in uniqued), sql
             if not null_key:
@@ -1449,6 +1445,7 @@ class TestFusedSum:
         from repro.engine import aggregation, storage
         from repro.engine.aggregation import STEP_ROWS
         from repro.la.aggregates import SumAggregate
+        from repro.views import definition
 
         kernel, calls = aggregation.sum_steps, []
         monkeypatch.setattr(
@@ -1470,7 +1467,8 @@ class TestFusedSum:
                 raise AssertionError("a fused SUM reached the add chain")
             return add(self, state, value)
 
-        monkeypatch.setattr(storage, "final_aggregate", merged)
+        for owner in (storage, definition):  # FinalAggregate, a view's answer
+            monkeypatch.setattr(owner, "final_aggregate", merged)
         monkeypatch.setattr(SumAggregate, "add", chain)
         v = ColumnVar(1, VectorType(3), "v")
         spec = _spec("SUM", FuncExpr(lookup("outer_product"), [v, v]))
@@ -1698,6 +1696,95 @@ class TestNaNKeys:
             )
             assert counted == _exact([(2, 5)])
             assert len(ordered) == 5 and len(extremes) == 1
+
+
+class TestTensorKeys:
+    """Tensor keys keep the hash/equality contract (docs/SQL.md): ``=``
+    is element-wise, so ``±0.0`` cells are one key — hashed alike by
+    ``Vector``/``Matrix.__hash__`` and ``stable_hash`` — and a tensor
+    holding a NaN equals nothing, not even itself: an equi-join never
+    matches it. GROUP BY and DISTINCT treat every NaN as one value, so
+    tensors that differ only where both hold a NaN (whatever its sign
+    or payload) are one key, however the rows were stored or shared."""
+
+    @staticmethod
+    def _db(mode, slots, **config):
+        nan = float("nan")
+        db = Database(
+            TEST_CLUSTER.with_updates(
+                machines=slots // 2, cores_per_machine=2, **config
+            ),
+            execution_mode=mode,
+        )
+        db.execute("CREATE TABLE t (k INTEGER, v VECTOR[2], m MATRIX[1][2])")
+        db.load(
+            "t",
+            [
+                (k, Vector(cells), Matrix([cells]))
+                for k, cells in enumerate(
+                    [[0.0, 1.0], [-0.0, 1.0], [nan, 1.0], [-nan, 1.0], [2.0, -0.0]],
+                    start=1,
+                )
+            ],
+        )
+        return db
+
+    def test_hashes_follow_equality(self):
+        nan = float("nan")
+        for make in (Vector, lambda cells: Matrix([cells])):
+            plus, minus = make([0.0, 1.0]), make([-0.0, 1.0])
+            assert plus == minus
+            assert hash(plus) == hash(minus)
+            assert stable_hash((plus,)) == stable_hash((minus,))
+            assert stable_hash((make([nan, 1.0]),)) == stable_hash((make([-nan, 1.0]),))
+
+    def test_the_fingerprint_keeps_every_bit(self):
+        for make in (Vector, lambda cells: Matrix([cells])):
+            plus, minus = make([0.0]), make([-0.0])
+            assert exact_hash((plus,)) != exact_hash((minus,))
+            plus_rows, minus_rows = Result(["v"], [(plus,)]), Result(["v"], [(minus,)])
+            assert digest([plus_rows]) != digest([minus_rows])
+
+    @pytest.mark.parametrize("slots", [2, 4])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    @pytest.mark.parametrize("column", ["v", "m"])
+    def test_hash_join_matches_the_nested_loop(self, mode, slots, column):
+        db = self._db(mode, slots)
+        join = f"SELECT a.k, b.k FROM t AS a, t AS b WHERE a.{column} = b.{column}"
+        hashed = db.execute(join)
+        nested = db.execute(join + " OR a.k < 0")
+        assert "HashJoin" in {op.name for op in hashed.metrics.operators}
+        assert "NestedLoopJoin" in {op.name for op in nested.metrics.operators}
+        want = [(1, 1), (1, 2), (2, 1), (2, 2), (5, 5)]
+        assert sorted(hashed.rows) == sorted(nested.rows) == want
+
+    @pytest.mark.parametrize("slots", [2, 4])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    @pytest.mark.parametrize("column", ["v", "m"])
+    def test_one_group_per_equal_key(self, mode, slots, column):
+        db = self._db(mode, slots)
+        grouped = db.execute(f"SELECT COUNT(*), MIN(k) FROM t GROUP BY {column}")
+        assert sorted(grouped.rows) == [(1, 5), (2, 1), (2, 3)]
+        assert len(db.execute(f"SELECT DISTINCT {column} FROM t").rows) == 3
+        counted = db.execute(f"SELECT COUNT(DISTINCT {column}) FROM t")
+        assert counted.rows == [(3,)]
+
+    @pytest.mark.parametrize("storage", ["memory", "disk"])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_a_shared_nan_vector_is_one_key(self, mode, storage):
+        # a join repeats one build row's vector across its matches: one
+        # object in memory, separate copies once it crossed a spill file
+        config = {"storage_mode": storage}
+        if storage == "disk":
+            config["buffer_pool_bytes"] = 64
+        db = self._db(mode, 4, **config)
+        db.execute("CREATE TABLE u (k INTEGER)")
+        db.load("u", [(3,), (3,), (3,), (4,)])
+        join = "FROM u, t WHERE u.k = t.k"
+        grouped = db.execute(f"SELECT t.v, COUNT(*) {join} GROUP BY t.v")
+        assert [count for _, count in grouped.rows] == [4]
+        assert len(db.execute(f"SELECT DISTINCT t.v {join}").rows) == 1
+        assert db.execute(f"SELECT COUNT(DISTINCT t.v) {join}").rows == [(1,)]
 
 
 # -- stages: one batch per operator, charged per slot ------------------------
@@ -1983,15 +2070,15 @@ class TestStages:
         aggregate's kernels, however few states a column holds. A silent
         fall back would keep every result right and only lose the speed,
         so pin the path: over typed columns no statement enters the
-        ``dict`` grouping of a key (``HashedKeys.grouping``) or the row
-        merge (``merge_states``), and no state is sized one by one
+        ``dict`` grouping of a key (``HashedKeys.grouping``) or the
+        ``add`` chain (``fold_groups``), and no state is sized one by one
         (``value_bytes``)."""
         from repro.engine import aggregation, storage
 
         calls, loops, sized, hashed = [], [], [], []
         for owner, name, seen in (
             (storage, "final_aggregate", calls),
-            (aggregation, "merge_states", loops),
+            (aggregation, "fold_groups", loops),
             (aggregation, "value_bytes", sized),
             (HashedKeys, "grouping", hashed),
         ):
@@ -2054,22 +2141,37 @@ class TestStages:
     def test_every_merge_fallback_is_named(
         self, monkeypatch, aggregate, merged, where
     ):
-        """Only states that are no values take the row merge
-        (``merge_states``), named here by their aggregate: AVG's ``(sum,
-        count)`` pairs, DISTINCT value sets and VECTORIZE/ROWMATRIX/
-        COLMATRIX label dicts. Every other column — a NULL state (charged
-        ``value_bytes(None)`` beside the fold), a NaN extreme, tensor or
-        STRING extremes, one state per slot — and the typed SUM beside it
-        fold under the aggregate's ``merger`` and never enter it. The
-        rows and charges stay the row oracle's."""
+        """Every state column is merged by exactly one ``fold`` under its
+        aggregate's ``merger`` — there is no second merge path. In batch
+        mode the merger's ``add`` chain (``fold_groups``) merges the
+        states that are no values, named here by their aggregate — AVG's
+        ``(sum, count)`` pairs, DISTINCT value sets and VECTORIZE/
+        ROWMATRIX/COLMATRIX label dicts — and the value columns no kernel
+        folds (:data:`CHAINED_MERGES`: a NULL state, charged
+        ``value_bytes(None)`` beside the fold, or a NaN, tensor or STRING
+        extreme). A typed column — one state per slot, and the SUM beside
+        each case — folds by the kernels. The rows and charges stay the
+        row oracle's."""
         from repro.engine import aggregation
 
-        loops = []
-        original = aggregation.merge_states
-        monkeypatch.setattr(
-            aggregation, "merge_states",
-            lambda spec, *args: loops.append(spec) or original(spec, *args),
-        )
+        merges, chained, inside = [], [], []
+        fold, fold_groups = aggregation.fold, aggregation.fold_groups
+
+        def merge(merger, *args):  # final_aggregate's one fold per column
+            merges.append(merger.name)
+            inside.append(merger)
+            try:
+                return fold(merger, *args)
+            finally:
+                inside.pop()
+
+        def chain(aggregate, *args):
+            if inside:  # a merge, not a partial fold
+                chained.append(aggregate.name)
+            return fold_groups(aggregate, *args)
+
+        monkeypatch.setattr(aggregation, "fold", merge)
+        monkeypatch.setattr(aggregation, "fold_groups", chain)
         nan = float("nan")
         sql = f"SELECT k, {aggregate}, SUM(z) FROM q {where} GROUP BY k"
         seen = []
@@ -2089,12 +2191,17 @@ class TestStages:
                     for i in range(48)
                 ],
             )
-            del loops[:]
+            del merges[:], chained[:]
             result = db.execute(sql)
-            if mode == "batch":
-                names = {spec.aggregate.name for spec in loops}
+            spec = lookup_aggregate(merged)
+            merger = "SET_UNION" if "DISTINCT" in aggregate else spec.merger.name
+            assert merges == [merger, "SUM"], merges
+            if mode == "row":  # the oracle merges every column by the chain
+                assert sorted(chained) == sorted(merges), chained
+            else:
                 fallback = "DISTINCT" in aggregate or merged in MERGE_FALLBACKS
-                assert names == ({merged} if fallback else set()), names
+                want = [merger] if fallback or aggregate in CHAINED_MERGES else []
+                assert chained == want, chained
             seen.append((
                 list(map(_stage_cell, result.rows)),
                 [
@@ -2146,9 +2253,15 @@ class TestStages:
 
 
 #: the aggregates whose states are no values — pairs and label dicts —
-#: and so, with DISTINCT's value sets, the only ones FinalAggregate merges
-#: through ``merge_states``
+#: and so, with DISTINCT's value sets, the ones whose merger's ``add``
+#: chain FinalAggregate always takes
 MERGE_FALLBACKS = {"AVG", "VECTORIZE", "ROWMATRIX", "COLMATRIX"}
+
+#: the value states FinalAggregate merges by their merger's ``add``
+#: chain in batch mode too: a column holding a NULL state (``y``, an
+#: object column), a NaN extreme (``w``), tensor (``v``) or STRING (``s``)
+#: extremes
+CHAINED_MERGES = {"SUM(y)", "MIN(y)", "MIN(w)", "MAX(w)", "MIN(v)", "MIN(s)"}
 
 #: FinalAggregate merges, each a case of the float and charge contract
 #: the merge kernels keep (over table ``m`` of :func:`_stage_db`)

@@ -533,6 +533,15 @@ def test_division_by_zero_is_an_execution_error(client):
     client.delete_job(job_id)
 
 
+def test_oversized_tensor_is_an_execution_error(client):
+    """A tensor numpy cannot allocate answers the engine's structured
+    error, not ``bad_request`` carrying numpy's message."""
+    with pytest.raises(ServerError) as excinfo:
+        client.query("SELECT zeros_vector(4611686018427387904) FROM points")
+    assert excinfo.value.code == "execution_error"
+    assert "zeros_vector: cannot allocate" in str(excinfo.value)
+
+
 def test_job_result_streams_in_pages(client):
     job_id = client.submit_job("SELECT i, y_i FROM outcomes", page_size=10)
     poll = wait_job(client, job_id)

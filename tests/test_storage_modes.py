@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro import Database, TEST_CLUSTER
 from repro.columnar import ColumnData, columns_from_rows
 from repro.config import ClusterConfig
-from repro.engine import stable_hash
+from repro.engine import exact_hash
 from repro.engine.cluster import columns_row_bytes, row_bytes
 from repro.engine.storage import Batch
 from repro.errors import ExecutionError, ServiceOverloadedError
@@ -117,7 +117,7 @@ def _fingerprint(metrics):
 
 
 def _digest(result):
-    return sorted(stable_hash(tuple(row)) for row in result.rows)
+    return sorted(exact_hash(tuple(row)) for row in result.rows)
 
 
 def _assert_all_modes_agree(sql, **overrides):

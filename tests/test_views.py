@@ -572,6 +572,54 @@ class TestCarriedState:
 # -- refresh-mode semantics --------------------------------------------------
 
 
+class TestLabelAggregates:
+    """A view over the label aggregates keeps per-slot label dicts that
+    its folds write into; each answer merges them into a fresh dict, so
+    an answer leaves the stored states as they were and the next fold
+    and answer see them unchanged."""
+
+    QUERY = (
+        "SELECT VECTORIZE(label_scalar(x, k + 1)), ROWMATRIX(label_vector(v, k + 1)), "
+        "COLMATRIX(label_vector(v, k + 1)), AVG(x) FROM t"
+    )
+
+    @pytest.mark.parametrize("refresh_mode", ["eager", "deferred"])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_answers_equal_a_rescan_across_appends(self, mode, refresh_mode):
+        from repro.sql import parse_statement
+
+        view_sql = (
+            "SELECT VECTORIZE(label_scalar(x, k + 1)) AS vx, "
+            "ROWMATRIX(label_vector(v, k + 1)) AS rm, "
+            "COLMATRIX(label_vector(v, k + 1)) AS cm, AVG(x) AS ax FROM t"
+        )
+        db, unread = (
+            _db(view_sql, rows=[], execution_mode=mode, view_refresh_mode=refresh_mode)
+            for _ in range(2)
+        )
+        # labels k + 1 in 1..5 repeat across slots and across appends: a
+        # later row's label overwrites an earlier one's cell
+        appends = [ROWS[:7], EXTRA, ROWS[7:], EXTRA[::-1]]
+
+        def stored(database):  # the view's per-slot states
+            view = database.catalog.materialized_view("mv")
+            return [states for states in view._slot_states if states is not None]
+
+        for step, batch in enumerate(appends):
+            db.load("t", batch)
+            unread.load("t", batch)
+            rescan = db._run_select(parse_statement(self.QUERY), None, use_views=False)
+            assert rescan.metrics.view_hits == 0
+            for _ in range(2):  # an answer must not disturb the next one
+                answer = db.execute(self.QUERY)
+                assert answer.metrics.view_hits == 1, step
+                assert _bits(answer.rows) == _bits(rescan.rows), (step, mode)
+            # the answers wrote into no stored state: the states equal
+            # those of a view never read, rebuilt from scratch
+            unread.execute("REFRESH MATERIALIZED VIEW mv")
+            assert stored(db) == stored(unread), step
+
+
 class TestRefreshModes:
     def test_eager_maintains_inside_the_write(self):
         db = _db("SELECT SUM(x) AS sx FROM t", view_refresh_mode="eager")
