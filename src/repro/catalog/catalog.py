@@ -11,7 +11,7 @@ stored state; the catalog tracks their base-table dependency graph so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CatalogError, DependentViewError
 from ..types import DataType
@@ -35,6 +35,25 @@ class TableEntry:
         observed filled in: part of the table's shape, so a statistics
         refresh that changes it moves the shape stamp."""
         return self.stats.column(column.name).refine_type(column.data_type)
+
+    def shape(self) -> Tuple:
+        """What binding and lowering read of this table besides its
+        statistics: each column with its refined type, and the columns
+        its storage is partitioned on. Equal shapes bind and lower a
+        statement alike."""
+        storage = self.storage
+        return (
+            self.schema.columns,
+            tuple(self.refined_type(column) for column in self.schema),
+            tuple(storage.partition_by or ()) if storage is not None else None,
+        )
+
+    def statistics_read(self) -> Tuple:
+        """What an estimate reads of this table's statistics
+        (``CostModel.scan_rule``): the row count and each column's
+        distinct count — never the accumulator sets behind them."""
+        stats = self.stats
+        return (stats.row_count, *(stats.distinct(c.name) for c in self.schema))
 
 
 @dataclass
@@ -108,6 +127,36 @@ class Catalog:
         """The version at ``name``'s last change of rows or shape; 0 for
         no such relation."""
         return self._statistics.get(name.lower(), 0)
+
+    def shape(self, name: str):
+        """The content behind ``name``'s shape stamp: what a binder, a
+        view matcher and a planner read of the relation besides
+        statistics — a table's :meth:`TableEntry.shape` with the state of
+        every materialized view over it, a view's query, a materialized
+        view's state. None for no such relation. A plan compiled against
+        equal shapes (and equal statistics) is the plan a compile would
+        make now, so it outlives a stamp that moved while nothing it
+        read changed: a table dropped and created again alike."""
+        key = name.lower()
+        table = self._tables.get(key)
+        if table is not None:
+            views = tuple(
+                self._matview_state(view)
+                for view in self._matviews.values()
+                if key in view.base_tables
+            )
+            return table.shape(), views
+        view = self._views.get(key)
+        if view is not None:
+            return view.query, view.column_names
+        matview = self._matviews.get(key)
+        return None if matview is None else self._matview_state(matview)
+
+    @staticmethod
+    def _matview_state(view) -> Tuple:
+        """The view itself (a plan may answer from it), whether it may
+        answer, and the row count estimates read of it."""
+        return view, view.fresh, view.estimated_rows()
 
     def _unstamp(self, name: str) -> None:
         key = name.lower()

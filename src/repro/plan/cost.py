@@ -110,9 +110,24 @@ LOGICAL_UNSPLIT = (ScanNode, ViewScanNode, FilterNode, ProjectNode)
 #: the partitioning kind of rows spread over every slot
 SPREAD = ROUND_ROBIN.kind
 
-#: per thread, the tables whose statistics the open
-#: :meth:`CostModel.recording_reads` block saw read
+#: per thread, the :class:`Reads` of the open
+#: :meth:`CostModel.recording_reads` block
 _READS = threading.local()
+
+
+@dataclass
+class Reads:
+    """What the estimates of one compile read of table statistics: what
+    a compiled plan depends on beyond its relations' shapes."""
+
+    #: lower-case name -> the table whose statistics an estimate read
+    tables: Dict[str, object] = field(default_factory=dict)
+    #: the names among them whose statistics fed a *choice* — join order,
+    #: join layout, limit pushdown, sort or Top-K — rather than only the
+    #: estimates written onto the plan: when they change, the plan may
+    #: change, so it must be compiled again; when only the others do, the
+    #: same plan is priced again
+    choices: Set[str] = field(default_factory=set)
 
 
 def _kind(node) -> str:
@@ -144,19 +159,34 @@ class CostModel:
 
     @staticmethod
     @contextmanager
-    def recording_reads() -> Iterator[Set[str]]:
-        """Yield the set of (lower-case) names of the tables whose
-        statistics the rules read on this thread until the block ends:
-        what a compiled plan depends on beyond its relations' shapes. An
-        inner block's reads count for the outer one too."""
-        outer = getattr(_READS, "tables", None)
-        tables = _READS.tables = set()
+    def recording_reads() -> Iterator[Reads]:
+        """Yield the :class:`Reads` the rules and the choices made on
+        this thread record until the block ends. An inner block's reads
+        count for the outer one too."""
+        outer = getattr(_READS, "reads", None)
+        reads = _READS.reads = Reads()
         try:
-            yield tables
+            yield reads
         finally:
-            _READS.tables = outer
+            _READS.reads = outer
             if outer is not None:
-                outer |= tables
+                outer.tables.update(reads.tables)
+                outer.choices |= reads.choices
+
+    @staticmethod
+    def choosing(*nodes: LogicalNode) -> None:
+        """A choice is about to branch on the estimates of the logical
+        plans ``nodes``: the statistics of every table scanned under them
+        feed it (recorded for :meth:`recording_reads`)."""
+        reads = getattr(_READS, "reads", None)
+        if reads is None:
+            return
+        stack = list(nodes)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ScanNode):
+                reads.choices.add(node.table.name.lower())
+            stack.extend(node.children())
 
     # -- cardinality feedback --------------------------------------------------
 
@@ -204,9 +234,9 @@ class CostModel:
     def scan_rule(self, table, columns, width: float) -> Estimate:
         """The one place an estimate reads a table's statistics: the read
         is recorded for :meth:`recording_reads`."""
-        reads = getattr(_READS, "tables", None)
+        reads = getattr(_READS, "reads", None)
         if reads is not None:
-            reads.add(table.name.lower())
+            reads.tables[table.name.lower()] = table
         rows = self._feedback_scan_rows(table.name)
         if rows is None:
             rows = float(table.stats.row_count)
@@ -655,10 +685,11 @@ class CostModel:
         est_seconds)`` onto its node — the numbers EXPLAIN ANALYZE's trace
         prints beside the measured actuals and admission sizes a plan by.
         Returns the root's estimate. A compile prices its plan once and a
-        plan-cache hit reuses the numbers: what they read — a table's
+        plan-cache hit reuses the numbers. What they read — a table's
         statistics (recorded by :meth:`scan_rule`), a view's row count,
         feedback — moves a statistics or shape stamp the plan holds, or
-        the feedback version, and any of them makes the cached plan miss."""
+        the feedback version: a cached plan whose moved statistics fed
+        only estimates is priced again, on a copy (``repro.plan_cache``)."""
         inputs = [self.price_physical(child) for child in node.children()]
         est, node.est_seconds = self._physical_rule(node, inputs)
         node.est_rows, node.est_width_bytes = est.rows, est.width_bytes

@@ -320,6 +320,7 @@ class Optimizer:
         pushed = ProjectNode(
             SortNode(child.child, keys, node.limit), child.exprs, child.columns
         )
+        self.cost.choosing(node)
         if self._estimates.plan_cost(pushed) < self._estimates.plan_cost(node):
             return pushed
         return None
@@ -427,6 +428,8 @@ class _RegionContext:
     def solve(self) -> _Candidate:
         count = len(self.relations)
         self.full_mask = (1 << count) - 1
+        if count > 1:  # the join order is picked by the estimates
+            self.cost.choosing(*self.relations)
         if count > DP_RELATION_LIMIT:
             return self._greedy()
         return self._dynamic_programming()

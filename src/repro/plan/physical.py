@@ -479,13 +479,11 @@ class PhysicalPlanner:
             return PDistinct(shuffled, local=False)
         if isinstance(node, SortNode):
             child = self._lower(node.child, estimates)
-            top_k = (
-                self.enable_top_k
-                and node.limit is not None
-                and self.cost.use_top_k(
-                    node.limit, estimates.estimate(node.child).rows
-                )
-            )
+            top_k = self.enable_top_k and node.limit is not None
+            if top_k:
+                self.cost.choosing(node.child)
+                rows = estimates.estimate(node.child).rows
+                top_k = self.cost.use_top_k(node.limit, rows)
             # both strategies run a per-slot pass, a gather, a final pass
             operator = PTopK if top_k else PSortLimit
             if child.partitioning.kind != "single":
@@ -509,6 +507,7 @@ class PhysicalPlanner:
         right_ready = right.partitioning.co_partitioned_with(right_sig)
         # a cross product's layout reads no output estimate
         output = None if node.is_cross else estimates.estimate(node)
+        self.cost.choosing(node)
         build_left, broadcast = self.cost.join_layout(
             left_est, right_est, output, node.is_cross, left_ready, right_ready
         )

@@ -4,6 +4,7 @@ while what it read is unchanged, and a cached plan is the plan a fresh
 compile would produce."""
 
 import copy
+import logging
 import random
 import threading
 
@@ -155,6 +156,153 @@ def test_stamps_of_a_recreated_name_never_repeat():
         seen.add(db.catalog.stamp("scratch"))
         db.execute("DROP TABLE scratch")
         assert db.catalog.stamp("scratch") == 0
+
+
+# -- plans valid by content ----------------------------------------------------
+
+RECREATE = "CREATE TABLE t (k INTEGER, x DOUBLE)"
+#: a plain scan; a scalar aggregate; a self-join whose join order and
+#: layout read t's statistics
+OVER_T = (
+    "SELECT k, x FROM t ORDER BY k",
+    "SELECT SUM(x), COUNT(k) FROM t",
+    "SELECT t.k AS k, u.x AS x FROM t, t AS u WHERE t.k = u.k ORDER BY k",
+)
+
+
+def t_rows(offset, count=12):
+    return [(i, float(i) + offset) for i in range(count)]
+
+
+def expected_over_t(sql, rows):
+    if sql.startswith("SELECT SUM"):
+        return [(sum(x for _, x in rows), len(rows))]
+    return sorted(rows)
+
+
+def hexes(trace):
+    """The estimate columns of a trace tree, floats by ``.hex()``."""
+    return [tuple(v if v is None else float(v).hex() for v in row) for row in estimates(trace)]
+
+
+def plan_tables(plan):
+    """Every table a cached plan's logical and physical nodes hold."""
+    stack, found = [plan.logical, plan.physical], []
+    while stack:
+        node = stack.pop()
+        if hasattr(node, "table"):
+            found.append(node.table)
+        stack.extend(node.children())
+    return found
+
+
+@pytest.mark.parametrize("door", ["embedded", "session"])
+@pytest.mark.parametrize("storage", ["memory", "disk"])
+@pytest.mark.parametrize("mode", ["batch", "row"])
+def test_a_revalidated_plan_reads_the_live_table(mode, storage, door):
+    """DROP, CREATE and a load of other rows with equal statistics: every
+    statement over the table is a plan-cache hit — revalidated, not
+    compiled — and returns the new rows, read through the live table;
+    the cached plans hold no reference to the dropped one."""
+    db = Database(TEST_CLUSTER.with_updates(storage_mode=storage), execution_mode=mode)
+    execute = db.execute if door == "embedded" else db.service().session().execute
+    execute(RECREATE)
+    db.load("t", t_rows(0))
+    for sql in OVER_T:
+        settle(db, sql, execute)
+    for offset in (100, 200):
+        dropped = db.catalog.table("t")
+        execute("DROP TABLE t")
+        execute(RECREATE)
+        db.load("t", t_rows(offset))
+        live = db.catalog.table("t")
+        assert live is not dropped and live.statistics_read() == dropped.statistics_read()
+        for sql in OVER_T:
+            revalidated = db.plan_cache.revalidated
+            result = execute(sql)
+            assert result.metrics.plan_cached, sql
+            assert db.plan_cache.revalidated == revalidated + 1
+            fresh, physical = run_fresh(db, sql)
+            assert result.rows == fresh.rows and digest([result]) == digest([fresh])
+            assert result.rows == expected_over_t(sql, t_rows(offset))
+            assert hexes(result.metrics.trace) == hexes(fresh.metrics.trace)
+            statement, key = parse_keyed(sql)
+            plan, hit = db._plan(statement, None, key)
+            assert hit and plan.physical.pretty() == physical.pretty()
+            tables = plan_tables(plan)
+            assert tables and all(table is live for table in tables)
+
+
+def test_what_a_plan_read_moved_recompiles_or_reprices(monkeypatch):
+    """A different column type or refined dimension recompiles; a
+    different row count recompiles a statement whose join read it, and
+    re-prices one that made no choice on it — the re-priced hit equal to
+    a fresh compile in rows, plan and every estimate by ``.hex()``."""
+    db = Database(TEST_CLUSTER)
+    db.execute(RECREATE)
+    db.load("t", t_rows(0))
+    scan, _, join = OVER_T
+    for sql in OVER_T:
+        settle(db, sql)
+
+    # the row count moves: the join compiles again, the scan is re-priced
+    db.load("t", t_rows(0, 3))
+    stats = db.plan_cache.stats()
+    assert not db.execute(join).metrics.plan_cached
+    renewed = db.execute(scan)
+    assert renewed.metrics.plan_cached
+    assert db.plan_cache.stats()["repriced"] == stats["repriced"] + 1
+    assert db.plan_cache.stats()["invalidated"] == stats["invalidated"] + 1
+    fresh, physical = run_fresh(db, scan)
+    assert renewed.rows == fresh.rows
+    assert cached_physical(db, scan).pretty() == physical.pretty()
+    assert hexes(renewed.metrics.trace) == hexes(fresh.metrics.trace)
+    assert node_named(renewed, "Scan t").est_rows == 15.0
+    hit_with_fresh_estimates(db, scan, monkeypatch)
+
+    # a different column type, under equal statistics
+    db.execute("DROP TABLE t")
+    db.execute("CREATE TABLE t (k INTEGER, x INTEGER)")
+    db.load("t", [(k, int(x)) for k, x in t_rows(0)] + [(k, int(x)) for k, x in t_rows(0)[:3]])
+    for sql in OVER_T:
+        assert not db.execute(sql).metrics.plan_cached, sql
+
+    # a refined dimension: VECTOR[] holding length 3, then length 4
+    vectors = "SELECT k, v FROM w ORDER BY k"
+    db.execute("CREATE TABLE w (k INTEGER, v VECTOR[])")
+    db.load("w", [(i, Vector(np.full(3, float(i)))) for i in range(5)])
+    settle(db, vectors)
+    db.execute("DROP TABLE w")
+    db.execute("CREATE TABLE w (k INTEGER, v VECTOR[])")
+    db.load("w", [(i, Vector(np.full(4, float(i)))) for i in range(5)])
+    result = db.execute(vectors)
+    assert not result.metrics.plan_cached
+    assert result.rows[1][1] == Vector(np.ones(4))
+
+
+def test_each_recompile_names_its_reason(caplog):
+    """The ``repro.plan_cache`` logger says why a cached plan compiles
+    again: a shape it read moved, a statistics read that fed a choice
+    moved, or the feedback version moved."""
+    db = make_db()
+    join = "SELECT a.k, SUM(b.y) FROM a, b WHERE a.k = b.k GROUP BY a.k"
+    scan = "SELECT SUM(x) FROM a"
+    for sql in (join, scan):
+        settle(db, sql)
+    with caplog.at_level(logging.DEBUG, logger="repro.plan_cache"):
+        db.execute("INSERT INTO b VALUES (1, 2.0)")
+        db.execute(join)
+        db.execute("CREATE MATERIALIZED VIEW m AS SELECT k, COUNT(k) AS c FROM a GROUP BY k")
+        db.execute(scan)
+        db.feedback.record_scan_rows("a", 1000.0)
+        db.execute(scan)
+    messages = [record.getMessage() for record in caplog.records]
+    assert any(
+        m.endswith("a choice-feeding statistics read moved") and "sum ( b . y )" in m
+        for m in messages
+    )
+    assert any(m.endswith("a shape it read moved") and "sum ( x )" in m for m in messages)
+    assert any(m.endswith("the feedback version moved") for m in messages)
 
 
 def test_session_temp_view_shadowing_a_table_is_scoped():
@@ -366,6 +514,18 @@ def test_served_stats_count_embedded_statements_too():
     cache = service.stats()["plan_cache"]
     assert (cache["hits"], cache["misses"]) == (1, 1)
     assert {"entries", "capacity", "hit_rate", "evictions", "invalidated"} <= set(cache)
+    # an INSERT re-prices the plan, a DROP and CREATE alike revalidates
+    # it: both are hits, counted apart, and /stats serves the counts
+    db.execute("INSERT INTO b VALUES (1, 1.0)")
+    db.execute(sql)
+    db.execute("CREATE TABLE b2 AS SELECT k, y FROM b")
+    db.execute("DROP TABLE b")
+    db.execute("CREATE TABLE b AS SELECT k, y FROM b2")
+    db.execute(sql)
+    with Server(db) as server, ServerClient(*server.address) as client:
+        served = client.stats()["plan_cache"]
+    assert (served["repriced"], served["revalidated"]) == (1, 1)
+    assert served["hits"] == 3  # the two CTAS compiled their queries: misses
 
 
 def test_plan_line_in_explain_analyze_and_report():
@@ -374,7 +534,9 @@ def test_plan_line_in_explain_analyze_and_report():
     assert db.explain_analyze(sql).splitlines()[-2].endswith("plan: compiled")
     assert db.explain_analyze(sql).splitlines()[-2].endswith("plan: cached")
     assert "plan: cached" in db.execute(sql).metrics.report()
-    db.execute("INSERT INTO a VALUES (0, 1.0)")
+    db.execute("INSERT INTO a VALUES (0, 1.0)")  # re-priced: still a hit
+    assert "plan: cached" in db.execute(sql).profile()
+    db.execute("CREATE MATERIALIZED VIEW c AS SELECT COUNT(k) AS c FROM a")
     assert "plan: compiled" in db.execute(sql).profile()
 
 
@@ -597,7 +759,8 @@ def test_every_hit_has_fresh_estimates_across_appends_and_view_events(
     ``VECTOR[]`` dimensions), later appends, a dimension that stops
     agreeing, DELETE, REFRESH, DROP and CREATE of a view and of the table
     — every statement's hit equals a fresh compile, through either
-    door."""
+    door, and so after a DROP and CREATE of the table with equal
+    content."""
     db = points_db(refresh_mode)
     execute = db.execute if door == "embedded" else db.service().session().execute
     step = iter(range(0, 10_000, 12))
@@ -605,14 +768,21 @@ def test_every_hit_has_fresh_estimates_across_appends_and_view_events(
     def append(**dims):
         db.load("points", points_rows(next(step), 12, **dims))
 
-    def recreate_table():
+    def recreate_table(rows=None):
         for name in ("gram", "per_k"):
             execute(f"DROP MATERIALIZED VIEW {name}")
         execute("DROP TABLE points")
         execute(POINTS)
         for sql in MATVIEWS:
             execute(sql)
-        db.load("points", points_rows(next(step), 12, dim=3))
+        db.load("points", rows or points_rows(next(step), 12, dim=3))
+
+    def recreate_equal():
+        """The same schema, views and rows again: equal shapes (but for
+        the views, new objects) and equal statistics."""
+        before = db.catalog.table("points").statistics_read()
+        recreate_table(db.execute("SELECT i, k, x, v, w FROM points").rows)
+        assert db.catalog.table("points").statistics_read() == before
 
     events = [
         ("first append", append),
@@ -631,6 +801,8 @@ def test_every_hit_has_fresh_estimates_across_appends_and_view_events(
             execute("DROP MATERIALIZED VIEW gram"), execute(MATVIEWS[0]))),
         ("drop and create the table", recreate_table),
         ("append to the new table", lambda: append(dim=3)),
+        ("drop and recreate with equal content", recreate_equal),
+        ("append after the equal recreate", lambda: append(dim=3)),
     ]
     for label, event in events:
         event()
@@ -641,34 +813,54 @@ def test_every_hit_has_fresh_estimates_across_appends_and_view_events(
     assert db.plan_cache.stats()["invalidated"] > 0
 
 
+JOINED = "SELECT p.k, COUNT(q.i) FROM points AS p, points AS q WHERE p.i = q.k GROUP BY p.k"
+
+
 def test_view_answered_reads_skip_compile_after_appends(monkeypatch):
     """From the second append on, a read answered from an incremental
-    view is a plan-cache hit: no ``Database._compile`` call. The
-    statement that estimates a scan of the table still recompiles — its
-    estimate read the row count the append moved. (A full view over the
-    table would recompute on every append, which stamps its shape.)"""
+    view is a plan-cache hit as it is, and a scan whose statistics fed
+    only its estimates is re-priced: neither calls ``Database._compile``,
+    nor binds or optimizes. A statement whose join order read the
+    appended table still recompiles. (A full view over the table would
+    recompute on every append, which stamps its shape.)"""
     db = points_db()
     db.execute("DROP MATERIALIZED VIEW per_k")
     compiles = []
     compile_ = Database._compile
+    binds, optimizes = [], []
+    bind_select, optimize = Binder.bind_select, Optimizer.optimize
 
     def counting(self, statement, *args, **kwargs):
         compiles.append(statement)
         return compile_(self, statement, *args, **kwargs)
 
     monkeypatch.setattr(Database, "_compile", counting)
+    monkeypatch.setattr(
+        Binder, "bind_select", lambda self, stmt: binds.append(stmt) or bind_select(self, stmt)
+    )
+    monkeypatch.setattr(
+        Optimizer, "optimize",
+        lambda self, *args: optimizes.append(args[0]) or optimize(self, *args),
+    )
     read_gram, recent = parse_statement(GRAM), parse_statement(RECENT)
+    joined = parse_statement(JOINED)
     for step in range(4):
         db.load("points", points_rows(12 * step, 12))
-        del compiles[:]
+        del compiles[:], binds[:], optimizes[:]
         gram = db.execute(GRAM)
         scan = db.execute(RECENT, {"lo": 12 * step})
+        join = db.execute(JOINED)
         assert gram.metrics.view_hits == 1
         assert scan.rows[0][0] == 12
-        assert compiles.count(recent) == 1  # every step
+        assert compiles.count(joined) == 1  # every step: its join order read the row count
         if step >= 1:
-            assert compiles.count(read_gram) == 0
-            assert gram.metrics.plan_cached
+            assert compiles.count(read_gram) == compiles.count(recent) == 0
+            assert gram.metrics.plan_cached and scan.metrics.plan_cached
+            assert node_named(scan, "Scan points").est_rows == 12.0 * (step + 1)
+            assert len(binds) == len(optimizes) == 1  # the join's compile
+        assert join.rows == run_fresh(db, JOINED)[0].rows
+    stats = db.plan_cache.stats()
+    assert stats["repriced"] == 3 and stats["invalidated"] >= 3
 
 
 def test_stamps_split_into_shape_and_statistics():

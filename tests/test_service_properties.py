@@ -29,8 +29,8 @@ INVALIDATORS = {
         lambda db, n: db.execute(f"CREATE TABLE scratch_{n} (x DOUBLE)"),
         False,
     ),
-    "delete": (
-        lambda db, n: db.execute(f"DELETE FROM points WHERE i = {20 + n}"),
+    "delete": (  # row n exists: a DELETE that removes nothing changes nothing
+        lambda db, n: db.execute(f"DELETE FROM points WHERE i = {n}"),
         True,
     ),
     "load": (lambda db, n: db.load("points", [(200 + n, np.zeros(4))]), True),
@@ -88,6 +88,7 @@ def test_cached_plans_always_match_fresh_planning(steps):
             seen_since_invalidation.clear()
             feedback_version = db.feedback.version
         sql = QUERIES[query_index]
+        renewed = service.plan_cache.repriced + service.plan_cache.revalidated
         cached = session.execute(sql, {"k": k})
         fresh = db.execute(sql, {"k": k})
         # correctness: identical rows, columns, and engine metrics
@@ -97,12 +98,17 @@ def test_cached_plans_always_match_fresh_planning(steps):
             fresh.metrics.total_seconds
         )
         # staleness: a plan cached before an invalidation is never
-        # served after it — the first execution of each statement after
-        # any invalidating op must recompile
+        # served as it is after it — the first execution of each
+        # statement after any invalidating op recompiles, or renews the
+        # cached plan (none of these statements makes a choice on the
+        # statistics a DELETE or load moves, so they are re-priced)
         if sql in seen_since_invalidation:
             assert cached.metrics.compile_seconds == 0.0
         else:
-            assert cached.metrics.compile_seconds > 0.0
+            assert cached.metrics.compile_seconds > 0.0 or (
+                service.plan_cache.repriced + service.plan_cache.revalidated
+                == renewed + 1
+            )
         seen_since_invalidation.add(sql)
 
 

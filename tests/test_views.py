@@ -750,16 +750,20 @@ class TestPlanCacheInvalidation:
         session.close()
 
     def test_insert_into_b_invalidates_plans_over_b(self):
+        """The plan over b read b's row count for its estimates only: the
+        INSERT re-prices it, and the hit carries the new count."""
         db, service = self._service()
         session = service.session()
         sql = "SELECT COUNT(y) FROM b"
         for _ in range(3):
             session.execute(sql)
-        invalidated = service.plan_cache.invalidated
+        repriced = service.plan_cache.repriced
         session.execute("INSERT INTO b VALUES (99.0)")
         result = session.execute(sql)
         assert result.scalar() == 9
-        assert service.plan_cache.invalidated > invalidated
+        assert service.plan_cache.repriced == repriced + 1
+        scan = next(n for n in result.metrics.trace.walk() if n.name == "Scan b")
+        assert scan.est_rows == 9.0
         session.close()
 
     def test_ddl_invalidates_only_plans_that_read_the_relation(self):
