@@ -2,7 +2,8 @@
 vector-vs-block crossover).
 
 The paper stores 1000 data points per block. This sweep prices the
-block-based Gram computation at paper scale for different block sizes:
+block-based Gram computation at paper scale for different block sizes,
+from its plans over statistics-only tables (``bench.simsql.price``):
 tiny blocks behave like the vector representation (per-tuple overheads
 dominate), huge blocks hurt parallelism (fewer blocks than cores means
 idle slots and skew).
@@ -10,20 +11,30 @@ idle slots and skew).
 
 import pytest
 
-from repro.bench.model import SimSQLModel
+from repro.bench.simsql import price
+from repro.bench.workloads import Shape
+from repro.catalog.statistics import ColumnStats
 from repro.config import PAPER_CLUSTER
+from repro.engine.executor import busiest_share
 
 N = 1_000_000
 D = 1000
 BLOCK_SIZES = (10, 100, 1000, 10_000, 100_000)
 
 
+def _block_gram(block):
+    return price("gram", "block", Shape(N, D), PAPER_CLUSTER, block).seconds
+
+
+def _skew(blocks):
+    """The busiest slot's blocks over the mean, hash-placed."""
+    share = busiest_share(ColumnStats(value_set=set(range(blocks))), PAPER_CLUSTER)
+    return share * PAPER_CLUSTER.slots
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    model = SimSQLModel(PAPER_CLUSTER)
-    return {
-        block: model._block_gram(N, D, block=block).total for block in BLOCK_SIZES
-    }
+    return {block: _block_gram(block) for block in BLOCK_SIZES}
 
 
 class TestBlockingTradeoff:
@@ -39,17 +50,14 @@ class TestBlockingTradeoff:
         assert sweep[100_000] > sweep[1000]
 
     def test_monotone_skew_with_block_size(self):
-        model = SimSQLModel(PAPER_CLUSTER)
-        skew_small = model._skew(N // 1000)  # 1000 blocks
-        skew_large = model._skew(N // 100_000)  # 10 blocks
+        skew_small = _skew(N // 1000)  # 1000 blocks
+        skew_large = _skew(N // 100_000)  # 10 blocks
         assert skew_large > skew_small
 
 
 def test_bench_blocking_sweep(benchmark):
-    model = SimSQLModel(PAPER_CLUSTER)
-
     def run():
-        return [model._block_gram(N, D, block=b).total for b in BLOCK_SIZES]
+        return [_block_gram(b) for b in BLOCK_SIZES]
 
     values = benchmark(run)
     assert len(values) == len(BLOCK_SIZES)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.bench.model import SimSQLModel
+from repro.bench.simsql import price
+from repro.bench.workloads import PAPER_BLOCK_SIZE, Shape
 from repro.config import PAPER_CLUSTER
 
 
@@ -22,30 +23,29 @@ def _gram_db(config, n, d, seed=0):
 GRAM_SQL = "SELECT SUM(outer_product(vec, vec)) FROM x"
 
 
+def _priced(computation, style, n, d, config=PAPER_CLUSTER):
+    return price(computation, style, Shape(n, d), config, PAPER_BLOCK_SIZE)
+
+
 class TestAblationSkew:
     def test_balanced_placement_reduces_simulated_time(self):
-        model_skewed = SimSQLModel(PAPER_CLUSTER)
-        model_balanced = SimSQLModel(
-            PAPER_CLUSTER.with_updates(balanced_placement=True)
-        )
-        skewed = model_skewed.simulate("distance", "block", 100_000, 1000).total
-        balanced = model_balanced.simulate("distance", "block", 100_000, 1000).total
-        assert balanced < 0.8 * skewed
+        balanced_config = PAPER_CLUSTER.with_updates(balanced_placement=True)
+        skewed = _priced("distance", "block", 100_000, 1000).seconds
+        balanced = _priced("distance", "block", 100_000, 1000, balanced_config)
+        assert balanced.seconds < 0.8 * skewed
 
 
 class TestAblationJobStartup:
     def test_startup_dominates_small_queries(self):
         """Why SimSQL trails SciDB at 10 dims: fixed Hadoop overhead."""
-        model = SimSQLModel(PAPER_CLUSTER)
-        sim = model.simulate("gram", "vector", 1_000_000, 10)
-        fixed = sim.breakdown["compile"] + sim.breakdown["startup"]
-        assert fixed > 0.9 * (sim.total - fixed)
+        priced = _priced("gram", "vector", 1_000_000, 10)
+        fixed = priced.breakdown["compile"] + priced.breakdown["startup"]
+        assert fixed > 0.9 * (priced.seconds - fixed)
 
     def test_startup_negligible_at_1000_dims(self):
-        model = SimSQLModel(PAPER_CLUSTER)
-        sim = model.simulate("gram", "vector", 1_000_000, 1000)
-        fixed = sim.breakdown["compile"] + sim.breakdown["startup"]
-        assert fixed < 0.2 * sim.total
+        priced = _priced("gram", "vector", 1_000_000, 1000)
+        fixed = priced.breakdown["compile"] + priced.breakdown["startup"]
+        assert fixed < 0.2 * priced.seconds
 
 
 class TestAblationCopartitioning:

@@ -8,9 +8,8 @@ mini-scale real executions of the three SimSQL styles on the engine.
 import pytest
 
 from repro.bench.figures import figure, format_figure
-from repro.bench.model import SimSQLModel
-from repro.bench.simsql import SimSQLPlatform
-from repro.bench.workloads import generate
+from repro.bench.simsql import SimSQLPlatform, price
+from repro.bench.workloads import PAPER_BLOCK_SIZE, Shape, generate
 from repro.config import PAPER_CLUSTER
 
 N_PAPER = 1_000_000
@@ -74,13 +73,13 @@ def test_bench_mini_gram(benchmark, style):
     assert outcome.seconds > 0
 
 
-def test_bench_paper_scale_model(benchmark):
-    """The full 3x3 SimSQL model grid should be near-instant."""
-    model = SimSQLModel()
+def test_bench_paper_scale_pricing(benchmark):
+    """The full 3x3 SimSQL grid, compiled and priced over statistics-only
+    tables, should be near-instant."""
 
     def grid():
         return [
-            model.simulate("gram", style, N_PAPER, d)
+            price("gram", style, Shape(N_PAPER, d), PAPER_CLUSTER, PAPER_BLOCK_SIZE)
             for style in ("tuple", "vector", "block")
             for d in (10, 100, 1000)
         ]

@@ -9,10 +9,11 @@ flat in the dimensionality.
 import pytest
 
 from repro.bench.figures import format_figure
-from repro.bench.model import SimSQLModel
-from repro.bench.simsql import SimSQLPlatform
-from repro.bench.workloads import generate
+from repro.bench.simsql import SimSQLPlatform, price
+from repro.bench.workloads import PAPER_BLOCK_SIZE, Shape, generate
+from repro.catalog.statistics import ColumnStats
 from repro.config import PAPER_CLUSTER
+from repro.engine.executor import busiest_share
 
 N_PAPER = 100_000
 
@@ -55,13 +56,15 @@ class TestFigure3Shape:
     def test_block_skew_penalty_exists(self):
         """Ablation for the paper's load-balancing discussion: with ideal
         placement the blocked distance computation gets faster."""
-        skewed = SimSQLModel(PAPER_CLUSTER)
-        balanced = SimSQLModel(PAPER_CLUSTER.with_updates(balanced_placement=True))
-        slow = skewed.simulate("distance", "block", N_PAPER, 1000).total
-        fast = balanced.simulate("distance", "block", N_PAPER, 1000).total
-        assert fast < slow
-        # the paper saw "four or five of the 100 matrices" on one core
-        assert skewed._skew(100) >= 3.0
+        shape = Shape(N_PAPER, 1000)
+        balanced = PAPER_CLUSTER.with_updates(balanced_placement=True)
+        slow = price("distance", "block", shape, PAPER_CLUSTER, PAPER_BLOCK_SIZE)
+        fast = price("distance", "block", shape, balanced, PAPER_BLOCK_SIZE)
+        assert fast.seconds < slow.seconds
+        # the paper saw "four or five of the 100 matrices" on one core:
+        # the busiest of 80 slots holds >= 3x the mean of 100 hash-placed
+        blocks = ColumnStats(value_set=set(range(100)))
+        assert busiest_share(blocks, PAPER_CLUSTER) * PAPER_CLUSTER.slots >= 3.0
 
 
 @pytest.mark.parametrize("style", ["tuple", "vector", "block"])

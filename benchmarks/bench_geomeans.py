@@ -4,16 +4,18 @@ mean running times of 5m07, 6m05 and 4m41 — i.e. *no clear winner*, which
 is the paper's whole argument that a relational engine is competitive.
 
 This benchmark recomputes those geometric means from the reproduction's
-models and asserts the claim's shape: the three systems land within a
-small factor of each other, while Spark mllib is far behind.
+priced plans (SimSQL) and simulators (the others) and asserts the
+claim's shape: the three systems land within a small factor of each
+other, while Spark mllib is far behind.
 """
 
 import math
 
 import pytest
 
-from repro.bench.model import SimSQLModel
 from repro.bench.paperdata import PAPER_GEOMEANS_1000D
+from repro.bench.simsql import price
+from repro.bench.workloads import PAPER_BLOCK_SIZE, Shape
 from repro.comparators import SciDB, SparkMllib, SystemML
 from repro.config import PAPER_CLUSTER
 
@@ -25,12 +27,14 @@ def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def _priced(computation, style):
+    shape = Shape(N[computation], 1000)
+    return price(computation, style, shape, PAPER_CLUSTER, PAPER_BLOCK_SIZE)
+
+
 @pytest.fixture(scope="module")
 def geomeans():
-    model = SimSQLModel(PAPER_CLUSTER)
-    simsql = geomean(
-        [model.simulate(c, "block", N[c], 1000).total for c in COMPUTATIONS]
-    )
+    simsql = geomean([_priced(c, "block").seconds for c in COMPUTATIONS])
     out = {"SimSQL": simsql}
     for cls, name in ((SystemML, "SystemML"), (SciDB, "SciDB"), (SparkMllib, "Spark")):
         platform = cls(PAPER_CLUSTER)
@@ -60,13 +64,9 @@ class TestGeomeans:
 
 
 def test_bench_geomean_grid(benchmark, geomeans):
-    model = SimSQLModel(PAPER_CLUSTER)
-
     def grid():
         return [
-            model.simulate(c, style, N[c], 1000)
-            for c in COMPUTATIONS
-            for style in ("vector", "block")
+            _priced(c, style) for c in COMPUTATIONS for style in ("vector", "block")
         ]
 
     assert len(benchmark(grid)) == 6

@@ -1,20 +1,21 @@
 """Benchmark harness: workloads, the paper's SimSQL implementations,
-the paper-scale cost model, figure reproduction, and the CLI."""
+paper-scale pricing from their compiled plans, figure reproduction, and
+the CLI."""
 
 from .figures import FigureResult, figure, figure4, rst_experiment
-from .model import SimSQLModel
-from .simsql import STYLES, RunOutcome, SimSQLPlatform
+from .simsql import STYLES, Priced, RunOutcome, SimSQLPlatform, price
 from .workloads import Workload, generate
 
 __all__ = [
     "FigureResult",
+    "Priced",
     "RunOutcome",
     "STYLES",
-    "SimSQLModel",
     "SimSQLPlatform",
     "Workload",
     "figure",
     "figure4",
     "generate",
+    "price",
     "rst_experiment",
 ]

@@ -145,7 +145,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-mini",
         action="store_true",
-        help="skip the mini-scale real executions (model tables only)",
+        help="skip the mini-scale real executions (priced tables only)",
     )
     serve_group = parser.add_argument_group("serve options")
     serve_group.add_argument(

@@ -3,8 +3,10 @@
 Each ``figure*`` function returns a :class:`FigureResult` carrying
 
 * **paper-scale simulated times** for every platform row (the SimSQL
-  styles priced by :class:`SimSQLModel`, the comparison platforms by
-  their behavioural simulators), next to the paper's reported numbers;
+  styles priced from the engine's own plans, compiled over tables that
+  hold only the paper-scale statistics — ``simsql.price`` — the
+  comparison platforms by their behavioural simulators), next to the
+  paper's reported numbers;
 * **mini-scale real executions** of the SimSQL styles on the actual
   engine (and of the comparators' strategy-faithful numpy paths), with
   every result checked against ground truth.
@@ -24,12 +26,13 @@ from ..comparators import SciDB, SparkMllib, SystemML
 from ..db import Database
 from ..sql import parse_statement
 from . import paperdata
-from .model import SimSQLModel
 from .paperdata import DIMENSIONS, PLATFORMS, format_hms
-from .simsql import STYLES, SimSQLPlatform
+from .simsql import STYLES, SimSQLPlatform, operators, price
 from .workloads import (
+    PAPER_BLOCK_SIZE,
     PAPER_DISTANCE_POINTS_PER_MACHINE,
     PAPER_GRAM_POINTS_PER_MACHINE,
+    Shape,
     Workload,
     distance_truth_ids,
     generate,
@@ -69,8 +72,8 @@ class FigureResult:
 
     def orderings_match_paper(self, significance: float = 2.0) -> bool:
         """For every platform pair the paper separates by at least a
-        ``significance`` factor (within one dimensionality column), does
-        the model put them in the same order? Near-ties in the paper
+        ``significance`` factor (within one dimensionality column), are
+        the priced times in the same order? Near-ties in the paper
         (e.g. SciDB's 3s vs SystemML's 5s) are not meaningful shape
         claims and are ignored. Fail sorts after everything."""
         return not self.ordering_violations(significance)
@@ -96,7 +99,7 @@ class FigureResult:
                     if (pa < pb) != (qa < qb):
                         violations.append(
                             f"{dims} dims: paper has {first} vs {second} "
-                            f"as {pa:.0f}/{pb:.0f}, model says {qa:.0f}/{qb:.0f}"
+                            f"as {pa:.0f}/{pb:.0f}, priced {qa:.0f}/{qb:.0f}"
                         )
         return violations
 
@@ -122,7 +125,6 @@ def figure(
         else PAPER_GRAM_POINTS_PER_MACHINE
     )
     n = per_machine * config.machines
-    model = SimSQLModel(config)
     comparators = {
         "SystemML": SystemML(config),
         "Spark mllib": SparkMllib(config),
@@ -135,12 +137,12 @@ def figure(
         name = f"{style.capitalize()} SimSQL"
         cells = []
         for index, d in enumerate(DIMENSIONS):
-            sim = model.simulate(computation, style, n, d)
+            priced = price(computation, style, Shape(n, d), config, PAPER_BLOCK_SIZE)
             cells.append(
                 Cell(
-                    None if sim is None else sim.total,
+                    None if priced is None else priced.seconds,
                     paper_table[name][index],
-                    {} if sim is None else dict(sim.breakdown),
+                    {} if priced is None else priced.breakdown,
                 )
             )
         rows[name] = cells
@@ -167,10 +169,7 @@ def figure(
         mini_cluster = config.with_updates(job_startup_s=1.0)
         workload = generate(MINI_POINTS[computation], MINI_DIMS[1], seed=mini_seed)
         for style in STYLES:
-            if style == "tuple" and computation == "distance":
-                # runs at mini scale (it only fails at paper scale), but
-                # verify it anyway for completeness
-                pass
+            # the tuple distance too: it fails only at the paper's scale
             platform = SimSQLPlatform(style, mini_cluster, block_size=MINI_BLOCK)
             outcome = platform.run(computation, workload)
             ok = _verify(computation, outcome.value, workload)
@@ -192,16 +191,16 @@ def figure4(
     vector-based Gram matrix computation, on a 5-machine cluster (half
     the paper's cluster, as in the paper).
 
-    Returns paper-scale model breakdowns plus mini-scale measured
+    Returns the paper-scale priced plans' per-operator seconds (plus
+    their fixed startup and compile costs) and mini-scale measured
     per-operator seconds from the real engine.
     """
     five = config.with_updates(machines=config.machines // 2 or 1)
-    n_paper = PAPER_GRAM_POINTS_PER_MACHINE * five.machines
-    model = SimSQLModel(five)
+    shape = Shape(PAPER_GRAM_POINTS_PER_MACHINE * five.machines, 1000)
     out: Dict[str, Dict[str, float]] = {}
     for style in ("tuple", "vector"):
-        sim = model.simulate("gram", style, n_paper, 1000)
-        out[f"{style} (paper-scale model)"] = dict(sim.breakdown)
+        priced = price("gram", style, shape, five, PAPER_BLOCK_SIZE)
+        out[f"{style} (paper-scale priced)"] = priced.breakdown
 
     mini_cluster = five.with_updates(job_startup_s=1.0)
     workload = generate(mini_points, mini_dim, seed=11)
@@ -251,9 +250,10 @@ def rst_experiment(
     """Run the R,S,T example of section 4.1.
 
     Plans are produced at the paper's declared scale (matrices of
-    10x100000 and 100000x100) and costed with the honest LA-aware model;
-    mini-scale runs execute the same query over ``scale``-times smaller
-    matrices so the byte movement difference is directly measurable.
+    10x100000 and 100000x100) and each physical plan — the joins as it
+    runs them — is priced with the honest LA-aware model; mini-scale runs
+    execute the same query over ``scale``-times smaller matrices so the
+    byte movement difference is directly measurable.
     """
     from ..plan import CostModel
 
@@ -261,8 +261,9 @@ def rst_experiment(
     estimates = {}
     for blind in (False, True):
         db = _rst_database(config, blind)
-        plan = db._compile(parse_statement(RST_SQL), None)
-        estimates[blind] = honest.plan_cost(plan.logical)
+        physical = db._compile(parse_statement(RST_SQL), None).physical
+        honest.price_physical(physical)
+        estimates[blind] = sum(node.est_seconds for node in operators(physical))
 
     # mini-scale real execution (same seed => identical data per run)
     inner = 100000 // scale
@@ -300,7 +301,7 @@ def rst_experiment(
 def format_figure(result: FigureResult) -> str:
     lines = [result.title, "=" * len(result.title)]
     header = f"{'Platform':<14}" + "".join(
-        f"  {d:>6} dims (model/paper)" for d in DIMENSIONS
+        f"  {d:>6} dims (priced/paper)" for d in DIMENSIONS
     )
     lines.append(header)
     for name, cells in result.rows.items():

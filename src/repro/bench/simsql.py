@@ -8,7 +8,9 @@ Every entry of :data:`CASES` is real extended SQL on
 metric-bearing statements, and a read-back of the value (verified
 against numpy ground truth by the callers). :class:`SimSQLPlatform`
 runs one and merges its statements' metrics; ``repro-bench
-exec|spill|faults|trace`` pick theirs by name through :func:`cases`.
+exec|spill|faults|trace`` pick theirs by name through :func:`cases`;
+:func:`price` prices one at the paper's scale from its compiled plans,
+over tables holding that scale's statistics and no rows.
 
 * **tuple** — classical normalized SQL over ``x(row_index, col_index,
   value)``; no vector/matrix types at all. The final d x d solve of the
@@ -29,14 +31,24 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..catalog.statistics import TableStats
 from ..config import ClusterConfig
 from ..db import Database, Result
-from ..engine import QueryMetrics
-from ..errors import ExecutionError
+from ..engine import Cluster, QueryMetrics, count_job_boundaries
+from ..errors import ExecutionError, ResourceExhaustedError
+from ..plan.physical import PExchange
+from ..sql import ast, parse_statement
+from ..types import MatrixType, VectorType
 from .harness import Case, run_case
-from .workloads import Workload, generate
+from .workloads import Shape, Workload, generate
 
 STYLES = ("tuple", "vector", "block")
+
+#: per-statement compile/optimize/submit overhead of the SimSQL prototype,
+#: which compiles every query to Java (the paper: "as a prototype system,
+#: it is not engineered for high throughput"): a platform fixed cost the
+#: engine does not model, so :func:`price` adds it once per statement
+COMPILE_S = 25.0
 
 #: sentinel added to diagonal blocks so self-distances never win the MIN
 INF_DISTANCE = 1.0e18
@@ -55,35 +67,80 @@ SEEDS = {
 # -- loading (always untimed setup) -------------------------------------------
 
 
-def _load_tuple_points(db: Database, workload: Workload) -> None:
-    db.execute("CREATE TABLE x (row_index INTEGER, col_index INTEGER, value DOUBLE)")
-    rows = [
-        (i + 1, j + 1, float(workload.X[i, j]))
-        for i in range(workload.n)
-        for j in range(workload.d)
-    ]
-    db.load("x", rows)
+def _table(db: Database, ddl: str, workload, rows, count, **columns) -> None:
+    """Create table ``ddl`` and load ``rows()`` into it — or, for a
+    :class:`Shape`, give it the statistics of ``count`` such rows
+    (:func:`_statistics`) and store none: :func:`price` compiles over
+    it."""
+    db.execute(ddl)
+    name = ddl.split()[2]
+    if isinstance(workload, Shape):
+        db.catalog.table(name).stats = _statistics(count, columns)
+    else:
+        db.load(name, rows())
 
 
-def _load_vector_points(db: Database, workload: Workload) -> None:
-    db.execute("CREATE TABLE x_vm (id INTEGER, value VECTOR[])")
-    db.load("x_vm", [(i, workload.X[i]) for i in range(workload.n)])
+def _statistics(count: float, columns) -> TableStats:
+    """The statistics of ``count`` rows: each named column's value set (a
+    range or set: the key domains placement hashes), distinct count (a
+    number) or tensor dims (a tuple)."""
+    stats = TableStats(row_count=count)
+    for column, known in columns.items():
+        column_stats = stats.column(column)
+        if isinstance(known, (range, set)):
+            column_stats.value_set = set(known)
+            column_stats.distinct = len(known)
+        elif isinstance(known, tuple) and len(known) == 1:
+            column_stats.observed_length = known[0]
+        elif isinstance(known, tuple):
+            column_stats.observed_rows, column_stats.observed_cols = known
+        else:
+            column_stats.distinct = known
+    return stats
 
 
-def _load_outcomes(db: Database, workload: Workload) -> None:
-    db.execute("CREATE TABLE y_vm (id INTEGER, y_i DOUBLE)")
-    db.load("y_vm", [(i, float(workload.y[i])) for i in range(workload.n)])
+def _load_tuple_points(db: Database, workload) -> None:
+    n, d = workload.n, workload.d
+    _table(
+        db, "CREATE TABLE x (row_index INTEGER, col_index INTEGER, value DOUBLE)",
+        workload,
+        lambda: [
+            (i + 1, j + 1, float(workload.X[i, j])) for i in range(n) for j in range(d)
+        ],
+        n * d, row_index=n, col_index=range(1, d + 1), value=n * d,
+    )
 
 
-def _load_metric_matrix(db: Database, workload: Workload) -> None:
-    db.execute("CREATE TABLE MM (mat MATRIX[][])")
-    db.load("MM", [(workload.A,)])
+def _load_vector_points(db: Database, workload) -> None:
+    _table(
+        db, "CREATE TABLE x_vm (id INTEGER, value VECTOR[])", workload,
+        lambda: [(i, workload.X[i]) for i in range(workload.n)],
+        workload.n, id=workload.n, value=(workload.d,),
+    )
 
 
-def _load_blocked(db: Database, workload: Workload, block_size: int) -> None:
+def _load_outcomes(db: Database, workload) -> None:
+    _table(
+        db, "CREATE TABLE y_vm (id INTEGER, y_i DOUBLE)", workload,
+        lambda: [(i, float(workload.y[i])) for i in range(workload.n)],
+        workload.n, id=workload.n, y_i=workload.n,
+    )
+
+
+def _load_metric_matrix(db: Database, workload) -> None:
+    _table(
+        db, "CREATE TABLE MM (mat MATRIX[][])", workload,
+        lambda: [(workload.A,)], 1, mat=(workload.d, workload.d),
+    )
+
+
+def _load_blocked(db: Database, workload, block_size: int) -> None:
     _load_vector_points(db, workload)
-    db.execute("CREATE TABLE block_index (mi INTEGER)")
-    db.load("block_index", [(b,) for b in range(_blocks(workload, block_size))])
+    blocks = _blocks(workload, block_size)
+    _table(
+        db, "CREATE TABLE block_index (mi INTEGER)", workload,
+        lambda: [(b,) for b in range(blocks)], blocks, mi=range(blocks),
+    )
     db.execute(
         f"""CREATE VIEW MLX (mi, m) AS
         SELECT ind.mi, ROWMATRIX(label_vector(
@@ -94,7 +151,7 @@ def _load_blocked(db: Database, workload: Workload, block_size: int) -> None:
     )
 
 
-def _blocks(workload: Workload, block_size: int) -> int:
+def _blocks(workload, block_size: int) -> int:
     if workload.n % block_size:
         raise ExecutionError(
             f"block style needs n divisible by block_size "
@@ -177,8 +234,11 @@ def _gram_block(workload: Workload, block_size: int) -> Program:
 def _regression_tuple(workload: Workload, block_size: int) -> Program:
     def setup(db: Database) -> None:
         _load_tuple_points(db, workload)
-        db.execute("CREATE TABLE yt (row_index INTEGER, value DOUBLE)")
-        db.load("yt", [(i + 1, float(workload.y[i])) for i in range(workload.n)])
+        _table(
+            db, "CREATE TABLE yt (row_index INTEGER, value DOUBLE)", workload,
+            lambda: [(i + 1, float(workload.y[i])) for i in range(workload.n)],
+            workload.n, row_index=workload.n, value=workload.n,
+        )
 
     def value(results: List[Result]) -> np.ndarray:
         gram = _dense(results[0], (workload.d, workload.d))
@@ -232,16 +292,17 @@ def _regression_block(workload: Workload, block_size: int) -> Program:
 def _distance_tuple(workload: Workload, block_size: int) -> Program:
     def setup(db: Database) -> None:
         _load_tuple_points(db, workload)
-        db.execute(
-            "CREATE TABLE matA (row_index INTEGER, col_index INTEGER, value DOUBLE)"
-        )
-        db.load(
-            "matA",
-            [
+        d = workload.d
+        _table(
+            db,
+            "CREATE TABLE matA (row_index INTEGER, col_index INTEGER, value DOUBLE)",
+            workload,
+            lambda: [
                 (a + 1, b + 1, float(workload.A[a, b]))
-                for a in range(workload.d)
-                for b in range(workload.d)
+                for a in range(d)
+                for b in range(d)
             ],
+            d * d, row_index=range(1, d + 1), col_index=range(1, d + 1), value=d * d,
         )
         db.execute(
             """CREATE VIEW XA (i, b, v) AS
@@ -303,8 +364,11 @@ def _distance_block(workload: Workload, block_size: int) -> Program:
     def setup(db: Database) -> None:
         _load_blocked(db, workload, block_size)
         _load_metric_matrix(db, workload)
-        db.execute("CREATE TABLE INFDIAG (m MATRIX[][])")
-        db.load("INFDIAG", [(np.diag(np.full(block_size, INF_DISTANCE)),)])
+        _table(
+            db, "CREATE TABLE INFDIAG (m MATRIX[][])", workload,
+            lambda: [(np.diag(np.full(block_size, INF_DISTANCE)),)],
+            1, m=(block_size, block_size),
+        )
         # Hoist A x t(Xb) out of the block cross product, the blocked
         # analogue of the vector variant's MX view: it is computed once
         # per block instead of once per block *pair*.
@@ -453,3 +517,98 @@ class SimSQLPlatform:
 
     def distance(self, workload: Workload) -> RunOutcome:
         return self.run("distance", workload)
+
+
+@dataclass
+class Priced:
+    """A program priced from its compiled plans (:func:`price`)."""
+
+    seconds: float
+    #: operator -> its estimated seconds over every statement, plus the
+    #: fixed ``startup`` and ``compile`` costs
+    breakdown: Dict[str, float]
+    #: each statement's priced physical plan
+    plans: List[object]
+    #: what they compiled over: tables holding statistics and no rows
+    database: Database
+
+
+def _estimated(root, columns) -> TableStats:
+    """The statistics of a CTAS target priced without its rows: its
+    plan's root estimate of ``columns``."""
+    known = {}
+    for column in columns:
+        data_type = root.types.get(column.column_id, column.data_type)
+        values = root.values.get(column.column_id)
+        if isinstance(data_type, VectorType):
+            known[column.name] = (data_type.length,)
+        elif isinstance(data_type, MatrixType):
+            known[column.name] = (data_type.rows, data_type.cols)
+        elif values is not None:
+            known[column.name] = values.value_set
+        elif column.column_id in root.distinct:
+            known[column.name] = root.distinct[column.column_id]
+    return _statistics(root.rows, known)
+
+
+def _operator(node) -> str:
+    """A physical operator's name in a priced breakdown."""
+    name = type(node).__name__[1:]
+    return f"{name}({node.kind})" if isinstance(node, PExchange) else name
+
+
+def operators(plan):
+    """A physical plan's operators in the order the executor runs and
+    records them: each one's inputs first."""
+    for child in plan.children():
+        yield from operators(child)
+    yield plan
+
+
+def price(
+    computation: str,
+    style: str,
+    shape,
+    config: ClusterConfig,
+    block_size: int = 4,
+) -> Optional[Priced]:
+    """Price catalogue entry ``(computation, style)`` at ``shape`` without
+    running it: its statements compile (``Database._compile``) over tables
+    that hold only the statistics of a :class:`Shape`'s rows (or, given a
+    :class:`Workload`, over its loaded rows' statistics), and each costs
+    its plan's estimated seconds, one job startup per job (the executor's
+    count) and :data:`COMPILE_S`. A CTAS target gets the statistics of its
+    plan's root estimate. None — the paper's "Fail" — when an operator
+    holds more on its busiest slot than a slot's memory: the executor's
+    own rule (``Cluster.check_memory``), read off the estimates."""
+    program = case(computation, style, shape, block_size)
+    db = Database(config)
+    program.setup(db)
+    cluster = Cluster(config)
+    breakdown: Dict[str, float] = {}
+    seconds, jobs, plans = 0.0, 0, []
+    for sql in program.queries:
+        statement = parse_statement(sql)
+        ctas = isinstance(statement, ast.CreateTableAs)
+        plan = db._compile(statement.query if ctas else statement, None)
+        nodes = list(operators(plan.physical))
+        try:
+            for node in nodes:
+                cluster.check_memory(node.describe(), [node.est_held_bytes])
+        except ResourceExhaustedError:
+            return None
+        for node in nodes:
+            name = _operator(node)
+            breakdown[name] = breakdown.get(name, 0.0) + node.est_seconds
+            seconds += node.est_seconds
+        jobs += max(1, count_job_boundaries(plan.physical))
+        plans.append(plan.physical)
+        if ctas:
+            columns = plan.physical.columns
+            db.create_table(statement.name, [(c.name, c.data_type) for c in columns])
+            root = db.cost_model.price_physical(plan.physical)
+            db.catalog.table(statement.name).stats = _estimated(root, columns)
+    breakdown["startup"] = jobs * config.job_startup_s
+    breakdown["compile"] = len(program.queries) * COMPILE_S
+    total = seconds + breakdown["startup"] + breakdown["compile"]
+    return Priced(total, breakdown, plans, db)

@@ -4,7 +4,8 @@ The paper uses dense synthetic data: 10^5 points per machine for Gram
 matrix and regression, 10^4 per machine for the distance computation, at
 10 / 100 / 1000 dimensions on 10 machines. Benchmarks here run the same
 generators at a reduced scale (real execution, results checked against
-numpy) and feed the full scale into the analytic model.
+numpy); the full scale is a :class:`Shape`, priced from the statistics
+alone.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ class Workload:
     @property
     def d(self) -> int:
         return int(self.X.shape[1])
+
+
+@dataclass(frozen=True)
+class Shape:
+    """A workload's size without its data: the paper-scale figures
+    compile the catalogue's listings over tables holding only the
+    statistics of this many points (``simsql.price``)."""
+
+    n: int
+    d: int
 
 
 def generate(n: int, d: int, seed: int = 0, noise: float = 0.1) -> Workload:

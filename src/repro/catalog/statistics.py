@@ -39,6 +39,9 @@ class ColumnStats:
     value_set: Optional[Set] = field(default=None, repr=False, compare=False)
     length_set: Optional[Set[int]] = field(default=None, repr=False, compare=False)
     shape_set: Optional[Set[tuple]] = field(default=None, repr=False, compare=False)
+    #: the busiest slot's share of ``value_set`` under hash placement, and
+    #: what it was computed for (``engine.executor.busiest_share``)
+    placed: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def refine_type(self, declared: DataType) -> DataType:
         """The declared type with unknown dimensions filled from observed

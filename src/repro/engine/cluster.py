@@ -178,6 +178,16 @@ def columns_row_bytes(columns, count: int) -> np.ndarray:
     return total
 
 
+def state_fits(config: ClusterConfig, state_bytes: float) -> bool:
+    """Whether ``state_bytes`` of one slot's operator state fit the share
+    of its RAM operator state has by default (half, as
+    ``ClusterConfig.effective_buffer_pool_bytes`` derives it): what a plan
+    may assume a slot keeps in memory. It reads the RAM, never a
+    configured spill budget, so a plan does not depend on the budget (the
+    spill contract: results are the same under any budget)."""
+    return state_bytes <= config.memory_per_slot / 2.0
+
+
 def sort_comparisons(count: float) -> float:
     """Comparisons charged for sorting ``count`` rows, ``n·log2(n+1)``."""
     return count * max(1.0, math.log2(count + 1))
@@ -429,13 +439,15 @@ class Cluster:
         self.metrics.jobs += 1
         self.metrics.startup_seconds += self.config.job_startup_s
 
-    def check_memory_relation(self, name: str, relation) -> None:
-        """Raise ResourceExhaustedError when any slot's materialized
-        partition exceeds its RAM share — the engine-level behaviour
-        behind the 'Fail' entries in the paper's Figure 3. It reads the
-        relation's per-slot totals, computed once for every reader."""
+    def check_memory(self, name: str, held) -> None:
+        """Raise ResourceExhaustedError when any slot holds more bytes of
+        an operator's output (``held``, per slot) than its RAM share —
+        the engine-level behaviour behind the 'Fail' entries in the
+        paper's Figure 3. The executor reads what each slot holds of a
+        relation (``Executor._held``), the paper-scale pricer the
+        estimate of it (``est_held_bytes``): one rule."""
         limit = self.config.memory_per_slot
-        for slot, used in enumerate(relation.partition_totals()):
+        for slot, used in enumerate(held):
             if used > limit:
                 raise ResourceExhaustedError(
                     f"operator {name}: partition on slot {slot} needs "

@@ -103,6 +103,32 @@ CHUNK_CLASSES = {"row": RowChunk, "batch": Batch}
 EXECUTION_MODES = tuple(CHUNK_CLASSES)
 
 
+def placement(keys, slots: int, balanced: bool) -> np.ndarray:
+    """The slot a hash exchange (:meth:`Executor._exchange`) sends each of
+    ``keys`` (distinct key tuples, in first-seen order) to:
+    ``stable_hash`` modulo the slots, or with ``balanced`` placement the
+    n-th key to slot n mod slots."""
+    if balanced:
+        return np.arange(len(keys)) % slots
+    return np.array([stable_hash(key) % slots for key in keys], np.int64)
+
+
+def busiest_share(stats, config: ClusterConfig) -> float:
+    """The share of a column's known values (``stats.value_set``) that the
+    busiest slot receives when a hash exchange places them by
+    :func:`placement`: the estimate of a skew the executor's placement
+    makes (100 blocks hashed onto 80 slots put four or five on one).
+    Computed once per value set and cluster shape, and kept on ``stats``
+    (a value set only grows, so its size names its content)."""
+    key = (len(stats.value_set), config.slots, config.balanced_placement)
+    if stats.placed is None or stats.placed[0] != key:
+        keys = [(value,) for value in stats.value_set]
+        targets = placement(keys, config.slots, config.balanced_placement)
+        loads = np.bincount(targets, minlength=config.slots)
+        stats.placed = (key, float(loads.max()) / max(len(keys), 1))
+    return stats.placed[1]
+
+
 def count_job_boundaries(node: PhysicalNode) -> int:
     count = 0
     if isinstance(node, PExchange) and node.is_job_boundary:
@@ -337,7 +363,8 @@ class Executor:
             relation, own, retries, faults = self._run_operator(
                 node, handler, op_index
             )
-            self.cluster.check_memory_relation(node.describe(), relation)
+            held = self._held(node) if node.pipelined else relation.partition_totals()
+            self.cluster.check_memory(node.describe(), held)
         except ExecutionError as exc:
             # annotate with the operator the failure surfaced in; inner
             # frames win (the first annotation sticks), and the original
@@ -359,6 +386,21 @@ class Executor:
                 own.peak_memory_bytes = peak
             self._node_ops[id(node)] = own
         return relation
+
+    def _held(self, node: PhysicalNode) -> list:
+        """Each slot's bytes held in memory while ``node`` runs: its output
+        partition — except for a pipelined operator (Filter, Project and
+        the joins), whose rows stream to their consumer: a slot then holds
+        what its inputs hold, a join's probe rows beside its build side.
+        So a join's pairs are never counted (nor built, for a pair stage);
+        the state they are folded into is (``CostModel.price_physical``
+        estimates the same, ``est_held_bytes``)."""
+        if not node.pipelined:
+            return self._materialized[id(node)].partition_totals()
+        inputs = [self._held(child) for child in node.children()]
+        if len(inputs) == 1:
+            return inputs[0]
+        return [probe + build for probe, build in zip(*inputs)]
 
     def _run_operator(
         self, node, handler, op_index: int
@@ -760,12 +802,7 @@ class Executor:
             run.charge_eval(slot, count, slot_cost)
             run.charge_disk(slot, totals[slot])  # map output spill
             run.charge_network(totals[slot])
-        if config.balanced_placement:
-            targets = np.arange(len(grouping)) % self.slots
-        else:
-            targets = np.array(
-                [stable_hash(key) % self.slots for key in grouping.keys], np.int64
-            )
+        targets = placement(grouping.keys, self.slots, config.balanced_placement)
         row_targets = targets[grouping.codes]
         order = stable_argsort(row_targets)
         received = np.bincount(row_targets, minlength=self.slots)

@@ -37,21 +37,28 @@ type information would behave.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..catalog.statistics import (
+    ColumnStats,
     FeedbackStatistics,
     join_fingerprint,
     predicate_fingerprint,
 )
 from ..config import ClusterConfig
-from ..engine.cluster import OperatorRun, sort_comparisons, top_k_comparisons
+from ..engine.cluster import (
+    OperatorRun,
+    sort_comparisons,
+    state_fits,
+    top_k_comparisons,
+)
 from ..engine.storage import ROUND_ROBIN
-from ..types import DataType
+from ..types import INTEGER, DataType, VectorType
 from .expressions import (
     BinaryExpr,
     BoolExpr,
@@ -61,6 +68,7 @@ from .expressions import (
     LiteralExpr,
     NotExpr,
     TypedExpr,
+    refined_type,
     row_cost,
 )
 from .logical import (
@@ -90,6 +98,18 @@ class Estimate:
     rows: float
     width_bytes: float
     distinct: Dict[int, float] = field(default_factory=dict)
+    #: column id -> the statistics of the table column it carries, for
+    #: the columns whose value set is known: a hash exchange on one
+    #: places its rows as the executor would (:func:`busiest_share`)
+    values: Dict[int, ColumnStats] = field(default_factory=dict)
+    #: the busiest slot's share of the rows, once a hash exchange placed
+    #: them by known values; 0.0: spread evenly. Operators that keep their
+    #: input's slots keep it
+    busiest: float = 0.0
+    #: column id -> the column's type with the dims a label aggregate's
+    #: groups span filled in (:meth:`CostModel.group_rule`), for the
+    #: columns whose bound type leaves them unknown
+    types: Dict[int, DataType] = field(default_factory=dict)
 
     @property
     def total_bytes(self) -> float:
@@ -128,6 +148,23 @@ class Reads:
     #: change, so it must be compiled again; when only the others do, the
     #: same plan is priced again
     choices: Set[str] = field(default_factory=set)
+
+
+#: the aggregates that place each input at the position its label names
+LABEL_AGGREGATES = ("ROWMATRIX", "COLMATRIX", "VECTORIZE")
+
+
+def _dims(data_type) -> Tuple:
+    """A VECTOR's ``(length,)`` or a MATRIX's ``(rows, cols)``."""
+    if isinstance(data_type, VectorType):
+        return (data_type.length,)
+    return (data_type.rows, data_type.cols)
+
+
+def _column_id(expr) -> Optional[int]:
+    """The column a bare column reference reads; None for any other
+    expression."""
+    return expr.column_id if isinstance(expr, ColumnVar) else None
 
 
 def _kind(node) -> str:
@@ -224,6 +261,19 @@ class CostModel:
             self.type_width(column.data_type) for column in node.columns
         )
 
+    def _typed_width(self, node, types) -> float:
+        """:meth:`row_width` with each column ``types`` names (an input
+        estimate's refined types) at that type."""
+        width = self.row_width(node)
+        if not types:
+            return width
+        for column in node.columns:
+            refined = types.get(column.column_id)
+            if refined is not None:
+                width += self.type_width(refined)
+                width -= self.type_width(column.data_type)
+        return width
+
     # -- the rule set ------------------------------------------------------------
     #
     # How one operator's output estimate follows from its inputs'
@@ -240,12 +290,14 @@ class CostModel:
         rows = self._feedback_scan_rows(table.name)
         if rows is None:
             rows = float(table.stats.row_count)
-        distinct = {}
+        distinct, values = {}, {}
         for column in columns:
-            stat = table.stats.distinct(column.name)
-            if stat is not None:
-                distinct[column.column_id] = float(stat)
-        return Estimate(max(rows, 1.0), width, distinct)
+            stats = table.stats.columns.get(column.name.lower())
+            if stats is not None and stats.distinct is not None:
+                distinct[column.column_id] = float(stats.distinct)
+                if stats.value_set is not None:
+                    values[column.column_id] = stats
+        return Estimate(max(rows, 1.0), width, distinct, values)
 
     def view_scan_rule(self, view, width: float) -> Estimate:
         return Estimate(max(view.estimated_rows(), 1.0), width)
@@ -257,18 +309,28 @@ class CostModel:
         if selectivity is None:
             selectivity = self.selectivity(predicate, child)
         rows = max(child.rows * selectivity, 1.0)
-        return Estimate(rows, width, _clamped(child.distinct, rows))
+        distinct = _clamped(child.distinct, rows)
+        return Estimate(rows, width, distinct, child.values, child.busiest, child.types)
 
     def project_rule(self, child: Estimate, exprs, columns, width: float) -> Estimate:
         """Row-for-row; an output that is a bare column reference keeps
-        that column's distinct count, under the *output* column's id —
-        the only id anything above the projection can name."""
-        distinct = {
-            column.column_id: child.distinct[expr.column_id]
-            for expr, column in zip(exprs, columns)
-            if isinstance(expr, ColumnVar) and expr.column_id in child.distinct
-        }
-        return Estimate(child.rows, width, distinct)
+        that column's distinct count and value set, under the *output*
+        column's id — the only id anything above the projection can name;
+        an output over refined types is typed again (:func:`refined_type`)."""
+        distinct, values, types = {}, {}, {}
+        for expr, column in zip(exprs, columns):
+            if isinstance(expr, ColumnVar):
+                if expr.column_id in child.distinct:
+                    distinct[column.column_id] = child.distinct[expr.column_id]
+                if expr.column_id in child.values:
+                    values[column.column_id] = child.values[expr.column_id]
+            if child.types:
+                refined = refined_type(expr, child.types)
+                if refined != column.data_type:
+                    types[column.column_id] = refined
+                    width += self.type_width(refined)
+                    width -= self.type_width(column.data_type)
+        return Estimate(child.rows, width, distinct, values, child.busiest, types)
 
     def join_rule(
         self,
@@ -280,6 +342,8 @@ class CostModel:
     ) -> Estimate:
         """``equi`` pairs are ``(key over left, key over right)``."""
         distinct = {**left.distinct, **right.distinct}
+        values = {**left.values, **right.values}
+        types = {**left.types, **right.types}
         observed = self._feedback_join_selectivity(equi, residual)
         if observed is not None:
             # the learned selectivity covers equi keys *and* residual
@@ -296,7 +360,7 @@ class CostModel:
             if residual is not None:
                 joined = Estimate(rows, width, distinct)
                 rows = max(rows * self.selectivity(residual, joined), 1.0)
-        return Estimate(rows, width, _clamped(distinct, rows))
+        return Estimate(rows, width, _clamped(distinct, rows), values, 0.0, types)
 
     def _group_count(
         self, child: Estimate, key_distinct: Sequence[float], per_slot: bool
@@ -314,21 +378,48 @@ class CostModel:
         return max(min(child.rows, groups), 1.0)
 
     def group_rule(
-        self,
-        child: Estimate,
-        key_distinct: Sequence[float],
-        group_columns,
-        width: float,
-        per_slot: bool = False,
+        self, child: Estimate, keys, node, per_slot: bool = False
     ) -> Estimate:
-        """GROUP BY: ``key_distinct[i]`` is the distinct count of the
-        i-th key in the input (no keys: a scalar aggregate, one row)."""
+        """GROUP BY ``node``'s group columns (none: a scalar aggregate, one
+        row): ``keys`` pairs each key's distinct count in the input with
+        its column when it is a bare one, whose value set the group column
+        then carries (:meth:`_keys`). A label aggregate (ROWMATRIX,
+        COLMATRIX, VECTORIZE) whose type leaves the dimension its labels
+        span unknown spans its group's entries: the input rows — each a
+        labelled entry, or a partial state spanning its own — over the
+        groups."""
+        key_distinct = [count for count, _ in keys]
         rows = self._group_count(child, key_distinct, per_slot)
         distinct = {
             column.column_id: min(count, rows)
-            for column, count in zip(group_columns, key_distinct)
+            for column, count in zip(node.group_columns, key_distinct)
         }
-        return Estimate(rows, width, distinct)
+        values = {
+            column.column_id: child.values[key]
+            for (_, key), column in zip(keys, node.group_columns)
+            if key in child.values
+        }
+        width, types = self.row_width(node), {}
+        for spec in node.aggregates:
+            declared = spec.output.data_type
+            labelled = spec.aggregate.name in LABEL_AGGREGATES
+            if not labelled or None not in _dims(declared):
+                continue
+            # the dimension the type leaves unknown is the one labels span
+            span = _dims(declared).index(None)
+            state = child.types.get(spec.output.column_id)
+            entries = child.rows * (1.0 if state is None else _dims(state)[span])
+            dims = list(_dims(declared))
+            dims[span] = entries / rows
+            refined = type(declared)(*dims)
+            types[spec.output.column_id] = refined
+            width += self.type_width(refined) - self.type_width(declared)
+        return Estimate(rows, width, distinct, values, child.busiest, types)
+
+    def _keys(self, exprs, child: Estimate) -> List[Tuple[float, Optional[int]]]:
+        """Each grouping key's distinct count in ``child`` and its column
+        when it is a bare one."""
+        return [(self._expr_distinct(expr, child), _column_id(expr)) for expr in exprs]
 
     def distinct_rule(
         self, child: Estimate, columns, width: float, per_slot: bool = False
@@ -339,7 +430,8 @@ class CostModel:
             self._column_distinct(column.column_id, child) for column in columns
         ]
         rows = self._group_count(child, key_distinct, per_slot)
-        return Estimate(rows, width, _clamped(child.distinct, rows))
+        distinct = _clamped(child.distinct, rows)
+        return Estimate(rows, width, distinct, child.values, child.busiest, child.types)
 
     def limit_rule(
         self, child: Estimate, cap: Optional[float], floor: float
@@ -353,9 +445,28 @@ class CostModel:
         EXPLAIN ANALYZE prints beside it is a defined ratio)."""
         rows = child.rows if cap is None else min(child.rows, cap)
         rows = max(rows, floor)
-        return Estimate(rows, child.width_bytes, _clamped(child.distinct, rows))
+        distinct = _clamped(child.distinct, rows)
+        return Estimate(
+            rows, child.width_bytes, distinct, child.values, child.busiest, child.types
+        )
 
     def _expr_distinct(self, expr: TypedExpr, estimate: Estimate) -> float:
+        """A bare column's distinct count; ``c / k`` over an INTEGER column
+        with a known count and a positive integer literal ``k`` (integer
+        division: the paper's blocking key ``x.id / 1000``) has
+        ⌈distinct(c) / k⌉; any other expression the default."""
+        if (
+            isinstance(expr, BinaryExpr)
+            and expr.op == "/"
+            and isinstance(expr.left, ColumnVar)
+            and expr.left.data_type == INTEGER
+            and isinstance(expr.right, LiteralExpr)
+            and expr.right.data_type == INTEGER
+            and expr.right.value > 0
+            and expr.left.column_id in estimate.distinct
+        ):
+            known = estimate.distinct[expr.left.column_id]
+            return float(math.ceil(known / expr.right.value))
         column_id = expr.column_id if isinstance(expr, ColumnVar) else None
         return self._column_distinct(column_id, estimate)
 
@@ -410,12 +521,30 @@ class CostModel:
 
     def _share(self, est: Estimate, kind: str) -> Tuple[float, float]:
         """Rows and bytes of ``est`` on the busiest slot: all of them in a
-        SINGLE, gathered or broadcast phase, else rows / slots (at least
-        one)."""
+        SINGLE, gathered or broadcast phase, else its share of the rows
+        when a hash exchange placed them by known values, or rows / slots
+        (at least one)."""
         if kind in ("single", "broadcast"):
             return est.rows, est.total_bytes
-        rows = min(est.rows, max(est.rows / self.config.slots, 1.0))
+        held = est.rows * est.busiest if est.busiest else est.rows / self.config.slots
+        rows = min(est.rows, max(held, 1.0))
         return rows, rows * est.width_bytes
+
+    def _placed(self, child: Estimate, keys) -> Estimate:
+        """``child``'s rows after a hash exchange on ``keys``: one bare key
+        column whose value set is known is placed as the executor places
+        it (:func:`~repro.engine.executor.busiest_share`, honouring
+        ``balanced_placement``), each value holding as many rows; any
+        other key spreads them evenly."""
+        # imported lazily: the executor imports the planner, and so this
+        from ..engine.executor import busiest_share
+
+        busiest = 0.0
+        if len(keys) == 1 and isinstance(keys[0], ColumnVar):
+            stats = child.values.get(keys[0].column_id)
+            if stats is not None:
+                busiest = busiest_share(stats, self.config)
+        return replace(child, busiest=busiest)
 
     def _seconds(self, charge, *args) -> float:
         """The simulated seconds of a run ``charge(run, *args)`` charges."""
@@ -431,7 +560,7 @@ class CostModel:
     def _charge_eval(self, run, child: Estimate, kind: str, exprs) -> None:
         """Filter, Project and ViewScan: every row plus its expressions."""
         rows, _ = self._share(child, kind)
-        run.charge_eval(0, rows, row_cost(exprs, rows))
+        run.charge_eval(0, rows, row_cost(exprs, rows, types=child.types))
 
     def _charge_broadcast(self, run, child: Estimate) -> None:
         config = self.config
@@ -448,12 +577,13 @@ class CostModel:
         run.charge_disk(0, child.total_bytes / self.config.cores_per_machine)
         run.charge_cpu(0, tuples=child.rows)
 
-    def _charge_hash(self, run, child: Estimate, kind: str, keys=()) -> None:
+    def _charge_hash(self, run, child: Estimate, kind: str, keys=(), out=None) -> None:
+        """``out``: the rows as placed (default: spread evenly)."""
         rows, nbytes = self._share(child, kind)
         run.charge_eval(0, rows, row_cost(keys, rows))
         run.charge_disk(0, nbytes)  # map output spill
         run.charge_network(child.total_bytes)
-        rows, nbytes = self._share(child, SPREAD)
+        rows, nbytes = self._share(out or replace(child, busiest=0.0), SPREAD)
         run.charge_state(0, nbytes)
         run.charge_disk(0, nbytes)  # reduce-side read
         run.charge_cpu(0, tuples=rows)
@@ -466,13 +596,14 @@ class CostModel:
         run.charge_eval(0, rows, row_cost(keys[1], rows))
         rows = self._share(probe, kinds[0])[0]
         pairs = self._share(out, kinds[0])[0]
-        cost = row_cost([residual], pairs, row_cost(keys[0], rows))
+        cost = row_cost([residual], pairs, row_cost(keys[0], rows), out.types)
         run.charge_eval(0, rows + pairs, cost)
 
     def _charge_nested_loop(self, run, probe, build, out, kind, residual) -> None:
         pairs = self._share(probe, kind)[0] * max(build.rows, 1.0)
         out_rows = self._share(out, kind)[0]
-        run.charge_eval(0, pairs + out_rows, row_cost([residual], pairs))
+        cost = row_cost([residual], pairs, types=out.types)
+        run.charge_eval(0, pairs + out_rows, cost)
 
     def _charge_partial(self, run, child, kind, est, node) -> None:
         """``node``'s keys and aggregates, per slot: a hash aggregation
@@ -481,9 +612,13 @@ class CostModel:
         groups, nbytes = self._share(est, kind)
         run.charge_state(0, nbytes)
         exprs = [*node.group_exprs, *(spec.arg for spec in node.aggregates)]
-        cost = row_cost(exprs, rows)
+        types = child.types
+        cost = row_cost(exprs, rows, types=types)
         streamed = sum(  # each aggregate streams its input into its state
-            8.0 if spec.arg is None else self.type_width(spec.arg.data_type)
+            8.0 if spec.arg is None
+            else self.type_width(
+                refined_type(spec.arg, types) if types else spec.arg.data_type
+            )
             for spec in node.aggregates
         )
         cost.add("stream_bytes", streamed * rows)
@@ -529,10 +664,12 @@ class CostModel:
         unless already partitioned on them (``*_ready``; a reduce-side
         join). A cross product broadcasts its smaller input, the right
         one on an exact byte tie. A hash join builds on its smaller input,
-        the left one on a tie, and broadcasts it when copying it to every
-        machine moves fewer bytes than shuffling the unready inputs and
-        materializing the output. The physical planner lowers by this and
-        the logical walker prices what it picks."""
+        the left one on a tie, and broadcasts it when the copy is state a
+        slot keeps in memory (:func:`~repro.engine.cluster.state_fits`)
+        and copying it to every machine moves fewer bytes than shuffling
+        the unready inputs and materializing the output. The physical
+        planner lowers by this and the logical walker prices what it
+        picks."""
         if cross:
             return left.total_bytes < right.total_bytes, True
         repartition = (
@@ -541,7 +678,10 @@ class CostModel:
             + output.total_bytes
         )
         smaller = min(left.total_bytes, right.total_bytes)
-        broadcast = smaller * self.config.machines < repartition
+        broadcast = (
+            state_fits(self.config, smaller)
+            and smaller * self.config.machines < repartition
+        )
         return left.total_bytes <= right.total_bytes, broadcast
 
     def _join_seconds(self, node: JoinNode, left, right, out) -> float:
@@ -603,7 +743,8 @@ class CostModel:
             # a filter directly above a scan learns per table
             above_scan = isinstance(node.child, scan)
             scope = str(node.child.table.name).lower() if above_scan else ""
-            est = self.filter_rule(child, node.predicate, scope, self.row_width(node))
+            width = self._typed_width(node, child.types)
+            est = self.filter_rule(child, node.predicate, scope, width)
             exprs = [node.predicate]
         elif isinstance(node, project):
             (child,) = inputs
@@ -627,18 +768,18 @@ class CostModel:
         unsplit = self._unsplit_rule(node, inputs, LOGICAL_UNSPLIT)
         if unsplit is not None:
             return unsplit[0], below + unsplit[1]
-        width, seconds = self.row_width(node), self._seconds
+        seconds = self._seconds
         if isinstance(node, JoinNode):
             left, right = inputs
+            width = self._typed_width(node, {**left.types, **right.types})
             est = self.join_rule(left, right, node.equi, node.residual, width)
             return est, below + self._join_seconds(node, left, right, est)
         (child,) = inputs
+        width = self._typed_width(node, child.types)
         if isinstance(node, AggregateNode):
-            keys = [self._expr_distinct(expr, child) for expr in node.group_exprs]
-            est = self.group_rule(child, keys, node.group_columns, width)
-            partial = self.group_rule(
-                child, keys, node.group_columns, width, per_slot=True
-            )
+            keys = self._keys(node.group_exprs, child)
+            est = self.group_rule(child, keys, node)
+            partial = self.group_rule(child, keys, node, per_slot=True)
             own = seconds(self._charge_partial, child, SPREAD, partial, node)
             if node.group_columns:
                 own += seconds(self._charge_hash, partial, SPREAD)
@@ -697,6 +838,12 @@ class CostModel:
         if getattr(node, "kind", None) == "broadcast":
             # the trace's measured bytes count every slot's replica
             node.est_bytes *= float(self.config.slots)
+        if node.pipelined:
+            # its rows stream to its consumer: a slot holds what its
+            # inputs hold (``Executor._held``)
+            node.est_held_bytes = sum(c.est_held_bytes for c in node.children())
+        else:
+            node.est_held_bytes = self._share(est, _kind(node))[1]
         return est
 
     def _physical_rule(self, node, inputs: List[Estimate]) -> Tuple[Estimate, float]:
@@ -710,9 +857,10 @@ class CostModel:
         unsplit = self._unsplit_rule(node, inputs, p.PHYSICAL_UNSPLIT)
         if unsplit is not None:
             return unsplit
-        width, seconds = self.row_width(node), self._seconds
+        seconds = self._seconds
         if isinstance(node, (p.PHashJoin, p.PNestedLoopJoin)):
             probe, build = inputs
+            width = self._typed_width(node, {**probe.types, **build.types})
             hashed = isinstance(node, p.PHashJoin)
             keys = list(zip(node.probe_keys, node.build_keys)) if hashed else []
             if node.probe_is_left:
@@ -720,6 +868,8 @@ class CostModel:
             else:
                 equi = [(b, a) for a, b in keys]
                 est = self.join_rule(build, probe, equi, node.residual, width)
+            if probe.busiest:  # the pairs stay on the probe rows' slots
+                est = replace(est, busiest=probe.busiest)
             kind = _kind(node.probe)
             if not hashed:
                 charge = self._charge_nested_loop
@@ -731,28 +881,29 @@ class CostModel:
         (child,) = inputs
         kind = _kind(node.child)
         if isinstance(node, p.PExchange):
-            # moves rows, changes none: the input's estimate passes through
+            # moves rows, changes none: the input's estimate passes through,
+            # placed anew by a hash exchange
             if node.kind == "broadcast":
                 return child, seconds(self._charge_broadcast, child)
             if node.kind == "gather":
                 return child, seconds(self._charge_gather, child, kind)
-            return child, seconds(self._charge_hash, child, kind, node.keys)
+            out = self._placed(child, node.keys)
+            return out, seconds(self._charge_hash, child, kind, node.keys, out)
         if isinstance(node, p.PPartialAggregate):
             # the per-slot phase: the shuffle is the exchange's and the
             # merge the final phase's
-            keys = [self._expr_distinct(expr, child) for expr in node.group_exprs]
-            est = self.group_rule(
-                child, keys, node.group_columns, width, per_slot=True
-            )
+            keys = self._keys(node.group_exprs, child)
+            est = self.group_rule(child, keys, node, per_slot=True)
             return est, seconds(self._charge_partial, child, kind, est, node)
         if isinstance(node, p.PFinalAggregate):
             # merges partial rows: its keys are columns by now
             keys = [
-                self._column_distinct(column.column_id, child)
+                (self._column_distinct(column.column_id, child), column.column_id)
                 for column in node.group_columns
             ]
-            est = self.group_rule(child, keys, node.group_columns, width)
+            est = self.group_rule(child, keys, node)
             return est, seconds(self._charge_final, child, kind, node)
+        width = self._typed_width(node, child.types)
         if isinstance(node, p.PDistinct):
             est = self.distinct_rule(child, node.columns, width, per_slot=node.local)
             return est, seconds(self._charge_distinct, child, kind)

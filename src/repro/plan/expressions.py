@@ -166,21 +166,42 @@ class EvalCost:
         return self
 
 
-def row_cost(exprs, rows: float = 1.0, cost: Optional[EvalCost] = None) -> EvalCost:
+def row_cost(
+    exprs, rows: float = 1.0, cost: Optional[EvalCost] = None, types=None
+) -> EvalCost:
     """The work evaluating ``exprs`` (None entries skipped) on ``rows``
     rows is charged, read off their types (a tensor of unknown dimensions
-    at the default) and added to ``cost`` (None: a fresh one): the cost
-    model's price of it. Each node prices what its evaluation over values
-    charges, except that every branch of a CASE and both sides of AND/OR
-    count."""
+    at the default, or at its estimate's dims in ``types``, column id ->
+    type; see :func:`refined_type`) and added to ``cost`` (None: a fresh
+    one): the cost model's price of it. Each node prices what its
+    evaluation over values charges, except that every branch of a CASE
+    and both sides of AND/OR count."""
     cost = EvalCost() if cost is None else cost
     stack = [expr for expr in exprs if expr is not None]
     while stack:
         expr = stack.pop()
-        for field, amount in expr.own_work():
+        work = expr.refined_work(types) if types else expr.own_work()
+        for field, amount in work:
             cost.add(field, amount * rows)
         stack.extend(expr.children())
     return cost
+
+
+def refined_type(expr: "TypedExpr", types) -> DataType:
+    """``expr``'s type with the columns ``types`` names (column id ->
+    type) at those types: a label aggregate's estimate fills in the dims
+    its groups span (``CostModel.group_rule``), and the calls over it are
+    typed again by their signatures. Estimates only — the bound type is
+    untouched."""
+    if isinstance(expr, ColumnVar):
+        return types.get(expr.column_id, expr.data_type)
+    if isinstance(expr, FuncExpr):
+        args = [refined_type(arg, types) for arg in expr.args]
+        try:
+            return expr.builtin.bind(args)
+        except TypeCheckError:
+            return expr.data_type
+    return expr.data_type
 
 
 def _value_elements(value) -> float:
@@ -236,6 +257,11 @@ class TypedExpr:
         """``(EvalCost field, amount)`` this node alone (not its
         children) is charged per evaluation, read off its types."""
         return ()
+
+    def refined_work(self, types) -> Tuple[Tuple[str, float], ...]:
+        """:meth:`own_work` with its operands at their
+        :func:`refined_type`."""
+        return self.own_work()
 
     def key(self) -> Tuple:
         """A structural identity used to match GROUP BY expressions with
@@ -1018,6 +1044,11 @@ class FuncExpr(TypedExpr):
 
     def own_work(self):
         return (("calls", 1), (self._flop_field, self._flops))
+
+    def refined_work(self, types):
+        refined = [refined_type(arg, types) for arg in self.args]
+        flops = self.builtin.estimate_flops(refined)
+        return (("calls", 1), (self._flop_field, flops))
 
     def key(self):
         return ("fn", self.builtin.name, tuple(arg.key() for arg in self.args))

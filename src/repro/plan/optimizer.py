@@ -350,6 +350,7 @@ class Optimizer:
         relations: List[LogicalNode] = []
         predicates: List[TypedExpr] = []
         self._collect_region(root, relations, predicates)
+        predicates = _into_projections(relations, predicates)
 
         # recursively optimize relation leaves (views, subqueries, ...)
         relations = [
@@ -412,6 +413,54 @@ class Optimizer:
             item.key: item.output.var() for item in pending if item.key in best.computed
         }
         return plan, subst
+
+
+def _into_projections(
+    relations: List[LogicalNode], predicates: List[TypedExpr]
+) -> List[TypedExpr]:
+    """Move each conjunct that reads one projection leaf (a view or a
+    subquery), and only columns it passes through unchanged, below that
+    projection — into the region under it, where it filters before the
+    projection computes anything and may become a join key (the paper's
+    blocked distance: ``DISTANCES WHERE id1 = id2`` joins its two views
+    on the block index instead of multiplying every block pair). Rows are
+    the same: a projection is deterministic and 1:1. Returns the
+    conjuncts left in this region."""
+    moved: Dict[int, List[TypedExpr]] = {}
+    kept = []
+    for expr in predicates:
+        columns = expr.column_ids
+        target = next(
+            (
+                index
+                for index, relation in enumerate(relations)
+                if isinstance(relation, ProjectNode)
+                and columns
+                and columns <= relation.column_ids
+            ),
+            None,
+        )
+        inner = None
+        if target is not None:
+            relation = relations[target]
+            renames = {
+                column.column_id: inner_expr
+                for column, inner_expr in zip(relation.columns, relation.exprs)
+                if isinstance(inner_expr, ColumnVar)
+            }
+            inner = _replace_columns(expr, renames)
+        if inner is None:
+            kept.append(expr)
+        else:
+            moved.setdefault(target, []).append(inner)
+    for index, inner in moved.items():
+        relation = relations[index]
+        relations[index] = ProjectNode(
+            FilterNode(relation.child, and_together(inner)),
+            relation.exprs,
+            relation.columns,
+        )
+    return kept
 
 
 @dataclass

@@ -21,7 +21,7 @@ is charged the per-job startup overhead during execution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..catalog import TableEntry
 from ..engine.storage import BROADCAST, ROUND_ROBIN, SINGLE, Partitioning
@@ -53,8 +53,15 @@ class PhysicalNode:
     columns: List[OutputColumn]
     partitioning: Partitioning
     #: this operator's estimate, written once when its plan compiles
-    #: (``CostModel.price_physical``); None on a plan never priced
+    #: (``CostModel.price_physical``); None on a plan never priced.
+    #: ``est_held_bytes``: what its busiest slot holds of its output, the
+    #: bytes the memory rule reads (``Cluster.check_memory``)
     est_rows = est_width_bytes = est_bytes = est_seconds = None
+    est_held_bytes = None
+    #: whether its rows stream to its consumer (Filter, Project, the
+    #: joins): a slot then holds what its inputs hold, never its output
+    #: (``Executor._held``, ``est_held_bytes``)
+    pipelined = False
 
     def children(self) -> Sequence["PhysicalNode"]:
         return ()
@@ -114,6 +121,8 @@ class PViewScan(PhysicalNode):
 
 
 class PFilter(PhysicalNode):
+    pipelined = True
+
     def __init__(self, child: PhysicalNode, predicate: TypedExpr):
         self.child = child
         self.predicate = predicate
@@ -128,26 +137,32 @@ class PFilter(PhysicalNode):
 
 
 class PProject(PhysicalNode):
+    pipelined = True
+
     def __init__(
         self, child: PhysicalNode, exprs: List[TypedExpr], columns: List[OutputColumn]
     ):
         self.child = child
         self.exprs = list(exprs)
         self.columns = list(columns)
-        passthrough = {
-            column.column_id for column in columns
-        } & {
-            expr.column_id
-            for expr, column in zip(exprs, columns)
-            if isinstance(expr, ColumnVar) and expr.column_id == column.column_id
-        }
-        keys_preserved = child.partitioning.kind == "hash" and all(
-            key[0] == "col" and key[1] in passthrough
-            for key in child.partitioning.keys
-        )
-        self.partitioning = child.partitioning if keys_preserved else ROUND_ROBIN
-        if child.partitioning.kind in ("broadcast", "single"):
-            self.partitioning = child.partitioning
+        # rows stay where they are: partitioned on key columns it passes
+        # on — under their output names, a view's or subquery's renames
+        # included — they are partitioned on those outputs
+        renames: Dict[int, int] = {}
+        for expr, column in zip(exprs, columns):
+            source = expr.column_id if isinstance(expr, ColumnVar) else None
+            # a column also passed on as itself keeps its own name
+            if source is not None and renames.get(source) != source:
+                renames[source] = column.column_id
+        self.partitioning = partitioning = child.partitioning
+        if partitioning.kind == "hash":
+            keys = tuple(
+                ("col", renames[key[1]])
+                for key in partitioning.keys
+                if key[0] == "col" and key[1] in renames
+            )
+            whole = len(keys) == len(partitioning.keys)
+            self.partitioning = Partitioning("hash", keys) if whole else ROUND_ROBIN
 
     def children(self):
         return (self.child,)
@@ -194,6 +209,8 @@ class PHashJoin(PhysicalNode):
     """Hash join; the build side is either broadcast or co-partitioned
     with the probe side."""
 
+    pipelined = True
+
     def __init__(
         self,
         probe: PhysicalNode,
@@ -228,6 +245,8 @@ class PHashJoin(PhysicalNode):
 class PNestedLoopJoin(PhysicalNode):
     """Cross product (with optional residual predicate); the build side
     is broadcast."""
+
+    pipelined = True
 
     def __init__(
         self,
@@ -503,8 +522,11 @@ class PhysicalPlanner:
         right_keys = [pair[1] for pair in node.equi]
         left_sig = tuple(key.key() for key in left_keys)
         right_sig = tuple(key.key() for key in right_keys)
-        left_ready = left.partitioning.co_partitioned_with(left_sig)
-        right_ready = right.partitioning.co_partitioned_with(right_sig)
+        # balanced placement deals each exchange's keys out in the order it
+        # first sees them, so two sides placed apart are not co-located
+        hashed = not self.cost.config.balanced_placement
+        left_ready = hashed and left.partitioning.co_partitioned_with(left_sig)
+        right_ready = hashed and right.partitioning.co_partitioned_with(right_sig)
         # a cross product's layout reads no output estimate
         output = None if node.is_cross else estimates.estimate(node)
         self.cost.choosing(node)

@@ -110,11 +110,11 @@ def main(argv=None) -> int:
             host=args.host, port=args.port, max_inflight=args.max_inflight
         ),
     )
-    server.start()
-    print(f"listening on {server.url}", flush=True)
 
     # signal handlers only set the event: the drain itself must not run
-    # on the signal frame (it joins threads and talks to the event loop)
+    # on the signal frame (it joins threads and talks to the event loop).
+    # They are in place before the socket binds: a client that reads the
+    # "listening on" line may signal at once, and must get a drain
     shutdown = threading.Event()
     received = []
 
@@ -124,6 +124,9 @@ def main(argv=None) -> int:
 
     signal.signal(signal.SIGTERM, on_signal)
     signal.signal(signal.SIGINT, on_signal)
+
+    server.start()
+    print(f"listening on {server.url}", flush=True)
 
     shutdown.wait()
     name = signal.Signals(received[0]).name if received else "shutdown"

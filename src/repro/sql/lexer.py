@@ -211,7 +211,10 @@ def tokenize(text: str) -> List[Token]:
 
 def normalize_tokens(tokens: Iterable[Token]) -> str:
     """A whitespace- and keyword-case-insensitive rendering of a token
-    run — the textual part of a plan-cache key."""
+    run — the textual part of a plan-cache key. It is SQL again: a
+    statement written with lower-case identifiers (the dialect folds
+    identifier case everywhere but in output labels) parses from it to
+    the same statement, and normalizing it changes nothing."""
     parts = []
     for token in tokens:
         if token.kind == "EOF":
@@ -221,9 +224,9 @@ def normalize_tokens(tokens: Iterable[Token]) -> str:
         elif token.kind == "IDENT":
             parts.append(token.text.lower())
         elif token.kind == "STRING":
-            # re-quote so a string literal can never collide with an
-            # identifier of the same spelling
-            parts.append(repr(token.text))
+            # quoted as SQL (a quote doubled), so a string literal never
+            # collides with an identifier of the same spelling
+            parts.append("'" + token.text.replace("'", "''") + "'")
         elif token.kind == "PARAM":
             parts.append(f":{token.text}")
         else:

@@ -4,6 +4,7 @@ model (paper section 4)."""
 import inspect
 import re
 
+import numpy as np
 import pytest
 
 from repro import Database, PAPER_CLUSTER, TEST_CLUSTER
@@ -264,8 +265,9 @@ class TestOneFormulaSet:
         assert seen == {name for names in self.CHECKED.values() for name in names}
 
     def test_rates_are_read_in_one_module(self):
-        """Only engine/cluster.py turns work into seconds; the paper-scale
-        analytic model (bench/model.py) is a separate model."""
+        """Only engine/cluster.py turns work into seconds: the paper-scale
+        figures are priced by this same cost model (``bench.simsql.price``),
+        so no other module reads a rate either."""
         from repro.engine import executor
         from repro.plan import cost
 
@@ -312,3 +314,77 @@ class TestJoinLayout:
             if isinstance(child, PExchange)
         )
         assert priced == moved + built.est_seconds
+
+
+def _trace(database, sql):
+    trace = database.execute(sql).metrics.trace
+    return {node.name.split(" ")[0]: node for node in trace.walk()}
+
+
+class TestPaperScaleRules:
+    """The rules that let the paper's figures be priced from plans over
+    statistics alone (``bench.simsql.price``); each one also prices every
+    real plan."""
+
+    def test_an_integer_division_key_has_its_quotients(self):
+        """``x.id / 8 = ind.mi`` (the blocking join): ⌈distinct(id) / 8⌉
+        distinct keys, so the join keeps every point, as it does."""
+        database = Database(TEST_CLUSTER)
+        database.execute("CREATE TABLE x (id INTEGER, v DOUBLE)")
+        database.execute("CREATE TABLE ind (mi INTEGER)")
+        database.load("x", [[i, float(i)] for i in range(64)])
+        database.load("ind", [[b] for b in range(8)])
+        sql = "SELECT x.v, ind.mi FROM x, ind WHERE x.id / 8 = ind.mi"
+        join = _trace(database, sql)["HashJoin(broadcast)"]
+        assert join.est_rows == join.rows_out == 64
+
+    def test_a_label_aggregate_spans_its_group(self):
+        """ROWMATRIX's rows are its group's labelled vectors (8 here, not
+        the unknown-dimension default): the estimated bytes of the blocks
+        are the built blocks' bytes."""
+        database = Database(PAPER_CLUSTER)
+        database.execute("CREATE TABLE x (id INTEGER, v VECTOR[])")
+        database.load("x", [[i, np.arange(6.0) + i] for i in range(800)])
+        nodes = _trace(
+            database,
+            "SELECT x.id / 8, ROWMATRIX(label_vector(x.v, x.id - (x.id / 8) * 8 + 1)) "
+            "FROM x GROUP BY x.id / 8",
+        )
+        final = nodes["FinalAggregate"]
+        assert final.rows_out == 100
+        assert final.est_bytes == final.bytes_out
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["hashed", "balanced"])
+    def test_hash_placement_prices_the_busiest_slot(self, balanced):
+        """100 keys on 80 slots: a hash exchange puts four or five on one
+        slot (balanced placement: two). The estimate places the key
+        column's known values as the executor does, so the merge after
+        the exchange is priced what it is charged, bit for bit."""
+        config = PAPER_CLUSTER.with_updates(balanced_placement=balanced)
+        database = Database(config)
+        database.execute("CREATE TABLE t (k INTEGER, v DOUBLE)")
+        database.load("t", [[i, float(i)] for i in range(100)])
+        sql = "SELECT k, COUNT(*) FROM t GROUP BY k"
+        final = _trace(database, sql)["FinalAggregate"]
+        assert final.est_seconds.hex() == final.wall_seconds.hex()
+
+    def test_a_join_holds_its_inputs_not_its_pairs(self):
+        """A pipelined operator's slot holds what its inputs hold: the
+        vector distance's nested-loop join at the paper's scale holds its
+        probe rows and the broadcast copy, far below a slot's memory,
+        though its pairs would not fit; the aggregation it feeds holds its
+        states."""
+        from repro.bench.simsql import operators, price
+        from repro.bench.workloads import Shape
+        from repro.plan.physical import PNestedLoopJoin
+
+        priced = price("distance", "vector", Shape(100_000, 10), PAPER_CLUSTER)
+        plan = priced.plans[0]
+        joins = [n for n in operators(plan) if isinstance(n, PNestedLoopJoin)]
+        join = max(joins, key=lambda node: node.est_rows)  # the pairs of points
+        held = sum(child.est_held_bytes for child in join.children())
+        assert join.est_held_bytes == held < PAPER_CLUSTER.memory_per_slot
+        assert join.est_bytes / PAPER_CLUSTER.slots > PAPER_CLUSTER.memory_per_slot
+        for node in operators(plan):
+            if not node.pipelined:
+                assert node.est_held_bytes <= node.est_bytes

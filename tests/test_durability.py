@@ -680,6 +680,36 @@ class TestKillNine:
 
 
 class TestServerDrain:
+    def test_signal_handlers_precede_the_listening_line(self, monkeypatch):
+        """A client may signal as soon as it reads ``listening on``: by
+        then SIGTERM and SIGINT already drain. The entry point runs in
+        this process with its ``print`` observed; the observer reads the
+        installed handlers at that line and calls the SIGTERM one to end
+        the run — no signal is sent, so a missing handler fails the test
+        instead of killing it."""
+        import repro.server.__main__ as entry
+
+        seen = {}
+        saved = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+
+        def observe(*args, **kwargs):
+            line = " ".join(map(str, args))
+            if line.startswith("listening on"):
+                handlers = {sig: signal.getsignal(sig) for sig in saved}
+                seen.update(handlers)
+                handler = handlers[signal.SIGTERM]
+                assert callable(handler) and handler is not saved[signal.SIGTERM]
+                handler(signal.SIGTERM, None)
+
+        monkeypatch.setattr(entry, "print", observe, raising=False)
+        try:
+            assert entry.main(["--port", "0"]) == 0
+        finally:
+            for sig, handler in saved.items():
+                signal.signal(sig, handler)
+        assert set(seen) == set(saved)
+        assert all(callable(handler) for handler in seen.values())
+
     def test_sigterm_drains_checkpoints_and_recovers(self, tmp_path):
         """The __main__ entry point: serve a durable database, commit
         over HTTP, SIGTERM, and verify the drain checkpointed (recovery

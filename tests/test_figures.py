@@ -89,12 +89,12 @@ class TestFigure4AndRst:
     def test_figure4_contains_four_panels(self):
         panels = figure4(mini_points=64, mini_dim=8)
         assert set(panels) == {
-            "tuple (paper-scale model)",
-            "vector (paper-scale model)",
+            "tuple (paper-scale priced)",
+            "vector (paper-scale priced)",
             "tuple (mini measured)",
             "vector (mini measured)",
         }
-        assert "aggregation" in panels["tuple (paper-scale model)"]
+        assert "PartialAggregate" in panels["tuple (paper-scale priced)"]
         assert "Figure 4" in format_figure4(panels)
 
     def test_rst_experiment(self):

@@ -376,19 +376,31 @@ class TestStructure:
         assert paths == {"tiled": 0, "declined": 0, "built": 1}
 
     def test_a_worker_memory_budget_fails_at_the_join(self):
-        """Budgets read the joined rows' per-slot bytes, built or not: the
-        same error surfaces at the same NestedLoopJoin operator."""
+        """Budgets read what a slot holds while the join runs — its probe
+        rows beside the broadcast build copy (1120 + 2880 bytes on the
+        busiest slot here) — never the joined rows, built or not: the
+        same error surfaces at the same NestedLoopJoin operator in both
+        modes, and a budget that holds the inputs runs, though the joined
+        rows (51568 bytes on the busiest slot) would not fit it."""
         errors = []
         for mode in ("row", "batch"):
-            db = Database(_config(4, worker_memory=40000.0), execution_mode=mode)
-            db.execute("CREATE TABLE p (id INTEGER, g INTEGER, h INTEGER, v VECTOR[])")
-            db.execute("CREATE TABLE q (id INTEGER, k INTEGER, w VECTOR[])")
-            db.load("p", _probe(40, dim=8))
-            db.load("q", _build(30, dim=8))
-            with pytest.raises(ResourceExhaustedError) as caught:
-                db.execute(MIN_BY_ID)
-            errors.append((str(caught.value), caught.value.plan_position))
-            assert caught.value.operator.startswith("NestedLoopJoin")
+            for worker_memory in (7000.0, 20000.0):  # 3500 / 10000 a slot
+                db = Database(
+                    _config(4, worker_memory=worker_memory), execution_mode=mode
+                )
+                db.execute(
+                    "CREATE TABLE p (id INTEGER, g INTEGER, h INTEGER, v VECTOR[])"
+                )
+                db.execute("CREATE TABLE q (id INTEGER, k INTEGER, w VECTOR[])")
+                db.load("p", _probe(40, dim=8))
+                db.load("q", _build(30, dim=8))
+                if worker_memory > 10000.0:
+                    assert len(db.execute(MIN_BY_ID)) == 40
+                    continue
+                with pytest.raises(ResourceExhaustedError) as caught:
+                    db.execute(MIN_BY_ID)
+                errors.append((str(caught.value), caught.value.plan_position))
+                assert caught.value.operator.startswith("NestedLoopJoin")
         assert errors[0] == errors[1]
 
 

@@ -20,7 +20,7 @@ class TestExports:
         from repro.dsl import Session  # noqa: F401
 
     def test_bench_importable(self):
-        from repro.bench import SimSQLModel, SimSQLPlatform  # noqa: F401
+        from repro.bench import SimSQLPlatform, price  # noqa: F401
 
     def test_comparators_importable(self):
         from repro.comparators import SciDB, SparkMllib, SystemML  # noqa: F401

@@ -1,9 +1,11 @@
 """Tests for the SQL tokenizer."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SqlSyntaxError
-from repro.sql import tokenize
+from repro.sql import normalize_sql, parse_statement, tokenize
 
 
 def kinds(text):
@@ -82,3 +84,74 @@ class TestLexer:
 
     def test_eof_token(self):
         assert tokenize("")[-1].kind == "EOF"
+
+
+# -- the normalized text is SQL -------------------------------------------------
+
+_NAMES = st.sampled_from(["a", "b", "x", "points", "t1", "col_2", "mi"])
+_STRINGS = st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=8
+).map(lambda text: "'" + text.replace("'", "''") + "'")
+_NUMBERS = st.one_of(
+    st.integers(0, 10**9).map(str),
+    st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False).map(repr),
+)
+_ATOMS = st.one_of(
+    _NAMES,
+    _NAMES.map(lambda name: f"a.{name}"),
+    _STRINGS,
+    _NUMBERS,
+    _NAMES.map(lambda name: f":{name}"),
+)
+_OPS = st.sampled_from(
+    ["+", "-", "*", "/", "=", "<>", "<", "<=", ">", ">=", "AND", "or"]
+)
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, _OPS, children).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        children.map(lambda child: f"-{child}"),
+        children.map(lambda child: f"NOT ({child})"),
+        st.tuples(children, children).map(lambda t: f"inner_product({t[0]}, {t[1]})"),
+    )
+
+
+_EXPRS = st.recursive(_ATOMS, _compound, max_leaves=6)
+_SPACE = st.sampled_from([" ", "  ", "\n", " /* c */ ", "\t"])
+
+
+@st.composite
+def _statements(draw):
+    select = draw(st.sampled_from(["SELECT", "select", "Select"]))
+    items = draw(st.lists(_EXPRS, min_size=1, max_size=3))
+    gap = draw(_SPACE)
+    text = f"{select}{gap}{', '.join(items)} FROM {draw(_NAMES)} AS a"
+    if draw(st.booleans()):
+        text += f"{draw(_SPACE)}where {draw(_EXPRS)}"
+    return text
+
+
+class TestNormalizedText:
+    """``normalize_sql`` — the plan-cache key, and the text a statement
+    can be stored as — is SQL: for statements in the dialect's folded
+    (lower-case) identifiers it parses back to the same statement, and it
+    is a fixed point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_statements())
+    def test_parses_to_the_same_statement(self, sql):
+        try:
+            statement = parse_statement(sql)
+        except SqlSyntaxError:
+            assume(False)
+        normalized = normalize_sql(sql)
+        assert parse_statement(normalized) == statement
+        assert normalize_sql(normalized) == normalized
+
+    def test_string_literals_keep_their_value(self):
+        for literal, value in (("'it''s'", "it's"), ("'a\\b'", "a\\b"), ("''", "")):
+            normalized = normalize_sql(f"SELECT {literal} FROM t")
+            assert normalized == f"SELECT {literal} FROM t"
+            (item,) = parse_statement(normalized).items
+            assert item.expr.value == value
