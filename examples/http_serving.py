@@ -1,6 +1,6 @@
 """The HTTP serving layer: real sockets in front of the query service.
 
-Walks through `repro/server/`: starting the asyncio HTTP server over a
+Walks through `repro/server/`: starting the HTTP server over a
 database, querying it with the stdlib socket client, streaming a large
 result through bounded cursor pages, tagged vector/matrix values on the
 wire, named sessions with temp views, detached jobs with polling,

@@ -1,8 +1,9 @@
 """Open-loop serving benchmark over real sockets (``repro-bench serve``).
 
-Measures the whole network stack in *real* time: it starts the asyncio
-HTTP server (:class:`repro.server.Server`), spawns hundreds of client
-threads each holding one persistent socket connection, and fires
+Measures the whole network stack in *real* time: it starts the HTTP
+server (:class:`repro.server.Server`, one thread per connection),
+spawns hundreds of client threads each holding one persistent socket
+connection, and fires
 queries drawn from a small set of parameterized *templates* (the
 repeated-template shape of production analytical traffic) at the
 server on a **Poisson arrival schedule** — arrivals come when the
@@ -15,7 +16,8 @@ identically seeded database, and each concurrent response is compared
 against the serial answer on the canonical JSON encoding
 (:func:`repro.server.protocol.canonical_result`) — the report's
 ``mismatches`` counter is a bit-identity check that concurrent
-execution through the worker pool returns exactly the serial results.
+execution across the server's connection threads returns exactly the
+serial results.
 
 The report carries real wall-clock throughput, p50/p95/p99 latency
 measured from each query's *scheduled arrival* (so queueing delay and

@@ -80,11 +80,11 @@ class ClusterConfig:
     #: pruning granule). Small values are useful in tests to force
     #: multi-segment partitions.
     segment_rows: int = 4096
-    #: size of the real-thread worker pool the network serving layer
-    #: (``repro.server``) drives the simulated cluster with; requests
+    #: statements the network serving layer (``repro.server``) executes
+    #: at once, over all connection threads and detached jobs; requests
     #: beyond it queue inside the server. Read-only statements admitted
-    #: through the database's reader–writer gate genuinely overlap on
-    #: these threads; DDL/DML takes the exclusive path.
+    #: through the database's reader–writer gate genuinely overlap;
+    #: DDL/DML takes the exclusive path.
     worker_threads: int = 8
     #: crash-safe durability: "off" keeps the historical behaviour (data
     #: lives in memory until an explicit ``save``); "wal" appends every

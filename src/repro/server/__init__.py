@@ -1,9 +1,10 @@
 """The network serving layer: HTTP/JSON access to a query service.
 
 Everything below :mod:`repro.service` runs in-process and in simulated
-time; this package is the real-time boundary — an asyncio HTTP/1.1
-server (:class:`Server`) over real sockets, a worker-thread pool
-driving the thread-safe :class:`~repro.service.QueryService`, opaque
+time; this package is the real-time boundary — an HTTP/1.1 server
+(:class:`Server`) over real sockets serving each connection on its own
+thread, a bound on the statements running at once across them, the
+thread-safe :class:`~repro.service.QueryService` behind it, opaque
 streaming cursors, detached jobs, per-tenant token-bucket rate limits,
 and structured error payloads with ``Retry-After`` on overload.
 

@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     )
 
     # signal handlers only set the event: the drain itself must not run
-    # on the signal frame (it joins threads and talks to the event loop).
+    # on the signal frame (it joins the server's threads).
     # They are in place before the socket binds: a client that reads the
     # "listening on" line may signal at once, and must get a drain
     shutdown = threading.Event()

@@ -1,6 +1,6 @@
-"""The asyncio HTTP serving layer in front of :class:`QueryService`.
+"""The HTTP serving layer in front of :class:`QueryService`.
 
-A deliberately small HTTP/1.1 server — stdlib asyncio only, no web
+A deliberately small HTTP/1.1 server — stdlib sockets only, no web
 framework — exposing the query service over real sockets:
 
 ======  ======================  ==========================================
@@ -17,22 +17,21 @@ GET     /jobs/<id>              poll a job (cursor token once done)
 DELETE  /jobs/<id>              drop the job and release its result
 ======  ======================  ==========================================
 
-**Concurrency model.** The event loop only parses HTTP and JSON; every
-statement runs on a fixed pool of ``ClusterConfig.worker_threads`` real
-threads (``run_in_executor``) driving the thread-safe
-:class:`QueryService`. Worker threads genuinely overlap on read
-statements: the service releases its lock around cluster execution and
-the database's reader–writer admission gate runs concurrent SELECTs
-against a stable catalog snapshot (DDL/DML still admits exclusively).
-A statement itself is single-threaded: it runs on the worker thread
-that admitted it. Two load-shedding layers sit in front of the pool,
-both answering 429 with a ``Retry-After`` header:
-
-* a server-wide in-flight cap (``ServerConfig.max_inflight``) bounding
-  concurrently admitted requests, and
-* per-tenant token buckets (``ServerConfig.rate_limit_qps``) on the
-  statement-submitting endpoints.
-
+**Concurrency model.** One thread per accepted connection reads a
+request with blocking reads, runs the handler, writes the response and
+reads the next: a request never changes threads. A
+``threading.BoundedSemaphore`` of ``ClusterConfig.worker_threads``
+permits bounds the handlers executing at once, detached jobs included;
+``/health`` takes none, so it answers during a long statement.
+Statements on different connections genuinely overlap on reads: the
+service releases its lock around cluster execution and the database's
+reader–writer admission gate runs concurrent SELECTs against a stable
+catalog snapshot (DDL/DML still admits exclusively). Load shedding
+answers 429 with a ``Retry-After`` header at a server-wide in-flight
+cap (``ServerConfig.max_inflight``, counted across connections), at
+per-tenant token buckets (``ServerConfig.rate_limit_qps``) on the
+statement-submitting endpoints, and on a connection whose thread
+cannot be started (the server keeps serving the others).
 Service-level overloads (admission queue full, circuit breaker open)
 and timeouts surface the same way: the structured error payload in the
 body, the HTTP status from :func:`~repro.server.protocol.status_for_error`.
@@ -47,12 +46,12 @@ garbage collection.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import binascii
 import json
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -69,7 +68,6 @@ from .protocol import (
     PROTOCOL_VERSION,
     canonical_json,
     decode_params,
-    encode_result,
     encode_rows,
     error_body,
     retry_after_header,
@@ -88,6 +86,10 @@ _REASONS = {
     500: "Internal Server Error",
     504: "Gateway Timeout",
 }
+
+#: the request line and headers together; a longer head answers 413
+_HEAD_LIMIT = 64 * 1024
+_RECV_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,18 @@ class _HttpError(Exception):
         self.code = code
 
 
+def _error(code: str, message: str) -> Dict[str, object]:
+    return {"error": {"code": code, "message": message}}
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Wake the thread blocked accepting or reading on ``sock``."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
 def encode_cursor_token(session_name: str, cursor_id: int) -> str:
     """Opaque cursor handle: the client never parses it, the server
     round-trips it back to (session, cursor)."""
@@ -140,19 +154,8 @@ def decode_cursor_token(token: str) -> Tuple[str, int]:
 
 
 class Server:
-    """One HTTP server bound to one :class:`QueryService`.
-
-    Run it threaded (tests, examples, the open-loop benchmark)::
-
-        server = Server(db, service_config=ServiceConfig(max_concurrency=4))
-        server.start()                 # binds, spawns the loop thread
-        host, port = server.address    # real socket address
-        ...
-        server.stop()
-
-    or embed it in an existing event loop via :meth:`start_async` /
-    :meth:`stop_async`.
-    """
+    """One HTTP server bound to one :class:`QueryService`: ``start()`` and
+    ``stop()`` it, or serve within a ``with`` block."""
 
     def __init__(
         self,
@@ -164,22 +167,22 @@ class Server:
         self.config = config or ServerConfig()
         self.service = service or QueryService(db, service_config)
         self.db = self.service.db
-        self.executor = ThreadPoolExecutor(
-            max_workers=self.db.config.worker_threads,
-            thread_name_prefix="repro-server",
-        )
+        #: bounds the handlers executing at once, requests and jobs alike
+        self.gate = threading.BoundedSemaphore(self.db.config.worker_threads)
         self.limiter = TenantRateLimiter(
             self.config.rate_limit_qps, self.config.rate_limit_burst
         )
-        self.jobs = JobManager(self.service, self.executor)
+        self.jobs = JobManager(self.service, gate=self.gate)
         self._inflight = 0
         self.requests_total = 0
         self.shed_total = 0
         self.rate_limited_total = 0
+        self.connections_total = 0
         self.responses_by_status: Dict[int, int] = {}
-        self._asyncio_server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        #: open connection -> the thread serving it
+        self._connections: Dict[socket.socket, threading.Thread] = {}
         self.address: Optional[Tuple[str, int]] = None
         # assigned last: post-construction writes require the lock (see
         # repro.service.locking)
@@ -187,95 +190,50 @@ class Server:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start_async(self) -> None:
-        """Bind and start accepting on the current event loop."""
-        server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        sock = server.sockets[0].getsockname()
-        with self._lock:
-            self._asyncio_server = server
-            self._loop = asyncio.get_running_loop()
-            self.address = (sock[0], sock[1])
-
-    async def stop_async(self) -> None:
-        with self._lock:
-            server = self._asyncio_server
-            self._asyncio_server = None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        self.jobs.shutdown()
-        self.executor.shutdown(wait=True)
-
     def start(self) -> "Server":
-        """Run the event loop on a dedicated thread; returns once the
-        socket is bound and ``self.address`` is valid."""
-        ready = threading.Event()
-
-        def loop_main() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(self.start_async())
-            ready.set()
-            loop.run_forever()
-            # stop() path: drain callbacks scheduled during shutdown
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
+        """Bind, start the accept thread; ``self.address`` is then valid."""
+        family = socket.AF_INET6 if ":" in self.config.host else socket.AF_INET
+        listener = socket.create_server(
+            (self.config.host, self.config.port), family=family
+        )
         thread = threading.Thread(
-            target=loop_main, name="repro-server-loop", daemon=True
+            target=self._accept_loop, args=(listener,),
+            name="repro-server-accept", daemon=True,
         )
         with self._lock:
-            self._thread = thread
+            self._listener = listener
+            self._accept_thread = thread
+            self.address = tuple(listener.getsockname()[:2])
         thread.start()
-        ready.wait()
         return self
 
     def stop(self) -> None:
-        """Stop the threaded server and release every resource."""
+        """Close the listener, end every connection (a running statement
+        finishes first) and release the detached jobs."""
+        self._close_listener()
         with self._lock:
-            loop = self._loop
-            thread = self._thread
-            self._loop = None
-            self._thread = None
-        if loop is None:
+            accept = self._accept_thread
+            self._accept_thread = None
+        if accept is None:
             return
-
-        async def shutdown() -> None:
-            await self.stop_async()
-            asyncio.get_running_loop().stop()
-
-        asyncio.run_coroutine_threadsafe(shutdown(), loop)
-        if thread is not None:
+        accept.join()
+        with self._lock:
+            connections = list(self._connections.items())
+        for conn, _ in connections:
+            _shutdown(conn)
+        for _, thread in connections:
             thread.join(timeout=10)
+        self.jobs.shutdown()
 
     def drain(self, timeout: float = 30.0, checkpoint: bool = True) -> bool:
-        """Graceful shutdown: stop accepting new connections, let
-        in-flight requests and detached jobs finish, checkpoint a
-        durable database, then stop. Returns False when the timeout
-        expired with work still in flight (the server still stops —
-        a durable database recovers the stragglers from its WAL).
-
-        This is what the server entry point wires SIGTERM/SIGINT to.
-        """
-        import time
-
-        with self._lock:
-            loop = self._loop
-            server = self._asyncio_server
-            self._asyncio_server = None
-        if server is not None and loop is not None:
-            # close the listener only: existing connections (and the
-            # worker pool behind them) keep running until they finish.
-            # A starved loop must not wedge the drain — stop() below
-            # tears the whole loop down regardless.
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self._await_closed(server), loop
-                ).result(timeout=10)
-            except TimeoutError:
-                pass
+        """Graceful shutdown (what the entry point wires SIGTERM/SIGINT
+        to): stop accepting connections, let in-flight requests on the
+        open ones and detached jobs finish, checkpoint a durable
+        database, then close the idle keep-alive connections and stop.
+        Returns False when the timeout expired with work still in flight
+        (the server still stops — a durable database recovers the
+        stragglers from its WAL)."""
+        self._close_listener()
         deadline = time.monotonic() + timeout
         drained = False
         while time.monotonic() < deadline:
@@ -290,10 +248,13 @@ class Server:
         self.stop()
         return drained
 
-    @staticmethod
-    async def _await_closed(server: asyncio.AbstractServer) -> None:
-        server.close()
-        await server.wait_closed()
+    def _close_listener(self) -> None:
+        with self._lock:
+            listener = self._listener
+            self._listener = None
+        if listener is not None:
+            _shutdown(listener)
+            listener.close()
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -309,78 +270,121 @@ class Server:
 
     # -- http --------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                with self._lock:
+                    if self._listener is not listener:
+                        return  # closed by drain() or stop()
+                time.sleep(0.01)  # e.g. out of file descriptors: back off
+                continue
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve_connection, args=(conn,),
+                name="repro-server-conn", daemon=True,
+            )
+            with self._lock:
+                self.connections_total += 1
+                self._connections[conn] = thread
+            try:
+                thread.start()
+            except RuntimeError:
+                with self._lock:
+                    del self._connections[conn]
+                self._refuse(conn)
+
+    def _refuse(self, conn: socket.socket) -> None:
+        """Answer a connection no thread can serve with 429 and close it."""
+        response = self._render(*self._shed("no thread to serve a connection"), False)
+        try:
+            conn.settimeout(1.0)
+            conn.sendall(response)
+            # read to the client's close, so its unread request does not
+            # turn our close into a reset that loses the response
+            conn.shutdown(socket.SHUT_WR)
+            while conn.recv(_RECV_BYTES):
+                pass
+        except OSError:
+            pass
+        finally:
+            conn.close()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        buffer = bytearray()
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = self._read_request(conn, buffer)
                 except _HttpError as exc:
                     # parse-level failures (oversized head, bad
                     # Content-Length) still get an HTTP response; the
                     # stream is unsynchronized afterwards, so close
-                    writer.write(self._render(
-                        exc.status,
-                        {"error": {"code": exc.code, "message": str(exc)}},
-                        {},
-                        False,
+                    conn.sendall(self._render(
+                        exc.status, _error(exc.code, str(exc)), {}, False
                     ))
-                    await writer.drain()
                     break
                 if request is None:
                     break
                 method, path, headers, body = request
                 keep_alive = headers.get("connection", "keep-alive") != "close"
-                status, payload, extra = await self._dispatch(method, path, body)
-                writer.write(self._render(status, payload, extra, keep_alive))
-                await writer.drain()
+                status, payload, extra = self._dispatch(method, path, body)
+                conn.sendall(self._render(status, payload, extra, keep_alive))
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except OSError:
+            # a reset peer, a malformed request line, or stop() shutting
+            # the socket down under a blocked read
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):  # pragma: no cover
-                pass
+            with self._lock:
+                self._connections.pop(conn, None)
+            conn.close()
 
-    async def _read_request(self, reader):
-        """Parse one HTTP/1.1 request; None on clean EOF."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
+    def _read_request(self, conn: socket.socket, buffer: bytearray):
+        """Parse one HTTP/1.1 request off ``conn`` (``buffer`` holds
+        bytes read past the previous one); None on clean EOF."""
+        end = buffer.find(b"\r\n\r\n")
+        while end < 0 and len(buffer) <= _HEAD_LIMIT:
+            chunk = conn.recv(_RECV_BYTES)
+            if not chunk:
+                if buffer:
+                    raise ConnectionError("connection closed mid-request")
                 return None
-            raise
-        except asyncio.LimitOverrunError:
+            buffer += chunk
+            end = buffer.find(b"\r\n\r\n")
+        if not 0 <= end <= _HEAD_LIMIT:
             raise _HttpError(413, "headers_too_large", "request head too large")
-        lines = head.decode("latin-1").split("\r\n")
+        lines = buffer[:end].decode("latin-1").split("\r\n")
+        del buffer[: end + 4]
         try:
             method, target, _version = lines[0].split(" ", 2)
         except ValueError:
             raise ConnectionError("malformed request line")
         headers: Dict[str, str] = {}
         for line in lines[1:]:
-            if not line:
-                continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0") or "0"
         try:
             length = int(raw_length)
+            if length < 0:
+                raise ValueError
         except ValueError:
             raise _HttpError(
                 400, "bad_content_length",
                 f"malformed Content-Length {raw_length!r}",
             )
-        if length < 0:
-            raise _HttpError(
-                400, "bad_content_length",
-                f"negative Content-Length {length}",
-            )
         if length > self.config.max_body_bytes:
             raise _HttpError(413, "body_too_large", "request body too large")
-        body = await reader.readexactly(length) if length else b""
+        while len(buffer) < length:
+            chunk = conn.recv(_RECV_BYTES)
+            if not chunk:
+                raise ConnectionError("connection closed mid-request")
+            buffer += chunk
+        body = bytes(buffer[:length])
+        del buffer[:length]
         return method.upper(), target, headers, body
 
     def _render(
@@ -401,33 +405,34 @@ class Server:
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
-        for name, value in extra_headers.items():
-            lines.append(f"{name}: {value}")
+        lines += [f"{name}: {value}" for name, value in extra_headers.items()]
         return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
     # -- routing -----------------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, body: bytes):
+    def _shed(self, message: str):
+        """A 429 ``service_overloaded`` response with ``Retry-After``."""
+        with self._lock:
+            self.shed_total += 1
+        exc = ServiceOverloadedError(
+            message, retry_after_s=self.config.shed_retry_after_s
+        )
+        return 429, error_body(exc), {"Retry-After": retry_after_header(exc)}
+
+    def _dispatch(self, method: str, path: str, body: bytes):
         """Route one request. Returns (status, payload, extra_headers)."""
         with self._lock:
             self.requests_total += 1
             if self._inflight >= self.config.max_inflight:
-                self.shed_total += 1
-                exc = ServiceOverloadedError(
+                return self._shed(
                     f"server at max_inflight={self.config.max_inflight} "
-                    f"concurrent requests",
-                    retry_after_s=self.config.shed_retry_after_s,
+                    f"concurrent requests"
                 )
-                return 429, error_body(exc), {
-                    "Retry-After": retry_after_header(exc)
-                }
             self._inflight += 1
         try:
-            return await self._route(method, path, body)
+            return self._route(method, path, body)
         except _HttpError as exc:
-            return exc.status, {
-                "error": {"code": exc.code, "message": str(exc)}
-            }, {}
+            return exc.status, _error(exc.code, str(exc)), {}
         except ReproError as exc:
             headers: Dict[str, str] = {}
             status = status_for_error(exc)
@@ -441,52 +446,45 @@ class Server:
         except ValueError as exc:
             # client-triggerable decode failures (bare JSON arrays,
             # unknown $type tags, bad sizes) are the client's fault
-            return 400, {
-                "error": {"code": "bad_request", "message": str(exc)}
-            }, {}
+            return 400, _error("bad_request", str(exc)), {}
         except Exception as exc:
             # every request gets *a* response; an unexpected handler
             # failure must not silently drop the connection
-            return 500, {
-                "error": {
-                    "code": "internal",
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-            }, {}
+            return 500, _error("internal", f"{type(exc).__name__}: {exc}"), {}
         finally:
             with self._lock:
                 self._inflight -= 1
 
-    async def _route(self, method: str, path: str, body: bytes):
+    def _route(self, method: str, path: str, body: bytes):
         if path == "/health" and method == "GET":
             return 200, self._health(), {}
         if path == "/stats" and method == "GET":
-            return 200, await self._run(self.stats), {}
+            return 200, self._gated(self.stats), {}
         if path == "/sessions" and method == "POST":
-            return 200, await self._run(self._open_session, self._json(body)), {}
+            return 200, self._gated(self._open_session, self._json(body)), {}
         if path.startswith("/sessions/") and method == "DELETE":
             name = path[len("/sessions/"):]
-            return 200, await self._run(self._close_session, name), {}
+            return 200, self._gated(self._close_session, name), {}
         if path == "/query" and method == "POST":
-            return 200, await self._run(self._query, self._json(body)), {}
+            return 200, self._gated(self._query, self._json(body)), {}
         if path == "/fetch" and method == "POST":
-            return 200, await self._run(self._fetch, self._json(body)), {}
+            return 200, self._gated(self._fetch, self._json(body)), {}
         if path == "/jobs" and method == "POST":
-            return 200, await self._run(self._submit_job, self._json(body)), {}
+            return 200, self._gated(self._submit_job, self._json(body)), {}
         if path.startswith("/jobs/") and method == "GET":
-            return 200, await self._run(self._poll_job, path[len("/jobs/"):]), {}
+            return 200, self._gated(self._poll_job, path[len("/jobs/"):]), {}
         if path.startswith("/jobs/") and method == "DELETE":
-            return 200, await self._run(self._delete_job, path[len("/jobs/"):]), {}
+            return 200, self._gated(self._delete_job, path[len("/jobs/"):]), {}
         known = {"/health", "/stats", "/sessions", "/query", "/fetch", "/jobs"}
         root = "/" + path.lstrip("/").split("/", 1)[0]
         if root in known or path in known:
             raise _HttpError(405, "method_not_allowed", f"{method} {path}")
         raise _HttpError(404, "not_found", f"no route for {method} {path}")
 
-    async def _run(self, fn, *args):
-        """Blocking work goes to the worker pool, not the event loop."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self.executor, fn, *args)
+    def _gated(self, fn, *args):
+        """Run a handler holding one of the ``worker_threads`` permits."""
+        with self.gate:
+            return fn(*args)
 
     @staticmethod
     def _json(body: bytes) -> Dict[str, object]:
@@ -514,7 +512,7 @@ class Server:
             )
         return value
 
-    # -- handlers (worker threads) -----------------------------------------
+    # -- handlers (connection threads, holding a permit) -------------------
 
     def _health(self) -> Dict[str, object]:
         with self._lock:
@@ -536,6 +534,8 @@ class Server:
                 "inflight": self._inflight,
                 "max_inflight": self.config.max_inflight,
                 "worker_threads": self.db.config.worker_threads,
+                "connections_open": len(self._connections),
+                "connections_total": self.connections_total,
                 "responses_by_status": {
                     str(status): count
                     for status, count in sorted(self.responses_by_status.items())

@@ -111,25 +111,37 @@ class ServerClient:
             f"Content-Length: {len(body)}\r\n"
             f"Connection: keep-alive\r\n\r\n"
         ).encode("latin-1")
-        sock = self._connect()
+        reused = self._sock is not None
         try:
-            sock.sendall(head + body)
-            raw_head = self._read_until(sock, b"\r\n\r\n")
-        except (ConnectionError, socket.timeout):
-            # one reconnect: the server may have dropped an idle
-            # keep-alive connection between requests
-            self.close()
             sock = self._connect()
-            sock.sendall(head + body)
-            raw_head = self._read_until(sock, b"\r\n\r\n")
-        lines = raw_head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split(" ", 2)[1])
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        raw_body = self._read_exact(sock, length)
+            try:
+                sock.sendall(head + body)
+                raw_head = self._read_until(sock, b"\r\n\r\n")
+            except ConnectionError:
+                # the server may have dropped an idle keep-alive
+                # connection between requests: a reused connection that
+                # fails before any response byte is sent once more on a
+                # fresh one. A timeout never re-sends — the statement
+                # may be running, and an INSERT would run twice.
+                if not reused or self._buffer:
+                    raise
+                self.close()
+                sock = self._connect()
+                sock.sendall(head + body)
+                raw_head = self._read_until(sock, b"\r\n\r\n")
+            lines = raw_head.decode("latin-1").split("\r\n")
+            status = int(lines[0].split(" ", 2)[1])
+            headers: Dict[str, str] = {}
+            for line in lines[1:]:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", "0") or "0")
+            raw_body = self._read_exact(sock, length)
+        except Exception:
+            # a reply cut short leaves the connection out of step with
+            # its requests: never reuse it
+            self.close()
+            raise
         if headers.get("connection") == "close":
             self.close()
         decoded = json.loads(raw_body.decode("utf-8")) if raw_body else {}

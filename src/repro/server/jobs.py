@@ -1,10 +1,11 @@
 """Detached jobs: submit now, poll later, stream the result.
 
 ``POST /jobs`` accepts a statement and returns immediately with a job
-id; the statement runs on the server's worker pool against a dedicated
-session (``job-<id>``). ``GET /jobs/<id>`` polls the state machine::
+id; the statement runs on the manager's own small pool, holding one of
+the server's statement permits, against a dedicated session
+(``job-<id>``). ``GET /jobs/<id>`` polls the state machine::
 
-    queued ──worker picks up──▶ running ──▶ done   (result held, cursor
+    queued ──worker admitted──▶ running ──▶ done   (result held, cursor
        │                           │               token ready to fetch)
        └───────────────────────────┴──────▶ error  (structured payload)
 
@@ -13,15 +14,16 @@ streaming cursor, so clients drain it with the same ``POST /fetch``
 pagination as synchronous queries. ``DELETE /jobs/<id>`` (or manager
 shutdown) closes the session, releasing the result and its cursor.
 
-Thread-safe: jobs are created on the event loop's request path and
-completed on worker threads; all state transitions hold the job's lock.
+Thread-safe: jobs are created on a connection's thread and completed on
+the pool's; all state transitions hold the job's lock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
-from concurrent.futures import Executor
-from typing import Dict, List, Optional
+from concurrent.futures import Executor, ThreadPoolExecutor
+from typing import ContextManager, Dict, List, Optional
 
 from ..errors import ReproError
 from ..service import QueryService
@@ -68,9 +70,21 @@ class Job:
 class JobManager:
     """Owns every detached job of one server."""
 
-    def __init__(self, service: QueryService, executor: Executor):
+    def __init__(
+        self,
+        service: QueryService,
+        executor: Optional[Executor] = None,
+        gate: Optional[ContextManager] = None,
+    ):
         self.service = service
-        self.executor = executor
+        #: without an executor the manager keeps its own small pool
+        self._owns_executor = executor is None
+        self.executor = executor or ThreadPoolExecutor(
+            max_workers=service.db.config.worker_threads,
+            thread_name_prefix="repro-job",
+        )
+        #: held around each job's statement (the server's statement bound)
+        self.gate = gate or contextlib.nullcontext()
         self._jobs: Dict[str, Job] = {}
         self._sequence = 0
         self.submitted = 0
@@ -87,7 +101,7 @@ class JobManager:
         tenant: Optional[str] = None,
         page_size: Optional[int] = None,
     ) -> Job:
-        """Create the job, hand it to the worker pool, return at once."""
+        """Create the job, hand it to the pool, return at once."""
         with self._lock:
             self._sequence += 1
             job = Job(f"j{self._sequence}", sql, dict(params or {}))
@@ -108,6 +122,10 @@ class JobManager:
         return job
 
     def _run(self, job: Job, page_size: Optional[int]) -> None:
+        with self.gate:
+            self._run_admitted(job, page_size)
+
+    def _run_admitted(self, job: Job, page_size: Optional[int]) -> None:
         with job._lock:
             if job.state != "queued":  # deleted before the worker got it
                 return
@@ -173,11 +191,13 @@ class JobManager:
             )
 
     def shutdown(self) -> None:
-        """Release every job (server close path)."""
+        """Release every job (server close path) and the own pool."""
         with self._lock:
             job_ids = list(self._jobs)
         for job_id in job_ids:
             self.delete(job_id)
+        if self._owns_executor:
+            self.executor.shutdown(wait=True)
 
     def stats(self) -> Dict[str, object]:
         with self._lock:

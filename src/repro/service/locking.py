@@ -1,7 +1,7 @@
 """Lock discipline for the thread-safe service layer.
 
 The service layer is driven concurrently by the network front end's
-worker pool (``repro.server``), so every mutable component owns an
+connection threads (``repro.server``), so every mutable component owns an
 ``RLock`` named ``_lock`` and every attribute write after construction
 must happen while that lock is held. Two helpers enforce the rule:
 

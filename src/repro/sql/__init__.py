@@ -1,9 +1,10 @@
 """Extended-SQL front end: lexer, AST, parser."""
 
 from . import ast
-from .lexer import Token, normalize_sql, tokenize
+from .lexer import Token, tokenize
 from .parser import (
     Parser,
+    normalize_sql,
     parse_keyed,
     parse_keyed_script,
     parse_script,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Container, Iterable, Iterator, List
 
 from ..errors import SqlSyntaxError
 
@@ -209,20 +209,22 @@ def tokenize(text: str) -> List[Token]:
     return list(Lexer(text).tokens())
 
 
-def normalize_tokens(tokens: Iterable[Token]) -> str:
+def normalize_tokens(tokens: Iterable[Token], labels: Container[int] = ()) -> str:
     """A whitespace- and keyword-case-insensitive rendering of a token
-    run — the textual part of a plan-cache key. It is SQL again: a
-    statement written with lower-case identifiers (the dialect folds
-    identifier case everywhere but in output labels) parses from it to
-    the same statement, and normalizing it changes nothing."""
+    run — the textual part of a plan-cache key. It is SQL again: it
+    parses to the same statement up to the case of identifiers, and
+    normalizing it changes nothing. The dialect folds identifier case
+    everywhere but in output labels, so identifiers are lower-cased
+    except at ``labels`` (positions in ``tokens``: a select item's alias
+    or bare column name), whose spelling is a result's column name."""
     parts = []
-    for token in tokens:
+    for index, token in enumerate(tokens):
         if token.kind == "EOF":
             break
         if token.kind == "KEYWORD":
             parts.append(token.text.upper())
         elif token.kind == "IDENT":
-            parts.append(token.text.lower())
+            parts.append(token.text if index in labels else token.text.lower())
         elif token.kind == "STRING":
             # quoted as SQL (a quote doubled), so a string literal never
             # collides with an identifier of the same spelling
@@ -232,8 +234,3 @@ def normalize_tokens(tokens: Iterable[Token]) -> str:
         else:
             parts.append(token.text)
     return " ".join(parts)
-
-
-def normalize_sql(sql: str) -> str:
-    """:func:`normalize_tokens` of one SQL text."""
-    return normalize_tokens(tokenize(sql))

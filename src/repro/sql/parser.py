@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..errors import SqlSyntaxError
 from ..la import is_aggregate_name
@@ -36,6 +36,9 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        #: positions of identifiers that name a result column: their
+        #: case is kept in the normalised text
+        self._labels: Set[int] = set()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -93,7 +96,8 @@ class Parser:
         trailing ``;``) — the textual part of a plan-cache key."""
         start = self.pos
         statement = self.parse_statement()
-        return statement, normalize_tokens(self.tokens[start : self.pos])
+        labels = {index - start for index in self._labels}
+        return statement, normalize_tokens(self.tokens[start : self.pos], labels)
 
     def parse_statement(self) -> ast.Statement:
         token = self._peek()
@@ -294,11 +298,20 @@ class Parser:
             self._next()
             return ast.SelectItem(ast.Star(table=table))
         expr = self.parse_expression()
+        label = self.pos - 1
         alias = None
         if self._accept("KEYWORD", "AS"):
             alias = self._expect("IDENT").text
         elif self._peek().kind == "IDENT":
             alias = self._next().text
+        if alias is not None:
+            self._labels.add(self.pos - 1)
+        elif isinstance(expr, ast.ColumnRef):
+            # the column name labels the result: the item's last
+            # identifier (``t.c``, ``(c)``)
+            while self.tokens[label].kind != "IDENT":
+                label -= 1
+            self._labels.add(label)
         return ast.SelectItem(expr, alias)
 
     def _parse_table_expr(self) -> ast.TableExpression:
@@ -527,6 +540,11 @@ def parse_keyed(text: str) -> Tuple[ast.Statement, str]:
 def parse_statement(text: str) -> ast.Statement:
     """Parse exactly one statement (a trailing ';' is allowed)."""
     return parse_keyed(text)[0]
+
+
+def normalize_sql(text: str) -> str:
+    """The normalised text of one statement (:func:`parse_keyed`)."""
+    return parse_keyed(text)[1]
 
 
 def parse_keyed_script(text: str) -> List[Tuple[ast.Statement, str]]:

@@ -301,14 +301,15 @@ def test_buffer_pool_running_total_is_written_under_its_lock():
 
 
 def test_server_request_path_obeys_lock_discipline():
-    """The full HTTP path — event loop, worker pool, cursors, jobs —
-    under the auditor."""
+    """The full HTTP path — connection threads, the statement permits,
+    cursors, jobs on their own pool, the server's own counters — under
+    the auditor."""
     from repro.server import Server, ServerClient
     from repro.server.jobs import JobManager
 
     db = make_db()
     auditor = LockDisciplineAuditor()
-    with auditor.audit(*AUDITED, JobManager):
+    with auditor.audit(*AUDITED, JobManager, Server):
         with Server(db) as srv:
 
             def hammer(n):

@@ -528,6 +528,43 @@ def test_served_stats_count_embedded_statements_too():
     assert served["hits"] == 3  # the two CTAS compiled their queries: misses
 
 
+LABEL_CASES = (
+    ("SELECT k AS Total FROM a WHERE k < 1", "SELECT k AS total FROM a WHERE k < 1"),
+    ("SELECT K FROM a WHERE k < 1", "SELECT k FROM a WHERE k < 1"),
+    ("SELECT t.X FROM a t WHERE k < 1", "SELECT t.x FROM a t WHERE k < 1"),
+    ("SELECT s FROM (SELECT SUM(x) AS S FROM a) q", "SELECT s FROM (SELECT SUM(x) AS s FROM a) q"),
+)
+
+
+def test_output_labels_keep_their_case_through_the_cache():
+    """A label's spelling is the result's column name: statements that
+    differ only in a label's case compile apart, each keeps its own
+    columns, and case variants elsewhere still share a plan."""
+    db = make_db()
+    for first, second in LABEL_CASES:
+        for sql in (first, second, first):
+            assert db.execute(sql).columns == run_fresh(db, sql)[0].columns, sql
+    misses = db.plan_cache.stats()["misses"]
+    assert db.execute("select K from A where K < 1").columns == ["K"]
+    assert db.execute("SELECT t.x FROM A T WHERE K < 1").columns == ["x"]
+    assert db.plan_cache.stats()["misses"] == misses
+
+
+def test_served_sessions_share_the_cache_but_not_a_label_case():
+    db = make_db()
+    with Server(db) as server, ServerClient(*server.address) as one, \
+            ServerClient(*server.address) as two:
+        one.open_session("one")
+        two.open_session("two")
+        for first, second in LABEL_CASES:
+            expected = [run_fresh(db, sql)[0].columns for sql in (first, second)]
+            assert one.query(first, session="one")["columns"] == expected[0]
+            assert two.query(second, session="two")["columns"] == expected[1]
+            assert one.query(second, session="one")["columns"] == expected[1]
+            assert two.query(first, session="two")["columns"] == expected[0]
+        assert server.service.stats()["plan_cache"]["hits"] >= 2 * len(LABEL_CASES)
+
+
 def test_plan_line_in_explain_analyze_and_report():
     db = make_db()
     sql = "SELECT SUM(x) FROM a"

@@ -2,6 +2,7 @@
 jobs, rate limiting, shedding, and the concurrent-vs-serial
 bit-identity stress test."""
 
+import sys
 import threading
 import time
 
@@ -30,8 +31,8 @@ from repro.service import QueryService, ServiceConfig
 from repro.types import LabeledScalar, Matrix, Vector
 
 
-def make_db(rows=24, dims=4, seed=7):
-    db = Database(TEST_CLUSTER)
+def make_db(rows=24, dims=4, seed=7, config=TEST_CLUSTER):
+    db = Database(config)
     db.execute("CREATE TABLE points (i INTEGER, vec VECTOR[])")
     db.execute("CREATE TABLE outcomes (i INTEGER, y_i DOUBLE)")
     rng = np.random.default_rng(seed)
@@ -390,6 +391,16 @@ def test_oversized_body_is_413():
     assert b"body_too_large" in reply
 
 
+def test_oversized_head_is_413_and_bad_request_line_closes(server):
+    reply = _raw_roundtrip(
+        server.address,
+        b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+    )
+    assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 413 Payload Too Large"
+    assert b"headers_too_large" in reply
+    assert _raw_roundtrip(server.address, b"GARBAGE\r\n\r\n") == b""
+
+
 def test_query_timeout_is_504():
     db = make_db()
     with Server(db, service_config=ServiceConfig(query_timeout_s=1e-6)) as srv:
@@ -614,6 +625,203 @@ def test_delete_during_submit_window_closes_session():
     assert job.state == "deleted"
     assert job.session.closed
     assert service.sessions() == {}
+
+
+# -- one thread per connection: what the design keeps ------------------------
+
+
+class Held:
+    """Holds every ``/query`` handler on an Event, inside the statement
+    permit: ``arrived`` counts handlers that got in, ``peak`` is the most
+    that were ever in at once."""
+
+    def __init__(self, server):
+        self.release = threading.Event()
+        self.arrived = threading.Semaphore(0)
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+        self._query = server._query
+        server._query = self
+
+    def __call__(self, payload):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        self.arrived.release()
+        try:
+            self.release.wait(10)
+            return self._query(payload)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+    def wait_arrived(self):
+        assert self.arrived.acquire(timeout=10), "no held handler arrived"
+
+
+def in_background(fn, *args):
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+def finished(thread, outcome):
+    thread.join(10)
+    assert not thread.is_alive()
+    return outcome["value"]
+
+
+def query_from_new_connection(server, sql="SELECT COUNT(i) FROM points"):
+    with ServerClient(*server.address) as c:
+        return c.query(sql)
+
+
+def wait_inflight(server, count):
+    """Poll until ``count`` requests are admitted (a state, not a delay)."""
+    deadline = time.monotonic() + 10
+    while server.stats()["server"]["inflight"] != count:
+        assert time.monotonic() < deadline, "requests never became in flight"
+        time.sleep(0.001)
+
+
+def test_health_answers_while_a_statement_is_held(server):
+    held = Held(server)
+    thread, outcome = in_background(query_from_new_connection, server)
+    held.wait_arrived()
+    with ServerClient(*server.address) as c:
+        health = c.health()
+    # the held statement and this request
+    assert health["status"] == "ok" and health["inflight"] == 2
+    held.release.set()
+    assert finished(thread, outcome)["rows"] == [[24]]
+
+
+def test_inflight_cap_sheds_across_connections():
+    db = make_db()
+    with Server(db, config=ServerConfig(max_inflight=1)) as srv:
+        held = Held(srv)
+        thread, outcome = in_background(query_from_new_connection, srv)
+        held.wait_arrived()
+        with ServerClient(*srv.address) as c:
+            with pytest.raises(ServerError) as excinfo:
+                c.query("SELECT COUNT(i) FROM points")
+        assert excinfo.value.status == 429
+        assert excinfo.value.code == "service_overloaded"
+        assert "retry-after" in excinfo.value.headers
+        held.release.set()
+        assert finished(thread, outcome)["rows"] == [[24]]
+        assert srv.shed_total == 1
+
+
+@pytest.mark.parametrize("worker_threads", [1, 2])
+def test_worker_threads_bound_the_statements_running_at_once(worker_threads):
+    db = make_db(config=TEST_CLUSTER.with_updates(worker_threads=worker_threads))
+    with Server(db) as srv:
+        held = Held(srv)
+        runs = [in_background(query_from_new_connection, srv) for _ in range(2)]
+        held.wait_arrived()
+        if worker_threads == 1:
+            # the second request is admitted and waits for the permit
+            wait_inflight(srv, 2)
+            assert not held.arrived.acquire(blocking=False)
+        else:
+            held.wait_arrived()  # both are in at once
+        held.release.set()
+        for thread, outcome in runs:
+            assert finished(thread, outcome)["rows"] == [[24]]
+    assert held.peak == worker_threads
+
+
+def test_connection_threads_keep_every_count_under_a_fast_switch_interval():
+    """More client connections than cores, the interpreter switching
+    threads every few microseconds: no count the connection threads
+    share loses an update."""
+    clients, rounds = 6, 15
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Server(make_db()) as srv:
+            barrier = threading.Barrier(clients)
+
+            def hammer():
+                with ServerClient(*srv.address) as c:
+                    barrier.wait(10)
+                    for _ in range(rounds):
+                        c.query("SELECT COUNT(i) FROM points WHERE i < :k", {"k": 9})
+                        c.health()
+
+            runs = [in_background(hammer) for _ in range(clients)]
+            for thread, outcome in runs:
+                finished(thread, outcome)
+            stats = srv.stats()["server"]
+    finally:
+        sys.setswitchinterval(previous)
+    requests = clients * rounds * 2
+    assert stats["requests_total"] == requests
+    assert stats["responses_by_status"] == {"200": requests}
+    assert stats["inflight"] == 0
+    assert stats["connections_total"] == clients
+
+
+def test_client_timeout_never_resends_the_request():
+    db = make_db()
+    db.execute("CREATE TABLE events (i INTEGER)")
+    with Server(db) as srv:
+        inserted = threading.Event()
+        release = threading.Event()
+        real_query = srv._query
+
+        def slow_query(payload):
+            try:
+                return real_query(payload)
+            finally:
+                inserted.set()
+                release.wait(10)
+
+        srv._query = slow_query
+        with ServerClient(*srv.address, timeout=0.2) as c:
+            with pytest.raises(TimeoutError):
+                c.query("INSERT INTO events VALUES (1)")
+            assert c._sock is None  # a connection out of step is dropped
+        assert inserted.wait(10)
+        release.set()
+        srv._query = real_query
+        wait_inflight(srv, 0)
+        with ServerClient(*srv.address) as c:
+            assert c.query("SELECT COUNT(i) FROM events")["rows"] == [[1]]
+
+
+def test_failed_connection_thread_start_is_429_and_serving_goes_on(
+    server, monkeypatch
+):
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name == "repro-server-conn":
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with ServerClient(*server.address) as c:
+        with pytest.raises(ServerError) as excinfo:
+            c.health()
+    assert excinfo.value.status == 429
+    assert excinfo.value.code == "service_overloaded"
+    assert "retry-after" in excinfo.value.headers
+    monkeypatch.undo()
+    with ServerClient(*server.address) as c:
+        assert c.health()["status"] == "ok"
+        stats = c.stats()["server"]
+    assert (stats["connections_open"], stats["connections_total"]) == (1, 2)
 
 
 # -- concurrency stress: bit-identity vs serial ------------------------------

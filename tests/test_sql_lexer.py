@@ -1,11 +1,13 @@
 """Tests for the SQL tokenizer."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SqlSyntaxError
-from repro.sql import normalize_sql, parse_statement, tokenize
+from repro.sql import ast, normalize_sql, parse_statement, tokenize
 
 
 def kinds(text):
@@ -88,7 +90,15 @@ class TestLexer:
 
 # -- the normalized text is SQL -------------------------------------------------
 
-_NAMES = st.sampled_from(["a", "b", "x", "points", "t1", "col_2", "mi"])
+_NAMES = st.tuples(
+    st.sampled_from(["a", "b", "x", "points", "t1", "col_2", "mi"]),
+    st.integers(0, 2**12),
+).map(
+    # a mixed-case spelling: bit i of the mask upper-cases letter i
+    lambda pair: "".join(
+        c.upper() if pair[1] >> i & 1 else c for i, c in enumerate(pair[0])
+    )
+)
 _STRINGS = st.text(
     st.characters(blacklist_categories=("Cs",)), max_size=8
 ).map(lambda text: "'" + text.replace("'", "''") + "'")
@@ -124,7 +134,10 @@ _SPACE = st.sampled_from([" ", "  ", "\n", " /* c */ ", "\t"])
 @st.composite
 def _statements(draw):
     select = draw(st.sampled_from(["SELECT", "select", "Select"]))
-    items = draw(st.lists(_EXPRS, min_size=1, max_size=3))
+    items = [
+        item + (f" AS {draw(_NAMES)}" if draw(st.booleans()) else "")
+        for item in draw(st.lists(_EXPRS, min_size=1, max_size=3))
+    ]
     gap = draw(_SPACE)
     text = f"{select}{gap}{', '.join(items)} FROM {draw(_NAMES)} AS a"
     if draw(st.booleans()):
@@ -132,10 +145,40 @@ def _statements(draw):
     return text
 
 
+def _labels(statement):
+    """The output labels a select statement spells: aliases and bare
+    column names, in item order."""
+    return [
+        item.alias or getattr(item.expr, "column", None) for item in statement.items
+    ]
+
+
+def _folded(node):
+    """``node`` with every identifier lower-cased but the labels: the
+    statement the dialect binds, whatever the identifiers' case."""
+    if isinstance(node, list):
+        return [_folded(child) for child in node]
+    if isinstance(node, tuple):
+        return tuple(_folded(child) for child in node)
+    if isinstance(node, (ast.Literal, ast.Parameter)) or not dataclasses.is_dataclass(node):
+        return node
+    if isinstance(node, ast.SelectItem):
+        expr = node.expr
+        if isinstance(expr, ast.ColumnRef) and node.alias is None:
+            table = expr.table and expr.table.lower()
+            return ast.SelectItem(ast.ColumnRef(expr.column, table), node.alias)
+        return ast.SelectItem(_folded(expr), node.alias)
+    changes = {}
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        changes[field.name] = value.lower() if isinstance(value, str) else _folded(value)
+    return dataclasses.replace(node, **changes)
+
+
 class TestNormalizedText:
     """``normalize_sql`` — the plan-cache key, and the text a statement
-    can be stored as — is SQL: for statements in the dialect's folded
-    (lower-case) identifiers it parses back to the same statement, and it
+    can be stored as — is SQL: it parses back to the same statement up to
+    the case the dialect folds, keeps every output label as spelled, and
     is a fixed point."""
 
     @settings(max_examples=200, deadline=None)
@@ -146,8 +189,14 @@ class TestNormalizedText:
         except SqlSyntaxError:
             assume(False)
         normalized = normalize_sql(sql)
-        assert parse_statement(normalized) == statement
+        assert _folded(parse_statement(normalized)) == _folded(statement)
+        assert _labels(parse_statement(normalized)) == _labels(statement)
         assert normalize_sql(normalized) == normalized
+
+    def test_only_labels_keep_their_case(self):
+        assert normalize_sql("select T.Id AS Out, X, (a.Y), f(Z) from Points T") == (
+            "SELECT t . id AS Out , X , ( a . Y ) , f ( z ) FROM points t"
+        )
 
     def test_string_literals_keep_their_value(self):
         for literal, value in (("'it''s'", "it's"), ("'a\\b'", "a\\b"), ("''", "")):
