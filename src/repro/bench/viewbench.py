@@ -174,21 +174,31 @@ def _points_db(config, viewed: bool) -> Database:
     return db
 
 
-def _scan_after_append(config, start_rows: int, batch: int, dim: int) -> ScanProbe:
-    """Load ``start_rows`` rows under the views, then append a batch and
-    scan the most recent rows, ``SCAN_REPEATS`` times over."""
-    db = _points_db(config, viewed=True)
-    total = start_rows
-    db.load("points", _rows(0, total, dim))
-    best = float("inf")
+def _scans_after_append(
+    config, starts: List[int], batch: int, dim: int
+) -> List[ScanProbe]:
+    """Load ``start`` rows under the views into one database per entry
+    of ``starts``; then, ``SCAN_REPEATS`` times over, append a batch to
+    each database and scan its most recent rows — alternating between
+    the databases, so a burst of host load lands on every size alike."""
+    dbs, totals = [], list(starts)
+    for start in starts:
+        db = _points_db(config, viewed=True)
+        db.load("points", _rows(0, start, dim))
+        dbs.append(db)
+    best = [float("inf")] * len(dbs)
     for _ in range(SCAN_REPEATS):
-        db.load("points", _rows(total, batch, dim))
-        total += batch
-        t0 = time.perf_counter()
-        result = db.execute(RECENT_SCAN, {"lo": total - 2 * batch})
-        best = min(best, time.perf_counter() - t0)
-        assert result.rows[0][0] == min(total, 2 * batch)
-    return ScanProbe(table_rows=total, scan_after_append_ms=best * 1e3)
+        for index, db in enumerate(dbs):
+            db.load("points", _rows(totals[index], batch, dim))
+            totals[index] += batch
+            t0 = time.perf_counter()
+            result = db.execute(RECENT_SCAN, {"lo": totals[index] - 2 * batch})
+            best[index] = min(best[index], time.perf_counter() - t0)
+            assert result.rows[0][0] == min(totals[index], 2 * batch)
+    return [
+        ScanProbe(table_rows=total, scan_after_append_ms=seconds * 1e3)
+        for total, seconds in zip(totals, best)
+    ]
 
 
 def _plan_reuse_after_appends(
@@ -284,10 +294,7 @@ def run_view_bench(smoke: bool = False) -> ViewReport:
         batch_rows=batch,
         dim=dim,
         steps=records,
-        scans=[
-            _scan_after_append(config, start, batch, dim)
-            for start in (0, nearly_full)
-        ],
+        scans=_scans_after_append(config, [0, nearly_full], batch, dim),
         hit_count=hit_count,
         hit_seconds=hit_seconds,
         cold_seconds=cold_seconds,

@@ -58,11 +58,14 @@ class TableEntry:
 
 @dataclass
 class ViewEntry:
-    """A view: the defining query's AST plus optional renamed columns."""
+    """A view: the defining query's AST plus optional renamed columns,
+    and the normalised text of the statement that created it (what a
+    snapshot stores; a session's temp view has none)."""
 
     name: str
     query: object  # sql.ast.SelectStatement
     column_names: Optional[List[str]] = None
+    text: Optional[str] = None
 
 
 class Catalog:
@@ -212,12 +215,16 @@ class Catalog:
     # -- views ------------------------------------------------------------
 
     def create_view(
-        self, name: str, query, column_names: Optional[List[str]] = None
+        self,
+        name: str,
+        query,
+        column_names: Optional[List[str]] = None,
+        text: Optional[str] = None,
     ) -> ViewEntry:
         key = name.lower()
         if self.has_relation(name):
             raise CatalogError(f"relation {name!r} already exists")
-        entry = ViewEntry(name=name, query=query, column_names=column_names)
+        entry = ViewEntry(name, query, column_names, text)
         self._views[key] = entry
         self.touch(name)
         return entry

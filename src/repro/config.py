@@ -118,6 +118,21 @@ class ClusterConfig:
     #: (docs/VIEWS.md).
     view_refresh_mode: str = "eager"
 
+    def __post_init__(self):
+        # every charge divides by a rate and every per-slot figure by the
+        # slot count: no config may ask for a division by zero
+        if min(self.machines, self.cores_per_machine) < 1:
+            raise ValueError(
+                "a cluster has at least one machine of at least one core, "
+                f"not {self.machines} x {self.cores_per_machine}"
+            )
+        rates = (
+            self.flop_rate, self.blas1_rate, self.stream_rate,
+            self.network_rate, self.disk_rate,
+        )
+        if not all(rate > 0 for rate in rates):
+            raise ValueError(f"every rate of a cluster is positive, not {rates}")
+
     @property
     def effective_buffer_pool_bytes(self) -> float:
         """The working-memory budget actually enforced: the explicit

@@ -23,6 +23,7 @@ Quickstart::
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -49,6 +50,7 @@ from .plan.physical import PFilter, PHashJoin, PNestedLoopJoin, PScan, PViewScan
 from .plan_cache import CachedPlan, PlanCache, PlanCacheKey, param_signature
 from .sql import ast, parse_keyed, parse_keyed_script, parse_statement
 from .storage import StorageEngine
+from .storage.durable import checked, validating
 from .storage.segment import decode_segment, encode_columns, encode_rows
 from .types import Matrix, Vector
 from .views import ViewMatcher, ViewRegistry
@@ -317,31 +319,42 @@ class Database:
         record["catalog_version"] = self.catalog.version
         self._durability.log(record)
 
-    def _apply_wal_record(self, record: Dict[str, object]) -> None:
+    def _apply_wal_record(self, record: Dict[str, object], path: str = "") -> None:
         """Replay one WAL record during recovery (the manager is
         detached, so nothing is re-logged). Replay runs the same code
         paths as the original statement on the same cluster shape, which
-        is what makes recovered rows and statistics bit-identical."""
-        from .errors import ReproError
+        is what makes recovered rows and statistics bit-identical. The
+        record, read from ``path``, is checked before anything runs on
+        it (``validating``); an error raised while running surfaces as
+        itself."""
+        from .persist import thaw_columns
 
-        kind = record.get("kind")
-        if kind == "stmt":
-            params = record["params"]
-            if params is not None:
-                names, values = params
-                params = dict(zip(names, decode_segment(values)[0]))
-            # no statement text, so no cache key: replay compiles afresh
-            self._execute_statement(record["ast"], params)
-        elif kind == "create_table":
-            self.create_table(
-                record["table"],
-                record["columns"],
-                partition_by=record["partition_by"],
-            )
-        elif kind == "load":
-            self.load(record["table"], decode_segment(record["rows"]))
-        else:
-            raise ReproError(f"unknown WAL record kind {kind!r}")
+        with validating(path):
+            kind = record["kind"]
+            if kind == "stmt":
+                params = record["params"]
+                if params is not None:
+                    names, values = checked(params, list)
+                    (row,) = decode_segment(checked(values, bytes))
+                    params = dict(zip(checked(names, list, str), row, strict=True))
+                statement, key = parse_keyed(checked(record["text"], str))
+                run = partial(self._execute_statement, statement, params, key)
+            elif kind == "create_table":
+                partition_by = record["partition_by"]
+                if partition_by is not None:
+                    checked(partition_by, list, str)
+                run = partial(
+                    self.create_table,
+                    checked(record["table"], str),
+                    thaw_columns(record["columns"]),
+                    partition_by=partition_by,
+                )
+            elif kind == "load":
+                rows = decode_segment(checked(record["rows"], bytes))
+                run = partial(self.load, checked(record["table"], str), rows)
+            else:
+                raise ValueError(f"unknown WAL record kind {kind!r}")
+        run()
 
     # -- schema and loading ----------------------------------------------------
 
@@ -531,10 +544,11 @@ class Database:
         self,
         statement: ast.Statement,
         params: Optional[Dict[str, object]],
-        key: Optional[str] = None,
+        key: str,
     ) -> Result:
-        """``key`` is the statement's normalised text (``parse_keyed``);
-        without one its queries compile afresh, past the plan cache."""
+        """``key`` is the statement's normalised text (``parse_keyed``):
+        its plan-cache key, and what the WAL logs of a statement that
+        may mutate."""
         # read-only statements overlap under shared admission; anything
         # that can mutate the catalog or table storage takes the
         # exclusive path (and stamps what it changed, invalidating the
@@ -554,7 +568,7 @@ class Database:
                     # the statement is applied; appending this record is
                     # the acknowledgement point (returning == durable)
                     self._log_durable(
-                        {"kind": "stmt", "ast": statement, "params": frozen}
+                        {"kind": "stmt", "text": key, "params": frozen}
                     )
                 return result
 
@@ -599,13 +613,11 @@ class Database:
                     f"column name(s) for {len(plan.columns)} column(s)"
                 )
             self.catalog.create_view(
-                statement.name, statement.query, statement.column_names
+                statement.name, statement.query, statement.column_names, key
             )
             return Result([], [])
         if isinstance(statement, ast.CreateMaterializedView):
-            self.views.create(
-                statement.name, statement.query, statement.column_names
-            )
+            self.views.create(statement, key)
             return Result([], [])
         if isinstance(statement, ast.RefreshMaterializedView):
             self.views.refresh(statement.name)

@@ -85,7 +85,7 @@ def _blake2b(values, tensor_bytes) -> int:
                     b"\x03" + (struct.pack("<d", value) if value == value else _NAN)
                 )
         elif isinstance(value, str):
-            hasher.update(b"\x04" + value.encode("utf-8"))
+            hasher.update(b"\x04" + value.encode("utf-8", "surrogatepass"))
         elif isinstance(value, LabeledScalar):
             hasher.update(b"\x03" + struct.pack("<d", value.value))
         elif isinstance(value, Vector):

@@ -2,26 +2,28 @@
 
 A snapshot is a CRC-framed envelope around plain data: schemas as
 ``(name, type-string)`` pairs, partitioning metadata, table statistics,
-the cluster config and view definitions as their original ASTs. Every
-collection of SQL *values* in it — each table partition, a full view's
-stored rows, the statistics' distinct-value sets — is a segment blob of
-the one column codec (:mod:`repro.storage.segment`); this module owns
-no value format. It is an *internal* format — the paper's system keeps
-its data on HDFS; this is the laptop equivalent so a loaded workload can
-be reused across sessions. On disk::
+the cluster config as its dataclass fields, and each view as the
+normalised text of the statement that created it. Every collection of
+SQL *values* in it — each table partition, a full view's stored rows,
+the statistics' distinct-value sets — is a segment blob of the one
+column codec (:mod:`repro.storage.segment`); this module owns no value
+format. It is an *internal* format — the paper's system keeps its data
+on HDFS; this is the laptop equivalent so a loaded workload can be
+reused across sessions. On disk::
 
-    RDBF2\\n | <u32 CRC32(payload) LE> | pickled payload
+    RDBF3\\n | <u32 CRC32(payload) LE> | payload
 
-written atomically (same-directory temp file + fsync + ``os.replace`` +
-directory fsync, via :func:`repro.storage.durable.atomic_write`), so a
-crash mid-save never leaves a torn file under the final name. The
-envelope is still a pickle because the config and the view ASTs are
-Python objects (see ROADMAP), so nothing is unpickled before the magic
-and the checksum hold: a file without the magic, truncated, or failing
-its checksum raises a structured
+where the payload is the one plain-data envelope
+(:func:`~repro.storage.durable.encode_payload`: a JSON head and the
+segment blobs it names), written atomically (same-directory temp file +
+fsync + ``os.replace`` + directory fsync, via
+:func:`repro.storage.durable.atomic_write`), so a crash mid-save never
+leaves a torn file under the final name. Nothing in a snapshot is code:
+a file without the magic, truncated, failing its checksum, or whose
+payload does not decode or validate raises a structured
 :class:`~repro.errors.SnapshotCorruptError` naming the file and the
 byte offset where validation stopped, and a file of another format
-(``RDBF1``; a payload version other than :data:`FORMAT_VERSION`) is
+(``RDBF2``; a payload version other than :data:`FORMAT_VERSION`) is
 refused with a :class:`~repro.errors.ReproError` naming what it carries.
 There is no reader for older formats and no migrator.
 
@@ -33,8 +35,8 @@ write-ahead log on top of the latest checkpoint (see
 
 from __future__ import annotations
 
+import dataclasses
 import os
-import pickle
 import struct
 import zlib
 from typing import Optional
@@ -42,7 +44,17 @@ from typing import Optional
 from .catalog import ColumnStats, TableStats
 from .config import ClusterConfig
 from .errors import ReproError, SnapshotCorruptError
-from .storage.durable import atomic_write, check_magic, durable_read
+from .faults import FaultPlan
+from .sql import ast, parse_keyed
+from .storage.durable import (
+    atomic_write,
+    check_magic,
+    checked,
+    decode_payload,
+    durable_read,
+    encode_payload,
+    validating,
+)
 from .storage.segment import decode_segment, encode_columns, encode_rows
 
 #: payload layout: per-table statistics and the catalog version (restore
@@ -52,25 +64,76 @@ from .storage.segment import decode_segment, encode_columns, encode_rows
 #: (the definition plus a full view's stored rows and staleness flag; an
 #: incremental view's accumulator state is re-folded from the restored
 #: partitions, which reproduces it bit-for-bit — the partitions land
-#: verbatim); since 4, every value collection is a segment blob.
-FORMAT_VERSION = 4
+#: verbatim); since 4, every value collection is a segment blob; since
+#: 5, the payload is plain data and a view is its statement's text.
+FORMAT_VERSION = 5
 MAGIC = "repro-database"
-FRAME_MAGIC = b"RDBF2\n"
+FRAME_MAGIC = b"RDBF3\n"
 _FRAME_CRC = struct.Struct("<I")
+
+#: the most slots a config read from a file may have, 50 times the
+#: paper's 80: a bound on the memory a file can ask for, not on what a
+#: cluster built in code may have
+MAX_SLOTS = 4096
+
+#: what a field of a config dataclass may hold, by its annotation: a
+#: float field also takes an int, as the constructor does
+_KINDS = {"int": (int,), "float": (float, int), "str": (str,), "bool": (bool,)}
+
+
+def freeze_config(config: ClusterConfig) -> dict:
+    """A cluster config as plain data: its fields, the fault plan's
+    nested as its own."""
+    fields = dict(vars(config))
+    if config.fault_plan is not None:
+        fields["fault_plan"] = dict(vars(config.fault_plan))
+    return fields
+
+
+def thaw_config(fields: dict) -> ClusterConfig:
+    """The inverse of :func:`freeze_config`. A file may not ask for more
+    than :data:`MAX_SLOTS` slots: every table allocates per-slot state
+    up front, so a few bytes would otherwise ask for unbounded memory."""
+    plan = checked(fields, dict).get("fault_plan")
+    if plan is not None:
+        fields = dict(fields, fault_plan=_thaw_fields(FaultPlan, plan))
+    config = _thaw_fields(ClusterConfig, fields)
+    if config.slots > MAX_SLOTS:
+        raise ValueError(f"a saved cluster of {config.slots} slots")
+    return config
+
+
+def _thaw_fields(cls, fields: dict):
+    """A config dataclass from its written fields. A name the class does
+    not have (a field since removed) is dropped and a missing one takes
+    its default; a value of another kind than its field's is refused."""
+    checked(fields, dict)
+    kept = {}
+    for field in dataclasses.fields(cls):
+        if field.name not in fields:
+            continue
+        value = fields[field.name]
+        kind = field.type.removeprefix("Optional[").removesuffix("]")
+        unset = value is None and kind != field.type  # an Optional's None
+        if kind in _KINDS and type(value) not in _KINDS[kind] and not unset:
+            raise TypeError(f"config field {field.name} holds {value!r}")
+        kept[field.name] = value
+    return cls(**kept)
 
 
 def _freeze_stats(stats: TableStats) -> dict:
     """Table statistics as plain data: every field of every column as it
-    is, except the distinct-value set, which is a one-column segment."""
-    columns = {
-        name: dict(
-            vars(col),
-            value_set=None
-            if col.value_set is None
-            else encode_rows([(value,) for value in col.value_set]),
-        )
-        for name, col in stats.columns.items()
-    }
+    is, the accumulator sets as lists, except the distinct-value set,
+    which is a one-column segment."""
+    columns = []
+    for name, col in stats.columns.items():
+        frozen = dict(vars(col))
+        if col.value_set is not None:
+            frozen["value_set"] = encode_rows([(value,) for value in col.value_set])
+        for field in ("length_set", "shape_set"):
+            if frozen[field] is not None:
+                frozen[field] = list(frozen[field])
+        columns.append([name, frozen])
     return {
         "row_count": stats.row_count,
         "incremental": stats.incremental,
@@ -78,21 +141,72 @@ def _freeze_stats(stats: TableStats) -> dict:
     }
 
 
+def thaw_columns(pairs: list) -> list:
+    """A table's written ``(name, type-string)`` pairs, each checked."""
+    columns = [tuple(checked(pair, list, str)) for pair in checked(pairs, list)]
+    if any(len(pair) != 2 for pair in columns):
+        raise ValueError("a column is not a (name, type) pair")
+    return columns
+
+
 def _thaw_stats(frozen: dict) -> TableStats:
+    """The inverse of :func:`_freeze_stats`. The planner reads statistics
+    as they are (an observed dimension sizes a type), so each is checked
+    here: counts are ints of at least zero, dimensions of at least one."""
     stats = TableStats(
-        row_count=frozen["row_count"], incremental=frozen["incremental"]
+        row_count=_at_least(0, frozen["row_count"]),
+        incremental=checked(frozen["incremental"], bool),
     )
-    for name, col in frozen["columns"].items():
-        values = col["value_set"]
-        if values is not None:
-            values = {value for (value,) in decode_segment(values)}
-        stats.columns[name] = ColumnStats(**dict(col, value_set=values))
+    for name, col in checked(frozen["columns"], list):
+        col = dict(checked(col, dict))
+        for field, floor in _STAT_FLOORS.items():
+            if col[field] is not None:
+                _at_least(floor, col[field])
+        if col["value_set"] is not None:
+            col["value_set"] = {
+                value for (value,) in decode_segment(checked(col["value_set"], bytes))
+            }
+        if col["length_set"] is not None:
+            col["length_set"] = set(_dims(col["length_set"]))
+        if col["shape_set"] is not None:
+            col["shape_set"] = {
+                _dims(shape, 2) for shape in checked(col["shape_set"], list)
+            }
+        if col["placed"] is not None:
+            key, share = checked(col["placed"], list)
+            col["placed"] = tuple(checked(key, list)), checked(share, float)
+        stats.columns[checked(name, str)] = ColumnStats(**col)
     return stats
+
+
+#: the least value of each scalar column statistic
+_STAT_FLOORS = {
+    "distinct": 0,
+    "observed_length": 1,
+    "observed_rows": 1,
+    "observed_cols": 1,
+}
+
+
+def _at_least(floor: int, value):
+    if checked(value, int) < floor:
+        raise ValueError(f"a statistic of {value}, below {floor}")
+    return value
+
+
+def _dims(values: list, count: Optional[int] = None) -> tuple:
+    """Written tensor dimensions: ints of at least one, ``count`` of
+    them when given."""
+    for value in checked(values, list):
+        _at_least(1, value)
+    if count is not None and len(values) != count:
+        raise ValueError(f"{len(values)} dimensions, not {count}")
+    return tuple(values)
 
 
 def write_snapshot(path: str, payload: dict, injector=None) -> None:
     """Frame (CRC32) and atomically write one snapshot payload."""
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    body = encode_payload(payload)
     blob = FRAME_MAGIC + _FRAME_CRC.pack(zlib.crc32(body)) + body
     atomic_write(path, blob, injector=injector)
 
@@ -119,15 +233,8 @@ def load_snapshot(path: str, injector=None) -> dict:
             path=path,
             offset=header,
         )
-    try:
-        payload = pickle.loads(body)
-    except Exception as exc:
-        raise SnapshotCorruptError(
-            f"snapshot does not decode ({type(exc).__name__}: {exc})",
-            path=path,
-            offset=header,
-        ) from exc
-    if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
+    payload = decode_payload(body, path, header)
+    if payload.get("magic") != MAGIC:
         raise ReproError(f"{path!r} is not a repro database file")
     if payload.get("version") != FORMAT_VERSION:
         raise ReproError(
@@ -163,20 +270,9 @@ def save_database(db, path: str, injector=None) -> None:
                 "stats": _freeze_stats(entry.stats),
             }
         )
-    views = [
-        {
-            "name": view.name,
-            "query": view.query,  # plain-dataclass AST, picklable
-            "column_names": view.column_names,
-        }
-        for view in db.catalog._views.values()
-    ]
     matviews = [
         {
-            "name": view.name,
-            "query": view.query,
-            "column_names": view.column_names,
-            "mode": view.mode,
+            "text": view.text,
             # a full view's stored result rows travel verbatim (a stale
             # deferred view must come back with its *old* rows, not a
             # recompute); incremental state is re-folded from the
@@ -189,10 +285,10 @@ def save_database(db, path: str, injector=None) -> None:
     payload = {
         "magic": MAGIC,
         "version": FORMAT_VERSION,
-        "config": db.config,
+        "config": freeze_config(db.config),
         "catalog_version": db.catalog.version,
         "tables": tables,
-        "views": views,
+        "views": [view.text for view in db.catalog._views.values()],
         "matviews": matviews,
     }
     write_snapshot(path, payload, injector=injector)
@@ -216,46 +312,78 @@ def restore_database(path: str, config: Optional[ClusterConfig] = None):
 
         return recover_database(path, config)
     payload = load_snapshot(path)
-    effective = _effective_config(payload["config"], config)
-    if effective.durability_mode != "off":
-        effective = effective.with_updates(durability_mode="off", data_dir=None)
-    db = Database(effective)
-    apply_snapshot(db, payload)
+    with validating(path):
+        effective = _effective_config(thaw_config(payload["config"]), config)
+        if effective.durability_mode != "off":
+            effective = effective.with_updates(durability_mode="off", data_dir=None)
+        # the constructor is where a config's values are checked
+        db = Database(effective)
+    apply_snapshot(db, payload, path)
     return db
 
 
-def apply_snapshot(db, payload: dict) -> None:
-    """Materialize a snapshot payload into an empty database: tables,
-    rows, statistics, views, catalog version."""
-    for table in payload["tables"]:
-        db.create_table(
-            table["name"], table["columns"], partition_by=table["partition_by"]
-        )
-        entry = db.catalog.table(table["name"])
-        _restore_rows(entry.storage, table)
-        entry.stats = _thaw_stats(table["stats"])
-    for view in payload["views"]:
-        db.catalog.create_view(view["name"], view["query"], view["column_names"])
-    for frozen in payload["matviews"]:
-        rows = frozen["rows"]  # None for an incremental view: it re-folds
-        db.views.create(
-            frozen["name"],
-            frozen["query"],
-            frozen["column_names"],
-            restored=(
-                None if rows is None else decode_segment(rows),
-                frozen["stale"],
-            ),
-        )
+def apply_snapshot(db, payload: dict, path: str = "") -> None:
+    """Materialize a snapshot payload read from ``path`` into an empty
+    database: tables, rows, statistics, views, catalog version. Each
+    part is read and checked (:func:`validating`) before the database
+    builds anything from it, so an error raised while building surfaces
+    as itself."""
+    with validating(path):
+        tables = checked(payload["tables"], list)
+        views = [
+            _definition(text, ast.CreateView)
+            for text in checked(payload["views"], list)
+        ]
+        matviews = checked(payload["matviews"], list)
+        version = checked(payload["catalog_version"], int)
+    for table in tables:
+        _restore_table(db, table, path)
+    for view, text in views:
+        db.catalog.create_view(view.name, view.query, view.column_names, text)
+    for frozen in matviews:
+        with validating(path):
+            view, text = _definition(frozen["text"], ast.CreateMaterializedView)
+            rows = frozen["rows"]  # None for an incremental view: it re-folds
+            restored = (
+                None if rows is None else decode_segment(checked(rows, bytes)),
+                checked(frozen["stale"], bool),
+            )
+        db.views.create(view, text, restored=restored)
     # the saved version is authoritative for snapshot state: restoring
     # replays a subset of the operations that produced it, and pinning
     # it is what lets WAL replay reproduce the original catalog version
     # bit-for-bit. Never backwards, though: the relations just created
     # carry stamps of this counter, and a stamp must not repeat.
-    db.catalog.version = max(db.catalog.version, payload["catalog_version"])
+    db.catalog.version = max(db.catalog.version, version)
 
 
-def _restore_rows(storage, table: dict) -> None:
+def _definition(text: str, kind: type):
+    """A view's defining statement, parsed back from its saved text; the
+    view's name, columns and mode follow from it."""
+    statement, key = parse_keyed(checked(text, str))
+    if type(statement) is not kind:
+        raise TypeError(f"{text!r} does not define a {kind.__name__}")
+    return statement, key
+
+
+def _restore_table(db, table: dict, path: str) -> None:
+    """Recreate one saved table: schema, rows, statistics."""
+    with validating(path):
+        name = checked(table["name"], str)
+        columns = thaw_columns(table["columns"])
+        partition_by = table["partition_by"]
+        if partition_by is not None:
+            checked(partition_by, list, str)
+    db.create_table(name, columns, partition_by=partition_by)
+    entry = db.catalog.table(name)
+    _restore_rows(entry.storage, table, path)
+    # read after the rows are placed and their decoded form is freed, so
+    # the long-lived statistics do not pin the memory it took
+    with validating(path):
+        entry.stats = _thaw_stats(table["stats"])
+
+
+def _restore_rows(storage, table: dict, path: str) -> None:
     """Reload one table's rows, saved per partition: restoring onto a
     cluster with the same slot count places every partition back
     verbatim (identical slot layout, identical within-slot order —
@@ -263,11 +391,18 @@ def _restore_rows(storage, table: dict) -> None:
     count re-deals through ``insert_many`` (the documented
     re-partitioning behaviour).
     """
-    partitions = [decode_segment(blob) for blob in table["partitions"]]
+    with validating(path):
+        partitions = [
+            decode_segment(checked(blob, bytes))
+            for blob in checked(table["partitions"], list)
+        ]
+        if any(len(rows[0]) != storage.width for rows in partitions if rows):
+            raise ValueError(f"rows of table {table['name']!r} are not its columns")
+        cursor = checked(table["insert_cursor"], int)
     if len(partitions) == storage.slots:
         for slot, rows in enumerate(partitions):
             storage.replace_partition(slot, rows)
-        storage.insert_cursor = table["insert_cursor"]
+        storage.insert_cursor = cursor
         return
     storage.insert_many(row for part in partitions for row in part)
 

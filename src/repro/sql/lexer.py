@@ -214,9 +214,11 @@ def normalize_tokens(tokens: Iterable[Token], labels: Container[int] = ()) -> st
     run — the textual part of a plan-cache key. It is SQL again: it
     parses to the same statement up to the case of identifiers, and
     normalizing it changes nothing. The dialect folds identifier case
-    everywhere but in output labels, so identifiers are lower-cased
-    except at ``labels`` (positions in ``tokens``: a select item's alias
-    or bare column name), whose spelling is a result's column name."""
+    everywhere but in output labels and defined names, so identifiers
+    are lower-cased except at ``labels`` (positions in ``tokens``: a
+    select item's alias or bare column name, whose spelling is a
+    result's column name, and a name a CREATE statement defines, whose
+    spelling the catalog keeps)."""
     parts = []
     for index, token in enumerate(tokens):
         if token.kind == "EOF":

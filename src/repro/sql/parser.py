@@ -36,8 +36,9 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
-        #: positions of identifiers that name a result column: their
-        #: case is kept in the normalised text
+        #: positions of identifiers whose case is kept in the normalised
+        #: text: those that name a result column, and the names a
+        #: statement defines (the catalog keeps them as spelled)
         self._labels: Set[int] = set()
 
     # -- token plumbing ----------------------------------------------------
@@ -68,6 +69,13 @@ class Parser:
             got = self._peek().text or "end of input"
             raise self._error(f"expected {want!r}, found {got!r}")
         return token
+
+    def _defined_name(self) -> str:
+        """An identifier the statement defines: a table, view or column
+        name, kept in the normalised text as spelled."""
+        name = self._expect("IDENT").text
+        self._labels.add(self.pos - 1)
+        return name
 
     def _accept_keyword(self, *words: str) -> bool:
         """Consume a sequence of keywords if all are present."""
@@ -148,13 +156,13 @@ class Parser:
                 plain.name, plain.query, plain.column_names
             )
         self._expect("KEYWORD", "TABLE")
-        name = self._expect("IDENT").text
+        name = self._defined_name()
         if self._accept("KEYWORD", "AS"):
             return ast.CreateTableAs(name, self.parse_select())
         self._expect("OP", "(")
         columns: List[Tuple[str, DataType]] = []
         while True:
-            col_name = self._expect("IDENT").text
+            col_name = self._defined_name()
             columns.append((col_name, self._parse_column_type()))
             if not self._accept("OP", ","):
                 break
@@ -182,12 +190,12 @@ class Parser:
         return parse_type(base)
 
     def _parse_create_view(self, temporary: bool = False) -> ast.CreateView:
-        name = self._expect("IDENT").text
+        name = self._defined_name()
         column_names = None
         if self._accept("OP", "("):
-            column_names = [self._expect("IDENT").text]
+            column_names = [self._defined_name()]
             while self._accept("OP", ","):
-                column_names.append(self._expect("IDENT").text)
+                column_names.append(self._defined_name())
             self._expect("OP", ")")
         self._expect("KEYWORD", "AS")
         return ast.CreateView(

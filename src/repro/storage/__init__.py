@@ -10,8 +10,9 @@ decides only what sealing a chunk produces:
   per-row sizes, with its zone maps cached on it;
 * ``"disk"`` — a :class:`DiskSegment`: an immutable, checksummed
   columnar segment file (each typed or tensor-block column as its array
-  buffer plus null mask, object columns pickled, and a footer carrying
-  row count, per-column min/max and null counts) decoded straight into
+  buffer plus null mask, object columns as tagged cells, and a plain
+  JSON footer carrying the row count and per-column dtype, shape, mask
+  flag and payload length) decoded straight into
   :class:`~repro.columnar.ColumnData` — read-only views of the file
   bytes — held by a :class:`BufferPool` with LRU-with-pins eviction.
   Spill files, snapshot partitions and WAL rows are the same segment

@@ -57,7 +57,7 @@ class DiskSegment:
         self._zones: List[ZoneMap] = compute_zones(columns)
         # sealing is crash-atomic (temp file + fsync + os.replace): a
         # crash mid-seal leaves the final name absent, never torn
-        blob, _ = encode_columns(columns, self._zones)
+        blob, _ = encode_columns(columns)
         write_segment_file(path, blob, injector=injector)
 
     def sizes(self) -> List[float]:

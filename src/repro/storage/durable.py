@@ -15,6 +15,9 @@ and the columnar segment writer:
 * :func:`durable_read` — a whole-file read of a durability artifact,
   the hook point for bit-rot injection.
 
+The snapshot payload and every WAL record are written in one plain-data
+envelope (:func:`encode_payload` / :func:`decode_payload`).
+
 Fault injection threads through the optional
 :class:`~repro.faults.FaultInjector`: each barrier first asks
 :meth:`~repro.faults.FaultInjector.storage_barrier` whether it is the
@@ -29,20 +32,124 @@ layer can swallow it.
 from __future__ import annotations
 
 import errno
+import json
 import os
+import struct
 import tempfile
+from contextlib import contextmanager
 from typing import Optional
 
 from ..errors import ReproError, SimulatedCrashError, SnapshotCorruptError
 
 #: suffix of in-flight temp files; recovery sweeps leftovers away
 TMP_SUFFIX = ".reprotmp"
+#: a payload's head length (u32 LE), and each blob's length (u64 LE)
+_HEAD = struct.Struct("<I")
+_BLOB = struct.Struct("<Q")
+
+
+def encode_payload(tree) -> bytes:
+    """Plain data as bytes: a JSON head in which every ``bytes`` value (a
+    segment blob) is the reference ``{"$": i}``, then the blobs it names,
+    each length-prefixed, in that order::
+
+        <u32 head length> head (<u64 blob length> blob)*
+
+    The snapshot payload and every WAL record are written this way. No
+    dict in them is keyed by data (names travel as values), so a
+    reference never collides with one."""
+    blobs = []
+
+    def refer(value):
+        if type(value) is not bytes:
+            raise TypeError(f"no plain-data encoding for a {type(value).__name__}")
+        blobs.append(value)
+        return {"$": len(blobs) - 1}
+
+    head = json.dumps(tree, default=refer, separators=(",", ":")).encode()
+    parts = [_HEAD.pack(len(head)), head]
+    for blob in blobs:
+        parts += (_BLOB.pack(len(blob)), blob)
+    return b"".join(parts)
+
+
+def decode_payload(body: bytes, path: str = "", offset: int = 0) -> dict:
+    """The inverse of :func:`encode_payload` for a dict. Bytes that do
+    not decode — a length past the end, a head that is not a JSON
+    object, a reference to no blob — raise
+    :class:`~repro.errors.SnapshotCorruptError` naming ``path`` and
+    ``offset`` (where ``body`` starts in the file)."""
+    try:
+        (length,) = _HEAD.unpack_from(body, 0)
+        position = _HEAD.size + length
+        if position > len(body):
+            raise ValueError("the head overruns the payload")
+        blobs = []
+        while position < len(body):
+            (size,) = _BLOB.unpack_from(body, position)
+            position += _BLOB.size
+            if size > len(body) - position:
+                raise ValueError("a blob overruns the payload")
+            blobs.append(body[position : position + size])
+            position += size
+
+        def resolve(node: dict):
+            if len(node) != 1 or "$" not in node:
+                return node
+            index = node["$"]
+            if type(index) is not int or not 0 <= index < len(blobs):
+                raise ValueError(f"the head names blob {index!r} of {len(blobs)}")
+            return blobs[index]
+
+        tree = json.loads(body[_HEAD.size : _HEAD.size + length], object_hook=resolve)
+        if type(tree) is not dict:
+            raise ValueError("the head is not an object")
+        return tree
+    except (ValueError, TypeError, RecursionError, struct.error) as exc:
+        raise SnapshotCorruptError(
+            f"payload does not decode ({type(exc).__name__}: {exc})",
+            path=path,
+            offset=offset,
+        ) from exc
+
+
+@contextmanager
+def validating(path: str):
+    """Read decoded plain data from ``path``: a field that is missing, of
+    another kind than the program writes, or (a statement's text) nested
+    past the parser's depth surfaces where it is read as one of these
+    exceptions, and means the file does not validate. Wrap the reading
+    only: what then runs on the data is the program's, and an error it
+    raises surfaces as itself."""
+    try:
+        yield
+    except ReproError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        raise SnapshotCorruptError(
+            f"content does not validate ({type(exc).__name__}: {exc})", path=path
+        ) from exc
+
+
+def checked(value, kind: type, each: Optional[type] = None):
+    """``value`` when it is exactly a ``kind`` (and, for a list, each
+    item exactly an ``each``); else ``TypeError``, which
+    :func:`validating` reports as content that does not validate."""
+    if type(value) is not kind or (
+        each is not None and any(type(item) is not each for item in value)
+    ):
+        raise TypeError(
+            f"expected a {kind.__name__}"
+            + (f" of {each.__name__}" if each is not None else "")
+            + f", not {type(value).__name__} {str(value)[:40]}"
+        )
+    return value
 
 
 def check_magic(blob: bytes, magic: bytes, path: str, what: str) -> None:
     """Refuse bytes that do not open with ``magic``, before anything in
     them is interpreted. Every on-disk format carries its version in its
-    magic (``RSEG2``, ``RDBF2``, ``RWAL2``): the same four-letter tag
+    magic (``RSEG3``, ``RDBF3``, ``RWAL3``): the same four-letter tag
     with another version is a well-formed file this build does not read
     and is refused by name; anything else is not a ``what`` at all."""
     if blob.startswith(magic):

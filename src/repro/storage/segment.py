@@ -15,26 +15,31 @@ bytes: :class:`~repro.columnar.ColumnData` is the stored form. Sealed
 segment files, spill files, and the value collections inside snapshots
 and WAL records are all one layout::
 
-    RSEG2\\n\\0\\0 | column payloads, 8-byte aligned | pickled footer
+    RSEG3\\n\\0\\0 | column payloads, 8-byte aligned | footer (JSON)
              | footer length (u64 LE) | CRC32 of all preceding bytes (u32 LE)
 
 A typed-scalar or tensor-block column is its array buffer followed by
 its null mask, read back with ``np.frombuffer`` as a read-only view of
 the file bytes; an object column (NULL-bearing or mixed scalars,
-strings, labelled or ragged tensors, arbitrary-precision ints) is the
-pinned-protocol pickle of its values. Decoding is *exact* because
-``ColumnData.from_values`` -> ``pylist`` is: every value round trips to
-the same bits and the same Python type, which is what lets disk mode,
-spills and recovery preserve the bit-identical-results contract. The
-footer carries the row count and, per column, dtype, shape, payload
-length and — for sealed segments — the zone map: min/max over
-comparable non-null values and the null count.
+strings, labelled or ragged tensors, arbitrary-precision ints, and the
+partial-aggregate states a spill writes) is its cells as a JSON list, a
+value JSON has no exact form for tagged as a one-key object naming its
+kind. Decoding is *exact*:
+every value round trips to the same bits and the same Python type
+(a float by its IEEE bits, an int of any size, a str with lone
+surrogates), which is what lets disk mode, spills and recovery preserve
+the bit-identical-results contract. The footer is plain data — the row
+count and, per column, dtype, shape, whether a null mask follows, and
+the payload length — and the decoder checks each entry against what
+the encoder writes before it allocates anything. A sealed segment's
+zone maps live on its in-memory home, not in the file.
 """
 
 from __future__ import annotations
 
+import base64
+import json
 import math
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
@@ -44,18 +49,16 @@ import numpy as np
 
 from ..columnar import ColumnData, columns_from_rows, rows_from_columns
 from ..errors import SnapshotCorruptError
+from ..la.aggregates import NanCells
+from ..types import LabeledScalar, Matrix, Vector
 from .durable import atomic_write, check_magic
 
-SEGMENT_MAGIC = b"RSEG2\n"
+SEGMENT_MAGIC = b"RSEG3\n"
 #: the magic is padded to this, so column payloads start 8-byte aligned
 _HEADER_BYTES = 8
 #: the file ends with the footer's length (u64), then the CRC32 (u32) of
 #: every byte before the checksum itself
 _TRAILER = struct.Struct("<QI")
-#: pinned pickle protocol (footer, object columns) so segment bytes are
-#: stable across interpreters
-_PICKLE_PROTOCOL = 4
-
 #: comparison operators a zone map can prune on
 PRUNABLE_OPS = ("=", "<", ">", "<=", ">=")
 
@@ -158,52 +161,119 @@ def chunk_offsets(count: int, segment_rows: int) -> Iterator[Tuple[int, int]]:
 
 # -- the column codec --------------------------------------------------------
 
+#: the dtypes a column may have, each with its bytes per element and
+#: most dimensions: typed scalars, tensor blocks (float only), and
+#: ``"|O"``, an object column, whose payload is its cells as JSON
+_FORMS = {"<f8": (8, 3), "<i8": (8, 1), "|b1": (1, 1), "|O": (0, 1)}
+_INT64 = range(-(2**63), 2**63)
 
-def encode_columns(
-    columns: Sequence[ColumnData], zones: Sequence[ZoneMap] = ()
-) -> Tuple[bytes, dict]:
+
+def _cell(value):
+    """One object-column cell as JSON-ready plain data: NULL, a bool, an
+    int64, a str (lone surrogates escaped) and a non-NaN float (by its
+    shortest exact repr) as JSON's own values; any other value — a
+    wider int, a NaN with its payload bits, a labelled scalar, a tensor,
+    and the partial-aggregate states (tuple, set, dict, NaN key) a spill
+    writes — as an object of one key naming its kind."""
+    kind = type(value)
+    if value is None or kind is bool or kind is str:
+        return value
+    if kind is int:
+        return value if value in _INT64 else {"I": hex(value)}
+    if kind is float:
+        return value if value == value else {"D": struct.pack("<d", value).hex()}
+    if kind is Vector:
+        return {"V": [_cell(value.label), _b64(value.data)]}
+    if kind is Matrix:
+        return {"M": [value.rows, value.cols, _b64(value.data)]}
+    if kind is LabeledScalar:
+        return {"L": [_cell(value.value), _cell(value.label)]}
+    if kind is NanCells:
+        return {"K": _cell(value.value)}
+    if kind is tuple or kind is set:
+        return {"U" if kind is tuple else "E": [_cell(item) for item in value]}
+    if kind is dict:
+        return {"H": [[_cell(key), _cell(item)] for key, item in value.items()]}
+    raise TypeError(f"no segment encoding for a {kind.__name__} value")
+
+
+def _b64(data: np.ndarray) -> str:
+    return base64.b64encode(data.tobytes()).decode()
+
+
+def _doubles(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8").copy()
+
+
+def _uncell(node: dict):
+    """The inverse of :func:`_cell` for a one-key object (JSON's own
+    values need none); anything the encoder does not write raises."""
+    ((kind, body),) = node.items()
+    if kind == "I":
+        return int(body, 16)
+    if kind == "D":
+        return struct.unpack("<d", bytes.fromhex(body))[0]
+    if kind in ("U", "E", "H") and type(body) is list:
+        if kind == "H":
+            return {key: item for key, item in body}
+        return (tuple if kind == "U" else set)(body)
+    if kind == "K" and type(body) in (Vector, Matrix):
+        return NanCells(body)
+    if kind == "V" and type(body[0]) is int:
+        label, data = body
+        return Vector(_doubles(data), label)
+    if kind == "M":
+        rows, cols, data = body
+        return Matrix(_doubles(data).reshape(rows, cols))
+    if kind == "L" and type(body[0]) in (int, float) and type(body[1]) is int:
+        return LabeledScalar(*body)
+    raise ValueError(f"{node!r} is not a cell this codec writes")
+
+
+#: the writer of footers and cells, and the parsers of a footer and of
+#: an object column's cells
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_FOOTER = json.JSONDecoder()
+_CELLS = json.JSONDecoder(object_hook=_uncell)
+
+
+def encode_columns(columns: Sequence[ColumnData]) -> Tuple[bytes, dict]:
     """The one encoder: rows held column-wise become ``(blob, footer)``.
     A typed or block column is written as the array it already is (then
-    its null mask, when it has one); an object column as the pickle of
-    its values. ``zones`` adds the zone maps of a sealed segment to the
-    footer."""
+    its null mask, when it has one); an object column as a JSON list
+    of its cells. The footer is plain data: the row count
+    and, per column, ``[dtype, shape, masked, payload length]``."""
     parts = [SEGMENT_MAGIC.ljust(_HEADER_BYTES, b"\0")]
-    metas: List[dict] = []
-    for position, column in enumerate(columns):
+    metas: List[list] = []
+    for column in columns:
         masked = False
         if column.is_object:
-            payload = pickle.dumps(column.pylist(), protocol=_PICKLE_PROTOCOL)
+            payload = _COMPACT.encode(list(map(_cell, column.pylist()))).encode()
         else:
             payload = column.data.tobytes()
             masked = column.nulls is not None
             if masked:
                 payload += column.nulls.tobytes()
-        meta = {
-            "dtype": column.data.dtype.str,
-            "shape": column.data.shape,
-            "masked": masked,
-            "length": len(payload),
-        }
-        if zones:
-            zone = zones[position]
-            meta.update(lo=zone.lo, hi=zone.hi, nulls=zone.null_count)
-        metas.append(meta)
+        metas.append(
+            [column.data.dtype.str, list(column.data.shape), masked, len(payload)]
+        )
         # every payload starts 8-byte aligned, so the arrays read back
         # over the file bytes are aligned too
         parts += (payload, b"\0" * (-len(payload) % 8))
-    footer = {"rows": len(columns[0]) if columns else 0, "columns": metas}
-    footer_bytes = pickle.dumps(footer, protocol=_PICKLE_PROTOCOL)
+    rows = len(columns[0]) if columns else 0
+    footer_bytes = _COMPACT.encode([rows, metas]).encode()
     parts += (footer_bytes, struct.pack("<Q", len(footer_bytes)))
     body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body)), footer
+    return body + struct.pack("<I", zlib.crc32(body)), {"rows": rows, "columns": metas}
 
 
 def decode_columns(blob: bytes, path: str = "") -> List[ColumnData]:
     """The one decoder, exact inverse of :func:`encode_columns`. Typed
     and block columns come back as read-only ``np.frombuffer`` views of
-    ``blob`` — no copy, and the arrays keep ``blob`` alive. Nothing is
-    unpickled before the magic and the checksum hold; ``path`` only
-    names the file in errors."""
+    ``blob`` — no copy, and the arrays keep ``blob`` alive. The footer
+    is read only after the magic and the checksum hold, and every
+    payload it names is bounds-checked before anything is allocated
+    from it; ``path`` only names the file in errors."""
     check_magic(blob, SEGMENT_MAGIC, path, "segment file")
     footer_end = len(blob) - _TRAILER.size
     if footer_end < _HEADER_BYTES:
@@ -218,45 +288,62 @@ def decode_columns(blob: bytes, path: str = "") -> List[ColumnData]:
             path=path,
             offset=0,
         )
-    try:
-        footer = pickle.loads(view[footer_end - footer_length : footer_end])
-    except Exception as exc:
-        raise SnapshotCorruptError(
-            f"segment footer does not decode ({type(exc).__name__}: {exc})",
-            path=path,
-            offset=footer_end - footer_length,
-        ) from exc
+    footer_start = footer_end - footer_length
     columns: List[ColumnData] = []
     offset = _HEADER_BYTES
-    for meta in footer["columns"]:
-        shape = meta["shape"]
-        if meta["dtype"] == "|O":
-            values = pickle.loads(view[offset : offset + meta["length"]])
-            columns.append(ColumnData.from_values(values))
-        else:
-            data = np.frombuffer(
-                blob, dtype=meta["dtype"], count=math.prod(shape), offset=offset
-            ).reshape(shape)
-            nulls = None
-            if meta["masked"]:
-                nulls = np.frombuffer(
-                    blob, dtype=np.bool_, count=shape[0], offset=offset + data.nbytes
-                )
-            columns.append(ColumnData(data, nulls))
-        offset += meta["length"] + -meta["length"] % 8
+    try:
+        if footer_start < _HEADER_BYTES:
+            raise ValueError("the footer overruns the header")
+        text = blob[footer_start:footer_end].decode()
+        (rows, metas), end = _FOOTER.raw_decode(text)
+        if end != len(text) or type(rows) is not int or rows < 0:
+            raise ValueError("the footer is not [rows, columns]")
+        # every entry is checked against what the encoder writes before
+        # anything is allocated from it
+        for dtype, shape, masked, length in metas:
+            itemsize, most = _FORMS[dtype]
+            if shape[0] != rows or len(shape) > most or min(shape) < 0 or (
+                type(masked) is not bool or masked and not itemsize
+            ):
+                raise ValueError(f"footer entry {dtype, shape, masked} is not one written")
+            count = math.prod(shape)
+            if not 0 <= length <= footer_start - offset or itemsize and (
+                length != count * itemsize + (rows if masked else 0)
+            ):
+                raise ValueError(f"footer entry {dtype, shape} claims {length} bytes")
+            if dtype == "|O":
+                values = _CELLS.decode(blob[offset : offset + length].decode())
+                if type(values) is not list or len(values) != rows:
+                    raise ValueError(f"an object column holds {rows} cells")
+                columns.append(ColumnData.from_values(values))
+            else:
+                data = np.frombuffer(
+                    blob, dtype=dtype, count=count, offset=offset
+                ).reshape(shape)
+                nulls = None
+                if masked:
+                    nulls = np.frombuffer(
+                        blob, dtype=np.bool_, count=rows, offset=offset + data.nbytes
+                    )
+                columns.append(ColumnData(data, nulls))
+            offset += length + -length % 8
+    except (ValueError, TypeError, LookupError, RecursionError, struct.error) as exc:
+        raise SnapshotCorruptError(
+            f"segment does not decode ({type(exc).__name__}: {exc})",
+            path=path,
+            offset=offset,
+        ) from exc
     return columns
 
 
 def encode_segment(rows: Sequence[tuple], width: int) -> Tuple[bytes, dict]:
-    """A row chunk as a sealed segment: ``(blob, footer)``, the footer
-    carrying the row count and per-column ``lo``/``hi``/``nulls``."""
-    columns = columns_from_rows(rows, width)
-    return encode_columns(columns, compute_zones(columns))
+    """A row chunk of ``width`` columns as a segment: ``(blob, footer)``."""
+    return encode_columns(columns_from_rows(rows, width))
 
 
 def encode_rows(rows: Sequence[tuple]) -> bytes:
-    """Rows as a segment blob without zone maps: what spill files, WAL
-    records and snapshots store (each inside its own envelope)."""
+    """Rows as a segment blob: what spill files, WAL records and
+    snapshots store (each inside its own envelope)."""
     width = len(rows[0]) if rows else 0
     return encode_columns(columns_from_rows(rows, width))[0]
 

@@ -16,31 +16,38 @@ keeps two artifacts in ``ClusterConfig.data_dir``:
 
 Record framing on disk::
 
-    RWAL2\\n | record ... record
+    RWAL3\\n | record ... record
     record := <u32 payload length LE> <u32 CRC32(payload) LE> <payload>
 
-The payload is a pickled plain-data dict (see
-``Database._apply_wal_record`` for the record kinds) whose SQL values —
-a ``load``'s rows, a ``stmt``'s parameters — are segment blobs of the
-one column codec (:mod:`repro.storage.segment`). Replay walks the
-frames and stops at the first record whose length or CRC does not hold
-— a *torn tail* left by a crash mid-append — truncating the file back
-to the last good frame. A header that is itself torn truncates to an
-empty log; bytes that are not a prefix of a WAL at all raise
+The payload is a plain-data dict in the one envelope
+(:func:`~repro.storage.durable.encode_payload`: a JSON head and the
+segment blobs it names; see ``Database._apply_wal_record`` for the
+record kinds). A statement is logged as its normalised text — the
+plan-cache key — and replayed through the parser; its SQL parameter
+values, and a ``load``'s rows, are segment blobs of the one column
+codec (:mod:`repro.storage.segment`). Replay walks the frames and
+stops at the first record whose length or CRC does not hold — a *torn
+tail* left by a crash mid-append, including a zero-filled one, whose
+empty frames no record can be — truncating the file back to the last
+good frame. A header that is itself torn truncates to an empty
+log; bytes that are not a prefix of a WAL at all, or a record whose
+CRC holds but whose payload does not decode, raise
 :class:`~repro.errors.SnapshotCorruptError`; a log in another format
-(``RWAL1``) is refused by name, never replayed.
+(``RWAL2``) is refused by name, never replayed.
 
 Recovery (:func:`recover_database`) = load the checkpoint (if any),
-replay the surviving WAL records in commit order, resume appending.
-Because replay runs the same code paths as the original statements on
-the same cluster shape, recovered rows, statistics and catalog version
-are bit-identical to the acknowledged prefix of the original session.
+replay the surviving WAL records in commit order, resume appending,
+and log one INFO line on the ``repro.storage.wal`` logger saying what
+it did. Because replay runs the same code paths as the original
+statements on the same cluster shape, recovered rows, statistics and
+catalog version are bit-identical to the acknowledged prefix of the
+original session.
 """
 
 from __future__ import annotations
 
+import logging
 import os
-import pickle
 import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
@@ -50,21 +57,28 @@ from .durable import (
     DurableFile,
     atomic_write,
     check_magic,
+    checked,
+    decode_payload,
     durable_read,
+    encode_payload,
     sweep_temp_files,
+    validating,
 )
 
-WAL_MAGIC = b"RWAL2\n"
+logger = logging.getLogger(__name__)
+
+WAL_MAGIC = b"RWAL3\n"
 _FRAME = struct.Struct("<II")
-#: pinned protocol so WAL files are stable across interpreters
-_PICKLE_PROTOCOL = 4
+#: the shortest payload :func:`encode_record` writes (a head length and
+#: ``{}``): a frame that claims less is no record
+_MIN_PAYLOAD = len(encode_payload({}))
 
 CHECKPOINT_FILE = "checkpoint.db"
 WAL_FILE = "wal.log"
 
 
 def encode_record(record: dict) -> bytes:
-    payload = pickle.dumps(record, protocol=_PICKLE_PROTOCOL)
+    payload = encode_payload(record)
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -91,24 +105,32 @@ def read_wal(path: str, injector=None) -> Tuple[List[dict], int, bool]:
             return records, offset, True
         length, crc = _FRAME.unpack_from(blob, offset)
         payload = blob[offset + _FRAME.size : offset + _FRAME.size + length]
-        if len(payload) < length or zlib.crc32(payload) != crc:
+        # a crash mid-append can leave the file longer than the bytes
+        # that landed, zero-filled: zeros read as an empty frame whose
+        # CRC holds (crc32(b"") == 0), so a length no record has is torn
+        if (
+            length < _MIN_PAYLOAD
+            or len(payload) < length
+            or zlib.crc32(payload) != crc
+        ):
             return records, offset, True
-        try:
-            records.append(pickle.loads(payload))
-        except Exception:
-            # CRC held but the payload does not decode — treat as torn
-            # rather than guessing at the damage
-            return records, offset, True
+        # a CRC that holds over a record's worth of bytes that do not
+        # decode is no torn write: it raises, and nothing after it is
+        # truncated away
+        records.append(decode_payload(payload, path, offset + _FRAME.size))
         offset += _FRAME.size + length
     return records, offset, False
 
 
-def truncate_torn_tail(path: str, offset: int) -> None:
-    """Durably truncate a WAL back to its last intact record."""
+def truncate_torn_tail(path: str, offset: int) -> int:
+    """Durably truncate a WAL back to its last intact record; returns
+    the number of bytes dropped."""
     with open(path, "r+b") as handle:
+        dropped = handle.seek(0, os.SEEK_END) - offset
         handle.truncate(offset)
         handle.flush()
         os.fsync(handle.fileno())
+    return dropped
 
 
 class WriteAheadLog:
@@ -184,6 +206,8 @@ class DurabilityManager:
     """
 
     def __init__(self, db, attach: bool = True):
+        from ..persist import freeze_config
+
         config = db.config
         if not config.data_dir:
             raise ReproError(
@@ -198,7 +222,7 @@ class DurabilityManager:
         self.injector = db.storage.injector
         #: the WAL's first record: the cluster shape, so recovery can
         #: rebuild the same partition layout without a checkpoint
-        self.config_record = {"kind": "config", "config": db.config}
+        self.config_record = {"kind": "config", "config": freeze_config(config)}
         self._wal: Optional[WriteAheadLog] = None
         #: records appended this session (not counting replayed history)
         self.records_logged = 0
@@ -319,7 +343,12 @@ def recover_database(data_dir: str, config=None):
     from ..config import ClusterConfig
     from ..db import Database
     from ..faults import FaultInjector
-    from ..persist import _effective_config, apply_snapshot, load_snapshot
+    from ..persist import (
+        _effective_config,
+        apply_snapshot,
+        load_snapshot,
+        thaw_config,
+    )
 
     data_dir = os.path.abspath(data_dir)
     checkpoint_path = os.path.join(data_dir, CHECKPOINT_FILE)
@@ -341,39 +370,51 @@ def recover_database(data_dir: str, config=None):
     if os.path.exists(checkpoint_path):
         payload = load_snapshot(checkpoint_path, injector=injector)
     records: List[dict] = []
+    torn_note = ""
     if os.path.exists(wal_path):
         records, offset, torn = read_wal(wal_path, injector=injector)
         if torn:
-            truncate_torn_tail(wal_path, offset)
+            dropped = truncate_torn_tail(wal_path, offset)
+            torn_note = f"; truncated a torn tail at byte {offset} ({dropped} bytes dropped)"
     # the saved cluster shape: the checkpoint's config when one exists,
     # else the config record a fresh WAL plants as its first record —
     # either way replay happens on the original partition layout
-    if payload is not None:
-        base = payload["config"]
-    else:
-        base = next(
-            (
-                record["config"]
-                for record in records
-                if record.get("kind") == "config"
-            ),
-            ClusterConfig(),
+    with validating(checkpoint_path if payload is not None else wal_path):
+        if payload is not None:
+            base = thaw_config(payload["config"])
+        else:
+            base = next(
+                (
+                    thaw_config(record["config"])
+                    for record in records
+                    if record.get("kind") == "config"
+                ),
+                ClusterConfig(),
+            )
+        effective = _effective_config(base, config).with_updates(
+            durability_mode="wal", data_dir=data_dir
         )
+        # the constructor is where a config's values are checked
+        db = Database(effective, _recovery=True)
+    if payload is not None:
+        apply_snapshot(db, payload, checkpoint_path)
     records = [
         record for record in records if record.get("kind") != "config"
     ]
-    effective = _effective_config(base, config).with_updates(
-        durability_mode="wal", data_dir=data_dir
-    )
-    db = Database(effective, _recovery=True)
-    if payload is not None:
-        apply_snapshot(db, payload)
     last_version = None
     for record in records:
-        db._apply_wal_record(record)
+        db._apply_wal_record(record, wal_path)
         last_version = record.get("catalog_version", last_version)
     if last_version is not None:
-        db.catalog.version = max(db.catalog.version, last_version)
+        with validating(wal_path):
+            db.catalog.version = max(db.catalog.version, checked(last_version, int))
     sweep_temp_files(data_dir)
     db._durability.resume(replayed=len(records))
+    logger.info(
+        "recovered %s: %s, %d WAL record(s) replayed%s",
+        data_dir,
+        "checkpoint loaded" if payload is not None else "no checkpoint",
+        len(records),
+        torn_note,
+    )
     return db

@@ -92,9 +92,13 @@ class MaterializedView:
         column_names: Optional[List[str]],
         plan: LogicalNode,
         slots: int,
+        text: str,
     ):
         self.name = name
         self.query = query
+        #: the normalised text of the defining statement: what a
+        #: snapshot stores, the name, columns and mode follow from it
+        self.text = text
         self.column_names = list(column_names) if column_names is not None else None
         if column_names is not None and len(column_names) != len(plan.columns):
             raise CompileError(

@@ -53,10 +53,10 @@ class ViewRegistry:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def create(
-        self, name: str, query, column_names=None, restored=None
-    ) -> MaterializedView:
-        """Bind, classify, register, and initially populate a view.
+    def create(self, statement, text: str, restored=None) -> MaterializedView:
+        """Bind, classify, register, and initially populate the view a
+        ``CREATE MATERIALIZED VIEW`` statement defines (``text``: its
+        normalised text, what a snapshot stores of the view).
         ``restored`` is the ``(rows, stale)`` a snapshot saved for it: a
         full view gets both back verbatim instead of recomputing (a
         stale deferred view must stay stale). An incremental view folds
@@ -66,11 +66,12 @@ class ViewRegistry:
         from ..plan.binder import Binder
 
         db = self._db
+        name = statement.name
         # bind with no parameters: a materialized view's state cannot
         # depend on per-query parameter values
         binder = Binder(db.catalog)
         try:
-            plan = binder.bind_select(query)
+            plan = binder.bind_select(statement.query)
         except CompileError as exc:
             if "parameter" in str(exc):
                 raise CompileError(
@@ -79,7 +80,7 @@ class ViewRegistry:
                 ) from exc
             raise
         view = MaterializedView(
-            name, query, column_names, plan, db.config.slots
+            name, statement.query, statement.column_names, plan, db.config.slots, text
         )
         db.catalog.create_materialized_view(view)
         try:
@@ -94,6 +95,11 @@ class ViewRegistry:
                 self._recompute(view)
             else:
                 rows, view.stale = restored
+                if rows is None:  # what a snapshot holds of an incremental view
+                    raise CatalogError(
+                        f"materialized view {name!r} is computed in full, "
+                        "and its saved rows are missing"
+                    )
                 view.rows = [tuple(row) for row in rows]
         except Exception:
             db.catalog.drop_materialized_view(name)

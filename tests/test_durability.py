@@ -10,8 +10,8 @@ against a scratch replay of the acknowledged prefix. The kill-9 harness
 does the same with a real ``SIGKILL`` against a real child process.
 """
 
+import logging
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -30,6 +30,7 @@ from repro import (
 )
 from repro.config import ClusterConfig
 from repro.faults import FaultPlan
+from repro.storage.durable import encode_payload
 from repro.storage.wal import (
     WAL_MAGIC,
     WriteAheadLog,
@@ -210,7 +211,7 @@ class TestWalFraming:
         wal.close()
         blob = bytearray(open(path, "rb").read())
         # flip a byte inside the second record's payload
-        first_end = len(WAL_MAGIC) + 8 + len(pickle.dumps({"i": 1}, protocol=4))
+        first_end = len(WAL_MAGIC) + 8 + len(encode_payload({"i": 1}))
         blob[first_end + 12] ^= 0xFF
         open(path, "wb").write(bytes(blob))
         got, offset, torn = read_wal(path)
@@ -315,8 +316,8 @@ class TestDurabilityLifecycle:
 
     def test_stray_saved_config_attribute_is_ignored(self, tmp_path):
         """A WAL written while ``ClusterConfig`` still had its
-        intra-statement threading field carries it as a stray attribute
-        of the pickled config record; recovery ignores it."""
+        intra-statement threading field carries it among the fields of
+        the config record; recovery ignores it."""
         # spelled in pieces: the acceptance grep for the removed knob's
         # name must stay empty over ``tests/``
         field = "_".join(("intra", "query", "parallelism"))
@@ -327,7 +328,7 @@ class TestDurabilityLifecycle:
         run_workload(db, ops)
         db.close()
         records, _offset, _torn = read_wal(str(tmp_path / "d" / "wal.log"))
-        assert vars(records[0]["config"])[field] == 4
+        assert records[0]["config"][field] == 4
         want = expected_state_after(None, ops, len(ops))
         for recover in (
             lambda: Database.restore(str(tmp_path / "d")),
@@ -384,6 +385,84 @@ def count_barriers(tmp_path, storage_mode):
     total = db.storage.injector.barriers
     db.close()
     return total
+
+
+class TestStatementText:
+    """A statement is logged, and a view saved, as its normalised text:
+    recovery parses it back, so every name a statement defines must come
+    back as the statement spelled it."""
+
+    DDL = (
+        "CREATE TABLE Foo (MyCol DOUBLE, Id INTEGER)",
+        "INSERT INTO foo VALUES (1.5, 1), (2.5, 2)",
+        "CREATE TABLE Bar AS SELECT Id AS TheId, MyCol FROM Foo",
+        "CREATE VIEW FooView (Vx, Vy) AS SELECT MyCol, Id FROM Foo",
+        "CREATE MATERIALIZED VIEW FooSum (Total) AS SELECT SUM(MyCol) FROM Foo",
+        "CREATE MATERIALIZED VIEW FooAll AS SELECT Id, MyCol FROM Foo",
+    )
+
+    @staticmethod
+    def _names(db):
+        catalog = db.catalog
+        return (
+            [(e.name, [c.name for c in e.schema]) for e in catalog.tables()],
+            [(v.name, v.column_names) for v in catalog._views.values()],
+            [
+                (v.name, [name for name, _ in v.columns])
+                for v in catalog.materialized_views()
+            ],
+            db.execute("SELECT * FROM FooView").columns,
+        )
+
+    def test_wal_and_snapshot_keep_every_defined_name(self, tmp_path):
+        db = Database(durable_config(tmp_path / "d"))
+        for sql in self.DDL:
+            db.execute(sql)
+        want = self._names(db)
+        assert want[0] == [("Foo", ["MyCol", "Id"]), ("Bar", ["TheId", "MyCol"])]
+        db.save(str(tmp_path / "snap.repro"))
+        db.close()  # no checkpoint: the statements come back from the log
+        recovered = Database.restore(str(tmp_path / "d"))
+        assert recovered.durability.records_replayed == len(self.DDL)
+        assert self._names(recovered) == want
+        recovered.checkpoint()  # and now from the checkpoint's texts
+        recovered.close()
+        for path in (tmp_path / "d", tmp_path / "snap.repro"):
+            restored = Database.restore(str(path))
+            assert self._names(restored) == want
+            restored.close()
+
+
+class TestRecoveryLog:
+    """Each recovery says on the ``repro.storage.wal`` logger what it
+    did, the truncation of a torn tail included."""
+
+    def test_one_info_line_per_recovery(self, tmp_path, caplog):
+        data_dir = tmp_path / "d"
+        db = Database(durable_config(data_dir))
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.checkpoint()
+        db.execute("INSERT INTO t VALUES (1)")
+        db.execute("INSERT INTO t VALUES (2)")
+        db.close()
+        wal = data_dir / "wal.log"
+        size = wal.stat().st_size
+        with open(wal, "r+b") as handle:
+            handle.truncate(size - 3)  # tear the last record
+        with caplog.at_level(logging.INFO, logger="repro.storage.wal"):
+            recovered = Database.restore(str(data_dir))
+        recovered.close()
+        (record,) = [r for r in caplog.records if r.name == "repro.storage.wal"]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert "checkpoint loaded, 1 WAL record(s) replayed" in message
+        offset = wal.stat().st_size  # truncated back to the torn record
+        assert f"torn tail at byte {offset} ({size - 3 - offset} bytes dropped)" in message
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="repro.storage.wal"):
+            Database.restore(str(data_dir)).close()
+        (record,) = caplog.records
+        assert "torn" not in record.getMessage()
 
 
 class TestCrashPointSweep:

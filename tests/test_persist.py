@@ -161,7 +161,10 @@ class TestOldFormatsRefused:
     refused with a structured ReproError naming what it carries — never
     misread, never unpickled."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "RDBF1", "RSEG1", "RWAL1"])
+    @pytest.mark.parametrize(
+        "old",
+        ["v1", "v2", "v3", "v4", "RDBF1", "RSEG1", "RWAL1", "RDBF2", "RSEG2", "RWAL2"],
+    )
     def test_refused_by_name(self, db, tmp_path, old):
         import struct
         import zlib
@@ -183,9 +186,9 @@ class TestOldFormatsRefused:
             named = f"version {old[1:]}"
         else:  # the framings the previous formats used, around the tripwire
             named = old
-            if old == "RDBF1":
+            if old.startswith("RDBF"):
                 blob = struct.pack("<I", zlib.crc32(body)) + body
-            elif old == "RSEG1":
+            elif old.startswith("RSEG"):
                 blob = body + struct.pack("<Q", len(body))
                 read = lambda: read_segment_file(path)
             else:
@@ -268,8 +271,8 @@ class TestConfigMerge:
 class TestRemovedConfigField:
     """A snapshot written while ``ClusterConfig`` still had its
     intra-statement threading field, or its unread placement ``seed``,
-    carries them as stray attributes of the pickled config; restore
-    ignores them."""
+    carries them among the written config fields; restore ignores
+    them."""
 
     #: spelled in pieces: the acceptance grep for the removed knob's
     #: name must stay empty over ``tests/``
@@ -306,11 +309,43 @@ class TestRemovedConfigField:
         old.save(path)
         from repro.persist import load_snapshot
 
-        saved = vars(load_snapshot(path)["config"])
+        saved = load_snapshot(path)["config"]
         assert [saved[field] for field in self.FIELDS] == [4, 4]
         restored = Database.restore(path, override)
         assert restored.config == TEST_CLUSTER
         assert self._state(restored) == self._state(build_db())
+
+
+class TestSavedConfigChecked:
+    """The written config is outside input: a field of another kind,
+    including a fault plan that is not its fields, and more slots than a
+    file may ask for, are refused as content that does not validate."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fault_plan", "not a plan"),
+            ("fault_plan", [1, 2]),
+            ("machines", "10"),
+            ("machines", 2**20),
+        ],
+    )
+    def test_refused(self, db, tmp_path, field, value):
+        from repro.errors import SnapshotCorruptError
+        from repro.persist import load_snapshot, write_snapshot
+
+        path = str(tmp_path / "db.repro")
+        db.save(path)
+        payload = load_snapshot(path)
+        payload["config"][field] = value
+        write_snapshot(path, payload)
+        with pytest.raises(SnapshotCorruptError, match="does not validate"):
+            Database.restore(path)
+
+    def test_slot_bound_is_the_files_only(self):
+        from repro.persist import MAX_SLOTS
+
+        assert ClusterConfig(machines=MAX_SLOTS, cores_per_machine=2).slots > MAX_SLOTS
 
 
 class TestStorageModeRoundTrip:

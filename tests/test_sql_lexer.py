@@ -132,7 +132,7 @@ _SPACE = st.sampled_from([" ", "  ", "\n", " /* c */ ", "\t"])
 
 
 @st.composite
-def _statements(draw):
+def _selects(draw):
     select = draw(st.sampled_from(["SELECT", "select", "Select"]))
     items = [
         item + (f" AS {draw(_NAMES)}" if draw(st.booleans()) else "")
@@ -145,12 +145,43 @@ def _statements(draw):
     return text
 
 
+_TYPES = st.sampled_from(["DOUBLE", "integer", "String", "VECTOR[3]", "matrix[2][]"])
+
+
+@st.composite
+def _ddl(draw):
+    """A CREATE statement whose defined names are drawn in mixed case."""
+    name = draw(_NAMES)
+    kind = draw(st.sampled_from(["TABLE", "TABLE AS", "VIEW", "MATERIALIZED VIEW"]))
+    if kind == "TABLE":
+        columns = draw(st.lists(st.tuples(_NAMES, _TYPES), min_size=1, max_size=3))
+        return f"create TABLE {name} ({', '.join(map(' '.join, columns))})"
+    if kind == "TABLE AS":
+        return f"CREATE table {name} AS {draw(_selects())}"
+    names = draw(st.lists(_NAMES, min_size=1, max_size=3))
+    listed = f" ({', '.join(names)})" if draw(st.booleans()) else ""
+    return f"CREATE {kind} {name}{listed} AS {draw(_selects())}"
+
+
+_statements = lambda: st.one_of(_selects(), _ddl())
+
+
 def _labels(statement):
-    """The output labels a select statement spells: aliases and bare
-    column names, in item order."""
+    """The output labels a select statement (or the query a CREATE
+    statement holds) spells: aliases and bare column names, in item
+    order."""
+    select = getattr(statement, "query", statement)
     return [
-        item.alias or getattr(item.expr, "column", None) for item in statement.items
+        item.alias or getattr(item.expr, "column", None)
+        for item in getattr(select, "items", [])
     ]
+
+
+def _defined(statement):
+    """The names a CREATE statement defines, as it spells them."""
+    names = [getattr(statement, "name", None)]
+    names += [column for column, _ in getattr(statement, "columns", [])]
+    return names + (getattr(statement, "column_names", None) or [])
 
 
 def _folded(node):
@@ -191,11 +222,20 @@ class TestNormalizedText:
         normalized = normalize_sql(sql)
         assert _folded(parse_statement(normalized)) == _folded(statement)
         assert _labels(parse_statement(normalized)) == _labels(statement)
+        assert _defined(parse_statement(normalized)) == _defined(statement)
         assert normalize_sql(normalized) == normalized
 
     def test_only_labels_keep_their_case(self):
         assert normalize_sql("select T.Id AS Out, X, (a.Y), f(Z) from Points T") == (
             "SELECT t . id AS Out , X , ( a . Y ) , f ( z ) FROM points t"
+        )
+
+    def test_defined_names_keep_their_case(self):
+        assert normalize_sql("create table Foo (MyCol DOUBLE, Id INTEGER)") == (
+            "CREATE TABLE Foo ( MyCol double , Id integer )"
+        )
+        assert normalize_sql("create view V (Out) as select X from T") == (
+            "CREATE VIEW V ( Out ) AS SELECT X FROM t"
         )
 
     def test_string_literals_keep_their_value(self):
