@@ -83,8 +83,8 @@ def main():
             time.sleep(0.01)
         print(f"job {job_id} -> {poll['state']}, columns {poll['columns']}")
         gram = client.fetch(poll["cursor"])["rows"][0][0]
-        print(f"the Gram matrix came back as a {gram['$type']} "
-              f"of {len(gram['data'])}x{len(gram['data'][0])}")
+        rows, cols = gram["shape"]
+        print(f"the Gram matrix came back as a {gram['$type']} of {rows}x{cols}")
         client.delete_job(job_id)
 
         # -- 6. structured errors: code + message + HTTP status ---------------

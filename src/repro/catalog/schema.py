@@ -3,10 +3,42 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..errors import CatalogError
-from ..types import DataType, parse_type
+from ..types import (
+    BooleanType,
+    DataType,
+    DoubleType,
+    IntegerType,
+    LabeledScalar,
+    LabeledScalarType,
+    Matrix,
+    MatrixType,
+    StringType,
+    Vector,
+    VectorType,
+    parse_type,
+)
+
+#: the Python types of the values INSERT admits into a column of each
+#: type (NULL fits any): an INTEGER takes integral doubles and a DOUBLE
+#: integers, which it converts
+ADMITTED = {
+    IntegerType: {int, bool, float},
+    DoubleType: {int, bool, float},
+    BooleanType: {bool},
+    StringType: {str},
+    LabeledScalarType: {LabeledScalar},
+    VectorType: {Vector},
+    MatrixType: {Matrix},
+}
+#: the Python type of each value of a typed column's dtype
+_TYPED = {np.float64: float, np.int64: int, np.bool_: bool}
+_cell_shape = attrgetter("data.shape")
 
 
 @dataclass(frozen=True)
@@ -88,6 +120,19 @@ class Schema:
             [Column(name, column.data_type) for name, column in zip(names, self._columns)]
         )
 
+    def misfit(self, columns) -> Optional[str]:
+        """What a value of ``columns`` (``ColumnData``, one per column,
+        as a load or a restore builds them) is that its column's type
+        does not admit (:data:`ADMITTED`, and a tensor's declared
+        dimensions), or None. Judged once per column, never per cell: a
+        typed column by its dtype, a tensor block by its cell shape, an
+        object column by the set of its cells' types and shapes."""
+        for column, data in zip(self._columns, columns):
+            problem = _misfit(data, column.data_type)
+            if problem is not None:
+                return f"column {column.name} {column.data_type!r} cannot hold {problem}"
+        return None
+
     def row_width_bytes(self) -> float:
         """Estimated width of one tuple, the quantity that makes a
         MATRIX[100000][100] attribute dominate plan cost (section 4.1)."""
@@ -100,3 +145,39 @@ class Schema:
     def __repr__(self) -> str:
         inner = ", ".join(repr(column) for column in self._columns)
         return f"Schema({inner})"
+
+
+def _misfit(data, declared: DataType) -> Optional[str]:
+    """What of one ``ColumnData`` a column of type ``declared`` does not
+    admit, or None (see :meth:`Schema.misfit`)."""
+    values, typed = data.data, None
+    if values.ndim > 1:  # a tensor block: one cell shape, NULL rows aside
+        kinds, shapes = {Vector if values.ndim == 2 else Matrix}, {values.shape[1:]}
+    else:
+        if data.nulls is not None:
+            values = values[~data.nulls]
+        typed = _TYPED.get(values.dtype.type)
+        kinds = {typed} if typed is not None else set(map(type, values))
+        tensors = kinds and kinds <= {Vector, Matrix}
+        shapes = set(map(_cell_shape, values)) if tensors else set()
+    foreign = kinds - ADMITTED[type(declared)]
+    if foreign:
+        return "values of type " + ", ".join(sorted(kind.__name__ for kind in foreign))
+    if isinstance(declared, IntegerType) and float in kinds:
+        doubles = values if typed is float else np.array(
+            [value for value in values if type(value) is float]
+        )
+        if not np.all(np.isfinite(doubles) & (doubles == np.trunc(doubles))):
+            return "doubles that are not integers"
+    if isinstance(declared, VectorType) and declared.length is not None:
+        misfits = shapes - {(declared.length,)}
+    elif isinstance(declared, MatrixType):
+        misfits = {
+            shape for shape in shapes
+            if declared.rows not in (None, shape[0]) or declared.cols not in (None, shape[1])
+        }
+    else:
+        misfits = set()
+    if misfits:
+        return "cells of shape " + ", ".join(map(str, sorted(misfits)))
+    return None

@@ -43,7 +43,7 @@ from .catalog import (
 from .catalog.statistics import estimate_needs_feedback
 from .config import ClusterConfig
 from .engine import Cluster, Executor, PartitionedTable, QueryMetrics
-from .errors import CompileError, ExecutionError
+from .errors import CompileError, ExecutionError, SnapshotCorruptError, TypeCheckError
 from .plan import Binder, CostModel, Optimizer, PhysicalPlanner
 from .plan.logical import OutputColumn, ViewScanNode
 from .plan.physical import PFilter, PHashJoin, PNestedLoopJoin, PScan, PViewScan
@@ -354,7 +354,15 @@ class Database:
                 run = partial(self.load, checked(record["table"], str), rows)
             else:
                 raise ValueError(f"unknown WAL record kind {kind!r}")
-        run()
+        try:
+            run()
+        except TypeCheckError as exc:
+            if kind != "load":
+                raise
+            # a logged load held only values its table admits
+            raise SnapshotCorruptError(
+                f"content does not validate ({exc})", path=path
+            ) from exc
 
     # -- schema and loading ----------------------------------------------------
 
@@ -406,15 +414,21 @@ class Database:
 
     def load(self, name: str, rows: Iterable[Sequence]) -> int:
         """Bulk-load rows (each a sequence of values; numpy arrays become
-        vectors/matrices) and refresh the table's statistics."""
+        vectors/matrices) and refresh the table's statistics. A value its
+        column's type does not admit — by INSERT's rules — is a
+        ``TypeCheckError``, and nothing is loaded."""
         with self._admission.exclusive(), _ieee():
             entry = self.catalog.table(name)
             converted = [
                 tuple(_convert_value(value) for value in row) for row in rows
             ]
-            # rows become columns once: the table appends them and the
+            # rows become columns once: checked against the schema as
+            # INSERT checks its values, the table appends them and the
             # WAL record encodes them
             columns = entry.storage.columns_of(converted)
+            misfit = entry.schema.misfit(columns)
+            if misfit is not None:
+                raise TypeCheckError(f"cannot load into {entry.name}: {misfit}")
             with self._durable_root() as log:
                 entry.storage.append(columns)
                 if converted:  # zero rows change nothing

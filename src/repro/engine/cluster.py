@@ -214,32 +214,19 @@ def refetch_seconds(config: ClusterConfig, nbytes: float, remote: bool) -> float
     return seconds
 
 
-class OperatorRun:
-    """Cost accumulator for one operator execution; closed by the
-    cluster, which converts charges into an OperatorMetrics record."""
+class OperatorRun(OperatorMetrics):
+    """One operator execution: its charges accumulate straight into the
+    record itself, which :meth:`finish` closes and the cluster appends
+    to the statement's metrics. The config's rates are read once, when
+    the run starts."""
 
     def __init__(self, name: str, config: ClusterConfig):
-        self.name = name
-        self._config = config
-        self._slot_seconds: List[float] = [0.0] * config.slots
-        self.network_bytes = 0.0
-        self.rows_in = 0
-        self.rows_out = 0
-        self.bytes_out = 0.0
-        # -- storage accounting (docs/STORAGE.md) --
-        #: bytes of operator state written to spill files (reload doubles
-        #: the disk charge but not this figure)
-        self.spill_bytes = 0.0
-        self.spill_events = 0
-        #: zone-map pruning outcome of a scan
-        self.segments_pruned = 0
-        self.segments_scanned = 0
-        #: buffer-pool outcomes of a disk-mode scan (zero in memory mode;
-        #: excluded from the cross-mode metrics-equality contract)
-        self.pool_hits = 0
-        self.pool_misses = 0
-        #: largest tracked per-slot working set (state + output bytes)
-        self.peak_memory_bytes = 0.0
+        # every other field reads its dataclass default (a class
+        # attribute) until the run first charges it
+        self.name, self._config, self._slots = name, config, config.slots
+        self._disk_rate = config.disk_rate_per_slot
+        #: per-slot busy seconds; a tuple once the run is finished
+        self.slot_seconds: List[float] = [0.0] * self._slots
 
     # -- charging ---------------------------------------------------------
 
@@ -252,7 +239,7 @@ class OperatorRun:
         stream_bytes: float = 0.0,
     ) -> None:
         config = self._config
-        self._slot_seconds[slot % config.slots] += (
+        self.slot_seconds[slot % self._slots] += (
             tuples * config.tuple_cpu_s
             + flops / config.flop_rate
             + blas1_flops / config.blas1_rate
@@ -272,8 +259,8 @@ class OperatorRun:
         )
 
     def charge_disk(self, slot: int, scan_bytes: float) -> None:
-        config = self._config
-        self._slot_seconds[slot % config.slots] += disk_seconds(config, scan_bytes)
+        # ``disk_seconds``, the rate read once
+        self.slot_seconds[slot % self._slots] += scan_bytes / self._disk_rate
 
     def charge_network(self, transfer_bytes: float) -> None:
         self.network_bytes += transfer_bytes
@@ -305,35 +292,16 @@ class OperatorRun:
 
     # -- results -----------------------------------------------------------
 
-    @property
-    def wall_seconds(self) -> float:
-        """The busiest slot's seconds plus the network's, which every
-        machine's link shares."""
-        config = self._config
-        network = self.network_bytes / (config.network_rate * config.machines)
-        return max(self._slot_seconds) + network
-
-    def finish(self) -> OperatorMetrics:
-        busiest = max(self._slot_seconds)
-        mean = sum(self._slot_seconds) / len(self._slot_seconds)
-        return OperatorMetrics(
-            name=self.name,
-            rows_in=self.rows_in,
-            rows_out=self.rows_out,
-            bytes_out=self.bytes_out,
-            wall_seconds=self.wall_seconds,
-            max_worker_seconds=busiest,
-            mean_worker_seconds=mean,
-            network_bytes=self.network_bytes,
-            slot_seconds=tuple(self._slot_seconds),
-            spill_bytes=self.spill_bytes,
-            spill_events=self.spill_events,
-            segments_pruned=self.segments_pruned,
-            segments_scanned=self.segments_scanned,
-            pool_hits=self.pool_hits,
-            pool_misses=self.pool_misses,
-            peak_memory_bytes=self.peak_memory_bytes,
-        )
+    def finish(self) -> "OperatorRun":
+        """Close the run: its wall clock is the busiest slot's seconds
+        plus the network's, which every machine's link shares."""
+        config, slots = self._config, self.slot_seconds
+        self.max_worker_seconds = busiest = max(slots)
+        self.mean_worker_seconds = sum(slots) / len(slots)
+        network = config.network_rate * config.machines
+        self.wall_seconds = busiest + self.network_bytes / network
+        self.slot_seconds = tuple(slots)
+        return self
 
 
 class SlotTimeline:
@@ -430,9 +398,8 @@ class Cluster:
         return OperatorRun(name, self.config)
 
     def record(self, run: OperatorRun) -> OperatorMetrics:
-        metrics = run.finish()
-        self.metrics.operators.append(metrics)
-        return metrics
+        self.metrics.operators.append(run.finish())
+        return run
 
     def record_job(self) -> None:
         """Charge one MapReduce-style job startup."""

@@ -138,6 +138,40 @@ def count_job_boundaries(node: PhysicalNode) -> int:
     return count
 
 
+class PlanFacts:
+    """What a run reads of a physical plan that its compile fixed: its
+    job count, and each operator's pre-order position, name and
+    estimates. The plan cache derives them once per entry it builds or
+    renews (``CachedPlan``) and keeps them on the plan's root as
+    ``facts`` (a copied root does not take its original's), so a warm
+    run formats no ``describe()`` and walks no tree for them; a plan
+    lowered outside the cache derives them per run. They name nodes by
+    ``id`` and hold none, so a root and its facts make no reference
+    cycle: a plan the cache replaces is freed at once."""
+
+    def __init__(self, root: PhysicalNode):
+        #: pre-order ``(node id, name, estimates, child positions)``
+        self.nodes: List[tuple] = []
+
+        def visit(node) -> int:
+            at = len(self.nodes)
+            self.nodes.append(None)
+            estimates = (node.est_rows, node.est_width_bytes, node.est_bytes, node.est_seconds)
+            children = tuple(visit(child) for child in node.children())
+            self.nodes[at] = (id(node), node.describe(), estimates, children)
+            return at
+
+        visit(root)
+        self.jobs = max(1, count_job_boundaries(root))
+        self.position = {node: at for at, (node, *_) in enumerate(self.nodes)}
+
+    @classmethod
+    def of(cls, plan: PhysicalNode) -> "PlanFacts":
+        """The facts kept on ``plan``, or derived now when it keeps none."""
+        facts = getattr(plan, "facts", None)
+        return cls(plan) if facts is None else facts
+
+
 class CheckpointStore:
     """Simulated checkpoints of exchange (shuffle) outputs.
 
@@ -256,13 +290,10 @@ class Executor:
         #: simulated checkpoints of job-boundary exchange outputs,
         #: evicted when the query completes
         self.checkpoints = CheckpointStore()
-        #: pre-order position of the operator currently being dispatched
-        self._op_sequence = 0
-        #: per-plan-node bookkeeping for the OperatorTrace tree
-        self._node_ops: Dict[int, OperatorMetrics] = {}
-        self._node_index: Dict[int, int] = {}
-        self._node_retries: Dict[int, int] = {}
-        self._node_faults: Dict[int, int] = {}
+        #: the running plan's facts, and by pre-order position what each
+        #: operator that ran left for the trace: (record, retries, faults)
+        self._facts: Optional[PlanFacts] = None
+        self._ran: Dict[int, tuple] = {}
 
     def fresh(self) -> "Executor":
         """A new executor sharing this one's cluster, mode, storage and
@@ -287,18 +318,14 @@ class Executor:
         The cluster's running metrics are reset first."""
         self.cluster.reset_metrics()
         self._materialized.clear()
-        self._op_sequence = 0
-        self._node_ops.clear()
-        self._node_index.clear()
-        self._node_retries.clear()
-        self._node_faults.clear()
+        self._ran.clear()
+        self._facts = facts = PlanFacts.of(plan)
         try:
-            for _ in range(max(1, count_job_boundaries(plan))):
+            for _ in range(facts.jobs):
                 self.cluster.record_job()
             relation = self.execute(plan)
-            # snapshot the trace before lineage memos are dropped (and
-            # after all fault rewrites of operator timings landed)
-            trace = self._build_trace(plan)
+            # its records hold every fault rewrite of their timings by now
+            trace = self._build_trace(facts)
             metrics = self.cluster.reset_metrics()
             metrics.trace = trace
             return relation.all_rows(), metrics
@@ -308,45 +335,28 @@ class Executor:
             self._materialized.clear()
             self.checkpoints.clear()
 
-    def _build_trace(self, node: PhysicalNode) -> OperatorTrace:
-        """The OperatorTrace tree mirroring ``node``'s plan shape, with
-        the measured actuals of this run and each node's compiled
-        estimates filled in."""
-        key = id(node)
-        trace = OperatorTrace(
-            name=node.describe(),
-            op_index=self._node_index.get(key, 0),
-            children=[self._build_trace(child) for child in node.children()],
-            retries=self._node_retries.get(key, 0),
-            fault_count=self._node_faults.get(key, 0),
-            est_rows=node.est_rows,
-            est_width_bytes=node.est_width_bytes,
-            est_bytes=node.est_bytes,
-            est_seconds=node.est_seconds,
-        )
-        op = self._node_ops.get(key)
-        # a node with no recorded operator run was skipped entirely (the
-        # LIMIT 0 short-circuit never executes its child subtree): its
-        # zeros are not measurements, so q_error stays undefined and
-        # cardinality feedback ignores it
-        trace.executed = op is not None
-        if op is not None:
-            trace.rows_in = op.rows_in
-            trace.rows_out = op.rows_out
-            trace.wall_seconds = op.wall_seconds
-            trace.network_bytes = op.network_bytes
-            trace.skew_ratio = op.skew_ratio
-            trace.spill_bytes = op.spill_bytes
-            trace.spill_events = op.spill_events
-            trace.segments_pruned = op.segments_pruned
-            trace.segments_scanned = op.segments_scanned
-            trace.pool_hits = op.pool_hits
-            trace.pool_misses = op.pool_misses
-            trace.peak_memory_bytes = op.peak_memory_bytes
-        relation = self._materialized.get(key)
-        if relation is not None:
-            trace.bytes_out = sum(relation.partition_totals())
-        return trace
+    def _build_trace(self, facts: PlanFacts) -> OperatorTrace:
+        """The OperatorTrace tree mirroring the plan's shape, built
+        bottom up: each node's name, position and estimates from the
+        plan's facts, its measured actuals from its operator's record. A
+        node with no record was skipped entirely (the LIMIT 0
+        short-circuit never executes its child subtree): its zeros are
+        not measurements, so q_error stays undefined and cardinality
+        feedback ignores it."""
+        traces: List[Optional[OperatorTrace]] = [None] * len(facts.nodes)
+        for at in reversed(range(len(facts.nodes))):
+            node, name, estimates, children = facts.nodes[at]
+            relation = self._materialized.get(node)
+            own, retries, faults = self._ran.get(at, (None, 0, 0))
+            ran = relation is not None
+            # positional, in field order: name, op_index, bytes_out,
+            # retries, fault_count, executed, children, estimates, op
+            traces[at] = OperatorTrace(
+                name, at if ran else 0, sum(relation.partition_totals()) if ran else 0.0,
+                retries, faults, own is not None, [traces[child] for child in children],
+                *estimates, own,
+            )
+        return traces[0]
 
     # -- dispatch ------------------------------------------------------------
 
@@ -357,26 +367,23 @@ class Executor:
         handler = self._handlers.get(type(node))
         if handler is None:
             raise ExecutionError(f"no executor for {type(node).__name__}")
-        op_index = self._op_sequence
-        self._op_sequence += 1
+        op_index = self._facts.position[id(node)]
         try:
             relation, own, retries, faults = self._run_operator(
                 node, handler, op_index
             )
             held = self._held(node) if node.pipelined else relation.partition_totals()
-            self.cluster.check_memory(node.describe(), held)
+            self.cluster.check_memory(self._facts.nodes[op_index][1], held)
         except ExecutionError as exc:
             # annotate with the operator the failure surfaced in; inner
             # frames win (the first annotation sticks), and the original
             # cause chain stays intact — no string concatenation
             if exc.operator is None:
-                exc.operator = node.describe()
+                exc.operator = self._facts.nodes[op_index][1]
                 exc.plan_position = op_index
             raise
         self._materialized[id(node)] = relation
-        self._node_index[id(node)] = op_index
-        self._node_retries[id(node)] = retries
-        self._node_faults[id(node)] = faults
+        self._ran[op_index] = (own, retries, faults)
         if own is not None:
             # the materialized output is part of the operator's working
             # set; state extras — build sides, hash tables, staging —
@@ -384,7 +391,6 @@ class Executor:
             peak = max(relation.partition_totals(), default=0.0)
             if peak > own.peak_memory_bytes:
                 own.peak_memory_bytes = peak
-            self._node_ops[id(node)] = own
         return relation
 
     def _held(self, node: PhysicalNode) -> list:

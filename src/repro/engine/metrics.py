@@ -9,6 +9,7 @@ time for the tuple-based vs. vector-based Gram matrix computation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
@@ -72,13 +73,26 @@ class OperatorMetrics:
         return self.max_worker_seconds / self.mean_worker_seconds
 
 
-@dataclass
+#: what a trace node measured, read from its operator's record
+MEASURED = (
+    "rows_in", "rows_out", "wall_seconds", "network_bytes", "skew_ratio",
+    "spill_bytes", "spill_events", "segments_pruned", "segments_scanned",
+    "pool_hits", "pool_misses", "peak_memory_bytes",
+)
+
+
+@dataclass(init=False)
 class OperatorTrace:
     """EXPLAIN ANALYZE record for one physical operator: the *measured*
     execution (rows, materialized bytes, simulated seconds, skew,
     fault/retry counts) plus the cost model's *estimates* for the same
-    node, copied from the plan node its compile priced, so every operator
+    node, read from the plan node its compile priced, so every operator
     can report its q-error (max(est/actual, actual/est) on output rows).
+
+    The per-operator measures (:data:`MEASURED`) are read from ``op``,
+    the operator's one record in ``QueryMetrics.operators``, never
+    copied out of it; a node built by hand takes them as keywords (all
+    but the derived ``skew_ratio``) and makes its own record.
 
     Traces form a tree mirroring the physical plan; the root's
     ``rows_out`` is the statement's delivered row count. Both
@@ -89,28 +103,14 @@ class OperatorTrace:
     name: str
     #: pre-order position of this operator in the physical plan
     op_index: int = 0
-    rows_in: int = 0
-    rows_out: int = 0
     #: materialized output bytes (sum over slots of the partition sizes)
     bytes_out: float = 0.0
-    wall_seconds: float = 0.0
-    network_bytes: float = 0.0
-    #: busiest worker / mean worker; 1.0 means perfectly balanced
-    skew_ratio: float = 1.0
     #: failed exchange-job attempts re-executed from lineage
     retries: int = 0
     #: injected fault events observed while computing this operator,
     #: including while producing its not-yet-materialized inputs
     #: (subtree-inclusive)
     fault_count: int = 0
-    #: spill/reload and storage counters (docs/STORAGE.md)
-    spill_bytes: float = 0.0
-    spill_events: int = 0
-    segments_pruned: int = 0
-    segments_scanned: int = 0
-    pool_hits: int = 0
-    pool_misses: int = 0
-    peak_memory_bytes: float = 0.0
     #: False when the executor skipped this operator entirely (e.g. the
     #: zero-row short-circuit under ``LIMIT 0``): its zero actual rows
     #: are an artifact of not running, not a measurement, so q_error is
@@ -118,12 +118,28 @@ class OperatorTrace:
     #: — and cardinality feedback must not learn from it
     executed: bool = True
     children: List["OperatorTrace"] = field(default_factory=list)
-    #: the operator's estimates, copied from its plan node (written when
+    #: the operator's estimates, read from its plan node (written when
     #: the plan compiled, ``CostModel.price_physical``)
     est_rows: Optional[float] = None
     est_width_bytes: Optional[float] = None
     est_bytes: Optional[float] = None
     est_seconds: Optional[float] = None
+    #: the operator's record, which the measured fields are read from
+    op: Optional[OperatorMetrics] = None
+
+    def __init__(
+        self, name: str, op_index: int = 0, bytes_out: float = 0.0, retries: int = 0,
+        fault_count: int = 0, executed: bool = True,
+        children: Optional[List["OperatorTrace"]] = None, est_rows=None,
+        est_width_bytes=None, est_bytes=None, est_seconds=None,
+        op: Optional[OperatorMetrics] = None, **measured,
+    ):
+        self.name, self.op_index, self.bytes_out = name, op_index, bytes_out
+        self.retries, self.fault_count, self.executed = retries, fault_count, executed
+        self.children = [] if children is None else children
+        self.est_rows, self.est_width_bytes = est_rows, est_width_bytes
+        self.est_bytes, self.est_seconds = est_bytes, est_seconds
+        self.op = OperatorMetrics(name, **measured) if op is None else op
 
     @property
     def q_error(self) -> Optional[float]:
@@ -206,6 +222,10 @@ class OperatorTrace:
         """Largest q-error in this subtree; None before annotation."""
         errors = [n.q_error for n in self.walk() if n.q_error is not None]
         return max(errors) if errors else None
+
+
+for _name in MEASURED:
+    setattr(OperatorTrace, _name, property(attrgetter(f"op.{_name}")))
 
 
 @dataclass

@@ -1072,9 +1072,13 @@ class PartitionedTable:
         """Rewrite one partition (DELETE): the old immutable segments
         are dropped and the surviving rows are re-sealed with the same
         insert-order chunking rule."""
+        self.place(slot, self.columns_of([tuple(row) for row in rows]))
+
+    def place(self, slot: int, columns: Sequence[ColumnData]) -> None:
+        """Make rows held column-wise the whole of one slot's partition
+        (:meth:`replace_partition`, a restore)."""
         self._drop(slot)
-        columns = self.columns_of([tuple(row) for row in rows])
-        self._extend(slot, columns, columns_row_bytes(columns, len(rows)))
+        self._extend(slot, columns, columns_row_bytes(columns, len(columns[0])))
 
     # -- reads --------------------------------------------------------------
 

@@ -376,21 +376,23 @@ def _restore_table(db, table: dict, path: str) -> None:
             checked(partition_by, list, str)
     db.create_table(name, columns, partition_by=partition_by)
     entry = db.catalog.table(name)
-    _restore_rows(entry.storage, table, path)
+    _restore_rows(entry, table, path)
     # read after the rows are placed and their decoded form is freed, so
     # the long-lived statistics do not pin the memory it took
     with validating(path):
         entry.stats = _thaw_stats(table["stats"])
 
 
-def _restore_rows(storage, table: dict, path: str) -> None:
+def _restore_rows(entry, table: dict, path: str) -> None:
     """Reload one table's rows, saved per partition: restoring onto a
     cluster with the same slot count places every partition back
     verbatim (identical slot layout, identical within-slot order —
     per-slot partial sums come out bit-identical). A different slot
-    count re-deals through ``insert_many`` (the documented
-    re-partitioning behaviour).
+    count re-deals them, as one append (the documented re-partitioning
+    behaviour). Rows a column's type does not admit do not validate
+    (``Schema.misfit``, the rule a load checks by).
     """
+    storage = entry.storage
     with validating(path):
         partitions = [
             decode_segment(checked(blob, bytes))
@@ -399,12 +401,20 @@ def _restore_rows(storage, table: dict, path: str) -> None:
         if any(len(rows[0]) != storage.width for rows in partitions if rows):
             raise ValueError(f"rows of table {table['name']!r} are not its columns")
         cursor = checked(table["insert_cursor"], int)
-    if len(partitions) == storage.slots:
-        for slot, rows in enumerate(partitions):
-            storage.replace_partition(slot, rows)
-        storage.insert_cursor = cursor
+        verbatim = len(partitions) == storage.slots
+        if not verbatim:
+            partitions = [[row for part in partitions for row in part]]
+        placed = [storage.columns_of(rows) for rows in partitions]
+        for columns in placed:
+            misfit = entry.schema.misfit(columns)
+            if misfit is not None:
+                raise ValueError(f"rows of table {table['name']!r}: {misfit}")
+    if not verbatim:
+        storage.append(placed[0])
         return
-    storage.insert_many(row for part in partitions for row in part)
+    for slot, columns in enumerate(placed):
+        storage.place(slot, columns)
+    storage.insert_cursor = cursor
 
 
 def _effective_config(

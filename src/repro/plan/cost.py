@@ -550,7 +550,7 @@ class CostModel:
         """The simulated seconds of a run ``charge(run, *args)`` charges."""
         run = OperatorRun("estimate", self.config)
         charge(run, *args)
-        return run.wall_seconds
+        return run.finish().wall_seconds
 
     def _charge_scan(self, run, est: Estimate, kind: str) -> None:
         rows, nbytes = self._share(est, kind)

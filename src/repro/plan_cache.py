@@ -75,13 +75,13 @@ metrics.
 
 from __future__ import annotations
 
-import copy
 import logging
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
+from .engine.executor import PlanFacts
 from .sql import normalize_sql  # noqa: F401  (documented here and in repro.service)
 from .types import LabeledScalar, Matrix, Vector
 
@@ -171,6 +171,12 @@ class CachedPlan:
     #: (``CostModel.choosing``): when theirs move, the plan compiles again
     chose: FrozenSet[str] = frozenset()
 
+    def __post_init__(self):
+        # the plan's run-time facts, derived once it is priced and kept on
+        # its root, never written again there (another thread may run it)
+        if self.physical is not None and getattr(self.physical, "facts", None) is None:
+            self.physical.facts = PlanFacts(self.physical)
+
     def bind(self, params: Dict[str, object]) -> None:
         """Write fresh parameter values into the plan's (thread-local)
         cells before an execution; the cache key carries the parameter
@@ -230,18 +236,18 @@ def _copied(node, tables):
     copied and every scan reading the live table of its name in
     ``tables``; the nodes copied from are left as they are. A node's
     inputs are what its ``children()`` returns, found among its
-    attributes by identity, so no attribute name is written twice."""
-    clone = copy.copy(node)
-    copies = {id(child): _copied(child, tables) for child in node.children()}
-    replaced = set()
-    for name, value in vars(node).items():
-        if id(value) in copies:
-            setattr(clone, name, copies[id(value)])
-            replaced.add(id(value))
-    assert replaced == copies.keys(), f"{type(node).__name__} holds an input apart"
+    attributes by identity. A copy takes its original's attributes, the
+    copied inputs and live table in place of theirs, in one update, and
+    none of its facts (they name the original's nodes)."""
+    inputs = {id(child) for child in node.children()}
+    changed = {k: _copied(v, tables) for k, v in vars(node).items() if id(v) in inputs}
+    assert len(changed) == len(inputs), f"{type(node).__name__} holds an input apart"
     table = getattr(node, "table", None)
     if table is not None:
-        clone.table = tables.get(table.name.lower(), table)
+        changed["table"] = tables.get(table.name.lower(), table)
+    clone = object.__new__(type(node))
+    clone.__dict__.update(vars(node), **changed)
+    clone.__dict__.pop("facts", None)
     return clone
 
 

@@ -330,7 +330,16 @@ class Server:
                 method, path, headers, body = request
                 keep_alive = headers.get("connection", "keep-alive") != "close"
                 status, payload, extra = self._dispatch(method, path, body)
-                conn.sendall(self._render(status, payload, extra, keep_alive))
+                try:
+                    response = self._render(status, payload, extra, keep_alive)
+                except Exception as exc:
+                    # a payload JSON cannot hold is the server's fault:
+                    # answer it, and keep serving the connection
+                    response = self._render(
+                        500, _error("internal", f"{type(exc).__name__}: {exc}"),
+                        {}, keep_alive,
+                    )
+                conn.sendall(response)
                 if not keep_alive:
                     break
         except OSError:

@@ -3,15 +3,22 @@
 Everything the server sends or accepts over HTTP is JSON. Linear-algebra
 values — the paper's VECTOR / MATRIX attribute types plus labeled
 scalars — do not exist in JSON, so they travel as ``$type``-tagged
-objects::
+objects. A tensor's cells are the base64 of its little-endian float64
+bytes, so every double — ``inf``, a NaN's payload bits, ``-0.0`` —
+crosses exactly::
 
-    {"$type": "vector", "data": [1.0, 2.0], "label": 3}
-    {"$type": "matrix", "data": [[1.0, 0.0], [0.0, 1.0]]}
+    {"$type": "vector", "f64": "AAAAAAAA8D8AAAAAAAAAQA==", "label": 3}
+    {"$type": "matrix", "f64": "...", "shape": [2, 2]}
     {"$type": "labeled", "value": 0.5, "label": 7}
 
-The same tagging works in both directions: query parameters posted by a
-client are decoded through :func:`decode_value`, result cells are
-encoded through :func:`encode_value`.
+A finite DOUBLE is a JSON number (Python's shortest-roundtrip repr reads
+back exactly); one JSON cannot hold — ``inf``, ``-inf``, a NaN — is
+``{"$type": "double", "f64": ...}`` with its eight bytes. Clients may
+also post a tensor's cells as plain lists, ``{"$type": "vector",
+"data": [1.0, 2.0]}`` and ``{"$type": "matrix", "data": [[1.0, 0.0],
+[0.0, 1.0]]}``. Query parameters posted by a client are decoded through
+:func:`decode_value`, result cells are encoded through
+:func:`encode_value`.
 
 **Canonical encoding.** :func:`canonical_json` serializes with sorted
 keys, no whitespace, and Python's shortest-roundtrip float repr, so two
@@ -28,7 +35,10 @@ HTTP status; 429 responses additionally carry a ``Retry-After`` header.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -48,10 +58,22 @@ from ..errors import (
 from ..types import LabeledScalar, Matrix, Vector
 
 #: protocol revision reported by ``GET /health``
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 # -- values ----------------------------------------------------------------
+
+
+def _f64(array: np.ndarray) -> str:
+    """The base64 of an array's little-endian float64 bytes."""
+    return base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _double(value: float):
+    """A double as a JSON number when JSON holds it, else tagged."""
+    if math.isfinite(value):
+        return value
+    return {"$type": "double", "f64": _f64(np.array([value]))}
 
 
 def encode_value(value):
@@ -59,28 +81,21 @@ def encode_value(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return float(value)
+        return _double(float(value))
     if isinstance(value, LabeledScalar):
         return {
             "$type": "labeled",
-            "value": float(value.value),
+            "value": _double(float(value.value)),
             "label": int(value.label),
         }
     if isinstance(value, Vector):
-        return {
-            "$type": "vector",
-            "data": [float(x) for x in value.data],
-            "label": int(value.label),
-        }
+        return {"$type": "vector", "f64": _f64(value.data), "label": int(value.label)}
     if isinstance(value, Matrix):
-        return {
-            "$type": "matrix",
-            "data": [[float(x) for x in row] for row in value.data],
-        }
+        return {"$type": "matrix", "f64": _f64(value.data), "shape": list(value.shape)}
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
-        return float(value)
+        return _double(float(value))
     if isinstance(value, np.ndarray):
         if value.ndim == 1:
             return encode_value(Vector(value))
@@ -89,23 +104,49 @@ def encode_value(value):
     raise TypeError(f"cannot encode {type(value).__name__} for the wire")
 
 
+def _cells(value: dict, count: Optional[int] = None) -> np.ndarray:
+    """The doubles of a tagged value's ``f64`` field: base64 of
+    little-endian float64 bytes, ``count`` of them when given."""
+    raw = base64.b64decode(value["f64"], validate=True)
+    if len(raw) % 8 or (count is not None and len(raw) != 8 * count):
+        raise ValueError(f"{len(raw)} bytes of f64 are not the doubles asked for")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def _number(value) -> float:
+    """A double posted as a JSON number or a tagged ``double``."""
+    if isinstance(value, dict) and value.get("$type") == "double":
+        return float(_cells(value, 1)[0])
+    return float(value)
+
+
 def decode_value(value):
-    """The inverse of :func:`encode_value` for client-posted values.
-    Malformed input — a missing key, a wrong JSON type, a number no
-    double or label can hold — raises ``ValueError`` (or the tensor
+    """The inverse of :func:`encode_value`, for result cells and for
+    client-posted values (which may also give a tensor's cells as
+    lists). Malformed input — a missing key, a wrong JSON type, a number
+    no double or label can hold, an ``f64`` that is not base64 of the
+    doubles asked for — raises ``ValueError`` (or the tensor
     constructors' ``ReproError``), which the server answers with 400."""
     if isinstance(value, dict):
         tag = value.get("$type")
         try:
+            if tag == "double":
+                return _number(value)
             if tag == "labeled":
-                return LabeledScalar(float(value["value"]), int(value.get("label", -1)))
+                return LabeledScalar(_number(value["value"]), int(value.get("label", -1)))
             if tag == "vector":
-                return Vector(value["data"], label=int(value.get("label", -1)))
+                data = _cells(value) if "f64" in value else value["data"]
+                return Vector(data, label=int(value.get("label", -1)))
             if tag == "matrix":
-                return Matrix(value["data"])
+                if "f64" not in value:
+                    return Matrix(value["data"])
+                rows, cols = (int(n) for n in value["shape"])
+                if min(rows, cols) < 0:
+                    raise ValueError(f"a matrix shape cannot be negative: {value['shape']}")
+                return Matrix(_cells(value, rows * cols).reshape(rows, cols))
         except KeyError as exc:
             raise ValueError(f"{tag} value is missing its {exc} field") from None
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError, binascii.Error) as exc:
             raise ValueError(f"malformed {tag} value: {exc}") from None
         raise ValueError(f"unknown $type tag {tag!r}")
     if isinstance(value, list):

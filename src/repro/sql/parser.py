@@ -12,6 +12,13 @@ Grammar (informally)::
     expr        := or_expr with the usual precedence
                    (OR < AND < NOT < comparison/IS NULL < + - < * / < unary)
 
+A statement nests at most :data:`MAX_NESTING` levels deep — counting
+each parenthesised, call-argument or CASE expression, each ``NOT``, unary
+sign and binary operator it is nested under, and each subquery — and a
+deeper one is a :class:`SqlSyntaxError`: so neither this recursive
+descent nor the binder, optimizer and evaluators that recurse over the
+tree it builds ever run out of stack.
+
 Aggregates are recognized by name at parse time (``SUM``, ``COUNT``,
 ``MIN``, ``MAX``, ``AVG``, ``VECTORIZE``, ``ROWMATRIX``, ``COLMATRIX``) so
 that the AST distinguishes :class:`AggregateCall` from
@@ -31,6 +38,13 @@ from ..types.typeparse import parse_type
 from . import ast
 from .lexer import Token, normalize_tokens, tokenize
 
+#: the deepest a statement may nest (see the module docstring): each
+#: level costs this parser at most eleven frames, so the bound keeps it
+#: inside Python's default recursion limit of 1000 with room for its
+#: caller's stack; the recursions over the tree take a frame or two a
+#: level
+MAX_NESTING = 64
+
 
 class Parser:
     def __init__(self, text: str):
@@ -40,6 +54,8 @@ class Parser:
         #: text: those that name a result column, and the names a
         #: statement defines (the catalog keeps them as spelled)
         self._labels: Set[int] = set()
+        #: how deep the construct being parsed nests (``MAX_NESTING``)
+        self._depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -76,6 +92,13 @@ class Parser:
         name = self._expect("IDENT").text
         self._labels.add(self.pos - 1)
         return name
+
+    def _deeper(self) -> None:
+        """Enter one more level of nesting, past ``MAX_NESTING`` an error;
+        the caller steps back out by lowering ``_depth``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self._error(f"statement nests deeper than {MAX_NESTING} levels")
 
     def _accept_keyword(self, *words: str) -> bool:
         """Consume a sequence of keywords if all are present."""
@@ -324,7 +347,9 @@ class Parser:
 
     def _parse_table_expr(self) -> ast.TableExpression:
         if self._accept("OP", "("):
+            self._deeper()
             query = self.parse_select()
+            self._depth -= 1
             self._expect("OP", ")")
             self._accept("KEYWORD", "AS")
             alias = self._expect("IDENT").text
@@ -349,23 +374,36 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expression(self) -> ast.Expression:
-        return self._parse_or()
+        self._deeper()
+        expr = self._parse_or()
+        self._depth -= 1
+        return expr
+
+    # each binary operator nests its left operand one level deeper: a
+    # chain's links count, however flat the parse of it
 
     def _parse_or(self) -> ast.Expression:
-        left = self._parse_and()
+        left, depth = self._parse_and(), self._depth
         while self._accept("KEYWORD", "OR"):
+            self._deeper()
             left = ast.BinaryOp("OR", left, self._parse_and())
+        self._depth = depth
         return left
 
     def _parse_and(self) -> ast.Expression:
-        left = self._parse_not()
+        left, depth = self._parse_not(), self._depth
         while self._accept("KEYWORD", "AND"):
+            self._deeper()
             left = ast.BinaryOp("AND", left, self._parse_not())
+        self._depth = depth
         return left
 
     def _parse_not(self) -> ast.Expression:
         if self._accept("KEYWORD", "NOT"):
-            return ast.UnaryOp("NOT", self._parse_not())
+            self._deeper()
+            expr = ast.UnaryOp("NOT", self._parse_not())
+            self._depth -= 1
+            return expr
         return self._parse_comparison()
 
     def _parse_comparison(self) -> ast.Expression:
@@ -407,31 +445,31 @@ class Parser:
         return left
 
     def _parse_additive(self) -> ast.Expression:
-        left = self._parse_multiplicative()
-        while True:
-            token = self._peek()
-            if token.kind == "OP" and token.text in ("+", "-"):
-                op = self._next().text
-                left = ast.BinaryOp(op, left, self._parse_multiplicative())
-            else:
-                return left
+        left, depth = self._parse_multiplicative(), self._depth
+        while self._peek().kind == "OP" and self._peek().text in ("+", "-"):
+            op = self._next().text
+            self._deeper()
+            left = ast.BinaryOp(op, left, self._parse_multiplicative())
+        self._depth = depth
+        return left
 
     def _parse_multiplicative(self) -> ast.Expression:
-        left = self._parse_unary()
-        while True:
-            token = self._peek()
-            if token.kind == "OP" and token.text in ("*", "/"):
-                op = self._next().text
-                left = ast.BinaryOp(op, left, self._parse_unary())
-            else:
-                return left
+        left, depth = self._parse_unary(), self._depth
+        while self._peek().kind == "OP" and self._peek().text in ("*", "/"):
+            op = self._next().text
+            self._deeper()
+            left = ast.BinaryOp(op, left, self._parse_unary())
+        self._depth = depth
+        return left
 
     def _parse_unary(self) -> ast.Expression:
-        if self._accept("OP", "-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        if self._accept("OP", "+"):
-            return self._parse_unary()
-        return self._parse_primary()
+        sign = self._accept("OP", "-") or self._accept("OP", "+")
+        if sign is None:
+            return self._parse_primary()
+        self._deeper()
+        operand = self._parse_unary()
+        self._depth -= 1
+        return ast.UnaryOp("-", operand) if sign.text == "-" else operand
 
     def _parse_primary(self) -> ast.Expression:
         token = self._peek()

@@ -116,11 +116,12 @@ def decode_payload(body: bytes, path: str = "", offset: int = 0) -> dict:
 @contextmanager
 def validating(path: str):
     """Read decoded plain data from ``path``: a field that is missing, of
-    another kind than the program writes, or (a statement's text) nested
-    past the parser's depth surfaces where it is read as one of these
-    exceptions, and means the file does not validate. Wrap the reading
-    only: what then runs on the data is the program's, and an error it
-    raises surfaces as itself."""
+    another kind than the program writes, or nested too deep surfaces
+    where it is read as one of these exceptions, and means the file does
+    not validate (a statement's text the parser refuses, nested past its
+    bound included, is a ``SqlSyntaxError``, which surfaces as itself).
+    Wrap the reading only: what then runs on the data is the program's,
+    and an error it raises surfaces as itself."""
     try:
         yield
     except ReproError:

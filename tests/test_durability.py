@@ -70,6 +70,21 @@ def recover_config(storage_mode="memory", fault_plan=NO_FAULTS):
     )
 
 
+def test_replay_refuses_a_load_its_table_does_not_admit(tmp_path):
+    """A CRC-valid WAL ``load`` record of strings into a DOUBLE column
+    does not validate on replay, as the load it claims to be would have
+    been refused."""
+    from repro.storage import encode_rows
+
+    db = Database(durable_config(tmp_path / "d"))
+    db.execute("CREATE TABLE t (x DOUBLE)")
+    db.load("t", [(1.0,)])
+    db._log_durable({"kind": "load", "table": "t", "rows": encode_rows([("a",), ("b",)])})
+    db.close()
+    with pytest.raises(SnapshotCorruptError, match="DOUBLE"):
+        Database.restore(str(tmp_path / "d"), recover_config())
+
+
 def state_fingerprint(db):
     """Everything durability promises to keep, in comparable form."""
     tables = {}

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import Database, ReproError, TEST_CLUSTER
+from repro import (
+    Database,
+    ReproError,
+    SnapshotCorruptError,
+    TEST_CLUSTER,
+    TypeCheckError,
+    Vector,
+)
 from repro.config import ClusterConfig
 from repro.types import LabeledScalar
 
@@ -30,6 +37,59 @@ def build_db(config=TEST_CLUSTER):
 @pytest.fixture
 def db():
     return build_db()
+
+
+class TestCellTypes:
+    """A load, like INSERT, takes only values its columns' types admit;
+    a snapshot whose rows a column's type does not admit does not
+    validate."""
+
+    def test_load_refuses_what_insert_refuses(self):
+        db = Database(TEST_CLUSTER)
+        db.execute("CREATE TABLE t (x DOUBLE, n INTEGER)")
+        with pytest.raises(TypeCheckError):
+            db.execute("INSERT INTO t VALUES ('a', 1)")
+        for rows in (
+            [("a", 1), ("b", 2)],  # strings in a DOUBLE column
+            [(1.5, 2.5)],  # a double that is not an integer
+            [(1.0, None), (None, Vector([1.0]))],  # a vector among NULLs
+        ):
+            with pytest.raises(TypeCheckError):
+                db.load("t", rows)
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
+        # what INSERT converts, a load takes
+        db.load("t", [(1, 2.0), (2.5, None), (True, 3)])
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 3
+
+    def test_load_checks_tensor_dimensions(self):
+        db = Database(TEST_CLUSTER)
+        db.execute("CREATE TABLE t (v VECTOR[2], m MATRIX[][3])")
+        with pytest.raises(TypeCheckError, match="shape"):
+            db.load("t", [(np.zeros(3), np.zeros((2, 3)))])
+        with pytest.raises(TypeCheckError, match="shape"):
+            db.load("t", [(np.zeros(2), np.zeros((2, 2)))])
+        with pytest.raises(TypeCheckError, match="Matrix"):
+            db.load("t", [(np.zeros((2, 2)), np.zeros((2, 3)))])
+        db.load("t", [(np.zeros(2), np.zeros((4, 3))), (None, None)])
+
+    @pytest.mark.parametrize("slots", [4, 2])
+    def test_restore_refuses_rows_a_column_does_not_admit(self, tmp_path, slots):
+        """A CRC-valid snapshot whose DOUBLE column holds strings: onto
+        the saved cluster shape (placed verbatim) and another (re-dealt)."""
+        from repro.persist import load_snapshot, write_snapshot
+
+        db = Database(TEST_CLUSTER)
+        db.execute("CREATE TABLE t (x STRING)")
+        db.load("t", [("a",), ("b",), ("c",)])
+        path = str(tmp_path / "db.repro")
+        db.save(path)
+        payload = load_snapshot(path)
+        (table,) = payload["tables"]
+        table["columns"] = [["x", "DOUBLE"]]
+        write_snapshot(path, payload)
+        config = TEST_CLUSTER.with_updates(machines=slots // 2)
+        with pytest.raises(SnapshotCorruptError, match="DOUBLE"):
+            Database.restore(path, config)
 
 
 class TestRoundTrip:

@@ -4,13 +4,16 @@ while what it read is unchanged, and a cached plan is the plan a fresh
 compile would produce."""
 
 import copy
+import gc
 import logging
 import random
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor_module
 import repro.sql.lexer as lexer_module
 import repro.sql.parser as parser_module
 from repro import Database, TEST_CLUSTER, Vector
@@ -18,7 +21,7 @@ from repro.bench.harness import digest
 from repro.bench.simsql import CASES, case
 from repro.bench.workloads import generate
 from repro.errors import ServiceOverloadedError
-from repro.plan import Binder, CostModel, Optimizer, PhysicalPlanner
+from repro.plan import Binder, CostModel, Optimizer, PhysicalNode, PhysicalPlanner
 from repro.server import Server, ServerClient
 from repro.sql import ast, parse_keyed, parse_statement
 
@@ -231,6 +234,86 @@ def test_a_revalidated_plan_reads_the_live_table(mode, storage, door):
             assert hit and plan.physical.pretty() == physical.pretty()
             tables = plan_tables(plan)
             assert tables and all(table is live for table in tables)
+
+
+def counting(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` into ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_a_warm_run_derives_no_plan_fact(monkeypatch):
+    """A second execution of a cached plan formats no operator's name and
+    counts no job boundary: the plan's facts were derived when the cache
+    built its entry, and its trace is the first execution's."""
+    db = make_db()
+    sql = "SELECT a.k AS k, SUM(b.y) FROM a, b WHERE a.k = b.k GROUP BY a.k ORDER BY k LIMIT 3"
+    first = db.execute(sql)
+    calls = {}
+    node_classes = [PhysicalNode]
+    for cls in node_classes:
+        node_classes.extend(cls.__subclasses__())
+        if "describe" in vars(cls):
+            counting(monkeypatch, calls, cls, "describe")
+    counting(monkeypatch, calls, executor_module, "count_job_boundaries")
+    second = db.execute(sql)
+    assert second.metrics.plan_cached and calls == {}
+    assert second.rows == first.rows
+    assert second.metrics.trace.render() == first.metrics.trace.render()
+    assert second.metrics.jobs == first.metrics.jobs > 1
+
+
+def test_a_revalidated_hit_copies_no_node_by_copy(monkeypatch):
+    """A revalidated hit re-points its plans at the live table without
+    ``copy.copy``, and leaves the plan it was renewed from as it was."""
+    db = Database(TEST_CLUSTER)
+    db.execute(RECREATE)
+    db.load("t", t_rows(0))
+    sql = OVER_T[2]
+    settle(db, sql, db.execute)
+    statement, key = parse_keyed(sql)
+    dropped = db.catalog.table("t")
+    held = db._plan(statement, None, key)[0]
+    db.execute("DROP TABLE t")
+    db.execute(RECREATE)
+    db.load("t", t_rows(100))
+    calls = {}
+    counting(monkeypatch, calls, copy, "copy")
+    revalidated = db.plan_cache.revalidated
+    result = db.execute(sql)
+    assert result.metrics.plan_cached and db.plan_cache.revalidated == revalidated + 1
+    assert calls == {}
+    assert result.rows == expected_over_t(sql, t_rows(100))
+    assert all(table is dropped for table in plan_tables(held))
+    renewed = db._plan(statement, None, key)[0]
+    assert all(table is db.catalog.table("t") for table in plan_tables(renewed))
+
+
+def test_a_renewed_plan_frees_the_dropped_table_at_once():
+    """Once a revalidated hit replaced its entry, nothing holds the
+    dropped table: the plan it replaced is freed by reference counting
+    alone, with the cyclic collector off (a plan and its facts make no
+    reference cycle)."""
+    db = Database(TEST_CLUSTER)
+    db.execute(RECREATE)
+    db.load("t", t_rows(0))
+    sql = OVER_T[2]
+    settle(db, sql, db.execute)
+    dropped = weakref.ref(db.catalog.table("t"))
+    gc.disable()
+    try:
+        db.execute("DROP TABLE t")
+        db.execute(RECREATE)
+        db.load("t", t_rows(100))
+        assert db.execute(sql).metrics.plan_cached
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_what_a_plan_read_moved_recompiles_or_reprices(monkeypatch):

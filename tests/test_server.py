@@ -2,6 +2,7 @@
 jobs, rate limiting, shedding, and the concurrent-vs-serial
 bit-identity stress test."""
 
+import struct
 import sys
 import threading
 import time
@@ -93,6 +94,67 @@ def test_value_codec_roundtrip():
             assert decoded == value
 
 
+def _double_of(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: every double JSON numbers cannot carry, a NaN's payload and sign, a
+#: signed zero, and plain ones
+ODD_DOUBLES = (
+    float("inf"), float("-inf"), _double_of(0x7FF8_0000_DEAD_BEEF),
+    _double_of(0xFFF8_0000_0000_1234), -0.0, 0.0, 1.5, 2.0**-1074,
+)
+
+
+def _bits(cell):
+    """A result cell with every double by its eight bytes."""
+    if isinstance(cell, float):
+        return struct.pack("<d", cell)
+    if isinstance(cell, (Vector, Matrix)):
+        return type(cell).__name__, cell.data.shape, cell.data.astype("<f8").tobytes()
+    return cell
+
+
+def test_non_finite_cells_round_trip_bit_for_bit():
+    """±inf, NaN with payload bits and -0.0 in DOUBLE, VECTOR and MATRIX
+    cells come back from ``query_all`` with every bit — paged, over one
+    keep-alive connection that stays up."""
+    db = Database(TEST_CLUSTER)
+    db.execute("CREATE TABLE odd (i INTEGER, x DOUBLE, v VECTOR[])")
+    db.load("odd", [
+        (i, x, np.array([x, -x, ODD_DOUBLES[-1 - i]]))
+        for i, x in enumerate(ODD_DOUBLES)
+    ])
+    sql = "SELECT i, x, v, row_matrix(v) FROM odd ORDER BY i"
+    want = [tuple(map(_bits, row)) for row in db.execute(sql).rows]
+    assert len(want) == len(ODD_DOUBLES)
+    with Server(db) as srv, ServerClient(*srv.address) as client:
+        _, rows = client.query_all(sql, page_size=3)
+        assert [tuple(map(_bits, row)) for row in rows] == want
+        assert client.health()["status"] == "ok"
+    for x in ODD_DOUBLES:
+        for value in (x, Vector([x, 1.0]), Matrix([[x], [-x]])):
+            assert _bits(decode_value(encode_value(value))) == _bits(value)
+
+
+def test_an_unencodable_response_is_500_and_the_connection_stays(client, monkeypatch):
+    """A response the server cannot serialize is answered 500 ``internal``
+    on the same connection, which keeps serving."""
+    import repro.server.app as app_module
+
+    real = app_module.canonical_json
+
+    def failing(payload):
+        if "columns" in payload:
+            raise ValueError("Out of range float values are not JSON compliant")
+        return real(payload)
+
+    monkeypatch.setattr(app_module, "canonical_json", failing)
+    status, _, body = client.request("POST", "/query", payload={"sql": "SELECT i FROM points"})
+    assert status == 500 and body["error"]["code"] == "internal"
+    assert client.health()["status"] == "ok"
+
+
 def test_canonical_json_is_deterministic():
     a = canonical_json({"b": [1.0, 0.1], "a": "x"})
     b = canonical_json({"a": "x", "b": [1.0, 0.1]})
@@ -112,7 +174,7 @@ def test_cursor_token_roundtrip():
 def test_health(client):
     payload = client.health()
     assert payload["status"] == "ok"
-    assert payload["protocol_version"] == 1
+    assert payload["protocol_version"] == 2
 
 
 def test_stats_includes_server_section(client):
@@ -318,6 +380,12 @@ def test_bad_params_get_400_not_dropped_connection(client):
         [1, 2],  # not an object
         {"k": {"$type": "vector", "data": [1.0], "label": None}},
         {"k": {"$type": "labeled", "value": None}},
+        {"k": {"$type": "vector", "f64": "not base64!"}},
+        {"k": {"$type": "vector", "f64": "AAAA"}},  # 3 bytes
+        {"k": {"$type": "vector", "f64": 7}},
+        {"k": {"$type": "matrix", "f64": "AAAAAAAAAAA=", "shape": [2, 2]}},
+        {"k": {"$type": "matrix", "f64": "AAAAAAAAAAA="}},  # no shape
+        {"k": {"$type": "double", "f64": "AAAAAAAAAAAAAAAAAAAAAA=="}},  # 16 bytes
     ],
 )
 def test_malformed_params_are_400_not_500(client, params):

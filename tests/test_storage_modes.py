@@ -664,32 +664,38 @@ texts = st.one_of(
 #: one strategy per kind of column, so that every physical form of
 #: ``ColumnData`` (typed array, tensor block with and without NULL
 #: cells, object) and every value that must fall back to the object
-#: form is drawn as a whole column, not only as a stray cell
+#: form is drawn as a whole column, not only as a stray cell — each with
+#: the type of a table column that holds it (a load admits what INSERT
+#: does), or None when no column type admits it (numbers among strings)
 COLUMN_KINDS = (
-    any_float,
-    int64s,
-    st.booleans(),
-    st.one_of(int64s, st.integers(-(2**80), 2**80)),  # beyond int64
-    st.none(),  # an all-NULL column
-    _nullable(st.one_of(any_float, int64s, st.booleans(), texts)),
-    _nullable(_vectors(3).map(Vector)),  # a VECTOR block with NULL cells
-    _nullable(_matrices(2, 2)),  # a MATRIX block with NULL cells
-    st.one_of(_vectors(1, 4).map(Vector), labelled_vectors),  # ragged, labelled
-    st.one_of(_matrices(2, 2), _matrices(1, 3)),  # two shapes
-    _nullable(st.builds(LabeledScalar, any_float, st.integers(-1, 9))),
+    ("DOUBLE", any_float),
+    ("INTEGER", int64s),
+    ("BOOLEAN", st.booleans()),
+    ("INTEGER", st.one_of(int64s, st.integers(-(2**80), 2**80))),  # beyond int64
+    ("DOUBLE", st.none()),  # an all-NULL column
+    (None, _nullable(st.one_of(any_float, int64s, st.booleans(), texts))),
+    ("DOUBLE", _nullable(st.one_of(any_float, int64s, st.booleans()))),
+    ("STRING", _nullable(texts)),
+    ("VECTOR[]", _nullable(_vectors(3).map(Vector))),  # a VECTOR block with NULL cells
+    ("MATRIX[][]", _nullable(_matrices(2, 2))),  # a MATRIX block with NULL cells
+    ("VECTOR[]", st.one_of(_vectors(1, 4).map(Vector), labelled_vectors)),  # ragged, labelled
+    ("MATRIX[][]", st.one_of(_matrices(2, 2), _matrices(1, 3))),  # two shapes
+    ("LABELED_SCALAR", _nullable(st.builds(LabeledScalar, any_float, st.integers(-1, 9)))),
 )
 
 
 @st.composite
-def wild_rows(draw, max_rows=9):
-    """``(width, rows)``: zero to ``max_rows`` rows over one to five
-    columns, each column drawn from one of ``COLUMN_KINDS``."""
+def wild_rows(draw, max_rows=9, stored=False):
+    """``(types, rows)``: zero to ``max_rows`` rows over one to five
+    columns, each column drawn from one of ``COLUMN_KINDS`` — with
+    ``stored``, one a table column holds — beside its column type."""
     count = draw(st.integers(0, max_rows))
-    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5))
+    kinds = [kind for kind in COLUMN_KINDS if kind[0] is not None or not stored]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
     columns = [
-        draw(st.lists(kind, min_size=count, max_size=count)) for kind in kinds
+        draw(st.lists(kind, min_size=count, max_size=count)) for _, kind in kinds
     ]
-    return len(kinds), list(zip(*columns))
+    return [column_type for column_type, _ in kinds], list(zip(*columns))
 
 
 #: a row a parameterised INSERT into ``typed`` accepts
@@ -803,8 +809,8 @@ class TestSegmentCodec:
     @settings(max_examples=150, deadline=None)
     @given(wild_rows(max_rows=30))
     def test_roundtrip_exact(self, drawn):
-        width, rows = drawn
-        blob, footer = encode_segment(rows, width)
+        types, rows = drawn
+        blob, footer = encode_segment(rows, len(types))
         assert _exact(decode_segment(blob)) == _exact(rows)
         assert footer["rows"] == len(rows)
         # the zone-map-free form snapshots and WAL records store
@@ -879,8 +885,8 @@ class TestCodecUnderPersistence:
     parameterised INSERT -> replay, in both storage modes."""
 
     @staticmethod
-    def _tables(db, width):
-        db.create_table("wild", [(f"c{i}", "DOUBLE") for i in range(width)])
+    def _tables(db, types):
+        db.create_table("wild", [(f"c{i}", column) for i, column in enumerate(types)])
         db.execute(
             "CREATE TABLE typed "
             "(i INTEGER, x DOUBLE, s STRING, v VECTOR[], m MATRIX[][])"
@@ -894,11 +900,11 @@ class TestCodecUnderPersistence:
 
     @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
     @settings(max_examples=25, deadline=None)
-    @given(drawn=wild_rows(), typed=st.lists(typed_row, max_size=4))
+    @given(drawn=wild_rows(stored=True), typed=st.lists(typed_row, max_size=4))
     def test_save_restore_exact(self, storage_mode, drawn, typed):
-        width, rows = drawn
+        types, rows = drawn
         db = Database(_config(storage_mode, "batch").with_updates(segment_rows=2))
-        self._tables(db, width)
+        self._tables(db, types)
         self._fill(db, rows, typed)
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "db.repro")
@@ -911,16 +917,16 @@ class TestCodecUnderPersistence:
 
     @pytest.mark.parametrize("storage_mode", STORAGE_MODES)
     @settings(max_examples=25, deadline=None)
-    @given(drawn=wild_rows(), typed=st.lists(typed_row, max_size=4))
+    @given(drawn=wild_rows(stored=True), typed=st.lists(typed_row, max_size=4))
     def test_wal_replay_exact(self, storage_mode, drawn, typed):
-        width, rows = drawn
+        types, rows = drawn
         with tempfile.TemporaryDirectory() as data_dir:
             db = Database(
                 _config(storage_mode, "batch").with_updates(
                     segment_rows=2, durability_mode="wal", data_dir=data_dir
                 )
             )
-            self._tables(db, width)
+            self._tables(db, types)
             self._fill(db, rows, typed)
             want = [_exact_table(db, name) for name in ("wild", "typed")]
             db.close()  # no checkpoint: everything comes back from the log
