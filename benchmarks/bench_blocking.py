@@ -9,11 +9,12 @@ dominate), huge blocks hurt parallelism (fewer blocks than cores means
 idle slots and skew).
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.simsql import price
 from repro.bench.workloads import Shape
-from repro.catalog.statistics import ColumnStats
+from repro.catalog.statistics import ColumnStats, TypedDistinct
 from repro.config import PAPER_CLUSTER
 from repro.engine.executor import busiest_share
 
@@ -28,7 +29,8 @@ def _block_gram(block):
 
 def _skew(blocks):
     """The busiest slot's blocks over the mean, hash-placed."""
-    share = busiest_share(ColumnStats(value_set=set(range(blocks))), PAPER_CLUSTER)
+    known = TypedDistinct(np.arange(blocks))
+    share = busiest_share(ColumnStats(values=known), PAPER_CLUSTER)
     return share * PAPER_CLUSTER.slots
 
 

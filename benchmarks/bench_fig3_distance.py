@@ -6,12 +6,13 @@ skew penalty, Spark is an order of magnitude off, and SciDB is nearly
 flat in the dimensionality.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.figures import format_figure
 from repro.bench.simsql import SimSQLPlatform, price
 from repro.bench.workloads import PAPER_BLOCK_SIZE, Shape, generate
-from repro.catalog.statistics import ColumnStats
+from repro.catalog.statistics import ColumnStats, TypedDistinct
 from repro.config import PAPER_CLUSTER
 from repro.engine.executor import busiest_share
 
@@ -63,7 +64,7 @@ class TestFigure3Shape:
         assert fast.seconds < slow.seconds
         # the paper saw "four or five of the 100 matrices" on one core:
         # the busiest of 80 slots holds >= 3x the mean of 100 hash-placed
-        blocks = ColumnStats(value_set=set(range(100)))
+        blocks = ColumnStats(values=TypedDistinct(np.arange(100)))
         assert busiest_share(blocks, PAPER_CLUSTER) * PAPER_CLUSTER.slots >= 3.0
 
 

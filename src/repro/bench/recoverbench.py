@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,6 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..catalog.statistics import TypedDistinct
 from ..config import ClusterConfig
 from ..db import Database
 from ..storage import DiskSegment
@@ -62,7 +64,7 @@ def state_fingerprint(db: Database) -> Dict[str, object]:
     """A comparable digest of everything durability promises to keep:
     per-partition columns as the table holds them (their form follows
     from the values, so equal rows have equal columns), per-table row
-    counts and distinct counts, view names, and the catalog version."""
+    counts, distinct counts and values, view names and the catalog version."""
     tables = {}
     for entry in db.catalog.tables():
         storage = entry.storage
@@ -76,7 +78,7 @@ def state_fingerprint(db: Database) -> Dict[str, object]:
             ],
             "row_count": entry.stats.row_count,
             "distincts": {
-                name: col.distinct
+                name: (col.distinct, sorted(map(repr, col.values or ())))
                 for name, col in sorted(entry.stats.columns.items())
             },
         }
@@ -116,6 +118,7 @@ class RecoveryPoint:
     #: size and wall time of the mid-run checkpoint (None without one)
     checkpoint_bytes: Optional[int]
     checkpoint_seconds: Optional[float]
+    stats_bytes_per_value: float  # held by the recovered typed columns' statistics
     matches: bool
 
 
@@ -197,6 +200,10 @@ def _measure(
         start = time.perf_counter()
         recovered = Database.restore(data_dir)
         elapsed = time.perf_counter() - start
+        typed = [c.values for e in recovered.catalog.tables()
+                 for c in e.stats.columns.values() if isinstance(c.values, TypedDistinct)]
+        held = sum(sys.getsizeof(v.tail) + sum(map(sys.getsizeof, v.tail))
+                   + sum(run.nbytes for run in v.runs) for v in typed)
         point = RecoveryPoint(
             statements=statements,
             checkpointed=checkpointed,
@@ -211,6 +218,7 @@ def _measure(
             recovery_seconds=elapsed,
             checkpoint_bytes=checkpoint_bytes,
             checkpoint_seconds=checkpoint_seconds,
+            stats_bytes_per_value=held / max(sum(map(len, typed)), 1),
             matches=state_fingerprint(recovered) == expected,
         )
         recovered.close()
@@ -224,7 +232,8 @@ def format_recovery(report: RecoveryReport) -> str:
     lines = [
         "recovery time vs WAL length (replay of acknowledged statements)",
         f"{'stmts':>6}  {'storage':>7}  {'ckpt bytes':>10}  {'ckpt s':>8}  "
-        f"{'wal bytes':>10}  {'replayed':>8}  {'recovery s':>10}  match",
+        f"{'wal bytes':>10}  {'replayed':>8}  {'recovery s':>10}  "
+        f"{'stats B/val':>11}  match",
     ]
     for point in report.points:
         if point.checkpointed:
@@ -236,7 +245,7 @@ def format_recovery(report: RecoveryReport) -> str:
         lines.append(
             f"{point.statements:>6}  {point.storage_mode:>7}  {checkpoint}  "
             f"{point.wal_bytes:>10}  {point.records_replayed:>8}  "
-            f"{point.recovery_seconds:>10.4f}  "
+            f"{point.recovery_seconds:>10.4f}  {point.stats_bytes_per_value:>11.1f}  "
             f"{'yes' if point.matches else 'NO'}"
         )
     return "\n".join(lines)

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..catalog.statistics import TableStats
+from ..catalog.statistics import TableStats, TypedDistinct
 from ..config import ClusterConfig
 from ..db import Database, Result
 from ..engine import Cluster, QueryMetrics, count_job_boundaries
@@ -81,14 +81,16 @@ def _table(db: Database, ddl: str, workload, rows, count, **columns) -> None:
 
 
 def _statistics(count: float, columns) -> TableStats:
-    """The statistics of ``count`` rows: each named column's value set (a
-    range or set: the key domains placement hashes), distinct count (a
-    number) or tensor dims (a tuple)."""
+    """The statistics of ``count`` rows: each named column's known values
+    (a range or distinct values: the key domains placement hashes),
+    distinct count (a number) or tensor dims (a tuple)."""
     stats = TableStats(row_count=count)
     for column, known in columns.items():
         column_stats = stats.column(column)
-        if isinstance(known, (range, set)):
-            column_stats.value_set = set(known)
+        if isinstance(known, range):
+            known = TypedDistinct(np.arange(known.start, known.stop, known.step))
+        if isinstance(known, (TypedDistinct, set)):
+            column_stats.values = known
             column_stats.distinct = len(known)
         elif isinstance(known, tuple) and len(known) == 1:
             column_stats.observed_length = known[0]
@@ -539,13 +541,13 @@ def _estimated(root, columns) -> TableStats:
     known = {}
     for column in columns:
         data_type = root.types.get(column.column_id, column.data_type)
-        values = root.values.get(column.column_id)
+        stats = root.values.get(column.column_id)
         if isinstance(data_type, VectorType):
             known[column.name] = (data_type.length,)
         elif isinstance(data_type, MatrixType):
             known[column.name] = (data_type.rows, data_type.cols)
-        elif values is not None:
-            known[column.name] = values.value_set
+        elif stats is not None:
+            known[column.name] = stats.values
         elif column.column_id in root.distinct:
             known[column.name] = root.distinct[column.column_id]
     return _statistics(root.rows, known)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import CatalogError, DependentViewError
 from ..types import DataType
 from .schema import Schema
-from .statistics import TableStats
+from .statistics import TableStats, collect_stats
 
 
 @dataclass
@@ -177,7 +177,7 @@ class Catalog:
         key = name.lower()
         if self.has_relation(name):
             raise CatalogError(f"relation {name!r} already exists")
-        entry = TableEntry(name=name, schema=schema)
+        entry = TableEntry(name=name, schema=schema, stats=collect_stats(schema))
         self._tables[key] = entry
         self.touch(name)
         return entry

@@ -8,7 +8,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import CatalogError
+from ..columnar import ColumnData, cast
+from ..errors import CatalogError, TypeCheckError
 from ..types import (
     BooleanType,
     DataType,
@@ -36,6 +37,8 @@ ADMITTED = {
     VectorType: {Vector},
     MatrixType: {Matrix},
 }
+#: what INSERT converts an INTEGER's and a DOUBLE's numbers to
+_CONVERTED = {IntegerType: (int, np.int64), DoubleType: (float, np.float64)}
 #: the Python type of each value of a typed column's dtype
 _TYPED = {np.float64: float, np.int64: int, np.bool_: bool}
 _cell_shape = attrgetter("data.shape")
@@ -133,6 +136,14 @@ class Schema:
                 return f"column {column.name} {column.data_type!r} cannot hold {problem}"
         return None
 
+    def conform(self, columns, name: str) -> list:
+        """``columns`` as INSERT, INSERT ... SELECT and a load store them in table
+        ``name``: :meth:`misfit`-checked, numbers converted by one ``astype``."""
+        misfit = self.misfit(columns)
+        if misfit is not None:
+            raise TypeCheckError(f"cannot store in {name}: {misfit}")
+        return [_conform(data, column.data_type) for column, data in zip(self, columns)]
+
     def row_width_bytes(self) -> float:
         """Estimated width of one tuple, the quantity that makes a
         MATRIX[100000][100] attribute dominate plan cost (section 4.1)."""
@@ -145,6 +156,22 @@ class Schema:
     def __repr__(self) -> str:
         inner = ", ".join(repr(column) for column in self._columns)
         return f"Schema({inner})"
+
+
+def _conform(data: ColumnData, declared: DataType) -> ColumnData:
+    """One column of :meth:`Schema.conform` (an object column cell by cell)."""
+    kind, dtype = _CONVERTED.get(type(declared), (None, None))
+    if kind is None or data.data.dtype == dtype:
+        return data
+    if not data.is_object:
+        try:
+            return ColumnData(cast(data.data, dtype), data.nulls)
+        except OverflowError:  # a double past int64: INSERT makes a Python int
+            pass
+    cells = data.pylist()
+    if set(map(type, cells)) <= {kind, type(None)}:
+        return data
+    return ColumnData.from_values([v if v is None else kind(v) for v in cells])
 
 
 def _misfit(data, declared: DataType) -> Optional[str]:

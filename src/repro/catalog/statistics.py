@@ -9,20 +9,99 @@ fully declared types (section 4.1 of the paper).
 Statistics must track DML: every INSERT / INSERT ... SELECT / CTAS /
 DELETE that changes rows refreshes them (``Database._refresh_stats``),
 since stale row counts or tensor dims would silently mis-cost every
-subsequent plan. Appends are handled incrementally — the value/shape
-accumulator sets stay on the stats objects, and :func:`append_stats`
-folds new rows in without rescanning the table (:func:`collect_stats`
-is that same fold started from empty accumulators) and reports whether
-a refined type changed, which is a change of the table's shape.
+subsequent plan. A table starts with empty accumulators — an INTEGER,
+DOUBLE or BOOLEAN column's distinct values are :class:`TypedDistinct`
+runs — and :func:`append_stats` folds each append's columns into them,
+reporting whether a refined type changed (a change of the table's shape).
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple, Union
 
-from ..types import DataType, Matrix, MatrixType, Vector, VectorType
+import numpy as np
+
+from ..columnar import ColumnData, cast, columns_from_rows, wrap_cell
+from ..types import BooleanType, DataType, DoubleType, IntegerType, Matrix
+from ..types import MatrixType, Vector, VectorType
+
+#: the dtype of each typed scalar column type's distinct values
+_DTYPES = {IntegerType: np.int64, DoubleType: np.float64, BooleanType: np.bool_}
+_SHORT = 1024  #: the least length of a run but the last
+_TAIL = 4096  #: the most values the tail holds (boxed: a few rows at a time)
+
+
+class TypedDistinct:
+    """A typed column's distinct values (every NaN one, ±0.0 one, NULL one):
+    sorted, disjoint runs, each at least twice the next and merged like a
+    binary counter (an update of Δ values is O(Δ log N) amortized, with no
+    search above ``high``), and a sorted ``tail`` of few-row appends' values."""
+
+    __slots__ = ("dtype", "runs", "tail", "high", "null", "nan")
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.dtype, self.runs, self.tail, self.high = values.dtype, [], [], None
+        self.null = self.nan = False
+        self.update(ColumnData(values))
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs)) + len(self.tail) + self.null + self.nan
+
+    def __iter__(self):
+        return iter(self.column().pylist())
+
+    def update(self, column: ColumnData) -> None:
+        """Add a column's values (past int64 an ``OverflowError``)."""
+        data = column.data
+        if column.nulls is not None:
+            self.null, data = True, data[~column.nulls]
+        values = data if data.dtype == self.dtype else cast(data, self.dtype)
+        if len(values) <= 8:  # a few: each searched alone, into the tail
+            tail, runs = self.tail, self.runs
+            for value in values.tolist():
+                at = bisect_left(tail, value)
+                if value != value:
+                    self.nan = True
+                elif (at == len(tail) or tail[at] != value) and not (runs and value <= self.high and any(
+                    run[min(run.searchsorted(value), len(run) - 1)] == value for run in runs
+                )):
+                    tail.insert(at, value)
+            if len(tail) < _TAIL:
+                return
+            values, self.tail = np.array(tail, self.dtype), []
+        else:  # with the tail, sorted: the first of each run of equals, NaNs last
+            values = np.sort(np.concatenate([self.tail, values]) if self.tail else values)
+            self.tail = []
+            first = np.ones(len(values), np.bool_)
+            first[1:] = values[1:] != values[:-1]
+            values = values[first]
+            if values[-1] != values[-1]:
+                self.nan, values = True, values[values == values]
+            if self.runs and len(values) and values[0] <= self.high:
+                for run in self.runs:
+                    values = values[run.take(run.searchsorted(values), mode="clip") != values]
+        if len(values):
+            self._push(values)
+
+    def _push(self, values: np.ndarray) -> None:
+        """A sorted run of new values, merged in like a binary counter."""
+        runs = self.runs
+        self.high = max(self.high, values[-1].item()) if runs else values[-1].item()
+        runs.append(values)
+        while len(runs) > 1 and len(runs[-2]) < max(2 * len(runs[-1]), _SHORT):
+            last, before = runs.pop(), runs.pop()
+            runs.append(np.concatenate([before, last]))
+            if before[-1] > last[0]:
+                runs[-1].sort(kind="stable")
+
+    def column(self) -> ColumnData:
+        """Every value as one column (a NaN and a NULL row last, when seen)."""
+        extra = np.array([*self.tail, *[np.nan] * self.nan, *[0] * self.null], self.dtype)
+        data = np.concatenate([*self.runs, extra])
+        return ColumnData(data, np.arange(len(data)) == len(data) - 1 if self.null else None)
 
 
 @dataclass
@@ -36,10 +115,10 @@ class ColumnStats:
     observed_cols: Optional[int] = None
     #: accumulators carried for incremental refresh on append; ``None``
     #: means "not tracked" (e.g. an unhashable scalar column)
-    value_set: Optional[Set] = field(default=None, repr=False, compare=False)
+    values: Optional[Union[TypedDistinct, Set]] = field(default=None, repr=False, compare=False)
     length_set: Optional[Set[int]] = field(default=None, repr=False, compare=False)
     shape_set: Optional[Set[tuple]] = field(default=None, repr=False, compare=False)
-    #: the busiest slot's share of ``value_set`` under hash placement, and
+    #: the busiest slot's share of ``values`` under hash placement, and
     #: what it was computed for (``engine.executor.busiest_share``)
     placed: Optional[tuple] = field(default=None, repr=False, compare=False)
 
@@ -66,7 +145,7 @@ class TableStats:
 
     row_count: int = 0
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
-    #: True when the per-column accumulator sets are populated, so
+    #: True when the per-column accumulators are populated, so
     #: :func:`append_stats` can refresh incrementally
     incremental: bool = field(default=False, repr=False, compare=False)
 
@@ -81,20 +160,16 @@ class TableStats:
 def _tensor_observed(col_stats: ColumnStats) -> None:
     """Re-derive the observed dims from the accumulator sets: dims are
     only trusted when every value agrees on them."""
-    lengths = col_stats.length_set or set()
-    shapes = col_stats.shape_set or set()
-    col_stats.observed_length = (
-        next(iter(lengths)) if len(lengths) == 1 else None
+    lengths, shapes = col_stats.length_set or set(), col_stats.shape_set or set()
+    col_stats.observed_length = next(iter(lengths)) if len(lengths) == 1 else None
+    col_stats.observed_rows, col_stats.observed_cols = (
+        next(iter(shapes)) if len(shapes) == 1 else (None, None)
     )
-    if len(shapes) == 1:
-        col_stats.observed_rows, col_stats.observed_cols = next(iter(shapes))
-    else:
-        col_stats.observed_rows = col_stats.observed_cols = None
 
 
-def collect_stats(schema, rows) -> TableStats:
-    """Scan rows once and build statistics: row count, per-column distinct
-    counts (for scalar columns), and observed tensor dimensions."""
+def collect_stats(schema, appended=None) -> TableStats:
+    """Statistics of rows in one pass (row count, distinct counts, observed
+    tensor dims); with ``appended=None`` (a new table) empty accumulators."""
     stats = TableStats(incremental=True)
     for column in schema:
         col_stats = stats.column(column.name)
@@ -102,8 +177,10 @@ def collect_stats(schema, rows) -> TableStats:
             col_stats.length_set = set()
             col_stats.shape_set = set()
         else:
-            col_stats.value_set = set()
-    append_stats(stats, schema, rows)
+            dtype = _DTYPES.get(type(column.data_type))
+            col_stats.values = TypedDistinct(np.empty(0, dtype)) if dtype else set()
+    if appended is not None:
+        append_stats(stats, schema, appended)
     return stats
 
 
@@ -114,43 +191,40 @@ class Appended(NamedTuple):
     refined_changed: bool
 
 
-def append_stats(stats: TableStats, schema, rows) -> Optional[Appended]:
-    """Fold appended ``rows`` into existing ``stats`` without rescanning
-    the table. Returns None when the stats carry no accumulators (e.g.
-    hand-built fixtures) — callers then fall back to a full
-    :func:`collect_stats` pass."""
+def append_stats(stats: TableStats, schema, appended) -> Optional[Appended]:
+    """Fold appended rows (``ColumnData`` per column, as the table took them,
+    or row tuples) into ``stats`` without rescanning the table. Returns None
+    when the stats carry no accumulators (e.g. hand-built fixtures) —
+    callers then fall back to a full :func:`collect_stats` pass."""
     if not stats.incremental:
         return None
-    rows = list(rows)
+    columns = list(appended)
+    if not columns or not isinstance(columns[0], ColumnData):
+        columns = columns_from_rows(columns, len(schema))
     refined_changed = False
-    for position, column in enumerate(schema):
-        col_stats = stats.column(column.name)
+    for column, data in zip(schema, columns):
+        col_stats = stats.columns.get(column.name.lower()) or stats.column(column.name)
         declared = column.data_type
         if isinstance(declared, (VectorType, MatrixType)):
             if col_stats.length_set is None or col_stats.shape_set is None:
                 return None
             refined = col_stats.refine_type(declared)
-            for row in rows:
-                value = row[position]
+            if data.is_block:  # one cell shape (unless every row is NULL)
+                data = [] if data.nulls is not None and data.nulls.all() else [wrap_cell(data.data[0])]
+            for value in data:
                 if isinstance(value, Vector):
                     col_stats.length_set.add(value.length)
                 elif isinstance(value, Matrix):
                     col_stats.shape_set.add(value.shape)
             _tensor_observed(col_stats)
             refined_changed |= col_stats.refine_type(declared) != refined
-        elif col_stats.value_set is not None:
-            for row in rows:
-                try:
-                    col_stats.value_set.add(row[position])
-                except TypeError:
-                    col_stats.value_set = None
-                    col_stats.distinct = None
-                    break
-            if col_stats.value_set is not None:
-                col_stats.distinct = len(col_stats.value_set)
-        # value_set is None: the column is (or became) unhashable —
-        # distinct stays unknown, appends cannot change that
-    stats.row_count += len(rows)
+        elif col_stats.values is not None:
+            try:
+                col_stats.values.update(data)
+                col_stats.distinct = len(col_stats.values)
+            except (TypeError, ValueError, OverflowError):  # no number, or past int64
+                col_stats.values = col_stats.distinct = None
+    stats.row_count += len(columns[0]) if columns else 0
     return Appended(refined_changed)
 
 

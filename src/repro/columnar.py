@@ -186,9 +186,7 @@ class ColumnData:
         n = len(values)
         if n:
             first_type = type(values[0])
-            if first_type in (float, int, bool) and all(
-                type(value) is first_type for value in values
-            ):
+            if first_type in (float, int, bool) and set(map(type, values)) == {first_type}:
                 if first_type is float:
                     return cls(np.asarray(values, dtype=np.float64))
                 if first_type is bool:
@@ -428,6 +426,12 @@ def slice_columns(
 ) -> List[ColumnData]:
     """Rows ``[start, stop)`` of every column, as canonical views."""
     return [canonical(column.slice(start, stop)) for column in columns]
+
+
+def cast(values: np.ndarray, dtype) -> np.ndarray:
+    """``values`` as ``dtype``, as Python converts each: past int64 an ``OverflowError``."""
+    wide = values.dtype == np.float64 and dtype == np.int64  # range-check cell by cell
+    return (values.astype(object) if wide else values).astype(dtype, copy=False)
 
 
 def columns_from_rows(rows: Sequence[tuple], width: int) -> List[ColumnData]:

@@ -422,17 +422,13 @@ class Database:
             converted = [
                 tuple(_convert_value(value) for value in row) for row in rows
             ]
-            # rows become columns once: checked against the schema as
-            # INSERT checks its values, the table appends them and the
-            # WAL record encodes them
-            columns = entry.storage.columns_of(converted)
-            misfit = entry.schema.misfit(columns)
-            if misfit is not None:
-                raise TypeCheckError(f"cannot load into {entry.name}: {misfit}")
+            # rows become columns once: checked and converted as INSERT's
+            # are, the table appends them and the WAL record encodes them
+            columns = entry.schema.conform(entry.storage.columns_of(converted), entry.name)
             with self._durable_root() as log:
                 entry.storage.append(columns)
                 if converted:  # zero rows change nothing
-                    self._refresh_stats(entry, appended=converted)
+                    self._refresh_stats(entry, appended=columns)
                 if log:
                     self._log_durable(
                         {
@@ -444,12 +440,12 @@ class Database:
             return len(converted)
 
     def _refresh_stats(
-        self, entry: TableEntry, appended: Optional[List[tuple]] = None
+        self, entry: TableEntry, appended: Optional[list] = None
     ) -> None:
         """Refresh ``entry``'s statistics after a DML statement that
         changed rows. When the statement only appended rows, pass them
-        via ``appended`` and the accumulator sets kept by
-        ``collect_stats`` are updated in place instead of rescanning the
+        via ``appended`` (column-wise, as the table took them) and the
+        accumulators are updated in place instead of rescanning the
         whole table; deletes always rescan."""
         outcome = None
         if appended is not None:
@@ -606,8 +602,9 @@ class Database:
             ]
             self.create_table(statement.name, columns)
             entry = self.catalog.table(statement.name)
-            entry.storage.insert_many(result.rows)
-            self._refresh_stats(entry, appended=result.rows)
+            columns = entry.storage.columns_of(result.rows)
+            entry.storage.append(columns)
+            self._refresh_stats(entry, appended=columns)
             return self._attach_maintenance(result)
         if isinstance(statement, ast.CreateView):
             if statement.temporary:
@@ -643,9 +640,9 @@ class Database:
             entry = self.catalog.table(statement.table)
             binder = Binder(self.catalog, params)
             rows = binder.bind_insert_rows(entry.schema.types, statement.rows)
-            inserted = [tuple(row) for row in rows]
-            entry.storage.insert_many(inserted)
-            self._refresh_stats(entry, appended=inserted)
+            columns = entry.schema.conform(entry.storage.columns_of(rows), entry.name)
+            entry.storage.append(columns)
+            self._refresh_stats(entry, appended=columns)
             return self._attach_maintenance(Result([], []))
         if isinstance(statement, ast.InsertSelect):
             return self._run_insert_select(statement, params, key)
@@ -677,22 +674,11 @@ class Database:
                 f"INSERT INTO {statement.table}: query produces "
                 f"{len(result.rows[0])} column(s), table has {len(expected)}"
             )
-        from .types import DoubleType
-
-        coerced = []
-        for row in result.rows:
-            coerced.append(
-                tuple(
-                    float(value)
-                    if isinstance(expected[i], DoubleType) and isinstance(value, int)
-                    else value
-                    for i, value in enumerate(row)
-                )
-            )
-        entry.storage.insert_many(coerced)
-        if not coerced:  # zero rows change nothing
+        if not result.rows:  # zero rows change nothing
             return Result([], [], result.metrics)
-        self._refresh_stats(entry, appended=coerced)
+        columns = entry.schema.conform(entry.storage.columns_of(result.rows), entry.name)
+        entry.storage.append(columns)
+        self._refresh_stats(entry, appended=columns)
         return self._attach_maintenance(Result([], [], result.metrics))
 
     def _run_delete(

@@ -114,15 +114,15 @@ def placement(keys, slots: int, balanced: bool) -> np.ndarray:
 
 
 def busiest_share(stats, config: ClusterConfig) -> float:
-    """The share of a column's known values (``stats.value_set``) that the
+    """The share of a column's known values (``stats.values``) that the
     busiest slot receives when a hash exchange places them by
     :func:`placement`: the estimate of a skew the executor's placement
     makes (100 blocks hashed onto 80 slots put four or five on one).
     Computed once per value set and cluster shape, and kept on ``stats``
     (a value set only grows, so its size names its content)."""
-    key = (len(stats.value_set), config.slots, config.balanced_placement)
+    key = (len(stats.values), config.slots, config.balanced_placement)
     if stats.placed is None or stats.placed[0] != key:
-        keys = [(value,) for value in stats.value_set]
+        keys = [(value,) for value in stats.values]
         targets = placement(keys, config.slots, config.balanced_placement)
         loads = np.bincount(targets, minlength=config.slots)
         stats.placed = (key, float(loads.max()) / max(len(keys), 1))

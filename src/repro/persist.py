@@ -41,7 +41,8 @@ import struct
 import zlib
 from typing import Optional
 
-from .catalog import ColumnStats, TableStats
+from .catalog import ColumnStats, Schema, TableStats, collect_stats
+from .columnar import ColumnData
 from .config import ClusterConfig
 from .errors import ReproError, SnapshotCorruptError
 from .faults import FaultPlan
@@ -55,7 +56,7 @@ from .storage.durable import (
     encode_payload,
     validating,
 )
-from .storage.segment import decode_segment, encode_columns, encode_rows
+from .storage.segment import decode_columns, decode_segment, encode_columns, encode_rows
 
 #: payload layout: per-table statistics and the catalog version (restore
 #: skips the statistics rescan); rows *per partition*, so restoring onto
@@ -123,13 +124,17 @@ def _thaw_fields(cls, fields: dict):
 
 def _freeze_stats(stats: TableStats) -> dict:
     """Table statistics as plain data: every field of every column as it
-    is, the accumulator sets as lists, except the distinct-value set,
-    which is a one-column segment."""
+    is, the accumulator sets as lists, except the distinct values, which
+    are a one-column segment (``value_set``)."""
     columns = []
     for name, col in stats.columns.items():
         frozen = dict(vars(col))
-        if col.value_set is not None:
-            frozen["value_set"] = encode_rows([(value,) for value in col.value_set])
+        values = frozen.pop("values")
+        if isinstance(values, set):  # a STRING column's cells
+            values = ColumnData.from_values(list(values))
+        elif values is not None:  # a typed column's runs, as they are
+            values = values.column()
+        frozen["value_set"] = None if values is None else encode_columns([values])[0]
         for field in ("length_set", "shape_set"):
             if frozen[field] is not None:
                 frozen[field] = list(frozen[field])
@@ -149,10 +154,11 @@ def thaw_columns(pairs: list) -> list:
     return columns
 
 
-def _thaw_stats(frozen: dict) -> TableStats:
+def _thaw_stats(frozen: dict, schema) -> TableStats:
     """The inverse of :func:`_freeze_stats`. The planner reads statistics
     as they are (an observed dimension sizes a type), so each is checked
-    here: counts are ints of at least zero, dimensions of at least one."""
+    here: counts are ints of at least zero, dimensions of at least one;
+    distinct values are folded afresh, so in any order and duplicated."""
     stats = TableStats(
         row_count=_at_least(0, frozen["row_count"]),
         incremental=checked(frozen["incremental"], bool),
@@ -162,10 +168,7 @@ def _thaw_stats(frozen: dict) -> TableStats:
         for field, floor in _STAT_FLOORS.items():
             if col[field] is not None:
                 _at_least(floor, col[field])
-        if col["value_set"] is not None:
-            col["value_set"] = {
-                value for (value,) in decode_segment(checked(col["value_set"], bytes))
-            }
+        blob, col["values"] = col.pop("value_set"), None
         if col["length_set"] is not None:
             col["length_set"] = set(_dims(col["length_set"]))
         if col["shape_set"] is not None:
@@ -175,7 +178,14 @@ def _thaw_stats(frozen: dict) -> TableStats:
         if col["placed"] is not None:
             key, share = checked(col["placed"], list)
             col["placed"] = tuple(checked(key, list)), checked(share, float)
-        stats.columns[checked(name, str)] = ColumnStats(**col)
+        thawed = stats.columns[checked(name, str)] = ColumnStats(**col)
+        if blob is not None:
+            column = Schema([schema.columns[schema.index_of(name)]])  # no such: TypeError
+            (values,) = decode_columns(checked(blob, bytes)) or [ColumnData.from_values([])]
+            if column.misfit([values]) is not None:
+                raise ValueError(column.misfit([values]))
+            fresh = collect_stats(column, [values]).column(name)
+            thawed.values, thawed.distinct = fresh.values, fresh.distinct
     return stats
 
 
@@ -380,7 +390,7 @@ def _restore_table(db, table: dict, path: str) -> None:
     # read after the rows are placed and their decoded form is freed, so
     # the long-lived statistics do not pin the memory it took
     with validating(path):
-        entry.stats = _thaw_stats(table["stats"])
+        entry.stats = _thaw_stats(table["stats"], entry.schema)
 
 
 def _restore_rows(entry, table: dict, path: str) -> None:

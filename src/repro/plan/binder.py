@@ -19,9 +19,10 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..catalog import Catalog, TableEntry
-from ..errors import CompileError, NameResolutionError, TypeCheckError
+from ..errors import CompileError, NameResolutionError, SqlSyntaxError, TypeCheckError
 from ..la import lookup, lookup_aggregate
 from ..sql import ast
+from ..sql.parser import MAX_NESTING
 from ..types import (
     BOOLEAN,
     DOUBLE,
@@ -146,8 +147,8 @@ class Binder:
         #: filled with one cell per distinct parameter name
         self._param_cells = param_cells
         self._ids = itertools.count(1)
-        #: names of views currently being expanded (a stack: the same
-        #: name may legitimately appear at several depths). Inside the
+        #: names of views being expanded, "" for a FROM subquery (a stack no
+        #: deeper than ``MAX_NESTING``; a name may recur at depths). Inside the
         #: body of view N, a reference to N skips any session temp-view
         #: overlay and resolves against the shared catalog — so a temp
         #: view may shadow the relation it is defined over without
@@ -209,24 +210,20 @@ class Binder:
 
     def bind_insert_rows(
         self, schema_types: Sequence[DataType], rows: List[List[ast.Expression]]
-    ) -> List[List[object]]:
-        """Evaluate INSERT ... VALUES rows to constants, type-checked
-        against the target schema."""
+    ) -> List[tuple]:
+        """Evaluate INSERT ... VALUES rows to constants (the database
+        checks and converts them by their columns' types)."""
         empty_scope = _Scope([])
-        bound_rows: List[List[object]] = []
         for row in rows:
             if len(row) != len(schema_types):
                 raise CompileError(
                     f"INSERT row has {len(row)} values, table has "
                     f"{len(schema_types)} columns"
                 )
-            values = []
-            for expr_ast, expected in zip(row, schema_types):
-                expr = self._bind_row(expr_ast, empty_scope)
-                value = expr.evaluate({})
-                values.append(_coerce_insert_value(value, expected))
-            bound_rows.append(values)
-        return bound_rows
+        return [
+            tuple(self._bind_row(expr, empty_scope).evaluate({}) for expr in row)
+            for row in rows
+        ]
 
     def bind_table_predicate(self, entry: TableEntry, name: str, where: ast.Expression):
         """Bind a predicate over one base table (used by DELETE). Returns
@@ -244,7 +241,7 @@ class Binder:
 
     def _bind_from_item(self, item: ast.TableExpression) -> _Binding:
         if isinstance(item, ast.SubqueryRef):
-            return _Binding(item.alias, self.bind_select(item.query))
+            return _Binding(item.alias, self._nested("", item.query))
         assert isinstance(item, ast.TableName)
         name_key = item.name.lower()
         self.relations.add(name_key)
@@ -254,11 +251,7 @@ class Binder:
         else:
             view = self._catalog.view(item.name)
         if view is not None:
-            self._view_stack.append(name_key)
-            try:
-                plan = self.bind_select(view.query)
-            finally:
-                self._view_stack.pop()
+            plan = self._nested(name_key, view.query)
             if view.column_names is not None:
                 plan = self._rename(plan, view.column_names)
             return _Binding(item.binding_name, plan)
@@ -282,6 +275,16 @@ class Binder:
             )
         table = self._catalog.table(item.name)
         return _Binding(item.binding_name, self._scan(table, item.binding_name))
+
+    def _nested(self, name: str, query: ast.SelectStatement) -> LogicalNode:
+        """Bind a FROM subquery (``name`` "") or view ``name`` one level deeper."""
+        if len(self._view_stack) == MAX_NESTING:
+            raise SqlSyntaxError(f"statement nests deeper than {MAX_NESTING} levels with its views inlined")
+        self._view_stack.append(name)
+        try:
+            return self.bind_select(query)
+        finally:
+            self._view_stack.pop()
 
     def _scan(self, table: TableEntry, binding_name: str) -> ScanNode:
         columns = [
@@ -541,39 +544,3 @@ def _default_name(expr: ast.Expression, index: int) -> str:
     if isinstance(expr, ast.AggregateCall):
         return expr.name.lower()
     return f"col{index}"
-
-
-def _coerce_insert_value(value, expected: DataType):
-    """Light coercion of INSERT literals to the declared column type."""
-    from ..types import DoubleType, IntegerType
-
-    if value is None:
-        return None
-    if isinstance(expected, DoubleType) and isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(expected, IntegerType):
-        if isinstance(value, float) and not value.is_integer():
-            raise TypeCheckError(f"cannot store {value} in an INTEGER column")
-        if isinstance(value, (int, float)):
-            return int(value)
-    actual = _literal_type(value)
-    if isinstance(expected, VectorType) and isinstance(actual, VectorType):
-        if expected.length is not None and expected.length != actual.length:
-            raise TypeCheckError(
-                f"vector of length {actual.length} does not fit VECTOR"
-                f"[{expected.length}]"
-            )
-        return value
-    if isinstance(expected, MatrixType) and isinstance(actual, MatrixType):
-        for declared, got, what in (
-            (expected.rows, actual.rows, "rows"),
-            (expected.cols, actual.cols, "cols"),
-        ):
-            if declared is not None and declared != got:
-                raise TypeCheckError(
-                    f"matrix with {got} {what} does not fit {expected!r}"
-                )
-        return value
-    if actual != expected:
-        raise TypeCheckError(f"cannot store {actual!r} value in {expected!r} column")
-    return value

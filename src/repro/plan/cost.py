@@ -295,7 +295,7 @@ class CostModel:
             stats = table.stats.columns.get(column.name.lower())
             if stats is not None and stats.distinct is not None:
                 distinct[column.column_id] = float(stats.distinct)
-                if stats.value_set is not None:
+                if stats.values is not None:
                     values[column.column_id] = stats
         return Estimate(max(rows, 1.0), width, distinct, values)
 

@@ -7,6 +7,9 @@ is refused.
   the rows the nesting means; a deeper one is a ``SqlSyntaxError`` —
   never a ``RecursionError`` from the parser, the binder or an
   evaluator.
+* **Views.** A chain of views inlines one level per view:
+  ``MAX_NESTING`` bind, one more is a ``SqlSyntaxError``, embedded or
+  served.
 * **Posted values.** ``decode_params`` over drawn ``$type`` objects,
   ``f64`` fields of every length and nested lists: a decoded dict, or
   the ``ValueError`` / ``ReproError`` the server answers with 400.
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro import Database, TEST_CLUSTER
 from repro.errors import ReproError, SqlSyntaxError
-from repro.server import decode_params
+from repro.server import Server, ServerClient, ServerError, decode_params
 from repro.sql.parser import MAX_NESTING
 
 POINTS = ([1.0, 2.0], [3.0, -1.0], [-0.5, 0.0])
@@ -132,3 +135,38 @@ def test_decode_params_decodes_or_refuses_every_posted_value(params):
     except (ValueError, ReproError):
         return
     assert isinstance(decoded, dict)
+
+
+class TestViewChain:
+    """``CREATE VIEW v1 AS SELECT x FROM v0``, ... : a statement reading
+    ``vN`` inlines N views, one nesting level each. ``MAX_NESTING`` of
+    them bind; one more is a ``SqlSyntaxError`` (the server's 400), not
+    a ``RecursionError``."""
+
+    @pytest.fixture(scope="class")
+    def chain(self) -> Database:
+        database = Database(TEST_CLUSTER)
+        database.execute("CREATE TABLE t (x INTEGER)")
+        database.execute("INSERT INTO t VALUES (7)")
+        database.execute("CREATE VIEW v1 AS SELECT x FROM t")
+        for n in range(2, MAX_NESTING + 2):  # v65 inlines the 64 below it
+            database.execute(f"CREATE VIEW v{n} AS SELECT x FROM v{n - 1}")
+        return database
+
+    def test_at_the_bound_and_one_past_it(self, chain):
+        assert chain.execute(f"SELECT x FROM v{MAX_NESTING}").rows == [(7,)]
+        with pytest.raises(SqlSyntaxError, match="views inlined"):
+            chain.execute(f"SELECT x FROM v{MAX_NESTING + 1}")
+        with pytest.raises(SqlSyntaxError):
+            chain.execute(f"CREATE VIEW deeper AS SELECT x FROM v{MAX_NESTING + 1}")
+        # a FROM subquery is a level too
+        with pytest.raises(SqlSyntaxError):
+            chain.execute(f"SELECT x FROM (SELECT x FROM v{MAX_NESTING}) AS s")
+
+    def test_served_one_past_the_bound_is_400(self, chain):
+        with Server(chain) as server, ServerClient(*server.address) as client:
+            assert client.query(f"SELECT x FROM v{MAX_NESTING}")["rows"] == [[7]]
+            with pytest.raises(ServerError) as excinfo:
+                client.query(f"SELECT x FROM v{MAX_NESTING + 1}")
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "sql_syntax"

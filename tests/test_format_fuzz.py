@@ -15,6 +15,7 @@ runs them under the ``sweep`` profile (``tests/conftest.py``), so no
 test here pins ``max_examples``.
 """
 
+import math
 import os
 import shutil
 import struct
@@ -28,13 +29,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, Vector
+from repro.catalog import Schema
+from repro.columnar import ColumnData
 from repro.config import ClusterConfig
 from repro.errors import ReproError, SnapshotCorruptError
 from repro.la.aggregates import NanCells
-from repro.persist import FRAME_MAGIC
+from repro.persist import FRAME_MAGIC, _thaw_stats
 from repro.storage import WAL_MAGIC, encode_rows
-from repro.storage.durable import decode_payload, encode_payload
-from repro.storage.segment import decode_segment
+from repro.storage.durable import decode_payload, encode_payload, validating
+from repro.storage.segment import decode_columns, decode_segment, encode_columns
 from repro.types import LabeledScalar, Matrix
 
 CONFIG = ClusterConfig(machines=1, cores_per_machine=2, job_startup_s=1.0)
@@ -359,3 +362,93 @@ class TestCellKinds:
     def test_unknown_kind_is_a_program_error(self):
         with pytest.raises(TypeError, match="no segment encoding"):
             encode_rows([(object(),)])
+
+
+#: each scalar column type: whether it admits a value (INSERT's rule)
+#: and the value INSERT stores for it
+_ADMITS = {
+    "INTEGER": (
+        lambda v: type(v) in (int, bool)
+        or type(v) is float and math.isfinite(v) and v == int(v),
+        int,
+    ),
+    "DOUBLE": (lambda v: type(v) in (int, bool, float), float),
+    "BOOLEAN": (lambda v: type(v) is bool, bool),
+    "STRING": (lambda v: type(v) is str, str),
+}
+_CELLS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**64), 2**64)
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("nan"), -float("nan"), 1.5])
+    | st.text(max_size=2)
+)
+
+
+def _fresh_count(kind: str, values: list):
+    """What a fresh fold of ``values`` counts: the distinct values INSERT
+    would store — every NaN one, ±0.0 one, NULL one — or None (unknown)
+    when an INTEGER holds one past int64."""
+    convert = _ADMITS[kind][1]
+    keys = {None if v is None else convert(v) for v in values}
+    if kind == "INTEGER" and any(k is not None and not -(2**63) <= k < 2**63 for k in keys):
+        return None
+    return len({"NaN" if k != k else k for k in keys})
+
+
+class TestDistinctValuesFuzz:
+    """A snapshot's frozen distinct values (one segment column per
+    scalar column) are folded afresh on restore: drawn unsorted,
+    duplicated, NaN-bearing, wrong-dtype, too wide or cut short, the
+    only outcomes are the count a fresh fold of the values gives or a
+    ``SnapshotCorruptError`` (or, for a flip that names an older segment
+    format, that format refused by name)."""
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_frozen_distinct_values_fold_afresh_or_are_refused(self, data):
+        kind = data.draw(st.sampled_from(sorted(_ADMITS)))
+        values = data.draw(st.lists(_CELLS, max_size=12))
+        form = data.draw(st.sampled_from(["rows", "typed", "wide", "cut"]))
+        if form == "typed":  # an array of a drawn dtype, NULLs masked
+            dtype = data.draw(st.sampled_from([np.int64, np.float64, np.bool_]))
+            numbers = [
+                v for v in values if type(v) in (int, float, bool) and (
+                    dtype == np.float64 and type(v) is float
+                    or math.isfinite(v) and abs(v) < 2**62
+                )
+            ]
+            nulls = np.array([data.draw(st.booleans()) for _ in numbers], dtype=np.bool_)
+            column = ColumnData(np.array(numbers, dtype=dtype), nulls)
+            values = column.pylist()
+            blob = encode_columns([column])[0]
+        else:
+            blob = encode_rows([(v, v) if form == "wide" else (v,) for v in values])
+            if form == "cut":
+                blob = _mutated(data, blob)
+        frozen = {"row_count": len(values), "incremental": True, "columns": [[
+            "c", dict.fromkeys(
+                ["distinct", "observed_length", "observed_rows", "observed_cols",
+                 "length_set", "shape_set", "placed"]
+            ) | {"value_set": blob},
+        ]]}
+        try:
+            with validating(""):
+                stats = _thaw_stats(frozen, Schema([("c", kind)]))
+        except SnapshotCorruptError:
+            stats = None
+        except ReproError as exc:
+            assert form == "cut" and "this version reads only" in str(exc)
+            stats = None
+        admits = _ADMITS[kind][0]
+        if form == "typed":  # a typed column is judged by its dtype
+            values = [np.zeros(1, dtype).tolist()[0], *values]
+        if form in ("rows", "typed") and all(v is None or admits(v) for v in values):
+            assert stats is not None
+        if stats is not None:  # one column of values the type admits
+            decoded = decode_columns(blob)
+            cells = decoded[0].pylist() if decoded else []
+            assert len(decoded) <= 1 and all(v is None or admits(v) for v in cells)
+            assert stats.distinct("c") == _fresh_count(kind, cells)

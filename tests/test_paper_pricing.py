@@ -10,13 +10,14 @@ price of a run over its data's statistics is the run's simulated
 seconds, bit for bit.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.figures import figure, figure4
 from repro.bench.paperdata import DIMENSIONS
 from repro.bench.simsql import COMPILE_S, STYLES, SimSQLPlatform, operators, price
 from repro.bench.workloads import PAPER_BLOCK_SIZE, Shape, generate
-from repro.catalog.statistics import ColumnStats
+from repro.catalog.statistics import ColumnStats, TypedDistinct
 from repro.config import PAPER_CLUSTER, TEST_CLUSTER
 from repro.engine import count_job_boundaries
 from repro.engine.executor import busiest_share
@@ -30,8 +31,9 @@ def _price(computation, style, n, d, config=PAPER_CLUSTER):
     return price(computation, style, Shape(n, d), config, PAPER_BLOCK_SIZE)
 
 
-def _share(values, config=PAPER_CLUSTER):
-    return busiest_share(ColumnStats(value_set=set(values)), config)
+def _share(blocks: range, config=PAPER_CLUSTER):
+    known = TypedDistinct(np.arange(blocks.start, blocks.stop))
+    return busiest_share(ColumnStats(values=known), config)
 
 
 @pytest.fixture(scope="module")

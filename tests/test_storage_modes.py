@@ -733,8 +733,8 @@ def _exact_table(db, name):
     storage = entry.storage
     value_sets = {
         column: None
-        if stats.value_set is None
-        else sorted(repr(_exact(value)) for value in stats.value_set)
+        if stats.values is None
+        else sorted(repr(_exact(value)) for value in stats.values)
         for column, stats in entry.stats.columns.items()
     }
     return (
