@@ -32,6 +32,7 @@ from .errors import (
     SimulatedCrashError,
     SnapshotCorruptError,
     SqlSyntaxError,
+    StatementTooLargeError,
     TransientClusterError,
     TypeCheckError,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "ServiceOverloadedError",
     "SessionClosedError",
     "SqlSyntaxError",
+    "StatementTooLargeError",
     "TEST_CLUSTER",
     "TransientClusterError",
     "TypeCheckError",

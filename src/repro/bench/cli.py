@@ -73,7 +73,7 @@ BENCHES = {
     "exec": (
         _bench("execbench", "run_exec_bench", "format_exec", "repeats"),
         "modes diverged or batch lost its lead",
-        None,
+        "BENCH_exec.json",
     ),
     "faults": (
         _bench("faultbench", "run_fault_bench", "format_faults", "seed"),

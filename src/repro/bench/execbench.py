@@ -24,8 +24,8 @@ is there for its "80 vs 4" ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import asdict, dataclass
+from typing import Dict, List
 
 from ..config import PAPER_CLUSTER, ClusterConfig, TEST_CLUSTER
 from .harness import digest, run_case
@@ -120,6 +120,23 @@ class ExecReport:
         """The --check criterion: identical results and simulated
         metrics in both modes, and the batch path keeping its lead."""
         return self.all_match and self.geomean_speedup >= MIN_GEOMEAN_SPEEDUP
+
+    def to_json(self) -> Dict[str, object]:
+        """The snapshot (``BENCH_exec.json``): every case's timings with
+        its speedup and its "80 vs 4" ratio, the gated geomean and the
+        equivalence verdict."""
+        return {
+            "cases": [
+                {
+                    **asdict(case),
+                    "speedup": case.speedup,
+                    "slots80_vs_slots4": case.slots80_vs_slots4,
+                }
+                for case in self.cases
+            ],
+            "geomean_speedup": self.geomean_speedup,
+            "all_match": self.all_match,
+        }
 
 
 def run_exec_bench(

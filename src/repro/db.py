@@ -37,8 +37,6 @@ from .catalog import (
     TableEntry,
     append_stats,
     collect_stats,
-    join_fingerprint,
-    predicate_fingerprint,
 )
 from .catalog.statistics import estimate_needs_feedback
 from .config import ClusterConfig
@@ -46,7 +44,6 @@ from .engine import Cluster, Executor, PartitionedTable, QueryMetrics
 from .errors import CompileError, ExecutionError, SnapshotCorruptError, TypeCheckError
 from .plan import Binder, CostModel, Optimizer, PhysicalPlanner
 from .plan.logical import OutputColumn, ViewScanNode
-from .plan.physical import PFilter, PHashJoin, PNestedLoopJoin, PScan, PViewScan
 from .plan_cache import CachedPlan, PlanCache, PlanCacheKey, param_signature
 from .sql import ast, parse_keyed, parse_keyed_script, parse_statement
 from .storage import StorageEngine
@@ -894,108 +891,72 @@ class Database:
         with self._admission.shared(), _ieee():
             executor = self._executor.fresh()
             rows, metrics = executor.run(plan.physical)
-            if metrics.trace is not None and self.config.feedback_mode == "on":
-                self._absorb_feedback(metrics.trace, plan.physical)
+            if self.config.feedback_mode == "on":
+                self._absorb_feedback(metrics.records)
             catalog = self.catalog
             stamps = tuple(
                 (name, catalog.stamp(name), catalog.statistics_stamp(name))
                 for name, _ in plan.stamps
             )
         metrics.plan_cached = cached
-        metrics.view_hits = self._count_view_scans(plan.physical)
+        metrics.view_hits = metrics.records.facts.view_scans
         metrics.view_misses = getattr(plan.logical, "view_misses", 0)
         columns = [column.name for column in plan.logical.columns]
         return Result(columns, rows, metrics, stamps)
 
-    @staticmethod
-    def _count_view_scans(physical) -> int:
-        count = 0
-        stack = [physical]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, PViewScan):
-                count += 1
-            stack.extend(node.children())
-        return count
-
-    def _absorb_feedback(self, trace, node) -> None:
+    def _absorb_feedback(self, records) -> None:
         """Fold one statement's observed cardinalities back into the
         feedback statistics (the closed loop of docs/ENGINE.md,
-        "Adaptive optimization"). Only materially wrong estimates are
-        recorded — estimates within the q-error threshold teach the
-        model nothing it doesn't already know — and operators the
-        executor skipped (the LIMIT 0 short-circuit) report zeros that
-        are not measurements, so they never become phantom actuals."""
-        if trace.executed and trace.est_rows is not None:
-            actual = float(trace.rows_out)
-            if isinstance(node, PScan):
+        "Adaptive optimization"): at each plan position that carries a
+        rule (``PlanFacts.rules``), read off the run's ``records``. Only
+        materially wrong estimates are recorded — estimates within the
+        q-error threshold teach the model nothing it doesn't already
+        know — and operators the executor skipped (the LIMIT 0
+        short-circuit) have no record, so they never become phantom
+        actuals."""
+        nodes = records.facts.nodes
+        for at, kind, key in records.facts.rules:
+            own, (_, _, (est_rows, *_), children) = records.op(at), nodes[at]
+            if own is None or est_rows is None:
+                continue
+            actual = float(own.rows_out)
+            if kind == "scan":
                 # a pruned scan's output reflects the predicate's
                 # segment elimination, not the table's cardinality
-                if trace.segments_pruned == 0 and estimate_needs_feedback(
-                    trace.est_rows, actual
+                if own.segments_pruned == 0 and estimate_needs_feedback(
+                    est_rows, actual
                 ):
-                    self.feedback.record_scan_rows(node.table.name, actual)
-            elif isinstance(node, PFilter):
+                    self.feedback.record_scan_rows(key, actual)
+            elif kind == "filter":
                 # blame assignment: judge the filter by its *own*
-                # selectivity estimate applied to the actual input, not
-                # by its row q-error — a child's misestimate (e.g. an
-                # unlearnable parameterized predicate below) inflates
-                # the row error without this filter being wrong
-                estimated_selectivity = self._estimated_selectivity(trace)
-                if trace.rows_in > 0 and estimated_selectivity is not None:
-                    predicted = estimated_selectivity * float(trace.rows_in)
+                # selectivity estimate (own estimated rows over the
+                # child's) applied to the actual input, not by its row
+                # q-error — a child's misestimate (e.g. an unlearnable
+                # parameterized predicate below) inflates the row error
+                # without this filter being wrong
+                child_est = nodes[children[0]][2][0]
+                if own.rows_in > 0 and child_est is not None and child_est > 0:
+                    predicted = est_rows / child_est * float(own.rows_in)
                     if estimate_needs_feedback(predicted, actual):
-                        scope = (
-                            node.child.table.name
-                            if isinstance(node.child, PScan)
-                            else ""
+                        self.feedback.record_selectivity(
+                            key, actual / float(own.rows_in)
                         )
-                        fingerprint = predicate_fingerprint(
-                            node.predicate, scope
-                        )
-                        if fingerprint is not None:
-                            self.feedback.record_selectivity(
-                                fingerprint, actual / float(trace.rows_in)
-                            )
-            elif isinstance(node, (PHashJoin, PNestedLoopJoin)):
-                # input cardinalities come from the child traces; their
-                # product commutes, so probe/build orientation (which
-                # the planner may flip run to run) cannot skew it
+            else:
+                # a join: input cardinalities are its children's; their
+                # product commutes, so probe/build orientation (which the
+                # planner may flip run to run) cannot skew it
                 inputs = 1.0
                 estimated_inputs = 1.0
-                for child_trace in trace.children:
-                    inputs *= float(child_trace.rows_out)
-                    estimated_inputs *= float(child_trace.est_rows or 0.0)
+                for child in children:
+                    ran = records.op(child)
+                    inputs *= float(0 if ran is None else ran.rows_out)
+                    estimated_inputs *= float(nodes[child][2][0] or 0.0)
                 if inputs > 0 and estimated_inputs > 0:
                     # same blame assignment as filters: compare the
                     # join's selectivity estimate on the actual inputs
-                    predicted = (
-                        trace.est_rows / estimated_inputs
-                    ) * inputs
+                    predicted = (est_rows / estimated_inputs) * inputs
                     if estimate_needs_feedback(predicted, actual):
-                        pairs = (
-                            list(zip(node.probe_keys, node.build_keys))
-                            if isinstance(node, PHashJoin)
-                            else []
-                        )
-                        fingerprint = join_fingerprint(pairs, node.residual)
-                        if fingerprint is not None:
-                            self.feedback.record_join_selectivity(
-                                fingerprint, actual / inputs
-                            )
-        for child_trace, child_node in zip(trace.children, node.children()):
-            self._absorb_feedback(child_trace, child_node)
-
-    @staticmethod
-    def _estimated_selectivity(trace) -> Optional[float]:
-        """The selectivity this operator's estimate implied, from the
-        annotated trace: own estimated rows over the child's."""
-        if not trace.children:
-            return None
-        child_est = trace.children[0].est_rows
-        if child_est is None or child_est <= 0 or trace.est_rows is None:
-            return None
-        return trace.est_rows / child_est
+                        self.feedback.record_join_selectivity(key, actual / inputs)
 
     def _run_select(
         self,

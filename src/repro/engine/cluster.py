@@ -125,15 +125,21 @@ def row_bytes(row) -> float:
     return ROW_OVERHEAD_BYTES + sum(value_bytes(value) for value in row)
 
 
+_WORDS = (np.dtype(np.float64), np.dtype(np.int64))
+_BOOL = np.dtype(np.bool_)
+
+
 def cell_bytes(column) -> Optional[float]:
     """``value_bytes`` of every non-NULL value of a ``ColumnData`` whose
-    physical form fixes it; None for an object column."""
-    if column.is_numeric:
+    physical form fixes it, read off its array; None for an object column."""
+    data = column.data
+    dtype = data.dtype
+    if data.ndim == 1 and dtype in _WORDS:
         return 8.0
-    if column.is_bool:
+    if dtype == _BOOL:
         return 1.0
-    if column.is_block:
-        return 8.0 * column.cell_elements + 8.0
+    if data.ndim > 1:
+        return 8.0 * math.prod(data.shape[1:]) + 8.0
     return None
 
 
@@ -247,20 +253,41 @@ class OperatorRun(OperatorMetrics):
         )
 
     def charge_eval(self, slot: int, tuples: float, cost) -> None:
-        """Charge one partition's worth of tuples plus the measured
-        expression-evaluation work (an EvalCost); each built-in function
-        call costs one extra tuple overhead, like a UDF invocation."""
-        self.charge_cpu(
-            slot,
-            tuples=tuples + cost.calls,
-            flops=cost.flops,
-            blas1_flops=cost.blas1_flops,
-            stream_bytes=cost.stream_bytes,
-        )
+        """:meth:`charge_ledger` of one slot and a plain EvalCost."""
+        self.charge_ledger([tuples], cost, [slot])
+
+    def charge_ledger(self, tuples, cost=None, slots=None) -> None:
+        """Charge every slot in turn: slot ``slots[i]`` (by default ``i``)
+        its ``tuples[i]`` plus entry ``i`` of the ledger ``cost`` (an
+        ``EvalCost``, each field read once by ``entries``); a built-in
+        function call costs one extra tuple, like a UDF invocation. With
+        no ``cost`` the work terms would add +0.0 to the non-negative
+        tuple term, so only that term is added."""
+        seconds, wrap, config = self.slot_seconds, self._slots, self._config
+        tuple_s = config.tuple_cpu_s
+        slots = slots or range(len(tuples))
+        if cost is None:
+            for slot, n in zip(slots, tuples):
+                seconds[slot % wrap] += n * tuple_s
+            return
+        flop_rate, blas1_rate = config.flop_rate, config.blas1_rate
+        stream_rate = config.stream_rate
+        flops, blas1, stream, calls = cost.entries()
+        for slot, n, f, b, m, k in zip(slots, tuples, flops, blas1, stream, calls):
+            seconds[slot % wrap] += (
+                (n + k) * tuple_s + f / flop_rate + b / blas1_rate + m / stream_rate
+            )
 
     def charge_disk(self, slot: int, scan_bytes: float) -> None:
         # ``disk_seconds``, the rate read once
         self.slot_seconds[slot % self._slots] += scan_bytes / self._disk_rate
+
+    def charge_disks(self, nbytes) -> None:
+        """:meth:`charge_disk` of every slot in turn, slot ``s`` moving
+        ``nbytes[s]``."""
+        seconds, wrap, rate = self.slot_seconds, self._slots, self._disk_rate
+        for slot, moved in enumerate(nbytes):
+            seconds[slot % wrap] += moved / rate
 
     def charge_network(self, transfer_bytes: float) -> None:
         self.network_bytes += transfer_bytes
@@ -276,19 +303,23 @@ class OperatorRun(OperatorMetrics):
         budget = self._config.effective_buffer_pool_bytes
         return state_bytes > 0.0 and state_bytes > budget
 
-    def charge_state(self, slot: int, state_bytes: float) -> bool:
-        """Note one slot's operator state; over the budget it spills — a
-        write plus a reload at disk rate, counted — and this returns True.
-        The decision and the charge are pure byte accounting, identical
-        in both storage modes (disk mode additionally round-trips the
-        state through a physical spill file)."""
-        self.note_peak(state_bytes)
-        if not self.spills(state_bytes):
-            return False
-        self.charge_disk(slot, 2.0 * state_bytes)
-        self.spill_bytes += state_bytes
-        self.spill_events += 1
-        return True
+    def charge_states(self, state_bytes) -> List[int]:
+        """Note each slot's operator state (``state_bytes[s]``); a state
+        over the budget spills — a write plus a reload at disk rate,
+        counted — and the slots that spilled are returned, after one test
+        of the largest. The decision and the charge are pure byte
+        accounting, identical in both storage modes (disk mode also
+        round-trips the state through a physical spill file)."""
+        peak = max(state_bytes, default=0.0)
+        self.note_peak(peak)
+        if not self.spills(peak):
+            return []
+        spilled = [slot for slot, nbytes in enumerate(state_bytes) if self.spills(nbytes)]
+        for slot in spilled:
+            self.charge_disk(slot, 2.0 * state_bytes[slot])
+            self.spill_bytes += state_bytes[slot]
+            self.spill_events += 1
+        return spilled
 
     # -- results -----------------------------------------------------------
 
@@ -414,6 +445,8 @@ class Cluster:
         relation (``Executor._held``), the paper-scale pricer the
         estimate of it (``est_held_bytes``): one rule."""
         limit = self.config.memory_per_slot
+        if max(held, default=0.0) <= limit:
+            return
         for slot, used in enumerate(held):
             if used > limit:
                 raise ResourceExhaustedError(

@@ -43,11 +43,13 @@ per-statement coordinates, never thread identity or real time.
 from __future__ import annotations
 
 import threading
+from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..catalog.statistics import join_fingerprint, predicate_fingerprint
 from ..errors import (
     ExecutionError,
     FaultRecoveryExhaustedError,
@@ -81,7 +83,7 @@ from .cluster import (
     top_k_comparisons,
 )
 from .keys import stable_argsort, stable_order, top_order
-from .metrics import OperatorMetrics, OperatorTrace, QueryMetrics
+from .metrics import OperatorMetrics, PlanRecords, QueryMetrics
 from .storage import (
     BROADCAST,
     ROUND_ROBIN,
@@ -138,32 +140,76 @@ def count_job_boundaries(node: PhysicalNode) -> int:
     return count
 
 
+def _estimates(node: PhysicalNode) -> tuple:
+    return (node.est_rows, node.est_width_bytes, node.est_bytes, node.est_seconds)
+
+
 class PlanFacts:
     """What a run reads of a physical plan that its compile fixed: its
-    job count, and each operator's pre-order position, name and
-    estimates. The plan cache derives them once per entry it builds or
-    renews (``CachedPlan``) and keeps them on the plan's root as
-    ``facts`` (a copied root does not take its original's), so a warm
+    job count, each operator's pre-order position, name and estimates,
+    what cardinality feedback learns at each position and the count of
+    view scans. The plan cache derives them once per entry it builds or
+    renews (``CachedPlan``; a renewed copy shares its original's names
+    and rules) and keeps them on the plan's root as ``facts`` (a copied
+    root does not take its original's), so a warm
     run formats no ``describe()`` and walks no tree for them; a plan
     lowered outside the cache derives them per run. They name nodes by
     ``id`` and hold none, so a root and its facts make no reference
     cycle: a plan the cache replaces is freed at once."""
 
-    def __init__(self, root: PhysicalNode):
+    def __init__(self, root: PhysicalNode, like: Optional["PlanFacts"] = None):
         #: pre-order ``(node id, name, estimates, child positions)``
         self.nodes: List[tuple] = []
+        if like is not None:
+            # ``root`` copies ``like``'s plan (``plan_cache._copied``): only
+            # ids and estimates (priced again or not) are its own
+            self.rules, self.view_scans, self.jobs = like.rules, like.view_scans, like.jobs
+            stack = [root]
+            for _, name, _, children in like.nodes:
+                node = stack.pop()
+                stack.extend(reversed(node.children()))
+                self.nodes.append((id(node), name, _estimates(node), children))
+            self.position = {node: at for at, (node, *_) in enumerate(self.nodes)}
+            return
+        #: pre-order ``(position, kind, key)`` of every operator feedback
+        #: learns from (``Database._absorb_feedback``): a scan's table, a
+        #: filter's or a join's fingerprint — none of a parameterized one
+        self.rules: List[tuple] = []
+        self.view_scans = 0
 
         def visit(node) -> int:
             at = len(self.nodes)
             self.nodes.append(None)
-            estimates = (node.est_rows, node.est_width_bytes, node.est_bytes, node.est_seconds)
+            self._rule(at, node)
             children = tuple(visit(child) for child in node.children())
-            self.nodes[at] = (id(node), node.describe(), estimates, children)
+            self.nodes[at] = (id(node), node.describe(), _estimates(node), children)
             return at
 
         visit(root)
         self.jobs = max(1, count_job_boundaries(root))
         self.position = {node: at for at, (node, *_) in enumerate(self.nodes)}
+
+    def _rule(self, at: int, node: PhysicalNode) -> None:
+        if isinstance(node, PViewScan):
+            self.view_scans += 1
+        if isinstance(node, PScan):
+            self.rules.append((at, "scan", node.table.name))
+            return
+        if isinstance(node, PFilter):
+            scope = node.child.table.name if isinstance(node.child, PScan) else ""
+            kind, key = "filter", predicate_fingerprint(node.predicate, scope)
+        elif isinstance(node, (PHashJoin, PNestedLoopJoin)):
+            # the probe/build orientation may flip run to run: the
+            # fingerprint is orientation-insensitive
+            pairs = (
+                list(zip(node.probe_keys, node.build_keys))
+                if isinstance(node, PHashJoin) else []
+            )
+            kind, key = "join", join_fingerprint(pairs, node.residual)
+        else:
+            return
+        if key is not None:
+            self.rules.append((at, kind, key))
 
     @classmethod
     def of(cls, plan: PhysicalNode) -> "PlanFacts":
@@ -290,10 +336,11 @@ class Executor:
         #: simulated checkpoints of job-boundary exchange outputs,
         #: evicted when the query completes
         self.checkpoints = CheckpointStore()
-        #: the running plan's facts, and by pre-order position what each
-        #: operator that ran left for the trace: (record, retries, faults)
-        self._facts: Optional[PlanFacts] = None
-        self._ran: Dict[int, tuple] = {}
+        #: each executed node's bytes held per slot (``_held``), by position
+        self._holding: Dict[int, list] = {}
+        #: the running plan's facts, and what each operator that ran left
+        self.facts: Optional[PlanFacts] = None
+        self._records: Optional[PlanRecords] = None
 
     def fresh(self) -> "Executor":
         """A new executor sharing this one's cluster, mode, storage and
@@ -318,45 +365,22 @@ class Executor:
         The cluster's running metrics are reset first."""
         self.cluster.reset_metrics()
         self._materialized.clear()
-        self._ran.clear()
-        self._facts = facts = PlanFacts.of(plan)
+        self._holding.clear()
+        self.facts = facts = PlanFacts.of(plan)
+        self._records = records = PlanRecords(facts)
         try:
             for _ in range(facts.jobs):
                 self.cluster.record_job()
             relation = self.execute(plan)
-            # its records hold every fault rewrite of their timings by now
-            trace = self._build_trace(facts)
             metrics = self.cluster.reset_metrics()
-            metrics.trace = trace
+            metrics.records = records
             return relation.all_rows(), metrics
         finally:
             # the query is over (either way): drop lineage memos and
             # evict this query's checkpointed exchange outputs
             self._materialized.clear()
+            self._holding.clear()
             self.checkpoints.clear()
-
-    def _build_trace(self, facts: PlanFacts) -> OperatorTrace:
-        """The OperatorTrace tree mirroring the plan's shape, built
-        bottom up: each node's name, position and estimates from the
-        plan's facts, its measured actuals from its operator's record. A
-        node with no record was skipped entirely (the LIMIT 0
-        short-circuit never executes its child subtree): its zeros are
-        not measurements, so q_error stays undefined and cardinality
-        feedback ignores it."""
-        traces: List[Optional[OperatorTrace]] = [None] * len(facts.nodes)
-        for at in reversed(range(len(facts.nodes))):
-            node, name, estimates, children = facts.nodes[at]
-            relation = self._materialized.get(node)
-            own, retries, faults = self._ran.get(at, (None, 0, 0))
-            ran = relation is not None
-            # positional, in field order: name, op_index, bytes_out,
-            # retries, fault_count, executed, children, estimates, op
-            traces[at] = OperatorTrace(
-                name, at if ran else 0, sum(relation.partition_totals()) if ran else 0.0,
-                retries, faults, own is not None, [traces[child] for child in children],
-                *estimates, own,
-            )
-        return traces[0]
 
     # -- dispatch ------------------------------------------------------------
 
@@ -367,46 +391,52 @@ class Executor:
         handler = self._handlers.get(type(node))
         if handler is None:
             raise ExecutionError(f"no executor for {type(node).__name__}")
-        op_index = self._facts.position[id(node)]
+        op_index = self.facts.position[id(node)]
         try:
             relation, own, retries, faults = self._run_operator(
                 node, handler, op_index
             )
-            held = self._held(node) if node.pipelined else relation.partition_totals()
-            self.cluster.check_memory(self._facts.nodes[op_index][1], held)
+            totals = relation.partition_totals()
+            self.cluster.check_memory(
+                self.facts.nodes[op_index][1], self._held(node, op_index, totals)
+            )
         except ExecutionError as exc:
             # annotate with the operator the failure surfaced in; inner
             # frames win (the first annotation sticks), and the original
             # cause chain stays intact — no string concatenation
             if exc.operator is None:
-                exc.operator = self._facts.nodes[op_index][1]
+                exc.operator = self.facts.nodes[op_index][1]
                 exc.plan_position = op_index
             raise
         self._materialized[id(node)] = relation
-        self._ran[op_index] = (own, retries, faults)
+        self._records.ran[op_index] = (own, retries, faults, totals)
         if own is not None:
             # the materialized output is part of the operator's working
             # set; state extras — build sides, hash tables, staging —
             # were already noted by the handler via OperatorRun.note_peak
-            peak = max(relation.partition_totals(), default=0.0)
+            peak = max(totals, default=0.0)
             if peak > own.peak_memory_bytes:
                 own.peak_memory_bytes = peak
         return relation
 
-    def _held(self, node: PhysicalNode) -> list:
-        """Each slot's bytes held in memory while ``node`` runs: its output
-        partition — except for a pipelined operator (Filter, Project and
-        the joins), whose rows stream to their consumer: a slot then holds
-        what its inputs hold, a join's probe rows beside its build side.
-        So a join's pairs are never counted (nor built, for a pair stage);
-        the state they are folded into is (``CostModel.price_physical``
-        estimates the same, ``est_held_bytes``)."""
-        if not node.pipelined:
-            return self._materialized[id(node)].partition_totals()
-        inputs = [self._held(child) for child in node.children()]
-        if len(inputs) == 1:
-            return inputs[0]
-        return [probe + build for probe, build in zip(*inputs)]
+    def _held(self, node: PhysicalNode, at: int, totals: list) -> list:
+        """Each slot's bytes held in memory while ``node`` (at plan position
+        ``at``) runs: its output partition (``totals``) — except for a
+        pipelined operator (Filter, Project and the joins), whose rows
+        stream to their consumer: a slot then holds what its inputs hold,
+        a join's probe rows beside its build side. So a join's pairs are
+        never counted (nor built, for a pair stage); the state they are
+        folded into is (``CostModel.price_physical`` estimates the same,
+        ``est_held_bytes``). Kept by position for the ancestors to read."""
+        holding = self._holding
+        if node.pipelined:
+            inputs = [holding[child] for child in self.facts.nodes[at][3]]
+            totals = (
+                inputs[0] if len(inputs) == 1
+                else [probe + build for probe, build in zip(*inputs)]
+            )
+        holding[at] = totals
+        return totals
 
     def _run_operator(
         self, node, handler, op_index: int
@@ -593,15 +623,14 @@ class Executor:
 
     # -- helpers ------------------------------------------------------------
 
-    def _spill_state(self, run, slot: int, nbytes: float) -> bool:
-        """Check one slot's operator state against the working-memory
-        budget; over-budget state is charged as a spill (write plus
-        reload at disk rate). The decision and the charge are pure byte
-        accounting, identical across storage and execution modes.
-        Returns True when the state spilled."""
-        spilled = run.charge_state(slot, nbytes)
-        if spilled and self.storage is not None:
-            self.storage.note_spill(nbytes)
+    def _spill_states(self, run, state_bytes) -> List[int]:
+        """:meth:`OperatorRun.charge_states` (the slots whose state
+        spilled, each charged its write plus reload), each spill noted by
+        the storage engine too."""
+        spilled = run.charge_states(state_bytes)
+        if self.storage is not None:
+            for slot in spilled:
+                self.storage.note_spill(state_bytes[slot])
         return spilled
 
     def _spill_roundtrip(self, chunk):
@@ -634,12 +663,6 @@ class Executor:
         stage = (chunk, offsets)
         return DistributedRelation(column_ids, partitioning, stage, slots=self.slots)
 
-    @staticmethod
-    def _charge_slots(run, tuples, cost) -> None:
-        """Charge each slot, in order, its ``tuples`` and its ``cost``."""
-        for slot, (count, slot_cost) in enumerate(zip(tuples, cost.split())):
-            run.charge_eval(slot, count, slot_cost)
-
     # =======================================================================
     # operators
     #
@@ -650,7 +673,10 @@ class Executor:
     # stage, and charges each slot — from a per-slot ledger (``EvalCost``
     # over the stage's offsets) where it evaluates expressions — with the
     # arguments, in the order, a loop over the slots' own partitions
-    # would. Sort and Top-K order each slot's slice on its own (a NaN or
+    # would, by one ``OperatorRun`` call per kind of charge: a slot's
+    # charges keep their order (eval before disk, spill before eval, as
+    # the per-partition loop interleaves them), and byte totals add up
+    # slot by slot. Sort and Top-K order each slot's slice on its own (a NaN or
     # object key makes the comparison chain depend on the rows it sees)
     # and apply every slot's order with one ``take``. Both execution
     # modes run these same handlers, so the charge sequence cannot differ
@@ -683,10 +709,10 @@ class Executor:
         run.pool_hits, run.pool_misses = outcomes.count("hit"), outcomes.count("miss")
         offsets = slot_offsets(counts)
         relation = self._staged(column_ids, chunk, offsets, node.partitioning)
-        for slot, scanned in enumerate(relation.partition_totals()):
-            run.charge_disk(slot, scanned)
-            run.charge_cpu(slot, tuples=counts[slot])
-            run.bytes_out += scanned
+        scanned = relation.partition_totals()
+        run.charge_disks(scanned)
+        run.charge_ledger(counts)
+        run.bytes_out = reduce(add, scanned, run.bytes_out)
         run.rows_in = run.rows_out = sum(counts)
         self.cluster.record(run)
         return relation
@@ -715,7 +741,7 @@ class Executor:
         cost = EvalCost(offsets)
         keep = chunk.keep(node.predicate, cost)
         kept = slot_offsets(slot_sums(offsets, keep))
-        self._charge_slots(run, slot_counts(offsets), cost)
+        run.charge_ledger(slot_counts(offsets), cost)
         run.rows_in, run.rows_out = int(offsets[-1]), int(kept[-1])
         self.cluster.record(run)
         return self._staged(
@@ -741,10 +767,12 @@ class Executor:
             cost = EvalCost(offsets)
             out = chunk.project(column_ids, node.exprs, cost)
             relation = self._staged(column_ids, out, offsets, node.partitioning)
-        counts, totals = slot_counts(offsets), relation.partition_totals()
-        for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
-            run.charge_eval(slot, count, slot_cost)
-            run.bytes_out += totals[slot]
+        counts = slot_counts(offsets)
+        run.charge_ledger(counts, cost)
+        # a broadcast output's one copy counts once
+        run.bytes_out = reduce(
+            add, relation.partition_totals()[: len(counts)], run.bytes_out
+        )
         run.rows_in = run.rows_out = int(offsets[-1])
         self.cluster.record(run)
         return relation
@@ -758,31 +786,33 @@ class Executor:
         column_ids = child.column_ids
         config = self.cluster.config
         chunk, offsets = child.stage
-        counts, totals = slot_counts(offsets), child.partition_totals()
+        counts = slot_counts(offsets)
+        # each source slot's bytes (a broadcast child: its one copy)
+        moved = child.partition_totals()[: len(counts)]
 
         if node.kind == "broadcast":
             total = chunk.total_bytes()
             run.charge_network(total * config.machines)
-            for machine in range(config.machines):
-                run.charge_cpu(machine * config.cores_per_machine, tuples=len(chunk))
+            # the first slot of every machine
+            run.charge_ledger(
+                [len(chunk)] * config.machines,
+                slots=range(0, config.slots, config.cores_per_machine),
+            )
             run.rows_in = run.rows_out = len(chunk)
             run.bytes_out = total * config.machines
             self.cluster.record(run)
             return self._staged(column_ids, chunk, None, BROADCAST)
 
         if node.kind == "gather":
-            gathered = 0.0
-            for slot, count in enumerate(counts):
-                moved = totals[slot]
-                run.charge_cpu(slot, tuples=count)
-                run.charge_disk(slot, moved)  # map output spill
-                run.charge_network(moved)
-                gathered += moved
-                run.rows_in += count
+            run.charge_ledger(counts)
+            run.charge_disks(moved)  # map output spill
+            run.network_bytes = reduce(add, moved, run.network_bytes)
+            gathered = reduce(add, moved, 0.0)
+            run.rows_in = int(offsets[-1])
             # gather staging on the reducer is exchange state: when the
             # collected partition exceeds the budget it spills before
             # the reduce-side read
-            if self._spill_state(run, 0, gathered):
+            if self._spill_states(run, [gathered]):
                 chunk = self._spill_roundtrip(chunk)
             # the single reducer owns the whole machine's disk bandwidth
             run.charge_disk(0, gathered / config.cores_per_machine)
@@ -804,10 +834,9 @@ class Executor:
         # receives them in.
         cost = EvalCost(offsets)
         grouping = chunk.keys(node.keys, cost).grouping(by_slot=False)
-        for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
-            run.charge_eval(slot, count, slot_cost)
-            run.charge_disk(slot, totals[slot])  # map output spill
-            run.charge_network(totals[slot])
+        run.charge_ledger(counts, cost)
+        run.charge_disks(moved)  # map output spill
+        run.network_bytes = reduce(add, moved, run.network_bytes)
         targets = placement(grouping.keys, self.slots, config.balanced_placement)
         row_targets = targets[grouping.codes]
         order = stable_argsort(row_targets)
@@ -816,14 +845,12 @@ class Executor:
         relation = self._staged(
             column_ids, chunk.take(order), received_at, node.partitioning
         )
-        spilled = []
-        for slot, nbytes in enumerate(relation.partition_totals()):
-            # reduce-side staging above the budget spills before the read
-            if self._spill_state(run, slot, nbytes):
-                spilled.append(slot)
-            run.charge_disk(slot, nbytes)  # reduce-side read
-            run.charge_cpu(slot, tuples=int(received[slot]))
-            run.bytes_out += nbytes
+        staged = relation.partition_totals()
+        # reduce-side staging above the budget spills before the read
+        spilled = self._spill_states(run, staged)
+        run.charge_disks(staged)  # reduce-side read
+        run.charge_ledger(received.tolist())
+        run.bytes_out = reduce(add, staged, run.bytes_out)
         run.rows_in = run.rows_out = int(offsets[-1])
         self.cluster.record(run)
         # a slot whose rows crossed a spill file takes its own copy back
@@ -842,7 +869,7 @@ class Executor:
         if node.residual is not None and pairs.count:
             keep = pairs.spread(node.residual.column_ids).keep(node.residual, cost)
             pairs = pairs.kept_by(keep)
-        self._charge_slots(run, map(add, tuples, slot_counts(pairs.offsets)), cost)
+        run.charge_ledger(list(map(add, tuples, slot_counts(pairs.offsets))), cost)
         run.rows_out = pairs.count
         self.cluster.record(run)
         return DistributedRelation(pairs.column_ids, node.partitioning, pairs=pairs)
@@ -864,22 +891,19 @@ class Executor:
         # the build side is this join's in-memory state: a slot's build
         # rows above the working-memory budget round-trip a spill file. A
         # broadcast build side is one shared chunk (its stage's one slot),
-        # but a full copy on every slot: each slot charges the key
-        # evaluation and its spill
-        slots = range(len(build_offsets) - 1)
-        spilled = [slot for slot in slots if run.spills(totals[slot])]
-        build = self._spill_slots(build, build_offsets, spilled)
+        # but a full copy on every slot: each slot charges its spill and
+        # the key evaluation (the plain cost of the one copy's keys)
+        spilled = self._spill_states(run, totals)
+        stage_slots = len(build_offsets) - 1
+        build = self._spill_slots(
+            build, build_offsets, [slot for slot in spilled if slot < stage_slots]
+        )
         build_cost = EvalCost(build_offsets)
         # the keys index themselves on first probe: the "hash table"
         build_keys = build.keys(node.build_keys, build_cost)
-        build_costs = build_cost.split()
-        if build_rel.partitioning.kind == "broadcast":
-            build_costs *= self.slots
         build_counts = build_rel.partition_lengths()
-        for slot, (count, cost) in enumerate(zip(build_counts, build_costs)):
-            self._spill_state(run, slot, totals[slot])
-            run.charge_eval(slot, count, cost)
-            run.rows_in += count
+        run.charge_ledger(build_counts, build_cost)
+        run.rows_in = sum(build_counts)
         probe, offsets = probe_rel.stage
         cost = EvalCost(offsets)
         # NULL (and NaN) keys match nothing
@@ -891,10 +915,9 @@ class Executor:
         pairs = IndexPairs(
             column_ids, probe, build, found, pair_offsets, node.probe_is_left
         )
-        return self._joined(
-            run, node, pairs, slot_counts(offsets),
-            EvalCost(pair_offsets).hold(cost.split()),
-        )
+        if cost.offsets is not None:
+            cost.offsets = pair_offsets  # each slot's keys' cost, over its pairs
+        return self._joined(run, node, pairs, slot_counts(offsets), cost)
 
     def _nested_loop_join(self, node: PNestedLoopJoin) -> DistributedRelation:
         """Every slot's probe-major cross product with the broadcast build
@@ -914,14 +937,7 @@ class Executor:
         if isinstance(probe, Batch):
             pairs = PairStage(column_ids, probe, build, offsets)
         else:
-            pairs = IndexPairs(
-                column_ids, probe, build,
-                [
-                    np.repeat(np.arange(len(probe), dtype=np.int64), len(build)),
-                    np.tile(np.arange(len(build), dtype=np.int64), len(probe)),
-                ],
-                offsets * len(build), node.probe_is_left,
-            )
+            pairs = IndexPairs.cross(column_ids, probe, build, offsets, node.probe_is_left)
         tuples = [count * max(len(build), 1) for count in slot_counts(offsets)]
         run.rows_in = len(probe)
         return self._joined(run, node, pairs, tuples, EvalCost(offsets * len(build)))
@@ -964,18 +980,17 @@ class Executor:
             column_ids, [*zip(*keys), *spec_states], len(keys)
         )
         relation = self._staged(column_ids, out, slot_offsets(groups), ROUND_ROBIN)
-        counts, totals = slot_counts(offsets), relation.partition_totals()
-        for slot, (count, slot_cost) in enumerate(zip(counts, cost.split())):
-            # the group hash table is this operator's in-memory state;
-            # above the budget the partition spills. The reload is
-            # simulated in every mode — DISTINCT states are Python sets
-            # whose iteration order would not survive a physical round
-            # trip, and the final fold must stay bit-identical.
-            self._spill_state(run, slot, totals[slot])
-            # hash aggregation costs ~2x a plain per-tuple pass: hash the
-            # key, probe the table, update the state (this is why the
-            # paper's Figure 4 shows aggregation dominating the join)
-            run.charge_eval(slot, 2 * count + groups[slot], slot_cost)
+        # the group hash table is this operator's in-memory state; above
+        # the budget the partition spills. The reload is simulated in
+        # every mode — DISTINCT states are Python sets whose iteration
+        # order would not survive a physical round trip, and the final
+        # fold must stay bit-identical.
+        self._spill_states(run, relation.partition_totals())
+        # hash aggregation costs ~2x a plain per-tuple pass: hash the key,
+        # probe the table, update the state (this is why the paper's
+        # Figure 4 shows aggregation dominating the join)
+        tuples = [2 * count + group for count, group in zip(slot_counts(offsets), groups)]
+        run.charge_ledger(tuples, cost)
         run.rows_in, run.rows_out = int(offsets[-1]), len(out)
         self.cluster.record(run)
         return relation
@@ -998,11 +1013,11 @@ class Executor:
             column_ids, node.aggregates, len(node.group_columns), cost,
             scalar_on_empty=not node.group_columns,
         )
-        groups = slot_sums(merged, first) if len(held) > 1 else [len(out)]
+        groups = slot_sums(merged, first).tolist() if len(held) > 1 else [len(out)]
+        run.charge_ledger([lengths[slot] for slot in held], cost, held)
         counts = [0] * len(lengths)
-        for slot, slot_cost, count in zip(held, cost.split(), groups):
-            run.charge_eval(slot, lengths[slot], slot_cost)
-            counts[slot] = int(count)
+        for slot, count in zip(held, groups):
+            counts[slot] = count
         run.rows_in, run.rows_out = len(chunk), len(out)
         self.cluster.record(run)
         return self._staged(column_ids, out, slot_offsets(counts), node.partitioning)
@@ -1015,9 +1030,11 @@ class Executor:
             f"Distinct({'local' if node.local else 'final'})"
         )
         chunk, offsets = child.stage
-        totals = child.partition_totals()
-        for slot, count in enumerate(slot_counts(offsets)):
-            run.charge_cpu(slot, tuples=count, stream_bytes=totals[slot])
+        counts = slot_counts(offsets)
+        # each slot streams its rows' bytes once
+        streamed = EvalCost()
+        streamed.stream_bytes = np.array(child.partition_totals()[: len(counts)])
+        run.charge_ledger(counts, streamed)
         first = chunk.row_keys(offsets).grouping().first
         run.rows_in, run.rows_out = len(chunk), len(first)
         self.cluster.record(run)
@@ -1096,8 +1113,7 @@ class Executor:
 
         run, relation = self._ordered(node, name, topk_slot)
         # each slot's k survivors are its peak state
-        for nbytes in relation.partition_totals():
-            run.note_peak(nbytes)
+        run.note_peak(max(relation.partition_totals(), default=0.0))
         self.cluster.record(run)
         return relation
 

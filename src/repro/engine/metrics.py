@@ -73,6 +73,17 @@ class OperatorMetrics:
         return self.max_worker_seconds / self.mean_worker_seconds
 
 
+def q_error(est_rows: Optional[float], rows_out: Optional[int]) -> Optional[float]:
+    """``max(est/actual, actual/est)`` of an operator's output rows, both
+    floored at one (>= 1.0; 1.0 is a perfect estimate); None without an
+    estimate, or without ``rows_out`` — an operator that never ran."""
+    if est_rows is None or rows_out is None:
+        return None
+    estimated = max(est_rows, 1.0)
+    actual = max(float(rows_out), 1.0)
+    return max(estimated / actual, actual / estimated)
+
+
 #: what a trace node measured, read from its operator's record
 MEASURED = (
     "rows_in", "rows_out", "wall_seconds", "network_bytes", "skew_ratio",
@@ -147,11 +158,7 @@ class OperatorTrace:
         perfect estimate); None on a plan never priced — and None
         for operators that never executed, whose ``rows_out == 0`` says
         nothing about the estimate's quality."""
-        if self.est_rows is None or not self.executed:
-            return None
-        estimated = max(self.est_rows, 1.0)
-        actual = max(float(self.rows_out), 1.0)
-        return max(estimated / actual, actual / estimated)
+        return q_error(self.est_rows, self.rows_out if self.executed else None)
 
     @property
     def seconds_q_error(self) -> Optional[float]:
@@ -228,6 +235,57 @@ for _name in MEASURED:
     setattr(OperatorTrace, _name, property(attrgetter(f"op.{_name}")))
 
 
+class PlanRecords:
+    """One run of a plan, by the pre-order positions of its facts
+    (``repro.engine.executor.PlanFacts``): what
+    each operator that ran left — its record (``OperatorRun``), retries,
+    fault count and per-slot output bytes. Cardinality feedback and the
+    service's q-error statistics read it as it is; the trace is built
+    from it when first read (``QueryMetrics.trace``), after the run, when
+    the records hold every fault rewrite of their timings."""
+
+    __slots__ = ("facts", "ran")
+
+    def __init__(self, facts):
+        self.facts = facts
+        #: position -> (record, retries, faults, per-slot output bytes)
+        self.ran: Dict[int, tuple] = {}
+
+    def op(self, at: int) -> Optional[OperatorMetrics]:
+        """The record of the operator at ``at``; None if it never ran."""
+        entry = self.ran.get(at)
+        return None if entry is None else entry[0]
+
+    def q_errors(self):
+        """``(name, q-error or None)`` of every operator, pre-order."""
+        for at, (_, name, estimates, _) in enumerate(self.facts.nodes):
+            own = self.op(at)
+            yield name, q_error(estimates[0], None if own is None else own.rows_out)
+
+    def trace(self) -> OperatorTrace:
+        """The OperatorTrace tree mirroring the plan's shape, built
+        bottom up: each node's name, position and estimates from the
+        plan's facts, its measured actuals from its operator's record. A
+        node with no record was skipped entirely (the LIMIT 0
+        short-circuit never executes its child subtree): its zeros are
+        not measurements, so q_error stays undefined and cardinality
+        feedback ignores it."""
+        nodes = self.facts.nodes
+        traces: List[Optional[OperatorTrace]] = [None] * len(nodes)
+        for at in reversed(range(len(nodes))):
+            _, name, estimates, children = nodes[at]
+            entry = self.ran.get(at)
+            own, retries, faults, totals = entry or (None, 0, 0, None)
+            # positional, in field order: name, op_index, bytes_out,
+            # retries, fault_count, executed, children, estimates, op
+            traces[at] = OperatorTrace(
+                name, 0 if entry is None else at, 0.0 if entry is None else sum(totals),
+                retries, faults, own is not None, [traces[child] for child in children],
+                *estimates, own,
+            )
+        return traces[0]
+
+
 @dataclass
 class QueryMetrics:
     """Metrics for one full query execution.
@@ -292,9 +350,22 @@ class QueryMetrics:
     view_delta_rows: int = 0
     view_refreshes: int = 0
     #: per-operator estimate-vs-actual trace tree (EXPLAIN ANALYZE);
-    #: built by the executor for every statement, estimate columns from
-    #: the plan nodes the compile priced
+    #: for an executed statement built from ``records`` when first read,
+    #: estimate columns from the plan nodes the compile priced
     trace: Optional[OperatorTrace] = None
+    #: the executor's per-operator records of the statement's run
+    #: (``repro.engine.executor.PlanRecords``), by plan position
+    records: Optional[object] = field(default=None, repr=False, compare=False)
+
+    def operator_q_errors(self) -> Iterator[Tuple[str, Optional[float]]]:
+        """``(name, q-error or None)`` of every traced operator, pre-order:
+        read off the run's records without building the trace, or off a
+        trace made by hand."""
+        if self.records is not None:
+            return self.records.q_errors()
+        if self.trace is None:
+            return iter(())
+        return ((node.name, node.q_error) for node in self.trace.walk())
 
     @property
     def plan_line(self) -> str:
@@ -463,3 +534,17 @@ class QueryMetrics:
                 f"peak {self.peak_memory_bytes / 1e6:.2f} MB"
             )
         return "\n".join(lines)
+
+
+def _read_trace(metrics: QueryMetrics) -> Optional[OperatorTrace]:
+    if metrics._trace is None and metrics.records is not None:
+        metrics._trace = metrics.records.trace()
+    return metrics._trace
+
+
+def _write_trace(metrics: QueryMetrics, trace: Optional[OperatorTrace]) -> None:
+    metrics._trace = trace
+
+
+# the trace field, read through the records it is built from
+QueryMetrics.trace = property(_read_trace, _write_trace)

@@ -31,8 +31,11 @@ of :mod:`repro.engine.aggregation`, that fits the column form.
 
 from __future__ import annotations
 
+import math
+import os
+import resource
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +50,9 @@ from ..columnar import (
     slice_columns,
     truth,
 )
-from ..errors import ExecutionError
+from ..errors import ExecutionError, StatementTooLargeError
 from ..la.aggregates import SumAggregate
-from ..plan.expressions import ColumnVar, EvalCost, FuncExpr, slot_sums
+from ..plan.expressions import COST_FIELDS, ColumnVar, EvalCost, FuncExpr, slot_sums
 from ..storage.disk import DiskSegment
 from ..storage.segment import MemorySegment, chunk_offsets
 from .aggregation import final_aggregate, fold, fused_sums, tile_extremes
@@ -186,15 +189,26 @@ class RowChunk:
         slot's rows charging a plain cost of the slot's own, as a
         partition of its own would."""
         view, out = RowView((), self.index), []
-        staged = cost is not None and cost.offsets is not None
-        bounds = cost.offsets.tolist() if staged else [0, len(self._rows)]
-        costs = cost.split() if staged else [cost]
-        for start, stop, slot_cost in zip(bounds, bounds[1:], costs):
+        if cost is None or cost.offsets is None:
+            for row in self._rows:
+                view.values = row
+                out.append(fn(view, cost))
+            return out
+        # one plain cost takes each slot's entries of the ledger in turn,
+        # and gives back its totals when the slot's rows are done
+        bounds = cost.offsets.tolist()
+        entries = [list(islice(entry, len(bounds) - 1)) for entry in cost.entries()]
+        plain = EvalCost()
+        for slot, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            for field, entry in zip(COST_FIELDS, entries):
+                setattr(plain, field, entry[slot])
             for row in self._rows[start:stop]:
                 view.values = row
-                out.append(fn(view, slot_cost))
-        if staged:
-            cost.hold(costs)
+                out.append(fn(view, plain))
+            for field, entry in zip(COST_FIELDS, entries):
+                entry[slot] = getattr(plain, field)
+        for field, entry in zip(COST_FIELDS, entries):
+            setattr(cost, field, np.array(entry))
         return out
 
     def values(self, expr, cost) -> list:
@@ -592,6 +606,41 @@ def slot_counts(offsets: np.ndarray) -> List[int]:
     return (offsets[1:] - offsets[:-1]).tolist()
 
 
+def host_memory_bytes() -> float:
+    """What the host lets this process hold: its soft ``RLIMIT_AS`` when
+    finite, else physical memory."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return float(soft)
+    return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+
+
+def allocate(nbytes: float, what: str, build, *args):
+    """``build(*args)``, which allocates about ``nbytes`` for ``what``:
+    refused before it starts past :func:`host_memory_bytes`, and a
+    ``MemoryError`` from it reported as the same refusal — a
+    :class:`~repro.errors.StatementTooLargeError`, never a bare
+    ``MemoryError`` (nor a process the OS kills)."""
+    limit = host_memory_bytes()
+    if nbytes <= limit:
+        try:
+            return build(*args)
+        except MemoryError as exc:
+            cause = exc
+    else:
+        cause = None
+    raise StatementTooLargeError(
+        f"{what} needs {nbytes / 2**30:.2f} GiB; this process may hold "
+        f"{limit / 2**30:.2f} GiB"
+    ) from cause
+
+
+def _row_nbytes(column: ColumnData) -> int:
+    """The bytes one row of ``column`` takes in its arrays."""
+    data = column.data
+    return data.itemsize * math.prod(data.shape[1:]) + (column.nulls is not None)
+
+
 class IndexPairs:
     """A join's output before its rows are built: row ``pairs[0][n]`` of
     the ``probe`` chunk beside row ``pairs[1][n]`` of ``build``, the
@@ -605,11 +654,40 @@ class IndexPairs:
         self.probe_is_left = probe_is_left
         self.count = len(pairs[0])
 
+    @classmethod
+    def cross(cls, column_ids, probe, build, offsets, probe_is_left) -> "IndexPairs":
+        """Every row of ``probe`` (a stage cut at ``offsets``) beside
+        every row of ``build``, probe row major: the row oracle's cross
+        product."""
+        rows, width = len(probe), len(build)
+        pairs = allocate(
+            16.0 * rows * width, "a cross product's pair index",
+            lambda: [
+                np.repeat(np.arange(rows, dtype=np.int64), width),
+                np.tile(np.arange(width, dtype=np.int64), rows),
+            ],
+        )
+        return cls(column_ids, probe, build, pairs, offsets * width, probe_is_left)
+
+    def _joined_bytes(self, only=None) -> float:
+        """About what building the joined rows allocates — of the columns
+        ``only`` names (None: every column). Row chunks build every
+        column, as new tuples."""
+        if isinstance(self.probe, RowChunk):
+            return self.count * (64.0 + 8.0 * len(self.column_ids))
+        return self.count * sum(
+            _row_nbytes(column)
+            for side in (self.probe, self.build)
+            for column_id, column in zip(side.column_ids, side.columns)
+            if only is None or column_id in only
+        )
+
     def spread(self, column_ids):
         """The pairs joined on the columns ``column_ids`` names only (what
         a residual reads)."""
-        return self.probe.join(
-            self.column_ids, self.build, *self.pairs, self.probe_is_left, column_ids
+        return allocate(
+            self._joined_bytes(column_ids), "a join's rows", self.probe.join,
+            self.column_ids, self.build, *self.pairs, self.probe_is_left, column_ids,
         )
 
     def kept_by(self, keep: np.ndarray) -> "IndexPairs":
@@ -622,8 +700,9 @@ class IndexPairs:
 
     def chunk(self):
         """The joined rows, built."""
-        return self.probe.join(
-            self.column_ids, self.build, *self.pairs, self.probe_is_left
+        return allocate(
+            self._joined_bytes(), "a join's rows", self.probe.join,
+            self.column_ids, self.build, *self.pairs, self.probe_is_left,
         )
 
 
@@ -678,10 +757,26 @@ class PairStage:
             return 0, self.probe.col(column_id)
         return 1, self.build.col(column_id)
 
+    def _spread_bytes(self, column_ids) -> float:
+        """What spreading the probe and build columns ``column_ids`` names
+        over every pair allocates (a tile is already spread)."""
+        pairs = len(self.probe) * len(self.build)
+        return pairs * sum(
+            _row_nbytes(column)
+            for side, column in map(self._source, column_ids)
+            if side != 2
+        )
+
     def spread(self, column_ids, row_bytes=None) -> Batch:
         """The columns ``column_ids`` names over every pair, kept or not,
         probe row major: a probe column repeats each row once per build
         row, a build column repeats whole — no pair index is made."""
+        return allocate(
+            self._spread_bytes(column_ids), "a join's pairs", self._spread,
+            column_ids, row_bytes,
+        )
+
+    def _spread(self, column_ids, row_bytes) -> Batch:
         rows, width = len(self.probe), len(self.build)
         columns = []
         for column_id in column_ids:
@@ -734,10 +829,17 @@ class PairStage:
         return sizes
 
     def chunk(self) -> Batch:
-        """The joined rows, built: every column spread over the pairs,
-        the kept ones taken."""
-        sizes = None if self._fixed_bytes() is not None else self._pair_bytes()
-        joined = self.spread(self.column_ids, sizes)
+        """The joined rows, built: every column spread over the pairs
+        (beside each pair's size, unless every row has one), the kept
+        ones taken."""
+        fixed = self._fixed_bytes() is not None
+        need = self._spread_bytes(self.column_ids)
+        need += 0.0 if fixed else 8.0 * len(self.probe) * len(self.build)
+        return allocate(need, "a join's rows", self._built, fixed)
+
+    def _built(self, fixed: bool) -> Batch:
+        sizes = None if fixed else self._pair_bytes()
+        joined = self._spread(self.column_ids, sizes)
         return joined if self.keep is None else joined.filter(self.keep)
 
     def slot_totals(self) -> List[float]:
@@ -915,9 +1017,11 @@ class DistributedRelation:
     def partition_totals(self) -> List[float]:
         """Each slot's partition bytes, in slot order — of a pair stage's
         joined rows without building them."""
-        if self._totals is None and isinstance(self.pairs, PairStage):
+        if self._totals is not None:
+            return self._totals
+        if isinstance(self.pairs, PairStage):
             self._totals = self.pairs.slot_totals()
-        elif self._totals is None:
+        else:
             chunk, offsets = self.stage
             self._totals = chunk.slot_totals(offsets) * self._copies
         return self._totals

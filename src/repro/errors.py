@@ -185,6 +185,16 @@ class ResourceExhaustedError(ExecutionError):
     code = "resource_exhausted"
 
 
+class StatementTooLargeError(ResourceExhaustedError):
+    """The real process, not the simulated cluster, cannot hold what a
+    statement asks for: the bytes an allocation would take exceed what
+    the host lets the process hold (its soft ``RLIMIT_AS`` when finite,
+    else physical memory), checked before allocating — or the allocation
+    failed with a ``MemoryError`` all the same."""
+
+    code = "statement_too_large"
+
+
 class TransientClusterError(ExecutionError):
     """An injected transient fault (network error, crashed slot) that the
     recovery machinery normally retries away; it only escapes to the

@@ -573,7 +573,7 @@ class CostModel:
         run.charge_cpu(0, tuples=rows)
         run.charge_disk(0, nbytes)  # map output spill
         run.charge_network(child.total_bytes)
-        run.charge_state(0, child.total_bytes)
+        run.charge_states([child.total_bytes])
         run.charge_disk(0, child.total_bytes / self.config.cores_per_machine)
         run.charge_cpu(0, tuples=child.rows)
 
@@ -584,7 +584,7 @@ class CostModel:
         run.charge_disk(0, nbytes)  # map output spill
         run.charge_network(child.total_bytes)
         rows, nbytes = self._share(out or replace(child, busiest=0.0), SPREAD)
-        run.charge_state(0, nbytes)
+        run.charge_states([nbytes])
         run.charge_disk(0, nbytes)  # reduce-side read
         run.charge_cpu(0, tuples=rows)
 
@@ -592,7 +592,7 @@ class CostModel:
         """``kinds`` and ``keys``: the probe side's, then the build
         side's; the residual is priced on the output rows."""
         rows, nbytes = self._share(build, kinds[1])
-        run.charge_state(0, nbytes)
+        run.charge_states([nbytes])
         run.charge_eval(0, rows, row_cost(keys[1], rows))
         rows = self._share(probe, kinds[0])[0]
         pairs = self._share(out, kinds[0])[0]
@@ -610,7 +610,7 @@ class CostModel:
         costs about two passes a row plus one a group."""
         rows = self._share(child, kind)[0]
         groups, nbytes = self._share(est, kind)
-        run.charge_state(0, nbytes)
+        run.charge_states([nbytes])
         exprs = [*node.group_exprs, *(spec.arg for spec in node.aggregates)]
         types = child.types
         cost = row_cost(exprs, rows, types=types)

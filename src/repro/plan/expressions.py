@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -141,29 +142,18 @@ class EvalCost:
             amount *= int(np.count_nonzero(rows)) if masked else len(rows)
         setattr(self, field, getattr(self, field) + amount)
 
-    def split(self) -> List["EvalCost"]:
-        """One plain EvalCost per slot, holding that slot's totals (a
-        plain cost is its own one slot)."""
-        if self.offsets is None:
-            return [self]
-        count = len(self.offsets) - 1
-        fields = map(self.__getattribute__, COST_FIELDS)
-        columns = [
-            v.tolist() if isinstance(v, np.ndarray) else [v] * count for v in fields
-        ]
-        out = [EvalCost() for _ in range(count)]
-        for cost, values in zip(out, zip(*columns)):
-            cost.flops, cost.blas1_flops, cost.stream_bytes, cost.calls = values
-        return out
-
-    def hold(self, costs: List["EvalCost"]) -> "EvalCost":
-        """This ledger holding ``costs``, one plain cost per slot (a
-        plain cost: ``costs[0]``) — the inverse of :meth:`split`."""
-        if self.offsets is None:
-            return costs[0]
-        for field in COST_FIELDS:
-            setattr(self, field, np.array([getattr(cost, field) for cost in costs]))
-        return self
+    def entries(self) -> tuple:
+        """Each field, in ``COST_FIELDS`` order, as its entries slot by
+        slot: a per-slot array's ``tolist()``, or its scalar (a plain
+        cost's, or a field never charged) repeated without end. Read in
+        line, not in a loop: every operator's charge reads them."""
+        f, b, s, c = self.flops, self.blas1_flops, self.stream_bytes, self.calls
+        return (
+            f.tolist() if type(f) is np.ndarray else repeat(f),
+            b.tolist() if type(b) is np.ndarray else repeat(b),
+            s.tolist() if type(s) is np.ndarray else repeat(s),
+            c.tolist() if type(c) is np.ndarray else repeat(c),
+        )
 
 
 def row_cost(

@@ -212,6 +212,8 @@ class CachedPlan:
             physical = _copied(physical, tables)
         if moved:
             price(physical)
+        if physical is not self.physical:
+            physical.facts = PlanFacts(physical, like=self.physical.facts)
         renewed = replace(
             self,
             logical=logical,

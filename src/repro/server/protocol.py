@@ -54,6 +54,7 @@ from ..errors import (
     ServiceOverloadedError,
     SessionClosedError,
     SqlSyntaxError,
+    StatementTooLargeError,
 )
 from ..types import LabeledScalar, Matrix, Vector
 
@@ -203,6 +204,7 @@ _STATUS_MAP = (
     (SqlSyntaxError, 400),
     (CompileError, 400),
     (CatalogError, 400),
+    (StatementTooLargeError, 413),
 )
 
 

@@ -127,18 +127,16 @@ class ServiceMetrics:
             stats.cache_hits += int(cache_hit)
             stats.elapsed_seconds += metrics.elapsed_seconds
             stats.queue_seconds += metrics.queue_seconds
-            if metrics.trace is not None:
-                for node in metrics.trace.walk():
-                    self.trace_operators += 1
-                    q_error = node.q_error
-                    if q_error is None:
-                        continue
-                    self.q_error_operators += 1
-                    self.q_error_sum += q_error
-                    self.q_errors.append(q_error)
-                    if q_error > self.worst_q_error:
-                        self.worst_q_error = q_error
-                        self.worst_q_error_operator = node.name
+            for name, q_error in metrics.operator_q_errors():
+                self.trace_operators += 1
+                if q_error is None:
+                    continue
+                self.q_error_operators += 1
+                self.q_error_sum += q_error
+                self.q_errors.append(q_error)
+                if q_error > self.worst_q_error:
+                    self.worst_q_error = q_error
+                    self.worst_q_error_operator = name
 
     def observe_rejection(self, session_name: str) -> None:
         with self._lock:

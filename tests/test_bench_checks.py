@@ -2,6 +2,7 @@
 keeps its equivalence flags, and ``repro-bench all`` still prints the
 committed paper artefact byte for byte."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,8 @@ def test_check_contract_holds(target, tmp_path, monkeypatch):
         assert report.all_match
     else:
         assert report.ok()
+    if BENCHES[target][2] is not None:  # a target with a snapshot
+        assert json.loads(json.dumps(report.to_json()))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -120,3 +120,121 @@ def test_fixed_width_statements_never_size_rows_one_by_one(monkeypatch):
     assert sized == []
     tuples.close()
 
+
+
+# -- one ledger charge per operator on a warm run -----------------------------
+
+#: warm reads at 80 slots: a Gram, the paper's regression (a hash join
+#: under two SUMs), a GROUP BY over a join with an expression key and a
+#: filtered scan; no ORDER BY (Sort and Top-K order and charge each slot
+#: on its own)
+WARM_READS = (
+    "SELECT SUM(outer_product(x.v, x.v)) FROM x",
+    "SELECT matrix_vector_multiply(matrix_inverse(SUM(outer_product(x.v, x.v))), "
+    "SUM(x.v * y.y)) FROM x, y WHERE x.id = y.id",
+    "SELECT g.k, COUNT(*), SUM(y.y) FROM y, g WHERE y.id * 2 = g.id + 2 GROUP BY g.k",
+    "SELECT id, y FROM y WHERE y > 0.5",
+)
+
+
+def _warm_db():
+    db = Database(TEST_CLUSTER.with_updates(machines=10, cores_per_machine=8))
+    rng = np.random.default_rng(3)
+    db.execute("CREATE TABLE x (id INTEGER, v VECTOR[])")
+    db.load("x", [(i, Vector(rng.normal(size=3))) for i in range(200)])
+    db.execute("CREATE TABLE y (id INTEGER, y DOUBLE)")
+    db.load("y", [(i, float(rng.random())) for i in range(200)])
+    db.execute("CREATE TABLE g (id INTEGER, k INTEGER)")
+    db.load("g", [(i, i // 50) for i in range(400)])
+    # feedback settles, then every read is a plan-cache hit
+    for _ in range(3):
+        for sql in WARM_READS:
+            db.execute(sql)
+    return db
+
+
+def _count_calls(monkeypatch, owner, names, calls):
+    """Count the calls of each of ``owner``'s methods ``names`` into
+    ``calls``."""
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_warm_run_charges_each_operator_a_few_times(monkeypatch):
+    """At 80 slots a warm read makes a few ``OperatorRun`` charge calls
+    per operator, not one per slot: a ledger's slots are charged by one
+    call."""
+    from repro.engine.cluster import OperatorRun
+
+    db = _warm_db()
+    charges = [name for name in vars(OperatorRun) if name.startswith("charge")]
+    for sql in WARM_READS:
+        calls = [0]
+        with monkeypatch.context() as patch:
+            _count_calls(patch, OperatorRun, charges, calls)
+            result = db.execute(sql)
+        assert result.metrics.plan_cached
+        assert calls[0] <= 5 * len(result.metrics.operators), sql
+
+
+def test_a_warm_run_makes_no_cost_ledger_per_slot(monkeypatch):
+    """At 80 slots no operator makes an ``EvalCost`` per slot: a ledger
+    over a stage is one object, charged as it is."""
+    from repro.plan.expressions import EvalCost
+
+    db = _warm_db()
+    for sql in WARM_READS:
+        calls = [0]
+        with monkeypatch.context() as patch:
+            _count_calls(patch, EvalCost, ["__init__"], calls)
+            result = db.execute(sql)
+        assert calls[0] <= 3 * len(result.metrics.operators), sql
+
+
+def test_feedback_and_service_statistics_walk_no_tree(monkeypatch):
+    """Cardinality feedback and the service's q-error statistics read the
+    run's records by plan position: neither calls a plan node's
+    ``children()`` nor the trace's ``walk()``."""
+    from repro.engine.metrics import OperatorTrace
+    from repro.plan.physical import PhysicalNode
+    from repro.service.metrics import ServiceMetrics
+
+    db = _warm_db()
+    service = db.service()
+    session = service.session()
+    inside, walks = [False], [0]
+    for owner, name in ((db, "_absorb_feedback"), (ServiceMetrics, "observe")):
+        original = getattr(owner, name)
+
+        def scoped(*args, _original=original, **kwargs):
+            inside[0] = True
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(owner, name, scoped)
+    classes = [PhysicalNode]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    for owner, name in [(cls, "children") for cls in classes if "children" in vars(cls)] + [
+        (OperatorTrace, "walk")
+    ]:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, **kwargs):
+            walks[0] += inside[0]
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    for sql in WARM_READS:
+        result = session.execute(sql)
+        assert result.metrics.plan_cached and result.metrics.trace is not None
+    assert service.stats()["estimate_errors"]["trace_operators"] > 0
+    assert walks[0] == 0
